@@ -35,6 +35,7 @@ use autoindex_core::{
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::drift::{drift_scenarios, DriftScenario};
@@ -284,13 +285,9 @@ fn main() {
 
     // Matrix-wide determinism fingerprint: FNV-1a over every cell's
     // curve digest, in matrix order.
-    let mut regret_digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in &cells {
-        for b in c.curve_digest.to_le_bytes() {
-            regret_digest ^= b as u64;
-            regret_digest = regret_digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let regret_digest = cells.iter().fold(FNV_OFFSET, |h, c| {
+        fnv1a_from(h, &c.curve_digest.to_le_bytes())
+    });
 
     let d1 = fleet_bandit_digest(1);
     let d2 = fleet_bandit_digest(2);

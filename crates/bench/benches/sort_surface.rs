@@ -32,6 +32,7 @@ use autoindex_core::{AutoIndex, AutoIndexConfig, CandidateConfig, StrategyKind};
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::index::{IndexDef, SortDirection};
 use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::{surface_scenarios, SurfaceScenario};
@@ -222,13 +223,8 @@ fn main() {
 
     // Matrix-wide determinism fingerprint: FNV-1a over each cell's
     // simulated total and counters, in matrix order.
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut digest = FNV_OFFSET;
+    let mut mix = |v: u64| digest = fnv1a_from(digest, &v.to_le_bytes());
     for c in &cells {
         mix(c.total_sim_ms.to_bits());
         mix(c.sort_elided);

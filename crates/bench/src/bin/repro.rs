@@ -511,14 +511,7 @@ fn chaos(args: &[String]) {
         }
     }
 
-    let digest = |t: &str| -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in t.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
+    let digest = |t: &str| autoindex_support::hash::fnv1a(t.as_bytes());
     let pass = invariant && leaks == 0;
     println!(
         "CHAOS workload={name} rate={rate} digest1={:016x} digest4={:016x} invariant={invariant} \

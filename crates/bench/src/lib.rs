@@ -214,11 +214,11 @@ pub fn run_method<E: CostEstimator>(
 pub struct BorrowedEstimator<'a, E: CostEstimator>(pub &'a E);
 
 impl<'a, E: CostEstimator> CostEstimator for BorrowedEstimator<'a, E> {
-    fn shape_cost(
+    fn shape_cost<'c>(
         &self,
         db: &SimDb,
-        shape: &autoindex_storage::shape::QueryShape,
-        config: &[IndexDef],
+        shape: &QueryShape,
+        config: impl autoindex_storage::IndexConfig<'c>,
     ) -> f64 {
         self.0.shape_cost(db, shape, config)
     }

@@ -46,6 +46,7 @@ use crate::strategy::{
 use crate::system::Recommendation;
 use autoindex_estimator::{ColumnarStats, CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -379,12 +380,13 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         // The estimator prior: standalone benefit of each arm against the
         // configuration *without* bandit-owned indexes (so a built arm's
         // own benefit does not evaporate the round after it was created).
-        let baseline: Vec<IndexDef> = existing
+        let baseline: Vec<&IndexDef> = existing
             .iter()
             .filter(|d| !self.owned.contains_key(&d.key()))
-            .cloned()
             .collect();
-        let base_cost = ctx.estimator.workload_cost(db, workload, &baseline);
+        let base_cost = ctx
+            .estimator
+            .workload_cost(db, workload, baseline.iter().copied());
         let mut evals = 1usize;
         let stats = ColumnarStats::build(db.catalog());
         let (read_w, write_w, total_w) = table_weights(workload);
@@ -398,9 +400,8 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         let mut arms: Vec<Arm> = candidates
             .iter()
             .map(|c| {
-                let mut cfg = baseline.clone();
-                cfg.push(c.clone());
-                let cost = ctx.estimator.workload_cost(db, workload, &cfg);
+                let cfg = baseline.iter().copied().chain(Some(c));
+                let cost = ctx.estimator.workload_cost(db, workload, cfg);
                 evals += 1;
                 let benefit = ((base_cost - cost) / base_cost.max(1e-12)).clamp(0.0, 1.0);
                 let size = db.index_size_bytes(c).unwrap_or(u64::MAX / 1024);
@@ -506,13 +507,8 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         }
 
         let est_cost_before = ctx.estimator.workload_cost(db, workload, &existing);
-        let mut after: Vec<IndexDef> = existing
-            .iter()
-            .filter(|d| !remove.contains(d))
-            .cloned()
-            .collect();
-        after.extend(add.iter().cloned());
-        let est_cost_after = ctx.estimator.workload_cost(db, workload, &after);
+        let after = existing.iter().filter(|d| !remove.contains(d)).chain(&add);
+        let est_cost_after = ctx.estimator.workload_cost(db, workload, after);
         evals += 2;
         let search_time = search_started.elapsed();
 
@@ -671,14 +667,9 @@ impl RegretAccounter {
     /// FNV-1a digest over the curve's exact bit patterns — the
     /// determinism fingerprint the drift benches exact-gate.
     pub fn curve_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in &self.curve {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.curve
+            .iter()
+            .fold(FNV_OFFSET, |h, v| fnv1a_from(h, &v.to_bits().to_le_bytes()))
     }
 }
 

@@ -86,16 +86,15 @@ impl<'w> DeltaWorkload<'w> {
         &self.terms
     }
 
-    /// Cache key of `term` under `config`: project the configuration onto
-    /// the term's mask and fingerprint the projection (slot domain).
-    pub fn term_key(term: &DeltaTerm<'_>, config: &ConfigSet) -> (ConfigSet, CacheKey) {
-        let proj = config.intersect(&term.mask);
-        let key = CacheKey {
+    /// Cache key of `term` under `config`: the fingerprint of the
+    /// configuration projected onto the term's mask (slot domain). The
+    /// projection itself is only built on a miss.
+    pub fn term_key(term: &DeltaTerm<'_>, config: &ConfigSet) -> CacheKey {
+        CacheKey {
             shape_key: term.key,
-            config_fp: proj.fingerprint(),
+            config_fp: config.intersect_fingerprint(&term.mask),
             domain: cost_cache::DOMAIN_SLOTS,
-        };
-        (proj, key)
+        }
     }
 
     /// Memoized workload cost of `config` (no buffer-pressure multiplier —
@@ -114,9 +113,9 @@ impl<'w> DeltaWorkload<'w> {
         self.terms
             .iter()
             .map(|t| {
-                let (proj, key) = Self::term_key(t, config);
-                cache.get_or_insert_with(key, stats, || {
-                    estimator.shape_cost(db, t.shape, &universe.config_defs(&proj))
+                cache.get_or_insert_with(Self::term_key(t, config), stats, || {
+                    let proj = config.intersect(&t.mask);
+                    estimator.shape_cost(db, t.shape, universe.config_defs(&proj))
                 }) * t.weight
             })
             .sum()
@@ -210,7 +209,7 @@ mod tests {
             [su].into_iter().collect(),
         ];
         for cfg in &configs {
-            let naive = est.workload_cost(&db, &w, &universe.config_defs(cfg));
+            let naive = est.workload_cost(&db, &w, universe.config_defs(cfg));
             let fast = dw.cost(&db, &est, &universe, cfg, &cache, &stats);
             assert_eq!(naive.to_bits(), fast.to_bits());
         }

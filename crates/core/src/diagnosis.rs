@@ -12,9 +12,11 @@
 //! set against the current configuration.
 
 use crate::candgen::{CandidateConfig, CandidateGenerator};
+use crate::strategy::is_primary_key_index;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
+use std::collections::HashSet;
 
 /// Diagnosis thresholds.
 #[derive(Debug, Clone)]
@@ -81,20 +83,26 @@ impl IndexDiagnosis {
     ) -> DiagnosisReport {
         let usage = db.usage();
         let total_indexes = db.index_count().max(1);
+        let warmed_up = usage.statements >= self.config.min_statements;
 
-        let is_pk = |id: IndexId| -> bool {
-            self.config.ignore_primary_keys
-                && db
-                    .index_def(id)
-                    .and_then(|d| db.catalog().table(&d.table).map(|t| (d, t)))
-                    .is_some_and(|(d, t)| !t.primary_key.is_empty() && d.columns == t.primary_key)
-        };
-        let (rarely_used, negative) = if usage.statements >= self.config.min_statements {
+        // One pass over the real indexes: which implement a primary key
+        // (exempt), and which the window scanned too rarely — including
+        // those the tracker never saw at all.
+        let mut primary: HashSet<IndexId> = HashSet::new();
+        let mut problem: HashSet<IndexId> = HashSet::new();
+        for (id, def) in db.indexes() {
+            if self.config.ignore_primary_keys && is_primary_key_index(db, def) {
+                primary.insert(id);
+            } else if warmed_up && usage.usage(id).scans < self.config.rare_scan_threshold {
+                problem.insert(id);
+            }
+        }
+        let (rarely_used, negative): (Vec<IndexId>, Vec<IndexId>) = if warmed_up {
             (
                 usage
                     .rarely_used(self.config.rare_scan_threshold, self.config.min_statements)
                     .into_iter()
-                    .filter(|id| !is_pk(*id))
+                    .filter(|id| !primary.contains(id))
                     .collect(),
                 usage.negative(),
             )
@@ -102,24 +110,7 @@ impl IndexDiagnosis {
             (Vec::new(), Vec::new())
         };
         // An index can be both rare and negative; count it once.
-        let mut problem: Vec<IndexId> = rarely_used.clone();
-        for id in &negative {
-            if !problem.contains(id) {
-                problem.push(*id);
-            }
-        }
-        // Rarely-used includes never-scanned indexes that the tracker has
-        // not seen at all: any real index absent from the tracker.
-        if usage.statements >= self.config.min_statements {
-            for (id, _) in db.indexes() {
-                if usage.usage(id).scans < self.config.rare_scan_threshold
-                    && !problem.contains(&id)
-                    && !is_pk(id)
-                {
-                    problem.push(id);
-                }
-            }
-        }
+        problem.extend(rarely_used.iter().chain(&negative));
         let problem_ratio = problem.len() as f64 / total_indexes as f64;
 
         // Class (i): what would the full candidate set buy us?
@@ -133,9 +124,7 @@ impl IndexDiagnosis {
             0.0
         } else {
             let base = estimator.workload_cost(db, workload, &existing);
-            let mut all: Vec<IndexDef> = existing.clone();
-            all.extend(candidates);
-            let with = estimator.workload_cost(db, workload, &all);
+            let with = estimator.workload_cost(db, workload, existing.iter().chain(&candidates));
             if base > 0.0 {
                 ((base - with) / base).max(0.0)
             } else {

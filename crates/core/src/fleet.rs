@@ -99,6 +99,7 @@ use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::SimDb;
 use autoindex_support::arcswap::ArcSlot;
+use autoindex_support::hash::{fnv1a, fnv1a_from};
 use autoindex_support::obs::{Counter, MetricsRegistry};
 use autoindex_support::rng::derive_seed;
 use autoindex_support::steal::StealPool;
@@ -777,22 +778,12 @@ impl FleetReport {
     /// deterministic surface (`verify.sh` compares it across worker
     /// counts; `BENCH_PR8.json` records it).
     pub fn transcript_digest(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.transcript().as_bytes());
+        let mut h = fnv1a(self.transcript().as_bytes());
         for t in &self.tenant_reports {
-            h = fnv1a(h, t.transcript().as_bytes());
+            h = fnv1a_from(h, t.transcript().as_bytes());
         }
         h
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A tenant's evolved state after the run.

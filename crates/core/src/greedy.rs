@@ -154,9 +154,7 @@ fn score_one<E: CostEstimator>(
     base_cost: f64,
     c: &IndexDef,
 ) -> ScoredCandidate {
-    let mut config: Vec<IndexDef> = existing.to_vec();
-    config.push(c.clone());
-    let cost = estimator.workload_cost(db, workload, &config);
+    let cost = estimator.workload_cost(db, workload, existing.iter().chain(Some(c)));
     ScoredCandidate {
         def: c.clone(),
         benefit: base_cost - cost,

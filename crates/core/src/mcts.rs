@@ -130,16 +130,24 @@ impl ConfigSet {
     /// guarantees equal sets hash equally; used as the projected-config
     /// component of delta-cost cache keys (slot domain).
     pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        0x0c0f_f1e5_u64.hash(&mut h);
-        self.words.hash(&mut h);
-        h.finish()
+        fingerprint_words(self.words.iter().copied())
+    }
+
+    /// `self.intersect(other).fingerprint()` without building the
+    /// intersection: what a delta-cost term lookup needs on a hit.
+    pub fn intersect_fingerprint(&self, other: &ConfigSet) -> u64 {
+        let and = |(a, b): (&u64, &u64)| a & b;
+        let words = self.words.iter().zip(&other.words);
+        // Canonical length: up to the last non-zero word.
+        let n = words
+            .clone()
+            .rposition(|w| and(w) != 0)
+            .map_or(0, |i| i + 1);
+        fingerprint_words(words.take(n).map(and))
     }
 
     /// Iterate member slots in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         self.words.iter().enumerate().flat_map(|(wi, w)| {
             let mut w = *w;
             std::iter::from_fn(move || {
@@ -153,6 +161,19 @@ impl ConfigSet {
             })
         })
     }
+}
+
+/// Fingerprint of a canonical word sequence (no trailing zero word).
+fn fingerprint_words(words: impl ExactSizeIterator<Item = u64>) -> u64 {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    0x0c0f_f1e5_u64.hash(&mut h);
+    words.len().hash(&mut h);
+    for w in words {
+        w.hash(&mut h);
+    }
+    h.finish()
 }
 
 impl FromIterator<usize> for ConfigSet {
@@ -233,9 +254,13 @@ impl Universe {
         config.iter().map(|i| self.sizes[i]).sum()
     }
 
-    /// Materialise a configuration into definitions.
-    pub fn config_defs(&self, config: &ConfigSet) -> Vec<IndexDef> {
-        config.iter().map(|i| self.defs[i].clone()).collect()
+    /// The definitions of a configuration, in slot order, by reference
+    /// (an [`autoindex_storage::IndexConfig`]).
+    pub fn config_defs<'u>(
+        &'u self,
+        config: &'u ConfigSet,
+    ) -> impl Iterator<Item = &'u IndexDef> + Clone {
+        config.iter().map(|i| &self.defs[i])
     }
 }
 
@@ -781,7 +806,6 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                 // arm): every L1 miss replans the entire workload.
                 for &i in &pending {
                     let cfg = &batch[i];
-                    let defs = self.universe.config_defs(cfg);
                     // Estimated workload cost, inflated by the
                     // buffer-pressure the configuration's footprint would
                     // cause. This is what makes dropping *unused* indexes
@@ -790,8 +814,11 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                     let pressure = self
                         .db
                         .pressure_for_index_bytes(self.universe.config_size(cfg));
-                    let cost =
-                        self.estimator.workload_cost(self.db, self.workload, &defs) * pressure;
+                    let cost = self.estimator.workload_cost(
+                        self.db,
+                        self.workload,
+                        self.universe.config_defs(cfg),
+                    ) * pressure;
                     st.l1.insert(cfg.clone(), cost);
                     out[i] = cost;
                 }
@@ -814,7 +841,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                     let cfg = &batch[i];
                     let mut plan = Vec::with_capacity(ctx.delta.terms().len());
                     for t in ctx.delta.terms() {
-                        let (proj, key) = DeltaWorkload::term_key(t, cfg);
+                        let key = DeltaWorkload::term_key(t, cfg);
                         if ctx.cache.get(&key).is_some() || scheduled.contains(&key) {
                             ctx.stats.hits.incr();
                         } else {
@@ -822,7 +849,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                             scheduled.insert(key);
                             jobs.push(Job {
                                 key,
-                                proj,
+                                proj: cfg.intersect(&t.mask),
                                 shape: t.shape,
                             });
                         }
@@ -847,7 +874,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                                             self.estimator.shape_cost(
                                                 self.db,
                                                 j.shape,
-                                                &self.universe.config_defs(&j.proj),
+                                                self.universe.config_defs(&j.proj),
                                             )
                                         })
                                         .collect::<Vec<_>>()
@@ -865,7 +892,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                             self.estimator.shape_cost(
                                 self.db,
                                 j.shape,
-                                &self.universe.config_defs(&j.proj),
+                                self.universe.config_defs(&j.proj),
                             )
                         })
                         .collect()
@@ -1076,7 +1103,12 @@ mod tests {
     /// A maintenance-aware estimator for tests that need write costs.
     struct MaintAware;
     impl CostEstimator for MaintAware {
-        fn shape_cost(&self, db: &SimDb, shape: &QueryShape, config: &[IndexDef]) -> f64 {
+        fn shape_cost<'a>(
+            &self,
+            db: &SimDb,
+            shape: &QueryShape,
+            config: impl autoindex_storage::IndexConfig<'a>,
+        ) -> f64 {
             let f = db.whatif_features(shape, config);
             f.c_data + 1.3 * f.c_io + 1.15 * f.c_cpu
         }
@@ -1339,8 +1371,7 @@ mod tests {
         u.refresh_sizes(&db);
         assert!(u.size(a) > 0 && u.size(b) > 0);
         let cfg: ConfigSet = [a, b].into_iter().collect();
-        let defs = u.config_defs(&cfg);
-        assert_eq!(defs.len(), 2);
+        assert_eq!(u.config_defs(&cfg).count(), 2);
         assert_eq!(u.config_size(&cfg), u.size(a) + u.size(b));
         assert!(!u.is_empty());
         // Unknown-table defs get a sentinel size rather than panicking.

@@ -34,7 +34,7 @@ use crate::mcts::{ConfigSet, MctsSearch, PolicyTree, Universe};
 use crate::system::{AutoIndexConfig, Recommendation};
 use autoindex_estimator::cost_cache::{CostCache, CostCacheStats};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
-use autoindex_storage::index::{IndexDef, IndexId};
+use autoindex_storage::index::IndexDef;
 use autoindex_storage::SimDb;
 use std::time::{Duration, Instant};
 
@@ -218,9 +218,9 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
             },
         );
         let est_cost_before = ctx.estimator.workload_cost(ctx.db, ctx.workload, &existing);
-        let mut after: Vec<IndexDef> = existing.clone();
-        after.extend(picked.iter().cloned());
-        let est_cost_after = ctx.estimator.workload_cost(ctx.db, ctx.workload, &after);
+        let est_cost_after =
+            ctx.estimator
+                .workload_cost(ctx.db, ctx.workload, existing.iter().chain(&picked));
         let search_time = search_started.elapsed();
 
         Proposal {
@@ -308,9 +308,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
     fn propose(&mut self, ctx: StrategyContext<'_, E>) -> Proposal {
         let db = ctx.db;
         let workload = ctx.workload;
-        let existing_defs: Vec<(IndexId, IndexDef)> =
-            db.indexes().map(|(id, d)| (id, d.clone())).collect();
-        let existing_list: Vec<IndexDef> = existing_defs.iter().map(|(_, d)| d.clone()).collect();
+        let existing_list: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
 
         if workload.is_empty() {
             return Proposal {
@@ -337,7 +335,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // Universe bookkeeping.
         let mut existing_set = ConfigSet::default();
         let mut protected = ConfigSet::default();
-        for (_, d) in &existing_defs {
+        for d in &existing_list {
             let slot = self.universe.intern(d);
             existing_set.insert(slot);
             if ctx.config.protect_primary_keys && is_primary_key_index(db, d) {
@@ -397,8 +395,9 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                     ) * pressure
                 }
                 None => {
-                    let defs = self.universe.config_defs(cfg);
-                    ctx.estimator.workload_cost(db, workload, &defs) * pressure
+                    ctx.estimator
+                        .workload_cost(db, workload, self.universe.config_defs(cfg))
+                        * pressure
                 }
             }
         };
@@ -406,14 +405,14 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         if let Some(eps) = ctx.config.prune_epsilon {
             let mut base = priced(&start_set);
             // Least-used first: zero-scan indexes are the cheapest wins.
-            let mut order: Vec<(u64, usize)> = existing_defs
-                .iter()
+            let mut order: Vec<(u64, usize)> = db
+                .indexes()
                 .filter_map(|(id, d)| {
                     let slot = self.universe.slot(d)?;
                     if protected.contains(slot) {
                         return None;
                     }
-                    Some((db.usage().usage(*id).scans, slot))
+                    Some((db.usage().usage(id).scans, slot))
                 })
                 .collect();
             order.sort();

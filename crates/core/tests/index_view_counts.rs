@@ -1,0 +1,118 @@
+//! Count-domain regression test for the index view: planning work follows
+//! the tables a statement touches, never the size of the configuration.
+//!
+//! A counting `#[global_allocator]` (per-thread, so the libtest harness
+//! cannot leak into a window) measures allocator calls; the what-if,
+//! inference and fault-roll counters must read exactly one per probe.
+
+use autoindex_estimator::{CostEstimator, NativeCostEstimator};
+use autoindex_sql::parse_statement;
+use autoindex_storage::fault::FaultPlan;
+use autoindex_storage::index::IndexDef;
+use autoindex_storage::shape::QueryShape;
+use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_support::obs::MetricsRegistry;
+use autoindex_workloads::banking;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn tally() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the tally touches only a `Cell` in
+// const-initialised thread-local storage and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocator calls this thread makes while running `f`.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOC_CALLS.with(Cell::get);
+    let r = f();
+    (ALLOC_CALLS.with(Cell::get) - before, r)
+}
+
+fn banking_db(indexes: &[IndexDef]) -> SimDb {
+    let mut db = SimDb::with_metrics(
+        banking::catalog(),
+        SimDbConfig::default(),
+        MetricsRegistry::new(),
+    );
+    for def in indexes {
+        db.create_index(def.clone()).unwrap();
+    }
+    db
+}
+
+#[test]
+fn planning_work_follows_the_touched_table_not_the_configuration() {
+    let dba = banking::dba_indexes();
+    assert_eq!(dba.len(), 263);
+    let on_flow: Vec<IndexDef> = dba
+        .iter()
+        .filter(|d| d.table == "withdraw_flow")
+        .cloned()
+        .collect();
+    assert!(on_flow.len() > 3 && on_flow.len() < 20);
+
+    let mut db = banking_db(&dba);
+    db.set_fault_plan(Some(FaultPlan::none()));
+    let read = QueryShape::extract(
+        &parse_statement("SELECT * FROM withdraw_flow WHERE acct_id = 7 AND ts > 100").unwrap(),
+        db.catalog(),
+    );
+
+    // What-if: the 263-index configuration costs what the table's own
+    // indexes cost, and gives the same features.
+    let (allocs_full, full) = counted(|| db.whatif_plan(&read, &dba));
+    let (allocs_own, own) = counted(|| db.whatif_plan(&read, &on_flow));
+    assert_eq!(full.features, own.features);
+    assert_eq!(allocs_full, allocs_own, "what-if resolved untouched tables");
+    assert!(
+        allocs_full < dba.len() as u64,
+        "{allocs_full} allocator calls for one single-table what-if"
+    );
+
+    // One roll, one what-if and one inference per probe — no more.
+    let est = NativeCostEstimator;
+    let cost = est.shape_cost(&db, &read, &dba);
+    assert_eq!(cost, full.features.native_cost());
+    assert_eq!(db.metrics().counter_value("db.whatif_calls"), 3);
+    assert_eq!(db.metrics().counter_value("estimator.inference_calls"), 1);
+    assert_eq!(db.fault_plan().unwrap().whatif_ops(), 3);
+
+    // Live execution of a read: 263 real indexes cost what the touched
+    // table's own indexes cost.
+    let mut small = banking_db(&on_flow);
+    let (exec_full, a) = counted(|| db.execute_shape(&read));
+    let (exec_own, b) = counted(|| small.execute_shape(&read));
+    assert_eq!(a.features, b.features);
+    assert_eq!(a.indexes_used.len(), b.indexes_used.len());
+    assert_eq!(exec_full, exec_own, "execute resolved untouched tables");
+}

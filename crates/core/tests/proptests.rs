@@ -320,7 +320,7 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                 } else {
                     config.insert(slot);
                 }
-                let defs = universe.config_defs(&config);
+                let defs: Vec<IndexDef> = universe.config_defs(&config).cloned().collect();
                 let naive = est.workload_cost(&db, &shapes, &defs);
                 let fast = dw.cost(&db, &est, &universe, &config, &cache, &stats);
                 prop_assert_eq!(naive.to_bits(), fast.to_bits());
@@ -339,7 +339,7 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                     .counter_value("estimator.cost_cache.invalidations"),
                 1
             );
-            let naive = est.workload_cost(&db, &shapes, &universe.config_defs(&config));
+            let naive = est.workload_cost(&db, &shapes, universe.config_defs(&config));
             let fast = dw.cost(&db, &est, &universe, &config, &cache, &stats);
             prop_assert_eq!(naive.to_bits(), fast.to_bits());
             Ok(())
@@ -371,7 +371,17 @@ fn config_set_models_a_set() {
         );
         // Equality is structural over contents.
         let rebuilt: ConfigSet = reference.iter().copied().collect();
-        prop_assert_eq!(cs, rebuilt);
+        prop_assert_eq!(&cs, &rebuilt);
+        // Projection keys: fingerprinting an intersection in place equals
+        // fingerprinting the built intersection, whatever the word lengths.
+        let mask: ConfigSet = (0..rng.random_range(0usize..8))
+            .map(|_| rng.random_range(0usize..260))
+            .collect();
+        prop_assert_eq!(
+            cs.intersect_fingerprint(&mask),
+            cs.intersect(&mask).fingerprint()
+        );
+        prop_assert_eq!(cs.intersect_fingerprint(&cs), cs.fingerprint());
         Ok(())
     });
 }

@@ -40,7 +40,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use autoindex_storage::index::IndexDef;
+use autoindex_storage::index::{IndexConfig, IndexDef};
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
 use autoindex_support::obs::{Counter, MetricsRegistry};
@@ -94,7 +94,7 @@ pub fn shape_touches(shape: &QueryShape, table: &str) -> bool {
 
 /// Fingerprint of `config` projected onto the tables `shape` touches,
 /// preserving configuration order ([`DOMAIN_DEFS`] key space).
-pub fn projected_config_fp(shape: &QueryShape, config: &[IndexDef]) -> u64 {
+pub fn projected_config_fp<'a>(shape: &QueryShape, config: impl IndexConfig<'a>) -> u64 {
     let mut h = DefaultHasher::new();
     0x9e37_79b9_u64.hash(&mut h);
     for def in config {
@@ -204,8 +204,10 @@ impl CostCache {
 }
 
 /// A [`CostEstimator`] adapter that memoizes the inner estimator's
-/// per-shape terms in a shared [`CostCache`], evaluating each miss against
-/// the *projected* configuration.
+/// per-shape terms in a shared [`CostCache`] keyed by the *projected*
+/// configuration. A miss hands the inner estimator the configuration as
+/// given: the database's what-if itself resolves only the touched tables'
+/// definitions, by reference.
 ///
 /// Contract: the inner estimator must be **projection-invariant** — its
 /// `shape_cost(db, shape, config)` must equal
@@ -237,19 +239,14 @@ impl<'a, E: CostEstimator> CachedCostEstimator<'a, E> {
 }
 
 impl<E: CostEstimator> CostEstimator for CachedCostEstimator<'_, E> {
-    fn shape_cost(&self, db: &SimDb, shape: &QueryShape, config: &[IndexDef]) -> f64 {
+    fn shape_cost<'a>(&self, db: &SimDb, shape: &QueryShape, config: impl IndexConfig<'a>) -> f64 {
         let key = CacheKey {
             shape_key: shape_key(shape),
-            config_fp: projected_config_fp(shape, config),
+            config_fp: projected_config_fp(shape, config.clone()),
             domain: DOMAIN_DEFS,
         };
         self.cache.get_or_insert_with(key, &self.stats, || {
-            let projected: Vec<IndexDef> = config
-                .iter()
-                .filter(|def| shape_touches(shape, &def.table))
-                .cloned()
-                .collect();
-            self.inner.shape_cost(db, shape, &projected)
+            self.inner.shape_cost(db, shape, config)
         })
     }
 }

@@ -32,7 +32,7 @@ pub use cost_cache::{CacheKey, CachedCostEstimator, CostCache, CostCacheStats};
 pub use model::{ModelError, OneLayerRegression, TrainConfig};
 pub use training::{kfold_cross_validate, CollectConfig, FoldReport, TrainingSet};
 
-use autoindex_storage::index::IndexDef;
+use autoindex_storage::index::IndexConfig;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
 
@@ -42,8 +42,9 @@ pub type TemplateWorkload = [(QueryShape, u64)];
 
 /// Anything that can price a workload under a hypothetical index set.
 ///
-/// `shape_cost` is the *primitive*: one template shape, weight 1, borrowed —
-/// no allocation on the hot path. `workload_cost` is the provided
+/// `shape_cost` is the *primitive*: one template shape, weight 1, under a
+/// configuration taken by reference ([`IndexConfig`]) — no definition is
+/// copied on the way to the planner. `workload_cost` is the provided
 /// weighted sum over it, and the [`cost_cache`] layer memoizes exactly the
 /// per-shape terms this decomposition exposes.
 ///
@@ -56,14 +57,19 @@ pub trait CostEstimator: Sync {
     /// complete index configuration. Units are milliseconds for learned
     /// estimators and optimizer cost units for native ones; only *ratios
     /// and differences under the same estimator* are meaningful.
-    fn shape_cost(&self, db: &SimDb, shape: &QueryShape, config: &[IndexDef]) -> f64;
+    fn shape_cost<'a>(&self, db: &SimDb, shape: &QueryShape, config: impl IndexConfig<'a>) -> f64;
 
     /// Estimated total cost of running `workload` with `config`: the
     /// weighted sum of per-shape costs, in workload order.
-    fn workload_cost(&self, db: &SimDb, workload: &TemplateWorkload, config: &[IndexDef]) -> f64 {
+    fn workload_cost<'a>(
+        &self,
+        db: &SimDb,
+        workload: &TemplateWorkload,
+        config: impl IndexConfig<'a>,
+    ) -> f64 {
         workload
             .iter()
-            .map(|(shape, n)| self.shape_cost(db, shape, config) * *n as f64)
+            .map(|(shape, n)| self.shape_cost(db, shape, config.clone()) * *n as f64)
             .sum()
     }
 }
@@ -73,7 +79,7 @@ pub trait CostEstimator: Sync {
 pub struct NativeCostEstimator;
 
 impl CostEstimator for NativeCostEstimator {
-    fn shape_cost(&self, db: &SimDb, shape: &QueryShape, config: &[IndexDef]) -> f64 {
+    fn shape_cost<'a>(&self, db: &SimDb, shape: &QueryShape, config: impl IndexConfig<'a>) -> f64 {
         db.metrics().counter("estimator.inference_calls").incr();
         db.whatif_native_cost(shape, config)
     }
@@ -98,7 +104,7 @@ impl LearnedCostEstimator {
 }
 
 impl CostEstimator for LearnedCostEstimator {
-    fn shape_cost(&self, db: &SimDb, shape: &QueryShape, config: &[IndexDef]) -> f64 {
+    fn shape_cost<'a>(&self, db: &SimDb, shape: &QueryShape, config: impl IndexConfig<'a>) -> f64 {
         db.metrics().counter("estimator.inference_calls").incr();
         let f = db.whatif_features(shape, config);
         self.model.predict(&f.as_vec())
@@ -109,6 +115,7 @@ impl CostEstimator for LearnedCostEstimator {
 mod tests {
     use super::*;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+    use autoindex_storage::index::IndexDef;
     use autoindex_storage::SimDbConfig;
 
     fn db() -> SimDb {

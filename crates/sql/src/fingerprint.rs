@@ -733,5 +733,12 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         // Known FNV-1a vector.
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // The workspace's other byte hash is the same function.
+        for s in ["", "a", "SELECT * FROM t WHERE a = $"] {
+            assert_eq!(
+                fnv1a(s.as_bytes()),
+                autoindex_support::hash::fnv1a(s.as_bytes())
+            );
+        }
     }
 }

@@ -389,8 +389,9 @@ impl Catalog {
 
     /// Grow a table's row count by `delta` rows, scaling NDVs of its
     /// high-cardinality columns proportionally (models INSERT-driven data
-    /// growth in the Figure 9 dynamic experiment).
-    pub fn grow_table(&mut self, name: &str, delta: u64) -> Result<(), StorageError> {
+    /// growth in the Figure 9 dynamic experiment). Returns the table's new
+    /// row count.
+    pub fn grow_table(&mut self, name: &str, delta: u64) -> Result<u64, StorageError> {
         let t = self
             .tables
             .get_mut(name)
@@ -398,7 +399,7 @@ impl Catalog {
         self.version += 1;
         if t.rows == 0 {
             t.rows = delta;
-            return Ok(());
+            return Ok(delta);
         }
         let factor = (t.rows + delta) as f64 / t.rows as f64;
         t.rows += delta;
@@ -412,7 +413,7 @@ impl Catalog {
                 }
             }
         }
-        Ok(())
+        Ok(t.rows)
     }
 
     /// Serialise to compact JSON (deterministic key order).

@@ -158,6 +158,14 @@ impl IndexDef {
     }
 }
 
+/// An index configuration as the what-if entry points take it: the
+/// definitions, in order, by reference. A slice or a `Vec` is one; so is
+/// any cheaply cloned iterator, e.g. `existing.iter().chain(Some(&extra))`,
+/// which prices "this set plus one" without copying a definition.
+pub trait IndexConfig<'a>: IntoIterator<Item = &'a IndexDef> + Clone {}
+
+impl<'a, C: IntoIterator<Item = &'a IndexDef> + Clone> IndexConfig<'a> for C {}
+
 impl std::fmt::Display for IndexDef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.key())?;
@@ -201,6 +209,13 @@ impl IndexGeometry {
         let sort = entries * entries.log2().max(1.0) / 20.0;
         sort * ms_per_entry + self.trees as f64 * 0.5
     }
+
+    /// This index once its table holds `rows` rows — what [`geometry`]
+    /// resolves after growth, from the entry width and tree count already
+    /// resolved (`scope` is the definition's).
+    pub fn at_rows(&self, scope: IndexScope, rows: u64) -> IndexGeometry {
+        sized(self.entry_width, self.trees, scope, rows)
+    }
 }
 
 /// Leaf fill factor for B+Tree pages.
@@ -218,17 +233,25 @@ pub fn geometry(def: &IndexDef, table: &Table) -> Result<IndexGeometry, StorageE
         .iter()
         .map(|c| table.column(c).map(|col| col.width as u64).unwrap_or(8))
         .sum();
-    let entry_width = key_width + ENTRY_OVERHEAD;
-    let entries = table.rows;
-
     let trees = match def.scope {
         IndexScope::Global => 1u32,
         IndexScope::Local => table.partitions,
     };
+    Ok(sized(
+        key_width + ENTRY_OVERHEAD,
+        trees,
+        def.scope,
+        table.rows,
+    ))
+}
+
+/// Pages, height and bytes of `trees` B+Trees holding `entries` entries of
+/// `entry_width` bytes between them.
+fn sized(entry_width: u64, trees: u32, scope: IndexScope, entries: u64) -> IndexGeometry {
     // LOCAL trees stay better packed: inserts spread over many small trees
     // split less and fragment less than one global tree on a partitioned
     // table ("'local' … takes much less space", §III).
-    let fill = match def.scope {
+    let fill = match scope {
         IndexScope::Global => INDEX_FILL,
         IndexScope::Local => 0.97,
     };
@@ -236,32 +259,27 @@ pub fn geometry(def: &IndexDef, table: &Table) -> Result<IndexGeometry, StorageE
     let entries_per_page = ((PAGE_SIZE as f64 * fill) / entry_width as f64).max(2.0);
     let leaf_pages_per_tree = (entries_per_tree / entries_per_page).ceil().max(1.0);
 
-    // height = levels needed for internal fan-out to reach the leaves.
+    // height = levels needed for internal fan-out to reach the leaves;
+    // internal pages ≈ leaf/fanout + leaf/fanout² + ...
     let mut height = 0u32;
+    let mut internal_pages = 0.0;
     let mut level_pages = leaf_pages_per_tree;
     while level_pages > 1.0 {
         level_pages = (level_pages / INTERNAL_FANOUT).ceil();
         height += 1;
-    }
-
-    // Internal pages ≈ leaf/fanout + leaf/fanout² + ...
-    let mut internal_pages = 0.0;
-    let mut lp = leaf_pages_per_tree;
-    while lp > 1.0 {
-        lp = (lp / INTERNAL_FANOUT).ceil();
-        internal_pages += lp;
+        internal_pages += level_pages;
     }
     let pages_per_tree = leaf_pages_per_tree + internal_pages + 1.0; // +1 meta page
     let bytes = (pages_per_tree * trees as f64) as u64 * PAGE_SIZE;
 
-    Ok(IndexGeometry {
+    IndexGeometry {
         entries,
         entry_width,
         leaf_pages: leaf_pages_per_tree as u64,
         height,
         trees,
         bytes,
-    })
+    }
 }
 
 /// The §V-A index-maintenance cost of writing `n_rows` rows into an index

@@ -65,7 +65,7 @@ pub use db::{DbSnapshot, ExecOutcome, SimDb, SimDbConfig, StorageBackend, Worklo
 pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultKind, FaultPlan, FaultPlanConfig};
 pub use histogram::Histogram;
-pub use index::{IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost};
+pub use index::{IndexConfig, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost};
 pub use planner::{AccessPath, CostFeatures, CostParams, PlanSummary, Planner};
 pub use selectivity::{atom_selectivity, conjunct_selectivity, DEFAULT_EQ_SEL, DEFAULT_RANGE_SEL};
 pub use shape::{QueryShape, SelTrace, SelTree, TableAtoms, WriteKind, WriteShape};

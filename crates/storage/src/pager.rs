@@ -61,14 +61,7 @@ pub mod page_type {
 }
 
 /// FNV-1a over a byte slice; the page and WAL checksum primitive.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use autoindex_support::hash::fnv1a;
 
 /// An in-memory file with explicit durability: writes land in `current`,
 /// [`sync`](SimFile::sync) makes them durable, [`crash`](SimFile::crash)

@@ -16,13 +16,16 @@
 //! is what fixes the seq-vs-index crossover, the hash-vs-NL crossover, and
 //! therefore the *shape* of every experiment.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Table};
 use crate::index::{
     geometry, maintenance_cost, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost,
 };
 use crate::selectivity::conjunct_selectivity;
 use crate::shape::{QueryShape, TableAtoms, WriteKind};
 use autoindex_sql::predicate::AtomicPredicate;
+use std::borrow::Borrow;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Optimizer cost parameters (PostgreSQL/openGauss defaults).
 #[derive(Debug, Clone, PartialEq)]
@@ -257,12 +260,159 @@ impl PlanSummary {
     }
 }
 
-/// An index made visible to the planner (real or hypothetical).
+/// An index made visible to the planner (real or hypothetical), with its
+/// geometry resolved. `D` is how the definition is held: owned (the
+/// default, for lists built outside the database), shared (`Arc` — the
+/// live [`IndexView`] and every snapshot of it) or borrowed from the
+/// caller's configuration (what-if). The database's own paths copy none.
 #[derive(Debug, Clone)]
-pub struct VisibleIndex {
+pub struct VisibleIndex<D = IndexDef> {
     pub id: IndexId,
-    pub def: IndexDef,
+    pub def: D,
     pub geo: IndexGeometry,
+}
+
+impl<D: Borrow<IndexDef>> VisibleIndex<D> {
+    /// The definition, however it is held.
+    pub fn def(&self) -> &IndexDef {
+        self.def.borrow()
+    }
+}
+
+/// What the planner plans against. It only ever asks for the indexes on
+/// one table — access paths, bitmap-OR arms, lookup joins and write
+/// maintenance all price a table from its own indexes — and breaks cost
+/// ties towards the index that comes first, so an implementation fixes a
+/// plan by the *per-table* order it yields.
+pub trait IndexSet {
+    /// How a definition is held (see [`VisibleIndex`]).
+    type Def: Borrow<IndexDef>;
+
+    /// The indexes on `table`, in this set's order.
+    fn on_table<'s>(&'s self, table: &'s str) -> impl Iterator<Item = &'s VisibleIndex<Self::Def>>;
+}
+
+/// A flat list in any table order: filtered per request.
+impl<D: Borrow<IndexDef>> IndexSet for [VisibleIndex<D>] {
+    type Def = D;
+
+    fn on_table<'s>(&'s self, table: &'s str) -> impl Iterator<Item = &'s VisibleIndex<D>> {
+        self.iter().filter(move |vi| vi.def().table == table)
+    }
+}
+
+/// The real index set of a database, resolved once and kept grouped by
+/// table: one table's indexes are a contiguous run in id order, found
+/// through a small per-table directory. [`crate::SimDb`] owns the
+/// live view behind an `Arc` and edits it copy-on-write, so a
+/// [`crate::DbSnapshot`] shares it instead of copying it (a copy is two
+/// vectors; definitions are shared). Invalidation rule: geometry depends
+/// on the definition and on its table's row count, so DDL touches one
+/// entry and table growth re-sizes one table's run — nothing is rebuilt.
+#[derive(Debug, Clone, Default)]
+pub struct IndexView {
+    /// Every index, one table's run after another; a run is in id order.
+    grouped: Vec<VisibleIndex<Arc<IndexDef>>>,
+    /// Each table that has indexes, in [`table_order`], with the end of its
+    /// run in `grouped` (runs are adjacent: one starts where the last ended).
+    runs: Vec<(Arc<str>, usize)>,
+    bytes: u64,
+}
+
+impl IndexView {
+    /// Number of indexes.
+    pub fn len(&self) -> usize {
+        self.grouped.len()
+    }
+
+    /// Whether the view holds no index.
+    pub fn is_empty(&self) -> bool {
+        self.grouped.is_empty()
+    }
+
+    /// Total on-disk bytes of every index at its resolved geometry.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The indexes on `table`, in id order.
+    pub fn table(&self, table: &str) -> &[VisibleIndex<Arc<IndexDef>>] {
+        &self.grouped[self.run(table).1]
+    }
+
+    /// `table`'s slot in the directory (or where it would go) and its run
+    /// (empty, at the insertion point, when it has no indexes).
+    fn run(&self, table: &str) -> (Result<usize, usize>, Range<usize>) {
+        let slot = self.runs.binary_search_by(|(t, _)| table_order(t, table));
+        let (Ok(i) | Err(i)) = slot;
+        let start = if i == 0 { 0 } else { self.runs[i - 1].1 };
+        let end = if slot.is_ok() { self.runs[i].1 } else { start };
+        (slot, start..end)
+    }
+
+    /// Add an index whose id is above every id already on its table.
+    pub(crate) fn insert(&mut self, id: IndexId, def: Arc<IndexDef>, geo: IndexGeometry) {
+        let (slot, run) = self.run(&def.table);
+        debug_assert!(self.grouped[run.clone()].iter().all(|vi| vi.id < id));
+        let i = slot.unwrap_or_else(|i| {
+            self.runs.insert(i, (def.table.as_str().into(), run.end));
+            i
+        });
+        for (_, end) in &mut self.runs[i..] {
+            *end += 1;
+        }
+        self.bytes += geo.bytes;
+        self.grouped.insert(run.end, VisibleIndex { id, def, geo });
+    }
+
+    /// Remove index `id` of `table`, if present.
+    pub(crate) fn remove(&mut self, table: &str, id: IndexId) {
+        let (Ok(i), run) = self.run(table) else {
+            return;
+        };
+        let Some(at) = self.grouped[run.clone()].iter().position(|vi| vi.id == id) else {
+            return;
+        };
+        self.bytes -= self.grouped.remove(run.start + at).geo.bytes;
+        for (_, end) in &mut self.runs[i..] {
+            *end -= 1;
+        }
+        if run.len() == 1 {
+            self.runs.remove(i);
+        }
+    }
+
+    /// Where `table`'s indexes sit, for [`IndexView::resize`].
+    pub(crate) fn run_of(&self, table: &str) -> Range<usize> {
+        self.run(table).1
+    }
+
+    /// Re-size the indexes in `run` after their table grew to `rows` rows.
+    pub(crate) fn resize(&mut self, run: Range<usize>, rows: u64) {
+        for vi in &mut self.grouped[run] {
+            let geo = vi.geo.at_rows(vi.def().scope, rows);
+            self.bytes = self.bytes - vi.geo.bytes + geo.bytes;
+            vi.geo = geo;
+        }
+    }
+}
+
+/// The directory's order: by length, then bytes. Any total order serves a
+/// binary search; this one settles most probes on the length held in the
+/// reference, without following it to the name.
+fn table_order(a: &str, b: &str) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+impl IndexSet for IndexView {
+    type Def = Arc<IndexDef>;
+
+    fn on_table<'s>(
+        &'s self,
+        table: &'s str,
+    ) -> impl Iterator<Item = &'s VisibleIndex<Arc<IndexDef>>> {
+        self.table(table).iter()
+    }
 }
 
 /// The planner: stateless over a catalog + parameters.
@@ -301,8 +451,13 @@ impl<'a> Planner<'a> {
         Planner { catalog, params }
     }
 
-    /// Plan `shape` under the given visible indexes and return the summary.
+    /// Plan `shape` under a flat list of visible indexes.
     pub fn plan(&self, shape: &QueryShape, indexes: &[VisibleIndex]) -> PlanSummary {
+        self.plan_over(shape, indexes)
+    }
+
+    /// Plan `shape` under `indexes` and return the summary.
+    pub fn plan_over<S: IndexSet + ?Sized>(&self, shape: &QueryShape, indexes: &S) -> PlanSummary {
         let mut features = CostFeatures::default();
         let mut paths = Vec::with_capacity(shape.tables.len());
         let mut used = Vec::new();
@@ -366,14 +521,15 @@ impl<'a> Planner<'a> {
             features.c_data += heap;
 
             let affected = self.affected_rows(shape, w);
-            for vi in indexes.iter().filter(|vi| vi.def.table == w.table) {
+            for vi in indexes.on_table(&w.table) {
                 let m = match w.kind {
                     // §V Remark: deletes update the index after the query;
                     // their index update cost is 0.
                     WriteKind::Delete => MaintenanceCost::ZERO,
                     WriteKind::Insert => maintenance_cost(&vi.geo, affected, self.params),
                     WriteKind::Update => {
-                        let touches_key = vi.def.columns.iter().any(|c| w.set_columns.contains(c));
+                        let touches_key =
+                            vi.def().columns.iter().any(|c| w.set_columns.contains(c));
                         if touches_key {
                             // Delete + insert of the index entry.
                             let m = maintenance_cost(&vi.geo, affected, self.params);
@@ -436,10 +592,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Choose the cheapest access path for one table.
-    fn best_access_path(
+    fn best_access_path<S: IndexSet + ?Sized>(
         &self,
         t: &TableAtoms,
-        indexes: &[VisibleIndex],
+        indexes: &S,
         shape: &QueryShape,
     ) -> AccessPath {
         let Some(table) = self.catalog.table(&t.table) else {
@@ -483,10 +639,10 @@ impl<'a> Planner<'a> {
             best.cost *= 0.5;
         }
 
-        for vi in indexes.iter().filter(|vi| vi.def.table == t.table) {
-            let m = self.match_prefix(&vi.def, &vi.geo, &t.conjuncts, table);
+        for vi in indexes.on_table(&t.table) {
+            let m = self.match_prefix(vi.def(), &t.conjuncts, table);
             let provides_order = !order_cols.is_empty()
-                && self.index_provides_order(&vi.def, &m, &order_cols, order_dirs);
+                && self.index_provides_order(vi.def(), &m, &order_cols, order_dirs);
             if m.matched_cols == 0 && !provides_order {
                 continue;
             }
@@ -545,11 +701,11 @@ impl<'a> Planner<'a> {
     /// Cost a BitmapOr over the table's DNF arms. Returns
     /// `(cost, heap cost, first index, remaining indexes)` or `None` when
     /// some arm has no usable index (the scan would be needed anyway).
-    fn bitmap_or_path(
+    fn bitmap_or_path<S: IndexSet + ?Sized>(
         &self,
         t: &TableAtoms,
-        indexes: &[VisibleIndex],
-        table: &crate::catalog::Table,
+        indexes: &S,
+        table: &Table,
     ) -> Option<(f64, f64, IndexId, Vec<IndexId>)> {
         let p = self.params;
         let rows = table.rows.max(1) as f64;
@@ -558,10 +714,9 @@ impl<'a> Planner<'a> {
         for group in &t.conjunct_groups {
             // Cheapest index probe serving this arm.
             let best_arm = indexes
-                .iter()
-                .filter(|vi| vi.def.table == t.table)
+                .on_table(&t.table)
                 .filter_map(|vi| {
-                    let m = self.match_prefix(&vi.def, &vi.geo, group, table);
+                    let m = self.match_prefix(vi.def(), group, table);
                     if m.matched_cols == 0 {
                         return None;
                     }
@@ -667,9 +822,8 @@ impl<'a> Planner<'a> {
     fn match_prefix(
         &self,
         def: &IndexDef,
-        _geo: &IndexGeometry,
         conjuncts: &[AtomicPredicate],
-        table: &crate::catalog::Table,
+        table: &Table,
     ) -> PrefixMatch {
         let mut matched: Vec<&AtomicPredicate> = Vec::new();
         let mut all_equality = true;
@@ -701,10 +855,10 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn index_scan_cost(
+    fn index_scan_cost<D: Borrow<IndexDef>>(
         &self,
-        table: &crate::catalog::Table,
-        vi: &VisibleIndex,
+        table: &Table,
+        vi: &VisibleIndex<D>,
         m: &PrefixMatch,
         t: &TableAtoms,
         shape: &QueryShape,
@@ -724,7 +878,7 @@ impl<'a> Planner<'a> {
         let geo = &vi.geo;
 
         // Local indexes without partition pruning probe every tree.
-        let trees_probed = match vi.def.scope {
+        let trees_probed = match vi.def().scope {
             IndexScope::Global => 1.0,
             IndexScope::Local if m.partition_pruned => 1.0,
             IndexScope::Local => geo.trees as f64,
@@ -744,9 +898,9 @@ impl<'a> Planner<'a> {
             && !t.referenced_columns.is_empty()
             && t.referenced_columns
                 .iter()
-                .all(|c| vi.def.columns.contains(c));
+                .all(|c| vi.def().columns.contains(c));
         let corr = vi
-            .def
+            .def()
             .columns
             .first()
             .and_then(|c| table.column(c))
@@ -788,11 +942,11 @@ impl<'a> Planner<'a> {
 
     /// Plan all joins left-deep in table order; returns (cost, strategies,
     /// inner indexes used).
-    fn plan_joins(
+    fn plan_joins<S: IndexSet + ?Sized>(
         &self,
         shape: &QueryShape,
         paths: &[AccessPath],
-        indexes: &[VisibleIndex],
+        indexes: &S,
     ) -> (f64, Vec<JoinStrategy>, Vec<IndexId>) {
         let p = self.params;
         if shape.tables.len() < 2 {
@@ -926,22 +1080,20 @@ impl<'a> Planner<'a> {
     /// filter conjuncts on the inner table further cut the rows fetched per
     /// lookup. Returns (index id, per-lookup seek cost, rows fetched per
     /// lookup).
-    fn best_lookup_index(
+    fn best_lookup_index<S: IndexSet + ?Sized>(
         &self,
         t: &TableAtoms,
         col: &str,
-        indexes: &[VisibleIndex],
-        table: Option<&crate::catalog::Table>,
+        indexes: &S,
+        table: Option<&Table>,
         rows_per_lookup: f64,
     ) -> Option<(IndexId, f64, f64)> {
         let p = self.params;
         indexes
-            .iter()
-            .filter(|vi| {
-                vi.def.table == t.table && vi.def.columns.first().map(String::as_str) == Some(col)
-            })
+            .on_table(&t.table)
+            .filter(|vi| vi.def().columns.first().map(String::as_str) == Some(col))
             .map(|vi| {
-                let trees = match vi.def.scope {
+                let trees = match vi.def().scope {
                     IndexScope::Global => 1.0,
                     IndexScope::Local => {
                         if table.and_then(|tb| tb.partition_key.as_deref()) == Some(col) {
@@ -959,7 +1111,7 @@ impl<'a> Planner<'a> {
                                           // Tail columns matching equality conjuncts narrow the range.
                 let mut fetched = rows_per_lookup;
                 if let Some(tb) = table {
-                    for c in &vi.def.columns[1..] {
+                    for c in &vi.def().columns[1..] {
                         let atom = t.conjuncts.iter().find(|a| {
                             a.is_sargable()
                                 && a.is_equality()
@@ -978,7 +1130,8 @@ impl<'a> Planner<'a> {
             })
     }
 
-    /// Convenience: geometry-resolved visible index list from defs.
+    /// Convenience: geometry-resolved flat index list from defs (copies
+    /// each definition; the database's own paths borrow or share instead).
     pub fn resolve_indexes(&self, defs: &[(IndexId, IndexDef)]) -> Vec<VisibleIndex> {
         defs.iter()
             .filter_map(|(id, def)| {

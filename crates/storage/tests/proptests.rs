@@ -3,12 +3,14 @@
 
 use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
-use autoindex_storage::index::{geometry, maintenance_cost, IndexDef};
-use autoindex_storage::planner::{CostParams, Planner, TrueCostWeights};
+use autoindex_storage::index::{geometry, maintenance_cost, IndexDef, IndexId, IndexScope};
+use autoindex_storage::planner::{CostParams, IndexSet, Planner, TrueCostWeights};
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_storage::{DbSnapshot, SimDb, SimDbConfig};
+use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::prop::{property, PropConfig};
 use autoindex_support::prop_assert;
+use autoindex_support::rng::StdRng;
 
 fn catalog(rows: u64) -> Catalog {
     let mut c = Catalog::new();
@@ -186,6 +188,218 @@ fn shape_selectivity_in_unit_interval() {
             let shape = QueryShape::extract(&stmt, &c);
             for t in &shape.tables {
                 prop_assert!(t.filter_sel > 0.0 && t.filter_sel <= 1.0, "v={v}");
+            }
+            Ok(())
+        },
+    );
+}
+
+// ------------------------------------------------------- the index view
+
+const VIEW_TABLES: [&str; 4] = ["orders", "lines", "cust", "audit"];
+const VIEW_COLS: [&str; 4] = ["k", "g", "v", "s"];
+
+/// Four tables sharing one column set; `lines` is partitioned so LOCAL
+/// indexes resolve to several trees.
+fn view_catalog(rng: &mut StdRng) -> Catalog {
+    let mut c = Catalog::new();
+    for name in VIEW_TABLES {
+        let rows = rng.random_range(1_000u64..3_000_000);
+        let mut t = TableBuilder::new(name, rows)
+            .column(Column::int("k", rows))
+            .column(Column::int("g", rng.random_range(2u64..5_000)))
+            .column(Column::float("v", 10_000, 0.0, 1e6))
+            .column(Column::text("s", 2_000, 16))
+            .primary_key(&["k"]);
+        if name == "lines" {
+            t = t.partitioned(8, "g");
+        }
+        c.add_table(t.build().unwrap());
+    }
+    c
+}
+
+fn view_def(rng: &mut StdRng) -> IndexDef {
+    let table = *rng.choose(&VIEW_TABLES).unwrap();
+    let mut cols: Vec<&str> = VIEW_COLS.to_vec();
+    rng.shuffle(&mut cols);
+    cols.truncate(rng.random_range(1usize..4));
+    let def = IndexDef::new(table, &cols);
+    if table == "lines" && rng.random_bool(0.5) {
+        def.with_scope(IndexScope::Local)
+    } else {
+        def
+    }
+}
+
+/// A read, write or join statement over one or two of the view tables.
+fn view_sql(rng: &mut StdRng) -> String {
+    let t = *rng.choose(&VIEW_TABLES).unwrap();
+    let u = *rng.choose(&VIEW_TABLES).unwrap();
+    let n = rng.random_range(1i64..900);
+    match rng.random_range(0u32..8) {
+        0 => format!("SELECT * FROM {t} WHERE k = {n}"),
+        1 => format!("SELECT k, g FROM {t} WHERE g = {n} AND v > {n}"),
+        2 => format!("SELECT * FROM {t} WHERE g = {n} OR s = 'q{n}'"),
+        3 => format!("SELECT * FROM {t} WHERE g = {n} ORDER BY v DESC LIMIT 10"),
+        4 => format!("INSERT INTO {t} (k, g, v, s) VALUES ({n}, 1, 2.0, 'x')"),
+        5 => format!("UPDATE {t} SET g = {n} WHERE k = {n}"),
+        6 => format!("DELETE FROM {t} WHERE g = {n}"),
+        _ if t != u => {
+            format!("SELECT SUM({t}.v) FROM {t}, {u} WHERE {t}.g = {n} AND {t}.k = {u}.k")
+        }
+        _ => format!("SELECT g, COUNT(*) FROM {t} WHERE v < {n} GROUP BY g"),
+    }
+}
+
+/// What-if resolves only the definitions on touched tables, by reference;
+/// the plan must be the one the old way gives — every definition of the
+/// configuration resolved into a flat list, then `Planner::plan` — field
+/// for field, with the ids and names of the caller's configuration.
+#[test]
+fn whatif_plan_equals_flat_resolve_of_the_whole_config() {
+    property(
+        "whatif_plan_equals_flat_resolve_of_the_whole_config",
+        PropConfig::default(),
+        |rng, _size| {
+            let db = SimDb::with_metrics(
+                view_catalog(rng),
+                SimDbConfig::default(),
+                MetricsRegistry::new(),
+            );
+            let config: Vec<IndexDef> = (0..rng.random_range(0usize..14))
+                .map(|_| view_def(rng))
+                .collect();
+            let sql = view_sql(rng);
+            let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), db.catalog());
+
+            let planner = Planner::new(db.catalog(), &db.config().cost_params);
+            let flat: Vec<(IndexId, IndexDef)> = config
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (IndexId(u32::MAX - i as u32), d.clone()))
+                .collect();
+            let reference = planner.plan(&shape, &planner.resolve_indexes(&flat));
+
+            let plan = db.whatif_plan(&shape, &config);
+            prop_assert!(plan == reference, "{sql}\n{plan:?}\n{reference:?}");
+            for (a, b) in plan
+                .features
+                .as_vec()
+                .iter()
+                .zip(reference.features.as_vec())
+            {
+                prop_assert!(a.to_bits() == b.to_bits(), "{sql}");
+            }
+            let name = |id: IndexId| Some(config[(u32::MAX - id.0) as usize].to_string());
+            prop_assert!(
+                db.whatif_explain(&shape, &config) == reference.explain(&name),
+                "{sql}"
+            );
+            // A borrowed composition is the same configuration.
+            let (head, tail) = config.split_at(config.len() / 2);
+            prop_assert!(db.whatif_plan(&shape, head.iter().chain(tail)) == reference);
+            Ok(())
+        },
+    );
+}
+
+/// Every index a snapshot holds, with the bits of what an insert into its
+/// table pays to maintain it (a function of the resolved geometry).
+fn snapshot_print(snap: &DbSnapshot) -> Vec<(IndexId, u64)> {
+    let mut print = Vec::new();
+    for t in VIEW_TABLES {
+        let sql = format!("INSERT INTO {t} (k, g, v, s) VALUES (1, 1, 2.0, 'x')");
+        let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), snap.catalog());
+        let delta = snap.execute_shape_at(&shape, 0).1;
+        print.extend(delta.maintenance.iter().map(|(id, c)| (*id, c.to_bits())));
+    }
+    assert_eq!(print.len(), snap.index_count());
+    print
+}
+
+/// Model test: after any interleaving of create / drop / restore /
+/// insert growth the live view holds, per table and in id order, exactly
+/// what resolving `db.indexes()` from scratch gives, and a snapshot taken
+/// on the way keeps the view it was given.
+#[test]
+fn live_index_view_equals_from_scratch_resolve() {
+    property(
+        "live_index_view_equals_from_scratch_resolve",
+        PropConfig::default(),
+        |rng, _size| {
+            let mut db = SimDb::with_metrics(
+                view_catalog(rng),
+                SimDbConfig::default(),
+                MetricsRegistry::new(),
+            );
+            let mut dropped: Vec<IndexDef> = Vec::new();
+            let mut frozen: Option<(DbSnapshot, Vec<(IndexId, u64)>)> = None;
+            for step in 0..rng.random_range(1usize..40) {
+                match rng.random_range(0u32..6) {
+                    0 | 1 => {
+                        let _ = db.create_index(view_def(rng));
+                    }
+                    2 => {
+                        let ids: Vec<IndexId> = db.indexes().map(|(id, _)| id).collect();
+                        if let Some(id) = rng.choose(&ids) {
+                            dropped.push(db.drop_index(*id).unwrap());
+                        }
+                    }
+                    3 => {
+                        if let Some(def) = dropped.pop() {
+                            db.restore_index(def).unwrap();
+                        }
+                    }
+                    4 => {
+                        let t = *rng.choose(&VIEW_TABLES).unwrap();
+                        let sql = format!("INSERT INTO {t} (k, g, v, s) VALUES (1, 1, 2.0, 'x')");
+                        let shape =
+                            QueryShape::extract(&parse_statement(&sql).unwrap(), db.catalog());
+                        if rng.random_bool(0.5) {
+                            db.execute_shape(&shape);
+                        } else {
+                            let delta = db.snapshot(0).execute_shape_at(&shape, step as u64).1;
+                            db.absorb(&delta);
+                        }
+                    }
+                    _ => {
+                        let t = *rng.choose(&VIEW_TABLES).unwrap();
+                        db.grow_table(t, rng.random_range(1u64..500_000)).unwrap();
+                    }
+                }
+
+                let planner = Planner::new(db.catalog(), &db.config().cost_params);
+                let all: Vec<(IndexId, IndexDef)> =
+                    db.indexes().map(|(id, d)| (id, d.clone())).collect();
+                let scratch = planner.resolve_indexes(&all);
+                let view = db.index_view();
+                prop_assert!(view.len() == scratch.len());
+                prop_assert!(view.bytes() == scratch.iter().map(|vi| vi.geo.bytes).sum::<u64>());
+                prop_assert!(db.total_index_bytes() == view.bytes());
+                for t in VIEW_TABLES {
+                    let live = view.table(t);
+                    let want: Vec<_> = scratch[..].on_table(t).collect();
+                    prop_assert!(live.len() == want.len(), "step {step} table {t}");
+                    for (a, b) in live.iter().zip(want) {
+                        prop_assert!(
+                            a.id == b.id && a.def() == b.def() && a.geo == b.geo,
+                            "step {step} table {t}: {a:?} vs {b:?}"
+                        );
+                    }
+                }
+
+                match &frozen {
+                    Some((snap, print)) => {
+                        prop_assert!(snapshot_print(snap) == *print, "snapshot moved at {step}");
+                    }
+                    None if step == 3 => {
+                        let snap = db.snapshot(1);
+                        let print = snapshot_print(&snap);
+                        frozen = Some((snap, print));
+                    }
+                    None => {}
+                }
             }
             Ok(())
         },

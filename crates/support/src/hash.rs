@@ -1,4 +1,10 @@
-//! Hashers for pre-hashed keys.
+//! The workspace's byte hash ([`fnv1a`]) and hashers for pre-hashed keys.
+//!
+//! FNV-1a is the one *stable* hash in the tree: page and WAL checksums,
+//! transcript and regret-curve digests and template fingerprints all have
+//! to repeat across runs and hosts, which `DefaultHasher` does not promise.
+//! (`autoindex-sql` sits below this crate and keeps its own copy for
+//! fingerprints; its tests pin the two equal.)
 //!
 //! The serving hot path keys its template caches by the statement's
 //! canonical FNV-1a fingerprint — a value that *is already a hash*.
@@ -22,6 +28,24 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// The FNV-1a (64-bit) offset basis: the state before any byte.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a (64-bit) over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash from state `h` (start at [`FNV_OFFSET`]):
+/// hashing pieces in turn equals hashing their concatenation.
+pub fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Multiply-fold hasher for `u64` keys that are already well distributed.
 /// Only `write_u64` is expected on the hot path; the bulk [`Hasher::write`]
 /// fallback keeps it correct (FNV-1a) for any other key shape.
@@ -41,16 +65,8 @@ impl Hasher for U64Hasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
+        let h = if self.0 == 0 { FNV_OFFSET } else { self.0 };
+        self.0 = fnv1a_from(h, bytes);
     }
 }
 
@@ -89,11 +105,13 @@ mod tests {
     fn byte_fallback_matches_fnv1a() {
         let mut h = U64Hasher::default();
         h.write(b"abc");
-        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-        for &b in b"abc" {
-            fnv ^= b as u64;
-            fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        assert_eq!(h.0, fnv);
+        assert_eq!(h.0, fnv1a(b"abc"));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_chains() {
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_from(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }

@@ -203,12 +203,7 @@ where
 
 fn hash_name(name: &str) -> u64 {
     // FNV-1a, good enough to decorrelate properties sharing a base seed.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    crate::hash::fnv1a(name.as_bytes())
 }
 
 fn replay_path(name: &str, cfg: &PropConfig) -> Option<PathBuf> {

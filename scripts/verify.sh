@@ -16,6 +16,9 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
+cargo test -q --offline --manifest-path perf/Cargo.toml
+
 echo "==> cargo doc --no-deps --offline --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
