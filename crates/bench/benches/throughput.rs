@@ -4,8 +4,8 @@
 //! §"Throughput bench" and `docs/PERFORMANCE.md` §"The zero-allocation
 //! query hot path").
 //!
-//! The banking hybrid stream (fixed seed) is served in deterministic mode
-//! at 1, 2, 4 and 8 executor workers. The reported metric is
+//! The banking hybrid stream (fixed seed) is served at 1, 2, 4 and 8
+//! executor workers. The reported metric is
 //! **simulated qps** — executed statements per second of simulated fleet
 //! makespan (`ServeReport::simulated_qps`), i.e. the time the executor
 //! fleet would take if each worker really slept its statements' simulated
@@ -104,7 +104,6 @@ fn main() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(EPOCH_INTERVAL)
-            .deterministic(true)
             .seed(61)
             .build()
             .expect("static serve config");
@@ -393,7 +392,6 @@ fn pr6(
     let cfg = ServeConfig::builder()
         .workers(1)
         .epoch_interval(EPOCH_INTERVAL)
-        .deterministic(true)
         .seed(61)
         .fastpath(false)
         .build()

@@ -410,7 +410,6 @@ fn chaos(args: &[String]) {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(250)
-            .deterministic(true)
             .guard(
                 GuardConfig::builder()
                     .build_retries(0)
@@ -696,8 +695,7 @@ fn smoke_wal_recovery() {
 
 /// Serving-pipeline determinism stage (`scripts/verify.sh` greps the
 /// `serve.determinism` and `serve.fastpath.hits` rows): the same query
-/// stream served in deterministic mode with 1 and with 4 executor workers
-/// must produce byte-identical transcripts — same per-epoch statement
+/// stream served with 1 and with 4 executor workers must produce byte-identical transcripts — same per-epoch statement
 /// counts, same diagnosis firings, same tuning decisions and the same
 /// final `ConfigSet` fingerprint (see `docs/SERVING.md`) — and the
 /// compiled-template fast path must actually engage: a non-zero,
@@ -726,7 +724,6 @@ fn smoke_serve_determinism() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(400)
-            .deterministic(true)
             .build()
             .unwrap();
         let out = serve(db, advisor, &queries, cfg).unwrap();

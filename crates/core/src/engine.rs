@@ -1,0 +1,943 @@
+//! The epoch engine: the execution half of [`serve`](crate::serve::serve)
+//! and [`serve_fleet`](crate::fleet::serve_fleet).
+//!
+//! Both drivers are the paper's §III loop — execute, observe, diagnose,
+//! tune, swap the configuration while the workload keeps running — and
+//! both run it as the same bulk-synchronous machine:
+//!
+//! ```text
+//!  coordinator (the caller's thread)              executors (one scope)
+//!  ┌───────────────────────────────┐  StealPool  ┌────────┐┌────────┐
+//!  │ run_epoch(slices) ── tasks ───┼────────────►│worker 0││worker 1│ …
+//!  │   collect exactly |slices|    │◄────────────┤ pop / steal-half   │
+//!  │   merge on (tenant, seq)      │ bounded mpsc└───▲────┘└───▲────┘
+//!  │ driver policy: absorb, tune   │                 │ lock-free load
+//!  │ publish(tenant) ──────────────┼──► per-tenant ArcSlot<Publication>
+//!  └───────────────────────────────┘
+//! ```
+//!
+//! * A **lane** is one tenant's query stream, shard seed and lock-free
+//!   publication slot (`ArcSlot`). Single-tenant serve is one lane.
+//! * `Coordinator::run_epoch` splits the admitted slices into
+//!   `(tenant, epoch, start, end, shard, resume_at)` tasks, injects them
+//!   into the work-stealing pool and returns **exactly one observation
+//!   per sequence slot**, merged on the `(tenant, seq)` logical clock.
+//!   Which worker ran a statement never shows.
+//! * The driver's boundary policy then runs on the coordinator — the
+//!   only thread that owns the live [`SimDb`]s — and
+//!   `Coordinator::publish`es the next epoch's snapshots. Tasks of
+//!   epoch `e+1` exist only after every epoch-`e` observation has been
+//!   absorbed, so a task's publication is always already current: there
+//!   is no epoch barrier, only a place for idle workers to park.
+//!
+//! # Determinism
+//!
+//! Statement → shard assignment is a pure function of `(seed, seq)`
+//! (`shard_of`), measurement noise is derived per `seq`, and publications
+//! are frozen per epoch, so an outcome does not depend on which thread
+//! computed it; the merge erases arrival order. Everything a driver
+//! renders into a transcript is downstream of `Coordinator::run_epoch`'s
+//! return value and therefore worker-count invariant.
+//!
+//! # Crash safety
+//!
+//! Every statement executes inside the one `catch_unwind` fence
+//! (`Engine::run_task`): a panic becomes a `Panicked` observation for
+//! its sequence slot, so epoch accounting stays exact. A worker that
+//! exhausts its panic budget pushes the unfinished remainder of its task
+//! to the front of its own deque (where a thief finds it first), wakes
+//! its peers and retires. Parks are *bounded* and generation-checked, so
+//! a wake-up is never lost and a remainder is never stranded behind a
+//! sleeping peer; when every worker has retired the coordinator drains
+//! the pool inline with an unlimited budget. A panic on the coordinator
+//! itself (a driver's tuning policy) unwinds through a drop guard that
+//! raises the done flag and hangs up the observation channel, so the
+//! workers exit and `Engine::run` returns an error instead of hanging.
+
+use crate::error::{invalid, AutoIndexError};
+use crate::fastpath::FastPathCache;
+use crate::greedy::resolve_threads;
+use crate::guard::GuardConfig;
+use crate::system::AutoIndex;
+use autoindex_estimator::CostEstimator;
+use autoindex_sql::fingerprint::LiteralBuf;
+use autoindex_sql::parse_statement;
+use autoindex_storage::shape::QueryShape;
+use autoindex_storage::{DbSnapshot, ExecOutcome, SimDb, UsageDelta};
+use autoindex_support::arcswap::ArcSlot;
+use autoindex_support::hash::U64HashMap;
+use autoindex_support::obs::{Counter, MetricsRegistry, ShardCell, ShardedCounter};
+use autoindex_support::rng::derive_seed;
+use autoindex_support::steal::StealPool;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
+
+/// Domain-separation salt for the statement → shard assignment stream.
+const SHARD_SALT: u64 = 0x51a4_d000_0b5e_55ed;
+
+/// Bound of the observation channel (backpressure on executors).
+const CHANNEL_CAPACITY: usize = 1_024;
+
+/// Longest a parked worker, or a coordinator waiting on an empty channel,
+/// sleeps before re-checking. Wake-ups are generation-checked and never
+/// lost, so this is only the net under a remainder requeued by a retiring
+/// worker; 20 ms is the slice single-tenant serve has always used.
+const PARK_TIMEOUT: Duration = Duration::from_millis(20);
+
+// --------------------------------------------------------- observations
+
+/// Why a sequence slot produced no [`ExecOutcome`].
+#[derive(Debug, Clone)]
+pub enum ObservationPayload {
+    /// The statement executed against the epoch snapshot.
+    Executed {
+        outcome: ExecOutcome,
+        delta: UsageDelta,
+        /// Fingerprint hash when the compiled-template fast path served
+        /// the statement; `None` on the full parse path. Never rendered
+        /// into the transcript (hit *routing* is an implementation
+        /// detail), but the coordinator uses it to skip re-fingerprinting
+        /// and the report tallies it.
+        fp: Option<u64>,
+    },
+    /// The statement did not parse; the slot is accounted but empty.
+    ParseFailed,
+    /// The executing worker panicked on this statement (the panic was
+    /// caught; the slot is accounted but empty).
+    Panicked,
+}
+
+/// One statement's result, stamped with its logical-clock position.
+#[derive(Debug, Clone)]
+pub struct Observation {
+    /// Sequence number of the statement in its tenant's stream — the
+    /// logical clock the coordinator merges on.
+    pub seq: u64,
+    /// Epoch the statement was executed under.
+    pub epoch: u64,
+    pub payload: ObservationPayload,
+}
+
+/// An [`Observation`] with the lane it belongs to: what workers send and
+/// [`Coordinator::run_epoch`] returns, merged on `(tenant, obs.seq)`.
+#[derive(Debug)]
+pub(crate) struct TenantObservation {
+    pub(crate) tenant: u32,
+    pub(crate) obs: Observation,
+}
+
+/// Restore logical-clock order over one tenant's batch of observations.
+///
+/// This is the merge operator in its single-tenant form: whatever arrival
+/// order N workers produce, sorting on `seq` yields the same sequence a
+/// single worker would have produced — the permutation-invariance the
+/// determinism contract rests on (property-tested in
+/// `crates/core/tests/serving.rs`). The engine applies it per tenant by
+/// sorting on `(tenant, seq)`.
+pub fn logical_merge(batch: &mut [Observation]) {
+    batch.sort_unstable_by_key(|o| o.seq);
+}
+
+/// Statement → shard assignment: a pure function of `(seed, seq)`, so the
+/// partition of a stream is identical at any worker count.
+fn shard_of(seed: u64, seq: u64, shards: u64) -> u64 {
+    derive_seed(seed ^ SHARD_SALT, seq) % shards
+}
+
+/// Deterministic epoch makespan: pack per-task simulated-latency totals
+/// onto `workers` slots, longest first, each onto the least-loaded slot
+/// (greedy LPT). Returns the busiest slot's load.
+///
+/// This models parallel execution time in the *simulated* time domain as
+/// a pure function of the task totals, instead of measuring which thread
+/// happened to win the race for which task — which is
+/// scheduler-dependent and would make the throughput benches
+/// (`BENCH_PR5.json`, `BENCH_PR8.json`) flaky.
+fn lpt_makespan(mut task_ms: Vec<f64>, workers: usize) -> f64 {
+    if workers <= 1 {
+        return task_ms.iter().sum();
+    }
+    // Descending; ties keep the deterministic task order (stable sort).
+    task_ms.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    let mut slots = vec![0.0f64; workers];
+    for ms in task_ms {
+        let i = slots
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        slots[i] += ms;
+    }
+    slots.iter().cloned().fold(0.0, f64::max)
+}
+
+/// Throughput in the simulation's time domain: executed statements per
+/// simulated second of makespan (zero for an empty run).
+pub(crate) fn simulated_qps(executed: u64, makespan_ms: f64) -> f64 {
+    if makespan_ms <= 0.0 {
+        0.0
+    } else {
+        executed as f64 * 1000.0 / makespan_ms
+    }
+}
+
+// ---------------------------------------------------------- publication
+
+/// What one epoch publishes for one tenant: the immutable snapshot plus
+/// the epoch-frozen compiled-template cache built against that snapshot's
+/// catalog. Both are read-only for workers, so fast-path behaviour is a
+/// pure function of `(stream, publications)` — invariant under worker
+/// count.
+pub(crate) struct Publication {
+    snap: DbSnapshot,
+    cache: FastPathCache,
+}
+
+impl Publication {
+    /// Snapshot `db` as `epoch` and compile the advisor's templates
+    /// against the snapshot's catalog (statistics move every epoch and a
+    /// tuning round may have fired, so the cache is rebuilt with it).
+    pub(crate) fn build<E: CostEstimator>(
+        db: &SimDb,
+        advisor: &AutoIndex<E>,
+        epoch: u64,
+        fastpath: bool,
+    ) -> Self {
+        let snap = db.snapshot(epoch);
+        let cache = if fastpath {
+            FastPathCache::build(advisor.templates().entries(), snap.catalog())
+        } else {
+            FastPathCache::empty()
+        };
+        Publication { snap, cache }
+    }
+}
+
+// ------------------------------------------------------------- executors
+
+/// Per-worker reusable fast-path state: the literal scratch buffer, one
+/// bindable skeleton clone per compiled template, and the selectivity-
+/// program evaluation scratch. Cloned skeletons are only valid against
+/// the cache they were cloned from, so the whole map is dropped whenever
+/// the pinned publication changes (epoch boundary or tenant switch). At
+/// steady state — same publication, repeat templates — executing a
+/// statement through [`execute_statement`] performs **zero heap
+/// allocations** (integer/float literals; string literals clone into
+/// reused `Value`s).
+struct WorkerScratch {
+    lits: LiteralBuf,
+    shapes: U64HashMap<QueryShape>,
+    sels: Vec<f64>,
+    stack: Vec<f64>,
+    /// `(tenant, epoch)` of the publication `shapes` was built against.
+    pinned: (u32, u64),
+    hits: ShardCell,
+    misses: ShardCell,
+    fallbacks: ShardCell,
+}
+
+impl WorkerScratch {
+    /// Re-pin the scratch to a `(tenant, epoch)` publication,
+    /// invalidating cached skeleton clones built against any other
+    /// publication's cache (fingerprints collide across tenants, so the
+    /// tenant id is part of the key).
+    fn pin(&mut self, key: (u32, u64)) {
+        if self.pinned != key {
+            self.shapes.clear();
+            self.pinned = key;
+        }
+    }
+}
+
+/// Execute one statement against a publication. Reads only the
+/// publication and the query text; mutates only the worker's own scratch.
+///
+/// Fast path: fingerprint-scan the statement (collecting its literals),
+/// look the hash up in the publication's compiled-template cache, bind
+/// the literals into the worker's reusable skeleton clone, execute. Any
+/// miss or tripped bind guard falls back to the full parse + extract —
+/// which also reproduces parse failures exactly where the slow path
+/// reports them. A hit returns `fp: Some(hash)` so the coordinator can
+/// skip re-fingerprinting.
+fn execute_statement(
+    publication: &Publication,
+    sql: &str,
+    seq: u64,
+    fastpath: bool,
+    scratch: &mut WorkerScratch,
+) -> ObservationPayload {
+    let snap = &publication.snap;
+
+    if fastpath {
+        if let Some(hash) = autoindex_sql::fingerprint::scan_fingerprint(sql, &mut scratch.lits) {
+            if let Some(compiled) = publication.cache.get(hash) {
+                let shape = scratch
+                    .shapes
+                    .entry(hash)
+                    .or_insert_with(|| compiled.skeleton().clone());
+                if compiled.bind_into(
+                    &scratch.lits,
+                    publication.cache.stats(),
+                    shape,
+                    &mut scratch.sels,
+                    &mut scratch.stack,
+                ) {
+                    scratch.hits.incr();
+                    let (outcome, delta) = snap.execute_shape_at(shape, seq);
+                    return ObservationPayload::Executed {
+                        outcome,
+                        delta,
+                        fp: Some(hash),
+                    };
+                }
+                // A bind guard tripped: the shape (or parseability) of
+                // this statement depends on its concrete values. Take the
+                // slow path; the stale partial bind stays reusable.
+                scratch.fallbacks.incr();
+            }
+        }
+        scratch.misses.incr();
+    }
+
+    let stmt = match parse_statement(sql) {
+        Ok(s) => s,
+        Err(_) => return ObservationPayload::ParseFailed,
+    };
+    let shape = QueryShape::extract(&stmt, snap.catalog());
+    let (outcome, delta) = snap.execute_shape_at(&shape, seq);
+    ObservationPayload::Executed {
+        outcome,
+        delta,
+        fp: None,
+    }
+}
+
+// ------------------------------------------------------------- park gate
+
+/// Idle-parking for workers plus the run's done flag — not a barrier
+/// (the engine is bulk-synchronous by construction), only a place for a
+/// worker to nap when the pool runs dry between epochs.
+///
+/// A worker reads the generation *before* its failed pop and parks only
+/// if it has not moved since; every wake bumps it under the lock the
+/// parker holds until it sleeps, so a wake-up between the pop and the
+/// park is never lost. The wait is still *bounded* ([`PARK_TIMEOUT`]).
+/// Lock acquisitions recover from poisoning, and nothing is held across
+/// statement execution, so a worker panic cannot wedge the run.
+#[derive(Default)]
+struct ParkGate {
+    done: AtomicBool,
+    generation: AtomicU64,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl ParkGate {
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// Wake every parked worker (new tasks, a requeued remainder, done).
+    fn wake_all(&self) {
+        let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
+    /// End the run: workers exit at their next pop.
+    fn finish(&self) {
+        self.done.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// Bounded nap, skipped when anything was signalled since `seen`.
+    /// Spurious wake-ups are harmless: the caller re-pops either way.
+    fn park(&self, seen: u64) {
+        let g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.generation() == seen {
+            let _ = self
+                .cv
+                .wait_timeout(g, PARK_TIMEOUT)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Runs its closure when dropped — on unwind as well as on return.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
+// ---------------------------------------------------------------- engine
+
+/// A contiguous run of one tenant's stream admitted into an epoch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slice {
+    pub(crate) tenant: u32,
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+}
+
+/// One unit of executor work: the statements of `slice` that map to
+/// `shard`, resuming at `resume_at` after an interrupted run.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    slice: Slice,
+    epoch: u64,
+    shard: u64,
+    resume_at: u64,
+}
+
+/// One tenant as the executors see it.
+pub(crate) struct Lane<'a> {
+    queries: &'a [String],
+    /// Seed of the tenant's shard-assignment stream.
+    seed: u64,
+    /// Workers load, the coordinator stores.
+    slot: ArcSlot<Publication>,
+}
+
+impl<'a> Lane<'a> {
+    pub(crate) fn new(queries: &'a [String], seed: u64, initial: Publication) -> Self {
+        Lane {
+            queries,
+            seed,
+            slot: ArcSlot::new(Arc::new(initial)),
+        }
+    }
+}
+
+/// The engine's share of a driver's configuration.
+pub(crate) struct EngineConfig {
+    /// `field` of the error a coordinator panic is reported under.
+    pub(crate) name: &'static str,
+    /// Executor threads; `0` means one per available core
+    /// ([`resolve_threads`], the crate-wide convention).
+    pub(crate) workers: usize,
+    /// Logical shards per slice: one task per slice × shard.
+    pub(crate) shards: u64,
+    pub(crate) fastpath: bool,
+    /// Panics a worker absorbs before retiring.
+    pub(crate) max_worker_panics: u64,
+    /// Test knob: `(tenant, seq)` pairs at which the executing thread
+    /// panics inside the fence.
+    pub(crate) panic_on: Vec<(u32, u64)>,
+}
+
+/// Shared state of one run: lanes, pool, gate and head counts. Built by
+/// the driver, borrowed by every executor for the length of
+/// [`Engine::run`].
+pub(crate) struct Engine<'a> {
+    cfg: EngineConfig,
+    lanes: Vec<Lane<'a>>,
+    /// `<prefix>.worker_panics` / `<prefix>.workers_retired` in the
+    /// driver's registry (`serve` or `serve.fleet`).
+    worker_panics: Counter,
+    workers_retired: Counter,
+    /// `sql.fastpath.*`, sharded: every executor increments its own
+    /// cache-line-padded cell on the per-statement hot path.
+    fastpath_hits: ShardedCounter,
+    fastpath_misses: ShardedCounter,
+    fastpath_fallbacks: ShardedCounter,
+    pool: StealPool<Task>,
+    gate: ParkGate,
+    /// Workers still running; at zero the coordinator drains inline.
+    live: AtomicUsize,
+    retired: AtomicUsize,
+}
+
+impl<'a> Engine<'a> {
+    pub(crate) fn new(
+        mut cfg: EngineConfig,
+        registry: &MetricsRegistry,
+        prefix: &str,
+        lanes: Vec<Lane<'a>>,
+    ) -> Self {
+        cfg.workers = resolve_threads(cfg.workers);
+        Engine {
+            worker_panics: registry.counter(&format!("{prefix}.worker_panics")),
+            workers_retired: registry.counter(&format!("{prefix}.workers_retired")),
+            fastpath_hits: registry.sharded_counter("sql.fastpath.hits"),
+            fastpath_misses: registry.sharded_counter("sql.fastpath.misses"),
+            fastpath_fallbacks: registry.sharded_counter("sql.fastpath.fallbacks"),
+            pool: StealPool::new(cfg.workers),
+            gate: ParkGate::default(),
+            live: AtomicUsize::new(cfg.workers),
+            retired: AtomicUsize::new(0),
+            lanes,
+            cfg,
+        }
+    }
+
+    /// Executor threads the run uses (the resolved count).
+    pub(crate) fn workers(&self) -> usize {
+        self.cfg.workers
+    }
+
+    /// Executors that retired after exhausting their panic budget.
+    pub(crate) fn workers_retired(&self) -> usize {
+        self.retired.load(Ordering::SeqCst)
+    }
+
+    /// Successful steal grabs and tasks moved by them (scheduler-
+    /// dependent; observability only).
+    pub(crate) fn steals(&self) -> (u64, u64) {
+        (self.pool.steals(), self.pool.stolen_tasks())
+    }
+
+    fn scratch(&self, slot: usize) -> WorkerScratch {
+        WorkerScratch {
+            lits: LiteralBuf::default(),
+            shapes: U64HashMap::default(),
+            sels: Vec::new(),
+            stack: Vec::new(),
+            pinned: (u32::MAX, u64::MAX),
+            hits: self.fastpath_hits.cell(slot),
+            misses: self.fastpath_misses.cell(slot),
+            fallbacks: self.fastpath_fallbacks.cell(slot),
+        }
+    }
+
+    /// Spawn the executors, run `coordinate` (which drives epochs through
+    /// the [`Coordinator`] it is handed) on the calling thread, and join.
+    /// The one place statement executors are spawned. If `coordinate`
+    /// panics, the drop guard raises the done flag and the channel hangs
+    /// up, so every worker — parked, mid-task or blocked on a full
+    /// channel — exits, and the panic is returned as an error under
+    /// [`EngineConfig::name`].
+    pub(crate) fn run<R>(
+        &self,
+        coordinate: impl FnOnce(&mut Coordinator<'_, 'a>) -> Result<R, AutoIndexError>,
+    ) -> Result<R, AutoIndexError> {
+        let (tx, rx) = mpsc::sync_channel(CHANNEL_CAPACITY);
+        catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                for slot in 0..self.cfg.workers {
+                    let tx = tx.clone();
+                    s.spawn(move || self.worker(slot, tx));
+                }
+                drop(tx); // the coordinator only receives
+                let mut coordinator = Coordinator {
+                    engine: self,
+                    rx,
+                    scratch: self.scratch(self.cfg.workers),
+                    sim_makespan_ms: 0.0,
+                };
+                let _done = OnDrop(|| self.gate.finish());
+                coordinate(&mut coordinator)
+            })
+        }))
+        .unwrap_or_else(|_| {
+            Err(invalid(
+                self.cfg.name,
+                "the coordinator panicked; the pipeline was aborted",
+            ))
+        })
+    }
+
+    /// The executor loop: pop (or steal) a task, run it against the
+    /// tenant's current publication, ship observations; park when the
+    /// pool runs dry. Retires after exhausting the panic budget.
+    fn worker(&self, slot: usize, tx: SyncSender<TenantObservation>) {
+        let _live = OnDrop(|| {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        });
+        let mut scratch = self.scratch(slot);
+        let mut panics = 0u64;
+        let mut connected = true;
+        while connected && !self.gate.done.load(Ordering::SeqCst) {
+            let seen = self.gate.generation();
+            let Some(task) = self.pool.pop(slot) else {
+                self.gate.park(seen);
+                continue;
+            };
+            let max = self.cfg.max_worker_panics;
+            let remainder = self.run_task(task, &mut scratch, &mut panics, max, &mut |o| {
+                connected = tx.send(o).is_ok();
+                connected
+            });
+            if let Some(rest) = remainder {
+                self.pool.push_front(slot, rest);
+            }
+            if panics > max {
+                // Budget ran out: retire. The remainder (if any) is
+                // queued where a thief finds it first; wake the peers.
+                self.workers_retired.incr();
+                self.retired.fetch_add(1, Ordering::SeqCst);
+                self.gate.wake_all();
+                return;
+            }
+        }
+    }
+
+    /// Execute the remaining statements of one task, emitting one
+    /// observation per sequence slot — the single panic fence. Returns
+    /// `None` normally, or the remainder task when the panic budget ran
+    /// out mid-task (the caller retires). `emit` returning `false` means
+    /// the coordinator is gone.
+    fn run_task(
+        &self,
+        task: Task,
+        scratch: &mut WorkerScratch,
+        panics: &mut u64,
+        max_panics: u64,
+        emit: &mut dyn FnMut(TenantObservation) -> bool,
+    ) -> Option<Task> {
+        let Slice { tenant, end, .. } = task.slice;
+        let lane = &self.lanes[tenant as usize];
+        let publication = lane.slot.load();
+        scratch.pin((tenant, publication.snap.epoch));
+        for seq in task.resume_at..end {
+            if shard_of(lane.seed, seq, self.cfg.shards) != task.shard {
+                continue;
+            }
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                if self.cfg.panic_on.contains(&(tenant, seq)) {
+                    panic!("injected panic at tenant {tenant} seq {seq}");
+                }
+                let sql = &lane.queries[seq as usize];
+                execute_statement(&publication, sql, seq, self.cfg.fastpath, scratch)
+            }))
+            .unwrap_or_else(|_| {
+                self.worker_panics.incr();
+                *panics += 1;
+                ObservationPayload::Panicked
+            });
+            let panicked = matches!(payload, ObservationPayload::Panicked);
+            let obs = Observation {
+                seq,
+                epoch: task.epoch,
+                payload,
+            };
+            if !emit(TenantObservation { tenant, obs }) {
+                return None;
+            }
+            if panicked && *panics > max_panics {
+                return (seq + 1 < end).then_some(Task {
+                    resume_at: seq + 1,
+                    ..task
+                });
+            }
+        }
+        None
+    }
+}
+
+/// The calling thread's handle on a running engine: fans epochs out,
+/// collects them, publishes between them.
+pub(crate) struct Coordinator<'e, 'a> {
+    engine: &'e Engine<'a>,
+    rx: Receiver<TenantObservation>,
+    /// For the inline drain when every worker has retired.
+    scratch: WorkerScratch,
+    /// Deterministic simulated makespan of the epochs run so far, ms: per
+    /// epoch, every task's simulated-latency total is packed onto the
+    /// worker slots (`lpt_makespan`) and the busiest slot's load is
+    /// summed over epochs — epochs are synchronisation points.
+    pub(crate) sim_makespan_ms: f64,
+}
+
+impl Coordinator<'_, '_> {
+    /// Run one epoch: fan `slices` out as per-shard tasks and collect
+    /// exactly one observation per sequence slot, merged on the
+    /// `(tenant, seq)` logical clock. If every worker has retired with
+    /// tasks still queued, the pool is drained inline (unlimited panic
+    /// budget — each sequence slot panics at most once) so the epoch
+    /// always completes.
+    pub(crate) fn run_epoch(
+        &mut self,
+        epoch: u64,
+        slices: &[Slice],
+    ) -> Result<Vec<TenantObservation>, AutoIndexError> {
+        let engine = self.engine;
+        let expected: u64 = slices.iter().map(|s| s.end - s.start).sum();
+        engine.pool.inject(slices.iter().flat_map(|&slice| {
+            (0..engine.cfg.shards).map(move |shard| Task {
+                slice,
+                epoch,
+                shard,
+                resume_at: slice.start,
+            })
+        }));
+        engine.gate.wake_all();
+
+        let mut got = Vec::with_capacity(expected as usize);
+        while (got.len() as u64) < expected {
+            match self.rx.recv_timeout(PARK_TIMEOUT) {
+                Ok(o) => got.push(o),
+                Err(RecvTimeoutError::Timeout) if engine.live.load(Ordering::SeqCst) > 0 => {}
+                Err(_) => {
+                    // Every worker is gone, and whatever they sent landed
+                    // before they left: the rest is still in the pool.
+                    got.extend(self.rx.try_iter());
+                    let mut keep = |o| {
+                        got.push(o);
+                        true
+                    };
+                    while let Some(task) = engine.pool.pop(0) {
+                        let scratch = &mut self.scratch;
+                        let rest = engine.run_task(task, scratch, &mut 0, u64::MAX, &mut keep);
+                        debug_assert!(rest.is_none(), "unlimited budget never retires");
+                    }
+                    break;
+                }
+            }
+        }
+        if got.len() as u64 != expected {
+            return Err(invalid(
+                engine.cfg.name,
+                format!(
+                    "epoch {epoch} accounted {} of {expected} sequence slots",
+                    got.len()
+                ),
+            ));
+        }
+        got.sort_unstable_by_key(|o| (o.tenant, o.obs.seq));
+
+        // One makespan item per task (slice × shard), summed in seq order.
+        let shards = engine.cfg.shards;
+        let mut task_ms = vec![0.0f64; slices.len() * shards as usize];
+        for run in got.chunk_by(|a, b| a.tenant == b.tenant) {
+            let tenant = run[0].tenant;
+            let seed = engine.lanes[tenant as usize].seed;
+            let slice = slices.iter().position(|s| s.tenant == tenant);
+            let base = slice.expect("observations come from admitted slices") as u64 * shards;
+            for o in run {
+                if let ObservationPayload::Executed { outcome, .. } = &o.obs.payload {
+                    task_ms[(base + shard_of(seed, o.obs.seq, shards)) as usize] +=
+                        outcome.latency_ms;
+                }
+            }
+        }
+        self.sim_makespan_ms += lpt_makespan(task_ms, engine.cfg.workers);
+        Ok(got)
+    }
+
+    /// Publish `tenant`'s next-epoch snapshot — the only point a
+    /// configuration swap becomes visible to executors.
+    pub(crate) fn publish(&self, tenant: u32, publication: Publication) {
+        self.engine.lanes[tenant as usize]
+            .slot
+            .store(Arc::new(publication));
+    }
+}
+
+// ------------------------------------------------- coordinator-side steps
+
+/// What absorbing one tenant's merged slice tallied.
+#[derive(Debug, Default)]
+pub(crate) struct SliceTally {
+    pub(crate) executed: u64,
+    pub(crate) parse_failures: u64,
+    pub(crate) panics: u64,
+    /// Executed statements the fast path served (the rest parsed).
+    pub(crate) fastpath_hits: u64,
+    /// Summed simulated latency of the executed statements, ms
+    /// (accumulated in `seq` order — deterministic).
+    pub(crate) sim_latency_ms: f64,
+}
+
+/// Absorb one tenant's merged observations into its live database and
+/// advisor, in sequence order; `executed(latency_ms)` is called per
+/// executed statement for the driver's own per-statement accounting.
+///
+/// Fast-path hits already carry the fingerprint hash — the template
+/// store's prehashed entry point skips the scan and, on a store hit, the
+/// re-parse. Its bookkeeping is mutation-for-mutation identical to
+/// `observe` (tested in `templates.rs`), keeping fast-path-on and -off
+/// advisor state byte-identical.
+pub(crate) fn absorb_slice<E: CostEstimator>(
+    db: &mut SimDb,
+    advisor: &mut AutoIndex<E>,
+    queries: &[String],
+    slice: &[TenantObservation],
+    mut executed: impl FnMut(f64),
+) -> SliceTally {
+    let mut tally = SliceTally::default();
+    for TenantObservation { obs, .. } in slice {
+        match &obs.payload {
+            ObservationPayload::Executed { outcome, delta, fp } => {
+                db.absorb(delta);
+                let sql = &queries[obs.seq as usize];
+                let _ = match fp {
+                    Some(h) => advisor.observe_prehashed(*h, sql, db),
+                    None => advisor.observe(sql, db),
+                };
+                tally.fastpath_hits += u64::from(fp.is_some());
+                tally.executed += 1;
+                tally.sim_latency_ms += outcome.latency_ms;
+                executed(outcome.latency_ms);
+            }
+            ObservationPayload::ParseFailed => tally.parse_failures += 1,
+            ObservationPayload::Panicked => tally.panics += 1,
+        }
+    }
+    tally
+}
+
+/// Run one tuning round through the session pipeline (optionally
+/// [`Guard`](crate::guard::Guard)ed) and return its canonical decision
+/// (`SessionReport::decision`, or `error(..)`).
+pub(crate) fn tuning_round<E: CostEstimator>(
+    db: &mut SimDb,
+    advisor: &mut AutoIndex<E>,
+    guard: Option<GuardConfig>,
+    reset_usage: bool,
+) -> String {
+    let session = advisor.session(db);
+    let run = match guard {
+        Some(g) => session.guarded(g).run(),
+        None => session.run(),
+    };
+    if reset_usage {
+        db.reset_usage();
+    }
+    match run {
+        Ok(out) => out.decision(),
+        Err(e) => format!("error({e})"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::AutoIndexConfig;
+    use autoindex_estimator::NativeCostEstimator;
+    use autoindex_storage::SimDbConfig;
+    use autoindex_support::rng::StdRng;
+    use autoindex_workloads::banking::{self, BankingGenerator};
+
+    #[test]
+    fn logical_merge_restores_seq_order() {
+        let mk = |seq| Observation {
+            seq,
+            epoch: 0,
+            payload: ObservationPayload::ParseFailed,
+        };
+        let mut batch = vec![mk(3), mk(0), mk(2), mk(1)];
+        logical_merge(&mut batch);
+        let seqs: Vec<u64> = batch.iter().map(|o| o.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn shard_assignment_covers_all_shards_and_is_stable() {
+        let shards = 8;
+        let mut seen = vec![0u64; shards as usize];
+        for seq in 0..1_000 {
+            let s = shard_of(42, seq, shards);
+            assert_eq!(s, shard_of(42, seq, shards), "pure function");
+            seen[s as usize] += 1;
+        }
+        assert!(seen.iter().all(|&c| c > 50), "balanced-ish: {seen:?}");
+    }
+
+    #[test]
+    fn lpt_makespan_is_deterministic_and_bounded() {
+        let loads = vec![5.0, 3.0, 3.0, 2.0, 2.0, 1.0];
+        let total: f64 = loads.iter().sum();
+        // One slot: the makespan is the serial total.
+        assert!((lpt_makespan(loads.clone(), 1) - total).abs() < 1e-12);
+        for workers in 2..=4 {
+            let mk = lpt_makespan(loads.clone(), workers);
+            // Same inputs, same schedule — byte-stable.
+            assert_eq!(mk.to_bits(), lpt_makespan(loads.clone(), workers).to_bits());
+            // Classic packing bounds: no better than a perfect split, no
+            // worse than serial, and at least the single longest shard.
+            assert!(mk >= total / workers as f64 - 1e-12);
+            assert!(mk <= total + 1e-12);
+            assert!(mk >= 5.0 - 1e-12);
+        }
+        // Perfectly splittable case packs perfectly.
+        assert!((lpt_makespan(vec![2.0, 2.0, 2.0, 2.0], 2) - 4.0).abs() < 1e-12);
+        assert_eq!(lpt_makespan(Vec::new(), 3), 0.0);
+    }
+
+    /// The engine's contract, below any driver: with seeded
+    /// `(tenant, seq)` panic injections and a zero panic budget — so
+    /// workers retire mid-epoch and, once they are all gone, the
+    /// coordinator drains inline — `run_epoch` still returns exactly one
+    /// observation per admitted sequence slot, sorted on `(tenant, seq)`,
+    /// with exactly the injected slots `Panicked`.
+    #[test]
+    fn run_epoch_accounts_every_slot_through_retirement_and_inline_drain() {
+        const TENANTS: u32 = 3;
+        const LEN: u64 = 120;
+        const INTERVAL: u64 = 50;
+        let db = SimDb::new(banking::catalog(), SimDbConfig::default());
+        let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+        let queries: Vec<String> = BankingGenerator::new(5)
+            .generate_hybrid(LEN as usize, 0.6)
+            .into_iter()
+            .map(|(_, q)| q)
+            .collect();
+
+        for workers in [1usize, 2, 4] {
+            // More injections than workers, all inside epoch 0: every
+            // worker retires there, the coordinator finishes the epoch
+            // and runs the remaining ones alone.
+            let mut rng = StdRng::seed_from_u64(0xE9_61_4E ^ workers as u64);
+            let mut panic_on: Vec<(u32, u64)> = (0..workers + 2)
+                .map(|_| (rng.random_range(0..TENANTS), rng.random_range(0..INTERVAL)))
+                .collect();
+            panic_on.sort_unstable();
+            panic_on.dedup();
+            assert!(panic_on.len() >= workers);
+            let registry = MetricsRegistry::new();
+            let cfg = EngineConfig {
+                name: "test.engine",
+                workers,
+                shards: 4,
+                fastpath: true,
+                max_worker_panics: 0,
+                panic_on: panic_on.clone(),
+            };
+            let lanes = (0..TENANTS)
+                .map(|t| {
+                    let initial = Publication::build(&db, &advisor, 0, true);
+                    Lane::new(&queries, derive_seed(7, t as u64), initial)
+                })
+                .collect();
+            let engine = Engine::new(cfg, &registry, "test", lanes);
+            let mut panicked = Vec::new();
+            engine
+                .run(|coordinator| {
+                    for epoch in 0..LEN.div_ceil(INTERVAL) {
+                        let (start, end) = (epoch * INTERVAL, ((epoch + 1) * INTERVAL).min(LEN));
+                        let slices: Vec<Slice> = (0..TENANTS)
+                            .map(|tenant| Slice { tenant, start, end })
+                            .collect();
+                        let got = coordinator.run_epoch(epoch, &slices)?;
+                        let keys: Vec<(u32, u64)> =
+                            got.iter().map(|o| (o.tenant, o.obs.seq)).collect();
+                        let expected: Vec<(u32, u64)> = (0..TENANTS)
+                            .flat_map(|t| (start..end).map(move |seq| (t, seq)))
+                            .collect();
+                        assert_eq!(keys, expected, "workers={workers} epoch={epoch}");
+                        assert!(got.iter().all(|o| o.obs.epoch == epoch));
+                        panicked.extend(
+                            got.iter()
+                                .filter(|o| matches!(o.obs.payload, ObservationPayload::Panicked))
+                                .map(|o| (o.tenant, o.obs.seq)),
+                        );
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(panicked, panic_on, "workers={workers}");
+            assert_eq!(engine.workers_retired(), workers, "every worker retired");
+            assert_eq!(
+                registry.counter_value("test.worker_panics"),
+                panic_on.len() as u64
+            );
+        }
+    }
+}

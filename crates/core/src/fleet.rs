@@ -1,41 +1,29 @@
-//! Multi-tenant serving fleet: work-stealing executors, per-tenant
-//! lock-free snapshot publication, SLO-driven admission control and a
-//! regret-directed background tuner slot.
+//! Multi-tenant serving fleet: SLO-driven admission control and a
+//! regret-directed tuner slot over the shared epoch engine.
 //!
-//! [`serve`](mod@crate::serve) proves the epoch-snapshot design at one
-//! database; [`serve_fleet`] multiplexes **many logical tenants** — each
-//! its own [`SimDb`] + advisor + query stream — over one executor pool:
+//! [`serve`](mod@crate::serve) runs the epoch engine
+//! ([`crate::engine`]) with one tenant; [`serve_fleet`] multiplexes
+//! **many logical tenants** — each its own [`SimDb`] + advisor + query
+//! stream — over the same executor pool:
 //!
 //! ```text
-//!  tenant streams      admission (per epoch)        work-stealing pool
-//!  ┌──────────┐   Admit ┌─────────────────────┐   ┌────────┐┌────────┐
-//!  │ t0 ░░░░░░│ ───────►│ slice → shard tasks │──►│worker 0││worker 1│…
-//!  │ t1 ░░░░░░│  Defer  └─────────────────────┘   └───▲────┘└───▲────┘
-//!  │ t2 ░░░░░░│ (cursor holds)                        │ steal-half │
-//!  └──────────┘  Shed (cursor skips, counted)         └───────────-┘
-//!        ▲                                                  │
-//!        │           per-tenant ArcSlot<Publication> ◄──────┘ (lock-free)
-//!        │    ┌───────────────────────────────────────────┐
-//!        └────│ coordinator: merge observations on (tenant,│
-//!             │ seq), absorb per tenant, pick ONE tenant by│
-//!             │ observed regret for the tuner fleet slot,  │
-//!             │ republish snapshots, next epoch            │
-//!             └───────────────────────────────────────────┘
+//!  tenant streams      admission (per epoch)        epoch engine
+//!  ┌──────────┐   Admit ┌─────────────────────┐   ┌──────────────────┐
+//!  │ t0 ░░░░░░│ ───────►│ admitted slices     │──►│ run_epoch: merged│
+//!  │ t1 ░░░░░░│  Defer  └─────────────────────┘   │ on (tenant, seq) │
+//!  │ t2 ░░░░░░│ (cursor holds)                    └────────┬─────────┘
+//!  └──────────┘  Shed (cursor skips, counted)              │
+//!        ▲    ┌────────────────────────────────────────────▼──┐
+//!        └────│ boundary: absorb per tenant, SLO percentiles, │
+//!             │ ONE tenant picked by observed regret for the  │
+//!             │ tuner slot, republish the tenants that moved  │
+//!             └───────────────────────────────────────────────┘
 //! ```
 //!
-//! * **Work stealing.** Admitted slices are split into per-shard tasks
-//!   and spread round-robin over per-worker deques
-//!   ([`autoindex_support::steal::StealPool`]); an idle worker steals the
-//!   back half of a victim's deque. Scheduling is racy by design — the
-//!   transcript surface is merged on the `(tenant, seq)` logical clock,
-//!   so *which* worker ran a statement never shows.
-//! * **Lock-free publication.** Each tenant's epoch snapshot + compiled
-//!   template cache lives in its own
-//!   [`ArcSlot`]; workers clone the
-//!   `Arc` once per task with no lock and no epoch barrier — the fleet is
-//!   bulk-synchronous *by construction* (epoch `e+1` tasks exist only
-//!   after every epoch-`e` observation is processed), so a task's
-//!   publication is always already current.
+//! Execution — work stealing, per-tenant lock-free publication, the
+//! panic fence and worker retirement — is the engine's (see its module
+//! docs for the epoch protocol and crash safety). What is genuinely fleet:
+//!
 //! * **Admission control.** Every epoch, each unfinished tenant bids for
 //!   its next slice with an estimated cost (last observed per-statement
 //!   cost × slice length). [`decide_admission`] packs bids into the
@@ -54,7 +42,7 @@
 //!   ([`TenantSpec::slo_p50_ms`] / [`TenantSpec::slo_p99_ms`]);
 //!   violations feed `serve.tenant.slo_violations`.
 //! * **Tuner fleet slot.** One tenant per epoch (at most) gets the
-//!   background tuner: the pick is the tenant with the highest observed
+//!   tuner: the pick is the tenant with the highest observed
 //!   *regret* — last slice's mean latency vs its frozen baseline (best
 //!   mean ever observed) — above [`FleetConfig::regret_threshold`] and
 //!   out of cooldown. The visit reuses the single-tenant pipeline:
@@ -76,37 +64,22 @@
 //! and 4-worker fleet transcript digests byte-for-byte; the property
 //! tests in `crates/core/tests/fleet.rs` pin permutation- and
 //! worker-count-invariance.
-//!
-//! # Crash safety
-//!
-//! Worker statements run inside `catch_unwind`; a worker that exhausts
-//! [`FleetConfig::max_worker_panics`] hands the unfinished remainder of
-//! its task back (front of its own deque, where a thief finds it first)
-//! and retires. Parked workers use *bounded* waits, so a remainder can
-//! never be stranded behind a sleeping peer; if every worker retires,
-//! the coordinator drains the pool inline with an unlimited budget.
 
-use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::FastPathCache;
-use crate::guard::GuardConfig;
-use crate::mcts::{ConfigSet, Universe};
-use crate::serve::{
-    execute_statement, lpt_makespan, shard_of, tuning_cooldown_over, ObservationPayload,
-    Publication, WorkerScratch,
+use crate::engine::{
+    absorb_slice, simulated_qps, tuning_round, Engine, EngineConfig, Lane, Publication, Slice,
 };
+use crate::error::{invalid, AutoIndexError};
+use crate::guard::GuardConfig;
+use crate::mcts::Universe;
+use crate::serve::tuning_cooldown_over;
 use crate::strategy::StrategyKind;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::SimDb;
-use autoindex_support::arcswap::ArcSlot;
 use autoindex_support::hash::{fnv1a, fnv1a_from};
-use autoindex_support::obs::{Counter, MetricsRegistry};
+use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::rng::derive_seed;
-use autoindex_support::steal::StealPool;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // --------------------------------------------------------------- config
@@ -145,8 +118,6 @@ pub struct FleetConfig {
     pub shards: u64,
     /// Statements per tenant slice — the fleet's epoch cadence.
     pub epoch_interval: u64,
-    /// Bound of the observation channel.
-    pub channel_capacity: usize,
     /// Admission capacity per epoch in **simulated** milliseconds: the
     /// total estimated cost the fleet accepts per epoch. `INFINITY`
     /// disables admission pressure. A config constant — deliberately
@@ -198,7 +169,6 @@ impl Default for FleetConfig {
             workers: 1,
             shards: 4,
             epoch_interval: 1_024,
-            channel_capacity: 1_024,
             epoch_capacity_ms: f64::INFINITY,
             shed_floor_priority: 1,
             assumed_stmt_cost_ms: 1.0,
@@ -222,16 +192,6 @@ impl FleetConfig {
             cfg: FleetConfig::default(),
         }
     }
-
-    fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
 }
 
 /// Builder for [`FleetConfig`]; `build()` validates every field.
@@ -251,10 +211,6 @@ impl FleetConfigBuilder {
     }
     pub fn epoch_interval(mut self, v: u64) -> Self {
         self.cfg.epoch_interval = v;
-        self
-    }
-    pub fn channel_capacity(mut self, v: usize) -> Self {
-        self.cfg.channel_capacity = v;
         self
     }
     pub fn epoch_capacity_ms(mut self, v: f64) -> Self {
@@ -314,9 +270,6 @@ impl FleetConfigBuilder {
         }
         if c.epoch_interval == 0 {
             return Err(invalid("fleet.epoch_interval", "must be >= 1"));
-        }
-        if c.channel_capacity == 0 {
-            return Err(invalid("fleet.channel_capacity", "must be >= 1"));
         }
         if c.epoch_capacity_ms.is_nan() || c.epoch_capacity_ms <= 0.0 {
             return Err(invalid(
@@ -410,136 +363,12 @@ pub fn decide_admission(
     out
 }
 
-// ------------------------------------------------------------- fleet gate
-
-/// Idle-parking for fleet workers. The fleet needs no epoch barrier
-/// (it is bulk-synchronous by construction), only a place for a worker
-/// to nap when the pool runs dry between epochs — with a *bounded* wait,
-/// so a retired worker's requeued remainder is always re-polled for and
-/// can never deadlock behind a sleeping peer.
-struct FleetGate {
-    done: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl FleetGate {
-    fn new() -> Self {
-        FleetGate {
-            done: AtomicBool::new(false),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn finish(&self) {
-        self.done.store(true, Ordering::Release);
-        self.wake_all();
-    }
-
-    fn wake_all(&self) {
-        let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        self.cv.notify_all();
-    }
-
-    /// Bounded nap (≤ 2 ms): wake-ups may be missed between a failed pop
-    /// and the park (the coordinator injects and notifies concurrently),
-    /// so the timeout — not the notification — is the liveness guarantee.
-    fn park(&self) {
-        if self.is_done() {
-            return;
-        }
-        let g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = self
-            .cv
-            .wait_timeout(g, Duration::from_millis(2))
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
-// ----------------------------------------------------------------- tasks
-
-/// One unit of fleet work: tenant `tenant`'s statements in
-/// `[start, end)` that map to `shard`, resuming at `resume_at` after an
-/// interrupted run.
-#[derive(Debug, Clone, Copy)]
-struct FleetTask {
-    tenant: u32,
-    epoch: u64,
-    start: u64,
-    end: u64,
-    shard: u64,
-    resume_at: u64,
-}
-
-/// One statement's result, stamped with its tenant and logical-clock
-/// position — the fleet's merge key is `(tenant, seq)`.
-#[derive(Debug)]
-struct FleetObservation {
-    tenant: u32,
-    epoch: u64,
-    seq: u64,
-    payload: ObservationPayload,
-}
-
-// --------------------------------------------------------------- metrics
-
-/// Cached `serve.tenant.*` / `serve.admission.*` / `serve.fleet.*`
-/// handles, bound into the fleet-owned registry
-/// ([`FleetOutcome::metrics`]).
-#[derive(Clone)]
-struct FleetMetrics {
-    tenant_executed: Counter,
-    tenant_shed: Counter,
-    tenant_parse_failures: Counter,
-    tenant_slo_violations: Counter,
-    tenant_deferrals: Counter,
-    tenant_tuning_visits: Counter,
-    admitted_slices: Counter,
-    deferred_slices: Counter,
-    shed_slices: Counter,
-    saturated_epochs: Counter,
-    epochs: Counter,
-    worker_panics: Counter,
-    workers_retired: Counter,
-    fastpath_hits: autoindex_support::obs::ShardedCounter,
-    fastpath_misses: autoindex_support::obs::ShardedCounter,
-    fastpath_fallbacks: autoindex_support::obs::ShardedCounter,
-}
-
-impl FleetMetrics {
-    fn bind(m: &MetricsRegistry) -> Self {
-        FleetMetrics {
-            tenant_executed: m.counter("serve.tenant.executed"),
-            tenant_shed: m.counter("serve.tenant.shed"),
-            tenant_parse_failures: m.counter("serve.tenant.parse_failures"),
-            tenant_slo_violations: m.counter("serve.tenant.slo_violations"),
-            tenant_deferrals: m.counter("serve.tenant.deferrals"),
-            tenant_tuning_visits: m.counter("serve.tenant.tuning_visits"),
-            admitted_slices: m.counter("serve.admission.admitted_slices"),
-            deferred_slices: m.counter("serve.admission.deferred_slices"),
-            shed_slices: m.counter("serve.admission.shed_slices"),
-            saturated_epochs: m.counter("serve.admission.saturated_epochs"),
-            epochs: m.counter("serve.fleet.epochs"),
-            worker_panics: m.counter("serve.fleet.worker_panics"),
-            workers_retired: m.counter("serve.fleet.workers_retired"),
-            fastpath_hits: m.sharded_counter("sql.fastpath.hits"),
-            fastpath_misses: m.sharded_counter("sql.fastpath.misses"),
-            fastpath_fallbacks: m.sharded_counter("sql.fastpath.fallbacks"),
-        }
-    }
-}
-
 // --------------------------------------------------------------- reports
 
 /// What one tenant slice (one epoch's worth of one tenant's stream)
 /// produced. Everything here is deterministic; the formatted line is
 /// part of the tenant transcript surface.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantSliceRecord {
     /// Slice index within the tenant's stream (0-based, monotonic).
     pub slice: u64,
@@ -596,7 +425,7 @@ impl TenantSliceRecord {
 }
 
 /// One tenant's aggregate run result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     pub name: String,
     pub priority: u8,
@@ -653,7 +482,7 @@ impl TenantReport {
 }
 
 /// What one fleet epoch decided, fleet-wide.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetEpochRecord {
     pub epoch: u64,
     /// Slices admitted this epoch.
@@ -711,12 +540,11 @@ pub struct FleetReport {
     /// Tasks moved by steals (scheduler-dependent; observability only).
     pub stolen_tasks: u64,
     pub total_sim_latency_ms: f64,
-    /// Deterministic simulated fleet makespan, ms: per epoch, every
-    /// admitted (tenant × shard) task's simulated-latency total is
-    /// packed onto the worker slots with greedy LPT
-    /// (the [`serve`](mod@crate::serve) methodology), and the busiest slot's
-    /// load is summed over epochs. A pure function of
-    /// `(streams, config, workers)` — byte-stable, unlike wall clock.
+    /// Deterministic simulated fleet makespan, ms: the engine's per-epoch
+    /// LPT packing of every admitted (tenant × shard) task's
+    /// simulated-latency total onto the worker slots, summed over epochs.
+    /// A pure function of `(streams, config, workers)` — byte-stable,
+    /// unlike wall clock.
     pub sim_makespan_ms: f64,
     /// Per-epoch fleet records, in epoch order.
     pub epochs: Vec<FleetEpochRecord>,
@@ -736,12 +564,7 @@ impl FleetReport {
     /// statements per simulated second of makespan — the metric
     /// `BENCH_PR8.json` sweeps over worker counts.
     pub fn simulated_qps(&self) -> f64 {
-        let mk = self.makespan_ms();
-        if mk <= 0.0 {
-            0.0
-        } else {
-            self.executed as f64 * 1000.0 / mk
-        }
+        simulated_qps(self.executed, self.sim_makespan_ms)
     }
 
     /// The fleet-level byte-comparable surface: totals, every epoch's
@@ -803,154 +626,19 @@ pub struct FleetOutcome<E: CostEstimator> {
     pub metrics: MetricsRegistry,
 }
 
-// --------------------------------------------------------------- workers
-
-/// Read-only state shared with the executor threads.
-struct FleetShared<'a> {
-    cfg: &'a FleetConfig,
-    pool: &'a StealPool<FleetTask>,
-    gate: &'a FleetGate,
-    /// Per-tenant publication slots (workers load, coordinator stores).
-    slots: &'a [ArcSlot<Publication>],
-    /// Per-tenant query streams.
-    queries: &'a [Arc<Vec<String>>],
-    /// Per-tenant shard seeds (`derive_seed(cfg.seed, tenant)`).
-    seeds: &'a [u64],
-    metrics: &'a FleetMetrics,
-    /// Workers still running (used by the coordinator to detect that the
-    /// whole pool retired and it must drain inline).
-    live: &'a AtomicUsize,
-}
-
-/// Execute the remaining statements of one task, emitting one
-/// observation per sequence slot. Returns `None` normally, or the
-/// remainder task when the panic budget ran out mid-task (the caller
-/// retires). `emit` returning `false` means the coordinator is gone.
-fn run_fleet_task(
-    shared: &FleetShared,
-    task: FleetTask,
-    scratch: &mut WorkerScratch,
-    panics: &mut u64,
-    max_panics: u64,
-    emit: &mut dyn FnMut(FleetObservation) -> bool,
-) -> Option<FleetTask> {
-    let publication = shared.slots[task.tenant as usize].load();
-    scratch.pin((task.tenant as u64, publication.snap.epoch));
-    let queries = &shared.queries[task.tenant as usize];
-    let seed = shared.seeds[task.tenant as usize];
-    for seq in task.resume_at.max(task.start)..task.end {
-        if shard_of(seed, seq, shared.cfg.shards) != task.shard {
-            continue;
-        }
-        let payload = match catch_unwind(AssertUnwindSafe(|| {
-            if shared.cfg.panic_on.contains(&(task.tenant, seq)) {
-                panic!("injected fleet panic at tenant {} seq {seq}", task.tenant);
-            }
-            execute_statement(
-                &publication,
-                &queries[seq as usize],
-                seq,
-                shared.cfg.fastpath,
-                scratch,
-            )
-        })) {
-            Ok(p) => p,
-            Err(_) => {
-                shared.metrics.worker_panics.incr();
-                *panics += 1;
-                ObservationPayload::Panicked
-            }
-        };
-        let panicked = matches!(payload, ObservationPayload::Panicked);
-        if !emit(FleetObservation {
-            tenant: task.tenant,
-            epoch: task.epoch,
-            seq,
-            payload,
-        }) {
-            return None;
-        }
-        if panicked && *panics > max_panics {
-            return (seq + 1 < task.end).then_some(FleetTask {
-                resume_at: seq + 1,
-                ..task
-            });
-        }
-    }
-    None
-}
-
-/// The fleet executor loop: pop (or steal) a task, run it against the
-/// tenant's current publication, ship observations; park briefly when
-/// the pool runs dry. Retires after exhausting the panic budget, handing
-/// the task remainder to the front of its own deque (where a thief finds
-/// it first).
-fn fleet_worker(
-    shared: &FleetShared,
-    tx: &SyncSender<FleetObservation>,
-    max_panics: u64,
-    slot: usize,
-) {
-    let mut scratch = WorkerScratch::with_cells(
-        shared.metrics.fastpath_hits.cell(slot),
-        shared.metrics.fastpath_misses.cell(slot),
-        shared.metrics.fastpath_fallbacks.cell(slot),
-    );
-    let mut panics = 0u64;
-    let mut emit = |o: FleetObservation| tx.send(o).is_ok();
-    loop {
-        let Some(task) = shared.pool.pop(slot) else {
-            if shared.gate.is_done() {
-                break;
-            }
-            shared.gate.park();
-            continue;
-        };
-        let budget_left = panics <= max_panics;
-        if let Some(remainder) = run_fleet_task(
-            shared,
-            task,
-            &mut scratch,
-            &mut panics,
-            max_panics,
-            &mut emit,
-        ) {
-            shared.pool.push_front(slot, remainder);
-        }
-        if budget_left && panics > max_panics {
-            // Budget just ran out: retire. The remainder (if any) is
-            // already queued; peers poll with bounded parks, so it is
-            // picked up without an explicit wake.
-            shared.metrics.workers_retired.incr();
-            shared.live.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-    }
-    shared.live.fetch_sub(1, Ordering::SeqCst);
-}
-
 // ------------------------------------------------------------ coordinator
 
 /// Coordinator-owned per-tenant state.
 struct TenantState<E: CostEstimator> {
-    spec: TenantSpec,
     db: SimDb,
     advisor: AutoIndex<E>,
     queries: Arc<Vec<String>>,
     universe: Universe,
+    /// The tenant's report, accumulated in place (identity and SLOs are
+    /// copied in from the [`TenantSpec`] up front).
+    report: TenantReport,
     /// Next unprocessed sequence number of the tenant's stream.
     cursor: u64,
-    slices: Vec<TenantSliceRecord>,
-    executed: u64,
-    shed: u64,
-    parse_failures: u64,
-    panics: u64,
-    deferrals: u64,
-    slo_violations: u64,
-    tuning_visits: u64,
-    fastpath_hits: u64,
-    fastpath_misses: u64,
-    total_sim_latency_ms: f64,
     /// Mean simulated latency of the last slice that executed anything.
     last_mean_ms: Option<f64>,
     /// Frozen baseline: the best (lowest) slice mean ever observed.
@@ -963,29 +651,34 @@ impl<E: CostEstimator> TenantState<E> {
         self.queries.len() as u64
     }
 
+    /// Length of the tenant's next slice.
+    fn take(&self, cfg: &FleetConfig) -> u64 {
+        cfg.epoch_interval.min(self.len() - self.cursor)
+    }
+
     /// Estimated cost of the tenant's next slice: last observed mean
     /// statement cost (or the configured prior) × slice length.
     fn next_bid(&self, cfg: &FleetConfig) -> f64 {
-        let take = cfg.epoch_interval.min(self.len() - self.cursor);
-        self.last_mean_ms.unwrap_or(cfg.assumed_stmt_cost_ms) * take as f64
+        self.last_mean_ms.unwrap_or(cfg.assumed_stmt_cost_ms) * self.take(cfg) as f64
     }
 
-    /// `ConfigSet` fingerprint of the current real index set, interned
-    /// into this tenant's universe (sorted by key — deterministic).
-    fn config_fingerprint(&mut self) -> u64 {
-        let mut defs: Vec<_> = self.db.indexes().map(|(_, d)| d.clone()).collect();
-        defs.sort_by_key(|d| d.key());
-        let mut set = ConfigSet::default();
-        for d in &defs {
-            set.insert(self.universe.intern(d));
+    /// Observed regret — last slice mean vs the frozen baseline — when
+    /// the tenant has one and it qualifies for the tuner slot at `epoch`.
+    fn qualifying_regret(&self, cfg: &FleetConfig, epoch: u64) -> Option<f64> {
+        let last = self.last_mean_ms?;
+        if !self.best_mean_ms.is_finite() || self.best_mean_ms <= 0.0 {
+            return None;
         }
-        set.fingerprint()
+        let regret = (last - self.best_mean_ms) / self.best_mean_ms;
+        (regret > cfg.regret_threshold
+            && tuning_cooldown_over(self.last_tuned_epoch, epoch, cfg.tuning_cooldown_epochs))
+        .then_some(regret)
     }
 
     /// One tuner visit: diagnose, then run the session pipeline if
     /// diagnosis fired. Returns the canonical decision string.
     fn visit(&mut self, cfg: &FleetConfig, epoch: u64) -> String {
-        self.tuning_visits += 1;
+        self.report.tuning_visits += 1;
         self.last_tuned_epoch = Some(epoch);
         // Strategy attribution only when the fleet overrides it: the
         // default (None) keeps decision strings byte-identical to PR8.
@@ -993,36 +686,15 @@ impl<E: CostEstimator> TenantState<E> {
             .tuner_strategy
             .map(|k| format!("strategy={k} "))
             .unwrap_or_default();
-        let diagnosis = self.advisor.diagnose(&self.db);
-        if !diagnosis.should_tune {
+        if !self.advisor.diagnose(&self.db).should_tune {
             return format!("{prefix}quiet");
         }
-        let session = self.advisor.session(&mut self.db);
-        let run = match cfg.guard.clone() {
-            Some(g) => session.guarded(g).run(),
-            None => session.run(),
-        };
-        let decision = match run {
-            Err(e) => format!("error({e})"),
-            Ok(out) => {
-                if out.shadow_rejected() {
-                    "shadow_rejected".to_string()
-                } else if out.rolled_back() {
-                    "rolled_back".to_string()
-                } else if out.report.recommendation.is_noop() {
-                    "noop".to_string()
-                } else {
-                    format!(
-                        "applied(+{},-{})",
-                        out.report.created.len(),
-                        out.report.dropped.len()
-                    )
-                }
-            }
-        };
-        if cfg.reset_usage_after_tuning {
-            self.db.reset_usage();
-        }
+        let decision = tuning_round(
+            &mut self.db,
+            &mut self.advisor,
+            cfg.guard.clone(),
+            cfg.reset_usage_after_tuning,
+        );
         format!("{prefix}{decision}")
     }
 }
@@ -1038,120 +710,85 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// A slice record accumulated this epoch, finalized (fingerprint +
-/// index count) only after the epoch's tuner visit.
-struct PendingSlice {
-    tenant: usize,
-    record: TenantSliceRecord,
-}
-
 // ----------------------------------------------------------- serve_fleet
 
-/// Run the multi-tenant serving fleet over `tenants`. See the
-/// [module docs](self) for the architecture, determinism contract and
-/// crash-safety story.
+/// Run the multi-tenant serving fleet over `tenants`: the epoch engine
+/// ([`crate::engine`]) under this module's admission, SLO and tuner-slot
+/// policy (see the [module docs](self)).
 ///
 /// Consumes the tenants (their databases and advisors evolve during the
-/// run) and returns them in [`FleetOutcome::tenants`], together with the
-/// fleet report and the fleet-owned metrics registry.
-pub fn serve_fleet<E: CostEstimator + Send>(
+/// run) and returns them in [`FleetOutcome::tenants`], with the report and
+/// the fleet-owned metrics registry. A panic on the coordinator (a tuner
+/// visit) aborts the pipeline and is returned as an error under
+/// `fleet.tuner`.
+pub fn serve_fleet<E: CostEstimator>(
     tenants: Vec<FleetTenant<E>>,
     config: FleetConfig,
 ) -> Result<FleetOutcome<E>, AutoIndexError> {
     let config = FleetConfigBuilder { cfg: config }.build()?;
-    let workers = config.resolved_workers();
     let started = Instant::now();
 
     let registry = MetricsRegistry::new();
-    let metrics = FleetMetrics::bind(&registry);
     registry
         .gauge("serve.fleet.tenants")
         .set(tenants.len() as f64);
-    registry.gauge("serve.fleet.workers").set(workers as f64);
     registry
         .gauge("serve.admission.capacity_ms")
         .set(config.epoch_capacity_ms);
 
-    // Per-tenant state + initial (epoch 0) publications.
+    // Per-tenant state + one engine lane each, with its initial (epoch 0)
+    // publication. The lanes borrow their own handles on the streams.
+    let queries: Vec<Arc<Vec<String>>> = tenants.iter().map(|t| Arc::clone(&t.queries)).collect();
     let mut states: Vec<TenantState<E>> = Vec::with_capacity(tenants.len());
-    let mut slots: Vec<ArcSlot<Publication>> = Vec::with_capacity(tenants.len());
-    let mut queries: Vec<Arc<Vec<String>>> = Vec::with_capacity(tenants.len());
-    let mut seeds: Vec<u64> = Vec::with_capacity(tenants.len());
+    let mut lanes: Vec<Lane> = Vec::with_capacity(tenants.len());
     for (t, mut tenant) in tenants.into_iter().enumerate() {
         if let Some(k) = config.tuner_strategy {
             tenant.advisor.set_strategy(k);
         }
-        let snap = Arc::new(tenant.db.snapshot(0));
-        let cache = if config.fastpath {
-            Arc::new(FastPathCache::build(
-                tenant.advisor.templates().entries(),
-                snap.catalog(),
-            ))
-        } else {
-            Arc::new(FastPathCache::empty())
-        };
-        slots.push(ArcSlot::new(Arc::new(Publication { snap, cache })));
-        queries.push(Arc::clone(&tenant.queries));
-        seeds.push(derive_seed(config.seed, t as u64));
+        let initial = Publication::build(&tenant.db, &tenant.advisor, 0, config.fastpath);
+        lanes.push(Lane::new(
+            &queries[t],
+            derive_seed(config.seed, t as u64),
+            initial,
+        ));
         states.push(TenantState {
-            spec: tenant.spec,
             db: tenant.db,
             advisor: tenant.advisor,
             queries: tenant.queries,
             universe: Universe::new(),
+            report: TenantReport {
+                name: tenant.spec.name,
+                priority: tenant.spec.priority,
+                slo_p50_ms: tenant.spec.slo_p50_ms,
+                slo_p99_ms: tenant.spec.slo_p99_ms,
+                ..TenantReport::default()
+            },
             cursor: 0,
-            slices: Vec::new(),
-            executed: 0,
-            shed: 0,
-            parse_failures: 0,
-            panics: 0,
-            deferrals: 0,
-            slo_violations: 0,
-            tuning_visits: 0,
-            fastpath_hits: 0,
-            fastpath_misses: 0,
-            total_sim_latency_ms: 0.0,
             last_mean_ms: None,
             best_mean_ms: f64::INFINITY,
             last_tuned_epoch: None,
         });
     }
-
-    let pool: StealPool<FleetTask> = StealPool::new(workers);
-    let gate = FleetGate::new();
-    let live = AtomicUsize::new(workers);
-    let shared = FleetShared {
-        cfg: &config,
-        pool: &pool,
-        gate: &gate,
-        slots: &slots,
-        queries: &queries,
-        seeds: &seeds,
-        metrics: &metrics,
-        live: &live,
-    };
-    let (tx, rx) = mpsc::sync_channel::<FleetObservation>(config.channel_capacity);
+    let engine = Engine::new(
+        EngineConfig {
+            name: "fleet.tuner",
+            workers: config.workers,
+            shards: config.shards,
+            fastpath: config.fastpath,
+            max_worker_panics: config.max_worker_panics,
+            panic_on: config.panic_on.clone(),
+        },
+        &registry,
+        "serve.fleet",
+        lanes,
+    );
+    let workers = engine.workers();
+    registry.gauge("serve.fleet.workers").set(workers as f64);
 
     let mut epochs: Vec<FleetEpochRecord> = Vec::new();
-    let mut sim_makespan_ms = 0.0f64;
 
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let shared = &shared;
-            let max = config.max_worker_panics;
-            s.spawn(move || fleet_worker(shared, &tx, max, w));
-        }
-        drop(tx); // the coordinator only receives
-
-        let mut coord_scratch = WorkerScratch::with_cells(
-            metrics.fastpath_hits.cell(workers),
-            metrics.fastpath_misses.cell(workers),
-            metrics.fastpath_fallbacks.cell(workers),
-        );
-
-        let mut epoch = 0u64;
-        loop {
+    let sim_makespan_ms = engine.run(|coordinator| {
+        for epoch in 0.. {
             // ---- admission: every unfinished tenant bids for a slice.
             let candidates: Vec<AdmissionCandidate> = states
                 .iter()
@@ -1159,7 +796,7 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                 .filter(|(_, st)| st.cursor < st.len())
                 .map(|(t, st)| AdmissionCandidate {
                     tenant: t as u32,
-                    priority: st.spec.priority,
+                    priority: st.report.priority,
                     est_cost_ms: st.next_bid(&config),
                 })
                 .collect();
@@ -1172,170 +809,84 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                 config.shed_floor_priority,
             );
 
-            let mut tasks: Vec<FleetTask> = Vec::new();
-            let mut expected = 0u64;
-            let mut pending: Vec<PendingSlice> = Vec::new();
-            // Tenant → index into the epoch's LPT item vector (admitted
-            // tenants only; one item per shard).
-            let mut item_base: Vec<Option<usize>> = vec![None; states.len()];
+            let mut slices: Vec<Slice> = Vec::new();
+            // Tenants whose live state moves this epoch (admitted or
+            // visited) and therefore republish at its end.
+            let mut republish = vec![false; states.len()];
             let mut rec = FleetEpochRecord {
                 epoch,
-                admitted: 0,
-                deferred: 0,
-                shed: 0,
-                statements: 0,
-                saturated: false,
                 visit: "idle".to_string(),
+                ..FleetEpochRecord::default()
             };
             for d in &decisions {
                 let t = d.tenant as usize;
                 let st = &mut states[t];
-                let take = config.epoch_interval.min(st.len() - st.cursor);
-                let slice = st.slices.len() as u64 + pending_count(&pending, t);
-                match d.admission {
-                    Admission::Admit => {
-                        let (start, end) = (st.cursor, st.cursor + take);
-                        item_base[t] = Some(rec.admitted as usize * config.shards as usize);
-                        for shard in 0..config.shards {
-                            tasks.push(FleetTask {
-                                tenant: d.tenant,
-                                epoch,
-                                start,
-                                end,
-                                shard,
-                                resume_at: start,
-                            });
-                        }
-                        st.cursor = end;
-                        expected += take;
-                        rec.admitted += 1;
-                        rec.statements += take;
-                        metrics.admitted_slices.incr();
-                        pending.push(PendingSlice {
-                            tenant: t,
-                            record: TenantSliceRecord {
-                                slice,
-                                epoch,
-                                statements: take,
-                                executed: 0,
-                                parse_failures: 0,
-                                panics: 0,
-                                shed: 0,
-                                p50_ms: 0.0,
-                                p99_ms: 0.0,
-                                slo_ok: true,
-                                decision: "admit".to_string(),
-                                config_fingerprint: 0,
-                                index_count: 0,
-                                sim_latency_ms: 0.0,
-                            },
-                        });
-                    }
-                    Admission::Shed => {
-                        st.cursor += take;
-                        st.shed += take;
-                        st.slo_violations += 1;
-                        metrics.tenant_shed.add(take);
-                        metrics.tenant_slo_violations.incr();
-                        metrics.shed_slices.incr();
-                        rec.shed += 1;
-                        rec.statements += take;
-                        pending.push(PendingSlice {
-                            tenant: t,
-                            record: TenantSliceRecord {
-                                slice,
-                                epoch,
-                                statements: take,
-                                executed: 0,
-                                parse_failures: 0,
-                                panics: 0,
-                                shed: take,
-                                p50_ms: 0.0,
-                                p99_ms: 0.0,
-                                slo_ok: false,
-                                decision: "shed".to_string(),
-                                config_fingerprint: 0,
-                                index_count: 0,
-                                sim_latency_ms: 0.0,
-                            },
-                        });
-                    }
-                    Admission::Defer => {
-                        st.deferrals += 1;
-                        metrics.tenant_deferrals.incr();
-                        metrics.deferred_slices.incr();
-                        rec.deferred += 1;
-                    }
+                if d.admission == Admission::Defer {
+                    st.report.deferrals += 1;
+                    rec.deferred += 1;
+                    continue;
                 }
+                // Admitted or shed: the cursor moves and the slice's record
+                // opens now; it is filled in as the epoch's observations are
+                // absorbed and finalized after the tuner visit.
+                let take = st.take(&config);
+                let shed = d.admission == Admission::Shed;
+                st.report.slices.push(TenantSliceRecord {
+                    slice: st.report.slices.len() as u64,
+                    epoch,
+                    statements: take,
+                    shed: if shed { take } else { 0 },
+                    slo_ok: !shed,
+                    decision: if shed { "shed" } else { "admit" }.to_string(),
+                    ..TenantSliceRecord::default()
+                });
+                if shed {
+                    st.report.shed += take;
+                    st.report.slo_violations += 1;
+                    rec.shed += 1;
+                } else {
+                    republish[t] = true;
+                    slices.push(Slice {
+                        tenant: d.tenant,
+                        start: st.cursor,
+                        end: st.cursor + take,
+                    });
+                    rec.admitted += 1;
+                }
+                st.cursor += take;
+                rec.statements += take;
             }
             rec.saturated = rec.deferred > 0 || rec.shed > 0;
-            if rec.saturated {
-                metrics.saturated_epochs.incr();
-            }
 
-            // ---- fan out and collect exactly `expected` observations.
-            pool.inject(tasks);
-            gate.wake_all();
-            let mut got: Vec<FleetObservation> = Vec::with_capacity(expected as usize);
-            collect_epoch(&rx, &shared, &mut coord_scratch, expected, &mut got);
-
-            // ---- merge on the (tenant, seq) logical clock and absorb.
-            got.sort_unstable_by_key(|o| (o.tenant, o.seq));
-            debug_assert!(got.iter().all(|o| o.epoch == epoch));
-            let mut item_ms = vec![0.0f64; rec.admitted as usize * config.shards as usize];
+            // ---- execute: one observation per admitted sequence slot,
+            // merged on the (tenant, seq) logical clock; absorb per tenant.
+            let got = coordinator.run_epoch(epoch, &slices)?;
             let mut latencies: Vec<f64> = Vec::new();
-            let mut i = 0usize;
-            while i < got.len() {
-                let t = got[i].tenant as usize;
-                let end = got[i..]
-                    .iter()
-                    .position(|o| o.tenant as usize != t)
-                    .map_or(got.len(), |p| i + p);
-                let st = &mut states[t];
-                let slice_rec = pending
-                    .iter_mut()
-                    .find(|p| p.tenant == t)
-                    .expect("admitted tenant has a pending slice");
+            for slice in got.chunk_by(|a, b| a.tenant == b.tenant) {
+                let st = &mut states[slice[0].tenant as usize];
                 latencies.clear();
-                for o in &got[i..end] {
-                    match &o.payload {
-                        ObservationPayload::Executed { outcome, delta, fp } => {
-                            st.db.absorb(delta);
-                            let sql = &st.queries[o.seq as usize];
-                            let _ = match fp {
-                                Some(h) => st.advisor.observe_prehashed(*h, sql, &st.db),
-                                None => st.advisor.observe(sql, &st.db),
-                            };
-                            match fp {
-                                Some(_) => st.fastpath_hits += 1,
-                                None => st.fastpath_misses += 1,
-                            }
-                            slice_rec.record.executed += 1;
-                            slice_rec.record.sim_latency_ms += outcome.latency_ms;
-                            latencies.push(outcome.latency_ms);
-                            let base = item_base[t].expect("admitted tenant has items");
-                            item_ms[base + shard_of(seeds[t], o.seq, config.shards) as usize] +=
-                                outcome.latency_ms;
-                            metrics.tenant_executed.incr();
-                        }
-                        ObservationPayload::ParseFailed => {
-                            slice_rec.record.parse_failures += 1;
-                            metrics.tenant_parse_failures.incr();
-                        }
-                        ObservationPayload::Panicked => slice_rec.record.panics += 1,
-                    }
-                }
+                let tally = absorb_slice(&mut st.db, &mut st.advisor, &st.queries, slice, |ms| {
+                    latencies.push(ms)
+                });
+                st.report.fastpath_hits += tally.fastpath_hits;
+                st.report.fastpath_misses += tally.executed - tally.fastpath_hits;
+                st.report.executed += tally.executed;
+                st.report.parse_failures += tally.parse_failures;
+                st.report.panics += tally.panics;
+                st.report.total_sim_latency_ms += tally.sim_latency_ms;
+                let record = st.report.slices.last_mut().expect("opened at admission");
+                record.executed = tally.executed;
+                record.parse_failures = tally.parse_failures;
+                record.panics = tally.panics;
+                record.sim_latency_ms = tally.sim_latency_ms;
                 latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                slice_rec.record.p50_ms = percentile(&latencies, 0.50);
-                slice_rec.record.p99_ms = percentile(&latencies, 0.99);
-                if slice_rec.record.executed > 0 {
-                    slice_rec.record.slo_ok = slice_rec.record.p50_ms <= st.spec.slo_p50_ms
-                        && slice_rec.record.p99_ms <= st.spec.slo_p99_ms;
-                    if !slice_rec.record.slo_ok {
-                        st.slo_violations += 1;
-                        metrics.tenant_slo_violations.incr();
-                    }
-                    let mean = slice_rec.record.sim_latency_ms / slice_rec.record.executed as f64;
+                record.p50_ms = percentile(&latencies, 0.50);
+                record.p99_ms = percentile(&latencies, 0.99);
+                if record.executed > 0 {
+                    record.slo_ok = record.p50_ms <= st.report.slo_p50_ms
+                        && record.p99_ms <= st.report.slo_p99_ms;
+                    st.report.slo_violations += u64::from(!record.slo_ok);
+                    let mean = record.sim_latency_ms / record.executed as f64;
                     st.last_mean_ms = Some(mean);
                     st.best_mean_ms = st.best_mean_ms.min(mean);
                     if config.tuner_strategy == Some(StrategyKind::Bandit) {
@@ -1344,107 +895,60 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                         st.advisor.observe_reward(mean);
                     }
                 }
-                i = end;
             }
-            sim_makespan_ms += lpt_makespan(item_ms, workers);
 
-            // ---- the tuner fleet slot: one visit, highest regret wins.
+            // ---- the tuner fleet slot: one visit, highest regret wins
+            // (the lowest tenant id among equals).
             let mut pick: Option<(usize, f64)> = None;
             for (t, st) in states.iter().enumerate() {
-                let Some(last) = st.last_mean_ms else {
-                    continue;
-                };
-                if !st.best_mean_ms.is_finite() || st.best_mean_ms <= 0.0 {
-                    continue;
-                }
-                let regret = (last - st.best_mean_ms) / st.best_mean_ms;
-                if regret > config.regret_threshold
-                    && tuning_cooldown_over(
-                        st.last_tuned_epoch,
-                        epoch,
-                        config.tuning_cooldown_epochs,
-                    )
-                    && pick.is_none_or(|(_, r)| regret > r)
-                {
-                    pick = Some((t, regret));
+                if let Some(regret) = st.qualifying_regret(&config, epoch) {
+                    if pick.is_none_or(|(_, r)| regret > r) {
+                        pick = Some((t, regret));
+                    }
                 }
             }
-            let visited = if let Some((t, regret)) = pick {
+            if let Some((t, regret)) = pick {
+                republish[t] = true;
                 let decision = states[t].visit(&config, epoch);
-                metrics.tenant_tuning_visits.incr();
                 rec.visit = format!(
                     "tenant={} regret={regret:.6} decision={decision}",
-                    states[t].spec.name
+                    states[t].report.name
                 );
-                Some(t)
-            } else {
-                None
-            };
+            }
 
-            // ---- finalize this epoch's slice records and republish.
-            for p in pending {
-                let st = &mut states[p.tenant];
-                let mut record = p.record;
-                record.config_fingerprint = st.config_fingerprint();
+            // ---- finalize this epoch's slice records and republish
+            // every tenant the epoch touched.
+            for d in decisions.iter().filter(|d| d.admission != Admission::Defer) {
+                let st = &mut states[d.tenant as usize];
+                let record = st.report.slices.last_mut().expect("opened this epoch");
+                record.config_fingerprint = st.universe.config_fingerprint(&st.db);
                 record.index_count = st.db.index_count();
-                st.executed += record.executed;
-                st.parse_failures += record.parse_failures;
-                st.panics += record.panics;
-                st.total_sim_latency_ms += record.sim_latency_ms;
-                st.slices.push(record);
             }
-            for (t, st) in states.iter().enumerate() {
-                let touched = item_base[t].is_some() || visited == Some(t);
-                if !touched {
-                    continue;
-                }
-                let snap = Arc::new(st.db.snapshot(epoch + 1));
-                let cache = if config.fastpath {
-                    Arc::new(FastPathCache::build(
-                        st.advisor.templates().entries(),
-                        snap.catalog(),
-                    ))
-                } else {
-                    Arc::new(FastPathCache::empty())
-                };
-                slots[t].store(Arc::new(Publication { snap, cache }));
+            for (t, st) in states.iter().enumerate().filter(|(t, _)| republish[*t]) {
+                let next = Publication::build(&st.db, &st.advisor, epoch + 1, config.fastpath);
+                coordinator.publish(t as u32, next);
             }
 
-            metrics.epochs.incr();
             epochs.push(rec);
-            epoch += 1;
         }
+        Ok(coordinator.sim_makespan_ms)
+    })?;
 
-        gate.finish();
-        // Scope join: the spawned workers exit on the done flag.
-    });
-
-    let workers_retired = registry.counter_value("serve.fleet.workers_retired") as usize;
-    registry.counter("serve.fleet.steals").add(pool.steals());
-    registry
-        .counter("serve.fleet.stolen_tasks")
-        .add(pool.stolen_tasks());
-
-    let tenant_reports: Vec<TenantReport> = states
-        .iter()
-        .map(|st| TenantReport {
-            name: st.spec.name.clone(),
-            priority: st.spec.priority,
-            slo_p50_ms: st.spec.slo_p50_ms,
-            slo_p99_ms: st.spec.slo_p99_ms,
-            executed: st.executed,
-            shed: st.shed,
-            parse_failures: st.parse_failures,
-            panics: st.panics,
-            deferrals: st.deferrals,
-            slo_violations: st.slo_violations,
-            tuning_visits: st.tuning_visits,
-            fastpath_hits: st.fastpath_hits,
-            fastpath_misses: st.fastpath_misses,
-            total_sim_latency_ms: st.total_sim_latency_ms,
-            slices: st.slices.clone(),
+    let (steals, stolen_tasks) = engine.steals();
+    let (tenant_reports, outcome_tenants): (Vec<TenantReport>, Vec<FleetTenantOutcome<E>>) = states
+        .into_iter()
+        .map(|st| {
+            let name = st.report.name.clone();
+            (
+                st.report,
+                FleetTenantOutcome {
+                    name,
+                    db: st.db,
+                    advisor: st.advisor,
+                },
+            )
         })
-        .collect();
+        .unzip();
 
     let report = FleetReport {
         tenants: tenant_reports.len(),
@@ -1453,15 +957,15 @@ pub fn serve_fleet<E: CostEstimator + Send>(
         shed: tenant_reports.iter().map(|t| t.shed).sum(),
         parse_failures: tenant_reports.iter().map(|t| t.parse_failures).sum(),
         panics: tenant_reports.iter().map(|t| t.panics).sum(),
-        admitted_slices: registry.counter_value("serve.admission.admitted_slices"),
-        deferred_slices: registry.counter_value("serve.admission.deferred_slices"),
-        shed_slices: registry.counter_value("serve.admission.shed_slices"),
-        saturated_epochs: registry.counter_value("serve.admission.saturated_epochs"),
+        admitted_slices: epochs.iter().map(|e| e.admitted).sum(),
+        deferred_slices: epochs.iter().map(|e| e.deferred).sum(),
+        shed_slices: epochs.iter().map(|e| e.shed).sum(),
+        saturated_epochs: epochs.iter().filter(|e| e.saturated).count() as u64,
         slo_violations: tenant_reports.iter().map(|t| t.slo_violations).sum(),
         tuning_visits: tenant_reports.iter().map(|t| t.tuning_visits).sum(),
-        workers_retired,
-        steals: pool.steals(),
-        stolen_tasks: pool.stolen_tasks(),
+        workers_retired: engine.workers_retired(),
+        steals,
+        stolen_tasks,
         total_sim_latency_ms: tenant_reports.iter().map(|t| t.total_sim_latency_ms).sum(),
         sim_makespan_ms,
         epochs,
@@ -1469,61 +973,30 @@ pub fn serve_fleet<E: CostEstimator + Send>(
         wall: started.elapsed(),
     };
 
-    let outcome_tenants = states
-        .into_iter()
-        .map(|st| FleetTenantOutcome {
-            name: st.spec.name,
-            db: st.db,
-            advisor: st.advisor,
-        })
-        .collect();
-
+    // The registry is fleet-owned and handed back only now, so its
+    // counters are published once, as a projection of the report.
+    for (name, value) in [
+        ("serve.tenant.executed", report.executed),
+        ("serve.tenant.shed", report.shed),
+        ("serve.tenant.parse_failures", report.parse_failures),
+        ("serve.tenant.slo_violations", report.slo_violations),
+        ("serve.tenant.deferrals", report.deferred_slices),
+        ("serve.tenant.tuning_visits", report.tuning_visits),
+        ("serve.admission.admitted_slices", report.admitted_slices),
+        ("serve.admission.deferred_slices", report.deferred_slices),
+        ("serve.admission.shed_slices", report.shed_slices),
+        ("serve.admission.saturated_epochs", report.saturated_epochs),
+        ("serve.fleet.epochs", report.epochs.len() as u64),
+        ("serve.fleet.steals", steals),
+        ("serve.fleet.stolen_tasks", stolen_tasks),
+    ] {
+        registry.counter(name).add(value);
+    }
     Ok(FleetOutcome {
         tenants: outcome_tenants,
         report,
         metrics: registry,
     })
-}
-
-/// Slices already queued for `tenant` this epoch (0 or 1 — a tenant bids
-/// once per epoch; kept as a function for clarity at the call site).
-fn pending_count(pending: &[PendingSlice], tenant: usize) -> u64 {
-    pending.iter().filter(|p| p.tenant == tenant).count() as u64
-}
-
-/// Receive exactly `expected` observations for the current epoch. If
-/// every worker has retired with tasks still queued, drain the pool
-/// inline (unlimited panic budget — each sequence slot panics at most
-/// once) so the epoch always completes.
-fn collect_epoch(
-    rx: &Receiver<FleetObservation>,
-    shared: &FleetShared,
-    scratch: &mut WorkerScratch,
-    expected: u64,
-    got: &mut Vec<FleetObservation>,
-) {
-    while (got.len() as u64) < expected {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(o) => got.push(o),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                while let Ok(o) = rx.try_recv() {
-                    got.push(o);
-                }
-                if shared.live.load(Ordering::SeqCst) == 0 && (got.len() as u64) < expected {
-                    let mut panics = 0u64;
-                    let mut emit = |o: FleetObservation| {
-                        got.push(o);
-                        true
-                    };
-                    while let Some(task) = shared.pool.pop(0) {
-                        let left =
-                            run_fleet_task(shared, task, scratch, &mut panics, u64::MAX, &mut emit);
-                        debug_assert!(left.is_none(), "unlimited budget never retires");
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1593,7 +1066,6 @@ mod tests {
         assert!(FleetConfig::builder().build().is_ok());
         assert!(FleetConfig::builder().shards(0).build().is_err());
         assert!(FleetConfig::builder().epoch_interval(0).build().is_err());
-        assert!(FleetConfig::builder().channel_capacity(0).build().is_err());
         assert!(FleetConfig::builder()
             .epoch_capacity_ms(0.0)
             .build()

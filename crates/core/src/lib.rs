@@ -41,17 +41,20 @@
 //! * [`session`] — the unified [`session::TuningSession`] builder that
 //!   replaces the historical `tune`/`recommend`/`apply_recommendation`
 //!   entry points.
-//! * [`mod@serve`] — the concurrent online serving pipeline
-//!   (`docs/SERVING.md`): sharded executor threads drain the query stream
-//!   against epoch-versioned database snapshots while a single background
-//!   tuner thread merges their observations, runs diagnosis/tuning and
-//!   publishes configuration swaps at epoch boundaries; a deterministic
-//!   mode makes the whole pipeline worker-count invariant.
-//! * [`mod@fleet`] — the multi-tenant serving fleet (`docs/SERVING.md`):
-//!   many tenant databases multiplexed over one work-stealing executor
-//!   pool with per-tenant lock-free snapshot publication, SLO-driven
-//!   admission control (admit / defer / shed) and a regret-directed
-//!   background tuner fleet slot; per-tenant transcripts stay
+//! * [`engine`] — the epoch engine under both serving drivers
+//!   (`docs/SERVING.md`): executor threads drain per-tenant slices from
+//!   one work-stealing pool against epoch-versioned snapshots published
+//!   in lock-free per-tenant slots; the calling thread collects exactly
+//!   one observation per sequence slot, merged on `(tenant, seq)`, behind
+//!   one panic fence — so every driver decision is worker-count invariant
+//!   and neither a worker nor a coordinator panic can hang a run.
+//! * [`mod@serve`] — single-tenant serving: the engine with one tenant
+//!   and a boundary policy of diagnose every epoch → cooldown →
+//!   [`session::TuningSession`], publishing configuration swaps at epoch
+//!   boundaries.
+//! * [`mod@fleet`] — the multi-tenant serving fleet: the engine under
+//!   SLO-driven admission control (admit / defer / shed) and a
+//!   regret-directed tuner fleet slot; per-tenant transcripts stay
 //!   worker-count invariant.
 //! * [`error`] — [`error::AutoIndexError`], the crate-wide error type.
 
@@ -59,6 +62,7 @@ pub mod bandit;
 pub mod candgen;
 pub mod delta;
 pub mod diagnosis;
+pub mod engine;
 pub mod error;
 pub mod fastpath;
 pub mod fleet;
@@ -76,6 +80,7 @@ pub use bandit::{ArmChoice, BanditConfig, BanditConfigBuilder, BanditStrategy, R
 pub use candgen::{CandidateConfig, CandidateConfigBuilder, CandidateGenerator, CandidateStats};
 pub use delta::{DeltaTerm, DeltaWorkload};
 pub use diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
+pub use engine::{logical_merge, Observation, ObservationPayload};
 pub use error::AutoIndexError;
 pub use fastpath::{CompiledTemplate, FastPathCache};
 pub use fleet::{
@@ -93,10 +98,7 @@ pub use mcts::{MctsConfig, MctsConfigBuilder, MctsSearch, PolicyTree, SearchOutc
 pub use online::{
     FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineConfigBuilder, OnlineEvent, RollbackReason,
 };
-pub use serve::{
-    logical_merge, serve, EpochRecord, Observation, ObservationPayload, ServeConfig,
-    ServeConfigBuilder, ServeOutcome, ServeReport,
-};
+pub use serve::{serve, EpochRecord, ServeConfig, ServeConfigBuilder, ServeOutcome, ServeReport};
 pub use session::{SessionReport, TuningSession};
 pub use strategy::{
     GreedyStrategy, MctsStrategy, Proposal, RewardObservation, StrategyContext, StrategyKind,

@@ -216,6 +216,19 @@ impl Universe {
         i
     }
 
+    /// `ConfigSet` fingerprint of `db`'s current real index set, interned
+    /// in key order so slot assignment — and thus the fingerprint — is
+    /// deterministic for a universe that persists across a run.
+    pub(crate) fn config_fingerprint(&mut self, db: &SimDb) -> u64 {
+        let mut defs: Vec<_> = db.indexes().map(|(_, d)| d).collect();
+        defs.sort_by_key(|d| d.key());
+        let mut set = ConfigSet::default();
+        for d in defs {
+            set.insert(self.intern(d));
+        }
+        set.fingerprint()
+    }
+
     /// Slot of a definition, if interned.
     pub fn slot(&self, def: &IndexDef) -> Option<usize> {
         self.by_key.get(&universe_key(def)).copied()

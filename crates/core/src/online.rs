@@ -19,8 +19,8 @@
 //!
 //! `OnlineAutoIndex` is single-threaded: execution and tuning interleave
 //! on one thread. For the concurrent deployment shape — sharded executor
-//! threads plus a background tuner publishing configuration swaps at
-//! epoch boundaries — see [`mod@crate::serve`] and `docs/SERVING.md`.
+//! threads plus a coordinator publishing configuration swaps at epoch
+//! boundaries — see [`mod@crate::serve`] and `docs/SERVING.md`.
 
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;

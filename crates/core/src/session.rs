@@ -75,6 +75,22 @@ impl SessionReport {
     pub fn shadow_rejected(&self) -> bool {
         matches!(self.guard, Some(ApplyVerdict::ShadowRejected { .. }))
     }
+
+    /// Canonical one-word rendering of what the session did — `noop`,
+    /// `applied(+a,-d)`, `rolled_back` or `shadow_rejected` — as the
+    /// serving transcripts record it.
+    pub(crate) fn decision(&self) -> String {
+        if self.shadow_rejected() {
+            "shadow_rejected".to_string()
+        } else if self.rolled_back() {
+            "rolled_back".to_string()
+        } else if self.report.recommendation.is_noop() {
+            "noop".to_string()
+        } else {
+            let (created, dropped) = (self.report.created.len(), self.report.dropped.len());
+            format!("applied(+{created},-{dropped})")
+        }
+    }
 }
 
 /// Builder-style tuning session over one advisor and one database. See

@@ -171,7 +171,6 @@ fn deterministic_serve_is_worker_count_invariant_on_banking() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(500)
-            .deterministic(true)
             .seed(97)
             .build()
             .unwrap();
@@ -198,7 +197,6 @@ fn deterministic_serve_with_guard_is_worker_count_invariant() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(250)
-            .deterministic(true)
             .guard(GuardConfig::default())
             .build()
             .unwrap();
@@ -234,7 +232,6 @@ fn final_partial_epoch_is_exact_and_worker_count_invariant() {
                 let cfg = ServeConfig::builder()
                     .workers(workers)
                     .epoch_interval(interval)
-                    .deterministic(true)
                     .seed(13)
                     .build()
                     .unwrap();
@@ -267,7 +264,6 @@ fn worker_panics_never_poison_the_pipeline() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(300)
-            .deterministic(true)
             .max_worker_panics(0) // first caught panic retires the worker
             .panic_on(panic_seqs.clone())
             .build()
@@ -333,7 +329,6 @@ fn mid_epoch_retirement_never_deadlocks() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(300)
-            .deterministic(true)
             .max_worker_panics(0)
             .panic_on(panic_seqs.clone())
             .build()
@@ -365,7 +360,6 @@ fn panic_budget_keeps_workers_alive() {
     let cfg = ServeConfig::builder()
         .workers(2)
         .epoch_interval(200)
-        .deterministic(true)
         .max_worker_panics(8) // generous budget: nobody retires
         .panic_on(vec![10, 20, 30])
         .build()
@@ -377,32 +371,6 @@ fn panic_budget_keeps_workers_alive() {
         out.report.executed + out.report.parse_failures + out.report.panics,
         600
     );
-}
-
-// --------------------------------------------------- free-running sanity
-
-#[test]
-fn free_running_mode_accounts_every_statement() {
-    let queries = banking_queries(900, 47);
-    let cfg = ServeConfig::builder()
-        .workers(3)
-        .epoch_interval(300)
-        .deterministic(false)
-        .build()
-        .unwrap();
-    let out = serve(banking_db(), advisor(), &queries, cfg).unwrap();
-    assert_eq!(out.report.executed + out.report.parse_failures, 900);
-    let accounted: u64 = out.report.epochs.iter().map(|e| e.statements).sum();
-    assert_eq!(accounted, 900);
-    prop_assert_sanity(&out.report.transcript());
-}
-
-/// The transcript renderer must stay parseable-ish: header plus one line
-/// per epoch plus the final fingerprint.
-fn prop_assert_sanity(t: &str) {
-    let lines: Vec<&str> = t.lines().collect();
-    assert!(lines[0].starts_with("serve: executed="));
-    assert!(lines.last().unwrap().starts_with("final: indexes="));
 }
 
 // ------------------------------------- 4. fast-path semantic neutrality

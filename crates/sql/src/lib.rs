@@ -18,8 +18,6 @@
 //!   that computes the same hash without building tokens.
 //! * [`intern`] — dense `u32` handles ([`TableId`] / [`ColumnId`] /
 //!   [`TemplateId`]) for identifier-heavy hot paths.
-//! * [`arena`] — [`AstArena`], a flat-pool AST representation with typed
-//!   indices instead of `Box`/`Vec` per node.
 //!
 //! The subset is deliberately scoped to what an index advisor consumes:
 //! which columns appear in which clause, with which operators and
@@ -39,7 +37,6 @@
 //! assert_eq!(f1, f2);
 //! ```
 
-pub mod arena;
 pub mod ast;
 pub mod fingerprint;
 pub mod intern;
@@ -47,7 +44,6 @@ pub mod lexer;
 pub mod parser;
 pub mod predicate;
 
-pub use arena::AstArena;
 pub use ast::{
     CmpOp, ColumnRef, DeleteStatement, InsertStatement, Join, JoinKind, OrderItem, Predicate,
     SelectItem, SelectStatement, SetClause, Statement, TableRef, UpdateStatement, Value,

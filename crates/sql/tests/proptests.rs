@@ -6,7 +6,7 @@
 
 use autoindex_sql::predicate::{collect_atoms, evaluate, evaluate_dnf, to_dnf_capped};
 use autoindex_sql::{
-    fingerprint, parse_statement, scan_fingerprint, AstArena, CmpOp, ColumnRef, DeleteStatement,
+    fingerprint, parse_statement, scan_fingerprint, CmpOp, ColumnRef, DeleteStatement,
     InsertStatement, LiteralBuf, OrderItem, Predicate, SelectItem, SelectStatement, SetClause,
     Statement, TableRef, UpdateStatement, Value,
 };
@@ -100,8 +100,8 @@ fn gen_value_rich(rng: &mut StdRng) -> Value {
 }
 
 /// Random full statement (all four kinds), built to be render-safe: the
-/// `Display` output re-parses, which is what lets the arena and scanner
-/// property tests compare against the allocating parser.
+/// `Display` output re-parses, which is what lets the scanner
+/// property test compare against the allocating parser.
 fn gen_statement(rng: &mut StdRng, size: usize) -> Statement {
     let table = *rng.choose(&["t", "account", "visit"]).unwrap();
     match rng.random_range(0u32..6) {
@@ -294,27 +294,6 @@ fn fingerprint_literal_invariant() {
             let f1 = fingerprint(&format!("SELECT * FROM t WHERE {col} = {v1}")).unwrap();
             let f2 = fingerprint(&format!("SELECT * FROM t WHERE {col} = {v2}")).unwrap();
             prop_assert_eq!(f1, f2);
-            Ok(())
-        },
-    );
-}
-
-/// Arena encode/decode is the identity on everything the parser produces:
-/// parsing into the interned arena and decoding back yields the same AST
-/// the allocating parser built, on random statements of all four kinds.
-#[test]
-fn arena_roundtrip_matches_parser() {
-    property(
-        "arena_roundtrip_matches_parser",
-        PropConfig::default(),
-        |rng, size| {
-            let sql = gen_statement(rng, size).to_string();
-            let parsed = parse_statement(&sql);
-            prop_assert!(parsed.is_ok(), "generator produced unparseable {sql}");
-            let parsed = parsed.unwrap();
-            let mut arena = AstArena::new();
-            let id = arena.encode(&parsed);
-            prop_assert_eq!(arena.decode(id), parsed, "arena round-trip for {}", sql);
             Ok(())
         },
     );

@@ -1,11 +1,10 @@
 //! The concurrent serving pipeline end to end: sharded executor threads
 //! drain the banking hybrid stream against epoch-versioned snapshots
-//! while the background tuner merges their observations, diagnoses the
+//! while the calling thread merges their observations, diagnoses the
 //! over-indexed catalog and swaps configurations at epoch boundaries
 //! (`docs/SERVING.md`).
 //!
-//! The run is repeated at 1, 2 and 4 workers in deterministic mode; the
-//! transcripts are compared byte for byte — the pipeline's determinism
+//! The run is repeated at 1, 2 and 4 workers; the transcripts are compared byte for byte — the pipeline's determinism
 //! contract means adding workers changes *who computes*, never *what is
 //! decided*.
 //!
@@ -49,7 +48,6 @@ fn main() {
         let config = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(750)
-            .deterministic(true)
             .guard(GuardConfig::default())
             .build()
             .expect("static serve config");
