@@ -10,7 +10,8 @@
 //!  ┌───────────────────────────────┐  StealPool  ┌────────┐┌────────┐
 //!  │ run_epoch(slices) ── tasks ───┼────────────►│worker 0││worker 1│ …
 //!  │   collect exactly |slices|    │◄────────────┤ pop / steal-half   │
-//!  │   merge on (tenant, seq)      │ bounded mpsc└───▲────┘└───▲────┘
+//!  │   place on (tenant, seq)      │ one batch   └───▲────┘└───▲────┘
+//!  │                               │ per task        │         │
 //!  │ driver policy: absorb, tune   │                 │ lock-free load
 //!  │ publish(tenant) ──────────────┼──► per-tenant ArcSlot<Publication>
 //!  └───────────────────────────────┘
@@ -22,7 +23,11 @@
 //!   `(tenant, epoch, start, end, shard, resume_at)` tasks, injects them
 //!   into the work-stealing pool and returns **exactly one observation
 //!   per sequence slot**, merged on the `(tenant, seq)` logical clock.
-//!   Which worker ran a statement never shows.
+//!   The unit of hand-off is the task, not the statement: a worker sends
+//!   everything one task observed as one message — a `seq`-ascending run
+//!   of one `(tenant, shard)` — and the coordinator moves each batch to
+//!   the slots it was due in (`EpochMerge`). Which worker ran a statement
+//!   never shows.
 //! * The driver's boundary policy then runs on the coordinator — the
 //!   only thread that owns the live [`SimDb`]s — and
 //!   `Coordinator::publish`es the next epoch's snapshots. Tasks of
@@ -44,12 +49,12 @@
 //! Every statement executes inside the one `catch_unwind` fence
 //! (`Engine::run_task`): a panic becomes a `Panicked` observation for
 //! its sequence slot, so epoch accounting stays exact. A worker that
-//! exhausts its panic budget pushes the unfinished remainder of its task
-//! to the front of its own deque (where a thief finds it first), wakes
-//! its peers and retires. Parks are *bounded* and generation-checked, so
-//! a wake-up is never lost and a remainder is never stranded behind a
-//! sleeping peer; when every worker has retired the coordinator drains
-//! the pool inline with an unlimited budget. A panic on the coordinator
+//! exhausts its panic budget hands off what it has of its task, pushes
+//! the unfinished remainder to the front of its own deque (where a thief
+//! finds it first), wakes its peers and retires. Parks are *bounded* and
+//! generation-checked, so a wake-up is never lost and a remainder is
+//! never stranded behind a sleeping peer; when every worker has retired
+//! the coordinator drains the pool inline with an unlimited budget. A panic on the coordinator
 //! itself (a driver's tuning policy) unwinds through a drop guard that
 //! raises the done flag and hangs up the observation channel, so the
 //! workers exit and `Engine::run` returns an error instead of hanging.
@@ -78,8 +83,16 @@ use std::time::Duration;
 /// Domain-separation salt for the statement → shard assignment stream.
 const SHARD_SALT: u64 = 0x51a4_d000_0b5e_55ed;
 
-/// Bound of the observation channel (backpressure on executors).
-const CHANNEL_CAPACITY: usize = 1_024;
+/// Bound of the observation channel, in **batches** (one per task; see
+/// [`Engine::run_task`]). An epoch has at most `slices × shards` of them
+/// and the coordinator does nothing but receive until it holds them all,
+/// so the bound only has to let every worker finish a task or two ahead of
+/// the coordinator: 64 is two per worker at 32 workers, and a worker past
+/// it blocks in `send` until one is taken (backpressure, as before). In
+/// statements: a batch holds at most one task, i.e. at most one slice
+/// (typically `1/shards` of one), so at most 64 slices' worth of
+/// observations wait in the channel.
+const CHANNEL_CAPACITY: usize = 64;
 
 /// Longest a parked worker, or a coordinator waiting on an empty channel,
 /// sleeps before re-checking. Wake-ups are generation-checked and never
@@ -121,12 +134,75 @@ pub struct Observation {
     pub payload: ObservationPayload,
 }
 
-/// An [`Observation`] with the lane it belongs to: what workers send and
-/// [`Coordinator::run_epoch`] returns, merged on `(tenant, obs.seq)`.
+/// An [`Observation`] with the lane it belongs to: what workers send (a
+/// task's worth at a time) and [`Coordinator::run_epoch`] returns, merged
+/// on `(tenant, obs.seq)`.
 #[derive(Debug)]
 pub(crate) struct TenantObservation {
     pub(crate) tenant: u32,
     pub(crate) obs: Observation,
+}
+
+/// An epoch's observations on their way into `(tenant, seq)` order.
+///
+/// Exactly one observation is due per admitted sequence slot, so the
+/// position each takes in the merged epoch is known before it arrives —
+/// slices in tenant order, a slice's slots in `seq` order — and merging is
+/// placing: every batch is moved to its slots as it comes in and dropped.
+/// Arrival order is erased just as a sort on the key would erase it (the
+/// result is the same sequence; property-tested below) in one move per
+/// ~200-byte record instead of `log n`, and the epoch is never held twice.
+struct EpochMerge {
+    /// Per lane: its admitted slice's `start..end` and the position of
+    /// `start` in `slots` (an empty range when the lane has no slice).
+    homes: Vec<(std::ops::Range<u64>, usize)>,
+    slots: Vec<Option<TenantObservation>>,
+}
+
+impl EpochMerge {
+    /// Lay out the slots of `slices` (at most one per tenant, in any
+    /// order) over `lanes` lanes.
+    fn new(lanes: usize, slices: &[Slice]) -> Self {
+        let mut homes = vec![(0..0, 0); lanes];
+        let mut by_tenant: Vec<&Slice> = slices.iter().collect();
+        by_tenant.sort_unstable_by_key(|s| s.tenant);
+        let mut at = 0;
+        for s in by_tenant {
+            homes[s.tenant as usize] = (s.start..s.end, at);
+            at += (s.end - s.start) as usize;
+        }
+        let mut slots = Vec::new();
+        slots.resize_with(at, || None);
+        EpochMerge { homes, slots }
+    }
+
+    /// Move a batch to its slots. An observation no slot is waiting for
+    /// is dropped; its slot then stays empty and [`EpochMerge::finish`]
+    /// reports the epoch incomplete.
+    fn place(&mut self, batch: Vec<TenantObservation>) {
+        for o in batch {
+            let Some((range, at)) = self.homes.get(o.tenant as usize) else {
+                continue;
+            };
+            if !range.contains(&o.obs.seq) {
+                continue;
+            }
+            let slot = &mut self.slots[at + (o.obs.seq - range.start) as usize];
+            if slot.is_none() {
+                *slot = Some(o);
+            }
+        }
+    }
+
+    /// The merged epoch — `each` sees every observation, in merged order —
+    /// or `None` if a slot was never filled.
+    fn finish(self, mut each: impl FnMut(&TenantObservation)) -> Option<Vec<TenantObservation>> {
+        // Same element size and layout: collected in place.
+        self.slots
+            .into_iter()
+            .map(|o| o.inspect(&mut each))
+            .collect()
+    }
 }
 
 /// Restore logical-clock order over one tenant's batch of observations.
@@ -442,6 +518,10 @@ pub(crate) struct Engine<'a> {
     /// driver's registry (`serve` or `serve.fleet`).
     worker_panics: Counter,
     workers_retired: Counter,
+    /// `<prefix>.handoff.batches` / `<prefix>.handoff.observations`:
+    /// messages collected and what they carried — one add per task.
+    handoff_batches: Counter,
+    handoff_observations: Counter,
     /// `sql.fastpath.*`, sharded: every executor increments its own
     /// cache-line-padded cell on the per-statement hot path.
     fastpath_hits: ShardedCounter,
@@ -465,6 +545,8 @@ impl<'a> Engine<'a> {
         Engine {
             worker_panics: registry.counter(&format!("{prefix}.worker_panics")),
             workers_retired: registry.counter(&format!("{prefix}.workers_retired")),
+            handoff_batches: registry.counter(&format!("{prefix}.handoff.batches")),
+            handoff_observations: registry.counter(&format!("{prefix}.handoff.observations")),
             fastpath_hits: registry.sharded_counter("sql.fastpath.hits"),
             fastpath_misses: registry.sharded_counter("sql.fastpath.misses"),
             fastpath_fallbacks: registry.sharded_counter("sql.fastpath.fallbacks"),
@@ -544,9 +626,10 @@ impl<'a> Engine<'a> {
     }
 
     /// The executor loop: pop (or steal) a task, run it against the
-    /// tenant's current publication, ship observations; park when the
-    /// pool runs dry. Retires after exhausting the panic budget.
-    fn worker(&self, slot: usize, tx: SyncSender<TenantObservation>) {
+    /// tenant's current publication, ship its observations as one batch;
+    /// park when the pool runs dry. Retires after exhausting the panic
+    /// budget; exits after at most one task once the coordinator is gone.
+    fn worker(&self, slot: usize, tx: SyncSender<Vec<TenantObservation>>) {
         let _live = OnDrop(|| {
             self.live.fetch_sub(1, Ordering::SeqCst);
         });
@@ -560,10 +643,11 @@ impl<'a> Engine<'a> {
                 continue;
             };
             let max = self.cfg.max_worker_panics;
-            let remainder = self.run_task(task, &mut scratch, &mut panics, max, &mut |o| {
-                connected = tx.send(o).is_ok();
-                connected
-            });
+            let (batch, remainder) = self.run_task(task, &mut scratch, &mut panics, max);
+            // Hand off before requeueing: when a thief (or the inline
+            // drain) picks the remainder up, the part already run is on
+            // its way and each slot is still observed exactly once.
+            connected = batch.is_empty() || tx.send(batch).is_ok();
             if let Some(rest) = remainder {
                 self.pool.push_front(slot, rest);
             }
@@ -578,27 +662,27 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Execute the remaining statements of one task, emitting one
-    /// observation per sequence slot — the single panic fence. Returns
-    /// `None` normally, or the remainder task when the panic budget ran
-    /// out mid-task (the caller retires). `emit` returning `false` means
-    /// the coordinator is gone.
+    /// Execute the remaining statements of one task into one batch, one
+    /// observation per sequence slot in `seq` order — the single panic
+    /// fence, and the unit of hand-off. The second value is `None`
+    /// normally, or the remainder task when the panic budget ran out
+    /// mid-task (the caller hands the batch off, requeues, and retires).
     fn run_task(
         &self,
         task: Task,
         scratch: &mut WorkerScratch,
         panics: &mut u64,
         max_panics: u64,
-        emit: &mut dyn FnMut(TenantObservation) -> bool,
-    ) -> Option<Task> {
+    ) -> (Vec<TenantObservation>, Option<Task>) {
         let Slice { tenant, end, .. } = task.slice;
         let lane = &self.lanes[tenant as usize];
         let publication = lane.slot.load();
         scratch.pin((tenant, publication.snap.epoch));
-        for seq in task.resume_at..end {
-            if shard_of(lane.seed, seq, self.cfg.shards) != task.shard {
-                continue;
-            }
+        let mine = |seq: &u64| shard_of(lane.seed, *seq, self.cfg.shards) == task.shard;
+        // Sized exactly, at the price of hashing the range twice: batches
+        // are an epoch's whole memory until they are placed.
+        let mut batch = Vec::with_capacity((task.resume_at..end).filter(mine).count());
+        for seq in (task.resume_at..end).filter(mine) {
             let payload = catch_unwind(AssertUnwindSafe(|| {
                 if self.cfg.panic_on.contains(&(tenant, seq)) {
                     panic!("injected panic at tenant {tenant} seq {seq}");
@@ -617,17 +701,16 @@ impl<'a> Engine<'a> {
                 epoch: task.epoch,
                 payload,
             };
-            if !emit(TenantObservation { tenant, obs }) {
-                return None;
-            }
+            batch.push(TenantObservation { tenant, obs });
             if panicked && *panics > max_panics {
-                return (seq + 1 < end).then_some(Task {
+                let rest = (seq + 1 < end).then_some(Task {
                     resume_at: seq + 1,
                     ..task
                 });
+                return (batch, rest);
             }
         }
-        None
+        (batch, None)
     }
 }
 
@@ -635,7 +718,7 @@ impl<'a> Engine<'a> {
 /// collects them, publishes between them.
 pub(crate) struct Coordinator<'e, 'a> {
     engine: &'e Engine<'a>,
-    rx: Receiver<TenantObservation>,
+    rx: Receiver<Vec<TenantObservation>>,
     /// For the inline drain when every worker has retired.
     scratch: WorkerScratch,
     /// Deterministic simulated makespan of the epochs run so far, ms: per
@@ -646,8 +729,9 @@ pub(crate) struct Coordinator<'e, 'a> {
 }
 
 impl Coordinator<'_, '_> {
-    /// Run one epoch: fan `slices` out as per-shard tasks and collect
-    /// exactly one observation per sequence slot, merged on the
+    /// Run one epoch: fan `slices` (at most one per tenant) out as
+    /// per-shard tasks, collect their batches until there is exactly one
+    /// observation per sequence slot, and merge them on the
     /// `(tenant, seq)` logical clock. If every worker has retired with
     /// tasks still queued, the pool is drained inline (unlimited panic
     /// budget — each sequence slot panics at most once) so the epoch
@@ -658,9 +742,10 @@ impl Coordinator<'_, '_> {
         slices: &[Slice],
     ) -> Result<Vec<TenantObservation>, AutoIndexError> {
         let engine = self.engine;
+        let shards = engine.cfg.shards;
         let expected: u64 = slices.iter().map(|s| s.end - s.start).sum();
         engine.pool.inject(slices.iter().flat_map(|&slice| {
-            (0..engine.cfg.shards).map(move |shard| Task {
+            (0..shards).map(move |shard| Task {
                 slice,
                 epoch,
                 shard,
@@ -669,56 +754,62 @@ impl Coordinator<'_, '_> {
         }));
         engine.gate.wake_all();
 
-        let mut got = Vec::with_capacity(expected as usize);
-        while (got.len() as u64) < expected {
-            match self.rx.recv_timeout(PARK_TIMEOUT) {
-                Ok(o) => got.push(o),
-                Err(RecvTimeoutError::Timeout) if engine.live.load(Ordering::SeqCst) > 0 => {}
+        let mut merge = EpochMerge::new(engine.lanes.len(), slices);
+        let mut got = 0u64;
+        // Takes one batch; true once every slot is accounted.
+        let mut collect = |batch: Vec<TenantObservation>| {
+            engine.handoff_batches.incr();
+            engine.handoff_observations.add(batch.len() as u64);
+            got += batch.len() as u64;
+            merge.place(batch);
+            got >= expected
+        };
+        let mut complete = expected == 0;
+        while !complete {
+            complete = match self.rx.recv_timeout(PARK_TIMEOUT) {
+                Ok(batch) => collect(batch),
+                Err(RecvTimeoutError::Timeout) if engine.live.load(Ordering::SeqCst) > 0 => false,
                 Err(_) => {
                     // Every worker is gone, and whatever they sent landed
                     // before they left: the rest is still in the pool.
-                    got.extend(self.rx.try_iter());
-                    let mut keep = |o| {
-                        got.push(o);
-                        true
-                    };
+                    for batch in self.rx.try_iter() {
+                        collect(batch);
+                    }
                     while let Some(task) = engine.pool.pop(0) {
                         let scratch = &mut self.scratch;
-                        let rest = engine.run_task(task, scratch, &mut 0, u64::MAX, &mut keep);
+                        let (batch, rest) = engine.run_task(task, scratch, &mut 0, u64::MAX);
                         debug_assert!(rest.is_none(), "unlimited budget never retires");
+                        collect(batch);
                     }
-                    break;
+                    true
                 }
-            }
+            };
         }
-        if got.len() as u64 != expected {
+
+        // One makespan item per task (slice × shard), summed in seq order
+        // by the pass that hands the merged epoch over.
+        let mut task_ms = vec![0.0f64; slices.len() * shards as usize];
+        let mut first_task = vec![0u64; engine.lanes.len()];
+        for (i, slice) in slices.iter().enumerate() {
+            first_task[slice.tenant as usize] = i as u64 * shards;
+        }
+        let merged = merge.finish(|o| {
+            if let ObservationPayload::Executed { outcome, .. } = &o.obs.payload {
+                let tenant = o.tenant as usize;
+                let shard = shard_of(engine.lanes[tenant].seed, o.obs.seq, shards);
+                task_ms[(first_task[tenant] + shard) as usize] += outcome.latency_ms;
+            }
+        });
+        let Some(merged) = merged.filter(|_| got == expected) else {
             return Err(invalid(
                 engine.cfg.name,
                 format!(
-                    "epoch {epoch} accounted {} of {expected} sequence slots",
-                    got.len()
+                    "epoch {epoch}: {got} observations for {expected} sequence slots, not one each"
                 ),
             ));
-        }
-        got.sort_unstable_by_key(|o| (o.tenant, o.obs.seq));
-
-        // One makespan item per task (slice × shard), summed in seq order.
-        let shards = engine.cfg.shards;
-        let mut task_ms = vec![0.0f64; slices.len() * shards as usize];
-        for run in got.chunk_by(|a, b| a.tenant == b.tenant) {
-            let tenant = run[0].tenant;
-            let seed = engine.lanes[tenant as usize].seed;
-            let slice = slices.iter().position(|s| s.tenant == tenant);
-            let base = slice.expect("observations come from admitted slices") as u64 * shards;
-            for o in run {
-                if let ObservationPayload::Executed { outcome, .. } = &o.obs.payload {
-                    task_ms[(base + shard_of(seed, o.obs.seq, shards)) as usize] +=
-                        outcome.latency_ms;
-                }
-            }
-        }
+        };
         self.sim_makespan_ms += lpt_makespan(task_ms, engine.cfg.workers);
-        Ok(got)
+        Ok(merged)
     }
 
     /// Publish `tenant`'s next-epoch snapshot — the only point a
@@ -861,54 +952,54 @@ mod tests {
         assert_eq!(lpt_makespan(Vec::new(), 3), 0.0);
     }
 
-    /// The engine's contract, below any driver: with seeded
-    /// `(tenant, seq)` panic injections and a zero panic budget — so
-    /// workers retire mid-epoch and, once they are all gone, the
-    /// coordinator drains inline — `run_epoch` still returns exactly one
-    /// observation per admitted sequence slot, sorted on `(tenant, seq)`,
-    /// with exactly the injected slots `Panicked`.
-    #[test]
-    fn run_epoch_accounts_every_slot_through_retirement_and_inline_drain() {
-        const TENANTS: u32 = 3;
-        const LEN: u64 = 120;
-        const INTERVAL: u64 = 50;
-        let db = SimDb::new(banking::catalog(), SimDbConfig::default());
-        let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
-        let queries: Vec<String> = BankingGenerator::new(5)
-            .generate_hybrid(LEN as usize, 0.6)
-            .into_iter()
-            .map(|(_, q)| q)
-            .collect();
+    const TENANTS: u32 = 3;
+    const LEN: u64 = 120;
+    const INTERVAL: u64 = 50;
 
-        for workers in [1usize, 2, 4] {
-            // More injections than workers, all inside epoch 0: every
-            // worker retires there, the coordinator finishes the epoch
-            // and runs the remaining ones alone.
-            let mut rng = StdRng::seed_from_u64(0xE9_61_4E ^ workers as u64);
-            let mut panic_on: Vec<(u32, u64)> = (0..workers + 2)
-                .map(|_| (rng.random_range(0..TENANTS), rng.random_range(0..INTERVAL)))
-                .collect();
-            panic_on.sort_unstable();
-            panic_on.dedup();
-            assert!(panic_on.len() >= workers);
-            let registry = MetricsRegistry::new();
-            let cfg = EngineConfig {
-                name: "test.engine",
-                workers,
-                shards: 4,
-                fastpath: true,
-                max_worker_panics: 0,
-                panic_on: panic_on.clone(),
-            };
+    /// Three lanes over one banking stream, driven epoch by epoch.
+    struct Fixture {
+        db: SimDb,
+        advisor: AutoIndex<NativeCostEstimator>,
+        queries: Vec<String>,
+    }
+
+    /// What a run of every epoch returned, flattened: per observation its
+    /// key, payload kind (0 executed, 1 parse failure, 2 panic) and
+    /// simulated latency bits, plus the run's makespan bits.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        observed: Vec<(u32, u64, u8, u64)>,
+        sim_makespan_bits: u64,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Fixture {
+                db: SimDb::new(banking::catalog(), SimDbConfig::default()),
+                advisor: AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator),
+                queries: BankingGenerator::new(5)
+                    .generate_hybrid(LEN as usize, 0.6)
+                    .into_iter()
+                    .map(|(_, q)| q)
+                    .collect(),
+            }
+        }
+
+        fn engine(&self, cfg: EngineConfig, registry: &MetricsRegistry) -> Engine<'_> {
             let lanes = (0..TENANTS)
                 .map(|t| {
-                    let initial = Publication::build(&db, &advisor, 0, true);
-                    Lane::new(&queries, derive_seed(7, t as u64), initial)
+                    let initial = Publication::build(&self.db, &self.advisor, 0, true);
+                    Lane::new(&self.queries, derive_seed(7, t as u64), initial)
                 })
                 .collect();
-            let engine = Engine::new(cfg, &registry, "test", lanes);
-            let mut panicked = Vec::new();
-            engine
+            Engine::new(cfg, registry, "test", lanes)
+        }
+
+        /// Run all epochs; every epoch must come back as exactly its
+        /// admitted slots in `(tenant, seq)` order, stamped with it.
+        fn run(&self, engine: &Engine<'_>) -> Run {
+            let mut observed = Vec::new();
+            let sim_makespan_ms = engine
                 .run(|coordinator| {
                     for epoch in 0..LEN.div_ceil(INTERVAL) {
                         let (start, end) = (epoch * INTERVAL, ((epoch + 1) * INTERVAL).min(LEN));
@@ -921,17 +1012,69 @@ mod tests {
                         let expected: Vec<(u32, u64)> = (0..TENANTS)
                             .flat_map(|t| (start..end).map(move |seq| (t, seq)))
                             .collect();
-                        assert_eq!(keys, expected, "workers={workers} epoch={epoch}");
+                        assert_eq!(keys, expected, "epoch={epoch}");
                         assert!(got.iter().all(|o| o.obs.epoch == epoch));
-                        panicked.extend(
-                            got.iter()
-                                .filter(|o| matches!(o.obs.payload, ObservationPayload::Panicked))
-                                .map(|o| (o.tenant, o.obs.seq)),
-                        );
+                        observed.extend(got.iter().map(|o| {
+                            let (kind, ms) = match &o.obs.payload {
+                                ObservationPayload::Executed { outcome, .. } => {
+                                    (0, outcome.latency_ms)
+                                }
+                                ObservationPayload::ParseFailed => (1, 0.0),
+                                ObservationPayload::Panicked => (2, 0.0),
+                            };
+                            (o.tenant, o.obs.seq, kind, ms.to_bits())
+                        }));
                     }
-                    Ok(())
+                    Ok(coordinator.sim_makespan_ms)
                 })
                 .unwrap();
+            Run {
+                observed,
+                sim_makespan_bits: sim_makespan_ms.to_bits(),
+            }
+        }
+    }
+
+    fn config(workers: usize, shards: u64, budget: u64, panic_on: &[(u32, u64)]) -> EngineConfig {
+        EngineConfig {
+            name: "test.engine",
+            workers,
+            shards,
+            fastpath: true,
+            max_worker_panics: budget,
+            panic_on: panic_on.to_vec(),
+        }
+    }
+
+    /// The engine's contract, below any driver: with seeded
+    /// `(tenant, seq)` panic injections and a zero panic budget — so
+    /// workers retire mid-epoch and, once they are all gone, the
+    /// coordinator drains inline — `run_epoch` still returns exactly one
+    /// observation per admitted sequence slot, sorted on `(tenant, seq)`,
+    /// with exactly the injected slots `Panicked`.
+    #[test]
+    fn run_epoch_accounts_every_slot_through_retirement_and_inline_drain() {
+        let fixture = Fixture::new();
+        for workers in [1usize, 2, 4] {
+            // More injections than workers, all inside epoch 0: every
+            // worker retires there, the coordinator finishes the epoch
+            // and runs the remaining ones alone.
+            let mut rng = StdRng::seed_from_u64(0xE9_61_4E ^ workers as u64);
+            let mut panic_on: Vec<(u32, u64)> = (0..workers + 2)
+                .map(|_| (rng.random_range(0..TENANTS), rng.random_range(0..INTERVAL)))
+                .collect();
+            panic_on.sort_unstable();
+            panic_on.dedup();
+            assert!(panic_on.len() >= workers);
+            let registry = MetricsRegistry::new();
+            let engine = fixture.engine(config(workers, 4, 0, &panic_on), &registry);
+            let run = fixture.run(&engine);
+            let panicked: Vec<(u32, u64)> = run
+                .observed
+                .iter()
+                .filter(|o| o.2 == 2)
+                .map(|o| (o.0, o.1))
+                .collect();
             assert_eq!(panicked, panic_on, "workers={workers}");
             assert_eq!(engine.workers_retired(), workers, "every worker retired");
             assert_eq!(
@@ -939,5 +1082,194 @@ mod tests {
                 panic_on.len() as u64
             );
         }
+    }
+
+    /// The hand-off unit is the task, and a task a worker retires from is
+    /// handed off in parts: what it ran (through the panic that spent its
+    /// budget) as one batch, the remainder as a task of its own. Together
+    /// the parts cover the task's slots exactly once — so at every shard
+    /// and worker count a run where every worker retires returns what a
+    /// run where none does returns: same observations, same makespan.
+    #[test]
+    fn a_retiring_workers_batch_and_remainder_cover_the_task_exactly_once() {
+        let fixture = Fixture::new();
+        // Six panics in epoch 0, two per lane: more than any worker count.
+        let panic_on = [(0, 3), (0, 31), (1, 0), (1, 49), (2, 17), (2, 18)];
+        let mut reference: Option<Vec<(u32, u64, u8, u64)>> = None;
+        for shards in [1u64, 4, 16] {
+            // One task, run the way a worker with no budget runs it.
+            let registry = MetricsRegistry::new();
+            let engine = fixture.engine(config(1, shards, 0, &panic_on), &registry);
+            let lane_seed = derive_seed(7, 0);
+            let slice = Slice {
+                tenant: 0,
+                start: 0,
+                end: INTERVAL,
+            };
+            let task = Task {
+                slice,
+                epoch: 0,
+                shard: shard_of(lane_seed, 31, shards),
+                resume_at: 0,
+            };
+            let mut scratch = engine.scratch(0);
+            let mut seqs = Vec::new();
+            let mut next = Some(task);
+            let mut parts = 0;
+            while let Some(task) = next {
+                // A fresh budget of zero per part: each stops at its panic.
+                let (batch, rest) = engine.run_task(task, &mut scratch, &mut 0, 0);
+                assert!(batch.iter().all(|o| o.tenant == 0 && o.obs.epoch == 0));
+                assert!(rest.is_none_or(|r| r.resume_at > task.resume_at));
+                seqs.extend(batch.iter().map(|o| o.obs.seq));
+                parts += 1;
+                next = rest;
+            }
+            let due: Vec<u64> = (0..INTERVAL)
+                .filter(|&seq| shard_of(lane_seed, seq, shards) == task.shard)
+                .collect();
+            assert_eq!(seqs, due, "shards={shards}: each slot once, in order");
+            assert!(
+                parts >= 2,
+                "shards={shards}: the panic at 31 split the task"
+            );
+
+            for workers in [1usize, 2, 4] {
+                let cell = format!("shards={shards} workers={workers}");
+                let registry = MetricsRegistry::new();
+                let engine = fixture.engine(config(workers, shards, 0, &panic_on), &registry);
+                let retiring = fixture.run(&engine);
+                assert_eq!(engine.workers_retired(), workers, "{cell}");
+                assert_eq!(
+                    registry.counter_value("test.handoff.observations"),
+                    u64::from(TENANTS) * LEN,
+                    "{cell}: one observation per slot through hand-off and inline drain"
+                );
+
+                let registry = MetricsRegistry::new();
+                let engine =
+                    fixture.engine(config(workers, shards, u64::MAX, &panic_on), &registry);
+                let steady = fixture.run(&engine);
+                assert_eq!(engine.workers_retired(), 0, "{cell}");
+                let tasks = LEN.div_ceil(INTERVAL) * u64::from(TENANTS) * shards;
+                assert!(
+                    registry.counter_value("test.handoff.batches") <= tasks,
+                    "{cell}: at most one message per task"
+                );
+
+                // The makespan packs `shards` items onto `workers` slots,
+                // so it is compared within the cell; what was observed is
+                // the same in all nine.
+                assert_eq!(retiring, steady, "{cell}");
+                let reference = reference.get_or_insert(steady.observed);
+                assert_eq!(retiring.observed, *reference, "{cell}");
+            }
+        }
+    }
+
+    /// [`EpochMerge`] is a sort on `(tenant, seq)`: whatever the order the
+    /// batches arrive in, whichever way tasks were split by retiring
+    /// workers, and whether or not a task had anything to run, placing
+    /// them yields what sorting their concatenation yields.
+    #[test]
+    fn placing_batches_equals_sorting_them() {
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::{prop_assert, prop_assert_eq};
+
+        property(
+            "placing_batches_equals_sorting_them",
+            PropConfig::default(),
+            |rng, size| {
+                let lanes = rng.random_range(1u32..6);
+                let shards = rng.random_range(1u64..9);
+                // At most one slice per tenant, some tenants idle, some
+                // slices empty; admitted in any order.
+                let mut slices: Vec<Slice> = (0..lanes)
+                    .filter_map(|tenant| {
+                        let start = rng.random_range(0u64..1_000);
+                        let end = start + rng.random_range(0..size as u64 + 2);
+                        (rng.random_range(0u32..4) > 0).then_some(Slice { tenant, start, end })
+                    })
+                    .collect();
+                rng.shuffle(&mut slices);
+
+                // One run per (slice, shard) task, tagged in `epoch` with
+                // a serial number so a misplaced twin would show.
+                let mut serial = 0;
+                let mut batches: Vec<Vec<TenantObservation>> = Vec::new();
+                for slice in &slices {
+                    let seed = derive_seed(99, slice.tenant as u64);
+                    for shard in 0..shards {
+                        let mut run: Vec<TenantObservation> = (slice.start..slice.end)
+                            .filter(|&seq| shard_of(seed, seq, shards) == shard)
+                            .map(|seq| {
+                                serial += 1;
+                                TenantObservation {
+                                    tenant: slice.tenant,
+                                    obs: Observation {
+                                        seq,
+                                        epoch: serial,
+                                        payload: ObservationPayload::ParseFailed,
+                                    },
+                                }
+                            })
+                            .collect();
+                        // Resumed tasks: hand the run off in up to three
+                        // parts (`resume_at > start`), possibly empty.
+                        for _ in 0..rng.random_range(0u32..3) {
+                            let at = rng.random_range(0..run.len() + 1);
+                            batches.push(run.split_off(at));
+                        }
+                        batches.push(run);
+                    }
+                }
+                rng.shuffle(&mut batches);
+
+                let key = |o: &TenantObservation| (o.tenant, o.obs.seq, o.obs.epoch);
+                let mut sorted: Vec<_> = batches.iter().flatten().map(key).collect();
+                sorted.sort_unstable_by_key(|&(tenant, seq, _)| (tenant, seq));
+
+                let mut merge = EpochMerge::new(lanes as usize, &slices);
+                for batch in batches {
+                    merge.place(batch);
+                }
+                let mut seen = Vec::new();
+                let merged = merge.finish(|o| seen.push(key(o)));
+                let Some(merged) = merged else {
+                    return Err("a slot was left empty".into());
+                };
+                prop_assert!(seen == sorted, "`each` runs in merged order");
+                prop_assert_eq!(merged.iter().map(key).collect::<Vec<_>>(), sorted);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn an_epoch_with_a_stray_or_missing_observation_is_incomplete() {
+        let mk = |tenant, seq| TenantObservation {
+            tenant,
+            obs: Observation {
+                seq,
+                epoch: 0,
+                payload: ObservationPayload::ParseFailed,
+            },
+        };
+        let slices = [Slice {
+            tenant: 1,
+            start: 10,
+            end: 12,
+        }];
+        let complete = |batch| {
+            let mut merge = EpochMerge::new(2, &slices);
+            merge.place(batch);
+            merge.finish(|_| {}).is_some()
+        };
+        assert!(complete(vec![mk(1, 11), mk(1, 10)]));
+        assert!(!complete(vec![mk(1, 10)]), "missing");
+        assert!(!complete(vec![mk(1, 10), mk(1, 10)]), "twice");
+        assert!(!complete(vec![mk(1, 10), mk(1, 12)]), "outside the slice");
+        assert!(!complete(vec![mk(1, 10), mk(0, 11)]), "idle lane");
+        assert!(!complete(vec![mk(1, 10), mk(7, 11)]), "no such lane");
     }
 }

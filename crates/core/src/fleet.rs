@@ -879,7 +879,7 @@ pub fn serve_fleet<E: CostEstimator>(
                 record.parse_failures = tally.parse_failures;
                 record.panics = tally.panics;
                 record.sim_latency_ms = tally.sim_latency_ms;
-                latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                latencies.sort_unstable_by(f64::total_cmp);
                 record.p50_ms = percentile(&latencies, 0.50);
                 record.p99_ms = percentile(&latencies, 0.99);
                 if record.executed > 0 {
@@ -1429,5 +1429,12 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 51.0); // round(99*0.5)=50 → v[50]
         assert_eq!(percentile(&v, 0.99), 99.0); // round(99*0.99)=98 → v[98]
         assert_eq!(percentile(&v, 1.0), 100.0);
+        // Duplicates, sorted the way a slice's latencies are: ties keep
+        // their rank, whichever of the equal values lands there.
+        let mut dup = vec![2.0, 9.0, 2.0, 0.5, 2.0, 9.0, 0.5, 2.0];
+        dup.sort_unstable_by(f64::total_cmp);
+        assert_eq!(dup, vec![0.5, 0.5, 2.0, 2.0, 2.0, 2.0, 9.0, 9.0]);
+        assert_eq!(percentile(&dup, 0.50), 2.0); // round(7*0.5)=4 → dup[4]
+        assert_eq!(percentile(&dup, 0.99), 9.0); // round(7*0.99)=7 → dup[7]
     }
 }

@@ -221,7 +221,7 @@ impl Universe {
     /// deterministic for a universe that persists across a run.
     pub(crate) fn config_fingerprint(&mut self, db: &SimDb) -> u64 {
         let mut defs: Vec<_> = db.indexes().map(|(_, d)| d).collect();
-        defs.sort_by_key(|d| d.key());
+        defs.sort_by_cached_key(|d| d.key());
         let mut set = ConfigSet::default();
         for d in defs {
             set.insert(self.intern(d));

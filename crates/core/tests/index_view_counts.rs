@@ -116,3 +116,41 @@ fn planning_work_follows_the_touched_table_not_the_configuration() {
     assert_eq!(a.indexes_used.len(), b.indexes_used.len());
     assert_eq!(exec_full, exec_own, "execute resolved untouched tables");
 }
+
+/// Snapshot execution allocates what it returns and nothing else: the
+/// vectors of its `ExecOutcome` and `UsageDelta` (plus the grown table's
+/// name on an insert). No path report, no per-candidate scratch, no second
+/// plan for the usage-credit baseline — under all 263 indexes.
+#[test]
+fn snapshot_execution_allocates_only_what_it_returns() {
+    let db = banking_db(&banking::dba_indexes());
+    let snap = db.snapshot(0);
+    assert_eq!(snap.index_count(), 263);
+    let shape = |sql: &str| QueryShape::extract(&parse_statement(sql).unwrap(), snap.catalog());
+
+    // A point lookup: the index it used, and that index's scan credit.
+    let lookup = shape("SELECT * FROM withdraw_flow WHERE acct_id = 7");
+    let (allocs, (outcome, delta)) = counted(|| snap.execute_shape_at(&lookup, 17));
+    assert_eq!(outcome.indexes_used.len(), 1, "served by an index");
+    assert_eq!(delta.scans.len(), 1);
+    assert!(delta.maintenance.is_empty() && delta.growth.is_none());
+    assert_eq!(allocs, 2, "`indexes_used` and `delta.scans`");
+
+    // An unindexed predicate returns no vector and allocates nothing.
+    let scan = shape("SELECT * FROM withdraw_flow WHERE flow_status = 2");
+    let (allocs, (outcome, delta)) = counted(|| snap.execute_shape_at(&scan, 18));
+    assert!(outcome.indexes_used.is_empty() && delta.is_empty());
+    assert_eq!(allocs, 0);
+
+    // A keyed update adds the maintenance list — one vector however many
+    // indexes it names, so at most its growth steps.
+    let update = shape("UPDATE withdraw_flow SET amount = 1.0 WHERE flow_id = 7");
+    let (allocs, (outcome, delta)) = counted(|| snap.execute_shape_at(&update, 19));
+    assert!(!outcome.indexes_used.is_empty() && !delta.maintenance.is_empty());
+    let growth_steps = u64::from(delta.maintenance.len().next_power_of_two().ilog2()).max(1);
+    assert!(
+        allocs <= 2 + growth_steps,
+        "{allocs} allocator calls for {} maintained indexes",
+        delta.maintenance.len()
+    );
+}

@@ -77,10 +77,9 @@ fn gen_batch(rng: &mut StdRng, size: usize) -> Vec<Observation> {
                         .collect();
                     let maintenance = (0..rng.random_range(0usize..2))
                         .map(|_| {
-                            (
-                                IndexId(rng.random_range(0u32..6)),
-                                rng.random_range(0.0..20.0),
-                            )
+                            let io = rng.random_range(0.0..20.0);
+                            let cost = autoindex_storage::MaintenanceCost { io, cpu: 0.0 };
+                            (IndexId(rng.random_range(0u32..6)), cost)
                         })
                         .collect();
                     ObservationPayload::Executed {

@@ -622,7 +622,7 @@ impl SimDb {
     /// plan, rendered with index names.
     pub fn whatif_explain<'a>(&self, shape: &QueryShape, config: impl IndexConfig<'a>) -> String {
         let plan = self.whatif_plan(shape, config.clone());
-        plan.explain(&|id| {
+        plan.explain(shape, &|id| {
             // What-if ids count down from u32::MAX in config order.
             let i = (u32::MAX - id.0) as usize;
             config.clone().into_iter().nth(i).map(|d| d.to_string())
@@ -634,7 +634,7 @@ impl SimDb {
         let shape = QueryShape::extract(stmt, &self.catalog);
         let planner = Planner::new(&self.catalog, &self.config.cost_params);
         let plan = planner.plan_over(&shape, &*self.view);
-        plan.explain(&|id| self.indexes.get(&id).map(|d| d.to_string()))
+        plan.explain(&shape, &|id| self.indexes.get(&id).map(|d| d.to_string()))
     }
 
     // ---------------------------------------------------------- execution
@@ -724,9 +724,7 @@ impl SimDb {
         // baseline of the same shape).
         self.usage.record_statement();
         if !plan.indexes_used.is_empty() {
-            let baseline = planner.plan_over(shape, &IndexView::default());
-            let saving = (baseline.features.native_cost() - plan.features.native_cost()).max(0.0)
-                / plan.indexes_used.len() as f64;
+            let saving = scan_saving(&planner, shape, &plan.features, plan.indexes_used.len());
             for id in &plan.indexes_used {
                 self.usage.record_scan(*id, saving);
             }
@@ -881,24 +879,17 @@ impl DbSnapshot {
     /// a per-`seq` derived RNG rather than the database's sequential
     /// stream — the price of worker-count independence.
     pub fn execute_shape_at(&self, shape: &QueryShape, seq: u64) -> (ExecOutcome, UsageDelta) {
+        // Priced by the plan's totals alone: no path report is kept, so
+        // what this allocates is what it returns.
         let planner = Planner::new(&self.catalog, &self.config.cost_params);
-        let plan = planner.plan_over(shape, &*self.view);
+        let plan = planner.plan_each(shape, &*self.view, drop);
 
         let mut delta = UsageDelta::default();
         if !plan.indexes_used.is_empty() {
-            // An empty view rather than `&[]`: the same instantiation of
-            // the planner as the line above, so the statement path keeps
-            // one copy of it hot (measured: ~5 % of this function).
-            let baseline = planner.plan_over(shape, &IndexView::default());
-            let saving = (baseline.features.native_cost() - plan.features.native_cost()).max(0.0)
-                / plan.indexes_used.len() as f64;
-            for id in &plan.indexes_used {
-                delta.scans.push((*id, saving));
-            }
+            let saving = scan_saving(&planner, shape, &plan.features, plan.indexes_used.len());
+            delta.scans = plan.indexes_used.iter().map(|id| (*id, saving)).collect();
         }
-        for (id, m) in &plan.maintenance {
-            delta.maintenance.push((*id, m.total()));
-        }
+        delta.maintenance = plan.maintenance;
         if let Some(w) = &shape.write {
             if w.kind == crate::shape::WriteKind::Insert {
                 delta.growth = Some((w.table.clone(), w.inserted_rows));
@@ -920,6 +911,13 @@ impl DbSnapshot {
             delta,
         )
     }
+}
+
+/// The read-cost saving an executed plan credits to each of the `used`
+/// indexes that served it: its native cost against the no-index baseline
+/// of the same shape, shared evenly.
+fn scan_saving(planner: &Planner, shape: &QueryShape, features: &CostFeatures, used: usize) -> f64 {
+    (planner.unindexed_cost(shape) - features.native_cost()).max(0.0) / used as f64
 }
 
 /// Domain-separation salt for the per-sequence measurement-noise stream

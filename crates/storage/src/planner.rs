@@ -131,10 +131,12 @@ impl Default for TrueCostWeights {
     }
 }
 
-/// How one table is accessed in the chosen plan.
+/// How one table is accessed in the chosen plan. Which table is the
+/// path's position: [`PlanSummary::paths`] runs parallel to
+/// [`QueryShape::tables`], so a path owns no copy of the name and costs
+/// nothing to build and discard while candidates are compared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessPath {
-    pub table: String,
     /// Index used, or `None` for a sequential scan.
     pub index: Option<IndexId>,
     /// Additional indexes combined in a BitmapOr path (one per OR arm
@@ -171,6 +173,7 @@ pub enum JoinStrategy {
 /// The full plan summary for one statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSummary {
+    /// One path per entry of the planned shape's `tables`, in that order.
     pub paths: Vec<AccessPath>,
     pub join_strategies: Vec<JoinStrategy>,
     /// Sort cost actually paid (0 when an index provides the order).
@@ -193,10 +196,15 @@ impl PlanSummary {
         self.features.native_cost()
     }
 
-    /// Render an `EXPLAIN`-style description of the plan. `index_name`
+    /// Render an `EXPLAIN`-style description of the plan. `shape` is the
+    /// statement this plan is of (it names the tables); `index_name`
     /// resolves index ids to display names (pass the owning database's
     /// definitions; unknown ids print as `idx#n`).
-    pub fn explain(&self, index_name: &dyn Fn(IndexId) -> Option<String>) -> String {
+    pub fn explain(
+        &self,
+        shape: &QueryShape,
+        index_name: &dyn Fn(IndexId) -> Option<String>,
+    ) -> String {
         use std::fmt::Write;
         let name = |id: IndexId| index_name(id).unwrap_or_else(|| id.to_string());
         let mut out = String::new();
@@ -205,7 +213,7 @@ impl PlanSummary {
             "Plan  (data={:.1}, maint_io={:.2}, maint_cpu={:.2})",
             self.features.c_data, self.features.c_io, self.features.c_cpu
         );
-        for p in &self.paths {
+        for (t, p) in shape.tables.iter().zip(&self.paths) {
             match p.index {
                 Some(id) => {
                     let mut tags = String::new();
@@ -218,7 +226,7 @@ impl PlanSummary {
                     let _ = writeln!(
                         out,
                         "  -> Index Scan on {} using {}  (sel={:.4}, rows={:.0}, cost={:.1}{})",
-                        p.table,
+                        t.table,
                         name(id),
                         p.matched_sel,
                         p.rows_out,
@@ -230,7 +238,7 @@ impl PlanSummary {
                     let _ = writeln!(
                         out,
                         "  -> Seq Scan on {}  (rows={:.0}, cost={:.1})",
-                        p.table, p.rows_out, p.cost
+                        t.table, p.rows_out, p.cost
                     );
                 }
             }
@@ -415,6 +423,24 @@ impl IndexSet for IndexView {
     }
 }
 
+/// What [`Planner::plan_each`] returns: a [`PlanSummary`] without its
+/// paths (those went to the caller's closure). Fields as there.
+pub(crate) struct Planned {
+    pub(crate) join_strategies: Vec<JoinStrategy>,
+    pub(crate) sort_cost: f64,
+    pub(crate) maintenance: Vec<(IndexId, MaintenanceCost)>,
+    pub(crate) indexes_used: Vec<IndexId>,
+    pub(crate) features: CostFeatures,
+    pub(crate) sort_elided: u32,
+    pub(crate) covering_scans: u32,
+}
+
+/// What join planning reads of a table's chosen access path.
+struct Scanned {
+    rows_out: f64,
+    cost: f64,
+}
+
 /// The planner: stateless over a catalog + parameters.
 pub struct Planner<'a> {
     pub catalog: &'a Catalog,
@@ -458,61 +484,108 @@ impl<'a> Planner<'a> {
 
     /// Plan `shape` under `indexes` and return the summary.
     pub fn plan_over<S: IndexSet + ?Sized>(&self, shape: &QueryShape, indexes: &S) -> PlanSummary {
-        let mut features = CostFeatures::default();
         let mut paths = Vec::with_capacity(shape.tables.len());
+        let Planned {
+            join_strategies,
+            sort_cost,
+            maintenance,
+            indexes_used,
+            features,
+            sort_elided,
+            covering_scans,
+        } = self.plan_each(shape, indexes, |path| paths.push(path));
+        PlanSummary {
+            paths,
+            join_strategies,
+            sort_cost,
+            maintenance,
+            indexes_used,
+            features,
+            sort_elided,
+            covering_scans,
+        }
+    }
+
+    /// Native cost of `shape` with no index at all — the baseline an
+    /// executed plan's saving is credited against. The same planning pass
+    /// as [`Planner::plan_over`] over an empty set (bit for bit its
+    /// `features.native_cost()`), keeping no report: a single-table
+    /// statement allocates nothing.
+    pub fn unindexed_cost(&self, shape: &QueryShape) -> f64 {
+        self.plan_each(shape, &IndexView::default(), drop)
+            .features
+            .native_cost()
+    }
+
+    /// The planner proper. Chooses every table's access path, handing each
+    /// to `each` in `shape.tables` order — to keep ([`Planner::plan_over`])
+    /// or not (execution, which is priced by the totals alone) — then
+    /// joins, sort and the write side. Allocates only what [`Planned`]
+    /// returns, plus two floats per table when there is a join to order.
+    pub(crate) fn plan_each<S: IndexSet + ?Sized>(
+        &self,
+        shape: &QueryShape,
+        indexes: &S,
+        mut each: impl FnMut(AccessPath),
+    ) -> Planned {
+        let mut features = CostFeatures::default();
         let mut used = Vec::new();
+        let mut sort_cost = 0.0;
+        let mut sort_elided = 0u32;
+        let mut covering_scans = 0u32;
+        let joining = shape.tables.len() > 1;
+        let mut scans = Vec::with_capacity(if joining { shape.tables.len() } else { 0 });
 
         // ---- access paths ------------------------------------------------
         for t in &shape.tables {
             // A pure INSERT touches its target table without reading it.
-            if let Some(w) = &shape.write {
-                if w.kind == WriteKind::Insert && w.table == t.table && t.all_atoms.is_empty() {
-                    paths.push(AccessPath {
-                        table: t.table.clone(),
-                        index: None,
-                        bitmap_indexes: Vec::new(),
-                        matched_sel: 0.0,
-                        rows_out: 0.0,
-                        cost: 0.0,
-                        provides_order: false,
-                        covering: false,
-                        heap_cost: 0.0,
-                    });
-                    continue;
+            let insert_only = shape.write.as_ref().is_some_and(|w| {
+                w.kind == WriteKind::Insert && w.table == t.table && t.all_atoms.is_empty()
+            });
+            let path = if insert_only {
+                AccessPath {
+                    index: None,
+                    bitmap_indexes: Vec::new(),
+                    matched_sel: 0.0,
+                    rows_out: 0.0,
+                    cost: 0.0,
+                    provides_order: false,
+                    covering: false,
+                    heap_cost: 0.0,
+                }
+            } else {
+                let path = self.best_access_path(t, indexes, shape);
+                used.extend(path.index);
+                used.extend(path.bitmap_indexes.iter().copied());
+                features.c_data += path.cost;
+                features.c_heap += path.heap_cost;
+                path
+            };
+            // Sort: paid on the final stream for every table that requires
+            // an order its chosen path does not provide.
+            if !t.order_columns.is_empty() || !t.group_columns.is_empty() {
+                if path.provides_order {
+                    sort_elided += 1;
+                } else {
+                    sort_cost += self.sort_cost_for(path.rows_out);
                 }
             }
-            let path = self.best_access_path(t, indexes, shape);
-            if let Some(id) = path.index {
-                used.push(id);
+            covering_scans += u32::from(path.covering);
+            if joining {
+                scans.push(Scanned {
+                    rows_out: path.rows_out,
+                    cost: path.cost,
+                });
             }
-            used.extend(path.bitmap_indexes.iter().copied());
-            features.c_data += path.cost;
-            features.c_heap += path.heap_cost;
-            paths.push(path);
+            each(path);
         }
 
-        // ---- joins --------------------------------------------------------
-        let (join_cost, join_strategies, join_used) = self.plan_joins(shape, &paths, indexes);
+        // ---- joins, then the sort -----------------------------------------
+        let (join_cost, join_strategies, join_used) = self.plan_joins(shape, &scans, indexes);
         features.c_data += join_cost;
-        used.extend(join_used.iter().copied());
-
-        // ---- sort ----------------------------------------------------------
-        let sort_cost = self.sort_cost(shape, &paths);
+        used.extend(join_used);
         features.c_data += sort_cost;
         features.c_sort = sort_cost;
-
-        // ---- plan-shape counters ------------------------------------------
-        let mut sort_elided = 0u32;
-        let mut covering_scans = 0u32;
-        for (t, p) in shape.tables.iter().zip(&paths) {
-            let needs_order = !t.order_columns.is_empty() || !t.group_columns.is_empty();
-            if needs_order && p.provides_order {
-                sort_elided += 1;
-            }
-            if p.covering {
-                covering_scans += 1;
-            }
-        }
 
         // ---- write side ----------------------------------------------------
         let mut maintenance = Vec::new();
@@ -556,8 +629,7 @@ impl<'a> Planner<'a> {
             }
         }
 
-        PlanSummary {
-            paths,
+        Planned {
             join_strategies,
             sort_cost,
             maintenance,
@@ -601,7 +673,6 @@ impl<'a> Planner<'a> {
         let Some(table) = self.catalog.table(&t.table) else {
             // Unknown table: tiny constant cost, seq scan.
             return AccessPath {
-                table: t.table.clone(),
                 index: None,
                 bitmap_indexes: Vec::new(),
                 matched_sel: 1.0,
@@ -623,7 +694,6 @@ impl<'a> Planner<'a> {
             + rows * self.params.cpu_tuple_cost
             + rows * n_atoms * self.params.cpu_operator_cost;
         let mut best = AccessPath {
-            table: t.table.clone(),
             index: None,
             bitmap_indexes: Vec::new(),
             matched_sel: 1.0,
@@ -642,13 +712,12 @@ impl<'a> Planner<'a> {
         for vi in indexes.on_table(&t.table) {
             let m = self.match_prefix(vi.def(), &t.conjuncts, table);
             let provides_order = !order_cols.is_empty()
-                && self.index_provides_order(vi.def(), &m, &order_cols, order_dirs);
+                && self.index_provides_order(vi.def(), &m, order_cols, order_dirs);
             if m.matched_cols == 0 && !provides_order {
                 continue;
             }
             let scan = self.index_scan_cost(table, vi, &m, t, shape, provides_order);
             let candidate = AccessPath {
-                table: t.table.clone(),
                 index: Some(vi.id),
                 bitmap_indexes: Vec::new(),
                 matched_sel: m.sel,
@@ -682,7 +751,6 @@ impl<'a> Planner<'a> {
             if let Some((cost, heap, first, rest)) = self.bitmap_or_path(t, indexes, table) {
                 if cost < best.cost {
                     best = AccessPath {
-                        table: t.table.clone(),
                         index: Some(first),
                         bitmap_indexes: rest,
                         matched_sel: t.filter_sel,
@@ -709,7 +777,8 @@ impl<'a> Planner<'a> {
     ) -> Option<(f64, f64, IndexId, Vec<IndexId>)> {
         let p = self.params;
         let rows = table.rows.max(1) as f64;
-        let mut ids = Vec::with_capacity(t.conjunct_groups.len());
+        let mut first = None;
+        let mut rest = Vec::new();
         let mut probe_cost = 0.0;
         for group in &t.conjunct_groups {
             // Cheapest index probe serving this arm.
@@ -729,8 +798,10 @@ impl<'a> Planner<'a> {
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are never NaN"));
             let (id, c) = best_arm?;
             probe_cost += c;
-            if !ids.contains(&id) {
-                ids.push(id);
+            match first {
+                None => first = Some(id),
+                Some(f) if f == id || rest.contains(&id) => {}
+                Some(_) => rest.push(id),
             }
         }
         // One heap pass over the unioned bitmap: fetches come out in page
@@ -738,20 +809,18 @@ impl<'a> Planner<'a> {
         let fetched = rows * t.filter_sel;
         let heap = fetched * p.random_page_cost * 0.5;
         let cpu = fetched * (p.cpu_tuple_cost + t.all_atoms.len() as f64 * p.cpu_operator_cost);
-        let first = *ids.first()?;
-        let rest = ids[1..].to_vec();
-        Some((probe_cost + heap + cpu, heap, first, rest))
+        Some((probe_cost + heap + cpu, heap, first?, rest))
     }
 
     /// Order requirement on this table: ORDER BY columns with their
     /// per-key directions, else GROUP BY columns (grouping by a sorted
     /// stream avoids the hash/sort, and any per-column direction groups
     /// equal keys adjacently — so GROUP BY carries no direction vector).
-    fn required_order<'t>(&self, t: &'t TableAtoms) -> (Vec<String>, Option<&'t [bool]>) {
+    fn required_order<'t>(&self, t: &'t TableAtoms) -> (&'t [String], Option<&'t [bool]>) {
         if !t.order_columns.is_empty() {
-            (t.order_columns.clone(), Some(t.order_desc.as_slice()))
+            (&t.order_columns, Some(&t.order_desc))
         } else {
-            (t.group_columns.clone(), None)
+            (&t.group_columns, None)
         }
     }
 
@@ -825,30 +894,27 @@ impl<'a> Planner<'a> {
         conjuncts: &[AtomicPredicate],
         table: &Table,
     ) -> PrefixMatch {
-        let mut matched: Vec<&AtomicPredicate> = Vec::new();
+        let mut matched_cols = 0;
         let mut all_equality = true;
         let mut partition_pruned = false;
-        for col in &def.columns {
+        // One atom per leading index column, until a column has none or a
+        // range atom has consumed the prefix.
+        let matched = def.columns.iter().map_while(|col| {
+            if !all_equality {
+                return None;
+            }
             let atom = conjuncts.iter().find(|a| {
                 a.is_sargable() && a.restricted_column().is_some_and(|c| c.column == *col)
-            });
-            let Some(atom) = atom else { break };
-            matched.push(atom);
-            if table.partition_key.as_deref() == Some(col.as_str()) && atom.is_equality() {
-                partition_pruned = true;
-            }
-            if !atom.is_equality() {
-                all_equality = false;
-                break; // Range atom consumes the prefix.
-            }
-        }
-        let sel = if matched.is_empty() {
-            1.0
-        } else {
-            conjunct_selectivity(&matched, table)
-        };
+            })?;
+            matched_cols += 1;
+            all_equality = atom.is_equality();
+            partition_pruned |=
+                all_equality && table.partition_key.as_deref() == Some(col.as_str());
+            Some(atom)
+        });
+        let sel = conjunct_selectivity(matched, table);
         PrefixMatch {
-            matched_cols: matched.len(),
+            matched_cols,
             sel,
             all_equality,
             partition_pruned,
@@ -927,25 +993,12 @@ impl<'a> Planner<'a> {
         2.0 * rows * rows.log2().max(1.0) * self.params.cpu_operator_cost
     }
 
-    /// Total sort cost: paid once on the final stream if any table requires
-    /// an order no chosen path provides.
-    fn sort_cost(&self, shape: &QueryShape, paths: &[AccessPath]) -> f64 {
-        let mut cost = 0.0;
-        for (t, p) in shape.tables.iter().zip(paths) {
-            let needs_order = !t.order_columns.is_empty() || !t.group_columns.is_empty();
-            if needs_order && !p.provides_order {
-                cost += self.sort_cost_for(p.rows_out);
-            }
-        }
-        cost
-    }
-
     /// Plan all joins left-deep in table order; returns (cost, strategies,
     /// inner indexes used).
     fn plan_joins<S: IndexSet + ?Sized>(
         &self,
         shape: &QueryShape,
-        paths: &[AccessPath],
+        paths: &[Scanned],
         indexes: &S,
     ) -> (f64, Vec<JoinStrategy>, Vec<IndexId>) {
         let p = self.params;
@@ -1191,12 +1244,17 @@ mod tests {
     }
 
     fn plan(sql: &str, defs: &[IndexDef]) -> PlanSummary {
+        plan_of(sql, defs).1
+    }
+
+    fn plan_of(sql: &str, defs: &[IndexDef]) -> (QueryShape, PlanSummary) {
         let catalog = catalog();
         let params = CostParams::default();
         let stmt = parse_statement(sql).unwrap();
         let shape = QueryShape::extract(&stmt, &catalog);
         let indexes = vis(&catalog, &params, defs);
-        Planner::new(&catalog, &params).plan(&shape, &indexes)
+        let plan = Planner::new(&catalog, &params).plan(&shape, &indexes);
+        (shape, plan)
     }
 
     #[test]
@@ -1445,7 +1503,7 @@ mod tests {
 
     #[test]
     fn explain_renders_all_plan_parts() {
-        let p = plan(
+        let (shape, p) = plan_of(
             "SELECT o_id FROM customer c, orders o \
              WHERE c.c_id = 77 AND o.o_c_id = c.c_id ORDER BY o_amount",
             &[
@@ -1453,7 +1511,8 @@ mod tests {
                 IndexDef::new("orders", &["o_c_id"]),
             ],
         );
-        let text = p.explain(&|id| Some(format!("named_{}", id.0)));
+        let text = p.explain(&shape, &|id| Some(format!("named_{}", id.0)));
+        assert!(text.contains("on customer") && text.contains("on orders"));
         assert!(text.contains("Plan"), "{text}");
         assert!(
             text.contains("Index Scan") || text.contains("Seq Scan"),
@@ -1467,17 +1526,17 @@ mod tests {
         // Name resolver applies.
         assert!(text.contains("named_"), "{text}");
         // Unknown ids fall back to idx#n.
-        let fallback = p.explain(&|_| None);
+        let fallback = p.explain(&shape, &|_| None);
         assert!(fallback.contains("idx#"), "{fallback}");
     }
 
     #[test]
     fn explain_shows_maintenance_for_writes() {
-        let p = plan(
+        let (shape, p) = plan_of(
             "INSERT INTO orders (o_id, o_c_id) VALUES (1, 2)",
             &[IndexDef::new("orders", &["o_c_id"])],
         );
-        let text = p.explain(&|_| None);
+        let text = p.explain(&shape, &|_| None);
         assert!(text.contains("Index Maintenance"), "{text}");
     }
 

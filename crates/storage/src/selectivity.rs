@@ -181,10 +181,36 @@ pub fn default_for_op(op: CmpOp) -> f64 {
 /// the 3rd+ atom — repeated multiplication under correlated columns is the
 /// classic source of underestimation, so later factors are square-rooted
 /// (the SQL Server 2014+ heuristic).
-pub fn conjunct_selectivity(atoms: &[&AtomicPredicate], table: &Table) -> f64 {
-    let mut sels: Vec<f64> = atoms.iter().map(|a| atom_selectivity(a, table)).collect();
+pub fn conjunct_selectivity<'a>(
+    atoms: impl IntoIterator<Item = &'a AtomicPredicate>,
+    table: &Table,
+) -> f64 {
+    // Sorted on the stack: the planner asks once per candidate index per
+    // statement, and a conjunction wider than this is rare enough to spill.
+    const INLINE: usize = 8;
+    let mut inline = [0.0; INLINE];
+    let mut spill = Vec::new();
+    let mut n = 0;
+    for atom in atoms {
+        let sel = atom_selectivity(atom, table);
+        match inline.get_mut(n) {
+            Some(slot) => *slot = sel,
+            None => {
+                if spill.is_empty() {
+                    spill.extend_from_slice(&inline);
+                }
+                spill.push(sel);
+            }
+        }
+        n += 1;
+    }
+    let sels = if n <= INLINE {
+        &mut inline[..n]
+    } else {
+        &mut spill[..]
+    };
     // Most selective first; damp later factors.
-    sels.sort_by(|a, b| a.partial_cmp(b).expect("selectivity is never NaN"));
+    sels.sort_unstable_by(f64::total_cmp);
     let mut sel = 1.0;
     for (i, s) in sels.iter().enumerate() {
         sel *= match i {
@@ -326,10 +352,10 @@ mod tests {
         let a1 = cmp("cat", CmpOp::Eq, Value::Int(1)); // 0.1
         let a2 = cmp("temp", CmpOp::Gt, Value::Float(40.25)); // 0.25
         let a3 = cmp("name", CmpOp::Eq, Value::Str("x".into())); // 1/5000
-        let s12 = conjunct_selectivity(&[&a1, &a2], &t);
+        let s12 = conjunct_selectivity([&a1, &a2], &t);
         assert!((s12 - 0.025).abs() < 1e-9);
         // Third factor (largest sel among the three is damped last).
-        let s123 = conjunct_selectivity(&[&a1, &a2, &a3], &t);
+        let s123 = conjunct_selectivity([&a1, &a2, &a3], &t);
         assert!(s123 < s12);
         assert!(s123 >= 1.0 / 10_000.0);
     }
@@ -337,7 +363,7 @@ mod tests {
     #[test]
     fn conjunction_of_none_is_one() {
         let t = table();
-        assert_eq!(conjunct_selectivity(&[], &t), 1.0);
+        assert_eq!(conjunct_selectivity([], &t), 1.0);
     }
 
     fn skewed_table() -> Table {

@@ -11,7 +11,7 @@
 //! indexes on *both* the outer and the subquery table.
 
 use crate::catalog::{Catalog, Table};
-use crate::selectivity::{atom_selectivity, conjunct_selectivity};
+use crate::selectivity::atom_selectivity;
 use autoindex_sql::predicate::{collect_atoms, AtomicPredicate};
 use autoindex_sql::{ColumnRef, Predicate, SelectStatement, Statement, TableRef};
 use std::collections::HashMap;
@@ -800,17 +800,6 @@ fn collect_conjunctive(p: &Predicate, out: &mut Vec<AtomicPredicate>) {
         }
         Predicate::Or(_) | Predicate::Not(_) => {}
         atom => out.extend(collect_atoms(atom)),
-    }
-}
-
-/// Convenience: selectivity of a table's conjuncts against the catalog.
-pub fn table_conjunct_selectivity(atoms: &TableAtoms, catalog: &Catalog) -> f64 {
-    match catalog.table(&atoms.table) {
-        Some(t) => {
-            let refs: Vec<&AtomicPredicate> = atoms.conjuncts.iter().collect();
-            conjunct_selectivity(&refs, t)
-        }
-        None => 1.0,
     }
 }
 

@@ -6,7 +6,7 @@
 //! *negative* (maintenance exceeding benefit). This tracker is the
 //! simulator's equivalent, fed by every executed plan.
 
-use crate::index::IndexId;
+use crate::index::{IndexId, MaintenanceCost};
 use std::collections::HashMap;
 
 /// Counters for one index.
@@ -45,8 +45,8 @@ pub struct UsageDelta {
     /// used.
     pub scans: Vec<(IndexId, f64)>,
     /// `(index, cost)` maintenance charges — one entry per maintained
-    /// index.
-    pub maintenance: Vec<(IndexId, f64)>,
+    /// index: the plan's own list, moved here.
+    pub maintenance: Vec<(IndexId, MaintenanceCost)>,
     /// `(table, rows)` catalog growth caused by an INSERT, if any.
     pub growth: Option<(String, u64)>,
 }
@@ -101,7 +101,7 @@ impl UsageTracker {
             self.record_scan(*id, *saving);
         }
         for (id, cost) in &delta.maintenance {
-            self.record_maintenance(*id, *cost);
+            self.record_maintenance(*id, cost.total());
         }
     }
 
@@ -239,7 +239,7 @@ mod tests {
     fn apply_delta_matches_direct_recording() {
         let delta = UsageDelta {
             scans: vec![(IndexId(1), 10.0), (IndexId(2), 3.0)],
-            maintenance: vec![(IndexId(3), 4.0)],
+            maintenance: vec![(IndexId(3), MaintenanceCost { io: 3.0, cpu: 1.0 })],
             growth: Some(("t".into(), 5)),
         };
         let mut via_delta = UsageTracker::new();

@@ -4,7 +4,7 @@
 use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::index::{geometry, maintenance_cost, IndexDef, IndexId, IndexScope};
-use autoindex_storage::planner::{CostParams, IndexSet, Planner, TrueCostWeights};
+use autoindex_storage::planner::{CostParams, IndexSet, IndexView, Planner, TrueCostWeights};
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{DbSnapshot, SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
@@ -293,12 +293,66 @@ fn whatif_plan_equals_flat_resolve_of_the_whole_config() {
             }
             let name = |id: IndexId| Some(config[(u32::MAX - id.0) as usize].to_string());
             prop_assert!(
-                db.whatif_explain(&shape, &config) == reference.explain(&name),
+                db.whatif_explain(&shape, &config) == reference.explain(&shape, &name),
                 "{sql}"
             );
             // A borrowed composition is the same configuration.
             let (head, tail) = config.split_at(config.len() / 2);
             prop_assert!(db.whatif_plan(&shape, head.iter().chain(tail)) == reference);
+            Ok(())
+        },
+    );
+}
+
+/// Execution is priced by the planner's totals without keeping its report,
+/// and its usage credit by a no-index pass that keeps nothing at all: both
+/// must be, bit for bit, what the full `plan_over` reports — the executed
+/// plan over the real view, the baseline over an empty one.
+#[test]
+fn snapshot_execution_and_its_baseline_equal_the_full_plan() {
+    property(
+        "snapshot_execution_and_its_baseline_equal_the_full_plan",
+        PropConfig::default(),
+        |rng, _size| {
+            let mut db = SimDb::with_metrics(
+                view_catalog(rng),
+                SimDbConfig::default(),
+                MetricsRegistry::new(),
+            );
+            for _ in 0..rng.random_range(0usize..14) {
+                let _ = db.create_index(view_def(rng)); // duplicates refused
+            }
+            let sql = view_sql(rng);
+            let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), db.catalog());
+            let planner = Planner::new(db.catalog(), &db.config().cost_params);
+
+            let baseline = planner.plan_over(&shape, &IndexView::default());
+            prop_assert!(
+                planner.unindexed_cost(&shape).to_bits()
+                    == baseline.features.native_cost().to_bits(),
+                "{sql}"
+            );
+
+            let plan = planner.plan_over(&shape, db.index_view());
+            let (outcome, delta) = db.snapshot(0).execute_shape_at(&shape, 5);
+            for (a, b) in outcome.features.as_vec().iter().zip(plan.features.as_vec()) {
+                prop_assert!(a.to_bits() == b.to_bits(), "{sql}");
+            }
+            prop_assert!(outcome.indexes_used == plan.indexes_used, "{sql}");
+            prop_assert!(delta.maintenance == plan.maintenance, "{sql}");
+            let saving = (baseline.native_cost() - plan.native_cost()).max(0.0)
+                / plan.indexes_used.len() as f64;
+            let credited: Vec<(IndexId, u64)> = delta
+                .scans
+                .iter()
+                .map(|(id, s)| (*id, s.to_bits()))
+                .collect();
+            let expected: Vec<(IndexId, u64)> = plan
+                .indexes_used
+                .iter()
+                .map(|id| (*id, saving.to_bits()))
+                .collect();
+            prop_assert!(credited == expected, "{sql}");
             Ok(())
         },
     );
@@ -312,7 +366,12 @@ fn snapshot_print(snap: &DbSnapshot) -> Vec<(IndexId, u64)> {
         let sql = format!("INSERT INTO {t} (k, g, v, s) VALUES (1, 1, 2.0, 'x')");
         let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), snap.catalog());
         let delta = snap.execute_shape_at(&shape, 0).1;
-        print.extend(delta.maintenance.iter().map(|(id, c)| (*id, c.to_bits())));
+        print.extend(
+            delta
+                .maintenance
+                .iter()
+                .map(|(id, c)| (*id, c.total().to_bits())),
+        );
     }
     assert_eq!(print.len(), snap.index_count());
     print

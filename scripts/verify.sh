@@ -16,6 +16,10 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --offline --release (engine hand-off tests + allocation bound: both guard optimised-build behaviour)"
+cargo test -q --offline --release -p autoindex-core --lib engine::
+cargo test -q --offline --release -p autoindex-core --test index_view_counts
+
 echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
