@@ -151,6 +151,7 @@ fn main() {
             protected: ConfigSet::default(),
             start: existing.clone(),
             cost_cache: None,
+            delta: None,
         };
         black_box(search.run(&mut tree))
     });
@@ -369,6 +370,7 @@ fn banking_cached_vs_uncached() {
             protected: ConfigSet::default(),
             start: existing.clone(),
             cost_cache: None,
+            delta: None,
         };
         search.run(&mut tree)
     };

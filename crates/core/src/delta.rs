@@ -13,25 +13,31 @@
 //! ```
 //!
 //! with `memo` a shared [`CostCache`] ([`cost_cache::DOMAIN_SLOTS`] key
-//! space). Two configurations that differ by one index re-plan only the
-//! templates on that index's table; sibling configurations in the MCTS
-//! policy tree share almost every term; and the prune / refinement /
-//! search phases of one tuning round all hit the same memo.
+//! space). Two configurations that differ by one index share every term
+//! except the ones on that index's table, so [`DeltaPricer`] prices a
+//! configuration *relative to a reference* whose per-term values it holds:
+//! the slots where the two differ name — through the workload's
+//! slot → terms index — the only terms whose key can have moved, and only
+//! those are keyed and looked up. Every other term is carried from the
+//! reference: it would have been a cache hit, and is counted as one.
 //!
-//! The decomposition is *bitwise exact*: term order equals workload
-//! order, each term is `shape_cost * weight` exactly as the naive
+//! The decomposition is *bitwise exact*: the sum runs over every term in
+//! workload order, each term is `shape_cost * weight` exactly as the naive
 //! [`CostEstimator::workload_cost`] computes it, and projection invariance
 //! of the planner makes `shape_cost(shape, projected)` bit-equal to
 //! `shape_cost(shape, full)` (property-tested in `tests/proptests.rs`).
+//! Misses are evaluated in configuration-then-term order whatever the
+//! reference, so the what-if call sequence does not depend on it either.
 
-use autoindex_estimator::cost_cache::{
-    self, shape_key, shape_touches, CacheKey, CostCache, CostCacheStats,
-};
+use std::collections::HashMap;
+
+use autoindex_estimator::cost_cache::{self, shape_key, CacheKey, CostCache, CostCacheStats};
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
+use autoindex_support::obs::Counter;
 
-use crate::mcts::{ConfigSet, Universe};
+use crate::mcts::{full_word, word_slots, ConfigSet, Universe};
 
 /// One per-template term of a decomposed workload.
 #[derive(Debug)]
@@ -49,41 +55,79 @@ pub struct DeltaTerm<'w> {
 /// A workload prepared for delta-cost evaluation against one [`Universe`].
 ///
 /// Build once per tuning round (after candidate interning), then price
-/// arbitrarily many configurations through a shared [`CostCache`].
+/// arbitrarily many configurations through [`DeltaPricer`]s sharing one
+/// [`CostCache`].
 #[derive(Debug)]
 pub struct DeltaWorkload<'w> {
     terms: Vec<DeltaTerm<'w>>,
+    /// Per touched table, the terms touching it (ascending term index).
+    table_terms: Vec<Vec<u32>>,
+    /// Universe slot → its table's entry in `table_terms`; `None` when no
+    /// template touches that table.
+    slot_table: Vec<Option<u32>>,
 }
 
 impl<'w> DeltaWorkload<'w> {
-    /// Decompose `workload`, computing each template's slot mask against
-    /// `universe`. Slots are stable across rounds, but new candidates may
-    /// appear — rebuild per round (cheap: one table-membership scan per
-    /// (template, slot) pair).
+    /// Decompose `workload` against `universe`: a table → terms map from
+    /// the shapes' table atoms, then one pass over the slots that fills
+    /// both the slot → terms index and each template's slot mask. Slots
+    /// are stable across rounds, but new candidates may appear — rebuild
+    /// per round.
     pub fn new(universe: &Universe, workload: &'w [(QueryShape, u64)]) -> Self {
-        let terms = workload
+        let mut terms: Vec<DeltaTerm<'w>> = workload
             .iter()
-            .map(|(shape, n)| {
-                let mut mask = ConfigSet::default();
-                for slot in 0..universe.len() {
-                    if shape_touches(shape, &universe.def(slot).table) {
-                        mask.insert(slot);
-                    }
-                }
-                DeltaTerm {
-                    key: shape_key(shape),
-                    shape,
-                    weight: *n as f64,
-                    mask,
-                }
+            .map(|(shape, n)| DeltaTerm {
+                key: shape_key(shape),
+                shape,
+                weight: *n as f64,
+                mask: ConfigSet::default(),
             })
             .collect();
-        DeltaWorkload { terms }
+        let mut table_ids: HashMap<&str, u32> = HashMap::new();
+        let mut table_terms: Vec<Vec<u32>> = Vec::new();
+        for (t, (shape, _)) in workload.iter().enumerate() {
+            for atom in &shape.tables {
+                let id = *table_ids.entry(atom.table.as_str()).or_insert_with(|| {
+                    table_terms.push(Vec::new());
+                    table_terms.len() as u32 - 1
+                });
+                let on_table = &mut table_terms[id as usize];
+                // A self-join lists its table twice.
+                if on_table.last() != Some(&(t as u32)) {
+                    on_table.push(t as u32);
+                }
+            }
+        }
+        let slot_table: Vec<Option<u32>> = (0..universe.len())
+            .map(|slot| {
+                let id = table_ids.get(universe.def(slot).table.as_str()).copied();
+                if let Some(id) = id {
+                    for &t in &table_terms[id as usize] {
+                        terms[t as usize].mask.insert(slot);
+                    }
+                }
+                id
+            })
+            .collect();
+        DeltaWorkload {
+            terms,
+            table_terms,
+            slot_table,
+        }
     }
 
     /// The per-template terms, in workload order.
     pub fn terms(&self) -> &[DeltaTerm<'w>] {
         &self.terms
+    }
+
+    /// The terms whose mask holds `slot` (ascending): the only terms an
+    /// index at that slot can move.
+    pub fn slot_terms(&self, slot: usize) -> &[u32] {
+        match self.slot_table[slot] {
+            Some(id) => &self.table_terms[id as usize],
+            None => &[],
+        }
     }
 
     /// Cache key of `term` under `config`: the fingerprint of the
@@ -96,29 +140,238 @@ impl<'w> DeltaWorkload<'w> {
             domain: cost_cache::DOMAIN_SLOTS,
         }
     }
+}
 
-    /// Memoized workload cost of `config` (no buffer-pressure multiplier —
-    /// callers apply that to the sum, exactly as the naive evaluator
-    /// does). Bitwise equal to
-    /// `estimator.workload_cost(db, workload, &universe.config_defs(config))`.
-    pub fn cost<E: CostEstimator>(
-        &self,
-        db: &SimDb,
-        estimator: &E,
-        universe: &Universe,
-        config: &ConfigSet,
-        cache: &CostCache,
-        stats: &CostCacheStats,
-    ) -> f64 {
-        self.terms
-            .iter()
-            .map(|t| {
-                cache.get_or_insert_with(Self::term_key(t, config), stats, || {
-                    let proj = config.intersect(&t.mask);
-                    estimator.shape_cost(db, t.shape, universe.config_defs(&proj))
-                }) * t.weight
+/// A missing term scheduled for evaluation in phase B of a batch.
+struct Job<'w> {
+    key: CacheKey,
+    proj: ConfigSet,
+    shape: &'w QueryShape,
+}
+
+/// One keyed-and-looked-up term of a priced configuration.
+struct Lookup {
+    term: u32,
+    value: f64,
+}
+
+/// Fewest what-if jobs each worker thread must get before a batch fans
+/// out. Spawning and joining two scoped threads costs 29 µs on the
+/// reference host (p90 ≈ 40 µs) — seven or eight what-if calls of ≈ 4 µs —
+/// and a warm batch has a handful of jobs in all, so below this a second
+/// CPU made the search slower (docs/PERFORMANCE.md §"Pricing by what
+/// changed"). Values do not depend on where a job runs.
+const MIN_JOBS_PER_WORKER: usize = 32;
+
+/// Prices configurations of one [`DeltaWorkload`] by what changed against
+/// a *reference* configuration whose per-term values it holds.
+///
+/// Until [`DeltaPricer::rebase`] is first called there is no reference and
+/// every term of a configuration is looked up — the full pass. Costs carry
+/// no buffer-pressure multiplier: callers apply that to the sum, exactly
+/// as the naive evaluator does, and each sum is bitwise equal to
+/// `estimator.workload_cost(db, workload, universe.config_defs(config))`.
+pub struct DeltaPricer<'a, 'w, E> {
+    delta: &'a DeltaWorkload<'w>,
+    db: &'a SimDb,
+    estimator: &'a E,
+    universe: &'a Universe,
+    cache: &'a CostCache,
+    stats: CostCacheStats,
+    looked_up: Counter,
+    carried: Counter,
+    threads: usize,
+    /// The reference configuration, once `rebase` has adopted one, and
+    /// its per-term values.
+    reference: Option<ConfigSet>,
+    values: Vec<f64>,
+    // Scratch, reused from batch to batch.
+    marks: Vec<u64>,
+    lookups: Vec<Lookup>,
+    /// End of each batch member's run in `lookups`.
+    ends: Vec<usize>,
+    sums: Vec<f64>,
+    /// The configuration priced last (what `rebase` adopts).
+    last: ConfigSet,
+}
+
+impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
+    /// A pricer without a reference. Missing terms of one batch are
+    /// evaluated on up to `threads` scoped threads when there are enough
+    /// of them to pay for the spawns; counters bind on `db`'s registry.
+    pub fn new(
+        delta: &'a DeltaWorkload<'w>,
+        db: &'a SimDb,
+        estimator: &'a E,
+        universe: &'a Universe,
+        cache: &'a CostCache,
+        threads: usize,
+    ) -> Self {
+        let metrics = db.metrics();
+        DeltaPricer {
+            delta,
+            db,
+            estimator,
+            universe,
+            cache,
+            stats: CostCacheStats::bind(metrics),
+            looked_up: metrics.counter("delta.terms.looked_up"),
+            carried: metrics.counter("delta.terms.carried"),
+            threads,
+            reference: None,
+            values: vec![0.0; delta.terms.len()],
+            marks: vec![0; delta.terms.len().div_ceil(64)],
+            lookups: Vec::new(),
+            ends: Vec::new(),
+            sums: Vec::new(),
+            last: ConfigSet::default(),
+        }
+    }
+
+    /// Memoized workload cost of one configuration.
+    pub fn price(&mut self, config: &ConfigSet) -> f64 {
+        self.price_batch(std::iter::once(config))[0]
+    }
+
+    /// Adopt the configuration priced last as the reference: the terms it
+    /// looked up overwrite the held values, everything else already agrees.
+    pub fn rebase(&mut self) {
+        assert!(!self.ends.is_empty(), "rebase needs a priced configuration");
+        let from = self.ends.len().checked_sub(2).map_or(0, |i| self.ends[i]);
+        for l in &self.lookups[from..] {
+            self.values[l.term as usize] = l.value;
+        }
+        self.reference
+            .get_or_insert_with(ConfigSet::default)
+            .clone_from(&self.last);
+    }
+
+    /// Memoized workload costs of a batch, in batch order.
+    ///
+    /// Phase A (serial) keys and looks up the moved terms of each member:
+    /// the first occurrence of a missing `(template, projection)` term is a
+    /// miss and gets scheduled; repeats — within the batch or already
+    /// cached — and every carried term are hits. Phase B evaluates the
+    /// scheduled terms, the only planner work, inline or fanned out.
+    /// Phase C sums each member over *every* term in workload order, moved
+    /// values substituted into the reference's — the same FP operations in
+    /// the same order as the naive evaluator.
+    pub fn price_batch<'c>(&mut self, batch: impl IntoIterator<Item = &'c ConfigSet>) -> &[f64] {
+        let delta = self.delta;
+        let n = delta.terms.len();
+        self.lookups.clear();
+        self.ends.clear();
+        // What the batch has to plan; nothing is allocated for a batch that
+        // finds every term cached.
+        let mut jobs: Vec<Job<'w>> = Vec::new();
+        let mut scheduled: HashMap<CacheKey, usize> = HashMap::new();
+        // (lookup, job) for each lookup whose value phase B produces.
+        let mut awaited: Vec<(usize, usize)> = Vec::new();
+
+        let mut last = None;
+        for cfg in batch {
+            last = Some(cfg);
+            match &self.reference {
+                Some(reference) => {
+                    for slot in cfg.symmetric_difference(reference) {
+                        for &t in delta.slot_terms(slot) {
+                            self.marks[t as usize / 64] |= 1 << (t % 64);
+                        }
+                    }
+                }
+                None => {
+                    for (w, word) in self.marks.iter_mut().enumerate() {
+                        *word = full_word(n, w);
+                    }
+                }
+            }
+            let from = self.lookups.len();
+            let mut misses = 0u64;
+            for w in 0..self.marks.len() {
+                for t in word_slots(w, std::mem::take(&mut self.marks[w])) {
+                    let term = &delta.terms[t];
+                    let key = DeltaWorkload::term_key(term, cfg);
+                    let value = self.cache.get(&key).unwrap_or_else(|| {
+                        let job = *scheduled.entry(key).or_insert_with(|| {
+                            misses += 1;
+                            jobs.push(Job {
+                                key,
+                                proj: cfg.intersect(&term.mask),
+                                shape: term.shape,
+                            });
+                            jobs.len() - 1
+                        });
+                        awaited.push((self.lookups.len(), job));
+                        0.0
+                    });
+                    self.lookups.push(Lookup {
+                        term: t as u32,
+                        value,
+                    });
+                }
+            }
+            let looked_up = (self.lookups.len() - from) as u64;
+            // A carried term is an evaluation avoided, like a looked-up hit.
+            self.stats.hits.add(n as u64 - misses);
+            if misses > 0 {
+                self.stats.misses.add(misses);
+            }
+            self.looked_up.add(looked_up);
+            self.carried.add(n as u64 - looked_up);
+            self.ends.push(self.lookups.len());
+        }
+        if let Some(cfg) = last {
+            self.last.clone_from(cfg);
+        }
+
+        let (db, estimator, universe) = (self.db, self.estimator, self.universe);
+        let eval = |j: &Job<'_>| estimator.shape_cost(db, j.shape, universe.config_defs(&j.proj));
+        let workers = self.threads.min(jobs.len() / MIN_JOBS_PER_WORKER);
+        let job_values: Vec<f64> = if workers > 1 {
+            let chunk = jobs.len().div_ceil(workers);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = jobs
+                    .chunks(chunk)
+                    .map(|part| s.spawn(move || part.iter().map(eval).collect::<Vec<_>>()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("eval worker panicked"))
+                    .collect()
             })
-            .sum()
+        } else {
+            jobs.iter().map(eval).collect()
+        };
+        for (j, v) in jobs.iter().zip(&job_values) {
+            self.cache.insert(j.key, *v);
+        }
+        for (lookup, job) in awaited {
+            self.lookups[lookup].value = job_values[job];
+        }
+
+        self.sums.clear();
+        let mut from = 0;
+        for &end in &self.ends {
+            let moved = &mut self.lookups[from..end];
+            for l in moved.iter_mut() {
+                std::mem::swap(&mut self.values[l.term as usize], &mut l.value);
+            }
+            self.sums.push(
+                delta
+                    .terms
+                    .iter()
+                    .zip(&self.values)
+                    .map(|(t, v)| v * t.weight)
+                    .sum(),
+            );
+            // Back to the reference's values; the member's own stay in its
+            // lookups for `rebase`.
+            for l in moved.iter_mut() {
+                std::mem::swap(&mut self.values[l.term as usize], &mut l.value);
+            }
+            from = end;
+        }
+        &self.sums
     }
 }
 
@@ -162,23 +415,28 @@ mod tests {
     }
 
     #[test]
-    fn masks_cover_exactly_the_touched_tables() {
+    fn masks_and_slot_terms_cover_exactly_the_touched_tables() {
         let db = db();
         let w = workload(
             &db,
             &[
                 ("SELECT * FROM t WHERE a = 1", 10),
                 ("SELECT * FROM u WHERE x = 2", 5),
+                ("SELECT * FROM t WHERE b = 3", 1),
             ],
         );
         let mut universe = Universe::new();
         let st = universe.intern(&IndexDef::new("t", &["a"]));
         let su = universe.intern(&IndexDef::new("u", &["x"]));
+        let ghost = universe.intern(&IndexDef::new("ghost", &["x"]));
         let dw = DeltaWorkload::new(&universe, &w);
-        assert_eq!(dw.terms().len(), 2);
+        assert_eq!(dw.terms().len(), 3);
         assert!(dw.terms()[0].mask.contains(st) && !dw.terms()[0].mask.contains(su));
         assert!(dw.terms()[1].mask.contains(su) && !dw.terms()[1].mask.contains(st));
         assert_eq!(dw.terms()[0].weight, 10.0);
+        assert_eq!(dw.slot_terms(st), &[0, 2]);
+        assert_eq!(dw.slot_terms(su), &[1]);
+        assert!(dw.slot_terms(ghost).is_empty());
     }
 
     #[test]
@@ -199,8 +457,8 @@ mod tests {
         let est = NativeCostEstimator;
         let cache = CostCache::new();
         let m = db.metrics().clone();
-        let stats = CostCacheStats::bind(&m);
         let dw = DeltaWorkload::new(&universe, &w);
+        let mut pricer = DeltaPricer::new(&dw, &db, &est, &universe, &cache, 1);
 
         let configs: Vec<ConfigSet> = vec![
             ConfigSet::default(),
@@ -210,13 +468,113 @@ mod tests {
         ];
         for cfg in &configs {
             let naive = est.workload_cost(&db, &w, universe.config_defs(cfg));
-            let fast = dw.cost(&db, &est, &universe, cfg, &cache, &stats);
+            let fast = pricer.price(cfg);
             assert_eq!(naive.to_bits(), fast.to_bits());
+            // The reference follows the walk: each step moves one table.
+            pricer.rebase();
         }
-        // 4 configs x 3 terms = 12 lookups. Unique (term, projection)
+        // 4 configs x 3 terms = 12 terms priced. Unique (term, projection)
         // pairs: t-terms each see {∅, {st}} (2x2=4), u-term sees {∅, {su}}
-        // (2) => 6 misses, 6 hits.
+        // (2) => 6 misses, 6 hits — carried or looked up, a hit is a hit.
         assert_eq!(m.counter_value("estimator.cost_cache.misses"), 6);
         assert_eq!(m.counter_value("estimator.cost_cache.hits"), 6);
+        // Looked up: all 3, then the 2 t-terms, the u-term, the 2 t-terms.
+        assert_eq!(m.counter_value("delta.terms.looked_up"), 8);
+        assert_eq!(m.counter_value("delta.terms.carried"), 4);
+    }
+
+    /// ≥ 100 tables with 2–3 templates each, two indexes per table (one
+    /// table short of that: 263, the banking catalog's DBA count).
+    fn wide() -> (SimDb, Vec<(QueryShape, u64)>, Universe, ConfigSet) {
+        const TABLES: usize = 132;
+        let mut c = Catalog::new();
+        for i in 0..TABLES {
+            c.add_table(
+                TableBuilder::new(format!("w{i}"), 50_000)
+                    .column(Column::int("a", 50_000))
+                    .column(Column::int("b", 500))
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let db = SimDb::with_metrics(c, SimDbConfig::default(), MetricsRegistry::new());
+        let mut sqls = Vec::new();
+        for i in 0..TABLES {
+            sqls.push(format!("SELECT * FROM w{i} WHERE a = 1"));
+            sqls.push(format!("SELECT * FROM w{i} WHERE b = 2"));
+            if i % 2 == 0 {
+                sqls.push(format!("INSERT INTO w{i} (a, b) VALUES (1, 2)"));
+            }
+        }
+        let w = sqls
+            .iter()
+            .map(|s| {
+                (
+                    QueryShape::extract(&parse_statement(s).unwrap(), db.catalog()),
+                    3,
+                )
+            })
+            .collect();
+        let mut universe = Universe::new();
+        let mut existing = ConfigSet::default();
+        for i in 0..TABLES {
+            existing.insert(universe.intern(&IndexDef::new(format!("w{i}"), &["a"])));
+            if i > 0 {
+                existing.insert(universe.intern(&IndexDef::new(format!("w{i}"), &["b"])));
+            }
+        }
+        universe.refresh_sizes(&db);
+        (db, w, universe, existing)
+    }
+
+    #[test]
+    fn a_probe_looks_up_only_the_templates_on_its_table() {
+        let (db, w, universe, existing) = wide();
+        assert_eq!(existing.len(), 263);
+        let est = NativeCostEstimator;
+        let cache = CostCache::new();
+        let m = db.metrics().clone();
+        let dw = DeltaWorkload::new(&universe, &w);
+        let mut pricer = DeltaPricer::new(&dw, &db, &est, &universe, &cache, 1);
+        let looked_up = || m.counter_value("delta.terms.looked_up");
+
+        // No reference yet: the full pass.
+        pricer.price(&existing);
+        pricer.rebase();
+        assert_eq!(looked_up(), w.len() as u64);
+
+        // One-slot probes: w0 has three templates, w1 two.
+        for (table, templates) in [("w0", 3), ("w1", 2)] {
+            let slot = universe.slot(&IndexDef::new(table, &["a"])).unwrap();
+            let mut trial = existing.clone();
+            trial.remove(slot);
+            let before = looked_up();
+            let naive = est.workload_cost(&db, &w, universe.config_defs(&trial));
+            assert_eq!(pricer.price(&trial).to_bits(), naive.to_bits());
+            assert_eq!(looked_up() - before, templates);
+        }
+
+        // A whole prune pass, every second removal accepted: the reference
+        // follows, so every probe stays one slot away from it.
+        let before = looked_up();
+        let mut current = existing.clone();
+        for (i, slot) in existing.iter().enumerate() {
+            let mut trial = current.clone();
+            trial.remove(slot);
+            pricer.price(&trial);
+            if i % 2 == 0 {
+                pricer.rebase();
+                current = trial;
+            }
+        }
+        let probes = existing.len() as u64;
+        assert!(
+            (looked_up() - before) * 20 <= probes * w.len() as u64,
+            "{} lookups for {probes} probes of {} terms",
+            looked_up() - before,
+            w.len()
+        );
+        let naive = est.workload_cost(&db, &w, universe.config_defs(&current));
+        assert_eq!(pricer.price(&current).to_bits(), naive.to_bits());
     }
 }

@@ -78,7 +78,7 @@ pub mod templates;
 
 pub use bandit::{ArmChoice, BanditConfig, BanditConfigBuilder, BanditStrategy, RegretAccounter};
 pub use candgen::{CandidateConfig, CandidateConfigBuilder, CandidateGenerator, CandidateStats};
-pub use delta::{DeltaTerm, DeltaWorkload};
+pub use delta::{DeltaPricer, DeltaTerm, DeltaWorkload};
 pub use diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 pub use engine::{logical_merge, Observation, ObservationPayload};
 pub use error::AutoIndexError;

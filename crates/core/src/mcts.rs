@@ -21,16 +21,16 @@
 //! calls "the advantage of the policy tree" — is retained, so knowledge
 //! about good regions of the configuration space carries over.
 
-use autoindex_estimator::cost_cache::{CacheKey, CostCache, CostCacheStats};
+use autoindex_estimator::cost_cache::CostCache;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::SimDb;
+use autoindex_storage::{PressureModel, SimDb};
 use autoindex_support::obs::Counter;
 use autoindex_support::rng::StdRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use crate::delta::DeltaWorkload;
+use crate::delta::{DeltaPricer, DeltaWorkload};
 
 /// A set of universe slots, packed into 64-bit words.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -61,10 +61,7 @@ impl ConfigSet {
         self.words[w] |= 1 << (i % 64);
         // Canonicalize: inserting a low slot into a set whose vector is
         // longer than its highest member must not leave a zero suffix.
-        while self.words.last() == Some(&0) {
-            self.words.pop();
-        }
-        self.assert_canonical();
+        self.trim();
     }
 
     /// Remove slot `i`.
@@ -74,6 +71,11 @@ impl ConfigSet {
             self.words[w] &= !(1 << (i % 64));
         }
         // Keep the representation canonical so Eq/Hash work.
+        self.trim();
+    }
+
+    /// Drop trailing zero words, restoring the canonical representation.
+    fn trim(&mut self) {
         while self.words.last() == Some(&0) {
             self.words.pop();
         }
@@ -117,12 +119,10 @@ impl ConfigSet {
     /// configuration that can influence that template's plan.
     pub fn intersect(&self, other: &ConfigSet) -> ConfigSet {
         let n = self.words.len().min(other.words.len());
-        let mut words: Vec<u64> = (0..n).map(|i| self.words[i] & other.words[i]).collect();
-        while words.last() == Some(&0) {
-            words.pop();
-        }
-        let out = ConfigSet { words };
-        out.assert_canonical();
+        let mut out = ConfigSet {
+            words: (0..n).map(|i| self.words[i] & other.words[i]).collect(),
+        };
+        out.trim();
         out
     }
 
@@ -148,19 +148,44 @@ impl ConfigSet {
 
     /// Iterate member slots in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let mut w = *w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, w)| word_slots(wi, *w))
     }
+
+    /// Slots in exactly one of the two sets, ascending: what a delta-cost
+    /// pricer has to look at to price `self` against `other`.
+    pub fn symmetric_difference<'s>(
+        &'s self,
+        other: &'s ConfigSet,
+    ) -> impl Iterator<Item = usize> + 's {
+        (0..self.words.len().max(other.words.len()))
+            .flat_map(move |i| word_slots(i, self.word(i) ^ other.word(i)))
+    }
+
+    /// Word `i` of the bitmap (zero past the canonical length).
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+}
+
+/// Word `wi` of the bitmap holding slots `0..n`.
+pub(crate) fn full_word(n: usize, wi: usize) -> u64 {
+    u64::MAX >> (64 - (n - wi * 64).min(64))
+}
+
+/// The slots word `wi` of a bitmap holds, ascending.
+pub(crate) fn word_slots(wi: usize, mut w: u64) -> impl Iterator<Item = usize> + Clone {
+    std::iter::from_fn(move || {
+        if w == 0 {
+            None
+        } else {
+            let b = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(wi * 64 + b)
+        }
+    })
 }
 
 /// Fingerprint of a canonical word sequence (no trailing zero word).
@@ -311,7 +336,8 @@ pub struct MctsConfig {
     /// `0` = auto-detect via `std::thread::available_parallelism`; `1` =
     /// serial. Results and all counters are byte-identical across thread
     /// counts: term misses are planned serially and only the planner work
-    /// fans out.
+    /// fans out — and only for a batch with enough missing terms to pay
+    /// for the spawns (a cold cache); a warm batch is evaluated inline.
     pub eval_threads: usize,
 }
 
@@ -562,26 +588,30 @@ pub struct MctsSearch<'a, E: CostEstimator> {
     /// prune probes, search and refinement share terms. Ignored when
     /// `decomposed_eval` is off.
     pub cost_cache: Option<&'a CostCache>,
+    /// The round's decomposed workload, when the caller has already built
+    /// one over `universe` and `workload` (the system does, once per round,
+    /// and prices its prune and refinement probes from the same one).
+    /// `None` builds one for this run. Ignored when `decomposed_eval` is
+    /// off.
+    pub delta: Option<&'a DeltaWorkload<'a>>,
 }
 
 /// Mutable evaluation state threaded through [`MctsSearch::run`]'s batch
-/// evaluator: the whole-configuration (L1) memo and its economics.
-struct EvalState {
+/// evaluator: the whole-configuration (L1) memo, its economics, and the
+/// decomposed evaluator below it.
+struct EvalState<'s, 'w, E> {
     /// L1: exact whole-`ConfigSet` → pressure-inclusive workload cost.
     l1: HashMap<ConfigSet, f64>,
     /// L1 misses (= real configuration evaluations).
     evaluations: usize,
     /// L1 hits (configurations re-costed for free).
     cache_hits: usize,
-}
-
-/// Decomposed-evaluation context: the per-template decomposition, the
-/// shared term cache (L2), its counters and the worker-thread budget.
-struct DeltaCtx<'c, 'w> {
-    delta: DeltaWorkload<'w>,
-    cache: &'c CostCache,
-    stats: CostCacheStats,
-    threads: usize,
+    /// The per-template term evaluator (L2 is its shared term cache),
+    /// pricing against the round's start configuration; `None` is the
+    /// legacy whole-workload arm.
+    pricer: Option<DeltaPricer<'s, 'w, E>>,
+    /// Buffer pressure at the round's (fixed) heap size.
+    pressure: PressureModel,
 }
 
 impl<'a, E: CostEstimator> MctsSearch<'a, E> {
@@ -599,11 +629,12 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
 
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ tree.round());
 
-        // Term-level (L2) cache for the decomposed evaluator: shared when
-        // the caller passed one (the system's round-persistent cache),
+        // Term-level (L2) cache and decomposition for the decomposed
+        // evaluator: shared when the caller passed them (the system's
+        // round-persistent cache, the round's one `DeltaWorkload`),
         // otherwise private to this run.
-        let local_cache;
-        let delta_ctx: Option<DeltaCtx<'_, '_>> = if self.config.decomposed_eval {
+        let (local_cache, local_delta);
+        let pricer = if self.config.decomposed_eval {
             let cache = match self.cost_cache {
                 Some(c) => c,
                 None => {
@@ -611,21 +642,30 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                     &local_cache
                 }
             };
-            Some(DeltaCtx {
-                delta: DeltaWorkload::new(self.universe, self.workload),
+            let delta = match self.delta {
+                Some(d) => d,
+                None => {
+                    local_delta = DeltaWorkload::new(self.universe, self.workload);
+                    &local_delta
+                }
+            };
+            Some(DeltaPricer::new(
+                delta,
+                self.db,
+                self.estimator,
+                self.universe,
                 cache,
-                stats: CostCacheStats::bind(metrics),
-                threads: crate::greedy::resolve_threads(self.config.eval_threads),
-            })
+                crate::greedy::resolve_threads(self.config.eval_threads),
+            ))
         } else {
             None
         };
-        let delta_ctx = delta_ctx.as_ref();
-
         let mut st = EvalState {
             l1: HashMap::new(),
             evaluations: 0,
             cache_hits: 0,
+            pricer,
+            pressure: self.db.pressure_model(),
         };
 
         let base = self.eval_batch(
@@ -633,9 +673,14 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
             &mut st,
             &m_cache_hits,
             &m_cache_misses,
-            delta_ctx,
         );
         let (baseline_cost, root_cost) = (base[0], base[1]);
+        // Everything the search prices from here on is a few actions away
+        // from `start`, which is what that batch priced last (or, being
+        // equal to `existing`, only).
+        if let Some(p) = &mut st.pricer {
+            p.rebase();
+        }
         let root_config = self.start.clone();
         let root = tree.node_for(root_config.clone());
 
@@ -650,6 +695,8 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
         let mut best_cost = root_cost.min(baseline_cost);
         let mut since_improvement = 0usize;
         let mut iterations = 0usize;
+        let masks = self.action_masks();
+        let mut legal: Vec<u64> = Vec::new();
 
         for _ in 0..self.config.iterations {
             iterations += 1;
@@ -719,9 +766,14 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
             batch.push(tree.nodes[current].config.clone());
             for _ in 0..self.config.rollouts {
                 m_rollouts.incr();
-                batch.push(self.random_descendant(&tree.nodes[current].config, &mut rng));
+                batch.push(self.random_descendant(
+                    &tree.nodes[current].config,
+                    &mut rng,
+                    &masks,
+                    &mut legal,
+                ));
             }
-            let costs = self.eval_batch(&batch, &mut st, &m_cache_hits, &m_cache_misses, delta_ctx);
+            let costs = self.eval_batch(&batch, &mut st, &m_cache_hits, &m_cache_misses);
             let node_cost = costs[0];
             let mut best_local = node_cost;
             for (cfg, &c) in batch[1..].iter().zip(&costs[1..]) {
@@ -779,41 +831,37 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
     /// the first occurrence of an uncached configuration is a miss,
     /// repeats (within the batch or already in L1) are hits. In legacy
     /// mode every L1 miss replans the whole workload; in decomposed mode
-    /// only the *missing per-template terms* are planned — serially or on
-    /// scoped worker threads — and the per-configuration sums are
-    /// reassembled serially in term order, so costs, counters, RNG and
-    /// recommendations are byte-identical across modes and thread counts
-    /// (regression- and property-tested).
+    /// [`DeltaPricer::price_batch`] looks up only the terms an L1 miss
+    /// moved against the start configuration and plans only the missing
+    /// ones, so costs, counters, RNG and recommendations are byte-identical
+    /// across modes and thread counts (regression- and property-tested).
     fn eval_batch(
         &self,
         batch: &[ConfigSet],
-        st: &mut EvalState,
+        st: &mut EvalState<'_, '_, E>,
         m_hits: &Counter,
         m_misses: &Counter,
-        delta: Option<&DeltaCtx<'_, '_>>,
     ) -> Vec<f64> {
         let mut out = vec![0.0f64; batch.len()];
         let mut pending: Vec<usize> = Vec::new();
-        let mut dup_of: Vec<Option<usize>> = vec![None; batch.len()];
-        let mut first: HashMap<&ConfigSet, usize> = HashMap::new();
+        let mut dups: Vec<(usize, usize)> = Vec::new();
         for (i, cfg) in batch.iter().enumerate() {
             if let Some(&c) = st.l1.get(cfg) {
                 st.cache_hits += 1;
                 m_hits.incr();
                 out[i] = c;
-            } else if let Some(&j) = first.get(cfg) {
+            } else if let Some(&j) = pending.iter().find(|&&j| batch[j] == *cfg) {
                 st.cache_hits += 1;
                 m_hits.incr();
-                dup_of[i] = Some(j);
+                dups.push((i, j));
             } else {
                 st.evaluations += 1;
                 m_misses.incr();
-                first.insert(cfg, i);
                 pending.push(i);
             }
         }
 
-        match delta {
+        match &mut st.pricer {
             None => {
                 // Legacy whole-configuration evaluation (the A/B reference
                 // arm): every L1 miss replans the entire workload.
@@ -836,97 +884,11 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                     out[i] = cost;
                 }
             }
-            Some(ctx) => {
-                // Phase A (serial): plan term lookups. The first
-                // occurrence of a missing `(template, projection)` term is
-                // a miss and gets scheduled; repeats — within the batch or
-                // already cached — are hits. Totals equal what sequential
-                // `DeltaWorkload::cost` calls would have produced.
-                struct Job<'w> {
-                    key: CacheKey,
-                    proj: ConfigSet,
-                    shape: &'w QueryShape,
-                }
-                let mut jobs: Vec<Job<'_>> = Vec::new();
-                let mut scheduled: HashSet<CacheKey> = HashSet::new();
-                let mut term_plan: Vec<Vec<(CacheKey, f64)>> = Vec::with_capacity(pending.len());
-                for &i in &pending {
+            Some(pricer) => {
+                let sums = pricer.price_batch(pending.iter().map(|&i| &batch[i]));
+                for (&i, sum) in pending.iter().zip(sums) {
                     let cfg = &batch[i];
-                    let mut plan = Vec::with_capacity(ctx.delta.terms().len());
-                    for t in ctx.delta.terms() {
-                        let key = DeltaWorkload::term_key(t, cfg);
-                        if ctx.cache.get(&key).is_some() || scheduled.contains(&key) {
-                            ctx.stats.hits.incr();
-                        } else {
-                            ctx.stats.misses.incr();
-                            scheduled.insert(key);
-                            jobs.push(Job {
-                                key,
-                                proj: cfg.intersect(&t.mask),
-                                shape: t.shape,
-                            });
-                        }
-                        plan.push((key, t.weight));
-                    }
-                    term_plan.push(plan);
-                }
-
-                // Phase B: evaluate the missing terms — the only planner
-                // work — serially or fanned out over scoped threads (the
-                // `rank_candidates_parallel` pattern). The estimator is
-                // deterministic, so values are identical either way.
-                let values: Vec<f64> = if ctx.threads > 1 && jobs.len() > 1 {
-                    let chunk = jobs.len().div_ceil(ctx.threads);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = jobs
-                            .chunks(chunk)
-                            .map(|part| {
-                                s.spawn(move || {
-                                    part.iter()
-                                        .map(|j| {
-                                            self.estimator.shape_cost(
-                                                self.db,
-                                                j.shape,
-                                                self.universe.config_defs(&j.proj),
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("eval worker panicked"))
-                            .collect()
-                    })
-                } else {
-                    jobs.iter()
-                        .map(|j| {
-                            self.estimator.shape_cost(
-                                self.db,
-                                j.shape,
-                                self.universe.config_defs(&j.proj),
-                            )
-                        })
-                        .collect()
-                };
-                for (j, v) in jobs.iter().zip(values) {
-                    ctx.cache.insert(j.key, v);
-                }
-
-                // Phase C (serial): reassemble per-configuration sums in
-                // term order and apply the buffer-pressure multiplier to
-                // the sum — the same FP operations in the same order as
-                // the naive evaluator, hence bitwise-equal costs.
-                for (&i, plan) in pending.iter().zip(&term_plan) {
-                    let cfg = &batch[i];
-                    let sum: f64 = plan
-                        .iter()
-                        .map(|(key, w)| ctx.cache.get(key).expect("term computed above") * *w)
-                        .sum();
-                    let pressure = self
-                        .db
-                        .pressure_for_index_bytes(self.universe.config_size(cfg));
+                    let pressure = st.pressure.for_index_bytes(self.universe.config_size(cfg));
                     let cost = sum * pressure;
                     st.l1.insert(cfg.clone(), cost);
                     out[i] = cost;
@@ -934,10 +896,8 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
             }
         }
 
-        for i in 0..batch.len() {
-            if let Some(j) = dup_of[i] {
-                out[i] = out[j];
-            }
+        for (i, j) in dups {
+            out[i] = out[j];
         }
         out
     }
@@ -989,24 +949,111 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
         c
     }
 
-    /// A random descendant configuration within the budget.
-    fn random_descendant(&self, config: &ConfigSet, rng: &mut StdRng) -> ConfigSet {
+    /// The search's fixed slot bitmaps, one word per 64 universe slots.
+    fn action_masks(&self) -> ActionMasks {
+        let n = self.universe.len();
+        let words = 0..n.div_ceil(64);
+        ActionMasks {
+            universe: words.clone().map(|i| full_word(n, i)).collect(),
+            removable: words
+                .map(|i| self.existing.word(i) & !self.protected.word(i))
+                .collect(),
+        }
+    }
+
+    /// [`MctsSearch::legal_actions`] as a slot bitmap, without the list:
+    /// `(config ∧ existing ∧ ¬protected) ∨ (¬config ∧ fits-budget)`, a set
+    /// bit standing for the one action legal on its slot. `config` is
+    /// padded to the universe's word count and weighs `size` bytes.
+    /// Returns the number of legal actions.
+    fn legal_slots(
+        &self,
+        masks: &ActionMasks,
+        config: &[u64],
+        size: u64,
+        legal: &mut Vec<u64>,
+    ) -> usize {
+        legal.clear();
+        let mut count = 0;
+        for (wi, &c) in config.iter().enumerate() {
+            let mut addable = !c & masks.universe[wi];
+            if let Some(b) = self.budget {
+                for slot in word_slots(wi, addable) {
+                    if size + self.universe.size(slot) > b {
+                        addable &= !(1 << (slot % 64));
+                    }
+                }
+            }
+            let w = (c & masks.removable[wi]) | addable;
+            count += w.count_ones() as usize;
+            legal.push(w);
+        }
+        count
+    }
+
+    /// A random descendant configuration within the budget. Each step
+    /// draws one index below the number of legal actions and applies the
+    /// action at that rank in slot order — what picking from
+    /// `legal_actions` does, without materialising it.
+    fn random_descendant(
+        &self,
+        config: &ConfigSet,
+        rng: &mut StdRng,
+        masks: &ActionMasks,
+        legal: &mut Vec<u64>,
+    ) -> ConfigSet {
         let mut c = config.clone();
+        // Padded (non-canonical) while the walk toggles bits in place.
+        c.words.resize(masks.universe.len(), 0);
+        let mut size = match self.budget {
+            Some(_) => self.universe.config_size(config),
+            None => 0, // never read
+        };
         for _ in 0..self.config.rollout_depth {
-            let actions = self.legal_actions(&c);
-            if actions.is_empty() {
+            let n = self.legal_slots(masks, &c.words, size, legal);
+            if n == 0 {
                 break;
             }
-            let a = actions[rng.random_range(0..actions.len())];
-            c = self.apply(&c, a);
+            let slot = select_slot(legal, rng.random_range(0..n));
+            let bit = 1u64 << (slot % 64);
+            if self.budget.is_some() {
+                size = if c.words[slot / 64] & bit != 0 {
+                    size - self.universe.size(slot)
+                } else {
+                    size + self.universe.size(slot)
+                };
+            }
+            c.words[slot / 64] ^= bit;
             // Bias rollouts toward stopping early part of the time so
             // shallow descendants are sampled too.
             if rng.random_bool(0.35) {
                 break;
             }
         }
+        c.trim();
         c
     }
+}
+
+/// Slot bitmaps that stay fixed for one search (see
+/// [`MctsSearch::legal_slots`]).
+struct ActionMasks {
+    /// Every universe slot.
+    universe: Vec<u64>,
+    /// `existing ∧ ¬protected`: the slots a configuration may lose.
+    removable: Vec<u64>,
+}
+
+/// The slot of the `k`-th set bit of a bitmap (`k` below its popcount).
+fn select_slot(words: &[u64], mut k: usize) -> usize {
+    for (wi, &w) in words.iter().enumerate() {
+        let ones = w.count_ones() as usize;
+        if k < ones {
+            return word_slots(wi, w).nth(k).expect("k < popcount of w");
+        }
+        k -= ones;
+    }
+    unreachable!("k is below the bitmap's popcount")
 }
 
 #[cfg(test)]
@@ -1154,6 +1201,7 @@ mod tests {
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
             cost_cache: None,
+            delta: None,
         };
         let out = search.run(&mut tree);
         assert!(out.best_config.contains(slots[0]), "must pick t(a)");
@@ -1193,6 +1241,7 @@ mod tests {
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
             cost_cache: None,
+            delta: None,
         };
         let out = search.run(&mut tree);
         assert!(u.config_size(&out.best_config) <= one + one / 2);
@@ -1223,6 +1272,7 @@ mod tests {
             protected: ConfigSet::default(),
             start: existing.clone(),
             cost_cache: None,
+            delta: None,
         };
         let out = search.run(&mut tree);
         assert!(
@@ -1254,9 +1304,129 @@ mod tests {
             protected: existing.clone(),
             start: existing.clone(),
             cost_cache: None,
+            delta: None,
         };
         let out = search.run(&mut tree);
         assert!(out.best_config.contains(slots[0]));
+    }
+
+    /// The rollout step as it was before the bitmap: list the legal
+    /// actions, draw one, apply it to a copy.
+    fn random_descendant_by_list<E: CostEstimator>(
+        search: &MctsSearch<'_, E>,
+        config: &ConfigSet,
+        rng: &mut StdRng,
+    ) -> ConfigSet {
+        let mut c = config.clone();
+        for _ in 0..search.config.rollout_depth {
+            let actions = search.legal_actions(&c);
+            if actions.is_empty() {
+                break;
+            }
+            let a = actions[rng.random_range(0..actions.len())];
+            c = search.apply(&c, a);
+            if rng.random_bool(0.35) {
+                break;
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn bitmap_pick_is_the_kth_legal_action_and_one_draw() {
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::{prop_assert, prop_assert_eq};
+        let db = db();
+        let est = NativeCostEstimator;
+        property(
+            "bitmap_pick_is_the_kth_legal_action_and_one_draw",
+            PropConfig::default(),
+            |rng, _size| {
+                // Universe sizes on and around the 64-slot word edges.
+                let n = match rng.random_range(0usize..4) {
+                    0 => 1 + rng.random_range(0usize..3),
+                    1 => 63 + rng.random_range(0usize..3),
+                    2 => 127 + rng.random_range(0usize..3),
+                    _ => 1 + rng.random_range(0usize..200),
+                };
+                let mut u = Universe::new();
+                for i in 0..n {
+                    u.intern(&IndexDef::new(format!("g{i}"), &["x"]));
+                }
+                for s in &mut u.sizes {
+                    *s = rng.random_range(1u64..100);
+                }
+                let density = [0.0, 0.1, 0.5, 1.0][rng.random_range(0usize..4)];
+                let existing: ConfigSet = (0..n).filter(|_| rng.random_bool(density)).collect();
+                let protected: ConfigSet =
+                    existing.iter().filter(|_| rng.random_bool(0.3)).collect();
+                // A descendant-shaped configuration: some existing slots
+                // gone, some candidates added.
+                let config: ConfigSet = (0..n)
+                    .filter(|&s| {
+                        if existing.contains(s) {
+                            protected.contains(s) || rng.random_bool(0.8)
+                        } else {
+                            rng.random_bool(0.2)
+                        }
+                    })
+                    .collect();
+                let size = u.config_size(&config);
+                let budget = match rng.random_range(0usize..4) {
+                    0 => None,
+                    1 => Some(0),
+                    2 => Some(size + rng.random_range(0u64..120)), // tight
+                    _ => Some(size + 100 * n as u64),              // loose
+                };
+                let search = MctsSearch {
+                    universe: &u,
+                    estimator: &est,
+                    db: &db,
+                    workload: &[],
+                    config: MctsConfig {
+                        rollout_depth: rng.random_range(1usize..6),
+                        ..MctsConfig::default()
+                    },
+                    budget,
+                    existing,
+                    protected,
+                    start: config.clone(),
+                    cost_cache: None,
+                    delta: None,
+                };
+
+                let masks = search.action_masks();
+                let actions = search.legal_actions(&config);
+                let mut words = config.words.clone();
+                words.resize(masks.universe.len(), 0);
+                let mut legal = Vec::new();
+                let count = search.legal_slots(&masks, &words, size, &mut legal);
+                prop_assert_eq!(count, actions.len());
+                for (k, action) in actions.iter().enumerate() {
+                    let slot = select_slot(&legal, k);
+                    let picked = if config.contains(slot) {
+                        Action::Remove(slot)
+                    } else {
+                        Action::Add(slot)
+                    };
+                    prop_assert_eq!(picked, *action, "rank {k} of {count}");
+                }
+
+                // Whole rollouts: the same descendant from the same draws.
+                for _ in 0..4 {
+                    let mut by_list = rng.clone();
+                    let want = random_descendant_by_list(&search, &config, &mut by_list);
+                    let got = search.random_descendant(&config, rng, &masks, &mut legal);
+                    got.assert_canonical();
+                    prop_assert_eq!(&got, &want);
+                    prop_assert!(*rng == by_list, "rollouts consumed different draws");
+                    if let Some(b) = budget {
+                        prop_assert!(u.config_size(&got) <= b.max(size));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -1281,6 +1451,7 @@ mod tests {
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
             cost_cache: None,
+            delta: None,
         };
         let o1 = s1.run(&mut tree);
         let nodes_after_1 = tree.len();
@@ -1316,6 +1487,7 @@ mod tests {
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
             cost_cache: None,
+            delta: None,
         };
         let out = search.run(&mut tree);
         assert!(out.best_config.is_empty());
@@ -1345,6 +1517,7 @@ mod tests {
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
             cost_cache: None,
+            delta: None,
         };
         let out = search.run(&mut tree);
         assert_eq!(out.baseline_cost, 0.0);
@@ -1429,6 +1602,7 @@ mod tests {
                 protected: ConfigSet::default(),
                 start: ConfigSet::default(),
                 cost_cache: None,
+                delta: None,
             }
             .run(&mut tree)
         };

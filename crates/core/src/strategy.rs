@@ -27,15 +27,15 @@
 
 use crate::bandit::ArmChoice;
 use crate::candgen::{CandidateGenerator, CandidateStats};
-use crate::delta::DeltaWorkload;
+use crate::delta::{DeltaPricer, DeltaWorkload};
 use crate::error::AutoIndexError;
 use crate::greedy::{greedy_select, GreedyConfig};
 use crate::mcts::{ConfigSet, MctsSearch, PolicyTree, Universe};
 use crate::system::{AutoIndexConfig, Recommendation};
-use autoindex_estimator::cost_cache::{CostCache, CostCacheStats};
+use autoindex_estimator::cost_cache::CostCache;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
-use autoindex_storage::SimDb;
+use autoindex_storage::{PressureModel, SimDb};
 use std::time::{Duration, Instant};
 
 /// Which tuning strategy a round runs. Carried by
@@ -369,41 +369,31 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // mutually-redundant pairs: once one copy is gone, the survivor is
         // no longer removable for free.
         //
-        // `priced` goes through the same per-template term cache as the
-        // search (when the decomposed evaluator is enabled), so the prune
+        // With the decomposed evaluator on, the probes go through the same
+        // per-template term cache as the search and are priced by what
+        // changed against the last accepted configuration, so the prune
         // probes, the MCTS leaves and the refinement hill-climb all share
         // what-if work — bitwise-identically to the naive evaluator.
-        let extra_evals = std::cell::Cell::new(0usize);
         let delta = ctx
             .config
             .mcts
             .decomposed_eval
             .then(|| DeltaWorkload::new(&self.universe, workload));
-        let cache_stats = CostCacheStats::bind(db.metrics());
-        let priced = |cfg: &ConfigSet| {
-            extra_evals.set(extra_evals.get() + 1);
-            let pressure = db.pressure_for_index_bytes(self.universe.config_size(cfg));
-            match &delta {
-                Some(dw) => {
-                    dw.cost(
-                        db,
-                        ctx.estimator,
-                        &self.universe,
-                        cfg,
-                        &self.cost_cache,
-                        &cache_stats,
-                    ) * pressure
-                }
-                None => {
-                    ctx.estimator
-                        .workload_cost(db, workload, self.universe.config_defs(cfg))
-                        * pressure
-                }
-            }
+        let mut probe = Probe {
+            db,
+            pressure: db.pressure_model(),
+            estimator: ctx.estimator,
+            universe: &self.universe,
+            workload,
+            pricer: delta.as_ref().map(|dw| {
+                DeltaPricer::new(dw, db, ctx.estimator, &self.universe, &self.cost_cache, 1)
+            }),
+            evals: 0,
         };
         let mut start_set = existing_set.clone();
         if let Some(eps) = ctx.config.prune_epsilon {
-            let mut base = priced(&start_set);
+            let mut base = probe.price(&start_set);
+            probe.accept();
             // Least-used first: zero-scan indexes are the cheapest wins.
             let mut order: Vec<(u64, usize)> = db
                 .indexes()
@@ -419,8 +409,9 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             for (_, slot) in order {
                 let mut trial = start_set.clone();
                 trial.remove(slot);
-                let c = priced(&trial);
+                let c = probe.price(&trial);
                 if c <= base * (1.0 + eps) {
+                    probe.accept();
                     start_set = trial;
                     base = c;
                 }
@@ -440,6 +431,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             protected,
             start: start_set,
             cost_cache: Some(&self.cost_cache),
+            delta: delta.as_ref(),
         };
         let outcome = search.run(&mut self.tree);
 
@@ -449,7 +441,8 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // expectation", §IV-B Remark) guarantees no individually-profitable
         // candidate is left on the table.
         let mut best_config = outcome.best_config.clone();
-        let mut best_cost = priced(&best_config);
+        let mut best_cost = probe.price(&best_config);
+        probe.accept();
         for _ in 0..2 {
             let mut changed = false;
             for slot in 0..self.universe.len() {
@@ -463,12 +456,13 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                 }
                 let mut trial = best_config.clone();
                 trial.insert(slot);
-                let c = priced(&trial);
+                let c = probe.price(&trial);
                 // An addition needs a strict improvement (beyond float
                 // noise). Because removals tolerate zero regression, any
                 // strictly profitable addition cannot be flip-flopped away
                 // by a later prune pass while the estimates stand still.
                 if c < best_cost * (1.0 - 1e-6) {
+                    probe.accept();
                     best_config = trial;
                     best_cost = c;
                     changed = true;
@@ -494,15 +488,16 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                 }
                 let mut trial = best_config.clone();
                 trial.insert(slot);
-                let c = priced(&trial);
+                let c = probe.price(&trial);
                 if c <= best_cost * (1.0 + 1e-9) {
+                    probe.accept();
                     best_config = trial;
                     best_cost = c.min(best_cost);
                 }
             }
         }
 
-        let baseline_cost = priced(&existing_set);
+        let baseline_cost = probe.price(&existing_set);
 
         // Truthful round telemetry: real candidate count, real estimator
         // evaluation counts (search cache misses + every `priced` probe the
@@ -510,7 +505,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // these into the `TuningReport` instead of hardcoded zeros.
         let stats = RoundStats {
             candidates_generated: candidates.len(),
-            evaluations: outcome.evaluations + extra_evals.get(),
+            evaluations: outcome.evaluations + probe.evals,
             search_evaluations: outcome.evaluations,
             cache_hits: outcome.cache_hits,
             search_time: outcome.elapsed,
@@ -563,6 +558,47 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             stats,
             tree_nodes: self.tree.len(),
             arms: Vec::new(),
+        }
+    }
+}
+
+/// Prices the configurations [`MctsStrategy::propose`] probes outside the
+/// search — prune trials, refinement trials, the baseline — inclusive of
+/// buffer pressure, and counts them.
+struct Probe<'a, 'w, E> {
+    db: &'a SimDb,
+    /// Buffer pressure at the round's (fixed) heap size.
+    pressure: PressureModel,
+    estimator: &'a E,
+    universe: &'a Universe,
+    workload: &'a TemplateWorkload,
+    /// The decomposed evaluator; `None` replans the whole workload per
+    /// probe (`decomposed_eval = false`).
+    pricer: Option<DeltaPricer<'a, 'w, E>>,
+    evals: usize,
+}
+
+impl<E: CostEstimator> Probe<'_, '_, E> {
+    fn price(&mut self, cfg: &ConfigSet) -> f64 {
+        self.evals += 1;
+        let pressure = self
+            .pressure
+            .for_index_bytes(self.universe.config_size(cfg));
+        let sum = match &mut self.pricer {
+            Some(p) => p.price(cfg),
+            None => {
+                self.estimator
+                    .workload_cost(self.db, self.workload, self.universe.config_defs(cfg))
+            }
+        };
+        sum * pressure
+    }
+
+    /// The configuration priced last was accepted: later probes are its
+    /// neighbours, so it becomes what they are priced against.
+    fn accept(&mut self) {
+        if let Some(p) = &mut self.pricer {
+            p.rebase();
         }
     }
 }

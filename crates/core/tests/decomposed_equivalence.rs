@@ -76,6 +76,7 @@ fn run_search(
         protected: ConfigSet::default(),
         start: existing,
         cost_cache: None,
+        delta: None,
     };
     let out = search.run(&mut tree);
     (out, db.metrics().counter_value("db.whatif_calls"))
@@ -156,4 +157,163 @@ fn system_recommendations_identical_across_eval_modes() {
         legacy.est_cost_after.to_bits(),
         fast.est_cost_after.to_bits()
     );
+}
+
+/// The shape of the `wide_serve` benchmark: one or two templates on each
+/// of 120 banking tables (reads, plus a write on every tenth), starting
+/// from all 263 DBA indexes. `round` rotates the filtered columns and the
+/// weights, so every round brings new candidates into the universe.
+fn wide_workload(db: &SimDb, round: u64) -> Vec<(QueryShape, u64)> {
+    let mut tables: Vec<_> = db.catalog().tables().collect();
+    tables.sort_by(|a, b| a.name.cmp(&b.name));
+    tables.retain(|t| t.rows <= 1_000_000 && t.columns.len() >= 2);
+    tables.truncate(120);
+    assert!(tables.len() >= 100, "{} wide tables", tables.len());
+    let mut sqls = Vec::new();
+    for (i, t) in tables.iter().enumerate() {
+        let name = &t.name;
+        let r = round as usize;
+        let a = &t.columns[(i + r) % t.columns.len()].name;
+        let b = &t.columns[(i + r + 1) % t.columns.len()].name;
+        sqls.push(format!("SELECT * FROM {name} WHERE {a} = 7"));
+        match i % 10 {
+            0 => sqls.push(format!("UPDATE {name} SET {b} = 1 WHERE {a} = 7")),
+            1..=3 => sqls.push(format!(
+                "SELECT {a}, {b} FROM {name} WHERE {a} = 7 AND {b} > 3"
+            )),
+            _ => {}
+        }
+    }
+    sqls.iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let shape = QueryShape::extract(&parse_statement(q).unwrap(), db.catalog());
+            (shape, 1 + (i as u64 * 7 + round * 13) % 29)
+        })
+        .collect()
+}
+
+/// What one tuning round reported, reduced to what must not depend on the
+/// evaluator: the recommendation with its cost bits, and the evaluation
+/// economics of the search and the probes around it.
+#[derive(Debug, PartialEq)]
+struct RoundFacts {
+    add: Vec<String>,
+    remove: Vec<String>,
+    cost_bits: (u64, u64),
+    evaluations: usize,
+    search_evaluations: usize,
+    eval_cache_hits: usize,
+    tree_nodes: usize,
+}
+
+/// Three applied rounds over one advisor — one persistent `MctsStrategy`:
+/// universe, policy tree and term cache carry over — returning each
+/// round's facts and its `(db.whatif_calls, cost-cache misses, looked-up
+/// terms, carried terms)`.
+fn three_wide_rounds(
+    decomposed: bool,
+    prune: bool,
+    budgeted: bool,
+) -> Vec<(RoundFacts, [u64; 4], usize)> {
+    let mut db = SimDb::with_metrics(
+        banking::catalog(),
+        SimDbConfig::default(),
+        MetricsRegistry::new(),
+    );
+    let mut dba_bytes = 0;
+    for d in banking::dba_indexes() {
+        dba_bytes += db.index_size_bytes(&d).unwrap();
+        db.create_index(d).unwrap();
+    }
+    let mut cfg = AutoIndexConfig::default();
+    cfg.mcts.iterations = 25;
+    cfg.mcts.seed = 3;
+    cfg.mcts.decomposed_eval = decomposed;
+    cfg.prune_epsilon = prune.then_some(0.0);
+    // Room for a handful of additions, not for all of them — measured
+    // from where the additions start, which the prune pass moves.
+    let room = if prune {
+        dba_bytes / 6
+    } else {
+        dba_bytes + (8 << 20)
+    };
+    cfg.storage_budget = budgeted.then_some(room);
+    let mut ai = AutoIndex::new(cfg, NativeCostEstimator);
+    (0..3)
+        .map(|round| {
+            let workload = wide_workload(&db, round);
+            let count = |name: &str| db.metrics().counter_value(name);
+            let names = [
+                "db.whatif_calls",
+                "estimator.cost_cache.misses",
+                "delta.terms.looked_up",
+                "delta.terms.carried",
+            ];
+            let before = names.map(count);
+            let report = ai
+                .session(&mut db)
+                .workload(&workload)
+                .run()
+                .unwrap()
+                .report;
+            let count = |name: &str| db.metrics().counter_value(name);
+            let after = names.map(count);
+            let rec = &report.recommendation;
+            let facts = RoundFacts {
+                add: rec.add.iter().map(|d| d.key()).collect(),
+                remove: rec.remove.iter().map(|d| d.key()).collect(),
+                cost_bits: (rec.est_cost_before.to_bits(), rec.est_cost_after.to_bits()),
+                evaluations: report.evaluations,
+                search_evaluations: report.search_evaluations,
+                eval_cache_hits: report.eval_cache_hits,
+                tree_nodes: report.tree_nodes,
+            };
+            let mut delta = [0; 4];
+            for i in 0..4 {
+                delta[i] = after[i] - before[i];
+            }
+            (facts, delta, workload.len())
+        })
+        .collect()
+}
+
+#[test]
+fn three_wide_rounds_are_identical_across_eval_modes() {
+    for (prune, budgeted) in [(true, false), (false, false), (true, true), (false, true)] {
+        let legacy = three_wide_rounds(false, prune, budgeted);
+        let fast = three_wide_rounds(true, prune, budgeted);
+        let mut acted = false;
+        for (round, (l, f)) in legacy.iter().zip(&fast).enumerate() {
+            let case = format!("prune={prune} budgeted={budgeted} round={round}");
+            assert_eq!(l.0, f.0, "{case}");
+            acted |= !f.0.add.is_empty() || !f.0.remove.is_empty();
+            let terms = f.2 as u64;
+            let [whatif_legacy, ..] = l.1;
+            let [whatif, misses, looked_up, carried] = f.1;
+            // The oracle replans the whole workload per evaluation; the
+            // decomposed evaluator plans exactly its cache misses.
+            assert_eq!(whatif_legacy, l.0.evaluations as u64 * terms, "{case}");
+            assert_eq!(whatif, misses, "{case}");
+            assert!(
+                whatif * 10 <= whatif_legacy,
+                "{case}: {whatif} vs {whatif_legacy}"
+            );
+            // Every priced configuration accounts for every term, and on
+            // this shape almost all of them are carried.
+            assert_eq!(
+                looked_up + carried,
+                f.0.evaluations as u64 * terms,
+                "{case}"
+            );
+            assert!(
+                looked_up * 10 <= carried,
+                "{case}: {looked_up} vs {carried}"
+            );
+        }
+        assert!(
+            acted,
+            "prune={prune} budgeted={budgeted}: no round changed anything"
+        );
+    }
 }

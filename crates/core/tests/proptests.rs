@@ -161,6 +161,7 @@ fn mcts_never_regresses_and_respects_budget() {
                 protected: ConfigSet::default(),
                 start: ConfigSet::default(),
                 cost_cache: None,
+                delta: None,
             };
             let out = search.run(&mut tree);
             prop_assert!(
@@ -231,18 +232,42 @@ fn config_set_eq_hash_consistent_under_any_op_sequence() {
     );
 }
 
-/// The decomposed delta-cost engine (PR 3 tentpole) is *bitwise* exact:
-/// for random catalogs, workloads (reads and writes) and add/remove
-/// configuration walks, `DeltaWorkload::cost` through a shared
-/// [`autoindex_estimator::CostCache`] equals the naive whole-workload
-/// evaluation bit for bit — and still does after an epoch invalidation
-/// (the decay / statistics-refresh analogue) rebuilds the cache from
-/// scratch. The def-domain [`CachedCostEstimator`] is held to the same
-/// standard on the same walk.
+/// Records every `shape_cost` call — template and configuration — in
+/// order: the what-if call sequence an evaluator produced.
+struct Recording {
+    calls: std::sync::Mutex<Vec<(usize, Vec<String>)>>,
+}
+
+impl autoindex_estimator::CostEstimator for Recording {
+    fn shape_cost<'a>(
+        &self,
+        db: &SimDb,
+        shape: &QueryShape,
+        config: impl autoindex_storage::IndexConfig<'a>,
+    ) -> f64 {
+        self.calls.lock().unwrap().push((
+            shape as *const QueryShape as usize,
+            config.clone().into_iter().map(|d| d.key()).collect(),
+        ));
+        NativeCostEstimator.shape_cost(db, shape, config)
+    }
+}
+
+/// The decomposed delta-cost engine is *bitwise* exact, whatever it is
+/// priced against: for random catalogs, workloads (reads and writes),
+/// reference configurations and targets — equal to the reference,
+/// differing from it on every table, and random walks in between —
+/// pricing relative to a reference equals the same pricer's full pass
+/// (no reference) equals `naive_workload_cost` bit for bit, with the same
+/// `estimator.cost_cache.{hits,misses}` totals and the same what-if calls
+/// in the same order. It still does after an epoch invalidation (the
+/// decay / statistics-refresh analogue) empties the cache. The def-domain
+/// [`CachedCostEstimator`] is held to the same standard on the same walk.
 #[test]
 fn delta_cost_bitwise_equals_naive_across_random_configs() {
-    use autoindex_core::DeltaWorkload;
-    use autoindex_estimator::{CachedCostEstimator, CostCache, CostCacheStats, CostEstimator};
+    use autoindex_core::{DeltaPricer, DeltaWorkload};
+    use autoindex_estimator::cost_cache::naive_workload_cost;
+    use autoindex_estimator::{CachedCostEstimator, CostCache, CostEstimator};
     use autoindex_support::obs::MetricsRegistry;
 
     property(
@@ -264,7 +289,10 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                 cat.add_table(tb.build().unwrap());
                 tables.push((name, ncols));
             }
-            let db = SimDb::with_metrics(cat, SimDbConfig::default(), MetricsRegistry::new());
+            // One database per evaluator: each counts on its own registry.
+            let new_db =
+                || SimDb::with_metrics(cat.clone(), SimDbConfig::default(), MetricsRegistry::new());
+            let (db, db_full, db_rel) = (new_db(), new_db(), new_db());
 
             // Random workload: point/OR selects plus inserts (maintenance
             // costs must decompose too), with random repetition weights.
@@ -304,15 +332,33 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
             universe.refresh_sizes(&db);
 
             let est = NativeCostEstimator;
-            let cache = CostCache::new();
-            let stats = CostCacheStats::bind(db.metrics());
+            let new_rec = || Recording {
+                calls: std::sync::Mutex::new(Vec::new()),
+            };
+            let (rec_full, rec_rel) = (new_rec(), new_rec());
+            let (cache_full, cache_rel) = (CostCache::new(), CostCache::new());
             let dw = DeltaWorkload::new(&universe, &shapes);
+            let mut full = DeltaPricer::new(&dw, &db_full, &rec_full, &universe, &cache_full, 1);
+            let mut rel = DeltaPricer::new(&dw, &db_rel, &rec_rel, &universe, &cache_rel, 1);
             let def_cache = CostCache::new();
             let cached_est = CachedCostEstimator::new(&est, &def_cache, db.metrics());
 
-            // Random add/remove walk over universe slots; every visited
-            // configuration must price identically on all three paths.
-            let mut config = ConfigSet::default();
+            let random_config = |rng: &mut StdRng| -> ConfigSet {
+                (0..universe.len())
+                    .filter(|_| rng.random_bool(0.5))
+                    .collect()
+            };
+            // A random reference; then the reference itself again (differs
+            // on no table), its complement (differs on every table that has
+            // a slot), and a random add/remove walk the reference follows
+            // part of the time.
+            let reference = random_config(rng);
+            let complement: ConfigSet = (0..universe.len())
+                .filter(|s| !reference.contains(*s))
+                .collect();
+            let mut targets = vec![(reference.clone(), true), (reference.clone(), false)];
+            targets.push((complement, rng.random_bool(0.5)));
+            let mut config = random_config(rng);
             for _ in 0..rng.random_range(1usize..20) {
                 let slot = rng.random_range(0usize..universe.len());
                 if config.contains(slot) {
@@ -320,28 +366,65 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                 } else {
                     config.insert(slot);
                 }
-                let defs: Vec<IndexDef> = universe.config_defs(&config).cloned().collect();
-                let naive = est.workload_cost(&db, &shapes, &defs);
-                let fast = dw.cost(&db, &est, &universe, &config, &cache, &stats);
-                prop_assert_eq!(naive.to_bits(), fast.to_bits());
+                targets.push((config.clone(), rng.random_bool(0.3)));
+            }
+
+            let check = |config: &ConfigSet,
+                         follow: bool,
+                         full: &mut DeltaPricer<'_, '_, Recording>,
+                         rel: &mut DeltaPricer<'_, '_, Recording>|
+             -> Result<(), String> {
+                let defs: Vec<IndexDef> = universe.config_defs(config).cloned().collect();
+                let naive = naive_workload_cost(&est, &db, &shapes, &defs);
+                prop_assert_eq!(naive.to_bits(), full.price(config).to_bits());
+                prop_assert_eq!(naive.to_bits(), rel.price(config).to_bits());
+                if follow {
+                    rel.rebase();
+                }
+                for name in ["estimator.cost_cache.hits", "estimator.cost_cache.misses"] {
+                    prop_assert_eq!(
+                        db_full.metrics().counter_value(name),
+                        db_rel.metrics().counter_value(name),
+                        "{name} after {config:?}"
+                    );
+                }
+                prop_assert_eq!(
+                    &*rec_full.calls.lock().unwrap(),
+                    &*rec_rel.calls.lock().unwrap()
+                );
                 let via_defs = cached_est.workload_cost(&db, &shapes, &defs);
                 prop_assert_eq!(naive.to_bits(), via_defs.to_bits());
+                Ok(())
+            };
+            for (config, follow) in &targets {
+                check(config, *follow, &mut full, &mut rel)?;
             }
+            // The full pass never carries a term; the relative one looked
+            // up no more than it, and carried the rest.
+            let terms =
+                |db: &SimDb, what: &str| db.metrics().counter_value(&format!("delta.terms.{what}"));
+            prop_assert_eq!(terms(&db_full, "carried"), 0);
+            prop_assert_eq!(
+                terms(&db_rel, "looked_up") + terms(&db_rel, "carried"),
+                terms(&db_full, "looked_up")
+            );
 
             // Invalidation (decay / refresh analogue): epoch advances, the
             // memo empties, and the rebuilt cache still agrees bitwise.
-            let epoch0 = cache.epoch();
-            cache.invalidate(db.metrics());
-            prop_assert!(cache.epoch() > epoch0);
-            prop_assert!(cache.is_empty());
+            let epoch0 = cache_rel.epoch();
+            cache_full.invalidate(db_full.metrics());
+            cache_rel.invalidate(db_rel.metrics());
+            prop_assert!(cache_rel.epoch() > epoch0);
+            prop_assert!(cache_rel.is_empty());
             prop_assert_eq!(
-                db.metrics()
+                db_rel
+                    .metrics()
                     .counter_value("estimator.cost_cache.invalidations"),
                 1
             );
-            let naive = est.workload_cost(&db, &shapes, universe.config_defs(&config));
-            let fast = dw.cost(&db, &est, &universe, &config, &cache, &stats);
-            prop_assert_eq!(naive.to_bits(), fast.to_bits());
+            let last = &targets[targets.len() - 1].0;
+            let naive = est.workload_cost(&db, &shapes, universe.config_defs(last));
+            prop_assert_eq!(naive.to_bits(), rel.price(last).to_bits());
             Ok(())
         },
     );
@@ -382,6 +465,15 @@ fn config_set_models_a_set() {
             cs.intersect(&mask).fingerprint()
         );
         prop_assert_eq!(cs.intersect_fingerprint(&cs), cs.fingerprint());
+        // What a relative pricer walks: the slots in exactly one set.
+        let mask_ref: std::collections::BTreeSet<usize> = mask.iter().collect();
+        prop_assert_eq!(
+            cs.symmetric_difference(&mask).collect::<Vec<_>>(),
+            reference
+                .symmetric_difference(&mask_ref)
+                .copied()
+                .collect::<Vec<_>>()
+        );
         Ok(())
     });
 }

@@ -236,6 +236,24 @@ pub enum StorageBackend {
     Paged(crate::engine::EngineConfig),
 }
 
+/// The buffer-pressure multiplier as a function of total index bytes, at
+/// one heap size ([`SimDb::pressure_model`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PressureModel {
+    heap_bytes: u64,
+    memory_bytes: u64,
+    factor: f64,
+}
+
+impl PressureModel {
+    /// Buffer-pressure multiplier for a hypothetical total index footprint.
+    pub fn for_index_bytes(&self, index_bytes: u64) -> f64 {
+        let total = self.heap_bytes + index_bytes;
+        let over = (total as f64 - self.memory_bytes as f64) / self.memory_bytes as f64;
+        1.0 + self.factor * over.max(0.0)
+    }
+}
+
 /// The simulated database.
 pub struct SimDb {
     catalog: Catalog,
@@ -650,10 +668,18 @@ impl SimDb {
     /// where dropping unused indexes improves throughput by freeing
     /// memory.
     pub fn pressure_for_index_bytes(&self, index_bytes: u64) -> f64 {
-        let total = self.total_heap_bytes() + index_bytes;
-        let mem = self.config.memory_bytes.max(1);
-        let over = (total as f64 - mem as f64) / mem as f64;
-        1.0 + self.config.memory_pressure_factor * over.max(0.0)
+        self.pressure_model().for_index_bytes(index_bytes)
+    }
+
+    /// [`SimDb::pressure_for_index_bytes`] with the heap size resolved
+    /// once (a walk over every table): what a tuning round takes before it
+    /// prices thousands of hypothetical footprints against one catalog.
+    pub fn pressure_model(&self) -> PressureModel {
+        PressureModel {
+            heap_bytes: self.total_heap_bytes(),
+            memory_bytes: self.config.memory_bytes.max(1),
+            factor: self.config.memory_pressure_factor,
+        }
     }
 
     /// Maximum transient-fault retries the infallible `execute*` wrappers

@@ -61,7 +61,9 @@ pub mod usage;
 pub mod wal;
 
 pub use catalog::{Catalog, Column, ColumnStats, ColumnType, Table, TableBuilder};
-pub use db::{DbSnapshot, ExecOutcome, SimDb, SimDbConfig, StorageBackend, WorkloadMeasurement};
+pub use db::{
+    DbSnapshot, ExecOutcome, PressureModel, SimDb, SimDbConfig, StorageBackend, WorkloadMeasurement,
+};
 pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultKind, FaultPlan, FaultPlanConfig};
 pub use histogram::Histogram;

@@ -20,6 +20,11 @@ echo "==> cargo test -q --offline --release (engine hand-off tests + allocation 
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 
+echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing and bitmap-pick properties: float summation order and popcount/select paths, in the build that ships)"
+cargo test -q --offline --release -p autoindex-core --test decomposed_equivalence
+cargo test -q --offline --release -p autoindex-core --test proptests delta_cost_bitwise_equals_naive
+cargo test -q --offline --release -p autoindex-core --lib -- delta:: mcts::
+
 echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
