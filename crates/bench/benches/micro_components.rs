@@ -292,11 +292,11 @@ fn frontend_fastpath() {
     );
 }
 
-/// Cached-vs-uncached MCTS search on the banking workload (PR 3 tentpole
-/// evidence). Three arms share one universe, workload and seed:
+/// MCTS search on the banking workload against its whole-workload oracle.
+/// Three arms share one universe, workload and seed:
 ///
-/// * `uncached_serial`  — `decomposed_eval: false`: the legacy whole-workload
-///   re-plan per evaluated configuration.
+/// * `uncached_serial`  — `decomposed_eval: false`: the oracle, a
+///   whole-workload re-plan per evaluated configuration.
 /// * `cached_serial`    — decomposed delta-cost evaluation, one eval thread.
 /// * `cached_parallel`  — same, `eval_threads: 0` (auto parallelism).
 ///

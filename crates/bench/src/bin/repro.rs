@@ -173,7 +173,6 @@ fn smoke() {
     smoke_guard_faults();
     smoke_serve_determinism();
     smoke_fleet();
-    smoke_wal_recovery();
     smoke_drift();
     println!("smoke OK: snapshot parseable, all core counters non-zero");
 }
@@ -625,70 +624,6 @@ fn smoke_fleet() {
             "smoke FAILED: admission control not engaged or a protected tenant was shed\n{}",
             r.transcript()
         );
-        std::process::exit(1);
-    }
-}
-
-/// WAL-recovery stage (`scripts/verify.sh` greps the `storage.wal.recovery`
-/// and `storage.online.build` rows): the paged engine builds an index,
-/// crashes, recovers from the log, and the recovered tree is bit-equal
-/// (content digest over the in-order entry stream) to the pre-crash one;
-/// an online build that absorbs concurrent side-log writes and crashes
-/// mid-build must finish bit-equal to an offline build on the final data.
-fn smoke_wal_recovery() {
-    use autoindex_storage::{Engine, EngineConfig};
-
-    println!("\n--- WAL recovery smoke ---");
-    let cfg = EngineConfig {
-        fanout: 8,
-        build_chunk: 64,
-        checkpoint_every: 4,
-        key_space: 128,
-        ..EngineConfig::default()
-    };
-    let rows = 1_500u64;
-
-    // Offline build, then crash: replay must restore the identical tree.
-    let mut e = Engine::new(cfg.clone()).unwrap();
-    e.build_offline("t(a)", "t", rows, None).unwrap();
-    let before = e.content_digest("t(a)").unwrap();
-    e.crash().unwrap();
-    let after = e.content_digest("t(a)").unwrap();
-    let wal_ok = before == after && e.check_integrity().is_ok();
-    println!(
-        "  storage.wal.recovery (crash + replay) {:>6}  {}",
-        if wal_ok { "equal" } else { "differ" },
-        if wal_ok { "ok" } else { "FAIL" }
-    );
-
-    // Online build under concurrent writes, crashing mid-build, vs an
-    // offline build over the same final data.
-    let base = 1_000u64;
-    let mut online = Engine::new(cfg.clone()).unwrap();
-    online.start_build("t(a)", "t", base, None).unwrap();
-    let mut appended = base;
-    let mut steps = 0;
-    while online.build_step("t(a)", 64, None).unwrap() > 0 {
-        steps += 1;
-        online.apply_insert("t", appended, 40, None).unwrap();
-        appended += 40;
-        if steps == 7 {
-            online.crash().unwrap();
-        }
-    }
-    online.finish_build("t(a)", None).unwrap();
-    let mut offline = Engine::new(cfg).unwrap();
-    offline.build_offline("t(a)", "t", appended, None).unwrap();
-    let online_ok = online.content_digest("t(a)").unwrap()
-        == offline.content_digest("t(a)").unwrap()
-        && online.stats().side_log_absorbed > 0;
-    println!(
-        "  storage.online.build (crash mid-build vs offline) {:>2}  {}",
-        if online_ok { "equal" } else { "differ" },
-        if online_ok { "ok" } else { "FAIL" }
-    );
-    if !(wal_ok && online_ok) {
-        eprintln!("smoke FAILED: WAL recovery / online build equivalence broke");
         std::process::exit(1);
     }
 }

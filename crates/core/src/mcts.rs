@@ -327,9 +327,10 @@ pub struct MctsConfig {
     /// Use the decomposed delta-cost evaluator: split workload cost into
     /// per-template terms memoized by `(template, projected config)` in a
     /// [`CostCache`], so configurations differing by one index only
-    /// re-plan the templates on that index's table. Search results are
-    /// byte-identical to the legacy whole-config evaluator (`false`),
-    /// which is retained for A/B benchmarking.
+    /// re-plan the templates on that index's table. `false` is the
+    /// whole-workload oracle: every evaluated configuration re-plans every
+    /// template, and `tests/decomposed_equivalence.rs` pins this mode's
+    /// results bit for bit against it.
     pub decomposed_eval: bool,
     /// Worker threads for evaluating the per-iteration leaf batch (the
     /// selected node plus its K rollout descendants) in decomposed mode.
@@ -608,7 +609,7 @@ struct EvalState<'s, 'w, E> {
     cache_hits: usize,
     /// The per-template term evaluator (L2 is its shared term cache),
     /// pricing against the round's start configuration; `None` is the
-    /// legacy whole-workload arm.
+    /// whole-workload oracle.
     pricer: Option<DeltaPricer<'s, 'w, E>>,
     /// Buffer pressure at the round's (fixed) heap size.
     pressure: PressureModel,
@@ -829,7 +830,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
     ///
     /// L1 bookkeeping is serial and mirrors sequential evaluation exactly:
     /// the first occurrence of an uncached configuration is a miss,
-    /// repeats (within the batch or already in L1) are hits. In legacy
+    /// repeats (within the batch or already in L1) are hits. In oracle
     /// mode every L1 miss replans the whole workload; in decomposed mode
     /// [`DeltaPricer::price_batch`] looks up only the terms an L1 miss
     /// moved against the start configuration and plans only the missing
@@ -863,8 +864,8 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
 
         match &mut st.pricer {
             None => {
-                // Legacy whole-configuration evaluation (the A/B reference
-                // arm): every L1 miss replans the entire workload.
+                // The whole-workload oracle the delta pricer is checked
+                // against: every L1 miss replans the entire workload.
                 for &i in &pending {
                     let cfg = &batch[i];
                     // Estimated workload cost, inflated by the

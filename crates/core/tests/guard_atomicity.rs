@@ -176,65 +176,6 @@ fn rollback_restores_bit_identical_config_fingerprint() {
     assert!(db.metrics().counter_value("guard.rollbacks") >= 1);
 }
 
-// PR7: the snapshot/rollback contract extends below the metadata layer —
-// with the paged engine enabled, a *physically* botched build (torn page
-// writes, not an analytic `build_failure` roll) must also roll back, and
-// rollback must leave the engine tier bit-consistent with the catalog.
-#[test]
-fn rollback_restores_the_physical_engine_tier_too() {
-    use autoindex_storage::{EngineConfig, StorageBackend};
-
-    let mut c = Catalog::new();
-    c.add_table(
-        TableBuilder::new("t", 1_200)
-            .column(Column::int("id", 1_200))
-            .column(Column::int("a", 600))
-            .column(Column::int("b", 40))
-            .primary_key(&["id"])
-            .build()
-            .unwrap(),
-    );
-    let mut db = SimDb::with_metrics(c, SimDbConfig::default(), MetricsRegistry::new());
-    db.create_index(IndexDef::new("t", &["id"])).unwrap();
-    db.create_index(IndexDef::new("t", &["b"])).unwrap();
-    db.set_backend(StorageBackend::Paged(EngineConfig {
-        fanout: 8,
-        key_space: 97,
-        ..EngineConfig::default()
-    }))
-    .unwrap();
-    let pre = keys(&db);
-    let (pre_indexes, _, pre_entries) = db.engine_mut().unwrap().check_integrity().unwrap();
-
-    // Every physical page write tears: the analytic metadata layer alone
-    // would happily register the new indexes, but the engine tier cannot
-    // build them — the guard must notice and roll the whole apply back.
-    db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
-        page_write_failure: 1.0,
-        ..FaultPlanConfig::default()
-    })));
-    let mut guard = Guard::new(GuardConfig::default(), db.metrics());
-    let (_, _, verdict) = guard.apply(&mut db, &synthetic_rec(), 0);
-    let ApplyVerdict::RolledBack { build_faults, .. } = verdict else {
-        panic!("expected rollback, got {verdict:?}");
-    };
-    assert!(
-        build_faults > 0,
-        "physical faults must be counted as faults"
-    );
-
-    // Logical and physical tiers agree again: the dropped index was
-    // physically rebuilt (restore is privileged / fault-suppressed), and
-    // the botched adds left no pages behind.
-    assert_eq!(keys(&db), pre);
-    let engine = db.engine_mut().unwrap();
-    assert!(engine.has_index("t(id)") && engine.has_index("t(b)"));
-    assert!(!engine.has_index("t(a)") && !engine.has_index("t(a,b)"));
-    let (indexes, _, entries) = engine.check_integrity().unwrap();
-    assert_eq!((indexes, entries), (pre_indexes, pre_entries));
-    assert_eq!(engine.entries("t(b)").unwrap().len(), 1_200);
-}
-
 #[test]
 fn faultless_guarded_session_is_byte_identical_to_unguarded_end_to_end() {
     let queries: Vec<String> = BankingGenerator::new(7)

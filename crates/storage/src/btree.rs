@@ -29,7 +29,7 @@
 //! [`BtreeConfig::page_max`] for production-shaped runs.
 //!
 //! All functions are free functions over `(&mut Pager, root)` — the tree
-//! owns no pages; the engine's catalog does (see [`crate::engine`]).
+//! owns no pages; whoever holds the root id does.
 
 use crate::pager::{page_type, Pager, NO_PAGE, PAYLOAD_SIZE};
 use crate::StorageError;
@@ -83,8 +83,8 @@ impl Default for BtreeConfig {
     }
 }
 
-/// Structural-churn counters, accumulated into `storage.btree.*` metrics
-/// by the engine.
+/// Structural-churn counters, accumulated across the calls they are
+/// passed to.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TreeOps {
     /// Node splits (leaf + branch).

@@ -217,25 +217,6 @@ impl DbMetricHandles {
     }
 }
 
-/// Which tier executes physical index work (see `crate::engine`).
-///
-/// [`Analytic`](StorageBackend::Analytic) — the default — keeps every
-/// index a pure cost model: byte-identical to the pre-engine database.
-/// [`Paged`](StorageBackend::Paged) additionally materializes every
-/// index as a WAL-protected on-"disk" B+Tree in a [`crate::Engine`]:
-/// `create_index` performs a real (fault-injectable) physical build,
-/// inserts maintain real pages, and the guard's rollback path tears down
-/// real half-built state. The analytic what-if path is untouched either
-/// way — planning, costing, noise streams and transcripts do not change
-/// when the engine is enabled.
-#[derive(Debug, Clone)]
-pub enum StorageBackend {
-    /// Analytic cost model only (the default; no physical pages).
-    Analytic,
-    /// Analytic model plus a paged engine tier under it.
-    Paged(crate::engine::EngineConfig),
-}
-
 /// The buffer-pressure multiplier as a function of total index bytes, at
 /// one heap size ([`SimDb::pressure_model`]).
 #[derive(Debug, Clone, Copy)]
@@ -272,9 +253,6 @@ pub struct SimDb {
     /// quiet plan — is byte-identical to the pre-fault database: the
     /// measurement-noise RNG stream is never touched by fault rolls.
     faults: Option<FaultPlan>,
-    /// The paged engine tier, present iff the backend is
-    /// [`StorageBackend::Paged`]. Never consulted by planning/costing.
-    engine: Option<crate::engine::Engine>,
 }
 
 impl SimDb {
@@ -301,40 +279,7 @@ impl SimDb {
             metrics,
             obs,
             faults: None,
-            engine: None,
         }
-    }
-
-    /// Select the storage backend. Switching to
-    /// [`StorageBackend::Paged`] builds every existing index physically
-    /// (fault-suppressed — enabling the engine is not a DDL attempt);
-    /// switching to [`StorageBackend::Analytic`] drops the engine tier.
-    pub fn set_backend(&mut self, backend: StorageBackend) -> Result<(), StorageError> {
-        match backend {
-            StorageBackend::Analytic => {
-                self.engine = None;
-            }
-            StorageBackend::Paged(cfg) => {
-                let mut engine = crate::engine::Engine::new(cfg)?;
-                engine.set_metrics(&self.metrics);
-                for def in self.indexes.values() {
-                    let rows = self.catalog.require_table(&def.table)?.rows;
-                    engine.build_offline(&def.key(), &def.table, rows, None)?;
-                }
-                self.engine = Some(engine);
-            }
-        }
-        Ok(())
-    }
-
-    /// The paged engine tier, if enabled.
-    pub fn engine(&self) -> Option<&crate::engine::Engine> {
-        self.engine.as_ref()
-    }
-
-    /// Mutable access to the paged engine tier (tests: crash/recover).
-    pub fn engine_mut(&mut self) -> Option<&mut crate::engine::Engine> {
-        self.engine.as_mut()
     }
 
     /// Install (or clear) a fault plan. Passing `None`, or a plan whose
@@ -355,13 +300,9 @@ impl SimDb {
         &self.metrics
     }
 
-    /// Swap in a different metrics registry (rebinding all cached handles,
-    /// the engine tier's included).
+    /// Swap in a different metrics registry (rebinding all cached handles).
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.obs = DbMetricHandles::bind(&metrics);
-        if let Some(engine) = &mut self.engine {
-            engine.set_metrics(&metrics);
-        }
         self.metrics = metrics;
     }
 
@@ -425,13 +366,6 @@ impl SimDb {
         if roll.build_factor > 1.0 {
             self.obs.fault_slow_builds.incr();
         }
-        // Physical build first (paged backend): a page-write or fsync
-        // fault fails the DDL with the engine already rolled back to its
-        // last committed state, so metadata never outruns the pages.
-        if let Some(engine) = self.engine.as_mut() {
-            let rows = self.catalog.require_table(&def.table)?.rows;
-            engine.build_offline(&def.key(), &def.table, rows, self.faults.as_ref())?;
-        }
         self.obs
             .index_build_ms
             .add(geo.build_ms(self.config.build_ms_per_entry) * roll.build_factor);
@@ -450,14 +384,6 @@ impl SimDb {
         if let Some(id) = self.find_index(&def) {
             return Ok(id);
         }
-        // Rebuild the physical tree fault-suppressed: rollback is
-        // privileged and must succeed even under a hostile fault plan.
-        if let Some(engine) = self.engine.as_mut() {
-            if !engine.has_index(&def.key()) {
-                let rows = self.catalog.require_table(&def.table)?.rows;
-                engine.build_offline(&def.key(), &def.table, rows, None)?;
-            }
-        }
         self.obs.index_restores.incr();
         Ok(self.register_index(def, geo))
     }
@@ -472,19 +398,13 @@ impl SimDb {
         id
     }
 
-    /// Drop a real index (and its physical tree when the paged backend
-    /// is enabled — frees the pages, fault-suppressed).
+    /// Drop a real index.
     pub fn drop_index(&mut self, id: IndexId) -> Result<IndexDef, StorageError> {
         let def = self
             .indexes
             .remove(&id)
             .ok_or(StorageError::UnknownIndex(id))?;
         Arc::make_mut(&mut self.view).remove(&def.table, id);
-        if let Some(engine) = self.engine.as_mut() {
-            if engine.has_index(&def.key()) {
-                engine.drop_index(&def.key(), None)?;
-            }
-        }
         self.usage.forget(id);
         self.obs.index_drops.incr();
         Ok(Arc::unwrap_or_clone(def))
@@ -762,9 +682,7 @@ impl SimDb {
         // Data growth from inserts.
         if let Some(w) = &shape.write {
             if w.kind == crate::shape::WriteKind::Insert {
-                let before = self.catalog.table(&w.table).map_or(0, |t| t.rows);
                 let _ = self.grow_table(&w.table, w.inserted_rows);
-                self.engine_insert(&w.table, before, w.inserted_rows);
             }
         }
 
@@ -808,22 +726,7 @@ impl SimDb {
         self.obs.executions.incr();
         self.usage.apply_delta(delta);
         if let Some((table, rows)) = &delta.growth {
-            let before = self.catalog.table(table).map_or(0, |t| t.rows);
             let _ = self.grow_table(table, *rows);
-            self.engine_insert(table, before, *rows);
-        }
-    }
-
-    /// Route freshly appended rows into the engine tier's indexes and
-    /// in-flight build side-logs. Physical faults are absorbed inside
-    /// [`crate::Engine::apply_insert`] (abort + fault-suppressed replay),
-    /// mirroring the statement-level retry contract, so this cannot fail
-    /// outside genuine corruption.
-    fn engine_insert(&mut self, table: &str, start_row: u64, rows: u64) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine
-                .apply_insert(table, start_row, rows, self.faults.as_ref())
-                .expect("engine insert is fault-absorbed");
         }
     }
 
@@ -1617,125 +1520,5 @@ mod tests {
             absorbed < 200 * SimDb::EXEC_RETRY_BUDGET as u64 / 2,
             "budget is an upper bound, not the norm: {absorbed}"
         );
-    }
-
-    // ------------------------------------------------------- paged backend
-
-    use crate::engine::EngineConfig;
-
-    fn paged_catalog(rows: u64) -> Catalog {
-        let mut c = Catalog::new();
-        c.add_table(
-            TableBuilder::new("t", rows)
-                .column(Column::int("a", rows.max(2)))
-                .column(Column::int("b", 50))
-                .primary_key(&["a"])
-                .build()
-                .unwrap(),
-        );
-        c
-    }
-
-    fn paged_db(rows: u64) -> SimDb {
-        let mut db = SimDb::with_metrics(
-            paged_catalog(rows),
-            SimDbConfig::default(),
-            MetricsRegistry::new(),
-        );
-        db.set_backend(StorageBackend::Paged(EngineConfig {
-            fanout: 8,
-            key_space: 97,
-            ..EngineConfig::default()
-        }))
-        .unwrap();
-        db
-    }
-
-    #[test]
-    fn paged_backend_is_byte_identical_on_the_analytic_surface() {
-        let mut plain = SimDb::with_metrics(
-            paged_catalog(400),
-            SimDbConfig::default(),
-            MetricsRegistry::new(),
-        );
-        let mut paged = paged_db(400);
-        plain.create_index(IndexDef::new("t", &["a"])).unwrap();
-        paged.create_index(IndexDef::new("t", &["a"])).unwrap();
-        let stmts = [
-            "SELECT * FROM t WHERE a = 5",
-            "INSERT INTO t (a, b) VALUES (1, 2)",
-            "SELECT * FROM t WHERE b = 3",
-        ];
-        for _ in 0..10 {
-            for s in &stmts {
-                let a = plain.execute(&stmt(s));
-                let b = paged.execute(&stmt(s));
-                assert_eq!(a.latency_ms.to_bits(), b.latency_ms.to_bits());
-                assert_eq!(a.indexes_used, b.indexes_used);
-            }
-        }
-        // …but only the paged db has physical pages under the promise.
-        assert!(plain.engine().is_none());
-        assert!(paged.engine().is_some());
-        assert!(
-            paged.metrics().counter_value("storage.wal.commits") > 0,
-            "engine activity must reach the obs layer"
-        );
-    }
-
-    #[test]
-    fn paged_backend_maintains_physical_indexes_under_inserts() {
-        let mut db = paged_db(400);
-        db.create_index(IndexDef::new("t", &["a"])).unwrap();
-        for _ in 0..25 {
-            db.execute(&stmt("INSERT INTO t (a, b) VALUES (7, 8)"));
-        }
-        let rows = db.catalog().table("t").unwrap().rows;
-        assert_eq!(rows, 425);
-        let live = db.engine_mut().unwrap().content_digest("t(a)").unwrap();
-        assert_eq!(db.engine_mut().unwrap().entries("t(a)").unwrap().len(), 425);
-        // Maintained-incrementally equals built-offline-on-final-data.
-        let mut fresh = paged_db(rows);
-        fresh.create_index(IndexDef::new("t", &["a"])).unwrap();
-        let offline = fresh.engine_mut().unwrap().content_digest("t(a)").unwrap();
-        assert_eq!(live, offline);
-        db.engine_mut().unwrap().check_integrity().unwrap();
-    }
-
-    #[test]
-    fn paged_backend_build_faults_fail_ddl_with_engine_rolled_back() {
-        let mut db = paged_db(300);
-        db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
-            page_write_failure: 1.0,
-            ..FaultPlanConfig::default()
-        })));
-        let err = db.create_index(IndexDef::new("t", &["a"])).unwrap_err();
-        assert!(matches!(
-            err,
-            StorageError::FaultInjected(FaultKind::TornPageWrite)
-        ));
-        assert_eq!(db.index_count(), 0, "metadata never outran the pages");
-        assert!(!db.engine().unwrap().has_index("t(a)"));
-        assert!(db.engine().unwrap().stats().aborts > 0);
-        db.set_fault_plan(None);
-        db.create_index(IndexDef::new("t", &["a"])).unwrap();
-        assert!(db.engine().unwrap().has_index("t(a)"));
-    }
-
-    #[test]
-    fn paged_backend_restore_and_drop_manage_physical_trees() {
-        let mut db = paged_db(200);
-        let id = db.create_index(IndexDef::new("t", &["a"])).unwrap();
-        let def = db.drop_index(id).unwrap();
-        assert!(!db.engine().unwrap().has_index("t(a)"));
-        // Restore under a hostile plan: privileged, fault-suppressed.
-        db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
-            page_write_failure: 1.0,
-            fsync_failure: 1.0,
-            ..FaultPlanConfig::default()
-        })));
-        db.restore_index(def).unwrap();
-        assert!(db.engine().unwrap().has_index("t(a)"));
-        assert_eq!(db.engine_mut().unwrap().entries("t(a)").unwrap().len(), 200);
     }
 }

@@ -15,8 +15,6 @@
 //! | [`FaultKind::LatencySpike`] | `execute*` | measured latency multiplied by `latency_spike_factor` |
 //! | [`FaultKind::TransientError`] | `try_execute*`, `try_whatif_*` | call fails; infallible wrappers retry and absorb |
 //! | [`FaultKind::StaleStatistics`] | `whatif_*` | what-if cost features distorted for a whole op window |
-//! | [`FaultKind::TornPageWrite`] | engine WAL page-image appends | the physical write path fails mid-build |
-//! | [`FaultKind::FailedSync`] | engine WAL commits / checkpoints | the durability barrier fails |
 //!
 //! Determinism has two regimes, matching the two `SimDb` access patterns:
 //!
@@ -53,13 +51,6 @@ pub enum FaultKind {
     /// A statement (or what-if probe) fails transiently and must be
     /// retried by the caller.
     TransientError,
-    /// A physical page write (engine WAL page-image append) is torn: the
-    /// write fails and the enclosing engine transaction must abort back
-    /// to the last committed state.
-    TornPageWrite,
-    /// An fsync (engine WAL commit or checkpoint durability barrier)
-    /// fails; nothing since the previous successful barrier is durable.
-    FailedSync,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -70,8 +61,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::LatencySpike => "latency spike",
             FaultKind::StaleStatistics => "stale statistics",
             FaultKind::TransientError => "transient execution error",
-            FaultKind::TornPageWrite => "torn page write",
-            FaultKind::FailedSync => "failed fsync",
         };
         f.write_str(s)
     }
@@ -103,13 +92,6 @@ pub struct FaultPlanConfig {
     /// stale window is scaled by `exp(u · stale_distortion)` with
     /// `u ∈ [-1, 1)` hashed per call.
     pub stale_distortion: f64,
-    /// P(one engine page write — a WAL page-image append — is torn and
-    /// fails). Only consulted by the paged engine tier; analytic runs
-    /// never roll it.
-    pub page_write_failure: f64,
-    /// P(one engine fsync — a WAL commit or checkpoint barrier — fails).
-    /// Only consulted by the paged engine tier.
-    pub fsync_failure: f64,
 }
 
 impl Default for FaultPlanConfig {
@@ -126,8 +108,6 @@ impl Default for FaultPlanConfig {
             stale_stats: 0.0,
             stale_window: 512,
             stale_distortion: 0.8,
-            page_write_failure: 0.0,
-            fsync_failure: 0.0,
         }
     }
 }
@@ -144,8 +124,6 @@ impl FaultPlanConfig {
             latency_spike: rate,
             transient_error: rate,
             stale_stats: rate,
-            page_write_failure: rate,
-            fsync_failure: rate,
             ..FaultPlanConfig::default()
         }
     }
@@ -157,8 +135,6 @@ impl FaultPlanConfig {
             && self.latency_spike <= 0.0
             && self.transient_error <= 0.0
             && self.stale_stats <= 0.0
-            && self.page_write_failure <= 0.0
-            && self.fsync_failure <= 0.0
     }
 }
 
@@ -201,10 +177,6 @@ pub struct FaultPlan {
     /// Op counter for the shared what-if path; each op's outcome is a pure
     /// function of `(seed, op)`.
     whatif_ops: AtomicU64,
-    /// Op counter for the engine's physical I/O path (page writes and
-    /// fsyncs); same lock-free pure-function regime as `whatif_ops`, on an
-    /// independent stream so engine rolls never perturb what-if outcomes.
-    engine_ops: AtomicU64,
 }
 
 impl FaultPlan {
@@ -215,7 +187,6 @@ impl FaultPlan {
             config,
             rng,
             whatif_ops: AtomicU64::new(0),
-            engine_ops: AtomicU64::new(0),
         }
     }
 
@@ -316,32 +287,6 @@ impl FaultPlan {
     pub fn whatif_ops(&self) -> u64 {
         self.whatif_ops.load(Ordering::Relaxed)
     }
-
-    /// Roll one engine page write (a WAL page-image append). Lock-free and
-    /// `&self` like [`roll_whatif`](Self::roll_whatif): the outcome is a
-    /// pure function of `(seed, op_index)` on an independent hash stream.
-    /// Returns `true` when the write is torn and must fail.
-    pub fn roll_page_write(&self) -> bool {
-        let op = self.engine_ops.fetch_add(1, Ordering::Relaxed);
-        self.config.page_write_failure > 0.0
-            && unit(derive_seed(self.config.seed ^ 0x70E2_9A6E, op))
-                < self.config.page_write_failure
-    }
-
-    /// Roll one engine fsync (WAL commit or checkpoint barrier). Returns
-    /// `true` when the sync fails. Same op stream as
-    /// [`roll_page_write`](Self::roll_page_write) so interleavings stay
-    /// deterministic for a fixed call order.
-    pub fn roll_fsync(&self) -> bool {
-        let op = self.engine_ops.fetch_add(1, Ordering::Relaxed);
-        self.config.fsync_failure > 0.0
-            && unit(derive_seed(self.config.seed ^ 0xF5C4_0B17, op)) < self.config.fsync_failure
-    }
-
-    /// Engine I/O ops rolled so far (monotone; includes quiet rolls).
-    pub fn engine_ops(&self) -> u64 {
-        self.engine_ops.load(Ordering::Relaxed)
-    }
 }
 
 /// Map a hash to a uniform `f64` in `[0, 1)`.
@@ -374,8 +319,6 @@ mod tests {
             let w = p.roll_whatif();
             assert!(!w.transient);
             assert_eq!(w.distortion, 1.0);
-            assert!(!p.roll_page_write());
-            assert!(!p.roll_fsync());
         }
         assert!(p.is_quiet());
     }
@@ -455,8 +398,6 @@ mod tests {
         assert_eq!(c.latency_spike, 0.2);
         assert_eq!(c.transient_error, 0.2);
         assert_eq!(c.stale_stats, 0.2);
-        assert_eq!(c.page_write_failure, 0.2);
-        assert_eq!(c.fsync_failure, 0.2);
         assert!(!c.is_quiet());
         assert!(FaultPlanConfig::uniform(1, 0.0).is_quiet());
         // Rates clamp into [0, 1].
@@ -471,49 +412,8 @@ mod tests {
             FaultKind::LatencySpike,
             FaultKind::StaleStatistics,
             FaultKind::TransientError,
-            FaultKind::TornPageWrite,
-            FaultKind::FailedSync,
         ] {
             assert!(!k.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn engine_rolls_are_deterministic_and_rate_honoured() {
-        let mk = || {
-            FaultPlan::new(FaultPlanConfig {
-                seed: 77,
-                page_write_failure: 0.2,
-                fsync_failure: 0.1,
-                ..FaultPlanConfig::default()
-            })
-        };
-        let a = mk();
-        let b = mk();
-        let ra: Vec<bool> = (0..4_000)
-            .map(|i| {
-                if i % 3 == 0 {
-                    a.roll_fsync()
-                } else {
-                    a.roll_page_write()
-                }
-            })
-            .collect();
-        let rb: Vec<bool> = (0..4_000)
-            .map(|i| {
-                if i % 3 == 0 {
-                    b.roll_fsync()
-                } else {
-                    b.roll_page_write()
-                }
-            })
-            .collect();
-        assert_eq!(ra, rb, "same seed, same call order ⇒ same outcomes");
-        assert!(ra.iter().any(|&f| f), "faults fire at a 10–20% rate");
-        assert_eq!(a.engine_ops(), 4_000);
-        // Rates are roughly honoured on a pure page-write stream.
-        let p = mk();
-        let torn = (0..20_000).filter(|_| p.roll_page_write()).count();
-        assert!((torn as f64 / 20_000.0 - 0.2).abs() < 0.02, "{torn}");
     }
 }

@@ -27,18 +27,13 @@
 //!   what-if costs, simulated execution with noise, usage tracking and
 //!   data growth.
 //!
-//! Beneath the analytic model sits an optional **real engine tier**
-//! (off by default; enable via [`db::StorageBackend::Paged`]):
+//! Beside the analytic model sit two modules no product path calls — a
+//! test reference, kept so the planner's assumptions are checked against
+//! real pages (`tests/surface_proptests.rs`):
 //!
-//! * [`pager`] — fixed-size checksummed pages, freelist, and a crashable
-//!   two-buffer file ([`pager::SimFile`]) with explicit durability.
-//! * [`btree`] — a disk-paged B+Tree: insert/split, point + range scans
-//!   over the leaf chain, delete with occupancy rebalance.
-//! * [`wal`] — write-ahead log: append, group-commit epochs, recovery
-//!   replay, checkpoint truncation.
-//! * [`engine`] — ties them together: WAL-atomic catalog registration
-//!   and **online incremental index build** (side-log absorption,
-//!   cancellable, crash-resumable).
+//! * [`btree`] — a paged B+Tree: insert/split, point + range scans over
+//!   the leaf chain, delete with occupancy rebalance.
+//! * [`pager`] — the in-memory page arena and freelist the tree lives in.
 //!
 //! The *native* what-if cost deliberately ignores index-maintenance cost on
 //! writes — mirroring the real openGauss/PostgreSQL estimators the paper
@@ -49,7 +44,6 @@
 pub mod btree;
 pub mod catalog;
 pub mod db;
-pub mod engine;
 pub mod fault;
 pub mod histogram;
 pub mod index;
@@ -58,13 +52,9 @@ pub mod planner;
 pub mod selectivity;
 pub mod shape;
 pub mod usage;
-pub mod wal;
 
 pub use catalog::{Catalog, Column, ColumnStats, ColumnType, Table, TableBuilder};
-pub use db::{
-    DbSnapshot, ExecOutcome, PressureModel, SimDb, SimDbConfig, StorageBackend, WorkloadMeasurement,
-};
-pub use engine::{Engine, EngineConfig};
+pub use db::{DbSnapshot, ExecOutcome, PressureModel, SimDb, SimDbConfig, WorkloadMeasurement};
 pub use fault::{FaultKind, FaultPlan, FaultPlanConfig};
 pub use histogram::Histogram;
 pub use index::{IndexConfig, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost};
@@ -90,9 +80,8 @@ pub enum StorageError {
     /// for [`FaultKind::TransientError`]; a [`FaultKind::FailedBuild`]
     /// means this DDL attempt is gone (a new attempt re-rolls).
     FaultInjected(FaultKind),
-    /// The engine tier found physically corrupt state (checksum mismatch,
-    /// torn page, malformed node) — never expected outside injected
-    /// faults and deliberate corruption in tests.
+    /// The reference B+Tree met a malformed node or a page id that was
+    /// never allocated.
     Corrupt(String),
 }
 

@@ -1,8 +1,8 @@
 //! The workspace's byte hash ([`fnv1a`]) and hashers for pre-hashed keys.
 //!
-//! FNV-1a is the one *stable* hash in the tree: page and WAL checksums,
-//! transcript and regret-curve digests and template fingerprints all have
-//! to repeat across runs and hosts, which `DefaultHasher` does not promise.
+//! FNV-1a is the one *stable* hash in the tree: transcript and
+//! regret-curve digests and template fingerprints all have to repeat
+//! across runs and hosts, which `DefaultHasher` does not promise.
 //! (`autoindex-sql` sits below this crate and keeps its own copy for
 //! fingerprints; its tests pin the two equal.)
 //!

@@ -29,10 +29,6 @@
 #                         (default BENCH_PR6.json at the repo root)
 #   BENCH_BASELINE_PR6    path to the committed PR 6 baseline
 #                         (default scripts/bench_baseline_pr6.json)
-#   BENCH_CURRENT_PR7     path to the fresh PR 7 engine results
-#                         (default BENCH_PR7.json at the repo root)
-#   BENCH_BASELINE_PR7    path to the committed PR 7 baseline
-#                         (default scripts/bench_baseline_pr7.json)
 #   BENCH_CURRENT_PR8     path to the fresh PR 8 fleet results
 #                         (default BENCH_PR8.json at the repo root)
 #   BENCH_BASELINE_PR8    path to the committed PR 8 baseline
@@ -69,8 +65,6 @@ CURRENT="${BENCH_CURRENT:-BENCH_PR5.json}"
 BASELINE="${BENCH_BASELINE:-scripts/bench_baseline_pr5.json}"
 CURRENT6="${BENCH_CURRENT_PR6:-BENCH_PR6.json}"
 BASELINE6="${BENCH_BASELINE_PR6:-scripts/bench_baseline_pr6.json}"
-CURRENT7="${BENCH_CURRENT_PR7:-BENCH_PR7.json}"
-BASELINE7="${BENCH_BASELINE_PR7:-scripts/bench_baseline_pr7.json}"
 CURRENT8="${BENCH_CURRENT_PR8:-BENCH_PR8.json}"
 BASELINE8="${BENCH_BASELINE_PR8:-scripts/bench_baseline_pr8.json}"
 CURRENT9="${BENCH_CURRENT_PR9:-BENCH_PR9.json}"
@@ -97,14 +91,6 @@ if [ ! -f "$CURRENT6" ]; then
 fi
 if [ ! -f "$BASELINE6" ]; then
     echo "ERROR: baseline $BASELINE6 not found" >&2
-    exit 1
-fi
-if [ ! -f "$CURRENT7" ]; then
-    echo "ERROR: $CURRENT7 not found — run: cargo bench --offline -p autoindex-bench --bench engine_ops" >&2
-    exit 1
-fi
-if [ ! -f "$BASELINE7" ]; then
-    echo "ERROR: baseline $BASELINE7 not found" >&2
     exit 1
 fi
 if [ ! -f "$CURRENT8" ]; then
@@ -216,23 +202,6 @@ if [ -z "$SPEEDUP" ] || ! awk -v s="$SPEEDUP" -v f="$FLOOR" 'BEGIN { exit !(s + 
 else
     echo "  frontend: speedup = ${SPEEDUP}x (floor ${FLOOR}x)  ok"
 fi
-
-# PR 7 engine: every gated field is fully deterministic (the engine's
-# crash model is timing free), so the comparison is byte-exact — no
-# tolerance band. Wall-clock insert/scan rates in the same file are host
-# dependent and deliberately not checked.
-echo "bench check [PR7 $CURRENT7]: deterministic engine fields, exact match"
-for KEY7 in entries tree_pages splits wal_commits content_digest \
-    online_equals_offline recovery_ok side_log_absorbed; do
-    BASEV=$(scalar "$BASELINE7" "$KEY7")
-    CURV=$(scalar "$CURRENT7" "$KEY7")
-    if [ -z "$CURV" ] || [ "$CURV" != "$BASEV" ]; then
-        echo "  engine: $KEY7 = ${CURV:-missing} (baseline $BASEV)  FAIL"
-        FAILED=1
-    else
-        echo "  engine: $KEY7 = $CURV  ok"
-    fi
-done
 
 # PR 8 multi-tenant fleet: sweep rows get the usual simulated-domain
 # tolerance band; the fleet's deterministic fields — admission counts,
@@ -364,11 +333,11 @@ fi
 
 if [ "$FAILED" -ne 0 ]; then
     echo "BENCH CHECK FAILED: throughput drifted outside ±${TOL}%, determinism broke," >&2
-    echo "the front-end fast path regressed below ${FLOOR}x, an engine field changed," >&2
+    echo "the front-end fast path regressed below ${FLOOR}x," >&2
     echo "or the fleet's deterministic fields / scaling floors regressed," >&2
     echo "or the drift matrix changed (regret/digests exact) or the bandit lost its win floor," >&2
     echo "or the sort-surface matrix changed (totals/digests exact) or its adoption/cost gates broke." >&2
-    echo "If intentional: cp $CURRENT $BASELINE && cp $CURRENT6 $BASELINE6 && cp $CURRENT7 $BASELINE7 && cp $CURRENT8 $BASELINE8 && cp $CURRENT9 $BASELINE9 && cp $CURRENT10 $BASELINE10" >&2
+    echo "If intentional: cp $CURRENT $BASELINE && cp $CURRENT6 $BASELINE6 && cp $CURRENT8 $BASELINE8 && cp $CURRENT9 $BASELINE9 && cp $CURRENT10 $BASELINE10" >&2
     exit 1
 fi
-echo "BENCH CHECK OK: all rows within ±${TOL}%, front end >= ${FLOOR}x, engine fields exact, fleet deterministic and scaling (4w >= ${FLEET4}x, 8w >= ${FLEET8}x), drift matrix exact (bandit wins >= ${WINS_FLOOR}), sort surface exact with adoption + cost gates."
+echo "BENCH CHECK OK: all rows within ±${TOL}%, front end >= ${FLOOR}x, fleet deterministic and scaling (4w >= ${FLEET4}x, 8w >= ${FLEET8}x), drift matrix exact (bandit wins >= ${WINS_FLOOR}), sort surface exact with adoption + cost gates."

@@ -73,16 +73,6 @@ if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.admission ' | grep -q 'ok'; th
     exit 1
 fi
 
-echo "==> WAL-recovery smoke-check (paged engine: crash + replay bit-equal, online == offline)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'storage\.wal\.recovery' | grep -q 'ok'; then
-    echo "ERROR: WAL crash recovery did not restore the identical tree" >&2
-    exit 1
-fi
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'storage\.online\.build' | grep -q 'ok'; then
-    echo "ERROR: online (crash-resumed) build diverged from the offline build" >&2
-    exit 1
-fi
-
 echo "==> drift regret smoke-check (bandit cumulative regret <= greedy on flash crowd)"
 if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'tuner\.drift\.regret' | grep -q 'ok'; then
     echo "ERROR: bandit cumulative regret exceeds greedy on the flash-crowd drift scenario" >&2
