@@ -1,6 +1,6 @@
-//! Drift-recovery strategy matrix: the PR 9 comparison of greedy, MCTS
-//! and the C²UCB bandit across the four `autoindex_workloads::drift`
-//! scenarios. Writes `BENCH_PR9.json` at the repo root.
+//! Drift-recovery strategy matrix: greedy, MCTS and the C²UCB bandit
+//! across the four `autoindex_workloads::drift` scenarios. Records the
+//! `drift_matrix` result (`autoindex_bench::record`).
 //!
 //! Every (scenario × strategy) cell replays the same deterministic
 //! statement stream in fixed-size rounds: execute + observe the round,
@@ -17,8 +17,9 @@
 //! after the drift point (rounds until the measured round mean first
 //! reaches the scenario's SLO; `post_rounds` if it never does), and the
 //! final round mean. All simulated-time metrics — host independent and
-//! byte-stable, so `scripts/check_bench.sh` gates the regret digest and
-//! the win count **exactly** against the committed baseline.
+//! byte-stable, so the recorded document must equal
+//! `crates/bench/baselines/drift_matrix.json` **exactly** (wall_ms
+//! excepted).
 //!
 //! Gates (the run aborts otherwise):
 //!
@@ -29,6 +30,7 @@
 //!    transcript digests at 1 and 2 workers (worker-count invariance
 //!    holds with the bandit in the tuner slot).
 
+use autoindex_bench::record;
 use autoindex_core::{
     serve_fleet, AutoIndex, AutoIndexConfig, FleetConfig, FleetTenant, RegretAccounter,
     StrategyKind, TenantSpec,
@@ -355,7 +357,5 @@ fn main() {
             ]),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR9.json");
-    eprintln!("wrote {path}");
+    record("drift_matrix", &doc);
 }

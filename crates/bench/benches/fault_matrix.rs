@@ -1,6 +1,7 @@
-//! PR 4 fault matrix: the guarded online loop under increasing fault
-//! rates, plus a direct guarded-apply matrix. Writes `BENCH_PR4.json`
-//! at the repo root (protocol: `docs/ROBUSTNESS.md` §"Fault matrix").
+//! Fault matrix: the guarded online loop under increasing fault rates,
+//! plus a direct guarded-apply matrix. Records the `fault_matrix` result
+//! (`autoindex_bench::record`; protocol: `docs/ROBUSTNESS.md` §"Fault
+//! matrix").
 //!
 //! For each fault rate in {0%, 1%, 5%, 20%} — applied uniformly to index
 //! builds, transient execution errors, latency spikes and stale
@@ -20,6 +21,7 @@
 //! Regression gates (the run aborts otherwise): zero rollbacks at 0%
 //! fault, at least one rollback at 20%, and no panics anywhere.
 
+use autoindex_bench::record;
 use autoindex_core::online::{OnlineAutoIndex, OnlineConfig, OnlineEvent};
 use autoindex_core::{
     ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, Recommendation,
@@ -354,7 +356,5 @@ fn main() {
             ),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR4.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR4.json");
-    eprintln!("wrote {path}");
+    record("fault_matrix", &doc);
 }

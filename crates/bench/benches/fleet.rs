@@ -1,5 +1,5 @@
-//! Multi-tenant fleet throughput: the PR 8 work-stealing serve-fleet
-//! sweep. Writes `BENCH_PR8.json` at the repo root (protocol:
+//! Multi-tenant fleet throughput: the work-stealing serve-fleet sweep.
+//! Records the `fleet_sweep` result (`autoindex_bench::record`; protocol:
 //! `docs/SERVING.md` §"Multi-tenant fleet").
 //!
 //! A 64-tenant banking fleet (17,500 statements per tenant — 1.12M
@@ -7,7 +7,7 @@
 //! *fixed* admission capacity that keeps the pool saturated for most of
 //! the run: the four priority-0 tenants shed, a rotating tail of
 //! priority-1 tenants defers, and everything else executes. As in the
-//! PR 5 sweep, the reported metric is **simulated qps** — executed
+//! `throughput` sweep, the reported metric is **simulated qps** — executed
 //! statements per second of simulated fleet makespan
 //! ([`FleetReport::simulated_qps`]): per epoch, every admitted
 //! (tenant × shard) task's summed simulated latency is packed onto the
@@ -24,12 +24,12 @@
 //!    shedding, deferral, SLO verdicts and tuner visits are all
 //!    worker-count invariant),
 //! 4. 4 workers reach >= 3.5x and 8 workers >= 6x the 1-worker
-//!    simulated qps.
-//!
-//! `scripts/check_bench.sh` diffs the written file against the committed
-//! baseline `scripts/bench_baseline_pr8.json`: sweep rows with the usual
-//! tolerance band, deterministic fleet fields (counts + digest) exactly.
+//!    simulated qps,
+//! 5. the recorded document — sweep rows, admission counts, digest and
+//!    the floors above — equals `crates/bench/baselines/fleet_sweep.json`
+//!    outside the wall-clock members.
 
+use autoindex_bench::record;
 use autoindex_core::{
     serve_fleet, AutoIndex, AutoIndexConfig, FleetConfig, FleetTenant, TenantSpec,
 };
@@ -262,9 +262,7 @@ fn main() {
             ]),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR8.json");
-    eprintln!("wrote {path}");
+    record("fleet_sweep", &doc);
 }
 
 /// The sweep serves the same streams at every worker count; tenant

@@ -1,9 +1,7 @@
 //! Component micro-benchmarks: the hot paths whose costs determine online
 //! viability — SQL2Template observation throughput, candidate generation,
-//! what-if planning, one MCTS search round, and (PR 6) the statement front
-//! end with and without the compiled-template fast path, including a
-//! counting-allocator proof that the steady-state fast path allocates
-//! nothing on numeric statements.
+//! what-if planning, one MCTS search round, and the banking MCTS search
+//! against its whole-workload oracle (the `cost_cache` result).
 
 use autoindex_core::mcts::{ConfigSet, MctsConfig, MctsSearch, PolicyTree, Universe};
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
@@ -14,55 +12,7 @@ use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::bench::Bench;
 use autoindex_workloads::tpcc::{self, TpccGenerator, TpccScale};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Allocation-counting wrapper around the system allocator. Counting is
-/// off by default (one relaxed load per call), and enabled only inside
-/// [`counted`] windows, so the other benchmark groups are unaffected.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Run `f` with allocation counting on; returns (allocation calls, result).
-/// Counts `alloc`/`alloc_zeroed`/`realloc` — frees are not allocations.
-fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    COUNTING.store(true, Ordering::SeqCst);
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    let r = f();
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.store(false, Ordering::SeqCst);
-    (after - before, r)
-}
 
 fn main() {
     let catalog = tpcc::catalog(TpccScale::X1);
@@ -158,138 +108,6 @@ fn main() {
     g.emit_json();
 
     banking_cached_vs_uncached();
-    frontend_fastpath();
-}
-
-/// PR 6 front-end arms (banking stream, steady state):
-///
-/// * `fastpath_off` — `parse_statement` + `QueryShape::extract` per
-///   statement: the per-statement front end every executor ran before the
-///   compiled-template fast path existed.
-/// * `fastpath_on`  — `scan_fingerprint` into a reused `LiteralBuf`,
-///   template-cache lookup, `bind_into` a reused skeleton clone.
-///
-/// After the timed arms, a counting `#[global_allocator]` proves the
-/// zero-allocation claim: one steady-state fast-path pass over the numeric
-/// statements that hit the cache must perform **zero** allocator calls
-/// (string literals are excluded — binding a `Str` clones its contents,
-/// which is documented and expected). The run aborts if either the
-/// allocation count is non-zero or the off-path count fails to dwarf it.
-fn frontend_fastpath() {
-    use autoindex_core::FastPathCache;
-    use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
-    use autoindex_workloads::banking::{self, BankingGenerator};
-    use std::collections::HashMap;
-
-    let catalog = banking::catalog();
-    let mut gen = BankingGenerator::new(11);
-    let queries: Vec<String> = gen
-        .generate_hybrid(1_500, 0.6)
-        .into_iter()
-        .map(|(_, q)| q)
-        .collect();
-    let mut store = TemplateStore::new(TemplateStoreConfig::default());
-    for q in &queries {
-        let _ = store.observe(q, &catalog);
-    }
-    let cache = FastPathCache::build(store.entries(), &catalog);
-
-    // --- timed arms (full stream, misses fall back like the serve loop) -
-    let mut g = Bench::new("frontend").throughput_elements(queries.len() as u64);
-    g.bench_function("fastpath_off", || {
-        for q in &queries {
-            if let Ok(stmt) = parse_statement(q) {
-                black_box(QueryShape::extract(&stmt, &catalog));
-            }
-        }
-    });
-    let mut lits = LiteralBuf::new();
-    let mut shapes: HashMap<u64, QueryShape> = HashMap::new();
-    let mut sels: Vec<f64> = Vec::new();
-    let mut stack: Vec<f64> = Vec::new();
-    g.bench_function("fastpath_on", || {
-        let mut hits = 0u64;
-        for q in &queries {
-            if let Some(h) = scan_fingerprint(q, &mut lits) {
-                if let Some(c) = cache.get(h) {
-                    let shape = shapes.entry(h).or_insert_with(|| c.skeleton().clone());
-                    if c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack) {
-                        hits += 1;
-                        black_box(&*shape);
-                        continue;
-                    }
-                }
-            }
-            if let Ok(stmt) = parse_statement(q) {
-                black_box(QueryShape::extract(&stmt, &catalog));
-            }
-        }
-        black_box(hits)
-    });
-    g.emit_json();
-
-    // --- allocation proof on the numeric steady state -------------------
-    // Keep only statements with no string literal that bind successfully:
-    // those are the statements the zero-allocation contract covers.
-    let numeric: Vec<&str> = queries
-        .iter()
-        .map(|q| q.as_str())
-        .filter(|q| {
-            !q.contains('\'')
-                && scan_fingerprint(q, &mut lits)
-                    .and_then(|h| cache.get(h).map(|c| (h, c)))
-                    .map(|(h, c)| {
-                        let shape = shapes.entry(h).or_insert_with(|| c.skeleton().clone());
-                        c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack)
-                    })
-                    .unwrap_or(false)
-        })
-        .collect();
-    assert!(
-        numeric.len() >= 100,
-        "too few numeric fast-path statements ({}) for the allocation proof",
-        numeric.len()
-    );
-    let (allocs_off, ()) = counted(|| {
-        for &q in &numeric {
-            if let Ok(stmt) = parse_statement(q) {
-                black_box(QueryShape::extract(&stmt, &catalog));
-            }
-        }
-    });
-    let (allocs_on, bound) = counted(|| {
-        let mut bound = 0u64;
-        for &q in &numeric {
-            let h = scan_fingerprint(q, &mut lits).expect("pre-screened statement");
-            let c = cache.get(h).expect("pre-screened template");
-            let shape = shapes.get_mut(&h).expect("warmed skeleton");
-            if c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack) {
-                bound += 1;
-                black_box(&*shape);
-            }
-        }
-        bound
-    });
-    println!(
-        "frontend allocations: {} numeric statements | fastpath_off {} allocs ({:.1}/stmt) | fastpath_on {} allocs",
-        numeric.len(),
-        allocs_off,
-        allocs_off as f64 / numeric.len() as f64,
-        allocs_on
-    );
-    assert_eq!(
-        bound as usize,
-        numeric.len(),
-        "pre-screened statement failed to bind"
-    );
-    assert_eq!(
-        allocs_on, 0,
-        "steady-state fast path allocated on numeric statements"
-    );
-    assert!(
-        allocs_off > numeric.len() as u64,
-        "full parse front end reported implausibly few allocations"
-    );
 }
 
 /// MCTS search on the banking workload against its whole-workload oracle.
@@ -302,8 +120,9 @@ fn frontend_fastpath() {
 ///
 /// The three arms must produce byte-identical recommendations; the run
 /// aborts otherwise. Results (wall-clock + `db.whatif_calls` +
-/// `estimator.cost_cache.{hits,misses}`) are written to `BENCH_PR3.json`
-/// at the repo root. Protocol: `EXPERIMENTS.md` §"PR 3 micro-benchmark".
+/// `estimator.cost_cache.{hits,misses}`) are recorded as `cost_cache`
+/// (`autoindex_bench::record`). Protocol: `EXPERIMENTS.md` §"PR 3
+/// micro-benchmark".
 fn banking_cached_vs_uncached() {
     use autoindex_core::mcts::SearchOutcome;
     use autoindex_support::json::{obj, Json};
@@ -457,7 +276,5 @@ fn banking_cached_vs_uncached() {
         ("speedup_cached_serial", Json::from(med(0) / med(1))),
         ("speedup_cached_parallel", Json::from(med(0) / med(2))),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR3.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR3.json");
-    eprintln!("wrote {path}");
+    autoindex_bench::record("cost_cache", &doc);
 }

@@ -1,5 +1,5 @@
-//! Sort-aware & covering advisor surface matrix (PR 10). Writes
-//! `BENCH_PR10.json` at the repo root.
+//! Sort-aware & covering advisor surface matrix. Records the
+//! `sort_surface` result (`autoindex_bench::record`).
 //!
 //! Every cell is (scenario × strategy × surface on/off): the three
 //! `autoindex_workloads` PR10 scenarios (time-series dashboards,
@@ -14,8 +14,9 @@
 //! hits (`planner.covering_scans`), the candidate-class counters
 //! (`advisor.candidates.{sort_aware,covering}`) and the adopted surface
 //! indexes. All simulated-domain — host independent and byte-stable, so
-//! `scripts/check_bench.sh` gates the file **exactly** against the
-//! committed baseline (wall_ms excepted).
+//! the recorded document must equal
+//! `crates/bench/baselines/sort_surface.json` **exactly** (wall_ms
+//! excepted).
 //!
 //! Gates (the run aborts otherwise):
 //!
@@ -28,6 +29,7 @@
 //! 3. surface-on runs elide sorts and hit covering scans (> 0) on every
 //!    scenario where the classes are enabled.
 
+use autoindex_bench::record;
 use autoindex_core::{AutoIndex, AutoIndexConfig, CandidateConfig, StrategyKind};
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::index::{IndexDef, SortDirection};
@@ -305,7 +307,5 @@ fn main() {
             ]),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR10.json");
-    eprintln!("wrote {path}");
+    record("sort_surface", &doc);
 }

@@ -1,6 +1,7 @@
-//! Serving throughput: the concurrent pipeline's worker sweep (PR 5) plus
-//! the query front-end comparison (PR 6). Writes `BENCH_PR5.json` and
-//! `BENCH_PR6.json` at the repo root (protocol: `docs/SERVING.md`
+//! Serving throughput: the concurrent pipeline's worker sweep plus the
+//! query front-end comparison. Records the `serve_sweep` and `frontend`
+//! results (`autoindex_bench::record`: written under `target/bench/`,
+//! compared with `crates/bench/baselines/`; protocol: `docs/SERVING.md`
 //! §"Throughput bench" and `docs/PERFORMANCE.md` §"The zero-allocation
 //! query hot path").
 //!
@@ -21,17 +22,16 @@
 //! 1. every worker count accounts for the full stream,
 //! 2. every transcript is byte-identical to the 1-worker transcript
 //!    (determinism contract),
-//! 3. 4 workers reach >= 2x the 1-worker simulated qps.
+//! 3. 4 workers reach >= 2x the 1-worker simulated qps,
+//! 4. both recorded documents equal their committed baselines outside the
+//!    wall-clock members.
 //!
-//! `scripts/check_bench.sh` diffs the written files against the committed
-//! baselines `scripts/bench_baseline_pr5.json` /
-//! `scripts/bench_baseline_pr6.json` with a tolerance band.
-//!
-//! PR 6 additions (all in `BENCH_PR6.json`):
+//! The `frontend` result carries:
 //!
 //! * the same execution-domain sweep rows (they must stay byte-identical
-//!   to the PR 5 baseline — the fast path may not change *what* executes),
-//! * a measured **front-end** comparison: wall-clock qps of the PR 5-era
+//!   to the `serve_sweep` rows — the fast path may not change *what*
+//!   executes),
+//! * a measured **front-end** comparison: wall-clock qps of the full
 //!   per-statement front end (`parse_statement` + `QueryShape::extract`)
 //!   vs the compiled-template fast path (`scan_fingerprint`, cache
 //!   lookup, `bind_into` on reused scratch) at steady state. This is the
@@ -42,6 +42,7 @@
 //! * a fastpath-off serve run whose transcript must be byte-identical to
 //!   the fastpath-on sweep baseline (the execution-identity contract).
 
+use autoindex_bench::record;
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
 use autoindex_core::{serve, AutoIndex, AutoIndexConfig, FastPathCache, ServeConfig};
 use autoindex_estimator::NativeCostEstimator;
@@ -60,20 +61,6 @@ const STATEMENTS: usize = 4_000;
 const EPOCH_INTERVAL: u64 = 1_000;
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const REQUIRED_SPEEDUP_AT_4: f64 = 2.0;
-
-struct Row {
-    workers: usize,
-    executed: u64,
-    parse_failures: u64,
-    tuning_rounds: u64,
-    epochs: usize,
-    total_sim_ms: f64,
-    makespan_ms: f64,
-    simulated_qps: f64,
-    speedup_vs_1: f64,
-    deterministic_match: bool,
-    wall_ms: u64,
-}
 
 fn fresh_db() -> SimDb {
     let mut db = SimDb::with_metrics(
@@ -95,7 +82,8 @@ fn main() {
         .map(|(_, q)| q)
         .collect();
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
+    let mut at4 = 0.0;
     let mut baseline_transcript = String::new();
     let mut baseline_qps = 0.0;
     let mut baseline_hits = 0u64;
@@ -150,31 +138,30 @@ fn main() {
             speedup,
             wall_ms
         );
-        rows.push(Row {
-            workers,
-            executed: r.executed,
-            parse_failures: r.parse_failures,
-            tuning_rounds: r.tuning_rounds,
-            epochs: r.epochs.len(),
-            total_sim_ms: r.total_sim_latency_ms,
-            makespan_ms: r.makespan_ms(),
-            simulated_qps: qps,
-            speedup_vs_1: speedup,
-            deterministic_match,
-            wall_ms,
-        });
+        if workers == 4 {
+            at4 = speedup;
+        }
+        rows.push(obj([
+            ("workers", Json::from(workers as u64)),
+            ("executed", Json::from(r.executed)),
+            ("parse_failures", Json::from(r.parse_failures)),
+            ("tuning_rounds", Json::from(r.tuning_rounds)),
+            ("epochs", Json::from(r.epochs.len() as u64)),
+            ("total_sim_ms", Json::from(r.total_sim_latency_ms)),
+            ("makespan_ms", Json::from(r.makespan_ms())),
+            ("simulated_qps", Json::from(qps)),
+            ("speedup_vs_1", Json::from(speedup)),
+            ("deterministic_match", Json::from(deterministic_match)),
+            ("wall_ms", Json::from(wall_ms)),
+        ]));
     }
 
-    let at4 = rows
-        .iter()
-        .find(|r| r.workers == 4)
-        .expect("4-worker row")
-        .speedup_vs_1;
     assert!(
         at4 >= REQUIRED_SPEEDUP_AT_4,
         "4 workers reached only {at4:.2}x simulated throughput (need >= {REQUIRED_SPEEDUP_AT_4}x)"
     );
 
+    let rows_json = Json::Array(rows);
     let doc = obj([
         ("bench", Json::from("throughput")),
         (
@@ -190,28 +177,7 @@ fn main() {
                  host independent — see docs/SERVING.md)",
             ),
         ),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        obj([
-                            ("workers", Json::from(r.workers as u64)),
-                            ("executed", Json::from(r.executed)),
-                            ("parse_failures", Json::from(r.parse_failures)),
-                            ("tuning_rounds", Json::from(r.tuning_rounds)),
-                            ("epochs", Json::from(r.epochs as u64)),
-                            ("total_sim_ms", Json::from(r.total_sim_ms)),
-                            ("makespan_ms", Json::from(r.makespan_ms)),
-                            ("simulated_qps", Json::from(r.simulated_qps)),
-                            ("speedup_vs_1", Json::from(r.speedup_vs_1)),
-                            ("deterministic_match", Json::from(r.deterministic_match)),
-                            ("wall_ms", Json::from(r.wall_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", rows_json.clone()),
         (
             "gate",
             obj([
@@ -220,13 +186,11 @@ fn main() {
             ]),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR5.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR5.json");
-    eprintln!("wrote {path}");
+    record("serve_sweep", &doc);
 
-    pr6(
+    frontend(
         &queries,
-        &rows,
+        rows_json,
         &baseline_transcript,
         baseline_hits,
         baseline_misses,
@@ -246,10 +210,10 @@ struct Frontend {
     misses: u64,
 }
 
-/// The PR 6 headline measurement: the statement front end in isolation,
+/// The headline front-end measurement: the statement front end in isolation,
 /// steady state, on the same banking stream the sweep serves.
 ///
-/// * `fastpath_off` — what every worker did before PR 6:
+/// * `fastpath_off` — what every worker did before the fast path:
 ///   `parse_statement` (lexer + AST allocation) then `QueryShape::extract`
 ///   per statement.
 /// * `fastpath_on` — the compiled-template path: `scan_fingerprint` into a
@@ -267,7 +231,7 @@ fn frontend_microbench(queries: &[String]) -> Frontend {
     }
     let cache = FastPathCache::build(store.entries(), &catalog);
 
-    // --- fastpath off: the PR 5-era front end --------------------------
+    // --- fastpath off: the full-parse front end ------------------------
     let full = |q: &String| {
         if let Ok(stmt) = parse_statement(q) {
             black_box(QueryShape::extract(&stmt, &catalog));
@@ -314,30 +278,6 @@ fn frontend_microbench(queries: &[String]) -> Frontend {
             full(q);
         }
     };
-    if std::env::var("FRONTEND_BREAKDOWN").is_ok() {
-        let t = Instant::now();
-        for _ in 0..30 {
-            for q in queries {
-                black_box(scan_fingerprint(q, &mut lits));
-            }
-        }
-        eprintln!(
-            "  scan only: {:.0} ns/stmt",
-            t.elapsed().as_nanos() as f64 / (30 * queries.len()) as f64
-        );
-        let t = Instant::now();
-        for _ in 0..30 {
-            for q in queries {
-                if let Some(h) = scan_fingerprint(q, &mut lits) {
-                    black_box(cache.get(h));
-                }
-            }
-        }
-        eprintln!(
-            "  scan+get:  {:.0} ns/stmt",
-            t.elapsed().as_nanos() as f64 / (30 * queries.len()) as f64
-        );
-    }
     // Warmup pass populates the per-template skeleton clones and grows the
     // scratch buffers to their steady-state capacity.
     pass(
@@ -377,11 +317,11 @@ fn frontend_microbench(queries: &[String]) -> Frontend {
     }
 }
 
-/// PR 6 gates + `BENCH_PR6.json`: execution rows unchanged, fastpath-off
-/// transcript identical, front-end speedup over the floor.
-fn pr6(
+/// Front-end gates + the `frontend` result: execution rows unchanged,
+/// fastpath-off transcript identical, front-end speedup over the floor.
+fn frontend(
     queries: &[String],
-    rows: &[Row],
+    rows_json: Json,
     baseline_transcript: &str,
     fastpath_hits: u64,
     fastpath_misses: u64,
@@ -425,7 +365,7 @@ fn pr6(
     );
 
     let doc = obj([
-        ("bench", Json::from("throughput_pr6")),
+        ("bench", Json::from("frontend")),
         (
             "workload",
             Json::from(format!(
@@ -440,28 +380,7 @@ fn pr6(
                  only the ratio is gated (docs/PERFORMANCE.md)",
             ),
         ),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        obj([
-                            ("workers", Json::from(r.workers as u64)),
-                            ("executed", Json::from(r.executed)),
-                            ("parse_failures", Json::from(r.parse_failures)),
-                            ("tuning_rounds", Json::from(r.tuning_rounds)),
-                            ("epochs", Json::from(r.epochs as u64)),
-                            ("total_sim_ms", Json::from(r.total_sim_ms)),
-                            ("makespan_ms", Json::from(r.makespan_ms)),
-                            ("simulated_qps", Json::from(r.simulated_qps)),
-                            ("speedup_vs_1", Json::from(r.speedup_vs_1)),
-                            ("deterministic_match", Json::from(r.deterministic_match)),
-                            ("wall_ms", Json::from(r.wall_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", rows_json),
         (
             "serve_fastpath",
             obj([
@@ -488,7 +407,5 @@ fn pr6(
             ]),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
-    std::fs::write(path, format!("{}\n", doc.pretty())).expect("write BENCH_PR6.json");
-    eprintln!("wrote {path}");
+    record("frontend", &doc);
 }

@@ -11,9 +11,9 @@
 //! Every target runs against a freshly reset global [`MetricsRegistry`] and
 //! prints the resulting snapshot (see `docs/OBSERVABILITY.md`), so each
 //! experiment's printed numbers come with the raw counters that produced
-//! them. The `smoke` target is a self-checking round used by
-//! `scripts/verify.sh`: it re-parses its own snapshot with the in-repo JSON
-//! parser and exits non-zero if any core counter is missing or zero.
+//! them. The `smoke` target is a self-checking round `scripts/verify.sh`
+//! runs for its exit status: it re-parses its own snapshot with the in-repo
+//! JSON parser and exits non-zero if any core counter is missing or zero.
 
 use autoindex_bench::experiments as ex;
 use autoindex_bench::{fmt_bytes, Method};
@@ -170,122 +170,7 @@ fn smoke() {
         eprintln!("smoke FAILED: see FAIL rows above");
         std::process::exit(1);
     }
-    smoke_guard_faults();
-    smoke_serve_determinism();
-    smoke_fleet();
-    smoke_drift();
     println!("smoke OK: snapshot parseable, all core counters non-zero");
-}
-
-/// Drift-recovery stage (`scripts/verify.sh` greps the
-/// `tuner.drift.regret` row): on the flash-crowd drift scenario the C²UCB
-/// bandit's cumulative regret against the frozen hindsight oracle must
-/// beat or tie greedy's — the measured-reward loop may not lose to the
-/// estimate-only baseline on the scenario it is built for. A scaled-down
-/// round-by-round replay of the `drift_matrix` bench (one scenario, two
-/// strategies); see `docs/EXPERIMENTS.md` §"Drift matrix".
-fn smoke_drift() {
-    use autoindex_core::{AutoIndex, AutoIndexConfig, RegretAccounter, StrategyKind};
-    use autoindex_estimator::NativeCostEstimator;
-    use autoindex_storage::{SimDb, SimDbConfig};
-    use autoindex_workloads::drift::flash_crowd;
-
-    println!("\n--- drift regret smoke ---");
-    const ROUND: usize = 100;
-    let s = flash_crowd(77, 600);
-    let build_db = || {
-        let cfg = SimDbConfig {
-            seed: 77,
-            ..Default::default()
-        };
-        let mut db = SimDb::with_metrics(
-            s.catalog.clone(),
-            cfg,
-            autoindex_support::obs::MetricsRegistry::new(),
-        );
-        for d in &s.start_indexes {
-            let _ = db.create_index(d.clone());
-        }
-        db
-    };
-
-    // Frozen hindsight oracle: observe the whole stream, freeze the MCTS
-    // recommendation onto a shadow database with the same simulator seed,
-    // replay per round.
-    let mut db = build_db();
-    let mut hindsight = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
-    for q in &s.queries {
-        hindsight.observe(q, &db).unwrap();
-    }
-    let rec = hindsight
-        .session(&mut db)
-        .recommend_only()
-        .run()
-        .unwrap()
-        .report
-        .recommendation;
-    let mut shadow = build_db();
-    for d in &rec.remove {
-        if let Some(id) = shadow.find_index(d) {
-            let _ = shadow.drop_index(id);
-        }
-    }
-    for d in &rec.add {
-        let _ = shadow.create_index(d.clone());
-    }
-    let oracle: Vec<_> = shadow.indexes().map(|(_, d)| d.clone()).collect();
-    let oracle_means: Vec<f64> = s
-        .queries
-        .chunks(ROUND)
-        .map(|round| {
-            round
-                .iter()
-                .map(|q| {
-                    shadow
-                        .execute(&autoindex_sql::parse_statement(q).unwrap())
-                        .latency_ms
-                })
-                .sum::<f64>()
-                / round.len() as f64
-        })
-        .collect();
-
-    let regret_for = |kind: StrategyKind| -> f64 {
-        let mut db = build_db();
-        let cfg = AutoIndexConfig::builder().strategy(kind).build().unwrap();
-        let mut advisor = AutoIndex::new(cfg, NativeCostEstimator);
-        let mut regret = RegretAccounter::new(oracle.clone());
-        for (r, round) in s.queries.chunks(ROUND).enumerate() {
-            let mut total = 0.0;
-            for q in round {
-                total += db
-                    .execute(&autoindex_sql::parse_statement(q).unwrap())
-                    .latency_ms;
-                advisor.observe(q, &db).unwrap();
-            }
-            let mean = total / round.len() as f64;
-            advisor.observe_reward(mean);
-            regret.observe_round(mean, oracle_means[r], round.len() as u64, db.metrics());
-            advisor.session(&mut db).run().unwrap();
-            db.reset_usage();
-        }
-        regret.cumulative_ms()
-    };
-
-    let bandit = regret_for(StrategyKind::Bandit);
-    let greedy = regret_for(StrategyKind::Greedy);
-    let ok = bandit <= greedy;
-    println!(
-        "  tuner.drift.regret (flash crowd: bandit {bandit:.1} vs greedy {greedy:.1} sim-ms)  {}",
-        if ok { "ok" } else { "FAIL" }
-    );
-    if !ok {
-        eprintln!(
-            "smoke FAILED: bandit cumulative regret {bandit:.3} exceeds greedy {greedy:.3} \
-             on the flash-crowd drift scenario"
-        );
-        std::process::exit(1);
-    }
 }
 
 /// One chaos-matrix cell (`scripts/chaos_matrix.sh`): serve the named
@@ -527,284 +412,6 @@ fn chaos(args: &[String]) {
         if leaks > 0 {
             eprintln!("chaos FAILED: {leaks} guarded applies left a partial catalog");
         }
-        std::process::exit(1);
-    }
-}
-
-/// Multi-tenant fleet stage (`scripts/verify.sh` greps the
-/// `serve.fleet.determinism` row): a small banking tenant fleet served
-/// under a saturating admission capacity with 1 and with 4 work-stealing
-/// workers must produce the identical transcript digest — same admission
-/// decisions, shed counts, SLO verdicts and tuner visits — and admission
-/// control must actually engage (shed + deferred slices both non-zero,
-/// protected priorities never shed). See `docs/SERVING.md` §"Multi-tenant
-/// fleet".
-fn smoke_fleet() {
-    use autoindex_core::{
-        serve_fleet, AutoIndex, AutoIndexConfig, FleetConfig, FleetTenant, TenantSpec,
-    };
-    use autoindex_estimator::NativeCostEstimator;
-    use autoindex_storage::{SimDb, SimDbConfig};
-    use autoindex_workloads::fleet::fleet_workload;
-    use std::sync::Arc;
-
-    println!("\n--- multi-tenant fleet smoke ---");
-    let run = |workers: usize| {
-        let tenants: Vec<FleetTenant<NativeCostEstimator>> = fleet_workload(8, 800, 2024)
-            .into_iter()
-            .map(|w| {
-                let db_cfg = SimDbConfig {
-                    seed: w.seed,
-                    ..Default::default()
-                };
-                let mut db = SimDb::with_metrics(
-                    w.catalog,
-                    db_cfg,
-                    autoindex_support::obs::MetricsRegistry::new(),
-                );
-                for d in w.dba_indexes {
-                    let _ = db.create_index(d);
-                }
-                FleetTenant {
-                    spec: TenantSpec {
-                        name: w.name,
-                        priority: w.priority,
-                        slo_p50_ms: w.slo_p50_ms,
-                        slo_p99_ms: w.slo_p99_ms,
-                    },
-                    db,
-                    advisor: AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator),
-                    queries: Arc::new(w.queries),
-                }
-            })
-            .collect();
-        let cfg = FleetConfig::builder()
-            .workers(workers)
-            .epoch_interval(200)
-            // ~8 tenants x 200 statements x ~0.7 sim-ms — capacity near
-            // 80% of the offered epoch load keeps admission saturated.
-            .epoch_capacity_ms(900.0)
-            .shed_floor_priority(1)
-            .build()
-            .unwrap();
-        serve_fleet(tenants, cfg).unwrap()
-    };
-    let one = run(1);
-    let four = run(4);
-    let ok = one.report.transcript_digest() == four.report.transcript_digest();
-    println!(
-        "  serve.fleet.determinism (1 vs 4 workers, 8 tenants) {:>6}  {}",
-        if ok { "equal" } else { "differ" },
-        if ok { "ok" } else { "FAIL" }
-    );
-    if !ok {
-        eprintln!("smoke FAILED: fleet transcript digest differs across worker counts");
-        eprintln!(
-            "--- 1 worker ---\n{}\n--- 4 workers ---\n{}",
-            one.report.transcript(),
-            four.report.transcript()
-        );
-        std::process::exit(1);
-    }
-    let r = &four.report;
-    let protected_shed = r
-        .tenant_reports
-        .iter()
-        .any(|t| t.priority >= 1 && t.shed > 0);
-    let adm_ok = r.shed_slices > 0 && r.deferred_slices > 0 && !protected_shed;
-    println!(
-        "  serve.admission (shed_slices={} deferred_slices={} protected_shed={}) {}",
-        r.shed_slices,
-        r.deferred_slices,
-        protected_shed,
-        if adm_ok { "ok" } else { "FAIL" }
-    );
-    if !adm_ok {
-        eprintln!(
-            "smoke FAILED: admission control not engaged or a protected tenant was shed\n{}",
-            r.transcript()
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Serving-pipeline determinism stage (`scripts/verify.sh` greps the
-/// `serve.determinism` and `serve.fastpath.hits` rows): the same query
-/// stream served with 1 and with 4 executor workers must produce byte-identical transcripts — same per-epoch statement
-/// counts, same diagnosis firings, same tuning decisions and the same
-/// final `ConfigSet` fingerprint (see `docs/SERVING.md`) — and the
-/// compiled-template fast path must actually engage: a non-zero,
-/// worker-count-invariant hit tally on the banking stream
-/// (see `docs/PERFORMANCE.md` §"The zero-allocation query hot path").
-fn smoke_serve_determinism() {
-    use autoindex_core::{serve, AutoIndex, AutoIndexConfig, ServeConfig};
-    use autoindex_estimator::NativeCostEstimator;
-    use autoindex_storage::{SimDb, SimDbConfig};
-    use autoindex_workloads::banking::{self, BankingGenerator};
-
-    println!("\n--- serve determinism smoke ---");
-    let mut generator = BankingGenerator::new(7);
-    let queries: Vec<String> = generator
-        .generate_hybrid(1_200, 0.6)
-        .into_iter()
-        .map(|(_, q)| q)
-        .collect();
-    let run = |workers: usize| -> (String, u64, u64) {
-        let db = SimDb::with_metrics(
-            banking::catalog(),
-            SimDbConfig::default(),
-            autoindex_support::obs::MetricsRegistry::new(),
-        );
-        let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
-        let cfg = ServeConfig::builder()
-            .workers(workers)
-            .epoch_interval(400)
-            .build()
-            .unwrap();
-        let out = serve(db, advisor, &queries, cfg).unwrap();
-        (
-            out.report.transcript(),
-            out.report.fastpath_hits,
-            out.report.fastpath_misses,
-        )
-    };
-    let (one, hits1, misses1) = run(1);
-    let (four, hits4, misses4) = run(4);
-    let ok = one == four;
-    println!(
-        "  serve.determinism (1 vs 4 workers) {:>6}  {}",
-        if ok { "equal" } else { "differ" },
-        if ok { "ok" } else { "FAIL" }
-    );
-    if !ok {
-        eprintln!("smoke FAILED: deterministic serve transcript differs across worker counts");
-        eprintln!("--- 1 worker ---\n{one}\n--- 4 workers ---\n{four}");
-        std::process::exit(1);
-    }
-    let fp_ok = hits1 > 0 && (hits1, misses1) == (hits4, misses4);
-    println!(
-        "  serve.fastpath.hits (banking stream) {hits1:>4}  {}",
-        if fp_ok { "ok" } else { "FAIL" }
-    );
-    if !fp_ok {
-        eprintln!(
-            "smoke FAILED: template fast path hits={hits1}/{hits4} misses={misses1}/{misses4} \
-             (need non-zero and worker-count invariant)"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Fault-injection stage of the smoke target (`scripts/verify.sh` greps
-/// the two `ok` lines): with faults disabled a guarded apply must never
-/// roll back; at a 20% build-failure rate (zero retries) rollbacks must
-/// occur, and every run — either way — must leave the catalog exactly at
-/// the pre-apply snapshot or the fully applied recommendation.
-fn smoke_guard_faults() {
-    use autoindex_core::{ApplyVerdict, Guard, GuardConfig, Recommendation};
-    use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
-    use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
-    use autoindex_storage::index::IndexDef;
-    use autoindex_storage::{SimDb, SimDbConfig};
-    use autoindex_support::rng::derive_seed;
-    use std::collections::BTreeSet;
-
-    println!("\n--- guard fault-injection smoke ---");
-    let rec = Recommendation {
-        add: vec![IndexDef::new("s", &["a"]), IndexDef::new("s", &["a", "b"])],
-        remove: vec![IndexDef::new("s", &["b"])],
-        est_cost_before: 100.0,
-        est_cost_after: 40.0,
-    };
-    let fresh_db = || {
-        let mut c = Catalog::new();
-        c.add_table(
-            TableBuilder::new("s", 500_000)
-                .column(Column::int("id", 500_000))
-                .column(Column::int("a", 250_000))
-                .column(Column::int("b", 2_000))
-                .primary_key(&["id"])
-                .build()
-                .unwrap(),
-        );
-        let mut db = SimDb::with_metrics(
-            c,
-            SimDbConfig::default(),
-            autoindex_support::obs::MetricsRegistry::new(),
-        );
-        db.create_index(IndexDef::new("s", &["id"])).unwrap();
-        db.create_index(IndexDef::new("s", &["b"])).unwrap();
-        db
-    };
-    let keys = |db: &SimDb| -> BTreeSet<String> { db.indexes().map(|(_, d)| d.key()).collect() };
-
-    // One guarded apply per (rate, run) on a private registry; the guard is
-    // configured with zero build retries so a single injected build failure
-    // forces a rollback.
-    let run_matrix = |rate: f64, runs: u64| -> u64 {
-        let mut rollbacks = 0u64;
-        for run in 0..runs {
-            let mut db = fresh_db();
-            let pre = keys(&db);
-            let mut expected = pre.clone();
-            for d in &rec.remove {
-                expected.remove(&d.key());
-            }
-            for d in &rec.add {
-                expected.insert(d.key());
-            }
-            if rate > 0.0 {
-                db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
-                    seed: derive_seed(0x0005_A00E, run),
-                    build_failure: rate,
-                    transient_error: rate,
-                    ..FaultPlanConfig::default()
-                })));
-            }
-            let mut guard = Guard::new(
-                GuardConfig::builder().build_retries(0).build().unwrap(),
-                db.metrics(),
-            );
-            let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
-            let post = keys(&db);
-            let mut rolled_back = 0u64;
-            let consistent = match verdict {
-                ApplyVerdict::Applied => post == expected,
-                ApplyVerdict::RolledBack { .. } => {
-                    rolled_back = 1;
-                    post == pre
-                }
-                ApplyVerdict::ShadowRejected { .. } => false,
-            };
-            if !consistent {
-                eprintln!("smoke FAILED: inconsistent catalog after guarded apply (rate {rate}, run {run}): {post:?}");
-                std::process::exit(1);
-            }
-            // Each run uses a private registry, so the counter must agree
-            // with this run's verdict exactly.
-            if rolled_back != db.metrics().counter_value("guard.rollbacks") {
-                eprintln!("smoke FAILED: guard.rollbacks counter out of sync");
-                std::process::exit(1);
-            }
-            rollbacks += rolled_back;
-        }
-        rollbacks
-    };
-
-    let quiet = run_matrix(0.0, 8);
-    let ok0 = quiet == 0;
-    println!(
-        "  guard.rollbacks (fault 0%)  {quiet:>12}  {}",
-        if ok0 { "ok" } else { "FAIL" }
-    );
-    let faulty = run_matrix(0.20, 24);
-    let ok20 = faulty >= 1;
-    println!(
-        "  guard.rollbacks (fault 20%) {faulty:>12}  {}",
-        if ok20 { "ok" } else { "FAIL" }
-    );
-    if !(ok0 && ok20) {
-        eprintln!("smoke FAILED: guard fault-injection stage");
         std::process::exit(1);
     }
 }

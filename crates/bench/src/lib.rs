@@ -12,6 +12,11 @@
 //!   TPC suites, the 263 DBA indexes for banking);
 //! * measurements run the same statement stream against the same database
 //!   state, resetting indexes between methods.
+//!
+//! A bench that writes a result document gates it too: [`record`] writes
+//! `target/bench/<subject>.json` and requires it to equal the committed
+//! `crates/bench/baselines/<subject>.json` outside [`WALL_KEYS`] (protocol:
+//! `docs/BUILDING.md` §"Bench results and baselines").
 
 pub mod experiments;
 
@@ -24,7 +29,10 @@ use autoindex_sql::{parse_statement, Statement};
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig, WorkloadMeasurement};
+use autoindex_support::json::Json;
 use autoindex_workloads::Scenario;
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// The three compared methods.
@@ -236,6 +244,92 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
+/// Object members that hold **wall**-domain measurements (host dependent).
+/// [`record`] drops them from both documents before comparing; every other
+/// member is **sim**-domain or a config echo and must match exactly.
+pub const WALL_KEYS: [&str; 8] = [
+    "wall_ms",
+    "mean_ns",
+    "median_ns",
+    "qps_fastpath_on",
+    "qps_fastpath_off",
+    "frontend_speedup",
+    "speedup_cached_serial",
+    "speedup_cached_parallel",
+];
+
+/// Write a bench's result document to the untracked
+/// `target/bench/<subject>.json`, then require it to equal the committed
+/// `crates/bench/baselines/<subject>.json` outside [`WALL_KEYS`]. Prints
+/// every differing JSON path and exits non-zero otherwise, so running the
+/// bench *is* its gate. Refresh a baseline deliberately:
+/// `cp target/bench/<subject>.json crates/bench/baselines/`.
+pub fn record(subject: &str, doc: &Json) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let fresh = format!("target/bench/{subject}.json");
+    let baseline = format!("crates/bench/baselines/{subject}.json");
+    let text = format!("{}\n", doc.pretty());
+    std::fs::create_dir_all(root.join("target/bench")).expect("create target/bench");
+    std::fs::write(root.join(&fresh), &text).expect("write bench result");
+    eprintln!("wrote {fresh}");
+
+    // Compare what was written, not `doc`: a non-finite number prints as
+    // `null`, and a refreshed baseline must equal the run that produced it.
+    let written = Json::parse(&text).expect("own output parses");
+    let verdict = compare_with_baseline(&root.join(&baseline), &written);
+    if let Err(e) = verdict {
+        eprintln!("bench gate FAILED: {fresh} differs from {baseline}\n{e}");
+        eprintln!("if intentional: cp {fresh} {baseline}");
+        std::process::exit(1);
+    }
+    eprintln!("bench gate OK: {fresh} equals {baseline} (wall keys ignored)");
+}
+
+/// `Ok` iff the baseline file exists, parses and [`diff`]s empty against
+/// `fresh`; the error lists one differing path per line.
+fn compare_with_baseline(baseline: &Path, fresh: &Json) -> Result<(), String> {
+    let named = |e: &dyn std::fmt::Display| format!("{}: {e}", baseline.display());
+    let text = std::fs::read_to_string(baseline).map_err(|e| named(&e))?;
+    let committed = Json::parse(&text).map_err(|e| named(&e))?;
+    let mut lines = Vec::new();
+    diff(Some(&committed), Some(fresh), "$", &mut lines);
+    if lines.is_empty() {
+        Ok(())
+    } else {
+        Err(lines.join("\n"))
+    }
+}
+
+/// Append one `path: baseline <v>, current <v>` line per place the two
+/// documents differ, ignoring [`WALL_KEYS`] members at any depth. A member
+/// or array element present on one side only is a difference.
+fn diff(baseline: Option<&Json>, current: Option<&Json>, path: &str, out: &mut Vec<String>) {
+    match (baseline, current) {
+        (Some(Json::Object(b)), Some(Json::Object(c))) => {
+            let keys: BTreeSet<&String> = b.keys().chain(c.keys()).collect();
+            for k in keys {
+                if !WALL_KEYS.contains(&k.as_str()) {
+                    diff(b.get(k), c.get(k), &format!("{path}.{k}"), out);
+                }
+            }
+        }
+        (Some(Json::Array(b)), Some(Json::Array(c))) => {
+            for i in 0..b.len().max(c.len()) {
+                diff(b.get(i), c.get(i), &format!("{path}[{i}]"), out);
+            }
+        }
+        (b, c) if b != c => {
+            let side = |v: Option<&Json>| v.map_or("(absent)".to_string(), Json::to_string);
+            out.push(format!(
+                "  {path}: baseline {}, current {}",
+                side(b),
+                side(c)
+            ));
+        }
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,5 +360,65 @@ mod tests {
         assert!(d.index_count <= a.index_count);
         assert!(a.total_latency_ms <= d.total_latency_ms * 1.02);
         assert!(a.tuning_time > Duration::ZERO);
+    }
+
+    /// A fleet-shaped result with **sim** numbers, a digest, a `required_*`
+    /// floor and wall members at the top level, nested and inside `rows`.
+    const BASE: &str = r#"{
+        "transcript_digest": "68a166e14eead973", "wall_ms": 9,
+        "gate": {"required_speedup_at_4": 3.5},
+        "frontend": {"frontend_hits": 3, "qps_fastpath_on": 2792721.8},
+        "rows": [{"workers": 1, "wall_ms": 71}, {"workers": 4, "simulated_qps": 44.71, "wall_ms": 60}]
+    }"#;
+
+    /// Paths at which `BASE` differs from `BASE` with `from` replaced by `to`.
+    fn differing(from: &str, to: &str) -> Vec<String> {
+        assert!(BASE.contains(from));
+        let (base, fresh) = (Json::parse(BASE), Json::parse(&BASE.replace(from, to)));
+        let mut out = Vec::new();
+        diff(Some(&base.unwrap()), Some(&fresh.unwrap()), "$", &mut out);
+        out
+    }
+
+    #[test]
+    fn a_sim_difference_fails_and_names_its_path() {
+        let row4 = r#", {"workers": 4, "simulated_qps": 44.71, "wall_ms": 60}"#;
+        for (what, from, to, path) in [
+            ("sim number", "44.71", "44.72", "$.rows[1].simulated_qps:"),
+            ("digest", "68a1", "68a2", "$.transcript_digest:"),
+            ("missing row", row4, "", "$.rows[1]: baseline {"),
+            (
+                "added row",
+                "60}",
+                "60}, {}",
+                "$.rows[2]: baseline (absent)",
+            ),
+            (
+                "lowered floor",
+                "3.5",
+                "3.4",
+                "$.gate.required_speedup_at_4:",
+            ),
+        ] {
+            let lines = differing(from, to);
+            assert_eq!(lines.len(), 1, "{what}: {lines:?}");
+            assert!(lines[0].contains(path), "{what}: {lines:?}");
+        }
+    }
+
+    #[test]
+    fn wall_key_differences_pass_at_every_depth() {
+        assert_eq!(differing(r#""wall_ms": 9"#, r#""wall_ms": 12"#), [""; 0]);
+        assert_eq!(differing("2792721.8", "1.5"), [""; 0]);
+        assert_eq!(differing(r#""wall_ms": 71"#, r#""wall_ms": 38"#), [""; 0]);
+        // Absent on one side is still only a wall difference.
+        assert_eq!(differing(r#", "wall_ms": 60"#, ""), [""; 0]);
+    }
+
+    #[test]
+    fn a_missing_baseline_is_an_error_not_a_pass() {
+        let nowhere = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/no_such_subject.json");
+        let err = compare_with_baseline(&nowhere, &Json::parse(BASE).unwrap()).unwrap_err();
+        assert!(err.contains("no_such_subject.json"), "{err}");
     }
 }

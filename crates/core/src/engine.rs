@@ -231,7 +231,7 @@ fn shard_of(seed: u64, seq: u64, shards: u64) -> u64 {
 /// a pure function of the task totals, instead of measuring which thread
 /// happened to win the race for which task — which is
 /// scheduler-dependent and would make the throughput benches
-/// (`BENCH_PR5.json`, `BENCH_PR8.json`) flaky.
+/// (the `serve_sweep` and `fleet_sweep` results) flaky.
 fn lpt_makespan(mut task_ms: Vec<f64>, workers: usize) -> f64 {
     if workers <= 1 {
         return task_ms.iter().sum();

@@ -60,10 +60,9 @@
 //! physical schedule, which is observability data
 //! (`serve.fleet.steals`, wall time) and the *simulated makespan* (the
 //! LPT packing of per-task costs onto worker slots, deliberately kept
-//! out of the transcript). `scripts/verify.sh` smoke-checks the 1-worker
-//! and 4-worker fleet transcript digests byte-for-byte; the property
-//! tests in `crates/core/tests/fleet.rs` pin permutation- and
-//! worker-count-invariance.
+//! out of the transcript). The tests in `crates/core/tests/fleet.rs`
+//! compare the 1-, 4- and 8-worker fleet transcripts byte-for-byte and
+//! pin permutation- and worker-count-invariance as a property.
 
 use crate::engine::{
     absorb_slice, simulated_qps, tuning_round, Engine, EngineConfig, Lane, Publication, Slice,
@@ -561,8 +560,8 @@ impl FleetReport {
     }
 
     /// Fleet throughput in the simulation's time domain: executed
-    /// statements per simulated second of makespan — the metric
-    /// `BENCH_PR8.json` sweeps over worker counts.
+    /// statements per simulated second of makespan — the metric the
+    /// `fleet_sweep` bench result sweeps over worker counts.
     pub fn simulated_qps(&self) -> f64 {
         simulated_qps(self.executed, self.sim_makespan_ms)
     }
@@ -598,8 +597,8 @@ impl FleetReport {
 
     /// FNV-1a digest over the fleet transcript plus every tenant
     /// transcript, in tenant order — one u64 that pins the entire
-    /// deterministic surface (`verify.sh` compares it across worker
-    /// counts; `BENCH_PR8.json` records it).
+    /// deterministic surface (`tests/fleet.rs` compares it across worker
+    /// counts; the `fleet_sweep` bench result records it).
     pub fn transcript_digest(&self) -> u64 {
         let mut h = fnv1a(self.transcript().as_bytes());
         for t in &self.tenant_reports {

@@ -270,8 +270,8 @@ pub struct ServeReport {
     /// Executed statements served by the compiled-template fast path.
     /// Deliberately **not** part of [`ServeReport::transcript`] — routing
     /// is an implementation detail — but worker-count invariant all the
-    /// same (caches are epoch-frozen; `verify.sh` smoke-checks a non-zero
-    /// hit rate).
+    /// same (caches are epoch-frozen; `tests/serving.rs` asserts a
+    /// non-zero, worker-count-invariant tally).
     pub fastpath_hits: u64,
     /// Executed statements that took the full parse path (cache miss,
     /// bind-guard fallback, or fast path disabled).
@@ -291,7 +291,7 @@ impl ServeReport {
 
     /// Serving throughput in the simulation's time domain:
     /// executed statements per simulated second of makespan. This is the
-    /// metric `BENCH_PR5.json` sweeps over worker counts (see
+    /// metric the `serve_sweep` bench result sweeps over worker counts (see
     /// `docs/SERVING.md` for why wall-clock on the build host is not it).
     pub fn simulated_qps(&self) -> f64 {
         simulated_qps(self.executed, self.sim_makespan_ms)

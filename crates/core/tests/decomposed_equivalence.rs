@@ -2,7 +2,8 @@
 //! be a pure performance optimisation — recommendations byte-identical to
 //! the legacy uncached serial path, with a large reduction in what-if
 //! planner calls (the acceptance bar is ≥ 3×; the banking workload
-//! typically shows two orders of magnitude, see `BENCH_PR3.json`).
+//! typically shows two orders of magnitude, see
+//! `crates/bench/baselines/cost_cache.json`).
 
 use autoindex_core::mcts::{
     ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,

@@ -209,6 +209,12 @@ fn saturated_banking_fleet_protects_priorities_and_accounts_exactly_once() {
         "every statement accounted exactly once"
     );
     assert!(out.report.saturated_epochs > 0, "capacity actually bound");
+    assert!(
+        out.report.shed_slices > 0 && out.report.deferred_slices > 0,
+        "admission must both shed and defer: shed_slices={} deferred_slices={}",
+        out.report.shed_slices,
+        out.report.deferred_slices
+    );
     for t in &out.report.tenant_reports {
         if t.priority >= 1 {
             assert_eq!(t.shed, 0, "protected tenant {} was shed", t.name);

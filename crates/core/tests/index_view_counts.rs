@@ -1,20 +1,26 @@
-//! Count-domain regression test for the index view: planning work follows
-//! the tables a statement touches, never the size of the configuration.
+//! Count-domain regression tests: planning work follows the tables a
+//! statement touches, never the size of the configuration; snapshot
+//! execution allocates only what it returns; the steady-state fast path
+//! allocates nothing on numeric statements.
 //!
 //! A counting `#[global_allocator]` (per-thread, so the libtest harness
 //! cannot leak into a window) measures allocator calls; the what-if,
 //! inference and fault-roll counters must read exactly one per probe.
 
+use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
+use autoindex_core::FastPathCache;
 use autoindex_estimator::{CostEstimator, NativeCostEstimator};
+use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::parse_statement;
 use autoindex_storage::fault::FaultPlan;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
-use autoindex_workloads::banking;
+use autoindex_workloads::banking::{self, BankingGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 
 struct CountingAlloc;
 
@@ -152,5 +158,75 @@ fn snapshot_execution_allocates_only_what_it_returns() {
         allocs <= 2 + growth_steps,
         "{allocs} allocator calls for {} maintained indexes",
         delta.maintenance.len()
+    );
+}
+
+/// The compiled-template fast path at steady state — `scan_fingerprint`
+/// into a reused `LiteralBuf`, template-cache lookup, `bind_into` a warmed
+/// skeleton clone — performs **zero** allocator calls on numeric statements
+/// (string literals are excluded: binding a `Str` clones its contents, which
+/// is documented and expected), while the full-parse front end pays more
+/// than one call per statement.
+#[test]
+fn steady_state_fast_path_allocates_nothing_on_numeric_statements() {
+    let catalog = banking::catalog();
+    let queries: Vec<String> = BankingGenerator::new(11)
+        .generate_hybrid(1_500, 0.6)
+        .into_iter()
+        .map(|(_, q)| q)
+        .collect();
+    let mut store = TemplateStore::new(TemplateStoreConfig::default());
+    for q in &queries {
+        let _ = store.observe(q, &catalog);
+    }
+    let cache = FastPathCache::build(store.entries(), &catalog);
+    let mut lits = LiteralBuf::new();
+    let mut shapes: HashMap<u64, QueryShape> = HashMap::new();
+    let mut sels: Vec<f64> = Vec::new();
+    let mut stack: Vec<f64> = Vec::new();
+
+    // Keep only statements with no string literal that bind successfully;
+    // screening them also warms the skeleton clones and scratch buffers.
+    let numeric: Vec<&str> = queries
+        .iter()
+        .map(String::as_str)
+        .filter(|q| {
+            !q.contains('\'')
+                && scan_fingerprint(q, &mut lits)
+                    .and_then(|h| cache.get(h).map(|c| (h, c)))
+                    .is_some_and(|(h, c)| {
+                        let shape = shapes.entry(h).or_insert_with(|| c.skeleton().clone());
+                        c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack)
+                    })
+        })
+        .collect();
+    assert!(numeric.len() >= 100, "only {} statements", numeric.len());
+
+    let (allocs_off, ()) = counted(|| {
+        for &q in &numeric {
+            let stmt = parse_statement(q).unwrap();
+            std::hint::black_box(QueryShape::extract(&stmt, &catalog));
+        }
+    });
+    let (allocs_on, bound) = counted(|| {
+        numeric
+            .iter()
+            .filter(|q| {
+                let h = scan_fingerprint(q, &mut lits).expect("pre-screened statement");
+                let c = cache.get(h).expect("pre-screened template");
+                let shape = shapes.get_mut(&h).expect("warmed skeleton");
+                c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack)
+            })
+            .count()
+    });
+    assert_eq!(
+        bound,
+        numeric.len(),
+        "pre-screened statement failed to bind"
+    );
+    assert_eq!(allocs_on, 0, "steady-state fast path allocated");
+    assert!(
+        allocs_off > numeric.len() as u64,
+        "full parse made only {allocs_off} allocator calls"
     );
 }

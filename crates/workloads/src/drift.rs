@@ -3,7 +3,7 @@
 //! Each scenario is a deterministic single-tenant statement stream with a
 //! marked *drift point*: the workload's shape changes abruptly there, and
 //! the tuning strategy under test has to re-converge. The `drift_matrix`
-//! bench (and the `repro smoke` drift check) replays every stream under
+//! bench (and `crates/core/tests/drift_regret.rs`) replays every stream under
 //! greedy, MCTS and the C²UCB bandit, scoring cumulative regret against a
 //! hindsight oracle and recovery-time-to-SLO after the drift point.
 //!

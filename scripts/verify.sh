@@ -16,7 +16,7 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + allocation bound: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + allocation bounds incl. the zero-allocation fast path: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 
@@ -31,53 +31,8 @@ cargo test -q --offline --manifest-path perf/Cargo.toml
 echo "==> cargo doc --no-deps --offline --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "==> metrics smoke-check (repro smoke: snapshot must re-parse, core counters non-zero)"
-SMOKE_OUT=$(cargo run --release --offline -p autoindex-bench --bin repro -- smoke)
-printf '%s\n' "$SMOKE_OUT"
-
-echo "==> perf smoke-check (decomposed delta-cost engine must actually share terms)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'estimator\.cost_cache\.hits' | grep -q 'ok'; then
-    echo "ERROR: estimator.cost_cache.hits is zero — the delta-cost cache is not engaged" >&2
-    exit 1
-fi
-
-echo "==> fault-injection smoke-check (guarded apply: clean at 0% faults, rollbacks at 20%)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'guard\.rollbacks \(fault 0%\)' | grep -q 'ok'; then
-    echo "ERROR: guarded apply rolled back without faults (must be zero rollbacks at 0%)" >&2
-    exit 1
-fi
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'guard\.rollbacks \(fault 20%\)' | grep -q 'ok'; then
-    echo "ERROR: no guard rollback observed at a 20% fault rate" >&2
-    exit 1
-fi
-
-echo "==> serve determinism smoke-check (1-worker vs 4-worker transcripts byte-identical)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.determinism' | grep -q 'ok'; then
-    echo "ERROR: deterministic serve transcripts differ between 1 and 4 workers" >&2
-    exit 1
-fi
-
-echo "==> fast-path smoke-check (compiled-template fast path must engage on the banking stream)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.fastpath\.hits' | grep -q 'ok'; then
-    echo "ERROR: template fast-path hit count is zero (or not worker-count invariant)" >&2
-    exit 1
-fi
-
-echo "==> fleet determinism smoke-check (multi-tenant digests byte-identical, admission engaged)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.fleet\.determinism' | grep -q 'ok'; then
-    echo "ERROR: multi-tenant fleet transcript digest differs between 1 and 4 workers" >&2
-    exit 1
-fi
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.admission ' | grep -q 'ok'; then
-    echo "ERROR: fleet admission control did not engage (or shed a protected tenant)" >&2
-    exit 1
-fi
-
-echo "==> drift regret smoke-check (bandit cumulative regret <= greedy on flash crowd)"
-if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'tuner\.drift\.regret' | grep -q 'ok'; then
-    echo "ERROR: bandit cumulative regret exceeds greedy on the flash-crowd drift scenario" >&2
-    exit 1
-fi
+echo "==> repro smoke (metrics snapshot must re-parse, core counters incl. estimator.cost_cache.hits non-zero; exits non-zero otherwise)"
+cargo run --release --offline -p autoindex-bench --bin repro -- smoke
 
 echo "==> docs link audit (every docs/*.md must be reachable from README.md)"
 DOCS_MISSING=0
