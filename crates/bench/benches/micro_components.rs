@@ -1,114 +1,21 @@
-//! Component micro-benchmarks: the hot paths whose costs determine online
-//! viability — SQL2Template observation throughput, candidate generation,
-//! what-if planning, one MCTS search round, and the banking MCTS search
-//! against its whole-workload oracle (the `cost_cache` result).
+//! The banking MCTS search against its whole-workload oracle — the gated
+//! `cost_cache` result. (Wall-clock costs of the component hot paths are
+//! `perf/`'s per-layer metrics: `templates.observe.ns`, `candgen.ms`,
+//! `estimator.shape_cost.ns`, `search.mcts.ms`.)
 
-use autoindex_core::mcts::{ConfigSet, MctsConfig, MctsSearch, PolicyTree, Universe};
-use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
+use autoindex_core::mcts::{
+    ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,
+};
 use autoindex_core::{CandidateConfig, CandidateGenerator};
 use autoindex_estimator::NativeCostEstimator;
-use autoindex_sql::{fingerprint, parse_statement};
+use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::bench::Bench;
-use autoindex_workloads::tpcc::{self, TpccGenerator, TpccScale};
+use autoindex_support::json::{obj, Json};
+use autoindex_support::obs::MetricsRegistry;
+use autoindex_workloads::banking::{self, BankingGenerator};
 use std::hint::black_box;
-
-fn main() {
-    let catalog = tpcc::catalog(TpccScale::X1);
-    let queries = TpccGenerator::new(TpccScale::X1, 5).generate(200);
-
-    // --- SQL2Template ----------------------------------------------------
-    let mut g = Bench::new("sql2template").throughput_elements(queries.len() as u64);
-    g.bench_function("observe_stream", || {
-        let mut store = TemplateStore::new(TemplateStoreConfig::default());
-        for q in &queries {
-            let _ = store.observe(black_box(q), &catalog);
-        }
-        black_box(store.len())
-    });
-    g.bench_function("fingerprint_only", || {
-        for q in &queries {
-            black_box(fingerprint(black_box(q)).unwrap());
-        }
-    });
-    g.emit_json();
-
-    // --- candidate generation --------------------------------------------
-    let shapes: Vec<(QueryShape, u64)> = queries
-        .iter()
-        .take(500)
-        .map(|q| {
-            (
-                QueryShape::extract(&parse_statement(q).unwrap(), &catalog),
-                1u64,
-            )
-        })
-        .collect();
-    let mut g = Bench::new("candgen");
-    g.bench_function("generate_500_shapes", || {
-        black_box(
-            CandidateGenerator::new(CandidateConfig::default()).generate(
-                black_box(&shapes),
-                &catalog,
-                &[],
-            ),
-        )
-    });
-    g.emit_json();
-
-    // --- what-if planning -------------------------------------------------
-    let db = SimDb::new(catalog.clone(), SimDbConfig::default());
-    let defaults = tpcc::default_indexes();
-    let mut g = Bench::new("whatif").throughput_elements(shapes.len() as u64);
-    g.bench_function("plan_500_shapes", || {
-        let mut total = 0.0;
-        for (s, _) in &shapes {
-            total += db.whatif_native_cost(black_box(s), &defaults);
-        }
-        black_box(total)
-    });
-    g.emit_json();
-
-    // --- MCTS search -------------------------------------------------------
-    let mut universe = Universe::new();
-    let cands = CandidateGenerator::new(CandidateConfig::default()).generate(
-        &shapes,
-        db.catalog(),
-        &defaults,
-    );
-    for d in defaults.iter().chain(cands.iter()) {
-        universe.intern(d);
-    }
-    universe.refresh_sizes(&db);
-    let existing: ConfigSet = defaults.iter().filter_map(|d| universe.slot(d)).collect();
-    let est = NativeCostEstimator;
-    let mut g = Bench::new("mcts").samples(10);
-    g.bench_function("search_200_iterations", || {
-        let mut tree = PolicyTree::new();
-        tree.begin_round(0.5);
-        let search = MctsSearch {
-            universe: &universe,
-            estimator: &est,
-            db: &db,
-            workload: &shapes,
-            config: MctsConfig {
-                iterations: 200,
-                ..MctsConfig::default()
-            },
-            budget: None,
-            existing: existing.clone(),
-            protected: ConfigSet::default(),
-            start: existing.clone(),
-            cost_cache: None,
-            delta: None,
-        };
-        black_box(search.run(&mut tree))
-    });
-    g.emit_json();
-
-    banking_cached_vs_uncached();
-}
 
 /// MCTS search on the banking workload against its whole-workload oracle.
 /// Three arms share one universe, workload and seed:
@@ -123,12 +30,7 @@ fn main() {
 /// `estimator.cost_cache.{hits,misses}`) are recorded as `cost_cache`
 /// (`autoindex_bench::record`). Protocol: `EXPERIMENTS.md` §"PR 3
 /// micro-benchmark".
-fn banking_cached_vs_uncached() {
-    use autoindex_core::mcts::SearchOutcome;
-    use autoindex_support::json::{obj, Json};
-    use autoindex_support::obs::MetricsRegistry;
-    use autoindex_workloads::banking::{self, BankingGenerator};
-
+fn main() {
     let catalog = banking::catalog();
     let mut gen = BankingGenerator::new(7);
     let queries: Vec<String> = gen

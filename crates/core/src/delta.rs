@@ -12,10 +12,10 @@
 //! cost(config) = Σ_t  memo[(t, config ∩ mask_t)] · weight_t
 //! ```
 //!
-//! with `memo` a shared [`CostCache`] ([`cost_cache::DOMAIN_SLOTS`] key
-//! space). Two configurations that differ by one index share every term
-//! except the ones on that index's table, so [`DeltaPricer`] prices a
-//! configuration *relative to a reference* whose per-term values it holds:
+//! with `memo` a shared [`CostCache`]. Two configurations that differ by
+//! one index share every term except the ones on that index's table, so
+//! [`DeltaPricer`] prices a configuration *relative to a reference* whose
+//! per-term values it holds:
 //! the slots where the two differ name — through the workload's
 //! slot → terms index — the only terms whose key can have moved, and only
 //! those are keyed and looked up. Every other term is carried from the
@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 
-use autoindex_estimator::cost_cache::{self, shape_key, CacheKey, CostCache, CostCacheStats};
+use autoindex_estimator::cost_cache::{shape_key, CacheKey, CostCache, CostCacheStats};
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
@@ -131,13 +131,12 @@ impl<'w> DeltaWorkload<'w> {
     }
 
     /// Cache key of `term` under `config`: the fingerprint of the
-    /// configuration projected onto the term's mask (slot domain). The
-    /// projection itself is only built on a miss.
+    /// configuration projected onto the term's mask. The projection itself
+    /// is only built on a miss.
     pub fn term_key(term: &DeltaTerm<'_>, config: &ConfigSet) -> CacheKey {
         CacheKey {
             shape_key: term.key,
             config_fp: config.intersect_fingerprint(&term.mask),
-            domain: cost_cache::DOMAIN_SLOTS,
         }
     }
 }

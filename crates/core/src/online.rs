@@ -26,11 +26,11 @@ use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;
 use crate::error::{invalid, AutoIndexError};
 use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase};
+use crate::session::SessionReport;
 use crate::strategy::StrategyKind;
 use crate::system::{AutoIndex, TuningReport};
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::{ExecOutcome, SimDb};
-use std::time::Instant;
 
 /// Cadence and guard rails for the online loop.
 #[derive(Debug, Clone)]
@@ -402,77 +402,71 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
         }
     }
 
-    /// One tuning round (guarded or not) after a fired diagnosis.
+    /// One tuning round (guarded or not) after a fired diagnosis: a
+    /// [`TuningSession`](crate::session::TuningSession) over this loop's
+    /// database — through its own guard, when it has one — whose report
+    /// is rendered as the event.
     fn tuning_round(&mut self, diagnosis: DiagnosisReport) -> OnlineEvent {
-        let start = Instant::now();
         self.db.metrics().counter("online.tuning_rounds").incr();
         self.last_tuning_at = Some(self.executed);
 
-        let w = self.advisor.workload();
-        let rec = self.advisor.compute_recommendation(&self.db, &w);
+        let session = self.advisor.session(&mut self.db);
+        let session = match &mut self.guard {
+            Some(g) => session.guarded_by(g, self.executed),
+            None => session,
+        };
+        let SessionReport { report, guard } = session
+            .run()
+            .expect("a session over the observed templates has no failing step");
 
-        let event = match &mut self.guard {
-            None => {
-                let report = self.advisor.apply_unguarded(&mut self.db, rec, start);
-                if !report.recommendation.is_noop() {
-                    self.tuning_rounds += 1;
-                    if self.advisor.strategy() == StrategyKind::Bandit {
-                        return self.finish_round(OnlineEvent::BanditArmApplied {
-                            diagnosis,
-                            report,
-                            arms: self.advisor.last_arms().to_vec(),
-                        });
-                    }
-                }
+        let applied = !report.recommendation.is_noop();
+        let event = match guard {
+            Some(ApplyVerdict::ShadowRejected {
+                improvement,
+                required,
+            }) => OnlineEvent::ShadowRejected {
+                diagnosis,
+                improvement,
+                required,
+            },
+            Some(ApplyVerdict::RolledBack {
+                build_faults,
+                restored_fingerprint,
+            }) => OnlineEvent::RolledBack(RollbackReason::ApplyFaults {
+                build_faults,
+                restored_fingerprint,
+            }),
+            // Nothing changed; no probation was armed.
+            None | Some(ApplyVerdict::Applied) if !applied => {
                 OnlineEvent::Tuned { diagnosis, report }
             }
-            Some(g) => {
-                let noop = rec.is_noop();
-                let (created, dropped, verdict) = g.apply(&mut self.db, &rec, self.executed);
-                match verdict {
-                    ApplyVerdict::Applied => {
-                        let report = self.advisor.report_from_parts(rec, created, dropped, start);
-                        if noop {
-                            // Nothing changed; no probation was armed.
-                            OnlineEvent::Tuned { diagnosis, report }
-                        } else {
-                            self.tuning_rounds += 1;
-                            let probation_until = match g.phase() {
-                                GuardPhase::Probation { until } => *until,
-                                _ => self.executed,
-                            };
-                            OnlineEvent::GuardApplied {
-                                diagnosis,
-                                report,
-                                probation_until,
-                            }
-                        }
-                    }
-                    ApplyVerdict::ShadowRejected {
-                        improvement,
-                        required,
-                    } => OnlineEvent::ShadowRejected {
+            Some(ApplyVerdict::Applied) => {
+                self.tuning_rounds += 1;
+                let probation_until = match self.guard.as_ref().map(Guard::phase) {
+                    Some(GuardPhase::Probation { until }) => *until,
+                    _ => self.executed,
+                };
+                OnlineEvent::GuardApplied {
+                    diagnosis,
+                    report,
+                    probation_until,
+                }
+            }
+            None => {
+                self.tuning_rounds += 1;
+                if self.advisor.strategy() == StrategyKind::Bandit {
+                    OnlineEvent::BanditArmApplied {
                         diagnosis,
-                        improvement,
-                        required,
-                    },
-                    ApplyVerdict::RolledBack {
-                        build_faults,
-                        restored_fingerprint,
-                    } => OnlineEvent::RolledBack(RollbackReason::ApplyFaults {
-                        build_faults,
-                        restored_fingerprint,
-                    }),
+                        report,
+                        arms: self.advisor.last_arms().to_vec(),
+                    }
+                } else {
+                    OnlineEvent::Tuned { diagnosis, report }
                 }
             }
         };
-        self.finish_round(event)
-    }
-
-    /// Common tuning-round tail: start a fresh measurement window for the
-    /// new configuration when configured to.
-    fn finish_round(&mut self, event: OnlineEvent) -> OnlineEvent {
         if self.config.reset_usage_after_tuning {
+            // A fresh measurement window for the new configuration.
             self.db.reset_usage();
         }
         event

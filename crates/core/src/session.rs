@@ -93,13 +93,24 @@ impl SessionReport {
     }
 }
 
+/// How a session applies what it recommended.
+enum Apply<'d> {
+    /// Drops, then creates, ignoring individual DDL failures.
+    Unguarded,
+    /// Through a guard made for this run and dropped with it.
+    Guarded(GuardConfig),
+    /// Through the caller's guard at its statement clock `now`: the guard
+    /// keeps its phase, so a successful apply arms probation.
+    GuardedBy(&'d mut Guard, u64),
+}
+
 /// Builder-style tuning session over one advisor and one database. See
 /// the [module docs](self) for the full flow.
 pub struct TuningSession<'a, 'd, E: CostEstimator> {
     advisor: &'a mut AutoIndex<E>,
     db: &'d mut SimDb,
     workload: Option<Vec<(QueryShape, u64)>>,
-    guard: Option<GuardConfig>,
+    apply: Apply<'d>,
     recommendation: Option<Recommendation>,
     recommend_only: bool,
     strategy: Option<StrategyKind>,
@@ -111,7 +122,7 @@ impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
             advisor,
             db,
             workload: None,
-            guard: None,
+            apply: Apply::Unguarded,
             recommendation: None,
             recommend_only: false,
             strategy: None,
@@ -128,7 +139,14 @@ impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
     /// Apply through the guard pipeline: shadow admission, pre-apply
     /// snapshot, fault-safe DDL and automatic rollback.
     pub fn guarded(mut self, config: GuardConfig) -> Self {
-        self.guard = Some(config);
+        self.apply = Apply::Guarded(config);
+        self
+    }
+
+    /// [`TuningSession::guarded`] through a guard the caller keeps across
+    /// rounds (the online loop's), at its statement clock `now`.
+    pub(crate) fn guarded_by(mut self, guard: &'d mut Guard, now: u64) -> Self {
+        self.apply = Apply::GuardedBy(guard, now);
         self
     }
 
@@ -161,13 +179,10 @@ impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
         let kind = self.strategy.unwrap_or(self.advisor.strategy());
         let rec = match self.recommendation {
             Some(r) => r,
-            None => match &self.workload {
-                Some(w) => self.advisor.compute_recommendation_with(kind, self.db, w),
-                None => {
-                    let w = self.advisor.workload();
-                    self.advisor.compute_recommendation_with(kind, self.db, &w)
-                }
-            },
+            None => {
+                let w = self.workload.unwrap_or_else(|| self.advisor.workload());
+                self.advisor.recommend(kind, self.db, &w)
+            }
         };
 
         if self.recommend_only {
@@ -180,24 +195,22 @@ impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
             });
         }
 
-        match self.guard {
-            None => {
+        let (created, dropped, verdict) = match self.apply {
+            Apply::Unguarded => {
                 let report = self.advisor.apply_unguarded(self.db, rec, start);
-                Ok(SessionReport {
+                return Ok(SessionReport {
                     report,
                     guard: None,
-                })
+                });
             }
-            Some(cfg) => {
-                let mut guard = Guard::new(cfg, self.db.metrics());
-                let (created, dropped, verdict) = guard.apply(self.db, &rec, 0);
-                let report = self.advisor.report_from_parts(rec, created, dropped, start);
-                Ok(SessionReport {
-                    report,
-                    guard: Some(verdict),
-                })
-            }
-        }
+            Apply::Guarded(cfg) => Guard::new(cfg, self.db.metrics()).apply(self.db, &rec, 0),
+            Apply::GuardedBy(guard, now) => guard.apply(self.db, &rec, now),
+        };
+        let report = self.advisor.report_from_parts(rec, created, dropped, start);
+        Ok(SessionReport {
+            report,
+            guard: Some(verdict),
+        })
     }
 }
 

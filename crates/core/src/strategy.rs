@@ -14,10 +14,9 @@
 //!   `AutoIndexConfig::builder().strategy(..)` and
 //!   `TuningSession::strategy(..)`; unknown names surface as
 //!   [`AutoIndexError::InvalidStrategy`].
-//! * [`MctsStrategy`] — the paper's §IV-B pipeline, moved here
-//!   verbatim from `AutoIndex::compute_recommendation` together with
-//!   its round-persistent state (universe, policy tree, delta-cost
-//!   term cache). Byte-identical outputs to the pre-refactor code.
+//! * [`MctsStrategy`] — the paper's §IV-B pipeline with its
+//!   round-persistent state (universe, policy tree, delta-cost term
+//!   cache).
 //! * [`GreedyStrategy`] — the §VI-A baseline: candidate generation +
 //!   standalone-benefit ranking + top-k under the budget, no removal.
 //!
@@ -251,8 +250,7 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
 /// The paper's recommendation pipeline (§IV-A/B) behind the trait:
 /// candidate generation, universe interning, prune pass, MCTS over the
 /// persistent policy tree, add-refinement, minimal-change pass and the
-/// improvement gate. This *is* the pre-PR9 `compute_recommendation` —
-/// only its round-persistent state moved with it.
+/// improvement gate.
 pub struct MctsStrategy {
     universe: Universe,
     tree: PolicyTree,

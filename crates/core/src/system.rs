@@ -420,24 +420,14 @@ impl<E: CostEstimator> AutoIndex<E> {
         TuningSession::new(self, db)
     }
 
-    /// Run the active strategy's recommendation pipeline. For the default
+    /// Run strategy `kind`'s recommendation pipeline. For the default
     /// [`StrategyKind::Mcts`] this is the paper's §IV-A/B flow (candidate
     /// generation, universe interning, prune pass, MCTS over the
     /// persistent policy tree, add-refinement, minimal-change pass and
-    /// the improvement gate), now living in
+    /// the improvement gate), living in
     /// [`MctsStrategy`](crate::strategy::MctsStrategy). Internal engine
     /// behind [`AutoIndex::session`].
-    pub(crate) fn compute_recommendation(
-        &mut self,
-        db: &SimDb,
-        workload: &TemplateWorkload,
-    ) -> Recommendation {
-        self.compute_recommendation_with(self.active, db, workload)
-    }
-
-    /// [`AutoIndex::compute_recommendation`] with an explicit strategy
-    /// (the `TuningSession::strategy` override path).
-    pub(crate) fn compute_recommendation_with(
+    pub(crate) fn recommend(
         &mut self,
         kind: StrategyKind,
         db: &SimDb,
@@ -488,7 +478,7 @@ impl<E: CostEstimator> AutoIndex<E> {
 
     /// Assemble a [`TuningReport`] from a recommendation plus the DDL that
     /// actually happened, folding in the telemetry captured by the most
-    /// recent [`AutoIndex::compute_recommendation`] run.
+    /// recent [`AutoIndex::recommend`] run.
     pub(crate) fn report_from_parts(
         &self,
         rec: Recommendation,

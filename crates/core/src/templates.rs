@@ -16,7 +16,7 @@
 //!   expensive analysis happens once per *template*, not once per query.
 //!   That is the entire source of the >98.5% overhead reduction in Fig. 8.
 
-use autoindex_sql::{fingerprint, parse_statement, SqlError, Statement, TemplateId};
+use autoindex_sql::{fingerprint, parse_statement, Fingerprint, SqlError, Statement, TemplateId};
 use autoindex_storage::catalog::Catalog;
 use autoindex_storage::shape::QueryShape;
 use autoindex_support::json::{obj, Json, JsonError};
@@ -113,41 +113,16 @@ impl TemplateStore {
         self.clock += 1;
         self.window_queries += 1;
         let fp = fingerprint(sql)?;
-        if let Some(e) = self.by_hash.get_mut(&fp.hash) {
-            e.frequency += 1.0;
-            e.last_seen = self.clock;
-            self.maybe_handle_shift();
-            return Ok(fp.hash);
-        }
-        // New template: parse once, analyse once.
-        self.window_new_templates += 1;
-        let statement = parse_statement(sql)?;
-        let shape = QueryShape::extract(&statement, catalog);
-        if self.by_hash.len() >= self.config.max_templates {
-            self.evict_one();
-        }
-        let id = self.alloc_id();
-        self.by_hash.insert(
-            fp.hash,
-            TemplateEntry {
-                id,
-                text: fp.text,
-                statement,
-                shape,
-                frequency: 1.0,
-                last_seen: self.clock,
-            },
-        );
-        self.maybe_handle_shift();
-        Ok(fp.hash)
+        self.touch_or_admit(fp.hash, Some(fp), sql, catalog)
     }
 
     /// Observe a query whose fingerprint hash is already known (computed by
     /// the serving loop's zero-allocation scanner). The repeated-template
-    /// hot path skips the lexer pass entirely — one hash lookup. The
-    /// bookkeeping is step-for-step identical to [`TemplateStore::observe`],
-    /// which is what keeps fast-path-on and fast-path-off tuner decisions
-    /// byte-identical.
+    /// hot path skips the lexer pass entirely — one hash lookup. A miss
+    /// (e.g. the template was evicted since the cache was built)
+    /// fingerprints the text after all. Past that the two entry points are
+    /// one function, which is what keeps fast-path-on and fast-path-off
+    /// tuner decisions byte-identical.
     pub fn observe_prehashed(
         &mut self,
         hash: u64,
@@ -156,15 +131,29 @@ impl TemplateStore {
     ) -> Result<u64, SqlError> {
         self.clock += 1;
         self.window_queries += 1;
+        self.touch_or_admit(hash, None, sql, catalog)
+    }
+
+    /// Count a match of template `hash`, or admit `sql` as a new template
+    /// under its fingerprint (`fp`, computed here when the caller has not):
+    /// parse once, analyse once, evict when full.
+    fn touch_or_admit(
+        &mut self,
+        hash: u64,
+        fp: Option<Fingerprint>,
+        sql: &str,
+        catalog: &Catalog,
+    ) -> Result<u64, SqlError> {
         if let Some(e) = self.by_hash.get_mut(&hash) {
             e.frequency += 1.0;
             e.last_seen = self.clock;
             self.maybe_handle_shift();
             return Ok(hash);
         }
-        // Miss (e.g. the template was evicted since the cache was built):
-        // run the same slow path `observe` would, in the same order.
-        let fp = fingerprint(sql)?;
+        let fp = match fp {
+            Some(fp) => fp,
+            None => fingerprint(sql)?,
+        };
         self.window_new_templates += 1;
         let statement = parse_statement(sql)?;
         let shape = QueryShape::extract(&statement, catalog);
@@ -187,13 +176,16 @@ impl TemplateStore {
         Ok(fp.hash)
     }
 
-    /// Evict the template with the lowest LFU/LRU score.
+    /// Evict the template with the lowest LFU/LRU score; of equal scores,
+    /// the lowest template hash (the map's iteration order differs from
+    /// store to store and must not pick).
     fn evict_one(&mut self) {
         let clock = self.clock;
-        if let Some((&h, _)) = self.by_hash.iter().min_by(|(_, a), (_, b)| {
+        if let Some((&h, _)) = self.by_hash.iter().min_by(|(ha, a), (hb, b)| {
             score(a, clock)
                 .partial_cmp(&score(b, clock))
                 .expect("scores are finite")
+                .then_with(|| ha.cmp(hb))
         }) {
             self.by_hash.remove(&h);
         }
@@ -498,6 +490,47 @@ mod tests {
                 .any(|t| t.contains("a = $") || t.contains("a = $".trim())),
             "hot template evicted: {texts:?}"
         );
+    }
+
+    #[test]
+    fn eviction_breaks_score_ties_the_same_way_in_every_store() {
+        // A (matched twice, then idle for 1004 statements: 2 / 2.004) and B
+        // (matched once, idle for two: 1 / 1.002) score exactly the same
+        // when D arrives at a full store.
+        let c = catalog();
+        let survivors = || {
+            let mut s = TemplateStore::new(TemplateStoreConfig {
+                max_templates: 3,
+                shift_window: u64::MAX,
+                ..TemplateStoreConfig::default()
+            });
+            for _ in 0..2 {
+                s.observe("SELECT * FROM t WHERE a = 1", &c).unwrap();
+            }
+            for _ in 0..1001 {
+                s.observe("SELECT a FROM t WHERE a = 1 AND b = 2", &c)
+                    .unwrap();
+            }
+            s.observe("SELECT * FROM t WHERE b = 1", &c).unwrap();
+            s.observe("SELECT a FROM t WHERE a = 1 AND b = 2", &c)
+                .unwrap();
+            let scores: Vec<f64> = s.iter().map(|e| score(e, s.clock + 1)).collect();
+            let lowest = scores.iter().copied().fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                scores.iter().filter(|x| **x == lowest).count(),
+                2,
+                "the sequence must produce a tie for eviction: {scores:?}"
+            );
+            s.observe("SELECT b FROM t WHERE b = 2", &c).unwrap();
+            let mut kept: Vec<u64> = s.entries().map(|(h, _)| h).collect();
+            kept.sort_unstable();
+            kept
+        };
+        let first = survivors();
+        assert_eq!(first.len(), 3);
+        for _ in 0..63 {
+            assert_eq!(survivors(), first);
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::parse_statement;
 use autoindex_storage::fault::FaultPlan;
 use autoindex_storage::index::IndexDef;
+use autoindex_storage::planner::{JoinStrategy, Planner};
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
@@ -121,6 +122,59 @@ fn planning_work_follows_the_touched_table_not_the_configuration() {
     assert_eq!(a.features, b.features);
     assert_eq!(a.indexes_used.len(), b.indexes_used.len());
     assert_eq!(exec_full, exec_own, "execute resolved untouched tables");
+}
+
+/// The live path keeps no plan report, yet its `planner.*` counters read
+/// what the full report of the same plans would have tallied: a banking
+/// run under the 263 DBA indexes, each statement planned with `plan_over`
+/// against the state it is about to execute in.
+#[test]
+fn live_execution_tallies_what_the_full_plan_reports() {
+    let mut db = banking_db(&banking::dba_indexes());
+    let mut want: HashMap<&str, u64> = HashMap::new();
+    for (_, sql) in BankingGenerator::new(11).generate_hybrid(400, 0.5) {
+        let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), db.catalog());
+        let plan =
+            Planner::new(db.catalog(), &db.config().cost_params).plan_over(&shape, db.index_view());
+        for p in &plan.paths {
+            let bitmap = u64::from(!p.bitmap_indexes.is_empty());
+            match p.index {
+                Some(_) => {
+                    *want.entry("planner.path.index_scan").or_default() += 1;
+                    *want.entry("planner.path.bitmap_or").or_default() += bitmap;
+                }
+                None => *want.entry("planner.path.seq_scan").or_default() += 1,
+            }
+        }
+        for j in &plan.join_strategies {
+            let name = match j {
+                JoinStrategy::Hash => "planner.join.hash",
+                JoinStrategy::IndexNestedLoop(_) => "planner.join.index_nl",
+                JoinStrategy::NestedLoop => "planner.join.nested_loop",
+            };
+            *want.entry(name).or_default() += 1;
+        }
+        *want.entry("planner.sort_elided").or_default() += u64::from(plan.sort_elided);
+        *want.entry("planner.covering_scans").or_default() += u64::from(plan.covering_scans);
+        db.execute_shape(&shape);
+    }
+    assert!(want["planner.path.index_scan"] > 0 && want["planner.path.seq_scan"] > 0);
+    for name in [
+        "planner.path.index_scan",
+        "planner.path.bitmap_or",
+        "planner.path.seq_scan",
+        "planner.join.hash",
+        "planner.join.index_nl",
+        "planner.join.nested_loop",
+        "planner.sort_elided",
+        "planner.covering_scans",
+    ] {
+        assert_eq!(
+            db.metrics().counter_value(name),
+            want.get(name).copied().unwrap_or(0),
+            "{name}"
+        );
+    }
 }
 
 /// Snapshot execution allocates what it returns and nothing else: the

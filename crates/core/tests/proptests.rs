@@ -261,13 +261,12 @@ impl autoindex_estimator::CostEstimator for Recording {
 /// (no reference) equals `naive_workload_cost` bit for bit, with the same
 /// `estimator.cost_cache.{hits,misses}` totals and the same what-if calls
 /// in the same order. It still does after an epoch invalidation (the
-/// decay / statistics-refresh analogue) empties the cache. The def-domain
-/// [`CachedCostEstimator`] is held to the same standard on the same walk.
+/// decay / statistics-refresh analogue) empties the cache.
 #[test]
 fn delta_cost_bitwise_equals_naive_across_random_configs() {
     use autoindex_core::{DeltaPricer, DeltaWorkload};
     use autoindex_estimator::cost_cache::naive_workload_cost;
-    use autoindex_estimator::{CachedCostEstimator, CostCache, CostEstimator};
+    use autoindex_estimator::{CostCache, CostEstimator};
     use autoindex_support::obs::MetricsRegistry;
 
     property(
@@ -340,8 +339,6 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
             let dw = DeltaWorkload::new(&universe, &shapes);
             let mut full = DeltaPricer::new(&dw, &db_full, &rec_full, &universe, &cache_full, 1);
             let mut rel = DeltaPricer::new(&dw, &db_rel, &rec_rel, &universe, &cache_rel, 1);
-            let def_cache = CostCache::new();
-            let cached_est = CachedCostEstimator::new(&est, &def_cache, db.metrics());
 
             let random_config = |rng: &mut StdRng| -> ConfigSet {
                 (0..universe.len())
@@ -392,8 +389,6 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                     &*rec_full.calls.lock().unwrap(),
                     &*rec_rel.calls.lock().unwrap()
                 );
-                let via_defs = cached_est.workload_cost(&db, &shapes, &defs);
-                prop_assert_eq!(naive.to_bits(), via_defs.to_bits());
                 Ok(())
             };
             for (config, follow) in &targets {

@@ -19,7 +19,8 @@ use crate::catalog::Catalog;
 use crate::fault::{BuildRoll, ExecRoll, FaultKind, FaultPlan, WhatifRoll};
 use crate::index::{geometry, IndexConfig, IndexDef, IndexGeometry, IndexId};
 use crate::planner::{
-    CostFeatures, CostParams, IndexView, PlanSummary, Planner, TrueCostWeights, VisibleIndex,
+    AccessPath, CostFeatures, CostParams, IndexView, JoinStrategy, PlanSummary, Planned, Planner,
+    TrueCostWeights, VisibleIndex,
 };
 use crate::shape::QueryShape;
 use crate::usage::{UsageDelta, UsageTracker};
@@ -106,18 +107,6 @@ impl WorkloadMeasurement {
             concurrency as f64 * 1000.0 / avg
         }
     }
-
-    /// Latency percentile in ms (`q` in `[0, 1]`; e.g. `0.95` for p95).
-    /// Returns 0 for an empty measurement.
-    pub fn percentile_ms(&self, q: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.latencies_ms.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let idx = ((v.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        v[idx]
-    }
 }
 
 /// Cached metric handles for the database hot paths (interned once per
@@ -192,26 +181,29 @@ impl DbMetricHandles {
         }
     }
 
-    /// Tally the plan-choice counters for one planned statement.
-    fn tally_plan(&self, plan: &PlanSummary) {
-        for p in &plan.paths {
-            match p.index {
-                Some(_) => {
-                    self.plan_index_scan.incr();
-                    if !p.bitmap_indexes.is_empty() {
-                        self.plan_bitmap_or.incr();
-                    }
+    /// Tally the `planner.path.*` counters for one chosen access path.
+    fn tally_path(&self, p: &AccessPath) {
+        match p.index {
+            Some(_) => {
+                self.plan_index_scan.incr();
+                if !p.bitmap_indexes.is_empty() {
+                    self.plan_bitmap_or.incr();
                 }
-                None => self.plan_seq_scan.incr(),
             }
+            None => self.plan_seq_scan.incr(),
         }
-        self.plan_sort_elided.add(plan.sort_elided as u64);
-        self.plan_covering_scans.add(plan.covering_scans as u64);
-        for j in &plan.join_strategies {
+    }
+
+    /// Tally the counters a plan's totals feed: `planner.sort_elided`,
+    /// `planner.covering_scans` and `planner.join.*`.
+    fn tally_totals(&self, joins: &[JoinStrategy], sort_elided: u32, covering_scans: u32) {
+        self.plan_sort_elided.add(sort_elided as u64);
+        self.plan_covering_scans.add(covering_scans as u64);
+        for j in joins {
             match j {
-                crate::planner::JoinStrategy::Hash => self.join_hash.incr(),
-                crate::planner::JoinStrategy::IndexNestedLoop(_) => self.join_index_nl.incr(),
-                crate::planner::JoinStrategy::NestedLoop => self.join_nested_loop.incr(),
+                JoinStrategy::Hash => self.join_hash.incr(),
+                JoinStrategy::IndexNestedLoop(_) => self.join_index_nl.incr(),
+                JoinStrategy::NestedLoop => self.join_nested_loop.incr(),
             }
         }
     }
@@ -244,6 +236,9 @@ pub struct SimDb {
     /// buffer pressure and every snapshot read. Edited copy-on-write by
     /// the DDL and growth paths below, never rebuilt.
     view: Arc<IndexView>,
+    /// Heap bytes of every table, kept current by [`SimDb::grow_table`]
+    /// (the one catalog mutation) so buffer pressure is read, not summed.
+    heap_bytes: u64,
     next_id: u32,
     usage: UsageTracker,
     rng: StdRng,
@@ -258,8 +253,8 @@ pub struct SimDb {
 impl SimDb {
     /// Create a database over `catalog`, recording metrics into the
     /// process-wide [`MetricsRegistry::global`] registry. Use
-    /// [`SimDb::set_metrics`] (or [`SimDb::with_metrics`]) to install a
-    /// private registry when a test needs isolated, exact counts.
+    /// [`SimDb::with_metrics`] to install a private registry when a test
+    /// needs isolated, exact counts.
     pub fn new(catalog: Catalog, config: SimDbConfig) -> Self {
         Self::with_metrics(catalog, config, MetricsRegistry::global().clone())
     }
@@ -269,6 +264,7 @@ impl SimDb {
         let rng = StdRng::seed_from_u64(config.seed);
         let obs = DbMetricHandles::bind(&metrics);
         SimDb {
+            heap_bytes: catalog.tables().map(|t| t.bytes()).sum(),
             catalog,
             config,
             indexes: BTreeMap::new(),
@@ -300,12 +296,6 @@ impl SimDb {
         &self.metrics
     }
 
-    /// Swap in a different metrics registry (rebinding all cached handles).
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.obs = DbMetricHandles::bind(&metrics);
-        self.metrics = metrics;
-    }
-
     /// The catalog (read-only).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -313,9 +303,13 @@ impl SimDb {
 
     /// Grow `table` by `rows` rows (see [`Catalog::grow_table`]) and
     /// re-size the indexes on it. The only way the catalog under a
-    /// database changes, which is what keeps [`SimDb::index_view`] current.
+    /// database changes, which is what keeps [`SimDb::index_view`] and
+    /// [`SimDb::total_heap_bytes`] current.
     pub fn grow_table(&mut self, table: &str, rows: u64) -> Result<(), StorageError> {
+        let before = self.catalog.require_table(table)?.bytes();
         let grown = self.catalog.grow_table(table, rows)?;
+        let after = self.catalog.require_table(table)?.bytes();
+        self.heap_bytes = self.heap_bytes - before + after;
         let run = self.view.run_of(table);
         if !run.is_empty() {
             Arc::make_mut(&mut self.view).resize(run, grown);
@@ -458,7 +452,7 @@ impl SimDb {
 
     /// Total bytes of heap data.
     pub fn total_heap_bytes(&self) -> u64 {
-        self.catalog.tables().map(|t| t.bytes()).sum()
+        self.heap_bytes
     }
 
     // ----------------------------------------------------------- what-if
@@ -471,16 +465,6 @@ impl SimDb {
         config: impl IndexConfig<'a>,
     ) -> CostFeatures {
         self.whatif_plan(shape, config).features
-    }
-
-    /// Fallible [`SimDb::whatif_features`]: surfaces injected transient
-    /// probe failures instead of absorbing them.
-    pub fn try_whatif_features<'a>(
-        &self,
-        shape: &QueryShape,
-        config: impl IndexConfig<'a>,
-    ) -> Result<CostFeatures, StorageError> {
-        Ok(self.try_whatif_plan(shape, config)?.features)
     }
 
     /// Full plan summary under a hypothetical configuration. Under a
@@ -547,7 +531,9 @@ impl SimDb {
         }
         self.obs.whatif_calls.incr();
         self.obs.whatif_cost_total.add(plan.features.native_cost());
-        self.obs.tally_plan(&plan);
+        plan.paths.iter().for_each(|p| self.obs.tally_path(p));
+        self.obs
+            .tally_totals(&plan.join_strategies, plan.sort_elided, plan.covering_scans);
         plan
     }
 
@@ -591,9 +577,9 @@ impl SimDb {
         self.pressure_model().for_index_bytes(index_bytes)
     }
 
-    /// [`SimDb::pressure_for_index_bytes`] with the heap size resolved
-    /// once (a walk over every table): what a tuning round takes before it
-    /// prices thousands of hypothetical footprints against one catalog.
+    /// [`SimDb::pressure_for_index_bytes`] as a value: what a tuning
+    /// round takes before it prices thousands of hypothetical footprints
+    /// against one catalog.
     pub fn pressure_model(&self) -> PressureModel {
         PressureModel {
             heap_bytes: self.total_heap_bytes(),
@@ -608,22 +594,17 @@ impl SimDb {
 
     /// Execute one parsed statement against the real index set. Injected
     /// transient faults are absorbed as counted retries
-    /// (`db.fault.absorbed_retries`); use [`SimDb::try_execute`] to
-    /// observe them.
+    /// (`db.fault.absorbed_retries`); use [`SimDb::try_execute_shape`]
+    /// to observe them.
     pub fn execute(&mut self, stmt: &Statement) -> ExecOutcome {
         let shape = QueryShape::extract(stmt, &self.catalog);
         self.execute_shape(&shape)
     }
 
-    /// Fallible [`SimDb::execute`]: injected transient faults surface as
-    /// [`StorageError::FaultInjected`]`(`[`FaultKind::TransientError`]`)`.
-    pub fn try_execute(&mut self, stmt: &Statement) -> Result<ExecOutcome, StorageError> {
-        let shape = QueryShape::extract(stmt, &self.catalog);
-        self.try_execute_shape(&shape)
-    }
-
     /// Execute a pre-extracted shape, absorbing transient faults (hot path
-    /// for template workloads).
+    /// for template workloads). The same planning and the same delta as
+    /// [`DbSnapshot::execute_shape_at`], absorbed at once and measured at
+    /// the pressure that follows, with noise from the sequential stream.
     pub fn execute_shape(&mut self, shape: &QueryShape) -> ExecOutcome {
         for _ in 0..Self::EXEC_RETRY_BUDGET {
             match self.try_execute_shape(shape) {
@@ -657,46 +638,30 @@ impl SimDb {
         Ok(self.execute_shape_inner(shape, roll.latency_factor))
     }
 
-    /// The fault-free execution core; `latency_factor` scales the measured
-    /// latency (1.0 = healthy).
+    /// The fault-free live path: [`plan_execution`], the statement's own
+    /// side effects absorbed, then the measurement. Absorb comes first — an
+    /// INSERT's growth is priced into its own latency — and the sequential
+    /// noise stream is drawn after it; `latency_factor` scales the result
+    /// (1.0 = healthy).
     fn execute_shape_inner(&mut self, shape: &QueryShape, latency_factor: f64) -> ExecOutcome {
-        let planner = Planner::new(&self.catalog, &self.config.cost_params);
-        let plan = planner.plan_over(shape, &*self.view);
-        self.obs.executions.incr();
-        self.obs.tally_plan(&plan);
-
-        // Usage accounting: credit each read-side index with the saving
-        // versus the no-index plan (computed lazily and cheaply: the seq
-        // baseline of the same shape).
-        self.usage.record_statement();
-        if !plan.indexes_used.is_empty() {
-            let saving = scan_saving(&planner, shape, &plan.features, plan.indexes_used.len());
-            for id in &plan.indexes_used {
-                self.usage.record_scan(*id, saving);
-            }
-        }
-        for (id, m) in &plan.maintenance {
-            self.usage.record_maintenance(*id, m.total());
-        }
-
-        // Data growth from inserts.
-        if let Some(w) = &shape.write {
-            if w.kind == crate::shape::WriteKind::Insert {
-                let _ = self.grow_table(&w.table, w.inserted_rows);
-            }
-        }
-
-        // "Measured" latency: true-cost weights + buffer pressure + noise.
-        let pressure = self.memory_pressure();
-        let true_cost = plan.features.true_cost(&self.config.true_weights);
-        let noisy = true_cost * pressure * lognormal(&mut self.rng, self.config.noise);
-        let latency_ms = noisy * self.config.ms_per_cost_unit * latency_factor;
-
-        ExecOutcome {
-            latency_ms,
-            features: plan.features,
-            indexes_used: plan.indexes_used,
-        }
+        let obs = &self.obs;
+        let (plan, delta) = plan_execution(
+            &self.catalog,
+            &self.config.cost_params,
+            &self.view,
+            shape,
+            |path| obs.tally_path(&path),
+        );
+        obs.tally_totals(&plan.join_strategies, plan.sort_elided, plan.covering_scans);
+        self.absorb(&delta);
+        let noise = lognormal(&mut self.rng, self.config.noise);
+        measured(
+            &self.config,
+            plan,
+            self.memory_pressure(),
+            noise,
+            latency_factor,
+        )
     }
 
     // ---------------------------------------------------------- snapshots
@@ -717,11 +682,12 @@ impl SimDb {
         }
     }
 
-    /// Merge one statement's detached side effects (produced by
-    /// [`DbSnapshot::execute_shape_at`] on a worker thread) into the live
-    /// database: usage counters, statement count, catalog growth and the
-    /// `db.executions` metric. Applying deltas in logical-clock order
-    /// reproduces the sequential execution history exactly.
+    /// Merge one statement's detached side effects — the live path's own,
+    /// at once, or those [`DbSnapshot::execute_shape_at`] produced on a
+    /// worker thread — into the live database: usage counters, statement
+    /// count, catalog growth and the `db.executions` metric. Applying
+    /// deltas in logical-clock order reproduces the sequential execution
+    /// history exactly.
     pub fn absorb(&mut self, delta: &UsageDelta) {
         self.obs.executions.incr();
         self.usage.apply_delta(delta);
@@ -739,21 +705,6 @@ impl SimDb {
             m.total_latency_ms += o.latency_ms;
             m.statements += 1;
             m.latencies_ms.push(o.latency_ms);
-        }
-        m
-    }
-
-    /// Execute pre-extracted shapes (weights = repetition counts), the
-    /// template-level hot path.
-    pub fn run_shapes(&mut self, shapes: &[(QueryShape, u64)]) -> WorkloadMeasurement {
-        let mut m = WorkloadMeasurement::default();
-        for (shape, count) in shapes {
-            for _ in 0..*count {
-                let o = self.execute_shape(shape);
-                m.total_latency_ms += o.latency_ms;
-                m.statements += 1;
-                m.latencies_ms.push(o.latency_ms);
-            }
         }
         m
     }
@@ -802,51 +753,76 @@ impl DbSnapshot {
     /// Execute one pre-extracted shape read-only at logical time `seq`.
     ///
     /// Returns the simulated measurement plus the statement's detached
-    /// side effects. The latency formula matches
-    /// [`SimDb::execute_shape`] (true-cost weights x buffer pressure x
-    /// log-normal noise x calibration), except the noise factor comes from
-    /// a per-`seq` derived RNG rather than the database's sequential
-    /// stream — the price of worker-count independence.
+    /// side effects: the execution core [`SimDb::execute_shape`] runs too,
+    /// over the frozen catalog and view, measured at the frozen pressure.
+    /// The noise factor comes from a per-`seq` derived RNG rather than the
+    /// database's sequential stream — the price of worker-count
+    /// independence.
     pub fn execute_shape_at(&self, shape: &QueryShape, seq: u64) -> (ExecOutcome, UsageDelta) {
-        // Priced by the plan's totals alone: no path report is kept, so
-        // what this allocates is what it returns.
-        let planner = Planner::new(&self.catalog, &self.config.cost_params);
-        let plan = planner.plan_each(shape, &*self.view, drop);
-
-        let mut delta = UsageDelta::default();
-        if !plan.indexes_used.is_empty() {
-            let saving = scan_saving(&planner, shape, &plan.features, plan.indexes_used.len());
-            delta.scans = plan.indexes_used.iter().map(|id| (*id, saving)).collect();
-        }
-        delta.maintenance = plan.maintenance;
-        if let Some(w) = &shape.write {
-            if w.kind == crate::shape::WriteKind::Insert {
-                delta.growth = Some((w.table.clone(), w.inserted_rows));
-            }
-        }
-
-        let true_cost = plan.features.true_cost(&self.config.true_weights);
-        let latency_ms = true_cost
-            * self.pressure
-            * lognormal_at(self.config.seed, seq, self.config.noise)
-            * self.config.ms_per_cost_unit;
-
+        // No path report is kept, so what this allocates is what it returns.
+        let (plan, delta) = plan_execution(
+            &self.catalog,
+            &self.config.cost_params,
+            &self.view,
+            shape,
+            drop,
+        );
+        let noise = lognormal_at(self.config.seed, seq, self.config.noise);
         (
-            ExecOutcome {
-                latency_ms,
-                features: plan.features,
-                indexes_used: plan.indexes_used,
-            },
+            measured(&self.config, plan, self.pressure, noise, 1.0),
             delta,
         )
     }
 }
 
-/// The read-cost saving an executed plan credits to each of the `used`
-/// indexes that served it: its native cost against the no-index baseline
-/// of the same shape, shared evenly.
-fn scan_saving(planner: &Planner, shape: &QueryShape, features: &CostFeatures, used: usize) -> f64 {
-    (planner.unindexed_cost(shape) - features.native_cost()).max(0.0) / used as f64
+/// The one execution core under [`SimDb::execute_shape`] and
+/// [`DbSnapshot::execute_shape_at`]: plan `shape` over the real index set
+/// (each table's chosen path goes to `each`, the totals come back) and
+/// build the statement's detached side effects — a read-side credit for
+/// every index used (the plan's native cost against the no-index baseline
+/// of the same shape, shared evenly), the plan's maintenance list (moved
+/// out of the returned totals) and an INSERT's growth. Touches nothing:
+/// the live database absorbs the delta at once, a snapshot's owner later.
+fn plan_execution(
+    catalog: &Catalog,
+    params: &CostParams,
+    view: &IndexView,
+    shape: &QueryShape,
+    each: impl FnMut(AccessPath),
+) -> (Planned, UsageDelta) {
+    let planner = Planner::new(catalog, params);
+    let mut plan = planner.plan_each(shape, view, each);
+    let mut delta = UsageDelta::default();
+    if !plan.indexes_used.is_empty() {
+        let saving = (planner.unindexed_cost(shape) - plan.features.native_cost()).max(0.0)
+            / plan.indexes_used.len() as f64;
+        delta.scans = plan.indexes_used.iter().map(|id| (*id, saving)).collect();
+    }
+    delta.maintenance = std::mem::take(&mut plan.maintenance);
+    if let Some(w) = &shape.write {
+        if w.kind == crate::shape::WriteKind::Insert {
+            delta.growth = Some((w.table.clone(), w.inserted_rows));
+        }
+    }
+    (plan, delta)
+}
+
+/// The "measured" latency of an executed plan — true-cost weights x buffer
+/// pressure x measurement noise x calibration x fault factor, multiplied
+/// in that order — with what the plan reports of itself.
+fn measured(
+    config: &SimDbConfig,
+    plan: Planned,
+    pressure: f64,
+    noise: f64,
+    latency_factor: f64,
+) -> ExecOutcome {
+    let true_cost = plan.features.true_cost(&config.true_weights);
+    ExecOutcome {
+        latency_ms: true_cost * pressure * noise * config.ms_per_cost_unit * latency_factor,
+        features: plan.features,
+        indexes_used: plan.indexes_used,
+    }
 }
 
 /// Domain-separation salt for the per-sequence measurement-noise stream
@@ -1019,40 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_ordered_and_bounded() {
-        let mut db = db();
-        db.create_index(IndexDef::new("t", &["a"])).unwrap();
-        let stmts: Vec<Statement> = (0..50)
-            .map(|i| {
-                // Mostly fast lookups with a few full scans mixed in.
-                if i % 10 == 0 {
-                    stmt("SELECT COUNT(*) FROM t")
-                } else {
-                    stmt(&format!("SELECT * FROM t WHERE a = {i}"))
-                }
-            })
-            .collect();
-        let m = db.run_workload(&stmts);
-        let p50 = m.percentile_ms(0.5);
-        let p95 = m.percentile_ms(0.95);
-        let p100 = m.percentile_ms(1.0);
-        assert!(p50 <= p95 && p95 <= p100);
-        assert!(
-            p95 > p50 * 10.0,
-            "tail is full-scan heavy: p50={p50} p95={p95}"
-        );
-        assert_eq!(WorkloadMeasurement::default().percentile_ms(0.9), 0.0);
-    }
-
-    #[test]
-    fn run_shapes_counts_repetitions() {
-        let mut db = db();
-        let shape = QueryShape::extract(&stmt("SELECT * FROM t WHERE a = 1"), db.catalog());
-        let m = db.run_shapes(&[(shape, 5)]);
-        assert_eq!(m.statements, 5);
-    }
-
-    #[test]
     fn explain_names_real_and_hypothetical_indexes() {
         let mut db = db();
         db.create_index(IndexDef::new("t", &["a"])).unwrap();
@@ -1132,6 +1074,33 @@ mod tests {
         let g2 = db.index_geometry(&def).unwrap();
         assert!(g2.bytes > g1.bytes);
         assert!(g2.entries > g1.entries);
+    }
+
+    #[test]
+    fn maintained_heap_size_equals_the_per_table_walk() {
+        let mut c = db().catalog().clone();
+        c.add_table(
+            TableBuilder::new("empty", 0)
+                .column(Column::int("k", 1))
+                .build()
+                .unwrap(),
+        );
+        let mut db = SimDb::new(c, SimDbConfig::default());
+        let walk = |db: &SimDb| db.catalog().tables().map(|t| t.bytes()).sum::<u64>();
+        assert_eq!(db.total_heap_bytes(), walk(&db));
+        for (table, rows) in [
+            ("t", 1),
+            ("empty", 7),
+            ("t", 250_000),
+            ("empty", 0),
+            ("t", 3),
+        ] {
+            db.grow_table(table, rows).unwrap();
+            assert_eq!(db.total_heap_bytes(), walk(&db), "after {table} += {rows}");
+        }
+        assert!(db.grow_table("ghost", 1).is_err());
+        db.execute(&stmt("INSERT INTO t (a, b, c) VALUES (1, 2, 'x')"));
+        assert_eq!(db.total_heap_bytes(), walk(&db));
     }
 
     #[test]
@@ -1439,7 +1408,6 @@ mod tests {
             db.try_whatif_plan(&shape, &[]),
             Err(StorageError::FaultInjected(FaultKind::TransientError))
         ));
-        assert!(db.try_whatif_features(&shape, &[]).is_err());
         // The infallible probe absorbs the transient and still answers.
         assert!(db.whatif_native_cost(&shape, &[]) > 0.0);
     }

@@ -13,7 +13,7 @@
 //! | [`FaultKind::FailedBuild`] | `create_index` | DDL returns `Err(StorageError::FaultInjected)` |
 //! | [`FaultKind::SlowBuild`] | `create_index` | build succeeds but charges `slow_build_factor`× build time |
 //! | [`FaultKind::LatencySpike`] | `execute*` | measured latency multiplied by `latency_spike_factor` |
-//! | [`FaultKind::TransientError`] | `try_execute*`, `try_whatif_*` | call fails; infallible wrappers retry and absorb |
+//! | [`FaultKind::TransientError`] | `try_execute_shape`, `try_whatif_plan` | call fails; infallible wrappers retry and absorb |
 //! | [`FaultKind::StaleStatistics`] | `whatif_*` | what-if cost features distorted for a whole op window |
 //!
 //! Determinism has two regimes, matching the two `SimDb` access patterns:

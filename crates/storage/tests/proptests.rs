@@ -5,7 +5,7 @@ use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::index::{geometry, maintenance_cost, IndexDef, IndexId, IndexScope};
 use autoindex_storage::planner::{CostParams, IndexSet, IndexView, Planner, TrueCostWeights};
-use autoindex_storage::shape::QueryShape;
+use autoindex_storage::shape::{QueryShape, WriteKind};
 use autoindex_storage::{DbSnapshot, SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::prop::{property, PropConfig};
@@ -358,6 +358,72 @@ fn snapshot_execution_and_its_baseline_equal_the_full_plan() {
     );
 }
 
+/// The live database and a snapshot run one execution core: over random
+/// catalogs, index sets and statement runs (reads, joins, INSERT / UPDATE /
+/// DELETE), without noise, `execute_shape` equals `execute_shape_at` on a
+/// fresh snapshot followed by `absorb` — plan, usage credits, statement
+/// count and table growth, and the latency too, except an INSERT's: the
+/// live path measures after absorbing, so its own growth is in its
+/// pressure. The buffer is small enough for pressure to matter.
+#[test]
+fn live_execution_equals_snapshot_execution_plus_absorb() {
+    property(
+        "live_execution_equals_snapshot_execution_plus_absorb",
+        PropConfig::default(),
+        |rng, _size| {
+            let catalog = view_catalog(rng);
+            let config = SimDbConfig {
+                noise: 0.0,
+                memory_bytes: rng.random_range(1u64 << 20..1 << 28),
+                ..SimDbConfig::default()
+            };
+            let new_db =
+                || SimDb::with_metrics(catalog.clone(), config.clone(), MetricsRegistry::new());
+            let (mut live, mut split) = (new_db(), new_db());
+            for _ in 0..rng.random_range(0usize..14) {
+                let def = view_def(rng);
+                let _ = live.create_index(def.clone()); // duplicates refused
+                let _ = split.create_index(def);
+            }
+            for seq in 0..rng.random_range(1u64..12) {
+                let sql = view_sql(rng);
+                let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), live.catalog());
+                let a = live.execute_shape(&shape);
+                let (b, delta) = split.snapshot(0).execute_shape_at(&shape, seq);
+                split.absorb(&delta);
+
+                for (x, y) in a.features.as_vec().iter().zip(b.features.as_vec()) {
+                    prop_assert!(x.to_bits() == y.to_bits(), "{sql}");
+                }
+                prop_assert!(a.indexes_used == b.indexes_used, "{sql}");
+                let insert = shape
+                    .write
+                    .as_ref()
+                    .is_some_and(|w| w.kind == WriteKind::Insert);
+                prop_assert!(
+                    insert || a.latency_ms.to_bits() == b.latency_ms.to_bits(),
+                    "{sql}: {} vs {}",
+                    a.latency_ms,
+                    b.latency_ms
+                );
+                prop_assert!(live.usage().statements == split.usage().statements);
+                for (id, _) in live.indexes() {
+                    prop_assert!(
+                        live.usage().usage(id) == split.usage().usage(id),
+                        "{sql}: {id}"
+                    );
+                }
+                for t in VIEW_TABLES {
+                    let rows = |db: &SimDb| db.catalog().table(t).unwrap().rows;
+                    prop_assert!(rows(&live) == rows(&split), "{sql}: {t}");
+                }
+                prop_assert!(live.memory_pressure().to_bits() == split.memory_pressure().to_bits());
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Every index a snapshot holds, with the bits of what an insert into its
 /// table pays to maintain it (a function of the resolved geometry).
 fn snapshot_print(snap: &DbSnapshot) -> Vec<(IndexId, u64)> {
@@ -436,6 +502,9 @@ fn live_index_view_equals_from_scratch_resolve() {
                 prop_assert!(view.len() == scratch.len());
                 prop_assert!(view.bytes() == scratch.iter().map(|vi| vi.geo.bytes).sum::<u64>());
                 prop_assert!(db.total_index_bytes() == view.bytes());
+                prop_assert!(
+                    db.total_heap_bytes() == db.catalog().tables().map(|t| t.bytes()).sum::<u64>()
+                );
                 for t in VIEW_TABLES {
                     let live = view.table(t);
                     let want: Vec<_> = scratch[..].on_table(t).collect();

@@ -25,6 +25,9 @@ cargo test -q --offline --release -p autoindex-core --test decomposed_equivalenc
 cargo test -q --offline --release -p autoindex-core --test proptests delta_cost_bitwise_equals_naive
 cargo test -q --offline --release -p autoindex-core --lib -- delta:: mcts::
 
+echo "==> cargo test -q --offline --release (live execution = snapshot execution + absorb: the one execution core's float multiplication order, in the build that ships)"
+cargo test -q --offline --release -p autoindex-storage --test proptests live_execution_equals_snapshot_execution_plus_absorb
+
 echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
