@@ -60,18 +60,16 @@
 //! workers exit and `Engine::run` returns an error instead of hanging.
 
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::FastPathCache;
+use crate::fastpath::{FastPathCache, FrontEnd, UpkeepCounters};
 use crate::greedy::resolve_threads;
 use crate::guard::GuardConfig;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
-use autoindex_sql::fingerprint::LiteralBuf;
-use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{DbSnapshot, ExecOutcome, SimDb, UsageDelta};
 use autoindex_support::arcswap::ArcSlot;
 use autoindex_support::hash::U64HashMap;
-use autoindex_support::obs::{Counter, MetricsRegistry, ShardCell, ShardedCounter};
+use autoindex_support::obs::{Counter, MetricsRegistry};
 use autoindex_support::rng::derive_seed;
 use autoindex_support::steal::StealPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -264,30 +262,33 @@ pub(crate) fn simulated_qps(executed: u64, makespan_ms: f64) -> f64 {
 // ---------------------------------------------------------- publication
 
 /// What one epoch publishes for one tenant: the immutable snapshot plus
-/// the epoch-frozen compiled-template cache built against that snapshot's
-/// catalog. Both are read-only for workers, so fast-path behaviour is a
-/// pure function of `(stream, publications)` — invariant under worker
-/// count.
+/// the tenant's compiled templates, frozen current against the catalog
+/// the snapshot copies. Both are read-only for workers, so fast-path
+/// behaviour is a pure function of `(stream, publications)` — invariant
+/// under worker count.
 pub(crate) struct Publication {
     snap: DbSnapshot,
-    cache: FastPathCache,
+    cache: Arc<FastPathCache>,
 }
 
 impl Publication {
-    /// Snapshot `db` as `epoch` and compile the advisor's templates
-    /// against the snapshot's catalog (statistics move every epoch and a
-    /// tuning round may have fired, so the cache is rebuilt with it).
+    /// Snapshot `db` as `epoch` and freeze the advisor's compiled
+    /// templates against its catalog: a template born since the last
+    /// publication is compiled, one whose tables grew is re-folded, every
+    /// other entry — the whole cache, when nothing moved — is shared with
+    /// the publication before (`TemplateStore::publish`).
     pub(crate) fn build<E: CostEstimator>(
         db: &SimDb,
-        advisor: &AutoIndex<E>,
+        advisor: &mut AutoIndex<E>,
         epoch: u64,
         fastpath: bool,
+        upkeep: &UpkeepCounters,
     ) -> Self {
         let snap = db.snapshot(epoch);
         let cache = if fastpath {
-            FastPathCache::build(advisor.templates().entries(), snap.catalog())
+            advisor.templates_mut().publish(db.catalog(), upkeep)
         } else {
-            FastPathCache::empty()
+            Arc::new(FastPathCache::empty())
         };
         Publication { snap, cache }
     }
@@ -295,32 +296,21 @@ impl Publication {
 
 // ------------------------------------------------------------- executors
 
-/// Per-worker reusable fast-path state: the literal scratch buffer, one
-/// bindable skeleton clone per compiled template, and the selectivity-
-/// program evaluation scratch. Cloned skeletons are only valid against
-/// the cache they were cloned from, so the whole map is dropped whenever
-/// the pinned publication changes (epoch boundary or tenant switch). At
-/// steady state — same publication, repeat templates — executing a
-/// statement through [`execute_statement`] performs **zero heap
-/// allocations** (integer/float literals; string literals clone into
-/// reused `Value`s).
+/// Per-worker reusable fast-path state: the statement front end and one
+/// bindable skeleton clone per compiled template. A clone is bound against
+/// the catalog of the publication it was made under, and fingerprints
+/// collide across tenants, so the whole map is dropped whenever the pinned
+/// publication changes (epoch boundary or tenant switch).
 struct WorkerScratch {
-    lits: LiteralBuf,
+    front: FrontEnd,
     shapes: U64HashMap<QueryShape>,
-    sels: Vec<f64>,
-    stack: Vec<f64>,
-    /// `(tenant, epoch)` of the publication `shapes` was built against.
+    /// `(tenant, epoch)` of the publication `shapes` was cloned under.
     pinned: (u32, u64),
-    hits: ShardCell,
-    misses: ShardCell,
-    fallbacks: ShardCell,
 }
 
 impl WorkerScratch {
-    /// Re-pin the scratch to a `(tenant, epoch)` publication,
-    /// invalidating cached skeleton clones built against any other
-    /// publication's cache (fingerprints collide across tenants, so the
-    /// tenant id is part of the key).
+    /// Re-pin the scratch to a `(tenant, epoch)` publication, dropping the
+    /// skeleton clones made under any other.
     fn pin(&mut self, key: (u32, u64)) {
         if self.pinned != key {
             self.shapes.clear();
@@ -331,14 +321,9 @@ impl WorkerScratch {
 
 /// Execute one statement against a publication. Reads only the
 /// publication and the query text; mutates only the worker's own scratch.
-///
-/// Fast path: fingerprint-scan the statement (collecting its literals),
-/// look the hash up in the publication's compiled-template cache, bind
-/// the literals into the worker's reusable skeleton clone, execute. Any
-/// miss or tripped bind guard falls back to the full parse + extract —
-/// which also reproduces parse failures exactly where the slow path
-/// reports them. A hit returns `fp: Some(hash)` so the coordinator can
-/// skip re-fingerprinting.
+/// The statement is resolved by [`FrontEnd::resolve`] over the
+/// publication's frozen cache; a hit returns `fp: Some(hash)` so the
+/// coordinator can skip re-fingerprinting.
 fn execute_statement(
     publication: &Publication,
     sql: &str,
@@ -347,48 +332,25 @@ fn execute_statement(
     scratch: &mut WorkerScratch,
 ) -> ObservationPayload {
     let snap = &publication.snap;
-
-    if fastpath {
-        if let Some(hash) = autoindex_sql::fingerprint::scan_fingerprint(sql, &mut scratch.lits) {
-            if let Some(compiled) = publication.cache.get(hash) {
-                let shape = scratch
-                    .shapes
-                    .entry(hash)
-                    .or_insert_with(|| compiled.skeleton().clone());
-                if compiled.bind_into(
-                    &scratch.lits,
-                    publication.cache.stats(),
-                    shape,
-                    &mut scratch.sels,
-                    &mut scratch.stack,
-                ) {
-                    scratch.hits.incr();
-                    let (outcome, delta) = snap.execute_shape_at(shape, seq);
-                    return ObservationPayload::Executed {
-                        outcome,
-                        delta,
-                        fp: Some(hash),
-                    };
-                }
-                // A bind guard tripped: the shape (or parseability) of
-                // this statement depends on its concrete values. Take the
-                // slow path; the stale partial bind stays reusable.
-                scratch.fallbacks.incr();
-            }
-        }
-        scratch.misses.incr();
-    }
-
-    let stmt = match parse_statement(sql) {
-        Ok(s) => s,
-        Err(_) => return ObservationPayload::ParseFailed,
+    let WorkerScratch { front, shapes, .. } = scratch;
+    let lookup = fastpath.then_some(move |hash| {
+        // Moved, not reborrowed: the clone handed out lives as long as the
+        // scratch, not as long as this (once-called) closure.
+        let shapes = shapes;
+        let compiled = publication.cache.get(hash)?;
+        let shape = shapes
+            .entry(hash)
+            .or_insert_with(|| compiled.skeleton().clone());
+        Some((compiled, shape))
+    });
+    let Ok(resolved) = front.resolve(sql, snap.catalog(), lookup) else {
+        return ObservationPayload::ParseFailed;
     };
-    let shape = QueryShape::extract(&stmt, snap.catalog());
-    let (outcome, delta) = snap.execute_shape_at(&shape, seq);
+    let (outcome, delta) = snap.execute_shape_at(resolved.shape(), seq);
     ObservationPayload::Executed {
         outcome,
         delta,
-        fp: None,
+        fp: resolved.fp(),
     }
 }
 
@@ -522,11 +484,9 @@ pub(crate) struct Engine<'a> {
     /// messages collected and what they carried — one add per task.
     handoff_batches: Counter,
     handoff_observations: Counter,
-    /// `sql.fastpath.*`, sharded: every executor increments its own
-    /// cache-line-padded cell on the per-statement hot path.
-    fastpath_hits: ShardedCounter,
-    fastpath_misses: ShardedCounter,
-    fastpath_fallbacks: ShardedCounter,
+    /// The driver's registry: each executor takes its own cells of the
+    /// sharded `sql.fastpath.*` counters from it.
+    registry: MetricsRegistry,
     pool: StealPool<Task>,
     gate: ParkGate,
     /// Workers still running; at zero the coordinator drains inline.
@@ -547,9 +507,7 @@ impl<'a> Engine<'a> {
             workers_retired: registry.counter(&format!("{prefix}.workers_retired")),
             handoff_batches: registry.counter(&format!("{prefix}.handoff.batches")),
             handoff_observations: registry.counter(&format!("{prefix}.handoff.observations")),
-            fastpath_hits: registry.sharded_counter("sql.fastpath.hits"),
-            fastpath_misses: registry.sharded_counter("sql.fastpath.misses"),
-            fastpath_fallbacks: registry.sharded_counter("sql.fastpath.fallbacks"),
+            registry: registry.clone(),
             pool: StealPool::new(cfg.workers),
             gate: ParkGate::default(),
             live: AtomicUsize::new(cfg.workers),
@@ -577,14 +535,9 @@ impl<'a> Engine<'a> {
 
     fn scratch(&self, slot: usize) -> WorkerScratch {
         WorkerScratch {
-            lits: LiteralBuf::default(),
+            front: FrontEnd::new(&self.registry, slot),
             shapes: U64HashMap::default(),
-            sels: Vec::new(),
-            stack: Vec::new(),
             pinned: (u32::MAX, u64::MAX),
-            hits: self.fastpath_hits.cell(slot),
-            misses: self.fastpath_misses.cell(slot),
-            fallbacks: self.fastpath_fallbacks.cell(slot),
         }
     }
 
@@ -959,7 +912,6 @@ mod tests {
     /// Three lanes over one banking stream, driven epoch by epoch.
     struct Fixture {
         db: SimDb,
-        advisor: AutoIndex<NativeCostEstimator>,
         queries: Vec<String>,
     }
 
@@ -976,7 +928,6 @@ mod tests {
         fn new() -> Self {
             Fixture {
                 db: SimDb::new(banking::catalog(), SimDbConfig::default()),
-                advisor: AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator),
                 queries: BankingGenerator::new(5)
                     .generate_hybrid(LEN as usize, 0.6)
                     .into_iter()
@@ -986,9 +937,11 @@ mod tests {
         }
 
         fn engine(&self, cfg: EngineConfig, registry: &MetricsRegistry) -> Engine<'_> {
+            let mut advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+            let upkeep = UpkeepCounters::bind(registry);
             let lanes = (0..TENANTS)
                 .map(|t| {
-                    let initial = Publication::build(&self.db, &self.advisor, 0, true);
+                    let initial = Publication::build(&self.db, &mut advisor, 0, true, &upkeep);
                     Lane::new(&self.queries, derive_seed(7, t as u64), initial)
                 })
                 .collect();

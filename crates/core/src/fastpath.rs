@@ -1,16 +1,36 @@
 //! Compiled-template query fast path: repeat statements skip the parser.
 //!
-//! The serving hot path (PR 5) spent most of its per-statement budget on
-//! `parse_statement` + `QueryShape::extract` — both allocation-heavy —
-//! even though almost every OLTP statement is a repeat of a known
-//! template. This module compiles each [`TemplateEntry`] into a bindable
-//! *skeleton*: the template's pre-extracted [`QueryShape`] plus the exact
-//! positions where literal values go. Executing a repeat statement then
-//! costs one fingerprint scan ([`autoindex_sql::fingerprint::scan_fingerprint`],
-//! zero-copy), one hash
-//! lookup, a handful of slot writes into a reusable shape clone, and one
-//! flat selectivity-program evaluation ([`TemplateSelProgram`]) — no
-//! parser, no AST, no fresh extraction.
+//! The paper's overhead argument (§IV-A `SQL2Template`, Fig. 8) is that a
+//! repeat statement is never re-analysed — yet `parse_statement` +
+//! `QueryShape::extract`, both allocation-heavy, were most of a statement's
+//! budget although almost every OLTP statement repeats a known template.
+//! This module compiles each [`TemplateEntry`] into a bindable *skeleton*:
+//! the template's pre-extracted [`QueryShape`] plus the exact positions
+//! where literal values go. Executing a repeat statement then costs one
+//! fingerprint scan ([`autoindex_sql::fingerprint::scan_fingerprint`],
+//! zero-copy), one hash lookup, a handful of slot writes into a reusable
+//! shape clone, and one flat selectivity-program evaluation
+//! ([`TemplateSelProgram`]) — no parser, no AST, no fresh extraction.
+//! `FrontEnd::resolve` is that sequence, and its fallback, once: the
+//! engine's workers run it against a frozen [`FastPathCache`],
+//! [`OnlineAutoIndex::feed`](crate::online::OnlineAutoIndex::feed) against
+//! the template store's live entries.
+//!
+//! # Maintained, not rebuilt
+//!
+//! A [`CompiledTemplate`] is self-contained and kept with its template
+//! (the private `Compiled` state of a [`TemplateEntry`]; dropped when the
+//! template is evicted or decays). What its text determines — skeleton,
+//! slot writes, the [`SelTrace`] extraction recorded — is made once. What
+//! the statistics determine — the selectivity program — carries the
+//! [growth stamp](autoindex_storage::catalog::Table::stamp) of every table
+//! the template touches, and the one invalidation rule is: **an entry is
+//! valid iff every touched table's stamp is the one it was folded at**;
+//! otherwise the kept trace is *re-folded* against the current catalog
+//! ([`TemplateSelProgram::compile`]: no parse, no extraction, nothing
+//! catalog-wide) and every other entry is reused as is. Entries sit behind
+//! `Arc`s, so a publication that follows an epoch in which no template was
+//! born and no touched table grew hands out the very same cache.
 //!
 //! # The sentinel trick
 //!
@@ -27,31 +47,35 @@
 //! # Bit-identity contract
 //!
 //! A bound shape must equal what `parse_statement` + `extract` would
-//! produce for the concrete statement, **bit for bit** (`filter_sel`
-//! included) — the serving determinism contract diffs fast-path-on and
-//! fast-path-off transcripts byte-for-byte. Two mechanisms enforce this:
+//! produce for the concrete statement against the catalog as it stands at
+//! that statement, **bit for bit** (`filter_sel` included) — the serving
+//! determinism contract diffs fast-path-on and fast-path-off transcripts
+//! byte-for-byte, and `feed` is held to its parse-path composition the
+//! same way. Two mechanisms enforce this:
 //!
 //! * **Eligibility**: only templates whose predicates are AND-only
 //!   conjunctions of `Cmp` / `Between` / `IS NULL` / join-equality atoms
 //!   compile (no `OR`/`NOT`, no `IN`, no `LIKE`, no subqueries, no derived
-//!   tables, no kept string pieces). Everything else misses the cache and
-//!   takes the full parse path.
+//!   tables, no kept string pieces). Everything else misses and takes the
+//!   full parse path; the entry remembers that it is ineligible.
 //! * **Bind guards**: conditions whose shape-level effect depends on the
 //!   concrete values — duplicate atoms that extraction would dedup, a
 //!   `LIMIT` bound to anything but a non-negative integer, a negated slot
-//!   bound to a non-numeric — make [`CompiledTemplate::bind_into`] return
+//!   bound to a non-numeric — make [`CompiledTemplate::bind`] return
 //!   `false`, and the caller falls back to the full parse (reproducing
 //!   parse errors exactly where the slow path would report them).
 
 use crate::templates::TemplateEntry;
 use autoindex_estimator::{ColumnarStats, TemplateSelProgram};
 use autoindex_sql::ast::{Predicate, SelectStatement, Statement, TableRef, Value};
-use autoindex_sql::fingerprint::LiteralBuf;
-use autoindex_sql::parse_statement;
+use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::predicate::AtomicPredicate;
-use autoindex_storage::catalog::Catalog;
-use autoindex_storage::shape::QueryShape;
+use autoindex_sql::{parse_statement, SqlError};
+use autoindex_storage::catalog::{Catalog, Table};
+use autoindex_storage::shape::{QueryShape, SelTrace};
 use autoindex_support::hash::U64HashMap;
+use autoindex_support::obs::{Counter, MetricsRegistry, ShardCell};
+use std::sync::Arc;
 
 /// Base of the sentinel literal range. Far above any statistics value a
 /// catalog produces and high enough that `SENTINEL_BASE + k` stays well
@@ -89,30 +113,80 @@ struct SlotWrite {
     negate: bool,
 }
 
-/// A template compiled for the fast path: skeleton shape + slot writes +
-/// flat selectivity program.
-#[derive(Debug, Clone)]
-pub struct CompiledTemplate {
+/// What a template's *text* compiles to, whatever the statistics say:
+/// made once, shared by every re-fold of the template.
+#[derive(Debug)]
+struct Frame {
     skeleton: QueryShape,
     writes: Vec<SlotWrite>,
     limit_slot: Option<u16>,
-    program: TemplateSelProgram,
     n_slots: usize,
     /// `(table, group)` pairs with two or more atoms: extraction dedups
     /// equal atoms, so a bind that makes two atoms collide must fall back.
     guard_groups: Vec<(u16, u16)>,
+    /// The selectivity factors `skeleton` was extracted with: what a
+    /// re-fold compiles, in place of parsing and extracting again.
+    trace: SelTrace,
+}
+
+/// A template compiled for the fast path: skeleton shape + slot writes +
+/// flat selectivity program, the last folded against one state of the
+/// tables the template touches.
+#[derive(Debug, Clone)]
+pub struct CompiledTemplate {
+    frame: Arc<Frame>,
+    program: TemplateSelProgram,
+    /// Per `skeleton.tables` entry, that table's growth stamp when
+    /// `program` was folded (see [`stamp_of`]).
+    stamps: Vec<u64>,
+}
+
+/// `table`'s growth stamp in `catalog`; a table the catalog lacks reads 0,
+/// below any stamp a catalog hands out.
+fn stamp_of(catalog: &Catalog, table: &str) -> u64 {
+    catalog.table(table).map_or(0, Table::stamp)
+}
+
+/// Maps a sentinel literal of an `n_slots`-literal template back to its
+/// `(slot, negated)`; `None` for any other value.
+fn sentinel_of(v: &Value, n_slots: usize) -> Option<(u16, bool)> {
+    match v {
+        Value::Int(i) if *i >= SENTINEL_BASE && (*i - SENTINEL_BASE) < n_slots as i64 => {
+            Some(((*i - SENTINEL_BASE) as u16, false))
+        }
+        Value::Int(i) if *i <= -SENTINEL_BASE && (-*i - SENTINEL_BASE) < n_slots as i64 => {
+            Some(((-*i - SENTINEL_BASE) as u16, true))
+        }
+        _ => None,
+    }
 }
 
 impl CompiledTemplate {
-    /// The sentinel-valued template shape. Workers clone this once per
-    /// `(template, epoch)` and re-bind the clone per statement.
+    /// The sentinel-valued template shape. A reader clones it once and
+    /// re-binds the clone per statement; a bound clone stays bindable by
+    /// every later re-fold of the same template (a bind writes every slot
+    /// and every `filter_sel`).
     pub fn skeleton(&self) -> &QueryShape {
-        &self.skeleton
+        &self.frame.skeleton
     }
 
     /// Number of literals a statement of this template carries.
     pub fn n_slots(&self) -> usize {
-        self.n_slots
+        self.frame.n_slots
+    }
+
+    /// [`Self::bind`] under the signature it had while a cache shared one
+    /// statistics table among its entries; `_stats` is not read — an entry
+    /// carries the statistics its program reads.
+    pub fn bind_into(
+        &self,
+        lits: &LiteralBuf,
+        _stats: &ColumnarStats,
+        shape: &mut QueryShape,
+        sels: &mut Vec<f64>,
+        stack: &mut Vec<f64>,
+    ) -> bool {
+        self.bind(lits, shape, sels, stack)
     }
 
     /// Bind `lits` into `shape` (a clone of [`Self::skeleton`]) and
@@ -122,19 +196,19 @@ impl CompiledTemplate {
     /// Returns `false` — leaving `shape` in an unspecified (but
     /// rebindable) state — when a guard trips; the caller must fall back
     /// to the full parse path.
-    pub fn bind_into(
+    pub fn bind(
         &self,
         lits: &LiteralBuf,
-        stats: &ColumnarStats,
         shape: &mut QueryShape,
         sels: &mut Vec<f64>,
         stack: &mut Vec<f64>,
     ) -> bool {
+        let frame = &*self.frame;
         let vals = &lits.values;
-        if vals.len() != self.n_slots {
+        if vals.len() != frame.n_slots {
             return false;
         }
-        for w in &self.writes {
+        for w in &frame.writes {
             let v = &vals[w.slot as usize];
             let bound = if w.negate {
                 // The parser folds `- <literal>` by negating the value and
@@ -163,7 +237,7 @@ impl CompiledTemplate {
                 _ => return false,
             }
         }
-        if let Some(k) = self.limit_slot {
+        if let Some(k) = frame.limit_slot {
             match vals[k as usize] {
                 // The parser accepts only a non-negative integer here;
                 // anything else is a parse error the fallback reproduces.
@@ -175,7 +249,7 @@ impl CompiledTemplate {
         // group (`conjunct_groups.contains`); with distinct sentinels no
         // two atoms collide, but concrete values can. Fall back so the
         // slow path performs the dedup.
-        for &(t, g) in &self.guard_groups {
+        for &(t, g) in &frame.guard_groups {
             let group = &shape.tables[t as usize].conjunct_groups[g as usize];
             for i in 0..group.len() {
                 for j in i + 1..group.len() {
@@ -185,21 +259,41 @@ impl CompiledTemplate {
                 }
             }
         }
-        self.program.eval_into(vals, stats, sels, stack);
+        self.program.eval_into(vals, sels, stack);
         for (i, t) in shape.tables.iter_mut().enumerate() {
             t.filter_sel = sels[i];
         }
         true
     }
 
+    /// Whether every table this template touches still carries the stamp
+    /// the program was folded at — the whole validity rule.
+    fn is_current(&self, catalog: &Catalog) -> bool {
+        let tables = &self.frame.skeleton.tables;
+        tables
+            .iter()
+            .zip(&self.stamps)
+            .all(|(t, at)| stamp_of(catalog, &t.table) == *at)
+    }
+
+    /// Fold `frame`'s kept trace against `catalog` as it stands.
+    fn fold(frame: Arc<Frame>, catalog: &Catalog) -> Option<CompiledTemplate> {
+        let slot_of = |v: &Value| sentinel_of(v, frame.n_slots);
+        let program =
+            TemplateSelProgram::compile(&frame.trace, &frame.skeleton, catalog, &slot_of)?;
+        let tables = &frame.skeleton.tables;
+        let stamps = tables.iter().map(|t| stamp_of(catalog, &t.table)).collect();
+        Some(CompiledTemplate {
+            frame,
+            program,
+            stamps,
+        })
+    }
+
     /// Compile `text` (canonical template text) against `catalog`.
     /// `None` means the template is ineligible — it will simply miss the
     /// cache and take the full parse path.
-    fn compile(
-        text: &str,
-        catalog: &Catalog,
-        stats: &mut ColumnarStats,
-    ) -> Option<CompiledTemplate> {
+    fn compile(text: &str, catalog: &Catalog) -> Option<CompiledTemplate> {
         // Kept string pieces (LIKE patterns) and raw placeholders cannot
         // be sentinel-substituted.
         if text.contains('\'') || text.contains('?') {
@@ -226,17 +320,7 @@ impl CompiledTemplate {
         // Discover every sentinel occurrence in the shape. The scan walks
         // every `Value`-bearing field `QueryShape` has, so a sentinel
         // cannot hide anywhere a bind would miss.
-        let sentinel_of = |v: &Value| -> Option<(u16, bool)> {
-            match v {
-                Value::Int(i) if *i >= SENTINEL_BASE && (*i - SENTINEL_BASE) < n_slots as i64 => {
-                    Some(((*i - SENTINEL_BASE) as u16, false))
-                }
-                Value::Int(i) if *i <= -SENTINEL_BASE && (-*i - SENTINEL_BASE) < n_slots as i64 => {
-                    Some(((-*i - SENTINEL_BASE) as u16, true))
-                }
-                _ => None,
-            }
-        };
+        let sentinel_of = |v: &Value| sentinel_of(v, n_slots);
         let mut writes = Vec::new();
         let mut guard_groups = Vec::new();
         for (ti, table) in skeleton.tables.iter().enumerate() {
@@ -268,16 +352,17 @@ impl CompiledTemplate {
             }
             None => None,
         };
-
-        let program = TemplateSelProgram::compile(&trace, &skeleton, catalog, stats, &sentinel_of)?;
-        Some(CompiledTemplate {
-            skeleton,
+        let frame = Frame {
+            // Extraction grows its vectors by doubling; a clone's are
+            // exact-sized, and the frame lives as long as its template.
+            skeleton: skeleton.clone(),
             writes,
             limit_slot,
-            program,
             n_slots,
             guard_groups,
-        })
+            trace: trace.clone(),
+        };
+        CompiledTemplate::fold(Arc::new(frame), catalog)
     }
 }
 
@@ -363,17 +448,142 @@ fn predicate_eligible(p: &Predicate) -> bool {
     }
 }
 
-/// An immutable, epoch-frozen cache of compiled templates, keyed by
-/// fingerprint hash. The serving tuner builds one per epoch boundary from
-/// the template store and publishes it alongside the snapshot; workers
-/// treat it as read-only shared state, so hit/miss behaviour is a pure
-/// function of `(stream, caches)` — invariant under worker count.
+/// A template's compiled form as its store entry keeps it.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum Compiled {
+    /// Born since the last lookup or publication; not compiled yet.
+    #[default]
+    Pending,
+    /// Does not compile (see *Eligibility* in the module docs). Remembered,
+    /// never retried: eligibility follows from the text and the schema,
+    /// and growth changes neither.
+    Ineligible,
+    Ready {
+        template: Arc<CompiledTemplate>,
+        /// [`Catalog::version`] `template` was last found current at:
+        /// while the catalog stays there, a lookup checks nothing.
+        checked_at: u64,
+        /// `feed`'s bindable clone of the skeleton (made at its first hit).
+        bound: Option<QueryShape>,
+    },
+}
+
+/// What [`Compiled::upkeep`] had to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Upkeep {
+    /// Nothing to check: the catalog has not moved, or never will matter.
+    Current,
+    /// The catalog moved, but no table this template touches did.
+    Reused,
+    /// A touched table grew: the kept trace was folded again.
+    Refolded,
+    /// First compilation of a pending template.
+    Compiled,
+    /// The template turned out not to compile.
+    Ineligible,
+}
+
+impl Upkeep {
+    /// Whether the step replaced the entry's compiled state (so a cache
+    /// frozen before it no longer shows the store).
+    pub(crate) fn changed(self) -> bool {
+        !matches!(self, Upkeep::Current | Upkeep::Reused)
+    }
+}
+
+impl Compiled {
+    /// Bring this entry up to `catalog`: compile a pending template, re-fold
+    /// one whose tables grew, leave anything else as it is.
+    pub(crate) fn upkeep(&mut self, text: &str, catalog: &Catalog) -> Upkeep {
+        let version = catalog.version();
+        let (next, step) = match self {
+            Compiled::Ineligible => return Upkeep::Current,
+            Compiled::Ready { checked_at, .. } if *checked_at == version => return Upkeep::Current,
+            Compiled::Ready {
+                template,
+                checked_at,
+                ..
+            } if template.is_current(catalog) => {
+                *checked_at = version;
+                return Upkeep::Reused;
+            }
+            Compiled::Ready { template, .. } => (
+                CompiledTemplate::fold(Arc::clone(&template.frame), catalog),
+                Upkeep::Refolded,
+            ),
+            Compiled::Pending => (CompiledTemplate::compile(text, catalog), Upkeep::Compiled),
+        };
+        let Some(next) = next else {
+            *self = Compiled::Ineligible;
+            return Upkeep::Ineligible;
+        };
+        // A bound clone outlives the re-fold: its structure is the frame's.
+        let bound = match std::mem::take(self) {
+            Compiled::Ready { bound, .. } => bound,
+            _ => None,
+        };
+        *self = Compiled::Ready {
+            template: Arc::new(next),
+            checked_at: version,
+            bound,
+        };
+        step
+    }
+
+    /// The compiled template, when there is one.
+    pub(crate) fn template(&self) -> Option<&Arc<CompiledTemplate>> {
+        match self {
+            Compiled::Ready { template, .. } => Some(template),
+            _ => None,
+        }
+    }
+}
+
+/// `sql.fastpath.{compiled,refolded,reused}`: what keeping the compiled
+/// templates current took, counted per publication and per live
+/// invalidation — the evidence that a publication re-folds only the
+/// templates whose tables grew.
+#[derive(Debug, Clone)]
+pub(crate) struct UpkeepCounters {
+    compiled: Counter,
+    refolded: Counter,
+    reused: Counter,
+}
+
+impl UpkeepCounters {
+    pub(crate) fn bind(registry: &MetricsRegistry) -> Self {
+        UpkeepCounters {
+            compiled: registry.counter("sql.fastpath.compiled"),
+            refolded: registry.counter("sql.fastpath.refolded"),
+            reused: registry.counter("sql.fastpath.reused"),
+        }
+    }
+
+    /// Count one entry's step (a step that checked nothing counts nothing).
+    pub(crate) fn record(&self, step: Upkeep) {
+        match step {
+            Upkeep::Compiled => self.compiled.incr(),
+            Upkeep::Refolded => self.refolded.incr(),
+            Upkeep::Reused => self.reused.incr(),
+            Upkeep::Current | Upkeep::Ineligible => {}
+        }
+    }
+}
+
+/// An immutable set of compiled templates, keyed by fingerprint hash: what
+/// one publication hands the executors. The template store keeps the
+/// entries current and freezes them into one of these at an epoch boundary
+/// (`TemplateStore::publish` — the same `Arc` again while nothing moved);
+/// [`FastPathCache::build`] makes one from scratch. Workers treat it as
+/// read-only shared state, so hit/miss behaviour is a pure function of
+/// `(stream, caches)` — invariant under worker count.
 #[derive(Debug, Default)]
 pub struct FastPathCache {
-    entries: U64HashMap<CompiledTemplate>,
-    stats: ColumnarStats,
+    entries: U64HashMap<Arc<CompiledTemplate>>,
     /// Templates seen but ineligible (observability only).
     ineligible: usize,
+    /// Empty; see [`FastPathCache::stats`].
+    no_stats: ColumnarStats,
 }
 
 impl FastPathCache {
@@ -382,40 +592,51 @@ impl FastPathCache {
         FastPathCache::default()
     }
 
-    /// Compile every eligible template against `catalog`. Iteration is
-    /// id-ordered so column-slot interning is deterministic.
+    /// Compile every eligible template against `catalog`, from scratch:
+    /// one parse and one traced extraction per template. The serving
+    /// drivers publish the store's maintained entries instead; this is the
+    /// constructor for a caller that holds only a template list, and the
+    /// reference those entries are tested against.
     pub fn build<'a>(
         templates: impl Iterator<Item = (u64, &'a TemplateEntry)>,
         catalog: &Catalog,
     ) -> Self {
-        let mut sorted: Vec<(u64, &TemplateEntry)> = templates.collect();
-        sorted.sort_by_key(|(_, e)| e.id);
-        let mut stats = ColumnarStats::build(catalog);
-        let mut entries = U64HashMap::with_capacity_and_hasher(sorted.len(), Default::default());
-        let mut ineligible = 0;
-        for (hash, entry) in sorted {
-            match CompiledTemplate::compile(&entry.text, catalog, &mut stats) {
-                Some(c) => {
-                    entries.insert(hash, c);
+        Self::collect(templates.map(|(hash, entry)| {
+            let compiled = CompiledTemplate::compile(&entry.text, catalog);
+            (hash, compiled.map(Arc::new))
+        }))
+    }
+
+    /// Freeze the compiled state of a store's entries (all brought
+    /// current by the caller).
+    pub(crate) fn freeze<'a>(entries: impl Iterator<Item = (u64, &'a Compiled)>) -> Self {
+        Self::collect(entries.map(|(hash, compiled)| (hash, compiled.template().cloned())))
+    }
+
+    /// One cache entry per template that has a compiled form; the rest
+    /// are counted ineligible.
+    fn collect(templates: impl Iterator<Item = (u64, Option<Arc<CompiledTemplate>>)>) -> Self {
+        let mut cache = FastPathCache::empty();
+        for (hash, compiled) in templates {
+            match compiled {
+                Some(t) => {
+                    cache.entries.insert(hash, t);
                 }
-                None => ineligible += 1,
+                None => cache.ineligible += 1,
             }
         }
-        FastPathCache {
-            entries,
-            stats,
-            ineligible,
-        }
+        cache
     }
 
     /// Look up the compiled template for a fingerprint hash.
     pub fn get(&self, hash: u64) -> Option<&CompiledTemplate> {
-        self.entries.get(&hash)
+        self.entries.get(&hash).map(|t| &**t)
     }
 
-    /// The columnar statistics compiled programs evaluate against.
+    /// An empty statistics table, for [`CompiledTemplate::bind_into`]'s
+    /// unread argument.
     pub fn stats(&self) -> &ColumnarStats {
-        &self.stats
+        &self.no_stats
     }
 
     /// Number of compiled templates.
@@ -431,6 +652,93 @@ impl FastPathCache {
     /// Templates that were observed but did not compile.
     pub fn ineligible(&self) -> usize {
         self.ineligible
+    }
+}
+
+/// A statement resolved to the shape it executes as.
+pub(crate) enum Resolved<'t> {
+    /// Bound through the compiled template of this fingerprint hash.
+    Bound(u64, &'t QueryShape),
+    /// Parsed and extracted.
+    Parsed(QueryShape),
+}
+
+impl Resolved<'_> {
+    pub(crate) fn shape(&self) -> &QueryShape {
+        match self {
+            Resolved::Bound(_, shape) => shape,
+            Resolved::Parsed(shape) => shape,
+        }
+    }
+
+    /// The fingerprint hash when the fast path served the statement.
+    pub(crate) fn fp(&self) -> Option<u64> {
+        match self {
+            Resolved::Bound(hash, _) => Some(*hash),
+            Resolved::Parsed(_) => None,
+        }
+    }
+}
+
+/// One reader's statement front end: its reusable literal buffer and
+/// selectivity scratch, and its cells of `sql.fastpath.{hits,misses,
+/// fallbacks}`. At steady state — repeat templates, warmed skeleton clones
+/// — [`FrontEnd::resolve`] performs **zero heap allocations** (integer /
+/// float literals; string literals clone into reused `Value`s).
+pub(crate) struct FrontEnd {
+    lits: LiteralBuf,
+    sels: Vec<f64>,
+    stack: Vec<f64>,
+    hits: ShardCell,
+    misses: ShardCell,
+    fallbacks: ShardCell,
+}
+
+impl FrontEnd {
+    /// A front end counting into `registry` on cell `slot` (one per
+    /// concurrent reader).
+    pub(crate) fn new(registry: &MetricsRegistry, slot: usize) -> Self {
+        let cell = |name| registry.sharded_counter(name).cell(slot);
+        FrontEnd {
+            lits: LiteralBuf::default(),
+            sels: Vec::new(),
+            stack: Vec::new(),
+            hits: cell("sql.fastpath.hits"),
+            misses: cell("sql.fastpath.misses"),
+            fallbacks: cell("sql.fastpath.fallbacks"),
+        }
+    }
+
+    /// Resolve one statement: fingerprint-scan it (collecting its
+    /// literals), ask `lookup` for the compiled template of that hash and
+    /// the reader's bindable clone of its skeleton, bind. Any miss or
+    /// tripped bind guard falls back to the full parse + extract against
+    /// `catalog` — which also reproduces parse failures exactly where the
+    /// slow path reports them. `lookup: None` is the fast path switched
+    /// off: parse, count nothing.
+    pub(crate) fn resolve<'t>(
+        &mut self,
+        sql: &str,
+        catalog: &Catalog,
+        lookup: Option<impl FnOnce(u64) -> Option<(&'t CompiledTemplate, &'t mut QueryShape)>>,
+    ) -> Result<Resolved<'t>, SqlError> {
+        if let Some(lookup) = lookup {
+            if let Some(hash) = scan_fingerprint(sql, &mut self.lits) {
+                if let Some((compiled, shape)) = lookup(hash) {
+                    if compiled.bind(&self.lits, shape, &mut self.sels, &mut self.stack) {
+                        self.hits.incr();
+                        return Ok(Resolved::Bound(hash, shape));
+                    }
+                    // A bind guard tripped: the shape (or parseability) of
+                    // this statement depends on its concrete values. Take
+                    // the slow path; the partial bind stays rebindable.
+                    self.fallbacks.incr();
+                }
+            }
+            self.misses.incr();
+        }
+        let stmt = parse_statement(sql)?;
+        Ok(Resolved::Parsed(QueryShape::extract(&stmt, catalog)))
     }
 }
 
@@ -464,16 +772,14 @@ mod tests {
 
     fn compile_sql(sql: &str, cat: &Catalog) -> Option<(CompiledTemplate, u64)> {
         let fp = fingerprint(sql).unwrap();
-        let mut stats = ColumnarStats::build(cat);
-        CompiledTemplate::compile(&fp.text, cat, &mut stats).map(|c| (c, fp.hash))
+        CompiledTemplate::compile(&fp.text, cat).map(|c| (c, fp.hash))
     }
 
     /// Bind `sql`'s literals through the compiled template and assert the
     /// result is bit-identical to a full parse + extract.
     fn assert_bind_matches(template_sql: &str, sql: &str, cat: &Catalog) {
         let fp = fingerprint(template_sql).unwrap();
-        let mut stats = ColumnarStats::build(cat);
-        let compiled = CompiledTemplate::compile(&fp.text, cat, &mut stats)
+        let compiled = CompiledTemplate::compile(&fp.text, cat)
             .unwrap_or_else(|| panic!("template should compile: {}", fp.text));
         assert_eq!(fingerprint(sql).unwrap().hash, fp.hash, "same template");
 
@@ -482,7 +788,7 @@ mod tests {
         let mut shape = compiled.skeleton().clone();
         let (mut sels, mut stack) = (Vec::new(), Vec::new());
         assert!(
-            compiled.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack),
+            compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
             "bind should succeed for {sql}"
         );
 
@@ -577,7 +883,6 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let stats = ColumnarStats::build(&cat);
         let (mut sels, mut stack) = (Vec::new(), Vec::new());
         let mut shape = compiled.skeleton().clone();
 
@@ -588,7 +893,7 @@ mod tests {
             &mut lits,
         )
         .unwrap();
-        assert!(!compiled.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack));
+        assert!(!compiled.bind(&lits, &mut shape, &mut sels, &mut stack));
 
         // Distinct values still bind (and match the slow path).
         assert_bind_matches(
@@ -600,7 +905,7 @@ mod tests {
         // Slot-count mismatch.
         let mut lits = LiteralBuf::default();
         scan_fingerprint("SELECT * FROM accounts WHERE branch = 5", &mut lits).unwrap();
-        assert!(!compiled.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack));
+        assert!(!compiled.bind(&lits, &mut shape, &mut sels, &mut stack));
 
         // LIMIT must bind a non-negative integer (the parser rejects the
         // rest — the fallback reproduces the parse error).
@@ -609,7 +914,7 @@ mod tests {
         let mut shape = limited.skeleton().clone();
         let mut lits = LiteralBuf::default();
         scan_fingerprint("SELECT * FROM accounts WHERE id = 1 LIMIT 2.5", &mut lits).unwrap();
-        assert!(!limited.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack));
+        assert!(!limited.bind(&lits, &mut shape, &mut sels, &mut stack));
 
         // A negated slot cannot bind a string.
         let (neg, _) = compile_sql("SELECT * FROM accounts WHERE balance = -5", &cat).unwrap();
@@ -617,7 +922,7 @@ mod tests {
         let mut lits = LiteralBuf::default();
         lits.values.clear();
         lits.values.push(Value::Str("x".into()));
-        assert!(!neg.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack));
+        assert!(!neg.bind(&lits, &mut shape, &mut sels, &mut stack));
     }
 
     #[test]
@@ -628,7 +933,6 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let stats = ColumnarStats::build(&cat);
         let mut shape = compiled.skeleton().clone();
         let (mut sels, mut stack) = (Vec::new(), Vec::new());
         for i in 0..5i64 {
@@ -640,7 +944,7 @@ mod tests {
             );
             let mut lits = LiteralBuf::default();
             scan_fingerprint(&sql, &mut lits).unwrap();
-            assert!(compiled.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack));
+            assert!(compiled.bind(&lits, &mut shape, &mut sels, &mut stack));
             let expected = QueryShape::extract(&parse_statement(&sql).unwrap(), &cat);
             assert_eq!(shape, expected, "rebind {i}");
         }
@@ -669,5 +973,222 @@ mod tests {
         assert!(cache.get(hash).is_some());
         assert!(FastPathCache::empty().is_empty());
         assert!(FastPathCache::empty().get(hash).is_none());
+    }
+
+    // ------------------------------------------------- the maintained set
+
+    use crate::templates::{TemplateStore, TemplateStoreConfig};
+    use autoindex_support::rng::StdRng;
+
+    /// Statement texts over both tables: bindable reads and writes, a join,
+    /// a duplicate-atom guard tripper, and three ineligible templates.
+    fn statement(rng: &mut StdRng) -> String {
+        let (a, b, c) = (
+            rng.random_range(0i64..600),
+            rng.random_range(0i64..40_000),
+            rng.random_range(0i64..9),
+        );
+        match rng.random_range(0u32..14) {
+            0 => format!("SELECT * FROM accounts WHERE id = {b}"),
+            1 => format!(
+                "SELECT balance FROM accounts WHERE branch = {a} AND balance > {b} LIMIT {c}"
+            ),
+            2 => format!("SELECT * FROM accounts WHERE balance BETWEEN {a} AND {b}"),
+            3 => format!("SELECT * FROM accounts WHERE balance = -{b}"),
+            4 => format!(
+                "SELECT a.id FROM accounts a JOIN tellers t ON a.branch = t.branch \
+                 WHERE t.id < {a} AND a.balance >= {b}"
+            ),
+            5 => format!("UPDATE accounts SET balance = {b} WHERE id = {a}"),
+            6 => format!("DELETE FROM tellers WHERE id = {a}"),
+            7 => format!("INSERT INTO tellers (id, branch) VALUES ({b}, {a})"),
+            8 => format!("SELECT * FROM tellers WHERE id < {a}"),
+            9 => format!(
+                "SELECT * FROM accounts WHERE branch = {c} AND branch = {}",
+                c % 3
+            ),
+            10 => format!("INSERT INTO accounts (id, balance) VALUES ({b}, {a})"),
+            11 => format!("SELECT * FROM accounts WHERE branch = {a} OR branch = {c}"),
+            12 => format!("SELECT * FROM accounts WHERE branch IN ({a}, {c})"),
+            _ => "SELECT * FROM accounts WHERE owner LIKE 'a%'".to_string(),
+        }
+    }
+
+    /// `sql` bound through `compiled`, or `None` when a guard tripped.
+    fn bound(compiled: &CompiledTemplate, sql: &str) -> Option<QueryShape> {
+        let mut lits = LiteralBuf::default();
+        scan_fingerprint(sql, &mut lits).unwrap();
+        let mut shape = compiled.skeleton().clone();
+        compiled
+            .bind(&lits, &mut shape, &mut Vec::new(), &mut Vec::new())
+            .then_some(shape)
+    }
+
+    fn sel_bits(shape: &QueryShape) -> Vec<u64> {
+        let sels = shape.tables.iter().map(|t| t.filter_sel.to_bits());
+        sels.collect()
+    }
+
+    /// After any sequence of observes, grows, evictions, decays, live
+    /// lookups and publications, the store's maintained entries are the
+    /// entries a from-scratch build over the same templates and catalog
+    /// makes: same templates compiled, same templates ineligible, and the
+    /// same literals bound to the same shape, `filter_sel` bits included —
+    /// which is also what parse + extract gives.
+    #[test]
+    fn maintained_entries_equal_a_from_scratch_build() {
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::{prop_assert, prop_assert_eq};
+
+        property(
+            "maintained_entries_equal_a_from_scratch_build",
+            PropConfig::default().cases(48),
+            |rng, size| {
+                let mut cat = catalog();
+                let upkeep = UpkeepCounters::bind(&MetricsRegistry::new());
+                let mut store = TemplateStore::new(TemplateStoreConfig {
+                    max_templates: rng.random_range(2usize..12),
+                    ..TemplateStoreConfig::default()
+                });
+                // The last statement seen of each template, to bind.
+                let mut samples: U64HashMap<String> = U64HashMap::default();
+                for _ in 0..20 + 4 * size {
+                    match rng.random_range(0u32..10) {
+                        0 => {
+                            let table = ["accounts", "tellers"][rng.random_range(0usize..2)];
+                            cat.grow_table(table, rng.random_range(1u64..5_000))
+                                .unwrap();
+                        }
+                        1 => store.decay(),
+                        2 => {
+                            store.publish(&cat, &upkeep);
+                        }
+                        3 => {
+                            // A live lookup: its bound clone is the parse path's shape.
+                            let sql = statement(rng);
+                            let mut lits = LiteralBuf::default();
+                            let hash = scan_fingerprint(&sql, &mut lits).unwrap();
+                            if let Some((compiled, shape)) = store.compiled_for(hash, &cat, &upkeep)
+                            {
+                                if compiled.bind(&lits, shape, &mut Vec::new(), &mut Vec::new()) {
+                                    let parsed =
+                                        QueryShape::extract(&parse_statement(&sql).unwrap(), &cat);
+                                    prop_assert_eq!(&*shape, &parsed);
+                                    prop_assert_eq!(sel_bits(shape), sel_bits(&parsed));
+                                }
+                            }
+                        }
+                        _ => {
+                            let sql = statement(rng);
+                            let hash = store.observe(&sql, &cat).unwrap();
+                            samples.insert(hash, sql);
+                        }
+                    }
+                }
+
+                let maintained = store.publish(&cat, &upkeep);
+                let rebuilt = FastPathCache::build(store.entries(), &cat);
+                prop_assert_eq!(maintained.len(), rebuilt.len());
+                prop_assert_eq!(maintained.ineligible(), rebuilt.ineligible());
+                prop_assert_eq!(store.compiled_len(), maintained.len());
+                for (hash, entry) in store.entries() {
+                    let (kept, fresh) = (maintained.get(hash), rebuilt.get(hash));
+                    prop_assert!(kept.is_some() == fresh.is_some(), "{}", entry.text);
+                    let (Some(kept), Some(fresh)) = (kept, fresh) else {
+                        continue;
+                    };
+                    let sql = &samples[&hash];
+                    let (a, b) = (bound(kept, sql), bound(fresh, sql));
+                    prop_assert!(a == b, "{sql}");
+                    prop_assert_eq!(a.as_ref().map(sel_bits), b.as_ref().map(sel_bits));
+                    if let Some(a) = a {
+                        let parsed = QueryShape::extract(&parse_statement(sql).unwrap(), &cat);
+                        prop_assert!(a == parsed && sel_bits(&a) == sel_bits(&parsed), "{sql}");
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Two reads, one on each table, and a join over both, observed and
+    /// published once; returns the store, the catalog and the three hashes.
+    fn published_store() -> (TemplateStore, Catalog, MetricsRegistry, [u64; 3]) {
+        let cat = catalog();
+        let registry = MetricsRegistry::new();
+        let mut store = TemplateStore::new(TemplateStoreConfig::default());
+        let hashes = [
+            "SELECT * FROM accounts WHERE balance > 7",
+            "SELECT * FROM tellers WHERE id < 7",
+            "SELECT a.id FROM accounts a JOIN tellers t ON a.branch = t.branch WHERE t.id < 5",
+        ]
+        .map(|sql| store.observe(sql, &cat).unwrap());
+        store.publish(&cat, &UpkeepCounters::bind(&registry));
+        assert_eq!(registry.counter_value("sql.fastpath.compiled"), 3);
+        (store, cat, registry, hashes)
+    }
+
+    #[test]
+    fn an_epoch_without_births_or_growth_publishes_the_same_entries() {
+        let (mut store, cat, registry, hashes) = published_store();
+        let upkeep = UpkeepCounters::bind(&registry);
+        let first = store.publish(&cat, &upkeep);
+        // Repeats of known templates move frequencies, not entries.
+        for i in 0..50 {
+            let sql = format!("SELECT * FROM tellers WHERE id < {i}");
+            store.observe(&sql, &cat).unwrap();
+        }
+        let second = store.publish(&cat, &upkeep);
+        assert!(Arc::ptr_eq(&first, &second), "the cache itself is reused");
+        for h in hashes {
+            assert!(Arc::ptr_eq(&first.entries[&h], &second.entries[&h]));
+        }
+        assert_eq!(registry.counter_value("sql.fastpath.compiled"), 3);
+        assert_eq!(registry.counter_value("sql.fastpath.refolded"), 0);
+
+        // A birth makes a new cache out of the same entries plus one.
+        store
+            .observe("SELECT * FROM tellers WHERE branch = 1", &cat)
+            .unwrap();
+        let third = store.publish(&cat, &upkeep);
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!(third.len(), 4);
+        for h in hashes {
+            assert!(Arc::ptr_eq(&second.entries[&h], &third.entries[&h]));
+        }
+        assert_eq!(registry.counter_value("sql.fastpath.compiled"), 4);
+    }
+
+    #[test]
+    fn growth_of_one_table_refolds_only_the_entries_that_touch_it() {
+        let (mut store, mut cat, registry, [on_accounts, on_tellers, join]) = published_store();
+        let upkeep = UpkeepCounters::bind(&registry);
+        let before = store.publish(&cat, &upkeep);
+        let reused = registry.counter_value("sql.fastpath.reused");
+
+        cat.grow_table("tellers", 5_000).unwrap();
+        let after = store.publish(&cat, &upkeep);
+        assert!(Arc::ptr_eq(
+            &before.entries[&on_accounts],
+            &after.entries[&on_accounts]
+        ));
+        for h in [on_tellers, join] {
+            let (old, new) = (&before.entries[&h], &after.entries[&h]);
+            assert!(!Arc::ptr_eq(old, new), "re-folded");
+            assert!(Arc::ptr_eq(&old.frame, &new.frame), "not re-parsed");
+        }
+        assert_eq!(registry.counter_value("sql.fastpath.refolded"), 2);
+        assert_eq!(registry.counter_value("sql.fastpath.reused"), reused + 1);
+        assert_eq!(registry.counter_value("sql.fastpath.compiled"), 3);
+
+        // The frozen copy still answers for the catalog it was made at.
+        let sql = "SELECT * FROM tellers WHERE id < 2500";
+        let old = bound(&before.entries[&on_tellers], sql).unwrap();
+        let new = bound(&after.entries[&on_tellers], sql).unwrap();
+        assert_eq!(
+            new,
+            QueryShape::extract(&parse_statement(sql).unwrap(), &cat)
+        );
+        assert_ne!(sel_bits(&old), sel_bits(&new));
     }
 }

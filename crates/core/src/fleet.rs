@@ -68,6 +68,7 @@ use crate::engine::{
     absorb_slice, simulated_qps, tuning_round, Engine, EngineConfig, Lane, Publication, Slice,
 };
 use crate::error::{invalid, AutoIndexError};
+use crate::fastpath::UpkeepCounters;
 use crate::guard::GuardConfig;
 use crate::mcts::Universe;
 use crate::serve::tuning_cooldown_over;
@@ -740,11 +741,13 @@ pub fn serve_fleet<E: CostEstimator>(
     let queries: Vec<Arc<Vec<String>>> = tenants.iter().map(|t| Arc::clone(&t.queries)).collect();
     let mut states: Vec<TenantState<E>> = Vec::with_capacity(tenants.len());
     let mut lanes: Vec<Lane> = Vec::with_capacity(tenants.len());
+    let upkeep = UpkeepCounters::bind(&registry);
     for (t, mut tenant) in tenants.into_iter().enumerate() {
         if let Some(k) = config.tuner_strategy {
             tenant.advisor.set_strategy(k);
         }
-        let initial = Publication::build(&tenant.db, &tenant.advisor, 0, config.fastpath);
+        let initial =
+            Publication::build(&tenant.db, &mut tenant.advisor, 0, config.fastpath, &upkeep);
         lanes.push(Lane::new(
             &queries[t],
             derive_seed(config.seed, t as u64),
@@ -923,8 +926,14 @@ pub fn serve_fleet<E: CostEstimator>(
                 record.config_fingerprint = st.universe.config_fingerprint(&st.db);
                 record.index_count = st.db.index_count();
             }
-            for (t, st) in states.iter().enumerate().filter(|(t, _)| republish[*t]) {
-                let next = Publication::build(&st.db, &st.advisor, epoch + 1, config.fastpath);
+            for (t, st) in states.iter_mut().enumerate().filter(|(t, _)| republish[*t]) {
+                let next = Publication::build(
+                    &st.db,
+                    &mut st.advisor,
+                    epoch + 1,
+                    config.fastpath,
+                    &upkeep,
+                );
                 coordinator.publish(t as u32, next);
             }
 

@@ -25,6 +25,7 @@
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;
 use crate::error::{invalid, AutoIndexError};
+use crate::fastpath::{FrontEnd, UpkeepCounters};
 use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase};
 use crate::session::SessionReport;
 use crate::strategy::StrategyKind;
@@ -214,6 +215,10 @@ pub struct OnlineAutoIndex<E: CostEstimator> {
     advisor: AutoIndex<E>,
     config: OnlineConfig,
     guard: Option<Guard>,
+    /// The statement front end the serving executors run too, here over
+    /// the advisor's live compiled entries.
+    front: FrontEnd,
+    upkeep: UpkeepCounters,
     executed: u64,
     last_tuning_at: Option<u64>,
     /// Number of tuning rounds triggered so far.
@@ -231,6 +236,8 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
         config.diagnosis_interval = config.diagnosis_interval.max(1);
         let guard = config.guard.clone().map(|g| Guard::new(g, db.metrics()));
         OnlineAutoIndex {
+            front: FrontEnd::new(db.metrics(), 0),
+            upkeep: UpkeepCounters::bind(db.metrics()),
             db,
             advisor,
             config,
@@ -255,6 +262,13 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     /// The wrapped advisor.
     pub fn advisor(&self) -> &AutoIndex<E> {
         &self.advisor
+    }
+
+    /// Mutable access to the wrapped advisor (marking a known phase
+    /// boundary with [`AutoIndex::force_template_decay`], refreshing
+    /// statistics).
+    pub fn advisor_mut(&mut self) -> &mut AutoIndex<E> {
+        &mut self.advisor
     }
 
     /// The guard state machine, when configured.
@@ -287,13 +301,24 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     }
 
     /// Execute one statement from the stream, observe it, and run the
-    /// control loop. Unparseable statements are executed… nowhere — the
-    /// simulator needs an AST — so they surface as `outcome: None` with
-    /// the parse error attached (a real deployment would pass them
-    /// straight to the server).
+    /// control loop. A statement of a known, compilable template is
+    /// *bound* — fingerprint scan, the template's compiled entry (re-folded
+    /// first if an INSERT grew a table it touches), slot writes — and no
+    /// syntax tree is built for it; anything else is parsed and extracted,
+    /// which yields the same shape bit for bit. Statements that do not
+    /// parse are executed… nowhere — the simulator runs shapes — so they
+    /// surface as `outcome: None` with the parse error attached (a real
+    /// deployment would pass them straight to the server).
     pub fn feed(&mut self, sql: &str) -> FeedOutcome {
-        let stmt = match autoindex_sql::parse_statement(sql) {
-            Ok(s) => s,
+        let (advisor, catalog, upkeep) = (&mut self.advisor, self.db.catalog(), &self.upkeep);
+        let lookup = move |hash| {
+            // Moved, not reborrowed: the entry handed out is borrowed from
+            // the advisor, not from this (once-called) closure.
+            let advisor = advisor;
+            advisor.templates_mut().compiled_for(hash, catalog, upkeep)
+        };
+        let resolved = match self.front.resolve(sql, catalog, Some(lookup)) {
+            Ok(r) => r,
             Err(e) => {
                 return FeedOutcome {
                     outcome: None,
@@ -302,14 +327,14 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
                 }
             }
         };
-        let outcome = self.db.execute(&stmt);
+        let outcome = self.db.execute_shape(resolved.shape());
         // The statement executed; a template-matching failure must not
         // discard the measurement (the old `(None, event)` ambiguity).
-        let error = self
-            .advisor
-            .observe(sql, &self.db)
-            .err()
-            .map(AutoIndexError::from);
+        let observed = match resolved.fp() {
+            Some(hash) => self.advisor.observe_prehashed(hash, sql, &self.db),
+            None => self.advisor.observe(sql, &self.db),
+        };
+        let error = observed.err().map(AutoIndexError::from);
         self.executed += 1;
 
         // Guard lifecycle first: probation verdicts and cooldown expiry
@@ -670,6 +695,41 @@ mod tests {
         let ok = o.feed("SELECT * FROM t WHERE a = 1");
         assert!(ok.outcome.is_some());
         assert!(ok.error.is_none());
+    }
+
+    #[test]
+    fn repeat_statements_are_bound_and_growth_refolds_them() {
+        let mut o = online();
+        for i in 0..500 {
+            let fed = if i % 10 == 9 {
+                o.feed(&format!(
+                    "INSERT INTO t (id, a, b) VALUES ({i}, {i}, {})",
+                    i % 7
+                ))
+            } else {
+                o.feed(&format!("SELECT * FROM t WHERE a < {i}"))
+            };
+            assert!(fed.outcome.is_some() && fed.error.is_none());
+        }
+        let m = o.db().metrics();
+        let (hits, misses) = (
+            m.counter_value("sql.fastpath.hits"),
+            m.counter_value("sql.fastpath.misses"),
+        );
+        assert_eq!(
+            hits + misses,
+            o.executed(),
+            "every statement is counted once"
+        );
+        // Two templates, each parsed when first seen and compiled at its
+        // second statement.
+        assert_eq!(misses, 2);
+        assert!(hits >= 480);
+        assert_eq!(m.counter_value("sql.fastpath.compiled"), 2);
+        assert_eq!(m.counter_value("sql.fastpath.fallbacks"), 0);
+        // Every INSERT grows `t` under both templates.
+        assert!(m.counter_value("sql.fastpath.refolded") >= 49);
+        assert_eq!(o.advisor().templates().compiled_len(), 2);
     }
 
     #[test]

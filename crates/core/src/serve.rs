@@ -49,6 +49,7 @@ use crate::engine::{
     absorb_slice, simulated_qps, tuning_round, Engine, EngineConfig, Lane, Publication, Slice,
 };
 use crate::error::{invalid, AutoIndexError};
+use crate::fastpath::UpkeepCounters;
 use crate::guard::GuardConfig;
 use crate::mcts::Universe;
 use crate::system::AutoIndex;
@@ -360,7 +361,8 @@ pub fn serve<E: CostEstimator>(
 
     // Epoch 0 publication: snapshot + compiled-template cache over any
     // pre-observed templates.
-    let initial = Publication::build(&db, &advisor, 0, config.fastpath);
+    let upkeep = UpkeepCounters::bind(db.metrics());
+    let initial = Publication::build(&db, &mut advisor, 0, config.fastpath, &upkeep);
     let engine = Engine::new(
         EngineConfig {
             name: "serve.tuner",
@@ -436,7 +438,7 @@ pub fn serve<E: CostEstimator>(
                 index_count: db.index_count(),
                 sim_latency_ms: tally.sim_latency_ms,
             });
-            let next = Publication::build(&db, &advisor, epoch + 1, config.fastpath);
+            let next = Publication::build(&db, &mut advisor, epoch + 1, config.fastpath, &upkeep);
             coordinator.publish(0, next);
         }
         Ok(coordinator.sim_makespan_ms)

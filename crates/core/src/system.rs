@@ -362,6 +362,12 @@ impl<E: CostEstimator> AutoIndex<E> {
         &self.templates
     }
 
+    /// The template store, for the drivers that keep its compiled entries
+    /// current (`feed` live, a publication at its epoch boundary).
+    pub(crate) fn templates_mut(&mut self) -> &mut TemplateStore {
+        &mut self.templates
+    }
+
     /// The estimator.
     pub fn estimator(&self) -> &E {
         &self.estimator

@@ -14,13 +14,20 @@
 //!   factor and dropping cold templates (§IV-C's second rule);
 //! * caches each template's parsed statement and [`QueryShape`] so the
 //!   expensive analysis happens once per *template*, not once per query.
-//!   That is the entire source of the >98.5% overhead reduction in Fig. 8.
+//!   That is the entire source of the >98.5% overhead reduction in Fig. 8;
+//! * keeps each template's compiled fast-path form ([`crate::fastpath`])
+//!   with its entry, current under table growth, so a repeat statement is
+//!   *bound*, never parsed: `TemplateStore::compiled_for` serves the
+//!   online loop live, `TemplateStore::publish` freezes the same entries
+//!   for the serving executors.
 
+use crate::fastpath::{Compiled, CompiledTemplate, FastPathCache, Upkeep, UpkeepCounters};
 use autoindex_sql::{fingerprint, parse_statement, Fingerprint, SqlError, Statement, TemplateId};
 use autoindex_storage::catalog::Catalog;
 use autoindex_storage::shape::QueryShape;
 use autoindex_support::json::{obj, Json, JsonError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of the template store.
 #[derive(Debug, Clone)]
@@ -53,8 +60,8 @@ impl Default for TemplateStoreConfig {
 #[derive(Debug, Clone)]
 pub struct TemplateEntry {
     /// Dense template id, assigned in first-seen order; never reused for
-    /// the life of the store (the fast-path cache keys compiled entries
-    /// on it).
+    /// the life of the store. (Compiled entries are keyed on the
+    /// fingerprint hash, like the store itself.)
     pub id: TemplateId,
     /// Canonical template text (fingerprint text).
     pub text: String,
@@ -66,6 +73,8 @@ pub struct TemplateEntry {
     pub frequency: f64,
     /// Logical timestamp of the last match.
     pub last_seen: u64,
+    /// The template's compiled fast-path form; goes when the entry goes.
+    pub(crate) compiled: Compiled,
 }
 
 /// The template store.
@@ -81,6 +90,9 @@ pub struct TemplateStore {
     next_id: u32,
     /// Number of workload shifts detected so far.
     pub shifts_detected: u64,
+    /// The compiled entries as last published; `None` once a template was
+    /// born or dropped, or an entry compiled or re-folded, since.
+    published: Option<Arc<FastPathCache>>,
 }
 
 impl TemplateStore {
@@ -94,6 +106,7 @@ impl TemplateStore {
             window_new_templates: 0,
             next_id: 0,
             shifts_detected: 0,
+            published: None,
         }
     }
 
@@ -170,10 +183,80 @@ impl TemplateStore {
                 shape,
                 frequency: 1.0,
                 last_seen: self.clock,
+                compiled: Compiled::Pending,
             },
         );
+        self.published = None;
         self.maybe_handle_shift();
         Ok(fp.hash)
+    }
+
+    /// The compiled template of `hash`, current against `catalog`, with
+    /// the live reader's bindable clone of its skeleton — `None` when the
+    /// template is unknown (never seen, evicted, decayed) or ineligible.
+    /// While the catalog stands still this checks nothing; after growth,
+    /// an entry is re-folded at its next use if a table it touches grew.
+    ///
+    /// `catalog` must be the one catalog this store's entries are kept
+    /// against (table stamps compare within one catalog's history).
+    pub(crate) fn compiled_for(
+        &mut self,
+        hash: u64,
+        catalog: &Catalog,
+        upkeep: &UpkeepCounters,
+    ) -> Option<(&CompiledTemplate, &mut QueryShape)> {
+        let entry = self.by_hash.get_mut(&hash)?;
+        let step = entry.compiled.upkeep(&entry.text, catalog);
+        upkeep.record(step);
+        if step.changed() {
+            self.published = None;
+        }
+        match &mut entry.compiled {
+            Compiled::Ready {
+                template, bound, ..
+            } => {
+                let bound = bound.get_or_insert_with(|| template.skeleton().clone());
+                Some((&**template, bound))
+            }
+            _ => None,
+        }
+    }
+
+    /// Freeze the compiled entries for one publication, every one brought
+    /// current against `catalog` first (pending templates compiled, those
+    /// whose tables grew re-folded). Copy-on-write: while no template was
+    /// born or dropped and no touched table grew, this is the `Arc` the
+    /// last call returned, and across a change every untouched entry is
+    /// the same `Arc` as before. Same `catalog` condition as
+    /// [`TemplateStore::compiled_for`].
+    pub(crate) fn publish(
+        &mut self,
+        catalog: &Catalog,
+        upkeep: &UpkeepCounters,
+    ) -> Arc<FastPathCache> {
+        for entry in self.by_hash.values_mut() {
+            let step = entry.compiled.upkeep(&entry.text, catalog);
+            if step.changed() {
+                self.published = None;
+            }
+            // To a publication, every entry it did not have to touch is
+            // one it reuses, checked or not.
+            let untouched = step == Upkeep::Current && entry.compiled.template().is_some();
+            upkeep.record(if untouched { Upkeep::Reused } else { step });
+        }
+        let entries = &self.by_hash;
+        Arc::clone(self.published.get_or_insert_with(|| {
+            Arc::new(FastPathCache::freeze(
+                entries.iter().map(|(h, e)| (*h, &e.compiled)),
+            ))
+        }))
+    }
+
+    /// Templates that currently hold a compiled form (never more than
+    /// [`TemplateStore::len`]: the form lives in the template's entry).
+    pub fn compiled_len(&self) -> usize {
+        let ready = |e: &&TemplateEntry| e.compiled.template().is_some();
+        self.by_hash.values().filter(ready).count()
     }
 
     /// Evict the template with the lowest LFU/LRU score; of equal scores,
@@ -209,10 +292,14 @@ impl TemplateStore {
     pub fn decay(&mut self) {
         let decay = self.config.decay;
         let min = self.config.min_frequency;
+        let before = self.by_hash.len();
         self.by_hash.retain(|_, e| {
             e.frequency *= decay;
             e.frequency >= min
         });
+        if self.by_hash.len() != before {
+            self.published = None;
+        }
     }
 
     /// Number of retained templates.
@@ -245,8 +332,8 @@ impl TemplateStore {
         self.by_hash.values()
     }
 
-    /// Iterate `(fingerprint hash, template)` pairs — the fast-path cache
-    /// builder needs the hash keys alongside the entries.
+    /// Iterate `(fingerprint hash, template)` pairs — what
+    /// [`FastPathCache::build`] compiles from scratch.
     pub fn entries(&self) -> impl Iterator<Item = (u64, &TemplateEntry)> {
         self.by_hash.iter().map(|(h, e)| (*h, e))
     }
@@ -362,6 +449,7 @@ impl TemplateStore {
                     shape,
                     frequency,
                     last_seen,
+                    compiled: Compiled::Pending,
                 },
             );
         }
@@ -381,6 +469,7 @@ impl TemplateStore {
             window_new_templates: 0,
             next_id,
             shifts_detected,
+            published: None,
         })
     }
 

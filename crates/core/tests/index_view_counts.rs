@@ -1,14 +1,16 @@
 //! Count-domain regression tests: planning work follows the tables a
 //! statement touches, never the size of the configuration; snapshot
 //! execution allocates only what it returns; the steady-state fast path
-//! allocates nothing on numeric statements.
+//! allocates nothing on numeric statements, so a repeat statement fed to
+//! the online loop costs what executing its shape costs, and growth under
+//! it costs one bounded re-fold, not a parse.
 //!
 //! A counting `#[global_allocator]` (per-thread, so the libtest harness
 //! cannot leak into a window) measures allocator calls; the what-if,
 //! inference and fault-roll counters must read exactly one per probe.
 
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
-use autoindex_core::FastPathCache;
+use autoindex_core::{AutoIndex, AutoIndexConfig, FastPathCache, OnlineAutoIndex, OnlineConfig};
 use autoindex_estimator::{CostEstimator, NativeCostEstimator};
 use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::parse_statement;
@@ -19,6 +21,7 @@ use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::banking::{self, BankingGenerator};
+use autoindex_workloads::fleet::{tenant_catalog, tenant_dba_indexes};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -282,5 +285,144 @@ fn steady_state_fast_path_allocates_nothing_on_numeric_statements() {
     assert!(
         allocs_off > numeric.len() as u64,
         "full parse made only {allocs_off} allocator calls"
+    );
+}
+
+fn tenant_db() -> SimDb {
+    let mut db = SimDb::with_metrics(
+        tenant_catalog(3_000),
+        SimDbConfig::default(),
+        MetricsRegistry::new(),
+    );
+    for def in tenant_dba_indexes() {
+        db.create_index(def).unwrap();
+    }
+    db
+}
+
+/// The online loop with its control side switched off by cadence: what is
+/// left of `feed` is the statement path.
+fn statement_path_only(templates: TemplateStoreConfig) -> OnlineAutoIndex<NativeCostEstimator> {
+    let config = AutoIndexConfig {
+        templates,
+        ..AutoIndexConfig::default()
+    };
+    OnlineAutoIndex::new(
+        tenant_db(),
+        AutoIndex::new(config, NativeCostEstimator),
+        OnlineConfig {
+            diagnosis_interval: u64::MAX,
+            ..OnlineConfig::default()
+        },
+    )
+}
+
+/// A repeat numeric statement fed to the online loop is scanned, bound and
+/// executed: it allocates what `execute_shape` of the same shape allocates
+/// (the outcome it returns) and nothing for the front end or the advisor.
+/// Right after an INSERT grew its table the next one re-folds the
+/// template's selectivity program — a bounded handful of allocations, far
+/// from what parsing and extracting the statement would cost.
+#[test]
+fn a_fed_repeat_statement_allocates_what_executing_its_shape_does() {
+    let mut online = statement_path_only(TemplateStoreConfig::default());
+    let mut twin = tenant_db();
+    let select = |i: u64| format!("SELECT * FROM withdraw_flow WHERE acct_id = {i} AND ts > 100");
+    let insert =
+        |i: u64| format!("INSERT INTO withdraw_flow (flow_id, acct_id, ts) VALUES ({i}, 7, {i})");
+    // Admit both templates, compile them, make the bindable clones.
+    for i in 0..4 {
+        online.feed(&select(i));
+        online.feed(&insert(i));
+    }
+    let extract =
+        |sql: &str, db: &SimDb| QueryShape::extract(&parse_statement(sql).unwrap(), db.catalog());
+    for i in 0..4 {
+        twin.execute_shape(&extract(&select(i), &twin));
+        twin.execute_shape(&extract(&insert(i), &twin));
+    }
+    let hits_before = online.db().metrics().counter_value("sql.fastpath.hits");
+
+    // Steady state: the catalog stands still between the two reads.
+    online.feed(&select(50));
+    twin.execute_shape(&extract(&select(50), &twin));
+    let sql = select(51);
+    let shape = extract(&sql, &twin);
+    let (fed, outcome) = counted(|| online.feed(&sql));
+    let (executed, reference) = counted(|| twin.execute_shape(&shape));
+    let outcome = outcome.outcome.expect("executed");
+    assert_eq!(outcome.latency_ms.to_bits(), reference.latency_ms.to_bits());
+    assert!(!outcome.indexes_used.is_empty(), "served by an index");
+    assert!(
+        fed <= executed,
+        "feed made {fed} allocator calls, execute_shape alone {executed}"
+    );
+
+    // Growth under the template: one re-fold, no parse.
+    online.feed(&insert(60));
+    twin.execute_shape(&extract(&insert(60), &twin));
+    let refolded_before = online.db().metrics().counter_value("sql.fastpath.refolded");
+    let sql = select(52);
+    let (parsed, shape) = counted(|| extract(&sql, &twin));
+    let (fed, outcome) = counted(|| online.feed(&sql));
+    let (executed, reference) = counted(|| twin.execute_shape(&shape));
+    assert_eq!(
+        outcome.outcome.expect("executed").latency_ms.to_bits(),
+        reference.latency_ms.to_bits()
+    );
+    let m = online.db().metrics();
+    assert_eq!(
+        m.counter_value("sql.fastpath.refolded"),
+        refolded_before + 1
+    );
+    assert_eq!(
+        m.counter_value("sql.fastpath.hits"),
+        hits_before + 4,
+        "all bound"
+    );
+    let refold = fed - executed;
+    assert!(
+        (1..=8).contains(&refold) && refold < parsed,
+        "the re-fold made {refold} allocator calls; parse + extract makes {parsed}"
+    );
+}
+
+/// A compiled template lives in its template's store entry, so the live
+/// set is bounded by the store: over an ad-hoc stream that keeps evicting
+/// from a store of eight, there are never more compiled templates than
+/// templates, nor more templates than eight.
+#[test]
+fn the_live_compiled_set_is_bounded_by_the_template_store() {
+    let mut online = statement_path_only(TemplateStoreConfig {
+        max_templates: 8,
+        ..TemplateStoreConfig::default()
+    });
+    let cols = ["acct_id", "cust_id", "branch_id", "status", "acct_type"];
+    let ops = ["=", "<", ">=", "<>"];
+    let mut rng = autoindex_support::rng::StdRng::seed_from_u64(8);
+    let mut most = 0;
+    for i in 0..10_000u64 {
+        let mut pick = |n: usize| rng.random_range(0..n);
+        let sql = format!(
+            "SELECT {} FROM account WHERE {} {} {i} AND {} = {}",
+            cols[pick(5)],
+            cols[pick(5)],
+            ops[pick(4)],
+            cols[pick(5)],
+            i % 7,
+        );
+        assert!(online.feed(&sql).outcome.is_some());
+        let store = online.advisor().templates();
+        assert!(store.compiled_len() <= store.len() && store.len() <= 8);
+        most = most.max(store.compiled_len());
+    }
+    assert!(
+        most >= 2,
+        "the stream repeats templates often enough to compile some"
+    );
+    let m = online.db().metrics();
+    assert!(
+        m.counter_value("sql.fastpath.compiled") > 8,
+        "entries came and went"
     );
 }

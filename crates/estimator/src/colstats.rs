@@ -14,19 +14,21 @@
 //!   per-column statistics for one catalog version, keyed by interned
 //!   ([`TableId`], [`ColumnId`]) pairs. Parallel `ndv` / `min` / `max` /
 //!   `null_frac` arrays expose the stats in columnar (struct-of-arrays)
-//!   form for batched scans.
+//!   form for batched scans (the bandit's arm features).
 //! * [`TemplateSelProgram`] — a [`SelTrace`] (from
-//!   `QueryShape::extract_traced`) compiled into flat postfix programs, one
-//!   per `(predicate, table)` factor. Value-independent subtrees are
-//!   const-folded at compile time; literal-dependent leaves carry a
-//!   pre-resolved statistics slot and evaluate via the *same*
-//!   `autoindex_storage::selectivity` primitives as the interpreted path,
-//!   so results are bit-identical.
+//!   `QueryShape::extract_traced`) folded against one catalog state into
+//!   flat postfix programs, one per `(predicate, table)` factor.
+//!   Value-independent subtrees are const-folded; literal-dependent leaves
+//!   index the program's own copy of the columns they read and evaluate via
+//!   the *same* `autoindex_storage::selectivity` primitives as the
+//!   interpreted path, so results are bit-identical. The program reads
+//!   nothing outside itself: when a table it touches grows, the kept trace
+//!   is folded again and nothing else is rebuilt.
 
 use autoindex_sql::intern::{ColumnId, Interner, TableId};
 use autoindex_sql::predicate::AtomicPredicate;
 use autoindex_sql::{CmpOp, Value};
-use autoindex_storage::catalog::{Catalog, Column};
+use autoindex_storage::catalog::{Catalog, Column, Table};
 use autoindex_storage::selectivity::{between_selectivity, clamp_sel, cmp_selectivity};
 use autoindex_storage::shape::{SelTrace, SelTree};
 use autoindex_storage::QueryShape;
@@ -100,14 +102,6 @@ impl ColumnarStats {
         self.slots.get(&(tid, cid)).copied()
     }
 
-    /// Slot of the column an atom restricts on `table` (uses the atom's
-    /// interned column id against this stats table's interner).
-    pub fn slot_for_atom(&mut self, table: &str, atom: &AtomicPredicate) -> Option<u32> {
-        let tid = TableId(self.interner.get(table)?);
-        let cid = atom.interned_column(&mut self.interner)?;
-        self.slots.get(&(tid, cid)).copied()
-    }
-
     /// The resolved column behind a slot.
     pub fn column(&self, slot: u32) -> &Column {
         &self.cols[slot as usize]
@@ -128,7 +122,8 @@ pub enum LitRef {
     Const(Value),
 }
 
-/// A literal-dependent selectivity leaf with its statistics pre-resolved.
+/// A literal-dependent selectivity leaf; `col` indexes the program's own
+/// column copies.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynLeaf {
     /// Range comparison whose selectivity depends on the literal.
@@ -177,27 +172,34 @@ pub struct TemplateSelProgram {
     factors: Vec<FactorProgram>,
     /// Number of tables in the template's shape (length of the output).
     n_tables: u16,
+    /// The columns the literal-dependent leaves read, as the catalog had
+    /// them at compile time, in first-use order.
+    cols: Vec<Column>,
 }
 
 impl TemplateSelProgram {
-    /// Compile `trace` (recorded against the template's sentinel-parsed
-    /// statement) into a flat program. `slot_of` maps a sentinel literal
-    /// value back to its literal-buffer slot (`None` = a real constant).
-    /// Returns `None` when a factor's table is missing from the shape or
-    /// catalog — callers fall back to the interpreted path.
+    /// Fold `trace` (recorded against the template's sentinel-parsed
+    /// statement) against `catalog` into a flat program. `slot_of` maps a
+    /// sentinel literal value back to its literal-buffer slot (`None` = a
+    /// real constant). The result depends on the statistics of the tables
+    /// `trace` names and on nothing else, so it stays exact until one of
+    /// them changes. Returns `None` when a factor's table is missing from
+    /// the shape or catalog — callers fall back to the interpreted path.
     pub fn compile(
         trace: &SelTrace,
         shape: &QueryShape,
         catalog: &Catalog,
-        stats: &mut ColumnarStats,
         slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
     ) -> Option<TemplateSelProgram> {
         let mut factors = Vec::with_capacity(trace.factors.len());
+        let mut cols = Vec::new();
         for (table, tree) in &trace.factors {
             let table_index = shape.tables.iter().position(|t| &t.table == table)?;
             let def = catalog.table(table)?;
             let mut ops = Vec::new();
-            compile_tree(tree, table, def, stats, slot_of, &mut ops)?;
+            compile_tree(tree, def, slot_of, &mut cols, &mut ops)?;
+            // Most factors fold to one constant; the program is long-lived.
+            ops.shrink_to_fit();
             factors.push(FactorProgram {
                 table_index: table_index as u16,
                 rows: def.rows,
@@ -207,6 +209,7 @@ impl TemplateSelProgram {
         Some(TemplateSelProgram {
             factors,
             n_tables: shape.tables.len() as u16,
+            cols,
         })
     }
 
@@ -221,13 +224,7 @@ impl TemplateSelProgram {
     /// Evaluate with `literals` bound, writing one `filter_sel` per shape
     /// table into `out` (resized and reset by this call). `stack` is caller
     /// scratch, reused across calls to stay allocation-free at steady state.
-    pub fn eval_into(
-        &self,
-        literals: &[Value],
-        stats: &ColumnarStats,
-        out: &mut Vec<f64>,
-        stack: &mut Vec<f64>,
-    ) {
+    pub fn eval_into(&self, literals: &[Value], out: &mut Vec<f64>, stack: &mut Vec<f64>) {
         out.clear();
         out.resize(self.n_tables as usize, 1.0);
         for f in &self.factors {
@@ -235,7 +232,7 @@ impl TemplateSelProgram {
             for op in &f.ops {
                 match op {
                     SelOp::Const(s) => stack.push(*s),
-                    SelOp::Leaf(leaf) => stack.push(eval_leaf(leaf, literals, stats, f.rows)),
+                    SelOp::Leaf(leaf) => stack.push(eval_leaf(leaf, literals, &self.cols, f.rows)),
                     SelOp::AndN(n) => {
                         let at = stack.len() - *n as usize;
                         let mut sel = 1.0;
@@ -269,6 +266,12 @@ impl TemplateSelProgram {
     }
 }
 
+/// The column of `def` an atom restricts (atoms in a [`SelTree`] are
+/// normalised to bare column names on the tree's own table).
+fn atom_column<'a>(atom: &AtomicPredicate, def: &'a Table) -> Option<&'a Column> {
+    def.column(&atom.restricted_column()?.column)
+}
+
 /// Whether a range estimate on this column actually reads the value
 /// (mirrors the guard inside `cmp_selectivity` / `between_selectivity`).
 fn col_qualifies(col: &Column) -> bool {
@@ -280,35 +283,35 @@ fn col_qualifies(col: &Column) -> bool {
 /// arithmetic the interpreted path runs, so folding cannot change bits.
 fn compile_tree(
     tree: &SelTree,
-    table: &str,
-    def: &autoindex_storage::Table,
-    stats: &mut ColumnarStats,
+    def: &Table,
     slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
+    cols: &mut Vec<Column>,
     ops: &mut Vec<SelOp>,
 ) -> Option<()> {
-    if !tree_depends_on_literals(tree, table, stats, slot_of) {
+    if !tree_depends_on_literals(tree, def, slot_of) {
         ops.push(SelOp::Const(tree.eval(def)));
         return Some(());
     }
     match tree {
         SelTree::And(children) => {
             for c in children {
-                compile_tree(c, table, def, stats, slot_of, ops)?;
+                compile_tree(c, def, slot_of, cols, ops)?;
             }
             ops.push(SelOp::AndN(children.len() as u16));
         }
         SelTree::Or(children) => {
             for c in children {
-                compile_tree(c, table, def, stats, slot_of, ops)?;
+                compile_tree(c, def, slot_of, cols, ops)?;
             }
             ops.push(SelOp::OrN(children.len() as u16));
         }
         SelTree::Not(inner) => {
-            compile_tree(inner, table, def, stats, slot_of, ops)?;
+            compile_tree(inner, def, slot_of, cols, ops)?;
             ops.push(SelOp::Not);
         }
         SelTree::Atom(atom) => {
-            let col = stats.slot_for_atom(table, atom)?;
+            let col = cols.len() as u32;
+            cols.push(atom_column(atom, def)?.clone());
             let leaf = match atom {
                 AtomicPredicate::Cmp { op, value, .. } => DynLeaf::Cmp {
                     col,
@@ -346,21 +349,17 @@ fn lit_ref(v: &Value, slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>) -> LitRef
 /// `true` only costs a dynamic leaf, a `false` must be provably constant.
 fn tree_depends_on_literals(
     tree: &SelTree,
-    table: &str,
-    stats: &mut ColumnarStats,
+    def: &Table,
     slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
 ) -> bool {
     match tree {
         SelTree::And(children) | SelTree::Or(children) => children
             .iter()
-            .any(|c| tree_depends_on_literals(c, table, stats, slot_of)),
-        SelTree::Not(inner) => tree_depends_on_literals(inner, table, stats, slot_of),
+            .any(|c| tree_depends_on_literals(c, def, slot_of)),
+        SelTree::Not(inner) => tree_depends_on_literals(inner, def, slot_of),
         SelTree::One => false,
         SelTree::Atom(atom) => {
-            let qualifies = stats
-                .slot_for_atom(table, atom)
-                .map(|s| col_qualifies(stats.column(s)))
-                .unwrap_or(false);
+            let qualifies = atom_column(atom, def).is_some_and(col_qualifies);
             match atom {
                 // Eq/Ne read only NDV; ranges read the value iff the
                 // column has usable numeric bounds.
@@ -388,10 +387,10 @@ fn tree_depends_on_literals(
     }
 }
 
-fn eval_leaf(leaf: &DynLeaf, literals: &[Value], stats: &ColumnarStats, rows: u64) -> f64 {
+fn eval_leaf(leaf: &DynLeaf, literals: &[Value], cols: &[Column], rows: u64) -> f64 {
     let sel = match leaf {
         DynLeaf::Cmp { col, op, value } => with_lit(value, literals, |v| {
-            cmp_selectivity(Some(stats.column(*col)), *op, v)
+            cmp_selectivity(Some(&cols[*col as usize]), *op, v)
         }),
         DynLeaf::Between {
             col,
@@ -400,7 +399,7 @@ fn eval_leaf(leaf: &DynLeaf, literals: &[Value], stats: &ColumnarStats, rows: u6
             negated,
         } => with_lit(low, literals, |lo| {
             with_lit(high, literals, |hi| {
-                between_selectivity(Some(stats.column(*col)), lo, hi, *negated)
+                between_selectivity(Some(&cols[*col as usize]), lo, hi, *negated)
             })
         }),
     };
@@ -490,7 +489,6 @@ mod tests {
         let c = catalog();
         let tmpl = parse_statement(template_sql).unwrap();
         let (shape, trace) = QueryShape::extract_traced(&tmpl, &c);
-        let mut stats = ColumnarStats::build(&c);
         let slot_of = |v: &Value| -> Option<(u16, bool)> {
             match v {
                 Value::Int(i) if *i >= SENTINEL_BASE => Some(((*i - SENTINEL_BASE) as u16, false)),
@@ -498,11 +496,10 @@ mod tests {
                 _ => None,
             }
         };
-        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &mut stats, &slot_of)
-            .expect("compiles");
+        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).expect("compiles");
         let mut out = Vec::new();
         let mut stack = Vec::new();
-        prog.eval_into(&literals, &stats, &mut out, &mut stack);
+        prog.eval_into(&literals, &mut out, &mut stack);
 
         let real = parse_statement(real_sql).unwrap();
         let expect = QueryShape::extract(&real, &c);
@@ -567,13 +564,13 @@ mod tests {
         )
         .unwrap();
         let (shape, trace) = QueryShape::extract_traced(&tmpl, &c);
-        let mut stats = ColumnarStats::build(&c);
         // Eq depends only on NDV, IS NULL only on stats: fully foldable.
         let slot_of = |v: &Value| -> Option<(u16, bool)> {
             matches!(v, Value::Int(i) if *i >= 9_100_000_000_000_000).then_some((0, false))
         };
-        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &mut stats, &slot_of).unwrap();
+        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).unwrap();
         assert!(prog.is_constant(), "Eq + IS NULL folds entirely");
+        assert!(prog.cols.is_empty(), "a folded leaf keeps no column");
     }
 
     #[test]
@@ -582,20 +579,20 @@ mod tests {
         let tmpl =
             parse_statement("SELECT * FROM account WHERE balance > 9100000000000000").unwrap();
         let (shape, trace) = QueryShape::extract_traced(&tmpl, &c);
-        let mut stats = ColumnarStats::build(&c);
         let slot_of = |v: &Value| -> Option<(u16, bool)> {
             matches!(v, Value::Int(i) if *i >= 9_100_000_000_000_000).then_some((0, false))
         };
-        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &mut stats, &slot_of).unwrap();
+        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).unwrap();
+        assert_eq!(prog.cols.len(), 1, "only the range leaf's column is kept");
         let mut out = Vec::with_capacity(4);
         let mut stack = Vec::with_capacity(8);
         // Warm up, then check capacities never grow (proxy for no realloc).
         for v in [10.0, 500_000.0, 999_999.0] {
-            prog.eval_into(&[Value::Float(v)], &stats, &mut out, &mut stack);
+            prog.eval_into(&[Value::Float(v)], &mut out, &mut stack);
         }
         let (co, cs) = (out.capacity(), stack.capacity());
         for i in 0..100 {
-            prog.eval_into(&[Value::Int(i)], &stats, &mut out, &mut stack);
+            prog.eval_into(&[Value::Int(i)], &mut out, &mut stack);
         }
         assert_eq!(out.capacity(), co);
         assert_eq!(stack.capacity(), cs);

@@ -13,7 +13,6 @@
 //! treating each atom independently.
 
 use crate::ast::{CmpOp, ColumnRef, Predicate, Value};
-use crate::intern::ColumnId;
 
 /// An atomic (non-boolean-composite) predicate, the unit of candidate index
 /// generation.
@@ -73,18 +72,6 @@ impl AtomicPredicate {
             AtomicPredicate::Opaque { column, .. } => column.as_ref(),
             AtomicPredicate::JoinEq { .. } => None,
         }
-    }
-
-    /// Intern the restricted column (and its table qualifier, if present)
-    /// and return the dense [`ColumnId`] handle. This is how compiled
-    /// selectivity programs key per-column statistics without carrying the
-    /// `ColumnRef` strings onto the hot path.
-    pub fn interned_column(&self, interner: &mut crate::intern::Interner) -> Option<ColumnId> {
-        let col = self.restricted_column()?;
-        if let Some(t) = &col.table {
-            interner.table(t);
-        }
-        Some(interner.column(&col.column))
     }
 
     /// The join edge `(left, right)` if this atom is an equi-join.

@@ -168,7 +168,7 @@ impl Column {
 }
 
 /// A table: columns, cardinality and derived physical geometry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Table {
     pub name: String,
     pub columns: Vec<Column>,
@@ -183,9 +183,33 @@ pub struct Table {
     /// Columns of the primary key (always indexed by `Default` setups).
     pub primary_key: Vec<String>,
     column_index: HashMap<String, usize>,
+    /// [`Catalog::version`] as of this table's last mutation.
+    stamp: u64,
+}
+
+/// Contents only: like [`Catalog::version`], the stamp is history.
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.columns == other.columns
+            && self.rows == other.rows
+            && self.partitions == other.partitions
+            && self.partition_key == other.partition_key
+            && self.primary_key == other.primary_key
+    }
 }
 
 impl Table {
+    /// The owning catalog's [`Catalog::version`] when this table last
+    /// changed (registered, edited through [`Catalog::table_mut`], grown):
+    /// two reads of one catalog's table returning the same stamp observed
+    /// identical statistics. What is derived from one table's statistics —
+    /// a compiled template's selectivity program — is kept against it, so
+    /// growth of another table invalidates nothing.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
     /// Average row width in bytes (sum of column widths + tuple header).
     pub fn row_width(&self) -> u64 {
         const TUPLE_HEADER: u64 = 24;
@@ -307,6 +331,7 @@ impl TableBuilder {
             partition_key: self.partition_key,
             primary_key: self.primary_key,
             column_index,
+            stamp: 0,
         })
     }
 }
@@ -349,8 +374,9 @@ impl Catalog {
     }
 
     /// Register a table; replaces any previous definition with the name.
-    pub fn add_table(&mut self, table: Table) {
+    pub fn add_table(&mut self, mut table: Table) {
         self.version += 1;
+        table.stamp = self.version;
         self.tables.insert(table.name.clone(), table);
     }
 
@@ -369,7 +395,9 @@ impl Catalog {
     /// [`Catalog::version`]) even if the caller ends up not writing.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.version += 1;
-        self.tables.get_mut(name)
+        let table = self.tables.get_mut(name)?;
+        table.stamp = self.version;
+        Some(table)
     }
 
     /// All tables (iteration order unspecified).
@@ -397,6 +425,7 @@ impl Catalog {
             .get_mut(name)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
         self.version += 1;
+        t.stamp = self.version;
         if t.rows == 0 {
             t.rows = delta;
             return Ok(delta);

@@ -16,9 +16,13 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + allocation bounds incl. the zero-allocation fast path: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + allocation bounds incl. the zero-allocation fast path, a fed repeat statement and its re-fold: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
+
+echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, maintained entries = a from-scratch build; filter_sel bits, in the build that ships)"
+cargo test -q --offline --release -p autoindex-core --test live_frontend
+cargo test -q --offline --release -p autoindex-core --lib fastpath::
 
 echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing and bitmap-pick properties: float summation order and popcount/select paths, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test decomposed_equivalence
