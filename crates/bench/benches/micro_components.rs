@@ -6,8 +6,8 @@
 use autoindex_core::mcts::{
     ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,
 };
-use autoindex_core::{CandidateConfig, CandidateGenerator};
-use autoindex_estimator::NativeCostEstimator;
+use autoindex_core::{CandidateConfig, CandidateGenerator, DeltaPricer};
+use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
@@ -18,14 +18,13 @@ use autoindex_workloads::banking::{self, BankingGenerator};
 use std::hint::black_box;
 
 /// MCTS search on the banking workload against its whole-workload oracle.
-/// Three arms share one universe, workload and seed:
+/// Two arms share one universe, workload and seed:
 ///
 /// * `uncached_serial`  — `decomposed_eval: false`: the oracle, a
 ///   whole-workload re-plan per evaluated configuration.
-/// * `cached_serial`    — decomposed delta-cost evaluation, one eval thread.
-/// * `cached_parallel`  — same, `eval_threads: 0` (auto parallelism).
+/// * `cached_serial`    — decomposed delta-cost evaluation.
 ///
-/// The three arms must produce byte-identical recommendations; the run
+/// The two arms must produce byte-identical recommendations; the run
 /// aborts otherwise. Results (wall-clock + `db.whatif_calls` +
 /// `estimator.cost_cache.{hits,misses}`) are recorded as `cost_cache`
 /// (`autoindex_bench::record`). Protocol: `EXPERIMENTS.md` §"PR 3
@@ -64,17 +63,15 @@ fn main() {
     let existing: ConfigSet = defaults.iter().filter_map(|d| universe.slot(d)).collect();
     let est = NativeCostEstimator;
 
-    let arm = |decomposed: bool, threads: usize| MctsConfig {
+    let arm = |decomposed: bool| MctsConfig {
         iterations: 200,
         seed: 42,
         decomposed_eval: decomposed,
-        eval_threads: threads,
         ..MctsConfig::default()
     };
-    let arms: [(&str, MctsConfig); 3] = [
-        ("uncached_serial", arm(false, 1)),
-        ("cached_serial", arm(true, 1)),
-        ("cached_parallel", arm(true, 0)),
+    let arms: [(&str, MctsConfig); 2] = [
+        ("uncached_serial", arm(false)),
+        ("cached_serial", arm(true)),
     ];
 
     let run_once = |cfg: &MctsConfig, db: &SimDb| -> SearchOutcome {
@@ -82,18 +79,18 @@ fn main() {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &universe,
-            estimator: &est,
             db,
-            workload: &shapes,
             config: cfg.clone(),
             budget: None,
             existing: existing.clone(),
             protected: ConfigSet::default(),
             start: existing.clone(),
-            cost_cache: None,
-            delta: None,
         };
-        search.run(&mut tree)
+        // A run-local term cache: every sample starts cold.
+        let cache = CostCache::new();
+        let mut pricer =
+            DeltaPricer::new(&universe, &shapes, db, &est, &cache, cfg.decomposed_eval);
+        search.run(&mut tree, &mut pricer)
     };
 
     let mut g = Bench::new("mcts_banking_cached_vs_uncached")
@@ -176,7 +173,6 @@ fn main() {
             Json::from(whatif_uncached as f64 / whatif_cached.max(1) as f64),
         ),
         ("speedup_cached_serial", Json::from(med(0) / med(1))),
-        ("speedup_cached_parallel", Json::from(med(0) / med(2))),
     ]);
     autoindex_bench::record("cost_cache", &doc);
 }

@@ -247,7 +247,7 @@ pub fn fmt_bytes(b: u64) -> String {
 /// Object members that hold **wall**-domain measurements (host dependent).
 /// [`record`] drops them from both documents before comparing; every other
 /// member is **sim**-domain or a config echo and must match exactly.
-pub const WALL_KEYS: [&str; 8] = [
+pub const WALL_KEYS: [&str; 7] = [
     "wall_ms",
     "mean_ns",
     "median_ns",
@@ -255,7 +255,6 @@ pub const WALL_KEYS: [&str; 8] = [
     "qps_fastpath_off",
     "frontend_speedup",
     "speedup_cached_serial",
-    "speedup_cached_parallel",
 ];
 
 /// Write a bench's result document to the untracked

@@ -16,7 +16,7 @@
 //! * a single **shared linear model** `θ = V⁻¹ b` (ridge regression,
 //!   `V = λI + Σ x xᵀ`, `b = Σ r·x`) maps features to expected reward,
 //!   where the reward `r` is the *measured* relative latency improvement
-//!   fed back by [`BanditStrategy::observe_reward`] — the SimDb's
+//!   fed back by `BanditStrategy::observe_reward` — the SimDb's
 //!   post-apply mean, not an estimate;
 //! * per-arm **upper confidence bounds** `θᵀx + α·√(xᵀV⁻¹x)` drive safe
 //!   exploration: uncertain arms get a bounded optimism bonus that
@@ -37,19 +37,15 @@
 //! (rounds, per-round and cumulative regret vs a frozen hindsight
 //! oracle). Rows are documented in `docs/OBSERVABILITY.md`.
 
-use crate::candgen::CandidateGenerator;
 use crate::error::{invalid, AutoIndexError};
-use crate::strategy::{
-    is_primary_key_index, Proposal, RewardObservation, RoundStats, StrategyContext, StrategyKind,
-    TuningStrategy,
-};
+use crate::strategy::{is_primary_key_index, Proposal, RewardObservation, Round, TuningStrategy};
 use crate::system::Recommendation;
 use autoindex_estimator::{ColumnarStats, CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
 use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::MetricsRegistry;
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Context-feature dimension: bias, benefit prior, distinctness, size,
 /// read weight, write weight.
@@ -251,7 +247,7 @@ fn quad_form(vinv: &[[f64; NFEAT]; NFEAT], x: &[f64; NFEAT]) -> f64 {
 // --------------------------------------------------------------- arms
 
 /// One arm the bandit selected this round, as surfaced in
-/// [`Proposal::arms`] and `OnlineEvent::BanditArmApplied`.
+/// `Proposal::arms` and `OnlineEvent::BanditArmApplied`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmChoice {
     /// Canonical index key, e.g. `"t(a,b)"`.
@@ -312,10 +308,6 @@ impl BanditStrategy {
 }
 
 impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Bandit
-    }
-
     fn observe_reward(&mut self, reward: &RewardObservation) {
         let measured = reward.measured_mean_ms;
         if !measured.is_finite() || measured < 0.0 {
@@ -335,45 +327,28 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         self.last_mean_ms = Some(measured);
     }
 
-    fn propose(&mut self, ctx: StrategyContext<'_, E>) -> Proposal {
-        if ctx.workload.is_empty() {
-            return Proposal::noop(0.0);
-        }
-        let db = ctx.db;
-        let workload = ctx.workload;
-        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+    /// Bandit-owned indexes are standing arms: they stay in the pool even
+    /// once built (existing-index subtraction would hide them), so an arm
+    /// that stops earning can fall out of the super-arm and be dropped
+    /// again.
+    fn standing_arms(&self) -> Vec<IndexDef> {
+        self.owned.values().cloned().collect()
+    }
 
-        let candgen_started = Instant::now();
-        let (mut candidates, cand_stats) = CandidateGenerator::new(ctx.config.candidates.clone())
-            .generate_with_stats(workload, db.catalog(), &existing);
-        // Bandit-owned indexes are standing arms: they stay in the pool
-        // even once built (existing-index subtraction would hide them),
-        // so an arm that stops earning can fall out of the super-arm and
-        // be dropped again.
+    fn propose(&mut self, round: &mut Round<'_, '_, E>) -> Proposal {
+        let (db, workload, existing) = (round.db, round.workload, &round.existing);
+        let pricer = &mut round.pricer;
+        let universe = pricer.universe();
+        let mut candidates = round.candidates.clone();
         for def in self.owned.values() {
             if !candidates.contains(def) {
                 candidates.push(def.clone());
             }
         }
-        let candgen_time = candgen_started.elapsed();
-        db.metrics()
-            .timer("system.candgen_time")
-            .record(candgen_time);
-        db.metrics()
-            .counter("system.candidates_generated")
-            .add(candidates.len() as u64);
-        crate::strategy::tally_candidate_classes(db.metrics(), &cand_stats);
+        let existing_set = &round.existing_set;
         if candidates.is_empty() {
-            let base = ctx.estimator.workload_cost(db, workload, &existing);
-            return Proposal {
-                recommendation: Recommendation::noop(base),
-                stats: RoundStats {
-                    candgen_time,
-                    ..RoundStats::default()
-                },
-                tree_nodes: 0,
-                arms: Vec::new(),
-            };
+            let base = pricer.sum(existing_set);
+            return Proposal::noop(base, round.stats(Duration::ZERO));
         }
 
         let search_started = Instant::now();
@@ -384,10 +359,9 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
             .iter()
             .filter(|d| !self.owned.contains_key(&d.key()))
             .collect();
-        let base_cost = ctx
-            .estimator
-            .workload_cost(db, workload, baseline.iter().copied());
-        let mut evals = 1usize;
+        let baseline_set = universe.config_of(baseline.iter().copied());
+        let base_cost = pricer.sum(&baseline_set);
+        pricer.rebase();
         let stats = ColumnarStats::build(db.catalog());
         let (read_w, write_w, total_w) = table_weights(workload);
 
@@ -400,11 +374,12 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         let mut arms: Vec<Arm> = candidates
             .iter()
             .map(|c| {
-                let cfg = baseline.iter().copied().chain(Some(c));
-                let cost = ctx.estimator.workload_cost(db, workload, cfg);
-                evals += 1;
+                let slot = universe.slot(c).expect("the round interned its arms");
+                let mut with = baseline_set.clone();
+                with.insert(slot);
+                let cost = pricer.sum(&with);
                 let benefit = ((base_cost - cost) / base_cost.max(1e-12)).clamp(0.0, 1.0);
-                let size = db.index_size_bytes(c).unwrap_or(u64::MAX / 1024);
+                let size = universe.size(slot);
                 let x = features(c, benefit, size, &stats, &read_w, &write_w, total_w);
                 Arm {
                     key: c.key(),
@@ -457,7 +432,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
             if ucb <= 0.0 {
                 break; // sorted: everything after is worse
             }
-            if let Some(b) = ctx.config.storage_budget {
+            if let Some(b) = round.config.storage_budget {
                 if used + arms[i].size > b {
                     continue; // knapsack skip: smaller arms may still fit
                 }
@@ -506,10 +481,9 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
             self.owned.remove(&d.key());
         }
 
-        let est_cost_before = ctx.estimator.workload_cost(db, workload, &existing);
+        let est_cost_before = pricer.sum(existing_set);
         let after = existing.iter().filter(|d| !remove.contains(d)).chain(&add);
-        let est_cost_after = ctx.estimator.workload_cost(db, workload, after);
-        evals += 2;
+        let est_cost_after = pricer.sum(&universe.config_of(after));
         let search_time = search_started.elapsed();
 
         self.rounds += 1;
@@ -531,15 +505,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
                 est_cost_before,
                 est_cost_after,
             },
-            stats: RoundStats {
-                candidates_generated: arms_considered,
-                evaluations: evals,
-                search_evaluations: 0,
-                cache_hits: 0,
-                search_time,
-                candgen_time,
-            },
-            tree_nodes: 0,
+            stats: round.stats(search_time),
             arms: arm_choices,
         }
     }
@@ -676,6 +642,7 @@ impl RegretAccounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::StrategyKind;
     use crate::system::{AutoIndex, AutoIndexConfig};
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -749,6 +716,66 @@ mod tests {
         assert!(ai.last_arms().iter().all(|a| a.ucb >= a.expected));
         assert!(db.metrics().counter_value("tuner.bandit.rounds") >= 1);
         assert!(db.metrics().counter_value("tuner.bandit.arms_applied") >= 1);
+    }
+
+    #[test]
+    fn arm_priors_are_the_naive_standalone_benefits() {
+        use crate::candgen::CandidateGenerator;
+        use crate::strategy::RoundSpace;
+        // Two rounds — the second with built, bandit-owned arms in the
+        // pool: the benefit feature of every selected arm is, bit for bit,
+        // what one whole-workload `workload_cost` per arm gives.
+        let mut db = db();
+        db.create_index(IndexDef::new("t", &["c"])).unwrap();
+        let mut ai = bandit_advisor();
+        for i in 0..200 {
+            ai.observe(&format!("SELECT * FROM t WHERE a = {i}"), &db)
+                .unwrap();
+            ai.observe(&format!("SELECT * FROM t WHERE b = {i} AND c = 1"), &db)
+                .unwrap();
+            ai.observe(
+                &format!("INSERT INTO t (id, a, b, c) VALUES ({i}, 1, 2, 3)"),
+                &db,
+            )
+            .unwrap();
+        }
+        let (w, est) = (ai.workload(), NativeCostEstimator);
+        let mut bandit = BanditStrategy::new(BanditConfig::default());
+        for n in 0..2 {
+            let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+            let baseline: Vec<&IndexDef> = existing
+                .iter()
+                .filter(|d| !bandit.owned.contains_key(&d.key()))
+                .collect();
+            let base = est.workload_cost(&db, &w, baseline.iter().copied());
+            let mut pool = CandidateGenerator::new(ai.config.candidates.clone()).generate(
+                &w,
+                db.catalog(),
+                &existing,
+            );
+            pool.extend(bandit.owned.values().cloned());
+            let naive: Vec<u64> = pool
+                .iter()
+                .map(|c| {
+                    let with = baseline.iter().copied().chain(Some(c));
+                    let cost = est.workload_cost(&db, &w, with);
+                    ((base - cost) / base.max(1e-12)).clamp(0.0, 1.0).to_bits()
+                })
+                .collect();
+
+            let standing = TuningStrategy::<NativeCostEstimator>::standing_arms(&bandit);
+            let mut space = RoundSpace::default();
+            let mut round = Round::new(&mut space, &db, &w, &est, &ai.config, &standing);
+            let proposal = bandit.propose(&mut round);
+            assert!(!bandit.pending.is_empty(), "round {n} selected nothing");
+            for x in &bandit.pending {
+                assert!(naive.contains(&x[1].to_bits()), "round {n}: {x:?}");
+            }
+            for d in proposal.recommendation.add {
+                db.create_index(d).unwrap();
+            }
+        }
+        assert!(!bandit.owned.is_empty());
     }
 
     #[test]

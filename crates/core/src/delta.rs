@@ -27,14 +27,15 @@
 //! of the planner makes `shape_cost(shape, projected)` bit-equal to
 //! `shape_cost(shape, full)` (property-tested in `tests/proptests.rs`).
 //! Misses are evaluated in configuration-then-term order whatever the
-//! reference, so the what-if call sequence does not depend on it either.
+//! reference, on the calling thread, so the what-if call sequence does not
+//! depend on it either.
 
 use std::collections::HashMap;
 
 use autoindex_estimator::cost_cache::{shape_key, CacheKey, CostCache, CostCacheStats};
-use autoindex_estimator::CostEstimator;
+use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::SimDb;
+use autoindex_storage::{PressureModel, SimDb};
 use autoindex_support::obs::Counter;
 
 use crate::mcts::{full_word, word_slots, ConfigSet, Universe};
@@ -54,9 +55,8 @@ pub struct DeltaTerm<'w> {
 
 /// A workload prepared for delta-cost evaluation against one [`Universe`].
 ///
-/// Build once per tuning round (after candidate interning), then price
-/// arbitrarily many configurations through [`DeltaPricer`]s sharing one
-/// [`CostCache`].
+/// Built once per tuning round (after candidate interning) by the round's
+/// [`DeltaPricer`], which prices arbitrarily many configurations over it.
 #[derive(Debug)]
 pub struct DeltaWorkload<'w> {
     terms: Vec<DeltaTerm<'w>>,
@@ -141,7 +141,7 @@ impl<'w> DeltaWorkload<'w> {
     }
 }
 
-/// A missing term scheduled for evaluation in phase B of a batch.
+/// A missing term scheduled for evaluation.
 struct Job<'w> {
     key: CacheKey,
     proj: ConfigSet,
@@ -154,32 +154,31 @@ struct Lookup {
     value: f64,
 }
 
-/// Fewest what-if jobs each worker thread must get before a batch fans
-/// out. Spawning and joining two scoped threads costs 29 µs on the
-/// reference host (p90 ≈ 40 µs) — seven or eight what-if calls of ≈ 4 µs —
-/// and a warm batch has a handful of jobs in all, so below this a second
-/// CPU made the search slower (docs/PERFORMANCE.md §"Pricing by what
-/// changed"). Values do not depend on where a job runs.
-const MIN_JOBS_PER_WORKER: usize = 32;
-
-/// Prices configurations of one [`DeltaWorkload`] by what changed against
-/// a *reference* configuration whose per-term values it holds.
+/// A tuning round's one way to price a configuration: the workload's
+/// per-template terms summed by what changed against a *reference*
+/// configuration whose values it holds, the buffer pressure of the
+/// configuration's footprint, and a count of the configurations priced.
 ///
 /// Until [`DeltaPricer::rebase`] is first called there is no reference and
-/// every term of a configuration is looked up — the full pass. Costs carry
-/// no buffer-pressure multiplier: callers apply that to the sum, exactly
-/// as the naive evaluator does, and each sum is bitwise equal to
-/// `estimator.workload_cost(db, workload, universe.config_defs(config))`.
+/// every term of a configuration is looked up — the full pass. Each
+/// [`DeltaPricer::sum`] is bitwise equal to
+/// `estimator.workload_cost(db, workload, universe.config_defs(config))`,
+/// and with `decomposed` off it *is* that call: the whole-workload oracle
+/// the term arithmetic is checked against (`MctsConfig::decomposed_eval`).
 pub struct DeltaPricer<'a, 'w, E> {
-    delta: &'a DeltaWorkload<'w>,
+    delta: DeltaWorkload<'w>,
+    workload: &'w TemplateWorkload,
     db: &'a SimDb,
     estimator: &'a E,
     universe: &'a Universe,
     cache: &'a CostCache,
+    decomposed: bool,
+    /// Buffer pressure at the round's (fixed) heap size.
+    pressure: PressureModel,
+    evaluations: usize,
     stats: CostCacheStats,
     looked_up: Counter,
     carried: Counter,
-    threads: usize,
     /// The reference configuration, once `rebase` has adopted one, and
     /// its per-term values.
     reference: Option<ConfigSet>,
@@ -195,31 +194,35 @@ pub struct DeltaPricer<'a, 'w, E> {
 }
 
 impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
-    /// A pricer without a reference. Missing terms of one batch are
-    /// evaluated on up to `threads` scoped threads when there are enough
-    /// of them to pay for the spawns; counters bind on `db`'s registry.
+    /// A pricer of `workload` over `universe`, without a reference; terms
+    /// are memoized in `cache` and counters bind on `db`'s registry.
     pub fn new(
-        delta: &'a DeltaWorkload<'w>,
+        universe: &'a Universe,
+        workload: &'w TemplateWorkload,
         db: &'a SimDb,
         estimator: &'a E,
-        universe: &'a Universe,
         cache: &'a CostCache,
-        threads: usize,
+        decomposed: bool,
     ) -> Self {
         let metrics = db.metrics();
+        let delta = DeltaWorkload::new(universe, workload);
+        let n = delta.terms.len();
         DeltaPricer {
             delta,
+            workload,
             db,
             estimator,
             universe,
             cache,
+            decomposed,
+            pressure: db.pressure_model(),
+            evaluations: 0,
             stats: CostCacheStats::bind(metrics),
             looked_up: metrics.counter("delta.terms.looked_up"),
             carried: metrics.counter("delta.terms.carried"),
-            threads,
             reference: None,
-            values: vec![0.0; delta.terms.len()],
-            marks: vec![0; delta.terms.len().div_ceil(64)],
+            values: vec![0.0; n],
+            marks: vec![0; n.div_ceil(64)],
             lookups: Vec::new(),
             ends: Vec::new(),
             sums: Vec::new(),
@@ -227,14 +230,54 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
         }
     }
 
-    /// Memoized workload cost of one configuration.
+    /// The universe whose slots the priced configurations are sets of.
+    pub fn universe(&self) -> &'a Universe {
+        self.universe
+    }
+
+    /// Configurations priced so far, however many of their terms were
+    /// looked up.
+    pub fn evaluations(&self) -> usize {
+        self.evaluations
+    }
+
+    /// Workload cost of one configuration, without buffer pressure: what
+    /// the greedy ranking and the bandit's priors are made of.
+    pub fn sum(&mut self, config: &ConfigSet) -> f64 {
+        self.sum_batch(std::iter::once(config));
+        self.sums[0]
+    }
+
+    /// Workload cost of one configuration, inflated by the buffer pressure
+    /// its footprint would cause. This is what makes dropping *unused*
+    /// indexes worthwhile (Figure 1): they have zero maintenance, but they
+    /// evict hot pages.
     pub fn price(&mut self, config: &ConfigSet) -> f64 {
         self.price_batch(std::iter::once(config))[0]
+    }
+
+    /// [`DeltaPricer::price`] of a batch, in batch order.
+    pub fn price_batch<'c, I>(&mut self, batch: I) -> &[f64]
+    where
+        I: IntoIterator<Item = &'c ConfigSet>,
+        I::IntoIter: Clone,
+    {
+        let batch = batch.into_iter();
+        self.sum_batch(batch.clone());
+        for (sum, cfg) in self.sums.iter_mut().zip(batch) {
+            *sum *= self
+                .pressure
+                .for_index_bytes(self.universe.config_size(cfg));
+        }
+        &self.sums
     }
 
     /// Adopt the configuration priced last as the reference: the terms it
     /// looked up overwrite the held values, everything else already agrees.
     pub fn rebase(&mut self) {
+        if !self.decomposed {
+            return;
+        }
         assert!(!self.ends.is_empty(), "rebase needs a priced configuration");
         let from = self.ends.len().checked_sub(2).map_or(0, |i| self.ends[i]);
         for l in &self.lookups[from..] {
@@ -245,18 +288,32 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
             .clone_from(&self.last);
     }
 
-    /// Memoized workload costs of a batch, in batch order.
+    /// Fill `sums` with the memoized workload costs of a batch, in batch
+    /// order.
     ///
-    /// Phase A (serial) keys and looks up the moved terms of each member:
-    /// the first occurrence of a missing `(template, projection)` term is a
-    /// miss and gets scheduled; repeats — within the batch or already
-    /// cached — and every carried term are hits. Phase B evaluates the
-    /// scheduled terms, the only planner work, inline or fanned out.
-    /// Phase C sums each member over *every* term in workload order, moved
-    /// values substituted into the reference's — the same FP operations in
-    /// the same order as the naive evaluator.
-    pub fn price_batch<'c>(&mut self, batch: impl IntoIterator<Item = &'c ConfigSet>) -> &[f64] {
-        let delta = self.delta;
+    /// Plan: key and look up the moved terms of each member — the first
+    /// occurrence of a missing `(template, projection)` term is a miss and
+    /// gets scheduled; repeats — within the batch or already cached — and
+    /// every carried term are hits. Compute: evaluate the scheduled terms,
+    /// the only planner work, in schedule order. Assemble: sum each member
+    /// over *every* term in workload order, moved values substituted into
+    /// the reference's — the same FP operations in the same order as the
+    /// naive evaluator.
+    fn sum_batch<'c>(&mut self, batch: impl Iterator<Item = &'c ConfigSet>) {
+        self.sums.clear();
+        let (db, estimator, universe) = (self.db, self.estimator, self.universe);
+        if !self.decomposed {
+            for cfg in batch {
+                self.evaluations += 1;
+                self.sums.push(estimator.workload_cost(
+                    db,
+                    self.workload,
+                    universe.config_defs(cfg),
+                ));
+            }
+            return;
+        }
+        let delta = &self.delta;
         let n = delta.terms.len();
         self.lookups.clear();
         self.ends.clear();
@@ -264,12 +321,13 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
         // finds every term cached.
         let mut jobs: Vec<Job<'w>> = Vec::new();
         let mut scheduled: HashMap<CacheKey, usize> = HashMap::new();
-        // (lookup, job) for each lookup whose value phase B produces.
+        // (lookup, job) for each lookup whose value the jobs produce.
         let mut awaited: Vec<(usize, usize)> = Vec::new();
 
         let mut last = None;
         for cfg in batch {
             last = Some(cfg);
+            self.evaluations += 1;
             match &self.reference {
                 Some(reference) => {
                     for slot in cfg.symmetric_difference(reference) {
@@ -323,24 +381,10 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
             self.last.clone_from(cfg);
         }
 
-        let (db, estimator, universe) = (self.db, self.estimator, self.universe);
-        let eval = |j: &Job<'_>| estimator.shape_cost(db, j.shape, universe.config_defs(&j.proj));
-        let workers = self.threads.min(jobs.len() / MIN_JOBS_PER_WORKER);
-        let job_values: Vec<f64> = if workers > 1 {
-            let chunk = jobs.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = jobs
-                    .chunks(chunk)
-                    .map(|part| s.spawn(move || part.iter().map(eval).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("eval worker panicked"))
-                    .collect()
-            })
-        } else {
-            jobs.iter().map(eval).collect()
-        };
+        let job_values: Vec<f64> = jobs
+            .iter()
+            .map(|j| estimator.shape_cost(db, j.shape, universe.config_defs(&j.proj)))
+            .collect();
         for (j, v) in jobs.iter().zip(&job_values) {
             self.cache.insert(j.key, *v);
         }
@@ -348,7 +392,6 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
             self.lookups[lookup].value = job_values[job];
         }
 
-        self.sums.clear();
         let mut from = 0;
         for &end in &self.ends {
             let moved = &mut self.lookups[from..end];
@@ -370,7 +413,6 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
             }
             from = end;
         }
-        &self.sums
     }
 }
 
@@ -456,8 +498,7 @@ mod tests {
         let est = NativeCostEstimator;
         let cache = CostCache::new();
         let m = db.metrics().clone();
-        let dw = DeltaWorkload::new(&universe, &w);
-        let mut pricer = DeltaPricer::new(&dw, &db, &est, &universe, &cache, 1);
+        let mut pricer = DeltaPricer::new(&universe, &w, &db, &est, &cache, true);
 
         let configs: Vec<ConfigSet> = vec![
             ConfigSet::default(),
@@ -467,7 +508,7 @@ mod tests {
         ];
         for cfg in &configs {
             let naive = est.workload_cost(&db, &w, universe.config_defs(cfg));
-            let fast = pricer.price(cfg);
+            let fast = pricer.sum(cfg);
             assert_eq!(naive.to_bits(), fast.to_bits());
             // The reference follows the walk: each step moves one table.
             pricer.rebase();
@@ -533,12 +574,11 @@ mod tests {
         let est = NativeCostEstimator;
         let cache = CostCache::new();
         let m = db.metrics().clone();
-        let dw = DeltaWorkload::new(&universe, &w);
-        let mut pricer = DeltaPricer::new(&dw, &db, &est, &universe, &cache, 1);
+        let mut pricer = DeltaPricer::new(&universe, &w, &db, &est, &cache, true);
         let looked_up = || m.counter_value("delta.terms.looked_up");
 
         // No reference yet: the full pass.
-        pricer.price(&existing);
+        pricer.sum(&existing);
         pricer.rebase();
         assert_eq!(looked_up(), w.len() as u64);
 
@@ -549,7 +589,7 @@ mod tests {
             trial.remove(slot);
             let before = looked_up();
             let naive = est.workload_cost(&db, &w, universe.config_defs(&trial));
-            assert_eq!(pricer.price(&trial).to_bits(), naive.to_bits());
+            assert_eq!(pricer.sum(&trial).to_bits(), naive.to_bits());
             assert_eq!(looked_up() - before, templates);
         }
 
@@ -560,7 +600,7 @@ mod tests {
         for (i, slot) in existing.iter().enumerate() {
             let mut trial = current.clone();
             trial.remove(slot);
-            pricer.price(&trial);
+            pricer.sum(&trial);
             if i % 2 == 0 {
                 pricer.rebase();
                 current = trial;
@@ -574,6 +614,6 @@ mod tests {
             w.len()
         );
         let naive = est.workload_cost(&db, &w, universe.config_defs(&current));
-        assert_eq!(pricer.price(&current).to_bits(), naive.to_bits());
+        assert_eq!(pricer.sum(&current).to_bits(), naive.to_bits());
     }
 }

@@ -61,7 +61,6 @@
 
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{FastPathCache, FrontEnd, UpkeepCounters};
-use crate::greedy::resolve_threads;
 use crate::guard::GuardConfig;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
@@ -453,12 +452,25 @@ impl<'a> Lane<'a> {
     }
 }
 
+/// Resolve a caller-facing thread count: `0` = auto-detect via
+/// [`std::thread::available_parallelism`] (1 if detection fails), anything
+/// else is taken literally.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
 /// The engine's share of a driver's configuration.
 pub(crate) struct EngineConfig {
     /// `field` of the error a coordinator panic is reported under.
     pub(crate) name: &'static str,
     /// Executor threads; `0` means one per available core
-    /// ([`resolve_threads`], the crate-wide convention).
+    /// ([`resolve_threads`]).
     pub(crate) workers: usize,
     /// Logical shards per slice: one task per slice × shard.
     pub(crate) shards: u64,
@@ -858,6 +870,16 @@ mod tests {
     use autoindex_storage::SimDbConfig;
     use autoindex_support::rng::StdRng;
     use autoindex_workloads::banking::{self, BankingGenerator};
+
+    #[test]
+    fn zero_threads_means_available_parallelism() {
+        // `0` must auto-detect instead of clamping to 1.
+        let detected = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(resolve_threads(0), detected);
+        assert_eq!(resolve_threads(3), 3, "explicit counts are literal");
+    }
 
     #[test]
     fn logical_merge_restores_seq_order() {

@@ -16,10 +16,12 @@
 //!   tree share almost all what-if work (see `docs/PERFORMANCE.md`).
 //! * [`greedy`] — the Greedy baseline of §VI-A: per-candidate standalone
 //!   benefit ranking, top-k until the budget is exhausted, no removal.
-//! * [`strategy`] — the pluggable [`strategy::TuningStrategy`] trait and
-//!   [`strategy::StrategyKind`] selector: greedy, MCTS and the bandit all
-//!   answer the same `propose`/`observe_reward` contract, so sessions,
-//!   the online loop and the fleet pick strategies by name.
+//! * [`strategy`] — the pluggable `TuningStrategy` trait, the
+//!   [`strategy::StrategyKind`] selector and the round every strategy is
+//!   handed: greedy, MCTS and the bandit all answer the same
+//!   `propose`/`observe_reward` contract and price through the round's one
+//!   [`delta::DeltaPricer`], so sessions, the online loop and the fleet
+//!   pick strategies by name.
 //! * [`bandit`] — the C²UCB-style linear contextual bandit strategy
 //!   (DBA-bandits): candidate indexes become arms with estimator-prior
 //!   context features, measured post-apply latency is the reward, and
@@ -88,9 +90,7 @@ pub use fleet::{
     FleetConfigBuilder, FleetEpochRecord, FleetOutcome, FleetReport, FleetTenant,
     FleetTenantOutcome, TenantReport, TenantSliceRecord, TenantSpec,
 };
-pub use greedy::{
-    greedy_select, rank_candidates, rank_candidates_parallel, GreedyConfig, ScoredCandidate,
-};
+pub use greedy::{greedy_select, rank_candidates, GreedyConfig, ScoredCandidate};
 pub use guard::{
     ApplyVerdict, Guard, GuardConfig, GuardConfigBuilder, GuardEvent, GuardPhase, IndexSnapshot,
 };
@@ -100,10 +100,7 @@ pub use online::{
 };
 pub use serve::{serve, EpochRecord, ServeConfig, ServeConfigBuilder, ServeOutcome, ServeReport};
 pub use session::{SessionReport, TuningSession};
-pub use strategy::{
-    GreedyStrategy, MctsStrategy, Proposal, RewardObservation, StrategyContext, StrategyKind,
-    TuningStrategy,
-};
+pub use strategy::{GreedyStrategy, MctsStrategy, RewardObservation, StrategyKind};
 pub use system::{
     AutoIndex, AutoIndexConfig, AutoIndexConfigBuilder, Recommendation, TuningReport,
 };

@@ -21,16 +21,14 @@
 //! calls "the advantage of the policy tree" — is retained, so knowledge
 //! about good regions of the configuration space carries over.
 
-use autoindex_estimator::cost_cache::CostCache;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
-use autoindex_storage::shape::QueryShape;
-use autoindex_storage::{PressureModel, SimDb};
+use autoindex_storage::SimDb;
 use autoindex_support::obs::Counter;
 use autoindex_support::rng::StdRng;
 use std::collections::HashMap;
 
-use crate::delta::{DeltaPricer, DeltaWorkload};
+use crate::delta::DeltaPricer;
 
 /// A set of universe slots, packed into 64-bit words.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -292,6 +290,13 @@ impl Universe {
         config.iter().map(|i| self.sizes[i]).sum()
     }
 
+    /// The configuration holding exactly `defs`, all of them interned.
+    pub(crate) fn config_of<'d>(&self, defs: impl IntoIterator<Item = &'d IndexDef>) -> ConfigSet {
+        defs.into_iter()
+            .map(|d| self.slot(d).expect("the round interned this definition"))
+            .collect()
+    }
+
     /// The definitions of a configuration, in slot order, by reference
     /// (an [`autoindex_storage::IndexConfig`]).
     pub fn config_defs<'u>(
@@ -326,20 +331,13 @@ pub struct MctsConfig {
     pub patience: usize,
     /// Use the decomposed delta-cost evaluator: split workload cost into
     /// per-template terms memoized by `(template, projected config)` in a
-    /// [`CostCache`], so configurations differing by one index only
-    /// re-plan the templates on that index's table. `false` is the
-    /// whole-workload oracle: every evaluated configuration re-plans every
-    /// template, and `tests/decomposed_equivalence.rs` pins this mode's
-    /// results bit for bit against it.
+    /// [`CostCache`](autoindex_estimator::cost_cache::CostCache), so
+    /// configurations differing by one index only re-plan the templates on
+    /// that index's table. `false` is the whole-workload oracle: every
+    /// priced configuration re-plans every template, and
+    /// `tests/decomposed_equivalence.rs` pins this mode's results bit for
+    /// bit against it. Read where a round's [`DeltaPricer`] is made.
     pub decomposed_eval: bool,
-    /// Worker threads for evaluating the per-iteration leaf batch (the
-    /// selected node plus its K rollout descendants) in decomposed mode.
-    /// `0` = auto-detect via `std::thread::available_parallelism`; `1` =
-    /// serial. Results and all counters are byte-identical across thread
-    /// counts: term misses are planned serially and only the planner work
-    /// fans out — and only for a batch with enough missing terms to pay
-    /// for the spawns (a cold cache); a warm batch is evaluated inline.
-    pub eval_threads: usize,
 }
 
 impl Default for MctsConfig {
@@ -353,7 +351,6 @@ impl Default for MctsConfig {
             round_decay: 0.5,
             patience: 120,
             decomposed_eval: true,
-            eval_threads: 0,
         }
     }
 }
@@ -411,10 +408,6 @@ impl MctsConfigBuilder {
     }
     pub fn decomposed_eval(mut self, v: bool) -> Self {
         self.cfg.decomposed_eval = v;
-        self
-    }
-    pub fn eval_threads(mut self, v: usize) -> Self {
-        self.cfg.eval_threads = v;
         self
     }
 
@@ -564,11 +557,10 @@ impl SearchOutcome {
 }
 
 /// One MCTS search over the policy tree.
-pub struct MctsSearch<'a, E: CostEstimator> {
+pub struct MctsSearch<'a> {
     pub universe: &'a Universe,
-    pub estimator: &'a E,
+    /// Whose registry the `mcts.*` counters bind on.
     pub db: &'a SimDb,
-    pub workload: &'a [(QueryShape, u64)],
     pub config: MctsConfig,
     /// Storage budget in bytes (`None` = unlimited).
     pub budget: Option<u64>,
@@ -583,42 +575,30 @@ pub struct MctsSearch<'a, E: CostEstimator> {
     /// or negative indexes based on the index benefit estimation results",
     /// §III). Baseline cost is always measured at `existing`.
     pub start: ConfigSet,
-    /// Shared per-template term cache for the decomposed evaluator
-    /// (`config.decomposed_eval`). `None` gives the run a private,
-    /// run-local cache; the system passes its round-persistent cache so
-    /// prune probes, search and refinement share terms. Ignored when
-    /// `decomposed_eval` is off.
-    pub cost_cache: Option<&'a CostCache>,
-    /// The round's decomposed workload, when the caller has already built
-    /// one over `universe` and `workload` (the system does, once per round,
-    /// and prices its prune and refinement probes from the same one).
-    /// `None` builds one for this run. Ignored when `decomposed_eval` is
-    /// off.
-    pub delta: Option<&'a DeltaWorkload<'a>>,
 }
 
-/// Mutable evaluation state threaded through [`MctsSearch::run`]'s batch
-/// evaluator: the whole-configuration (L1) memo, its economics, and the
-/// decomposed evaluator below it.
-struct EvalState<'s, 'w, E> {
-    /// L1: exact whole-`ConfigSet` → pressure-inclusive workload cost.
+/// The whole-configuration (L1) memo of one [`MctsSearch::run`] and its
+/// economics. It sits in front of the round's pricer and dies with the
+/// search.
+#[derive(Default)]
+struct EvalState {
+    /// Exact whole-`ConfigSet` → pressure-inclusive workload cost.
     l1: HashMap<ConfigSet, f64>,
     /// L1 misses (= real configuration evaluations).
     evaluations: usize,
     /// L1 hits (configurations re-costed for free).
     cache_hits: usize,
-    /// The per-template term evaluator (L2 is its shared term cache),
-    /// pricing against the round's start configuration; `None` is the
-    /// whole-workload oracle.
-    pricer: Option<DeltaPricer<'s, 'w, E>>,
-    /// Buffer pressure at the round's (fixed) heap size.
-    pressure: PressureModel,
 }
 
-impl<'a, E: CostEstimator> MctsSearch<'a, E> {
+impl MctsSearch<'_> {
     /// Run the search on `tree`, starting from the current existing
-    /// configuration.
-    pub fn run(&self, tree: &mut PolicyTree) -> SearchOutcome {
+    /// configuration and pricing through `pricer` — the round's, over this
+    /// search's universe. The reference is left at `start`.
+    pub fn run<E: CostEstimator>(
+        &self,
+        tree: &mut PolicyTree,
+        pricer: &mut DeltaPricer<'_, '_, E>,
+    ) -> SearchOutcome {
         let started = std::time::Instant::now();
         let metrics = self.db.metrics();
         let m_iterations = metrics.counter("mcts.iterations");
@@ -630,48 +610,12 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
 
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ tree.round());
 
-        // Term-level (L2) cache and decomposition for the decomposed
-        // evaluator: shared when the caller passed them (the system's
-        // round-persistent cache, the round's one `DeltaWorkload`),
-        // otherwise private to this run.
-        let (local_cache, local_delta);
-        let pricer = if self.config.decomposed_eval {
-            let cache = match self.cost_cache {
-                Some(c) => c,
-                None => {
-                    local_cache = CostCache::new();
-                    &local_cache
-                }
-            };
-            let delta = match self.delta {
-                Some(d) => d,
-                None => {
-                    local_delta = DeltaWorkload::new(self.universe, self.workload);
-                    &local_delta
-                }
-            };
-            Some(DeltaPricer::new(
-                delta,
-                self.db,
-                self.estimator,
-                self.universe,
-                cache,
-                crate::greedy::resolve_threads(self.config.eval_threads),
-            ))
-        } else {
-            None
-        };
-        let mut st = EvalState {
-            l1: HashMap::new(),
-            evaluations: 0,
-            cache_hits: 0,
-            pricer,
-            pressure: self.db.pressure_model(),
-        };
+        let mut st = EvalState::default();
 
         let base = self.eval_batch(
             &[self.existing.clone(), self.start.clone()],
             &mut st,
+            pricer,
             &m_cache_hits,
             &m_cache_misses,
         );
@@ -679,9 +623,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
         // Everything the search prices from here on is a few actions away
         // from `start`, which is what that batch priced last (or, being
         // equal to `existing`, only).
-        if let Some(p) = &mut st.pricer {
-            p.rebase();
-        }
+        pricer.rebase();
         let root_config = self.start.clone();
         let root = tree.node_for(root_config.clone());
 
@@ -759,10 +701,9 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
             // The selected node and its K rollout descendants form one
             // evaluation batch. Descendants are generated first, in serial
             // RNG order (evaluation consumes no randomness), then the
-            // batch is priced — in decomposed mode the missing per-template
-            // terms can fan out over `eval_threads` workers. Best-cost
-            // updates replay in the exact order the serial evaluator used:
-            // rollouts first, then the node.
+            // batch is priced. Best-cost updates replay in the exact order a
+            // one-at-a-time evaluator would make them: rollouts first, then
+            // the node.
             let mut batch: Vec<ConfigSet> = Vec::with_capacity(1 + self.config.rollouts);
             batch.push(tree.nodes[current].config.clone());
             for _ in 0..self.config.rollouts {
@@ -774,7 +715,7 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
                     &mut legal,
                 ));
             }
-            let costs = self.eval_batch(&batch, &mut st, &m_cache_hits, &m_cache_misses);
+            let costs = self.eval_batch(&batch, &mut st, pricer, &m_cache_hits, &m_cache_misses);
             let node_cost = costs[0];
             let mut best_local = node_cost;
             for (cfg, &c) in batch[1..].iter().zip(&costs[1..]) {
@@ -828,18 +769,15 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
 
     /// Price a batch of configurations, returning their costs in order.
     ///
-    /// L1 bookkeeping is serial and mirrors sequential evaluation exactly:
-    /// the first occurrence of an uncached configuration is a miss,
-    /// repeats (within the batch or already in L1) are hits. In oracle
-    /// mode every L1 miss replans the whole workload; in decomposed mode
-    /// [`DeltaPricer::price_batch`] looks up only the terms an L1 miss
-    /// moved against the start configuration and plans only the missing
-    /// ones, so costs, counters, RNG and recommendations are byte-identical
-    /// across modes and thread counts (regression- and property-tested).
-    fn eval_batch(
+    /// L1 bookkeeping mirrors one-at-a-time evaluation exactly: the first
+    /// occurrence of an uncached configuration is a miss, repeats (within
+    /// the batch or already in L1) are hits, and only the misses reach
+    /// the pricer.
+    fn eval_batch<E: CostEstimator>(
         &self,
         batch: &[ConfigSet],
-        st: &mut EvalState<'_, '_, E>,
+        st: &mut EvalState,
+        pricer: &mut DeltaPricer<'_, '_, E>,
         m_hits: &Counter,
         m_misses: &Counter,
     ) -> Vec<f64> {
@@ -862,39 +800,10 @@ impl<'a, E: CostEstimator> MctsSearch<'a, E> {
             }
         }
 
-        match &mut st.pricer {
-            None => {
-                // The whole-workload oracle the delta pricer is checked
-                // against: every L1 miss replans the entire workload.
-                for &i in &pending {
-                    let cfg = &batch[i];
-                    // Estimated workload cost, inflated by the
-                    // buffer-pressure the configuration's footprint would
-                    // cause. This is what makes dropping *unused* indexes
-                    // worthwhile (Figure 1): they have zero maintenance,
-                    // but they evict hot pages.
-                    let pressure = self
-                        .db
-                        .pressure_for_index_bytes(self.universe.config_size(cfg));
-                    let cost = self.estimator.workload_cost(
-                        self.db,
-                        self.workload,
-                        self.universe.config_defs(cfg),
-                    ) * pressure;
-                    st.l1.insert(cfg.clone(), cost);
-                    out[i] = cost;
-                }
-            }
-            Some(pricer) => {
-                let sums = pricer.price_batch(pending.iter().map(|&i| &batch[i]));
-                for (&i, sum) in pending.iter().zip(sums) {
-                    let cfg = &batch[i];
-                    let pressure = st.pressure.for_index_bytes(self.universe.config_size(cfg));
-                    let cost = sum * pressure;
-                    st.l1.insert(cfg.clone(), cost);
-                    out[i] = cost;
-                }
-            }
+        let costs = pricer.price_batch(pending.iter().map(|&i| &batch[i]));
+        for (&i, &cost) in pending.iter().zip(costs) {
+            st.l1.insert(batch[i].clone(), cost);
+            out[i] = cost;
         }
 
         for (i, j) in dups {
@@ -1060,9 +969,11 @@ fn select_slot(words: &[u64], mut k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autoindex_estimator::cost_cache::CostCache;
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+    use autoindex_storage::shape::QueryShape;
     use autoindex_storage::SimDbConfig;
 
     #[test]
@@ -1161,6 +1072,19 @@ mod tests {
         defs.iter().map(|d| u.intern(d)).collect()
     }
 
+    /// `search.run` through a fresh pricer of `w` over its own term cache.
+    fn run_search<E: CostEstimator>(
+        search: &MctsSearch<'_>,
+        tree: &mut PolicyTree,
+        est: &E,
+        w: &[(QueryShape, u64)],
+    ) -> SearchOutcome {
+        let cache = CostCache::new();
+        let decomposed = search.config.decomposed_eval;
+        let mut pricer = DeltaPricer::new(search.universe, w, search.db, est, &cache, decomposed);
+        search.run(tree, &mut pricer)
+    }
+
     /// A maintenance-aware estimator for tests that need write costs.
     struct MaintAware;
     impl CostEstimator for MaintAware {
@@ -1190,9 +1114,7 @@ mod tests {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &w,
             config: MctsConfig {
                 iterations: 100,
                 ..MctsConfig::default()
@@ -1201,10 +1123,8 @@ mod tests {
             existing: ConfigSet::default(),
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
-            cost_cache: None,
-            delta: None,
         };
-        let out = search.run(&mut tree);
+        let out = run_search(&search, &mut tree, &est, &w);
         assert!(out.best_config.contains(slots[0]), "must pick t(a)");
         assert!(out.best_cost < out.baseline_cost / 5.0);
         assert!(out.improvement() > 0.8);
@@ -1233,18 +1153,14 @@ mod tests {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &w,
             config: MctsConfig::default(),
             budget: Some(one + one / 2),
             existing: ConfigSet::default(),
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
-            cost_cache: None,
-            delta: None,
         };
-        let out = search.run(&mut tree);
+        let out = run_search(&search, &mut tree, &est, &w);
         assert!(u.config_size(&out.best_config) <= one + one / 2);
         assert_eq!(out.best_config.len(), 1);
     }
@@ -1264,18 +1180,14 @@ mod tests {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &w,
             config: MctsConfig::default(),
             budget: None,
             existing: existing.clone(),
             protected: ConfigSet::default(),
             start: existing.clone(),
-            cost_cache: None,
-            delta: None,
         };
-        let out = search.run(&mut tree);
+        let out = run_search(&search, &mut tree, &est, &w);
         assert!(
             !out.best_config.contains(slots[0]),
             "harmful index must be removed"
@@ -1296,25 +1208,21 @@ mod tests {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &w,
             config: MctsConfig::default(),
             budget: None,
             existing: existing.clone(),
             protected: existing.clone(),
             start: existing.clone(),
-            cost_cache: None,
-            delta: None,
         };
-        let out = search.run(&mut tree);
+        let out = run_search(&search, &mut tree, &est, &w);
         assert!(out.best_config.contains(slots[0]));
     }
 
     /// The rollout step as it was before the bitmap: list the legal
     /// actions, draw one, apply it to a copy.
-    fn random_descendant_by_list<E: CostEstimator>(
-        search: &MctsSearch<'_, E>,
+    fn random_descendant_by_list(
+        search: &MctsSearch<'_>,
         config: &ConfigSet,
         rng: &mut StdRng,
     ) -> ConfigSet {
@@ -1338,7 +1246,6 @@ mod tests {
         use autoindex_support::prop::{property, PropConfig};
         use autoindex_support::{prop_assert, prop_assert_eq};
         let db = db();
-        let est = NativeCostEstimator;
         property(
             "bitmap_pick_is_the_kth_legal_action_and_one_draw",
             PropConfig::default(),
@@ -1381,9 +1288,7 @@ mod tests {
                 };
                 let search = MctsSearch {
                     universe: &u,
-                    estimator: &est,
                     db: &db,
-                    workload: &[],
                     config: MctsConfig {
                         rollout_depth: rng.random_range(1usize..6),
                         ..MctsConfig::default()
@@ -1392,8 +1297,6 @@ mod tests {
                     existing,
                     protected,
                     start: config.clone(),
-                    cost_cache: None,
-                    delta: None,
                 };
 
                 let masks = search.action_masks();
@@ -1443,25 +1346,21 @@ mod tests {
         tree.begin_round(0.5);
         let s1 = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &w,
             config: MctsConfig::default(),
             budget: None,
             existing: ConfigSet::default(),
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
-            cost_cache: None,
-            delta: None,
         };
-        let o1 = s1.run(&mut tree);
+        let o1 = run_search(&s1, &mut tree, &est, &w);
         let nodes_after_1 = tree.len();
         assert!(nodes_after_1 > 1);
 
         // Second round reuses the tree; cached evals are gone but the
         // structure remains and the same optimum is found.
         tree.begin_round(0.5);
-        let o2 = s1.run(&mut tree);
+        let o2 = run_search(&s1, &mut tree, &est, &w);
         assert_eq!(o1.best_config, o2.best_config);
         assert!(tree.len() >= nodes_after_1);
         assert_eq!(tree.round(), 2);
@@ -1479,18 +1378,14 @@ mod tests {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &w,
             config: MctsConfig::default(),
             budget: Some(0),
             existing: ConfigSet::default(),
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
-            cost_cache: None,
-            delta: None,
         };
-        let out = search.run(&mut tree);
+        let out = run_search(&search, &mut tree, &est, &w);
         assert!(out.best_config.is_empty());
         assert_eq!(out.best_cost, out.baseline_cost);
     }
@@ -1506,9 +1401,7 @@ mod tests {
         tree.begin_round(0.5);
         let search = MctsSearch {
             universe: &u,
-            estimator: &est,
             db: &db,
-            workload: &[],
             config: MctsConfig {
                 iterations: 20,
                 ..MctsConfig::default()
@@ -1517,10 +1410,8 @@ mod tests {
             existing: ConfigSet::default(),
             protected: ConfigSet::default(),
             start: ConfigSet::default(),
-            cost_cache: None,
-            delta: None,
         };
-        let out = search.run(&mut tree);
+        let out = run_search(&search, &mut tree, &est, &[]);
         assert_eq!(out.baseline_cost, 0.0);
         assert_eq!(out.best_cost, 0.0);
     }
@@ -1592,20 +1483,16 @@ mod tests {
         let run = || {
             let mut tree = PolicyTree::new();
             tree.begin_round(0.5);
-            MctsSearch {
+            let search = MctsSearch {
                 universe: &u,
-                estimator: &est,
                 db: &db,
-                workload: &w,
                 config: MctsConfig::default(),
                 budget: None,
                 existing: ConfigSet::default(),
                 protected: ConfigSet::default(),
                 start: ConfigSet::default(),
-                cost_cache: None,
-                delta: None,
-            }
-            .run(&mut tree)
+            };
+            run_search(&search, &mut tree, &est, &w)
         };
         let a = run();
         let b = run();

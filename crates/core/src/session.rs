@@ -46,7 +46,6 @@ use crate::guard::{ApplyVerdict, Guard, GuardConfig};
 use crate::strategy::StrategyKind;
 use crate::system::{AutoIndex, Recommendation, TuningReport};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
-use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
 use std::time::Instant;
 
@@ -106,17 +105,17 @@ enum Apply<'d> {
 
 /// Builder-style tuning session over one advisor and one database. See
 /// the [module docs](self) for the full flow.
-pub struct TuningSession<'a, 'd, E: CostEstimator> {
+pub struct TuningSession<'a, 'd, 'w, E: CostEstimator> {
     advisor: &'a mut AutoIndex<E>,
     db: &'d mut SimDb,
-    workload: Option<Vec<(QueryShape, u64)>>,
+    workload: Option<&'w TemplateWorkload>,
     apply: Apply<'d>,
     recommendation: Option<Recommendation>,
     recommend_only: bool,
     strategy: Option<StrategyKind>,
 }
 
-impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
+impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
     pub(crate) fn new(advisor: &'a mut AutoIndex<E>, db: &'d mut SimDb) -> Self {
         TuningSession {
             advisor,
@@ -131,8 +130,8 @@ impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
 
     /// Recommend for an explicit workload instead of the observed
     /// templates (the query-level ablation mode).
-    pub fn workload(mut self, workload: &TemplateWorkload) -> Self {
-        self.workload = Some(workload.to_vec());
+    pub fn workload(mut self, workload: &'w TemplateWorkload) -> Self {
+        self.workload = Some(workload);
         self
     }
 
@@ -180,8 +179,15 @@ impl<'a, 'd, E: CostEstimator> TuningSession<'a, 'd, E> {
         let rec = match self.recommendation {
             Some(r) => r,
             None => {
-                let w = self.workload.unwrap_or_else(|| self.advisor.workload());
-                self.advisor.recommend(kind, self.db, &w)
+                let observed;
+                let w = match self.workload {
+                    Some(w) => w,
+                    None => {
+                        observed = self.advisor.workload();
+                        &observed
+                    }
+                };
+                self.advisor.recommend(kind, self.db, w)
             }
         };
 

@@ -6,17 +6,20 @@
 //! helper. This module unifies them (and the new C²UCB bandit of
 //! [`crate::bandit`]) behind one trait:
 //!
-//! * [`TuningStrategy`] — `propose(ctx) -> Proposal` computes a
-//!   [`Recommendation`] for the current workload; `observe_reward`
+//! * `TuningStrategy` — `propose(round) -> Proposal` computes a
+//!   [`Recommendation`] for the round's workload; `observe_reward`
 //!   feeds measured post-apply latency back (only the bandit learns
 //!   from it — greedy and MCTS are estimator-driven and ignore it).
+//! * `Round` — what `AutoIndex::recommend` builds once and hands to
+//!   whichever strategy runs: the existing definitions, the generated
+//!   candidates, the universe they are interned in and the round's one
+//!   [`DeltaPricer`]. A strategy prices every configuration through it.
 //! * [`StrategyKind`] — the validated selector carried by
 //!   `AutoIndexConfig::builder().strategy(..)` and
 //!   `TuningSession::strategy(..)`; unknown names surface as
 //!   [`AutoIndexError::InvalidStrategy`].
-//! * [`MctsStrategy`] — the paper's §IV-B pipeline with its
-//!   round-persistent state (universe, policy tree, delta-cost term
-//!   cache).
+//! * [`MctsStrategy`] — the paper's §IV-B pipeline over its
+//!   round-persistent policy tree.
 //! * [`GreedyStrategy`] — the §VI-A baseline: candidate generation +
 //!   standalone-benefit ranking + top-k under the budget, no removal.
 //!
@@ -25,16 +28,16 @@
 //! behavior unless a caller opts into another strategy.
 
 use crate::bandit::ArmChoice;
-use crate::candgen::{CandidateGenerator, CandidateStats};
-use crate::delta::{DeltaPricer, DeltaWorkload};
+use crate::candgen::CandidateGenerator;
+use crate::delta::DeltaPricer;
 use crate::error::AutoIndexError;
-use crate::greedy::{greedy_select, GreedyConfig};
+use crate::greedy::{self, GreedyConfig};
 use crate::mcts::{ConfigSet, MctsSearch, PolicyTree, Universe};
 use crate::system::{AutoIndexConfig, Recommendation};
 use autoindex_estimator::cost_cache::CostCache;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
-use autoindex_storage::{PressureModel, SimDb};
+use autoindex_storage::SimDb;
 use std::time::{Duration, Instant};
 
 /// Which tuning strategy a round runs. Carried by
@@ -93,15 +96,136 @@ impl std::str::FromStr for StrategyKind {
     }
 }
 
-/// Everything a strategy may read while proposing: the database (what-if
-/// interface, catalog, usage counters), the template workload, the cost
-/// estimator and the advisor configuration. Strategies own their private
-/// state; shared state rides in by reference.
-pub struct StrategyContext<'a, E: CostEstimator> {
-    pub db: &'a SimDb,
-    pub workload: &'a TemplateWorkload,
-    pub estimator: &'a E,
-    pub config: &'a AutoIndexConfig,
+/// The slot numbering and memoized terms a round prices in.
+///
+/// Slot numbers feed the MCTS RNG's k-th-legal-slot pick and every
+/// [`CostCache`] key, so only MCTS rounds intern into the advisor's
+/// persistent space (the policy tree's nodes are sets of its slots); a
+/// greedy or bandit round opens a space of its own and drops it, which
+/// keeps a run that mixes strategies recommending what it always did.
+#[derive(Debug, Default)]
+pub(crate) struct RoundSpace {
+    pub(crate) universe: Universe,
+    /// Per-template term cache: every probe of a round, and *subsequent
+    /// rounds over unchanged statistics*, share it.
+    pub(crate) cost_cache: CostCache,
+    /// Catalog version the cache contents were computed against.
+    catalog_version: Option<u64>,
+    /// Set by template refresh/decay: the cache is invalidated when the
+    /// next round opens (invalidation needs the db's metrics registry).
+    pub(crate) dirty: bool,
+}
+
+impl RoundSpace {
+    /// Intern `defs`, refresh the size estimates, drop memoized terms the
+    /// statistics moved under, and open the pricer of `workload` over the
+    /// result — the one place a [`DeltaPricer`] is made.
+    pub(crate) fn open<'a, 'w, 'd, E: CostEstimator>(
+        &'a mut self,
+        db: &'a SimDb,
+        workload: &'w TemplateWorkload,
+        estimator: &'a E,
+        decomposed: bool,
+        defs: impl IntoIterator<Item = &'d IndexDef>,
+    ) -> DeltaPricer<'a, 'w, E> {
+        for d in defs {
+            self.universe.intern(d);
+        }
+        self.universe.refresh_sizes(db);
+
+        // Terms are valid across rounds — that is the "incremental" in
+        // incremental management — until the catalog (statistics) moves or
+        // a template refresh/decay asks for a clean slate.
+        let catalog_version = db.catalog().version();
+        if self.dirty || self.catalog_version.is_some_and(|v| v != catalog_version) {
+            self.cost_cache.invalidate(db.metrics());
+            self.dirty = false;
+        }
+        self.catalog_version = Some(catalog_version);
+
+        DeltaPricer::new(
+            &self.universe,
+            workload,
+            db,
+            estimator,
+            &self.cost_cache,
+            decomposed,
+        )
+    }
+}
+
+/// One tuning round, built once per `AutoIndex::recommend` and handed to
+/// the strategy that runs it.
+pub(crate) struct Round<'a, 'w, E> {
+    pub(crate) db: &'a SimDb,
+    pub(crate) workload: &'w TemplateWorkload,
+    pub(crate) config: &'a AutoIndexConfig,
+    /// The database's index definitions, in id order, and their slots.
+    pub(crate) existing: Vec<IndexDef>,
+    pub(crate) existing_set: ConfigSet,
+    /// The candidate generator's output for `workload` (§IV-A).
+    pub(crate) candidates: Vec<IndexDef>,
+    pub(crate) candgen_time: Duration,
+    /// Every configuration of the round is priced here, and nowhere else.
+    pub(crate) pricer: DeltaPricer<'a, 'w, E>,
+}
+
+impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
+    /// The round prologue: list the existing definitions, generate
+    /// candidates (timed and tallied), then intern both — and `standing`,
+    /// what the strategy prices besides them — into `space` and open the
+    /// pricer over it.
+    pub(crate) fn new(
+        space: &'a mut RoundSpace,
+        db: &'a SimDb,
+        workload: &'w TemplateWorkload,
+        estimator: &'a E,
+        config: &'a AutoIndexConfig,
+        standing: &[IndexDef],
+    ) -> Self {
+        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+
+        let candgen_started = Instant::now();
+        let (candidates, cand_stats) = CandidateGenerator::new(config.candidates.clone())
+            .generate_with_stats(workload, db.catalog(), &existing);
+        let candgen_time = candgen_started.elapsed();
+        let metrics = db.metrics();
+        metrics.timer("system.candgen_time").record(candgen_time);
+        metrics
+            .counter("system.candidates_generated")
+            .add(candidates.len() as u64);
+        metrics
+            .counter("advisor.candidates.sort_aware")
+            .add(cand_stats.sort_aware as u64);
+        metrics
+            .counter("advisor.candidates.covering")
+            .add(cand_stats.covering as u64);
+
+        let existing_set = existing.iter().map(|d| space.universe.intern(d)).collect();
+        let defs = candidates.iter().chain(standing);
+        let pricer = space.open(db, workload, estimator, config.mcts.decomposed_eval, defs);
+        Round {
+            db,
+            workload,
+            config,
+            existing,
+            existing_set,
+            candidates,
+            candgen_time,
+            pricer,
+        }
+    }
+
+    /// The round's telemetry so far; the strategy fills in its search.
+    pub(crate) fn stats(&self, search_time: Duration) -> RoundStats {
+        RoundStats {
+            candidates_generated: self.candidates.len(),
+            evaluations: self.pricer.evaluations(),
+            search_time,
+            candgen_time: self.candgen_time,
+            ..RoundStats::default()
+        }
+    }
 }
 
 /// Statistics captured while a recommendation was computed, folded into
@@ -119,24 +243,21 @@ pub(crate) struct RoundStats {
 }
 
 /// What one [`TuningStrategy::propose`] call produced.
-pub struct Proposal {
-    pub recommendation: Recommendation,
+pub(crate) struct Proposal {
+    pub(crate) recommendation: Recommendation,
     /// Round telemetry for the `TuningReport`.
     pub(crate) stats: RoundStats,
-    /// Policy-tree size after the round (0 for tree-less strategies).
-    pub tree_nodes: usize,
     /// The bandit's selected arms with their confidence bounds; empty
     /// for greedy/MCTS.
-    pub arms: Vec<ArmChoice>,
+    pub(crate) arms: Vec<ArmChoice>,
 }
 
 impl Proposal {
     /// A proposal that changes nothing.
-    pub fn noop(cost: f64) -> Self {
+    pub(crate) fn noop(cost: f64, stats: RoundStats) -> Self {
         Proposal {
             recommendation: Recommendation::noop(cost),
-            stats: RoundStats::default(),
-            tree_nodes: 0,
+            stats,
             arms: Vec::new(),
         }
     }
@@ -151,76 +272,56 @@ pub struct RewardObservation {
 
 /// A pluggable tuning strategy. One instance lives per `AutoIndex` per
 /// kind and persists across rounds — that persistence is what makes the
-/// MCTS pipeline (policy tree, term cache) and the bandit (linear
-/// model) *incremental*.
-pub trait TuningStrategy<E: CostEstimator> {
-    /// Which kind this strategy implements.
-    fn kind(&self) -> StrategyKind;
-
-    /// Compute a recommendation for the current workload.
-    fn propose(&mut self, ctx: StrategyContext<'_, E>) -> Proposal;
+/// MCTS pipeline (policy tree) and the bandit (linear model)
+/// *incremental*.
+pub(crate) trait TuningStrategy<E: CostEstimator> {
+    /// Compute a recommendation for the round's (non-empty) workload,
+    /// pricing configurations through `round.pricer` only.
+    fn propose(&mut self, round: &mut Round<'_, '_, E>) -> Proposal;
 
     /// Feed measured post-apply latency back. Estimator-driven
     /// strategies ignore it; the bandit updates its linear model.
     fn observe_reward(&mut self, _reward: &RewardObservation) {}
 
-    /// Statistics moved underneath the strategy (template refresh,
-    /// decay, catalog change): drop derived state that priced against
-    /// the old statistics.
-    fn invalidate(&mut self) {}
+    /// Definitions the strategy prices besides the existing ones and the
+    /// generated candidates; the round interns them too.
+    fn standing_arms(&self) -> Vec<IndexDef> {
+        Vec::new()
+    }
+
+    /// Policy-tree size (0 for tree-less strategies).
+    fn tree_nodes(&self) -> usize {
+        0
+    }
 }
 
 // -------------------------------------------------------------- greedy
 
-/// The Greedy baseline behind the trait: candidate generation, then
-/// [`greedy_select`] under the advisor's storage budget. No removal, no
-/// improvement gate — the §VI-A method verbatim, so results match the
-/// long-standing bench harness calls bit for bit.
+/// The Greedy baseline behind the trait: `greedy::rank` over the round's
+/// candidates, then `greedy::select` under the advisor's storage budget.
+/// No removal, no improvement gate — the §VI-A method verbatim, so results
+/// match the long-standing bench harness calls bit for bit.
 #[derive(Debug, Default)]
 pub struct GreedyStrategy;
 
 impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Greedy
-    }
-
-    fn propose(&mut self, ctx: StrategyContext<'_, E>) -> Proposal {
-        if ctx.workload.is_empty() {
-            return Proposal::noop(0.0);
-        }
-        let existing: Vec<IndexDef> = ctx.db.indexes().map(|(_, d)| d.clone()).collect();
-
-        let candgen_started = Instant::now();
-        let (candidates, cand_stats) = CandidateGenerator::new(ctx.config.candidates.clone())
-            .generate_with_stats(ctx.workload, ctx.db.catalog(), &existing);
-        let candgen_time = candgen_started.elapsed();
-        ctx.db
-            .metrics()
-            .timer("system.candgen_time")
-            .record(candgen_time);
-        ctx.db
-            .metrics()
-            .counter("system.candidates_generated")
-            .add(candidates.len() as u64);
-        tally_candidate_classes(ctx.db.metrics(), &cand_stats);
-
+    fn propose(&mut self, round: &mut Round<'_, '_, E>) -> Proposal {
         let search_started = Instant::now();
-        let picked = greedy_select(
-            ctx.db,
-            ctx.estimator,
-            ctx.workload,
-            &candidates,
-            &existing,
+        let picked = greedy::select(
+            greedy::rank(&mut round.pricer, &round.candidates, &round.existing_set),
+            greedy::existing_size(round.db, &round.existing),
             &GreedyConfig {
-                budget: ctx.config.storage_budget,
+                budget: round.config.storage_budget,
                 max_indexes: None,
             },
         );
-        let est_cost_before = ctx.estimator.workload_cost(ctx.db, ctx.workload, &existing);
-        let est_cost_after =
-            ctx.estimator
-                .workload_cost(ctx.db, ctx.workload, existing.iter().chain(&picked));
-        let search_time = search_started.elapsed();
+        let est_cost_before = round.pricer.sum(&round.existing_set);
+        let universe = round.pricer.universe();
+        let mut after = round.existing_set.clone();
+        for d in &picked {
+            after.insert(universe.slot(d).expect("a picked candidate is interned"));
+        }
+        let est_cost_after = round.pricer.sum(&after);
 
         Proposal {
             recommendation: Recommendation {
@@ -229,17 +330,7 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
                 est_cost_before,
                 est_cost_after,
             },
-            stats: RoundStats {
-                candidates_generated: candidates.len(),
-                // Base cost + one standalone probe per candidate + the
-                // final after-cost evaluation.
-                evaluations: candidates.len() + 2,
-                search_evaluations: 0,
-                cache_hits: 0,
-                search_time,
-                candgen_time,
-            },
-            tree_nodes: 0,
+            stats: round.stats(search_started.elapsed()),
             arms: Vec::new(),
         }
     }
@@ -247,39 +338,18 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
 
 // ---------------------------------------------------------------- mcts
 
-/// The paper's recommendation pipeline (§IV-A/B) behind the trait:
-/// candidate generation, universe interning, prune pass, MCTS over the
-/// persistent policy tree, add-refinement, minimal-change pass and the
-/// improvement gate.
+/// The paper's recommendation pipeline (§IV-A/B) behind the trait: prune
+/// pass, MCTS over the persistent policy tree, add-refinement,
+/// minimal-change pass and the improvement gate. The universe its tree's
+/// nodes are sets of is the advisor's persistent `RoundSpace`.
+#[derive(Default)]
 pub struct MctsStrategy {
-    universe: Universe,
     tree: PolicyTree,
-    /// Round-persistent per-template term cache of the delta-cost
-    /// engine: prune probes, the MCTS search, refinement passes and
-    /// *subsequent rounds over unchanged statistics* all share it.
-    cost_cache: CostCache,
-    /// Catalog version the cache contents were computed against.
-    cache_catalog_version: Option<u64>,
-    /// Set by template refresh/decay: the cache is invalidated at the
-    /// next pricing opportunity (invalidation needs the db's metrics
-    /// registry).
-    cache_dirty: bool,
 }
 
 impl MctsStrategy {
     pub fn new() -> Self {
-        MctsStrategy {
-            universe: Universe::new(),
-            tree: PolicyTree::new(),
-            cost_cache: CostCache::new(),
-            cache_catalog_version: None,
-            cache_dirty: false,
-        }
-    }
-
-    /// The delta-cost term cache (read access for tests/telemetry).
-    pub fn cost_cache(&self) -> &CostCache {
-        &self.cost_cache
+        MctsStrategy::default()
     }
 
     /// Policy-tree size.
@@ -288,77 +358,20 @@ impl MctsStrategy {
     }
 }
 
-impl Default for MctsStrategy {
-    fn default() -> Self {
-        MctsStrategy::new()
-    }
-}
-
 impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Mcts
+    fn tree_nodes(&self) -> usize {
+        self.tree.len()
     }
 
-    fn invalidate(&mut self) {
-        self.cache_dirty = true;
-    }
-
-    fn propose(&mut self, ctx: StrategyContext<'_, E>) -> Proposal {
-        let db = ctx.db;
-        let workload = ctx.workload;
-        let existing_list: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-
-        if workload.is_empty() {
-            return Proposal {
-                recommendation: Recommendation::noop(0.0),
-                stats: RoundStats::default(),
-                tree_nodes: self.tree.len(),
-                arms: Vec::new(),
-            };
-        }
-
-        // Candidate generation (§IV-A).
-        let candgen_started = Instant::now();
-        let (candidates, cand_stats) = CandidateGenerator::new(ctx.config.candidates.clone())
-            .generate_with_stats(workload, db.catalog(), &existing_list);
-        let candgen_time = candgen_started.elapsed();
-        db.metrics()
-            .timer("system.candgen_time")
-            .record(candgen_time);
-        db.metrics()
-            .counter("system.candidates_generated")
-            .add(candidates.len() as u64);
-        tally_candidate_classes(db.metrics(), &cand_stats);
-
-        // Universe bookkeeping.
-        let mut existing_set = ConfigSet::default();
-        let mut protected = ConfigSet::default();
-        for d in &existing_list {
-            let slot = self.universe.intern(d);
-            existing_set.insert(slot);
-            if ctx.config.protect_primary_keys && is_primary_key_index(db, d) {
-                protected.insert(slot);
-            }
-        }
-        for c in &candidates {
-            self.universe.intern(c);
-        }
-        self.universe.refresh_sizes(db);
-
-        // Delta-cost engine upkeep: drop memoized terms when the catalog
-        // (statistics) moved since they were computed, or when a template
-        // refresh/decay requested it. Terms are otherwise valid across
-        // rounds — that is the "incremental" in incremental management.
-        let catalog_version = db.catalog().version();
-        if self.cache_dirty
-            || self
-                .cache_catalog_version
-                .is_some_and(|v| v != catalog_version)
-        {
-            self.cost_cache.invalidate(db.metrics());
-            self.cache_dirty = false;
-        }
-        self.cache_catalog_version = Some(catalog_version);
+    fn propose(&mut self, round: &mut Round<'_, '_, E>) -> Proposal {
+        let (db, config) = (round.db, round.config);
+        let pricer = &mut round.pricer;
+        let universe = pricer.universe();
+        let existing_set = &round.existing_set;
+        let protected: ConfigSet = existing_set
+            .iter()
+            .filter(|&s| config.protect_primary_keys && is_primary_key_index(db, universe.def(s)))
+            .collect();
 
         // Estimator-driven redundant-index prune pass (§III): sequentially
         // try removing existing indexes — least-scanned first — keeping
@@ -367,36 +380,19 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // mutually-redundant pairs: once one copy is gone, the survivor is
         // no longer removable for free.
         //
-        // With the decomposed evaluator on, the probes go through the same
-        // per-template term cache as the search and are priced by what
-        // changed against the last accepted configuration, so the prune
-        // probes, the MCTS leaves and the refinement hill-climb all share
-        // what-if work — bitwise-identically to the naive evaluator.
-        let delta = ctx
-            .config
-            .mcts
-            .decomposed_eval
-            .then(|| DeltaWorkload::new(&self.universe, workload));
-        let mut probe = Probe {
-            db,
-            pressure: db.pressure_model(),
-            estimator: ctx.estimator,
-            universe: &self.universe,
-            workload,
-            pricer: delta.as_ref().map(|dw| {
-                DeltaPricer::new(dw, db, ctx.estimator, &self.universe, &self.cost_cache, 1)
-            }),
-            evals: 0,
-        };
+        // Every probe is priced by what changed against the configuration
+        // accepted last — the pricer's reference follows prune → search
+        // start → best — so the prune probes, the MCTS leaves and the
+        // refinement hill-climb all share what-if work.
         let mut start_set = existing_set.clone();
-        if let Some(eps) = ctx.config.prune_epsilon {
-            let mut base = probe.price(&start_set);
-            probe.accept();
+        if let Some(eps) = config.prune_epsilon {
+            let mut base = pricer.price(&start_set);
+            pricer.rebase();
             // Least-used first: zero-scan indexes are the cheapest wins.
             let mut order: Vec<(u64, usize)> = db
                 .indexes()
                 .filter_map(|(id, d)| {
-                    let slot = self.universe.slot(d)?;
+                    let slot = universe.slot(d)?;
                     if protected.contains(slot) {
                         return None;
                     }
@@ -407,9 +403,9 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             for (_, slot) in order {
                 let mut trial = start_set.clone();
                 trial.remove(slot);
-                let c = probe.price(&trial);
+                let c = pricer.price(&trial);
                 if c <= base * (1.0 + eps) {
-                    probe.accept();
+                    pricer.rebase();
                     start_set = trial;
                     base = c;
                 }
@@ -417,21 +413,17 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         }
 
         // MCTS over the persistent policy tree (§IV-B).
-        self.tree.begin_round(ctx.config.mcts.round_decay);
+        self.tree.begin_round(config.mcts.round_decay);
         let search = MctsSearch {
-            universe: &self.universe,
-            estimator: ctx.estimator,
+            universe,
             db,
-            workload,
-            config: ctx.config.mcts.clone(),
-            budget: ctx.config.storage_budget,
+            config: config.mcts.clone(),
+            budget: config.storage_budget,
             existing: existing_set.clone(),
             protected,
             start: start_set,
-            cost_cache: Some(&self.cost_cache),
-            delta: delta.as_ref(),
         };
-        let outcome = search.run(&mut self.tree);
+        let outcome = search.run(&mut self.tree, pricer);
 
         // Local add-refinement pass: the tree search handles interactions,
         // substitutions and removals; a final hill-climb over the remaining
@@ -439,28 +431,28 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // expectation", §IV-B Remark) guarantees no individually-profitable
         // candidate is left on the table.
         let mut best_config = outcome.best_config.clone();
-        let mut best_cost = probe.price(&best_config);
-        probe.accept();
+        let mut best_cost = pricer.price(&best_config);
+        pricer.rebase();
         for _ in 0..2 {
             let mut changed = false;
-            for slot in 0..self.universe.len() {
+            for slot in 0..universe.len() {
                 if best_config.contains(slot) {
                     continue;
                 }
-                if let Some(b) = ctx.config.storage_budget {
-                    if self.universe.config_size(&best_config) + self.universe.size(slot) > b {
+                if let Some(b) = config.storage_budget {
+                    if universe.config_size(&best_config) + universe.size(slot) > b {
                         continue;
                     }
                 }
                 let mut trial = best_config.clone();
                 trial.insert(slot);
-                let c = probe.price(&trial);
+                let c = pricer.price(&trial);
                 // An addition needs a strict improvement (beyond float
                 // noise). Because removals tolerate zero regression, any
                 // strictly profitable addition cannot be flip-flopped away
                 // by a later prune pass while the estimates stand still.
                 if c < best_cost * (1.0 - 1e-6) {
-                    probe.accept();
+                    pricer.rebase();
                     best_config = trial;
                     best_cost = c;
                     changed = true;
@@ -474,40 +466,36 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // Minimal-change principle when the removal pass is off: an
         // existing index whose presence is cost-neutral must not be dropped
         // just because the search happened to find the optimum without it.
-        if ctx.config.prune_epsilon.is_none() {
+        if config.prune_epsilon.is_none() {
             for slot in existing_set.iter() {
                 if best_config.contains(slot) {
                     continue;
                 }
-                if let Some(b) = ctx.config.storage_budget {
-                    if self.universe.config_size(&best_config) + self.universe.size(slot) > b {
+                if let Some(b) = config.storage_budget {
+                    if universe.config_size(&best_config) + universe.size(slot) > b {
                         continue;
                     }
                 }
                 let mut trial = best_config.clone();
                 trial.insert(slot);
-                let c = probe.price(&trial);
+                let c = pricer.price(&trial);
                 if c <= best_cost * (1.0 + 1e-9) {
-                    probe.accept();
+                    pricer.rebase();
                     best_config = trial;
                     best_cost = c.min(best_cost);
                 }
             }
         }
 
-        let baseline_cost = probe.price(&existing_set);
+        let baseline_cost = pricer.price(existing_set);
 
-        // Truthful round telemetry: real candidate count, real estimator
-        // evaluation counts (search cache misses + every `priced` probe the
-        // prune/refinement passes made), real phase timings. `apply` folds
-        // these into the `TuningReport` instead of hardcoded zeros.
+        // Truthful round telemetry: every configuration the round priced
+        // (search cache misses + the prune/refinement probes around them),
+        // real phase timings.
         let stats = RoundStats {
-            candidates_generated: candidates.len(),
-            evaluations: outcome.evaluations + probe.evals,
             search_evaluations: outcome.evaluations,
             cache_hits: outcome.cache_hits,
-            search_time: outcome.elapsed,
-            candgen_time,
+            ..round.stats(outcome.elapsed)
         };
 
         let improvement = if baseline_cost > 0.0 {
@@ -515,7 +503,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         } else {
             0.0
         };
-        if improvement < ctx.config.min_improvement {
+        if improvement < config.min_improvement {
             // A prune-only change (dropping cost-neutral redundant indexes)
             // is worth acting on regardless of the latency improvement —
             // it reclaims storage and write headroom for free, and leaving
@@ -524,12 +512,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             let pruned_something = best_config.iter().all(|s| existing_set.contains(s))
                 && best_config.len() < existing_set.len();
             if !pruned_something {
-                return Proposal {
-                    recommendation: Recommendation::noop(baseline_cost),
-                    stats,
-                    tree_nodes: self.tree.len(),
-                    arms: Vec::new(),
-                };
+                return Proposal::noop(baseline_cost, stats);
             }
         }
 
@@ -538,12 +521,12 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         let mut remove = Vec::new();
         for slot in best_config.iter() {
             if !existing_set.contains(slot) {
-                add.push(self.universe.def(slot).clone());
+                add.push(universe.def(slot).clone());
             }
         }
         for slot in existing_set.iter() {
             if !best_config.contains(slot) {
-                remove.push(self.universe.def(slot).clone());
+                remove.push(universe.def(slot).clone());
             }
         }
         Proposal {
@@ -554,65 +537,9 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                 est_cost_after: best_cost,
             },
             stats,
-            tree_nodes: self.tree.len(),
             arms: Vec::new(),
         }
     }
-}
-
-/// Prices the configurations [`MctsStrategy::propose`] probes outside the
-/// search — prune trials, refinement trials, the baseline — inclusive of
-/// buffer pressure, and counts them.
-struct Probe<'a, 'w, E> {
-    db: &'a SimDb,
-    /// Buffer pressure at the round's (fixed) heap size.
-    pressure: PressureModel,
-    estimator: &'a E,
-    universe: &'a Universe,
-    workload: &'a TemplateWorkload,
-    /// The decomposed evaluator; `None` replans the whole workload per
-    /// probe (`decomposed_eval = false`).
-    pricer: Option<DeltaPricer<'a, 'w, E>>,
-    evals: usize,
-}
-
-impl<E: CostEstimator> Probe<'_, '_, E> {
-    fn price(&mut self, cfg: &ConfigSet) -> f64 {
-        self.evals += 1;
-        let pressure = self
-            .pressure
-            .for_index_bytes(self.universe.config_size(cfg));
-        let sum = match &mut self.pricer {
-            Some(p) => p.price(cfg),
-            None => {
-                self.estimator
-                    .workload_cost(self.db, self.workload, self.universe.config_defs(cfg))
-            }
-        };
-        sum * pressure
-    }
-
-    /// The configuration priced last was accepted: later probes are its
-    /// neighbours, so it becomes what they are priced against.
-    fn accept(&mut self) {
-        if let Some(p) = &mut self.pricer {
-            p.rebase();
-        }
-    }
-}
-
-/// Emit the per-class candidate counters
-/// (`advisor.candidates.{sort_aware,covering}`) for one generation pass.
-pub(crate) fn tally_candidate_classes(
-    metrics: &autoindex_support::obs::MetricsRegistry,
-    stats: &CandidateStats,
-) {
-    metrics
-        .counter("advisor.candidates.sort_aware")
-        .add(stats.sort_aware as u64);
-    metrics
-        .counter("advisor.candidates.covering")
-        .add(stats.covering as u64);
 }
 
 /// Whether `def` implements `table`'s primary key (exactly or as its full
@@ -630,6 +557,7 @@ mod tests {
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
     use autoindex_storage::SimDbConfig;
+    use autoindex_support::obs::MetricsRegistry;
 
     fn db() -> SimDb {
         let mut c = Catalog::new();
@@ -643,7 +571,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        SimDb::new(c, SimDbConfig::default())
+        SimDb::with_metrics(c, SimDbConfig::default(), MetricsRegistry::new())
     }
 
     fn observed(db: &SimDb) -> AutoIndex<NativeCostEstimator> {
@@ -714,7 +642,7 @@ mod tests {
             db.catalog(),
             &existing,
         );
-        let direct = greedy_select(
+        let direct = greedy::greedy_select(
             &db,
             &NativeCostEstimator,
             &w,
@@ -722,24 +650,56 @@ mod tests {
             &existing,
             &GreedyConfig::default(),
         );
-        // Via the trait.
-        let mut strat = GreedyStrategy;
-        let proposal = TuningStrategy::<NativeCostEstimator>::propose(
-            &mut strat,
-            StrategyContext {
-                db: &db,
-                workload: &w,
-                estimator: &NativeCostEstimator,
-                config: &ai.config,
-            },
-        );
+        // Via the trait, over a round of its own.
+        let mut space = RoundSpace::default();
+        let mut round = Round::new(&mut space, &db, &w, &NativeCostEstimator, &ai.config, &[]);
+        let proposal = GreedyStrategy.propose(&mut round);
         assert_eq!(proposal.recommendation.add, direct);
         assert!(
             proposal.recommendation.remove.is_empty(),
             "greedy never drops"
         );
-        assert_eq!(proposal.tree_nodes, 0);
         assert!(proposal.recommendation.est_cost_after <= proposal.recommendation.est_cost_before);
+        // Base cost, one probe per candidate, the before- and after-costs:
+        // the pricer's count, not a formula beside it.
+        assert_eq!(proposal.stats.candidates_generated, candidates.len());
+        assert_eq!(proposal.stats.evaluations, candidates.len() + 3);
+        assert_eq!(proposal.stats.evaluations, round.pricer.evaluations());
+    }
+
+    #[test]
+    fn mcts_round_counts_every_configuration_it_priced() {
+        let mut db = db();
+        let mut ai = observed(&db);
+        let report = ai.session(&mut db).recommend_only().run().unwrap().report;
+        // The search's L1 misses are its share of the pricer's count; the
+        // prune, refinement and baseline probes are the rest.
+        let misses = db.metrics().counter_value("mcts.eval_cache.misses");
+        assert_eq!(report.search_evaluations as u64, misses);
+        assert!(report.evaluations > report.search_evaluations);
+    }
+
+    #[test]
+    fn bandit_round_reports_the_generators_output_and_the_pricers_count() {
+        let db = db();
+        let mut ai = observed(&db);
+        ai.config.bandit.max_arms = 1;
+        let mut bandit = crate::bandit::BanditStrategy::new(ai.config.bandit.clone());
+        let w = ai.workload();
+        let mut space = RoundSpace::default();
+        let mut round = Round::new(&mut space, &db, &w, &NativeCostEstimator, &ai.config, &[]);
+        let generated = round.candidates.len();
+        assert!(generated > 1, "the cap below must bite");
+        let proposal = bandit.propose(&mut round);
+        assert_eq!(proposal.stats.candidates_generated, generated);
+        assert_eq!(
+            db.metrics().counter_value("tuner.bandit.arms_considered"),
+            1,
+            "the counter keeps the count after `max_arms`"
+        );
+        // Baseline, one prior per arm, the before- and after-costs.
+        assert_eq!(proposal.stats.evaluations, generated + 3);
+        assert_eq!(proposal.stats.evaluations, round.pricer.evaluations());
     }
 
     #[test]

@@ -15,8 +15,8 @@ use crate::error::{invalid, AutoIndexError};
 use crate::mcts::MctsConfig;
 use crate::session::TuningSession;
 use crate::strategy::{
-    GreedyStrategy, MctsStrategy, RewardObservation, RoundStats, StrategyContext, StrategyKind,
-    TuningStrategy,
+    GreedyStrategy, MctsStrategy, Proposal, RewardObservation, Round, RoundSpace, RoundStats,
+    StrategyKind, TuningStrategy,
 };
 use crate::templates::{TemplateStore, TemplateStoreConfig};
 use autoindex_estimator::cost_cache::CostCache;
@@ -239,14 +239,17 @@ impl TuningReport {
 /// The incremental index management system.
 ///
 /// Since PR 9 the recommendation engine is pluggable: the advisor owns
-/// one [`TuningStrategy`] instance per [`StrategyKind`] — each with its
-/// own round-persistent state (the MCTS policy tree and term cache, the
-/// bandit's linear model) — and dispatches rounds to the active one.
+/// one `TuningStrategy` instance per [`StrategyKind`] — each with its
+/// own round-persistent state (the MCTS policy tree, the bandit's linear
+/// model) — and dispatches rounds to the active one.
 pub struct AutoIndex<E: CostEstimator> {
     pub config: AutoIndexConfig,
     estimator: E,
     templates: TemplateStore,
-    /// The §IV-B pipeline (universe, policy tree, delta-cost cache).
+    /// The universe and delta-cost term cache MCTS rounds price in; they
+    /// persist because the policy tree's nodes are sets of its slots.
+    space: RoundSpace,
+    /// The §IV-B pipeline (policy tree).
     mcts: MctsStrategy,
     /// The §VI-A baseline.
     greedy: GreedyStrategy,
@@ -273,6 +276,7 @@ impl<E: CostEstimator> AutoIndex<E> {
             config,
             estimator,
             templates,
+            space: RoundSpace::default(),
             mcts: MctsStrategy::new(),
             greedy: GreedyStrategy,
             bandit,
@@ -283,10 +287,10 @@ impl<E: CostEstimator> AutoIndex<E> {
         }
     }
 
-    /// The delta-cost term cache of the MCTS strategy (read access for
+    /// The delta-cost term cache MCTS rounds share (read access for
     /// tests/telemetry).
     pub fn cost_cache(&self) -> &CostCache {
-        self.mcts.cost_cache()
+        &self.space.cost_cache
     }
 
     /// The strategy the next tuning round will use.
@@ -385,19 +389,13 @@ impl<E: CostEstimator> AutoIndex<E> {
     }
 
     /// Recompute template shapes against current statistics (call after
-    /// significant data growth). Invalidates strategy state derived from
-    /// the old statistics (the MCTS delta-cost term cache): re-extracted
-    /// shapes may carry new selectivities, and the catalog they were
-    /// priced against has typically moved too.
+    /// significant data growth). Marks the delta-cost term cache, priced
+    /// against the old statistics, for invalidation: re-extracted shapes
+    /// may carry new selectivities, and the catalog they were priced
+    /// against has typically moved too.
     pub fn refresh_statistics(&mut self, db: &SimDb) {
         self.templates.refresh_shapes(db.catalog());
-        self.invalidate_strategies();
-    }
-
-    fn invalidate_strategies(&mut self) {
-        TuningStrategy::<E>::invalidate(&mut self.mcts);
-        TuningStrategy::<E>::invalidate(&mut self.greedy);
-        TuningStrategy::<E>::invalidate(&mut self.bandit);
+        self.space.dirty = true;
     }
 
     /// Force one template-frequency decay (§IV-C). Online, the workload
@@ -408,7 +406,7 @@ impl<E: CostEstimator> AutoIndex<E> {
     /// is the natural point to bound cache memory).
     pub fn force_template_decay(&mut self) {
         self.templates.decay();
-        self.invalidate_strategies();
+        self.space.dirty = true;
     }
 
     /// Open a builder-style [`TuningSession`] — the unified entry point
@@ -422,36 +420,42 @@ impl<E: CostEstimator> AutoIndex<E> {
     /// advisor.session(&mut db).with_recommendation(rec).run()?;         // = apply_recommendation
     /// advisor.session(&mut db).guarded(GuardConfig::default()).run()?;  // guarded apply (new)
     /// ```
-    pub fn session<'a, 'd>(&'a mut self, db: &'d mut SimDb) -> TuningSession<'a, 'd, E> {
+    pub fn session<'a, 'd, 'w>(&'a mut self, db: &'d mut SimDb) -> TuningSession<'a, 'd, 'w, E> {
         TuningSession::new(self, db)
     }
 
-    /// Run strategy `kind`'s recommendation pipeline. For the default
-    /// [`StrategyKind::Mcts`] this is the paper's §IV-A/B flow (candidate
-    /// generation, universe interning, prune pass, MCTS over the
-    /// persistent policy tree, add-refinement, minimal-change pass and
-    /// the improvement gate), living in
-    /// [`MctsStrategy`](crate::strategy::MctsStrategy). Internal engine
-    /// behind [`AutoIndex::session`].
+    /// Run strategy `kind`'s recommendation pipeline over one
+    /// [`Round`]: the prologue every strategy shares (existing
+    /// definitions, candidate generation, interning, the round's one
+    /// pricer), then the strategy's own search. For the default
+    /// [`StrategyKind::Mcts`] that is the paper's §IV-B flow (prune pass,
+    /// MCTS over the persistent policy tree, add-refinement,
+    /// minimal-change pass and the improvement gate), living in
+    /// [`MctsStrategy`]. Internal engine behind [`AutoIndex::session`].
     pub(crate) fn recommend(
         &mut self,
         kind: StrategyKind,
         db: &SimDb,
         workload: &TemplateWorkload,
     ) -> Recommendation {
-        let ctx = StrategyContext {
-            db,
-            workload,
-            estimator: &self.estimator,
-            config: &self.config,
+        // Only an MCTS round may number slots in the persistent space.
+        let mut local = RoundSpace::default();
+        let (strategy, space): (&mut dyn TuningStrategy<E>, _) = match kind {
+            StrategyKind::Greedy => (&mut self.greedy, &mut local),
+            StrategyKind::Mcts => (&mut self.mcts, &mut self.space),
+            StrategyKind::Bandit => (&mut self.bandit, &mut local),
         };
-        let proposal = match kind {
-            StrategyKind::Greedy => self.greedy.propose(ctx),
-            StrategyKind::Mcts => self.mcts.propose(ctx),
-            StrategyKind::Bandit => self.bandit.propose(ctx),
+        let proposal = if workload.is_empty() {
+            Proposal::noop(0.0, RoundStats::default())
+        } else {
+            let standing = strategy.standing_arms();
+            let (estimator, config) = (&self.estimator, &self.config);
+            strategy.propose(&mut Round::new(
+                space, db, workload, estimator, config, &standing,
+            ))
         };
         self.last_round = proposal.stats;
-        self.last_tree_nodes = proposal.tree_nodes;
+        self.last_tree_nodes = strategy.tree_nodes();
         self.last_arms = proposal.arms;
         proposal.recommendation
     }

@@ -8,8 +8,10 @@
 use autoindex_core::mcts::{
     ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,
 };
-use autoindex_core::{AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator};
-use autoindex_estimator::NativeCostEstimator;
+use autoindex_core::{
+    AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator, DeltaPricer,
+};
+use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
@@ -38,12 +40,7 @@ fn banking_fixture() -> (SimDb, Vec<(QueryShape, u64)>, Vec<String>) {
 
 /// Run one MCTS search over the banking universe under `cfg`, on a db with
 /// private counters, returning the outcome and the `db.whatif_calls` total.
-fn run_search(
-    db: &SimDb,
-    shapes: &[(QueryShape, u64)],
-    decomposed: bool,
-    threads: usize,
-) -> (SearchOutcome, u64) {
+fn run_search(db: &SimDb, shapes: &[(QueryShape, u64)], decomposed: bool) -> (SearchOutcome, u64) {
     let defaults = banking::dba_indexes();
     let cands = CandidateGenerator::new(CandidateConfig::default()).generate(
         shapes,
@@ -62,61 +59,51 @@ fn run_search(
     tree.begin_round(0.5);
     let search = MctsSearch {
         universe: &universe,
-        estimator: &est,
         db,
-        workload: shapes,
         config: MctsConfig {
             iterations: 40,
             seed: 9,
             decomposed_eval: decomposed,
-            eval_threads: threads,
             ..MctsConfig::default()
         },
         budget: None,
         existing: existing.clone(),
         protected: ConfigSet::default(),
         start: existing,
-        cost_cache: None,
-        delta: None,
     };
-    let out = search.run(&mut tree);
+    let cache = CostCache::new();
+    let mut pricer = DeltaPricer::new(&universe, shapes, db, &est, &cache, decomposed);
+    let out = search.run(&mut tree, &mut pricer);
     (out, db.metrics().counter_value("db.whatif_calls"))
 }
 
 #[test]
 fn decomposed_search_is_byte_identical_and_saves_whatif_calls() {
     let (db, shapes, _) = banking_fixture();
-    let (legacy, whatif_legacy) = run_search(&db, &shapes, false, 1);
-    let (serial, whatif_serial) = run_search(&db, &shapes, true, 1);
-    let (parallel, whatif_parallel) = run_search(&db, &shapes, true, 0);
+    let (legacy, whatif_legacy) = run_search(&db, &shapes, false);
+    let (serial, whatif_serial) = run_search(&db, &shapes, true);
 
-    for (name, out) in [("cached_serial", &serial), ("cached_parallel", &parallel)] {
-        assert_eq!(
-            out.best_config, legacy.best_config,
-            "{name}: recommendation diverged from uncached serial"
-        );
-        assert_eq!(
-            out.best_cost.to_bits(),
-            legacy.best_cost.to_bits(),
-            "{name}: best cost not bit-identical"
-        );
-        assert_eq!(
-            out.baseline_cost.to_bits(),
-            legacy.baseline_cost.to_bits(),
-            "{name}: baseline cost not bit-identical"
-        );
-        assert_eq!(out.evaluations, legacy.evaluations, "{name}: L1 miss count");
-        assert_eq!(out.cache_hits, legacy.cache_hits, "{name}: L1 hit count");
-    }
+    assert_eq!(
+        serial.best_config, legacy.best_config,
+        "recommendation diverged from uncached serial"
+    );
+    assert_eq!(
+        serial.best_cost.to_bits(),
+        legacy.best_cost.to_bits(),
+        "best cost not bit-identical"
+    );
+    assert_eq!(
+        serial.baseline_cost.to_bits(),
+        legacy.baseline_cost.to_bits(),
+        "baseline cost not bit-identical"
+    );
+    assert_eq!(serial.evaluations, legacy.evaluations, "L1 miss count");
+    assert_eq!(serial.cache_hits, legacy.cache_hits, "L1 hit count");
     // Acceptance bar: >= 3x fewer planner invocations. In practice the
     // banking workload's per-table locality yields far more than that.
     assert!(
         whatif_legacy >= 3 * whatif_serial.max(1),
         "expected >=3x what-if reduction, got {whatif_legacy} vs {whatif_serial}"
-    );
-    assert_eq!(
-        whatif_serial, whatif_parallel,
-        "parallel evaluation must not change planner call volume"
     );
 }
 

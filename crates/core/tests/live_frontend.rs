@@ -310,7 +310,6 @@ fn feed_equals_the_parse_path_composition() {
                 },
                 mcts: MctsConfig {
                     iterations: 30,
-                    eval_threads: 1,
                     ..MctsConfig::default()
                 },
                 ..AutoIndexConfig::default()

@@ -2,8 +2,8 @@
 
 use autoindex_core::mcts::{ConfigSet, MctsConfig, MctsSearch, PolicyTree, Universe};
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
-use autoindex_core::{CandidateConfig, CandidateGenerator};
-use autoindex_estimator::NativeCostEstimator;
+use autoindex_core::{CandidateConfig, CandidateGenerator, DeltaPricer};
+use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::index::IndexDef;
@@ -148,9 +148,7 @@ fn mcts_never_regresses_and_respects_budget() {
             tree.begin_round(0.5);
             let search = MctsSearch {
                 universe: &universe,
-                estimator: &est,
                 db: &db,
-                workload: &shapes,
                 config: MctsConfig {
                     iterations: 60,
                     seed,
@@ -160,10 +158,10 @@ fn mcts_never_regresses_and_respects_budget() {
                 existing: ConfigSet::default(),
                 protected: ConfigSet::default(),
                 start: ConfigSet::default(),
-                cost_cache: None,
-                delta: None,
             };
-            let out = search.run(&mut tree);
+            let cache = CostCache::new();
+            let mut pricer = DeltaPricer::new(&universe, &shapes, &db, &est, &cache, true);
+            let out = search.run(&mut tree, &mut pricer);
             prop_assert!(
                 out.best_cost <= out.baseline_cost + 1e-9,
                 "best {} vs baseline {}",
@@ -264,9 +262,8 @@ impl autoindex_estimator::CostEstimator for Recording {
 /// decay / statistics-refresh analogue) empties the cache.
 #[test]
 fn delta_cost_bitwise_equals_naive_across_random_configs() {
-    use autoindex_core::{DeltaPricer, DeltaWorkload};
     use autoindex_estimator::cost_cache::naive_workload_cost;
-    use autoindex_estimator::{CostCache, CostEstimator};
+    use autoindex_estimator::CostEstimator;
     use autoindex_support::obs::MetricsRegistry;
 
     property(
@@ -336,9 +333,9 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
             };
             let (rec_full, rec_rel) = (new_rec(), new_rec());
             let (cache_full, cache_rel) = (CostCache::new(), CostCache::new());
-            let dw = DeltaWorkload::new(&universe, &shapes);
-            let mut full = DeltaPricer::new(&dw, &db_full, &rec_full, &universe, &cache_full, 1);
-            let mut rel = DeltaPricer::new(&dw, &db_rel, &rec_rel, &universe, &cache_rel, 1);
+            let mut full =
+                DeltaPricer::new(&universe, &shapes, &db_full, &rec_full, &cache_full, true);
+            let mut rel = DeltaPricer::new(&universe, &shapes, &db_rel, &rec_rel, &cache_rel, true);
 
             let random_config = |rng: &mut StdRng| -> ConfigSet {
                 (0..universe.len())
@@ -373,8 +370,8 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
              -> Result<(), String> {
                 let defs: Vec<IndexDef> = universe.config_defs(config).cloned().collect();
                 let naive = naive_workload_cost(&est, &db, &shapes, &defs);
-                prop_assert_eq!(naive.to_bits(), full.price(config).to_bits());
-                prop_assert_eq!(naive.to_bits(), rel.price(config).to_bits());
+                prop_assert_eq!(naive.to_bits(), full.sum(config).to_bits());
+                prop_assert_eq!(naive.to_bits(), rel.sum(config).to_bits());
                 if follow {
                     rel.rebase();
                 }
@@ -419,7 +416,7 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
             );
             let last = &targets[targets.len() - 1].0;
             let naive = est.workload_cost(&db, &shapes, universe.config_defs(last));
-            prop_assert_eq!(naive.to_bits(), rel.price(last).to_bits());
+            prop_assert_eq!(naive.to_bits(), rel.sum(last).to_bits());
             Ok(())
         },
     );

@@ -1,0 +1,350 @@
+//! The seams of the one priced round (PR 20): greedy and the bandit price
+//! through the round's `DeltaPricer` and must compute bit for bit what the
+//! whole-workload loops they replaced did; a greedy or bandit round must
+//! leave the MCTS rounds around it exactly as they were; and a greedy round
+//! must plan the templates on each candidate's table, not the workload.
+
+use autoindex_core::{
+    rank_candidates, AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator,
+    ScoredCandidate, StrategyKind,
+};
+use autoindex_estimator::{CostEstimator, NativeCostEstimator};
+use autoindex_sql::parse_statement;
+use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+use autoindex_storage::index::IndexDef;
+use autoindex_storage::shape::QueryShape;
+use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_support::obs::MetricsRegistry;
+use autoindex_support::prop::{property, PropConfig};
+use autoindex_support::prop_assert_eq;
+use autoindex_support::rng::StdRng;
+
+const COLS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+fn new_db(catalog: &Catalog) -> SimDb {
+    SimDb::with_metrics(
+        catalog.clone(),
+        SimDbConfig::default(),
+        MetricsRegistry::new(),
+    )
+}
+
+fn shapes(db: &SimDb, sqls: &[(String, u64)]) -> Vec<(QueryShape, u64)> {
+    sqls.iter()
+        .map(|(q, n)| {
+            let stmt = parse_statement(q).unwrap();
+            (QueryShape::extract(&stmt, db.catalog()), *n)
+        })
+        .collect()
+}
+
+/// The ranking `greedy.rs` computed before it had a pricer: one
+/// whole-workload `workload_cost` per candidate. Kept here as the oracle.
+fn naive_rank<E: CostEstimator>(
+    db: &SimDb,
+    est: &E,
+    w: &[(QueryShape, u64)],
+    candidates: &[IndexDef],
+    existing: &[IndexDef],
+) -> Vec<ScoredCandidate> {
+    let base = est.workload_cost(db, w, existing);
+    let mut scored: Vec<ScoredCandidate> = candidates
+        .iter()
+        .map(|c| ScoredCandidate {
+            def: c.clone(),
+            benefit: base - est.workload_cost(db, w, existing.iter().chain(Some(c))),
+            size: db.index_size_bytes(c).unwrap_or(u64::MAX / 1024),
+        })
+        .collect();
+    scored.sort_by(|a, b| {
+        b.benefit
+            .partial_cmp(&a.benefit)
+            .unwrap()
+            .then_with(|| a.def.key().cmp(&b.def.key()))
+    });
+    scored
+}
+
+/// A random catalog of 1–3 tables, a weighted workload of point / OR
+/// selects, updates and inserts over it, and a random existing index set.
+fn generate(rng: &mut StdRng, size: usize) -> (Catalog, Vec<(String, u64)>, Vec<IndexDef>) {
+    let mut cat = Catalog::new();
+    let mut tables: Vec<(String, usize)> = Vec::new();
+    for ti in 0..rng.random_range(1usize..4) {
+        let name = format!("t{ti}");
+        let rows = rng.random_range(10_000u64..1_000_000);
+        let ncols = rng.random_range(2usize..=COLS.len());
+        let mut tb = TableBuilder::new(&name, rows);
+        for c in COLS.iter().take(ncols) {
+            tb = tb.column(Column::int(*c, rng.random_range(10u64..rows)));
+        }
+        cat.add_table(tb.build().unwrap());
+        tables.push((name, ncols));
+    }
+    let nq = rng.random_range(1usize..(3 + size.max(1) / 6));
+    let sqls = (0..nq)
+        .map(|_| {
+            let (name, ncols) = &tables[rng.random_range(0usize..tables.len())];
+            let c1 = COLS[rng.random_range(0usize..*ncols)];
+            let c2 = COLS[rng.random_range(0usize..*ncols)];
+            let sql = match rng.random_range(0u32..8) {
+                0 | 1 => format!(
+                    "INSERT INTO {name} ({}, {}) VALUES (1, 2)",
+                    COLS[0], COLS[1]
+                ),
+                2 => format!("UPDATE {name} SET {c1} = 3 WHERE {c2} = 5"),
+                3 => format!("SELECT * FROM {name} WHERE {c1} = 1 ORDER BY {c2}"),
+                _ => {
+                    let joiner = if rng.random_bool(0.5) { "AND" } else { "OR" };
+                    format!("SELECT * FROM {name} WHERE {c1} = 1 {joiner} {c2} = 5")
+                }
+            };
+            (sql, rng.random_range(1u64..20))
+        })
+        .collect();
+    let mut existing: Vec<IndexDef> = Vec::new();
+    for _ in 0..rng.random_range(0usize..6) {
+        let (name, ncols) = &tables[rng.random_range(0usize..tables.len())];
+        let c1 = COLS[rng.random_range(0usize..*ncols)];
+        let c2 = COLS[rng.random_range(0usize..*ncols)];
+        let def = if rng.random_bool(0.5) || c1 == c2 {
+            IndexDef::new(name, &[c1])
+        } else {
+            IndexDef::new(name, &[c1, c2])
+        };
+        if !existing.contains(&def) {
+            existing.push(def);
+        }
+    }
+    (cat, sqls, existing)
+}
+
+/// (a) Over generated catalogs, workloads and existing sets: the ranking
+/// through the pricer is the naive whole-workload ranking — same
+/// definitions, same order, same benefit bits — and two applied bandit
+/// rounds report the `est_cost_{before,after}` the whole-workload calls
+/// give and select the arms, at the confidence bounds, that the
+/// whole-workload oracle (`decomposed_eval = false`) selects.
+#[test]
+fn ranking_and_arms_through_the_pricer_equal_the_naive_ranking() {
+    property(
+        "ranking_and_arms_through_the_pricer_equal_the_naive_ranking",
+        PropConfig::default().cases(96),
+        |rng, size| {
+            let (cat, sqls, existing) = generate(rng, size);
+            let est = NativeCostEstimator;
+
+            // ---- greedy ranking ------------------------------------------
+            let mut db = new_db(&cat);
+            for d in &existing {
+                db.create_index(d.clone()).unwrap();
+            }
+            let w = shapes(&db, &sqls);
+            let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+            let candidates = CandidateGenerator::new(CandidateConfig::default()).generate(
+                &w,
+                db.catalog(),
+                &existing,
+            );
+            let ranked = rank_candidates(&db, &est, &w, &candidates, &existing);
+            let naive = naive_rank(&db, &est, &w, &candidates, &existing);
+            prop_assert_eq!(ranked.len(), naive.len());
+            for (r, n) in ranked.iter().zip(&naive) {
+                prop_assert_eq!(&r.def, &n.def);
+                prop_assert_eq!(r.benefit.to_bits(), n.benefit.to_bits(), "{}", r.def);
+                prop_assert_eq!(r.size, n.size);
+            }
+
+            // ---- bandit rounds -------------------------------------------
+            // Twin databases and advisors: the pricer's term arithmetic
+            // against its whole-workload arm. The second round has built,
+            // bandit-owned arms in its pool.
+            let mut sides: Vec<(SimDb, AutoIndex<NativeCostEstimator>)> = [true, false]
+                .iter()
+                .map(|&decomposed| {
+                    let mut db = new_db(&cat);
+                    for d in &existing {
+                        db.create_index(d.clone()).unwrap();
+                    }
+                    let mut cfg = AutoIndexConfig {
+                        strategy: StrategyKind::Bandit,
+                        ..AutoIndexConfig::default()
+                    };
+                    cfg.mcts.decomposed_eval = decomposed;
+                    (db, AutoIndex::new(cfg, NativeCostEstimator))
+                })
+                .collect();
+            for round in 0..2 {
+                let mut seen = Vec::new();
+                for (db, ai) in sides.iter_mut() {
+                    let before: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+                    ai.observe_reward(10.0 / (round + 1) as f64);
+                    let report = ai.session(db).workload(&w).run().unwrap().report;
+                    let rec = &report.recommendation;
+                    let naive_before = est.workload_cost(db, &w, &before);
+                    prop_assert_eq!(rec.est_cost_before.to_bits(), naive_before.to_bits());
+                    let after = before.iter().filter(|d| !rec.remove.contains(d));
+                    let naive_after = est.workload_cost(db, &w, after.chain(&rec.add));
+                    prop_assert_eq!(rec.est_cost_after.to_bits(), naive_after.to_bits());
+                    let arms: Vec<(String, u64, u64)> = ai
+                        .last_arms()
+                        .iter()
+                        .map(|a| (a.key.clone(), a.ucb.to_bits(), a.expected.to_bits()))
+                        .collect();
+                    seen.push((format!("{rec:?}"), arms, report.evaluations));
+                }
+                prop_assert_eq!(&seen[0], &seen[1], "round {round}");
+            }
+            Ok(())
+        },
+    );
+}
+
+fn tenant_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    for (name, rows) in [("t", 800_000u64), ("u", 300_000)] {
+        c.add_table(
+            TableBuilder::new(name, rows)
+                .column(Column::int("id", rows))
+                .column(Column::int("a", rows / 2))
+                .column(Column::int("b", 4_000))
+                .column(Column::int("c", 40))
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        );
+    }
+    c
+}
+
+/// (b) Only an MCTS round may number slots in the advisor's persistent
+/// universe: recommend-only greedy and bandit rounds between two MCTS
+/// rounds — over a workload whose candidates the MCTS rounds never see —
+/// leave the second one's recommendation, its policy tree and the shared
+/// term cache exactly as without them. (Every universe slot outside a
+/// configuration is a legal action of the search, so a slot numbered by
+/// another strategy's round would move the RNG's picks.)
+#[test]
+fn a_greedy_or_bandit_round_between_two_mcts_rounds_changes_nothing() {
+    let run = |interlude: bool| {
+        let mut db = new_db(&tenant_catalog());
+        db.create_index(IndexDef::new("t", &["c"])).unwrap();
+        let mut ai = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+        for i in 0..200 {
+            ai.observe(&format!("SELECT * FROM t WHERE a = {i}"), &db)
+                .unwrap();
+            ai.observe(&format!("SELECT * FROM u WHERE b = {i} AND a = 1"), &db)
+                .unwrap();
+            ai.observe(&format!("UPDATE u SET c = 2 WHERE id = {i}"), &db)
+                .unwrap();
+        }
+        // Recommend-only, so both runs meet the second MCTS round with the
+        // same indexes: what differs is only which rounds came between.
+        let first = ai.session(&mut db).recommend_only().run().unwrap().report;
+        assert!(!first.recommendation.add.is_empty());
+        if interlude {
+            let other = shapes(
+                &db,
+                &[
+                    ("SELECT * FROM t WHERE b = 7 ORDER BY a".to_string(), 50),
+                    ("SELECT * FROM u WHERE c = 3 AND id = 9".to_string(), 50),
+                ],
+            );
+            for kind in [StrategyKind::Greedy, StrategyKind::Bandit] {
+                let out = ai
+                    .session(&mut db)
+                    .workload(&other)
+                    .strategy(kind)
+                    .recommend_only()
+                    .run()
+                    .unwrap();
+                assert!(!out.report.recommendation.add.is_empty(), "{kind}");
+            }
+        }
+        let last = ai.session(&mut db).recommend_only().run().unwrap().report;
+        (
+            format!("{:?}", last.recommendation),
+            last.tree_nodes,
+            ai.cost_cache().len(),
+        )
+    };
+    assert_eq!(run(true), run(false));
+}
+
+/// (c) ≥ 100 tables with 2–3 templates each and two indexes per table but
+/// one: 132 tables, 330 templates, 263 indexes. A greedy round looks up the
+/// whole workload once and then, per candidate, the templates on the
+/// candidate's table; the whole-workload oracle re-plans every template for
+/// every configuration it prices.
+#[test]
+fn a_greedy_round_plans_the_templates_on_each_candidates_table() {
+    const TABLES: usize = 132;
+    let mut c = Catalog::new();
+    for i in 0..TABLES {
+        c.add_table(
+            TableBuilder::new(format!("w{i}"), 50_000)
+                .column(Column::int("a", 50_000))
+                .column(Column::int("b", 500))
+                .column(Column::int("c", 5_000))
+                .build()
+                .unwrap(),
+        );
+    }
+    let mut sqls = Vec::new();
+    for i in 0..TABLES {
+        sqls.push((format!("SELECT * FROM w{i} WHERE a = 1"), 3));
+        sqls.push((format!("SELECT * FROM w{i} WHERE c = 2"), 3));
+        if i % 2 == 0 {
+            sqls.push((format!("INSERT INTO w{i} (a, b) VALUES (1, 2)"), 3));
+        }
+    }
+    let round = |decomposed: bool| {
+        let mut db = new_db(&c);
+        for i in 0..TABLES {
+            db.create_index(IndexDef::new(format!("w{i}"), &["a"]))
+                .unwrap();
+            if i > 0 {
+                db.create_index(IndexDef::new(format!("w{i}"), &["b"]))
+                    .unwrap();
+            }
+        }
+        assert_eq!(db.index_count(), 263);
+        let w = shapes(&db, &sqls);
+        assert_eq!(w.len(), 330);
+        let mut cfg = AutoIndexConfig::default();
+        cfg.mcts.decomposed_eval = decomposed;
+        let mut ai = AutoIndex::new(cfg, NativeCostEstimator);
+        let report = ai
+            .session(&mut db)
+            .workload(&w)
+            .strategy(StrategyKind::Greedy)
+            .recommend_only()
+            .run()
+            .unwrap()
+            .report;
+        let whatif = db.metrics().counter_value("db.whatif_calls");
+        (report, whatif, w)
+    };
+
+    let (fast, whatif, w) = round(true);
+    let (oracle, whatif_oracle, _) = round(false);
+    assert_eq!(
+        format!("{:?}", fast.recommendation),
+        format!("{:?}", oracle.recommendation)
+    );
+    assert_eq!(fast.recommendation.add.len(), TABLES, "one w*(c) per table");
+
+    let templates = w.len() as u64;
+    let candidates = fast.candidates_generated as u64;
+    assert!(candidates >= TABLES as u64);
+    // Σ_c templates_on_table(c): every table has 2 or 3 templates, and no
+    // candidate sits on more than one.
+    let on_tables = candidates * 3;
+    assert!(
+        whatif <= templates + on_tables,
+        "{whatif} what-if calls for {templates} templates and {candidates} candidates"
+    );
+    assert_eq!(whatif_oracle, oracle.evaluations as u64 * templates);
+    assert!(whatif_oracle >= candidates * templates);
+    assert!(whatif * 50 <= whatif_oracle, "{whatif} vs {whatif_oracle}");
+}

@@ -98,11 +98,10 @@ impl CostCacheStats {
 
 /// Memoization table for per-template cost terms.
 ///
-/// Thread-safe: lookups/inserts take a [`Mutex`] briefly, but the term
-/// *computation* runs with the lock released, so parallel evaluators
-/// (the MCTS batch evaluator) never serialize on the planner. Concurrent
-/// duplicate computations are benign — the estimator is deterministic, so
-/// both threads insert the identical `f64`.
+/// Shared by reference: a round's pricer fills it while the advisor that
+/// owns it can still be read, so lookups/inserts take a [`Mutex`] briefly —
+/// uncontended, a round prices on one thread — and the term *computation*
+/// runs with the lock released.
 #[derive(Debug, Default)]
 pub struct CostCache {
     map: Mutex<HashMap<CacheKey, f64>>,

@@ -48,11 +48,9 @@ pub type TemplateWorkload = [(QueryShape, u64)];
 /// weighted sum over it, and the [`cost_cache`] layer memoizes exactly the
 /// per-shape terms this decomposition exposes.
 ///
-/// `Sync` is a supertrait: estimators are shared by reference across
-/// scoped worker threads (parallel greedy ranking, parallel MCTS leaf
-/// evaluation), so implementations must be immutable or internally
-/// synchronized during evaluation.
-pub trait CostEstimator: Sync {
+/// A tuning round prices on the thread that runs it, so an estimator is
+/// never shared across threads and need not be `Sync`.
+pub trait CostEstimator {
     /// Estimated cost of a single shape (weight 1) with `config` as the
     /// complete index configuration. Units are milliseconds for learned
     /// estimators and optimizer cost units for native ones; only *ratios

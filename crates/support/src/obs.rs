@@ -38,7 +38,7 @@
 //! calls.add(2);
 //! assert_eq!(calls.get(), 3);
 //!
-//! m.gauge("greedy.rank.threads").set(4.0);
+//! m.gauge("tuner.bandit.ucb_max").set(0.4);
 //! {
 //!     let _span = m.timer("mcts.round_time").scope(); // records on drop
 //! }
@@ -65,8 +65,8 @@ use std::time::{Duration, Instant};
 /// A monotonically increasing event counter.
 ///
 /// Cloning shares the underlying cell; updates are relaxed atomic adds, so
-/// counters may be bumped concurrently from worker threads (the parallel
-/// greedy ranker does exactly that).
+/// counters may be bumped concurrently from worker threads (the epoch
+/// engine's executors bump `<prefix>.worker_panics` that way).
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -520,7 +520,7 @@ impl MetricsRegistry {
     /// ```json
     /// {
     ///   "counters": {"db.whatif_calls": 123, ...},
-    ///   "gauges":   {"greedy.rank.threads": 4.0, ...},
+    ///   "gauges":   {"tuner.bandit.ucb_max": 0.4, ...},
     ///   "timers":   {"mcts.round_time": {"count": 1, "total_ms": ..,
     ///                "mean_ms": .., "min_ms": .., "max_ms": ..}, ...}
     /// }

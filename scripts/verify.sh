@@ -24,10 +24,11 @@ echo "==> cargo test -q --offline --release (compiled templates: feed = its pars
 cargo test -q --offline --release -p autoindex-core --test live_frontend
 cargo test -q --offline --release -p autoindex-core --lib fastpath::
 
-echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing and bitmap-pick properties: float summation order and popcount/select paths, in the build that ships)"
+echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing, bitmap-pick and round-pricing properties: float summation order and popcount/select paths, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test decomposed_equivalence
 cargo test -q --offline --release -p autoindex-core --test proptests delta_cost_bitwise_equals_naive
 cargo test -q --offline --release -p autoindex-core --lib -- delta:: mcts::
+cargo test -q --offline --release -p autoindex-core --test round_pricing -- ranking_and_arms_through_the_pricer_equal_the_naive_ranking a_greedy_or_bandit_round_between_two_mcts_rounds_changes_nothing
 
 echo "==> cargo test -q --offline --release (live execution = snapshot execution + absorb: the one execution core's float multiplication order, in the build that ships)"
 cargo test -q --offline --release -p autoindex-storage --test proptests live_execution_equals_snapshot_execution_plus_absorb
@@ -59,6 +60,14 @@ EXTERNAL=$(cargo tree --offline --workspace --prefix none -e normal,dev,build \
 if [ -n "$EXTERNAL" ]; then
     echo "ERROR: external crates found in dependency tree:" >&2
     echo "$EXTERNAL" >&2
+    exit 1
+fi
+
+echo "==> thread check (crates/core/src spawns threads in engine.rs, the executors, only: a tuning round prices on the thread that runs it)"
+SPAWNS=$(grep -rlE 'thread::(scope|spawn)' crates/core/src | grep -v '^crates/core/src/engine\.rs$' || true)
+if [ -n "$SPAWNS" ]; then
+    echo "ERROR: thread::scope / thread::spawn outside crates/core/src/engine.rs:" >&2
+    echo "$SPAWNS" >&2
     exit 1
 fi
 
