@@ -7,6 +7,7 @@ use autoindex_core::mcts::{
     ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,
 };
 use autoindex_core::{CandidateConfig, CandidateGenerator, DeltaPricer};
+use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
@@ -62,6 +63,7 @@ fn main() {
     universe.refresh_sizes(&sizing_db);
     let existing: ConfigSet = defaults.iter().filter_map(|d| universe.slot(d)).collect();
     let est = NativeCostEstimator;
+    let keys = shape_keys(&shapes);
 
     let arm = |decomposed: bool| MctsConfig {
         iterations: 200,
@@ -88,8 +90,8 @@ fn main() {
         };
         // A run-local term cache: every sample starts cold.
         let cache = CostCache::new();
-        let mut pricer =
-            DeltaPricer::new(&universe, &shapes, db, &est, &cache, cfg.decomposed_eval);
+        let decomposed = cfg.decomposed_eval;
+        let mut pricer = DeltaPricer::new(&universe, &shapes, &keys, db, &est, &cache, decomposed);
         search.run(&mut tree, &mut pricer)
     };
 

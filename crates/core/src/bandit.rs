@@ -336,10 +336,10 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
     }
 
     fn propose(&mut self, round: &mut Round<'_, '_, E>) -> Proposal {
-        let (db, workload, existing) = (round.db, round.workload, &round.existing);
+        let (db, workload, existing) = (round.db, round.workload, round.existing);
         let pricer = &mut round.pricer;
         let universe = pricer.universe();
-        let mut candidates = round.candidates.clone();
+        let mut candidates = round.candidates.to_vec();
         for def in self.owned.values() {
             if !candidates.contains(def) {
                 candidates.push(def.clone());
@@ -721,7 +721,8 @@ mod tests {
     #[test]
     fn arm_priors_are_the_naive_standalone_benefits() {
         use crate::candgen::CandidateGenerator;
-        use crate::strategy::RoundSpace;
+        use crate::mcts::Universe;
+        use autoindex_estimator::CostCache;
         // Two rounds — the second with built, bandit-owned arms in the
         // pool: the benefit feature of every selected arm is, bit for bit,
         // what one whole-workload `workload_cost` per arm gives.
@@ -764,8 +765,17 @@ mod tests {
                 .collect();
 
             let standing = TuningStrategy::<NativeCostEstimator>::standing_arms(&bandit);
-            let mut space = RoundSpace::default();
-            let mut round = Round::new(&mut space, &db, &w, &est, &ai.config, &standing);
+            let (mut universe, cache, prologue) =
+                (Universe::new(), CostCache::new(), ai.prologue(&db));
+            let mut round = Round::new(
+                &mut universe,
+                &cache,
+                &db,
+                &prologue,
+                &est,
+                &ai.config,
+                &standing,
+            );
             let proposal = bandit.propose(&mut round);
             assert!(!bandit.pending.is_empty(), "round {n} selected nothing");
             for x in &bandit.pending {

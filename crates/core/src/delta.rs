@@ -12,10 +12,13 @@
 //! cost(config) = Σ_t  memo[(t, config ∩ mask_t)] · weight_t
 //! ```
 //!
-//! with `memo` a shared [`CostCache`]. Two configurations that differ by
-//! one index share every term except the ones on that index's table, so
-//! [`DeltaPricer`] prices a configuration *relative to a reference* whose
-//! per-term values it holds:
+//! with `memo` the advisor's one [`CostCache`], keyed by what the planner
+//! is given — the template, the projection's definitions in slot order and
+//! the touched tables' growth stamps — so a term outlives the round, the
+//! universe and every catalog change that is not growth of its own tables.
+//! Two configurations that differ by one index share every term except the
+//! ones on that index's table, so [`DeltaPricer`] prices a configuration
+//! *relative to a reference* whose per-term values it holds:
 //! the slots where the two differ name — through the workload's
 //! slot → terms index — the only terms whose key can have moved, and only
 //! those are keyed and looked up. Every other term is carried from the
@@ -32,10 +35,12 @@
 
 use std::collections::HashMap;
 
-use autoindex_estimator::cost_cache::{shape_key, CacheKey, CostCache, CostCacheStats};
+use autoindex_estimator::cost_cache::{CacheKey, CostCache, CostCacheStats};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
+use autoindex_storage::catalog::{Catalog, Table};
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{PressureModel, SimDb};
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::Counter;
 
 use crate::mcts::{full_word, word_slots, ConfigSet, Universe};
@@ -43,8 +48,11 @@ use crate::mcts::{full_word, word_slots, ConfigSet, Universe};
 /// One per-template term of a decomposed workload.
 #[derive(Debug)]
 pub struct DeltaTerm<'w> {
-    /// 128-bit template fingerprint ([`shape_key`]).
+    /// 128-bit template fingerprint
+    /// ([`autoindex_estimator::cost_cache::shape_key`]).
     pub key: u128,
+    /// Fold of the growth stamps of the tables this shape touches.
+    pub stamps: u64,
     /// The template shape (borrowed from the round's workload).
     pub shape: &'w QueryShape,
     /// Repetition count as a float weight.
@@ -55,7 +63,7 @@ pub struct DeltaTerm<'w> {
 
 /// A workload prepared for delta-cost evaluation against one [`Universe`].
 ///
-/// Built once per tuning round (after candidate interning) by the round's
+/// Built once per pricer (after candidate interning) by the
 /// [`DeltaPricer`], which prices arbitrarily many configurations over it.
 #[derive(Debug)]
 pub struct DeltaWorkload<'w> {
@@ -72,31 +80,42 @@ impl<'w> DeltaWorkload<'w> {
     /// the shapes' table atoms, then one pass over the slots that fills
     /// both the slot → terms index and each template's slot mask. Slots
     /// are stable across rounds, but new candidates may appear — rebuild
-    /// per round.
-    pub fn new(universe: &Universe, workload: &'w [(QueryShape, u64)]) -> Self {
-        let mut terms: Vec<DeltaTerm<'w>> = workload
-            .iter()
-            .map(|(shape, n)| DeltaTerm {
-                key: shape_key(shape),
-                shape,
-                weight: *n as f64,
-                mask: ConfigSet::default(),
-            })
-            .collect();
+    /// per round. `shape_keys` are the templates' fingerprints, in
+    /// workload order (the template store keeps them; nothing is formatted
+    /// here), and `catalog` supplies the touched tables' growth stamps.
+    pub fn new(
+        universe: &Universe,
+        workload: &'w [(QueryShape, u64)],
+        shape_keys: &[u128],
+        catalog: &Catalog,
+    ) -> Self {
+        assert_eq!(workload.len(), shape_keys.len(), "one key per template");
         let mut table_ids: HashMap<&str, u32> = HashMap::new();
         let mut table_terms: Vec<Vec<u32>> = Vec::new();
-        for (t, (shape, _)) in workload.iter().enumerate() {
+        let mut table_stamps: Vec<u64> = Vec::new();
+        let mut terms: Vec<DeltaTerm<'w>> = Vec::with_capacity(workload.len());
+        for (t, ((shape, n), key)) in workload.iter().zip(shape_keys).enumerate() {
+            let mut stamps = FNV_OFFSET;
             for atom in &shape.tables {
                 let id = *table_ids.entry(atom.table.as_str()).or_insert_with(|| {
                     table_terms.push(Vec::new());
+                    table_stamps.push(catalog.table(&atom.table).map_or(0, Table::stamp));
                     table_terms.len() as u32 - 1
                 });
+                stamps = fnv1a_from(stamps, &table_stamps[id as usize].to_le_bytes());
                 let on_table = &mut table_terms[id as usize];
                 // A self-join lists its table twice.
                 if on_table.last() != Some(&(t as u32)) {
                     on_table.push(t as u32);
                 }
             }
+            terms.push(DeltaTerm {
+                key: *key,
+                stamps,
+                shape,
+                weight: *n as f64,
+                mask: ConfigSet::default(),
+            });
         }
         let slot_table: Vec<Option<u32>> = (0..universe.len())
             .map(|slot| {
@@ -130,13 +149,14 @@ impl<'w> DeltaWorkload<'w> {
         }
     }
 
-    /// Cache key of `term` under `config`: the fingerprint of the
-    /// configuration projected onto the term's mask. The projection itself
-    /// is only built on a miss.
-    pub fn term_key(term: &DeltaTerm<'_>, config: &ConfigSet) -> CacheKey {
+    /// Cache key of `term` under `config`: the template, the definitions
+    /// of `config` on its tables in `universe`'s slot order, and its
+    /// tables' stamps. The projection itself is only built on a miss.
+    pub fn term_key(universe: &Universe, term: &DeltaTerm<'_>, config: &ConfigSet) -> CacheKey {
         CacheKey {
             shape_key: term.key,
-            config_fp: config.intersect_fingerprint(&term.mask),
+            config_fp: universe.projection_fingerprint(config, &term.mask),
+            stamps: term.stamps,
         }
     }
 }
@@ -194,19 +214,28 @@ pub struct DeltaPricer<'a, 'w, E> {
 }
 
 impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
-    /// A pricer of `workload` over `universe`, without a reference; terms
-    /// are memoized in `cache` and counters bind on `db`'s registry.
+    /// A pricer of `workload` — `shape_keys` its templates' fingerprints,
+    /// in order — over `universe`, without a reference. Terms are memoized
+    /// in `cache`, which is swept here of what this workload can no longer
+    /// reach if the catalog moved since its last sweep; counters bind on
+    /// `db`'s registry.
     pub fn new(
         universe: &'a Universe,
         workload: &'w TemplateWorkload,
+        shape_keys: &[u128],
         db: &'a SimDb,
         estimator: &'a E,
         cache: &'a CostCache,
         decomposed: bool,
     ) -> Self {
         let metrics = db.metrics();
-        let delta = DeltaWorkload::new(universe, workload);
+        let delta = DeltaWorkload::new(universe, workload, shape_keys, db.catalog());
         let n = delta.terms.len();
+        let stats = CostCacheStats::bind(metrics);
+        let live = || delta.terms.iter().map(|t| (t.key, t.stamps)).collect();
+        stats
+            .swept
+            .add(cache.sweep(db.catalog().version(), live) as u64);
         DeltaPricer {
             delta,
             workload,
@@ -217,7 +246,7 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
             decomposed,
             pressure: db.pressure_model(),
             evaluations: 0,
-            stats: CostCacheStats::bind(metrics),
+            stats,
             looked_up: metrics.counter("delta.terms.looked_up"),
             carried: metrics.counter("delta.terms.carried"),
             reference: None,
@@ -347,7 +376,7 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
             for w in 0..self.marks.len() {
                 for t in word_slots(w, std::mem::take(&mut self.marks[w])) {
                     let term = &delta.terms[t];
-                    let key = DeltaWorkload::term_key(term, cfg);
+                    let key = DeltaWorkload::term_key(universe, term, cfg);
                     let value = self.cache.get(&key).unwrap_or_else(|| {
                         let job = *scheduled.entry(key).or_insert_with(|| {
                             misses += 1;
@@ -419,6 +448,7 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autoindex_estimator::cost_cache::shape_keys;
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -470,7 +500,7 @@ mod tests {
         let st = universe.intern(&IndexDef::new("t", &["a"]));
         let su = universe.intern(&IndexDef::new("u", &["x"]));
         let ghost = universe.intern(&IndexDef::new("ghost", &["x"]));
-        let dw = DeltaWorkload::new(&universe, &w);
+        let dw = DeltaWorkload::new(&universe, &w, &shape_keys(&w), db.catalog());
         assert_eq!(dw.terms().len(), 3);
         assert!(dw.terms()[0].mask.contains(st) && !dw.terms()[0].mask.contains(su));
         assert!(dw.terms()[1].mask.contains(su) && !dw.terms()[1].mask.contains(st));
@@ -498,7 +528,7 @@ mod tests {
         let est = NativeCostEstimator;
         let cache = CostCache::new();
         let m = db.metrics().clone();
-        let mut pricer = DeltaPricer::new(&universe, &w, &db, &est, &cache, true);
+        let mut pricer = DeltaPricer::new(&universe, &w, &shape_keys(&w), &db, &est, &cache, true);
 
         let configs: Vec<ConfigSet> = vec![
             ConfigSet::default(),
@@ -574,7 +604,7 @@ mod tests {
         let est = NativeCostEstimator;
         let cache = CostCache::new();
         let m = db.metrics().clone();
-        let mut pricer = DeltaPricer::new(&universe, &w, &db, &est, &cache, true);
+        let mut pricer = DeltaPricer::new(&universe, &w, &shape_keys(&w), &db, &est, &cache, true);
         let looked_up = || m.counter_value("delta.terms.looked_up");
 
         // No reference yet: the full pass.

@@ -8,13 +8,13 @@
 //! index tuning request."
 //!
 //! Classes (ii) and (iii) come from the database's usage counters; class
-//! (i) is probed cheaply with one what-if evaluation of the full candidate
-//! set against the current configuration.
+//! (i) — the full candidate set priced against the current configuration —
+//! is computed by the tuning boundary through the round's own pricer and
+//! candidate generator (`AutoIndex::diagnose`) and handed in, so diagnosis
+//! and the round it may trigger answer the same question.
 
-use crate::candgen::{CandidateConfig, CandidateGenerator};
 use crate::strategy::is_primary_key_index;
-use autoindex_estimator::{CostEstimator, TemplateWorkload};
-use autoindex_storage::index::{IndexDef, IndexId};
+use autoindex_storage::index::IndexId;
 use autoindex_storage::SimDb;
 use std::collections::HashSet;
 
@@ -74,13 +74,9 @@ impl IndexDiagnosis {
         IndexDiagnosis { config }
     }
 
-    /// Diagnose `db` against the template workload.
-    pub fn diagnose<E: CostEstimator>(
-        &self,
-        db: &SimDb,
-        workload: &TemplateWorkload,
-        estimator: &E,
-    ) -> DiagnosisReport {
+    /// Diagnose `db`'s usage window; `missing_benefit` is class (i), the
+    /// estimated relative improvement were all candidates built.
+    pub fn diagnose(&self, db: &SimDb, missing_benefit: f64) -> DiagnosisReport {
         let usage = db.usage();
         let total_indexes = db.index_count().max(1);
         let warmed_up = usage.statements >= self.config.min_statements;
@@ -113,25 +109,6 @@ impl IndexDiagnosis {
         problem.extend(rarely_used.iter().chain(&negative));
         let problem_ratio = problem.len() as f64 / total_indexes as f64;
 
-        // Class (i): what would the full candidate set buy us?
-        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-        let candidates = CandidateGenerator::new(CandidateConfig::default()).generate(
-            workload,
-            db.catalog(),
-            &existing,
-        );
-        let missing_benefit = if candidates.is_empty() || workload.is_empty() {
-            0.0
-        } else {
-            let base = estimator.workload_cost(db, workload, &existing);
-            let with = estimator.workload_cost(db, workload, existing.iter().chain(&candidates));
-            if base > 0.0 {
-                ((base - with) / base).max(0.0)
-            } else {
-                0.0
-            }
-        };
-
         let should_tune = problem_ratio > self.config.trigger_ratio
             || missing_benefit > self.config.missing_benefit_threshold;
 
@@ -148,11 +125,35 @@ impl IndexDiagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autoindex_estimator::NativeCostEstimator;
+    use crate::candgen::{CandidateConfig, CandidateGenerator};
+    use autoindex_estimator::{CostEstimator, NativeCostEstimator};
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+    use autoindex_storage::index::IndexDef;
     use autoindex_storage::shape::QueryShape;
     use autoindex_storage::SimDbConfig;
+
+    /// Class (i) by two whole-workload re-plans, as diagnosis computed it
+    /// before the boundary priced it: the oracle.
+    fn missing_benefit(db: &SimDb, workload: &[(QueryShape, u64)]) -> f64 {
+        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+        let candidates = CandidateGenerator::new(CandidateConfig::default()).generate(
+            workload,
+            db.catalog(),
+            &existing,
+        );
+        let est = NativeCostEstimator;
+        let base = est.workload_cost(db, workload, &existing);
+        let with = est.workload_cost(db, workload, existing.iter().chain(&candidates));
+        if candidates.is_empty() || base <= 0.0 {
+            return 0.0;
+        }
+        ((base - with) / base).max(0.0)
+    }
+
+    fn diagnose(db: &SimDb, w: &[(QueryShape, u64)]) -> DiagnosisReport {
+        IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(db, missing_benefit(db, w))
+    }
 
     fn db() -> SimDb {
         let mut c = Catalog::new();
@@ -188,8 +189,7 @@ mod tests {
             db.execute(&q);
         }
         let w = shapes(&db, &[("SELECT * FROM t WHERE a = 1", 100)]);
-        let rep =
-            IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(&db, &w, &NativeCostEstimator);
+        let rep = diagnose(&db, &w);
         assert!(!rep.should_tune, "{rep:?}");
         assert!(rep.rarely_used.is_empty());
     }
@@ -202,8 +202,7 @@ mod tests {
             db.execute(&q);
         }
         let w = shapes(&db, &[("SELECT * FROM t WHERE a = 1", 100)]);
-        let rep =
-            IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(&db, &w, &NativeCostEstimator);
+        let rep = diagnose(&db, &w);
         assert!(rep.missing_benefit > 0.5);
         assert!(rep.should_tune);
     }
@@ -220,8 +219,7 @@ mod tests {
             db.execute(&q);
         }
         let w = shapes(&db, &[("SELECT COUNT(*) FROM t", 100)]);
-        let rep =
-            IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(&db, &w, &NativeCostEstimator);
+        let rep = diagnose(&db, &w);
         assert!(rep.problem_ratio > 0.9);
         assert!(rep.should_tune);
     }
@@ -235,8 +233,7 @@ mod tests {
             db.execute(&ins);
         }
         let w = shapes(&db, &[("INSERT INTO t (a, b, c) VALUES (1, 2, 3)", 100)]);
-        let rep =
-            IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(&db, &w, &NativeCostEstimator);
+        let rep = diagnose(&db, &w);
         assert!(rep.negative.contains(&id), "{rep:?}");
         assert!(rep.should_tune);
     }
@@ -261,8 +258,7 @@ mod tests {
             db.execute(&q);
         }
         let w = vec![(QueryShape::extract(&q, db.catalog()), 100u64)];
-        let rep =
-            IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(&db, &w, &NativeCostEstimator);
+        let rep = diagnose(&db, &w);
         // The unused PK index must not count as a problem.
         assert!(rep.rarely_used.is_empty(), "{rep:?}");
         assert!(!rep.should_tune, "{rep:?}");
@@ -272,7 +268,7 @@ mod tests {
             ignore_primary_keys: false,
             ..DiagnosisConfig::default()
         })
-        .diagnose(&db, &w, &NativeCostEstimator);
+        .diagnose(&db, missing_benefit(&db, &w));
         assert!(rep.problem_ratio > 0.0, "{rep:?}");
     }
 
@@ -286,8 +282,7 @@ mod tests {
             db.execute(&q);
         }
         let w = shapes(&db, &[("SELECT COUNT(*) FROM t", 10)]);
-        let rep =
-            IndexDiagnosis::new(DiagnosisConfig::default()).diagnose(&db, &w, &NativeCostEstimator);
+        let rep = diagnose(&db, &w);
         assert!(rep.rarely_used.is_empty());
         assert_eq!(rep.problem_ratio, 0.0);
     }

@@ -62,6 +62,7 @@
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{FastPathCache, FrontEnd, UpkeepCounters};
 use crate::guard::GuardConfig;
+use crate::strategy::Prologue;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
@@ -839,16 +840,17 @@ pub(crate) fn absorb_slice<E: CostEstimator>(
     tally
 }
 
-/// Run one tuning round through the session pipeline (optionally
-/// [`Guard`](crate::guard::Guard)ed) and return its canonical decision
-/// (`SessionReport::decision`, or `error(..)`).
+/// Run one tuning round over the boundary's `prologue` through the session
+/// pipeline (optionally [`Guard`](crate::guard::Guard)ed) and return its
+/// canonical decision (`SessionReport::decision`, or `error(..)`).
 pub(crate) fn tuning_round<E: CostEstimator>(
     db: &mut SimDb,
     advisor: &mut AutoIndex<E>,
+    prologue: Prologue<'static>,
     guard: Option<GuardConfig>,
     reset_usage: bool,
 ) -> String {
-    let session = advisor.session(db);
+    let session = advisor.session(db).prologue(prologue);
     let run = match guard {
         Some(g) => session.guarded(g).run(),
         None => session.run(),

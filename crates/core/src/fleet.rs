@@ -686,12 +686,14 @@ impl<E: CostEstimator> TenantState<E> {
             .tuner_strategy
             .map(|k| format!("strategy={k} "))
             .unwrap_or_default();
-        if !self.advisor.diagnose(&self.db).should_tune {
+        let (diagnosis, prologue) = self.advisor.boundary(&self.db);
+        if !diagnosis.should_tune {
             return format!("{prefix}quiet");
         }
         let decision = tuning_round(
             &mut self.db,
             &mut self.advisor,
+            prologue,
             cfg.guard.clone(),
             cfg.reset_usage_after_tuning,
         );

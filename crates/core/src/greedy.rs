@@ -12,8 +12,8 @@
 //! estimator as AutoIndex.
 
 use crate::delta::DeltaPricer;
-use crate::mcts::ConfigSet;
-use crate::strategy::RoundSpace;
+use crate::mcts::{ConfigSet, Universe};
+use autoindex_estimator::cost_cache::{shape_keys, CostCache};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::SimDb;
@@ -60,11 +60,15 @@ pub fn rank_candidates<E: CostEstimator>(
     candidates: &[IndexDef],
     existing: &[IndexDef],
 ) -> Vec<ScoredCandidate> {
-    let mut space = RoundSpace::default();
-    let defs = existing.iter().chain(candidates);
-    let mut pricer = space.open(db, workload, estimator, true, defs);
-    let base = pricer.universe().config_of(existing);
-    rank(&mut pricer, candidates, &base)
+    // No advisor: a universe and a term cache of this call's own.
+    let mut universe = Universe::new();
+    for d in existing.iter().chain(candidates) {
+        universe.intern(d);
+    }
+    universe.refresh_sizes(db);
+    let (keys, cache) = (shape_keys(workload), CostCache::new());
+    let mut pricer = DeltaPricer::new(&universe, workload, &keys, db, estimator, &cache, true);
+    rank(&mut pricer, candidates, &universe.config_of(existing))
 }
 
 /// Take from the top of a ranking while the budget lasts, the existing

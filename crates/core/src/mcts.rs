@@ -24,6 +24,7 @@
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::SimDb;
+use autoindex_support::hash::{fnv1a_from, U64HashMap, FNV_OFFSET};
 use autoindex_support::obs::Counter;
 use autoindex_support::rng::StdRng;
 use std::collections::HashMap;
@@ -125,23 +126,19 @@ impl ConfigSet {
     }
 
     /// 64-bit fingerprint of the member set. Canonical representation
-    /// guarantees equal sets hash equally; used as the projected-config
-    /// component of delta-cost cache keys (slot domain).
+    /// guarantees equal sets hash equally. Slot domain: meaningful within
+    /// one universe (the serving transcripts' per-epoch configuration
+    /// fingerprint); no cache key is made of it.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_words(self.words.iter().copied())
-    }
-
-    /// `self.intersect(other).fingerprint()` without building the
-    /// intersection: what a delta-cost term lookup needs on a hit.
-    pub fn intersect_fingerprint(&self, other: &ConfigSet) -> u64 {
-        let and = |(a, b): (&u64, &u64)| a & b;
-        let words = self.words.iter().zip(&other.words);
-        // Canonical length: up to the last non-zero word.
-        let n = words
-            .clone()
-            .rposition(|w| and(w) != 0)
-            .map_or(0, |i| i + 1);
-        fingerprint_words(words.take(n).map(and))
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        0x0c0f_f1e5_u64.hash(&mut h);
+        self.words.len().hash(&mut h);
+        for w in &self.words {
+            w.hash(&mut h);
+        }
+        h.finish()
     }
 
     /// Iterate member slots in ascending order.
@@ -186,19 +183,6 @@ pub(crate) fn word_slots(wi: usize, mut w: u64) -> impl Iterator<Item = usize> +
     })
 }
 
-/// Fingerprint of a canonical word sequence (no trailing zero word).
-fn fingerprint_words(words: impl ExactSizeIterator<Item = u64>) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    0x0c0f_f1e5_u64.hash(&mut h);
-    words.len().hash(&mut h);
-    for w in words {
-        w.hash(&mut h);
-    }
-    h.finish()
-}
-
 impl FromIterator<usize> for ConfigSet {
     fn from_iter<T: IntoIterator<Item = usize>>(iter: T) -> Self {
         let mut s = ConfigSet::default();
@@ -215,7 +199,12 @@ impl FromIterator<usize> for ConfigSet {
 #[derive(Debug, Default)]
 pub struct Universe {
     defs: Vec<IndexDef>,
-    by_key: HashMap<String, usize>,
+    /// Per slot, its definition's [`IndexDef::identity_hash`]: what a
+    /// delta-cost cache key is made of, so that no key holds a slot number.
+    hashes: Vec<u64>,
+    /// Identity hash → slot; a definition whose hash is taken by another
+    /// identity sits at the next free hash above it.
+    by_hash: U64HashMap<usize>,
     /// Estimated size in bytes (refreshed per round).
     sizes: Vec<u64>,
 }
@@ -226,17 +215,44 @@ impl Universe {
         Universe::default()
     }
 
+    /// Where `def`, of identity hash `h`, is — `Ok(slot)` — or would go —
+    /// `Err(free hash)`.
+    fn find(&self, def: &IndexDef, mut h: u64) -> Result<usize, u64> {
+        loop {
+            match self.by_hash.get(&h) {
+                None => return Err(h),
+                Some(&i) if self.defs[i].same_identity(def) => return Ok(i),
+                Some(_) => h = h.wrapping_add(1),
+            }
+        }
+    }
+
     /// Intern a definition, returning its stable slot.
     pub fn intern(&mut self, def: &IndexDef) -> usize {
-        let key = universe_key(def);
-        if let Some(&i) = self.by_key.get(&key) {
-            return i;
-        }
-        let i = self.defs.len();
-        self.defs.push(def.clone());
-        self.by_key.insert(key, i);
-        self.sizes.push(0);
-        i
+        let hash = def.identity_hash();
+        self.find(def, hash).unwrap_or_else(|free| {
+            let i = self.defs.len();
+            self.defs.push(def.clone());
+            self.hashes.push(hash);
+            self.by_hash.insert(free, i);
+            self.sizes.push(0);
+            i
+        })
+    }
+
+    /// Fingerprint of the definitions of `config ∩ mask`, folded **in slot
+    /// order**: the projected-configuration part of a delta-cost cache key.
+    /// Order is part of it because the planner is handed the projection in
+    /// this order (`Universe::config_defs`) and both its maintenance sums
+    /// and its what-if ids follow position — two universes that number the
+    /// same definitions differently must not share a term.
+    pub fn projection_fingerprint(&self, config: &ConfigSet, mask: &ConfigSet) -> u64 {
+        let words = config.words.iter().zip(&mask.words).enumerate();
+        words
+            .flat_map(|(wi, (a, b))| word_slots(wi, a & b))
+            .fold(FNV_OFFSET, |h, slot| {
+                fnv1a_from(h, &self.hashes[slot].to_le_bytes())
+            })
     }
 
     /// `ConfigSet` fingerprint of `db`'s current real index set, interned
@@ -254,7 +270,7 @@ impl Universe {
 
     /// Slot of a definition, if interned.
     pub fn slot(&self, def: &IndexDef) -> Option<usize> {
-        self.by_key.get(&universe_key(def)).copied()
+        self.find(def, def.identity_hash()).ok()
     }
 
     /// Definition at a slot.
@@ -305,10 +321,6 @@ impl Universe {
     ) -> impl Iterator<Item = &'u IndexDef> + Clone {
         config.iter().map(|i| &self.defs[i])
     }
-}
-
-fn universe_key(def: &IndexDef) -> String {
-    format!("{def}")
 }
 
 /// MCTS parameters.
@@ -969,7 +981,7 @@ fn select_slot(words: &[u64], mut k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autoindex_estimator::cost_cache::CostCache;
+    use autoindex_estimator::cost_cache::{shape_keys, CostCache};
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -1081,7 +1093,16 @@ mod tests {
     ) -> SearchOutcome {
         let cache = CostCache::new();
         let decomposed = search.config.decomposed_eval;
-        let mut pricer = DeltaPricer::new(search.universe, w, search.db, est, &cache, decomposed);
+        let keys = shape_keys(w);
+        let mut pricer = DeltaPricer::new(
+            search.universe,
+            w,
+            &keys,
+            search.db,
+            est,
+            &cache,
+            decomposed,
+        );
         search.run(tree, &mut pricer)
     }
 

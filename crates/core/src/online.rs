@@ -28,7 +28,7 @@ use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{FrontEnd, UpkeepCounters};
 use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase};
 use crate::session::SessionReport;
-use crate::strategy::StrategyKind;
+use crate::strategy::{Prologue, StrategyKind};
 use crate::system::{AutoIndex, TuningReport};
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::{ExecOutcome, SimDb};
@@ -406,7 +406,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
                 };
             }
         }
-        let diagnosis = self.advisor.diagnose(&self.db);
+        let (diagnosis, prologue) = self.advisor.boundary(&self.db);
         self.db.metrics().counter("online.diagnoses_run").incr();
         if !diagnosis.should_tune {
             return FeedOutcome {
@@ -418,7 +418,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
         self.db.metrics().counter("online.diagnoses_fired").incr();
         let event = {
             let _round = self.db.metrics().scoped("online.tuning_round_time");
-            self.tuning_round(diagnosis)
+            self.tuning_round(diagnosis, prologue)
         };
         FeedOutcome {
             outcome: Some(outcome),
@@ -427,15 +427,20 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
         }
     }
 
-    /// One tuning round (guarded or not) after a fired diagnosis: a
+    /// One tuning round (guarded or not) after a fired diagnosis, over the
+    /// prologue it was made from: a
     /// [`TuningSession`](crate::session::TuningSession) over this loop's
     /// database — through its own guard, when it has one — whose report
     /// is rendered as the event.
-    fn tuning_round(&mut self, diagnosis: DiagnosisReport) -> OnlineEvent {
+    fn tuning_round(
+        &mut self,
+        diagnosis: DiagnosisReport,
+        prologue: Prologue<'static>,
+    ) -> OnlineEvent {
         self.db.metrics().counter("online.tuning_rounds").incr();
         self.last_tuning_at = Some(self.executed);
 
-        let session = self.advisor.session(&mut self.db);
+        let session = self.advisor.session(&mut self.db).prologue(prologue);
         let session = match &mut self.guard {
             Some(g) => session.guarded_by(g, self.executed),
             None => session,

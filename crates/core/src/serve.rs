@@ -399,7 +399,7 @@ pub fn serve<E: CostEstimator>(
             let tally = absorb_slice(&mut db, &mut advisor, queries, &batch, |_| {});
 
             // ---- the boundary policy: diagnose → cooldown → tune.
-            let diagnosis = advisor.diagnose(&db);
+            let (diagnosis, prologue) = advisor.boundary(&db);
             let decision = if !diagnosis.should_tune {
                 "none".to_string()
             } else if !tuning_cooldown_over(last_tuned_epoch, epoch, config.tuning_cooldown_epochs)
@@ -411,6 +411,7 @@ pub fn serve<E: CostEstimator>(
                 tuning_round(
                     &mut db,
                     &mut advisor,
+                    prologue,
                     config.guard.clone(),
                     config.reset_usage_after_tuning,
                 )

@@ -43,10 +43,12 @@
 
 use crate::error::AutoIndexError;
 use crate::guard::{ApplyVerdict, Guard, GuardConfig};
-use crate::strategy::StrategyKind;
+use crate::strategy::{Prologue, StrategyKind};
 use crate::system::{AutoIndex, Recommendation, TuningReport};
+use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::SimDb;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// What a [`TuningSession`] run produced.
@@ -109,6 +111,8 @@ pub struct TuningSession<'a, 'd, 'w, E: CostEstimator> {
     advisor: &'a mut AutoIndex<E>,
     db: &'d mut SimDb,
     workload: Option<&'w TemplateWorkload>,
+    /// The prologue this boundary's diagnosis already built.
+    prologue: Option<Prologue<'static>>,
     apply: Apply<'d>,
     recommendation: Option<Recommendation>,
     recommend_only: bool,
@@ -121,6 +125,7 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
             advisor,
             db,
             workload: None,
+            prologue: None,
             apply: Apply::Unguarded,
             recommendation: None,
             recommend_only: false,
@@ -132,6 +137,13 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
     /// templates (the query-level ablation mode).
     pub fn workload(mut self, workload: &'w TemplateWorkload) -> Self {
         self.workload = Some(workload);
+        self
+    }
+
+    /// Recommend over the prologue this boundary's diagnosis
+    /// (`AutoIndex::boundary`) built, instead of building it again.
+    pub(crate) fn prologue(mut self, prologue: Prologue<'static>) -> Self {
+        self.prologue = Some(prologue);
         self
     }
 
@@ -179,15 +191,15 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
         let rec = match self.recommendation {
             Some(r) => r,
             None => {
-                let observed;
-                let w = match self.workload {
-                    Some(w) => w,
-                    None => {
-                        observed = self.advisor.workload();
-                        &observed
+                let prologue = match (self.prologue, self.workload) {
+                    (Some(p), _) => p,
+                    (None, Some(w)) => {
+                        let candidates = &self.advisor.config.candidates;
+                        Prologue::new(self.db, Cow::Borrowed(w), shape_keys(w), candidates)
                     }
+                    (None, None) => self.advisor.prologue(self.db),
                 };
-                self.advisor.recommend(kind, self.db, w)
+                self.advisor.recommend(kind, self.db, &prologue)
             }
         };
 

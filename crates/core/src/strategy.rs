@@ -10,10 +10,14 @@
 //!   [`Recommendation`] for the round's workload; `observe_reward`
 //!   feeds measured post-apply latency back (only the bandit learns
 //!   from it — greedy and MCTS are estimator-driven and ignore it).
-//! * `Round` — what `AutoIndex::recommend` builds once and hands to
-//!   whichever strategy runs: the existing definitions, the generated
-//!   candidates, the universe they are interned in and the round's one
-//!   [`DeltaPricer`]. A strategy prices every configuration through it.
+//! * `Prologue` — what a tuning boundary builds once: the workload with
+//!   its template fingerprints, the existing definitions and the generated
+//!   candidates. Diagnosis prices its "missing benefit" over it, and when
+//!   that fires the same value is the round's.
+//! * `Round` — what `AutoIndex::recommend` builds over a prologue and
+//!   hands to whichever strategy runs: the universe its definitions are
+//!   interned in and the round's one [`DeltaPricer`]. A strategy prices
+//!   every configuration through it.
 //! * [`StrategyKind`] — the validated selector carried by
 //!   `AutoIndexConfig::builder().strategy(..)` and
 //!   `TuningSession::strategy(..)`; unknown names surface as
@@ -28,7 +32,7 @@
 //! behavior unless a caller opts into another strategy.
 
 use crate::bandit::ArmChoice;
-use crate::candgen::CandidateGenerator;
+use crate::candgen::{CandidateConfig, CandidateGenerator, CandidateStats};
 use crate::delta::DeltaPricer;
 use crate::error::AutoIndexError;
 use crate::greedy::{self, GreedyConfig};
@@ -38,6 +42,7 @@ use autoindex_estimator::cost_cache::CostCache;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::SimDb;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Which tuning strategy a round runs. Carried by
@@ -96,61 +101,95 @@ impl std::str::FromStr for StrategyKind {
     }
 }
 
-/// The slot numbering and memoized terms a round prices in.
-///
-/// Slot numbers feed the MCTS RNG's k-th-legal-slot pick and every
-/// [`CostCache`] key, so only MCTS rounds intern into the advisor's
-/// persistent space (the policy tree's nodes are sets of its slots); a
-/// greedy or bandit round opens a space of its own and drops it, which
-/// keeps a run that mixes strategies recommending what it always did.
-#[derive(Debug, Default)]
-pub(crate) struct RoundSpace {
-    pub(crate) universe: Universe,
-    /// Per-template term cache: every probe of a round, and *subsequent
-    /// rounds over unchanged statistics*, share it.
-    pub(crate) cost_cache: CostCache,
-    /// Catalog version the cache contents were computed against.
-    catalog_version: Option<u64>,
-    /// Set by template refresh/decay: the cache is invalidated when the
-    /// next round opens (invalidation needs the db's metrics registry).
-    pub(crate) dirty: bool,
+/// What one tuning boundary builds once, for its diagnosis and — when that
+/// fires — its round: the workload and its template fingerprints, the
+/// database's index definitions in id order, and the candidate generator's
+/// output for the two (§IV-A). Passed by value within the boundary; the
+/// database does not change between the diagnosis and the round.
+pub(crate) struct Prologue<'w> {
+    pub(crate) workload: Cow<'w, TemplateWorkload>,
+    /// `shape_key` per template, in workload order.
+    pub(crate) shape_keys: Vec<u128>,
+    pub(crate) existing: Vec<IndexDef>,
+    pub(crate) candidates: Vec<IndexDef>,
+    cand_stats: CandidateStats,
+    candgen_time: Duration,
 }
 
-impl RoundSpace {
-    /// Intern `defs`, refresh the size estimates, drop memoized terms the
-    /// statistics moved under, and open the pricer of `workload` over the
-    /// result — the one place a [`DeltaPricer`] is made.
-    pub(crate) fn open<'a, 'w, 'd, E: CostEstimator>(
-        &'a mut self,
-        db: &'a SimDb,
-        workload: &'w TemplateWorkload,
-        estimator: &'a E,
-        decomposed: bool,
-        defs: impl IntoIterator<Item = &'d IndexDef>,
-    ) -> DeltaPricer<'a, 'w, E> {
-        for d in defs {
-            self.universe.intern(d);
-        }
-        self.universe.refresh_sizes(db);
-
-        // Terms are valid across rounds — that is the "incremental" in
-        // incremental management — until the catalog (statistics) moves or
-        // a template refresh/decay asks for a clean slate.
-        let catalog_version = db.catalog().version();
-        if self.dirty || self.catalog_version.is_some_and(|v| v != catalog_version) {
-            self.cost_cache.invalidate(db.metrics());
-            self.dirty = false;
-        }
-        self.catalog_version = Some(catalog_version);
-
-        DeltaPricer::new(
-            &self.universe,
+impl<'w> Prologue<'w> {
+    /// List `db`'s definitions and generate candidates for `workload`
+    /// under the advisor's `config` — the one generator diagnosis and
+    /// every strategy's round are answered from.
+    pub(crate) fn new(
+        db: &SimDb,
+        workload: Cow<'w, TemplateWorkload>,
+        shape_keys: Vec<u128>,
+        config: &CandidateConfig,
+    ) -> Self {
+        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+        let candgen_started = Instant::now();
+        let (candidates, cand_stats) = CandidateGenerator::new(config.clone()).generate_with_stats(
+            &workload,
+            db.catalog(),
+            &existing,
+        );
+        Prologue {
             workload,
-            db,
-            estimator,
-            &self.cost_cache,
-            decomposed,
-        )
+            shape_keys,
+            existing,
+            candidates,
+            cand_stats,
+            candgen_time: candgen_started.elapsed(),
+        }
+    }
+
+    /// The pricer of this workload over `universe`, memoizing in `cache`:
+    /// the one place an advisor's [`DeltaPricer`] is made.
+    pub(crate) fn pricer<'a, 'p, E: CostEstimator>(
+        &'p self,
+        universe: &'a Universe,
+        db: &'a SimDb,
+        estimator: &'a E,
+        cache: &'a CostCache,
+        decomposed: bool,
+    ) -> DeltaPricer<'a, 'p, E> {
+        let (workload, keys) = (&self.workload, &self.shape_keys);
+        DeltaPricer::new(universe, workload, keys, db, estimator, cache, decomposed)
+    }
+
+    /// Diagnosis class (i): the relative workload-cost improvement were
+    /// every candidate built, `sum(existing)` against
+    /// `sum(existing ∪ candidates)` — with the first as the reference the
+    /// second looks up only the templates on a table that has a candidate,
+    /// and across boundaries `cache` holds every term whose tables did not
+    /// grow. The universe is local (existing in id order, then candidates
+    /// in generation order): slot numbers of the advisor's persistent one
+    /// feed the search's RNG and policy tree, and a diagnosis must not
+    /// number any.
+    pub(crate) fn missing_benefit<E: CostEstimator>(
+        &self,
+        db: &SimDb,
+        estimator: &E,
+        cache: &CostCache,
+        decomposed: bool,
+    ) -> f64 {
+        if self.candidates.is_empty() || self.workload.is_empty() {
+            return 0.0;
+        }
+        let mut universe = Universe::new();
+        let existing = self.existing.iter().map(|d| universe.intern(d)).collect();
+        for d in &self.candidates {
+            universe.intern(d);
+        }
+        let mut pricer = self.pricer(&universe, db, estimator, cache, decomposed);
+        let base = pricer.sum(&existing);
+        pricer.rebase();
+        let with = pricer.sum(&(0..universe.len()).collect());
+        if base > 0.0 {
+            ((base - with) / base).max(0.0)
+        } else {
+            0.0
+        }
     }
 }
 
@@ -161,57 +200,66 @@ pub(crate) struct Round<'a, 'w, E> {
     pub(crate) workload: &'w TemplateWorkload,
     pub(crate) config: &'a AutoIndexConfig,
     /// The database's index definitions, in id order, and their slots.
-    pub(crate) existing: Vec<IndexDef>,
+    pub(crate) existing: &'w [IndexDef],
     pub(crate) existing_set: ConfigSet,
     /// The candidate generator's output for `workload` (§IV-A).
-    pub(crate) candidates: Vec<IndexDef>,
-    pub(crate) candgen_time: Duration,
+    pub(crate) candidates: &'w [IndexDef],
+    candgen_time: Duration,
     /// Every configuration of the round is priced here, and nowhere else.
     pub(crate) pricer: DeltaPricer<'a, 'w, E>,
 }
 
 impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
-    /// The round prologue: list the existing definitions, generate
-    /// candidates (timed and tallied), then intern both — and `standing`,
-    /// what the strategy prices besides them — into `space` and open the
-    /// pricer over it.
+    /// Open a round over the boundary's `prologue`: tally its candidates,
+    /// intern the existing definitions, the candidates and `standing` —
+    /// what the strategy prices besides them — into `universe`, refresh
+    /// the size estimates and open the prologue's pricer over it.
+    ///
+    /// Slot numbers feed the MCTS RNG's k-th-legal-slot pick and the
+    /// policy tree (its nodes are sets of slots), so only an MCTS round is
+    /// handed the advisor's persistent universe; a greedy or bandit round
+    /// brings one of its own, which keeps a run that mixes strategies
+    /// recommending what it always did. No cache key holds a slot, so
+    /// `cache` is the advisor's one cache whatever the strategy.
     pub(crate) fn new(
-        space: &'a mut RoundSpace,
+        universe: &'a mut Universe,
+        cache: &'a CostCache,
         db: &'a SimDb,
-        workload: &'w TemplateWorkload,
+        prologue: &'w Prologue<'_>,
         estimator: &'a E,
         config: &'a AutoIndexConfig,
         standing: &[IndexDef],
     ) -> Self {
-        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-
-        let candgen_started = Instant::now();
-        let (candidates, cand_stats) = CandidateGenerator::new(config.candidates.clone())
-            .generate_with_stats(workload, db.catalog(), &existing);
-        let candgen_time = candgen_started.elapsed();
+        let (existing, candidates) = (&prologue.existing[..], &prologue.candidates[..]);
         let metrics = db.metrics();
-        metrics.timer("system.candgen_time").record(candgen_time);
+        metrics
+            .timer("system.candgen_time")
+            .record(prologue.candgen_time);
         metrics
             .counter("system.candidates_generated")
             .add(candidates.len() as u64);
         metrics
             .counter("advisor.candidates.sort_aware")
-            .add(cand_stats.sort_aware as u64);
+            .add(prologue.cand_stats.sort_aware as u64);
         metrics
             .counter("advisor.candidates.covering")
-            .add(cand_stats.covering as u64);
+            .add(prologue.cand_stats.covering as u64);
 
-        let existing_set = existing.iter().map(|d| space.universe.intern(d)).collect();
-        let defs = candidates.iter().chain(standing);
-        let pricer = space.open(db, workload, estimator, config.mcts.decomposed_eval, defs);
+        let existing_set = existing.iter().map(|d| universe.intern(d)).collect();
+        for d in candidates.iter().chain(standing) {
+            universe.intern(d);
+        }
+        universe.refresh_sizes(db);
+        let decomposed = config.mcts.decomposed_eval;
+        let pricer = prologue.pricer(universe, db, estimator, cache, decomposed);
         Round {
             db,
-            workload,
+            workload: &prologue.workload,
             config,
             existing,
             existing_set,
             candidates,
-            candgen_time,
+            candgen_time: prologue.candgen_time,
             pricer,
         }
     }
@@ -308,8 +356,8 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
     fn propose(&mut self, round: &mut Round<'_, '_, E>) -> Proposal {
         let search_started = Instant::now();
         let picked = greedy::select(
-            greedy::rank(&mut round.pricer, &round.candidates, &round.existing_set),
-            greedy::existing_size(round.db, &round.existing),
+            greedy::rank(&mut round.pricer, round.candidates, &round.existing_set),
+            greedy::existing_size(round.db, round.existing),
             &GreedyConfig {
                 budget: round.config.storage_budget,
                 max_indexes: None,
@@ -341,7 +389,7 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
 /// The paper's recommendation pipeline (§IV-A/B) behind the trait: prune
 /// pass, MCTS over the persistent policy tree, add-refinement,
 /// minimal-change pass and the improvement gate. The universe its tree's
-/// nodes are sets of is the advisor's persistent `RoundSpace`.
+/// nodes are sets of is the advisor's persistent `Universe`.
 #[derive(Default)]
 pub struct MctsStrategy {
     tree: PolicyTree,
@@ -651,8 +699,9 @@ mod tests {
             &GreedyConfig::default(),
         );
         // Via the trait, over a round of its own.
-        let mut space = RoundSpace::default();
-        let mut round = Round::new(&mut space, &db, &w, &NativeCostEstimator, &ai.config, &[]);
+        let (mut universe, cache, prologue) = (Universe::new(), CostCache::new(), ai.prologue(&db));
+        let est = NativeCostEstimator;
+        let mut round = Round::new(&mut universe, &cache, &db, &prologue, &est, &ai.config, &[]);
         let proposal = GreedyStrategy.propose(&mut round);
         assert_eq!(proposal.recommendation.add, direct);
         assert!(
@@ -685,9 +734,9 @@ mod tests {
         let mut ai = observed(&db);
         ai.config.bandit.max_arms = 1;
         let mut bandit = crate::bandit::BanditStrategy::new(ai.config.bandit.clone());
-        let w = ai.workload();
-        let mut space = RoundSpace::default();
-        let mut round = Round::new(&mut space, &db, &w, &NativeCostEstimator, &ai.config, &[]);
+        let (mut universe, cache, prologue) = (Universe::new(), CostCache::new(), ai.prologue(&db));
+        let est = NativeCostEstimator;
+        let mut round = Round::new(&mut universe, &cache, &db, &prologue, &est, &ai.config, &[]);
         let generated = round.candidates.len();
         assert!(generated > 1, "the cap below must bite");
         let proposal = bandit.propose(&mut round);

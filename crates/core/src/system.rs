@@ -12,18 +12,19 @@ use crate::bandit::{ArmChoice, BanditConfig, BanditStrategy};
 use crate::candgen::CandidateConfig;
 use crate::diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 use crate::error::{invalid, AutoIndexError};
-use crate::mcts::MctsConfig;
+use crate::mcts::{MctsConfig, Universe};
 use crate::session::TuningSession;
 use crate::strategy::{
-    GreedyStrategy, MctsStrategy, Proposal, RewardObservation, Round, RoundSpace, RoundStats,
+    GreedyStrategy, MctsStrategy, Prologue, Proposal, RewardObservation, Round, RoundStats,
     StrategyKind, TuningStrategy,
 };
 use crate::templates::{TemplateStore, TemplateStoreConfig};
 use autoindex_estimator::cost_cache::CostCache;
-use autoindex_estimator::{CostEstimator, TemplateWorkload};
+use autoindex_estimator::CostEstimator;
 use autoindex_sql::SqlError;
 use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Top-level AutoIndex configuration.
@@ -246,9 +247,12 @@ pub struct AutoIndex<E: CostEstimator> {
     pub config: AutoIndexConfig,
     estimator: E,
     templates: TemplateStore,
-    /// The universe and delta-cost term cache MCTS rounds price in; they
-    /// persist because the policy tree's nodes are sets of its slots.
-    space: RoundSpace,
+    /// The universe MCTS rounds number their slots in; it persists because
+    /// the policy tree's nodes are sets of its slots.
+    universe: Universe,
+    /// The delta-cost term cache: one, for every diagnosis and every
+    /// strategy's round.
+    cost_cache: CostCache,
     /// The §IV-B pipeline (policy tree).
     mcts: MctsStrategy,
     /// The §VI-A baseline.
@@ -276,7 +280,8 @@ impl<E: CostEstimator> AutoIndex<E> {
             config,
             estimator,
             templates,
-            space: RoundSpace::default(),
+            universe: Universe::new(),
+            cost_cache: CostCache::new(),
             mcts: MctsStrategy::new(),
             greedy: GreedyStrategy,
             bandit,
@@ -287,10 +292,16 @@ impl<E: CostEstimator> AutoIndex<E> {
         }
     }
 
-    /// The delta-cost term cache MCTS rounds share (read access for
-    /// tests/telemetry).
+    /// The delta-cost term cache diagnoses and rounds share (read access
+    /// for tests/telemetry).
     pub fn cost_cache(&self) -> &CostCache {
-        &self.space.cost_cache
+        &self.cost_cache
+    }
+
+    /// The universe MCTS rounds number their slots in (read access for
+    /// tests/telemetry): nothing but an MCTS round may grow it.
+    pub fn universe(&self) -> &Universe {
+        &self.universe
     }
 
     /// The strategy the next tuning round will use.
@@ -384,29 +395,46 @@ impl<E: CostEstimator> AutoIndex<E> {
 
     /// Run the diagnosis module against the observed workload.
     pub fn diagnose(&self, db: &SimDb) -> DiagnosisReport {
-        let w = self.workload();
-        IndexDiagnosis::new(self.config.diagnosis.clone()).diagnose(db, &w, &self.estimator)
+        self.boundary(db).0
+    }
+
+    /// The prologue of a round over the observed templates.
+    pub(crate) fn prologue(&self, db: &SimDb) -> Prologue<'static> {
+        let (workload, shape_keys) = self.templates.keyed_workload();
+        let candidates = &self.config.candidates;
+        Prologue::new(db, Cow::Owned(workload), shape_keys, candidates)
+    }
+
+    /// One tuning boundary's first step: materialise the workload and
+    /// generate its candidates once, diagnose over them, and return both —
+    /// a boundary whose diagnosis fires hands the prologue on to its
+    /// session ([`TuningSession::prologue`]) instead of building it again.
+    pub(crate) fn boundary(&self, db: &SimDb) -> (DiagnosisReport, Prologue<'static>) {
+        let prologue = self.prologue(db);
+        let missing = prologue.missing_benefit(
+            db,
+            &self.estimator,
+            &self.cost_cache,
+            self.config.mcts.decomposed_eval,
+        );
+        let report = IndexDiagnosis::new(self.config.diagnosis.clone()).diagnose(db, missing);
+        (report, prologue)
     }
 
     /// Recompute template shapes against current statistics (call after
-    /// significant data growth). Marks the delta-cost term cache, priced
-    /// against the old statistics, for invalidation: re-extracted shapes
-    /// may carry new selectivities, and the catalog they were priced
-    /// against has typically moved too.
+    /// significant data growth). A re-extracted shape that carries new
+    /// selectivities has a new fingerprint, so its cached cost terms are
+    /// simply never looked up again.
     pub fn refresh_statistics(&mut self, db: &SimDb) {
         self.templates.refresh_shapes(db.catalog());
-        self.space.dirty = true;
     }
 
     /// Force one template-frequency decay (§IV-C). Online, the workload
     /// shift detector does this automatically; exposing it lets callers
-    /// mark a known phase boundary explicitly. Marks the delta-cost term
-    /// cache for invalidation (conservative hygiene: decay changes only
-    /// weights, which live outside the cached terms, but a phase boundary
-    /// is the natural point to bound cache memory).
+    /// mark a known phase boundary explicitly. Decay moves weights, which
+    /// live outside the cached cost terms.
     pub fn force_template_decay(&mut self) {
         self.templates.decay();
-        self.space.dirty = true;
     }
 
     /// Open a builder-style [`TuningSession`] — the unified entry point
@@ -425,9 +453,9 @@ impl<E: CostEstimator> AutoIndex<E> {
     }
 
     /// Run strategy `kind`'s recommendation pipeline over one
-    /// [`Round`]: the prologue every strategy shares (existing
-    /// definitions, candidate generation, interning, the round's one
-    /// pricer), then the strategy's own search. For the default
+    /// [`Round`] of `prologue` — what every strategy shares (existing
+    /// definitions, candidates, interning, the round's one pricer) — then
+    /// the strategy's own search. For the default
     /// [`StrategyKind::Mcts`] that is the paper's §IV-B flow (prune pass,
     /// MCTS over the persistent policy tree, add-refinement,
     /// minimal-change pass and the improvement gate), living in
@@ -436,22 +464,22 @@ impl<E: CostEstimator> AutoIndex<E> {
         &mut self,
         kind: StrategyKind,
         db: &SimDb,
-        workload: &TemplateWorkload,
+        prologue: &Prologue<'_>,
     ) -> Recommendation {
-        // Only an MCTS round may number slots in the persistent space.
-        let mut local = RoundSpace::default();
-        let (strategy, space): (&mut dyn TuningStrategy<E>, _) = match kind {
+        // Only an MCTS round may number slots in the persistent universe.
+        let mut local = Universe::new();
+        let (strategy, universe): (&mut dyn TuningStrategy<E>, _) = match kind {
             StrategyKind::Greedy => (&mut self.greedy, &mut local),
-            StrategyKind::Mcts => (&mut self.mcts, &mut self.space),
+            StrategyKind::Mcts => (&mut self.mcts, &mut self.universe),
             StrategyKind::Bandit => (&mut self.bandit, &mut local),
         };
-        let proposal = if workload.is_empty() {
+        let proposal = if prologue.workload.is_empty() {
             Proposal::noop(0.0, RoundStats::default())
         } else {
             let standing = strategy.standing_arms();
-            let (estimator, config) = (&self.estimator, &self.config);
+            let (estimator, config, cache) = (&self.estimator, &self.config, &self.cost_cache);
             strategy.propose(&mut Round::new(
-                space, db, workload, estimator, config, &standing,
+                universe, cache, db, prologue, estimator, config, &standing,
             ))
         };
         self.last_round = proposal.stats;
@@ -767,6 +795,39 @@ mod tests {
         }
         let rep = ai.diagnose(&db);
         assert!(rep.should_tune, "missing index should be flagged: {rep:?}");
+    }
+
+    #[test]
+    fn diagnosis_generates_with_the_advisors_candidate_config() {
+        // `t(b)` exists and serves the filter; what is missing is the
+        // mixed-direction order, which only a sort-aware composite
+        // `t(b,a DESC,c)` delivers. An advisor configured to propose that
+        // class must be told it is missing — diagnosis used to generate
+        // with `CandidateConfig::default()` whatever the advisor's config.
+        let diagnose = |sort_aware: bool| {
+            let mut db = db();
+            db.create_index(IndexDef::new("t", &["b"])).unwrap();
+            let candidates = CandidateConfig::builder()
+                .sort_aware(sort_aware)
+                .build()
+                .unwrap();
+            let config = AutoIndexConfig::builder()
+                .candidates(candidates)
+                .build()
+                .unwrap();
+            let mut ai = AutoIndex::new(config, NativeCostEstimator);
+            for i in 0..600 {
+                let sql = format!("SELECT * FROM t WHERE b = {i} ORDER BY a DESC, c LIMIT 10");
+                ai.observe(&sql, &db).unwrap();
+                db.execute(&autoindex_sql::parse_statement(&sql).unwrap());
+            }
+            ai.diagnose(&db)
+        };
+        let plain = diagnose(false);
+        assert!(!plain.should_tune, "{plain:?}");
+        let aware = diagnose(true);
+        assert!(aware.missing_benefit > plain.missing_benefit, "{aware:?}");
+        assert!(aware.should_tune, "{aware:?}");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use autoindex_core::mcts::{
 use autoindex_core::{
     AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator, DeltaPricer,
 };
+use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
@@ -72,7 +73,8 @@ fn run_search(db: &SimDb, shapes: &[(QueryShape, u64)], decomposed: bool) -> (Se
         start: existing,
     };
     let cache = CostCache::new();
-    let mut pricer = DeltaPricer::new(&universe, shapes, db, &est, &cache, decomposed);
+    let keys = shape_keys(shapes);
+    let mut pricer = DeltaPricer::new(&universe, shapes, &keys, db, &est, &cache, decomposed);
     let out = search.run(&mut tree, &mut pricer);
     (out, db.metrics().counter_value("db.whatif_calls"))
 }

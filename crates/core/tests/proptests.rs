@@ -3,6 +3,7 @@
 use autoindex_core::mcts::{ConfigSet, MctsConfig, MctsSearch, PolicyTree, Universe};
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
 use autoindex_core::{CandidateConfig, CandidateGenerator, DeltaPricer};
+use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -160,7 +161,8 @@ fn mcts_never_regresses_and_respects_budget() {
                 start: ConfigSet::default(),
             };
             let cache = CostCache::new();
-            let mut pricer = DeltaPricer::new(&universe, &shapes, &db, &est, &cache, true);
+            let keys = shape_keys(&shapes);
+            let mut pricer = DeltaPricer::new(&universe, &shapes, &keys, &db, &est, &cache, true);
             let out = search.run(&mut tree, &mut pricer);
             prop_assert!(
                 out.best_cost <= out.baseline_cost + 1e-9,
@@ -333,9 +335,19 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
             };
             let (rec_full, rec_rel) = (new_rec(), new_rec());
             let (cache_full, cache_rel) = (CostCache::new(), CostCache::new());
-            let mut full =
-                DeltaPricer::new(&universe, &shapes, &db_full, &rec_full, &cache_full, true);
-            let mut rel = DeltaPricer::new(&universe, &shapes, &db_rel, &rec_rel, &cache_rel, true);
+            let keys = shape_keys(&shapes);
+            let mut full = DeltaPricer::new(
+                &universe,
+                &shapes,
+                &keys,
+                &db_full,
+                &rec_full,
+                &cache_full,
+                true,
+            );
+            let mut rel = DeltaPricer::new(
+                &universe, &shapes, &keys, &db_rel, &rec_rel, &cache_rel, true,
+            );
 
             let random_config = |rng: &mut StdRng| -> ConfigSet {
                 (0..universe.len())
@@ -401,19 +413,12 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                 terms(&db_full, "looked_up")
             );
 
-            // Invalidation (decay / refresh analogue): epoch advances, the
-            // memo empties, and the rebuilt cache still agrees bitwise.
-            let epoch0 = cache_rel.epoch();
-            cache_full.invalidate(db_full.metrics());
-            cache_rel.invalidate(db_rel.metrics());
-            prop_assert!(cache_rel.epoch() > epoch0);
+            // The sweep, with nothing live (every table grew): the memo
+            // empties under the pricer, and the rebuilt cache still agrees
+            // bitwise.
+            let held = cache_rel.len();
+            prop_assert_eq!(cache_rel.sweep(u64::MAX, Default::default), held);
             prop_assert!(cache_rel.is_empty());
-            prop_assert_eq!(
-                db_rel
-                    .metrics()
-                    .counter_value("estimator.cost_cache.invalidations"),
-                1
-            );
             let last = &targets[targets.len() - 1].0;
             let naive = est.workload_cost(&db, &shapes, universe.config_defs(last));
             prop_assert_eq!(naive.to_bits(), rel.sum(last).to_bits());
@@ -447,16 +452,9 @@ fn config_set_models_a_set() {
         // Equality is structural over contents.
         let rebuilt: ConfigSet = reference.iter().copied().collect();
         prop_assert_eq!(&cs, &rebuilt);
-        // Projection keys: fingerprinting an intersection in place equals
-        // fingerprinting the built intersection, whatever the word lengths.
         let mask: ConfigSet = (0..rng.random_range(0usize..8))
             .map(|_| rng.random_range(0usize..260))
             .collect();
-        prop_assert_eq!(
-            cs.intersect_fingerprint(&mask),
-            cs.intersect(&mask).fingerprint()
-        );
-        prop_assert_eq!(cs.intersect_fingerprint(&cs), cs.fingerprint());
         // What a relative pricer walks: the slots in exactly one set.
         let mask_ref: std::collections::BTreeSet<usize> = mask.iter().collect();
         prop_assert_eq!(
@@ -468,4 +466,62 @@ fn config_set_models_a_set() {
         );
         Ok(())
     });
+}
+
+/// The projected-configuration part of a delta-cost cache key names the
+/// definitions handed to the planner *and their order*: over a generated
+/// universe, distinct ordered projections get distinct fingerprints, and a
+/// second universe that numbers the same definitions in another order gives
+/// every projection of two or more a different one.
+#[test]
+fn projection_fingerprints_tell_ordered_projections_apart() {
+    property(
+        "projection_fingerprints_tell_ordered_projections_apart",
+        cfg(),
+        |rng, _size| {
+            let mut defs: Vec<IndexDef> = Vec::new();
+            while defs.len() < 9 {
+                let table = format!("t{}", rng.random_range(0u32..3));
+                let c1 = COLS[rng.random_range(0usize..COLS.len())];
+                let c2 = COLS[rng.random_range(0usize..COLS.len())];
+                let def = if c1 == c2 {
+                    IndexDef::new(table, &[c1])
+                } else {
+                    IndexDef::new(table, &[c1, c2])
+                };
+                if !defs.contains(&def) {
+                    defs.push(def);
+                }
+            }
+            let mut universe = Universe::new();
+            let mut reversed = Universe::new();
+            for (d, r) in defs.iter().zip(defs.iter().rev()) {
+                universe.intern(d);
+                reversed.intern(r);
+            }
+            let all: ConfigSet = (0..defs.len()).collect();
+            let in_reversed = |config: &ConfigSet| -> ConfigSet {
+                config.iter().map(|s| defs.len() - 1 - s).collect()
+            };
+            // Every subset of the nine slots: the ordered projections of
+            // one universe are the subsets in slot order.
+            let mut seen = std::collections::HashMap::new();
+            for bits in 0u32..1 << defs.len() {
+                let config: ConfigSet = (0..defs.len()).filter(|s| bits >> s & 1 == 1).collect();
+                let fp = universe.projection_fingerprint(&config, &all);
+                if let Some(other) = seen.insert(fp, bits) {
+                    return Err(format!("{bits:#b} and {other:#b} share {fp:#x}"));
+                }
+                // A mask restricts; what it leaves out is not in the key.
+                let mask: ConfigSet = (0..defs.len()).filter(|_| rng.random_bool(0.5)).collect();
+                prop_assert_eq!(
+                    universe.projection_fingerprint(&config, &mask),
+                    universe.projection_fingerprint(&config.intersect(&mask), &all)
+                );
+                let same_defs = reversed.projection_fingerprint(&in_reversed(&config), &all);
+                prop_assert_eq!(fp == same_defs, config.len() < 2, "{bits:#b}");
+            }
+            Ok(())
+        },
+    );
 }

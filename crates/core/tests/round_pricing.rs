@@ -1,12 +1,15 @@
-//! The seams of the one priced round (PR 20): greedy and the bandit price
-//! through the round's `DeltaPricer` and must compute bit for bit what the
-//! whole-workload loops they replaced did; a greedy or bandit round must
-//! leave the MCTS rounds around it exactly as they were; and a greedy round
-//! must plan the templates on each candidate's table, not the workload.
+//! The seams of the one priced round (PR 20) and of the boundary that
+//! opens it (PR 21): greedy, the bandit and diagnosis price through a
+//! `DeltaPricer` and must compute bit for bit what the whole-workload loops
+//! they replaced did; a term served from the advisor's one cache is the
+//! term recomputed; a greedy or bandit round, or a diagnosis, must leave
+//! the MCTS rounds around it exactly as they were; and a greedy round or a
+//! diagnosis must plan the templates on the tables that changed, not the
+//! workload.
 
 use autoindex_core::{
     rank_candidates, AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator,
-    ScoredCandidate, StrategyKind,
+    DiagnosisReport, IndexDiagnosis, ScoredCandidate, StrategyKind,
 };
 use autoindex_estimator::{CostEstimator, NativeCostEstimator};
 use autoindex_sql::parse_statement;
@@ -16,8 +19,9 @@ use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::prop::{property, PropConfig};
-use autoindex_support::prop_assert_eq;
 use autoindex_support::rng::StdRng;
+use autoindex_support::{prop_assert, prop_assert_eq};
+use std::sync::atomic::Ordering::Relaxed;
 
 const COLS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
@@ -220,10 +224,11 @@ fn tenant_catalog() -> Catalog {
 /// (b) Only an MCTS round may number slots in the advisor's persistent
 /// universe: recommend-only greedy and bandit rounds between two MCTS
 /// rounds — over a workload whose candidates the MCTS rounds never see —
-/// leave the second one's recommendation, its policy tree and the shared
-/// term cache exactly as without them. (Every universe slot outside a
-/// configuration is a legal action of the search, so a slot numbered by
-/// another strategy's round would move the RNG's picks.)
+/// leave the second one's recommendation and its policy tree exactly as
+/// without them. (Every universe slot outside a configuration is a legal
+/// action of the search, so a slot numbered by another strategy's round
+/// would move the RNG's picks. The term cache is one for all of them: no
+/// key of it holds a slot.)
 #[test]
 fn a_greedy_or_bandit_round_between_two_mcts_rounds_changes_nothing() {
     let run = |interlude: bool| {
@@ -262,25 +267,19 @@ fn a_greedy_or_bandit_round_between_two_mcts_rounds_changes_nothing() {
             }
         }
         let last = ai.session(&mut db).recommend_only().run().unwrap().report;
-        (
-            format!("{:?}", last.recommendation),
-            last.tree_nodes,
-            ai.cost_cache().len(),
-        )
+        (format!("{:?}", last.recommendation), last.tree_nodes)
     };
     assert_eq!(run(true), run(false));
 }
 
-/// (c) ≥ 100 tables with 2–3 templates each and two indexes per table but
-/// one: 132 tables, 330 templates, 263 indexes. A greedy round looks up the
-/// whole workload once and then, per candidate, the templates on the
-/// candidate's table; the whole-workload oracle re-plans every template for
-/// every configuration it prices.
-#[test]
-fn a_greedy_round_plans_the_templates_on_each_candidates_table() {
-    const TABLES: usize = 132;
+const WIDE_TABLES: usize = 132;
+
+/// ≥ 100 tables with 2–3 templates each and two indexes per table but one:
+/// 132 tables, 330 templates, 263 indexes; every table lacks the `w*(c)`
+/// its second template wants.
+fn wide() -> (SimDb, Vec<(String, u64)>) {
     let mut c = Catalog::new();
-    for i in 0..TABLES {
+    for i in 0..WIDE_TABLES {
         c.add_table(
             TableBuilder::new(format!("w{i}"), 50_000)
                 .column(Column::int("a", 50_000))
@@ -291,26 +290,37 @@ fn a_greedy_round_plans_the_templates_on_each_candidates_table() {
         );
     }
     let mut sqls = Vec::new();
-    for i in 0..TABLES {
+    for i in 0..WIDE_TABLES {
         sqls.push((format!("SELECT * FROM w{i} WHERE a = 1"), 3));
         sqls.push((format!("SELECT * FROM w{i} WHERE c = 2"), 3));
         if i % 2 == 0 {
             sqls.push((format!("INSERT INTO w{i} (a, b) VALUES (1, 2)"), 3));
         }
     }
-    let round = |decomposed: bool| {
-        let mut db = new_db(&c);
-        for i in 0..TABLES {
-            db.create_index(IndexDef::new(format!("w{i}"), &["a"]))
+    let mut db = new_db(&c);
+    for i in 0..WIDE_TABLES {
+        db.create_index(IndexDef::new(format!("w{i}"), &["a"]))
+            .unwrap();
+        if i > 0 {
+            db.create_index(IndexDef::new(format!("w{i}"), &["b"]))
                 .unwrap();
-            if i > 0 {
-                db.create_index(IndexDef::new(format!("w{i}"), &["b"]))
-                    .unwrap();
-            }
         }
-        assert_eq!(db.index_count(), 263);
+    }
+    assert_eq!(db.index_count(), 263);
+    assert_eq!(sqls.len(), 330);
+    (db, sqls)
+}
+
+/// (c) A greedy round over [`wide`] looks up the whole workload once and
+/// then, per candidate, the templates on the candidate's table; the
+/// whole-workload oracle re-plans every template for every configuration it
+/// prices.
+#[test]
+fn a_greedy_round_plans_the_templates_on_each_candidates_table() {
+    const TABLES: usize = WIDE_TABLES;
+    let round = |decomposed: bool| {
+        let (mut db, sqls) = wide();
         let w = shapes(&db, &sqls);
-        assert_eq!(w.len(), 330);
         let mut cfg = AutoIndexConfig::default();
         cfg.mcts.decomposed_eval = decomposed;
         let mut ai = AutoIndex::new(cfg, NativeCostEstimator);
@@ -347,4 +357,251 @@ fn a_greedy_round_plans_the_templates_on_each_candidates_table() {
     assert_eq!(whatif_oracle, oracle.evaluations as u64 * templates);
     assert!(whatif_oracle >= candidates * templates);
     assert!(whatif * 50 <= whatif_oracle, "{whatif} vs {whatif_oracle}");
+}
+
+/// Diagnosis as it was before the boundary priced it: a generation pass of
+/// its own and two whole-workload re-plans. Kept here as the oracle.
+fn naive_diagnose(db: &SimDb, ai: &AutoIndex<NativeCostEstimator>) -> DiagnosisReport {
+    let w = ai.workload();
+    let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+    let candidates =
+        CandidateGenerator::new(ai.config.candidates.clone()).generate(&w, db.catalog(), &existing);
+    let missing_benefit = if candidates.is_empty() || w.is_empty() {
+        0.0
+    } else {
+        let est = ai.estimator();
+        let base = est.workload_cost(db, &w, &existing);
+        let with = est.workload_cost(db, &w, existing.iter().chain(&candidates));
+        if base > 0.0 {
+            ((base - with) / base).max(0.0)
+        } else {
+            0.0
+        }
+    };
+    IndexDiagnosis::new(ai.config.diagnosis.clone()).diagnose(db, missing_benefit)
+}
+
+/// Field for field, floats by their bits.
+fn report_fields(r: &DiagnosisReport) -> (String, u64, u64, bool) {
+    (
+        format!("{:?} {:?}", r.rarely_used, r.negative),
+        r.missing_benefit.to_bits(),
+        r.problem_ratio.to_bits(),
+        r.should_tune,
+    )
+}
+
+/// (d) Over generated catalogs and workloads, and random sequences of
+/// {observe + execute, grow a table, create / drop an index, diagnose, MCTS
+/// round}: every `DiagnosisReport` is the naive implementation's, and every
+/// report and `Recommendation` is that of a twin advisor whose cache is
+/// emptied before each diagnosis and round — a cached term is bit-equal to
+/// its recomputation, whatever happened since it was cached.
+#[test]
+fn diagnoses_and_rounds_over_the_kept_cache_equal_their_recomputation() {
+    // What-if calls the kept cache saved over the emptied one, all cases.
+    let saved = std::sync::atomic::AtomicU64::new(0);
+    property(
+        "diagnoses_and_rounds_over_the_kept_cache_equal_their_recomputation",
+        PropConfig::default().cases(48),
+        |rng, size| {
+            let (cat, sqls, existing) = generate(rng, size);
+            let tables: Vec<(String, usize)> = (0..cat.len())
+                .map(|ti| {
+                    let name = format!("t{ti}");
+                    let ncols = cat.table(&name).unwrap().columns.len();
+                    (name, ncols)
+                })
+                .collect();
+            let mut sides: Vec<(SimDb, AutoIndex<NativeCostEstimator>)> = (0..2)
+                .map(|_| {
+                    let mut db = new_db(&cat);
+                    for d in &existing {
+                        db.create_index(d.clone()).unwrap();
+                    }
+                    let mut cfg = AutoIndexConfig::default();
+                    cfg.mcts.iterations = 40;
+                    cfg.diagnosis.min_statements = 20;
+                    (db, AutoIndex::new(cfg, NativeCostEstimator))
+                })
+                .collect();
+            // The second side never finds a term cached.
+            let mut emptied = 0u64;
+            let mut empty = |side: usize, ai: &AutoIndex<NativeCostEstimator>| {
+                if side == 1 {
+                    emptied += 1;
+                    ai.cost_cache().sweep(u64::MAX - emptied, Default::default);
+                    assert!(ai.cost_cache().is_empty());
+                }
+            };
+            for step in 0..rng.random_range(4usize..14) {
+                match rng.random_range(0u32..7) {
+                    0 | 1 => {
+                        for _ in 0..rng.random_range(1usize..40) {
+                            let (sql, _) = &sqls[rng.random_range(0usize..sqls.len())];
+                            let stmt = parse_statement(sql).unwrap();
+                            for (db, ai) in sides.iter_mut() {
+                                ai.observe(sql, db).unwrap();
+                                db.execute(&stmt);
+                            }
+                        }
+                    }
+                    2 => {
+                        let (name, _) = &tables[rng.random_range(0usize..tables.len())];
+                        let delta = rng.random_range(1u64..200_000);
+                        for (db, _) in sides.iter_mut() {
+                            db.grow_table(name, delta).unwrap();
+                        }
+                    }
+                    3 => {
+                        let (name, ncols) = &tables[rng.random_range(0usize..tables.len())];
+                        let def = IndexDef::new(name, &[COLS[rng.random_range(0usize..*ncols)]]);
+                        for (db, _) in sides.iter_mut() {
+                            match db.find_index(&def) {
+                                Some(id) => drop(db.drop_index(id).unwrap()),
+                                None => drop(db.create_index(def.clone()).unwrap()),
+                            }
+                        }
+                    }
+                    4 | 5 => {
+                        let mut seen = Vec::new();
+                        for (side, (db, ai)) in sides.iter_mut().enumerate() {
+                            empty(side, ai);
+                            let calls = db.metrics().counter_value("db.whatif_calls");
+                            let report = report_fields(&ai.diagnose(db));
+                            let calls = db.metrics().counter_value("db.whatif_calls") - calls;
+                            prop_assert_eq!(
+                                &report,
+                                &report_fields(&naive_diagnose(db, ai)),
+                                "step {step}, side {side}"
+                            );
+                            seen.push((report, calls));
+                        }
+                        prop_assert_eq!(&seen[0].0, &seen[1].0, "step {step}");
+                        prop_assert!(seen[0].1 <= seen[1].1, "step {step}");
+                        saved.fetch_add(seen[1].1 - seen[0].1, Relaxed);
+                    }
+                    _ => {
+                        let mut seen = Vec::new();
+                        for (side, (db, ai)) in sides.iter_mut().enumerate() {
+                            empty(side, ai);
+                            let report = ai.session(db).run().unwrap().report;
+                            seen.push((
+                                format!("{:?}", report.recommendation),
+                                report.created.len(),
+                                report.tree_nodes,
+                                ai.universe().len(),
+                            ));
+                        }
+                        prop_assert_eq!(&seen[0], &seen[1], "step {step}");
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        saved.load(Relaxed) > 0,
+        "the kept cache never served a term"
+    );
+}
+
+/// (e) After one table of [`wide`] grew, the next diagnosis makes what-if
+/// calls for the templates on that table only — under the existing
+/// configuration and again with the candidates — and a diagnosis with
+/// nothing changed makes none.
+#[test]
+fn a_diagnosis_plans_the_templates_on_the_table_that_grew() {
+    let (mut db, sqls) = wide();
+    let mut ai = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+    for (sql, n) in &sqls {
+        for _ in 0..*n {
+            ai.observe(sql, &db).unwrap();
+        }
+    }
+    let whatif = |db: &SimDb| db.metrics().counter_value("db.whatif_calls");
+    let templates = sqls.len() as u64;
+
+    // Cold: every template under the existing configuration, then — every
+    // table has a candidate — every template again with the candidates.
+    let first = ai.diagnose(&db);
+    assert!(first.should_tune, "{first:?}");
+    assert_eq!(whatif(&db), 2 * templates);
+
+    // w4 has three templates (a point read, the `c` read and an insert).
+    db.grow_table("w4", 10_000).unwrap();
+    let before = whatif(&db);
+    let grown = ai.diagnose(&db);
+    assert_eq!(whatif(&db) - before, 2 * 3);
+    let before = whatif(&db);
+    assert_eq!(
+        report_fields(&grown),
+        report_fields(&naive_diagnose(&db, &ai))
+    );
+    assert_eq!(
+        whatif(&db) - before,
+        2 * templates,
+        "the oracle re-plans all"
+    );
+
+    let before = whatif(&db);
+    let again = ai.diagnose(&db);
+    assert_eq!(whatif(&db) - before, 0);
+    assert_eq!(report_fields(&again), report_fields(&grown));
+}
+
+/// (f) A diagnosis numbers no slot in the advisor's persistent universe:
+/// a quiet one and a firing one with no round after it (the driver's
+/// cooldown), over observed templates whose candidates the MCTS rounds —
+/// run over an explicit workload — never see, leave the second round's
+/// recommendation, its policy tree and the persistent universe exactly as
+/// without them.
+#[test]
+fn a_diagnosis_between_two_mcts_rounds_changes_nothing() {
+    let run = |interlude: bool| {
+        let mut db = new_db(&tenant_catalog());
+        db.create_index(IndexDef::new("t", &["c"])).unwrap();
+        let mut ai = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+        let w = shapes(
+            &db,
+            &[
+                ("SELECT * FROM t WHERE a = 1".to_string(), 200),
+                ("SELECT * FROM u WHERE b = 1 AND a = 1".to_string(), 200),
+                ("UPDATE u SET c = 2 WHERE id = 1".to_string(), 200),
+            ],
+        );
+        let round = |ai: &mut AutoIndex<NativeCostEstimator>, db: &mut SimDb| {
+            let session = ai.session(db).workload(&w).recommend_only();
+            session.run().unwrap().report
+        };
+        let first = round(&mut ai, &mut db);
+        assert!(!first.recommendation.add.is_empty());
+        // Whichever pricer opens next sweeps the shared cache.
+        db.grow_table("u", 5_000).unwrap();
+        if interlude {
+            for _ in 0..600 {
+                ai.observe("SELECT COUNT(*) FROM t", &db).unwrap();
+            }
+            ai.observe("SELECT * FROM t WHERE b = 7 ORDER BY a", &db)
+                .unwrap();
+            let quiet = ai.diagnose(&db);
+            assert!(
+                quiet.missing_benefit > 0.0 && !quiet.should_tune,
+                "{quiet:?}"
+            );
+            for i in 0..300 {
+                ai.observe(&format!("SELECT * FROM u WHERE c = {i} AND id = 9"), &db)
+                    .unwrap();
+            }
+            let fired = ai.diagnose(&db);
+            assert!(fired.should_tune, "{fired:?}");
+        }
+        let last = round(&mut ai, &mut db);
+        (
+            format!("{:?}", last.recommendation),
+            last.tree_nodes,
+            ai.universe().len(),
+        )
+    };
+    assert_eq!(run(true), run(false));
 }

@@ -9,49 +9,55 @@
 //! share every term except the ones on that index's table, and sibling
 //! configurations in a policy-tree search share almost all terms.
 //!
-//! [`CostCache`] memoizes those terms keyed by
-//! `(template fingerprint, projected-config fingerprint)`:
+//! [`CostCache`] memoizes those terms under a [`CacheKey`] that names
+//! everything the planner is given, so a cached term is a pure function of
+//! its key and survives whatever cannot change it:
 //!
 //! * the **template fingerprint** is a 128-bit hash of the shape's exact
 //!   `Debug` representation (Rust's float formatting is round-trip exact,
 //!   so two shapes collide only if they are semantically identical);
-//! * the **projected-config fingerprint** is its one user's — the core
-//!   search's `DeltaWorkload` — hash of the configuration's slot bitset
-//!   restricted to the indexes whose table the shape touches: adding an
-//!   index on an untouched table leaves the fingerprint (and the cached
-//!   term) unchanged.
+//! * the **projected-config fingerprint** folds, *in configuration order*,
+//!   the identity hashes of the definitions on the shape's tables — the
+//!   planner sums maintenance per index in that order and numbers what-if
+//!   ids by position, so the same definitions in another order are another
+//!   key. An index on an untouched table is not part of it;
+//! * the **stamp fold** covers the growth stamps (`Table::stamp`) of the
+//!   shape's tables: statistics the planner reads move only with them.
 //!
-//! Invalidation is epoch-based and *coarse*: any catalog/statistics change
-//! or template refresh/decay clears the whole cache ([`CostCache::invalidate`])
-//! and bumps the epoch. Correctness never depends on the epoch — callers
-//! that hold a `&CostCache` across an invalidation simply observe an empty
-//! map — but the epoch lets long-lived consumers detect staleness cheaply.
+//! There is one lifetime rule: an entry lives while its `(template, stamps)`
+//! pair belongs to the workload being priced. [`CostCache::sweep`] drops
+//! the rest, once per catalog version. Nothing is ever *wrong* to look up —
+//! a key that is still reachable still means what it meant — the sweep
+//! only bounds memory.
 //!
 //! Counter economics are exported as `estimator.cost_cache.{hits,misses,
-//! invalidations}`; every **miss** is a real planner/model evaluation,
-//! every **hit** is one avoided. See `docs/PERFORMANCE.md`.
+//! swept}`; every **miss** is a real planner/model evaluation, every
+//! **hit** is one avoided. See `docs/PERFORMANCE.md`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
+use autoindex_support::hash::U64HashMap;
 use autoindex_support::obs::{Counter, MetricsRegistry};
 
 use crate::{CostEstimator, TemplateWorkload};
 
-/// Cache key of one memoized per-template cost term.
+/// Cache key of one memoized per-template cost term: what the planner is
+/// given when it prices the term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// 128-bit template-shape fingerprint ([`shape_key`]).
     pub shape_key: u128,
-    /// Fingerprint of the configuration *projected* onto the shape's
-    /// touched tables.
+    /// Ordered fold of the identity hashes of the configuration's
+    /// definitions on the shape's touched tables.
     pub config_fp: u64,
+    /// Fold of the touched tables' growth stamps.
+    pub stamps: u64,
 }
 
 /// 128-bit fingerprint of a template shape.
@@ -59,8 +65,9 @@ pub struct CacheKey {
 /// Hashes the full `Debug` representation (structurally exhaustive, and
 /// exact for the `f64` selectivity fields because Rust's float `Debug`
 /// output is shortest-round-trip) through two independently seeded
-/// [`DefaultHasher`]s. Shapes are extracted once per template per round;
-/// callers should compute this once and reuse it.
+/// [`DefaultHasher`]s. The template store computes it when a shape is
+/// extracted and keeps it with the template; nothing formats a shape per
+/// round.
 pub fn shape_key(shape: &QueryShape) -> u128 {
     let repr = format!("{shape:?}");
     let mut h1 = DefaultHasher::new();
@@ -72,17 +79,23 @@ pub fn shape_key(shape: &QueryShape) -> u128 {
     ((h1.finish() as u128) << 64) | h2.finish() as u128
 }
 
-/// Bound counter handles for cache economics. Intern once per
-/// round/search from the registry the `SimDb` under evaluation uses, then
-/// bump lock-free on the hot path.
+/// [`shape_key`] of every template of `workload`, in workload order: what
+/// a caller that brings its own workload hands the pricer with it.
+pub fn shape_keys(workload: &TemplateWorkload) -> Vec<u128> {
+    workload.iter().map(|(shape, _)| shape_key(shape)).collect()
+}
+
+/// Bound counter handles for cache economics, interned once per pricer
+/// from the registry the `SimDb` under evaluation uses, then bumped
+/// lock-free on the hot path.
 #[derive(Debug, Clone)]
 pub struct CostCacheStats {
     /// `estimator.cost_cache.hits` — avoided evaluations.
     pub hits: Counter,
     /// `estimator.cost_cache.misses` — real evaluations performed.
     pub misses: Counter,
-    /// `estimator.cost_cache.invalidations` — epoch bumps.
-    pub invalidations: Counter,
+    /// `estimator.cost_cache.swept` — entries dropped by [`CostCache::sweep`].
+    pub swept: Counter,
 }
 
 impl CostCacheStats {
@@ -91,32 +104,43 @@ impl CostCacheStats {
         CostCacheStats {
             hits: metrics.counter("estimator.cost_cache.hits"),
             misses: metrics.counter("estimator.cost_cache.misses"),
-            invalidations: metrics.counter("estimator.cost_cache.invalidations"),
+            swept: metrics.counter("estimator.cost_cache.swept"),
         }
     }
 }
 
+#[derive(Debug, Default)]
+struct Entries {
+    /// `(shape_key, stamps)` → the template's terms at those statistics,
+    /// by projected-configuration fingerprint. Grouped by the pair the
+    /// lifetime rule is stated over: the sweep walks templates, not terms,
+    /// and a term costs its fingerprint and value, not a whole key.
+    terms: HashMap<(u128, u64), U64HashMap<f64>>,
+    /// Catalog version of the last sweep.
+    swept_at: Option<u64>,
+}
+
 /// Memoization table for per-template cost terms.
 ///
-/// Shared by reference: a round's pricer fills it while the advisor that
-/// owns it can still be read, so lookups/inserts take a [`Mutex`] briefly —
-/// uncontended, a round prices on one thread — and the term *computation*
-/// runs with the lock released.
+/// Shared by reference: an advisor's diagnosis and every strategy's round
+/// fill the one cache it owns while the advisor can still be read, so
+/// lookups/inserts take a [`Mutex`] briefly — uncontended, a round prices
+/// on one thread — and the term *computation* runs with the lock released.
 #[derive(Debug, Default)]
 pub struct CostCache {
-    map: Mutex<HashMap<CacheKey, f64>>,
-    epoch: AtomicU64,
+    entries: Mutex<Entries>,
 }
 
 impl CostCache {
-    /// An empty cache at epoch 0.
+    /// An empty cache.
     pub fn new() -> Self {
         CostCache::default()
     }
 
     /// Number of memoized terms.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cost cache lock").len()
+        let entries = self.entries.lock().expect("cost cache lock");
+        entries.terms.values().map(|t| t.len()).sum()
     }
 
     /// `len() == 0`.
@@ -124,48 +148,41 @@ impl CostCache {
         self.len() == 0
     }
 
-    /// Current invalidation epoch (starts at 0, bumps on
-    /// [`CostCache::invalidate`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Drop every memoized term and bump the epoch. Called on catalog /
-    /// statistics changes and template refresh or decay — anything that can
-    /// change what a term *means*.
-    pub fn invalidate(&self, metrics: &MetricsRegistry) {
-        self.map.lock().expect("cost cache lock").clear();
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        metrics.counter("estimator.cost_cache.invalidations").incr();
-    }
-
     /// Raw lookup (no counter side effects).
     pub fn get(&self, key: &CacheKey) -> Option<f64> {
-        self.map.lock().expect("cost cache lock").get(key).copied()
+        let entries = self.entries.lock().expect("cost cache lock");
+        let terms = entries.terms.get(&(key.shape_key, key.stamps))?;
+        terms.get(&key.config_fp).copied()
     }
 
     /// Raw insert (no counter side effects).
     pub fn insert(&self, key: CacheKey, value: f64) {
-        self.map.lock().expect("cost cache lock").insert(key, value);
+        let mut entries = self.entries.lock().expect("cost cache lock");
+        let terms = entries.terms.entry((key.shape_key, key.stamps));
+        terms.or_default().insert(key.config_fp, value);
     }
 
-    /// Memoized evaluation: on a hit return the cached term (bumping
-    /// `stats.hits`), on a miss compute `eval()` with the lock released,
-    /// insert it and bump `stats.misses`.
-    pub fn get_or_insert_with(
-        &self,
-        key: CacheKey,
-        stats: &CostCacheStats,
-        eval: impl FnOnce() -> f64,
-    ) -> f64 {
-        if let Some(v) = self.get(&key) {
-            stats.hits.incr();
-            return v;
+    /// The one lifetime rule: keep the terms whose `(shape_key, stamps)`
+    /// pair is in `live()` — the pairs of the workload about to be priced
+    /// — and drop the rest; returns how many went. A pair can only fall
+    /// out of a workload's reach when a table grew or a template left, and
+    /// the sweep runs when the catalog moved since the last one: at most
+    /// once per `version`, and `live` is not built otherwise.
+    pub fn sweep(&self, version: u64, live: impl FnOnce() -> HashSet<(u128, u64)>) -> usize {
+        let mut entries = self.entries.lock().expect("cost cache lock");
+        if entries.swept_at.replace(version) == Some(version) || entries.terms.is_empty() {
+            return 0;
         }
-        stats.misses.incr();
-        let v = eval();
-        self.insert(key, v);
-        v
+        let live = live();
+        let mut swept = 0;
+        entries.terms.retain(|pair, terms| {
+            let keep = live.contains(pair);
+            if !keep {
+                swept += terms.len();
+            }
+            keep
+        });
+        swept
     }
 }
 
@@ -186,7 +203,6 @@ pub fn naive_workload_cost<E: CostEstimator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NativeCostEstimator;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
     use autoindex_storage::SimDbConfig;
 
@@ -196,12 +212,6 @@ mod tests {
             TableBuilder::new("t", 200_000)
                 .column(Column::int("a", 200_000))
                 .column(Column::int("b", 50))
-                .build()
-                .unwrap(),
-        );
-        c.add_table(
-            TableBuilder::new("u", 50_000)
-                .column(Column::int("x", 50_000))
                 .build()
                 .unwrap(),
         );
@@ -223,35 +233,25 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears_and_bumps_epoch() {
-        let db = db();
-        let inner = NativeCostEstimator;
+    fn sweep_keeps_live_pairs_and_runs_once_per_version() {
         let cache = CostCache::new();
-        let m = db.metrics().clone();
-        let stats = CostCacheStats::bind(&m);
-        let s = shape(&db, "SELECT * FROM t WHERE a = 1");
-        let key = CacheKey {
-            shape_key: shape_key(&s),
-            config_fp: 0,
+        let key = |shape_key, config_fp, stamps| CacheKey {
+            shape_key,
+            config_fp,
+            stamps,
         };
-        let cost = || inner.shape_cost(&db, &s, &[]);
-        let v0 = cache.get_or_insert_with(key, &stats, cost);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.epoch(), 0);
-        // A second lookup is a hit and does not evaluate.
-        let hit = cache.get_or_insert_with(key, &stats, || unreachable!("memoized"));
-        assert_eq!(hit.to_bits(), v0.to_bits());
-        assert_eq!(m.counter_value("estimator.cost_cache.hits"), 1);
-
-        cache.invalidate(&m);
+        cache.insert(key(1, 10, 7), 1.0);
+        cache.insert(key(1, 11, 7), 2.0);
+        cache.insert(key(1, 10, 8), 3.0);
+        cache.insert(key(2, 10, 7), 4.0);
+        // Template 1 at stamps 7 is what the workload holds now.
+        assert_eq!(cache.sweep(5, || [(1, 7)].into_iter().collect()), 2);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.get(&key(1, 11, 7)), Some(2.0));
+        assert_eq!(cache.get(&key(2, 10, 7)), None);
+        // Same catalog version: nothing can have gone stale, nothing is built.
+        assert_eq!(cache.sweep(5, || unreachable!("swept at this version")), 0);
+        assert_eq!(cache.sweep(6, HashSet::new), 2);
         assert!(cache.is_empty());
-        assert_eq!(cache.epoch(), 1);
-        assert_eq!(m.counter_value("estimator.cost_cache.invalidations"), 1);
-
-        // Re-evaluation after invalidation is a miss again, same value.
-        let before = m.counter_value("estimator.cost_cache.misses");
-        let v = cache.get_or_insert_with(key, &stats, cost);
-        assert_eq!(m.counter_value("estimator.cost_cache.misses"), before + 1);
-        assert_eq!(v.to_bits(), v0.to_bits());
     }
 }

@@ -512,7 +512,7 @@ impl SimDb {
     }
 
     /// Roll the shared what-if fault stream (neutral when no plan is
-    /// installed). Lock-free — this path is shared across search threads.
+    /// installed). Lock-free: what-if planning takes `&self`.
     fn roll_whatif(&self) -> WhatifRoll {
         match &self.faults {
             Some(f) => f.roll_whatif(),

@@ -22,10 +22,12 @@
 //!   [`StdRng`] stream seeded from [`FaultPlanConfig::seed`] — completely
 //!   independent of the measurement-noise stream, so installing a fault
 //!   plan never perturbs the no-fault latency sequence.
-//! * **`&self` paths** (what-if costing, which is shared across search
-//!   worker threads) use a lock-free atomic op counter hashed with
-//!   [`derive_seed`]: each call's outcome is a pure function of
-//!   `(seed, op_index)`, so no mutex sits on the planner hot path.
+//! * **`&self` paths** (what-if costing, which a tuning round and a
+//!   diagnosis call through a shared reference, on the one thread that
+//!   runs them) use an atomic op counter hashed with [`derive_seed`]:
+//!   each call's outcome is a pure function of `(seed, op_index)` — the
+//!   what-if call *sequence* decides which call a fault lands on — and no
+//!   mutex sits on the planner hot path.
 //!
 //! A plan with every rate at zero (the default) is exactly the pre-fault
 //! database: every roll is branchless-false and the op counter is the only

@@ -15,6 +15,7 @@
 use crate::catalog::{Table, PAGE_SIZE};
 use crate::planner::CostParams;
 use crate::StorageError;
+use autoindex_support::hash::{fnv1a, fnv1a_from};
 
 /// Stable identifier of an index within a [`crate::db::SimDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,6 +116,36 @@ impl IndexDef {
             })
             .collect();
         format!("{}({})", self.table, parts.join(","))
+    }
+
+    /// FNV-1a of the `Display` rendering — the definition's identity — fed
+    /// piece by piece, so nothing is formatted: what a universe of
+    /// definitions dedups by and what a cost-cache key is folded from.
+    pub fn identity_hash(&self) -> u64 {
+        let mut h = fnv1a_from(fnv1a(self.table.as_bytes()), b"(");
+        for (i, c) in self.columns.iter().enumerate() {
+            if i > 0 {
+                h = fnv1a_from(h, b",");
+            }
+            h = fnv1a_from(h, c.as_bytes());
+            if self.direction(i) == SortDirection::Desc {
+                h = fnv1a_from(h, b" DESC");
+            }
+        }
+        h = fnv1a_from(h, b")");
+        match self.scope {
+            IndexScope::Global => h,
+            IndexScope::Local => fnv1a_from(h, b" LOCAL"),
+        }
+    }
+
+    /// Whether the two render the same under `Display`: same table, key
+    /// columns, per-part directions (ascending when unspecified) and scope.
+    pub fn same_identity(&self, other: &IndexDef) -> bool {
+        self.table == other.table
+            && self.columns == other.columns
+            && self.scope == other.scope
+            && (0..self.columns.len()).all(|i| self.direction(i) == other.direction(i))
     }
 
     /// Whether `other`'s key columns are a leftmost prefix of this index's
@@ -355,6 +386,32 @@ mod tests {
         assert_eq!(d.to_string(), "t(a,b)");
         let l = d.clone().with_scope(IndexScope::Local);
         assert_eq!(l.to_string(), "t(a,b) LOCAL");
+    }
+
+    #[test]
+    fn identity_is_the_display_rendering() {
+        use SortDirection::{Asc, Desc};
+        let defs = [
+            IndexDef::new("t", &["a"]),
+            IndexDef::new("t", &["a", "b"]),
+            IndexDef::new("t", &["ab"]),
+            IndexDef::new("t", &["a", "b"]).with_directions(&[Asc, Desc]),
+            IndexDef::new("t", &["a", "b"]).with_directions(&[Desc, Asc]),
+            IndexDef::new("t", &["a", "b"]).with_scope(IndexScope::Local),
+            IndexDef::new("ta", &["b"]),
+            // Unspecified directions read as ascending.
+            IndexDef::new("t", &["a", "b"]).with_directions(&[]),
+        ];
+        for a in &defs {
+            assert_eq!(a.identity_hash(), fnv1a(a.to_string().as_bytes()), "{a}");
+            for b in &defs {
+                assert_eq!(
+                    a.same_identity(b),
+                    a.to_string() == b.to_string(),
+                    "{a} / {b}"
+                );
+            }
+        }
     }
 
     #[test]

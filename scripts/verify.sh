@@ -24,11 +24,11 @@ echo "==> cargo test -q --offline --release (compiled templates: feed = its pars
 cargo test -q --offline --release -p autoindex-core --test live_frontend
 cargo test -q --offline --release -p autoindex-core --lib fastpath::
 
-echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing, bitmap-pick and round-pricing properties: float summation order and popcount/select paths, in the build that ships)"
+echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing, bitmap-pick, round- and boundary-pricing properties — a diagnosis = its two whole-workload re-plans, a kept term = its recomputation: float summation order and popcount/select paths, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test decomposed_equivalence
 cargo test -q --offline --release -p autoindex-core --test proptests delta_cost_bitwise_equals_naive
 cargo test -q --offline --release -p autoindex-core --lib -- delta:: mcts::
-cargo test -q --offline --release -p autoindex-core --test round_pricing -- ranking_and_arms_through_the_pricer_equal_the_naive_ranking a_greedy_or_bandit_round_between_two_mcts_rounds_changes_nothing
+cargo test -q --offline --release -p autoindex-core --test round_pricing
 
 echo "==> cargo test -q --offline --release (live execution = snapshot execution + absorb: the one execution core's float multiplication order, in the build that ships)"
 cargo test -q --offline --release -p autoindex-storage --test proptests live_execution_equals_snapshot_execution_plus_absorb
@@ -70,5 +70,29 @@ if [ -n "$SPAWNS" ]; then
     echo "$SPAWNS" >&2
     exit 1
 fi
+
+echo "==> pricing check (non-test crates/core/src: one whole-workload re-plan site — the pricer's oracle arm — one candidate generator, one term cache per advisor with one lifetime rule)"
+# Product code is what precedes a file's #[cfg(test)] module.
+product_hits() {
+    for f in crates/core/src/*.rs; do
+        awk -v pat="$1" '/^#\[cfg\(test\)\]/ { exit } index($0, pat) && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+}
+expect_hits() {
+    HITS=$(product_hits "$1")
+    COUNT=$(printf '%s' "$HITS" | grep -c . || true)
+    if [ "$COUNT" -ne "$2" ]; then
+        echo "ERROR: expected $2 product-code occurrence(s) of '$1' in crates/core/src, found $COUNT:" >&2
+        echo "$HITS" >&2
+        exit 1
+    fi
+}
+expect_hits 'workload_cost(' 1
+expect_hits 'CandidateGenerator::new(' 1
+# The advisor's cache, and the advisor-less public `greedy::rank_candidates`.
+expect_hits 'CostCache::new(' 2
+for gone in catalog_version intersect_fingerprint '.dirty' '.invalidate('; do
+    expect_hits "$gone" 0
+done
 
 echo "OK: build + tests + docs green, dependency tree is hermetic."
