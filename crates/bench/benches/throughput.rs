@@ -34,11 +34,14 @@
 //! * a measured **front-end** comparison: wall-clock qps of the full
 //!   per-statement front end (`parse_statement` + `QueryShape::extract`)
 //!   vs the compiled-template fast path (`scan_fingerprint`, cache
-//!   lookup, `bind_into` on reused scratch) at steady state. This is the
-//!   one wall-clock number the repo gates on: the fast path must reach
-//!   at least 10x the full-parse front end (ratio of two wall-clock
-//!   rates on the same host, so the *gate* is host independent even
-//!   though the rates are not),
+//!   lookup, `bind_into` on reused scratch) at steady state. Reported,
+//!   not gated: the ratio's denominator is the miss path, which is meant
+//!   to get faster, so a floor on it would be refitted by every change
+//!   that does that. Gated here: every statement of the stream binds
+//!   (`frontend_hits` / `frontend_misses`, exact). Gated elsewhere: the
+//!   same loop makes no allocator call
+//!   (`crates/core/tests/index_view_counts.rs`), and its wall cost is the
+//!   `perf/` benchmark's to hold (docs/PERFORMANCE.md),
 //! * a fastpath-off serve run whose transcript must be byte-identical to
 //!   the fastpath-on sweep baseline (the execution-identity contract).
 
@@ -197,8 +200,6 @@ fn main() {
     );
 }
 
-const REQUIRED_FRONTEND_SPEEDUP: f64 = 10.0;
-
 struct Frontend {
     statements: usize,
     templates: usize,
@@ -318,7 +319,7 @@ fn frontend_microbench(queries: &[String]) -> Frontend {
 }
 
 /// Front-end gates + the `frontend` result: execution rows unchanged,
-/// fastpath-off transcript identical, front-end speedup over the floor.
+/// fastpath-off transcript identical, the whole stream bound.
 fn frontend(
     queries: &[String],
     rows_json: Json,
@@ -358,11 +359,6 @@ fn frontend(
         fe.hits > 0,
         "front-end microbench never hit the template cache"
     );
-    assert!(
-        fe.speedup >= REQUIRED_FRONTEND_SPEEDUP,
-        "front end reached only {:.2}x with the fast path (need >= {REQUIRED_FRONTEND_SPEEDUP}x)",
-        fe.speedup
-    );
 
     let doc = obj([
         ("bench", Json::from("frontend")),
@@ -376,8 +372,8 @@ fn frontend(
             "metric",
             Json::from(
                 "execution rows: simulated time domain (must match the PR 5 baseline); \
-                 frontend: wall-clock qps of parse+extract vs scan+bind on this host — \
-                 only the ratio is gated (docs/PERFORMANCE.md)",
+                 frontend: wall-clock qps of parse+extract vs scan+bind on this host, \
+                 reported; hits and misses are exact (docs/PERFORMANCE.md)",
             ),
         ),
         ("rows", rows_json),
@@ -400,10 +396,6 @@ fn frontend(
                 ("frontend_speedup", Json::from(fe.speedup)),
                 ("frontend_hits", Json::from(fe.hits)),
                 ("frontend_misses", Json::from(fe.misses)),
-                (
-                    "required_frontend_speedup",
-                    Json::from(REQUIRED_FRONTEND_SPEEDUP),
-                ),
             ]),
         ),
     ]);

@@ -856,6 +856,37 @@ mod tests {
         }
     }
 
+    /// A string literal reaches the shape the same way on every road: the
+    /// tokenizer slices the source (it used to push each *byte* as a
+    /// `char`, so `'café'` parsed to `'cafÃ©'` while the scanner kept it).
+    #[test]
+    fn multi_byte_and_escaped_literals_parse_scan_and_bind_alike() {
+        let cat = catalog();
+        let sql = "SELECT * FROM accounts WHERE owner = 'café ''zoë''' AND branch = 9";
+        let want = Value::Str("café 'zoë'".into());
+
+        let Statement::Select(parsed) = parse_statement(sql).unwrap() else {
+            panic!("a select");
+        };
+        let Some(Predicate::And(parts)) = &parsed.where_clause else {
+            panic!("a conjunction");
+        };
+        assert!(matches!(&parts[0], Predicate::Cmp { value, .. } if *value == want));
+
+        let mut lits = LiteralBuf::default();
+        scan_fingerprint(sql, &mut lits).unwrap();
+        assert_eq!(lits.values, [want.clone(), Value::Int(9)]);
+
+        // Bound shape = parsed + extracted shape, the literal included.
+        let template = "SELECT * FROM accounts WHERE owner = 'a' AND branch = 1";
+        assert_bind_matches(template, sql, &cat);
+        let shape = QueryShape::extract(&parse_statement(sql).unwrap(), &cat);
+        assert!(matches!(
+            &shape.tables[0].all_atoms[0],
+            AtomicPredicate::Cmp { value, .. } if *value == want
+        ));
+    }
+
     #[test]
     fn ineligible_templates_do_not_compile() {
         let cat = catalog();

@@ -23,7 +23,9 @@
 
 use crate::fastpath::{Compiled, CompiledTemplate, FastPathCache, Upkeep, UpkeepCounters};
 use autoindex_estimator::cost_cache::shape_key;
-use autoindex_sql::{fingerprint, parse_statement, Fingerprint, SqlError, Statement, TemplateId};
+use autoindex_sql::{
+    fingerprint, parse_statement, scan_fingerprint, LiteralBuf, SqlError, Statement, TemplateId,
+};
 use autoindex_storage::catalog::Catalog;
 use autoindex_storage::shape::QueryShape;
 use autoindex_support::json::{obj, Json, JsonError};
@@ -100,6 +102,9 @@ pub struct TemplateStore {
     /// The compiled entries as last published; `None` once a template was
     /// born or dropped, or an entry compiled or re-folded, since.
     published: Option<Arc<FastPathCache>>,
+    /// Where [`TemplateStore::observe`]'s scan puts the literals it skips
+    /// (kept for its capacity; nothing reads the values).
+    scanned: LiteralBuf,
 }
 
 impl TemplateStore {
@@ -114,6 +119,7 @@ impl TemplateStore {
             next_id: 0,
             shifts_detected: 0,
             published: None,
+            scanned: LiteralBuf::new(),
         }
     }
 
@@ -126,23 +132,30 @@ impl TemplateStore {
     /// Observe one query. Returns the template hash, or a parse error for
     /// SQL the front-end cannot analyse (the caller typically skips those).
     ///
-    /// The hot path — a repeated template — costs one lexer pass plus one
-    /// hash lookup; parsing and shape extraction run only for new
-    /// templates.
+    /// The hot path — a repeated template — costs one allocation-free scan
+    /// of the text ([`scan_fingerprint`]) plus one hash lookup; the
+    /// canonical template text, parsing and shape extraction run only for
+    /// new templates. From the hash on this *is*
+    /// [`TemplateStore::observe_prehashed`].
     pub fn observe(&mut self, sql: &str, catalog: &Catalog) -> Result<u64, SqlError> {
         self.clock += 1;
         self.window_queries += 1;
-        let fp = fingerprint(sql)?;
-        self.touch_or_admit(fp.hash, Some(fp), sql, catalog)
+        let hash = match scan_fingerprint(sql, &mut self.scanned) {
+            Some(hash) => hash,
+            // The scanner turns down exactly what the tokenizer does, which
+            // reports the error.
+            None => fingerprint(sql)?.hash,
+        };
+        self.touch_or_admit(hash, sql, catalog)
     }
 
     /// Observe a query whose fingerprint hash is already known (computed by
     /// the serving loop's zero-allocation scanner). The repeated-template
     /// hot path skips the lexer pass entirely — one hash lookup. A miss
-    /// (e.g. the template was evicted since the cache was built)
-    /// fingerprints the text after all. Past that the two entry points are
-    /// one function, which is what keeps fast-path-on and fast-path-off
-    /// tuner decisions byte-identical.
+    /// (a new template, or one evicted since the cache was built)
+    /// fingerprints the text after all, for the canonical template text.
+    /// [`TemplateStore::observe`] ends here too, which is what keeps
+    /// fast-path-on and fast-path-off tuner decisions byte-identical.
     pub fn observe_prehashed(
         &mut self,
         hash: u64,
@@ -151,29 +164,20 @@ impl TemplateStore {
     ) -> Result<u64, SqlError> {
         self.clock += 1;
         self.window_queries += 1;
-        self.touch_or_admit(hash, None, sql, catalog)
+        self.touch_or_admit(hash, sql, catalog)
     }
 
     /// Count a match of template `hash`, or admit `sql` as a new template
-    /// under its fingerprint (`fp`, computed here when the caller has not):
-    /// parse once, analyse once, evict when full.
-    fn touch_or_admit(
-        &mut self,
-        hash: u64,
-        fp: Option<Fingerprint>,
-        sql: &str,
-        catalog: &Catalog,
-    ) -> Result<u64, SqlError> {
+    /// under its fingerprint: canonical text once, parse once, analyse
+    /// once, evict when full.
+    fn touch_or_admit(&mut self, hash: u64, sql: &str, catalog: &Catalog) -> Result<u64, SqlError> {
         if let Some(e) = self.by_hash.get_mut(&hash) {
             e.frequency += 1.0;
             e.last_seen = self.clock;
             self.maybe_handle_shift();
             return Ok(hash);
         }
-        let fp = match fp {
-            Some(fp) => fp,
-            None => fingerprint(sql)?,
-        };
+        let fp = fingerprint(sql)?;
         self.window_new_templates += 1;
         let statement = parse_statement(sql)?;
         let shape = QueryShape::extract(&statement, catalog);
@@ -490,6 +494,7 @@ impl TemplateStore {
             next_id,
             shifts_detected,
             published: None,
+            scanned: LiteralBuf::new(),
         })
     }
 

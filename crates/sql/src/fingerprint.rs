@@ -5,10 +5,12 @@
 //!
 //! Two fingerprinting paths are provided:
 //!
-//! * [`fingerprint`] — fast, text-level: lex the query, replace every
-//!   literal token with `$`, normalise whitespace/casing, and hash-join the
-//!   result. This is what the online `SQL2Template` hot path uses; it never
-//!   builds an AST.
+//! * [`fingerprint`] — text-level: lex the query, replace every literal
+//!   token with `$`, normalise whitespace/casing, and hash the result. It
+//!   never builds an AST; [`scan_fingerprint`] computes the same hash
+//!   without building the text either, which is what the per-statement
+//!   `SQL2Template` path uses — the text is only needed when a template is
+//!   admitted.
 //! * [`fingerprint_statement`] — structural: render a parsed statement with
 //!   all values replaced by placeholders. Used when the template store also
 //!   needs the AST (e.g. for candidate generation on first sight of a
@@ -57,13 +59,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Text-level fingerprint: lex, replace literals with `$`, re-emit with
 /// single spaces. Errors only on lexically invalid SQL.
 pub fn fingerprint(sql: &str) -> Result<Fingerprint, SqlError> {
-    let tokens = Lexer::tokenize(sql)?;
+    let mut lexer = Lexer::new(sql);
     // Canonical text is about the same length as the input.
     let mut text = String::with_capacity(sql.len());
     let mut prev_glue = false; // previous token glues to the next (no space)
     let mut after_like = false; // previous keyword was LIKE
-    for t in &tokens {
-        let piece: &str = match &t.kind {
+    loop {
+        let kind = lexer.next_token()?.kind;
+        let piece: &str = match kind {
             TokenKind::Eof => break,
             // A string after LIKE keeps its wildcard anchoring: prefix
             // patterns ('abc%') are sargable, suffix patterns ('%abc') are
@@ -83,17 +86,18 @@ pub fn fingerprint(sql: &str) -> Result<Fingerprint, SqlError> {
             TokenKind::Keyword(k) => k,
             TokenKind::Punct(p) => p,
         };
-        after_like = matches!(&t.kind, TokenKind::Keyword(k) if k == "LIKE");
-        let glue_before = matches!(t.kind, TokenKind::Punct("." | "," | ")" | ";"));
+        after_like = matches!(kind, TokenKind::Keyword("LIKE"));
+        let glue_before = matches!(kind, TokenKind::Punct("." | "," | ")" | ";"));
         if !text.is_empty() && !prev_glue && !glue_before {
             text.push(' ');
         }
+        let at = text.len();
         text.push_str(piece);
-        prev_glue = matches!(t.kind, TokenKind::Punct("." | "("));
-        // Commas glue left but space right.
-        if matches!(t.kind, TokenKind::Punct(",")) {
-            prev_glue = false;
+        if matches!(kind, TokenKind::Ident(_)) {
+            // Identifiers are case-insensitive; the token is as written.
+            text[at..].make_ascii_lowercase();
         }
+        prev_glue = matches!(kind, TokenKind::Punct("." | "("));
     }
     Ok(Fingerprint::from_text(text))
 }

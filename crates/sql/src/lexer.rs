@@ -1,25 +1,33 @@
 //! Hand-written SQL tokenizer.
 //!
-//! Produces a flat token stream; keywords are recognised case-insensitively
-//! and normalised to upper case. Literals keep their raw text so the
-//! fingerprinter can replace them with placeholders without re-rendering.
+//! [`Lexer`] streams tokens that *borrow* the statement text: a keyword is
+//! its canonical `&'static str` spelling, an identifier or string literal
+//! a slice of the source. Nothing is allocated per token; the parser
+//! lower-cases an identifier ([`ident_text`]) or unescapes a string
+//! ([`unescape`]) into an owned `String` once, where the AST takes it.
 
 use crate::SqlError;
 
 /// The kind of a lexed token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// A bare identifier (table, column, alias). Stored lower-cased; SQL
-    /// identifiers are case-insensitive in the dialect we model.
-    Ident(String),
+///
+/// `Debug` prints what the token *means*, not how it was written — an
+/// identifier lower-cased, a string literal unescaped — because parse
+/// errors quote tokens through it.
+#[derive(Clone, Copy)]
+pub enum TokenKind<'a> {
+    /// An identifier (table, column, alias) as written, bare or the inside
+    /// of a `"quoted"` one. SQL identifiers are case-insensitive in the
+    /// dialect we model: take it through [`ident_text`].
+    Ident(&'a str),
     /// A recognised SQL keyword, upper-cased (`SELECT`, `WHERE`, ...).
-    Keyword(String),
+    Keyword(&'static str),
     /// Integer literal.
     Int(i64),
     /// Floating point literal.
     Float(f64),
-    /// Single-quoted string literal (unescaped content).
-    Str(String),
+    /// Single-quoted string literal: the source between the quotes, `''`
+    /// escapes still doubled. Take it through [`unescape`].
+    Str(&'a str),
     /// A `?` or `$n` bind parameter.
     Placeholder,
     /// Punctuation / operator: `(`, `)`, `,`, `.`, `*`, `=`, `<`, `<=`, `>`,
@@ -29,7 +37,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// True for literal tokens that `SQL2Template` replaces with `$`.
     pub fn is_literal(&self) -> bool {
         matches!(
@@ -39,33 +47,48 @@ impl TokenKind {
     }
 }
 
+impl std::fmt::Debug for TokenKind<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TokenKind::Ident(s) => f.debug_tuple("Ident").field(&ident_text(s)).finish(),
+            TokenKind::Keyword(k) => f.debug_tuple("Keyword").field(k).finish(),
+            TokenKind::Int(v) => f.debug_tuple("Int").field(v).finish(),
+            TokenKind::Float(v) => f.debug_tuple("Float").field(v).finish(),
+            TokenKind::Str(raw) => f.debug_tuple("Str").field(&unescape(raw)).finish(),
+            TokenKind::Placeholder => f.write_str("Placeholder"),
+            TokenKind::Punct(p) => f.debug_tuple("Punct").field(p).finish(),
+            TokenKind::Eof => f.write_str("Eof"),
+        }
+    }
+}
+
+/// The owned, lower-cased form of an [`TokenKind::Ident`] slice.
+pub fn ident_text(raw: &str) -> String {
+    raw.to_ascii_lowercase()
+}
+
+/// The content of a [`TokenKind::Str`] slice: `''` becomes `'`.
+pub fn unescape(raw: &str) -> String {
+    raw.replace("''", "'")
+}
+
 /// A token plus its byte offset in the source.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+#[derive(Debug, Clone, Copy)]
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub offset: usize,
 }
 
-/// All keywords the parser understands. Anything else lexes as an
-/// identifier, which keeps the lexer forward-compatible.
-const KEYWORDS: &[&str] = &[
-    "SELECT", "FROM", "WHERE", "GROUP", "ORDER", "BY", "HAVING", "LIMIT", "OFFSET", "AS", "AND",
-    "OR", "NOT", "IN", "BETWEEN", "LIKE", "IS", "NULL", "EXISTS", "INSERT", "INTO", "VALUES",
-    "UPDATE", "SET", "DELETE", "JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "ON", "ASC",
-    "DESC", "DISTINCT", "COUNT", "SUM", "AVG", "MIN", "MAX", "UNION", "ALL", "CASE", "WHEN",
-    "THEN", "ELSE", "END", "FOR", "OF",
-];
-
 /// Case-insensitive keyword lookup: the canonical upper-case spelling if
-/// `word` is a keyword, `None` otherwise. Allocation-free — used by the
-/// zero-allocation fingerprint scanner, which cannot afford the
-/// `to_ascii_uppercase` the lexer performs per word.
+/// `word` is a keyword the parser understands, `None` otherwise (anything
+/// else lexes as an identifier, which keeps the lexer forward-compatible).
+/// Allocation-free; the tokenizer and the fingerprint scanner share it.
 ///
 /// Dispatches on `(length, first byte)` before comparing, so the common
 /// case — an identifier that is *not* a keyword — decides against at most
-/// four candidates instead of scanning all of `KEYWORDS`. The unit test
-/// `bucketed_keyword_match_agrees_with_linear_scan` pins this to the
-/// canonical linear lookup.
+/// four candidates. The unit test
+/// `bucketed_keyword_match_agrees_with_linear_scan` pins this to a linear
+/// lookup over the keyword list.
 pub fn keyword_match(word: &str) -> Option<&'static str> {
     let bytes = word.as_bytes();
     let &first = bytes.first()?;
@@ -119,6 +142,7 @@ pub fn keyword_match(word: &str) -> Option<&'static str> {
 }
 
 /// Streaming tokenizer over a SQL string.
+#[derive(Debug, Clone)]
 pub struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -132,20 +156,6 @@ impl<'a> Lexer<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-        }
-    }
-
-    /// Tokenize the whole input, appending a trailing [`TokenKind::Eof`].
-    pub fn tokenize(src: &'a str) -> Result<Vec<Token>, SqlError> {
-        let mut lx = Lexer::new(src);
-        let mut out = Vec::with_capacity(src.len() / 4 + 4);
-        loop {
-            let tok = lx.next_token()?;
-            let eof = tok.kind == TokenKind::Eof;
-            out.push(tok);
-            if eof {
-                return Ok(out);
-            }
         }
     }
 
@@ -201,8 +211,18 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Lex one token.
-    pub fn next_token(&mut self) -> Result<Token, SqlError> {
+    /// Lex one token; [`TokenKind::Eof`] at the end of the input, and from
+    /// then on. After an error the lexer is at the end of its input: the
+    /// byte it stopped at need not be a character boundary.
+    pub fn next_token(&mut self) -> Result<Token<'a>, SqlError> {
+        let token = self.lex_token();
+        if token.is_err() {
+            self.pos = self.bytes.len();
+        }
+        token
+    }
+
+    fn lex_token(&mut self) -> Result<Token<'a>, SqlError> {
         self.skip_ws_and_comments()?;
         let offset = self.pos;
         let Some(b) = self.peek() else {
@@ -232,22 +252,18 @@ impl<'a> Lexer<'a> {
         Ok(Token { kind, offset })
     }
 
-    fn lex_string(&mut self, offset: usize) -> Result<TokenKind, SqlError> {
+    fn lex_string(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         debug_assert_eq!(self.peek(), Some(b'\''));
         self.pos += 1;
-        let mut content = String::new();
+        let start = self.pos;
         loop {
             match self.bump() {
-                Some(b'\'') => {
-                    // '' escapes a quote inside a string literal.
-                    if self.peek() == Some(b'\'') {
-                        self.pos += 1;
-                        content.push('\'');
-                    } else {
-                        return Ok(TokenKind::Str(content));
-                    }
-                }
-                Some(c) => content.push(c as char),
+                // '' escapes a quote inside a string literal.
+                Some(b'\'') if self.peek() == Some(b'\'') => self.pos += 1,
+                // The quotes are ASCII, so the slice between them falls on
+                // character boundaries whatever the content is.
+                Some(b'\'') => return Ok(TokenKind::Str(&self.src[start..self.pos - 1])),
+                Some(_) => {}
                 None => {
                     return Err(SqlError::Lex {
                         offset,
@@ -258,12 +274,12 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_quoted_ident(&mut self, offset: usize) -> Result<TokenKind, SqlError> {
+    fn lex_quoted_ident(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         self.pos += 1;
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b'"' {
-                let ident = self.src[start..self.pos].to_ascii_lowercase();
+                let ident = &self.src[start..self.pos];
                 self.pos += 1;
                 return Ok(TokenKind::Ident(ident));
             }
@@ -275,7 +291,7 @@ impl<'a> Lexer<'a> {
         })
     }
 
-    fn lex_number(&mut self, offset: usize) -> Result<TokenKind, SqlError> {
+    fn lex_number(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         let start = self.pos;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
@@ -326,7 +342,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_word(&mut self) -> TokenKind {
+    fn lex_word(&mut self) -> TokenKind<'a> {
         let start = self.pos;
         while self
             .peek()
@@ -335,15 +351,13 @@ impl<'a> Lexer<'a> {
             self.pos += 1;
         }
         let word = &self.src[start..self.pos];
-        let upper = word.to_ascii_uppercase();
-        if KEYWORDS.contains(&upper.as_str()) {
-            TokenKind::Keyword(upper)
-        } else {
-            TokenKind::Ident(word.to_ascii_lowercase())
+        match keyword_match(word) {
+            Some(keyword) => TokenKind::Keyword(keyword),
+            None => TokenKind::Ident(word),
         }
     }
 
-    fn lex_punct(&mut self, offset: usize) -> Result<TokenKind, SqlError> {
+    fn lex_punct(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         let b = self.bump().expect("caller checked non-empty");
         let two = |lx: &mut Self, s: &'static str| {
             lx.pos += 1;
@@ -387,6 +401,15 @@ impl<'a> Lexer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every keyword [`keyword_match`] must know, in one flat list.
+    const KEYWORDS: &[&str] = &[
+        "SELECT", "FROM", "WHERE", "GROUP", "ORDER", "BY", "HAVING", "LIMIT", "OFFSET", "AS",
+        "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE", "IS", "NULL", "EXISTS", "INSERT", "INTO",
+        "VALUES", "UPDATE", "SET", "DELETE", "JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER",
+        "ON", "ASC", "DESC", "DISTINCT", "COUNT", "SUM", "AVG", "MIN", "MAX", "UNION", "ALL",
+        "CASE", "WHEN", "THEN", "ELSE", "END", "FOR", "OF",
+    ];
 
     #[test]
     fn bucketed_keyword_match_agrees_with_linear_scan() {
@@ -438,130 +461,148 @@ mod tests {
         }
     }
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
-        Lexer::tokenize(sql)
+    fn tokens(sql: &str) -> Result<Vec<Token<'_>>, SqlError> {
+        let mut lexer = Lexer::new(sql);
+        let mut out = Vec::new();
+        loop {
+            let token = lexer.next_token()?;
+            out.push(token);
+            if matches!(token.kind, TokenKind::Eof) {
+                return Ok(out);
+            }
+        }
+    }
+
+    /// The tokens of `sql` as their `Debug` rendering: what a token means
+    /// (identifier lower-cased, string unescaped), which is also what parse
+    /// errors quote.
+    fn kinds(sql: &str) -> Vec<String> {
+        tokens(sql)
             .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
+            .iter()
+            .map(|t| format!("{:?}", t.kind))
             .collect()
     }
 
     #[test]
     fn lexes_keywords_case_insensitively() {
-        let ks = kinds("select FROM WhErE");
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Keyword("SELECT".into()),
-                TokenKind::Keyword("FROM".into()),
-                TokenKind::Keyword("WHERE".into()),
-                TokenKind::Eof
+            kinds("select FROM WhErE"),
+            [
+                r#"Keyword("SELECT")"#,
+                r#"Keyword("FROM")"#,
+                r#"Keyword("WHERE")"#,
+                "Eof"
             ]
         );
     }
 
     #[test]
     fn lexes_identifiers_lowercased() {
-        let ks = kinds("Customer c_ID");
+        let toks = tokens("Customer c_ID").unwrap();
+        assert!(matches!(toks[0].kind, TokenKind::Ident("Customer")));
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Ident("customer".into()),
-                TokenKind::Ident("c_id".into()),
-                TokenKind::Eof
-            ]
+            kinds("Customer c_ID"),
+            [r#"Ident("customer")"#, r#"Ident("c_id")"#, "Eof"]
         );
     }
 
     #[test]
     fn lexes_numbers() {
-        let ks = kinds("42 2.75 1e3 7.5e-2");
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Int(42),
-                TokenKind::Float(2.75),
-                TokenKind::Float(1000.0),
-                TokenKind::Float(0.075),
-                TokenKind::Eof
+            kinds("42 2.75 1e3 7.5e-2"),
+            [
+                "Int(42)",
+                "Float(2.75)",
+                "Float(1000.0)",
+                "Float(0.075)",
+                "Eof"
             ]
         );
     }
 
     #[test]
     fn int_overflow_falls_back_to_float() {
-        let ks = kinds("99999999999999999999999999");
-        assert!(matches!(ks[0], TokenKind::Float(_)));
+        let toks = tokens("99999999999999999999999999").unwrap();
+        assert!(matches!(toks[0].kind, TokenKind::Float(_)));
     }
 
     #[test]
     fn lexes_strings_with_escaped_quotes() {
-        let ks = kinds("'o''brien'");
-        assert_eq!(ks[0], TokenKind::Str("o'brien".into()));
+        let toks = tokens("'o''brien' 'café' ''").unwrap();
+        assert!(matches!(toks[0].kind, TokenKind::Str("o''brien")));
+        assert!(matches!(toks[1].kind, TokenKind::Str("café")));
+        assert!(matches!(toks[2].kind, TokenKind::Str("")));
+        assert_eq!(unescape("o''brien"), "o'brien");
+        assert_eq!(
+            kinds("'o''brien' 'café'"),
+            [r#"Str("o'brien")"#, r#"Str("café")"#, "Eof"]
+        );
     }
 
     #[test]
     fn unterminated_string_is_error() {
-        assert!(Lexer::tokenize("'oops").is_err());
+        assert!(tokens("'oops").is_err());
+        assert!(tokens("'oops''").is_err());
+    }
+
+    #[test]
+    fn the_lexer_reads_eof_after_an_error() {
+        // The stray byte is the first of a two-byte character: whatever
+        // follows must not be sliced from the middle of it.
+        let mut lexer = Lexer::new("a é 'x'");
+        assert!(matches!(
+            lexer.next_token().unwrap().kind,
+            TokenKind::Ident("a")
+        ));
+        assert!(lexer.next_token().is_err());
+        assert!(matches!(lexer.next_token().unwrap().kind, TokenKind::Eof));
     }
 
     #[test]
     fn lexes_placeholders() {
-        let ks = kinds("? $1 $23");
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Placeholder,
-                TokenKind::Placeholder,
-                TokenKind::Placeholder,
-                TokenKind::Eof
-            ]
+            kinds("? $1 $23"),
+            ["Placeholder", "Placeholder", "Placeholder", "Eof"]
         );
     }
 
     #[test]
     fn lexes_two_char_operators() {
-        let ks = kinds("<= >= <> != =");
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Punct("<="),
-                TokenKind::Punct(">="),
-                TokenKind::Punct("<>"),
-                TokenKind::Punct("<>"),
-                TokenKind::Punct("="),
-                TokenKind::Eof
+            kinds("<= >= <> != ="),
+            [
+                r#"Punct("<=")"#,
+                r#"Punct(">=")"#,
+                r#"Punct("<>")"#,
+                r#"Punct("<>")"#,
+                r#"Punct("=")"#,
+                "Eof"
             ]
         );
     }
 
     #[test]
     fn skips_line_and_block_comments() {
-        let ks = kinds("select -- hi\n /* block\n comment */ 1");
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Keyword("SELECT".into()),
-                TokenKind::Int(1),
-                TokenKind::Eof
-            ]
+            kinds("select -- hi\n /* block\n comment */ 1"),
+            [r#"Keyword("SELECT")"#, "Int(1)", "Eof"]
         );
     }
 
     #[test]
     fn unterminated_block_comment_is_error() {
-        assert!(Lexer::tokenize("select /* nope").is_err());
+        assert!(tokens("select /* nope").is_err());
     }
 
     #[test]
     fn quoted_identifier() {
-        let ks = kinds("\"Order\"");
-        assert_eq!(ks[0], TokenKind::Ident("order".into()));
+        assert_eq!(kinds("\"Order\"")[0], r#"Ident("order")"#);
     }
 
     #[test]
     fn offsets_point_at_token_start() {
-        let toks = Lexer::tokenize("ab  cd").unwrap();
+        let toks = tokens("ab  cd").unwrap();
         assert_eq!(toks[0].offset, 0);
         assert_eq!(toks[1].offset, 4);
     }
@@ -569,9 +610,9 @@ mod tests {
     #[test]
     fn literal_classification() {
         assert!(TokenKind::Int(1).is_literal());
-        assert!(TokenKind::Str("x".into()).is_literal());
+        assert!(TokenKind::Str("x").is_literal());
         assert!(TokenKind::Placeholder.is_literal());
-        assert!(!TokenKind::Ident("a".into()).is_literal());
+        assert!(!TokenKind::Ident("a").is_literal());
         assert!(!TokenKind::Punct("=").is_literal());
     }
 }

@@ -3,11 +3,13 @@
 //! This crate provides everything AutoIndex needs to understand a workload
 //! query *textually and structurally*:
 //!
-//! * [`lexer`] — a hand-written SQL tokenizer.
+//! * [`lexer`] — a hand-written, streaming SQL tokenizer whose tokens
+//!   borrow the statement text (no allocation per token).
 //! * [`ast`] — the abstract syntax tree for the SQL subset AutoIndex
 //!   analyses (`SELECT` / `INSERT` / `UPDATE` / `DELETE` with joins,
 //!   subqueries, boolean predicate trees, `GROUP BY` / `ORDER BY`).
-//! * [`parser`] — a recursive-descent parser producing the AST.
+//! * [`parser`] — a recursive-descent parser pulling from the tokenizer
+//!   with one token of look-ahead; it allocates what the AST owns.
 //! * [`predicate`] — boolean predicate normalisation: negation push-down
 //!   (NNF) and *Disjunctive Normal Form* rewriting, which §IV-A of the paper
 //!   uses to unify equivalent predicate expressions before candidate index
@@ -15,7 +17,7 @@
 //! * [`mod@fingerprint`] — `SQL2Template` support: replacing literals with
 //!   placeholders so that queries differing only in constants map to the
 //!   same template, plus [`scan_fingerprint`], a zero-allocation scanner
-//!   that computes the same hash without building tokens.
+//!   that computes the same hash without building tokens or text.
 //! * [`intern`] — dense `u32` handles ([`TableId`] / [`ColumnId`] /
 //!   [`TemplateId`]) for identifier-heavy hot paths.
 //!
@@ -26,15 +28,24 @@
 //! # Example
 //!
 //! ```
-//! use autoindex_sql::{parse_statement, fingerprint};
+//! use autoindex_sql::{fingerprint, parse_statement, scan_fingerprint, Lexer, LiteralBuf, TokenKind, Value};
 //!
 //! let q = "SELECT name FROM person WHERE temperature > 37.3 AND community = 'riverside'";
 //! let stmt = parse_statement(q).unwrap();
 //! assert!(stmt.is_select());
+//! // Tokens are slices of `q`, as written; nothing was copied to lex them.
+//! let mut lexer = Lexer::new(q);
+//! assert!(matches!(lexer.next_token().unwrap().kind, TokenKind::Keyword("SELECT")));
+//! assert!(matches!(lexer.next_token().unwrap().kind, TokenKind::Ident("name")));
 //! // Two queries differing only in constants share a fingerprint.
 //! let f1 = fingerprint(q).unwrap();
 //! let f2 = fingerprint("SELECT name FROM person WHERE temperature > 39.1 AND community = 'hill'").unwrap();
 //! assert_eq!(f1, f2);
+//! // The scanner reaches the same hash without the text, and hands back
+//! // the constants it skipped.
+//! let mut literals = LiteralBuf::new();
+//! assert_eq!(scan_fingerprint(q, &mut literals), Some(f1.hash));
+//! assert_eq!(literals.values, [Value::Float(37.3), Value::Str("riverside".into())]);
 //! ```
 
 pub mod ast;

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::ast::*;
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::lexer::{ident_text, unescape, Lexer, Token, TokenKind};
 use crate::SqlError;
 
 /// A parse error with the offending token offset and a message.
@@ -36,48 +36,86 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parse a single SQL statement. Trailing `;` is allowed.
+///
+/// Allocates what the returned [`Statement`] owns and nothing else: tokens
+/// borrow `sql` and are pulled from the tokenizer one at a time.
 pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
-    let tokens = Lexer::tokenize(sql)?;
-    let mut p = Parser::new(tokens);
-    let stmt = p.parse_statement()?;
-    p.expect_end()?;
-    Ok(stmt)
+    let mut p = Parser::new(sql);
+    let parsed = p.parse_statement().and_then(|stmt| {
+        p.expect_end()?;
+        Ok(stmt)
+    });
+    // A lexical error anywhere in the text outranks whatever the grammar
+    // made of the tokens before it.
+    match p.lex_error() {
+        Some(e) => Err(e),
+        None => Ok(parsed?),
+    }
 }
 
-/// Token-stream parser. Use [`parse_statement`] unless you need to drive
-/// parsing manually (e.g. multiple statements from one stream).
-pub struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Recursive-descent parser pulling tokens from a [`Lexer`] with one token
+/// of look-ahead. Use [`parse_statement`] unless you need to drive parsing
+/// manually (e.g. a bare predicate); then check [`Parser::lex_error`] once
+/// done.
+pub struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The look-ahead token.
+    cur: Token<'a>,
+    /// The lexical error the tokenizer stopped at; the grammar sees `Eof`
+    /// from there on.
+    lex_error: Option<SqlError>,
 }
 
-impl Parser {
-    /// Create a parser over a token stream (must end with `Eof`).
-    pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+impl<'a> Parser<'a> {
+    /// Create a parser over `sql`.
+    pub fn new(sql: &'a str) -> Self {
+        let mut p = Parser {
+            lexer: Lexer::new(sql),
+            cur: Token {
+                kind: TokenKind::Eof,
+                offset: 0,
+            },
+            lex_error: None,
+        };
+        p.advance();
+        p
     }
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
-    }
-
-    fn peek_offset(&self) -> usize {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].offset
-    }
-
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    fn advance(&mut self) {
+        match self.lexer.next_token() {
+            Ok(token) => self.cur = token,
+            Err(e) => {
+                self.cur = Token {
+                    kind: TokenKind::Eof,
+                    offset: self.cur.offset,
+                };
+                self.lex_error = Some(e);
+            }
         }
-        t
+    }
+
+    /// The first lexical error in the text, looked for up to its end: a
+    /// parse that stopped early has not seen the tokens behind its error.
+    pub fn lex_error(&mut self) -> Option<SqlError> {
+        while self.lex_error.is_none() && !matches!(self.cur.kind, TokenKind::Eof) {
+            self.advance();
+        }
+        self.lex_error.take()
+    }
+
+    fn peek(&self) -> TokenKind<'a> {
+        self.cur.kind
+    }
+
+    fn bump(&mut self) -> TokenKind<'a> {
+        let kind = self.cur.kind;
+        self.advance();
+        kind
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
-            offset: self.peek_offset(),
+            offset: self.cur.offset,
             message: message.into(),
         })
     }
@@ -104,7 +142,7 @@ impl Parser {
     }
 
     fn at_punct(&self, p: &str) -> bool {
-        matches!(self.peek(), TokenKind::Punct(q) if *q == p)
+        matches!(self.peek(), TokenKind::Punct(q) if q == p)
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -124,14 +162,19 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    /// Consume an identifier, as written.
+    fn expect_raw_ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek() {
             TokenKind::Ident(name) => {
-                self.bump();
+                self.advance();
                 Ok(name)
             }
             other => self.err(format!("expected identifier, found {other:?}")),
         }
+    }
+
+    fn expect_ident(&mut self) -> Result<String, ParseError> {
+        self.expect_raw_ident().map(ident_text)
     }
 
     /// Assert the whole input was consumed (modulo a trailing `;`).
@@ -147,10 +190,10 @@ impl Parser {
     /// Parse one statement.
     pub fn parse_statement(&mut self) -> Result<Statement, ParseError> {
         match self.peek() {
-            TokenKind::Keyword(k) if k == "SELECT" => Ok(Statement::Select(self.parse_select()?)),
-            TokenKind::Keyword(k) if k == "INSERT" => Ok(Statement::Insert(self.parse_insert()?)),
-            TokenKind::Keyword(k) if k == "UPDATE" => Ok(Statement::Update(self.parse_update()?)),
-            TokenKind::Keyword(k) if k == "DELETE" => Ok(Statement::Delete(self.parse_delete()?)),
+            TokenKind::Keyword("SELECT") => Ok(Statement::Select(self.parse_select()?)),
+            TokenKind::Keyword("INSERT") => Ok(Statement::Insert(self.parse_insert()?)),
+            TokenKind::Keyword("UPDATE") => Ok(Statement::Update(self.parse_update()?)),
+            TokenKind::Keyword("DELETE") => Ok(Statement::Delete(self.parse_delete()?)),
             other => self.err(format!("expected a statement keyword, found {other:?}")),
         }
     }
@@ -158,7 +201,10 @@ impl Parser {
     fn parse_select(&mut self) -> Result<SelectStatement, ParseError> {
         self.expect_keyword("SELECT")?;
         let distinct = self.eat_keyword("DISTINCT");
-        let mut projection = vec![self.parse_select_item()?];
+        // `Vec::new` + `push` here and below, not `vec![first]`: its exact
+        // capacity of one is reallocated by the second element.
+        let mut projection = Vec::new();
+        projection.push(self.parse_select_item()?);
         while self.eat_punct(",") {
             projection.push(self.parse_select_item()?);
         }
@@ -254,10 +300,10 @@ impl Parser {
 
     fn peek_join_kind(&self) -> Option<JoinKind> {
         match self.peek() {
-            TokenKind::Keyword(k) if k == "JOIN" || k == "INNER" => Some(JoinKind::Inner),
-            TokenKind::Keyword(k) if k == "LEFT" => Some(JoinKind::Left),
-            TokenKind::Keyword(k) if k == "RIGHT" => Some(JoinKind::Right),
-            TokenKind::Keyword(k) if k == "FULL" => Some(JoinKind::Full),
+            TokenKind::Keyword("JOIN" | "INNER") => Some(JoinKind::Inner),
+            TokenKind::Keyword("LEFT") => Some(JoinKind::Left),
+            TokenKind::Keyword("RIGHT") => Some(JoinKind::Right),
+            TokenKind::Keyword("FULL") => Some(JoinKind::Full),
             _ => None,
         }
     }
@@ -279,28 +325,28 @@ impl Parser {
             return Ok(SelectItem::Star);
         }
         // Aggregates: COUNT/SUM/AVG/MIN/MAX '(' (col | *) ')'
-        if let TokenKind::Keyword(k) = self.peek() {
-            if matches!(k.as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX") {
-                let func = k.clone();
-                self.bump();
-                self.expect_punct("(")?;
-                let arg = if self.eat_punct("*") {
-                    None
-                } else {
-                    self.eat_keyword("DISTINCT");
-                    Some(self.parse_column_ref()?)
-                };
-                self.expect_punct(")")?;
-                // Optional alias.
-                if self.eat_keyword("AS") {
-                    self.expect_ident()?;
-                }
-                return Ok(SelectItem::Aggregate { func, arg });
+        if let TokenKind::Keyword(func @ ("COUNT" | "SUM" | "AVG" | "MIN" | "MAX")) = self.peek() {
+            self.bump();
+            self.expect_punct("(")?;
+            let arg = if self.eat_punct("*") {
+                None
+            } else {
+                self.eat_keyword("DISTINCT");
+                Some(self.parse_column_ref()?)
+            };
+            self.expect_punct(")")?;
+            // Optional alias.
+            if self.eat_keyword("AS") {
+                self.expect_raw_ident()?;
             }
+            return Ok(SelectItem::Aggregate {
+                func: func.to_string(),
+                arg,
+            });
         }
         let col = self.parse_column_ref()?;
         if self.eat_keyword("AS") {
-            self.expect_ident()?;
+            self.expect_raw_ident()?;
         }
         Ok(SelectItem::Column(col))
     }
@@ -321,11 +367,9 @@ impl Parser {
         if self.eat_keyword("AS") {
             return self.expect_ident().ok();
         }
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            self.bump();
-            Some(name)
-        } else {
-            None
+        match self.peek() {
+            TokenKind::Ident(_) => self.expect_ident().ok(),
+            _ => None,
         }
     }
 
@@ -350,8 +394,8 @@ impl Parser {
         match self.bump() {
             TokenKind::Int(v) => Ok(Value::Int(if negative { -v } else { v })),
             TokenKind::Float(v) => Ok(Value::Float(if negative { -v } else { v })),
-            TokenKind::Str(s) if !negative => Ok(Value::Str(s)),
-            TokenKind::Keyword(k) if k == "NULL" && !negative => Ok(Value::Null),
+            TokenKind::Str(raw) if !negative => Ok(Value::Str(unescape(raw))),
+            TokenKind::Keyword("NULL") if !negative => Ok(Value::Null),
             TokenKind::Placeholder if !negative => Ok(Value::Placeholder),
             other => self.err(format!("expected a value, found {other:?}")),
         }
@@ -363,19 +407,29 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> Result<Predicate, ParseError> {
-        let mut parts = vec![self.parse_and()?];
+        let first = self.parse_and()?;
+        if !self.at_keyword("OR") {
+            return Ok(first);
+        }
+        let mut parts = Vec::new();
+        parts.push(first);
         while self.eat_keyword("OR") {
             parts.push(self.parse_and()?);
         }
-        Ok(Predicate::or(parts))
+        Ok(Predicate::Or(parts))
     }
 
     fn parse_and(&mut self) -> Result<Predicate, ParseError> {
-        let mut parts = vec![self.parse_not()?];
+        let first = self.parse_not()?;
+        if !self.at_keyword("AND") {
+            return Ok(first);
+        }
+        let mut parts = Vec::new();
+        parts.push(first);
         while self.eat_keyword("AND") {
             parts.push(self.parse_not()?);
         }
-        Ok(Predicate::and(parts))
+        Ok(Predicate::And(parts))
     }
 
     fn parse_not(&mut self) -> Result<Predicate, ParseError> {
@@ -407,14 +461,20 @@ impl Parser {
 
     /// True when the current token is an aggregate function keyword
     /// followed by `(` — the start of a HAVING aggregate comparison.
+    ///
+    /// The one place the grammar needs a second token of look-ahead: a
+    /// copy of the tokenizer lexes it (tokens borrow, so that is free of
+    /// allocation) and the real one stays where it is.
     fn at_aggregate_call(&self) -> bool {
-        let kw = matches!(
+        matches!(
             self.peek(),
-            TokenKind::Keyword(k) if matches!(k.as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
-        );
-        kw && matches!(
-            self.tokens.get(self.pos + 1).map(|t| &t.kind),
-            Some(TokenKind::Punct("("))
+            TokenKind::Keyword("COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
+        ) && matches!(
+            self.lexer.clone().next_token(),
+            Ok(Token {
+                kind: TokenKind::Punct("("),
+                ..
+            })
         )
     }
 
@@ -438,6 +498,7 @@ impl Parser {
             let TokenKind::Keyword(func) = self.bump() else {
                 unreachable!("at_aggregate_call checked a keyword");
             };
+            let func = func.to_string();
             self.expect_punct("(")?;
             let arg = if self.eat_punct("*") {
                 None
@@ -469,7 +530,8 @@ impl Parser {
                     negated,
                 });
             }
-            let mut values = vec![self.parse_value()?];
+            let mut values = Vec::new();
+            values.push(self.parse_value()?);
             while self.eat_punct(",") {
                 values.push(self.parse_value()?);
             }
@@ -493,7 +555,7 @@ impl Parser {
         }
         if self.eat_keyword("LIKE") {
             let pattern = match self.bump() {
-                TokenKind::Str(s) => s,
+                TokenKind::Str(raw) => unescape(raw),
                 TokenKind::Placeholder => "$".to_string(),
                 other => return self.err(format!("expected LIKE pattern, found {other:?}")),
             };
@@ -515,29 +577,25 @@ impl Parser {
         let op = self.parse_cmp_op()?;
 
         // Right-hand side: value, or column reference (join edge).
-        match self.peek().clone() {
-            TokenKind::Ident(_) => {
-                let right = self.parse_column_ref()?;
-                if op == CmpOp::Eq {
-                    Ok(Predicate::JoinEq {
-                        left: column,
-                        right,
-                    })
-                } else {
-                    // Non-equi column comparison: model as an opaque range
-                    // predicate on the left column (the advisor treats it as
-                    // a range restriction).
-                    Ok(Predicate::Cmp {
-                        column,
-                        op,
-                        value: Value::Placeholder,
-                    })
-                }
-            }
-            _ => {
-                let value = self.parse_value()?;
-                Ok(Predicate::Cmp { column, op, value })
-            }
+        if !matches!(self.peek(), TokenKind::Ident(_)) {
+            let value = self.parse_value()?;
+            return Ok(Predicate::Cmp { column, op, value });
+        }
+        let right = self.parse_column_ref()?;
+        if op == CmpOp::Eq {
+            Ok(Predicate::JoinEq {
+                left: column,
+                right,
+            })
+        } else {
+            // Non-equi column comparison: model as an opaque range
+            // predicate on the left column (the advisor treats it as
+            // a range restriction).
+            Ok(Predicate::Cmp {
+                column,
+                op,
+                value: Value::Placeholder,
+            })
         }
     }
 
@@ -557,7 +615,8 @@ impl Parser {
         let mut rows = Vec::new();
         loop {
             self.expect_punct("(")?;
-            let mut row = vec![self.parse_value()?];
+            let mut row = Vec::new();
+            row.push(self.parse_value()?);
             while self.eat_punct(",") {
                 row.push(self.parse_value()?);
             }

@@ -182,8 +182,7 @@ pub fn to_dnf(p: &Predicate) -> Result<Dnf, DnfError> {
 /// Convert a predicate to DNF, failing if more than `cap` conjuncts would
 /// be produced.
 pub fn to_dnf_capped(p: &Predicate, cap: usize) -> Result<Dnf, DnfError> {
-    let nnf = push_negations(p, false);
-    let conjuncts = distribute(&nnf, cap)?;
+    let conjuncts = distribute(push_negations(p, false), cap)?;
     Ok(Dnf { conjuncts })
 }
 
@@ -194,7 +193,12 @@ enum Nnf {
     Atom(AtomicPredicate),
 }
 
-fn atom_from(p: &Predicate, negated: bool) -> AtomicPredicate {
+/// The atomic predicate of one leaf of a predicate tree, with the
+/// negations above it (`negated`: an odd number of `NOT`s) folded in.
+///
+/// # Panics
+/// On a composite (`AND` / `OR` / `NOT`): callers descend into those.
+pub fn atom_from(p: &Predicate, negated: bool) -> AtomicPredicate {
     match p {
         Predicate::Cmp { column, op, value } => AtomicPredicate::Cmp {
             column: column.clone(),
@@ -287,7 +291,7 @@ fn atom_from(p: &Predicate, negated: bool) -> AtomicPredicate {
             }
         }
         Predicate::And(_) | Predicate::Or(_) | Predicate::Not(_) => {
-            unreachable!("composite predicates handled by push_negations")
+            unreachable!("composite predicates are not leaves")
         }
     }
 }
@@ -315,10 +319,12 @@ fn push_negations(p: &Predicate, negated: bool) -> Nnf {
     }
 }
 
-/// Distribute AND over OR bottom-up, producing the conjunct list.
-fn distribute(n: &Nnf, cap: usize) -> Result<Vec<Vec<AtomicPredicate>>, DnfError> {
+/// Distribute AND over OR bottom-up, producing the conjunct list. Consumes
+/// the tree: an atom is cloned only where distribution duplicates it, so a
+/// plain conjunction moves every atom into its one conjunct.
+fn distribute(n: Nnf, cap: usize) -> Result<Vec<Vec<AtomicPredicate>>, DnfError> {
     match n {
-        Nnf::Atom(a) => Ok(vec![vec![a.clone()]]),
+        Nnf::Atom(a) => Ok(vec![vec![a]]),
         Nnf::Or(children) => {
             let mut out = Vec::new();
             for c in children {
@@ -337,19 +343,33 @@ fn distribute(n: &Nnf, cap: usize) -> Result<Vec<Vec<AtomicPredicate>>, DnfError
             // Cartesian product of the children's conjunct lists.
             let mut acc: Vec<Vec<AtomicPredicate>> = vec![Vec::new()];
             for c in children {
-                let sub = distribute(c, cap)?;
-                let mut next = Vec::with_capacity(acc.len() * sub.len());
+                let mut sub = distribute(c, cap)?;
+                let produced = acc.len().saturating_mul(sub.len());
+                if produced > cap {
+                    return Err(DnfError::TooLarge {
+                        produced: cap + 1,
+                        cap,
+                    });
+                }
+                if let [only] = sub.as_mut_slice() {
+                    // One factor: every conjunct so far grows by it, the
+                    // last of them by the original. (None so far — an
+                    // empty `OR` came before — and the product stays empty.)
+                    let Some((last, rest)) = acc.split_last_mut() else {
+                        continue;
+                    };
+                    for left in rest {
+                        left.extend(only.iter().cloned());
+                    }
+                    last.append(only);
+                    continue;
+                }
+                let mut next = Vec::with_capacity(produced);
                 for left in &acc {
                     for right in &sub {
                         let mut merged = left.clone();
                         merged.extend(right.iter().cloned());
                         next.push(merged);
-                        if next.len() > cap {
-                            return Err(DnfError::TooLarge {
-                                produced: next.len(),
-                                cap,
-                            });
-                        }
                     }
                 }
                 acc = next;
@@ -583,6 +603,24 @@ mod tests {
         // A big enough cap succeeds with exactly 2^10 conjuncts.
         let d = to_dnf_capped(&p, 2000).unwrap();
         assert_eq!(d.conjuncts.len(), 1024);
+    }
+
+    #[test]
+    fn an_empty_disjunction_empties_the_conjunction_around_it() {
+        // Only a caller-built tree has an empty `OR` (the parser builds
+        // none): it has no satisfying conjunct, so neither has an `AND`
+        // over it, whichever side the atoms are on.
+        let atom = where_of("SELECT * FROM t WHERE a = 1");
+        let either = where_of("SELECT * FROM t WHERE b = 1 OR c = 1");
+        for children in [
+            vec![Predicate::Or(vec![]), atom.clone()],
+            vec![atom.clone(), Predicate::Or(vec![])],
+            vec![Predicate::Or(vec![]), either, atom.clone()],
+            vec![Predicate::Not(Box::new(Predicate::And(vec![]))), atom],
+        ] {
+            let d = to_dnf(&Predicate::And(children)).unwrap();
+            assert!(d.conjuncts.is_empty());
+        }
     }
 
     #[test]

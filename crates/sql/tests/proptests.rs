@@ -3,12 +3,15 @@
 //! * DNF conversion preserves boolean semantics on random predicate trees.
 //! * `Display` → `parse` round-trips on randomly generated statements.
 //! * Fingerprinting is idempotent and literal-invariant.
+//! * The tokenizer, the fingerprint scanner and the parser agree on
+//!   generated statements and on byte-mutated copies of them.
 
+use autoindex_sql::lexer::unescape;
 use autoindex_sql::predicate::{collect_atoms, evaluate, evaluate_dnf, to_dnf_capped};
 use autoindex_sql::{
     fingerprint, parse_statement, scan_fingerprint, CmpOp, ColumnRef, DeleteStatement,
-    InsertStatement, LiteralBuf, OrderItem, Predicate, SelectItem, SelectStatement, SetClause,
-    Statement, TableRef, UpdateStatement, Value,
+    InsertStatement, Lexer, LiteralBuf, OrderItem, Predicate, SelectItem, SelectStatement,
+    SetClause, SqlError, Statement, TableRef, TokenKind, UpdateStatement, Value,
 };
 use autoindex_support::prop::{property, PropConfig};
 use autoindex_support::rng::StdRng;
@@ -184,6 +187,23 @@ fn gen_statement(rng: &mut StdRng, size: usize) -> Statement {
     }
 }
 
+/// Tokenise `sql` to its end; the literal tokens as the values the parser
+/// would take them for, in source order.
+fn token_literals(sql: &str) -> Result<Vec<Value>, SqlError> {
+    let mut lexer = Lexer::new(sql);
+    let mut literals = Vec::new();
+    loop {
+        match lexer.next_token()?.kind {
+            TokenKind::Eof => return Ok(literals),
+            TokenKind::Int(v) => literals.push(Value::Int(v)),
+            TokenKind::Float(v) => literals.push(Value::Float(v)),
+            TokenKind::Str(raw) => literals.push(Value::Str(unescape(raw))),
+            TokenKind::Placeholder => literals.push(Value::Placeholder),
+            TokenKind::Ident(_) | TokenKind::Keyword(_) | TokenKind::Punct(_) => {}
+        }
+    }
+}
+
 /// DNF must agree with direct evaluation on every assignment of small
 /// integers to the four columns (two-valued rows, no NULLs).
 #[test]
@@ -315,11 +335,9 @@ fn scan_fingerprint_matches_token_fingerprint() {
             let mut lits = LiteralBuf::new();
             let scanned = scan_fingerprint(&sql, &mut lits);
             prop_assert_eq!(scanned, Some(fp.hash), "hash mismatch on {}", sql);
-            let token_literals = autoindex_sql::Lexer::tokenize(&sql)
-                .unwrap()
-                .iter()
-                .filter(|t| t.kind.is_literal())
-                .count();
+            let token_literals = token_literals(&sql).map(|lits| lits.len());
+            prop_assert!(token_literals.is_ok(), "tokenizer failed on {sql}");
+            let token_literals = token_literals.unwrap();
             prop_assert_eq!(
                 lits.values.len(),
                 token_literals,
@@ -342,4 +360,231 @@ fn dnf_respects_cap() {
         }
         Ok(())
     });
+}
+
+/// One random edit of `sql`'s bytes: insert, delete or flip a byte,
+/// truncate, or splice in a quote, a comment opener or a multi-byte
+/// character. Edits that break UTF-8 are repaired lossily, which itself
+/// splices a three-byte replacement character in.
+fn mutate(rng: &mut StdRng, sql: &str) -> String {
+    let mut bytes = sql.as_bytes().to_vec();
+    let at = rng.random_range(0..=bytes.len());
+    let splice: &[u8] = match rng.random_range(0u32..10) {
+        0 => {
+            bytes.insert(at, rng.random_range(0u8..=255));
+            &[]
+        }
+        1 if at < bytes.len() => {
+            bytes.remove(at);
+            &[]
+        }
+        2 if at < bytes.len() => {
+            bytes[at] ^= 1 << rng.random_range(0u32..8);
+            &[]
+        }
+        3 => {
+            bytes.truncate(at);
+            &[]
+        }
+        4 => b"'",
+        5 => b"\"",
+        6 => b"/*",
+        7 => b"--",
+        8 => "é".as_bytes(),
+        _ => "'日本''語'".as_bytes(),
+    };
+    bytes.splice(at..at, splice.iter().copied());
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The tokenizer has an adversary. On generated statements and mutated
+/// copies of them it never panics (slicing the source off a character
+/// boundary would), the scanner accepts exactly what it accepts, and
+/// where both do they agree on the hash and on every literal, value for
+/// value; the parser reports a lexical error as the tokenizer does.
+#[test]
+fn tokenizer_scanner_and_parser_agree_on_mutated_statements() {
+    property(
+        "tokenizer_scanner_and_parser_agree_on_mutated_statements",
+        PropConfig::default(),
+        |rng, size| {
+            let clean = gen_statement(rng, size).to_string();
+            let mut lits = LiteralBuf::new();
+            let mut cases = vec![clean.clone()];
+            for _ in 0..6 {
+                let mut sql = mutate(rng, &clean);
+                if rng.random_bool(0.3) {
+                    sql = mutate(rng, &sql);
+                }
+                cases.push(sql);
+            }
+            for sql in &cases {
+                let tokens = token_literals(sql);
+                let scanned = scan_fingerprint(sql, &mut lits);
+                let parsed = parse_statement(sql);
+                prop_assert_eq!(
+                    scanned.is_some(),
+                    tokens.is_ok(),
+                    "scanner and tokenizer disagree on {:?}",
+                    sql
+                );
+                match tokens {
+                    Ok(literals) => {
+                        let fp = fingerprint(sql);
+                        prop_assert!(fp.is_ok(), "fingerprint failed on {sql:?}");
+                        prop_assert_eq!(scanned, Some(fp.unwrap().hash), "hash of {:?}", sql);
+                        prop_assert_eq!(&lits.values, &literals, "literals of {:?}", sql);
+                        prop_assert!(
+                            !matches!(parsed, Err(SqlError::Lex { .. })),
+                            "parser met a lexical error in {sql:?}"
+                        );
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(fingerprint(sql), Err(e.clone()), "on {:?}", sql);
+                        prop_assert_eq!(parsed, Err(e), "on {:?}", sql);
+                    }
+                }
+            }
+            prop_assert!(parse_statement(&clean).is_ok(), "clean {clean:?}");
+            Ok(())
+        },
+    );
+}
+
+/// Error text is part of the interface (`online`'s `FeedOutcome::error`
+/// carries it): these are the strings the owned-token parser printed,
+/// offsets included. A lexical error anywhere outranks a parse error
+/// before it; tokens print as what they mean (identifier lower-cased,
+/// string unescaped), not as they were written.
+#[test]
+fn errors_read_as_they_did_with_owned_tokens() {
+    for (sql, want) in [
+        (
+            "SELEKT * FROM t",
+            "parse error: expected a statement keyword, found Ident(\"selekt\") (at byte 0)",
+        ),
+        (
+            "SELECT FROM",
+            "parse error: expected identifier, found Keyword(\"FROM\") (at byte 7)",
+        ),
+        (
+            "SELECT a FROM t WHERE",
+            "parse error: expected identifier, found Eof (at byte 21)",
+        ),
+        (
+            "SELECT a FROM t extra garbage ~",
+            "lexical error at byte 30: unexpected character '~'",
+        ),
+        (
+            "SELECT a FROM t; SELECT b FROM u",
+            "parse error: trailing input: Keyword(\"SELECT\") (at byte 17)",
+        ),
+        (
+            "SELECT a FROM t LIMIT x",
+            "parse error: expected LIMIT count, found Ident(\"x\") (at byte 23)",
+        ),
+        (
+            "SELECT a FROM t LIMIT",
+            "parse error: expected LIMIT count, found Eof (at byte 21)",
+        ),
+        (
+            "SELECT a FROM t LIMIT -3",
+            "parse error: expected LIMIT count, found Punct(\"-\") (at byte 23)",
+        ),
+        (
+            "SELECT * FROM t WHERE a NOT = 1",
+            "parse error: expected IN/BETWEEN/LIKE after NOT (at byte 28)",
+        ),
+        (
+            "SELECT * FROM t WHERE a = 'oops",
+            "lexical error at byte 26: unterminated string literal",
+        ),
+        (
+            "SELECT a, /* nope",
+            "lexical error at byte 10: unterminated block comment",
+        ),
+        (
+            "SELECT a ! b FROM t",
+            "lexical error at byte 9: unexpected '!'",
+        ),
+        (
+            "SELECT \"Unterminated FROM t",
+            "lexical error at byte 7: unterminated quoted identifier",
+        ),
+        (
+            "INSERT INTO t VALUES (1, 2",
+            "parse error: expected \")\", found Eof (at byte 26)",
+        ),
+        (
+            "INSERT t VALUES (1)",
+            "parse error: expected keyword INTO, found Ident(\"t\") (at byte 7)",
+        ),
+        (
+            "UPDATE t SET a 1",
+            "parse error: expected \"=\", found Int(1) (at byte 15)",
+        ),
+        (
+            "DELETE t WHERE a = 1",
+            "parse error: expected keyword FROM, found Ident(\"t\") (at byte 7)",
+        ),
+        (
+            "SELECT * FROM t WHERE a IN ()",
+            "parse error: expected a value, found Punct(\")\") (at byte 29)",
+        ),
+        (
+            "SELECT * FROM t WHERE a BETWEEN 1 OR 2",
+            "parse error: expected keyword AND, found Keyword(\"OR\") (at byte 34)",
+        ),
+        (
+            "SELECT * FROM t WHERE a LIKE 5",
+            "parse error: expected LIKE pattern, found Int(5) (at byte 30)",
+        ),
+        (
+            "SELECT * FROM t WHERE Name = -'x'",
+            "parse error: expected a value, found Str(\"x\") (at byte 33)",
+        ),
+        (
+            "SELECT COUNT( FROM t",
+            "parse error: expected identifier, found Keyword(\"FROM\") (at byte 14)",
+        ),
+        (
+            "SELECT * FROM WHERE a = 'É'",
+            "parse error: expected identifier, found Keyword(\"WHERE\") (at byte 14)",
+        ),
+        (
+            "SELECT * FROM t WHERE É = 1",
+            "lexical error at byte 22: unexpected character 'Ã'",
+        ),
+        (
+            "SELECT Foo.Bar FROM T WHERE x = 1 GROUP Foo",
+            "parse error: expected keyword BY, found Ident(\"foo\") (at byte 40)",
+        ),
+        (
+            "SELECT * FROM t WHERE s = 'a''b' 'it''s'",
+            "parse error: trailing input: Str(\"it's\") (at byte 33)",
+        ),
+        (
+            "SELECT a FROM t WHERE a = 1e",
+            "parse error: trailing input: Ident(\"e\") (at byte 27)",
+        ),
+        (
+            "SELECT a FROM t WHERE a = 2.5 \"Quoted\"",
+            "parse error: trailing input: Ident(\"quoted\") (at byte 30)",
+        ),
+        (
+            "SELECT a FROM t WHERE a = $1 ?",
+            "parse error: trailing input: Placeholder (at byte 29)",
+        ),
+        (
+            "SELECT a FROM WHERE 'oops",
+            "lexical error at byte 20: unterminated string literal",
+        ),
+        (
+            "",
+            "parse error: expected a statement keyword, found Eof (at byte 0)",
+        ),
+    ] {
+        let got = parse_statement(sql).unwrap_err().to_string();
+        assert_eq!(got, want, "for {sql:?}");
+    }
 }

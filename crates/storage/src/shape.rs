@@ -12,9 +12,8 @@
 
 use crate::catalog::{Catalog, Table};
 use crate::selectivity::atom_selectivity;
-use autoindex_sql::predicate::{collect_atoms, AtomicPredicate};
-use autoindex_sql::{ColumnRef, Predicate, SelectStatement, Statement, TableRef};
-use std::collections::HashMap;
+use autoindex_sql::predicate::{atom_from, collect_atoms, to_dnf, AtomicPredicate};
+use autoindex_sql::{ColumnRef, Predicate, SelectItem, SelectStatement, Statement, TableRef};
 
 /// The kind of write a statement performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +175,7 @@ impl QueryShape {
         }
         match stmt {
             Statement::Select(s) => {
-                b.walk_select(s, &Bindings::empty());
+                b.walk_select(s);
                 b.finish(None, s.limit)
             }
             Statement::Insert(i) => {
@@ -190,11 +189,7 @@ impl QueryShape {
                 b.finish(Some(write), None)
             }
             Statement::Update(u) => {
-                let bindings = Bindings::single(&u.table);
-                if let Some(w) = &u.where_clause {
-                    b.walk_predicate(w, &bindings, u.table.as_str());
-                }
-                b.touch_table(&u.table);
+                b.walk_write_predicate(&u.table, u.where_clause.as_ref());
                 let write = WriteShape {
                     kind: WriteKind::Update,
                     table: u.table.clone(),
@@ -204,11 +199,7 @@ impl QueryShape {
                 b.finish(Some(write), None)
             }
             Statement::Delete(d) => {
-                let bindings = Bindings::single(&d.table);
-                if let Some(w) = &d.where_clause {
-                    b.walk_predicate(w, &bindings, d.table.as_str());
-                }
-                b.touch_table(&d.table);
+                b.walk_write_predicate(&d.table, d.where_clause.as_ref());
                 let write = WriteShape {
                     kind: WriteKind::Delete,
                     table: d.table.clone(),
@@ -233,56 +224,66 @@ impl QueryShape {
     }
 }
 
-/// Alias→base-table bindings, one frame per nesting level (inner frames
-/// shadow outer ones; outer frames stay visible for correlated columns).
-#[derive(Debug, Clone)]
-struct Bindings {
-    frames: Vec<HashMap<String, String>>,
+/// What one predicate leaf contributes to a table's selectivity factor:
+/// the resolved leaf [`sel_for_table`] and [`sel_tree_for_table`] read.
+struct SelLeaf<'a> {
+    /// The base table the leaf restricts.
+    table: &'a str,
+    /// `atom_selectivity` of the leaf against that table (unused when the
+    /// catalog does not know the table: no factor is computed for it).
+    sel: f64,
+    /// The resolved, normalised atom; kept only for a traced extraction.
+    atom: Option<AtomicPredicate>,
 }
 
-impl Bindings {
-    fn empty() -> Self {
-        Bindings { frames: Vec::new() }
+/// What the one resolving walk over a predicate leaves behind for the
+/// passes after it.
+struct PredicateWalk<'a> {
+    root: &'a Predicate,
+    /// One entry per leaf in walk order; `None` for a leaf that restricts
+    /// no table (join edge, `EXISTS`, aggregate, unresolved column).
+    leaves: Vec<Option<SelLeaf<'a>>>,
+    /// The tables the predicate's columns resolve to, in first-seen order.
+    touched: Vec<&'a str>,
+    /// The atoms of `root` reachable through AND-only paths, as written;
+    /// collected when the first leaf outside such a path asks.
+    conjunctive: Option<Vec<AtomicPredicate>>,
+}
+
+impl<'a> PredicateWalk<'a> {
+    fn touch(&mut self, table: &'a str) {
+        if !self.touched.contains(&table) {
+            self.touched.push(table);
+        }
     }
 
-    fn single(table: &str) -> Self {
-        let mut m = HashMap::new();
-        m.insert(table.to_string(), table.to_string());
-        Bindings { frames: vec![m] }
-    }
-
-    fn push_frame(&self, frame: HashMap<String, String>) -> Self {
-        let mut frames = self.frames.clone();
-        frames.push(frame);
-        Bindings { frames }
-    }
-
-    /// Resolve a binding name to a base table, innermost frame first.
-    fn resolve_binding(&self, name: &str) -> Option<&str> {
-        self.frames
-            .iter()
-            .rev()
-            .find_map(|f| f.get(name).map(|s| s.as_str()))
-    }
-
-    /// All visible base tables, innermost first.
-    fn visible_tables(&self) -> impl Iterator<Item = &str> {
-        self.frames
-            .iter()
-            .rev()
-            .flat_map(|f| f.values())
-            .map(|s| s.as_str())
+    /// Whether `atom`, met under an `OR` or `NOT`, equals an atom in
+    /// conjunctive position: it then counts as index-matchable as well.
+    fn repeats_a_conjunct(&mut self, atom: &AtomicPredicate) -> bool {
+        let root = self.root;
+        self.conjunctive
+            .get_or_insert_with(|| {
+                let mut atoms = Vec::new();
+                collect_conjunctive(root, &mut atoms);
+                atoms
+            })
+            .contains(atom)
     }
 }
 
 struct ShapeBuilder<'a> {
     catalog: &'a Catalog,
     tables: Vec<TableAtoms>,
-    order: HashMap<String, usize>,
     joins: Vec<JoinEdge>,
     subquery_count: usize,
     /// When set, `accumulate_filter_sel` records each factor tree here.
     trace: Option<SelTrace>,
+    /// `(binding name, base table)` of every table in scope: outermost
+    /// nesting level first, FROM-clause order within a level. Inner levels
+    /// shadow outer ones; outer ones stay visible for correlated columns.
+    bindings: Vec<(&'a str, &'a str)>,
+    /// Where each open nesting level starts in `bindings`.
+    frames: Vec<usize>,
 }
 
 impl<'a> ShapeBuilder<'a> {
@@ -290,29 +291,33 @@ impl<'a> ShapeBuilder<'a> {
         ShapeBuilder {
             catalog,
             tables: Vec::new(),
-            order: HashMap::new(),
             joins: Vec::new(),
             subquery_count: 0,
             trace: None,
+            bindings: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
     fn entry(&mut self, table: &str) -> &mut TableAtoms {
-        let idx = *self.order.entry(table.to_string()).or_insert_with(|| {
-            self.tables.push(TableAtoms {
-                table: table.to_string(),
-                conjuncts: Vec::new(),
-                all_atoms: Vec::new(),
-                conjunct_groups: Vec::new(),
-                filter_sel: 1.0,
-                group_columns: Vec::new(),
-                order_columns: Vec::new(),
-                order_desc: Vec::new(),
-                referenced_columns: Vec::new(),
-                whole_row: false,
-            });
-            self.tables.len() - 1
-        });
+        let idx = match self.tables.iter().position(|t| t.table == table) {
+            Some(idx) => idx,
+            None => {
+                self.tables.push(TableAtoms {
+                    table: table.to_string(),
+                    conjuncts: Vec::new(),
+                    all_atoms: Vec::new(),
+                    conjunct_groups: Vec::new(),
+                    filter_sel: 1.0,
+                    group_columns: Vec::new(),
+                    order_columns: Vec::new(),
+                    order_desc: Vec::new(),
+                    referenced_columns: Vec::new(),
+                    whole_row: false,
+                });
+                self.tables.len() - 1
+            }
+        };
         &mut self.tables[idx]
     }
 
@@ -320,44 +325,94 @@ impl<'a> ShapeBuilder<'a> {
         let _ = self.entry(table);
     }
 
-    /// Resolve a column reference to `(base_table, column)`.
-    fn resolve(&self, col: &ColumnRef, bindings: &Bindings) -> Option<(String, String)> {
-        if let Some(t) = &col.table {
-            let base = bindings.resolve_binding(t)?;
-            return Some((base.to_string(), col.column.clone()));
-        }
-        // Unqualified: first visible table whose catalog entry has the column.
-        for t in bindings.visible_tables() {
-            if let Some(table) = self.catalog.table(t) {
-                if table.column(&col.column).is_some() {
-                    return Some((t.to_string(), col.column.clone()));
-                }
-            }
-        }
-        // Fall back to the innermost single binding (schema may be unknown).
-        let mut it = bindings.visible_tables();
-        match (it.next(), it.next()) {
-            (Some(only), None) => Some((only.to_string(), col.column.clone())),
-            _ => None,
+    fn push_frame(&mut self) {
+        self.frames.push(self.bindings.len());
+    }
+
+    fn pop_frame(&mut self) {
+        let start = self.frames.pop().expect("a frame is open");
+        self.bindings.truncate(start);
+    }
+
+    /// Bind `name` to `table` in the innermost frame. A name binds once per
+    /// frame: repeating it rebinds it in place.
+    fn bind(&mut self, name: &'a str, table: &'a str) {
+        let start = *self.frames.last().expect("a frame is open");
+        match self.bindings[start..].iter_mut().find(|(n, _)| *n == name) {
+            Some(binding) => binding.1 = table,
+            None => self.bindings.push((name, table)),
         }
     }
 
-    fn walk_select(&mut self, sel: &SelectStatement, outer: &Bindings) {
-        // Build this level's binding frame.
-        let mut frame = HashMap::new();
+    /// Open a frame binding the base tables of `sel`'s FROM clause and
+    /// joins, in clause order.
+    fn push_select_frame(&mut self, sel: &'a SelectStatement) {
+        self.push_frame();
+        for t in sel.from.iter().chain(sel.joins.iter().map(|j| &j.relation)) {
+            if let TableRef::Table { name, alias } = t {
+                self.bind(alias.as_ref().unwrap_or(name), name);
+            }
+        }
+    }
+
+    /// All visible base tables: innermost frame first, FROM-clause order
+    /// within a frame.
+    fn visible_tables(&self) -> impl Iterator<Item = &'a str> + '_ {
+        let mut end = self.bindings.len();
+        self.frames
+            .iter()
+            .rev()
+            .flat_map(move |&start| {
+                let frame = &self.bindings[start..end];
+                end = start;
+                frame
+            })
+            .map(|&(_, table)| table)
+    }
+
+    /// Resolve a column reference to `(base_table, column)`, both borrowed:
+    /// the table from the statement's FROM clause, the column from `col`.
+    ///
+    /// A qualified column follows its binding, innermost frame first. An
+    /// unqualified one belongs to the first visible table whose catalog
+    /// entry has the column — *innermost frame first, FROM-clause order
+    /// within a frame* — so a name several visible tables share is
+    /// attributed the same way every time: to the first of them in the
+    /// FROM clause.
+    fn resolve<'c>(&self, col: &'c ColumnRef) -> Option<(&'a str, &'c str)> {
+        if let Some(binding) = &col.table {
+            // Names are unique within a frame, so the last match overall is
+            // the innermost frame's.
+            let &(_, base) = self.bindings.iter().rev().find(|(n, _)| n == binding)?;
+            return Some((base, &col.column));
+        }
+        let known = self.visible_tables().find(|t| {
+            self.catalog
+                .table(t)
+                .is_some_and(|table| table.column(&col.column).is_some())
+        });
+        // Fall back to the single visible table (schema may be unknown).
+        let mut visible = self.visible_tables();
+        let table = known.or_else(|| match (visible.next(), visible.next()) {
+            (only, None) => only,
+            _ => None,
+        })?;
+        Some((table, &col.column))
+    }
+
+    fn walk_select(&mut self, sel: &'a SelectStatement) {
+        // Derived tables are walked before this level's frame opens: they
+        // see the enclosing levels only.
         for t in sel.from.iter().chain(sel.joins.iter().map(|j| &j.relation)) {
             match t {
-                TableRef::Table { name, alias } => {
-                    frame.insert(alias.clone().unwrap_or_else(|| name.clone()), name.clone());
-                    self.touch_table(name);
-                }
+                TableRef::Table { name, .. } => self.touch_table(name),
                 TableRef::Derived { query, .. } => {
                     self.subquery_count += 1;
-                    self.walk_select(query, outer);
+                    self.walk_select(query);
                 }
             }
         }
-        let bindings = outer.push_frame(frame);
+        self.push_select_frame(sel);
 
         // WHERE, HAVING, JOIN ... ON all contribute atoms.
         let preds = sel
@@ -366,32 +421,32 @@ impl<'a> ShapeBuilder<'a> {
             .chain(sel.having.iter())
             .chain(sel.joins.iter().filter_map(|j| j.on.as_ref()));
         for p in preds {
-            self.walk_predicate_multi(p, &bindings);
+            self.walk_predicate_multi(p);
             // Recurse into predicate subqueries (EXISTS / IN (SELECT ...)).
             for sub in p.subqueries() {
                 self.subquery_count += 1;
-                self.walk_select(sub, &bindings);
+                self.walk_select(sub);
             }
             // `col IN (SELECT proj FROM ...)` is a semi-join: record the
             // edge between the outer column and the subquery's projection,
             // so the planner can drive a lookup join through it (the Q32
             // decorrelation pattern).
-            self.record_semijoin_edges(p, &bindings);
+            self.record_semijoin_edges(p);
         }
 
         // GROUP BY / ORDER BY columns.
         for c in &sel.group_by {
-            if let Some((t, col)) = self.resolve(c, &bindings) {
-                self.entry(&t).group_columns.push(col.clone());
-                self.reference(&t, &col);
+            if let Some((t, col)) = self.resolve(c) {
+                self.entry(t).group_columns.push(col.to_string());
+                self.reference(t, col);
             }
         }
         for o in &sel.order_by {
-            if let Some((t, col)) = self.resolve(&o.column, &bindings) {
-                let entry = self.entry(&t);
-                entry.order_columns.push(col.clone());
+            if let Some((t, col)) = self.resolve(&o.column) {
+                let entry = self.entry(t);
+                entry.order_columns.push(col.to_string());
                 entry.order_desc.push(o.descending);
-                self.reference(&t, &col);
+                self.reference(t, col);
             }
         }
 
@@ -399,26 +454,22 @@ impl<'a> ShapeBuilder<'a> {
         // index-only-scan eligibility.
         for item in &sel.projection {
             match item {
-                autoindex_sql::SelectItem::Star => {
+                SelectItem::Star => {
                     for t in sel.from.iter().chain(sel.joins.iter().map(|j| &j.relation)) {
                         if let TableRef::Table { name, .. } = t {
                             self.entry(name).whole_row = true;
                         }
                     }
                 }
-                autoindex_sql::SelectItem::Column(c) => {
-                    if let Some((t, col)) = self.resolve(c, &bindings) {
-                        self.reference(&t, &col);
+                SelectItem::Column(c) | SelectItem::Aggregate { arg: Some(c), .. } => {
+                    if let Some((t, col)) = self.resolve(c) {
+                        self.reference(t, col);
                     }
                 }
-                autoindex_sql::SelectItem::Aggregate { arg: Some(c), .. } => {
-                    if let Some((t, col)) = self.resolve(c, &bindings) {
-                        self.reference(&t, &col);
-                    }
-                }
-                autoindex_sql::SelectItem::Aggregate { arg: None, .. } => {}
+                SelectItem::Aggregate { arg: None, .. } => {}
             }
         }
+        self.pop_frame();
     }
 
     /// Record that the statement touches `table.column`.
@@ -429,118 +480,240 @@ impl<'a> ShapeBuilder<'a> {
         }
     }
 
-    /// Walk a predicate whose columns may span several bound tables.
-    fn walk_predicate_multi(&mut self, p: &Predicate, bindings: &Bindings) {
-        // Conjunctive atoms: reachable through AND-only paths.
-        let mut conjunctive = Vec::new();
-        collect_conjunctive(p, &mut conjunctive);
-        let conj_set: Vec<AtomicPredicate> = conjunctive;
+    /// Walk a predicate whose columns may span several bound tables: one
+    /// resolving walk records every atom (normalised once) and what the
+    /// selectivity pass needs of it; the DNF grouping is its own pass.
+    fn walk_predicate_multi(&mut self, p: &'a Predicate) {
+        let mut walk = PredicateWalk {
+            root: p,
+            leaves: Vec::new(),
+            touched: Vec::new(),
+            conjunctive: None,
+        };
+        self.walk_leaves(p, false, true, &mut walk);
+        self.record_conjunct_groups(p);
+        self.accumulate_filter_sel(p, &walk);
+    }
 
-        for atom in collect_atoms(p) {
-            self.record_atom(&atom, bindings, conj_set.contains(&atom));
+    /// Visit the leaves of `p` in order. `negated`: under an odd number of
+    /// `NOT`s; `conjunctive`: reached through AND-only paths — the position
+    /// an index prefix can match.
+    ///
+    /// This is the leaf order: children left to right, every non-composite
+    /// node one entry of `walk.leaves`, whatever it resolved to.
+    /// [`sel_for_table`] and [`sel_tree_for_table`] descend the same tree
+    /// taking one entry per leaf, so a change to the traversal here is a
+    /// change to both of them (`accumulate_filter_sel` checks that each
+    /// used the entries up; `tests/extraction_golden.rs` pins the result).
+    fn walk_leaves(
+        &mut self,
+        p: &'a Predicate,
+        negated: bool,
+        conjunctive: bool,
+        walk: &mut PredicateWalk<'a>,
+    ) {
+        match p {
+            Predicate::And(ps) => {
+                for c in ps {
+                    self.walk_leaves(c, negated, conjunctive, walk);
+                }
+            }
+            Predicate::Or(ps) => {
+                for c in ps {
+                    self.walk_leaves(c, negated, false, walk);
+                }
+            }
+            Predicate::Not(inner) => self.walk_leaves(inner, !negated, false, walk),
+            leaf => {
+                let sel_leaf = self.record_leaf(leaf, negated, conjunctive, walk);
+                walk.leaves.push(sel_leaf);
+            }
         }
-        self.record_conjunct_groups(p, bindings);
-        self.accumulate_filter_sel(p, bindings);
+    }
+
+    /// Record one leaf: the tables its columns touch, its join edge, or its
+    /// atom on the table it restricts — with the negations above it folded
+    /// in for `all_atoms` / `conjuncts`, without them for the selectivity
+    /// leaf (`sel_for_table` applies `NOT` as `1 - s`).
+    fn record_leaf(
+        &mut self,
+        leaf: &'a Predicate,
+        negated: bool,
+        conjunctive: bool,
+        walk: &mut PredicateWalk<'a>,
+    ) -> Option<SelLeaf<'a>> {
+        let column = match leaf {
+            Predicate::JoinEq { left, right } => {
+                let (l, r) = (self.resolve(left), self.resolve(right));
+                for (table, _) in l.iter().chain(r.iter()) {
+                    walk.touch(table);
+                }
+                // Negated, a join edge is an opaque atom on no column.
+                if !negated {
+                    self.record_join(l, r);
+                }
+                return None;
+            }
+            Predicate::AggCmp { arg, .. } => {
+                if let Some((table, _)) = arg.as_ref().and_then(|c| self.resolve(c)) {
+                    walk.touch(table);
+                }
+                return None;
+            }
+            Predicate::Exists { .. } => return None,
+            Predicate::Cmp { column, .. }
+            | Predicate::InList { column, .. }
+            | Predicate::Between { column, .. }
+            | Predicate::Like { column, .. }
+            | Predicate::IsNull { column, .. }
+            | Predicate::InSubquery { column, .. } => column,
+            Predicate::And(_) | Predicate::Or(_) | Predicate::Not(_) => {
+                unreachable!("walk_leaves descends into composites")
+            }
+        };
+        let (table, column) = self.resolve(column)?;
+        walk.touch(table);
+        let mut atom = atom_from(leaf, negated);
+        let conjunctive = conjunctive || walk.repeats_a_conjunct(&atom);
+        strip_qualifier(&mut atom);
+        self.reference(table, column);
+
+        let def = self.catalog.table(table);
+        let sel_of = |a: &AtomicPredicate| def.map_or(1.0, |d| atom_selectivity(a, d));
+        let traced = self.trace.is_some();
+        let (sel, kept) = if negated {
+            let mut positive = atom_from(leaf, false);
+            strip_qualifier(&mut positive);
+            (sel_of(&positive), traced.then_some(positive))
+        } else {
+            (sel_of(&atom), traced.then(|| atom.clone()))
+        };
+
+        let entry = self.entry(table);
+        if conjunctive {
+            entry.conjuncts.push(atom.clone());
+        }
+        entry.all_atoms.push(atom);
+        Some(SelLeaf {
+            table,
+            sel,
+            atom: kept,
+        })
+    }
+
+    /// Record `l = r`: a join edge between two tables, or a (non-sargable)
+    /// filter hint when both sides are columns of one.
+    fn record_join(&mut self, l: Option<(&str, &str)>, r: Option<(&str, &str)>) {
+        match (l, r) {
+            (Some((lt, lc)), Some((rt, rc))) if lt != rt => {
+                self.touch_table(lt);
+                self.touch_table(rt);
+                self.reference(lt, lc);
+                self.reference(rt, rc);
+                self.joins.push(JoinEdge {
+                    left_table: lt.to_string(),
+                    left_column: lc.to_string(),
+                    right_table: rt.to_string(),
+                    right_column: rc.to_string(),
+                });
+            }
+            (Some((lt, lc)), Some((_, rc))) => {
+                self.entry(lt).all_atoms.push(AtomicPredicate::Opaque {
+                    column: Some(ColumnRef::bare(lc)),
+                    text: format!("self-compare {rc}"),
+                });
+            }
+            _ => {}
+        }
     }
 
     /// DNF the predicate and record, per table, the sargable atoms of each
     /// DNF conjunct (§IV-A). On DNF blow-up, fall back to treating every
     /// atom as its own singleton conjunct.
-    fn record_conjunct_groups(&mut self, p: &Predicate, bindings: &Bindings) {
-        use autoindex_sql::predicate::to_dnf;
+    fn record_conjunct_groups(&mut self, p: &Predicate) {
         let conjuncts: Vec<Vec<AtomicPredicate>> = match to_dnf(p) {
             Ok(dnf) => dnf.conjuncts,
             Err(_) => collect_atoms(p).into_iter().map(|a| vec![a]).collect(),
         };
         for conj in conjuncts {
             // Group this conjunct's sargable atoms by resolved table.
-            let mut per_table: Vec<(String, Vec<AtomicPredicate>)> = Vec::new();
-            for atom in conj {
+            let mut per_table: Vec<(&str, Vec<AtomicPredicate>)> = Vec::new();
+            for mut atom in conj {
                 if !atom.is_sargable() || atom.join_edge().is_some() {
                     continue;
                 }
-                let Some(colref) = atom.restricted_column() else {
+                let Some((table, _)) = atom.restricted_column().and_then(|c| self.resolve(c))
+                else {
                     continue;
                 };
-                let Some((table, column)) = self.resolve(colref, bindings) else {
-                    continue;
-                };
-                let normalised = normalise_atom(&atom, &column);
+                strip_qualifier(&mut atom);
                 match per_table.iter_mut().find(|(t, _)| *t == table) {
-                    Some((_, v)) => v.push(normalised),
-                    None => per_table.push((table, vec![normalised])),
+                    Some((_, atoms)) => atoms.push(atom),
+                    None => per_table.push((table, vec![atom])),
                 }
             }
             for (table, atoms) in per_table {
-                if !atoms.is_empty() {
-                    let entry = self.entry(&table);
-                    if !entry.conjunct_groups.contains(&atoms) {
-                        entry.conjunct_groups.push(atoms);
-                    }
+                let entry = self.entry(table);
+                if !entry.conjunct_groups.contains(&atoms) {
+                    entry.conjunct_groups.push(atoms);
                 }
             }
         }
     }
 
-    /// Walk a single-table predicate (UPDATE/DELETE WHERE).
-    fn walk_predicate(&mut self, p: &Predicate, bindings: &Bindings, table: &str) {
+    /// Walk the WHERE clause of an UPDATE / DELETE on `table`.
+    fn walk_write_predicate(&mut self, table: &'a str, p: Option<&'a Predicate>) {
         self.touch_table(table);
-        self.walk_predicate_multi(p, bindings);
+        let Some(p) = p else { return };
+        self.push_frame();
+        self.bind(table, table);
+        self.walk_predicate_multi(p);
         // Subqueries inside write predicates.
         for sub in p.subqueries() {
             self.subquery_count += 1;
-            self.walk_select(sub, bindings);
+            self.walk_select(sub);
         }
+        self.pop_frame();
     }
 
     /// Record semi-join edges for `col IN (SELECT proj FROM t ...)` atoms
     /// anywhere in the predicate tree.
-    fn record_semijoin_edges(&mut self, p: &Predicate, bindings: &Bindings) {
+    fn record_semijoin_edges(&mut self, p: &'a Predicate) {
         match p {
             Predicate::And(ps) | Predicate::Or(ps) => {
                 for c in ps {
-                    self.record_semijoin_edges(c, bindings);
+                    self.record_semijoin_edges(c);
                 }
             }
-            Predicate::Not(inner) => self.record_semijoin_edges(inner, bindings),
+            Predicate::Not(inner) => self.record_semijoin_edges(inner),
             Predicate::InSubquery {
                 column,
                 query,
                 negated: false,
             } => {
                 // Outer side.
-                let Some((ot, oc)) = self.resolve(column, bindings) else {
+                let Some((ot, oc)) = self.resolve(column) else {
                     return;
                 };
                 // Inner side: the subquery's (single-column) projection,
                 // resolved inside the subquery's own binding frame.
                 let inner_col = query.projection.iter().find_map(|item| match item {
-                    autoindex_sql::SelectItem::Column(c) => Some(c.clone()),
+                    SelectItem::Column(c) => Some(c),
                     _ => None,
                 });
                 let Some(ic) = inner_col else { return };
-                let mut frame = HashMap::new();
-                for t in query
-                    .from
-                    .iter()
-                    .chain(query.joins.iter().map(|j| &j.relation))
-                {
-                    if let TableRef::Table { name, alias } = t {
-                        frame.insert(alias.clone().unwrap_or_else(|| name.clone()), name.clone());
-                    }
-                }
-                let sub_bindings = bindings.push_frame(frame);
-                let Some((it, icol)) = self.resolve(&ic, &sub_bindings) else {
-                    return;
-                };
+                self.push_select_frame(query);
+                let inner = self.resolve(ic);
+                self.pop_frame();
+                let Some((it, icol)) = inner else { return };
                 if it != ot {
-                    self.touch_table(&ot);
-                    self.touch_table(&it);
+                    self.touch_table(ot);
+                    self.touch_table(it);
                     self.joins.push(JoinEdge {
-                        left_table: ot,
-                        left_column: oc,
-                        right_table: it,
-                        right_column: icol,
+                        left_table: ot.to_string(),
+                        left_column: oc.to_string(),
+                        right_table: it.to_string(),
+                        right_column: icol.to_string(),
                     });
                 }
             }
@@ -548,82 +721,26 @@ impl<'a> ShapeBuilder<'a> {
         }
     }
 
-    fn record_atom(&mut self, atom: &AtomicPredicate, bindings: &Bindings, conjunctive: bool) {
-        if let Some((l, r)) = atom.join_edge() {
-            let lr = self.resolve(l, bindings);
-            let rr = self.resolve(r, bindings);
-            match (lr, rr) {
-                (Some((lt, lc)), Some((rt, rc))) if lt != rt => {
-                    self.touch_table(&lt);
-                    self.touch_table(&rt);
-                    self.reference(&lt, &lc);
-                    self.reference(&rt, &rc);
-                    self.joins.push(JoinEdge {
-                        left_table: lt,
-                        left_column: lc,
-                        right_table: rt,
-                        right_column: rc,
-                    });
-                }
-                (Some((lt, lc)), Some((_, rc))) => {
-                    // Same-table comparison: record as a (non-sargable)
-                    // filter hint on both columns.
-                    let entry = self.entry(&lt);
-                    entry.all_atoms.push(AtomicPredicate::Opaque {
-                        column: Some(ColumnRef::bare(lc)),
-                        text: format!("self-compare {rc}"),
-                    });
-                }
-                _ => {}
-            }
-            return;
-        }
-        let Some(colref) = atom.restricted_column() else {
-            return;
-        };
-        let Some((table, column)) = self.resolve(colref, bindings) else {
-            return;
-        };
-        let normalised = normalise_atom(atom, &column);
-        self.reference(&table, &column);
-        let entry = self.entry(&table);
-        entry.all_atoms.push(normalised.clone());
-        if conjunctive {
-            entry.conjuncts.push(normalised);
-        }
-    }
-
-    /// Accumulate the full boolean filter selectivity per table.
-    fn accumulate_filter_sel(&mut self, p: &Predicate, bindings: &Bindings) {
-        // Collect the touched tables first to avoid borrowing issues.
-        let touched: Vec<String> = {
-            let mut v = Vec::new();
-            p.visit_columns(&mut |c| {
-                if let Some((t, _)) = self.resolve(c, bindings) {
-                    if !v.contains(&t) {
-                        v.push(t);
-                    }
-                }
-            });
-            v
-        };
-        for t in touched {
-            if let Some(table) = self.catalog.table(&t) {
-                let sel = if self.trace.is_some() {
-                    // Traced extraction: build the factor tree first, then
-                    // evaluate it — SelTree::eval is sel_for_table's twin,
-                    // so the resulting filter_sel is bit-identical.
-                    let tree = sel_tree_for_table(p, &t, table, self, bindings);
-                    let sel = tree.eval(table);
-                    if let Some(trace) = &mut self.trace {
-                        trace.factors.push((t.clone(), tree));
-                    }
-                    sel
-                } else {
-                    sel_for_table(p, &t, table, self, bindings)
-                };
-                self.entry(&t).filter_sel *= sel;
-            }
+    /// Accumulate the full boolean filter selectivity per touched table.
+    fn accumulate_filter_sel(&mut self, p: &Predicate, walk: &PredicateWalk<'a>) {
+        for &t in &walk.touched {
+            let Some(table) = self.catalog.table(t) else {
+                continue;
+            };
+            let mut leaves = walk.leaves.iter();
+            let sel = if let Some(trace) = &mut self.trace {
+                // Traced extraction: build the factor tree first, then
+                // evaluate it — SelTree::eval is sel_for_table's twin,
+                // so the resulting filter_sel is bit-identical.
+                let tree = sel_tree_for_table(p, t, &mut leaves);
+                let sel = tree.eval(table);
+                trace.factors.push((t.to_string(), tree));
+                sel
+            } else {
+                sel_for_table(p, t, table, &mut leaves)
+            };
+            debug_assert!(leaves.next().is_none(), "a fold skipped a leaf");
+            self.entry(t).filter_sel *= sel;
         }
     }
 
@@ -650,147 +767,78 @@ impl<'a> ShapeBuilder<'a> {
 
 /// Rewrite an atom's column reference to a bare (unqualified) name so that
 /// downstream consumers can compare against index column lists directly.
-fn normalise_atom(atom: &AtomicPredicate, column: &str) -> AtomicPredicate {
-    let bare = ColumnRef::bare(column);
+fn strip_qualifier(atom: &mut AtomicPredicate) {
     match atom {
-        AtomicPredicate::Cmp { op, value, .. } => AtomicPredicate::Cmp {
-            column: bare,
-            op: *op,
-            value: value.clone(),
-        },
-        AtomicPredicate::InList {
-            values, negated, ..
-        } => AtomicPredicate::InList {
-            column: bare,
-            values: values.clone(),
-            negated: *negated,
-        },
-        AtomicPredicate::Between {
-            low, high, negated, ..
-        } => AtomicPredicate::Between {
-            column: bare,
-            low: low.clone(),
-            high: high.clone(),
-            negated: *negated,
-        },
-        AtomicPredicate::Like {
-            pattern, negated, ..
-        } => AtomicPredicate::Like {
-            column: bare,
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        AtomicPredicate::IsNull { negated, .. } => AtomicPredicate::IsNull {
-            column: bare,
-            negated: *negated,
-        },
-        AtomicPredicate::Opaque { text, .. } => AtomicPredicate::Opaque {
-            column: Some(bare),
-            text: text.clone(),
-        },
-        AtomicPredicate::JoinEq { left, right } => AtomicPredicate::JoinEq {
-            left: left.clone(),
-            right: right.clone(),
-        },
+        AtomicPredicate::Cmp { column, .. }
+        | AtomicPredicate::InList { column, .. }
+        | AtomicPredicate::Between { column, .. }
+        | AtomicPredicate::Like { column, .. }
+        | AtomicPredicate::IsNull { column, .. }
+        | AtomicPredicate::Opaque {
+            column: Some(column),
+            ..
+        } => column.table = None,
+        AtomicPredicate::Opaque { column: None, .. } | AtomicPredicate::JoinEq { .. } => {}
     }
 }
 
+/// The leaves of one predicate's resolving walk, consumed in walk order.
+type SelLeaves<'w, 'a> = std::slice::Iter<'w, Option<SelLeaf<'a>>>;
+
 /// Recursive selectivity of predicate `p` *restricted to* `table`:
 /// atoms on other tables contribute 1.0.
-fn sel_for_table(
-    p: &Predicate,
-    table: &str,
-    table_def: &Table,
-    b: &ShapeBuilder<'_>,
-    bindings: &Bindings,
-) -> f64 {
+fn sel_for_table(p: &Predicate, table: &str, table_def: &Table, leaves: &mut SelLeaves) -> f64 {
     match p {
         Predicate::And(ps) => {
-            // Multiply with the same backoff as conjunct_selectivity by
-            // delegating atom collection to it where possible.
             let mut sel = 1.0;
             for c in ps {
-                sel *= sel_for_table(c, table, table_def, b, bindings);
+                sel *= sel_for_table(c, table, table_def, leaves);
             }
             sel.max(1.0 / table_def.rows.max(1) as f64)
         }
         Predicate::Or(ps) => {
             let mut not_sel = 1.0;
             for c in ps {
-                not_sel *= 1.0 - sel_for_table(c, table, table_def, b, bindings);
+                not_sel *= 1.0 - sel_for_table(c, table, table_def, leaves);
             }
             (1.0 - not_sel).clamp(0.0, 1.0)
         }
-        Predicate::Not(inner) => 1.0 - sel_for_table(inner, table, table_def, b, bindings),
-        atom => {
-            let atoms = collect_atoms(atom);
-            let Some(a) = atoms.first() else { return 1.0 };
-            if let Some((l, r)) = a.join_edge() {
-                // Join atoms don't filter a single table here.
-                let _ = (l, r);
-                return 1.0;
-            }
-            let Some(colref) = a.restricted_column() else {
-                return 1.0;
-            };
-            match b.resolve(colref, bindings) {
-                Some((t, col)) if t == table => {
-                    atom_selectivity(&normalise_atom(a, &col), table_def)
-                }
-                _ => 1.0,
-            }
-        }
+        Predicate::Not(inner) => 1.0 - sel_for_table(inner, table, table_def, leaves),
+        _ => match leaves.next().expect("one leaf per atom") {
+            Some(leaf) if leaf.table == table => leaf.sel,
+            // Join atoms and atoms on other tables don't filter this one.
+            _ => 1.0,
+        },
     }
 }
 
 /// Structural twin of [`sel_for_table`]: builds the [`SelTree`] whose
 /// [`SelTree::eval`] performs exactly the computation `sel_for_table`
 /// would, with the resolved atoms preserved at the leaves.
-// `table_def` is unused at the leaves (eval resolves it later) but the
-// signature must stay parallel to `sel_for_table` for the twin review.
-#[allow(clippy::only_used_in_recursion)]
-fn sel_tree_for_table(
-    p: &Predicate,
-    table: &str,
-    table_def: &Table,
-    b: &ShapeBuilder<'_>,
-    bindings: &Bindings,
-) -> SelTree {
+fn sel_tree_for_table(p: &Predicate, table: &str, leaves: &mut SelLeaves) -> SelTree {
     match p {
         Predicate::And(ps) => SelTree::And(
             ps.iter()
-                .map(|c| sel_tree_for_table(c, table, table_def, b, bindings))
+                .map(|c| sel_tree_for_table(c, table, leaves))
                 .collect(),
         ),
         Predicate::Or(ps) => SelTree::Or(
             ps.iter()
-                .map(|c| sel_tree_for_table(c, table, table_def, b, bindings))
+                .map(|c| sel_tree_for_table(c, table, leaves))
                 .collect(),
         ),
-        Predicate::Not(inner) => SelTree::Not(Box::new(sel_tree_for_table(
-            inner, table, table_def, b, bindings,
-        ))),
-        atom => {
-            let atoms = collect_atoms(atom);
-            let Some(a) = atoms.first() else {
-                return SelTree::One;
-            };
-            if a.join_edge().is_some() {
-                return SelTree::One;
+        Predicate::Not(inner) => SelTree::Not(Box::new(sel_tree_for_table(inner, table, leaves))),
+        _ => match leaves.next().expect("one leaf per atom") {
+            Some(leaf) if leaf.table == table => {
+                SelTree::Atom(leaf.atom.clone().expect("a traced walk keeps its atoms"))
             }
-            let Some(colref) = a.restricted_column() else {
-                return SelTree::One;
-            };
-            match b.resolve(colref, bindings) {
-                Some((t, col)) if t == table => SelTree::Atom(normalise_atom(a, &col)),
-                _ => SelTree::One,
-            }
-        }
+            _ => SelTree::One,
+        },
     }
 }
 
 /// Collect atoms reachable through AND-only paths (the index-matchable
-/// conjuncts).
+/// conjuncts), as written.
 fn collect_conjunctive(p: &Predicate, out: &mut Vec<AtomicPredicate>) {
     match p {
         Predicate::And(ps) => {
@@ -799,7 +847,7 @@ fn collect_conjunctive(p: &Predicate, out: &mut Vec<AtomicPredicate>) {
             }
         }
         Predicate::Or(_) | Predicate::Not(_) => {}
-        atom => out.extend(collect_atoms(atom)),
+        atom => out.push(atom_from(atom, false)),
     }
 }
 
@@ -881,6 +929,58 @@ mod tests {
         let s = shape("SELECT * FROM person, visit WHERE site = 3 AND community = 'x'");
         assert_eq!(s.table("visit").unwrap().conjuncts.len(), 1);
         assert_eq!(s.table("person").unwrap().conjuncts.len(), 1);
+    }
+
+    /// An unqualified column several visible tables have goes to the first
+    /// of them in the FROM clause — every time (bindings used to sit in a
+    /// `HashMap`, and the pick followed its iteration order).
+    #[test]
+    fn ambiguous_unqualified_column_goes_to_the_first_from_table() {
+        let mut c = Catalog::new();
+        for (name, rows) in [("accounts", 500_000), ("tellers", 5_000)] {
+            c.add_table(
+                TableBuilder::new(name, rows)
+                    .column(Column::int("id", rows))
+                    .column(Column::int("branch", 512))
+                    .build()
+                    .unwrap(),
+            );
+        }
+        for (sql, first, other) in [
+            (
+                "SELECT * FROM accounts, tellers WHERE branch = 7",
+                "accounts",
+                "tellers",
+            ),
+            (
+                "SELECT * FROM tellers t JOIN accounts a ON a.id = t.id WHERE branch = 7",
+                "tellers",
+                "accounts",
+            ),
+        ] {
+            let stmt = parse_statement(sql).unwrap();
+            for _ in 0..200 {
+                let s = QueryShape::extract(&stmt, &c);
+                assert_eq!(s.table(first).unwrap().conjuncts.len(), 1, "{sql}");
+                assert!(s.table(other).unwrap().all_atoms.is_empty(), "{sql}");
+            }
+        }
+        // An inner frame is searched before the frames around it.
+        let s = QueryShape::extract(
+            &parse_statement(
+                "SELECT * FROM accounts WHERE id IN (SELECT id FROM tellers WHERE branch = 7)",
+            )
+            .unwrap(),
+            &c,
+        );
+        let on_branch = |table: &str| {
+            let atoms = &s.table(table).unwrap().all_atoms;
+            atoms
+                .iter()
+                .filter(|a| a.restricted_column().is_some_and(|c| c.column == "branch"))
+                .count()
+        };
+        assert_eq!((on_branch("tellers"), on_branch("accounts")), (1, 0));
     }
 
     #[test]
