@@ -1,4 +1,4 @@
-//! Multi-tenant fleet throughput: the work-stealing serve-fleet sweep.
+//! Multi-tenant fleet throughput: the serve-fleet sweep.
 //! Records the `fleet_sweep` result (`autoindex_bench::record`; protocol:
 //! `docs/SERVING.md` §"Multi-tenant fleet").
 //!
@@ -167,14 +167,13 @@ fn main() {
         };
         eprintln!(
             "workers {workers}: executed {} | shed {} | {} epochs | makespan {:.0} sim-ms | \
-             {:.0} sim-qps | {:.2}x | steals {} | {} ms wall",
+             {:.0} sim-qps | {:.2}x | {} ms wall",
             r.executed,
             r.shed,
             r.epochs.len(),
             r.makespan_ms(),
             qps,
             speedup,
-            r.steals,
             wall_ms
         );
         rows.push(Row {

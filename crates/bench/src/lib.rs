@@ -18,6 +18,8 @@
 //! `crates/bench/baselines/<subject>.json` outside [`WALL_KEYS`] (protocol:
 //! `docs/BUILDING.md` §"Bench results and baselines").
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 use autoindex_core::{greedy_select, AutoIndex, AutoIndexConfig, GreedyConfig};

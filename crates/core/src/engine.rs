@@ -7,33 +7,38 @@
 //!
 //! ```text
 //!  coordinator (the caller's thread)              executors (one scope)
-//!  ┌───────────────────────────────┐  StealPool  ┌────────┐┌────────┐
+//!  ┌───────────────────────────────┐  TaskQueue  ┌────────┐┌────────┐
 //!  │ run_epoch(slices) ── tasks ───┼────────────►│worker 0││worker 1│ …
-//!  │   collect exactly |slices|    │◄────────────┤ pop / steal-half   │
-//!  │   place on (tenant, seq)      │ one batch   └───▲────┘└───▲────┘
-//!  │                               │ per task        │         │
-//!  │ driver policy: absorb, tune   │                 │ lock-free load
-//!  │ publish(tenant) ──────────────┼──► per-tenant ArcSlot<Publication>
+//!  │   each carries its lane's     │             │ pop front / wait   │
+//!  │   current Arc<Publication>    │◄────────────┤                    │
+//!  │   collect exactly |slices|    │ one batch   └────────┘└────────┘
+//!  │   place on (tenant, seq)      │ per task
+//!  │                               │
+//!  │ driver policy: absorb, tune   │
+//!  │ publish(tenant) overwrites the coordinator's own copy
 //!  └───────────────────────────────┘
 //! ```
 //!
-//! * A **lane** is one tenant's query stream, shard seed and lock-free
-//!   publication slot (`ArcSlot`). Single-tenant serve is one lane.
+//! * A **lane** is one tenant's query stream and shard seed.
+//!   Single-tenant serve is one lane.
 //! * `Coordinator::run_epoch` splits the admitted slices into
-//!   `(tenant, epoch, start, end, shard, resume_at)` tasks, injects them
-//!   into the work-stealing pool and returns **exactly one observation
-//!   per sequence slot**, merged on the `(tenant, seq)` logical clock.
+//!   `(tenant, epoch, start, end, shard, resume_at)` tasks, each holding
+//!   the publication it runs against, injects them into the one task
+//!   queue and returns **exactly one observation per sequence slot**,
+//!   merged on the `(tenant, seq)` logical clock.
 //!   The unit of hand-off is the task, not the statement: a worker sends
 //!   everything one task observed as one message — a `seq`-ascending run
 //!   of one `(tenant, shard)` — and the coordinator moves each batch to
 //!   the slots it was due in (`EpochMerge`). Which worker ran a statement
 //!   never shows.
 //! * The driver's boundary policy then runs on the coordinator — the
-//!   only thread that owns the live [`SimDb`]s — and
-//!   `Coordinator::publish`es the next epoch's snapshots. Tasks of
-//!   epoch `e+1` exist only after every epoch-`e` observation has been
-//!   absorbed, so a task's publication is always already current: there
-//!   is no epoch barrier, only a place for idle workers to park.
+//!   only thread that owns the live [`SimDb`]s and each lane's current
+//!   publication — and `Coordinator::publish` overwrites that
+//!   publication. Tasks of epoch `e+1` are made only after every
+//!   epoch-`e` observation has been absorbed, from the publications the
+//!   coordinator holds then, so a task's publication is current by
+//!   construction: executors share no mutable publication state, and a
+//!   replaced publication is freed with the last task that carried it.
 //!
 //! # Determinism
 //!
@@ -49,15 +54,19 @@
 //! Every statement executes inside the one `catch_unwind` fence
 //! (`Engine::run_task`): a panic becomes a `Panicked` observation for
 //! its sequence slot, so epoch accounting stays exact. A worker that
-//! exhausts its panic budget hands off what it has of its task, pushes
-//! the unfinished remainder to the front of its own deque (where a thief
-//! finds it first), wakes its peers and retires. Parks are *bounded* and
-//! generation-checked, so a wake-up is never lost and a remainder is
-//! never stranded behind a sleeping peer; when every worker has retired
-//! the coordinator drains the pool inline with an unlimited budget. A panic on the coordinator
-//! itself (a driver's tuning policy) unwinds through a drop guard that
-//! raises the done flag and hangs up the observation channel, so the
-//! workers exit and `Engine::run` returns an error instead of hanging.
+//! exhausts its panic budget hands off what it has of its task, puts the
+//! unfinished remainder at the front of the queue (the next pop takes
+//! it) and retires. An idle worker waits on the queue's condition
+//! variable *under the lock every producer takes* — inject, requeue and
+//! the done flag all change the state and notify while holding it — so a
+//! wake-up cannot fall between a failed pop and the wait, and no wait
+//! needs a timeout. The coordinator blocks on the observation channel;
+//! when the last worker has retired the channel hangs up and the
+//! coordinator drains the queue inline with an unlimited budget. A panic
+//! on the coordinator itself (a driver's tuning policy) unwinds through
+//! a drop guard that raises the done flag and hangs up the observation
+//! channel, so the workers exit and `Engine::run` returns an error
+//! instead of hanging.
 
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{FastPathCache, FrontEnd, UpkeepCounters};
@@ -67,16 +76,14 @@ use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{DbSnapshot, ExecOutcome, SimDb, UsageDelta};
-use autoindex_support::arcswap::ArcSlot;
 use autoindex_support::hash::U64HashMap;
 use autoindex_support::obs::{Counter, MetricsRegistry};
 use autoindex_support::rng::derive_seed;
-use autoindex_support::steal::StealPool;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Domain-separation salt for the statement → shard assignment stream.
 const SHARD_SALT: u64 = 0x51a4_d000_0b5e_55ed;
@@ -91,12 +98,6 @@ const SHARD_SALT: u64 = 0x51a4_d000_0b5e_55ed;
 /// (typically `1/shards` of one), so at most 64 slices' worth of
 /// observations wait in the channel.
 const CHANNEL_CAPACITY: usize = 64;
-
-/// Longest a parked worker, or a coordinator waiting on an empty channel,
-/// sleeps before re-checking. Wake-ups are generation-checked and never
-/// lost, so this is only the net under a remainder requeued by a retiring
-/// worker; 20 ms is the slice single-tenant serve has always used.
-const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 
 // --------------------------------------------------------- observations
 
@@ -354,54 +355,80 @@ fn execute_statement(
     }
 }
 
-// ------------------------------------------------------------- park gate
+// ------------------------------------------------------------ task queue
 
-/// Idle-parking for workers plus the run's done flag — not a barrier
-/// (the engine is bulk-synchronous by construction), only a place for a
-/// worker to nap when the pool runs dry between epochs.
+/// The engine's one work source: a FIFO of tasks and the run's done flag
+/// behind one lock, with one condition variable for idle workers — not a
+/// barrier (the engine is bulk-synchronous by construction), only a place
+/// to wait when the queue runs dry between epochs.
 ///
-/// A worker reads the generation *before* its failed pop and parks only
-/// if it has not moved since; every wake bumps it under the lock the
-/// parker holds until it sleeps, so a wake-up between the pop and the
-/// park is never lost. The wait is still *bounded* ([`PARK_TIMEOUT`]).
-/// Lock acquisitions recover from poisoning, and nothing is held across
-/// statement execution, so a worker panic cannot wedge the run.
+/// Every producer — [`TaskQueue::inject`], [`TaskQueue::requeue`],
+/// [`TaskQueue::finish`] — changes the state and notifies while holding
+/// the lock a consumer holds from its failed pop until it sleeps, so a
+/// wake-up is never lost and the wait has no timeout. Lock acquisitions
+/// recover from poisoning, and nothing is held across statement
+/// execution, so a worker panic cannot wedge the run.
 #[derive(Default)]
-struct ParkGate {
-    done: AtomicBool,
-    generation: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
+struct TaskQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
 }
 
-impl ParkGate {
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+#[derive(Default)]
+struct QueueState {
+    tasks: VecDeque<Task>,
+    done: bool,
+}
+
+impl TaskQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wake every parked worker (new tasks, a requeued remainder, done).
-    fn wake_all(&self) {
-        let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        self.cv.notify_all();
+    /// Append an epoch's tasks and wake every waiting worker.
+    fn inject(&self, tasks: impl IntoIterator<Item = Task>) {
+        let mut state = self.lock();
+        state.tasks.extend(tasks);
+        self.ready.notify_all();
     }
 
-    /// End the run: workers exit at their next pop.
+    /// Put the remainder of an interrupted task where the next pop takes
+    /// it, and wake a worker for it.
+    fn requeue(&self, task: Task) {
+        let mut state = self.lock();
+        state.tasks.push_front(task);
+        self.ready.notify_one();
+    }
+
+    /// End the run: waiting workers leave now, running ones at their next
+    /// pop. Tasks still queued are dropped with the engine.
     fn finish(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        self.wake_all();
+        let mut state = self.lock();
+        state.done = true;
+        self.ready.notify_all();
     }
 
-    /// Bounded nap, skipped when anything was signalled since `seen`.
-    /// Spurious wake-ups are harmless: the caller re-pops either way.
-    fn park(&self, seen: u64) {
-        let g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.generation() == seen {
-            let _ = self
-                .cv
-                .wait_timeout(g, PARK_TIMEOUT)
+    /// The next task, waiting for one while the queue is empty; `None`
+    /// once the run is done.
+    fn next(&self) -> Option<Task> {
+        let mut state = self.lock();
+        loop {
+            if state.done {
+                return None;
+            }
+            if let Some(task) = state.tasks.pop_front() {
+                return Some(task);
+            }
+            state = self
+                .ready
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// The next task if one is queued (the coordinator's inline drain).
+    fn try_next(&self) -> Option<Task> {
+        self.lock().tasks.pop_front()
     }
 }
 
@@ -425,13 +452,16 @@ pub(crate) struct Slice {
 }
 
 /// One unit of executor work: the statements of `slice` that map to
-/// `shard`, resuming at `resume_at` after an interrupted run.
-#[derive(Debug, Clone, Copy)]
+/// `shard`, resuming at `resume_at` after an interrupted run, and the
+/// publication they execute against — the lane's current one when the
+/// epoch was fanned out.
+#[derive(Clone)]
 struct Task {
     slice: Slice,
     epoch: u64,
     shard: u64,
     resume_at: u64,
+    publication: Arc<Publication>,
 }
 
 /// One tenant as the executors see it.
@@ -439,17 +469,11 @@ pub(crate) struct Lane<'a> {
     queries: &'a [String],
     /// Seed of the tenant's shard-assignment stream.
     seed: u64,
-    /// Workers load, the coordinator stores.
-    slot: ArcSlot<Publication>,
 }
 
 impl<'a> Lane<'a> {
-    pub(crate) fn new(queries: &'a [String], seed: u64, initial: Publication) -> Self {
-        Lane {
-            queries,
-            seed,
-            slot: ArcSlot::new(Arc::new(initial)),
-        }
+    pub(crate) fn new(queries: &'a [String], seed: u64) -> Self {
+        Lane { queries, seed }
     }
 }
 
@@ -483,7 +507,7 @@ pub(crate) struct EngineConfig {
     pub(crate) panic_on: Vec<(u32, u64)>,
 }
 
-/// Shared state of one run: lanes, pool, gate and head counts. Built by
+/// Shared state of one run: lanes, task queue and head counts. Built by
 /// the driver, borrowed by every executor for the length of
 /// [`Engine::run`].
 pub(crate) struct Engine<'a> {
@@ -500,10 +524,7 @@ pub(crate) struct Engine<'a> {
     /// The driver's registry: each executor takes its own cells of the
     /// sharded `sql.fastpath.*` counters from it.
     registry: MetricsRegistry,
-    pool: StealPool<Task>,
-    gate: ParkGate,
-    /// Workers still running; at zero the coordinator drains inline.
-    live: AtomicUsize,
+    queue: TaskQueue,
     retired: AtomicUsize,
 }
 
@@ -521,9 +542,7 @@ impl<'a> Engine<'a> {
             handoff_batches: registry.counter(&format!("{prefix}.handoff.batches")),
             handoff_observations: registry.counter(&format!("{prefix}.handoff.observations")),
             registry: registry.clone(),
-            pool: StealPool::new(cfg.workers),
-            gate: ParkGate::default(),
-            live: AtomicUsize::new(cfg.workers),
+            queue: TaskQueue::default(),
             retired: AtomicUsize::new(0),
             lanes,
             cfg,
@@ -540,12 +559,6 @@ impl<'a> Engine<'a> {
         self.retired.load(Ordering::SeqCst)
     }
 
-    /// Successful steal grabs and tasks moved by them (scheduler-
-    /// dependent; observability only).
-    pub(crate) fn steals(&self) -> (u64, u64) {
-        (self.pool.steals(), self.pool.stolen_tasks())
-    }
-
     fn scratch(&self, slot: usize) -> WorkerScratch {
         WorkerScratch {
             front: FrontEnd::new(&self.registry, slot),
@@ -555,16 +568,19 @@ impl<'a> Engine<'a> {
     }
 
     /// Spawn the executors, run `coordinate` (which drives epochs through
-    /// the [`Coordinator`] it is handed) on the calling thread, and join.
+    /// the [`Coordinator`] it is handed, starting from the lanes' `initial`
+    /// publications) on the calling thread, and join.
     /// The one place statement executors are spawned. If `coordinate`
     /// panics, the drop guard raises the done flag and the channel hangs
-    /// up, so every worker — parked, mid-task or blocked on a full
+    /// up, so every worker — waiting, mid-task or blocked on a full
     /// channel — exits, and the panic is returned as an error under
     /// [`EngineConfig::name`].
     pub(crate) fn run<R>(
         &self,
+        initial: Vec<Publication>,
         coordinate: impl FnOnce(&mut Coordinator<'_, 'a>) -> Result<R, AutoIndexError>,
     ) -> Result<R, AutoIndexError> {
+        assert_eq!(initial.len(), self.lanes.len(), "one publication per lane");
         let (tx, rx) = mpsc::sync_channel(CHANNEL_CAPACITY);
         catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|s| {
@@ -576,10 +592,11 @@ impl<'a> Engine<'a> {
                 let mut coordinator = Coordinator {
                     engine: self,
                     rx,
+                    current: initial.into_iter().map(Arc::new).collect(),
                     scratch: self.scratch(self.cfg.workers),
                     sim_makespan_ms: 0.0,
                 };
-                let _done = OnDrop(|| self.gate.finish());
+                let _done = OnDrop(|| self.queue.finish());
                 coordinate(&mut coordinator)
             })
         }))
@@ -591,38 +608,33 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// The executor loop: pop (or steal) a task, run it against the
-    /// tenant's current publication, ship its observations as one batch;
-    /// park when the pool runs dry. Retires after exhausting the panic
+    /// The executor loop: take the next task (waiting for one when the
+    /// queue is dry), run it against the publication it carries, ship its
+    /// observations as one batch. Retires after exhausting the panic
     /// budget; exits after at most one task once the coordinator is gone.
+    /// Leaving drops `tx`: the last worker out hangs the channel up, which
+    /// is how the coordinator learns it has to drain inline.
     fn worker(&self, slot: usize, tx: SyncSender<Vec<TenantObservation>>) {
-        let _live = OnDrop(|| {
-            self.live.fetch_sub(1, Ordering::SeqCst);
-        });
         let mut scratch = self.scratch(slot);
         let mut panics = 0u64;
-        let mut connected = true;
-        while connected && !self.gate.done.load(Ordering::SeqCst) {
-            let seen = self.gate.generation();
-            let Some(task) = self.pool.pop(slot) else {
-                self.gate.park(seen);
-                continue;
-            };
-            let max = self.cfg.max_worker_panics;
+        let max = self.cfg.max_worker_panics;
+        while let Some(task) = self.queue.next() {
             let (batch, remainder) = self.run_task(task, &mut scratch, &mut panics, max);
-            // Hand off before requeueing: when a thief (or the inline
+            // Hand off before requeueing: when a peer (or the inline
             // drain) picks the remainder up, the part already run is on
             // its way and each slot is still observed exactly once.
-            connected = batch.is_empty() || tx.send(batch).is_ok();
+            let connected = batch.is_empty() || tx.send(batch).is_ok();
             if let Some(rest) = remainder {
-                self.pool.push_front(slot, rest);
+                self.queue.requeue(rest);
             }
             if panics > max {
-                // Budget ran out: retire. The remainder (if any) is
-                // queued where a thief finds it first; wake the peers.
+                // Budget ran out: retire. The remainder (if any) is the
+                // queue's next task and a peer was woken for it.
                 self.workers_retired.incr();
                 self.retired.fetch_add(1, Ordering::SeqCst);
-                self.gate.wake_all();
+                return;
+            }
+            if !connected {
                 return;
             }
         }
@@ -642,9 +654,9 @@ impl<'a> Engine<'a> {
     ) -> (Vec<TenantObservation>, Option<Task>) {
         let Slice { tenant, end, .. } = task.slice;
         let lane = &self.lanes[tenant as usize];
-        let publication = lane.slot.load();
-        scratch.pin((tenant, publication.snap.epoch));
-        let mine = |seq: &u64| shard_of(lane.seed, *seq, self.cfg.shards) == task.shard;
+        scratch.pin((tenant, task.publication.snap.epoch));
+        let shard = task.shard;
+        let mine = |seq: &u64| shard_of(lane.seed, *seq, self.cfg.shards) == shard;
         // Sized exactly, at the price of hashing the range twice: batches
         // are an epoch's whole memory until they are placed.
         let mut batch = Vec::with_capacity((task.resume_at..end).filter(mine).count());
@@ -654,7 +666,7 @@ impl<'a> Engine<'a> {
                     panic!("injected panic at tenant {tenant} seq {seq}");
                 }
                 let sql = &lane.queries[seq as usize];
-                execute_statement(&publication, sql, seq, self.cfg.fastpath, scratch)
+                execute_statement(&task.publication, sql, seq, self.cfg.fastpath, scratch)
             }))
             .unwrap_or_else(|_| {
                 self.worker_panics.incr();
@@ -685,6 +697,8 @@ impl<'a> Engine<'a> {
 pub(crate) struct Coordinator<'e, 'a> {
     engine: &'e Engine<'a>,
     rx: Receiver<Vec<TenantObservation>>,
+    /// Each lane's current publication: what the next epoch's tasks carry.
+    current: Vec<Arc<Publication>>,
     /// For the inline drain when every worker has retired.
     scratch: WorkerScratch,
     /// Deterministic simulated makespan of the epochs run so far, ms: per
@@ -699,7 +713,7 @@ impl Coordinator<'_, '_> {
     /// per-shard tasks, collect their batches until there is exactly one
     /// observation per sequence slot, and merge them on the
     /// `(tenant, seq)` logical clock. If every worker has retired with
-    /// tasks still queued, the pool is drained inline (unlimited panic
+    /// tasks still queued, the queue is drained inline (unlimited panic
     /// budget — each sequence slot panics at most once) so the epoch
     /// always completes.
     pub(crate) fn run_epoch(
@@ -710,15 +724,16 @@ impl Coordinator<'_, '_> {
         let engine = self.engine;
         let shards = engine.cfg.shards;
         let expected: u64 = slices.iter().map(|s| s.end - s.start).sum();
-        engine.pool.inject(slices.iter().flat_map(|&slice| {
+        let current = &self.current;
+        engine.queue.inject(slices.iter().flat_map(|&slice| {
             (0..shards).map(move |shard| Task {
                 slice,
                 epoch,
                 shard,
                 resume_at: slice.start,
+                publication: Arc::clone(&current[slice.tenant as usize]),
             })
         }));
-        engine.gate.wake_all();
 
         let mut merge = EpochMerge::new(engine.lanes.len(), slices);
         let mut got = 0u64;
@@ -732,16 +747,15 @@ impl Coordinator<'_, '_> {
         };
         let mut complete = expected == 0;
         while !complete {
-            complete = match self.rx.recv_timeout(PARK_TIMEOUT) {
+            // Blocking: a live worker either sends what it ran or leaves,
+            // and the last one out hangs the channel up.
+            complete = match self.rx.recv() {
                 Ok(batch) => collect(batch),
-                Err(RecvTimeoutError::Timeout) if engine.live.load(Ordering::SeqCst) > 0 => false,
                 Err(_) => {
-                    // Every worker is gone, and whatever they sent landed
-                    // before they left: the rest is still in the pool.
-                    for batch in self.rx.try_iter() {
-                        collect(batch);
-                    }
-                    while let Some(task) = engine.pool.pop(0) {
+                    // Every worker is gone, and whatever they sent was
+                    // received before the hang-up showed: the rest is
+                    // still in the queue.
+                    while let Some(task) = engine.queue.try_next() {
                         let scratch = &mut self.scratch;
                         let (batch, rest) = engine.run_task(task, scratch, &mut 0, u64::MAX);
                         debug_assert!(rest.is_none(), "unlimited budget never retires");
@@ -779,11 +793,11 @@ impl Coordinator<'_, '_> {
     }
 
     /// Publish `tenant`'s next-epoch snapshot — the only point a
-    /// configuration swap becomes visible to executors.
-    pub(crate) fn publish(&self, tenant: u32, publication: Publication) {
-        self.engine.lanes[tenant as usize]
-            .slot
-            .store(Arc::new(publication));
+    /// configuration swap becomes visible to executors: tasks made from
+    /// here on carry it. The publication it replaces is freed now, every
+    /// task that carried it having been handed off.
+    pub(crate) fn publish(&mut self, tenant: u32, publication: Publication) {
+        self.current[tenant as usize] = Arc::new(publication);
     }
 }
 
@@ -872,6 +886,7 @@ mod tests {
     use autoindex_storage::SimDbConfig;
     use autoindex_support::rng::StdRng;
     use autoindex_workloads::banking::{self, BankingGenerator};
+    use std::time::Duration;
 
     #[test]
     fn zero_threads_means_available_parallelism() {
@@ -961,15 +976,21 @@ mod tests {
         }
 
         fn engine(&self, cfg: EngineConfig, registry: &MetricsRegistry) -> Engine<'_> {
-            let mut advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
-            let upkeep = UpkeepCounters::bind(registry);
             let lanes = (0..TENANTS)
-                .map(|t| {
-                    let initial = Publication::build(&self.db, &mut advisor, 0, true, &upkeep);
-                    Lane::new(&self.queries, derive_seed(7, t as u64), initial)
-                })
+                .map(|t| Lane::new(&self.queries, derive_seed(7, t as u64)))
                 .collect();
             Engine::new(cfg, registry, "test", lanes)
+        }
+
+        /// A publication of the fixture's database as `epoch`.
+        fn publication(&self, epoch: u64) -> Publication {
+            let mut advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+            let upkeep = UpkeepCounters::bind(&MetricsRegistry::new());
+            Publication::build(&self.db, &mut advisor, epoch, true, &upkeep)
+        }
+
+        fn initial(&self) -> Vec<Publication> {
+            (0..TENANTS).map(|_| self.publication(0)).collect()
         }
 
         /// Run all epochs; every epoch must come back as exactly its
@@ -977,7 +998,7 @@ mod tests {
         fn run(&self, engine: &Engine<'_>) -> Run {
             let mut observed = Vec::new();
             let sim_makespan_ms = engine
-                .run(|coordinator| {
+                .run(self.initial(), |coordinator| {
                     for epoch in 0..LEN.div_ceil(INTERVAL) {
                         let (start, end) = (epoch * INTERVAL, ((epoch + 1) * INTERVAL).min(LEN));
                         let slices: Vec<Slice> = (0..TENANTS)
@@ -1088,16 +1109,18 @@ mod tests {
                 epoch: 0,
                 shard: shard_of(lane_seed, 31, shards),
                 resume_at: 0,
+                publication: Arc::new(fixture.publication(0)),
             };
             let mut scratch = engine.scratch(0);
             let mut seqs = Vec::new();
-            let mut next = Some(task);
+            let mut next = Some(task.clone());
             let mut parts = 0;
             while let Some(task) = next {
                 // A fresh budget of zero per part: each stops at its panic.
+                let resumed_at = task.resume_at;
                 let (batch, rest) = engine.run_task(task, &mut scratch, &mut 0, 0);
                 assert!(batch.iter().all(|o| o.tenant == 0 && o.obs.epoch == 0));
-                assert!(rest.is_none_or(|r| r.resume_at > task.resume_at));
+                assert!(rest.as_ref().is_none_or(|r| r.resume_at > resumed_at));
                 seqs.extend(batch.iter().map(|o| o.obs.seq));
                 parts += 1;
                 next = rest;
@@ -1142,6 +1165,139 @@ mod tests {
                 assert_eq!(retiring.observed, *reference, "{cell}");
             }
         }
+    }
+
+    /// A task the queue tests tell apart by `epoch`.
+    fn numbered(serial: u64, publication: &Arc<Publication>) -> Task {
+        Task {
+            slice: Slice {
+                tenant: 0,
+                start: 0,
+                end: 1,
+            },
+            epoch: serial,
+            shard: 0,
+            resume_at: 0,
+            publication: Arc::clone(publication),
+        }
+    }
+
+    /// The one queue under contention: four consumers, an injector feeding
+    /// it in waves, and every seventh task handed back once at the front
+    /// the way a retiring worker hands back a remainder — every task is
+    /// delivered exactly once, and `finish` releases every consumer.
+    #[test]
+    fn the_queue_delivers_every_task_exactly_once() {
+        const WAVES: u64 = 20;
+        const PER_WAVE: u64 = 50;
+        let publication = Arc::new(Fixture::new().publication(0));
+        let queue = TaskQueue::default();
+        let (tx, rx) = mpsc::channel();
+        let mut delivered: Vec<u64> = std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (tx, queue) = (tx.clone(), &queue);
+                s.spawn(move || {
+                    while let Some(task) = queue.next() {
+                        if task.epoch % 7 == 0 && task.resume_at == 0 {
+                            queue.requeue(Task {
+                                resume_at: 1,
+                                ..task
+                            });
+                        } else {
+                            tx.send(task.epoch).unwrap();
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for wave in 0..WAVES {
+                queue.inject(
+                    (wave * PER_WAVE..(wave + 1) * PER_WAVE).map(|n| numbered(n, &publication)),
+                );
+                std::thread::yield_now();
+            }
+            let got: Vec<u64> = rx.iter().take((WAVES * PER_WAVE) as usize).collect();
+            queue.finish();
+            // The consumers leave, the channel hangs up: nothing came twice.
+            assert_eq!(rx.iter().count(), 0);
+            got
+        });
+        delivered.sort_unstable();
+        assert_eq!(delivered, (0..WAVES * PER_WAVE).collect::<Vec<_>>());
+        assert_eq!(
+            Arc::strong_count(&publication),
+            1,
+            "no task outlives the run"
+        );
+    }
+
+    /// A worker blocked in the queue's wait — which has no timeout — is
+    /// released by each thing that can give it something to do: an
+    /// injected epoch, a remainder requeued at the front, the done flag.
+    /// The waiter runs on a spawned thread and the test waits on a channel
+    /// with a timeout, so a lost wake-up is a red test, not a stalled job.
+    #[test]
+    fn a_waiting_worker_is_released_by_inject_requeue_and_done() {
+        let publication = Arc::new(Fixture::new().publication(0));
+        type Release = fn(&TaskQueue, Task);
+        let releases: [(&str, Release, Option<u64>); 3] = [
+            ("inject", |q, t| q.inject([t]), Some(11)),
+            ("requeue", |q, t| q.requeue(t), Some(11)),
+            ("finish", |q, _| q.finish(), None),
+        ];
+        for (name, release, expected) in releases {
+            let queue = Arc::new(TaskQueue::default());
+            let (tx, rx) = mpsc::channel();
+            let waiter = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let _ = tx.send(waiter.next().map(|task| task.epoch));
+            });
+            let idle = rx.recv_timeout(Duration::from_millis(50));
+            assert!(
+                idle.is_err(),
+                "{name}: nothing to hand out yet, got {idle:?}"
+            );
+            release(&queue, numbered(11, &publication));
+            match rx.recv_timeout(Duration::from_secs(20)) {
+                Ok(got) => assert_eq!(got, expected, "{name}"),
+                Err(_) => panic!("{name}: the waiting worker was never woken"),
+            }
+        }
+    }
+
+    /// The coordinator's copy is the only one that outlives an epoch: when
+    /// `run_epoch` returns every task has been handed off and dropped, so
+    /// the publication `publish` replaces is freed there and then — no
+    /// worker, slot or queue keeps an older generation alive.
+    #[test]
+    fn a_replaced_publication_is_freed_with_its_epochs_tasks() {
+        let fixture = Fixture::new();
+        let registry = MetricsRegistry::new();
+        // One shard: every task has statements, so every task's hand-off
+        // is a batch the epoch waits for.
+        let engine = fixture.engine(config(2, 1, u64::MAX, &[]), &registry);
+        // Per (epoch, tenant): holders after the epoch, after the publish.
+        let holders = engine
+            .run(fixture.initial(), |coordinator| {
+                let mut holders = Vec::new();
+                for epoch in 0..LEN.div_ceil(INTERVAL) {
+                    let (start, end) = (epoch * INTERVAL, ((epoch + 1) * INTERVAL).min(LEN));
+                    let slices: Vec<Slice> = (0..TENANTS)
+                        .map(|tenant| Slice { tenant, start, end })
+                        .collect();
+                    coordinator.run_epoch(epoch, &slices)?;
+                    for tenant in 0..TENANTS {
+                        let old = Arc::downgrade(&coordinator.current[tenant as usize]);
+                        let before = old.strong_count();
+                        coordinator.publish(tenant, fixture.publication(epoch + 1));
+                        holders.push((before, old.strong_count()));
+                    }
+                }
+                Ok(holders)
+            })
+            .unwrap();
+        let epochs = LEN.div_ceil(INTERVAL) as usize;
+        assert_eq!(holders, vec![(1, 0); epochs * TENANTS as usize]);
     }
 
     /// [`EpochMerge`] is a sort on `(tenant, seq)`: whatever the order the

@@ -20,8 +20,8 @@
 //!             └───────────────────────────────────────────────┘
 //! ```
 //!
-//! Execution — work stealing, per-tenant lock-free publication, the
-//! panic fence and worker retirement — is the engine's (see its module
+//! Execution — the task queue, the per-tenant publication each task
+//! carries, the panic fence and worker retirement — is the engine's (see its module
 //! docs for the epoch protocol and crash safety). What is genuinely fleet:
 //!
 //! * **Admission control.** Every epoch, each unfinished tenant bids for
@@ -57,12 +57,12 @@
 //! Everything rendered into [`FleetReport::transcript`] and the
 //! per-tenant [`TenantReport::transcript`]s is a pure function of
 //! `(tenant streams, FleetConfig)` — worker count changes only the
-//! physical schedule, which is observability data
-//! (`serve.fleet.steals`, wall time) and the *simulated makespan* (the
-//! LPT packing of per-task costs onto worker slots, deliberately kept
-//! out of the transcript). The tests in `crates/core/tests/fleet.rs`
-//! compare the 1-, 4- and 8-worker fleet transcripts byte-for-byte and
-//! pin permutation- and worker-count-invariance as a property.
+//! physical schedule, which is observability data (wall time) and the
+//! *simulated makespan* (the LPT packing of per-task costs onto worker
+//! slots, deliberately kept out of the transcript). The tests in
+//! `crates/core/tests/fleet.rs` compare the 1-, 4- and 8-worker fleet
+//! transcripts byte-for-byte and pin permutation- and
+//! worker-count-invariance as a property.
 
 use crate::engine::{
     absorb_slice, simulated_qps, tuning_round, Engine, EngineConfig, Lane, Publication, Slice,
@@ -535,10 +535,9 @@ pub struct FleetReport {
     pub slo_violations: u64,
     pub tuning_visits: u64,
     pub workers_retired: usize,
-    /// Successful steal grabs (scheduler-dependent; observability only).
+    /// Always 0: the engine has one task queue and nothing is stolen.
+    /// Kept because `perf/src/drive.rs` reads it (ROADMAP item 4 a).
     pub steals: u64,
-    /// Tasks moved by steals (scheduler-dependent; observability only).
-    pub stolen_tasks: u64,
     pub total_sim_latency_ms: f64,
     /// Deterministic simulated fleet makespan, ms: the engine's per-epoch
     /// LPT packing of every admitted (tenant × shard) task's
@@ -568,8 +567,8 @@ impl FleetReport {
     }
 
     /// The fleet-level byte-comparable surface: totals, every epoch's
-    /// admission counts and tuner visit. Worker count, steal counts,
-    /// makespan and wall clock are deliberately excluded.
+    /// admission counts and tuner visit. Worker count, makespan and wall
+    /// clock are deliberately excluded.
     pub fn transcript(&self) -> String {
         let mut out = format!(
             "fleet: tenants={} executed={} shed={} parse_failures={} panics={} \
@@ -738,23 +737,25 @@ pub fn serve_fleet<E: CostEstimator>(
         .gauge("serve.admission.capacity_ms")
         .set(config.epoch_capacity_ms);
 
-    // Per-tenant state + one engine lane each, with its initial (epoch 0)
+    // Per-tenant state + one engine lane each and its initial (epoch 0)
     // publication. The lanes borrow their own handles on the streams.
     let queries: Vec<Arc<Vec<String>>> = tenants.iter().map(|t| Arc::clone(&t.queries)).collect();
     let mut states: Vec<TenantState<E>> = Vec::with_capacity(tenants.len());
     let mut lanes: Vec<Lane> = Vec::with_capacity(tenants.len());
+    let mut initial: Vec<Publication> = Vec::with_capacity(tenants.len());
     let upkeep = UpkeepCounters::bind(&registry);
     for (t, mut tenant) in tenants.into_iter().enumerate() {
         if let Some(k) = config.tuner_strategy {
             tenant.advisor.set_strategy(k);
         }
-        let initial =
-            Publication::build(&tenant.db, &mut tenant.advisor, 0, config.fastpath, &upkeep);
-        lanes.push(Lane::new(
-            &queries[t],
-            derive_seed(config.seed, t as u64),
-            initial,
+        initial.push(Publication::build(
+            &tenant.db,
+            &mut tenant.advisor,
+            0,
+            config.fastpath,
+            &upkeep,
         ));
+        lanes.push(Lane::new(&queries[t], derive_seed(config.seed, t as u64)));
         states.push(TenantState {
             db: tenant.db,
             advisor: tenant.advisor,
@@ -791,7 +792,7 @@ pub fn serve_fleet<E: CostEstimator>(
 
     let mut epochs: Vec<FleetEpochRecord> = Vec::new();
 
-    let sim_makespan_ms = engine.run(|coordinator| {
+    let sim_makespan_ms = engine.run(initial, |coordinator| {
         for epoch in 0.. {
             // ---- admission: every unfinished tenant bids for a slice.
             let candidates: Vec<AdmissionCandidate> = states
@@ -944,7 +945,6 @@ pub fn serve_fleet<E: CostEstimator>(
         Ok(coordinator.sim_makespan_ms)
     })?;
 
-    let (steals, stolen_tasks) = engine.steals();
     let (tenant_reports, outcome_tenants): (Vec<TenantReport>, Vec<FleetTenantOutcome<E>>) = states
         .into_iter()
         .map(|st| {
@@ -974,8 +974,7 @@ pub fn serve_fleet<E: CostEstimator>(
         slo_violations: tenant_reports.iter().map(|t| t.slo_violations).sum(),
         tuning_visits: tenant_reports.iter().map(|t| t.tuning_visits).sum(),
         workers_retired: engine.workers_retired(),
-        steals,
-        stolen_tasks,
+        steals: 0,
         total_sim_latency_ms: tenant_reports.iter().map(|t| t.total_sim_latency_ms).sum(),
         sim_makespan_ms,
         epochs,
@@ -997,8 +996,6 @@ pub fn serve_fleet<E: CostEstimator>(
         ("serve.admission.shed_slices", report.shed_slices),
         ("serve.admission.saturated_epochs", report.saturated_epochs),
         ("serve.fleet.epochs", report.epochs.len() as u64),
-        ("serve.fleet.steals", steals),
-        ("serve.fleet.stolen_tasks", stolen_tasks),
     ] {
         registry.counter(name).add(value);
     }
@@ -1300,7 +1297,7 @@ mod tests {
             one.report.transcript_digest(),
             four.report.transcript_digest()
         );
-        // The physical schedule may differ (steals are racy) but the
+        // The physical schedule may differ (which worker pops is racy) but the
         // simulated makespan is a pure function of (streams, workers).
         let eight = run(4);
         assert_eq!(

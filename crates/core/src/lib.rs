@@ -45,8 +45,8 @@
 //!   entry points.
 //! * [`engine`] — the epoch engine under both serving drivers
 //!   (`docs/SERVING.md`): executor threads drain per-tenant slices from
-//!   one work-stealing pool against epoch-versioned snapshots published
-//!   in lock-free per-tenant slots; the calling thread collects exactly
+//!   one task queue, each task carrying the epoch-versioned snapshot it
+//!   runs against; the calling thread collects exactly
 //!   one observation per sequence slot, merged on `(tenant, seq)`, behind
 //!   one panic fence — so every driver decision is worker-count invariant
 //!   and neither a worker nor a coordinator panic can hang a run.
@@ -59,6 +59,8 @@
 //!   regret-directed tuner fleet slot; per-tenant transcripts stay
 //!   worker-count invariant.
 //! * [`error`] — [`error::AutoIndexError`], the crate-wide error type.
+
+#![forbid(unsafe_code)]
 
 pub mod bandit;
 pub mod candgen;

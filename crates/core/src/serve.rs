@@ -10,7 +10,7 @@
 //! and this module's boundary policy.
 //!
 //! ```text
-//!  queries ── epoch e's slice ──► engine: N executors, work stealing,
+//!  queries ── epoch e's slice ──► engine: N executors, one task queue,
 //!  (seq-numbered                  one observation per seq, merged on
 //!   logical clock)                the logical clock
 //!                                        │
@@ -22,8 +22,8 @@
 //! ```
 //!
 //! Execution — sharding, the shared immutable
-//! [`DbSnapshot`](autoindex_storage::DbSnapshot) in a lock-free
-//! publication slot, the panic fence and worker retirement — is the
+//! [`DbSnapshot`](autoindex_storage::DbSnapshot) every task of an epoch
+//! carries, the panic fence and worker retirement — is the
 //! engine's (see its module docs for the epoch protocol and crash
 //! safety). **The boundary** owns the live [`SimDb`] and the advisor:
 //! after every epoch it absorbs the merged observations' side effects in
@@ -374,7 +374,7 @@ pub fn serve<E: CostEstimator>(
         },
         db.metrics(),
         "serve",
-        vec![Lane::new(queries, config.seed, initial)],
+        vec![Lane::new(queries, config.seed)],
     );
     let workers = engine.workers();
     let mut report = ServeReport {
@@ -384,7 +384,7 @@ pub fn serve<E: CostEstimator>(
     let mut universe = Universe::new();
     let mut last_tuned_epoch = None;
 
-    report.sim_makespan_ms = engine.run(|coordinator| {
+    report.sim_makespan_ms = engine.run(vec![initial], |coordinator| {
         for epoch in 0..n.div_ceil(config.epoch_interval) {
             let start = epoch * config.epoch_interval;
             let end = (start + config.epoch_interval).min(n);

@@ -829,11 +829,28 @@ mod tests {
     }
 
     #[test]
-    fn insert_templates_unify_across_row_counts() {
+    fn one_row_inserts_unify_across_values() {
         let c = catalog();
         let mut s = small_store(10);
         s.observe("INSERT INTO t (a, b) VALUES (1, 2)", &c).unwrap();
         s.observe("INSERT INTO t (a, b) VALUES (9, 8)", &c).unwrap();
         assert_eq!(s.len(), 1);
+    }
+
+    /// Pinned, not endorsed: a template is a token structure, so the same
+    /// statement with more rows or a longer `IN` list is another template
+    /// (`perf`'s `parse_adhoc` digest depends on it; ROADMAP "Parked").
+    #[test]
+    fn row_counts_and_in_list_lengths_are_separate_templates() {
+        let c = catalog();
+        let mut s = small_store(10);
+        s.observe("INSERT INTO t (a, b) VALUES (1, 2)", &c).unwrap();
+        s.observe("INSERT INTO t (a, b) VALUES (3, 4), (5, 6)", &c)
+            .unwrap();
+        assert_eq!(s.len(), 2, "VALUES ($, $) and VALUES ($, $), ($, $)");
+        s.observe("SELECT * FROM t WHERE a IN (1)", &c).unwrap();
+        s.observe("SELECT * FROM t WHERE a IN (1, 2, 3)", &c)
+            .unwrap();
+        assert_eq!(s.len(), 4, "IN ($) and IN ($, $, $)");
     }
 }

@@ -22,6 +22,8 @@
 //!   the Greedy baseline both use this in §VI ("To ensure the fairness,
 //!   Greedy and AutoIndex utilized the same cost estimation method").
 
+#![forbid(unsafe_code)]
+
 pub mod colstats;
 pub mod cost_cache;
 pub mod model;

@@ -14,7 +14,7 @@ pub enum Value {
     Float(f64),
     Str(String),
     Null,
-    /// A `?`/`$n` bind parameter, or a literal replaced by the templatizer.
+    /// A `?`/`$n` bind parameter.
     Placeholder,
 }
 

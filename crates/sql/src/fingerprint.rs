@@ -3,23 +3,19 @@
 //! query with placeholders and match that query with the most similar
 //! template".
 //!
-//! Two fingerprinting paths are provided:
+//! Fingerprinting is text-level and never builds an AST:
 //!
-//! * [`fingerprint`] — text-level: lex the query, replace every literal
-//!   token with `$`, normalise whitespace/casing, and hash the result. It
-//!   never builds an AST; [`scan_fingerprint`] computes the same hash
-//!   without building the text either, which is what the per-statement
-//!   `SQL2Template` path uses — the text is only needed when a template is
-//!   admitted.
-//! * [`fingerprint_statement`] — structural: render a parsed statement with
-//!   all values replaced by placeholders. Used when the template store also
-//!   needs the AST (e.g. for candidate generation on first sight of a
-//!   template).
+//! * [`fingerprint`] lexes the query, replaces every literal token with
+//!   `$`, normalises whitespace/casing, and hashes the result;
+//! * [`scan_fingerprint`] computes the same hash without building the text
+//!   either, which is what the per-statement `SQL2Template` path uses — the
+//!   text is only needed when a template is admitted.
 //!
-//! Both produce the same string for the same query, so templates created on
-//! either path unify.
+//! One literal token is one `$`, so two statements unify only when they
+//! have the same token structure: `IN ($)` and `IN ($, $, $)`, or a one-row
+//! and a two-row `VALUES`, are different templates.
 
-use crate::ast::{InsertStatement, Predicate, SelectStatement, Statement, TableRef, Value};
+use crate::ast::Value;
 use crate::lexer::{Lexer, TokenKind};
 use crate::SqlError;
 
@@ -100,148 +96,6 @@ pub fn fingerprint(sql: &str) -> Result<Fingerprint, SqlError> {
         prev_glue = matches!(kind, TokenKind::Punct("." | "("));
     }
     Ok(Fingerprint::from_text(text))
-}
-
-/// Structural fingerprint: replace all values in the AST with
-/// [`Value::Placeholder`], multi-row inserts with a single row, then render
-/// through the text-level path so both paths produce identical strings.
-pub fn fingerprint_statement(stmt: &Statement) -> Fingerprint {
-    let templated = templatize(stmt);
-    let rendered = templated.to_string();
-    fingerprint(&rendered).expect("rendered SQL always lexes")
-}
-
-/// Produce the *template statement*: the input with every literal value
-/// replaced by a placeholder. The template AST is what candidate index
-/// generation runs on.
-pub fn templatize(stmt: &Statement) -> Statement {
-    match stmt {
-        Statement::Select(s) => Statement::Select(templatize_select(s)),
-        Statement::Insert(i) => Statement::Insert(InsertStatement {
-            table: i.table.clone(),
-            columns: i.columns.clone(),
-            // Multi-row inserts collapse to one row: same index requirement.
-            rows: vec![vec![Value::Placeholder; i.columns.len().max(1)]],
-        }),
-        Statement::Update(u) => Statement::Update(crate::ast::UpdateStatement {
-            table: u.table.clone(),
-            sets: u
-                .sets
-                .iter()
-                .map(|s| crate::ast::SetClause {
-                    column: s.column.clone(),
-                    value: Value::Placeholder,
-                })
-                .collect(),
-            where_clause: u.where_clause.as_ref().map(templatize_predicate),
-        }),
-        Statement::Delete(d) => Statement::Delete(crate::ast::DeleteStatement {
-            table: d.table.clone(),
-            where_clause: d.where_clause.as_ref().map(templatize_predicate),
-        }),
-    }
-}
-
-fn templatize_select(s: &SelectStatement) -> SelectStatement {
-    SelectStatement {
-        distinct: s.distinct,
-        projection: s.projection.clone(),
-        from: s.from.iter().map(templatize_table_ref).collect(),
-        joins: s
-            .joins
-            .iter()
-            .map(|j| crate::ast::Join {
-                kind: j.kind,
-                relation: templatize_table_ref(&j.relation),
-                on: j.on.as_ref().map(templatize_predicate),
-            })
-            .collect(),
-        where_clause: s.where_clause.as_ref().map(templatize_predicate),
-        group_by: s.group_by.clone(),
-        having: s.having.as_ref().map(templatize_predicate),
-        order_by: s.order_by.clone(),
-        limit: s.limit,
-        for_update: s.for_update,
-    }
-}
-
-fn templatize_table_ref(t: &TableRef) -> TableRef {
-    match t {
-        TableRef::Table { .. } => t.clone(),
-        TableRef::Derived { query, alias } => TableRef::Derived {
-            query: Box::new(templatize_select(query)),
-            alias: alias.clone(),
-        },
-    }
-}
-
-fn templatize_predicate(p: &Predicate) -> Predicate {
-    match p {
-        Predicate::And(ps) => Predicate::And(ps.iter().map(templatize_predicate).collect()),
-        Predicate::Or(ps) => Predicate::Or(ps.iter().map(templatize_predicate).collect()),
-        Predicate::Not(inner) => Predicate::Not(Box::new(templatize_predicate(inner))),
-        Predicate::Cmp { column, op, .. } => Predicate::Cmp {
-            column: column.clone(),
-            op: *op,
-            value: Value::Placeholder,
-        },
-        Predicate::JoinEq { .. } => p.clone(),
-        Predicate::InList {
-            column, negated, ..
-        } => Predicate::InList {
-            column: column.clone(),
-            // IN lists collapse to one placeholder: list length varies per
-            // query instance but the index requirement does not.
-            values: vec![Value::Placeholder],
-            negated: *negated,
-        },
-        Predicate::Between {
-            column, negated, ..
-        } => Predicate::Between {
-            column: column.clone(),
-            low: Value::Placeholder,
-            high: Value::Placeholder,
-            negated: *negated,
-        },
-        Predicate::Like {
-            column,
-            pattern,
-            negated,
-        } => {
-            // Keep a leading literal prefix marker: `abc%` and `%abc` have
-            // different sargability, so they must template differently.
-            let canonical = if pattern.starts_with('%') || pattern.starts_with('_') {
-                "%$".to_string()
-            } else {
-                "$%".to_string()
-            };
-            Predicate::Like {
-                column: column.clone(),
-                pattern: canonical,
-                negated: *negated,
-            }
-        }
-        Predicate::IsNull { .. } => p.clone(),
-        Predicate::Exists { query, negated } => Predicate::Exists {
-            query: Box::new(templatize_select(query)),
-            negated: *negated,
-        },
-        Predicate::InSubquery {
-            column,
-            query,
-            negated,
-        } => Predicate::InSubquery {
-            column: column.clone(),
-            query: Box::new(templatize_select(query)),
-            negated: *negated,
-        },
-        Predicate::AggCmp { func, arg, op, .. } => Predicate::AggCmp {
-            func: func.clone(),
-            arg: arg.clone(),
-            op: *op,
-            value: Value::Placeholder,
-        },
-    }
 }
 
 /// Reusable literal buffer filled by [`scan_fingerprint`].
@@ -576,7 +430,6 @@ pub fn scan_fingerprint(sql: &str, lits: &mut LiteralBuf) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_statement;
 
     #[test]
     fn same_template_for_different_constants() {
@@ -616,57 +469,22 @@ mod tests {
     }
 
     #[test]
-    fn structural_matches_textual() {
-        for sql in [
-            "SELECT a, b FROM t WHERE a = 1 AND b > 2.5 ORDER BY a",
-            "UPDATE t SET a = 3 WHERE b = 'x'",
-            "DELETE FROM t WHERE a BETWEEN 1 AND 2",
-        ] {
-            let stmt = parse_statement(sql).unwrap();
-            let fs = fingerprint_statement(&stmt);
-            // Textual fingerprint of the structural template's text must be
-            // a fixed point.
-            let ft = fingerprint(&fs.text).unwrap();
-            assert_eq!(fs, ft, "for {sql:?}");
-        }
-    }
-
-    #[test]
     fn having_aggregate_fingerprints_on_both_paths() {
-        // Regression: HAVING over an aggregate used to fail to parse, so
-        // the structural path silently dropped the template. Both paths
-        // must now agree and unify across constants.
+        // HAVING over an aggregate unifies across constants, and the text
+        // and scan paths agree on it.
         let sql1 = "SELECT region, COUNT(*) FROM sales GROUP BY region HAVING COUNT(*) > 5";
         let sql2 = "SELECT region, COUNT(*) FROM sales GROUP BY region HAVING COUNT(*) > 99";
-        let stmt = parse_statement(sql1).unwrap();
-        let fs = fingerprint_statement(&stmt);
         let ft = fingerprint(sql1).unwrap();
-        assert_eq!(fs, ft);
         assert_eq!(ft, fingerprint(sql2).unwrap());
-        // The scan path agrees too.
         let mut lits = LiteralBuf::new();
         assert_eq!(scan_fingerprint(sql1, &mut lits), Some(ft.hash));
     }
 
     #[test]
-    fn insert_row_count_does_not_change_template() {
-        let s1 = parse_statement("INSERT INTO t (a, b) VALUES (1, 2)").unwrap();
-        let s2 = parse_statement("INSERT INTO t (a, b) VALUES (3, 4), (5, 6)").unwrap();
-        assert_eq!(fingerprint_statement(&s1), fingerprint_statement(&s2));
-    }
-
-    #[test]
-    fn in_list_length_does_not_change_template() {
-        let s1 = parse_statement("SELECT * FROM t WHERE a IN (1)").unwrap();
-        let s2 = parse_statement("SELECT * FROM t WHERE a IN (1, 2, 3, 4)").unwrap();
-        assert_eq!(fingerprint_statement(&s1), fingerprint_statement(&s2));
-    }
-
-    #[test]
     fn like_prefix_vs_suffix_template_differ() {
-        let s1 = parse_statement("SELECT * FROM t WHERE a LIKE 'abc%'").unwrap();
-        let s2 = parse_statement("SELECT * FROM t WHERE a LIKE '%abc'").unwrap();
-        assert_ne!(fingerprint_statement(&s1), fingerprint_statement(&s2));
+        let f1 = fingerprint("SELECT * FROM t WHERE a LIKE 'abc%'").unwrap();
+        let f2 = fingerprint("SELECT * FROM t WHERE a LIKE '%abc'").unwrap();
+        assert_ne!(f1, f2);
     }
 
     #[test]

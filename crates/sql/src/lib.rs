@@ -48,6 +48,8 @@
 //! assert_eq!(literals.values, [Value::Float(37.3), Value::Str("riverside".into())]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod fingerprint;
 pub mod intern;
@@ -59,9 +61,7 @@ pub use ast::{
     CmpOp, ColumnRef, DeleteStatement, InsertStatement, Join, JoinKind, OrderItem, Predicate,
     SelectItem, SelectStatement, SetClause, Statement, TableRef, UpdateStatement, Value,
 };
-pub use fingerprint::{
-    fingerprint, fingerprint_statement, scan_fingerprint, Fingerprint, LiteralBuf,
-};
+pub use fingerprint::{fingerprint, scan_fingerprint, Fingerprint, LiteralBuf};
 pub use intern::{ColumnId, Interner, TableId, TemplateId};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_statement, ParseError, Parser};

@@ -41,6 +41,8 @@
 //! costs") — while simulated *execution* pays it. The learned estimator in
 //! `autoindex-estimator` closes that gap.
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod catalog;
 pub mod db;

@@ -14,8 +14,6 @@
 //! | [`prop`]  | `proptest`   | a seeded property-testing harness with size ramping, shrinking-lite and failure-seed replay |
 //! | [`mod@bench`] | `criterion`  | a micro-benchmark harness: warmup, median-of-N timing, JSON emit |
 //! | [`obs`]   | `metrics`/`prometheus` | named counters, gauges and timers behind a [`obs::MetricsRegistry`] with a deterministic JSON snapshot |
-//! | [`arcswap`] | `arc-swap` | [`arcswap::ArcSlot`]: a lock-free, generation-stamped `Arc` publication slot (left-right double buffer) |
-//! | [`steal`] | `crossbeam-deque` | [`steal::StealPool`]: per-worker deques with round-robin injection and steal-half rebalancing |
 //!
 //! Everything here is deterministic given a seed — the precondition for the
 //! replayable experiments the benches record.
@@ -116,11 +114,11 @@
 //! assert!(report.to_string().contains("\"sum\""));
 //! ```
 
-pub mod arcswap;
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod hash;
 pub mod json;
 pub mod obs;
 pub mod prop;
 pub mod rng;
-pub mod steal;

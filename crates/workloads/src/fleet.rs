@@ -2,7 +2,7 @@
 //! accounts, each a scaled-down copy of the [`crate::banking`] scenario.
 //!
 //! The PR8 serving fleet multiplexes many *logical tenants* (small banking
-//! databases) over one work-stealing executor pool. This module generates
+//! databases) over one executor pool. This module generates
 //! the tenant population: every tenant gets its own catalog (8 core
 //! banking tables sized in the thousands of accounts, no archival
 //! fillers), its own hand-crafted starting index set (with the same

@@ -34,6 +34,8 @@
 //! Every generator is deterministic given its seed, so experiments are
 //! reproducible run to run.
 
+#![forbid(unsafe_code)]
+
 pub mod banking;
 pub mod drift;
 pub mod epidemic;

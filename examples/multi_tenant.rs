@@ -1,6 +1,6 @@
 //! The PR 8 multi-tenant serving fleet, end to end: eight banking tenants
-//! with priorities and latency SLOs, multiplexed over a work-stealing
-//! executor pool under a saturating admission capacity. Watch the
+//! with priorities and latency SLOs, multiplexed over one executor pool
+//! under a saturating admission capacity. Watch the
 //! admission controller shed the priority-0 tenant, defer the cheapest
 //! protected bids, and the regret-directed tuner visit drifting tenants —
 //! then verify the whole run is worker-count deterministic.
@@ -87,18 +87,15 @@ fn main() {
         "serve.tenant.shed",
         "serve.tenant.slo_violations",
         "serve.tenant.tuning_visits",
-        "serve.fleet.steals",
-        "serve.fleet.stolen_tasks",
     ] {
         println!("  {name:<36} {}", out.metrics.counter_value(name));
     }
 
     println!(
-        "\nsimulated makespan {:.0} ms -> {:.0} simulated qps at {} workers ({} steals)",
+        "\nsimulated makespan {:.0} ms -> {:.0} simulated qps at {} workers",
         r.sim_makespan_ms,
         r.simulated_qps(),
-        r.workers,
-        r.steals
+        r.workers
     );
 
     // The determinism contract, demonstrated: 1 worker and 4 workers

@@ -27,8 +27,12 @@
 #   identical  every run of both sides printed the same value
 #   -          neither; see the bounds table below it
 #
-# then the value of the first metric pair by pair, and `perf check` over
-# the two sides' medians: the benchmark's own regression bounds.
+# then each side's median rate as measured and median host share — the
+# calibration kernel is compiled into the binary under test, so two
+# binaries can read the same host differently, which rescales stmts_per_s
+# and setup_s together (docs/PERFORMANCE.md §"How a number is taken") —
+# the value of the first metric pair by pair, and `perf check` over the
+# two sides' medians: the benchmark's own regression bounds.
 set -eu
 
 usage() {
@@ -86,6 +90,10 @@ run() {
     digests=$(sed -n 's/.*: input \([0-9a-f]*\) transcript \([0-9a-f]*\),.*/\1 \2/p' run.out | head -n 1)
     [ -n "$digests" ] || { echo "pair $pair: no digest line from the $side run" >&2; exit 1; }
     echo "$digests" >> "$side.digests"
+    # "  as measured (wall): N stmts/s at S of the reference host speed; ..."
+    raw=$(sed -n 's/.*as measured (wall): \([0-9.]*\) stmts\/s at \([0-9.]*\) of the reference.*/\1 \2/p' run.out | head -n 1)
+    [ -n "$raw" ] || { echo "pair $pair: no as-measured line from the $side run" >&2; exit 1; }
+    echo "$pair $raw" >> "$side.raw"
     result=$(tail -n 1 run.out)
     # {"attempted":N,"correct":true,"failed":N,"metrics":{...}}
     printf '%s\n' "$result" \
@@ -172,11 +180,27 @@ for side in parent change; do
     awk -v side="$side" '{ a += $1; f += $2 } END { printf "%-16s %s: %d of %d\n", side == "parent" ? "failed" : "", side, f, a }' "$side.attempted"
 done
 
+# Unscaled: what the host did, and what the binary's own calibration
+# kernel made of the host. A share that differs between the sides with
+# level raw rates is the kernel's code placement, not the change.
+# median_of FILE FIELD
+median_of() {
+    cut -d' ' -f"$2" "$1" | sort -n \
+        | awk '{ v[NR] = $1 } END { print NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+echo
+for side in parent change; do
+    printf '%-16s %s: median %s stmts/s at host share %s\n' \
+        "$([ "$side" = parent ] && echo 'as measured')" "$side" \
+        "$(median_of "$side.raw" 2)" "$(median_of "$side.raw" 3)"
+done
+
 first=${METRICS%%:*}
 echo
-echo "$first, pair by pair (parent -> change; odd pairs ran the parent first):"
-paste -d' ' "parent.$first" "change.$first" \
-    | awk '{ printf "  %2d: %.6g -> %.6g (x%.2f)\n", $1, $2, $4, ($2 > 0 ? $4 / $2 : 0) }'
+echo "$first, pair by pair (parent -> change, scaled; then as measured and host share; odd pairs ran the parent first):"
+paste -d' ' "parent.$first" "change.$first" parent.raw change.raw \
+    | awk '{ printf "  %2d: %.6g -> %.6g (x%.2f)   raw %d -> %d (x%.2f)   share %s -> %s\n",
+             $1, $2, $4, ($2 > 0 ? $4 / $2 : 0), $6, $9, ($6 > 0 ? $9 / $6 : 0), $7, $10 }'
 
 # The benchmark's own bounds, applied to the medians by `perf check`.
 result_file() {

@@ -74,6 +74,14 @@ if [ -n "$SPAWNS" ]; then
     exit 1
 fi
 
+echo "==> unsafe check (no unsafe block, fn, impl or trait under crates/*/src or src: every lib.rs forbids it, this covers the bins too; tests keep theirs — index_view_counts.rs's counting allocator)"
+UNSAFE=$(grep -rnE 'unsafe +(\{|fn|impl|trait)' crates/*/src src || true)
+if [ -n "$UNSAFE" ]; then
+    echo "ERROR: unsafe in product code:" >&2
+    echo "$UNSAFE" >&2
+    exit 1
+fi
+
 # Product code is what precedes a file's #[cfg(test)] module. Patterns are
 # literal substrings; comment lines do not count. A path is a file or a
 # directory (its *.rs files).

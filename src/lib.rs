@@ -17,6 +17,8 @@
 //! * [`autoindex_core`] — SQL2Template, candidate generation, policy-tree
 //!   MCTS, baselines, diagnosis, the [`autoindex_core::AutoIndex`] driver.
 
+#![forbid(unsafe_code)]
+
 pub use autoindex_core as core;
 pub use autoindex_estimator as estimator;
 pub use autoindex_sql as sql;
