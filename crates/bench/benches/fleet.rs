@@ -166,9 +166,14 @@ fn main() {
             0.0
         };
         eprintln!(
-            "workers {workers}: executed {} | shed {} | {} epochs | makespan {:.0} sim-ms | \
-             {:.0} sim-qps | {:.2}x | {} ms wall",
+            "workers {workers}: executed {} ({} bound through {} prepared plans) | shed {} | \
+             {} epochs | makespan {:.0} sim-ms | {:.0} sim-qps | {:.2}x | {} ms wall",
             r.executed,
+            r.tenant_reports
+                .iter()
+                .map(|t| t.fastpath_hits)
+                .sum::<u64>(),
+            r.plans_prepared,
             r.shed,
             r.epochs.len(),
             r.makespan_ms(),

@@ -1,7 +1,11 @@
 //! The banking MCTS search against its whole-workload oracle — the gated
-//! `cost_cache` result. (Wall-clock costs of the component hot paths are
-//! `perf/`'s per-layer metrics: `templates.observe.ns`, `candgen.ms`,
-//! `estimator.shape_cost.ns`, `search.mcts.ms`.)
+//! `cost_cache` result — and, beside it, what one snapshot execution costs
+//! planned from scratch and priced through a prepared plan. (Wall-clock
+//! costs of the other component hot paths are `perf/`'s per-layer metrics:
+//! `templates.observe.ns`, `candgen.ms`, `estimator.shape_cost.ns`,
+//! `search.mcts.ms`. `perf/`'s traced replay calls the unprepared
+//! `execute_shape_at`, so the prepared path shows only here and in
+//! `driver.cpu_ns_per_stmt`.)
 
 use autoindex_core::mcts::{
     ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,
@@ -9,14 +13,121 @@ use autoindex_core::mcts::{
 use autoindex_core::{CandidateConfig, CandidateGenerator, DeltaPricer};
 use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostCache, NativeCostEstimator};
+use autoindex_sql::fingerprint::fingerprint;
 use autoindex_sql::parse_statement;
+use autoindex_storage::catalog::Catalog;
+use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_storage::{ExecOutcome, PreparedPlan, SimDb, SimDbConfig, UsageDelta};
 use autoindex_support::bench::Bench;
 use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::banking::{self, BankingGenerator};
+use autoindex_workloads::fleet::fleet_workload;
+use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Everything an execution returns, floats by their bits.
+fn execution_print((outcome, delta): &(ExecOutcome, UsageDelta)) -> String {
+    let bits = |fs: &[f64]| fs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    format!(
+        "{:x} {:?} {:?} {:?} {:?} {:?}",
+        outcome.latency_ms.to_bits(),
+        bits(&outcome.features.as_vec()),
+        outcome.indexes_used,
+        delta
+            .scans
+            .iter()
+            .map(|(id, s)| (*id, s.to_bits()))
+            .collect::<Vec<_>>(),
+        delta
+            .maintenance
+            .iter()
+            .map(|(id, m)| (*id, m.io.to_bits(), m.cpu.to_bits()))
+            .collect::<Vec<_>>(),
+        delta.growth,
+    )
+}
+
+/// One statement stream executed against one frozen snapshot two ways:
+/// `DbSnapshot::execute_shape_at` (prepare + price per statement — what a
+/// statement no compiled template serves pays) and
+/// `DbSnapshot::execute_prepared_at` through one plan per template (what a
+/// publication's plan slots make of a bound statement). Every statement's
+/// outcome and delta must be bit-identical between the two. Returns
+/// `(planned ns, prepared ns, prepare ns)`: per execution, per execution,
+/// per template — **wall**, medians of five passes.
+fn execution_rows(
+    bench: &mut Bench,
+    stream: &str,
+    catalog: Catalog,
+    indexes: Vec<IndexDef>,
+    queries: &[String],
+) -> (f64, f64, f64) {
+    let mut db = SimDb::with_metrics(catalog, SimDbConfig::default(), MetricsRegistry::new());
+    for def in indexes {
+        db.create_index(def).expect("a DBA index");
+    }
+    let snap = db.snapshot(0);
+    let bound: Vec<(u64, QueryShape)> = queries
+        .iter()
+        .map(|q| {
+            let shape = QueryShape::extract(&parse_statement(q).expect("parses"), snap.catalog());
+            (fingerprint(q).expect("fingerprints").hash, shape)
+        })
+        .collect();
+    // One representative per template, in hash order.
+    let templates: BTreeMap<u64, &QueryShape> = bound.iter().map(|(h, s)| (*h, s)).collect();
+
+    let started = Instant::now();
+    let mut plans: BTreeMap<u64, PreparedPlan> = BTreeMap::new();
+    const PREPARE_PASSES: u32 = 200;
+    for _ in 0..PREPARE_PASSES {
+        plans = templates
+            .iter()
+            .map(|(h, shape)| (*h, snap.prepare(shape)))
+            .collect();
+    }
+    let prepare_ns =
+        started.elapsed().as_nanos() as f64 / (PREPARE_PASSES as usize * templates.len()) as f64;
+    for (h, shape) in &bound {
+        assert!(
+            plans[h].fits(shape),
+            "{stream}: a template of two structures"
+        );
+        assert_eq!(
+            execution_print(&snap.execute_prepared_at(&plans[h], shape, 7)),
+            execution_print(&snap.execute_shape_at(shape, 7)),
+            "{stream}: prepared != planned"
+        );
+    }
+
+    let per_statement = |bench: &Bench| {
+        bench.results().last().expect("just ran").median.as_nanos() as f64 / bound.len() as f64
+    };
+    bench.bench_function(&format!("{stream}.planned"), || {
+        for (seq, (_, shape)) in bound.iter().enumerate() {
+            black_box(snap.execute_shape_at(shape, seq as u64));
+        }
+    });
+    let planned_ns = per_statement(bench);
+    bench.bench_function(&format!("{stream}.prepared"), || {
+        for (seq, (h, shape)) in bound.iter().enumerate() {
+            black_box(snap.execute_prepared_at(&plans[h], shape, seq as u64));
+        }
+    });
+    let prepared_ns = per_statement(bench);
+    println!(
+        "{stream}: {} statements, {} templates, {} indexes: planned {planned_ns:.0} ns, \
+         prepared {prepared_ns:.0} ns (x{:.2}), prepare {prepare_ns:.0} ns per template",
+        bound.len(),
+        templates.len(),
+        snap.index_count(),
+        prepared_ns / planned_ns,
+    );
+    (planned_ns, prepared_ns, prepare_ns)
+}
 
 /// MCTS search on the banking workload against its whole-workload oracle.
 /// Two arms share one universe, workload and seed:
@@ -162,6 +273,34 @@ fn main() {
         .and_then(Json::as_u64)
         .unwrap();
     let med = |i: usize| g.results()[i].median.as_nanos() as f64;
+
+    // What one snapshot execution costs, over a `fleet_oltp` tenant pair's
+    // streams and `bank_write_263`'s withdrawals (seed 2024, as `perf/`
+    // generates them).
+    let mut e = Bench::new("snapshot_execution").samples(5).warmup(1);
+    let mut rows: [Vec<(String, Json)>; 3] = Default::default();
+    for tenant in fleet_workload(2, 4_096, 2024) {
+        let stream = format!("fleet_oltp.{}", tenant.name);
+        let (catalog, indexes) = (tenant.catalog, tenant.dba_indexes);
+        let ns = execution_rows(&mut e, &stream, catalog, indexes, &tenant.queries);
+        for (row, v) in rows.iter_mut().zip([ns.0, ns.1, ns.2]) {
+            row.push((stream.clone(), Json::from(v)));
+        }
+    }
+    let withdrawals = BankingGenerator::new(2024).generate_withdrawal(20_000);
+    let ns = execution_rows(
+        &mut e,
+        "bank_write_263",
+        banking::catalog(),
+        banking::dba_indexes(),
+        &withdrawals,
+    );
+    for (row, v) in rows.iter_mut().zip([ns.0, ns.1, ns.2]) {
+        row.push(("bank_write_263".to_string(), Json::from(v)));
+    }
+    e.emit_json();
+    let [planned, prepared, prepare] = rows.map(|row| Json::Object(row.into_iter().collect()));
+
     let doc = obj([
         ("bench", Json::from("mcts_banking_cached_vs_uncached")),
         (
@@ -175,6 +314,10 @@ fn main() {
             Json::from(whatif_uncached as f64 / whatif_cached.max(1) as f64),
         ),
         ("speedup_cached_serial", Json::from(med(0) / med(1))),
+        // Wall rows (`WALL_KEYS`): reported, never compared.
+        ("execute.planned_ns", planned),
+        ("execute.prepared_ns", prepared),
+        ("prepare_ns", prepare),
     ]);
     autoindex_bench::record("cost_cache", &doc);
 }

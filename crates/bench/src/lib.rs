@@ -249,7 +249,7 @@ pub fn fmt_bytes(b: u64) -> String {
 /// Object members that hold **wall**-domain measurements (host dependent).
 /// [`record`] drops them from both documents before comparing; every other
 /// member is **sim**-domain or a config echo and must match exactly.
-pub const WALL_KEYS: [&str; 7] = [
+pub const WALL_KEYS: [&str; 10] = [
     "wall_ms",
     "mean_ns",
     "median_ns",
@@ -257,6 +257,9 @@ pub const WALL_KEYS: [&str; 7] = [
     "qps_fastpath_off",
     "frontend_speedup",
     "speedup_cached_serial",
+    "execute.planned_ns",
+    "execute.prepared_ns",
+    "prepare_ns",
 ];
 
 /// Write a bench's result document to the untracked

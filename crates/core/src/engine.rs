@@ -69,13 +69,13 @@
 //! instead of hanging.
 
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::{FastPathCache, FrontEnd, UpkeepCounters};
+use crate::fastpath::{FastPathCache, FrontEnd, Resolved, UpkeepCounters};
 use crate::guard::GuardConfig;
 use crate::strategy::Prologue;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::{DbSnapshot, ExecOutcome, SimDb, UsageDelta};
+use autoindex_storage::{DbSnapshot, ExecOutcome, PreparedPlan, SimDb, UsageDelta};
 use autoindex_support::hash::U64HashMap;
 use autoindex_support::obs::{Counter, MetricsRegistry};
 use autoindex_support::rng::derive_seed;
@@ -83,7 +83,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Domain-separation salt for the statement → shard assignment stream.
 const SHARD_SALT: u64 = 0x51a4_d000_0b5e_55ed;
@@ -262,14 +262,25 @@ pub(crate) fn simulated_qps(executed: u64, makespan_ms: f64) -> f64 {
 
 // ---------------------------------------------------------- publication
 
-/// What one epoch publishes for one tenant: the immutable snapshot plus
-/// the tenant's compiled templates, frozen current against the catalog
-/// the snapshot copies. Both are read-only for workers, so fast-path
-/// behaviour is a pure function of `(stream, publications)` — invariant
-/// under worker count.
+/// What one epoch publishes for one tenant: the immutable snapshot, the
+/// tenant's compiled templates, frozen current against the catalog the
+/// snapshot shares, and one lazily filled plan slot per compiled template.
+/// All of it is read-only for workers but for the one-time fill of a slot
+/// (whose value does not depend on who fills it), so fast-path behaviour is
+/// a pure function of `(stream, publications)` — invariant under worker
+/// count.
 pub(crate) struct Publication {
     snap: DbSnapshot,
     cache: Arc<FastPathCache>,
+    /// Per compiled template (by its ordinal in `cache`) the plan of its
+    /// statements against `snap`, prepared by whichever worker first
+    /// executes the template under this publication. A plan is valid for
+    /// exactly as long as `snap` is what statements execute against, and
+    /// `snap` never changes: the slots have no invalidation rule and die
+    /// with the publication.
+    plans: Box<[OnceLock<Box<PreparedPlan>>]>,
+    /// `planner.prepared`: slots filled.
+    prepared: Counter,
 }
 
 impl Publication {
@@ -291,7 +302,29 @@ impl Publication {
         } else {
             Arc::new(FastPathCache::empty())
         };
-        Publication { snap, cache }
+        Publication {
+            snap,
+            plans: (0..cache.len()).map(|_| OnceLock::new()).collect(),
+            cache,
+            prepared: upkeep.prepared.clone(),
+        }
+    }
+
+    /// Execute `shape`, a statement bound through the compiled template
+    /// with ordinal `slot`, at logical time `seq`: through the template's
+    /// prepared plan, made now if this is its first statement under this
+    /// publication.
+    fn execute_bound(
+        &self,
+        slot: usize,
+        shape: &QueryShape,
+        seq: u64,
+    ) -> (ExecOutcome, UsageDelta) {
+        let plan = self.plans[slot].get_or_init(|| {
+            self.prepared.incr();
+            Box::new(self.snap.prepare(shape))
+        });
+        self.snap.execute_prepared_at(plan, shape, seq)
     }
 }
 
@@ -321,10 +354,12 @@ impl WorkerScratch {
 }
 
 /// Execute one statement against a publication. Reads only the
-/// publication and the query text; mutates only the worker's own scratch.
+/// publication and the query text; mutates only the worker's own scratch
+/// (and fills a plan slot of the publication at most once per template).
 /// The statement is resolved by [`FrontEnd::resolve`] over the
-/// publication's frozen cache; a hit returns `fp: Some(hash)` so the
-/// coordinator can skip re-fingerprinting.
+/// publication's frozen cache; a hit is priced through its template's
+/// prepared plan and returns `fp: Some(hash)` so the coordinator can skip
+/// re-fingerprinting, anything else is planned from scratch.
 fn execute_statement(
     publication: &Publication,
     sql: &str,
@@ -334,11 +369,13 @@ fn execute_statement(
 ) -> ObservationPayload {
     let snap = &publication.snap;
     let WorkerScratch { front, shapes, .. } = scratch;
-    let lookup = fastpath.then_some(move |hash| {
+    let mut slot = 0;
+    let lookup = fastpath.then_some(|hash| {
         // Moved, not reborrowed: the clone handed out lives as long as the
         // scratch, not as long as this (once-called) closure.
         let shapes = shapes;
-        let compiled = publication.cache.get(hash)?;
+        let (ordinal, compiled) = publication.cache.slot(hash)?;
+        slot = ordinal;
         let shape = shapes
             .entry(hash)
             .or_insert_with(|| compiled.skeleton().clone());
@@ -347,7 +384,10 @@ fn execute_statement(
     let Ok(resolved) = front.resolve(sql, snap.catalog(), lookup) else {
         return ObservationPayload::ParseFailed;
     };
-    let (outcome, delta) = snap.execute_shape_at(resolved.shape(), seq);
+    let (outcome, delta) = match &resolved {
+        Resolved::Bound(_, shape) => publication.execute_bound(slot, shape, seq),
+        Resolved::Parsed(shape) => snap.execute_shape_at(shape, seq),
+    };
     ObservationPayload::Executed {
         outcome,
         delta,
@@ -1298,6 +1338,98 @@ mod tests {
             .unwrap();
         let epochs = LEN.div_ceil(INTERVAL) as usize;
         assert_eq!(holders, vec![(1, 0); epochs * TENANTS as usize]);
+    }
+
+    /// A prepared plan lives in the publication it was prepared under and
+    /// nowhere else. Executing under publication *N* fills *N*'s slots; the
+    /// publication built after an index was created and a touched table
+    /// grew starts with every slot empty, prices its statements from plans
+    /// of its own — equal, bit for bit, to planning each from scratch
+    /// against its own snapshot, and different from what *N*'s plans say —
+    /// and *N*'s plans are freed with *N*.
+    #[test]
+    fn a_prepared_plan_is_reachable_only_through_its_publication() {
+        use autoindex_storage::index::IndexDef;
+
+        let Fixture { mut db, queries } = Fixture::new();
+        let registry = MetricsRegistry::new();
+        let upkeep = UpkeepCounters::bind(&registry);
+        let mut advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+        for sql in &queries {
+            advisor.observe(sql, &db).unwrap();
+        }
+        let filled = |p: &Publication| p.plans.iter().filter(|slot| slot.get().is_some()).count();
+        // Every statement under `publication`, with its unprepared twin.
+        let run = |publication: &Publication| -> Vec<(u64, u64)> {
+            let mut scratch = WorkerScratch {
+                front: FrontEnd::new(&registry, 0),
+                shapes: U64HashMap::default(),
+                pinned: (0, publication.snap.epoch),
+            };
+            let mut bound = Vec::new();
+            for (seq, sql) in queries.iter().enumerate() {
+                let seq = seq as u64;
+                let payload = execute_statement(publication, sql, seq, true, &mut scratch);
+                let ObservationPayload::Executed { outcome, delta, fp } = payload else {
+                    panic!("{sql} did not execute");
+                };
+                let stmt = autoindex_sql::parse_statement(sql).unwrap();
+                let shape = QueryShape::extract(&stmt, publication.snap.catalog());
+                let (reference, reference_delta) = publication.snap.execute_shape_at(&shape, seq);
+                assert_eq!(outcome.latency_ms.to_bits(), reference.latency_ms.to_bits());
+                assert_eq!(outcome.features, reference.features, "{sql}");
+                assert_eq!(outcome.indexes_used, reference.indexes_used, "{sql}");
+                assert_eq!(delta, reference_delta, "{sql}");
+                if let Some(fp) = fp {
+                    bound.push((fp, outcome.latency_ms.to_bits()));
+                }
+            }
+            bound
+        };
+
+        let first = Arc::new(Publication::build(&db, &mut advisor, 0, true, &upkeep));
+        assert!(!first.plans.is_empty() && first.plans.len() == first.cache.len());
+        assert_eq!(filled(&first), 0, "slots fill lazily");
+        let under_first = run(&first);
+        let prepared = registry.counter_value("planner.prepared");
+        assert_eq!(prepared as usize, filled(&first));
+        assert!(prepared > 0 && (prepared as usize) < under_first.len());
+        run(&first);
+        assert_eq!(
+            registry.counter_value("planner.prepared"),
+            prepared,
+            "a filled slot is not prepared again"
+        );
+
+        // An index the point lookups want, and growth of the table they read.
+        db.create_index(IndexDef::new("withdraw_flow", &["acct_id", "ts"]))
+            .unwrap();
+        db.grow_table("withdraw_flow", 400_000).unwrap();
+        db.grow_table("account", 50_000).unwrap();
+        let second = Publication::build(&db, &mut advisor, 1, true, &upkeep);
+        assert_eq!(filled(&second), 0, "nothing of publication 0 came along");
+        let under_second = run(&second);
+        assert_eq!(
+            registry.counter_value("planner.prepared") - prepared,
+            filled(&second) as u64
+        );
+        assert_eq!(
+            under_first.iter().map(|b| b.0).collect::<Vec<_>>(),
+            under_second.iter().map(|b| b.0).collect::<Vec<_>>(),
+            "the same statements bound"
+        );
+        assert!(
+            under_first
+                .iter()
+                .zip(&under_second)
+                .any(|(a, b)| a.1 != b.1),
+            "a plan of publication 0 would have priced these differently"
+        );
+
+        // The old plans go with the old publication: nothing else holds one.
+        let plans = Arc::downgrade(&first);
+        drop(first);
+        assert!(plans.upgrade().is_none());
     }
 
     /// [`EpochMerge`] is a sort on `(tenant, seq)`: whatever the order the

@@ -542,12 +542,15 @@ impl Compiled {
 /// `sql.fastpath.{compiled,refolded,reused}`: what keeping the compiled
 /// templates current took, counted per publication and per live
 /// invalidation — the evidence that a publication re-folds only the
-/// templates whose tables grew.
+/// templates whose tables grew. With them `planner.prepared`: plans
+/// prepared for a publication's template slots — against executions, the
+/// evidence that a template is planned once per publication.
 #[derive(Debug, Clone)]
 pub(crate) struct UpkeepCounters {
     compiled: Counter,
     refolded: Counter,
     reused: Counter,
+    pub(crate) prepared: Counter,
 }
 
 impl UpkeepCounters {
@@ -556,6 +559,7 @@ impl UpkeepCounters {
             compiled: registry.counter("sql.fastpath.compiled"),
             refolded: registry.counter("sql.fastpath.refolded"),
             reused: registry.counter("sql.fastpath.reused"),
+            prepared: registry.counter("planner.prepared"),
         }
     }
 
@@ -579,7 +583,9 @@ impl UpkeepCounters {
 /// `(stream, caches)` — invariant under worker count.
 #[derive(Debug, Default)]
 pub struct FastPathCache {
-    entries: U64HashMap<Arc<CompiledTemplate>>,
+    /// Each compiled template with its ordinal in `0..len()` (what a
+    /// publication keys its per-template state by).
+    entries: U64HashMap<(u32, Arc<CompiledTemplate>)>,
     /// Templates seen but ineligible (observability only).
     ineligible: usize,
     /// Empty; see [`FastPathCache::stats`].
@@ -620,7 +626,8 @@ impl FastPathCache {
         for (hash, compiled) in templates {
             match compiled {
                 Some(t) => {
-                    cache.entries.insert(hash, t);
+                    let ordinal = cache.entries.len() as u32;
+                    cache.entries.insert(hash, (ordinal, t));
                 }
                 None => cache.ineligible += 1,
             }
@@ -630,7 +637,13 @@ impl FastPathCache {
 
     /// Look up the compiled template for a fingerprint hash.
     pub fn get(&self, hash: u64) -> Option<&CompiledTemplate> {
-        self.entries.get(&hash).map(|t| &**t)
+        self.slot(hash).map(|(_, t)| t)
+    }
+
+    /// [`FastPathCache::get`] with the template's ordinal in `0..len()`.
+    pub(crate) fn slot(&self, hash: u64) -> Option<(usize, &CompiledTemplate)> {
+        let (ordinal, t) = self.entries.get(&hash)?;
+        Some((*ordinal as usize, &**t))
     }
 
     /// An empty statistics table, for [`CompiledTemplate::bind_into`]'s
@@ -1172,7 +1185,7 @@ mod tests {
         let second = store.publish(&cat, &upkeep);
         assert!(Arc::ptr_eq(&first, &second), "the cache itself is reused");
         for h in hashes {
-            assert!(Arc::ptr_eq(&first.entries[&h], &second.entries[&h]));
+            assert!(Arc::ptr_eq(&first.entries[&h].1, &second.entries[&h].1));
         }
         assert_eq!(registry.counter_value("sql.fastpath.compiled"), 3);
         assert_eq!(registry.counter_value("sql.fastpath.refolded"), 0);
@@ -1185,7 +1198,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&second, &third));
         assert_eq!(third.len(), 4);
         for h in hashes {
-            assert!(Arc::ptr_eq(&second.entries[&h], &third.entries[&h]));
+            assert!(Arc::ptr_eq(&second.entries[&h].1, &third.entries[&h].1));
         }
         assert_eq!(registry.counter_value("sql.fastpath.compiled"), 4);
     }
@@ -1200,11 +1213,11 @@ mod tests {
         cat.grow_table("tellers", 5_000).unwrap();
         let after = store.publish(&cat, &upkeep);
         assert!(Arc::ptr_eq(
-            &before.entries[&on_accounts],
-            &after.entries[&on_accounts]
+            &before.entries[&on_accounts].1,
+            &after.entries[&on_accounts].1
         ));
         for h in [on_tellers, join] {
-            let (old, new) = (&before.entries[&h], &after.entries[&h]);
+            let (old, new) = (&before.entries[&h].1, &after.entries[&h].1);
             assert!(!Arc::ptr_eq(old, new), "re-folded");
             assert!(Arc::ptr_eq(&old.frame, &new.frame), "not re-parsed");
         }
@@ -1214,8 +1227,8 @@ mod tests {
 
         // The frozen copy still answers for the catalog it was made at.
         let sql = "SELECT * FROM tellers WHERE id < 2500";
-        let old = bound(&before.entries[&on_tellers], sql).unwrap();
-        let new = bound(&after.entries[&on_tellers], sql).unwrap();
+        let old = bound(&before.entries[&on_tellers].1, sql).unwrap();
+        let new = bound(&after.entries[&on_tellers].1, sql).unwrap();
         assert_eq!(
             new,
             QueryShape::extract(&parse_statement(sql).unwrap(), &cat)

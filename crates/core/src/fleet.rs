@@ -538,6 +538,11 @@ pub struct FleetReport {
     /// Always 0: the engine has one task queue and nothing is stolen.
     /// Kept because `perf/src/drive.rs` reads it (ROADMAP item 4 a).
     pub steals: u64,
+    /// Plans prepared for publications' template slots, all tenants
+    /// (`planner.prepared`): against the tenants' `fastpath_hits`, how
+    /// often a bound statement found its template already planned.
+    /// Worker-count invariant; not part of any transcript.
+    pub plans_prepared: u64,
     pub total_sim_latency_ms: f64,
     /// Deterministic simulated fleet makespan, ms: the engine's per-epoch
     /// LPT packing of every admitted (tenant × shard) task's
@@ -975,6 +980,7 @@ pub fn serve_fleet<E: CostEstimator>(
         tuning_visits: tenant_reports.iter().map(|t| t.tuning_visits).sum(),
         workers_retired: engine.workers_retired(),
         steals: 0,
+        plans_prepared: upkeep.prepared.get(),
         total_sim_latency_ms: tenant_reports.iter().map(|t| t.total_sim_latency_ms).sum(),
         sim_makespan_ms,
         epochs,

@@ -277,6 +277,12 @@ pub struct ServeReport {
     /// Executed statements that took the full parse path (cache miss,
     /// bind-guard fallback, or fast path disabled).
     pub fastpath_misses: u64,
+    /// Plans prepared for publications' template slots (`planner.prepared`
+    /// over this run): against `fastpath_hits`, how often a bound
+    /// statement found its template already planned. Worker-count
+    /// invariant — a slot is filled once, whoever gets there first — and,
+    /// like the two tallies above, not part of the transcript.
+    pub plans_prepared: u64,
     /// Real wall-clock time of the whole run.
     pub wall: Duration,
 }
@@ -362,6 +368,7 @@ pub fn serve<E: CostEstimator>(
     // Epoch 0 publication: snapshot + compiled-template cache over any
     // pre-observed templates.
     let upkeep = UpkeepCounters::bind(db.metrics());
+    let prepared_before = upkeep.prepared.get();
     let initial = Publication::build(&db, &mut advisor, 0, config.fastpath, &upkeep);
     let engine = Engine::new(
         EngineConfig {
@@ -446,6 +453,7 @@ pub fn serve<E: CostEstimator>(
     })?;
 
     report.workers_retired = engine.workers_retired();
+    report.plans_prepared = upkeep.prepared.get() - prepared_before;
     report.wall = started.elapsed();
     // The `serve.*` counters are a projection of the report, published
     // once (the engine counts its own panics and retirements live).

@@ -8,6 +8,7 @@
 use crate::StorageError;
 use autoindex_support::json::{obj, Json, JsonError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Logical page size in bytes, matching openGauss/PostgreSQL's 8 KiB.
 pub const PAGE_SIZE: u64 = 8192;
@@ -232,6 +233,11 @@ impl Table {
         self.column_index.get(name).map(|&i| &self.columns[i])
     }
 
+    /// Where `name` sits in [`Table::columns`].
+    pub(crate) fn column_position(&self, name: &str) -> Option<usize> {
+        self.column_index.get(name).copied()
+    }
+
     /// Mutable column lookup.
     pub fn column_mut(&mut self, name: &str) -> Option<&mut Column> {
         let i = *self.column_index.get(name)?;
@@ -343,9 +349,16 @@ impl TableBuilder {
 /// growth). Consumers that memoize anything derived from table statistics
 /// — the estimator's cost cache in particular — compare versions to detect
 /// staleness without diffing tables.
+///
+/// Tables sit behind `Arc`s and are copied on write, so a clone of the
+/// catalog — what every [`crate::SimDb::snapshot`] takes — copies one
+/// reference count per table, and a clone taken before a mutation keeps
+/// reading the table as it was: [`Catalog::add_table`],
+/// [`Catalog::table_mut`] and [`Catalog::grow_table`] replace or copy the
+/// one table they touch, never one a clone still shares.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    tables: HashMap<Arc<str>, Arc<Table>>,
     /// Mutation counter; not part of equality or serialization.
     version: u64,
 }
@@ -377,12 +390,22 @@ impl Catalog {
     pub fn add_table(&mut self, mut table: Table) {
         self.version += 1;
         table.stamp = self.version;
-        self.tables.insert(table.name.clone(), table);
+        // (`insert` keeps the key of a table it replaces: the name stays
+        // the one `shared_table` has handed out.)
+        let name: Arc<str> = table.name.as_str().into();
+        self.tables.insert(name, Arc::new(table));
     }
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(|t| &**t)
+    }
+
+    /// Look up a table with its name, both as this catalog shares them: a
+    /// holder of the clones reads the table as it is now whatever the
+    /// catalog does next, and copies nothing.
+    pub(crate) fn shared_table(&self, name: &str) -> Option<(&Arc<str>, &Arc<Table>)> {
+        self.tables.get_key_value(name)
     }
 
     /// Look up a table or error.
@@ -392,17 +415,18 @@ impl Catalog {
     }
 
     /// Mutable table lookup. Conservatively counts as a mutation (bumps
-    /// [`Catalog::version`]) even if the caller ends up not writing.
+    /// [`Catalog::version`]) even if the caller ends up not writing, and
+    /// copies the table first when a clone of the catalog shares it.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.version += 1;
-        let table = self.tables.get_mut(name)?;
+        let table = Arc::make_mut(self.tables.get_mut(name)?);
         table.stamp = self.version;
         Some(table)
     }
 
     /// All tables (iteration order unspecified).
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.values()
+        self.tables.values().map(|t| &**t)
     }
 
     /// Number of tables.
@@ -420,15 +444,27 @@ impl Catalog {
     /// growth in the Figure 9 dynamic experiment). Returns the table's new
     /// row count.
     pub fn grow_table(&mut self, name: &str, delta: u64) -> Result<u64, StorageError> {
+        self.grow_table_from(name, delta).map(|(_, t)| t.rows)
+    }
+
+    /// [`Catalog::grow_table`] in one lookup for a caller that keeps sizes
+    /// current: the heap bytes the table had, and the table as grown.
+    pub(crate) fn grow_table_from(
+        &mut self,
+        name: &str,
+        delta: u64,
+    ) -> Result<(u64, &Table), StorageError> {
         let t = self
             .tables
             .get_mut(name)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
+        let t = Arc::make_mut(t);
+        let bytes_before = t.bytes();
         self.version += 1;
         t.stamp = self.version;
         if t.rows == 0 {
             t.rows = delta;
-            return Ok(delta);
+            return Ok((bytes_before, t));
         }
         let factor = (t.rows + delta) as f64 / t.rows as f64;
         t.rows += delta;
@@ -442,7 +478,7 @@ impl Catalog {
                 }
             }
         }
-        Ok(t.rows)
+        Ok((bytes_before, t))
     }
 
     /// Serialise to compact JSON (deterministic key order).
@@ -466,7 +502,7 @@ impl Catalog {
         let tables: std::collections::BTreeMap<String, Json> = self
             .tables
             .iter()
-            .map(|(name, t)| (name.clone(), table_to_json(t)))
+            .map(|(name, t)| (name.to_string(), table_to_json(t)))
             .collect();
         obj([("tables", Json::Object(tables))])
     }
@@ -708,6 +744,87 @@ mod tests {
         let _ = c2.table_mut("person");
         assert_ne!(c.version(), c2.version());
         assert_eq!(c, c2);
+    }
+
+    /// What a reader sees of `person`: rows, the NDV and range of `id`,
+    /// its histogram and the table's stamp.
+    fn reading(c: &Catalog) -> (u64, f64, f64, Option<crate::histogram::Histogram>, u64) {
+        let t = c.table("person").unwrap();
+        let id = &t.column("id").unwrap().stats;
+        (t.rows, id.ndv, id.max, id.histogram.clone(), t.stamp())
+    }
+
+    /// `person` with a histogram under `id`, beside an `other` table no
+    /// test below touches.
+    fn shared_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let mut t = person();
+        let samples = (0..200).map(f64::from).collect();
+        *t.column_mut("id").unwrap() = Column::int("id", 100_000).with_histogram(samples, 8);
+        c.add_table(t);
+        c.add_table(
+            TableBuilder::new("other", 7)
+                .column(Column::int("x", 7))
+                .build()
+                .unwrap(),
+        );
+        c
+    }
+
+    /// A clone shares every table with the catalog it was taken from, and
+    /// each writer copies — or replaces — only the table it is given: the
+    /// clone keeps reading the old rows, NDVs, histogram and stamp, the
+    /// live side reads the new ones, and the untouched table stays one
+    /// allocation between them.
+    #[test]
+    fn a_clone_taken_before_a_write_keeps_reading_the_old_table() {
+        type Write = fn(&mut Catalog);
+        let writes: [(&str, Write); 3] = [
+            ("grow_table", |c| {
+                c.grow_table("person", 50_000).unwrap();
+            }),
+            ("table_mut", |c| {
+                let t = c.table_mut("person").unwrap();
+                t.rows = 5;
+                let id = &mut t.column_mut("id").unwrap().stats;
+                (id.ndv, id.max, id.histogram) = (5.0, 5.0, None);
+            }),
+            ("add_table", |c| {
+                c.add_table(
+                    TableBuilder::new("person", 3)
+                        .column(Column::int("id", 3))
+                        .build()
+                        .unwrap(),
+                );
+            }),
+        ];
+        for (name, write) in writes {
+            let mut live = shared_catalog();
+            let snapshot = live.clone();
+            let before = reading(&live);
+            assert!(before.3.is_some(), "the fixture has a histogram");
+            let shared = |a: &Catalog, b: &Catalog, t: &str| {
+                Arc::ptr_eq(a.shared_table(t).unwrap().1, b.shared_table(t).unwrap().1)
+            };
+            assert!(shared(&live, &snapshot, "person") && shared(&live, &snapshot, "other"));
+
+            write(&mut live);
+            assert_eq!(reading(&snapshot), before, "{name}: the clone moved");
+            let after = reading(&live);
+            assert!(
+                after.0 != before.0 && after.1 != before.1 && after.2 != before.2,
+                "{name}: the live side reads the write"
+            );
+            assert!(after.4 > before.4, "{name}: the stamp moved with it");
+            assert!(!shared(&live, &snapshot, "person"), "{name}: copied");
+            assert!(shared(&live, &snapshot, "other"), "{name}: untouched");
+            assert_eq!(snapshot.version() + 1, live.version());
+
+            // Nobody shares the live table now: a second write is in place.
+            let at = Arc::as_ptr(live.shared_table("person").unwrap().1);
+            live.grow_table("person", 1).unwrap();
+            assert_eq!(at, Arc::as_ptr(live.shared_table("person").unwrap().1));
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::catalog::Catalog;
 use crate::fault::{BuildRoll, ExecRoll, FaultKind, FaultPlan, WhatifRoll};
 use crate::index::{geometry, IndexConfig, IndexDef, IndexGeometry, IndexId};
 use crate::planner::{
-    AccessPath, CostFeatures, CostParams, IndexView, JoinStrategy, PlanSummary, Planned, Planner,
-    TrueCostWeights, VisibleIndex,
+    with_scratch, AccessPath, CostFeatures, CostParams, IndexView, JoinStrategy, PlanSummary,
+    Planned, Planner, PreparedPlan, TrueCostWeights, VisibleIndex,
 };
 use crate::shape::QueryShape;
 use crate::usage::{UsageDelta, UsageTracker};
@@ -306,13 +306,11 @@ impl SimDb {
     /// database changes, which is what keeps [`SimDb::index_view`] and
     /// [`SimDb::total_heap_bytes`] current.
     pub fn grow_table(&mut self, table: &str, rows: u64) -> Result<(), StorageError> {
-        let before = self.catalog.require_table(table)?.bytes();
-        let grown = self.catalog.grow_table(table, rows)?;
-        let after = self.catalog.require_table(table)?.bytes();
-        self.heap_bytes = self.heap_bytes - before + after;
+        let (before, grown) = self.catalog.grow_table_from(table, rows)?;
+        self.heap_bytes = self.heap_bytes - before + grown.bytes();
         let run = self.view.run_of(table);
         if !run.is_empty() {
-            Arc::make_mut(&mut self.view).resize(run, grown);
+            Arc::make_mut(&mut self.view).resize(run, grown.rows);
         }
         Ok(())
     }
@@ -668,10 +666,13 @@ impl SimDb {
 
     /// Freeze an immutable, self-contained view of the database for
     /// concurrent read-only execution (the serving pipeline's unit of
-    /// config publication). The snapshot owns a catalog copy, shares the
-    /// resolved real-index view and freezes the current buffer-pressure
-    /// multiplier, so executor threads can plan and price statements
-    /// without any lock on the live database.
+    /// config publication). The snapshot shares every table with the live
+    /// catalog (a clone copies one reference count per table; the live
+    /// side copies a table before it next changes it, so the snapshot
+    /// keeps reading it as it was), shares the resolved real-index view
+    /// the same way and freezes the current buffer-pressure multiplier, so
+    /// executor threads can plan and price statements without any lock on
+    /// the live database.
     pub fn snapshot(&self, epoch: u64) -> DbSnapshot {
         DbSnapshot {
             epoch,
@@ -725,6 +726,9 @@ impl SimDb {
 pub struct DbSnapshot {
     /// The epoch this snapshot was published at.
     pub epoch: u64,
+    /// The catalog as of snapshot time. Its tables are shared with the
+    /// live catalog and every other snapshot that saw them unchanged;
+    /// growth and statistics edits on the live side replace a copy.
     catalog: Catalog,
     config: SimDbConfig,
     /// The database's index view as of snapshot time, shared: later DDL
@@ -767,22 +771,43 @@ impl DbSnapshot {
             shape,
             drop,
         );
+        (self.measured_at(plan, seq), delta)
+    }
+
+    /// Prepare the plan of `shape`'s template against this snapshot's
+    /// catalog and index view: everything [`DbSnapshot::execute_shape_at`]
+    /// works out that no literal changes. The snapshot is immutable, so
+    /// the plan is current for as long as the snapshot is used — keep the
+    /// two together.
+    pub fn prepare(&self, shape: &QueryShape) -> PreparedPlan {
+        Planner::new(&self.catalog, &self.config.cost_params).prepare(shape, &*self.view)
+    }
+
+    /// [`DbSnapshot::execute_shape_at`] for a `shape` that is a binding of
+    /// the template `plan` was [`DbSnapshot::prepare`]d from **by this
+    /// snapshot**: the same outcome and delta, bit for bit, priced from
+    /// the literals alone.
+    pub fn execute_prepared_at(
+        &self,
+        plan: &PreparedPlan,
+        shape: &QueryShape,
+        seq: u64,
+    ) -> (ExecOutcome, UsageDelta) {
+        let (plan, delta) = priced_execution(plan, shape, drop);
+        (self.measured_at(plan, seq), delta)
+    }
+
+    /// `plan`'s measurement at logical time `seq`, at the frozen pressure.
+    fn measured_at(&self, plan: Planned, seq: u64) -> ExecOutcome {
         let noise = lognormal_at(self.config.seed, seq, self.config.noise);
-        (
-            measured(&self.config, plan, self.pressure, noise, 1.0),
-            delta,
-        )
+        measured(&self.config, plan, self.pressure, noise, 1.0)
     }
 }
 
 /// The one execution core under [`SimDb::execute_shape`] and
-/// [`DbSnapshot::execute_shape_at`]: plan `shape` over the real index set
-/// (each table's chosen path goes to `each`, the totals come back) and
-/// build the statement's detached side effects — a read-side credit for
-/// every index used (the plan's native cost against the no-index baseline
-/// of the same shape, shared evenly), the plan's maintenance list (moved
-/// out of the returned totals) and an INSERT's growth. Touches nothing:
-/// the live database absorbs the delta at once, a snapshot's owner later.
+/// [`DbSnapshot::execute_shape_at`], for a statement nobody keeps a plan
+/// for: prepare `shape` over the real index set into this thread's scratch
+/// storage, then [`priced_execution`].
 fn plan_execution(
     catalog: &Catalog,
     params: &CostParams,
@@ -790,20 +815,33 @@ fn plan_execution(
     shape: &QueryShape,
     each: impl FnMut(AccessPath),
 ) -> (Planned, UsageDelta) {
-    let planner = Planner::new(catalog, params);
-    let mut plan = planner.plan_each(shape, view, each);
+    with_scratch(|prepared| {
+        Planner::new(catalog, params).prepare_into(prepared, shape, view);
+        priced_execution(prepared, shape, each)
+    })
+}
+
+/// Price `shape` through `prepared` (each table's chosen path goes to
+/// `each`, the totals come back) and build the statement's detached side
+/// effects — a read-side credit for every index used (the plan's native
+/// cost against the no-index baseline priced on the way, shared evenly),
+/// the plan's maintenance list (moved out of the returned totals) and an
+/// INSERT's growth. Touches nothing: the live database absorbs the delta
+/// at once, a snapshot's owner later.
+fn priced_execution(
+    prepared: &PreparedPlan,
+    shape: &QueryShape,
+    each: impl FnMut(AccessPath),
+) -> (Planned, UsageDelta) {
+    let (mut plan, baseline) = prepared.price(shape, each);
     let mut delta = UsageDelta::default();
     if !plan.indexes_used.is_empty() {
-        let saving = (planner.unindexed_cost(shape) - plan.features.native_cost()).max(0.0)
-            / plan.indexes_used.len() as f64;
+        let saving =
+            (baseline - plan.features.native_cost()).max(0.0) / plan.indexes_used.len() as f64;
         delta.scans = plan.indexes_used.iter().map(|id| (*id, saving)).collect();
     }
     delta.maintenance = std::mem::take(&mut plan.maintenance);
-    if let Some(w) = &shape.write {
-        if w.kind == crate::shape::WriteKind::Insert {
-            delta.growth = Some((w.table.clone(), w.inserted_rows));
-        }
-    }
+    delta.growth = prepared.growth();
     (plan, delta)
 }
 

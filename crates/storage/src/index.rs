@@ -333,6 +333,48 @@ impl MaintenanceCost {
     }
 }
 
+/// What of [`maintenance_cost`] an index's geometry fixes, whatever the
+/// number of rows written: a prepared plan keeps one per maintained index
+/// and prices each statement's rows through [`MaintenanceTerms::cost`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MaintenanceTerms {
+    /// §V-A: `t_start = {ceil(log N) + (H+1)*50} * cpu_operator_cost`.
+    t_start: f64,
+    /// Pages written per inserted tuple: the leaf plus amortised splits.
+    pages_per_row: f64,
+}
+
+impl MaintenanceTerms {
+    /// The terms of an index with geometry `geo`.
+    pub(crate) fn of(geo: &IndexGeometry, params: &CostParams) -> Self {
+        let n = geo.entries.max(1) as f64;
+        let h = geo.height as f64;
+        let t_start = (n.ln().ceil().max(0.0) + (h + 1.0) * 50.0) * params.cpu_operator_cost;
+        // IO: descent is usually cached; charge the leaf write plus amortised
+        // splits per inserted tuple.
+        let entries_per_page = (n / geo.leaf_pages.max(1) as f64).max(1.0);
+        let split_rate = 1.0 / entries_per_page;
+        MaintenanceTerms {
+            t_start,
+            pages_per_row: 1.0 + split_rate * 2.0,
+        }
+    }
+
+    /// The cost of writing `n_rows` index tuples.
+    pub(crate) fn cost(&self, n_rows: u64, params: &CostParams) -> MaintenanceCost {
+        if n_rows == 0 {
+            return MaintenanceCost::ZERO;
+        }
+        let n_rows_f = n_rows as f64;
+        // §V-A: t_running = N_insert * cpu_index_tuple_cost.
+        let t_running = n_rows_f * params.cpu_index_tuple_cost;
+        let cpu = self.t_start * n_rows_f + t_running;
+        let pages = n_rows_f * self.pages_per_row;
+        let io = pages * params.seq_page_cost;
+        MaintenanceCost { io, cpu }
+    }
+}
+
 /// Compute the maintenance cost of inserting (or re-inserting, for updates
 /// of indexed columns) `n_rows` index tuples.
 ///
@@ -341,27 +383,7 @@ impl MaintenanceCost {
 /// `entries_per_page` inserts, costing one extra page write plus a parent
 /// update ("the effects of splitting index pages", §V).
 pub fn maintenance_cost(geo: &IndexGeometry, n_rows: u64, params: &CostParams) -> MaintenanceCost {
-    if n_rows == 0 {
-        return MaintenanceCost::ZERO;
-    }
-    let n = geo.entries.max(1) as f64;
-    let h = geo.height as f64;
-    let n_rows_f = n_rows as f64;
-
-    // §V-A: t_start = {ceil(log N) + (H+1)*50} * cpu_operator_cost.
-    let t_start = (n.ln().ceil().max(0.0) + (h + 1.0) * 50.0) * params.cpu_operator_cost;
-    // §V-A: t_running = N_insert * cpu_index_tuple_cost.
-    let t_running = n_rows_f * params.cpu_index_tuple_cost;
-    let cpu = t_start * n_rows_f + t_running;
-
-    // IO: descent is usually cached; charge the leaf write plus amortised
-    // splits per inserted tuple.
-    let entries_per_page = (n / geo.leaf_pages.max(1) as f64).max(1.0);
-    let split_rate = 1.0 / entries_per_page;
-    let pages = n_rows_f * (1.0 + split_rate * 2.0);
-    let io = pages * params.seq_page_cost;
-
-    MaintenanceCost { io, cpu }
+    MaintenanceTerms::of(geo, params).cost(n_rows, params)
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub use db::{DbSnapshot, ExecOutcome, PressureModel, SimDb, SimDbConfig, Workloa
 pub use fault::{FaultKind, FaultPlan, FaultPlanConfig};
 pub use histogram::Histogram;
 pub use index::{IndexConfig, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost};
-pub use planner::{AccessPath, CostFeatures, CostParams, PlanSummary, Planner};
+pub use planner::{AccessPath, CostFeatures, CostParams, PlanSummary, Planner, PreparedPlan};
 pub use selectivity::{atom_selectivity, conjunct_selectivity, DEFAULT_EQ_SEL, DEFAULT_RANGE_SEL};
 pub use shape::{QueryShape, SelTrace, SelTree, TableAtoms, WriteKind, WriteShape};
 pub use usage::{IndexUsage, UsageDelta, UsageTracker};

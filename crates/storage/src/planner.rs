@@ -19,11 +19,13 @@
 use crate::catalog::{Catalog, Table};
 use crate::index::{
     geometry, maintenance_cost, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost,
+    MaintenanceTerms,
 };
-use crate::selectivity::conjunct_selectivity;
+use crate::selectivity::{atom_selectivity_at, combined_selectivity};
 use crate::shape::{QueryShape, TableAtoms, WriteKind};
 use autoindex_sql::predicate::AtomicPredicate;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -423,8 +425,8 @@ impl IndexSet for IndexView {
     }
 }
 
-/// What [`Planner::plan_each`] returns: a [`PlanSummary`] without its
-/// paths (those went to the caller's closure). Fields as there.
+/// What pricing a plan returns: a [`PlanSummary`] without its paths (those
+/// went to the caller's closure). Fields as there.
 pub(crate) struct Planned {
     pub(crate) join_strategies: Vec<JoinStrategy>,
     pub(crate) sort_cost: f64,
@@ -435,10 +437,12 @@ pub(crate) struct Planned {
     pub(crate) covering_scans: u32,
 }
 
-/// What join planning reads of a table's chosen access path.
+/// What join planning reads of a table's chosen access path, and of the
+/// sequential scan the no-index baseline joins instead.
 struct Scanned {
     rows_out: f64,
     cost: f64,
+    seq_cost: f64,
 }
 
 /// The planner: stateless over a catalog + parameters.
@@ -447,28 +451,255 @@ pub struct Planner<'a> {
     pub params: &'a CostParams,
 }
 
-/// Cost breakdown of one index-scan path.
-struct ScanCost {
-    /// Total access cost in optimizer units.
-    cost: f64,
-    /// Random heap-fetch component of `cost`.
-    heap_io: f64,
-    /// Index-only scan (projection + filters answered from the leaves).
-    covering: bool,
-}
-
-/// Result of matching conjuncts against an index prefix.
+/// Result of matching conjuncts against an index prefix: what of it the
+/// atoms' *kinds* fix. The matched atoms themselves went to
+/// [`PreparedPlan::matched`]; their combined selectivity is a statement's.
 struct PrefixMatch {
-    /// Number of leading index columns matched.
-    matched_cols: usize,
-    /// Combined selectivity of the matched atoms.
-    sel: f64,
+    /// The matched atoms, as a run of [`PreparedPlan::matched`].
+    atoms: Range<u32>,
     /// Whether the last matched atom was an equality (the prefix continues
     /// providing order on the following column).
     all_equality: bool,
     /// Whether the partition key was matched by an equality (local-index
     /// partition pruning).
     partition_pruned: bool,
+}
+
+impl PrefixMatch {
+    /// Number of leading index columns matched.
+    fn matched_cols(&self) -> usize {
+        self.atoms.len()
+    }
+}
+
+// ---------------------------------------------------------------- prepare
+
+/// Where a prepared atom sits in its table's [`TableAtoms`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AtomSource {
+    /// `conjuncts[i]`.
+    Conjunct(u32),
+    /// `conjunct_groups[g][i]`.
+    Group(u32, u32),
+}
+
+/// One filter atom some index matches: where a statement's binding of it
+/// is found, with its column resolved. Its selectivity is taken once per
+/// statement however many indexes match it.
+#[derive(Debug, Clone, Copy)]
+struct PreparedAtom {
+    /// Position in `shape.tables` / [`PreparedPlan::tables`].
+    table: u32,
+    source: AtomSource,
+    /// Position of the restricted column in the table's `columns`; `None`
+    /// when the table has no such column (default selectivities).
+    column: Option<u32>,
+    /// The atom's kind as the match read it (checked by
+    /// [`PreparedPlan::fits`]).
+    equality: bool,
+}
+
+/// How one entry of `shape.tables` is scanned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    /// A pure INSERT's target: touched, never read.
+    InsertOnly,
+    /// Not in the catalog: a constant, tiny sequential scan.
+    Unknown,
+    /// Sequential scan, index scans or a bitmap-OR, by cost.
+    Known,
+}
+
+/// One entry of `shape.tables`, prepared.
+#[derive(Debug)]
+struct PreparedTable {
+    scan: Scan,
+    /// The table as the catalog shared it when the plan was prepared,
+    /// held once a [`PreparedAtom`] reads a column of it.
+    table: Option<Arc<Table>>,
+    /// `rows.max(1)`, as the cost formulas read it.
+    rows: f64,
+    /// The table's row count, as selectivity clamps read it.
+    row_count: u64,
+    /// The finished sequential-scan arm (`LIMIT` halving applied).
+    seq_cost: f64,
+    /// `all_atoms.len()`: residual-filter CPU per fetched row.
+    filter_atoms: f64,
+    /// The statement sorts or groups on this table.
+    needs_order: bool,
+    /// Shape of the filter this was prepared from (see
+    /// [`PreparedPlan::fits`]): conjuncts, DNF groups.
+    filter_shape: (u32, u32),
+    /// Index-scan candidates, a run of [`PreparedPlan::paths`] in the
+    /// index set's per-table order.
+    paths: Range<u32>,
+    /// The bitmap-OR arm: one run of [`PreparedPlan::arm_groups`] entries
+    /// per DNF group. `None` when the filter is not a disjunction or some
+    /// group has no usable index.
+    bitmap: Option<Range<u32>>,
+    /// Join edges touching this table, a run of [`PreparedPlan::edges`] in
+    /// `shape.joins` order.
+    edges: Range<u32>,
+}
+
+/// One usable index of a table: everything
+/// [`PreparedPlan::best_access_path`] reads of it.
+#[derive(Debug)]
+struct PreparedPath {
+    id: IndexId,
+    matched: Range<u32>,
+    provides_order: bool,
+    covering: bool,
+    /// An order-providing scan of a join-free statement with a `LIMIT`
+    /// stops after `k` matching rows.
+    top_k: bool,
+    /// `trees_probed * (height + 1) * random_page_cost * descent_cache_factor`.
+    descent: f64,
+    leaf_pages: f64,
+    /// `trees_probed.min(2.0)`.
+    leaf_trees: f64,
+    /// `1.0 - 0.8 * |correlation|` of the leading key column.
+    scatter: f64,
+    /// Share of fetched rows that reach the heap (1 %: visibility checks
+    /// of an index-only scan).
+    heap_share: f64,
+}
+
+/// One index able to serve one DNF group of a bitmap-OR.
+#[derive(Debug)]
+struct BitmapArm {
+    id: IndexId,
+    matched: Range<u32>,
+    descent: f64,
+    leaf_pages: f64,
+}
+
+/// One join edge as seen from one of its tables (the prospective inner).
+#[derive(Debug)]
+struct PreparedEdge {
+    /// The table on the other side, as a position in `shape.tables`.
+    other: u32,
+    /// `max(ndv, 1)` of the inner join column (100 when unknown).
+    inner_ndv: f64,
+    /// Inner rows per distinct join value.
+    rows_per_lookup: f64,
+    /// `1.0 - 0.8 * |correlation|` of the inner join column.
+    scatter: f64,
+    /// Indexes led by the inner join column, a run of
+    /// [`PreparedPlan::lookups`] in the index set's order.
+    lookups: Range<u32>,
+}
+
+/// One index a nested loop can seek per outer row.
+#[derive(Debug)]
+struct PreparedLookup {
+    id: IndexId,
+    /// Seek cost: the descent plus one heap fetch.
+    per_lookup: f64,
+    /// Equality conjuncts on the index's following columns, which narrow
+    /// the rows fetched per seek.
+    tail: Range<u32>,
+}
+
+/// How a write's affected rows are found.
+#[derive(Debug)]
+enum Affected {
+    /// `INSERT`: the statement's row count.
+    Inserted(u64),
+    /// `UPDATE` / `DELETE`: the table's rows (as the catalog had them)
+    /// times the filter selectivity of this `shape.tables` entry (1.0 when
+    /// the shape does not list the table).
+    Filtered { rows: f64, table: Option<u32> },
+}
+
+/// The write side, prepared.
+#[derive(Debug)]
+struct PreparedWrite {
+    kind: WriteKind,
+    affected: Affected,
+    /// `INSERT`: the table that grows, under the catalog's own copy of
+    /// its name.
+    grows: Option<Arc<str>>,
+    /// `INSERT`: the summed IO / CPU of [`PreparedPlan::inserted`].
+    inserted_io: f64,
+    inserted_cpu: f64,
+}
+
+/// Everything planning a statement reads that is *not* a literal: made by
+/// [`Planner::prepare`] from a statement's [`QueryShape`], the catalog and
+/// an index set, priced against any other binding of the same template by
+/// [`PreparedPlan::plan`].
+///
+/// What is structural and therefore here: per table the row / page
+/// constants and the finished sequential-scan arm; per usable index, in
+/// the index set's per-table order, which conjuncts its prefix matches,
+/// whether it provides the order, covers the statement or prunes
+/// partitions, and its descent / leaf / heap factors; the bitmap-OR arm
+/// candidates; join edges with their inner-column statistics and lookup
+/// indexes; the write side's per-index maintenance terms (for an `INSERT`
+/// the finished list). What a statement brings: each table's
+/// `filter_sel`, the matched atoms' literal values (one selectivity each,
+/// through the pre-resolved column) and `LIMIT k`.
+///
+/// **Validity.** A plan holds the `Arc<Table>`s whose column statistics
+/// pricing reads, as the catalog shared them when it was prepared, and
+/// copies of the row counts and index geometry it read, so it stays
+/// *consistent* whatever happens to the catalog or the index set
+/// afterwards — and *current* exactly as long as they do not change. It has no
+/// invalidation rule of its own: keep it beside something immutable (a
+/// [`crate::DbSnapshot`]) and drop it with that.
+///
+/// **Operand order.** Pricing evaluates every floating-point expression
+/// with the operands in the order the one-pass planner used, and compares
+/// candidates in the index set's order with a strict `<`: a prepared
+/// plan's numbers are that planner's, bit for bit
+/// (`prepared_pricing_equals_planning` in `tests/proptests.rs`, and a
+/// golden digest recorded on the one-pass planner).
+#[derive(Debug, Default)]
+pub struct PreparedPlan {
+    params: CostParams,
+    /// `shape.limit.is_some()` / `!shape.joins.is_empty()`.
+    limited: bool,
+    join_edges: bool,
+    tables: Vec<PreparedTable>,
+    atoms: Vec<PreparedAtom>,
+    /// Runs of positions in `atoms`: an index's matched prefix, a bitmap
+    /// arm's, a lookup's equality tail.
+    matched: Vec<u32>,
+    paths: Vec<PreparedPath>,
+    /// Per DNF group of a bitmap-OR table, its run of `arms`.
+    arm_groups: Vec<Range<u32>>,
+    arms: Vec<BitmapArm>,
+    edges: Vec<PreparedEdge>,
+    lookups: Vec<PreparedLookup>,
+    write: Option<PreparedWrite>,
+    /// `INSERT`: the finished maintenance list.
+    inserted: Vec<(IndexId, MaintenanceCost)>,
+    /// `UPDATE`: per index on the written table its maintenance terms and
+    /// the factor on them (2.0 when a key column is set, else 0.1).
+    updated: Vec<(IndexId, MaintenanceTerms, f64)>,
+}
+
+thread_local! {
+    /// Storage for the unprepared composition ([`with_scratch`]).
+    static SCRATCH: RefCell<PreparedPlan> = RefCell::default();
+}
+
+/// Run `f` over this thread's reusable [`PreparedPlan`] storage: what
+/// `prepare` + `price` back to back fill and read, so planning a statement
+/// nobody keeps a plan for allocates what it returns and nothing else. The
+/// storage holds no table once `f` returns. (A call from inside `f` gets
+/// fresh storage.)
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut PreparedPlan) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut plan) => {
+            let r = f(&mut plan);
+            plan.tables.clear();
+            plan.write = None;
+            r
+        }
+        Err(_) => f(&mut PreparedPlan::default()),
+    })
 }
 
 impl<'a> Planner<'a> {
@@ -485,331 +716,404 @@ impl<'a> Planner<'a> {
     /// Plan `shape` under `indexes` and return the summary.
     pub fn plan_over<S: IndexSet + ?Sized>(&self, shape: &QueryShape, indexes: &S) -> PlanSummary {
         let mut paths = Vec::with_capacity(shape.tables.len());
-        let Planned {
-            join_strategies,
-            sort_cost,
-            maintenance,
-            indexes_used,
-            features,
-            sort_elided,
-            covering_scans,
-        } = self.plan_each(shape, indexes, |path| paths.push(path));
-        PlanSummary {
-            paths,
-            join_strategies,
-            sort_cost,
-            maintenance,
-            indexes_used,
-            features,
-            sort_elided,
-            covering_scans,
-        }
+        let (planned, _) = self.plan_each(shape, indexes, |path| paths.push(path));
+        planned.summary(paths)
     }
 
     /// Native cost of `shape` with no index at all — the baseline an
-    /// executed plan's saving is credited against. The same planning pass
-    /// as [`Planner::plan_over`] over an empty set (bit for bit its
-    /// `features.native_cost()`), keeping no report: a single-table
-    /// statement allocates nothing.
+    /// executed plan's saving is credited against, as a planning pass of
+    /// its own over an empty set. Execution does not run it: pricing a
+    /// plan returns the same number on the way
+    /// ([`PreparedPlan::plan`]); this is the reference that is tested
+    /// against.
     pub fn unindexed_cost(&self, shape: &QueryShape) -> f64 {
         self.plan_each(shape, &IndexView::default(), drop)
+            .0
             .features
             .native_cost()
     }
 
-    /// The planner proper. Chooses every table's access path, handing each
-    /// to `each` in `shape.tables` order — to keep ([`Planner::plan_over`])
-    /// or not (execution, which is priced by the totals alone) — then
-    /// joins, sort and the write side. Allocates only what [`Planned`]
-    /// returns, plus two floats per table when there is a join to order.
+    /// The planner proper, for a statement nobody keeps a plan for:
+    /// [`Planner::prepare_into`] this thread's scratch storage, then
+    /// [`PreparedPlan::price`]. Returns the totals and the no-index
+    /// baseline; each table's chosen path goes to `each` in `shape.tables`
+    /// order. Allocates only what [`Planned`] returns, plus a few words
+    /// per table when there is a join to order.
     pub(crate) fn plan_each<S: IndexSet + ?Sized>(
         &self,
         shape: &QueryShape,
         indexes: &S,
-        mut each: impl FnMut(AccessPath),
-    ) -> Planned {
-        let mut features = CostFeatures::default();
-        let mut used = Vec::new();
-        let mut sort_cost = 0.0;
-        let mut sort_elided = 0u32;
-        let mut covering_scans = 0u32;
-        let joining = shape.tables.len() > 1;
-        let mut scans = Vec::with_capacity(if joining { shape.tables.len() } else { 0 });
+        each: impl FnMut(AccessPath),
+    ) -> (Planned, f64) {
+        with_scratch(|plan| {
+            self.prepare_into(plan, shape, indexes);
+            plan.price(shape, each)
+        })
+    }
 
-        // ---- access paths ------------------------------------------------
-        for t in &shape.tables {
+    /// Prepare a plan for every binding of `shape`'s template under
+    /// `indexes` (see [`PreparedPlan`]).
+    pub fn prepare<S: IndexSet + ?Sized>(&self, shape: &QueryShape, indexes: &S) -> PreparedPlan {
+        let mut plan = PreparedPlan::default();
+        self.prepare_into(&mut plan, shape, indexes);
+        plan
+    }
+
+    /// [`Planner::prepare`] into `plan`, reusing its storage.
+    pub(crate) fn prepare_into<S: IndexSet + ?Sized>(
+        &self,
+        plan: &mut PreparedPlan,
+        shape: &QueryShape,
+        indexes: &S,
+    ) {
+        plan.params = self.params.clone();
+        plan.limited = shape.limit.is_some();
+        plan.join_edges = !shape.joins.is_empty();
+        plan.tables.clear();
+        plan.atoms.clear();
+        plan.matched.clear();
+        plan.paths.clear();
+        plan.arm_groups.clear();
+        plan.arms.clear();
+        plan.edges.clear();
+        plan.lookups.clear();
+        plan.inserted.clear();
+        plan.updated.clear();
+
+        for (ti, t) in shape.tables.iter().enumerate() {
             // A pure INSERT touches its target table without reading it.
             let insert_only = shape.write.as_ref().is_some_and(|w| {
                 w.kind == WriteKind::Insert && w.table == t.table && t.all_atoms.is_empty()
             });
-            let path = if insert_only {
-                AccessPath {
-                    index: None,
-                    bitmap_indexes: Vec::new(),
-                    matched_sel: 0.0,
-                    rows_out: 0.0,
-                    cost: 0.0,
-                    provides_order: false,
-                    covering: false,
-                    heap_cost: 0.0,
-                }
-            } else {
-                let path = self.best_access_path(t, indexes, shape);
-                used.extend(path.index);
-                used.extend(path.bitmap_indexes.iter().copied());
-                features.c_data += path.cost;
-                features.c_heap += path.heap_cost;
-                path
+            let mut prepared = PreparedTable {
+                scan: Scan::Unknown,
+                table: None,
+                rows: 1.0,
+                row_count: 1,
+                seq_cost: self.params.seq_page_cost,
+                filter_atoms: t.all_atoms.len() as f64,
+                needs_order: !t.order_columns.is_empty() || !t.group_columns.is_empty(),
+                filter_shape: (t.conjuncts.len() as u32, t.conjunct_groups.len() as u32),
+                paths: 0..0,
+                bitmap: None,
+                edges: 0..0,
             };
-            // Sort: paid on the final stream for every table that requires
-            // an order its chosen path does not provide.
-            if !t.order_columns.is_empty() || !t.group_columns.is_empty() {
-                if path.provides_order {
-                    sort_elided += 1;
-                } else {
-                    sort_cost += self.sort_cost_for(path.rows_out);
-                }
+            if insert_only {
+                prepared.scan = Scan::InsertOnly;
             }
-            covering_scans += u32::from(path.covering);
-            if joining {
-                scans.push(Scanned {
-                    rows_out: path.rows_out,
-                    cost: path.cost,
-                });
-            }
-            each(path);
-        }
-
-        // ---- joins, then the sort -----------------------------------------
-        let (join_cost, join_strategies, join_used) = self.plan_joins(shape, &scans, indexes);
-        features.c_data += join_cost;
-        used.extend(join_used);
-        features.c_data += sort_cost;
-        features.c_sort = sort_cost;
-
-        // ---- write side ----------------------------------------------------
-        let mut maintenance = Vec::new();
-        if let Some(w) = &shape.write {
-            let heap = self.heap_write_cost(shape, w);
-            features.c_data += heap;
-
-            let affected = self.affected_rows(shape, w);
-            for vi in indexes.on_table(&w.table) {
-                let m = match w.kind {
-                    // §V Remark: deletes update the index after the query;
-                    // their index update cost is 0.
-                    WriteKind::Delete => MaintenanceCost::ZERO,
-                    WriteKind::Insert => maintenance_cost(&vi.geo, affected, self.params),
-                    WriteKind::Update => {
-                        let touches_key =
-                            vi.def().columns.iter().any(|c| w.set_columns.contains(c));
-                        if touches_key {
-                            // Delete + insert of the index entry.
-                            let m = maintenance_cost(&vi.geo, affected, self.params);
-                            MaintenanceCost {
-                                io: m.io * 2.0,
-                                cpu: m.cpu * 2.0,
-                            }
-                        } else {
-                            // Mostly HOT/in-place ("the index update cost is
-                            // greatly reduced", §V Remark) — small residual.
-                            let m = maintenance_cost(&vi.geo, affected, self.params);
-                            MaintenanceCost {
-                                io: m.io * 0.1,
-                                cpu: m.cpu * 0.1,
-                            }
-                        }
-                    }
-                };
-                if m.total() > 0.0 {
-                    features.c_io += m.io;
-                    features.c_cpu += m.cpu;
-                    maintenance.push((vi.id, m));
+            plan.tables.push(prepared);
+            if !insert_only {
+                if let Some((_, table)) = self.catalog.shared_table(&t.table) {
+                    self.prepare_scan(plan, ti as u32, t, table, indexes, shape);
                 }
             }
         }
-
-        Planned {
-            join_strategies,
-            sort_cost,
-            maintenance,
-            indexes_used: used,
-            features,
-            sort_elided,
-            covering_scans,
-        }
-    }
-
-    /// Rows affected by a write (inserted rows, or WHERE-matched rows).
-    fn affected_rows(&self, shape: &QueryShape, w: &crate::shape::WriteShape) -> u64 {
-        match w.kind {
-            WriteKind::Insert => w.inserted_rows,
-            _ => {
-                let rows = self
-                    .catalog
-                    .table(&w.table)
-                    .map(|t| t.rows)
-                    .unwrap_or(1_000);
-                let sel = shape.table(&w.table).map(|t| t.filter_sel).unwrap_or(1.0);
-                ((rows as f64 * sel).ceil() as u64).max(1)
+        if shape.tables.len() > 1 {
+            for (ti, t) in shape.tables.iter().enumerate() {
+                let start = plan.edges.len() as u32;
+                self.prepare_edges(plan, ti as u32, t, shape, indexes);
+                plan.tables[ti].edges = start..plan.edges.len() as u32;
             }
         }
+        plan.write = shape
+            .write
+            .as_ref()
+            .map(|w| self.prepare_write(plan, shape, w, indexes));
     }
 
-    fn heap_write_cost(&self, shape: &QueryShape, w: &crate::shape::WriteShape) -> f64 {
-        let affected = self.affected_rows(shape, w) as f64;
-        // One dirtied heap page per ~4 affected rows plus per-tuple CPU.
-        affected * self.params.cpu_tuple_cost * 2.0
-            + (affected / 4.0).ceil() * self.params.seq_page_cost
-    }
-
-    /// Choose the cheapest access path for one table.
-    fn best_access_path<S: IndexSet + ?Sized>(
+    /// The access-path side of one known table: its constants, the
+    /// sequential arm, every usable index and the bitmap-OR candidates.
+    fn prepare_scan<S: IndexSet + ?Sized>(
         &self,
+        plan: &mut PreparedPlan,
+        ti: u32,
         t: &TableAtoms,
+        table: &Arc<Table>,
         indexes: &S,
         shape: &QueryShape,
-    ) -> AccessPath {
-        let Some(table) = self.catalog.table(&t.table) else {
-            // Unknown table: tiny constant cost, seq scan.
-            return AccessPath {
-                index: None,
-                bitmap_indexes: Vec::new(),
-                matched_sel: 1.0,
-                rows_out: 1.0,
-                cost: self.params.seq_page_cost,
-                provides_order: false,
-                covering: false,
-                heap_cost: 0.0,
-            };
-        };
+    ) {
+        let p = self.params;
         let rows = table.rows.max(1) as f64;
         let pages = table.pages().max(1) as f64;
-        let rows_out = (rows * t.filter_sel).max(0.0);
         let (order_cols, order_dirs) = self.required_order(t);
 
         // Sequential scan baseline.
         let n_atoms = t.all_atoms.len().max(1) as f64;
-        let seq_cost = pages * self.params.seq_page_cost
-            + rows * self.params.cpu_tuple_cost
-            + rows * n_atoms * self.params.cpu_operator_cost;
-        let mut best = AccessPath {
-            index: None,
-            bitmap_indexes: Vec::new(),
-            matched_sel: 1.0,
-            rows_out,
-            cost: seq_cost,
-            provides_order: false,
-            covering: false,
-            heap_cost: 0.0,
-        };
+        let mut seq_cost = pages * p.seq_page_cost
+            + rows * p.cpu_tuple_cost
+            + rows * n_atoms * p.cpu_operator_cost;
         // If a LIMIT is present with no joins, a seq scan can stop early —
         // but only without ORDER BY.
         if shape.limit.is_some() && order_cols.is_empty() && shape.joins.is_empty() {
-            best.cost *= 0.5;
+            seq_cost *= 0.5;
         }
+        let prepared = &mut plan.tables[ti as usize];
+        prepared.scan = Scan::Known;
+        prepared.rows = rows;
+        prepared.row_count = table.rows;
+        prepared.seq_cost = seq_cost;
 
+        let start = plan.paths.len() as u32;
         for vi in indexes.on_table(&t.table) {
-            let m = self.match_prefix(vi.def(), &t.conjuncts, table);
+            let def = vi.def();
+            let conjunct = |i| AtomSource::Conjunct(i);
+            let m = self.match_prefix(plan, def, &t.conjuncts, conjunct, ti, table);
             let provides_order = !order_cols.is_empty()
-                && self.index_provides_order(vi.def(), &m, order_cols, order_dirs);
-            if m.matched_cols == 0 && !provides_order {
+                && self.index_provides_order(def, &m, order_cols, order_dirs);
+            if m.matched_cols() == 0 && !provides_order {
                 continue;
             }
-            let scan = self.index_scan_cost(table, vi, &m, t, shape, provides_order);
-            let candidate = AccessPath {
-                index: Some(vi.id),
-                bitmap_indexes: Vec::new(),
-                matched_sel: m.sel,
-                rows_out,
-                cost: scan.cost,
+            let geo = &vi.geo;
+            // Local indexes without partition pruning probe every tree.
+            let trees_probed = match def.scope {
+                IndexScope::Global => 1.0,
+                IndexScope::Local if m.partition_pruned => 1.0,
+                IndexScope::Local => geo.trees as f64,
+            };
+            // Heap fetches are random, discounted by physical correlation
+            // of the leading key column — and almost entirely skipped for
+            // an index-only scan (a covering index answers from the
+            // leaves, with only occasional visibility checks).
+            let covering = !t.whole_row
+                && !t.referenced_columns.is_empty()
+                && t.referenced_columns.iter().all(|c| def.columns.contains(c));
+            let corr = def
+                .columns
+                .first()
+                .and_then(|c| table.column(c))
+                .map(|c| c.stats.correlation.abs())
+                .unwrap_or(0.0);
+            plan.paths.push(PreparedPath {
+                id: vi.id,
+                matched: m.atoms,
                 provides_order,
-                covering: scan.covering,
-                heap_cost: scan.heap_io,
-            };
-            // Compare including the sort the path would save.
-            let sort_bonus = if provides_order {
-                self.sort_cost_for(rows_out)
-            } else {
-                0.0
-            };
-            let best_sort_bonus = if best.provides_order {
-                self.sort_cost_for(rows_out)
-            } else {
-                0.0
-            };
-            if candidate.cost - sort_bonus < best.cost - best_sort_bonus {
-                best = candidate;
-            }
+                covering,
+                // Top-k: an order-providing index scan stops after LIMIT
+                // matching rows — the classic reason ORDER BY ... LIMIT
+                // queries want an index on the order columns.
+                top_k: provides_order && shape.joins.is_empty() && shape.limit.is_some(),
+                descent: trees_probed
+                    * (geo.height as f64 + 1.0)
+                    * p.random_page_cost
+                    * p.descent_cache_factor,
+                leaf_pages: geo.leaf_pages as f64,
+                leaf_trees: trees_probed.min(2.0),
+                scatter: 1.0 - 0.8 * corr,
+                // Visibility checks hit the heap per *page* (via the
+                // visibility map), not per tuple — two orders of magnitude
+                // cheaper.
+                heap_share: if covering { 0.01 } else { 1.0 },
+            });
         }
+        plan.tables[ti as usize].paths = start..plan.paths.len() as u32;
 
         // BitmapOr: a disjunctive filter whose every DNF arm is separately
         // indexable can union the per-arm TID bitmaps and fetch the heap
         // once — the plan shape that makes the §IV-A per-OR-arm candidates
         // actually pay off.
         if t.conjuncts.is_empty() && t.conjunct_groups.len() > 1 {
-            if let Some((cost, heap, first, rest)) = self.bitmap_or_path(t, indexes, table) {
-                if cost < best.cost {
-                    best = AccessPath {
-                        index: Some(first),
-                        bitmap_indexes: rest,
-                        matched_sel: t.filter_sel,
-                        rows_out,
-                        cost,
-                        provides_order: false,
-                        covering: false,
-                        heap_cost: heap,
+            plan.tables[ti as usize].bitmap = self.prepare_bitmap(plan, ti, t, table, indexes);
+        }
+    }
+
+    /// The indexes able to probe each DNF arm of `t`'s filter, or `None`
+    /// when some arm has none (the scan would be needed anyway).
+    fn prepare_bitmap<S: IndexSet + ?Sized>(
+        &self,
+        plan: &mut PreparedPlan,
+        ti: u32,
+        t: &TableAtoms,
+        table: &Arc<Table>,
+        indexes: &S,
+    ) -> Option<Range<u32>> {
+        let p = self.params;
+        let start = plan.arm_groups.len();
+        // What a half-prepared bitmap entered is dropped again.
+        let (atoms, matched, arms) = (plan.atoms.len(), plan.matched.len(), plan.arms.len());
+        for (gi, group) in t.conjunct_groups.iter().enumerate() {
+            let first_arm = plan.arms.len() as u32;
+            for vi in indexes.on_table(&t.table) {
+                let in_group = |i| AtomSource::Group(gi as u32, i);
+                let m = self.match_prefix(plan, vi.def(), group, in_group, ti, table);
+                if m.matched_cols() == 0 {
+                    continue;
+                }
+                plan.arms.push(BitmapArm {
+                    id: vi.id,
+                    matched: m.atoms,
+                    descent: (vi.geo.height as f64 + 1.0)
+                        * p.random_page_cost
+                        * p.descent_cache_factor,
+                    leaf_pages: vi.geo.leaf_pages as f64,
+                });
+            }
+            let group_arms = first_arm..plan.arms.len() as u32;
+            if group_arms.is_empty() {
+                plan.arm_groups.truncate(start);
+                plan.arms.truncate(arms);
+                plan.matched.truncate(matched);
+                plan.atoms.truncate(atoms);
+                return None;
+            }
+            plan.arm_groups.push(group_arms);
+        }
+        Some(start as u32..plan.arm_groups.len() as u32)
+    }
+
+    /// The join edges touching table `ti`, in `shape.joins` order, each
+    /// with what a join into `ti` through it reads: the inner column's
+    /// statistics and the indexes a nested loop could seek.
+    fn prepare_edges<S: IndexSet + ?Sized>(
+        &self,
+        plan: &mut PreparedPlan,
+        ti: u32,
+        t: &TableAtoms,
+        shape: &QueryShape,
+        indexes: &S,
+    ) {
+        let p = self.params;
+        let shared = self.catalog.shared_table(&t.table).map(|(_, table)| table);
+        let table = shared.map(|table| &**table);
+        let position = |name: &str| shape.tables.iter().position(|o| o.table == name);
+        for e in &shape.joins {
+            // An edge joins `ti` once its *other* table is in the joined
+            // set; with `ti` on both sides that never happens.
+            let (other, inner_col) = if e.right_table == t.table {
+                (&e.left_table, &e.right_column)
+            } else if e.left_table == t.table {
+                (&e.right_table, &e.left_column)
+            } else {
+                continue;
+            };
+            let Some(other) = position(other).filter(|&o| o as u32 != ti) else {
+                continue;
+            };
+            let column = table.and_then(|tb| tb.column(inner_col));
+            let inner_ndv = column.map(|c| c.stats.ndv.max(1.0)).unwrap_or(100.0);
+            let inner_total_rows = table.map(|tb| tb.rows.max(1) as f64).unwrap_or(1000.0);
+            // Heap fetches are discounted by the join column's physical
+            // correlation (fact tables loaded in date order make
+            // date-driven lookups nearly sequential).
+            let corr = column.map(|c| c.stats.correlation.abs()).unwrap_or(0.0);
+
+            // Indexes whose first column is the join column. Later index
+            // columns that match equality filter conjuncts on the inner
+            // table further cut the rows fetched per lookup.
+            let first_lookup = plan.lookups.len() as u32;
+            for vi in indexes.on_table(&t.table) {
+                let def = vi.def();
+                if def.columns.first() != Some(inner_col) {
+                    continue;
+                }
+                let trees = match def.scope {
+                    IndexScope::Global => 1.0,
+                    IndexScope::Local => {
+                        if table.and_then(|tb| tb.partition_key.as_ref()) == Some(inner_col) {
+                            1.0
+                        } else {
+                            vi.geo.trees as f64
+                        }
+                    }
+                };
+                let per_lookup = trees
+                    * (vi.geo.height as f64 + 1.0)
+                    * p.random_page_cost
+                    * p.descent_cache_factor
+                    + p.random_page_cost; // one heap fetch minimum
+                let tail_start = plan.matched.len() as u32;
+                if let Some(tb) = shared {
+                    for c in &def.columns[1..] {
+                        let found = t.conjuncts.iter().position(|a| {
+                            a.is_sargable()
+                                && a.is_equality()
+                                && a.restricted_column().is_some_and(|cr| cr.column == *c)
+                        });
+                        let Some(i) = found else { break };
+                        let source = AtomSource::Conjunct(i as u32);
+                        let atom = plan.atom(ti, source, &t.conjuncts[i], tb);
+                        plan.matched.push(atom);
+                    }
+                }
+                plan.lookups.push(PreparedLookup {
+                    id: vi.id,
+                    per_lookup,
+                    tail: tail_start..plan.matched.len() as u32,
+                });
+            }
+            plan.edges.push(PreparedEdge {
+                other: other as u32,
+                inner_ndv,
+                rows_per_lookup: (inner_total_rows / inner_ndv).max(1.0),
+                scatter: 1.0 - 0.8 * corr,
+                lookups: first_lookup..plan.lookups.len() as u32,
+            });
+        }
+    }
+
+    /// The write side: how affected rows are found, and per index on the
+    /// written table what maintaining it costs — finished for an `INSERT`,
+    /// per affected row for an `UPDATE`, nothing for a `DELETE` (§V
+    /// Remark: deletes update the index after the query; their index
+    /// update cost is 0).
+    fn prepare_write<S: IndexSet + ?Sized>(
+        &self,
+        plan: &mut PreparedPlan,
+        shape: &QueryShape,
+        w: &crate::shape::WriteShape,
+        indexes: &S,
+    ) -> PreparedWrite {
+        let mut write = PreparedWrite {
+            kind: w.kind,
+            affected: match w.kind {
+                WriteKind::Insert => Affected::Inserted(w.inserted_rows),
+                _ => {
+                    // The table loop has looked a listed table up already.
+                    let listed = shape.tables.iter().position(|t| t.table == w.table);
+                    let rows = match listed.map(|i| &plan.tables[i]) {
+                        Some(t) if t.scan == Scan::Known => Some(t.row_count),
+                        Some(_) => None,
+                        None => self.catalog.table(&w.table).map(|t| t.rows),
                     };
+                    Affected::Filtered {
+                        rows: rows.unwrap_or(1_000) as f64,
+                        table: listed.map(|i| i as u32),
+                    }
+                }
+            },
+            grows: None,
+            inserted_io: 0.0,
+            inserted_cpu: 0.0,
+        };
+        match w.kind {
+            WriteKind::Delete => {}
+            WriteKind::Insert => {
+                let name = match self.catalog.shared_table(&w.table) {
+                    Some((name, _)) => Arc::clone(name),
+                    None => w.table.as_str().into(),
+                };
+                write.grows = Some(name);
+                for vi in indexes.on_table(&w.table) {
+                    let m = maintenance_cost(&vi.geo, w.inserted_rows, self.params);
+                    if m.total() > 0.0 {
+                        write.inserted_io += m.io;
+                        write.inserted_cpu += m.cpu;
+                        plan.inserted.push((vi.id, m));
+                    }
+                }
+            }
+            WriteKind::Update => {
+                for vi in indexes.on_table(&w.table) {
+                    let touches_key = vi.def().columns.iter().any(|c| w.set_columns.contains(c));
+                    // Delete + insert of the index entry when a key column
+                    // is set; else mostly HOT/in-place ("the index update
+                    // cost is greatly reduced", §V Remark) — small residual.
+                    let factor = if touches_key { 2.0 } else { 0.1 };
+                    let terms = MaintenanceTerms::of(&vi.geo, self.params);
+                    plan.updated.push((vi.id, terms, factor));
                 }
             }
         }
-        best
-    }
-
-    /// Cost a BitmapOr over the table's DNF arms. Returns
-    /// `(cost, heap cost, first index, remaining indexes)` or `None` when
-    /// some arm has no usable index (the scan would be needed anyway).
-    fn bitmap_or_path<S: IndexSet + ?Sized>(
-        &self,
-        t: &TableAtoms,
-        indexes: &S,
-        table: &Table,
-    ) -> Option<(f64, f64, IndexId, Vec<IndexId>)> {
-        let p = self.params;
-        let rows = table.rows.max(1) as f64;
-        let mut first = None;
-        let mut rest = Vec::new();
-        let mut probe_cost = 0.0;
-        for group in &t.conjunct_groups {
-            // Cheapest index probe serving this arm.
-            let best_arm = indexes
-                .on_table(&t.table)
-                .filter_map(|vi| {
-                    let m = self.match_prefix(vi.def(), group, table);
-                    if m.matched_cols == 0 {
-                        return None;
-                    }
-                    let descent =
-                        (vi.geo.height as f64 + 1.0) * p.random_page_cost * p.descent_cache_factor;
-                    let leaf = (m.sel * vi.geo.leaf_pages as f64).ceil().max(1.0) * p.seq_page_cost;
-                    let tids = rows * m.sel * p.cpu_index_tuple_cost;
-                    Some((vi.id, descent + leaf + tids))
-                })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are never NaN"));
-            let (id, c) = best_arm?;
-            probe_cost += c;
-            match first {
-                None => first = Some(id),
-                Some(f) if f == id || rest.contains(&id) => {}
-                Some(_) => rest.push(id),
-            }
-        }
-        // One heap pass over the unioned bitmap: fetches come out in page
-        // order, so they are cheaper than per-tuple random IO.
-        let fetched = rows * t.filter_sel;
-        let heap = fetched * p.random_page_cost * 0.5;
-        let cpu = fetched * (p.cpu_tuple_cost + t.all_atoms.len() as f64 * p.cpu_operator_cost);
-        Some((probe_cost + heap + cpu, heap, first?, rest))
+        write
     }
 
     /// Order requirement on this table: ORDER BY columns with their
@@ -857,13 +1161,14 @@ impl<'a> Planner<'a> {
         order_cols: &[String],
         order_dirs: Option<&[bool]>,
     ) -> bool {
+        let matched_cols = m.matched_cols();
         if !m.all_equality {
             // The prefix ends in a range atom. Order is still provided when
             // that range column *is* the first order column (a range scan
             // over `temperature` emits rows in `temperature` order) and the
             // remaining order columns follow it in the index.
-            let last = m.matched_cols.saturating_sub(1);
-            return m.matched_cols >= 1
+            let last = matched_cols.saturating_sub(1);
+            return matched_cols >= 1
                 && def.columns.get(last) == order_cols.first()
                 && order_cols.len() <= def.columns.len() - last
                 && order_cols
@@ -873,7 +1178,7 @@ impl<'a> Planner<'a> {
                 && self.directions_compatible(def, last, order_dirs);
         }
         // Equality-matched prefix: the order columns must follow it...
-        let start = m.matched_cols.min(def.columns.len());
+        let start = matched_cols.min(def.columns.len());
         let tail = &def.columns[start..];
         (order_cols.len() <= tail.len()
             && order_cols.iter().zip(tail).all(|(a, b)| a == b)
@@ -887,300 +1192,41 @@ impl<'a> Planner<'a> {
                 && self.directions_compatible(def, 0, order_dirs))
     }
 
-    /// Leftmost-prefix matching of sargable conjuncts against an index.
+    /// Leftmost-prefix matching of sargable atoms against an index: one
+    /// atom per leading index column, until a column has none or a range
+    /// atom has consumed the prefix. The matched atoms are appended to
+    /// `plan.matched` (`source` says where `atoms[i]` sits in the shape).
     fn match_prefix(
         &self,
+        plan: &mut PreparedPlan,
         def: &IndexDef,
-        conjuncts: &[AtomicPredicate],
-        table: &Table,
+        atoms: &[AtomicPredicate],
+        source: impl Fn(u32) -> AtomSource,
+        ti: u32,
+        table: &Arc<Table>,
     ) -> PrefixMatch {
-        let mut matched_cols = 0;
+        let start = plan.matched.len() as u32;
         let mut all_equality = true;
         let mut partition_pruned = false;
-        // One atom per leading index column, until a column has none or a
-        // range atom has consumed the prefix.
-        let matched = def.columns.iter().map_while(|col| {
+        for col in &def.columns {
             if !all_equality {
-                return None;
+                break;
             }
-            let atom = conjuncts.iter().find(|a| {
+            let found = atoms.iter().position(|a| {
                 a.is_sargable() && a.restricted_column().is_some_and(|c| c.column == *col)
-            })?;
-            matched_cols += 1;
-            all_equality = atom.is_equality();
+            });
+            let Some(i) = found else { break };
+            all_equality = atoms[i].is_equality();
             partition_pruned |=
                 all_equality && table.partition_key.as_deref() == Some(col.as_str());
-            Some(atom)
-        });
-        let sel = conjunct_selectivity(matched, table);
+            let atom = plan.atom(ti, source(i as u32), &atoms[i], table);
+            plan.matched.push(atom);
+        }
         PrefixMatch {
-            matched_cols,
-            sel,
+            atoms: start..plan.matched.len() as u32,
             all_equality,
             partition_pruned,
         }
-    }
-
-    fn index_scan_cost<D: Borrow<IndexDef>>(
-        &self,
-        table: &Table,
-        vi: &VisibleIndex<D>,
-        m: &PrefixMatch,
-        t: &TableAtoms,
-        shape: &QueryShape,
-        provides_order: bool,
-    ) -> ScanCost {
-        let p = self.params;
-        let mut rows = table.rows.max(1) as f64;
-        // Top-k: an order-providing index scan stops after LIMIT matching
-        // rows — the classic reason ORDER BY ... LIMIT queries want an
-        // index on the order columns.
-        if provides_order && shape.joins.is_empty() {
-            if let Some(k) = shape.limit {
-                let residual = (t.filter_sel / m.sel).clamp(1e-6, 1.0);
-                rows = rows.min((k as f64 / residual) / m.sel.max(1e-9));
-            }
-        }
-        let geo = &vi.geo;
-
-        // Local indexes without partition pruning probe every tree.
-        let trees_probed = match vi.def().scope {
-            IndexScope::Global => 1.0,
-            IndexScope::Local if m.partition_pruned => 1.0,
-            IndexScope::Local => geo.trees as f64,
-        };
-
-        let descent =
-            trees_probed * (geo.height as f64 + 1.0) * p.random_page_cost * p.descent_cache_factor;
-        let leaf_io = (m.sel * geo.leaf_pages as f64).ceil().max(1.0)
-            * p.seq_page_cost
-            * trees_probed.min(2.0);
-        let fetched = rows * m.sel;
-        // Heap fetches are random, discounted by physical correlation of
-        // the leading key column — and almost entirely skipped for an
-        // index-only scan (a covering index answers from the leaves, with
-        // only occasional visibility checks).
-        let covering = !t.whole_row
-            && !t.referenced_columns.is_empty()
-            && t.referenced_columns
-                .iter()
-                .all(|c| vi.def().columns.contains(c));
-        let corr = vi
-            .def()
-            .columns
-            .first()
-            .and_then(|c| table.column(c))
-            .map(|c| c.stats.correlation.abs())
-            .unwrap_or(0.0);
-        // Visibility checks hit the heap per *page* (via the visibility
-        // map), not per tuple — two orders of magnitude cheaper.
-        let heap_factor = if covering { 0.01 } else { 1.0 };
-        let heap_io = fetched * p.random_page_cost * (1.0 - 0.8 * corr) * heap_factor;
-        let cpu = fetched * p.cpu_index_tuple_cost
-            + fetched * (t.all_atoms.len() as f64) * p.cpu_operator_cost
-            + fetched * p.cpu_tuple_cost;
-        ScanCost {
-            cost: descent + leaf_io + heap_io + cpu,
-            heap_io,
-            covering,
-        }
-    }
-
-    fn sort_cost_for(&self, rows: f64) -> f64 {
-        if rows <= 1.0 {
-            return 0.0;
-        }
-        2.0 * rows * rows.log2().max(1.0) * self.params.cpu_operator_cost
-    }
-
-    /// Plan all joins left-deep in table order; returns (cost, strategies,
-    /// inner indexes used).
-    fn plan_joins<S: IndexSet + ?Sized>(
-        &self,
-        shape: &QueryShape,
-        paths: &[Scanned],
-        indexes: &S,
-    ) -> (f64, Vec<JoinStrategy>, Vec<IndexId>) {
-        let p = self.params;
-        if shape.tables.len() < 2 {
-            return (0.0, Vec::new(), Vec::new());
-        }
-        let mut cost = 0.0;
-        let mut strategies = Vec::new();
-        let mut used = Vec::new();
-
-        // Greedy join ordering: start from the smallest filtered relation,
-        // then repeatedly pick the connected relation with the fewest
-        // estimated output rows (falling back to the smallest disconnected
-        // one). This is the standard heuristic real optimizers approximate
-        // and is what lets a tiny filtered dimension drive a nested loop
-        // into a big fact table.
-        let n = shape.tables.len();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        remaining.sort_by(|&a, &b| {
-            paths[a]
-                .rows_out
-                .partial_cmp(&paths[b].rows_out)
-                .expect("rows_out is never NaN")
-        });
-        // Start from the most selective *filtered* relation: an unfiltered
-        // tiny dimension (e.g. a 5-row warehouse table) must not hijack the
-        // driving position from a sharply filtered one, or the filter never
-        // gets to seed the nested-loop chain.
-        let first_pos = remaining
-            .iter()
-            .position(|&i| {
-                let t = &shape.tables[i];
-                t.filter_sel < 0.99 || !t.conjuncts.is_empty()
-            })
-            .unwrap_or(0);
-        let first = remaining.remove(first_pos);
-        let mut acc_rows = paths[first].rows_out.max(1.0);
-        let mut joined: Vec<&str> = vec![&shape.tables[first].table];
-
-        while !remaining.is_empty() {
-            // Prefer a connected relation (an edge into the joined set).
-            let pick_pos = remaining
-                .iter()
-                .position(|&i| {
-                    let name = &shape.tables[i].table;
-                    shape.joins.iter().any(|e| {
-                        (e.left_table == *name && joined.contains(&e.right_table.as_str()))
-                            || (e.right_table == *name && joined.contains(&e.left_table.as_str()))
-                    })
-                })
-                .unwrap_or(0);
-            let i = remaining.remove(pick_pos);
-            let t = &shape.tables[i];
-            let path = &paths[i];
-            let table = self.catalog.table(&t.table);
-            let inner_rows_out = path.rows_out.max(1.0);
-
-            let edge = shape.joins.iter().find_map(|e| {
-                if e.right_table == t.table && joined.contains(&e.left_table.as_str()) {
-                    Some(&e.right_column)
-                } else if e.left_table == t.table && joined.contains(&e.right_table.as_str()) {
-                    Some(&e.left_column)
-                } else {
-                    None
-                }
-            });
-
-            match edge {
-                Some(inner_col) => {
-                    let inner_ndv = table
-                        .and_then(|tb| tb.column(inner_col))
-                        .map(|c| c.stats.ndv.max(1.0))
-                        .unwrap_or(100.0);
-                    let inner_total_rows = table.map(|tb| tb.rows.max(1) as f64).unwrap_or(1000.0);
-                    let rows_per_lookup = (inner_total_rows / inner_ndv).max(1.0);
-
-                    // Hash join: build the (already filtered) inner once.
-                    let hash_cost = path.cost
-                        + inner_rows_out * p.cpu_operator_cost * 2.0
-                        + acc_rows * p.cpu_operator_cost * 1.5
-                        + acc_rows * p.cpu_tuple_cost;
-
-                    // Index nested loop: per outer row, seek the inner index.
-                    // The per-lookup row count shrinks when the index's
-                    // later columns match equality filters on the inner, and
-                    // heap fetches are discounted by the join column's
-                    // physical correlation (fact tables loaded in date order
-                    // make date-driven lookups nearly sequential).
-                    let corr = table
-                        .and_then(|tb| tb.column(inner_col))
-                        .map(|c| c.stats.correlation.abs())
-                        .unwrap_or(0.0);
-                    let nl = self.best_lookup_index(t, inner_col, indexes, table, rows_per_lookup);
-                    let nl_cost = nl.as_ref().map(|(_, per_lookup, rows_fetched)| {
-                        acc_rows
-                            * (per_lookup
-                                + rows_fetched * p.cpu_index_tuple_cost
-                                + rows_fetched * p.random_page_cost * 0.5 * (1.0 - 0.8 * corr))
-                    });
-
-                    match nl_cost {
-                        Some(c) if c < hash_cost => {
-                            let (id, _, _) = nl.expect("nl_cost implies nl");
-                            // The inner's standalone scan is replaced by
-                            // lookups; refund its path cost.
-                            cost += c - path.cost;
-                            strategies.push(JoinStrategy::IndexNestedLoop(id));
-                            used.push(id);
-                        }
-                        _ => {
-                            cost += hash_cost - path.cost;
-                            strategies.push(JoinStrategy::Hash);
-                        }
-                    }
-                    let join_sel_rows = (acc_rows * inner_rows_out / inner_ndv).max(1.0);
-                    acc_rows = join_sel_rows.min(acc_rows * inner_rows_out);
-                }
-                None => {
-                    // No edge: pessimistic nested loop over filtered inputs.
-                    cost += acc_rows * inner_rows_out * p.cpu_operator_cost;
-                    strategies.push(JoinStrategy::NestedLoop);
-                    acc_rows = (acc_rows * inner_rows_out).min(1e12);
-                }
-            }
-            joined.push(&t.table);
-        }
-        (cost, strategies, used)
-    }
-
-    /// Cheapest per-lookup index seek on the inner table whose first column
-    /// is the join column `col`. Later index columns that match equality
-    /// filter conjuncts on the inner table further cut the rows fetched per
-    /// lookup. Returns (index id, per-lookup seek cost, rows fetched per
-    /// lookup).
-    fn best_lookup_index<S: IndexSet + ?Sized>(
-        &self,
-        t: &TableAtoms,
-        col: &str,
-        indexes: &S,
-        table: Option<&Table>,
-        rows_per_lookup: f64,
-    ) -> Option<(IndexId, f64, f64)> {
-        let p = self.params;
-        indexes
-            .on_table(&t.table)
-            .filter(|vi| vi.def().columns.first().map(String::as_str) == Some(col))
-            .map(|vi| {
-                let trees = match vi.def().scope {
-                    IndexScope::Global => 1.0,
-                    IndexScope::Local => {
-                        if table.and_then(|tb| tb.partition_key.as_deref()) == Some(col) {
-                            1.0
-                        } else {
-                            vi.geo.trees as f64
-                        }
-                    }
-                };
-                let per_lookup = trees
-                    * (vi.geo.height as f64 + 1.0)
-                    * p.random_page_cost
-                    * p.descent_cache_factor
-                    + p.random_page_cost; // one heap fetch minimum
-                                          // Tail columns matching equality conjuncts narrow the range.
-                let mut fetched = rows_per_lookup;
-                if let Some(tb) = table {
-                    for c in &vi.def().columns[1..] {
-                        let atom = t.conjuncts.iter().find(|a| {
-                            a.is_sargable()
-                                && a.is_equality()
-                                && a.restricted_column().is_some_and(|cr| cr.column == *c)
-                        });
-                        let Some(atom) = atom else { break };
-                        fetched *= crate::selectivity::atom_selectivity(atom, tb).max(1e-9);
-                    }
-                }
-                (vi.id, per_lookup, fetched.max(1.0))
-            })
-            .min_by(|a, b| {
-                (a.1 + a.2)
-                    .partial_cmp(&(b.1 + b.2))
-                    .expect("costs are never NaN")
-            })
     }
 
     /// Convenience: geometry-resolved flat index list from defs (copies
@@ -1197,6 +1243,563 @@ impl<'a> Planner<'a> {
                 })
             })
             .collect()
+    }
+}
+
+impl Planned {
+    fn summary(self, paths: Vec<AccessPath>) -> PlanSummary {
+        PlanSummary {
+            paths,
+            join_strategies: self.join_strategies,
+            sort_cost: self.sort_cost,
+            maintenance: self.maintenance,
+            indexes_used: self.indexes_used,
+            features: self.features,
+            sort_elided: self.sort_elided,
+            covering_scans: self.covering_scans,
+        }
+    }
+}
+
+// ------------------------------------------------------------------ price
+
+/// A sequential scan's [`AccessPath`].
+fn seq_path(matched_sel: f64, rows_out: f64, cost: f64) -> AccessPath {
+    AccessPath {
+        index: None,
+        bitmap_indexes: Vec::new(),
+        matched_sel,
+        rows_out,
+        cost,
+        provides_order: false,
+        covering: false,
+        heap_cost: 0.0,
+    }
+}
+
+impl PreparedPlan {
+    /// The position in `atoms` of `atom` — `source` of table `ti` — entered
+    /// at its first use with its column resolved on `table`, which the plan
+    /// holds from its first atom on.
+    fn atom(
+        &mut self,
+        ti: u32,
+        source: AtomSource,
+        atom: &AtomicPredicate,
+        table: &Arc<Table>,
+    ) -> u32 {
+        let known = self
+            .atoms
+            .iter()
+            .position(|a| a.table == ti && a.source == source);
+        let at = known.unwrap_or_else(|| {
+            self.tables[ti as usize]
+                .table
+                .get_or_insert_with(|| Arc::clone(table));
+            self.atoms.push(PreparedAtom {
+                table: ti,
+                source,
+                column: atom
+                    .restricted_column()
+                    .and_then(|c| table.column_position(&c.column))
+                    .map(|i| i as u32),
+                equality: atom.is_equality(),
+            });
+            self.atoms.len() - 1
+        });
+        at as u32
+    }
+
+    /// A statement's binding of prepared atom `a`.
+    fn bound<'s>(a: &PreparedAtom, shape: &'s QueryShape) -> Option<&'s AtomicPredicate> {
+        let t = shape.tables.get(a.table as usize)?;
+        match a.source {
+            AtomSource::Conjunct(i) => t.conjuncts.get(i as usize),
+            AtomSource::Group(g, i) => t.conjunct_groups.get(g as usize)?.get(i as usize),
+        }
+    }
+
+    /// Whether `shape` has the structure this plan was prepared from: the
+    /// same tables, filter and ordering shape, `LIMIT` and join presence
+    /// and write, and under every prepared atom an atom of the same kind
+    /// on the same column. Any two bindings of one statement template do;
+    /// [`PreparedPlan::plan`] is only meaningful for a shape that does
+    /// (debug builds assert it).
+    pub fn fits(&self, shape: &QueryShape) -> bool {
+        let tables = shape.tables.len() == self.tables.len()
+            && self.tables.iter().zip(&shape.tables).all(|(p, t)| {
+                p.filter_shape == (t.conjuncts.len() as u32, t.conjunct_groups.len() as u32)
+                    && p.filter_atoms == t.all_atoms.len() as f64
+                    && p.needs_order == (!t.order_columns.is_empty() || !t.group_columns.is_empty())
+            });
+        let atoms = || {
+            self.atoms.iter().all(|a| {
+                let table = self.tables[a.table as usize].table.as_deref();
+                let atom = Self::bound(a, shape).filter(|atom| atom.is_sargable());
+                atom.zip(table).is_some_and(|(atom, table)| {
+                    let column = atom
+                        .restricted_column()
+                        .and_then(|c| table.column_position(&c.column));
+                    atom.is_equality() == a.equality && column.map(|i| i as u32) == a.column
+                })
+            })
+        };
+        let write = || match (&self.write, &shape.write) {
+            (None, None) => true,
+            (Some(p), Some(w)) => {
+                p.kind == w.kind
+                    && match p.affected {
+                        Affected::Inserted(rows) => rows == w.inserted_rows,
+                        Affected::Filtered { .. } => true,
+                    }
+            }
+            _ => false,
+        };
+        tables
+            && self.limited == shape.limit.is_some()
+            && self.join_edges != shape.joins.is_empty()
+            && atoms()
+            && write()
+    }
+
+    /// The plan of `shape` — a binding of the template this was prepared
+    /// from — and the native cost of the same statement with no index at
+    /// all (bit for bit [`Planner::unindexed_cost`]'s): what an executed
+    /// plan's saving is credited against.
+    pub fn plan(&self, shape: &QueryShape) -> (PlanSummary, f64) {
+        let mut paths = Vec::with_capacity(shape.tables.len());
+        let (planned, baseline) = self.price(shape, |path| paths.push(path));
+        (planned.summary(paths), baseline)
+    }
+
+    /// Price `shape` through this plan: choose every table's access path,
+    /// handing each to `each` in `shape.tables` order — to keep or not
+    /// (execution is priced by the totals alone) — then joins, sort and
+    /// the write side; and, from the sequential arms priced on the way,
+    /// the no-index baseline. Reads of `shape` only `filter_sel`, the
+    /// prepared atoms' values and `limit`.
+    pub(crate) fn price(
+        &self,
+        shape: &QueryShape,
+        mut each: impl FnMut(AccessPath),
+    ) -> (Planned, f64) {
+        debug_assert!(self.fits(shape), "a shape of another structure");
+        // One selectivity per prepared atom, on the stack: a statement with
+        // more matched atoms than this is rare enough to spill.
+        const INLINE: usize = 16;
+        let mut inline = [0.0; INLINE];
+        let mut spill = Vec::new();
+        let sels = match inline.get_mut(..self.atoms.len()) {
+            Some(sels) => sels,
+            None => {
+                spill.resize(self.atoms.len(), 0.0);
+                &mut spill[..]
+            }
+        };
+        for (sel, a) in sels.iter_mut().zip(&self.atoms) {
+            let t = &self.tables[a.table as usize];
+            let table = t
+                .table
+                .as_deref()
+                .expect("atoms are matched on known tables");
+            let atom = Self::bound(a, shape).expect("the shape fits the plan");
+            let column = a.column.map(|c| &table.columns[c as usize]);
+            *sel = atom_selectivity_at(atom, column, t.row_count);
+        }
+        let sels = &*sels;
+
+        let mut features = CostFeatures::default();
+        // The no-index plan of the same statement, priced beside the real
+        // one: its data cost, and the sort it pays.
+        let mut base_data = 0.0;
+        let mut base_sort = 0.0;
+        let mut used = Vec::new();
+        let mut sort_cost = 0.0;
+        let mut sort_elided = 0u32;
+        let mut covering_scans = 0u32;
+        let joining = self.tables.len() > 1;
+        let mut scans = Vec::with_capacity(if joining { self.tables.len() } else { 0 });
+
+        // ---- access paths ------------------------------------------------
+        for (prepared, t) in self.tables.iter().zip(&shape.tables) {
+            let (path, seq_cost) = match prepared.scan {
+                Scan::InsertOnly => (seq_path(0.0, 0.0, 0.0), 0.0),
+                // Unknown table: tiny constant cost, seq scan.
+                Scan::Unknown => (seq_path(1.0, 1.0, prepared.seq_cost), prepared.seq_cost),
+                Scan::Known => (
+                    self.best_access_path(prepared, t, shape.limit, sels),
+                    prepared.seq_cost,
+                ),
+            };
+            if prepared.scan != Scan::InsertOnly {
+                used.extend(path.index);
+                used.extend(path.bitmap_indexes.iter().copied());
+                features.c_data += path.cost;
+                features.c_heap += path.heap_cost;
+                base_data += seq_cost;
+            }
+            // Sort: paid on the final stream for every table that requires
+            // an order its chosen path does not provide.
+            if prepared.needs_order {
+                let sort = self.sort_cost_for(path.rows_out);
+                if path.provides_order {
+                    sort_elided += 1;
+                } else {
+                    sort_cost += sort;
+                }
+                base_sort += sort;
+            }
+            covering_scans += u32::from(path.covering);
+            if joining {
+                scans.push(Scanned {
+                    rows_out: path.rows_out,
+                    cost: path.cost,
+                    seq_cost,
+                });
+            }
+            each(path);
+        }
+
+        // ---- joins, then the sort -----------------------------------------
+        let (join_cost, base_join, join_strategies) =
+            self.price_joins(shape, &scans, sels, &mut used);
+        features.c_data += join_cost;
+        features.c_data += sort_cost;
+        features.c_sort = sort_cost;
+        base_data += base_join;
+        base_data += base_sort;
+
+        // ---- write side ----------------------------------------------------
+        let mut maintenance = Vec::new();
+        if let Some(w) = &self.write {
+            let affected = match w.affected {
+                Affected::Inserted(rows) => rows,
+                Affected::Filtered { rows, table } => {
+                    let sel = table.map_or(1.0, |t| shape.tables[t as usize].filter_sel);
+                    ((rows * sel).ceil() as u64).max(1)
+                }
+            };
+            let heap = self.heap_write_cost(affected as f64);
+            features.c_data += heap;
+            base_data += heap;
+            match w.kind {
+                WriteKind::Delete => {}
+                WriteKind::Insert => {
+                    features.c_io = w.inserted_io;
+                    features.c_cpu = w.inserted_cpu;
+                    maintenance = self.inserted.clone();
+                }
+                WriteKind::Update => {
+                    maintenance.reserve_exact(self.updated.len());
+                    for (id, terms, factor) in &self.updated {
+                        let m = terms.cost(affected, &self.params);
+                        let m = MaintenanceCost {
+                            io: m.io * factor,
+                            cpu: m.cpu * factor,
+                        };
+                        if m.total() > 0.0 {
+                            features.c_io += m.io;
+                            features.c_cpu += m.cpu;
+                            maintenance.push((*id, m));
+                        }
+                    }
+                }
+            }
+        }
+
+        let planned = Planned {
+            join_strategies,
+            sort_cost,
+            maintenance,
+            indexes_used: used,
+            features,
+            sort_elided,
+            covering_scans,
+        };
+        (planned, base_data)
+    }
+
+    /// What an executed `INSERT` of this plan's template makes its table
+    /// grow by.
+    pub(crate) fn growth(&self) -> Option<(Arc<str>, u64)> {
+        match self.write.as_ref()? {
+            PreparedWrite {
+                grows: Some(table),
+                affected: Affected::Inserted(rows),
+                ..
+            } => Some((Arc::clone(table), *rows)),
+            _ => None,
+        }
+    }
+
+    /// One dirtied heap page per ~4 affected rows plus per-tuple CPU.
+    fn heap_write_cost(&self, affected: f64) -> f64 {
+        affected * self.params.cpu_tuple_cost * 2.0
+            + (affected / 4.0).ceil() * self.params.seq_page_cost
+    }
+
+    fn sort_cost_for(&self, rows: f64) -> f64 {
+        if rows <= 1.0 {
+            return 0.0;
+        }
+        2.0 * rows * rows.log2().max(1.0) * self.params.cpu_operator_cost
+    }
+
+    /// Combined selectivity of a run of `matched` atoms on `table`.
+    fn matched_sel(&self, matched: &Range<u32>, sels: &[f64], table: &PreparedTable) -> f64 {
+        let atoms = &self.matched[matched.start as usize..matched.end as usize];
+        combined_selectivity(atoms.iter().map(|&a| sels[a as usize]), table.row_count)
+    }
+
+    /// Choose the cheapest access path for one known table.
+    fn best_access_path(
+        &self,
+        prepared: &PreparedTable,
+        t: &TableAtoms,
+        limit: Option<u64>,
+        sels: &[f64],
+    ) -> AccessPath {
+        let p = &self.params;
+        let rows = prepared.rows;
+        let rows_out = (rows * t.filter_sel).max(0.0);
+        let mut best = seq_path(1.0, rows_out, prepared.seq_cost);
+        // Candidates compare including the sort the path would save.
+        let sort_bonus = |provides_order: bool| {
+            if provides_order {
+                self.sort_cost_for(rows_out)
+            } else {
+                0.0
+            }
+        };
+
+        for path in &self.paths[prepared.paths.start as usize..prepared.paths.end as usize] {
+            let sel = self.matched_sel(&path.matched, sels, prepared);
+            let mut rows = rows;
+            if path.top_k {
+                if let Some(k) = limit {
+                    let residual = (t.filter_sel / sel).clamp(1e-6, 1.0);
+                    rows = rows.min((k as f64 / residual) / sel.max(1e-9));
+                }
+            }
+            let leaf_io =
+                (sel * path.leaf_pages).ceil().max(1.0) * p.seq_page_cost * path.leaf_trees;
+            let fetched = rows * sel;
+            let heap_io = fetched * p.random_page_cost * path.scatter * path.heap_share;
+            let cpu = fetched * p.cpu_index_tuple_cost
+                + fetched * prepared.filter_atoms * p.cpu_operator_cost
+                + fetched * p.cpu_tuple_cost;
+            let cost = path.descent + leaf_io + heap_io + cpu;
+            if cost - sort_bonus(path.provides_order) < best.cost - sort_bonus(best.provides_order)
+            {
+                best = AccessPath {
+                    index: Some(path.id),
+                    bitmap_indexes: Vec::new(),
+                    matched_sel: sel,
+                    rows_out,
+                    cost,
+                    provides_order: path.provides_order,
+                    covering: path.covering,
+                    heap_cost: heap_io,
+                };
+            }
+        }
+
+        if let Some(groups) = &prepared.bitmap {
+            if let Some((cost, heap, first, rest)) = self.bitmap_or_path(prepared, t, groups, sels)
+            {
+                if cost < best.cost {
+                    best = AccessPath {
+                        index: Some(first),
+                        bitmap_indexes: rest,
+                        matched_sel: t.filter_sel,
+                        rows_out,
+                        cost,
+                        provides_order: false,
+                        covering: false,
+                        heap_cost: heap,
+                    };
+                }
+            }
+        }
+        best
+    }
+
+    /// Cost a BitmapOr over the table's DNF arms. Returns
+    /// `(cost, heap cost, first index, remaining indexes)`.
+    fn bitmap_or_path(
+        &self,
+        prepared: &PreparedTable,
+        t: &TableAtoms,
+        groups: &Range<u32>,
+        sels: &[f64],
+    ) -> Option<(f64, f64, IndexId, Vec<IndexId>)> {
+        let p = &self.params;
+        let rows = prepared.rows;
+        let mut first = None;
+        let mut rest = Vec::new();
+        let mut probe_cost = 0.0;
+        for arms in &self.arm_groups[groups.start as usize..groups.end as usize] {
+            // Cheapest index probe serving this arm.
+            let best_arm = self.arms[arms.start as usize..arms.end as usize]
+                .iter()
+                .map(|arm| {
+                    let sel = self.matched_sel(&arm.matched, sels, prepared);
+                    let leaf = (sel * arm.leaf_pages).ceil().max(1.0) * p.seq_page_cost;
+                    let tids = rows * sel * p.cpu_index_tuple_cost;
+                    (arm.id, arm.descent + leaf + tids)
+                })
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are never NaN"));
+            let (id, c) = best_arm?;
+            probe_cost += c;
+            match first {
+                None => first = Some(id),
+                Some(f) if f == id || rest.contains(&id) => {}
+                Some(_) => rest.push(id),
+            }
+        }
+        // One heap pass over the unioned bitmap: fetches come out in page
+        // order, so they are cheaper than per-tuple random IO.
+        let fetched = rows * t.filter_sel;
+        let heap = fetched * p.random_page_cost * 0.5;
+        let cpu = fetched * (p.cpu_tuple_cost + prepared.filter_atoms * p.cpu_operator_cost);
+        Some((probe_cost + heap + cpu, heap, first?, rest))
+    }
+
+    /// Plan all joins left-deep in table order, for the chosen paths and —
+    /// same order, hash joins only — for the no-index baseline's
+    /// sequential scans; returns `(cost, baseline cost, strategies)` and
+    /// appends the inner indexes used to `used`.
+    fn price_joins(
+        &self,
+        shape: &QueryShape,
+        scans: &[Scanned],
+        sels: &[f64],
+        used: &mut Vec<IndexId>,
+    ) -> (f64, f64, Vec<JoinStrategy>) {
+        let p = &self.params;
+        let n = self.tables.len();
+        if n < 2 {
+            return (0.0, 0.0, Vec::new());
+        }
+        let mut cost = 0.0;
+        let mut base_cost = 0.0;
+        let mut strategies = Vec::new();
+
+        // Greedy join ordering: start from the smallest filtered relation,
+        // then repeatedly pick the connected relation with the fewest
+        // estimated output rows (falling back to the smallest disconnected
+        // one). This is the standard heuristic real optimizers approximate
+        // and is what lets a tiny filtered dimension drive a nested loop
+        // into a big fact table.
+        let mut remaining: Vec<usize> = (0..n).collect();
+        remaining.sort_by(|&a, &b| {
+            scans[a]
+                .rows_out
+                .partial_cmp(&scans[b].rows_out)
+                .expect("rows_out is never NaN")
+        });
+        // Start from the most selective *filtered* relation: an unfiltered
+        // tiny dimension (e.g. a 5-row warehouse table) must not hijack the
+        // driving position from a sharply filtered one, or the filter never
+        // gets to seed the nested-loop chain.
+        let first_pos = remaining
+            .iter()
+            .position(|&i| {
+                let t = &shape.tables[i];
+                t.filter_sel < 0.99 || !t.conjuncts.is_empty()
+            })
+            .unwrap_or(0);
+        let first = remaining.remove(first_pos);
+        let mut acc_rows = scans[first].rows_out.max(1.0);
+        let mut joined = vec![false; n];
+        joined[first] = true;
+        let edges_of = |i: usize| {
+            let run = &self.tables[i].edges;
+            &self.edges[run.start as usize..run.end as usize]
+        };
+
+        while !remaining.is_empty() {
+            // Prefer a connected relation (an edge into the joined set).
+            let pick_pos = remaining
+                .iter()
+                .position(|&i| edges_of(i).iter().any(|e| joined[e.other as usize]))
+                .unwrap_or(0);
+            let i = remaining.remove(pick_pos);
+            let scan = &scans[i];
+            let inner_rows_out = scan.rows_out.max(1.0);
+
+            match edges_of(i).iter().find(|e| joined[e.other as usize]) {
+                Some(edge) => {
+                    // Hash join: build the (already filtered) inner once.
+                    let hash = |inner_cost: f64| {
+                        inner_cost
+                            + inner_rows_out * p.cpu_operator_cost * 2.0
+                            + acc_rows * p.cpu_operator_cost * 1.5
+                            + acc_rows * p.cpu_tuple_cost
+                    };
+                    let hash_cost = hash(scan.cost);
+
+                    // Index nested loop: per outer row, seek the inner index.
+                    // The per-lookup row count shrinks when the index's
+                    // later columns match equality filters on the inner.
+                    let nl = self.best_lookup_index(edge, sels);
+                    let nl_cost = nl.map(|(_, per_lookup, rows_fetched)| {
+                        acc_rows
+                            * (per_lookup
+                                + rows_fetched * p.cpu_index_tuple_cost
+                                + rows_fetched * p.random_page_cost * 0.5 * edge.scatter)
+                    });
+
+                    match nl_cost {
+                        Some(c) if c < hash_cost => {
+                            let (id, _, _) = nl.expect("nl_cost implies nl");
+                            // The inner's standalone scan is replaced by
+                            // lookups; refund its path cost.
+                            cost += c - scan.cost;
+                            strategies.push(JoinStrategy::IndexNestedLoop(id));
+                            used.push(id);
+                        }
+                        _ => {
+                            cost += hash_cost - scan.cost;
+                            strategies.push(JoinStrategy::Hash);
+                        }
+                    }
+                    base_cost += hash(scan.seq_cost) - scan.seq_cost;
+                    let join_sel_rows = (acc_rows * inner_rows_out / edge.inner_ndv).max(1.0);
+                    acc_rows = join_sel_rows.min(acc_rows * inner_rows_out);
+                }
+                None => {
+                    // No edge: pessimistic nested loop over filtered inputs.
+                    let nested = acc_rows * inner_rows_out * p.cpu_operator_cost;
+                    cost += nested;
+                    base_cost += nested;
+                    strategies.push(JoinStrategy::NestedLoop);
+                    acc_rows = (acc_rows * inner_rows_out).min(1e12);
+                }
+            }
+            joined[i] = true;
+        }
+        (cost, base_cost, strategies)
+    }
+
+    /// Cheapest per-lookup index seek through `edge`. Returns (index id,
+    /// per-lookup seek cost, rows fetched per lookup).
+    fn best_lookup_index(&self, edge: &PreparedEdge, sels: &[f64]) -> Option<(IndexId, f64, f64)> {
+        self.lookups[edge.lookups.start as usize..edge.lookups.end as usize]
+            .iter()
+            .map(|lookup| {
+                // Tail columns matching equality conjuncts narrow the range.
+                let mut fetched = edge.rows_per_lookup;
+                for &a in &self.matched[lookup.tail.start as usize..lookup.tail.end as usize] {
+                    fetched *= sels[a as usize].max(1e-9);
+                }
+                (lookup.id, lookup.per_lookup, fetched.max(1.0))
+            })
+            .min_by(|a, b| {
+                (a.1 + a.2)
+                    .partial_cmp(&(b.1 + b.2))
+                    .expect("costs are never NaN")
+            })
     }
 }
 

@@ -27,10 +27,6 @@ pub fn clamp_sel(sel: f64, rows: u64) -> f64 {
     sel.clamp(floor.min(1.0), 1.0)
 }
 
-fn clamp(sel: f64, table: &Table) -> f64 {
-    clamp_sel(sel, table.rows)
-}
-
 /// Numeric view of a literal (`Int` widened, `Float` as-is, else `None`).
 pub fn value_as_f64(v: &Value) -> Option<f64> {
     match v {
@@ -144,6 +140,13 @@ pub fn atom_selectivity(atom: &AtomicPredicate, table: &Table) -> f64 {
     let col = atom
         .restricted_column()
         .and_then(|c| table.column(&c.column));
+    atom_selectivity_at(atom, col, table.rows)
+}
+
+/// [`atom_selectivity`] with the atom's column already resolved (`None` =
+/// unknown column) on a table of `rows` rows: what a prepared plan calls
+/// per statement, having looked the column up once.
+pub(crate) fn atom_selectivity_at(atom: &AtomicPredicate, col: Option<&Column>, rows: u64) -> f64 {
     let sel = match atom {
         AtomicPredicate::Cmp { op, value, .. } => cmp_selectivity(col, *op, value),
         AtomicPredicate::JoinEq { .. } => {
@@ -163,7 +166,7 @@ pub fn atom_selectivity(atom: &AtomicPredicate, table: &Table) -> f64 {
         AtomicPredicate::IsNull { negated, .. } => is_null_selectivity(col, *negated),
         AtomicPredicate::Opaque { .. } => DEFAULT_OPAQUE_SEL,
     };
-    clamp(sel, table)
+    clamp_sel(sel, rows)
 }
 
 /// Default comparison selectivity when the column is unknown.
@@ -185,14 +188,20 @@ pub fn conjunct_selectivity<'a>(
     atoms: impl IntoIterator<Item = &'a AtomicPredicate>,
     table: &Table,
 ) -> f64 {
+    let sels = atoms.into_iter().map(|a| atom_selectivity(a, table));
+    combined_selectivity(sels, table.rows)
+}
+
+/// [`conjunct_selectivity`] over the atoms' selectivities, already taken
+/// against a table of `rows` rows.
+pub(crate) fn combined_selectivity(atom_sels: impl IntoIterator<Item = f64>, rows: u64) -> f64 {
     // Sorted on the stack: the planner asks once per candidate index per
     // statement, and a conjunction wider than this is rare enough to spill.
     const INLINE: usize = 8;
     let mut inline = [0.0; INLINE];
     let mut spill = Vec::new();
     let mut n = 0;
-    for atom in atoms {
-        let sel = atom_selectivity(atom, table);
+    for sel in atom_sels {
         match inline.get_mut(n) {
             Some(slot) => *slot = sel,
             None => {
@@ -218,7 +227,7 @@ pub fn conjunct_selectivity<'a>(
             _ => s.sqrt(),
         };
     }
-    clamp(sel, table)
+    clamp_sel(sel, rows)
 }
 
 #[cfg(test)]

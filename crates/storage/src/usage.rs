@@ -8,6 +8,7 @@
 
 use crate::index::{IndexId, MaintenanceCost};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Counters for one index.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -47,8 +48,10 @@ pub struct UsageDelta {
     /// `(index, cost)` maintenance charges — one entry per maintained
     /// index: the plan's own list, moved here.
     pub maintenance: Vec<(IndexId, MaintenanceCost)>,
-    /// `(table, rows)` catalog growth caused by an INSERT, if any.
-    pub growth: Option<(String, u64)>,
+    /// `(table, rows)` catalog growth caused by an INSERT, if any. The name
+    /// is the catalog's own copy, shared: an executed INSERT allocates
+    /// nothing for it.
+    pub growth: Option<(Arc<str>, u64)>,
 }
 
 impl UsageDelta {

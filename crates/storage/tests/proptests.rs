@@ -3,10 +3,16 @@
 
 use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
-use autoindex_storage::index::{geometry, maintenance_cost, IndexDef, IndexId, IndexScope};
-use autoindex_storage::planner::{CostParams, IndexSet, IndexView, Planner, TrueCostWeights};
+use autoindex_storage::index::{
+    geometry, maintenance_cost, IndexDef, IndexId, IndexScope, SortDirection,
+};
+use autoindex_storage::planner::{
+    CostParams, IndexSet, IndexView, PlanSummary, Planner, PreparedPlan, TrueCostWeights,
+    VisibleIndex,
+};
 use autoindex_storage::shape::{QueryShape, WriteKind};
 use autoindex_storage::{DbSnapshot, SimDb, SimDbConfig};
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::prop::{property, PropConfig};
 use autoindex_support::prop_assert;
@@ -529,6 +535,318 @@ fn live_index_view_equals_from_scratch_resolve() {
                     None => {}
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+// ------------------------------------------------- prepared ≡ planned
+
+/// [`view_catalog`] with what else a plan's arithmetic reads: physical
+/// correlation on the key columns and, on some tables, an equi-depth
+/// histogram under `v`.
+fn oracle_catalog(rng: &mut StdRng) -> Catalog {
+    let mut c = Catalog::new();
+    for name in VIEW_TABLES {
+        let rows = rng.random_range(1_000u64..3_000_000);
+        let mut v = Column::float("v", 10_000, 0.0, 1e6);
+        if rng.random_bool(0.5) {
+            let samples = (0..400).map(|i| (i * i) as f64 * 6.0).collect();
+            v = v.with_histogram(samples, 24);
+        }
+        let mut t = TableBuilder::new(name, rows)
+            .column(
+                Column::int("k", rows).with_correlation(rng.random_range(0u32..100) as f64 / 100.0),
+            )
+            .column(
+                Column::int("g", rng.random_range(2u64..5_000))
+                    .with_correlation(rng.random_range(0u32..100) as f64 / -100.0),
+            )
+            .column(v)
+            .column(Column::text("s", 2_000, 16).with_null_frac(0.1))
+            .primary_key(&["k"]);
+        if name == "lines" {
+            t = t.partitioned(8, "g");
+        }
+        c.add_table(t.build().unwrap());
+    }
+    c
+}
+
+/// [`view_def`] with per-part directions: `ORDER BY … DESC` is served by
+/// a key stored that way, or by its mirror read backwards.
+fn oracle_def(rng: &mut StdRng) -> IndexDef {
+    let def = view_def(rng);
+    if rng.random_bool(0.3) {
+        let dirs: Vec<SortDirection> = def
+            .columns
+            .iter()
+            .map(|_| {
+                if rng.random_bool(0.5) {
+                    SortDirection::Desc
+                } else {
+                    SortDirection::Asc
+                }
+            })
+            .collect();
+        def.with_directions(&dirs)
+    } else {
+        def
+    }
+}
+
+/// A statement template over one to three view tables. Literal slots are
+/// written `#i` (integer), `#f` (float), `#l` (a `LIMIT`) and `#s` (string):
+/// [`oracle_bind`] fills each with a fresh value, so two bindings of one
+/// template differ in every literal and in nothing else.
+fn oracle_template(rng: &mut StdRng) -> String {
+    let mut names = VIEW_TABLES.to_vec();
+    rng.shuffle(&mut names);
+    let (t, u, w) = (names[0], names[1], names[2]);
+    match rng.random_range(0u32..21) {
+        0 => format!("SELECT * FROM {t} WHERE k = #i"),
+        1 => format!("SELECT k, g FROM {t} WHERE g = #i AND v > #f"),
+        2 => format!("SELECT * FROM {t} WHERE g = #i OR s = #s"),
+        3 => format!("SELECT * FROM {t} WHERE g = #i OR k = #i OR v < #f"),
+        4 => format!("SELECT * FROM {t} WHERE g = #i ORDER BY v DESC LIMIT #l"),
+        5 => {
+            format!("SELECT g, v FROM {t} WHERE g = #i AND v BETWEEN #f AND #f ORDER BY v LIMIT #l")
+        }
+        6 => format!("SELECT * FROM {t} WHERE v < #f LIMIT #l"),
+        7 => format!("SELECT g, v FROM {t} ORDER BY g, v DESC LIMIT #l"),
+        8 => format!("INSERT INTO {t} (k, g, v, s) VALUES (#i, #i, #f, #s)"),
+        9 => format!("INSERT INTO {t} (k, g) VALUES (#i, #i), (#i, #i), (#i, #i)"),
+        10 => format!("UPDATE {t} SET g = #i WHERE k = #i"),
+        11 => format!("UPDATE {t} SET v = #f WHERE g = #i AND s = #s"),
+        12 => format!("DELETE FROM {t} WHERE g = #i"),
+        13 => format!("SELECT SUM({t}.v) FROM {t}, {u} WHERE {t}.g = #i AND {t}.k = {u}.k"),
+        14 => format!(
+            "SELECT COUNT(*) FROM {t}, {u}, {w} WHERE {t}.k = {u}.k AND {u}.g = {w}.g \
+             AND {w}.v > #f AND {t}.g = #i"
+        ),
+        15 => format!("SELECT g, COUNT(*) FROM {t} WHERE v < #f GROUP BY g"),
+        16 => format!("SELECT * FROM {t} WHERE k IN (#i, #i, #i) AND g = #i"),
+        17 => format!("SELECT * FROM {t} WHERE s LIKE 'q#i%' AND g = #i"),
+        18 => format!("SELECT * FROM {t}, {u} WHERE {t}.g = #i AND {u}.g = #i"),
+        19 => format!("SELECT k FROM {t} WHERE g = #i AND v >= #f AND s = #s AND k < #i"),
+        _ => {
+            format!("SELECT {u}.v FROM {t}, {u} WHERE {t}.k = #i AND {t}.k = {u}.g AND {u}.s = #s")
+        }
+    }
+}
+
+/// One binding of `template`: every slot filled with a fresh literal.
+fn oracle_bind(template: &str, rng: &mut StdRng) -> String {
+    let mut sql = String::with_capacity(template.len() + 16);
+    let mut pieces = template.split('#');
+    sql.push_str(pieces.next().unwrap_or(""));
+    for piece in pieces {
+        let n = rng.random_range(1i64..4_000);
+        match piece.as_bytes()[0] {
+            b'i' => sql.push_str(&n.to_string()),
+            b'f' => sql.push_str(&format!("{}.{}", n * 37, n % 10)),
+            b'l' => sql.push_str(&(1 + n % 60).to_string()),
+            _ => sql.push_str(&format!("'q{n}'")),
+        }
+        sql.push_str(&piece[1..]);
+    }
+    sql
+}
+
+/// Everything a plan reports, floats by their bits, and the no-index
+/// baseline an execution credits its saving against.
+fn plan_print(plan: &PlanSummary, baseline: f64) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    for p in &plan.paths {
+        let _ = write!(
+            out,
+            "path {:?} {:?} {:x} {:x} {:x} {} {} {:x};",
+            p.index,
+            p.bitmap_indexes,
+            p.matched_sel.to_bits(),
+            p.rows_out.to_bits(),
+            p.cost.to_bits(),
+            p.provides_order,
+            p.covering,
+            p.heap_cost.to_bits(),
+        );
+    }
+    let _ = write!(
+        out,
+        "joins {:?} sort {:x} used {:?} elided {} covering {};",
+        plan.join_strategies,
+        plan.sort_cost.to_bits(),
+        plan.indexes_used,
+        plan.sort_elided,
+        plan.covering_scans,
+    );
+    for (id, m) in &plan.maintenance {
+        let _ = write!(
+            out,
+            "maint {id:?} {:x} {:x};",
+            m.io.to_bits(),
+            m.cpu.to_bits()
+        );
+    }
+    for f in plan.features.as_vec() {
+        let _ = write!(out, "{:x},", f.to_bits());
+    }
+    let _ = write!(out, " base {:x}", baseline.to_bits());
+    out
+}
+
+/// One corpus case: a catalog, an index set and two bindings of one
+/// statement template.
+struct OracleCase {
+    db: SimDb,
+    /// The index set as a flat list in configuration order (what-if's
+    /// form: per-table order breaks cost ties); `None` when the indexes
+    /// were created in `db` and its grouped view is the set.
+    flat: Option<Vec<VisibleIndex>>,
+    a: String,
+    b: String,
+}
+
+fn oracle_case(rng: &mut StdRng) -> OracleCase {
+    let mut db = SimDb::with_metrics(
+        oracle_catalog(rng),
+        SimDbConfig::default(),
+        MetricsRegistry::new(),
+    );
+    let mut defs: Vec<IndexDef> = (0..rng.random_range(0usize..16))
+        .map(|_| oracle_def(rng))
+        .collect();
+    // Keys the templates' predicates can use: without them a bitmap-OR or
+    // a pruned local probe is too rare to be covered.
+    const USEFUL: [&[&str]; 8] = [
+        &["g"],
+        &["k"],
+        &["s"],
+        &["v"],
+        &["g", "v"],
+        &["g", "v", "k"],
+        &["g", "s"],
+        &["k", "g"],
+    ];
+    for _ in 0..rng.random_range(0usize..8) {
+        let table = *rng.choose(&VIEW_TABLES).unwrap();
+        let def = IndexDef::new(table, rng.choose(&USEFUL).unwrap());
+        defs.push(if table == "lines" && rng.random_bool(0.5) {
+            def.with_scope(IndexScope::Local)
+        } else {
+            def
+        });
+    }
+    let flat = if rng.random_bool(0.5) {
+        let numbered: Vec<(IndexId, IndexDef)> = defs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (IndexId(u32::MAX - i as u32), d.clone()))
+            .collect();
+        Some(Planner::new(db.catalog(), &db.config().cost_params).resolve_indexes(&numbered))
+    } else {
+        for def in defs {
+            let _ = db.create_index(def); // duplicates refused
+        }
+        None
+    };
+    let template = oracle_template(rng);
+    let (a, b) = (oracle_bind(&template, rng), oracle_bind(&template, rng));
+    OracleCase { db, flat, a, b }
+}
+
+impl OracleCase {
+    fn shape(&self, sql: &str) -> QueryShape {
+        QueryShape::extract(&parse_statement(sql).unwrap(), self.db.catalog())
+    }
+
+    /// `shape` planned from scratch under this case's index set, and its
+    /// no-index baseline.
+    fn planned(&self, shape: &QueryShape) -> (PlanSummary, f64) {
+        let planner = Planner::new(self.db.catalog(), &self.db.config().cost_params);
+        let plan = match &self.flat {
+            Some(flat) => planner.plan_over(shape, &flat[..]),
+            None => planner.plan_over(shape, self.db.index_view()),
+        };
+        (plan, planner.unindexed_cost(shape))
+    }
+
+    /// A plan prepared from `shape` under this case's index set.
+    fn prepare(&self, shape: &QueryShape) -> PreparedPlan {
+        let planner = Planner::new(self.db.catalog(), &self.db.config().cost_params);
+        match &self.flat {
+            Some(flat) => planner.prepare(shape, &flat[..]),
+            None => planner.prepare(shape, self.db.index_view()),
+        }
+    }
+
+    /// `b` priced through the plan prepared from `a` — from `b` itself in
+    /// the rare case its literals changed its structure (`fits` says so).
+    fn prepared_then_priced(&self) -> ((PlanSummary, f64), bool) {
+        let (a, b) = (self.shape(&self.a), self.shape(&self.b));
+        let prepared = self.prepare(&a);
+        match prepared.fits(&b) {
+            true => (prepared.plan(&b), true),
+            false => (self.prepare(&b).plan(&b), false),
+        }
+    }
+}
+
+/// The corpus the golden digest below was recorded over.
+const ORACLE_SEED: u64 = 0x0024_0601;
+const ORACLE_CASES: usize = 4_000;
+
+/// Recorded on the commit before the planner was split into `prepare` +
+/// `price` — there the digest of `plan_over(b)` + `unindexed_cost(b)`, one
+/// interleaved pass each — over [`ORACLE_CASES`] cases of [`ORACLE_SEED`]:
+/// every access path, join strategy, maintenance charge, cost feature and
+/// no-index baseline, floats by their bits.
+const ORACLE_DIGEST: &str = "7bab13585c871adc";
+
+/// Pricing a statement through a plan prepared from *another* binding of
+/// its template gives what the one-pass planner gave for it, and the
+/// baseline priced on the way is that planner's second, index-free pass:
+/// the digest was recorded there and has not moved.
+#[test]
+fn prepared_pricing_reproduces_the_one_pass_planner() {
+    let mut rng = StdRng::seed_from_u64(ORACLE_SEED);
+    let mut digest = FNV_OFFSET;
+    let mut cross_bound = 0;
+    for _ in 0..ORACLE_CASES {
+        let case = oracle_case(&mut rng);
+        let ((plan, baseline), fitted) = case.prepared_then_priced();
+        cross_bound += usize::from(fitted);
+        digest = fnv1a_from(digest, plan_print(&plan, baseline).as_bytes());
+    }
+    assert!(
+        cross_bound * 100 >= ORACLE_CASES * 99,
+        "only {cross_bound} of {ORACLE_CASES} second bindings kept the structure"
+    );
+    assert_eq!(format!("{digest:016x}"), ORACLE_DIGEST);
+}
+
+/// The live form of the digest test, over fresh catalogs, index sets and
+/// templates: prepare from one binding, price a different one, and get —
+/// every float by its bits, every index, strategy and maintenance charge,
+/// every `AccessPath` — what planning the second statement from scratch
+/// gives, and as baseline what `unindexed_cost` gives.
+#[test]
+fn prepared_pricing_equals_planning() {
+    property(
+        "prepared_pricing_equals_planning",
+        PropConfig::default(),
+        |rng, _size| {
+            let case = oracle_case(rng);
+            let b = case.shape(&case.b);
+            let ((plan, baseline), _) = case.prepared_then_priced();
+            let (reference, unindexed) = case.planned(&b);
+            prop_assert!(
+                plan_print(&plan, baseline) == plan_print(&reference, unindexed),
+                "{} priced through a plan of {}",
+                case.b,
+                case.a
+            );
             Ok(())
         },
     );

@@ -70,6 +70,10 @@ fn main() {
             r.simulated_qps(),
             r.wall.as_secs_f64() * 1000.0
         );
+        println!(
+            "fast path: {} bound, {} parsed; {} plans prepared for them",
+            r.fastpath_hits, r.fastpath_misses, r.plans_prepared
+        );
         for e in &r.epochs {
             println!(
                 "  epoch {}: {} stmts, diagnosis {}, decision {}, {} indexes, fp {:016x}",

@@ -4,7 +4,12 @@
 # single runs differ by ±15 %, so one run of each side shows nothing).
 #
 #   scripts/perf_pairs.sh PARENT_BIN CHANGE_BIN \
-#       [--workload wide_serve] [--seed 2024] [--pairs 10] [--seconds 10]
+#       [--workload wide_serve|all] [--seed 2024] [--pairs 10] [--seconds 10]
+#
+# `--workload all` runs every workload of BENCHMARK.json in turn, each as
+# below, and ends with one table of them all (workload x end-to-end metric:
+# medians, wins, verdict; then each side's raw rate and host share per
+# workload) — what a performance PR has to report.
 #
 # PARENT_BIN and CHANGE_BIN are `perf` binaries built once per side, each
 # with its own CARGO_TARGET_DIR (the parent's from a `git archive` copy of
@@ -36,7 +41,7 @@
 set -eu
 
 usage() {
-    sed -n '2,9p' "$0" >&2
+    sed -n '2,14p' "$0" >&2
     exit 2
 }
 
@@ -65,6 +70,37 @@ done
 PARENT=$(cd "$(dirname "$PARENT")" && pwd)/$(basename "$PARENT")
 CHANGE=$(cd "$(dirname "$CHANGE")" && pwd)/$(basename "$CHANGE")
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
+
+if [ "$WORKLOAD" = all ]; then
+    SELF=$(cd "$(dirname "$0")" && pwd)/$(basename "$0")
+    WORKLOADS=$(awk '/"workloads"/ { on = 1; next } /^ *\]/ { on = 0 } on' "$ROOT/BENCHMARK.json" \
+        | sed -n 's/.*"name": "\([^"]*\)".*/\1/p')
+    [ -n "$WORKLOADS" ] || { echo "no workloads in BENCHMARK.json" >&2; exit 2; }
+    ALL=$(mktemp -d)
+    trap 'rm -rf "$ALL"' EXIT INT TERM
+    for w in $WORKLOADS; do
+        "$SELF" "$PARENT" "$CHANGE" --workload "$w" --seed "$SEED" --pairs "$PAIRS" \
+            --seconds "$SECONDS_PER_RUN" > "$ALL/$w.out" || { cat "$ALL/$w.out"; exit 1; }
+        cat "$ALL/$w.out"
+        echo
+    done
+    echo "all workloads, seed $SEED: $PAIRS pairs x $SECONDS_PER_RUN s each (medians; ratio is change / parent)"
+    printf '%-16s %-16s %12s %12s %7s %6s  %s\n' workload metric "parent med" "change med" ratio wins verdict
+    for w in $WORKLOADS; do
+        # Metric rows: name, parent median q1 - q3, change median q1 - q3, wins, verdict.
+        awk -v w="$w" '$3 ~ /^[-+0-9.e]+$/ && $4 == "-" && $8 == "-" {
+            verdict = $11; for (i = 12; i <= NF; i++) verdict = verdict " " $i
+            printf "%-16s %-16s %12.6g %12.6g %7.3f %6s  %s\n", w, $1, $2, $6, ($2 != 0 ? $6 / $2 : 0), $10, verdict
+        }' "$ALL/$w.out"
+    done
+    echo
+    printf '%-16s %25s %25s\n' workload "parent stmts/s @ share" "change stmts/s @ share"
+    for w in $WORKLOADS; do
+        awk -v w="$w" '/: median .* stmts\/s at host share/ { side[++n] = $(NF - 5) " @ " $NF }
+            END { printf "%-16s %25s %25s\n", w, side[1], side[2] }' "$ALL/$w.out"
+    done
+    exit 0
+fi
 
 # Metric names and directions come from the benchmark's contract.
 METRICS=$(awk '/"end_to_end"/ { on = 1; next } /^ *\]/ { on = 0 } on' "$ROOT/BENCHMARK.json" \

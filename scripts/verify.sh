@@ -16,7 +16,7 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + allocation bounds incl. the zero-allocation fast path, a fed repeat statement and its re-fold: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. one prepared execution, the zero-allocation fast path, a fed repeat statement and its re-fold: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 
@@ -35,6 +35,9 @@ cargo test -q --offline --release -p autoindex-storage --test extraction_golden
 
 echo "==> cargo test -q --offline --release (live execution = snapshot execution + absorb: the one execution core's float multiplication order, in the build that ships)"
 cargo test -q --offline --release -p autoindex-storage --test proptests live_execution_equals_snapshot_execution_plus_absorb
+
+echo "==> cargo test -q --offline --release (prepared pricing = planning: a plan prepared from one binding prices another as the one-pass planner did — golden digest recorded before the split — and as planning it from scratch does; every operand order, in the build that ships)"
+cargo test -q --offline --release -p autoindex-storage --test proptests prepared_pricing
 
 echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
@@ -126,5 +129,8 @@ for gone in to_ascii_uppercase 'peek().clone()' 'kind.clone()' 'KEYWORDS.contain
 done
 expect_hits 'Lexer::tokenize(' 0 crates/sql/src crates/core/src
 expect_hits 'HashMap' 0 crates/storage/src/shape.rs
+
+echo "==> execution check (non-test crates/storage/src/db.rs: no second planning pass — the no-index baseline comes back from the pricing of the plan)"
+expect_hits 'unindexed_cost(' 0 crates/storage/src/db.rs
 
 echo "OK: build + tests + docs green, dependency tree is hermetic."
