@@ -1,9 +1,10 @@
-//! The epoch engine: the execution half of [`serve`](crate::serve::serve)
-//! and [`serve_fleet`](crate::fleet::serve_fleet).
+//! The epoch engine: the execution half of the serving loop
+//! ([`serve`](crate::serve::serve) and
+//! [`serve_fleet`](crate::serve::serve_fleet)).
 //!
-//! Both drivers are the paper's §III loop — execute, observe, diagnose,
-//! tune, swap the configuration while the workload keeps running — and
-//! both run it as the same bulk-synchronous machine:
+//! The loop is the paper's §III loop — execute, observe, diagnose, tune,
+//! swap the configuration while the workload keeps running — run as a
+//! bulk-synchronous machine:
 //!
 //! ```text
 //!  coordinator (the caller's thread)              executors (one scope)
@@ -14,13 +15,13 @@
 //!  │   collect exactly |slices|    │ one batch   └────────┘└────────┘
 //!  │   place on (tenant, seq)      │ per task
 //!  │                               │
-//!  │ driver policy: absorb, tune   │
+//!  │ boundary: absorb, tune        │
 //!  │ publish(tenant) overwrites the coordinator's own copy
 //!  └───────────────────────────────┘
 //! ```
 //!
 //! * A **lane** is one tenant's query stream and shard seed.
-//!   Single-tenant serve is one lane.
+//!   `serve` is one lane.
 //! * `Coordinator::run_epoch` splits the admitted slices into
 //!   `(tenant, epoch, start, end, shard, resume_at)` tasks, each holding
 //!   the publication it runs against, injects them into the one task
@@ -31,7 +32,7 @@
 //!   of one `(tenant, shard)` — and the coordinator moves each batch to
 //!   the slots it was due in (`EpochMerge`). Which worker ran a statement
 //!   never shows.
-//! * The driver's boundary policy then runs on the coordinator — the
+//! * The loop's boundary then runs on the coordinator — the
 //!   only thread that owns the live [`SimDb`]s and each lane's current
 //!   publication — and `Coordinator::publish` overwrites that
 //!   publication. Tasks of epoch `e+1` are made only after every
@@ -45,7 +46,7 @@
 //! Statement → shard assignment is a pure function of `(seed, seq)`
 //! (`shard_of`), measurement noise is derived per `seq`, and publications
 //! are frozen per epoch, so an outcome does not depend on which thread
-//! computed it; the merge erases arrival order. Everything a driver
+//! computed it; the merge erases arrival order. Everything the loop
 //! renders into a transcript is downstream of `Coordinator::run_epoch`'s
 //! return value and therefore worker-count invariant.
 //!
@@ -63,15 +64,13 @@
 //! needs a timeout. The coordinator blocks on the observation channel;
 //! when the last worker has retired the channel hangs up and the
 //! coordinator drains the queue inline with an unlimited budget. A panic
-//! on the coordinator itself (a driver's tuning policy) unwinds through
+//! on the coordinator itself (a tuning round) unwinds through
 //! a drop guard that raises the done flag and hangs up the observation
 //! channel, so the workers exit and `Engine::run` returns an error
 //! instead of hanging.
 
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{FastPathCache, FrontEnd, Resolved, UpkeepCounters};
-use crate::guard::GuardConfig;
-use crate::strategy::Prologue;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
@@ -530,7 +529,7 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The engine's share of a driver's configuration.
+/// The engine's share of the serving loop's configuration.
 pub(crate) struct EngineConfig {
     /// `field` of the error a coordinator panic is reported under.
     pub(crate) name: &'static str,
@@ -548,20 +547,20 @@ pub(crate) struct EngineConfig {
 }
 
 /// Shared state of one run: lanes, task queue and head counts. Built by
-/// the driver, borrowed by every executor for the length of
+/// the loop, borrowed by every executor for the length of
 /// [`Engine::run`].
 pub(crate) struct Engine<'a> {
     cfg: EngineConfig,
     lanes: Vec<Lane<'a>>,
     /// `<prefix>.worker_panics` / `<prefix>.workers_retired` in the
-    /// driver's registry (`serve` or `serve.fleet`).
+    /// run's registry (the loop's prefix is `serve`).
     worker_panics: Counter,
     workers_retired: Counter,
     /// `<prefix>.handoff.batches` / `<prefix>.handoff.observations`:
     /// messages collected and what they carried — one add per task.
     handoff_batches: Counter,
     handoff_observations: Counter,
-    /// The driver's registry: each executor takes its own cells of the
+    /// The run's registry: each executor takes its own cells of the
     /// sharded `sql.fastpath.*` counters from it.
     registry: MetricsRegistry,
     queue: TaskQueue,
@@ -838,83 +837,6 @@ impl Coordinator<'_, '_> {
     /// task that carried it having been handed off.
     pub(crate) fn publish(&mut self, tenant: u32, publication: Publication) {
         self.current[tenant as usize] = Arc::new(publication);
-    }
-}
-
-// ------------------------------------------------- coordinator-side steps
-
-/// What absorbing one tenant's merged slice tallied.
-#[derive(Debug, Default)]
-pub(crate) struct SliceTally {
-    pub(crate) executed: u64,
-    pub(crate) parse_failures: u64,
-    pub(crate) panics: u64,
-    /// Executed statements the fast path served (the rest parsed).
-    pub(crate) fastpath_hits: u64,
-    /// Summed simulated latency of the executed statements, ms
-    /// (accumulated in `seq` order — deterministic).
-    pub(crate) sim_latency_ms: f64,
-}
-
-/// Absorb one tenant's merged observations into its live database and
-/// advisor, in sequence order; `executed(latency_ms)` is called per
-/// executed statement for the driver's own per-statement accounting.
-///
-/// Fast-path hits already carry the fingerprint hash — the template
-/// store's prehashed entry point skips the scan and, on a store hit, the
-/// re-parse. Its bookkeeping is mutation-for-mutation identical to
-/// `observe` (tested in `templates.rs`), keeping fast-path-on and -off
-/// advisor state byte-identical.
-pub(crate) fn absorb_slice<E: CostEstimator>(
-    db: &mut SimDb,
-    advisor: &mut AutoIndex<E>,
-    queries: &[String],
-    slice: &[TenantObservation],
-    mut executed: impl FnMut(f64),
-) -> SliceTally {
-    let mut tally = SliceTally::default();
-    for TenantObservation { obs, .. } in slice {
-        match &obs.payload {
-            ObservationPayload::Executed { outcome, delta, fp } => {
-                db.absorb(delta);
-                let sql = &queries[obs.seq as usize];
-                let _ = match fp {
-                    Some(h) => advisor.observe_prehashed(*h, sql, db),
-                    None => advisor.observe(sql, db),
-                };
-                tally.fastpath_hits += u64::from(fp.is_some());
-                tally.executed += 1;
-                tally.sim_latency_ms += outcome.latency_ms;
-                executed(outcome.latency_ms);
-            }
-            ObservationPayload::ParseFailed => tally.parse_failures += 1,
-            ObservationPayload::Panicked => tally.panics += 1,
-        }
-    }
-    tally
-}
-
-/// Run one tuning round over the boundary's `prologue` through the session
-/// pipeline (optionally [`Guard`](crate::guard::Guard)ed) and return its
-/// canonical decision (`SessionReport::decision`, or `error(..)`).
-pub(crate) fn tuning_round<E: CostEstimator>(
-    db: &mut SimDb,
-    advisor: &mut AutoIndex<E>,
-    prologue: Prologue<'static>,
-    guard: Option<GuardConfig>,
-    reset_usage: bool,
-) -> String {
-    let session = advisor.session(db).prologue(prologue);
-    let run = match guard {
-        Some(g) => session.guarded(g).run(),
-        None => session.run(),
-    };
-    if reset_usage {
-        db.reset_usage();
-    }
-    match run {
-        Ok(out) => out.decision(),
-        Err(e) => format!("error({e})"),
     }
 }
 

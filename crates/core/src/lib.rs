@@ -43,21 +43,20 @@
 //! * [`session`] — the unified [`session::TuningSession`] builder that
 //!   replaces the historical `tune`/`recommend`/`apply_recommendation`
 //!   entry points.
-//! * [`engine`] — the epoch engine under both serving drivers
+//! * [`engine`] — the epoch engine under the serving loop
 //!   (`docs/SERVING.md`): executor threads drain per-tenant slices from
 //!   one task queue, each task carrying the epoch-versioned snapshot it
 //!   runs against; the calling thread collects exactly
 //!   one observation per sequence slot, merged on `(tenant, seq)`, behind
-//!   one panic fence — so every driver decision is worker-count invariant
+//!   one panic fence — so every boundary decision is worker-count invariant
 //!   and neither a worker nor a coordinator panic can hang a run.
-//! * [`mod@serve`] — single-tenant serving: the engine with one tenant
-//!   and a boundary policy of diagnose every epoch → cooldown →
-//!   [`session::TuningSession`], publishing configuration swaps at epoch
-//!   boundaries.
-//! * [`mod@fleet`] — the multi-tenant serving fleet: the engine under
-//!   SLO-driven admission control (admit / defer / shed) and a
-//!   regret-directed tuner fleet slot; per-tenant transcripts stay
-//!   worker-count invariant.
+//! * [`mod@serve`] — concurrent serving: one epoch loop over the engine
+//!   with three boundary policies as plain values — admission (admit /
+//!   defer / shed), SLO accounting, tuner pick. [`serve::serve`] is its
+//!   one-tenant adapter (diagnose at every boundary, then cooldown, then a
+//!   [`session::TuningSession`]); [`serve::serve_fleet`] multiplexes many
+//!   tenants (SLO-driven admission, the highest-regret tenant tuned). One
+//!   report, rendered as either driver's worker-count-invariant transcript.
 //! * [`error`] — [`error::AutoIndexError`], the crate-wide error type.
 
 #![forbid(unsafe_code)]
@@ -69,7 +68,6 @@ pub mod diagnosis;
 pub mod engine;
 pub mod error;
 pub mod fastpath;
-pub mod fleet;
 pub mod greedy;
 pub mod guard;
 pub mod mcts;
@@ -87,11 +85,6 @@ pub use diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 pub use engine::{logical_merge, Observation, ObservationPayload};
 pub use error::AutoIndexError;
 pub use fastpath::{CompiledTemplate, FastPathCache};
-pub use fleet::{
-    decide_admission, serve_fleet, Admission, AdmissionCandidate, AdmissionDecision, FleetConfig,
-    FleetConfigBuilder, FleetEpochRecord, FleetOutcome, FleetReport, FleetTenant,
-    FleetTenantOutcome, TenantReport, TenantSliceRecord, TenantSpec,
-};
 pub use greedy::{greedy_select, rank_candidates, GreedyConfig, ScoredCandidate};
 pub use guard::{
     ApplyVerdict, Guard, GuardConfig, GuardConfigBuilder, GuardEvent, GuardPhase, IndexSnapshot,
@@ -100,10 +93,20 @@ pub use mcts::{MctsConfig, MctsConfigBuilder, MctsSearch, PolicyTree, SearchOutc
 pub use online::{
     FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineConfigBuilder, OnlineEvent, RollbackReason,
 };
-pub use serve::{serve, EpochRecord, ServeConfig, ServeConfigBuilder, ServeOutcome, ServeReport};
+pub use serve::{
+    decide_admission, serve, serve_fleet, Admission, AdmissionCandidate, AdmissionDecision,
+    EpochRecord, FleetConfig, FleetOutcome, FleetReport, FleetTenant, FleetTenantOutcome,
+    ServeConfig, ServeOutcome, ServeReport, TenantReport, TenantSpec,
+};
 pub use session::{SessionReport, TuningSession};
 pub use strategy::{GreedyStrategy, MctsStrategy, RewardObservation, StrategyKind};
 pub use system::{
     AutoIndex, AutoIndexConfig, AutoIndexConfigBuilder, Recommendation, TuningReport,
 };
 pub use templates::{TemplateEntry, TemplateStore, TemplateStoreConfig};
+
+// `serve_fleet`'s unit tests, under the `fleet::tests` path they had while
+// the fleet was its own module.
+#[cfg(test)]
+#[path = "fleet_tests.rs"]
+mod fleet;

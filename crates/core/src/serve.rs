@@ -1,318 +1,668 @@
-//! Concurrent online serving: sharded executors under a tuning
-//! coordinator.
+//! Concurrent online serving: one epoch loop over the engine, for one
+//! tenant ([`serve`]) or many ([`serve_fleet`]).
 //!
-//! The paper's online loop ([`crate::online`]) observes queries, diagnoses
-//! drift and retunes *while the workload keeps running* — but our
-//! single-threaded [`OnlineAutoIndex`](crate::online::OnlineAutoIndex)
-//! interleaves execution and tuning statement by statement, which caps
-//! the "heavy traffic" deployment shape. [`serve`] is the multi-worker
-//! front-end: the epoch engine ([`crate::engine`]) with **one tenant**
-//! and this module's boundary policy.
+//! The paper's §III loop — execute, observe, diagnose, tune, swap — run by
+//! N executors ([`crate::engine`]) against frozen per-epoch publications,
+//! with the boundary between epochs on the calling thread, the only one
+//! that owns the live databases and advisors:
 //!
 //! ```text
-//!  queries ── epoch e's slice ──► engine: N executors, one task queue,
-//!  (seq-numbered                  one observation per seq, merged on
-//!   logical clock)                the logical clock
-//!                                        │
-//!        ┌───────────────────────────────▼──────────────────────────┐
-//!        │ boundary (this module, on the coordinator): absorb in    │
-//!        │ seq order → diagnose → cooldown → TuningSession (guarded)│
-//!        │ → record → publish epoch e+1's snapshot                  │
-//!        └──────────────────────────────────────────────────────────┘
+//!  tenant streams      admission (per epoch)        epoch engine
+//!  ┌──────────┐   Admit ┌─────────────────────┐   ┌──────────────────┐
+//!  │ t0 ░░░░░░│ ───────►│ admitted slices     │──►│ run_epoch: merged│
+//!  │ t1 ░░░░░░│  Defer  └─────────────────────┘   │ on (tenant, seq) │
+//!  │ t2 ░░░░░░│ (cursor holds)                    └────────┬─────────┘
+//!  └──────────┘  Shed (cursor skips, counted)              │
+//!        ▲    ┌────────────────────────────────────────────▼──┐
+//!        └────│ boundary: absorb per tenant in seq order, SLO │
+//!             │ percentiles, the tuner pick, republish every  │
+//!             │ tenant the epoch moved                        │
+//!             └───────────────────────────────────────────────┘
 //! ```
 //!
-//! Execution — sharding, the shared immutable
-//! [`DbSnapshot`](autoindex_storage::DbSnapshot) every task of an epoch
-//! carries, the panic fence and worker retirement — is the
-//! engine's (see its module docs for the epoch protocol and crash
-//! safety). **The boundary** owns the live [`SimDb`] and the advisor:
-//! after every epoch it absorbs the merged observations' side effects in
-//! sequence order, diagnoses, and — when diagnosis fires and the cooldown
-//! ([`tuning_cooldown_over`]) has elapsed — runs the existing
-//! [`TuningSession`](crate::session::TuningSession) (optionally
-//! [`Guard`](crate::guard::Guard)ed) pipeline, then publishes the new
-//! configuration as the next epoch's snapshot. Config swaps are **only**
-//! visible at epoch boundaries.
+//! [`serve`] and [`serve_fleet`] only build the tenants' lanes and hand the
+//! loop its three boundary policies as plain values:
+//!
+//! * **Admission** — [`decide_admission`] over every unfinished tenant's
+//!   bid. Its head bid is always admitted, so one lane always runs.
+//! * **SLO accounting** — per admitted slice, nearest-rank p50/p99 of its
+//!   simulated latencies against the tenant's declared SLOs. `serve`'s lane
+//!   declares none and collects no latencies.
+//! * **Tuner pick** — `serve` diagnoses its lane at every boundary and runs
+//!   a [`TuningSession`](crate::session::TuningSession) (optionally
+//!   [`Guard`](crate::guard::Guard)ed) when diagnosis fires and the cooldown
+//!   ([`tuning_cooldown_over`]) is over; `serve_fleet` visits at most one
+//!   tenant per epoch, the highest *regret* (last slice mean vs the best
+//!   mean ever observed) above [`Config::regret_threshold`] and out of
+//!   cooldown, which diagnoses and then tunes if diagnosis fired
+//!   (DBA-bandits' regret signal steering AIM-style fleet tuning — see
+//!   PAPERS.md).
 //!
 //! # Determinism contract
 //!
-//! A run is *byte-identical in its decisions* regardless of worker
-//! count: diagnoses, tuning decisions and the per-epoch `ConfigSet`
-//! fingerprints in [`ServeReport::transcript`] are equal for 1 and N
-//! workers, because everything the boundary reads is the engine's merged
-//! epoch (see `docs/SERVING.md`). Worker count only changes *which
-//! thread* computes each outcome — never the outcome itself. This is
-//! what makes the pipeline CI-testable: `scripts/verify.sh` compares the
-//! 1-worker and 4-worker transcripts byte-for-byte.
+//! [`ServeReport::transcript`] and every [`TenantReport::transcript`] are a
+//! pure function of the streams and the config: everything the boundary
+//! reads is the engine's merged epoch (see `docs/SERVING.md`), so worker
+//! count only changes which thread computes an outcome. Wall clock and the
+//! simulated makespan stay out of every transcript. `tests/serving.rs` and
+//! `tests/fleet.rs` compare 1- and N-worker transcripts byte for byte;
+//! `tests/serving_golden.rs` pins them.
 
 use crate::engine::{
-    absorb_slice, simulated_qps, tuning_round, Engine, EngineConfig, Lane, Publication, Slice,
+    simulated_qps, Engine, EngineConfig, Lane, ObservationPayload, Publication, Slice,
+    TenantObservation,
 };
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::UpkeepCounters;
 use crate::guard::GuardConfig;
 use crate::mcts::Universe;
+use crate::strategy::{Prologue, StrategyKind};
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::SimDb;
+use autoindex_support::hash::{fnv1a, fnv1a_from};
+use autoindex_support::obs::MetricsRegistry;
+use autoindex_support::rng::derive_seed;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // --------------------------------------------------------------- config
 
-/// Configuration of the serving pipeline. Prefer
-/// [`ServeConfig::builder`], which validates every field.
+/// Configuration of the serving loop. [`ServeConfig`] and [`FleetConfig`]
+/// are its two instances: they differ only in how [`Config::panic_on`]
+/// names a statement — by its sequence number in the one stream, or by
+/// `(tenant, seq)` — and in their defaults (16 shards and 1 000-statement
+/// epochs; 4 and 1 024). Prefer the builders, which validate every field.
 #[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Executor threads. `0` means "one per available core"
-    /// (`std::thread::available_parallelism`), mirroring the greedy
-    /// ranker's convention.
+pub struct Config<Site> {
+    /// Executor threads. `0` means one per available core.
     pub workers: usize,
-    /// Logical shards the stream is split into. More shards than workers
-    /// gives the scheduler slack to balance uneven statement costs.
+    /// Logical shards per tenant slice: one task per admitted tenant ×
+    /// shard per epoch.
     pub shards: u64,
-    /// Statements per epoch: the cadence of observation merging,
-    /// diagnosis and (potential) config swaps.
+    /// Statements per tenant slice: the cadence of observation merging,
+    /// tuning and configuration swaps.
     pub epoch_interval: u64,
-    /// Seed of the shard-assignment stream.
+    /// Seed of the shard-assignment streams (`serve`'s lane uses it as
+    /// given, fleet tenant `t` uses `derive_seed(seed, t)`).
     pub seed: u64,
-    /// Quiet epochs required strictly between two tuning rounds: after a
-    /// round at epoch `t`, the next becomes eligible at `t + this + 1`.
-    /// See [`tuning_cooldown_over`] for the pinned comparison.
+    /// Quiet epochs required strictly between two tunings of one tenant
+    /// ([`tuning_cooldown_over`]).
     pub tuning_cooldown_epochs: u64,
-    /// Reset usage counters after each tuning round (fresh measurement
-    /// window for the new configuration), like the online loop.
+    /// Reset a tenant's usage counters after each tuning round.
     pub reset_usage_after_tuning: bool,
-    /// Run tuning rounds through the guard pipeline (shadow admission,
-    /// snapshot, fault-safe DDL, automatic rollback).
+    /// Run tuning rounds through the guard pipeline.
     pub guard: Option<GuardConfig>,
-    /// Panics a worker absorbs before retiring (graceful degradation).
-    /// `0` retires a worker on its first panic.
+    /// Override every tenant advisor's tuning strategy. `Some(k)` prefixes
+    /// decisions with `strategy=<k> `; `Some(StrategyKind::Bandit)` also
+    /// feeds each slice's measured mean back to the bandit as its reward.
+    pub tuner_strategy: Option<StrategyKind>,
+    /// Panics a worker absorbs before retiring (`0`: its first retires it).
     pub max_worker_panics: u64,
-    /// Test knob: sequence numbers at which the executing worker panics
-    /// (inside the engine's `catch_unwind` fence). Seq-keyed, so injected
-    /// crashes reproduce identically at any worker count.
-    pub panic_on: Vec<u64>,
-    /// Use the compiled-template fast path ([`crate::fastpath`]): repeat
-    /// statements skip parsing + extraction entirely. Decisions and
-    /// transcripts are byte-identical either way (CI-checked); off is for
-    /// benchmarking the slow path and belt-and-braces debugging.
+    /// Test knob: statements at which the executing worker panics inside
+    /// the engine's fence. Seq-keyed, so crashes reproduce at any worker
+    /// count.
+    pub panic_on: Vec<Site>,
+    /// Use the compiled-template fast path ([`crate::fastpath`]).
+    /// Transcripts are byte-identical either way (CI-checked).
     pub fastpath: bool,
+    /// Admission capacity per epoch, **simulated** ms of estimated cost.
+    /// `INFINITY` disables admission pressure; one lane always admits.
+    pub epoch_capacity_ms: f64,
+    /// Tenants with `priority <` this are shed on overflow, the rest
+    /// deferred.
+    pub shed_floor_priority: u8,
+    /// Per-statement cost of a tenant's first bid, before any slice of it
+    /// has been observed.
+    pub assumed_stmt_cost_ms: f64,
+    /// `serve_fleet`'s minimum regret — `(last_mean − best_mean) /
+    /// best_mean` — for a visit. The default (5%) sits above the
+    /// simulator's 3% latency noise.
+    pub regret_threshold: f64,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
+/// [`serve`]'s configuration: panic sites are sequence numbers.
+pub type ServeConfig = Config<u64>;
+
+/// [`serve_fleet`]'s configuration: panic sites are `(tenant, seq)` pairs.
+pub type FleetConfig = Config<(u32, u64)>;
+
+impl<Site> Config<Site> {
+    fn with_defaults(shards: u64, epoch_interval: u64) -> Self {
+        Config {
             workers: 1,
-            shards: 16,
-            epoch_interval: 1_000,
+            shards,
+            epoch_interval,
             seed: 42,
             tuning_cooldown_epochs: 1,
             reset_usage_after_tuning: true,
             guard: None,
+            tuner_strategy: None,
             max_worker_panics: 0,
             panic_on: Vec::new(),
             fastpath: true,
+            epoch_capacity_ms: f64::INFINITY,
+            shed_floor_priority: 1,
+            assumed_stmt_cost_ms: 1.0,
+            regret_threshold: 0.05,
+        }
+    }
+
+    /// Validated builder over the defaults.
+    pub fn builder() -> ConfigBuilder<Site>
+    where
+        Self: Default,
+    {
+        ConfigBuilder {
+            cfg: Self::default(),
         }
     }
 }
 
-impl ServeConfig {
-    /// Validated builder (preferred over struct-literal construction).
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            cfg: ServeConfig::default(),
-        }
+impl Default for ServeConfig {
+    fn default() -> Self {
+        Config::with_defaults(16, 1_000)
     }
 }
 
-/// Builder for [`ServeConfig`]; `build()` validates every field.
+impl Default for FleetConfig {
+    fn default() -> Self {
+        Config::with_defaults(4, 1_024)
+    }
+}
+
+/// Builder for [`Config`]; `build()` validates every field.
 #[derive(Debug, Clone)]
-pub struct ServeConfigBuilder {
-    cfg: ServeConfig,
+pub struct ConfigBuilder<Site> {
+    cfg: Config<Site>,
 }
 
-impl ServeConfigBuilder {
-    pub fn workers(mut self, v: usize) -> Self {
-        self.cfg.workers = v;
-        self
-    }
-    pub fn shards(mut self, v: u64) -> Self {
-        self.cfg.shards = v;
-        self
-    }
-    pub fn epoch_interval(mut self, v: u64) -> Self {
-        self.cfg.epoch_interval = v;
-        self
-    }
-    pub fn seed(mut self, v: u64) -> Self {
-        self.cfg.seed = v;
-        self
-    }
-    pub fn tuning_cooldown_epochs(mut self, v: u64) -> Self {
-        self.cfg.tuning_cooldown_epochs = v;
-        self
-    }
-    pub fn reset_usage_after_tuning(mut self, v: bool) -> Self {
-        self.cfg.reset_usage_after_tuning = v;
-        self
-    }
-    pub fn guard(mut self, v: impl Into<Option<GuardConfig>>) -> Self {
-        self.cfg.guard = v.into();
-        self
-    }
-    pub fn max_worker_panics(mut self, v: u64) -> Self {
-        self.cfg.max_worker_panics = v;
-        self
-    }
-    pub fn panic_on(mut self, v: Vec<u64>) -> Self {
-        self.cfg.panic_on = v;
-        self
-    }
-    pub fn fastpath(mut self, v: bool) -> Self {
-        self.cfg.fastpath = v;
-        self
+/// One setter per field.
+macro_rules! setters {
+    ($($field:ident: $ty:ty),* $(,)?) => {$(
+        pub fn $field(mut self, v: $ty) -> Self {
+            self.cfg.$field = v.into();
+            self
+        }
+    )*};
+}
+
+impl<Site> ConfigBuilder<Site> {
+    setters! {
+        workers: usize,
+        shards: u64,
+        epoch_interval: u64,
+        seed: u64,
+        tuning_cooldown_epochs: u64,
+        reset_usage_after_tuning: bool,
+        guard: impl Into<Option<GuardConfig>>,
+        tuner_strategy: impl Into<Option<StrategyKind>>,
+        max_worker_panics: u64,
+        panic_on: Vec<Site>,
+        fastpath: bool,
+        epoch_capacity_ms: f64,
+        shed_floor_priority: u8,
+        assumed_stmt_cost_ms: f64,
+        regret_threshold: f64,
     }
 
     /// Validate and build.
-    pub fn build(self) -> Result<ServeConfig, AutoIndexError> {
-        let c = self.cfg;
-        if c.shards == 0 {
-            return Err(invalid("serve.shards", "must be >= 1"));
-        }
-        if c.epoch_interval == 0 {
-            return Err(invalid(
-                "serve.epoch_interval",
-                "must be >= 1 (a zero-length epoch never completes)",
-            ));
-        }
-        Ok(c)
+    pub fn build(self) -> Result<Config<Site>, AutoIndexError> {
+        validate(&self.cfg, [])?;
+        Ok(self.cfg)
     }
 }
 
-// ---------------------------------------------------------------- report
+/// The one validation: every config field, then every tenant's declared
+/// `(p50, p99)` SLOs. `INFINITY` declares no SLO; a NaN one would make
+/// every executed slice a violation, a negative one can never be met.
+fn validate<Site>(
+    c: &Config<Site>,
+    slos: impl IntoIterator<Item = (f64, f64)>,
+) -> Result<(), AutoIndexError> {
+    let positive = |v: f64| v > 0.0; // false for NaN
+    let negative = |v: f64| v.is_nan() || v < 0.0; // true for NaN
+    let checks = [
+        (c.shards == 0, "serve.shards", "must be >= 1"),
+        (
+            c.epoch_interval == 0,
+            "serve.epoch_interval",
+            "must be >= 1 (a zero-length epoch never completes)",
+        ),
+        (
+            !positive(c.epoch_capacity_ms),
+            "serve.epoch_capacity_ms",
+            "must be > 0 (use INFINITY to disable admission pressure)",
+        ),
+        (
+            !(positive(c.assumed_stmt_cost_ms) && c.assumed_stmt_cost_ms.is_finite()),
+            "serve.assumed_stmt_cost_ms",
+            "must be finite and > 0",
+        ),
+        (
+            negative(c.regret_threshold),
+            "serve.regret_threshold",
+            "must be >= 0",
+        ),
+    ];
+    let slos = slos.into_iter().flat_map(|(p50, p99)| {
+        let reason = "must be >= 0 (INFINITY declares no SLO)";
+        [
+            (negative(p50), "serve.tenant.slo_p50_ms", reason),
+            (negative(p99), "serve.tenant.slo_p99_ms", reason),
+        ]
+    });
+    match checks.into_iter().chain(slos).find(|check| check.0) {
+        Some((_, field, reason)) => Err(invalid(field, reason)),
+        None => Ok(()),
+    }
+}
 
-/// What one epoch boundary decided. The formatted fields of this record
-/// are the determinism contract's observable surface.
+// --------------------------------------------------------------- tenants
+
+/// A tenant's identity and service-level declaration.
 #[derive(Debug, Clone)]
-pub struct EpochRecord {
-    pub epoch: u64,
-    /// Sequence slots accounted in this epoch (executed + failed + panicked).
-    pub statements: u64,
-    /// Statements that actually executed.
+pub struct TenantSpec {
+    /// Stable tenant name (transcript-visible).
+    pub name: String,
+    /// Admission priority: higher is more important. Tenants *below*
+    /// [`Config::shed_floor_priority`] are shed (not deferred) when the
+    /// pool saturates.
+    pub priority: u8,
+    /// Declared p50 latency SLO, simulated ms (`INFINITY`: none).
+    pub slo_p50_ms: f64,
+    /// Declared p99 latency SLO, simulated ms (`INFINITY`: none).
+    pub slo_p99_ms: f64,
+}
+
+/// One tenant of the fleet: spec, database, advisor and query stream.
+/// The stream is `Arc`ed so callers can share it across sweep runs.
+pub struct FleetTenant<E: CostEstimator> {
+    pub spec: TenantSpec,
+    pub db: SimDb,
+    pub advisor: AutoIndex<E>,
+    pub queries: Arc<Vec<String>>,
+}
+
+// ------------------------------------------------------------- admission
+
+/// What the admission controller did with one tenant's bid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Admission {
+    /// The slice runs this epoch.
+    #[default]
+    Admit,
+    /// The slice waits: the cursor holds (backpressure).
+    Defer,
+    /// The slice is skipped: the cursor advances, its statements count as
+    /// shed and an SLO violation is recorded.
+    Shed,
+}
+
+/// One tenant's bid for the next epoch.
+#[derive(Debug, Clone, Copy)]
+pub struct AdmissionCandidate {
+    pub tenant: u32,
+    pub priority: u8,
+    /// Estimated simulated cost of the tenant's next slice, ms.
+    pub est_cost_ms: f64,
+}
+
+/// [`decide_admission`]'s verdict for one candidate.
+#[derive(Debug, Clone, Copy)]
+pub struct AdmissionDecision {
+    pub tenant: u32,
+    pub admission: Admission,
+}
+
+/// The pure admission policy: pack candidate bids into `capacity_ms`
+/// greedily in `(priority desc, tenant asc)` order, returned in that order.
+///
+/// * The head candidate is **always** admitted, even when its bid alone
+///   exceeds capacity — the progress guarantee that makes the loop
+///   terminate (and a one-lane run admit at any capacity).
+/// * Subsequent candidates are admitted while the running estimated cost
+///   stays within capacity.
+/// * A candidate that does not fit is **shed** if
+///   `priority < shed_floor_priority`, otherwise **deferred**.
+///
+/// Capacity is a config constant in the simulated-cost domain, never
+/// derived from the worker count, so transcripts stay worker-count
+/// invariant.
+pub fn decide_admission(
+    candidates: &[AdmissionCandidate],
+    capacity_ms: f64,
+    shed_floor_priority: u8,
+) -> Vec<AdmissionDecision> {
+    let mut order: Vec<&AdmissionCandidate> = candidates.iter().collect();
+    order.sort_by_key(|c| (std::cmp::Reverse(c.priority), c.tenant));
+    let mut used = 0.0f64;
+    let mut out = Vec::with_capacity(order.len());
+    for (i, c) in order.iter().enumerate() {
+        let est = c.est_cost_ms.max(0.0);
+        let admission = if i == 0 || used + est <= capacity_ms {
+            used += est;
+            Admission::Admit
+        } else if c.priority < shed_floor_priority {
+            Admission::Shed
+        } else {
+            Admission::Defer
+        };
+        out.push(AdmissionDecision {
+            tenant: c.tenant,
+            admission,
+        });
+    }
+    out
+}
+
+/// Deterministic percentile over **sorted** latencies — the same
+/// nearest-rank convention the storage layer's workload measurements
+/// use.
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+// ------------------------------------------------------------ tuner pick
+
+/// Who the tuner takes at a boundary — the policy the two drivers differ
+/// in, and what a report renders by.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) enum TunerPick {
+    /// `serve`: diagnose every admitted tenant; run a round when diagnosis
+    /// fires and the tenant's cooldown is over (decisions `none`,
+    /// `cooldown`, or the round's). The cooldown restarts on a round.
+    #[default]
+    EveryBoundary,
+    /// `serve_fleet`: at most one visit per epoch, to the tenant with the
+    /// highest regret above `threshold` whose cooldown is over (ties to
+    /// the lowest tenant id); the visit diagnoses, then runs a round if
+    /// diagnosis fired (decisions `quiet` or the round's). The cooldown
+    /// restarts on the visit.
+    HighestRegret { threshold: f64 },
+}
+
+impl TunerPick {
+    /// Whether a tenant the tuner diagnosed gets a round (`Ok`) or which
+    /// decision is recorded instead (`Err`). `HighestRegret` checked the
+    /// cooldown before it picked the tenant.
+    fn verdict(self, fired: bool, cooldown_over: bool) -> Result<(), &'static str> {
+        match self {
+            TunerPick::EveryBoundary if !fired => Err("none"),
+            TunerPick::EveryBoundary if !cooldown_over => Err("cooldown"),
+            TunerPick::HighestRegret { .. } if !fired => Err("quiet"),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// `HighestRegret`'s pick over each tenant's `(regret, last tuned epoch)`,
+/// in tenant order: the highest regret above `threshold` whose cooldown is
+/// over at `epoch`, the lowest tenant id among equals.
+fn highest_regret(
+    tenants: impl IntoIterator<Item = (Option<f64>, Option<u64>)>,
+    threshold: f64,
+    epoch: u64,
+    cooldown: u64,
+) -> Option<(usize, f64)> {
+    let mut pick: Option<(usize, f64)> = None;
+    for (t, (regret, last_tuned)) in tenants.into_iter().enumerate() {
+        let Some(regret) = regret else { continue };
+        if regret > threshold
+            && tuning_cooldown_over(last_tuned, epoch, cooldown)
+            && pick.is_none_or(|(_, r)| regret > r)
+        {
+            pick = Some((t, regret));
+        }
+    }
+    pick
+}
+
+/// Whether the tuning cooldown has elapsed at `epoch`: `cooldown`
+/// ([`Config::tuning_cooldown_epochs`]) epoch boundaries must pass
+/// *strictly between* two tunings of a tenant, so one at epoch `t` makes
+/// the next eligible at `t + cooldown + 1` — `cooldown = 0` still forbids
+/// two at the same epoch. Before the first there is nothing to cool down
+/// from. Pinned by a regression test and `tests/serving_golden.rs`:
+/// relaxing `>` to `>=` moves every round one epoch earlier.
+pub fn tuning_cooldown_over(last_tuned: Option<u64>, epoch: u64, cooldown: u64) -> bool {
+    match last_tuned {
+        None => true,
+        Some(t) => epoch.saturating_sub(t) > cooldown,
+    }
+}
+
+// --------------------------------------------------------------- reports
+
+/// What one tenant's slice (one epoch's worth of its stream, admitted or
+/// shed) produced; a deferred bid produces none. Rendered into the
+/// transcripts, which are its public surface.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SliceRecord {
+    /// The epoch the slice ran in.
+    pub(crate) epoch: u64,
+    /// Sequence slots covered: executed + failed + panicked, or shed.
+    pub(crate) statements: u64,
+    pub(crate) executed: u64,
+    pub(crate) parse_failures: u64,
+    pub(crate) panics: u64,
+    pub(crate) shed: u64,
+    /// Nearest-rank percentiles of the executed latencies (0 without an
+    /// SLO), and whether they met it (a shed slice never does).
+    pub(crate) p50_ms: f64,
+    pub(crate) p99_ms: f64,
+    pub(crate) slo_ok: bool,
+    pub(crate) admission: Admission,
+    /// `EveryBoundary`'s verdict on the tenant at this boundary: diagnosis
+    /// fired, its problem ratio, the decision (`none`, `cooldown`, `noop`,
+    /// `applied(+a,-d)`, `rolled_back`, `shadow_rejected`).
+    pub(crate) diagnosis_fired: bool,
+    pub(crate) problem_ratio: f64,
+    pub(crate) decision: String,
+    /// The real index set after the boundary: `ConfigSet` fingerprint and
+    /// size.
+    pub(crate) config_fingerprint: u64,
+    pub(crate) index_count: usize,
+    /// Summed simulated latency of the executed statements, in `seq` order.
+    pub(crate) sim_latency_ms: f64,
+}
+
+/// The closing line of a transcript: the configuration after `last`.
+fn final_line(out: &mut String, last: Option<&SliceRecord>) {
+    if let Some(last) = last {
+        let (indexes, fp) = (last.index_count, last.config_fingerprint);
+        out.push_str(&format!("final: indexes={indexes} fp={fp:016x}\n"));
+    }
+}
+
+/// One tenant's section of a [`ServeReport`].
+#[derive(Debug, Clone, Default)]
+pub struct TenantReport {
+    pub name: String,
+    pub priority: u8,
+    pub slo_p50_ms: f64,
+    pub slo_p99_ms: f64,
     pub executed: u64,
+    pub shed: u64,
     pub parse_failures: u64,
     pub panics: u64,
-    /// Whether diagnosis fired at this boundary.
-    pub diagnosis_fired: bool,
-    /// The diagnosis problem ratio.
-    pub problem_ratio: f64,
-    /// Canonical rendering of the tuning decision (`none`, `cooldown`,
-    /// `noop`, `applied(+a,-d)`, `rolled_back`, `shadow_rejected`).
-    pub decision: String,
-    /// `ConfigSet` fingerprint of the real index set *after* the boundary.
-    pub config_fingerprint: u64,
-    /// Real indexes after the boundary.
-    pub index_count: usize,
-    /// Summed simulated latency of the epoch's executed statements, ms
-    /// (accumulated in `seq` order — deterministic).
-    pub sim_latency_ms: f64,
+    /// Epochs this tenant's bid was deferred.
+    pub deferrals: u64,
+    /// Slices that missed the tenant's SLOs (shed slices included).
+    pub slo_violations: u64,
+    /// Boundaries at which the tuner took this tenant (its cooldown
+    /// restarted there): `serve`'s rounds, `serve_fleet`'s visits.
+    pub tuning_visits: u64,
+    /// Executed statements the compiled-template fast path served, and
+    /// those that took the parse path.
+    pub fastpath_hits: u64,
+    pub fastpath_misses: u64,
+    pub total_sim_latency_ms: f64,
+    /// Per-slice records, in slice order.
+    pub(crate) slices: Vec<SliceRecord>,
 }
 
-impl EpochRecord {
-    /// One transcript line. Everything here is decision-relevant and
-    /// deterministic; wall-clock never appears.
-    fn line(&self) -> String {
-        format!(
-            "epoch {}: stmts={} exec={} parse_err={} panics={} diag={} ratio={:.6} \
-             decision={} indexes={} fp={:016x} sim_ms={:.6}",
-            self.epoch,
-            self.statements,
+impl TenantReport {
+    /// The tenant's byte-comparable determinism surface: totals, every
+    /// slice record, the final configuration. No wall clock, no worker
+    /// attribution — byte-identical at any worker count (CI-checked).
+    pub fn transcript(&self) -> String {
+        let mut out = format!(
+            "tenant {}: prio={} executed={} shed={} parse_failures={} panics={} deferrals={} \
+             slo_violations={} tuning_visits={} total_sim_ms={:.6}\n",
+            self.name,
+            self.priority,
             self.executed,
+            self.shed,
             self.parse_failures,
             self.panics,
-            if self.diagnosis_fired {
-                "fired"
-            } else {
-                "quiet"
-            },
-            self.problem_ratio,
-            self.decision,
-            self.index_count,
-            self.config_fingerprint,
-            self.sim_latency_ms,
-        )
+            self.deferrals,
+            self.slo_violations,
+            self.tuning_visits,
+            self.total_sim_latency_ms,
+        );
+        for (i, s) in self.slices.iter().enumerate() {
+            out.push_str(&format!(
+                "slice {i}: epoch={} stmts={} exec={} parse_err={} panics={} shed={} \
+                 p50={:.6} p99={:.6} slo={} decision={} indexes={} fp={:016x} sim_ms={:.6}\n",
+                s.epoch,
+                s.statements,
+                s.executed,
+                s.parse_failures,
+                s.panics,
+                s.shed,
+                s.p50_ms,
+                s.p99_ms,
+                if s.slo_ok { "ok" } else { "viol" },
+                if s.admission == Admission::Shed {
+                    "shed"
+                } else {
+                    "admit"
+                },
+                s.index_count,
+                s.config_fingerprint,
+                s.sim_latency_ms,
+            ));
+        }
+        final_line(&mut out, self.slices.last());
+        out
     }
 }
 
-/// Aggregate result of a [`serve`] run.
+/// What one epoch decided, across tenants: admission counts and the
+/// tuner's action.
+#[derive(Debug, Clone, Default)]
+pub struct EpochRecord {
+    pub epoch: u64,
+    /// Slices admitted, deferred and shed this epoch.
+    pub admitted: u64,
+    pub deferred: u64,
+    pub shed: u64,
+    /// Sequence slots accounted this epoch (executed + failed + panicked
+    /// + shed).
+    pub statements: u64,
+    /// Whether admission overflowed capacity (anything deferred or shed).
+    pub saturated: bool,
+    /// The tuner's action: under `serve_fleet`'s pick `idle` or
+    /// `tenant=<name> regret=<r> decision=<d>`; under `serve`'s, `every`
+    /// (each admitted tenant's verdict is on its slice).
+    pub visit: String,
+}
+
+/// Aggregate result of a [`serve`] or [`serve_fleet`] run: totals, one
+/// record per epoch and one section per tenant.
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
-    /// Statements that executed against a snapshot.
+    pub tenants: usize,
+    /// Executor threads the run started with.
+    pub workers: usize,
     pub executed: u64,
+    /// Statements shed by admission control.
+    pub shed: u64,
     pub parse_failures: u64,
     /// Caught worker panics (injected or real).
     pub panics: u64,
-    /// Executor threads the run started with.
-    pub workers: usize,
+    pub admitted_slices: u64,
+    pub deferred_slices: u64,
+    pub shed_slices: u64,
+    pub saturated_epochs: u64,
+    pub slo_violations: u64,
+    /// Boundaries at which the tuner took a tenant, summed over tenants
+    /// ([`TenantReport::tuning_visits`]).
+    pub tuning_visits: u64,
+    /// Tuning rounds run (including no-op recommendations); a visit whose
+    /// diagnosis stays quiet runs none.
+    pub tuning_rounds: u64,
     /// Executors that retired after exhausting their panic budget.
     pub workers_retired: usize,
-    /// Tuning rounds the boundary ran (including no-op recommendations).
-    pub tuning_rounds: u64,
-    /// Per-epoch boundary records, in epoch order.
-    pub epochs: Vec<EpochRecord>,
-    /// Sum of all executed statements' simulated latencies, ms.
-    pub total_sim_latency_ms: f64,
-    /// Deterministic simulated makespan, ms: the engine's per-epoch LPT
-    /// packing of per-shard simulated-latency totals onto the worker
-    /// slots, summed over epochs. A pure function of
-    /// `(stream, seed, shards, workers)` — byte-stable across runs,
-    /// unlike the racy *actual* task pickup.
-    pub sim_makespan_ms: f64,
-    /// Executed statements served by the compiled-template fast path.
-    /// Deliberately **not** part of [`ServeReport::transcript`] — routing
-    /// is an implementation detail — but worker-count invariant all the
-    /// same (caches are epoch-frozen; `tests/serving.rs` asserts a
-    /// non-zero, worker-count-invariant tally).
+    /// Always 0: the engine has one task queue and nothing is stolen.
+    /// Kept because `perf/src/drive.rs` reads it (ROADMAP item 4 a).
+    pub steals: u64,
+    /// Executed statements the compiled-template fast path served, and
+    /// those that took the parse path. Worker-count invariant (caches are
+    /// epoch-frozen) but in no transcript: routing is an implementation
+    /// detail.
     pub fastpath_hits: u64,
-    /// Executed statements that took the full parse path (cache miss,
-    /// bind-guard fallback, or fast path disabled).
     pub fastpath_misses: u64,
     /// Plans prepared for publications' template slots (`planner.prepared`
-    /// over this run): against `fastpath_hits`, how often a bound
-    /// statement found its template already planned. Worker-count
-    /// invariant — a slot is filled once, whoever gets there first — and,
-    /// like the two tallies above, not part of the transcript.
+    /// over this run): against `fastpath_hits`, how often a bound statement
+    /// found its template already planned. Worker-count invariant; in no
+    /// transcript.
     pub plans_prepared: u64,
+    /// Sum of all executed statements' simulated latencies, ms.
+    pub total_sim_latency_ms: f64,
+    /// Deterministic simulated makespan, ms: per epoch, the LPT packing of
+    /// every (tenant × shard) task's simulated latency onto the worker
+    /// slots, summed — a pure function of `(streams, config, workers)`.
+    pub sim_makespan_ms: f64,
+    /// Per-epoch records, in epoch order.
+    pub epochs: Vec<EpochRecord>,
+    /// Per-tenant sections, in tenant order.
+    pub tenant_reports: Vec<TenantReport>,
     /// Real wall-clock time of the whole run.
     pub wall: Duration,
+    /// The tuner pick the run used: which rendering `transcript` is.
+    tuner: TunerPick,
 }
 
+/// [`serve_fleet`]'s name for its [`ServeReport`].
+pub type FleetReport = ServeReport;
+
 impl ServeReport {
-    /// Simulated makespan (see [`ServeReport::sim_makespan_ms`]): the time
-    /// the executors would take if each really slept its statements'
-    /// simulated latencies. With perfect sharding this is
-    /// `total_sim_latency_ms / workers`; skew shows up as a longer one.
+    /// Simulated makespan, ms (see [`ServeReport::sim_makespan_ms`]).
     pub fn makespan_ms(&self) -> f64 {
         self.sim_makespan_ms
     }
 
-    /// Serving throughput in the simulation's time domain:
-    /// executed statements per simulated second of makespan. This is the
-    /// metric the `serve_sweep` bench result sweeps over worker counts (see
-    /// `docs/SERVING.md` for why wall-clock on the build host is not it).
+    /// Throughput in the simulation's time domain: executed statements per
+    /// simulated second of makespan — the metric the `serve_sweep` and
+    /// `fleet_sweep` bench results sweep over worker counts (see
+    /// `docs/SERVING.md` for why wall clock on the build host is not it).
     pub fn simulated_qps(&self) -> f64 {
         simulated_qps(self.executed, self.sim_makespan_ms)
     }
 
-    /// The determinism contract's byte-comparable surface: stream totals,
-    /// every epoch boundary's diagnosis + decision + `ConfigSet`
-    /// fingerprint, and the final configuration. Contains no wall-clock
-    /// and no per-worker data, so any two runs that made the same
-    /// decisions render identically — `verify.sh` diffs the 1-worker and
-    /// 4-worker transcripts byte-for-byte.
+    /// The determinism contract's byte-comparable surface, rendered by the
+    /// run's tuner pick. `serve`'s: stream totals, every epoch's diagnosis,
+    /// decision and `ConfigSet` fingerprint, the final configuration.
+    /// `serve_fleet`'s: fleet totals and every epoch's admission counts and
+    /// tuner visit (each tenant's detail is its
+    /// [`TenantReport::transcript`]). Neither contains wall clock, worker
+    /// count or makespan, so any two runs that made the same decisions
+    /// render identically.
     pub fn transcript(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        match self.tuner {
+            TunerPick::EveryBoundary => self.serve_transcript(),
+            TunerPick::HighestRegret { .. } => self.fleet_transcript(),
+        }
+    }
+
+    fn serve_transcript(&self) -> String {
+        let mut out = format!(
             "serve: executed={} parse_failures={} panics={} tuning_rounds={} epochs={} \
              total_sim_ms={:.6}\n",
             self.executed,
@@ -321,18 +671,73 @@ impl ServeReport {
             self.tuning_rounds,
             self.epochs.len(),
             self.total_sim_latency_ms,
-        ));
-        for e in &self.epochs {
-            out.push_str(&e.line());
-            out.push('\n');
-        }
-        if let Some(last) = self.epochs.last() {
+        );
+        let slices = self.tenant_reports.iter().flat_map(|t| &t.slices);
+        for s in slices.clone() {
             out.push_str(&format!(
-                "final: indexes={} fp={:016x}\n",
-                last.index_count, last.config_fingerprint
+                "epoch {}: stmts={} exec={} parse_err={} panics={} diag={} ratio={:.6} \
+                 decision={} indexes={} fp={:016x} sim_ms={:.6}\n",
+                s.epoch,
+                s.statements,
+                s.executed,
+                s.parse_failures,
+                s.panics,
+                if s.diagnosis_fired { "fired" } else { "quiet" },
+                s.problem_ratio,
+                s.decision,
+                s.index_count,
+                s.config_fingerprint,
+                s.sim_latency_ms,
+            ));
+        }
+        final_line(&mut out, slices.last());
+        out
+    }
+
+    fn fleet_transcript(&self) -> String {
+        let mut out = format!(
+            "fleet: tenants={} executed={} shed={} parse_failures={} panics={} \
+             admitted_slices={} deferred_slices={} shed_slices={} saturated_epochs={} \
+             slo_violations={} tuning_visits={} epochs={} total_sim_ms={:.6}\n",
+            self.tenants,
+            self.executed,
+            self.shed,
+            self.parse_failures,
+            self.panics,
+            self.admitted_slices,
+            self.deferred_slices,
+            self.shed_slices,
+            self.saturated_epochs,
+            self.slo_violations,
+            self.tuning_visits,
+            self.epochs.len(),
+            self.total_sim_latency_ms,
+        );
+        for e in &self.epochs {
+            out.push_str(&format!(
+                "epoch {}: admitted={} deferred={} shed={} stmts={} saturated={} visit={}\n",
+                e.epoch,
+                e.admitted,
+                e.deferred,
+                e.shed,
+                e.statements,
+                if e.saturated { "yes" } else { "no" },
+                e.visit,
             ));
         }
         out
+    }
+
+    /// FNV-1a digest over [`ServeReport::transcript`] plus every tenant
+    /// transcript, in tenant order — one u64 that pins the entire
+    /// deterministic surface (`tests/fleet.rs` compares it across worker
+    /// counts; the `fleet_sweep` bench result records it).
+    pub fn transcript_digest(&self) -> u64 {
+        let mut h = fnv1a(self.transcript().as_bytes());
+        for t in &self.tenant_reports {
+            h = fnv1a_from(h, t.transcript().as_bytes());
+        }
+        h
     }
 }
 
@@ -344,32 +749,330 @@ pub struct ServeOutcome<E: CostEstimator> {
     pub report: ServeReport,
 }
 
-// ----------------------------------------------------------------- serve
+/// A tenant's evolved state after a [`serve_fleet`] run.
+pub struct FleetTenantOutcome<E: CostEstimator> {
+    pub name: String,
+    pub db: SimDb,
+    pub advisor: AutoIndex<E>,
+}
 
-/// Run the concurrent serving pipeline over `queries`: the epoch engine
-/// ([`crate::engine`]) with one tenant, under this module's boundary
-/// policy (see the [module docs](self)). Config swaps are published at
-/// epoch boundaries only.
-///
-/// Consumes and returns `db` and `advisor`: afterwards they carry the
-/// tuned state. A panic in the boundary (a tuning round) aborts the
-/// pipeline and is returned as an error under `serve.tuner`.
+/// Everything [`serve_fleet`] hands back.
+pub struct FleetOutcome<E: CostEstimator> {
+    /// Evolved per-tenant state, in tenant order.
+    pub tenants: Vec<FleetTenantOutcome<E>>,
+    pub report: FleetReport,
+    /// The fleet-owned metrics registry (the `serve.*` projection of the
+    /// report, the engine's `serve.*` counters, `sql.fastpath.*`).
+    pub metrics: MetricsRegistry,
+}
+
+// --------------------------------------------------------------- drivers
+
+/// Serve one stream: the loop with one lane, seeded with [`Config::seed`]
+/// as given, no SLO, and the every-boundary tuner pick (see the [module
+/// docs](self)). Consumes and returns `db` and `advisor`, which carry the
+/// tuned state; the `serve.*` counters land in `db`'s registry. A panic in
+/// a tuning round aborts the run with an error under `serve.tuner`.
 pub fn serve<E: CostEstimator>(
-    mut db: SimDb,
-    mut advisor: AutoIndex<E>,
+    db: SimDb,
+    advisor: AutoIndex<E>,
     queries: &[String],
     config: ServeConfig,
 ) -> Result<ServeOutcome<E>, AutoIndexError> {
-    // Re-validate (serve is callable with a struct-literal config).
-    let config = ServeConfigBuilder { cfg: config }.build()?;
-    let n = queries.len() as u64;
+    let registry = db.metrics().clone();
+    let spec = TenantSpec {
+        name: "serve".to_string(),
+        priority: 0,
+        slo_p50_ms: f64::INFINITY,
+        slo_p99_ms: f64::INFINITY,
+    };
+    let lane = LaneState::new(spec, false, db, advisor, queries, config.seed);
+    let panic_on = config.panic_on.iter().map(|&seq| (0, seq)).collect();
+    let (report, mut lanes) = run(
+        &config,
+        vec![lane],
+        panic_on,
+        TunerPick::EveryBoundary,
+        &registry,
+    )?;
+    let lane = lanes.pop().expect("one lane");
+    Ok(ServeOutcome {
+        db: lane.db,
+        advisor: lane.advisor,
+        report,
+    })
+}
+
+/// Serve many tenants over one executor pool: the loop with one lane per
+/// tenant (tenant `t` seeded with `derive_seed(seed, t)`), its declared
+/// SLOs, and the highest-regret tuner pick (see the [module docs](self)).
+/// Returns the evolved tenants, the report and the fleet-owned registry. A
+/// panic in a tuner visit aborts the run with an error under `serve.tuner`.
+pub fn serve_fleet<E: CostEstimator>(
+    tenants: Vec<FleetTenant<E>>,
+    config: FleetConfig,
+) -> Result<FleetOutcome<E>, AutoIndexError> {
+    let registry = MetricsRegistry::new();
+    // The lanes borrow the streams; these handles outlive them.
+    let queries: Vec<Arc<Vec<String>>> = tenants.iter().map(|t| Arc::clone(&t.queries)).collect();
+    let lanes = tenants
+        .into_iter()
+        .zip(&queries)
+        .enumerate()
+        .map(|(t, (tenant, queries))| {
+            let seed = derive_seed(config.seed, t as u64);
+            LaneState::new(tenant.spec, true, tenant.db, tenant.advisor, queries, seed)
+        })
+        .collect();
+    let tuner = TunerPick::HighestRegret {
+        threshold: config.regret_threshold,
+    };
+    let (report, lanes) = run(&config, lanes, config.panic_on.clone(), tuner, &registry)?;
+    let tenants = lanes
+        .into_iter()
+        .map(|lane| FleetTenantOutcome {
+            name: lane.report.name,
+            db: lane.db,
+            advisor: lane.advisor,
+        })
+        .collect();
+    Ok(FleetOutcome {
+        tenants,
+        report,
+        metrics: registry,
+    })
+}
+
+// ------------------------------------------------------------------ loop
+
+/// One tenant as the loop's coordinator holds it.
+struct LaneState<'q, E: CostEstimator> {
+    db: SimDb,
+    advisor: AutoIndex<E>,
+    queries: &'q [String],
+    /// Seed of the tenant's shard-assignment stream.
+    seed: u64,
+    /// The declared `(p50, p99)` SLOs, when the run accounts them.
+    slo: Option<(f64, f64)>,
+    universe: Universe,
+    /// The tenant's section of the report, accumulated in place.
+    report: TenantReport,
+    /// Next unprocessed sequence number of the tenant's stream.
+    cursor: u64,
+    /// Mean simulated latency of the last slice that executed anything.
+    last_mean_ms: Option<f64>,
+    /// Frozen baseline: the best (lowest) slice mean ever observed.
+    best_mean_ms: f64,
+    last_tuned_epoch: Option<u64>,
+    /// Whether the epoch moved this tenant's live state (admitted it, or
+    /// the tuner visited it): it republishes at the end of the epoch.
+    moved: bool,
+}
+
+impl<'q, E: CostEstimator> LaneState<'q, E> {
+    fn new(
+        spec: TenantSpec,
+        account_slo: bool,
+        db: SimDb,
+        advisor: AutoIndex<E>,
+        queries: &'q [String],
+        seed: u64,
+    ) -> Self {
+        LaneState {
+            db,
+            advisor,
+            queries,
+            seed,
+            slo: account_slo.then_some((spec.slo_p50_ms, spec.slo_p99_ms)),
+            universe: Universe::new(),
+            report: TenantReport {
+                name: spec.name,
+                priority: spec.priority,
+                slo_p50_ms: spec.slo_p50_ms,
+                slo_p99_ms: spec.slo_p99_ms,
+                ..TenantReport::default()
+            },
+            cursor: 0,
+            last_mean_ms: None,
+            best_mean_ms: f64::INFINITY,
+            last_tuned_epoch: None,
+            moved: false,
+        }
+    }
+
+    fn remaining(&self) -> u64 {
+        self.queries.len() as u64 - self.cursor
+    }
+
+    /// Observed regret: last slice mean vs the frozen baseline.
+    fn regret(&self) -> Option<f64> {
+        let last = self.last_mean_ms?;
+        if !self.best_mean_ms.is_finite() || self.best_mean_ms <= 0.0 {
+            return None;
+        }
+        Some((last - self.best_mean_ms) / self.best_mean_ms)
+    }
+
+    /// Absorb the tenant's merged observations of this epoch into its live
+    /// database and advisor, in sequence order, and close the accounting of
+    /// its slice: totals, SLO percentiles when declared, the regret
+    /// baseline, the bandit's reward.
+    ///
+    /// Fast-path hits already carry the fingerprint hash: the template
+    /// store's prehashed entry point skips the scan and, on a store hit, the
+    /// re-parse, with bookkeeping identical to `observe` (tested in
+    /// `templates.rs`).
+    fn absorb(
+        &mut self,
+        observations: &[TenantObservation],
+        strategy: Option<StrategyKind>,
+        latencies: &mut Vec<f64>,
+    ) {
+        let report = &mut self.report;
+        let record = report.slices.last_mut().expect("opened at admission");
+        let collect_latencies = self.slo.is_some();
+        latencies.clear();
+        for TenantObservation { obs, .. } in observations {
+            match &obs.payload {
+                ObservationPayload::Executed { outcome, delta, fp } => {
+                    self.db.absorb(delta);
+                    let sql = &self.queries[obs.seq as usize];
+                    let _ = match fp {
+                        Some(h) => self.advisor.observe_prehashed(*h, sql, &self.db),
+                        None => self.advisor.observe(sql, &self.db),
+                    };
+                    report.fastpath_hits += u64::from(fp.is_some());
+                    report.fastpath_misses += u64::from(fp.is_none());
+                    record.executed += 1;
+                    record.sim_latency_ms += outcome.latency_ms;
+                    if collect_latencies {
+                        latencies.push(outcome.latency_ms);
+                    }
+                }
+                ObservationPayload::ParseFailed => record.parse_failures += 1,
+                ObservationPayload::Panicked => record.panics += 1,
+            }
+        }
+        report.executed += record.executed;
+        report.parse_failures += record.parse_failures;
+        report.panics += record.panics;
+        report.total_sim_latency_ms += record.sim_latency_ms;
+        if record.executed == 0 {
+            return;
+        }
+        if let Some((slo_p50, slo_p99)) = self.slo {
+            latencies.sort_unstable_by(f64::total_cmp);
+            record.p50_ms = percentile(latencies, 0.50);
+            record.p99_ms = percentile(latencies, 0.99);
+            record.slo_ok = record.p50_ms <= slo_p50 && record.p99_ms <= slo_p99;
+            report.slo_violations += u64::from(!record.slo_ok);
+        }
+        let mean = record.sim_latency_ms / record.executed as f64;
+        self.last_mean_ms = Some(mean);
+        self.best_mean_ms = self.best_mean_ms.min(mean);
+        if strategy == Some(StrategyKind::Bandit) {
+            // Close the bandit's loop: the measured slice mean is the
+            // reward for the arms applied last round.
+            self.advisor.observe_reward(mean);
+        }
+    }
+
+    /// The tuner takes this tenant at `epoch`: its cooldown restarts.
+    fn take(&mut self, epoch: u64) {
+        self.last_tuned_epoch = Some(epoch);
+        self.report.tuning_visits += 1;
+    }
+
+    /// The tuner at this tenant's boundary — the one place both picks
+    /// diagnose and tune: diagnose, ask `tuner` for the verdict, run the
+    /// round if it says so. Returns whether diagnosis fired, its problem
+    /// ratio and the decision.
+    fn visit<Site>(
+        &mut self,
+        epoch: u64,
+        config: &Config<Site>,
+        tuner: TunerPick,
+        rounds: &mut u64,
+    ) -> (bool, f64, String) {
+        let (diagnosis, prologue) = self.advisor.boundary(&self.db);
+        let cooldown_over =
+            tuning_cooldown_over(self.last_tuned_epoch, epoch, config.tuning_cooldown_epochs);
+        let decision = match tuner.verdict(diagnosis.should_tune, cooldown_over) {
+            Err(decision) => decision.to_string(),
+            Ok(()) => {
+                if tuner == TunerPick::EveryBoundary {
+                    self.take(epoch);
+                }
+                *rounds += 1;
+                tuning_round(
+                    &mut self.db,
+                    &mut self.advisor,
+                    prologue,
+                    config.guard.clone(),
+                    config.reset_usage_after_tuning,
+                )
+            }
+        };
+        // Strategy attribution only under an override: the default keeps
+        // decision strings byte-identical to the unattributed ones.
+        let decision = match config.tuner_strategy {
+            Some(k) => format!("strategy={k} {decision}"),
+            None => decision,
+        };
+        (diagnosis.should_tune, diagnosis.problem_ratio, decision)
+    }
+}
+
+/// Run one tuning round over the boundary's `prologue` through the session
+/// pipeline (optionally [`Guard`](crate::guard::Guard)ed) and return its
+/// canonical decision (`SessionReport::decision`, or `error(..)`).
+fn tuning_round<E: CostEstimator>(
+    db: &mut SimDb,
+    advisor: &mut AutoIndex<E>,
+    prologue: Prologue<'static>,
+    guard: Option<GuardConfig>,
+    reset_usage: bool,
+) -> String {
+    let session = advisor.session(db).prologue(prologue);
+    let run = match guard {
+        Some(g) => session.guarded(g).run(),
+        None => session.run(),
+    };
+    if reset_usage {
+        db.reset_usage();
+    }
+    match run {
+        Ok(out) => out.decision(),
+        Err(e) => format!("error({e})"),
+    }
+}
+
+/// The serving loop: every epoch, admission over the lanes' bids, one
+/// engine epoch over the admitted slices, absorb per lane, the tuner pick,
+/// then fingerprint and republish every lane the epoch moved.
+fn run<'q, Site, E: CostEstimator>(
+    config: &Config<Site>,
+    mut lanes: Vec<LaneState<'q, E>>,
+    panic_on: Vec<(u32, u64)>,
+    tuner: TunerPick,
+    registry: &MetricsRegistry,
+) -> Result<(ServeReport, Vec<LaneState<'q, E>>), AutoIndexError> {
+    // Re-validate (the drivers are callable with struct-literal configs),
+    // and validate the tenants' SLOs.
+    validate(config, lanes.iter().filter_map(|l| l.slo))?;
     let started = Instant::now();
 
-    // Epoch 0 publication: snapshot + compiled-template cache over any
+    // Epoch 0 publications: snapshot + compiled-template cache over any
     // pre-observed templates.
-    let upkeep = UpkeepCounters::bind(db.metrics());
+    let upkeep = UpkeepCounters::bind(registry);
     let prepared_before = upkeep.prepared.get();
-    let initial = Publication::build(&db, &mut advisor, 0, config.fastpath, &upkeep);
+    let initial = lanes.iter_mut().map(|lane| {
+        if let Some(k) = config.tuner_strategy {
+            lane.advisor.set_strategy(k);
+        }
+        Publication::build(&lane.db, &mut lane.advisor, 0, config.fastpath, &upkeep)
+    });
+    let initial = initial.collect();
     let engine = Engine::new(
         EngineConfig {
             name: "serve.tuner",
@@ -377,117 +1080,199 @@ pub fn serve<E: CostEstimator>(
             shards: config.shards,
             fastpath: config.fastpath,
             max_worker_panics: config.max_worker_panics,
-            panic_on: config.panic_on.iter().map(|&seq| (0, seq)).collect(),
+            panic_on,
         },
-        db.metrics(),
+        registry,
         "serve",
-        vec![Lane::new(queries, config.seed)],
+        lanes.iter().map(|l| Lane::new(l.queries, l.seed)).collect(),
     );
-    let workers = engine.workers();
-    let mut report = ServeReport {
-        workers,
-        ..ServeReport::default()
-    };
-    let mut universe = Universe::new();
-    let mut last_tuned_epoch = None;
 
-    report.sim_makespan_ms = engine.run(vec![initial], |coordinator| {
-        for epoch in 0..n.div_ceil(config.epoch_interval) {
-            let start = epoch * config.epoch_interval;
-            let end = (start + config.epoch_interval).min(n);
-            let slice = Slice {
-                tenant: 0,
-                start,
-                end,
-            };
-            let batch = coordinator.run_epoch(epoch, &[slice])?;
-
-            // ---- absorb the merged epoch in sequence order.
-            let tally = absorb_slice(&mut db, &mut advisor, queries, &batch, |_| {});
-
-            // ---- the boundary policy: diagnose → cooldown → tune.
-            let (diagnosis, prologue) = advisor.boundary(&db);
-            let decision = if !diagnosis.should_tune {
-                "none".to_string()
-            } else if !tuning_cooldown_over(last_tuned_epoch, epoch, config.tuning_cooldown_epochs)
-            {
-                "cooldown".to_string()
+    let mut epochs: Vec<EpochRecord> = Vec::new();
+    let mut rounds = 0u64;
+    let sim_makespan_ms = engine.run(initial, |coordinator| {
+        let mut candidates = Vec::new();
+        let mut slices = Vec::new();
+        let mut latencies = Vec::new();
+        for epoch in 0.. {
+            // ---- admission: every unfinished tenant bids for a slice.
+            candidates.clear();
+            let unfinished = lanes.iter().enumerate().filter(|(_, l)| l.remaining() > 0);
+            candidates.extend(unfinished.map(|(t, l)| {
+                // Last observed mean statement cost (or the prior) × length.
+                let per_stmt = l.last_mean_ms.unwrap_or(config.assumed_stmt_cost_ms);
+                AdmissionCandidate {
+                    tenant: t as u32,
+                    priority: l.report.priority,
+                    est_cost_ms: per_stmt * config.epoch_interval.min(l.remaining()) as f64,
+                }
+            }));
+            if candidates.is_empty() {
+                break;
+            }
+            let decisions = decide_admission(
+                &candidates,
+                config.epoch_capacity_ms,
+                config.shed_floor_priority,
+            );
+            let idle = if tuner == TunerPick::EveryBoundary {
+                "every"
             } else {
-                report.tuning_rounds += 1;
-                last_tuned_epoch = Some(epoch);
-                tuning_round(
-                    &mut db,
-                    &mut advisor,
-                    prologue,
-                    config.guard.clone(),
-                    config.reset_usage_after_tuning,
-                )
+                "idle"
             };
-
-            // ---- record, then publish the (possibly re-tuned)
-            // configuration — the only point a config swap becomes
-            // visible; epoch e+1's fast-path behaviour is frozen here.
-            report.executed += tally.executed;
-            report.parse_failures += tally.parse_failures;
-            report.panics += tally.panics;
-            report.fastpath_hits += tally.fastpath_hits;
-            report.fastpath_misses += tally.executed - tally.fastpath_hits;
-            report.total_sim_latency_ms += tally.sim_latency_ms;
-            report.epochs.push(EpochRecord {
+            let mut rec = EpochRecord {
                 epoch,
-                statements: batch.len() as u64,
-                executed: tally.executed,
-                parse_failures: tally.parse_failures,
-                panics: tally.panics,
-                diagnosis_fired: diagnosis.should_tune,
-                problem_ratio: diagnosis.problem_ratio,
-                decision,
-                config_fingerprint: universe.config_fingerprint(&db),
-                index_count: db.index_count(),
-                sim_latency_ms: tally.sim_latency_ms,
-            });
-            let next = Publication::build(&db, &mut advisor, epoch + 1, config.fastpath, &upkeep);
-            coordinator.publish(0, next);
+                visit: idle.to_string(),
+                ..EpochRecord::default()
+            };
+            slices.clear();
+            for d in &decisions {
+                let lane = &mut lanes[d.tenant as usize];
+                if d.admission == Admission::Defer {
+                    lane.report.deferrals += 1;
+                    rec.deferred += 1;
+                    continue;
+                }
+                // Admitted or shed: the cursor moves and the slice's
+                // record opens now; it is filled in as the epoch's
+                // observations are absorbed and finalized after the tuner.
+                let take = config.epoch_interval.min(lane.remaining());
+                let shed = d.admission == Admission::Shed;
+                lane.report.slices.push(SliceRecord {
+                    epoch,
+                    statements: take,
+                    shed: if shed { take } else { 0 },
+                    slo_ok: !shed,
+                    admission: d.admission,
+                    ..SliceRecord::default()
+                });
+                if shed {
+                    lane.report.shed += take;
+                    lane.report.slo_violations += 1;
+                    rec.shed += 1;
+                } else {
+                    lane.moved = true;
+                    slices.push(Slice {
+                        tenant: d.tenant,
+                        start: lane.cursor,
+                        end: lane.cursor + take,
+                    });
+                    rec.admitted += 1;
+                }
+                lane.cursor += take;
+                rec.statements += take;
+            }
+            rec.saturated = rec.deferred > 0 || rec.shed > 0;
+
+            // ---- execute: one observation per admitted sequence slot,
+            // merged on the (tenant, seq) logical clock; absorb per tenant.
+            let batch = coordinator.run_epoch(epoch, &slices)?;
+            for observations in batch.chunk_by(|a, b| a.tenant == b.tenant) {
+                let lane = &mut lanes[observations[0].tenant as usize];
+                lane.absorb(observations, config.tuner_strategy, &mut latencies);
+            }
+
+            // ---- the tuner pick.
+            match tuner {
+                TunerPick::EveryBoundary => {
+                    for lane in lanes.iter_mut().filter(|l| l.moved) {
+                        let (fired, ratio, decision) =
+                            lane.visit(epoch, config, tuner, &mut rounds);
+                        let record = lane.report.slices.last_mut().expect("admitted");
+                        (record.diagnosis_fired, record.problem_ratio) = (fired, ratio);
+                        record.decision = decision;
+                    }
+                }
+                TunerPick::HighestRegret { threshold } => {
+                    let regrets = lanes.iter().map(|l| (l.regret(), l.last_tuned_epoch));
+                    let cooldown = config.tuning_cooldown_epochs;
+                    if let Some((t, regret)) = highest_regret(regrets, threshold, epoch, cooldown) {
+                        let lane = &mut lanes[t];
+                        lane.moved = true;
+                        lane.take(epoch);
+                        let (_, _, decision) = lane.visit(epoch, config, tuner, &mut rounds);
+                        rec.visit = format!(
+                            "tenant={} regret={regret:.6} decision={decision}",
+                            lane.report.name
+                        );
+                    }
+                }
+            }
+
+            // ---- close this epoch's slice records, then republish every
+            // tenant the epoch moved — the only point a config swap becomes
+            // visible; epoch e+1's fast-path behaviour is frozen here.
+            for (t, lane) in lanes.iter_mut().enumerate() {
+                if let Some(record) = lane.report.slices.last_mut().filter(|s| s.epoch == epoch) {
+                    record.config_fingerprint = lane.universe.config_fingerprint(&lane.db);
+                    record.index_count = lane.db.index_count();
+                }
+                if std::mem::take(&mut lane.moved) {
+                    let (db, advisor) = (&lane.db, &mut lane.advisor);
+                    let next = Publication::build(db, advisor, epoch + 1, config.fastpath, &upkeep);
+                    coordinator.publish(t as u32, next);
+                }
+            }
+            epochs.push(rec);
         }
         Ok(coordinator.sim_makespan_ms)
     })?;
 
-    report.workers_retired = engine.workers_retired();
-    report.plans_prepared = upkeep.prepared.get() - prepared_before;
-    report.wall = started.elapsed();
-    // The `serve.*` counters are a projection of the report, published
-    // once (the engine counts its own panics and retirements live).
-    let m = db.metrics();
-    m.gauge("serve.workers").set(workers as f64);
-    m.counter("serve.executed").add(report.executed);
-    m.counter("serve.parse_failures").add(report.parse_failures);
-    m.counter("serve.tuning_rounds").add(report.tuning_rounds);
-    m.counter("serve.epochs").add(report.epochs.len() as u64);
-    Ok(ServeOutcome {
-        db,
-        advisor,
-        report,
-    })
-}
+    let (tenant_reports, lanes): (Vec<TenantReport>, Vec<LaneState<'q, E>>) = lanes
+        .into_iter()
+        .map(|mut lane| (std::mem::take(&mut lane.report), lane))
+        .unzip();
+    let sum = |f: fn(&TenantReport) -> u64| tenant_reports.iter().map(f).sum::<u64>();
+    let report = ServeReport {
+        tenants: tenant_reports.len(),
+        workers: engine.workers(),
+        executed: sum(|t| t.executed),
+        shed: sum(|t| t.shed),
+        parse_failures: sum(|t| t.parse_failures),
+        panics: sum(|t| t.panics),
+        admitted_slices: epochs.iter().map(|e| e.admitted).sum(),
+        deferred_slices: epochs.iter().map(|e| e.deferred).sum(),
+        shed_slices: epochs.iter().map(|e| e.shed).sum(),
+        saturated_epochs: epochs.iter().filter(|e| e.saturated).count() as u64,
+        slo_violations: sum(|t| t.slo_violations),
+        tuning_visits: sum(|t| t.tuning_visits),
+        tuning_rounds: rounds,
+        workers_retired: engine.workers_retired(),
+        steals: 0,
+        fastpath_hits: sum(|t| t.fastpath_hits),
+        fastpath_misses: sum(|t| t.fastpath_misses),
+        plans_prepared: upkeep.prepared.get() - prepared_before,
+        total_sim_latency_ms: tenant_reports.iter().map(|t| t.total_sim_latency_ms).sum(),
+        sim_makespan_ms,
+        epochs,
+        tenant_reports,
+        wall: started.elapsed(),
+        tuner,
+    };
 
-/// Whether the tuning cooldown has elapsed at `epoch`.
-///
-/// `cooldown` is [`ServeConfig::tuning_cooldown_epochs`]: the number of
-/// epoch boundaries that must pass *strictly between* two tuning rounds.
-/// A round at epoch `t` makes the next one eligible at `t + cooldown + 1`
-/// (the strict `>` is deliberate — `cooldown = 0` still forbids two
-/// rounds at the same epoch, and `cooldown = 1` leaves exactly one
-/// quiet epoch between rounds). Before the first round there is nothing
-/// to cool down from.
-///
-/// This comparison is pinned by a regression test: relaxing `>` to `>=`
-/// would shift every tuning round one epoch earlier and change serve
-/// transcripts, which are CI-checked byte-for-byte.
-pub fn tuning_cooldown_over(last_tuned: Option<u64>, epoch: u64, cooldown: u64) -> bool {
-    match last_tuned {
-        None => true,
-        Some(t) => epoch.saturating_sub(t) > cooldown,
+    // The `serve.*` counters are a projection of the report, published
+    // once into the run's registry (the engine counts its own panics,
+    // retirements and hand-offs live).
+    registry.gauge("serve.tenants").set(report.tenants as f64);
+    registry.gauge("serve.workers").set(report.workers as f64);
+    registry
+        .gauge("serve.admission.capacity_ms")
+        .set(config.epoch_capacity_ms);
+    for (name, value) in [
+        ("serve.executed", report.executed),
+        ("serve.shed", report.shed),
+        ("serve.parse_failures", report.parse_failures),
+        ("serve.slo_violations", report.slo_violations),
+        ("serve.tuning_visits", report.tuning_visits),
+        ("serve.tuning_rounds", report.tuning_rounds),
+        ("serve.epochs", report.epochs.len() as u64),
+        ("serve.admission.admitted_slices", report.admitted_slices),
+        ("serve.admission.deferred_slices", report.deferred_slices),
+        ("serve.admission.shed_slices", report.shed_slices),
+        ("serve.admission.saturated_epochs", report.saturated_epochs),
+    ] {
+        registry.counter(name).add(value);
     }
+    Ok((report, lanes))
 }
 
 #[cfg(test)]
@@ -497,7 +1282,6 @@ mod tests {
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
     use autoindex_storage::SimDbConfig;
-    use autoindex_support::obs::MetricsRegistry;
 
     fn db() -> SimDb {
         let mut c = Catalog::new();
@@ -531,6 +1315,10 @@ mod tests {
         let c = ServeConfig::builder().workers(3).seed(7).build().unwrap();
         assert_eq!(c.workers, 3);
         assert_eq!(c.seed, 7);
+        // Each driver's builder keeps its own defaults.
+        let (serve, fleet) = (ServeConfig::default(), FleetConfig::default());
+        assert_eq!((serve.shards, serve.epoch_interval), (16, 1_000));
+        assert_eq!((fleet.shards, fleet.epoch_interval), (4, 1_024));
     }
 
     // Regression (PR7 satellite): the guard-cooldown comparison is
@@ -617,9 +1405,129 @@ mod tests {
         let queries = point_lookups(200);
         let cfg = ServeConfig::builder().epoch_interval(64).build().unwrap();
         let out = serve(db(), advisor(), &queries, cfg).unwrap();
-        let sum: f64 = out.report.epochs.iter().map(|e| e.sim_latency_ms).sum();
+        let slices = &out.report.tenant_reports[0].slices;
+        let sum: f64 = slices.iter().map(|s| s.sim_latency_ms).sum();
         assert!((sum - out.report.total_sim_latency_ms).abs() < 1e-9);
         let stmts: u64 = out.report.epochs.iter().map(|e| e.statements).sum();
         assert_eq!(stmts, 200);
+    }
+
+    // ---- the boundary policies, as plain values ----
+
+    #[test]
+    fn equal_regrets_pick_the_lowest_tenant_id() {
+        let tenants = [(Some(0.2), None), (Some(0.5), None), (Some(0.5), None)];
+        assert_eq!(highest_regret(tenants, 0.05, 4, 1), Some((1, 0.5)));
+        // Nothing above the threshold, or no regret yet: nobody is visited.
+        assert_eq!(highest_regret(tenants, 0.5, 4, 1), None);
+        assert_eq!(highest_regret([(None, None)], 0.0, 0, 0), None);
+    }
+
+    #[test]
+    fn a_tenant_in_cooldown_is_skipped_even_with_the_highest_regret() {
+        // Tenant 1 was visited at epoch 3: at epoch 4 a cooldown of 1 keeps
+        // it out although its regret is the highest; at epoch 5 it is back.
+        let tenants = [
+            (Some(0.2), None),
+            (Some(9.0), Some(3)),
+            (Some(0.4), Some(0)),
+        ];
+        assert_eq!(highest_regret(tenants, 0.05, 4, 1), Some((2, 0.4)));
+        assert_eq!(highest_regret(tenants, 0.05, 5, 1), Some((1, 9.0)));
+    }
+
+    #[test]
+    fn every_boundary_records_cooldown_when_diagnosis_fires_inside_it() {
+        let every = TunerPick::EveryBoundary;
+        assert_eq!(every.verdict(false, true), Err("none"));
+        assert_eq!(every.verdict(false, false), Err("none"));
+        assert_eq!(every.verdict(true, false), Err("cooldown"));
+        assert_eq!(every.verdict(true, true), Ok(()));
+        // The regret pick checked the cooldown before it visited.
+        let regret = TunerPick::HighestRegret { threshold: 0.05 };
+        assert_eq!(regret.verdict(false, true), Err("quiet"));
+        assert_eq!(regret.verdict(true, false), Ok(()));
+
+        // End to end: an advisor whose budget fits no index keeps diagnosis
+        // firing after the drift, so the cooldown alone turns rounds into
+        // `cooldown` records.
+        let mut queries = point_lookups(200);
+        queries.extend(
+            (0..400).map(|i| format!("SELECT b, COUNT(*) FROM t WHERE b > {} GROUP BY b", i % 50)),
+        );
+        let starved = AutoIndexConfig::builder()
+            .storage_budget(Some(1))
+            .build()
+            .unwrap();
+        let cfg = ServeConfig::builder()
+            .epoch_interval(50)
+            .tuning_cooldown_epochs(2)
+            .build()
+            .unwrap();
+        let advisor = AutoIndex::new(starved, NativeCostEstimator);
+        let out = serve(db(), advisor, &queries, cfg).unwrap();
+        let slices = &out.report.tenant_reports[0].slices;
+        let fired: Vec<&str> = slices
+            .iter()
+            .filter(|s| s.diagnosis_fired)
+            .map(|s| s.decision.as_str())
+            .collect();
+        assert!(fired.contains(&"cooldown"), "{}", out.report.transcript());
+        assert!(slices
+            .iter()
+            .all(|s| s.diagnosis_fired || s.decision == "none"));
+    }
+
+    #[test]
+    fn a_one_lane_admission_admits_at_any_capacity() {
+        for capacity in [1e-9, 1.0, 1e12, f64::INFINITY] {
+            for priority in [0, 1, u8::MAX] {
+                let bid = AdmissionCandidate {
+                    tenant: 0,
+                    priority,
+                    est_cost_ms: 1e6,
+                };
+                let d = decide_admission(&[bid], capacity, u8::MAX);
+                assert_eq!(d[0].admission, Admission::Admit, "{capacity} {priority}");
+            }
+        }
+    }
+
+    /// Regression: tenant SLOs were never validated. A NaN SLO made
+    /// `p50 <= NaN` false, so every executed slice silently counted as a
+    /// violation, and a negative SLO can never be met; both are rejected
+    /// now, and `INFINITY` still declares "no SLO".
+    #[test]
+    fn nan_or_negative_tenant_slos_are_rejected() {
+        let run = |p50: f64, p99: f64| {
+            let tenant = FleetTenant {
+                spec: TenantSpec {
+                    name: "t".to_string(),
+                    priority: 1,
+                    slo_p50_ms: p50,
+                    slo_p99_ms: p99,
+                },
+                db: db(),
+                advisor: advisor(),
+                queries: Arc::new(point_lookups(100)),
+            };
+            let cfg = FleetConfig::builder().epoch_interval(50).build().unwrap();
+            serve_fleet(vec![tenant], cfg)
+        };
+        let field = |r: Result<FleetOutcome<NativeCostEstimator>, AutoIndexError>| match r {
+            Err(AutoIndexError::InvalidConfig { field, .. }) => field,
+            Err(e) => panic!("unexpected error {e}"),
+            Ok(out) => panic!(
+                "accepted: {} violations over {} slices",
+                out.report.slo_violations,
+                out.report.tenant_reports[0].slices.len()
+            ),
+        };
+        assert_eq!(field(run(f64::NAN, 1e9)), "serve.tenant.slo_p50_ms");
+        assert_eq!(field(run(1e9, f64::NAN)), "serve.tenant.slo_p99_ms");
+        assert_eq!(field(run(-1.0, 1e9)), "serve.tenant.slo_p50_ms");
+        assert_eq!(field(run(1e9, -0.5)), "serve.tenant.slo_p99_ms");
+        let none = run(f64::INFINITY, f64::INFINITY).unwrap();
+        assert_eq!(none.report.slo_violations, 0);
     }
 }

@@ -95,7 +95,7 @@ fn serve_returns_an_error_when_the_coordinator_panics() {
 
 #[test]
 fn serve_fleet_returns_an_error_when_the_coordinator_panics() {
-    assert_errs_without_hanging("serve_fleet", "fleet.tuner", || {
+    assert_errs_without_hanging("serve_fleet", "serve.tuner", || {
         let cfg = FleetConfig::builder()
             .workers(2)
             .epoch_interval(100)

@@ -237,7 +237,7 @@ fn saturated_banking_fleet_protects_priorities_and_accounts_exactly_once() {
         out.report.deferred_slices
     );
     assert_eq!(
-        out.metrics.counter_value("serve.tenant.executed"),
+        out.metrics.counter_value("serve.executed"),
         out.report.executed
     );
 }

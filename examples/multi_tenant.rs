@@ -83,10 +83,10 @@ fn main() {
         "serve.admission.deferred_slices",
         "serve.admission.shed_slices",
         "serve.admission.saturated_epochs",
-        "serve.tenant.executed",
-        "serve.tenant.shed",
-        "serve.tenant.slo_violations",
-        "serve.tenant.tuning_visits",
+        "serve.executed",
+        "serve.shed",
+        "serve.slo_violations",
+        "serve.tuning_visits",
     ] {
         println!("  {name:<36} {}", out.metrics.counter_value(name));
     }

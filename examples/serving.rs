@@ -74,23 +74,17 @@ fn main() {
             "fast path: {} bound, {} parsed; {} plans prepared for them",
             r.fastpath_hits, r.fastpath_misses, r.plans_prepared
         );
-        for e in &r.epochs {
-            println!(
-                "  epoch {}: {} stmts, diagnosis {}, decision {}, {} indexes, fp {:016x}",
-                e.epoch,
-                e.statements,
-                if e.diagnosis_fired { "FIRED" } else { "quiet" },
-                e.decision,
-                e.index_count,
-                e.config_fingerprint
-            );
+        // Every epoch's diagnosis, decision and configuration fingerprint.
+        let transcript = r.transcript();
+        for line in transcript.lines().filter(|l| l.starts_with("epoch ")) {
+            println!("  {line}");
         }
         println!(
             "final catalog: {} indexes (started with {})",
             outcome.db.index_count(),
             initial_indexes
         );
-        transcripts.push((workers, r.transcript()));
+        transcripts.push((workers, transcript));
     }
 
     println!("\n=== determinism contract ===");

@@ -33,6 +33,9 @@ cargo test -q --offline --release -p autoindex-core --test round_pricing
 echo "==> cargo test -q --offline --release (the miss path: extraction of the fixed corpus = the digest recorded before the by-reference rewrite; parse / extract / observe allocator calls ride in index_view_counts above)"
 cargo test -q --offline --release -p autoindex-storage --test extraction_golden
 
+echo "==> cargo test -q --offline --release (serving: a grid of serve and serve_fleet runs at 1 and 3 workers = the digest recorded on the two drivers before their loops were merged)"
+cargo test -q --offline --release -p autoindex-core --test serving_golden
+
 echo "==> cargo test -q --offline --release (live execution = snapshot execution + absorb: the one execution core's float multiplication order, in the build that ships)"
 cargo test -q --offline --release -p autoindex-storage --test proptests live_execution_equals_snapshot_execution_plus_absorb
 
@@ -132,5 +135,13 @@ expect_hits 'HashMap' 0 crates/storage/src/shape.rs
 
 echo "==> execution check (non-test crates/storage/src/db.rs: no second planning pass — the no-index baseline comes back from the pricing of the plan)"
 expect_hits 'unindexed_cost(' 0 crates/storage/src/db.rs
+
+echo "==> serving check (non-test crates/core/src: one epoch loop — one engine, one tuning-round call, one coordinator-panic name, one validation and counter prefix)"
+expect_hits 'Engine::new(' 1 crates/core/src
+# `online.rs` has a `tuning_round` method of its own (out of the loop).
+expect_hits 'tuning_round(' 1 $(ls crates/core/src/*.rs | grep -v '/online\.rs$')
+for gone in fleet.tuner '"serve.fleet.' '"fleet.shards'; do
+    expect_hits "$gone" 0 crates/core/src
+done
 
 echo "OK: build + tests + docs green, dependency tree is hermetic."
