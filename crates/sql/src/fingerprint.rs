@@ -3,20 +3,21 @@
 //! query with placeholders and match that query with the most similar
 //! template".
 //!
-//! Fingerprinting is text-level and never builds an AST:
-//!
-//! * [`fingerprint`] lexes the query, replaces every literal token with
-//!   `$`, normalises whitespace/casing, and hashes the result;
-//! * [`scan_fingerprint`] computes the same hash without building the text
-//!   either, which is what the per-statement `SQL2Template` path uses — the
-//!   text is only needed when a template is admitted.
+//! Fingerprinting is text-level and never builds an AST. One private walk
+//! over the [`Lexer`]'s tokens owns the canonical form (a literal becomes
+//! `$`, a `LIKE` pattern `'%$'` or `'$%'`, an identifier is lower-cased, one
+//! rule places the blanks) and hands it to one of two sinks: [`fingerprint`]
+//! writes the text and hashes it; [`scan_fingerprint`] folds it straight
+//! into the same hash and collects the literals it replaced. The latter is
+//! the per-statement `SQL2Template` path: the text is needed only when a
+//! template is admitted.
 //!
 //! One literal token is one `$`, so two statements unify only when they
 //! have the same token structure: `IN ($)` and `IN ($, $, $)`, or a one-row
 //! and a two-row `VALUES`, are different templates.
 
 use crate::ast::Value;
-use crate::lexer::{Lexer, TokenKind};
+use crate::lexer::{unescape, Lexer, TokenKind};
 use crate::SqlError;
 
 /// A canonical query template string plus a stable 64-bit hash of it.
@@ -29,73 +30,32 @@ pub struct Fingerprint {
     pub hash: u64,
 }
 
-impl Fingerprint {
-    fn from_text(text: String) -> Self {
-        let hash = fnv1a(text.as_bytes());
-        Fingerprint { text, hash }
-    }
-}
-
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.text)
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline(always)]
+fn fnv_byte(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// Stable FNV-1a (64-bit) hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_byte(h, b))
 }
 
 /// Text-level fingerprint: lex, replace literals with `$`, re-emit with
 /// single spaces. Errors only on lexically invalid SQL.
 pub fn fingerprint(sql: &str) -> Result<Fingerprint, SqlError> {
-    let mut lexer = Lexer::new(sql);
     // Canonical text is about the same length as the input.
     let mut text = String::with_capacity(sql.len());
-    let mut prev_glue = false; // previous token glues to the next (no space)
-    let mut after_like = false; // previous keyword was LIKE
-    loop {
-        let kind = lexer.next_token()?.kind;
-        let piece: &str = match kind {
-            TokenKind::Eof => break,
-            // A string after LIKE keeps its wildcard anchoring: prefix
-            // patterns ('abc%') are sargable, suffix patterns ('%abc') are
-            // not, so they must map to different templates.
-            TokenKind::Str(s) if after_like => {
-                if s.starts_with('%') || s.starts_with('_') {
-                    "'%$'"
-                } else {
-                    "'$%'"
-                }
-            }
-            TokenKind::Int(_)
-            | TokenKind::Float(_)
-            | TokenKind::Str(_)
-            | TokenKind::Placeholder => "$",
-            TokenKind::Ident(s) => s,
-            TokenKind::Keyword(k) => k,
-            TokenKind::Punct(p) => p,
-        };
-        after_like = matches!(kind, TokenKind::Keyword("LIKE"));
-        let glue_before = matches!(kind, TokenKind::Punct("." | "," | ")" | ";"));
-        if !text.is_empty() && !prev_glue && !glue_before {
-            text.push(' ');
-        }
-        let at = text.len();
-        text.push_str(piece);
-        if matches!(kind, TokenKind::Ident(_)) {
-            // Identifiers are case-insensitive; the token is as written.
-            text[at..].make_ascii_lowercase();
-        }
-        prev_glue = matches!(kind, TokenKind::Punct("." | "("));
-    }
-    Ok(Fingerprint::from_text(text))
+    canonical_walk(sql, &mut text)?;
+    let hash = fnv1a(text.as_bytes());
+    Ok(Fingerprint { text, hash })
 }
 
 /// Reusable literal buffer filled by [`scan_fingerprint`].
@@ -117,313 +77,127 @@ impl LiteralBuf {
     }
 }
 
-/// Incremental FNV-1a over the canonical fingerprint byte stream. Whether
-/// anything has been emitted yet is tracked by the caller (per token, not
-/// per byte) so the per-byte step stays a bare xor-multiply.
-struct FnvStream {
-    h: u64,
-}
-
-impl FnvStream {
-    fn new() -> Self {
-        FnvStream {
-            h: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.h ^= b as u64;
-        self.h = self.h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    #[inline]
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-}
-
-/// Zero-allocation text-level fingerprint: computes exactly the hash that
+/// Zero-allocation text-level fingerprint: exactly the hash that
 /// [`fingerprint`] would return, without building the canonical string,
-/// token vector or any per-token `String`s, and collects the statement's
-/// literal values into `lits` (cleared first).
+/// and the statement's literal values collected into `lits` (cleared
+/// first).
 ///
-/// Returns `None` on any input the lexer would reject (unterminated
+/// Returns `None` on any input the lexer rejects (unterminated
 /// string/comment, stray characters) — callers fall back to the allocating
-/// path, which reproduces the original error behaviour.
+/// path, which reproduces the error.
 ///
 /// This is the serving hot path's front end: `scan + template-cache lookup`
 /// replaces `parse + shape extraction` for statements whose template is
 /// already compiled (see the `sql.fastpath.*` counters).
 pub fn scan_fingerprint(sql: &str, lits: &mut LiteralBuf) -> Option<u64> {
     lits.values.clear();
-    let bytes = sql.as_bytes();
-    let mut pos = 0usize;
-    let mut fnv = FnvStream::new();
-    let mut started = false;
-    let mut prev_glue = false;
-    let mut after_like = false;
+    let mut scan = Scan {
+        hash: FNV_OFFSET,
+        lits: &mut lits.values,
+    };
+    canonical_walk(sql, &mut scan).ok()?;
+    Some(scan.hash)
+}
 
-    // Emit one canonical piece with the fingerprint spacing rules.
-    // `started` mirrors the canonical renderer's `!text.is_empty()`: it is
-    // set by each arm *after* emitting, and only when bytes were actually
-    // emitted (an empty quoted identifier emits none), keeping the hash
-    // byte-identical to [`fingerprint`] without per-byte bookkeeping.
-    macro_rules! space {
-        ($glue_before:expr) => {
-            if started && !prev_glue && !$glue_before {
-                fnv.byte(b' ');
-            }
-        };
+/// Where [`canonical_walk`] writes the canonical form.
+trait Sink {
+    /// Append `piece`, ASCII-lower-cased when `lower`.
+    fn push(&mut self, piece: &str, lower: bool);
+    /// The literal token just written as `$` (or a `LIKE` pattern piece).
+    fn literal(&mut self, _token: TokenKind<'_>) {}
+}
+
+/// [`fingerprint`]'s sink: the canonical text.
+impl Sink for String {
+    fn push(&mut self, piece: &str, lower: bool) {
+        let at = self.len();
+        self.push_str(piece);
+        if lower {
+            self[at..].make_ascii_lowercase();
+        }
+    }
+}
+
+/// [`scan_fingerprint`]'s sink: FNV-1a over the canonical bytes, and the
+/// literal values in source order.
+struct Scan<'b> {
+    hash: u64,
+    lits: &'b mut Vec<Value>,
+}
+
+impl Sink for Scan<'_> {
+    #[inline(always)]
+    fn push(&mut self, piece: &str, lower: bool) {
+        for &b in piece.as_bytes() {
+            let b = if lower { b.to_ascii_lowercase() } else { b };
+            self.hash = fnv_byte(self.hash, b);
+        }
     }
 
+    #[inline(always)]
+    fn literal(&mut self, token: TokenKind<'_>) {
+        self.lits.push(match token {
+            TokenKind::Int(v) => Value::Int(v),
+            TokenKind::Float(v) => Value::Float(v),
+            TokenKind::Str(raw) => Value::Str(unescape(raw)),
+            _ => Value::Placeholder,
+        });
+    }
+}
+
+/// The canonical form, written once: lex `sql` and hand `sink` one piece
+/// per token — a literal as `$`, an identifier lower-cased, a keyword in
+/// its upper-case spelling, punctuation as lexed — with one blank between
+/// two pieces unless the first glues to the next (`.` `(`) or the second
+/// to the previous (`.` `,` `)` `;`). Each arm pushes its own piece, so the
+/// hash sink folds a constant one (`$`) without entering a loop.
+#[inline(always)]
+fn canonical_walk(sql: &str, sink: &mut impl Sink) -> Result<(), SqlError> {
+    let mut lexer = Lexer::new(sql);
+    let mut started = false; // a non-empty piece has been written
+    let mut prev_glue = false; // the previous token glues to the next
+    let mut after_like = false; // the previous token was LIKE
     loop {
-        // --- skip whitespace and comments (mirrors Lexer::skip_ws_and_comments)
-        loop {
-            match bytes.get(pos) {
-                Some(b) if b.is_ascii_whitespace() => pos += 1,
-                Some(b'-') if bytes.get(pos + 1) == Some(&b'-') => {
-                    while let Some(&b) = bytes.get(pos) {
-                        if b == b'\n' {
-                            break;
-                        }
-                        pos += 1;
-                    }
-                }
-                Some(b'/') if bytes.get(pos + 1) == Some(&b'*') => {
-                    pos += 2;
-                    loop {
-                        match (bytes.get(pos), bytes.get(pos + 1)) {
-                            (Some(b'*'), Some(b'/')) => {
-                                pos += 2;
-                                break;
-                            }
-                            (Some(_), _) => pos += 1,
-                            (None, _) => return None, // unterminated block comment
-                        }
-                    }
-                }
-                _ => break,
-            }
+        let kind = lexer.next_token()?.kind;
+        if matches!(kind, TokenKind::Eof) {
+            return Ok(());
         }
-        let Some(&b) = bytes.get(pos) else {
-            return Some(fnv.h); // Eof
-        };
-        // Each arm mirrors one Lexer::next_token case plus the fingerprint
-        // piece it canonicalises to. `after_like` is recomputed per token.
-        match b {
-            b'\'' => {
-                // String literal with '' escapes.
-                pos += 1;
-                let start = pos;
-                let mut has_escape = false;
-                loop {
-                    match bytes.get(pos) {
-                        Some(b'\'') => {
-                            if bytes.get(pos + 1) == Some(&b'\'') {
-                                has_escape = true;
-                                pos += 2;
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(_) => pos += 1,
-                        None => return None, // unterminated string literal
-                    }
-                }
-                let raw = &sql[start..pos];
-                pos += 1; // closing quote
-                let piece: &str = if after_like {
-                    // First *content* char decides the anchoring class; the
-                    // raw slice starts with the content (an escaped quote
-                    // yields a literal `'`, which is neither `%` nor `_`).
-                    if raw.starts_with('%') || raw.starts_with('_') {
-                        "'%$'"
-                    } else {
-                        "'$%'"
-                    }
+        // Punctuation glues by its one byte (comparing bytes, not `&str`s,
+        // keeps these checks to a couple of instructions).
+        let glue_before = matches!(
+            kind,
+            TokenKind::Punct(p) if matches!(p.as_bytes(), [b'.' | b',' | b')' | b';'])
+        );
+        if started && !prev_glue && !glue_before {
+            sink.push(" ", false);
+        }
+        match kind {
+            TokenKind::Ident(s) => sink.push(s, true),
+            TokenKind::Keyword(k) => sink.push(k, false),
+            TokenKind::Punct(p) => sink.push(p, false),
+            // A pattern keeps its anchoring: prefix patterns ('abc%') are
+            // sargable, suffix patterns ('%abc', '_bc') are not, so they
+            // are different templates.
+            TokenKind::Str(raw) if after_like => {
+                if raw.starts_with(['%', '_']) {
+                    sink.push("'%$'", false);
                 } else {
-                    "$"
-                };
-                space!(false);
-                fnv.bytes(piece.as_bytes());
-                let content = if has_escape {
-                    raw.replace("''", "'")
-                } else {
-                    raw.to_string()
-                };
-                lits.values.push(Value::Str(content));
-                started = true;
-                after_like = false;
-                prev_glue = false;
-            }
-            b'0'..=b'9' => {
-                // Number literal (mirrors Lexer::lex_number exactly).
-                let start = pos;
-                while bytes.get(pos).is_some_and(|c| c.is_ascii_digit()) {
-                    pos += 1;
+                    sink.push("'$%'", false);
                 }
-                let mut is_float = false;
-                if bytes.get(pos) == Some(&b'.')
-                    && bytes.get(pos + 1).is_some_and(|c| c.is_ascii_digit())
-                {
-                    is_float = true;
-                    pos += 1;
-                    while bytes.get(pos).is_some_and(|c| c.is_ascii_digit()) {
-                        pos += 1;
-                    }
-                }
-                if matches!(bytes.get(pos), Some(b'e') | Some(b'E')) {
-                    let save = pos;
-                    pos += 1;
-                    if matches!(bytes.get(pos), Some(b'+') | Some(b'-')) {
-                        pos += 1;
-                    }
-                    if bytes.get(pos).is_some_and(|c| c.is_ascii_digit()) {
-                        is_float = true;
-                        while bytes.get(pos).is_some_and(|c| c.is_ascii_digit()) {
-                            pos += 1;
-                        }
-                    } else {
-                        pos = save;
-                    }
-                }
-                let text = &sql[start..pos];
-                let value = if is_float {
-                    Value::Float(text.parse::<f64>().ok()?)
-                } else {
-                    match text.parse::<i64>() {
-                        Ok(v) => Value::Int(v),
-                        Err(_) => Value::Float(text.parse::<f64>().ok()?),
-                    }
-                };
-                space!(false);
-                fnv.byte(b'$');
-                lits.values.push(value);
-                started = true;
-                after_like = false;
-                prev_glue = false;
-            }
-            b'?' => {
-                pos += 1;
-                space!(false);
-                fnv.byte(b'$');
-                lits.values.push(Value::Placeholder);
-                started = true;
-                after_like = false;
-                prev_glue = false;
-            }
-            b'$' => {
-                pos += 1;
-                while bytes.get(pos).is_some_and(|c| c.is_ascii_digit()) {
-                    pos += 1;
-                }
-                space!(false);
-                fnv.byte(b'$');
-                lits.values.push(Value::Placeholder);
-                started = true;
-                after_like = false;
-                prev_glue = false;
-            }
-            b'"' => {
-                // Quoted identifier: lower-cased content.
-                pos += 1;
-                let start = pos;
-                loop {
-                    match bytes.get(pos) {
-                        Some(b'"') => break,
-                        Some(_) => pos += 1,
-                        None => return None, // unterminated quoted identifier
-                    }
-                }
-                space!(false);
-                if pos > start {
-                    started = true;
-                }
-                for &c in &bytes[start..pos] {
-                    fnv.byte(c.to_ascii_lowercase());
-                }
-                pos += 1;
-                after_like = false;
-                prev_glue = false;
-            }
-            b if b.is_ascii_alphabetic() || b == b'_' => {
-                let start = pos;
-                while bytes
-                    .get(pos)
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
-                {
-                    pos += 1;
-                }
-                let word = &sql[start..pos];
-                let keyword = crate::lexer::keyword_match(word);
-                space!(false);
-                match keyword {
-                    Some(k) => {
-                        fnv.bytes(k.as_bytes());
-                        after_like = k == "LIKE";
-                    }
-                    None => {
-                        for &c in word.as_bytes() {
-                            fnv.byte(c.to_ascii_lowercase());
-                        }
-                        after_like = false;
-                    }
-                }
-                started = true;
-                prev_glue = false;
+                sink.literal(kind);
             }
             _ => {
-                // Punctuation (mirrors Lexer::lex_punct).
-                pos += 1;
-                let p: &str = match b {
-                    b'(' => "(",
-                    b')' => ")",
-                    b',' => ",",
-                    b'.' => ".",
-                    b'*' => "*",
-                    b'+' => "+",
-                    b'-' => "-",
-                    b'/' => "/",
-                    b';' => ";",
-                    b'=' => "=",
-                    b'<' => match bytes.get(pos) {
-                        Some(b'=') => {
-                            pos += 1;
-                            "<="
-                        }
-                        Some(b'>') => {
-                            pos += 1;
-                            "<>"
-                        }
-                        _ => "<",
-                    },
-                    b'>' => match bytes.get(pos) {
-                        Some(b'=') => {
-                            pos += 1;
-                            ">="
-                        }
-                        _ => ">",
-                    },
-                    b'!' => match bytes.get(pos) {
-                        Some(b'=') => {
-                            pos += 1;
-                            "<>"
-                        }
-                        _ => return None, // unexpected '!'
-                    },
-                    _ => return None, // unexpected character
-                };
-                let glue_before = matches!(p, "." | "," | ")" | ";");
-                space!(glue_before);
-                fnv.bytes(p.as_bytes());
-                started = true;
-                after_like = false;
-                prev_glue = matches!(p, "." | "(");
+                sink.push("$", false);
+                sink.literal(kind);
             }
         }
+        // Only an empty quoted identifier writes nothing.
+        started |= !matches!(kind, TokenKind::Ident(""));
+        after_like = matches!(kind, TokenKind::Keyword("LIKE"));
+        prev_glue = matches!(
+            kind,
+            TokenKind::Punct(p) if matches!(p.as_bytes(), [b'.' | b'('])
+        );
     }
 }
 

@@ -69,7 +69,12 @@ pub fn ident_text(raw: &str) -> String {
 
 /// The content of a [`TokenKind::Str`] slice: `''` becomes `'`.
 pub fn unescape(raw: &str) -> String {
-    raw.replace("''", "'")
+    // A quote inside the slice is always half of a `''` escape.
+    if raw.contains('\'') {
+        raw.replace("''", "'")
+    } else {
+        raw.to_owned()
+    }
 }
 
 /// A token plus its byte offset in the source.
@@ -82,7 +87,7 @@ pub struct Token<'a> {
 /// Case-insensitive keyword lookup: the canonical upper-case spelling if
 /// `word` is a keyword the parser understands, `None` otherwise (anything
 /// else lexes as an identifier, which keeps the lexer forward-compatible).
-/// Allocation-free; the tokenizer and the fingerprint scanner share it.
+/// Allocation-free.
 ///
 /// Dispatches on `(length, first byte)` before comparing, so the common
 /// case — an identifier that is *not* a keyword — decides against at most
@@ -141,6 +146,17 @@ pub fn keyword_match(word: &str) -> Option<&'static str> {
         .find(|k| k.eq_ignore_ascii_case(word))
 }
 
+/// The bytes that continue a word (ASCII letters, digits, `_`), by table.
+const WORD: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u8).is_ascii_alphanumeric() || b == b'_' as usize;
+        b += 1;
+    }
+    table
+};
+
 /// Streaming tokenizer over a SQL string.
 #[derive(Debug, Clone)]
 pub struct Lexer<'a> {
@@ -173,6 +189,7 @@ impl<'a> Lexer<'a> {
         Some(b)
     }
 
+    #[inline(always)]
     fn skip_ws_and_comments(&mut self) -> Result<(), SqlError> {
         loop {
             match self.peek() {
@@ -198,10 +215,7 @@ impl<'a> Lexer<'a> {
                             }
                             (Some(_), _) => self.pos += 1,
                             (None, _) => {
-                                return Err(SqlError::Lex {
-                                    offset: start,
-                                    message: "unterminated block comment".into(),
-                                })
+                                return Err(lex_error(start, "unterminated block comment"))
                             }
                         }
                     }
@@ -214,6 +228,7 @@ impl<'a> Lexer<'a> {
     /// Lex one token; [`TokenKind::Eof`] at the end of the input, and from
     /// then on. After an error the lexer is at the end of its input: the
     /// byte it stopped at need not be a character boundary.
+    #[inline(always)]
     pub fn next_token(&mut self) -> Result<Token<'a>, SqlError> {
         let token = self.lex_token();
         if token.is_err() {
@@ -222,6 +237,8 @@ impl<'a> Lexer<'a> {
         token
     }
 
+    // Inlined with its per-token callees into `next_token`'s callers.
+    #[inline(always)]
     fn lex_token(&mut self) -> Result<Token<'a>, SqlError> {
         self.skip_ws_and_comments()?;
         let offset = self.pos;
@@ -252,6 +269,7 @@ impl<'a> Lexer<'a> {
         Ok(Token { kind, offset })
     }
 
+    #[inline(always)]
     fn lex_string(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         debug_assert_eq!(self.peek(), Some(b'\''));
         self.pos += 1;
@@ -264,16 +282,12 @@ impl<'a> Lexer<'a> {
                 // character boundaries whatever the content is.
                 Some(b'\'') => return Ok(TokenKind::Str(&self.src[start..self.pos - 1])),
                 Some(_) => {}
-                None => {
-                    return Err(SqlError::Lex {
-                        offset,
-                        message: "unterminated string literal".into(),
-                    })
-                }
+                None => return Err(lex_error(offset, "unterminated string literal")),
             }
         }
     }
 
+    #[inline(always)]
     fn lex_quoted_ident(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         self.pos += 1;
         let start = self.pos;
@@ -285,12 +299,10 @@ impl<'a> Lexer<'a> {
             }
             self.pos += 1;
         }
-        Err(SqlError::Lex {
-            offset,
-            message: "unterminated quoted identifier".into(),
-        })
+        Err(lex_error(offset, "unterminated quoted identifier"))
     }
 
+    #[inline(always)]
     fn lex_number(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         let start = self.pos;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
@@ -323,10 +335,7 @@ impl<'a> Lexer<'a> {
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::Float)
-                .map_err(|e| SqlError::Lex {
-                    offset,
-                    message: format!("bad float literal {text:?}: {e}"),
-                })
+                .map_err(|e| bad_number(offset, "float", text, e))
         } else {
             // Fall back to float on i64 overflow rather than failing.
             match text.parse::<i64>() {
@@ -334,20 +343,15 @@ impl<'a> Lexer<'a> {
                 Err(_) => text
                     .parse::<f64>()
                     .map(TokenKind::Float)
-                    .map_err(|e| SqlError::Lex {
-                        offset,
-                        message: format!("bad numeric literal {text:?}: {e}"),
-                    }),
+                    .map_err(|e| bad_number(offset, "numeric", text, e)),
             }
         }
     }
 
+    #[inline(always)]
     fn lex_word(&mut self) -> TokenKind<'a> {
         let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
-        {
+        while self.peek().is_some_and(|c| WORD[c as usize]) {
             self.pos += 1;
         }
         let word = &self.src[start..self.pos];
@@ -357,6 +361,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    #[inline(always)]
     fn lex_punct(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         let b = self.bump().expect("caller checked non-empty");
         let two = |lx: &mut Self, s: &'static str| {
@@ -385,17 +390,35 @@ impl<'a> Lexer<'a> {
             },
             b'!' => match self.peek() {
                 Some(b'=') => two(self, "<>"),
-                _ => Err(SqlError::Lex {
-                    offset,
-                    message: "unexpected '!'".into(),
-                }),
+                _ => Err(lex_error(offset, "unexpected '!'")),
             },
-            other => Err(SqlError::Lex {
-                offset,
-                message: format!("unexpected character {:?}", other as char),
-            }),
+            _ => Err(unexpected_character(self.src, offset)),
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn lex_error(offset: usize, message: &str) -> SqlError {
+    SqlError::Lex {
+        offset,
+        message: message.to_owned(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_number(offset: usize, what: &str, text: &str, e: std::num::ParseFloatError) -> SqlError {
+    lex_error(offset, &format!("bad {what} literal {text:?}: {e}"))
+}
+
+/// Names the character at `offset`, not its first byte. `offset` is a
+/// character boundary: every token before it ends on an ASCII byte.
+#[cold]
+#[inline(never)]
+fn unexpected_character(src: &str, offset: usize) -> SqlError {
+    let c = src[offset..].chars().next().expect("a character at offset");
+    lex_error(offset, &format!("unexpected character {c:?}"))
 }
 
 #[cfg(test)]

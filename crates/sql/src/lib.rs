@@ -16,8 +16,8 @@
 //!   generation.
 //! * [`mod@fingerprint`] — `SQL2Template` support: replacing literals with
 //!   placeholders so that queries differing only in constants map to the
-//!   same template, plus [`scan_fingerprint`], a zero-allocation scanner
-//!   that computes the same hash without building tokens or text.
+//!   same template; one walk over the tokenizer writes the text or, in
+//!   [`scan_fingerprint`], folds it into the same hash without allocating.
 //! * [`intern`] — dense `u32` handles ([`TableId`] / [`ColumnId`] /
 //!   [`TemplateId`]) for identifier-heavy hot paths.
 //!
@@ -41,8 +41,8 @@
 //! let f1 = fingerprint(q).unwrap();
 //! let f2 = fingerprint("SELECT name FROM person WHERE temperature > 39.1 AND community = 'hill'").unwrap();
 //! assert_eq!(f1, f2);
-//! // The scanner reaches the same hash without the text, and hands back
-//! // the constants it skipped.
+//! // The same walk reaches the same hash without the text, and hands back
+//! // the constants it replaced.
 //! let mut literals = LiteralBuf::new();
 //! assert_eq!(scan_fingerprint(q, &mut literals), Some(f1.hash));
 //! assert_eq!(literals.values, [Value::Float(37.3), Value::Str("riverside".into())]);

@@ -10,8 +10,8 @@ use autoindex_sql::lexer::unescape;
 use autoindex_sql::predicate::{collect_atoms, evaluate, evaluate_dnf, to_dnf_capped};
 use autoindex_sql::{
     fingerprint, parse_statement, scan_fingerprint, CmpOp, ColumnRef, DeleteStatement,
-    InsertStatement, Lexer, LiteralBuf, OrderItem, Predicate, SelectItem, SelectStatement,
-    SetClause, SqlError, Statement, TableRef, TokenKind, UpdateStatement, Value,
+    InsertStatement, Join, JoinKind, Lexer, LiteralBuf, OrderItem, Predicate, SelectItem,
+    SelectStatement, SetClause, SqlError, Statement, TableRef, TokenKind, UpdateStatement, Value,
 };
 use autoindex_support::prop::{property, PropConfig};
 use autoindex_support::rng::StdRng;
@@ -87,19 +87,53 @@ fn depth_for(size: usize) -> usize {
     (size / 25).min(4)
 }
 
-/// A richer literal mix (int / float / string) for statement-level tests.
-/// Kept render-safe: every value round-trips through `Display` → lexer.
+/// A richer literal mix (int / float / string / placeholder) for
+/// statement-level tests. Kept render-safe: every value round-trips through
+/// `Display` → lexer.
 fn gen_value_rich(rng: &mut StdRng) -> Value {
-    match rng.random_range(0u32..4) {
+    match rng.random_range(0u32..5) {
         0 | 1 => Value::Int(rng.random_range(-100i64..1000)),
         // Halves avoid integral floats, which render as "2" and re-lex as Int.
         2 => Value::Float(rng.random_range(0i64..100) as f64 + 0.5),
+        3 => Value::Placeholder,
         _ => Value::Str(match rng.random_range(0u32..3) {
             0 => "x".to_string(),
             1 => "o'neil".to_string(), // exercises '' escaping
             _ => "pat%tern".to_string(),
         }),
     }
+}
+
+/// A statement's `WHERE` tree: [`gen_predicate`]'s, often ANDed with an
+/// atom the fingerprint treats specially — a `LIKE` pattern in either
+/// anchoring (a leading `_` is suffix-anchored), `IS [NOT] NULL`, or a
+/// comparison with a placeholder.
+fn gen_where(rng: &mut StdRng, size: usize) -> Predicate {
+    let tree = gen_predicate(rng, depth_for(size));
+    if rng.random_bool(0.4) {
+        return tree;
+    }
+    let column = gen_column(rng);
+    let atom = match rng.random_range(0u32..4) {
+        0 | 1 => Predicate::Like {
+            column,
+            pattern: rng
+                .choose(&["ab%", "%ab", "_b%", "o'k%", "%"])
+                .unwrap()
+                .to_string(),
+            negated: rng.random_bool(0.25),
+        },
+        2 => Predicate::IsNull {
+            column,
+            negated: rng.random_bool(0.5),
+        },
+        _ => Predicate::Cmp {
+            column,
+            op: gen_op(rng),
+            value: Value::Placeholder,
+        },
+    };
+    Predicate::And(vec![tree, atom])
 }
 
 /// Random full statement (all four kinds), built to be render-safe: the
@@ -126,19 +160,42 @@ fn gen_statement(rng: &mut StdRng, size: usize) -> Statement {
             } else {
                 vec![]
             };
+            let having =
+                (!group_by.is_empty() && rng.random_bool(0.5)).then(|| Predicate::AggCmp {
+                    func: "COUNT".to_string(),
+                    arg: None,
+                    op: gen_op(rng),
+                    value: Value::Int(rng.random_range(0i64..20)),
+                });
+            let alias = rng.random_bool(0.3).then(|| "s".to_string());
+            let binding = alias.clone().unwrap_or_else(|| table.to_string());
+            // A join on qualified columns.
+            let joins = rng
+                .random_bool(0.3)
+                .then(|| Join {
+                    kind: *rng.choose(&[JoinKind::Inner, JoinKind::Left]).unwrap(),
+                    relation: TableRef::Table {
+                        name: "visit".to_string(),
+                        alias: Some("v".to_string()),
+                    },
+                    on: Some(Predicate::JoinEq {
+                        left: ColumnRef::qualified(binding, gen_column(rng).column),
+                        right: ColumnRef::qualified("v", gen_column(rng).column),
+                    }),
+                })
+                .into_iter()
+                .collect();
             Statement::Select(SelectStatement {
                 distinct: rng.random_bool(0.2) && projection[0] != SelectItem::Star,
                 projection,
                 from: vec![TableRef::Table {
                     name: table.to_string(),
-                    alias: rng.random_bool(0.3).then(|| "s".to_string()),
+                    alias,
                 }],
-                joins: vec![],
-                where_clause: rng
-                    .random_bool(0.9)
-                    .then(|| gen_predicate(rng, depth_for(size))),
+                joins,
+                where_clause: rng.random_bool(0.9).then(|| gen_where(rng, size)),
                 group_by,
-                having: None,
+                having,
                 order_by: rng
                     .random_bool(0.4)
                     .then(|| OrderItem {
@@ -174,15 +231,11 @@ fn gen_statement(rng: &mut StdRng, size: usize) -> Statement {
                 column: COLUMNS[rng.random_range(0usize..4)].to_string(),
                 value: gen_value_rich(rng),
             }],
-            where_clause: rng
-                .random_bool(0.8)
-                .then(|| gen_predicate(rng, depth_for(size))),
+            where_clause: rng.random_bool(0.8).then(|| gen_where(rng, size)),
         }),
         _ => Statement::Delete(DeleteStatement {
             table: table.to_string(),
-            where_clause: rng
-                .random_bool(0.8)
-                .then(|| gen_predicate(rng, depth_for(size))),
+            where_clause: rng.random_bool(0.8).then(|| gen_where(rng, size)),
         }),
     }
 }
@@ -347,6 +400,34 @@ fn scan_fingerprint_matches_token_fingerprint() {
             Ok(())
         },
     );
+}
+
+/// The statement generator reaches every token the fingerprint walk treats
+/// specially, at a property run's case count.
+#[test]
+fn generated_statements_reach_every_special_case() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let statements: Vec<String> = (0..256)
+        .map(|i| gen_statement(&mut rng, i * 100 / 256).to_string())
+        .collect();
+    for needle in [
+        "LIKE '%",
+        "LIKE '_",
+        "LIKE 'a",
+        "''",
+        "IS NULL",
+        "IS NOT NULL",
+        "$",
+        " JOIN visit AS v ON ",
+        "HAVING COUNT(*) ",
+        "GROUP BY",
+        " DESC",
+        "LIMIT ",
+        ".",
+    ] {
+        let n = statements.iter().filter(|s| s.contains(needle)).count();
+        assert!(n >= 3, "only {n} generated statements contain {needle:?}");
+    }
 }
 
 /// The DNF conjunct count never exceeds the cap when Ok.
@@ -553,7 +634,15 @@ fn errors_read_as_they_did_with_owned_tokens() {
         ),
         (
             "SELECT * FROM t WHERE É = 1",
-            "lexical error at byte 22: unexpected character 'Ã'",
+            "lexical error at byte 22: unexpected character 'É'",
+        ),
+        (
+            "SELECT a FROM t WHERE b = é",
+            "lexical error at byte 26: unexpected character 'é'",
+        ),
+        (
+            "SELECT a FROM t WHERE b = 1 € 2",
+            "lexical error at byte 28: unexpected character '€'",
         ),
         (
             "SELECT Foo.Bar FROM T WHERE x = 1 GROUP Foo",

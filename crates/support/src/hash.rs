@@ -3,8 +3,9 @@
 //! FNV-1a is the one *stable* hash in the tree: transcript and
 //! regret-curve digests and template fingerprints all have to repeat
 //! across runs and hosts, which `DefaultHasher` does not promise.
-//! (`autoindex-sql` sits below this crate and keeps its own copy for
-//! fingerprints; its tests pin the two equal.)
+//! `autoindex-sql` keeps its own copy for fingerprints, because that crate
+//! depends on nothing: an edge from it to this one would also rewrite the
+//! wall-clock benchmark's `perf/Cargo.lock`. Its tests pin the two equal.
 //!
 //! The serving hot path keys its template caches by the statement's
 //! canonical FNV-1a fingerprint — a value that *is already a hash*.

@@ -33,6 +33,9 @@ cargo test -q --offline --release -p autoindex-core --test round_pricing
 echo "==> cargo test -q --offline --release (the miss path: extraction of the fixed corpus = the digest recorded before the by-reference rewrite; parse / extract / observe allocator calls ride in index_view_counts above)"
 cargo test -q --offline --release -p autoindex-storage --test extraction_golden
 
+echo "==> cargo test -q --offline --release (the front end: scan_fingerprint and fingerprint over a fixed corpus and its byte-mutated copies = the digest recorded on the byte-level scanner; the lexer inlined into the walk, in the build that ships)"
+cargo test -q --offline --release -p autoindex-sql --test fingerprint_golden
+
 echo "==> cargo test -q --offline --release (serving: a grid of serve and serve_fleet runs at 1 and 3 workers = the digest recorded on the two drivers before their loops were merged)"
 cargo test -q --offline --release -p autoindex-core --test serving_golden
 
@@ -132,6 +135,10 @@ for gone in to_ascii_uppercase 'peek().clone()' 'kind.clone()' 'KEYWORDS.contain
 done
 expect_hits 'Lexer::tokenize(' 0 crates/sql/src crates/core/src
 expect_hits 'HashMap' 0 crates/storage/src/shape.rs
+
+echo "==> one-tokenizer check (non-test crates/sql/src/fingerprint.rs: no byte-level lexing, one walk over the lexer under fingerprint and scan_fingerprint)"
+expect_hits 'bytes.get(' 0 crates/sql/src/fingerprint.rs
+expect_hits 'Lexer::new(' 1 crates/sql/src/fingerprint.rs
 
 echo "==> execution check (non-test crates/storage/src/db.rs: no second planning pass — the no-index baseline comes back from the pricing of the plan)"
 expect_hits 'unindexed_cost(' 0 crates/storage/src/db.rs
