@@ -222,7 +222,6 @@ fn fleet_bandit_digest(workers: usize) -> u64 {
         .workers(workers)
         .epoch_interval(FLEET_EPOCH)
         .tuner_strategy(StrategyKind::Bandit)
-        .seed(SEED)
         .build()
         .expect("static fleet config");
     serve_fleet(tenants, cfg)

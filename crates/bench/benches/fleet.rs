@@ -115,7 +115,6 @@ fn main() {
             .epoch_interval(EPOCH_INTERVAL)
             .epoch_capacity_ms(EPOCH_CAPACITY_MS)
             .shed_floor_priority(1)
-            .seed(SEED)
             .build()
             .expect("static fleet config");
         let start = Instant::now();

@@ -95,7 +95,6 @@ fn main() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(EPOCH_INTERVAL)
-            .seed(61)
             .build()
             .expect("static serve config");
         let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
@@ -333,7 +332,6 @@ fn frontend(
     let cfg = ServeConfig::builder()
         .workers(1)
         .epoch_interval(EPOCH_INTERVAL)
-        .seed(61)
         .fastpath(false)
         .build()
         .expect("static serve config");

@@ -20,18 +20,17 @@
 //!  └───────────────────────────────┘
 //! ```
 //!
-//! * A **lane** is one tenant's query stream and shard seed.
-//!   `serve` is one lane.
-//! * `Coordinator::run_epoch` splits the admitted slices into
-//!   `(tenant, epoch, start, end, shard, resume_at)` tasks, each holding
-//!   the publication it runs against, injects them into the one task
-//!   queue and returns **exactly one observation per sequence slot**,
-//!   merged on the `(tenant, seq)` logical clock.
+//! * A **lane** is one tenant's query stream. `serve` is one lane.
+//! * `Coordinator::run_epoch` cuts each admitted slice into up to
+//!   `shards` contiguous runs and makes each non-empty run a
+//!   `(tenant, epoch, start, end)` task holding the publication it runs
+//!   against, injects them into the one task queue and returns **exactly
+//!   one observation per sequence slot**, merged on the `(tenant, seq)`
+//!   logical clock.
 //!   The unit of hand-off is the task, not the statement: a worker sends
 //!   everything one task observed as one message — a `seq`-ascending run
-//!   of one `(tenant, shard)` — and the coordinator moves each batch to
-//!   the slots it was due in (`EpochMerge`). Which worker ran a statement
-//!   never shows.
+//!   of one tenant — and the coordinator moves each batch to the slots it
+//!   was due in (`EpochMerge`). Which worker ran a statement never shows.
 //! * The loop's boundary then runs on the coordinator — the
 //!   only thread that owns the live [`SimDb`]s and each lane's current
 //!   publication — and `Coordinator::publish` overwrites that
@@ -43,8 +42,8 @@
 //!
 //! # Determinism
 //!
-//! Statement → shard assignment is a pure function of `(seed, seq)`
-//! (`shard_of`), measurement noise is derived per `seq`, and publications
+//! A task's range is a pure function of its slice and `shards`
+//! (`chunks`), measurement noise is derived per `seq`, and publications
 //! are frozen per epoch, so an outcome does not depend on which thread
 //! computed it; the merge erases arrival order. Everything the loop
 //! renders into a transcript is downstream of `Coordinator::run_epoch`'s
@@ -77,25 +76,22 @@ use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{DbSnapshot, ExecOutcome, PreparedPlan, SimDb, UsageDelta};
 use autoindex_support::hash::U64HashMap;
 use autoindex_support::obs::{Counter, MetricsRegistry};
-use autoindex_support::rng::derive_seed;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Domain-separation salt for the statement → shard assignment stream.
-const SHARD_SALT: u64 = 0x51a4_d000_0b5e_55ed;
-
 /// Bound of the observation channel, in **batches** (one per task; see
-/// [`Engine::run_task`]). An epoch has at most `slices × shards` of them
+/// [`Engine::run_task`]). An epoch has at most `slices × shards` tasks
 /// and the coordinator does nothing but receive until it holds them all,
 /// so the bound only has to let every worker finish a task or two ahead of
 /// the coordinator: 64 is two per worker at 32 workers, and a worker past
 /// it blocks in `send` until one is taken (backpressure, as before). In
-/// statements: a batch holds at most one task, i.e. at most one slice
-/// (typically `1/shards` of one), so at most 64 slices' worth of
-/// observations wait in the channel.
+/// statements: a batch holds at most one task, a contiguous run of
+/// `⌈len / shards⌉` statements of one slice at most, so at most 64
+/// slices' worth of observations wait in the channel.
 const CHANNEL_CAPACITY: usize = 64;
 
 // --------------------------------------------------------- observations
@@ -174,6 +170,14 @@ impl EpochMerge {
         EpochMerge { homes, slots }
     }
 
+    /// The positions `run`, a contiguous part of an admitted slice, fills
+    /// in the merged epoch.
+    fn span(&self, run: &Slice) -> Range<usize> {
+        let (range, at) = &self.homes[run.tenant as usize];
+        let from = at + (run.start - range.start) as usize;
+        from..from + (run.end - run.start) as usize
+    }
+
     /// Move a batch to its slots. An observation no slot is waiting for
     /// is dropped; its slot then stays empty and [`EpochMerge::finish`]
     /// reports the epoch incomplete.
@@ -192,14 +196,10 @@ impl EpochMerge {
         }
     }
 
-    /// The merged epoch — `each` sees every observation, in merged order —
-    /// or `None` if a slot was never filled.
-    fn finish(self, mut each: impl FnMut(&TenantObservation)) -> Option<Vec<TenantObservation>> {
+    /// The merged epoch, or `None` if a slot was never filled.
+    fn finish(self) -> Option<Vec<TenantObservation>> {
         // Same element size and layout: collected in place.
-        self.slots
-            .into_iter()
-            .map(|o| o.inspect(&mut each))
-            .collect()
+        self.slots.into_iter().collect()
     }
 }
 
@@ -209,16 +209,29 @@ impl EpochMerge {
 /// order N workers produce, sorting on `seq` yields the same sequence a
 /// single worker would have produced — the permutation-invariance the
 /// determinism contract rests on (property-tested in
-/// `crates/core/tests/serving.rs`). The engine applies it per tenant by
-/// sorting on `(tenant, seq)`.
+/// `crates/core/tests/serving.rs`). The engine does not sort: it knows
+/// each `(tenant, seq)` slot before its observation arrives and places
+/// every observation there (`EpochMerge`, property-tested equal to the
+/// sort).
 pub fn logical_merge(batch: &mut [Observation]) {
     batch.sort_unstable_by_key(|o| o.seq);
 }
 
-/// Statement → shard assignment: a pure function of `(seed, seq)`, so the
-/// partition of a stream is identical at any worker count.
-fn shard_of(seed: u64, seq: u64, shards: u64) -> u64 {
-    derive_seed(seed ^ SHARD_SALT, seq) % shards
+/// The tasks of `slice`: run `k` of `shards` covers
+/// `start + len·k/shards .. start + len·(k+1)/shards`, in order, the empty
+/// runs left out — a pure function of the slice, identical at any worker
+/// count.
+fn chunks(slice: Slice, shards: u64) -> impl Iterator<Item = Slice> {
+    let len = slice.end - slice.start;
+    (0..shards).filter_map(move |k| {
+        let start = slice.start + len * k / shards;
+        let end = slice.start + len * (k + 1) / shards;
+        (start < end).then_some(Slice {
+            start,
+            end,
+            ..slice
+        })
+    })
 }
 
 /// Deterministic epoch makespan: pack per-task simulated-latency totals
@@ -490,30 +503,15 @@ pub(crate) struct Slice {
     pub(crate) end: u64,
 }
 
-/// One unit of executor work: the statements of `slice` that map to
-/// `shard`, resuming at `resume_at` after an interrupted run, and the
-/// publication they execute against — the lane's current one when the
-/// epoch was fanned out.
+/// One unit of executor work: the statements of `slice` — a contiguous run
+/// of an admitted slice, or what is left of one after an interrupted run —
+/// and the publication they execute against, the lane's current one when
+/// the epoch was fanned out.
 #[derive(Clone)]
 struct Task {
     slice: Slice,
     epoch: u64,
-    shard: u64,
-    resume_at: u64,
     publication: Arc<Publication>,
-}
-
-/// One tenant as the executors see it.
-pub(crate) struct Lane<'a> {
-    queries: &'a [String],
-    /// Seed of the tenant's shard-assignment stream.
-    seed: u64,
-}
-
-impl<'a> Lane<'a> {
-    pub(crate) fn new(queries: &'a [String], seed: u64) -> Self {
-        Lane { queries, seed }
-    }
 }
 
 /// Resolve a caller-facing thread count: `0` = auto-detect via
@@ -536,7 +534,7 @@ pub(crate) struct EngineConfig {
     /// Executor threads; `0` means one per available core
     /// ([`resolve_threads`]).
     pub(crate) workers: usize,
-    /// Logical shards per slice: one task per slice × shard.
+    /// Contiguous runs a slice is cut into: one task per non-empty run.
     pub(crate) shards: u64,
     pub(crate) fastpath: bool,
     /// Panics a worker absorbs before retiring.
@@ -546,12 +544,12 @@ pub(crate) struct EngineConfig {
     pub(crate) panic_on: Vec<(u32, u64)>,
 }
 
-/// Shared state of one run: lanes, task queue and head counts. Built by
-/// the loop, borrowed by every executor for the length of
-/// [`Engine::run`].
+/// Shared state of one run: lanes (one query stream per tenant), task
+/// queue and head counts. Built by the loop, borrowed by every executor for
+/// the length of [`Engine::run`].
 pub(crate) struct Engine<'a> {
     cfg: EngineConfig,
-    lanes: Vec<Lane<'a>>,
+    lanes: Vec<&'a [String]>,
     /// `<prefix>.worker_panics` / `<prefix>.workers_retired` in the
     /// run's registry (the loop's prefix is `serve`).
     worker_panics: Counter,
@@ -572,7 +570,7 @@ impl<'a> Engine<'a> {
         mut cfg: EngineConfig,
         registry: &MetricsRegistry,
         prefix: &str,
-        lanes: Vec<Lane<'a>>,
+        lanes: Vec<&'a [String]>,
     ) -> Self {
         cfg.workers = resolve_threads(cfg.workers);
         Engine {
@@ -691,20 +689,18 @@ impl<'a> Engine<'a> {
         panics: &mut u64,
         max_panics: u64,
     ) -> (Vec<TenantObservation>, Option<Task>) {
-        let Slice { tenant, end, .. } = task.slice;
-        let lane = &self.lanes[tenant as usize];
+        let Slice { tenant, start, end } = task.slice;
+        let queries = self.lanes[tenant as usize];
         scratch.pin((tenant, task.publication.snap.epoch));
-        let shard = task.shard;
-        let mine = |seq: &u64| shard_of(lane.seed, *seq, self.cfg.shards) == shard;
-        // Sized exactly, at the price of hashing the range twice: batches
-        // are an epoch's whole memory until they are placed.
-        let mut batch = Vec::with_capacity((task.resume_at..end).filter(mine).count());
-        for seq in (task.resume_at..end).filter(mine) {
+        // Sized exactly: batches are an epoch's whole memory until they are
+        // placed.
+        let mut batch = Vec::with_capacity((end - start) as usize);
+        for seq in start..end {
             let payload = catch_unwind(AssertUnwindSafe(|| {
                 if self.cfg.panic_on.contains(&(tenant, seq)) {
                     panic!("injected panic at tenant {tenant} seq {seq}");
                 }
-                let sql = &lane.queries[seq as usize];
+                let sql = &queries[seq as usize];
                 execute_statement(&task.publication, sql, seq, self.cfg.fastpath, scratch)
             }))
             .unwrap_or_else(|_| {
@@ -720,8 +716,11 @@ impl<'a> Engine<'a> {
             };
             batch.push(TenantObservation { tenant, obs });
             if panicked && *panics > max_panics {
-                let rest = (seq + 1 < end).then_some(Task {
-                    resume_at: seq + 1,
+                let rest = (seq + 1 < end).then(|| Task {
+                    slice: Slice {
+                        start: seq + 1,
+                        ..task.slice
+                    },
                     ..task
                 });
                 return (batch, rest);
@@ -741,15 +740,15 @@ pub(crate) struct Coordinator<'e, 'a> {
     /// For the inline drain when every worker has retired.
     scratch: WorkerScratch,
     /// Deterministic simulated makespan of the epochs run so far, ms: per
-    /// epoch, every task's simulated-latency total is packed onto the
-    /// worker slots (`lpt_makespan`) and the busiest slot's load is
+    /// epoch, every injected task's simulated-latency total is packed onto
+    /// the worker slots (`lpt_makespan`) and the busiest slot's load is
     /// summed over epochs — epochs are synchronisation points.
     pub(crate) sim_makespan_ms: f64,
 }
 
 impl Coordinator<'_, '_> {
     /// Run one epoch: fan `slices` (at most one per tenant) out as
-    /// per-shard tasks, collect their batches until there is exactly one
+    /// contiguous-run tasks, collect their batches until there is exactly one
     /// observation per sequence slot, and merge them on the
     /// `(tenant, seq)` logical clock. If every worker has retired with
     /// tasks still queued, the queue is drained inline (unlimited panic
@@ -761,20 +760,25 @@ impl Coordinator<'_, '_> {
         slices: &[Slice],
     ) -> Result<Vec<TenantObservation>, AutoIndexError> {
         let engine = self.engine;
-        let shards = engine.cfg.shards;
         let expected: u64 = slices.iter().map(|s| s.end - s.start).sum();
-        let current = &self.current;
-        engine.queue.inject(slices.iter().flat_map(|&slice| {
-            (0..shards).map(move |shard| Task {
-                slice,
-                epoch,
-                shard,
-                resume_at: slice.start,
-                publication: Arc::clone(&current[slice.tenant as usize]),
-            })
-        }));
-
         let mut merge = EpochMerge::new(engine.lanes.len(), slices);
+        // Each task's makespan item is the span of the merged epoch it
+        // fills, however many parts it is handed off in.
+        let (tasks, spans): (Vec<Task>, Vec<Range<usize>>) = slices
+            .iter()
+            .flat_map(|&slice| chunks(slice, engine.cfg.shards))
+            .map(|slice| {
+                let publication = Arc::clone(&self.current[slice.tenant as usize]);
+                let task = Task {
+                    slice,
+                    epoch,
+                    publication,
+                };
+                (task, merge.span(&slice))
+            })
+            .unzip();
+        engine.queue.inject(tasks);
+
         let mut got = 0u64;
         // Takes one batch; true once every slot is accounted.
         let mut collect = |batch: Vec<TenantObservation>| {
@@ -805,21 +809,7 @@ impl Coordinator<'_, '_> {
             };
         }
 
-        // One makespan item per task (slice × shard), summed in seq order
-        // by the pass that hands the merged epoch over.
-        let mut task_ms = vec![0.0f64; slices.len() * shards as usize];
-        let mut first_task = vec![0u64; engine.lanes.len()];
-        for (i, slice) in slices.iter().enumerate() {
-            first_task[slice.tenant as usize] = i as u64 * shards;
-        }
-        let merged = merge.finish(|o| {
-            if let ObservationPayload::Executed { outcome, .. } = &o.obs.payload {
-                let tenant = o.tenant as usize;
-                let shard = shard_of(engine.lanes[tenant].seed, o.obs.seq, shards);
-                task_ms[(first_task[tenant] + shard) as usize] += outcome.latency_ms;
-            }
-        });
-        let Some(merged) = merged.filter(|_| got == expected) else {
+        let Some(merged) = merge.finish().filter(|_| got == expected) else {
             return Err(invalid(
                 engine.cfg.name,
                 format!(
@@ -827,7 +817,14 @@ impl Coordinator<'_, '_> {
                 ),
             ));
         };
-        self.sim_makespan_ms += lpt_makespan(task_ms, engine.cfg.workers);
+        // One makespan item per task, summed in seq order.
+        let task_ms = spans.into_iter().map(|span| {
+            merged[span].iter().fold(0.0, |ms, o| match &o.obs.payload {
+                ObservationPayload::Executed { outcome, .. } => ms + outcome.latency_ms,
+                _ => ms,
+            })
+        });
+        self.sim_makespan_ms += lpt_makespan(task_ms.collect(), engine.cfg.workers);
         Ok(merged)
     }
 
@@ -873,16 +870,44 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
+    /// A slice's tasks are its contiguous runs: in order, disjoint,
+    /// covering the slice exactly once, sizes within one of each other, and
+    /// no empty one — at most `shards`, exactly `min(len, shards)`.
     #[test]
-    fn shard_assignment_covers_all_shards_and_is_stable() {
-        let shards = 8;
-        let mut seen = vec![0u64; shards as usize];
-        for seq in 0..1_000 {
-            let s = shard_of(42, seq, shards);
-            assert_eq!(s, shard_of(42, seq, shards), "pure function");
-            seen[s as usize] += 1;
-        }
-        assert!(seen.iter().all(|&c| c > 50), "balanced-ish: {seen:?}");
+    fn chunks_cover_a_slice_in_order_exactly_once() {
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::{prop_assert, prop_assert_eq};
+
+        property(
+            "chunks_cover_a_slice_in_order_exactly_once",
+            PropConfig::default(),
+            |rng, size| {
+                let start = rng.random_range(0u64..10_000);
+                let len = rng.random_range(0..4 * size as u64 + 2);
+                let shards = rng.random_range(1u64..40);
+                let slice = Slice {
+                    tenant: rng.random_range(0u32..8),
+                    start,
+                    end: start + len,
+                };
+                let runs: Vec<Slice> = chunks(slice, shards).collect();
+                prop_assert_eq!(runs.len() as u64, len.min(shards));
+                let mut at = start;
+                for run in &runs {
+                    prop_assert!(run.tenant == slice.tenant, "{run:?}");
+                    prop_assert!(run.start == at && run.start < run.end, "{run:?} at {at}");
+                    at = run.end;
+                }
+                prop_assert_eq!(at, slice.end);
+                let sizes = runs.iter().map(|r| r.end - r.start);
+                let (lo, hi) = (sizes.clone().min(), sizes.max());
+                prop_assert!(
+                    hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= 1),
+                    "sizes {lo:?}..{hi:?}"
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -938,9 +963,7 @@ mod tests {
         }
 
         fn engine(&self, cfg: EngineConfig, registry: &MetricsRegistry) -> Engine<'_> {
-            let lanes = (0..TENANTS)
-                .map(|t| Lane::new(&self.queries, derive_seed(7, t as u64)))
-                .collect();
+            let lanes = vec![&self.queries[..]; TENANTS as usize];
             Engine::new(cfg, registry, "test", lanes)
         }
 
@@ -1057,20 +1080,21 @@ mod tests {
         let panic_on = [(0, 3), (0, 31), (1, 0), (1, 49), (2, 17), (2, 18)];
         let mut reference: Option<Vec<(u32, u64, u8, u64)>> = None;
         for shards in [1u64, 4, 16] {
-            // One task, run the way a worker with no budget runs it.
+            // One task — the run of epoch 0's slice holding 31 — run the
+            // way a worker with no budget runs it.
             let registry = MetricsRegistry::new();
             let engine = fixture.engine(config(1, shards, 0, &panic_on), &registry);
-            let lane_seed = derive_seed(7, 0);
             let slice = Slice {
                 tenant: 0,
                 start: 0,
                 end: INTERVAL,
             };
+            let run = chunks(slice, shards)
+                .find(|run| (run.start..run.end).contains(&31))
+                .unwrap();
             let task = Task {
-                slice,
+                slice: run,
                 epoch: 0,
-                shard: shard_of(lane_seed, 31, shards),
-                resume_at: 0,
                 publication: Arc::new(fixture.publication(0)),
             };
             let mut scratch = engine.scratch(0);
@@ -1079,17 +1103,16 @@ mod tests {
             let mut parts = 0;
             while let Some(task) = next {
                 // A fresh budget of zero per part: each stops at its panic.
-                let resumed_at = task.resume_at;
+                let resumed_at = task.slice.start;
                 let (batch, rest) = engine.run_task(task, &mut scratch, &mut 0, 0);
                 assert!(batch.iter().all(|o| o.tenant == 0 && o.obs.epoch == 0));
-                assert!(rest.as_ref().is_none_or(|r| r.resume_at > resumed_at));
+                assert!(rest.as_ref().is_none_or(|r| r.slice.start > resumed_at));
+                assert!(rest.as_ref().is_none_or(|r| r.slice.end == run.end));
                 seqs.extend(batch.iter().map(|o| o.obs.seq));
                 parts += 1;
                 next = rest;
             }
-            let due: Vec<u64> = (0..INTERVAL)
-                .filter(|&seq| shard_of(lane_seed, seq, shards) == task.shard)
-                .collect();
+            let due: Vec<u64> = (run.start..run.end).collect();
             assert_eq!(seqs, due, "shards={shards}: each slot once, in order");
             assert!(
                 parts >= 2,
@@ -1113,15 +1136,18 @@ mod tests {
                     fixture.engine(config(workers, shards, u64::MAX, &panic_on), &registry);
                 let steady = fixture.run(&engine);
                 assert_eq!(engine.workers_retired(), 0, "{cell}");
-                let tasks = LEN.div_ceil(INTERVAL) * u64::from(TENANTS) * shards;
+                let tasks: u64 = (0..LEN.div_ceil(INTERVAL))
+                    .map(|epoch| (LEN - epoch * INTERVAL).min(INTERVAL).min(shards))
+                    .sum::<u64>()
+                    * u64::from(TENANTS);
                 assert!(
                     registry.counter_value("test.handoff.batches") <= tasks,
                     "{cell}: at most one message per task"
                 );
 
-                // The makespan packs `shards` items onto `workers` slots,
-                // so it is compared within the cell; what was observed is
-                // the same in all nine.
+                // The makespan packs each epoch's runs onto `workers`
+                // slots, so it is compared within the cell; what was
+                // observed is the same in all nine.
                 assert_eq!(retiring, steady, "{cell}");
                 let reference = reference.get_or_insert(steady.observed);
                 assert_eq!(retiring.observed, *reference, "{cell}");
@@ -1135,11 +1161,9 @@ mod tests {
             slice: Slice {
                 tenant: 0,
                 start: 0,
-                end: 1,
+                end: 2,
             },
             epoch: serial,
-            shard: 0,
-            resume_at: 0,
             publication: Arc::clone(publication),
         }
     }
@@ -1160,9 +1184,12 @@ mod tests {
                 let (tx, queue) = (tx.clone(), &queue);
                 s.spawn(move || {
                     while let Some(task) = queue.next() {
-                        if task.epoch % 7 == 0 && task.resume_at == 0 {
+                        if task.epoch % 7 == 0 && task.slice.start == 0 {
                             queue.requeue(Task {
-                                resume_at: 1,
+                                slice: Slice {
+                                    start: 1,
+                                    ..task.slice
+                                },
                                 ..task
                             });
                         } else {
@@ -1235,8 +1262,8 @@ mod tests {
     fn a_replaced_publication_is_freed_with_its_epochs_tasks() {
         let fixture = Fixture::new();
         let registry = MetricsRegistry::new();
-        // One shard: every task has statements, so every task's hand-off
-        // is a batch the epoch waits for.
+        // One run per slice: every task's hand-off is a batch the epoch
+        // waits for.
         let engine = fixture.engine(config(2, 1, u64::MAX, &[]), &registry);
         // Per (epoch, tenant): holders after the epoch, after the publish.
         let holders = engine
@@ -1355,13 +1382,14 @@ mod tests {
     }
 
     /// [`EpochMerge`] is a sort on `(tenant, seq)`: whatever the order the
-    /// batches arrive in, whichever way tasks were split by retiring
-    /// workers, and whether or not a task had anything to run, placing
-    /// them yields what sorting their concatenation yields.
+    /// batches arrive in and whichever way tasks were split by retiring
+    /// workers, placing them yields what sorting their concatenation
+    /// yields, and each task's span is exactly the positions its
+    /// observations took.
     #[test]
     fn placing_batches_equals_sorting_them() {
         use autoindex_support::prop::{property, PropConfig};
-        use autoindex_support::{prop_assert, prop_assert_eq};
+        use autoindex_support::prop_assert_eq;
 
         property(
             "placing_batches_equals_sorting_them",
@@ -1380,15 +1408,15 @@ mod tests {
                     .collect();
                 rng.shuffle(&mut slices);
 
-                // One run per (slice, shard) task, tagged in `epoch` with
-                // a serial number so a misplaced twin would show.
+                // One batch per task, tagged in `epoch` with a serial
+                // number so a misplaced twin would show.
                 let mut serial = 0;
                 let mut batches: Vec<Vec<TenantObservation>> = Vec::new();
+                let mut spans = Vec::new();
                 for slice in &slices {
-                    let seed = derive_seed(99, slice.tenant as u64);
-                    for shard in 0..shards {
-                        let mut run: Vec<TenantObservation> = (slice.start..slice.end)
-                            .filter(|&seq| shard_of(seed, seq, shards) == shard)
+                    for task in chunks(*slice, shards) {
+                        spans.push((task, serial + 1..serial + 1 + (task.end - task.start)));
+                        let mut run: Vec<TenantObservation> = (task.start..task.end)
                             .map(|seq| {
                                 serial += 1;
                                 TenantObservation {
@@ -1402,7 +1430,7 @@ mod tests {
                             })
                             .collect();
                         // Resumed tasks: hand the run off in up to three
-                        // parts (`resume_at > start`), possibly empty.
+                        // parts, possibly empty.
                         for _ in 0..rng.random_range(0u32..3) {
                             let at = rng.random_range(0..run.len() + 1);
                             batches.push(run.split_off(at));
@@ -1417,16 +1445,21 @@ mod tests {
                 sorted.sort_unstable_by_key(|&(tenant, seq, _)| (tenant, seq));
 
                 let mut merge = EpochMerge::new(lanes as usize, &slices);
+                let spans: Vec<_> = spans
+                    .into_iter()
+                    .map(|(task, serials)| (merge.span(&task), serials))
+                    .collect();
                 for batch in batches {
                     merge.place(batch);
                 }
-                let mut seen = Vec::new();
-                let merged = merge.finish(|o| seen.push(key(o)));
-                let Some(merged) = merged else {
+                let Some(merged) = merge.finish() else {
                     return Err("a slot was left empty".into());
                 };
-                prop_assert!(seen == sorted, "`each` runs in merged order");
                 prop_assert_eq!(merged.iter().map(key).collect::<Vec<_>>(), sorted);
+                for (span, serials) in spans {
+                    let got: Vec<u64> = merged[span].iter().map(|o| o.obs.epoch).collect();
+                    prop_assert_eq!(got, serials.collect::<Vec<_>>());
+                }
                 Ok(())
             },
         );
@@ -1450,7 +1483,7 @@ mod tests {
         let complete = |batch| {
             let mut merge = EpochMerge::new(2, &slices);
             merge.place(batch);
-            merge.finish(|_| {}).is_some()
+            merge.finish().is_some()
         };
         assert!(complete(vec![mk(1, 11), mk(1, 10)]));
         assert!(!complete(vec![mk(1, 10)]), "missing");

@@ -104,9 +104,3 @@ pub use system::{
     AutoIndex, AutoIndexConfig, AutoIndexConfigBuilder, Recommendation, TuningReport,
 };
 pub use templates::{TemplateEntry, TemplateStore, TemplateStoreConfig};
-
-// `serve_fleet`'s unit tests, under the `fleet::tests` path they had while
-// the fleet was its own module.
-#[cfg(test)]
-#[path = "fleet_tests.rs"]
-mod fleet;

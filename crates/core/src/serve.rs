@@ -49,8 +49,7 @@
 //! `tests/serving_golden.rs` pins them.
 
 use crate::engine::{
-    simulated_qps, Engine, EngineConfig, Lane, ObservationPayload, Publication, Slice,
-    TenantObservation,
+    simulated_qps, Engine, EngineConfig, ObservationPayload, Publication, Slice, TenantObservation,
 };
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::UpkeepCounters;
@@ -62,7 +61,6 @@ use autoindex_estimator::CostEstimator;
 use autoindex_storage::SimDb;
 use autoindex_support::hash::{fnv1a, fnv1a_from};
 use autoindex_support::obs::MetricsRegistry;
-use autoindex_support::rng::derive_seed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,15 +75,12 @@ use std::time::{Duration, Instant};
 pub struct Config<Site> {
     /// Executor threads. `0` means one per available core.
     pub workers: usize,
-    /// Logical shards per tenant slice: one task per admitted tenant ×
-    /// shard per epoch.
+    /// Contiguous runs each admitted tenant slice is cut into: one task per
+    /// non-empty run per epoch.
     pub shards: u64,
     /// Statements per tenant slice: the cadence of observation merging,
     /// tuning and configuration swaps.
     pub epoch_interval: u64,
-    /// Seed of the shard-assignment streams (`serve`'s lane uses it as
-    /// given, fleet tenant `t` uses `derive_seed(seed, t)`).
-    pub seed: u64,
     /// Quiet epochs required strictly between two tunings of one tenant
     /// ([`tuning_cooldown_over`]).
     pub tuning_cooldown_epochs: u64,
@@ -133,7 +128,6 @@ impl<Site> Config<Site> {
             workers: 1,
             shards,
             epoch_interval,
-            seed: 42,
             tuning_cooldown_epochs: 1,
             reset_usage_after_tuning: true,
             guard: None,
@@ -192,7 +186,6 @@ impl<Site> ConfigBuilder<Site> {
         workers: usize,
         shards: u64,
         epoch_interval: u64,
-        seed: u64,
         tuning_cooldown_epochs: u64,
         reset_usage_after_tuning: bool,
         guard: impl Into<Option<GuardConfig>>,
@@ -616,8 +609,9 @@ pub struct ServeReport {
     /// Sum of all executed statements' simulated latencies, ms.
     pub total_sim_latency_ms: f64,
     /// Deterministic simulated makespan, ms: per epoch, the LPT packing of
-    /// every (tenant × shard) task's simulated latency onto the worker
-    /// slots, summed — a pure function of `(streams, config, workers)`.
+    /// every task's simulated latency (a contiguous run of one tenant's
+    /// slice) onto the worker slots, summed — a pure function of
+    /// `(streams, config, workers)`.
     pub sim_makespan_ms: f64,
     /// Per-epoch records, in epoch order.
     pub epochs: Vec<EpochRecord>,
@@ -768,11 +762,11 @@ pub struct FleetOutcome<E: CostEstimator> {
 
 // --------------------------------------------------------------- drivers
 
-/// Serve one stream: the loop with one lane, seeded with [`Config::seed`]
-/// as given, no SLO, and the every-boundary tuner pick (see the [module
-/// docs](self)). Consumes and returns `db` and `advisor`, which carry the
-/// tuned state; the `serve.*` counters land in `db`'s registry. A panic in
-/// a tuning round aborts the run with an error under `serve.tuner`.
+/// Serve one stream: the loop with one lane, no SLO, and the
+/// every-boundary tuner pick (see the [module docs](self)). Consumes and
+/// returns `db` and `advisor`, which carry the tuned state; the `serve.*`
+/// counters land in `db`'s registry. A panic in a tuning round aborts the
+/// run with an error under `serve.tuner`.
 pub fn serve<E: CostEstimator>(
     db: SimDb,
     advisor: AutoIndex<E>,
@@ -786,7 +780,7 @@ pub fn serve<E: CostEstimator>(
         slo_p50_ms: f64::INFINITY,
         slo_p99_ms: f64::INFINITY,
     };
-    let lane = LaneState::new(spec, false, db, advisor, queries, config.seed);
+    let lane = LaneState::new(spec, false, db, advisor, queries);
     let panic_on = config.panic_on.iter().map(|&seq| (0, seq)).collect();
     let (report, mut lanes) = run(
         &config,
@@ -804,10 +798,10 @@ pub fn serve<E: CostEstimator>(
 }
 
 /// Serve many tenants over one executor pool: the loop with one lane per
-/// tenant (tenant `t` seeded with `derive_seed(seed, t)`), its declared
-/// SLOs, and the highest-regret tuner pick (see the [module docs](self)).
-/// Returns the evolved tenants, the report and the fleet-owned registry. A
-/// panic in a tuner visit aborts the run with an error under `serve.tuner`.
+/// tenant, its declared SLOs, and the highest-regret tuner pick (see the
+/// [module docs](self)). Returns the evolved tenants, the report and the
+/// fleet-owned registry. A panic in a tuner visit aborts the run with an
+/// error under `serve.tuner`.
 pub fn serve_fleet<E: CostEstimator>(
     tenants: Vec<FleetTenant<E>>,
     config: FleetConfig,
@@ -818,11 +812,7 @@ pub fn serve_fleet<E: CostEstimator>(
     let lanes = tenants
         .into_iter()
         .zip(&queries)
-        .enumerate()
-        .map(|(t, (tenant, queries))| {
-            let seed = derive_seed(config.seed, t as u64);
-            LaneState::new(tenant.spec, true, tenant.db, tenant.advisor, queries, seed)
-        })
+        .map(|(t, queries)| LaneState::new(t.spec, true, t.db, t.advisor, queries))
         .collect();
     let tuner = TunerPick::HighestRegret {
         threshold: config.regret_threshold,
@@ -850,8 +840,6 @@ struct LaneState<'q, E: CostEstimator> {
     db: SimDb,
     advisor: AutoIndex<E>,
     queries: &'q [String],
-    /// Seed of the tenant's shard-assignment stream.
-    seed: u64,
     /// The declared `(p50, p99)` SLOs, when the run accounts them.
     slo: Option<(f64, f64)>,
     universe: Universe,
@@ -876,13 +864,11 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
         db: SimDb,
         advisor: AutoIndex<E>,
         queries: &'q [String],
-        seed: u64,
     ) -> Self {
         LaneState {
             db,
             advisor,
             queries,
-            seed,
             slo: account_slo.then_some((spec.slo_p50_ms, spec.slo_p99_ms)),
             universe: Universe::new(),
             report: TenantReport {
@@ -1084,7 +1070,7 @@ fn run<'q, Site, E: CostEstimator>(
         },
         registry,
         "serve",
-        lanes.iter().map(|l| Lane::new(l.queries, l.seed)).collect(),
+        lanes.iter().map(|l| l.queries).collect(),
     );
 
     let mut epochs: Vec<EpochRecord> = Vec::new();
@@ -1301,9 +1287,9 @@ mod tests {
         AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator)
     }
 
-    fn point_lookups(n: usize) -> Vec<String> {
+    fn point_lookups(n: usize, salt: u64) -> Vec<String> {
         (0..n)
-            .map(|i| format!("SELECT * FROM t WHERE a = {i}"))
+            .map(|i| format!("SELECT * FROM t WHERE a = {}", i as u64 + salt))
             .collect()
     }
 
@@ -1312,13 +1298,39 @@ mod tests {
         assert!(ServeConfig::builder().build().is_ok());
         assert!(ServeConfig::builder().shards(0).build().is_err());
         assert!(ServeConfig::builder().epoch_interval(0).build().is_err());
-        let c = ServeConfig::builder().workers(3).seed(7).build().unwrap();
-        assert_eq!(c.workers, 3);
-        assert_eq!(c.seed, 7);
+        let c = ServeConfig::builder().workers(3).shards(5).build().unwrap();
+        assert_eq!((c.workers, c.shards), (3, 5));
         // Each driver's builder keeps its own defaults.
         let (serve, fleet) = (ServeConfig::default(), FleetConfig::default());
         assert_eq!((serve.shards, serve.epoch_interval), (16, 1_000));
         assert_eq!((fleet.shards, fleet.epoch_interval), (4, 1_024));
+    }
+
+    #[test]
+    fn fleet_builder_validates() {
+        assert!(FleetConfig::builder().build().is_ok());
+        assert!(FleetConfig::builder().shards(0).build().is_err());
+        assert!(FleetConfig::builder().epoch_interval(0).build().is_err());
+        assert!(FleetConfig::builder()
+            .epoch_capacity_ms(0.0)
+            .build()
+            .is_err());
+        assert!(FleetConfig::builder()
+            .epoch_capacity_ms(f64::NAN)
+            .build()
+            .is_err());
+        assert!(FleetConfig::builder()
+            .assumed_stmt_cost_ms(0.0)
+            .build()
+            .is_err());
+        assert!(FleetConfig::builder()
+            .regret_threshold(-1.0)
+            .build()
+            .is_err());
+        assert!(FleetConfig::builder()
+            .epoch_capacity_ms(f64::INFINITY)
+            .build()
+            .is_ok());
     }
 
     // Regression (PR7 satellite): the guard-cooldown comparison is
@@ -1351,7 +1363,7 @@ mod tests {
 
     #[test]
     fn serving_executes_everything_and_tunes() {
-        let queries = point_lookups(600);
+        let queries = point_lookups(600, 0);
         let cfg = ServeConfig::builder()
             .workers(2)
             .epoch_interval(200)
@@ -1372,7 +1384,7 @@ mod tests {
 
     #[test]
     fn deterministic_mode_is_worker_count_invariant() {
-        let queries = point_lookups(450);
+        let queries = point_lookups(450, 0);
         let run = |workers: usize| {
             let cfg = ServeConfig::builder()
                 .workers(workers)
@@ -1391,7 +1403,7 @@ mod tests {
 
     #[test]
     fn unparseable_statements_are_counted_not_fatal() {
-        let mut queries = point_lookups(100);
+        let mut queries = point_lookups(100, 0);
         queries[13] = "garbage ~ sql".to_string();
         queries[77] = "also not sql".to_string();
         let cfg = ServeConfig::builder().epoch_interval(50).build().unwrap();
@@ -1402,7 +1414,7 @@ mod tests {
 
     #[test]
     fn total_sim_latency_matches_epoch_sum() {
-        let queries = point_lookups(200);
+        let queries = point_lookups(200, 0);
         let cfg = ServeConfig::builder().epoch_interval(64).build().unwrap();
         let out = serve(db(), advisor(), &queries, cfg).unwrap();
         let slices = &out.report.tenant_reports[0].slices;
@@ -1451,7 +1463,7 @@ mod tests {
         // End to end: an advisor whose budget fits no index keeps diagnosis
         // firing after the drift, so the cooldown alone turns rounds into
         // `cooldown` records.
-        let mut queries = point_lookups(200);
+        let mut queries = point_lookups(200, 0);
         queries.extend(
             (0..400).map(|i| format!("SELECT b, COUNT(*) FROM t WHERE b > {} GROUP BY b", i % 50)),
         );
@@ -1509,7 +1521,7 @@ mod tests {
                 },
                 db: db(),
                 advisor: advisor(),
-                queries: Arc::new(point_lookups(100)),
+                queries: Arc::new(point_lookups(100, 0)),
             };
             let cfg = FleetConfig::builder().epoch_interval(50).build().unwrap();
             serve_fleet(vec![tenant], cfg)
@@ -1529,5 +1541,403 @@ mod tests {
         assert_eq!(field(run(1e9, -0.5)), "serve.tenant.slo_p99_ms");
         let none = run(f64::INFINITY, f64::INFINITY).unwrap();
         assert_eq!(none.report.slo_violations, 0);
+    }
+
+    fn tenant_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.add_table(
+            TableBuilder::new("t", 500_000)
+                .column(Column::int("id", 500_000))
+                .column(Column::int("a", 250_000))
+                .column(Column::int("b", 2_000))
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        );
+        c
+    }
+
+    fn tenant(
+        name: &str,
+        priority: u8,
+        queries: Vec<String>,
+        seed: u64,
+    ) -> FleetTenant<NativeCostEstimator> {
+        let cfg = SimDbConfig {
+            seed,
+            ..Default::default()
+        };
+        FleetTenant {
+            spec: TenantSpec {
+                name: name.to_string(),
+                priority,
+                slo_p50_ms: 1e9,
+                slo_p99_ms: 1e9,
+            },
+            db: SimDb::with_metrics(tenant_catalog(), cfg, MetricsRegistry::new()),
+            advisor: AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator),
+            queries: Arc::new(queries),
+        }
+    }
+
+    fn scans(n: usize) -> Vec<String> {
+        (0..n)
+            .map(|i| {
+                format!(
+                    "SELECT b, COUNT(*) FROM t WHERE b > {} GROUP BY b ORDER BY b",
+                    i % 50
+                )
+            })
+            .collect()
+    }
+
+    // ---- admission-control unit tests (PR8 satellite) ----
+
+    fn cand(tenant: u32, priority: u8, est: f64) -> AdmissionCandidate {
+        AdmissionCandidate {
+            tenant,
+            priority,
+            est_cost_ms: est,
+        }
+    }
+
+    #[test]
+    fn admission_admits_everything_under_capacity() {
+        let d = decide_admission(&[cand(0, 1, 10.0), cand(1, 2, 10.0)], 100.0, 1);
+        assert!(d.iter().all(|x| x.admission == Admission::Admit));
+        // Evaluation order: priority desc, tenant asc.
+        assert_eq!(d[0].tenant, 1);
+        assert_eq!(d[1].tenant, 0);
+    }
+
+    #[test]
+    fn admission_head_bid_always_admitted() {
+        // Even a bid larger than the whole capacity is admitted at the
+        // head — the progress guarantee.
+        let d = decide_admission(&[cand(3, 0, 500.0)], 10.0, 1);
+        assert_eq!(d[0].admission, Admission::Admit);
+    }
+
+    #[test]
+    fn saturated_pool_sheds_only_below_floor_priorities() {
+        // Capacity fits exactly the two high-priority bids.
+        let c = vec![
+            cand(0, 0, 10.0), // below floor → shed on overflow
+            cand(1, 2, 10.0),
+            cand(2, 2, 10.0),
+            cand(3, 1, 10.0), // at floor → deferred on overflow
+        ];
+        let d = decide_admission(&c, 20.0, 1);
+        let by_tenant = |t: u32| d.iter().find(|x| x.tenant == t).unwrap().admission;
+        assert_eq!(by_tenant(1), Admission::Admit);
+        assert_eq!(by_tenant(2), Admission::Admit);
+        assert_eq!(by_tenant(3), Admission::Defer, "at/above floor defers");
+        assert_eq!(by_tenant(0), Admission::Shed, "below floor sheds");
+    }
+
+    #[test]
+    fn admission_is_deterministic() {
+        let c = vec![cand(2, 1, 7.0), cand(0, 1, 7.0), cand(1, 3, 7.0)];
+        let a = decide_admission(&c, 14.0, 1);
+        let b = decide_admission(&c, 14.0, 1);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.tenant, y.tenant);
+            assert_eq!(x.admission, y.admission);
+        }
+        // Equal priorities tie-break on tenant id: 1 (prio 3) first, then
+        // 0 and 2 in id order.
+        assert_eq!(a[0].tenant, 1);
+        assert_eq!(a[1].tenant, 0);
+        assert_eq!(a[2].tenant, 2);
+    }
+
+    // ---- end-to-end serve_fleet tests ----
+
+    #[test]
+    fn unconstrained_fleet_executes_everything() {
+        let tenants = vec![
+            tenant("a", 2, point_lookups(300, 0), 1),
+            tenant("b", 1, point_lookups(300, 7_000), 2),
+        ];
+        let cfg = FleetConfig::builder()
+            .workers(2)
+            .epoch_interval(100)
+            .build()
+            .unwrap();
+        let out = serve_fleet(tenants, cfg).unwrap();
+        assert_eq!(out.report.executed, 600);
+        assert_eq!(out.report.shed, 0);
+        assert_eq!(out.report.deferred_slices, 0);
+        assert_eq!(out.report.epochs.len(), 3);
+        assert_eq!(out.metrics.counter_value("serve.executed"), 600);
+        assert!(out.report.makespan_ms() > 0.0);
+        assert!(out.report.simulated_qps() > 0.0);
+        for t in &out.report.tenant_reports {
+            assert_eq!(t.executed, 300);
+            assert_eq!(t.slices.len(), 3);
+            assert!(t.slices.iter().all(|s| s.admission == Admission::Admit));
+        }
+    }
+
+    #[test]
+    fn saturated_fleet_sheds_low_priority_and_slo_counters_match_shed_counts() {
+        // Three tenants: one shed-eligible (prio 0), two protected. A
+        // capacity that fits roughly two slices forces overflow every
+        // epoch while all three still bid.
+        let tenants = vec![
+            tenant("victim", 0, point_lookups(400, 0), 1),
+            tenant("gold", 2, point_lookups(400, 50_000), 2),
+            tenant("silver", 1, point_lookups(400, 90_000), 3),
+        ];
+        let cfg = FleetConfig::builder()
+            .workers(2)
+            .epoch_interval(100)
+            // Point lookups cost ≲ tens of simulated ms per statement
+            // here; two 100-statement slices fit, three do not.
+            .epoch_capacity_ms(2_500.0)
+            .assumed_stmt_cost_ms(10.0)
+            .shed_floor_priority(1)
+            .build()
+            .unwrap();
+        let out = serve_fleet(tenants, cfg).unwrap();
+        let victim = &out.report.tenant_reports[0];
+        let gold = &out.report.tenant_reports[1];
+        let silver = &out.report.tenant_reports[2];
+        assert!(victim.shed > 0, "prio-0 tenant sheds under saturation");
+        assert_eq!(gold.shed, 0, "protected tenant never shed");
+        assert_eq!(silver.shed, 0, "protected tenant never shed");
+        // Every statement is accounted exactly once: executed or shed.
+        assert_eq!(victim.executed + victim.shed, 400);
+        assert_eq!(gold.executed, 400);
+        assert_eq!(silver.executed + silver.shed, 400);
+        // SLOs here are effectively infinite, so the only violations are
+        // shed slices — the counters must match exactly.
+        assert_eq!(
+            out.metrics.counter_value("serve.slo_violations"),
+            out.metrics.counter_value("serve.admission.shed_slices"),
+        );
+        assert_eq!(
+            out.report.slo_violations, out.report.shed_slices,
+            "report mirrors the metric"
+        );
+        assert!(out.report.saturated_epochs > 0);
+        assert!(out.metrics.gauge_value("serve.admission.capacity_ms") > 0.0);
+    }
+
+    #[test]
+    fn backpressure_releases_deterministically() {
+        // The deferred tenant finishes after the high-priority stream
+        // drains, and the whole run is transcript-deterministic.
+        let mk = || {
+            vec![
+                tenant("big", 2, point_lookups(300, 0), 1),
+                tenant("patient", 1, point_lookups(200, 40_000), 2),
+            ]
+        };
+        let cfg = |workers: usize| {
+            FleetConfig::builder()
+                .workers(workers)
+                .epoch_interval(100)
+                .epoch_capacity_ms(1_500.0)
+                .assumed_stmt_cost_ms(10.0)
+                .shed_floor_priority(1)
+                .build()
+                .unwrap()
+        };
+        let a = serve_fleet(mk(), cfg(1)).unwrap();
+        let b = serve_fleet(mk(), cfg(3)).unwrap();
+        let patient = &a.report.tenant_reports[1];
+        assert!(patient.deferrals > 0, "low-priority tenant was deferred");
+        assert_eq!(patient.executed, 200, "deferral is backpressure, not loss");
+        assert_eq!(patient.shed, 0, "at-floor tenant is never shed");
+        assert_eq!(
+            a.report.transcript_digest(),
+            b.report.transcript_digest(),
+            "deferral/release schedule is worker-count invariant"
+        );
+        assert_eq!(
+            a.metrics.counter_value("serve.admission.deferred_slices"),
+            b.metrics.counter_value("serve.admission.deferred_slices"),
+        );
+    }
+
+    #[test]
+    fn fleet_transcripts_are_worker_count_invariant() {
+        let mk = || {
+            vec![
+                tenant("a", 2, point_lookups(250, 0), 1),
+                tenant("b", 1, point_lookups(250, 30_000), 2),
+                tenant("c", 0, scans(250), 3),
+            ]
+        };
+        let run = |workers: usize| {
+            let cfg = FleetConfig::builder()
+                .workers(workers)
+                .epoch_interval(64)
+                .build()
+                .unwrap();
+            serve_fleet(mk(), cfg).unwrap()
+        };
+        let one = run(1);
+        let four = run(4);
+        assert_eq!(one.report.transcript(), four.report.transcript());
+        for (a, b) in one
+            .report
+            .tenant_reports
+            .iter()
+            .zip(&four.report.tenant_reports)
+        {
+            assert_eq!(a.transcript(), b.transcript(), "tenant {}", a.name);
+        }
+        assert_eq!(
+            one.report.transcript_digest(),
+            four.report.transcript_digest()
+        );
+        // The physical schedule may differ (which worker pops is racy) but the
+        // simulated makespan is a pure function of (streams, workers).
+        let eight = run(4);
+        assert_eq!(
+            four.report.sim_makespan_ms.to_bits(),
+            eight.report.sim_makespan_ms.to_bits()
+        );
+    }
+
+    #[test]
+    fn regret_directed_tuner_visits_the_drifting_tenant() {
+        // Tenant "drift" switches from cheap point lookups to expensive
+        // scans half-way: its slice mean rises above its frozen baseline
+        // and the fleet slot must visit it.
+        let mut stream = point_lookups(300, 0);
+        stream.extend(scans(300));
+        let tenants = vec![
+            tenant("steady", 1, point_lookups(600, 70_000), 1),
+            tenant("drift", 1, stream, 2),
+        ];
+        let cfg = FleetConfig::builder()
+            .workers(2)
+            .epoch_interval(100)
+            .regret_threshold(0.10)
+            .build()
+            .unwrap();
+        let out = serve_fleet(tenants, cfg).unwrap();
+        let drift = &out.report.tenant_reports[1];
+        assert!(
+            drift.tuning_visits >= 1,
+            "drifting tenant visited: {}",
+            out.report.transcript()
+        );
+        assert!(out
+            .report
+            .epochs
+            .iter()
+            .any(|e| e.visit.contains("tenant=drift")));
+        assert_eq!(
+            out.metrics.counter_value("serve.tuning_visits"),
+            out.report.tuning_visits
+        );
+    }
+
+    #[test]
+    fn bandit_tuner_override_attributes_visits_and_stays_invariant() {
+        // With `tuner_strategy = Some(Bandit)` the drifting tenant's
+        // visits are bandit-driven, attributed in the decision string,
+        // and the transcript stays worker-count invariant; with the
+        // override off nothing about the transcript changes vs PR8.
+        let mk = || {
+            let mut stream = point_lookups(300, 0);
+            stream.extend(scans(300));
+            vec![
+                tenant("steady", 1, point_lookups(600, 70_000), 1),
+                tenant("drift", 1, stream, 2),
+            ]
+        };
+        let run = |workers: usize, strat: Option<StrategyKind>| {
+            let cfg = FleetConfig::builder()
+                .workers(workers)
+                .epoch_interval(100)
+                .regret_threshold(0.10)
+                .tuner_strategy(strat)
+                .build()
+                .unwrap();
+            serve_fleet(mk(), cfg).unwrap()
+        };
+        let a = run(1, Some(StrategyKind::Bandit));
+        let b = run(3, Some(StrategyKind::Bandit));
+        assert_eq!(
+            a.report.transcript_digest(),
+            b.report.transcript_digest(),
+            "bandit visits are worker-count invariant"
+        );
+        assert!(
+            a.report
+                .epochs
+                .iter()
+                .any(|e| e.visit.contains("strategy=bandit")),
+            "visits carry strategy attribution: {}",
+            a.report.transcript()
+        );
+        let plain = run(1, None);
+        assert!(
+            plain
+                .report
+                .epochs
+                .iter()
+                .all(|e| !e.visit.contains("strategy=")),
+            "no attribution without the override"
+        );
+    }
+
+    #[test]
+    fn injected_worker_panics_retire_workers_but_complete_the_stream() {
+        let mk = || vec![tenant("a", 1, point_lookups(200, 0), 1)];
+        let run = |workers: usize| {
+            let cfg = FleetConfig::builder()
+                .workers(workers)
+                .epoch_interval(50)
+                .panic_on(vec![(0, 10), (0, 60), (0, 110)])
+                .max_worker_panics(0)
+                .build()
+                .unwrap();
+            serve_fleet(mk(), cfg).unwrap()
+        };
+        let a = run(1);
+        assert_eq!(a.report.panics, 3);
+        assert_eq!(a.report.executed, 197);
+        assert!(a.report.workers_retired >= 1);
+        let b = run(3);
+        assert_eq!(
+            a.report.transcript_digest(),
+            b.report.transcript_digest(),
+            "seq-keyed crashes reproduce at any worker count"
+        );
+    }
+
+    #[test]
+    fn empty_fleet_is_fine() {
+        let out = serve_fleet(
+            Vec::<FleetTenant<NativeCostEstimator>>::new(),
+            FleetConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(out.report.executed, 0);
+        assert!(out.report.epochs.is_empty());
+        assert_eq!(out.report.simulated_qps(), 0.0);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[3.0], 0.99), 3.0);
+        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(percentile(&v, 0.50), 51.0); // round(99*0.5)=50 → v[50]
+        assert_eq!(percentile(&v, 0.99), 99.0); // round(99*0.99)=98 → v[98]
+        assert_eq!(percentile(&v, 1.0), 100.0);
+        // Duplicates, sorted the way a slice's latencies are: ties keep
+        // their rank, whichever of the equal values lands there.
+        let mut dup = vec![2.0, 9.0, 2.0, 0.5, 2.0, 9.0, 0.5, 2.0];
+        dup.sort_unstable_by(f64::total_cmp);
+        assert_eq!(dup, vec![0.5, 0.5, 2.0, 2.0, 2.0, 2.0, 9.0, 9.0]);
+        assert_eq!(percentile(&dup, 0.50), 2.0); // round(7*0.5)=4 → dup[4]
+        assert_eq!(percentile(&dup, 0.99), 9.0); // round(7*0.99)=7 → dup[7]
     }
 }

@@ -170,7 +170,6 @@ fn deterministic_serve_is_worker_count_invariant_on_banking() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(500)
-            .seed(97)
             .build()
             .unwrap();
         let out = serve(banking_db(), advisor(), &queries, cfg).unwrap();
@@ -231,7 +230,6 @@ fn final_partial_epoch_is_exact_and_worker_count_invariant() {
                 let cfg = ServeConfig::builder()
                     .workers(workers)
                     .epoch_interval(interval)
-                    .seed(13)
                     .build()
                     .unwrap();
                 serve(banking_db(), advisor(), &queries, cfg).unwrap()

@@ -151,4 +151,18 @@ for gone in fleet.tuner '"serve.fleet.' '"fleet.shards'; do
     expect_hits "$gone" 0 crates/core/src
 done
 
+echo "==> partition check (crates/core/src/engine.rs, tests included: a task is a contiguous run of its slice, no statement is hashed to a shard; crates/core/src/serve.rs: no seed knob)"
+absent() {
+    PAT=$1
+    FILE=$2
+    if grep -n -- "$PAT" "$FILE"; then
+        echo "ERROR: '$PAT' in $FILE" >&2
+        exit 1
+    fi
+}
+for gone in shard_of SHARD_SALT derive_seed; do
+    absent "$gone" crates/core/src/engine.rs
+done
+absent 'pub seed' crates/core/src/serve.rs
+
 echo "OK: build + tests + docs green, dependency tree is hermetic."
