@@ -38,9 +38,11 @@
 //! oracle). Rows are documented in `docs/OBSERVABILITY.md`.
 
 use crate::error::{invalid, AutoIndexError};
-use crate::strategy::{is_primary_key_index, Proposal, RewardObservation, Round, TuningStrategy};
+use crate::strategy::{
+    is_primary_key_index, Proposal, RewardObservation, Round, SharedWorkload, TuningStrategy,
+};
 use crate::system::Recommendation;
-use autoindex_estimator::{ColumnarStats, CostEstimator, TemplateWorkload};
+use autoindex_estimator::{ColumnarStats, CostEstimator};
 use autoindex_storage::index::IndexDef;
 use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::MetricsRegistry;
@@ -540,9 +542,7 @@ fn features(
 }
 
 /// Per-table read/write template weight sums and the total weight.
-fn table_weights(
-    workload: &TemplateWorkload,
-) -> (BTreeMap<String, f64>, BTreeMap<String, f64>, f64) {
+fn table_weights(workload: &SharedWorkload) -> (BTreeMap<String, f64>, BTreeMap<String, f64>, f64) {
     let mut reads: BTreeMap<String, f64> = BTreeMap::new();
     let mut writes: BTreeMap<String, f64> = BTreeMap::new();
     let mut total = 0.0;

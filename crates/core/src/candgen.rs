@@ -22,6 +22,20 @@
 //! (keep `(a,b)`, drop `a`), and subtracts indexes that already exist.
 //! For partitioned tables a LOCAL variant is emitted alongside the GLOBAL
 //! one, supporting §III's index *type* selection.
+//!
+//! The two steps are two calls. [`CandidateGenerator::emit`] is step 2 for
+//! one template: it reads the shape, the config and the touched tables'
+//! statistics, never the existing indexes, and renders each candidate's
+//! key once. [`CandidateGenerator::merge`] is step 3 over a workload's
+//! emissions in workload order, and the only reader of `existing`: it drops
+//! a conjunct composite an existing index already serves (permutation-aware)
+//! and a covering candidate an existing index covers before anything else,
+//! so neither can merge another away, then sorts and dedups on the kept
+//! keys and runs the `covers` tests table by table.
+//! [`CandidateGenerator::generate`] is `emit` over every template, then
+//! `merge`. A tuning boundary instead keeps each template's emission with
+//! its template (`crate::templates`) while its tables' growth stamps and the
+//! config stand, and merges the kept ones.
 
 use crate::error::{invalid, AutoIndexError};
 use autoindex_sql::predicate::AtomicPredicate;
@@ -29,9 +43,11 @@ use autoindex_storage::catalog::Catalog;
 use autoindex_storage::index::{IndexDef, IndexScope, SortDirection};
 use autoindex_storage::selectivity::atom_selectivity;
 use autoindex_storage::shape::{QueryShape, TableAtoms};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 
 /// Candidate generation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateConfig {
     /// A conjunct must keep at most this fraction of rows to be indexable
     /// (the paper's example threshold: 1/3).
@@ -170,6 +186,39 @@ pub struct CandidateStats {
     pub covering: usize,
 }
 
+/// One pre-merge candidate of [`CandidateGenerator::emit`]: the definition,
+/// its key rendered once, and what [`CandidateGenerator::merge`] needs to
+/// know of the class that emitted it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Emitted {
+    def: IndexDef,
+    /// `def.key()`: what the merge sorts by.
+    key: Box<str>,
+    class: Class,
+}
+
+impl Emitted {
+    fn new(def: IndexDef, class: Class) -> Self {
+        let key = def.key().into_boxed_str();
+        Emitted { def, key, class }
+    }
+}
+
+/// The class that emitted a candidate, as far as the merge tells them
+/// apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// (1): equality columns, then the conjunct's range column last when
+    /// `range`. Dropped when an existing index serves the conjunct.
+    Conjunct { range: bool },
+    /// (2) and (3).
+    Plain,
+    /// (4): tallied.
+    SortAware,
+    /// (5): dropped when an existing index covers it, tallied otherwise.
+    Covering,
+}
+
 /// The candidate index generator.
 pub struct CandidateGenerator {
     pub config: CandidateConfig,
@@ -183,39 +232,37 @@ impl CandidateGenerator {
 
     /// Generate candidates for a template workload against `catalog`,
     /// excluding (anything covered by) `existing`.
-    pub fn generate(
+    pub fn generate<S: Borrow<QueryShape>>(
         &self,
-        workload: &[(QueryShape, u64)],
+        workload: &[(S, u64)],
         catalog: &Catalog,
         existing: &[IndexDef],
     ) -> Vec<IndexDef> {
         self.generate_with_stats(workload, catalog, existing).0
     }
 
-    /// [`generate`](Self::generate) plus per-class emission tallies.
-    pub fn generate_with_stats(
+    /// [`generate`](Self::generate) plus per-class emission tallies: every
+    /// template's [`emit`](Self::emit), in workload order, then one
+    /// [`merge`](Self::merge).
+    pub fn generate_with_stats<S: Borrow<QueryShape>>(
         &self,
-        workload: &[(QueryShape, u64)],
+        workload: &[(S, u64)],
         catalog: &Catalog,
         existing: &[IndexDef],
     ) -> (Vec<IndexDef>, CandidateStats) {
-        let mut raw: Vec<IndexDef> = Vec::new();
-        let mut stats = CandidateStats::default();
-        for (shape, _count) in workload {
-            self.candidates_from_shape(shape, catalog, existing, &mut raw, &mut stats);
-        }
-        (self.reduce(raw, catalog, existing), stats)
+        let emitted: Vec<Emitted> = workload
+            .iter()
+            .flat_map(|(shape, _)| self.emit(shape.borrow(), catalog))
+            .collect();
+        self.merge(&emitted, catalog, existing)
     }
 
-    /// Candidates from one shape (pre-merge).
-    fn candidates_from_shape(
-        &self,
-        shape: &QueryShape,
-        catalog: &Catalog,
-        existing: &[IndexDef],
-        out: &mut Vec<IndexDef>,
-        stats: &mut CandidateStats,
-    ) {
+    /// Step 2 for one template shape: its candidates before any merge.
+    /// Reads the shape, the config and the statistics of the tables the
+    /// shape touches, and not the existing indexes, so an emission holds
+    /// while those tables' growth stamps and the config do.
+    pub fn emit(&self, shape: &QueryShape, catalog: &Catalog) -> Vec<Emitted> {
+        let mut out = Vec::new();
         // (1) Filter predicates: one composite per DNF conjunct.
         for t in &shape.tables {
             let Some(table) = catalog.table(&t.table) else {
@@ -225,8 +272,9 @@ impl CandidateGenerator {
                 continue;
             }
             for group in &t.conjunct_groups {
-                if let Some(cols) = self.conjunct_columns(group, table, existing) {
-                    out.push(IndexDef::new(t.table.clone(), &to_strs(&cols)));
+                if let Some((cols, range)) = self.conjunct_columns(group, table) {
+                    let def = IndexDef::new(t.table.clone(), &to_strs(&cols));
+                    out.push(Emitted::new(def, Class::Conjunct { range }));
                 }
             }
         }
@@ -252,7 +300,8 @@ impl CandidateGenerator {
             });
             if driven_ok {
                 let table = catalog.table(driven_table).expect("checked above");
-                out.push(IndexDef::new(driven_table.clone(), &[driven_col]));
+                let def = IndexDef::new(driven_table.clone(), &[driven_col]);
+                out.push(Emitted::new(def, Class::Plain));
 
                 // Composite: join column + the driven table's equality filters.
                 if self.config.join_filter_composites {
@@ -273,7 +322,8 @@ impl CandidateGenerator {
                             }
                         }
                         if cols.len() > 1 {
-                            out.push(IndexDef::new(driven_table.clone(), &to_strs(&cols)));
+                            let def = IndexDef::new(driven_table.clone(), &to_strs(&cols));
+                            out.push(Emitted::new(def, Class::Plain));
                         }
                     }
                 }
@@ -288,7 +338,8 @@ impl CandidateGenerator {
                 };
             if let Some(ot) = catalog.table(other_table) {
                 if ot.rows >= self.config.min_table_rows && ot.column(other_col).is_some() {
-                    out.push(IndexDef::new(other_table.clone(), &[other_col]));
+                    let def = IndexDef::new(other_table.clone(), &[other_col]);
+                    out.push(Emitted::new(def, Class::Plain));
                 }
             }
         }
@@ -318,7 +369,8 @@ impl CandidateGenerator {
                 if trivially_distinct {
                     continue;
                 }
-                out.push(IndexDef::new(t.table.clone(), &to_strs(cols)));
+                let def = IndexDef::new(t.table.clone(), &to_strs(cols));
+                out.push(Emitted::new(def, Class::Plain));
             }
         }
 
@@ -333,13 +385,14 @@ impl CandidateGenerator {
                     continue;
                 }
                 if self.config.sort_aware {
-                    self.sort_aware_candidates(t, table, out, stats);
+                    self.sort_aware_candidates(t, table, &mut out);
                 }
                 if self.config.covering {
-                    self.covering_candidates(t, table, existing, out, stats);
+                    self.covering_candidates(t, table, &mut out);
                 }
             }
         }
+        out
     }
 
     /// Equality-filter columns of `t` that exist on `table`, in conjunct
@@ -372,8 +425,7 @@ impl CandidateGenerator {
         &self,
         t: &TableAtoms,
         table: &autoindex_storage::catalog::Table,
-        out: &mut Vec<IndexDef>,
-        stats: &mut CandidateStats,
+        out: &mut Vec<Emitted>,
     ) {
         if t.order_columns.is_empty() || !t.order_columns.iter().all(|c| table.column(c).is_some())
         {
@@ -399,8 +451,8 @@ impl CandidateGenerator {
             });
         }
         let strs = to_strs(&cols);
-        out.push(IndexDef::new(t.table.clone(), &strs).with_directions(&dirs));
-        stats.sort_aware += 1;
+        let def = IndexDef::new(t.table.clone(), &strs).with_directions(&dirs);
+        out.push(Emitted::new(def, Class::SortAware));
     }
 
     /// Class (5): extend a filter (or filter+order) key with the
@@ -411,9 +463,7 @@ impl CandidateGenerator {
         &self,
         t: &TableAtoms,
         table: &autoindex_storage::catalog::Table,
-        existing: &[IndexDef],
-        out: &mut Vec<IndexDef>,
-        stats: &mut CandidateStats,
+        out: &mut Vec<Emitted>,
     ) {
         if t.whole_row
             || t.referenced_columns.is_empty()
@@ -428,7 +478,7 @@ impl CandidateGenerator {
         // sort-aware key when the statement orders this table.
         let mut seeds: Vec<(Vec<String>, Vec<SortDirection>)> = Vec::new();
         for group in &t.conjunct_groups {
-            if let Some(cols) = self.conjunct_columns(group, table, &[]) {
+            if let Some((cols, _)) = self.conjunct_columns(group, table) {
                 let dirs = vec![SortDirection::Asc; cols.len()];
                 seeds.push((cols, dirs));
             }
@@ -467,27 +517,20 @@ impl CandidateGenerator {
             }
             // Nothing appended means the seed key already covers.
             let def = IndexDef::new(t.table.clone(), &to_strs(&cols)).with_directions(&dirs);
-            if existing.iter().any(|e| e.covers(&def)) {
-                continue;
-            }
-            out.push(def);
-            stats.covering += 1;
+            out.push(Emitted::new(def, Class::Covering));
         }
     }
 
     /// Order and threshold one DNF conjunct: equality atoms (most selective
     /// first), then the single most selective range atom. Returns `None`
-    /// when the conjunct filters too little, or when an existing index
-    /// already serves it as well as the candidate would (equality columns
-    /// commute, so this is a permutation-aware check: the customer primary
-    /// key `(c_w_id, c_d_id, c_id)` fully serves a would-be candidate
-    /// `(c_id, c_d_id, c_w_id)`).
+    /// when the conjunct filters too little; otherwise the columns and
+    /// whether the last one is the conjunct's range column (what the
+    /// merge's permutation-aware "already served" test needs).
     fn conjunct_columns(
         &self,
         group: &[AtomicPredicate],
         table: &autoindex_storage::catalog::Table,
-        existing: &[IndexDef],
-    ) -> Option<Vec<String>> {
+    ) -> Option<(Vec<String>, bool)> {
         let mut eqs: Vec<(&AtomicPredicate, f64)> = Vec::new();
         let mut ranges: Vec<(&AtomicPredicate, f64)> = Vec::new();
         for a in group {
@@ -532,66 +575,100 @@ impl CandidateGenerator {
         if cols.is_empty() || combined > self.config.selectivity_threshold {
             return None;
         }
-        // Permutation-aware subsumption by an existing index.
-        let (eq_cols, range_col) = if ranges.first().is_some_and(|(a, _)| {
+        let range = ranges.first().is_some_and(|(a, _)| {
             a.restricted_column()
                 .is_some_and(|c| cols.last() == Some(&c.column))
-        }) {
-            (&cols[..cols.len() - 1], cols.last())
-        } else {
-            (&cols[..], None)
-        };
-        let served = existing
-            .iter()
-            .filter(|e| e.table == table.name)
-            .any(|e| serves_conjunct(&e.columns, &[], eq_cols, range_col));
-        if served {
-            return None;
-        }
-        Some(cols)
+        });
+        Some((cols, range))
     }
 
-    /// Step 3: dedupe, merge by leftmost prefix, subtract existing, add
-    /// partitioned variants.
-    fn reduce(
+    /// Step 3 over the emissions of a whole workload, in workload order:
+    /// drop what an existing index already serves, dedupe, merge by
+    /// leftmost prefix, subtract what an existing index covers, add the
+    /// partitioned variants — sorted by key, a LOCAL twin after its GLOBAL
+    /// one. Sorts, dedups and runs on the emitted keys and renders none;
+    /// every `covers` test stays within one table.
+    pub fn merge<'e>(
         &self,
-        mut raw: Vec<IndexDef>,
+        emitted: impl IntoIterator<Item = &'e Emitted>,
         catalog: &Catalog,
         existing: &[IndexDef],
-    ) -> Vec<IndexDef> {
-        // Dedupe exact definitions.
-        raw.sort_by_key(|d| d.key());
-        raw.dedup();
-
-        // Leftmost-prefix merge: drop any candidate covered by another.
-        let merged: Vec<IndexDef> = raw
-            .iter()
-            .filter(|a| !raw.iter().any(|b| *b != **a && b.covers(a)))
-            .cloned()
-            .collect();
-
-        // Subtract candidates that an existing index already covers.
-        let mut out: Vec<IndexDef> = merged
-            .into_iter()
-            .filter(|c| !existing.iter().any(|e| e.covers(c)))
-            .collect();
-
-        // Partitioned tables: emit a LOCAL twin for index-type selection.
-        if self.config.partitioned_variants {
-            let locals: Vec<IndexDef> = out
-                .iter()
-                .filter(|d| catalog.table(&d.table).is_some_and(|t| t.partitions > 1))
-                .map(|d| d.clone().with_scope(IndexScope::Local))
-                .filter(|l| !existing.contains(l))
-                .collect();
-            out.extend(locals);
+    ) -> (Vec<IndexDef>, CandidateStats) {
+        let mut by_table: HashMap<&str, Vec<&IndexDef>> = HashMap::new();
+        for e in existing {
+            by_table.entry(e.table.as_str()).or_default().push(e);
         }
-        out.sort_by(|a, b| {
-            a.key()
-                .cmp(&b.key())
-                .then(a.scope_key().cmp(&b.scope_key()))
-        });
-        out
+        let existing_on = |table: &str| by_table.get(table).map_or(&[][..], Vec::as_slice);
+
+        // The two tests that read `existing` come first, so an emission they
+        // drop merges nothing away; `stats` counts what they keep.
+        let mut stats = CandidateStats::default();
+        let mut raw: Vec<&Emitted> = Vec::new();
+        for e in emitted {
+            let existing = existing_on(&e.def.table);
+            match e.class {
+                Class::Conjunct { range } => {
+                    // Permutation-aware (equality columns commute): the
+                    // customer primary key `(c_w_id, c_d_id, c_id)` fully
+                    // serves a would-be candidate `(c_id, c_d_id, c_w_id)`.
+                    let cols = &e.def.columns;
+                    let (eq_cols, range_col) = if range {
+                        (&cols[..cols.len() - 1], cols.last())
+                    } else {
+                        (&cols[..], None)
+                    };
+                    if existing
+                        .iter()
+                        .any(|x| serves_conjunct(&x.columns, &[], eq_cols, range_col))
+                    {
+                        continue;
+                    }
+                }
+                Class::Covering => {
+                    if existing.iter().any(|x| x.covers(&e.def)) {
+                        continue;
+                    }
+                    stats.covering += 1;
+                }
+                Class::SortAware => stats.sort_aware += 1,
+                Class::Plain => {}
+            }
+            raw.push(e);
+        }
+
+        // Dedupe exact definitions.
+        raw.sort_by(|a, b| a.key.cmp(&b.key));
+        raw.dedup_by(|a, b| a.def == b.def);
+
+        // A key starts with `table(` and no table name holds a `(`, so one
+        // table's candidates are one run of the sorted list.
+        let mut out = Vec::new();
+        for run in raw.chunk_by(|a, b| a.def.table == b.def.table) {
+            let table = &run[0].def.table;
+            let existing = existing_on(table);
+            let partitioned = self.config.partitioned_variants
+                && catalog.table(table).is_some_and(|t| t.partitions > 1);
+            for (i, c) in run.iter().enumerate() {
+                // Leftmost-prefix merge: drop any candidate covered by
+                // another; then subtract what an existing index covers.
+                let merged = run
+                    .iter()
+                    .enumerate()
+                    .any(|(j, b)| j != i && b.def.covers(&c.def));
+                if merged || existing.iter().any(|e| e.covers(&c.def)) {
+                    continue;
+                }
+                out.push(c.def.clone());
+                // Partitioned tables: a LOCAL twin for index-type selection.
+                if partitioned {
+                    let local = c.def.clone().with_scope(IndexScope::Local);
+                    if !existing.contains(&&local) {
+                        out.push(local);
+                    }
+                }
+            }
+        }
+        (out, stats)
     }
 }
 
@@ -635,20 +712,6 @@ fn serves_conjunct(
     match range_col {
         None => true,
         Some(r) => index_cols.get(i) == Some(r),
-    }
-}
-
-/// Ordering helper for deterministic output.
-trait ScopeKey {
-    fn scope_key(&self) -> u8;
-}
-
-impl ScopeKey for IndexDef {
-    fn scope_key(&self) -> u8 {
-        match self.scope {
-            IndexScope::Global => 0,
-            IndexScope::Local => 1,
-        }
     }
 }
 
@@ -834,6 +897,22 @@ mod tests {
             "{:?}",
             keys(&c)
         );
+    }
+
+    #[test]
+    fn a_served_conjunct_merges_nothing_away() {
+        // The existing index serves the two-column conjunct, so its
+        // candidate `(o_c_id,o_w_id)` is dropped before the leftmost-prefix
+        // merge and cannot take `(o_c_id)` with it.
+        let existing = [IndexDef::new("orders", &["o_w_id", "o_c_id"])];
+        let c = gen(
+            &[
+                "SELECT * FROM orders WHERE o_c_id = 1 AND o_w_id = 2",
+                "SELECT * FROM orders WHERE o_c_id = 1",
+            ],
+            &existing,
+        );
+        assert_eq!(keys(&c), ["orders(o_c_id)"]);
     }
 
     #[test]

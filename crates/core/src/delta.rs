@@ -33,10 +33,11 @@
 //! reference, on the calling thread, so the what-if call sequence does not
 //! depend on it either.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use autoindex_estimator::cost_cache::{CacheKey, CostCache, CostCacheStats};
-use autoindex_estimator::{CostEstimator, TemplateWorkload};
+use autoindex_estimator::CostEstimator;
 use autoindex_storage::catalog::{Catalog, Table};
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{PressureModel, SimDb};
@@ -83,9 +84,9 @@ impl<'w> DeltaWorkload<'w> {
     /// per round. `shape_keys` are the templates' fingerprints, in
     /// workload order (the template store keeps them; nothing is formatted
     /// here), and `catalog` supplies the touched tables' growth stamps.
-    pub fn new(
+    pub fn new<S: Borrow<QueryShape>>(
         universe: &Universe,
-        workload: &'w [(QueryShape, u64)],
+        workload: &'w [(S, u64)],
         shape_keys: &[u128],
         catalog: &Catalog,
     ) -> Self {
@@ -95,6 +96,7 @@ impl<'w> DeltaWorkload<'w> {
         let mut table_stamps: Vec<u64> = Vec::new();
         let mut terms: Vec<DeltaTerm<'w>> = Vec::with_capacity(workload.len());
         for (t, ((shape, n), key)) in workload.iter().zip(shape_keys).enumerate() {
+            let shape: &'w QueryShape = shape.borrow();
             let mut stamps = FNV_OFFSET;
             for atom in &shape.tables {
                 let id = *table_ids.entry(atom.table.as_str()).or_insert_with(|| {
@@ -185,9 +187,11 @@ struct Lookup {
 /// `estimator.workload_cost(db, workload, universe.config_defs(config))`,
 /// and with `decomposed` off it *is* that call: the whole-workload oracle
 /// the term arithmetic is checked against (`MctsConfig::decomposed_eval`).
-pub struct DeltaPricer<'a, 'w, E> {
+/// `S` is how the workload holds its shapes: owned, or shared with the
+/// template store (`Arc<QueryShape>`).
+pub struct DeltaPricer<'a, 'w, E, S = QueryShape> {
     delta: DeltaWorkload<'w>,
-    workload: &'w TemplateWorkload,
+    workload: &'w [(S, u64)],
     db: &'a SimDb,
     estimator: &'a E,
     universe: &'a Universe,
@@ -213,7 +217,7 @@ pub struct DeltaPricer<'a, 'w, E> {
     last: ConfigSet,
 }
 
-impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
+impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> {
     /// A pricer of `workload` — `shape_keys` its templates' fingerprints,
     /// in order — over `universe`, without a reference. Terms are memoized
     /// in `cache`, which is swept here of what this workload can no longer
@@ -221,7 +225,7 @@ impl<'a, 'w, E: CostEstimator> DeltaPricer<'a, 'w, E> {
     /// `db`'s registry.
     pub fn new(
         universe: &'a Universe,
-        workload: &'w TemplateWorkload,
+        workload: &'w [(S, u64)],
         shape_keys: &[u128],
         db: &'a SimDb,
         estimator: &'a E,

@@ -103,11 +103,11 @@ pub enum ObservationPayload {
     Executed {
         outcome: ExecOutcome,
         delta: UsageDelta,
-        /// Fingerprint hash when the compiled-template fast path served
-        /// the statement; `None` on the full parse path. Never rendered
-        /// into the transcript (hit *routing* is an implementation
-        /// detail), but the coordinator uses it to skip re-fingerprinting
-        /// and the report tallies it.
+        /// Fingerprint hash whenever the worker scanned the statement —
+        /// bound by the compiled-template fast path, or missed with the
+        /// fast path on; `None` when nothing scanned it. Never rendered
+        /// into the transcript, but the coordinator observes the statement
+        /// under it instead of scanning the text again.
         fp: Option<u64>,
     },
     /// The statement did not parse; the slot is accounted but empty.
@@ -135,6 +135,9 @@ pub struct Observation {
 pub(crate) struct TenantObservation {
     pub(crate) tenant: u32,
     pub(crate) obs: Observation,
+    /// Whether the fast path bound the statement (what the report tallies
+    /// as a hit); kept beside the payload, whose `fp` a miss carries too.
+    pub(crate) bound: bool,
 }
 
 /// An epoch's observations on their way into `(tenant, seq)` order.
@@ -370,15 +373,16 @@ impl WorkerScratch {
 /// (and fills a plan slot of the publication at most once per template).
 /// The statement is resolved by [`FrontEnd::resolve`] over the
 /// publication's frozen cache; a hit is priced through its template's
-/// prepared plan and returns `fp: Some(hash)` so the coordinator can skip
-/// re-fingerprinting, anything else is planned from scratch.
+/// prepared plan, anything else is planned from scratch. Either way the
+/// payload carries the hash the scan found (`fp`), so the coordinator never
+/// scans the statement again; beside it, whether it was bound.
 fn execute_statement(
     publication: &Publication,
     sql: &str,
     seq: u64,
     fastpath: bool,
     scratch: &mut WorkerScratch,
-) -> ObservationPayload {
+) -> (ObservationPayload, bool) {
     let snap = &publication.snap;
     let WorkerScratch { front, shapes, .. } = scratch;
     let mut slot = 0;
@@ -394,17 +398,18 @@ fn execute_statement(
         Some((compiled, shape))
     });
     let Ok(resolved) = front.resolve(sql, snap.catalog(), lookup) else {
-        return ObservationPayload::ParseFailed;
+        return (ObservationPayload::ParseFailed, false);
     };
-    let (outcome, delta) = match &resolved {
-        Resolved::Bound(_, shape) => publication.execute_bound(slot, shape, seq),
-        Resolved::Parsed(shape) => snap.execute_shape_at(shape, seq),
+    let ((outcome, delta), bound) = match &resolved {
+        Resolved::Bound(_, shape) => (publication.execute_bound(slot, shape, seq), true),
+        Resolved::Parsed(_, shape) => (snap.execute_shape_at(shape, seq), false),
     };
-    ObservationPayload::Executed {
+    let payload = ObservationPayload::Executed {
         outcome,
         delta,
-        fp: resolved.fp(),
-    }
+        fp: resolved.hash(),
+    };
+    (payload, bound)
 }
 
 // ------------------------------------------------------------ task queue
@@ -696,7 +701,7 @@ impl<'a> Engine<'a> {
         // placed.
         let mut batch = Vec::with_capacity((end - start) as usize);
         for seq in start..end {
-            let payload = catch_unwind(AssertUnwindSafe(|| {
+            let (payload, bound) = catch_unwind(AssertUnwindSafe(|| {
                 if self.cfg.panic_on.contains(&(tenant, seq)) {
                     panic!("injected panic at tenant {tenant} seq {seq}");
                 }
@@ -706,7 +711,7 @@ impl<'a> Engine<'a> {
             .unwrap_or_else(|_| {
                 self.worker_panics.incr();
                 *panics += 1;
-                ObservationPayload::Panicked
+                (ObservationPayload::Panicked, false)
             });
             let panicked = matches!(payload, ObservationPayload::Panicked);
             let obs = Observation {
@@ -714,7 +719,7 @@ impl<'a> Engine<'a> {
                 epoch: task.epoch,
                 payload,
             };
-            batch.push(TenantObservation { tenant, obs });
+            batch.push(TenantObservation { tenant, obs, bound });
             if panicked && *panics > max_panics {
                 let rest = (seq + 1 < end).then(|| Task {
                     slice: Slice {
@@ -1318,7 +1323,7 @@ mod tests {
             let mut bound = Vec::new();
             for (seq, sql) in queries.iter().enumerate() {
                 let seq = seq as u64;
-                let payload = execute_statement(publication, sql, seq, true, &mut scratch);
+                let (payload, hit) = execute_statement(publication, sql, seq, true, &mut scratch);
                 let ObservationPayload::Executed { outcome, delta, fp } = payload else {
                     panic!("{sql} did not execute");
                 };
@@ -1329,7 +1334,8 @@ mod tests {
                 assert_eq!(outcome.features, reference.features, "{sql}");
                 assert_eq!(outcome.indexes_used, reference.indexes_used, "{sql}");
                 assert_eq!(delta, reference_delta, "{sql}");
-                if let Some(fp) = fp {
+                if hit {
+                    let fp = fp.expect("a bound statement was scanned");
                     bound.push((fp, outcome.latency_ms.to_bits()));
                 }
             }
@@ -1426,6 +1432,7 @@ mod tests {
                                         epoch: serial,
                                         payload: ObservationPayload::ParseFailed,
                                     },
+                                    bound: false,
                                 }
                             })
                             .collect();
@@ -1474,6 +1481,7 @@ mod tests {
                 epoch: 0,
                 payload: ObservationPayload::ParseFailed,
             },
+            bound: false,
         };
         let slices = [Slice {
             tenant: 1,

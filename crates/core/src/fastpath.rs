@@ -143,7 +143,7 @@ pub struct CompiledTemplate {
 
 /// `table`'s growth stamp in `catalog`; a table the catalog lacks reads 0,
 /// below any stamp a catalog hands out.
-fn stamp_of(catalog: &Catalog, table: &str) -> u64 {
+pub(crate) fn stamp_of(catalog: &Catalog, table: &str) -> u64 {
     catalog.table(table).map_or(0, Table::stamp)
 }
 
@@ -672,23 +672,26 @@ impl FastPathCache {
 pub(crate) enum Resolved<'t> {
     /// Bound through the compiled template of this fingerprint hash.
     Bound(u64, &'t QueryShape),
-    /// Parsed and extracted.
-    Parsed(QueryShape),
+    /// Parsed and extracted, with the fingerprint hash when the statement
+    /// was scanned (the fast path was on and the scan accepted the text).
+    Parsed(Option<u64>, QueryShape),
 }
 
 impl Resolved<'_> {
     pub(crate) fn shape(&self) -> &QueryShape {
         match self {
             Resolved::Bound(_, shape) => shape,
-            Resolved::Parsed(shape) => shape,
+            Resolved::Parsed(_, shape) => shape,
         }
     }
 
-    /// The fingerprint hash when the fast path served the statement.
-    pub(crate) fn fp(&self) -> Option<u64> {
+    /// The fingerprint hash whenever the statement was scanned, bound or
+    /// not: what the template store observes it under without scanning it
+    /// again.
+    pub(crate) fn hash(&self) -> Option<u64> {
         match self {
             Resolved::Bound(hash, _) => Some(*hash),
-            Resolved::Parsed(_) => None,
+            Resolved::Parsed(hash, _) => *hash,
         }
     }
 }
@@ -727,16 +730,18 @@ impl FrontEnd {
     /// the reader's bindable clone of its skeleton, bind. Any miss or
     /// tripped bind guard falls back to the full parse + extract against
     /// `catalog` — which also reproduces parse failures exactly where the
-    /// slow path reports them. `lookup: None` is the fast path switched
-    /// off: parse, count nothing.
+    /// slow path reports them — and keeps the hash the scan found. `lookup:
+    /// None` is the fast path switched off: parse, count nothing.
     pub(crate) fn resolve<'t>(
         &mut self,
         sql: &str,
         catalog: &Catalog,
         lookup: Option<impl FnOnce(u64) -> Option<(&'t CompiledTemplate, &'t mut QueryShape)>>,
     ) -> Result<Resolved<'t>, SqlError> {
+        let mut scanned = None;
         if let Some(lookup) = lookup {
-            if let Some(hash) = scan_fingerprint(sql, &mut self.lits) {
+            scanned = scan_fingerprint(sql, &mut self.lits);
+            if let Some(hash) = scanned {
                 if let Some((compiled, shape)) = lookup(hash) {
                     if compiled.bind(&self.lits, shape, &mut self.sels, &mut self.stack) {
                         self.hits.incr();
@@ -751,7 +756,10 @@ impl FrontEnd {
             self.misses.incr();
         }
         let stmt = parse_statement(sql)?;
-        Ok(Resolved::Parsed(QueryShape::extract(&stmt, catalog)))
+        Ok(Resolved::Parsed(
+            scanned,
+            QueryShape::extract(&stmt, catalog),
+        ))
     }
 }
 

@@ -16,7 +16,9 @@ use crate::mcts::{ConfigSet, Universe};
 use autoindex_estimator::cost_cache::{shape_keys, CostCache};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
+use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
+use std::borrow::Borrow;
 
 /// Greedy parameters.
 #[derive(Debug, Clone, Default)]
@@ -106,8 +108,8 @@ pub(crate) fn select(
 /// `sum(base) − sum(base ∪ {c})`, and with `base` — the existing
 /// configuration — as the reference the second sum looks up only the
 /// templates on `c`'s table.
-pub(crate) fn rank<E: CostEstimator>(
-    pricer: &mut DeltaPricer<'_, '_, E>,
+pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
+    pricer: &mut DeltaPricer<'_, '_, E, S>,
     candidates: &[IndexDef],
     base: &ConfigSet,
 ) -> Vec<ScoredCandidate> {
@@ -153,7 +155,6 @@ mod tests {
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
-    use autoindex_storage::shape::QueryShape;
     use autoindex_storage::SimDbConfig;
 
     fn db() -> SimDb {

@@ -23,10 +23,12 @@
 
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
+use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
 use autoindex_support::hash::{fnv1a_from, U64HashMap, FNV_OFFSET};
 use autoindex_support::obs::Counter;
 use autoindex_support::rng::StdRng;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::delta::DeltaPricer;
@@ -606,10 +608,10 @@ impl MctsSearch<'_> {
     /// Run the search on `tree`, starting from the current existing
     /// configuration and pricing through `pricer` — the round's, over this
     /// search's universe. The reference is left at `start`.
-    pub fn run<E: CostEstimator>(
+    pub fn run<E: CostEstimator, S: Borrow<QueryShape>>(
         &self,
         tree: &mut PolicyTree,
-        pricer: &mut DeltaPricer<'_, '_, E>,
+        pricer: &mut DeltaPricer<'_, '_, E, S>,
     ) -> SearchOutcome {
         let started = std::time::Instant::now();
         let metrics = self.db.metrics();
@@ -785,11 +787,11 @@ impl MctsSearch<'_> {
     /// occurrence of an uncached configuration is a miss, repeats (within
     /// the batch or already in L1) are hits, and only the misses reach
     /// the pricer.
-    fn eval_batch<E: CostEstimator>(
+    fn eval_batch<E: CostEstimator, S: Borrow<QueryShape>>(
         &self,
         batch: &[ConfigSet],
         st: &mut EvalState,
-        pricer: &mut DeltaPricer<'_, '_, E>,
+        pricer: &mut DeltaPricer<'_, '_, E, S>,
         m_hits: &Counter,
         m_misses: &Counter,
     ) -> Vec<f64> {
@@ -985,7 +987,6 @@ mod tests {
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
-    use autoindex_storage::shape::QueryShape;
     use autoindex_storage::SimDbConfig;
 
     #[test]

@@ -330,7 +330,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
         let outcome = self.db.execute_shape(resolved.shape());
         // The statement executed; a template-matching failure must not
         // discard the measurement (the old `(None, event)` ambiguity).
-        let observed = match resolved.fp() {
+        let observed = match resolved.hash() {
             Some(hash) => self.advisor.observe_prehashed(hash, sql, &self.db),
             None => self.advisor.observe(sql, &self.db),
         };
@@ -432,11 +432,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     /// [`TuningSession`](crate::session::TuningSession) over this loop's
     /// database — through its own guard, when it has one — whose report
     /// is rendered as the event.
-    fn tuning_round(
-        &mut self,
-        diagnosis: DiagnosisReport,
-        prologue: Prologue<'static>,
-    ) -> OnlineEvent {
+    fn tuning_round(&mut self, diagnosis: DiagnosisReport, prologue: Prologue) -> OnlineEvent {
         self.db.metrics().counter("online.tuning_rounds").incr();
         self.last_tuning_at = Some(self.executed);
 

@@ -904,9 +904,10 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
     /// its slice: totals, SLO percentiles when declared, the regret
     /// baseline, the bandit's reward.
     ///
-    /// Fast-path hits already carry the fingerprint hash: the template
-    /// store's prehashed entry point skips the scan and, on a store hit, the
-    /// re-parse, with bookkeeping identical to `observe` (tested in
+    /// Every statement a worker scanned — each fast-path hit, and each miss
+    /// with the fast path on — carries its fingerprint hash: the template
+    /// store's prehashed entry point skips the scan and, on a store hit,
+    /// the re-parse, with bookkeeping identical to `observe` (tested in
     /// `templates.rs`).
     fn absorb(
         &mut self,
@@ -918,7 +919,7 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
         let record = report.slices.last_mut().expect("opened at admission");
         let collect_latencies = self.slo.is_some();
         latencies.clear();
-        for TenantObservation { obs, .. } in observations {
+        for TenantObservation { obs, bound, .. } in observations {
             match &obs.payload {
                 ObservationPayload::Executed { outcome, delta, fp } => {
                     self.db.absorb(delta);
@@ -927,8 +928,8 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
                         Some(h) => self.advisor.observe_prehashed(*h, sql, &self.db),
                         None => self.advisor.observe(sql, &self.db),
                     };
-                    report.fastpath_hits += u64::from(fp.is_some());
-                    report.fastpath_misses += u64::from(fp.is_none());
+                    report.fastpath_hits += u64::from(*bound);
+                    report.fastpath_misses += u64::from(!*bound);
                     record.executed += 1;
                     record.sim_latency_ms += outcome.latency_ms;
                     if collect_latencies {
@@ -1015,7 +1016,7 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
 fn tuning_round<E: CostEstimator>(
     db: &mut SimDb,
     advisor: &mut AutoIndex<E>,
-    prologue: Prologue<'static>,
+    prologue: Prologue,
     guard: Option<GuardConfig>,
     reset_usage: bool,
 ) -> String {

@@ -45,10 +45,11 @@ use crate::error::AutoIndexError;
 use crate::guard::{ApplyVerdict, Guard, GuardConfig};
 use crate::strategy::{Prologue, StrategyKind};
 use crate::system::{AutoIndex, Recommendation, TuningReport};
+use crate::templates::{KeptEmission, KeyedWorkload};
 use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::SimDb;
-use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a [`TuningSession`] run produced.
@@ -112,7 +113,7 @@ pub struct TuningSession<'a, 'd, 'w, E: CostEstimator> {
     db: &'d mut SimDb,
     workload: Option<&'w TemplateWorkload>,
     /// The prologue this boundary's diagnosis already built.
-    prologue: Option<Prologue<'static>>,
+    prologue: Option<Prologue>,
     apply: Apply<'d>,
     recommendation: Option<Recommendation>,
     recommend_only: bool,
@@ -142,7 +143,7 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
 
     /// Recommend over the prologue this boundary's diagnosis
     /// (`AutoIndex::boundary`) built, instead of building it again.
-    pub(crate) fn prologue(mut self, prologue: Prologue<'static>) -> Self {
+    pub(crate) fn prologue(mut self, prologue: Prologue) -> Self {
         self.prologue = Some(prologue);
         self
     }
@@ -194,8 +195,16 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
                 let prologue = match (self.prologue, self.workload) {
                     (Some(p), _) => p,
                     (None, Some(w)) => {
-                        let candidates = &self.advisor.config.candidates;
-                        Prologue::new(self.db, Cow::Borrowed(w), shape_keys(w), candidates)
+                        // An explicit workload is nobody's template: its
+                        // shapes are copied once, its emissions kept by no one.
+                        let slots: Vec<KeptEmission> =
+                            w.iter().map(|_| KeptEmission::default()).collect();
+                        let keyed = KeyedWorkload {
+                            workload: w.iter().map(|(s, n)| (Arc::new(s.clone()), *n)).collect(),
+                            shape_keys: shape_keys(w),
+                            kept: slots.iter().collect(),
+                        };
+                        Prologue::new(self.db, keyed, &self.advisor.config.candidates)
                     }
                     (None, None) => self.advisor.prologue(self.db),
                 };

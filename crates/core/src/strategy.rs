@@ -10,10 +10,11 @@
 //!   [`Recommendation`] for the round's workload; `observe_reward`
 //!   feeds measured post-apply latency back (only the bandit learns
 //!   from it — greedy and MCTS are estimator-driven and ignore it).
-//! * `Prologue` — what a tuning boundary builds once: the workload with
-//!   its template fingerprints, the existing definitions and the generated
-//!   candidates. Diagnosis prices its "missing benefit" over it, and when
-//!   that fires the same value is the round's.
+//! * `Prologue` — what a tuning boundary builds once: the workload (its
+//!   shapes shared with the template store) with its template
+//!   fingerprints, the existing definitions and the candidates merged from
+//!   the templates' kept emissions. Diagnosis prices its "missing
+//!   benefit" over it, and when that fires the same value is the round's.
 //! * `Round` — what `AutoIndex::recommend` builds over a prologue and
 //!   hands to whichever strategy runs: the universe its definitions are
 //!   interned in and the round's one [`DeltaPricer`]. A strategy prices
@@ -38,11 +39,13 @@ use crate::error::AutoIndexError;
 use crate::greedy::{self, GreedyConfig};
 use crate::mcts::{ConfigSet, MctsSearch, PolicyTree, Universe};
 use crate::system::{AutoIndexConfig, Recommendation};
+use crate::templates::KeyedWorkload;
 use autoindex_estimator::cost_cache::CostCache;
-use autoindex_estimator::{CostEstimator, TemplateWorkload};
+use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
+use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
-use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which tuning strategy a round runs. Carried by
@@ -101,45 +104,75 @@ impl std::str::FromStr for StrategyKind {
     }
 }
 
+/// The workload a boundary prices: the templates' shapes, shared with the
+/// template store rather than copied, with their weights.
+pub(crate) type SharedWorkload = [(Arc<QueryShape>, u64)];
+
 /// What one tuning boundary builds once, for its diagnosis and — when that
 /// fires — its round: the workload and its template fingerprints, the
 /// database's index definitions in id order, and the candidate generator's
 /// output for the two (§IV-A). Passed by value within the boundary; the
 /// database does not change between the diagnosis and the round.
-pub(crate) struct Prologue<'w> {
-    pub(crate) workload: Cow<'w, TemplateWorkload>,
+pub(crate) struct Prologue {
+    pub(crate) workload: Vec<(Arc<QueryShape>, u64)>,
     /// `shape_key` per template, in workload order.
     pub(crate) shape_keys: Vec<u128>,
     pub(crate) existing: Vec<IndexDef>,
     pub(crate) candidates: Vec<IndexDef>,
-    cand_stats: CandidateStats,
+    pub(crate) cand_stats: CandidateStats,
     candgen_time: Duration,
 }
 
-impl<'w> Prologue<'w> {
-    /// List `db`'s definitions and generate candidates for `workload`
-    /// under the advisor's `config` — the one generator diagnosis and
-    /// every strategy's round are answered from.
-    pub(crate) fn new(
-        db: &SimDb,
-        workload: Cow<'w, TemplateWorkload>,
-        shape_keys: Vec<u128>,
-        config: &CandidateConfig,
-    ) -> Self {
+impl Prologue {
+    /// List `db`'s definitions and produce candidates for `keyed` under
+    /// the advisor's `config` — the one generator diagnosis and every
+    /// strategy's round are answered from. Each template's emission comes
+    /// from its slot while it is current, is emitted afresh and kept
+    /// otherwise (`advisor.candidates.{reused,emitted}`), and one merge
+    /// against the existing definitions makes the candidates.
+    pub(crate) fn new(db: &SimDb, keyed: KeyedWorkload<'_>, config: &CandidateConfig) -> Self {
+        let KeyedWorkload {
+            workload,
+            shape_keys,
+            kept,
+        } = keyed;
+        assert_eq!(workload.len(), kept.len(), "one emission slot per template");
         let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
         let candgen_started = Instant::now();
-        let (candidates, cand_stats) = CandidateGenerator::new(config.clone()).generate_with_stats(
-            &workload,
-            db.catalog(),
+        let (catalog, generator) = (db.catalog(), CandidateGenerator::new(config.clone()));
+        let mut reused = 0;
+        let emissions: Vec<_> = workload
+            .iter()
+            .zip(&kept)
+            .map(|((shape, _), slot)| {
+                let (emission, current) = slot.take(shape, &generator, catalog);
+                reused += usize::from(current);
+                emission
+            })
+            .collect();
+        let (candidates, cand_stats) = generator.merge(
+            emissions.iter().flat_map(|e| &e.candidates),
+            catalog,
             &existing,
         );
+        for (slot, emission) in kept.into_iter().zip(emissions) {
+            slot.keep(emission);
+        }
+        let candgen_time = candgen_started.elapsed();
+        let metrics = db.metrics();
+        metrics
+            .counter("advisor.candidates.emitted")
+            .add((workload.len() - reused) as u64);
+        metrics
+            .counter("advisor.candidates.reused")
+            .add(reused as u64);
         Prologue {
             workload,
             shape_keys,
             existing,
             candidates,
             cand_stats,
-            candgen_time: candgen_started.elapsed(),
+            candgen_time,
         }
     }
 
@@ -152,7 +185,7 @@ impl<'w> Prologue<'w> {
         estimator: &'a E,
         cache: &'a CostCache,
         decomposed: bool,
-    ) -> DeltaPricer<'a, 'p, E> {
+    ) -> DeltaPricer<'a, 'p, E, Arc<QueryShape>> {
         let (workload, keys) = (&self.workload, &self.shape_keys);
         DeltaPricer::new(universe, workload, keys, db, estimator, cache, decomposed)
     }
@@ -197,7 +230,7 @@ impl<'w> Prologue<'w> {
 /// the strategy that runs it.
 pub(crate) struct Round<'a, 'w, E> {
     pub(crate) db: &'a SimDb,
-    pub(crate) workload: &'w TemplateWorkload,
+    pub(crate) workload: &'w SharedWorkload,
     pub(crate) config: &'a AutoIndexConfig,
     /// The database's index definitions, in id order, and their slots.
     pub(crate) existing: &'w [IndexDef],
@@ -206,7 +239,7 @@ pub(crate) struct Round<'a, 'w, E> {
     pub(crate) candidates: &'w [IndexDef],
     candgen_time: Duration,
     /// Every configuration of the round is priced here, and nowhere else.
-    pub(crate) pricer: DeltaPricer<'a, 'w, E>,
+    pub(crate) pricer: DeltaPricer<'a, 'w, E, Arc<QueryShape>>,
 }
 
 impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
@@ -225,7 +258,7 @@ impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
         universe: &'a mut Universe,
         cache: &'a CostCache,
         db: &'a SimDb,
-        prologue: &'w Prologue<'_>,
+        prologue: &'w Prologue,
         estimator: &'a E,
         config: &'a AutoIndexConfig,
         standing: &[IndexDef],

@@ -9,7 +9,7 @@
 //! *incremental*: each round starts from what previous rounds learned.
 
 use crate::bandit::{ArmChoice, BanditConfig, BanditStrategy};
-use crate::candgen::CandidateConfig;
+use crate::candgen::{CandidateConfig, CandidateStats};
 use crate::diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 use crate::error::{invalid, AutoIndexError};
 use crate::mcts::{MctsConfig, Universe};
@@ -24,7 +24,6 @@ use autoindex_estimator::CostEstimator;
 use autoindex_sql::SqlError;
 use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
-use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Top-level AutoIndex configuration.
@@ -398,18 +397,28 @@ impl<E: CostEstimator> AutoIndex<E> {
         self.boundary(db).0
     }
 
-    /// The prologue of a round over the observed templates.
-    pub(crate) fn prologue(&self, db: &SimDb) -> Prologue<'static> {
-        let (workload, shape_keys) = self.templates.keyed_workload();
-        let candidates = &self.config.candidates;
-        Prologue::new(db, Cow::Owned(workload), shape_keys, candidates)
+    /// The candidates a tuning boundary would hand its round now, with
+    /// their per-class tallies: every template's kept emission (emitted
+    /// afresh where its tables grew, its shape was re-extracted or
+    /// `config.candidates` changed) merged against `db`'s indexes. Equal,
+    /// bit for bit, to `CandidateGenerator::generate_with_stats` over
+    /// [`AutoIndex::workload`] (property-tested).
+    pub fn candidates(&self, db: &SimDb) -> (Vec<IndexDef>, CandidateStats) {
+        let prologue = self.prologue(db);
+        (prologue.candidates, prologue.cand_stats)
     }
 
-    /// One tuning boundary's first step: materialise the workload and
-    /// generate its candidates once, diagnose over them, and return both —
+    /// The prologue of a round over the observed templates.
+    pub(crate) fn prologue(&self, db: &SimDb) -> Prologue {
+        let keyed = self.templates.keyed_workload();
+        Prologue::new(db, keyed, &self.config.candidates)
+    }
+
+    /// One tuning boundary's first step: take the workload and merge its
+    /// candidates once, diagnose over them, and return both —
     /// a boundary whose diagnosis fires hands the prologue on to its
     /// session ([`TuningSession::prologue`]) instead of building it again.
-    pub(crate) fn boundary(&self, db: &SimDb) -> (DiagnosisReport, Prologue<'static>) {
+    pub(crate) fn boundary(&self, db: &SimDb) -> (DiagnosisReport, Prologue) {
         let prologue = self.prologue(db);
         let missing = prologue.missing_benefit(
             db,
@@ -464,7 +473,7 @@ impl<E: CostEstimator> AutoIndex<E> {
         &mut self,
         kind: StrategyKind,
         db: &SimDb,
-        prologue: &Prologue<'_>,
+        prologue: &Prologue,
     ) -> Recommendation {
         // Only an MCTS round may number slots in the persistent universe.
         let mut local = Universe::new();
@@ -828,6 +837,91 @@ mod tests {
         let aware = diagnose(true);
         assert!(aware.missing_benefit > plain.missing_benefit, "{aware:?}");
         assert!(aware.should_tune, "{aware:?}");
+    }
+
+    /// A two-table fixture with its own registry, and an advisor that has
+    /// seen one template on `t`, one on `u` and one joining them.
+    fn two_tables() -> (SimDb, AutoIndex<NativeCostEstimator>) {
+        let mut c = Catalog::new();
+        for (name, rows) in [("t", 800_000), ("u", 300_000)] {
+            c.add_table(
+                TableBuilder::new(name, rows)
+                    .column(Column::int("a", rows))
+                    .column(Column::int("b", 4_000))
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let metrics = autoindex_support::obs::MetricsRegistry::new();
+        let db = SimDb::with_metrics(c, SimDbConfig::default(), metrics);
+        let mut ai = system();
+        for i in 0..50 {
+            for sql in [
+                format!("SELECT * FROM t WHERE a = {i}"),
+                format!("SELECT * FROM u WHERE b = {i}"),
+                format!("SELECT * FROM t, u WHERE t.b = u.b AND u.a = {i}"),
+            ] {
+                ai.observe(&sql, &db).unwrap();
+            }
+        }
+        (db, ai)
+    }
+
+    /// `advisor.candidates.{emitted, reused}` since the last call.
+    fn emissions(db: &SimDb, last: &mut (u64, u64)) -> (u64, u64) {
+        let m = db.metrics();
+        let now = (
+            m.counter_value("advisor.candidates.emitted"),
+            m.counter_value("advisor.candidates.reused"),
+        );
+        let delta = (now.0 - last.0, now.1 - last.1);
+        *last = now;
+        delta
+    }
+
+    #[test]
+    fn a_boundary_without_growth_emits_nothing() {
+        let (db, ai) = two_tables();
+        let mut last = (0, 0);
+        let first = ai.candidates(&db);
+        assert_eq!(
+            emissions(&db, &mut last),
+            (3, 0),
+            "a first boundary emits all"
+        );
+        let _ = ai.diagnose(&db);
+        assert_eq!(emissions(&db, &mut last), (0, 3));
+        assert_eq!(ai.candidates(&db), first);
+        assert_eq!(emissions(&db, &mut last), (0, 3));
+    }
+
+    #[test]
+    fn growing_one_table_re_emits_the_templates_that_touch_it() {
+        let (mut db, ai) = two_tables();
+        let mut last = (0, 0);
+        let _ = ai.candidates(&db);
+        emissions(&db, &mut last);
+        db.grow_table("u", 10_000).unwrap();
+        let _ = ai.candidates(&db);
+        assert_eq!(emissions(&db, &mut last), (2, 1), "`u` and the join");
+        db.grow_table("t", 10_000).unwrap();
+        let _ = ai.candidates(&db);
+        assert_eq!(emissions(&db, &mut last), (2, 1), "`t` and the join");
+    }
+
+    #[test]
+    fn ddl_re_emits_nothing_but_changes_the_merge() {
+        let (mut db, ai) = two_tables();
+        let mut last = (0, 0);
+        let (before, _) = ai.candidates(&db);
+        emissions(&db, &mut last);
+        let built = IndexDef::new("t", &["a"]);
+        assert!(before.contains(&built), "{before:?}");
+        db.create_index(built.clone()).unwrap();
+        let (after, _) = ai.candidates(&db);
+        assert_eq!(emissions(&db, &mut last), (0, 3));
+        assert!(!after.contains(&built), "{after:?}");
+        assert_eq!(before.len(), after.len() + 1, "{before:?} / {after:?}");
     }
 
     #[test]

@@ -19,17 +19,27 @@
 //!   with its entry, current under table growth, so a repeat statement is
 //!   *bound*, never parsed: `TemplateStore::compiled_for` serves the
 //!   online loop live, `TemplateStore::publish` freezes the same entries
-//!   for the serving executors.
+//!   for the serving executors;
+//! * keeps each template's candidate emission
+//!   ([`CandidateGenerator::emit`]) with its entry, under the same rule: a
+//!   tuning boundary shares the shapes (`Arc`) instead of copying them and
+//!   emits again only for templates whose tables grew.
 
-use crate::fastpath::{Compiled, CompiledTemplate, FastPathCache, Upkeep, UpkeepCounters};
+use crate::candgen::{CandidateConfig, CandidateGenerator, Emitted};
+use crate::fastpath::{
+    stamp_of, Compiled, CompiledTemplate, FastPathCache, Upkeep, UpkeepCounters,
+};
 use autoindex_estimator::cost_cache::shape_key;
 use autoindex_sql::{
     fingerprint, parse_statement, scan_fingerprint, LiteralBuf, SqlError, Statement, TemplateId,
 };
 use autoindex_storage::catalog::Catalog;
 use autoindex_storage::shape::QueryShape;
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::json::{obj, Json, JsonError};
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Configuration of the template store.
@@ -70,8 +80,9 @@ pub struct TemplateEntry {
     pub text: String,
     /// Parsed template statement (placeholders for all literals).
     pub statement: Statement,
-    /// Pre-extracted shape (against the catalog at observation time).
-    pub shape: QueryShape,
+    /// Pre-extracted shape (against the catalog at observation time),
+    /// shared with the workload of every tuning boundary since.
+    pub shape: Arc<QueryShape>,
     /// [`shape_key`] of `shape`, computed where the shape is extracted: the
     /// delta-cost cache's template fingerprint. Kept as bytes: a `u128`
     /// field raises the entry's alignment to 16 and moves the fields
@@ -84,6 +95,79 @@ pub struct TemplateEntry {
     pub last_seen: u64,
     /// The template's compiled fast-path form; goes when the entry goes.
     pub(crate) compiled: Compiled,
+    /// The template's candidate emission as last emitted; goes when the
+    /// entry goes, or the shape is re-extracted.
+    pub(crate) emission: KeptEmission,
+}
+
+/// A workload as a tuning boundary takes it: the shapes shared, not
+/// copied, with their weights, each template's `shape_key`, and where each
+/// keeps its candidate emission — one of each per template, in order.
+pub(crate) struct KeyedWorkload<'s> {
+    pub(crate) workload: Vec<(Arc<QueryShape>, u64)>,
+    pub(crate) shape_keys: Vec<u128>,
+    pub(crate) kept: Vec<&'s KeptEmission>,
+}
+
+/// A template's candidate emission with what it was emitted at: it is
+/// current while the fold of its touched tables' growth stamps and the
+/// candidate config are those (the rule compiled forms and cost terms live
+/// by: whatever else moved — frequencies, the index set — it did not read).
+pub(crate) struct Emission {
+    stamps: u64,
+    config: CandidateConfig,
+    pub(crate) candidates: Vec<Emitted>,
+}
+
+/// Where a template keeps its [`Emission`] between boundaries: one pointer.
+/// A cell, because a boundary reads the store through `&self`
+/// (`AutoIndex::diagnose` takes `&self`): it takes each emission out,
+/// merges them all, and puts them back. A copied entry keeps nothing.
+#[derive(Default)]
+pub(crate) struct KeptEmission(Cell<Option<Box<Emission>>>);
+
+impl KeptEmission {
+    /// The emission of `shape` under `generator` against `catalog`, taken
+    /// out of this slot: the kept one when it is current, else a fresh one
+    /// (and `false`). [`KeptEmission::keep`] puts it back.
+    pub(crate) fn take(
+        &self,
+        shape: &QueryShape,
+        generator: &CandidateGenerator,
+        catalog: &Catalog,
+    ) -> (Box<Emission>, bool) {
+        let stamps = shape.tables.iter().fold(FNV_OFFSET, |h, t| {
+            fnv1a_from(h, &stamp_of(catalog, &t.table).to_le_bytes())
+        });
+        match self.0.take() {
+            Some(kept) if kept.stamps == stamps && kept.config == generator.config => (kept, true),
+            _ => {
+                let fresh = Emission {
+                    stamps,
+                    config: generator.config.clone(),
+                    candidates: generator.emit(shape, catalog),
+                };
+                (Box::new(fresh), false)
+            }
+        }
+    }
+
+    /// Keep `emission` until the next boundary.
+    pub(crate) fn keep(&self, emission: Box<Emission>) {
+        self.0.set(Some(emission));
+    }
+}
+
+impl Clone for KeptEmission {
+    fn clone(&self) -> Self {
+        KeptEmission::default()
+    }
+}
+
+impl fmt::Debug for KeptEmission {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("KeptEmission")
+    }
 }
 
 /// The template store.
@@ -180,7 +264,7 @@ impl TemplateStore {
         let fp = fingerprint(sql)?;
         self.window_new_templates += 1;
         let statement = parse_statement(sql)?;
-        let shape = QueryShape::extract(&statement, catalog);
+        let shape = Arc::new(QueryShape::extract(&statement, catalog));
         let shape_key = shape_key(&shape).to_le_bytes();
         if self.by_hash.len() >= self.config.max_templates {
             self.evict_one();
@@ -197,6 +281,7 @@ impl TemplateStore {
                 frequency: 1.0,
                 last_seen: self.clock,
                 compiled: Compiled::Pending,
+                emission: KeptEmission::default(),
             },
         );
         self.published = None;
@@ -353,31 +438,46 @@ impl TemplateStore {
 
     /// The template-level workload: `(shape, rounded frequency)` pairs,
     /// ordered by descending frequency. This is what the estimator and the
-    /// search consume.
+    /// search consume; it copies every shape (a tuning boundary shares
+    /// them instead).
     pub fn workload(&self) -> Vec<(QueryShape, u64)> {
-        self.keyed_workload().0
+        let shared = self.keyed_workload().workload;
+        shared
+            .into_iter()
+            .map(|(shape, n)| (QueryShape::clone(&shape), n))
+            .collect()
     }
 
-    /// [`TemplateStore::workload`] with each template's `shape_key` beside
-    /// it, in the same order: what a tuning boundary materialises once.
-    pub(crate) fn keyed_workload(&self) -> (Vec<(QueryShape, u64)>, Vec<u128>) {
+    /// [`TemplateStore::workload`] as a tuning boundary takes it, in the
+    /// same order.
+    pub(crate) fn keyed_workload(&self) -> KeyedWorkload<'_> {
         let mut v: Vec<(&TemplateEntry, u64)> = self
             .by_hash
             .values()
             .map(|e| (e, e.frequency.round().max(1.0) as u64))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.text.cmp(&b.0.text)));
-        v.into_iter()
-            .map(|(e, n)| ((e.shape.clone(), n), u128::from_le_bytes(e.shape_key)))
-            .unzip()
+        let mut keyed = KeyedWorkload {
+            workload: Vec::with_capacity(v.len()),
+            shape_keys: Vec::with_capacity(v.len()),
+            kept: Vec::with_capacity(v.len()),
+        };
+        for (e, n) in v {
+            keyed.workload.push((Arc::clone(&e.shape), n));
+            keyed.shape_keys.push(u128::from_le_bytes(e.shape_key));
+            keyed.kept.push(&e.emission);
+        }
+        keyed
     }
 
     /// Re-extract all template shapes against a (changed) catalog — needed
     /// after significant data growth so the planner sees fresh statistics.
+    /// A re-extracted template emits its candidates afresh.
     pub fn refresh_shapes(&mut self, catalog: &Catalog) {
         for e in self.by_hash.values_mut() {
-            e.shape = QueryShape::extract(&e.statement, catalog);
+            e.shape = Arc::new(QueryShape::extract(&e.statement, catalog));
             e.shape_key = shape_key(&e.shape).to_le_bytes();
+            e.emission = KeptEmission::default();
         }
     }
 
@@ -451,7 +551,7 @@ impl TemplateStore {
                 .ok_or_else(|| bad(format!("snapshot entry {i}: bad 'sql'")))?;
             let statement = parse_statement(sql)
                 .map_err(|err| bad(format!("snapshot entry {i}: unparsable sql: {err}")))?;
-            let shape = QueryShape::extract(&statement, catalog);
+            let shape = Arc::new(QueryShape::extract(&statement, catalog));
             let shape_key = shape_key(&shape).to_le_bytes();
             let frequency = e
                 .get("frequency")
@@ -474,6 +574,7 @@ impl TemplateStore {
                     frequency,
                     last_seen,
                     compiled: Compiled::Pending,
+                    emission: KeptEmission::default(),
                 },
             );
         }

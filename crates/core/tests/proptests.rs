@@ -2,7 +2,9 @@
 
 use autoindex_core::mcts::{ConfigSet, MctsConfig, MctsSearch, PolicyTree, Universe};
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
-use autoindex_core::{CandidateConfig, CandidateGenerator, DeltaPricer};
+use autoindex_core::{
+    AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator, DeltaPricer,
+};
 use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
@@ -520,6 +522,129 @@ fn projection_fingerprints_tell_ordered_projections_apart() {
                 );
                 let same_defs = reversed.projection_fingerprint(&in_reversed(&config), &all);
                 prop_assert_eq!(fp == same_defs, config.len() < 2, "{bits:#b}");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Three tables for the kept-candidates property: `u` starts under the
+/// default `min_table_rows` and is smaller than `v`, so growth moves what
+/// its templates emit (the filter threshold, which side a join drives).
+fn growing_catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    cat.add_table(
+        TableBuilder::new("t", 200_000)
+            .column(Column::int("a", 200_000))
+            .column(Column::int("b", 1_000))
+            .column(Column::int("c", 3))
+            .column(Column::int("d", 50))
+            .build()
+            .unwrap(),
+    );
+    cat.add_table(
+        TableBuilder::new("u", 60)
+            .column(Column::int("x", 60))
+            .column(Column::int("y", 8))
+            .partitioned(4, "y")
+            .build()
+            .unwrap(),
+    );
+    cat.add_table(
+        TableBuilder::new("v", 150_000)
+            .column(Column::int("x", 150_000))
+            .column(Column::int("z", 400))
+            .build()
+            .unwrap(),
+    );
+    cat
+}
+
+/// One statement of a few dozen templates over [`growing_catalog`].
+fn gen_growing_query(rng: &mut StdRng) -> String {
+    let k = rng.random_range(0i64..1_000);
+    let t_cols = ["a", "b", "c", "d"];
+    let c1 = t_cols[rng.random_range(0usize..4)];
+    let c2 = t_cols[rng.random_range(0usize..4)];
+    match rng.random_range(0u32..9) {
+        0 => format!("SELECT * FROM t WHERE {c1} = {k} AND {c2} = 2"),
+        1 => format!("SELECT {c1}, {c2} FROM t WHERE {c1} = {k} ORDER BY {c2} DESC"),
+        2 => format!("SELECT a FROM t WHERE b = {k} AND d > {}", k % 50),
+        3 => format!("SELECT * FROM u WHERE x = {k}"),
+        4 => format!("SELECT * FROM t, u WHERE t.{c1} = u.x AND u.y = {}", k % 8),
+        5 => "SELECT * FROM u, v WHERE u.x = v.x".to_string(),
+        6 => "SELECT y, COUNT(*) FROM u GROUP BY y".to_string(),
+        7 => format!("SELECT x FROM v WHERE z > {k} ORDER BY x"),
+        _ => format!("INSERT INTO u (x, y) VALUES ({k}, {})", k % 8),
+    }
+}
+
+/// A boundary's candidates — every template's kept emission, emitted
+/// afresh only where its tables grew, its shape was re-extracted or the
+/// config moved, merged against the existing indexes — equal a
+/// from-scratch generation over the same workload: definitions, order and
+/// tallies, bit for bit, through growth, index create/drop, decay and
+/// eviction, `refresh_statistics` and a `config.candidates` change.
+#[test]
+fn kept_candidates_equal_a_from_scratch_generation() {
+    property(
+        "kept_candidates_equal_a_from_scratch_generation",
+        cfg(),
+        |rng, size| {
+            let mut db = SimDb::new(growing_catalog(), SimDbConfig::default());
+            let templates = TemplateStoreConfig {
+                max_templates: rng.random_range(2usize..16),
+                ..TemplateStoreConfig::default()
+            };
+            let config = AutoIndexConfig::builder().templates(templates).build();
+            let mut ai = AutoIndex::new(config.unwrap(), NativeCostEstimator);
+            let tables = ["t", "u", "v"];
+            let columns: [&[&str]; 3] = [&["a", "b", "c", "d"], &["x", "y"], &["x", "z"]];
+            for step in 0..2 + size / 5 {
+                let op = rng.random_range(0u32..9);
+                match op {
+                    // Statements: new templates, matches, evictions and
+                    // `INSERT`s, executed (they grow `u`) and observed.
+                    0..=2 => {
+                        for _ in 0..rng.random_range(1usize..12) {
+                            let sql = gen_growing_query(rng);
+                            db.execute(&parse_statement(&sql).unwrap());
+                            ai.observe(&sql, &db).unwrap();
+                        }
+                    }
+                    3 => {
+                        let table = tables[rng.random_range(0usize..3)];
+                        db.grow_table(table, rng.random_range(1u64..400_000))
+                            .unwrap();
+                    }
+                    4 => {
+                        let i = rng.random_range(0usize..3);
+                        let c = columns[i][rng.random_range(0usize..columns[i].len())];
+                        let _ = db.create_index(IndexDef::new(tables[i], &[c]));
+                    }
+                    5 => {
+                        let ids: Vec<_> = db.indexes().map(|(id, _)| id).collect();
+                        if let Some(&id) = rng.choose(&ids) {
+                            db.drop_index(id).unwrap();
+                        }
+                    }
+                    6 => ai.force_template_decay(),
+                    7 => ai.refresh_statistics(&db),
+                    _ => {
+                        ai.config.candidates = CandidateConfig::builder()
+                            .sort_aware(rng.random_bool(0.5))
+                            .covering(rng.random_bool(0.5))
+                            .min_table_rows([50, 100, 1_000][rng.random_range(0usize..3)])
+                            .selectivity_threshold([1.0 / 3.0, 0.5][rng.random_range(0usize..2)])
+                            .build()
+                            .unwrap();
+                    }
+                }
+                let kept = ai.candidates(&db);
+                let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+                let scratch = CandidateGenerator::new(ai.config.candidates.clone())
+                    .generate_with_stats(&ai.workload(), db.catalog(), &existing);
+                prop_assert_eq!(kept, scratch, "step {step} (op {op})");
             }
             Ok(())
         },

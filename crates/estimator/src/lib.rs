@@ -37,6 +37,7 @@ pub use training::{kfold_cross_validate, CollectConfig, FoldReport, TrainingSet}
 use autoindex_storage::index::IndexConfig;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
+use std::borrow::Borrow;
 
 /// A workload presented to an estimator: pre-extracted template shapes with
 /// repetition counts (the output of `SQL2Template`).
@@ -60,16 +61,18 @@ pub trait CostEstimator {
     fn shape_cost<'a>(&self, db: &SimDb, shape: &QueryShape, config: impl IndexConfig<'a>) -> f64;
 
     /// Estimated total cost of running `workload` with `config`: the
-    /// weighted sum of per-shape costs, in workload order.
-    fn workload_cost<'a>(
+    /// weighted sum of per-shape costs, in workload order. The shapes may
+    /// be owned ([`TemplateWorkload`]) or shared (`Arc<QueryShape>`, what
+    /// a tuning boundary hands over without copying one).
+    fn workload_cost<'a, S: Borrow<QueryShape>>(
         &self,
         db: &SimDb,
-        workload: &TemplateWorkload,
+        workload: &[(S, u64)],
         config: impl IndexConfig<'a>,
     ) -> f64 {
         workload
             .iter()
-            .map(|(shape, n)| self.shape_cost(db, shape, config.clone()) * *n as f64)
+            .map(|(shape, n)| self.shape_cost(db, shape.borrow(), config.clone()) * *n as f64)
             .sum()
     }
 }

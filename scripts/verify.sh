@@ -165,4 +165,8 @@ for gone in shard_of SHARD_SALT derive_seed; do
 done
 absent 'pub seed' crates/core/src/serve.rs
 
+echo "==> boundary check (crates/core/src, tests included: the candidate merge sorts on kept keys and renders none in a comparator; a boundary's workload shares the templates' shapes, copies none)"
+absent 'd.key())\|a.key()' crates/core/src/candgen.rs
+absent 'e.shape.clone()' crates/core/src/templates.rs
+
 echo "OK: build + tests + docs green, dependency tree is hermetic."
