@@ -16,7 +16,7 @@
 //! JSON parser and exits non-zero if any core counter is missing or zero.
 
 use autoindex_bench::experiments as ex;
-use autoindex_bench::{fmt_bytes, Method};
+use autoindex_bench::{fmt_bytes, Method, MethodResult};
 use autoindex_support::json::Json;
 use autoindex_support::obs::MetricsRegistry;
 
@@ -75,6 +75,72 @@ fn run(name: &str, f: impl FnOnce()) {
 fn header(title: &str, paper: &str) {
     println!("\n=== {title} ===");
     println!("    paper: {paper}");
+}
+
+/// One column of a printed table, one space after the one before it: its
+/// heading — the heading line stops at the first column without one — its
+/// width and alignment, and its cell of a row.
+struct Col<'a, R> {
+    head: &'static str,
+    width: usize,
+    left: bool,
+    cell: Box<dyn Fn(&R) -> String + 'a>,
+}
+
+impl<R> Col<'_, R> {
+    fn left(self) -> Self {
+        Col { left: true, ..self }
+    }
+}
+
+/// The rows of a printed table; its columns are made by [`Table::col`].
+struct Table<'r, R>(&'r [R]);
+
+impl<R> Table<'_, R> {
+    /// A right-aligned column.
+    fn col<'a>(
+        &self,
+        head: &'static str,
+        width: usize,
+        cell: impl Fn(&R) -> String + 'a,
+    ) -> Col<'a, R> {
+        Col {
+            head,
+            width,
+            left: false,
+            cell: Box::new(cell),
+        }
+    }
+
+    /// Print the heading line of `cols` (if the first has a heading), then
+    /// one line per row.
+    fn print(&self, cols: &[Col<'_, R>]) {
+        let heads: Vec<String> = (cols.iter())
+            .map_while(|c| (!c.head.is_empty()).then(|| c.head.to_string()))
+            .collect();
+        let cells = self
+            .0
+            .iter()
+            .map(|r| cols.iter().map(|c| (c.cell)(r)).collect());
+        for cells in (!heads.is_empty())
+            .then_some(heads)
+            .into_iter()
+            .chain(cells)
+        {
+            let line: Vec<String> = (cols.iter().zip(&cells))
+                .map(|(c, cell)| match c.left {
+                    true => format!("{cell:<w$}", w = c.width),
+                    false => format!("{cell:>w$}", w = c.width),
+                })
+                .collect();
+            println!("{}", line.join(" "));
+        }
+    }
+}
+
+/// A percentage with one decimal and a `%` sign.
+fn pct(v: f64) -> String {
+    format!("{v:.1}%")
 }
 
 /// Self-checking tuning round for `scripts/verify.sh`: tiny universe, one
@@ -422,39 +488,29 @@ fn fig5() {
         "AutoIndex > Greedy > Default at every scale; e.g. 100x: -25.4% latency / +34% tps vs Default",
     );
     let rows = ex::fig5_tpcc(ex::TPCC_TXNS);
-    println!(
-        "{:>6} {:>10} {:>16} {:>12} {:>9} {:>12}",
-        "scale", "method", "total lat (ms)", "tps", "#idx", "idx size"
-    );
-    let mut base: f64 = 0.0;
-    let mut base_tps: f64 = 0.0;
-    for r in &rows {
-        if r.result.method == Method::Default {
-            base = r.result.total_latency_ms;
-            base_tps = r.result.throughput;
-        }
-        let dl = if base > 0.0 {
-            format!("{:+.1}%", (r.result.total_latency_ms / base - 1.0) * 100.0)
-        } else {
-            String::new()
-        };
-        let dt = if base_tps > 0.0 {
-            format!("{:+.1}%", (r.result.throughput / base_tps - 1.0) * 100.0)
-        } else {
-            String::new()
-        };
-        println!(
-            "{:>6} {:>10} {:>16.1} {:>12.0} {:>9} {:>12}  lat {:>8} tps {:>8}",
-            r.scale,
-            r.result.method.to_string(),
-            r.result.total_latency_ms,
-            r.result.throughput,
-            r.result.index_count,
-            fmt_bytes(r.result.index_bytes),
-            dl,
-            dt,
-        );
-    }
+    // Against the Default row of the same scale.
+    let change = |r: &ex::Fig5Row, v: fn(&MethodResult) -> f64| {
+        let base = (rows.iter())
+            .find(|d| d.scale == r.scale && d.result.method == Method::Default)
+            .map_or(0.0, |d| v(&d.result));
+        let d = (base > 0.0).then(|| format!("{:+.1}%", (v(&r.result) / base - 1.0) * 100.0));
+        d.unwrap_or_default()
+    };
+    let t = Table(&rows);
+    t.print(&[
+        t.col("scale", 6, |r| r.scale.to_string()),
+        t.col("method", 10, |r| r.result.method.to_string()),
+        t.col("total lat (ms)", 16, |r| {
+            format!("{:.1}", r.result.total_latency_ms)
+        }),
+        t.col("tps", 12, |r| format!("{:.0}", r.result.throughput)),
+        t.col("#idx", 9, |r| r.result.index_count.to_string()),
+        t.col("idx size", 12, |r| fmt_bytes(r.result.index_bytes)),
+        t.col("", 0, |r| {
+            format!(" lat {:>8}", change(r, |m| m.total_latency_ms))
+        }),
+        t.col("", 0, |r| format!("tps {:>8}", change(r, |m| m.throughput))),
+    ]);
 }
 
 fn table1() {
@@ -463,15 +519,12 @@ fn table1() {
         "Greedy picks (o_c_id,o_w_id,o_d_id); AutoIndex also adds s_quantity (21.4%) and (o_c_id,o_d_id) (3.6%)",
     );
     let rows = ex::table1_added_indexes(ex::TPCC_TXNS);
-    println!("{:>10} {:<44} {:>8}", "method", "index", "cost cut");
-    for r in &rows {
-        println!(
-            "{:>10} {:<44} {:>7.1}%",
-            r.method.to_string(),
-            r.index,
-            r.cost_reduction_pct
-        );
-    }
+    let t = Table(&rows);
+    t.print(&[
+        t.col("method", 10, |r| r.method.to_string()),
+        t.col("index", 44, |r| r.index.clone()).left(),
+        t.col("cost cut", 8, |r| pct(r.cost_reduction_pct)),
+    ]);
 }
 
 fn fig6_7(full: bool) {
@@ -480,46 +533,40 @@ fn fig6_7(full: bool) {
         "AutoIndex optimises most queries; ~44 vs ~15 queries improved >10%; 9 vs 3 indexes",
     );
     let o = ex::fig6_fig7_tpcds();
+    let rows = &o.per_query;
     if full {
-        println!("{:>6} {:>12} {:>12}", "query", "greedy", "autoindex");
-        for r in &o.per_query {
-            if r.reduction_pct_greedy > 0.5 || r.reduction_pct_autoindex > 0.5 {
-                println!(
-                    "{:>6} {:>11.1}% {:>11.1}%",
-                    r.query, r.reduction_pct_greedy, r.reduction_pct_autoindex
-                );
-            }
-        }
+        let shown: Vec<_> = (rows.iter())
+            .filter(|r| r.reduction_pct_greedy > 0.5 || r.reduction_pct_autoindex > 0.5)
+            .collect();
+        let t = Table(&shown);
+        t.print(&[
+            t.col("query", 6, |r| r.query.clone()),
+            t.col("greedy", 12, |r| pct(r.reduction_pct_greedy)),
+            t.col("autoindex", 12, |r| pct(r.reduction_pct_autoindex)),
+        ]);
     }
-    // Distribution buckets (the Figure 6 histogram).
-    let bucket = |sel: &dyn Fn(&ex::TpcdsQueryRow) -> f64| {
-        let mut b = [0usize; 4]; // ~0, (0,10], (10,50], >50
-        for r in &o.per_query {
-            let v = sel(r);
-            let i = if v <= 0.5 {
-                0
-            } else if v <= 10.0 {
-                1
-            } else if v <= 50.0 {
-                2
-            } else {
-                3
-            };
-            b[i] += 1;
+    // Distribution buckets (the Figure 6 histogram): ~0, (0,10], (10,50], >50.
+    let bucket = |sel: fn(&ex::TpcdsQueryRow) -> f64| {
+        let mut b = [0usize; 4];
+        for v in rows.iter().map(sel) {
+            b[[0.5, 10.0, 50.0].iter().filter(|&&edge| v > edge).count()] += 1;
         }
         b
     };
-    let bg = bucket(&|r| r.reduction_pct_greedy);
-    let ba = bucket(&|r| r.reduction_pct_autoindex);
-    println!("reduction buckets      ~0    0-10%   10-50%    >50%");
-    println!(
-        "  Greedy          {:>7} {:>8} {:>8} {:>7}",
-        bg[0], bg[1], bg[2], bg[3]
-    );
-    println!(
-        "  AutoIndex       {:>7} {:>8} {:>8} {:>7}",
-        ba[0], ba[1], ba[2], ba[3]
-    );
+    let buckets = [
+        ("  Greedy", bucket(|r| r.reduction_pct_greedy)),
+        ("  AutoIndex", bucket(|r| r.reduction_pct_autoindex)),
+    ];
+    let count = |i: usize| move |(_, b): &(&str, [usize; 4])| b[i].to_string();
+    let t = Table(&buckets);
+    t.print(&[
+        t.col("reduction buckets", 17, |(name, _)| name.to_string())
+            .left(),
+        t.col("~0", 7, count(0)),
+        t.col("0-10%", 8, count(1)),
+        t.col("10-50%", 8, count(2)),
+        t.col(">50%", 7, count(3)),
+    ]);
     println!(
         "queries improved >10%: AutoIndex {} vs Greedy {}  (AutoIndex +{})",
         o.autoindex_over_10pct,
@@ -558,26 +605,26 @@ fn fig9() {
         "AutoIndex adapts best and tunes faster than Greedy as data grows",
     );
     let rows = ex::fig9_dynamic(6, 150);
-    println!(
-        "{:>6} {:>10} {:>12} {:>14}",
-        "round", "method", "tps", "tuning time"
-    );
-    for r in &rows {
-        println!(
-            "{:>6} {:>10} {:>12.0} {:>14?}",
-            r.round,
-            r.method.to_string(),
-            r.throughput,
-            r.tuning_time
-        );
-    }
+    let t = Table(&rows);
+    t.print(&[
+        t.col("round", 6, |r| r.round.to_string()),
+        t.col("method", 10, |r| r.method.to_string()),
+        t.col("tps", 12, |r| format!("{:.0}", r.throughput)),
+        t.col("tuning time", 14, |r| format!("{:?}", r.tuning_time)),
+    ]);
     // Aggregates.
-    for m in [Method::Default, Method::Greedy, Method::AutoIndex] {
+    let averages = [Method::Default, Method::Greedy, Method::AutoIndex].map(|m| {
         let v: Vec<&ex::Fig9Round> = rows.iter().filter(|r| r.method == m).collect();
         let tps: f64 = v.iter().map(|r| r.throughput).sum::<f64>() / v.len() as f64;
         let tune: f64 = v.iter().map(|r| r.tuning_time.as_secs_f64()).sum::<f64>() / v.len() as f64;
-        println!("  {m:<10} avg tps {tps:>10.0}   avg tuning {tune:.3}s");
-    }
+        (m, tps, tune)
+    });
+    let t = Table(&averages);
+    t.print(&[
+        t.col("", 0, |(m, _, _)| format!("  {m}")),
+        t.col("", 0, |(_, tps, _)| format!("avg tps {tps:>10.0}")),
+        t.col("", 0, |(_, _, tune)| format!("  avg tuning {tune:.3}s")),
+    ]);
 }
 
 fn fig10() {
@@ -586,24 +633,17 @@ fn fig10() {
         "AutoIndex best under every limit {no limit, 150M, 100M, 50M}",
     );
     let rows = ex::fig10_storage(ex::TPCC_TXNS / 2);
-    println!(
-        "{:>10} {:>10} {:>16} {:>12} {:>6}",
-        "budget", "method", "total lat (ms)", "tps", "#idx"
-    );
-    for r in &rows {
-        let b = match r.budget {
-            None => "no limit".to_string(),
-            Some(x) => format!("{}M", x >> 20),
-        };
-        println!(
-            "{:>10} {:>10} {:>16.1} {:>12.0} {:>6}",
-            b,
-            r.result.method.to_string(),
-            r.result.total_latency_ms,
-            r.result.throughput,
-            r.result.index_count
-        );
-    }
+    let budget = |b: Option<u64>| b.map_or("no limit".to_string(), |x| format!("{}M", x >> 20));
+    let t = Table(&rows);
+    t.print(&[
+        t.col("budget", 10, |r| budget(r.budget)),
+        t.col("method", 10, |r| r.result.method.to_string()),
+        t.col("total lat (ms)", 16, |r| {
+            format!("{:.1}", r.result.total_latency_ms)
+        }),
+        t.col("tps", 12, |r| format!("{:.0}", r.result.throughput)),
+        t.col("#idx", 6, |r| r.result.index_count.to_string()),
+    ]);
 }
 
 fn fig1() {
@@ -665,19 +705,15 @@ fn table2_3() {
         100.0 * (t2.withdrawal_tps_after / t2.withdrawal_tps_before - 1.0)
     );
     println!("\nTable III — example recommended indexes:");
-    println!(
-        "{:<44} {:>14} {:>14} {:>8}",
-        "index", "cost (no idx)", "cost (w/ idx)", "cut"
-    );
-    for r in &t3 {
-        println!(
-            "{:<44} {:>14.2} {:>14.2} {:>7.1}%",
-            r.index,
-            r.cost_without,
-            r.cost_with,
-            100.0 * (1.0 - r.cost_with / r.cost_without)
-        );
-    }
+    let t = Table(&t3);
+    t.print(&[
+        t.col("index", 44, |r| r.index.clone()).left(),
+        t.col("cost (no idx)", 14, |r| format!("{:.2}", r.cost_without)),
+        t.col("cost (w/ idx)", 14, |r| format!("{:.2}", r.cost_with)),
+        t.col("cut", 8, |r| {
+            pct(100.0 * (1.0 - r.cost_with / r.cost_without))
+        }),
+    ]);
 }
 
 fn estimator() {
@@ -686,16 +722,16 @@ fn estimator() {
         "one-layer regression on (C^data, C^io, C^cpu), 0.01% sampling",
     );
     let folds = ex::estimator_validation(ex::TPCC_TXNS);
-    println!(
-        "{:>6} {:>8} {:>8} {:>14} {:>12}",
-        "fold", "train", "test", "mean rel err", "med q-err"
-    );
-    for f in &folds {
-        println!(
-            "{:>6} {:>8} {:>8} {:>14.3} {:>12.2}",
-            f.fold, f.train_samples, f.test_samples, f.mean_relative_error, f.median_q_error
-        );
-    }
+    let t = Table(&folds);
+    t.print(&[
+        t.col("fold", 6, |f| f.fold.to_string()),
+        t.col("train", 8, |f| f.train_samples.to_string()),
+        t.col("test", 8, |f| f.test_samples.to_string()),
+        t.col("mean rel err", 14, |f| {
+            format!("{:.3}", f.mean_relative_error)
+        }),
+        t.col("med q-err", 12, |f| format!("{:.2}", f.median_q_error)),
+    ]);
 }
 
 fn ablations() {
@@ -705,19 +741,15 @@ fn ablations() {
     );
     let print_rows = |title: &str, rows: &[ex::AblationRow]| {
         println!("-- {title}");
-        println!(
-            "{:<24} {:>12} {:>16} {:>8}",
-            "setting", "est improv", "measured ms", "aux"
-        );
-        for r in rows {
-            println!(
-                "{:<24} {:>11.1}% {:>16.1} {:>8}",
-                r.setting,
-                r.improvement * 100.0,
-                r.measured_latency_ms,
-                r.aux
-            );
-        }
+        let t = Table(rows);
+        t.print(&[
+            t.col("setting", 24, |r| r.setting.clone()).left(),
+            t.col("est improv", 12, |r| pct(r.improvement * 100.0)),
+            t.col("measured ms", 16, |r| {
+                format!("{:.1}", r.measured_latency_ms)
+            }),
+            t.col("aux", 8, |r| r.aux.to_string()),
+        ]);
     };
     print_rows(
         "MCTS exploration gamma",

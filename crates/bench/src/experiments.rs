@@ -3,19 +3,17 @@
 //! a single implementation.
 
 use crate::{
-    candidate_pool, fresh_db, parse_workload, run_method, train_estimator, Method, MethodResult,
+    candidate_pool, fresh_db, greedy_step, parse_workload, run_method, train_estimator, Method,
+    MethodResult,
 };
-use autoindex_core::{
-    greedy_select, AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator, GreedyConfig,
-    TemplateStoreConfig,
-};
+use autoindex_core::{AutoIndex, AutoIndexConfig, TemplateStoreConfig};
 use autoindex_estimator::{
     kfold_cross_validate, CollectConfig, FoldReport, TrainConfig, TrainingSet,
 };
 use autoindex_sql::Statement;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::SimDbConfig;
+use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_workloads::banking::{self, BankingGenerator, Service};
 use autoindex_workloads::tpcc::{self, TpccGenerator, TpccScale};
 use autoindex_workloads::tpcds;
@@ -112,6 +110,13 @@ pub fn table1_added_indexes(txns: usize) -> Vec<Table1Row> {
     let stmts = parse_workload(&queries);
     let est = tpcc_estimator(scale, &stmts[..stmts.len().min(2_000)]);
 
+    // Per added index: the per-template cost reduction it serves best.
+    let db = fresh_db(&scenario, tpcc_db_config(scale));
+    let shapes: Vec<QueryShape> = stmts
+        .iter()
+        .take(2_000)
+        .map(|s| QueryShape::extract(s, db.catalog()))
+        .collect();
     let mut rows = Vec::new();
     for method in [Method::Greedy, Method::AutoIndex] {
         let result = run_method(
@@ -124,29 +129,13 @@ pub fn table1_added_indexes(txns: usize) -> Vec<Table1Row> {
             None,
             CONCURRENCY,
         );
-        // Per added index: best per-template cost reduction.
-        let db = fresh_db(&scenario, tpcc_db_config(scale));
-        let defaults: Vec<IndexDef> = scenario.default_indexes.clone();
-        let shapes: Vec<(QueryShape, u64)> = stmts
-            .iter()
-            .take(2_000)
-            .map(|s| (QueryShape::extract(s, db.catalog()), 1))
-            .collect();
         for d in &result.added {
-            let mut best = 0.0f64;
-            for (shape, _) in &shapes {
-                let before = db.whatif_native_cost(shape, &defaults);
-                let mut with = defaults.clone();
-                with.push(d.clone());
-                let after = db.whatif_native_cost(shape, &with);
-                if before > 0.0 {
-                    best = best.max((before - after) / before);
-                }
-            }
+            let relative = |without: f64, with: f64| (without - with) / without;
+            let best = best_served(&db, &shapes, &scenario.default_indexes, d, relative);
             rows.push(Table1Row {
                 method,
                 index: d.to_string(),
-                cost_reduction_pct: best * 100.0,
+                cost_reduction_pct: best.map_or(0.0, |(w0, w1)| relative(w0, w1)) * 100.0,
             });
         }
     }
@@ -156,6 +145,31 @@ pub fn table1_added_indexes(txns: usize) -> Vec<Table1Row> {
             .then(b.cost_reduction_pct.total_cmp(&a.cost_reduction_pct))
     });
     rows
+}
+
+/// The template an added index serves best: among `shapes` that `added`
+/// makes cheaper, planned natively under `base` and under `base` plus
+/// `added`, the first `(cost without, cost with)` pair of the largest
+/// `gain` (Table I: relative, Table III: absolute).
+fn best_served(
+    db: &SimDb,
+    shapes: &[QueryShape],
+    base: &[IndexDef],
+    added: &IndexDef,
+    gain: impl Fn(f64, f64) -> f64,
+) -> Option<(f64, f64)> {
+    let with_added: Vec<IndexDef> = base.iter().chain(Some(added)).cloned().collect();
+    shapes
+        .iter()
+        .map(|shape| {
+            let without = db.whatif_native_cost(shape, base);
+            (without, db.whatif_native_cost(shape, &with_added))
+        })
+        .filter(|(without, with)| without > with)
+        .fold(None, |best, (w0, w1)| match best {
+            Some((b0, b1)) if gain(w0, w1) <= gain(b0, b1) => best,
+            _ => Some((w0, w1)),
+        })
 }
 
 // ------------------------------------------------------------ Fig. 6 / 7
@@ -289,7 +303,7 @@ pub fn fig8_templates(txns: usize) -> Fig8Outcome {
 
     // Template mode: the normal pipeline.
     let mut db_t = fresh_db(&scenario, tpcc_db_config(scale));
-    let mut ai = AutoIndex::new(AutoIndexConfig::default(), crate::BorrowedEstimator(&est));
+    let mut ai = AutoIndex::new(AutoIndexConfig::default(), est.clone());
     let t0 = Instant::now();
     ai.observe_batch(queries.iter().map(String::as_str), &db_t);
     let templates = ai.template_count();
@@ -299,17 +313,7 @@ pub fn fig8_templates(txns: usize) -> Fig8Outcome {
 
     // Query mode: every query is its own unit of analysis.
     let mut db_q = fresh_db(&scenario, tpcc_db_config(scale));
-    let mut ai_q = AutoIndex::new(
-        AutoIndexConfig {
-            templates: TemplateStoreConfig {
-                // Effectively disable template folding by treating the
-                // per-query shapes directly below.
-                ..TemplateStoreConfig::default()
-            },
-            ..AutoIndexConfig::default()
-        },
-        crate::BorrowedEstimator(&est),
-    );
+    let mut ai_q = AutoIndex::new(AutoIndexConfig::default(), est);
     let t1 = Instant::now();
     let shapes: Vec<(QueryShape, u64)> = stmts
         .iter()
@@ -357,7 +361,7 @@ pub fn fig9_dynamic(rounds: usize, txns_per_round: usize) -> Vec<Fig9Round> {
         fresh_db(&scenario, tpcc_db_config(scale)),
         fresh_db(&scenario, tpcc_db_config(scale)),
     ];
-    let mut auto = AutoIndex::new(AutoIndexConfig::default(), crate::BorrowedEstimator(&est));
+    let mut auto = AutoIndex::new(AutoIndexConfig::default(), est.clone());
 
     for round in 0..rounds {
         // Rounds shift the mix: later rounds skew toward OrderStatus reads
@@ -375,28 +379,8 @@ pub fn fig9_dynamic(rounds: usize, txns_per_round: usize) -> Vec<Fig9Round> {
                 Method::Default => {}
                 Method::Greedy => {
                     let t0 = Instant::now();
-                    let shapes: Vec<(QueryShape, u64)> = stmts
-                        .iter()
-                        .map(|s| (QueryShape::extract(s, db.catalog()), 1))
-                        .collect();
-                    let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-                    let cands = CandidateGenerator::new(CandidateConfig::default()).generate(
-                        &shapes,
-                        db.catalog(),
-                        &existing,
-                    );
-                    let picked = greedy_select(
-                        db,
-                        &est,
-                        &shapes,
-                        &cands,
-                        &existing,
-                        &GreedyConfig::default(),
-                    );
+                    greedy_step(db, AutoIndexConfig::default(), est.clone(), &stmts);
                     tuning_time = t0.elapsed();
-                    for d in picked {
-                        let _ = db.create_index(d);
-                    }
                 }
                 Method::AutoIndex => {
                     let t0 = Instant::now();
@@ -604,33 +588,17 @@ pub fn table2_table3_banking(n_queries: usize) -> (Table2Outcome, Vec<Table3Row>
         .iter()
         .map(|s| QueryShape::extract(s, db.catalog()))
         .collect();
-    let baseline_defs: Vec<IndexDef> = scenario.default_indexes.clone();
-    let mut t3 = Vec::new();
-    for d in report.recommendation.add.iter().take(5) {
-        let mut best: Option<(f64, f64)> = None;
-        for shape in &shapes {
-            let without = db.whatif_native_cost(shape, &baseline_defs);
-            let mut with_defs = baseline_defs.clone();
-            with_defs.push(d.clone());
-            let with = db.whatif_native_cost(shape, &with_defs);
-            if without > with {
-                let better = match best {
-                    Some((w0, w1)) => (without - with) > (w0 - w1),
-                    None => true,
-                };
-                if better {
-                    best = Some((without, with));
-                }
-            }
-        }
-        if let Some((w0, w1)) = best {
-            t3.push(Table3Row {
+    let absolute = |without: f64, with: f64| without - with;
+    let t3 = (report.recommendation.add.iter().take(5))
+        .filter_map(|d| {
+            let (w0, w1) = best_served(&db, &shapes, &scenario.default_indexes, d, absolute)?;
+            Some(Table3Row {
                 index: d.to_string(),
                 cost_without: w0,
                 cost_with: w1,
-            });
-        }
-    }
+            })
+        })
+        .collect();
 
     (
         Table2Outcome {
@@ -774,7 +742,7 @@ fn run_autoindex_with(
     config: AutoIndexConfig,
 ) -> (f64, f64, usize) {
     let mut db = fresh_db(scenario, tpcc_db_config(TpccScale::X1));
-    let mut ai = AutoIndex::new(config, crate::BorrowedEstimator(est));
+    let mut ai = AutoIndex::new(config, est.clone());
     ai.observe_batch(queries.iter().map(String::as_str), &db);
     let report = ai.session(&mut db).run().unwrap().report;
     let m = db.run_workload(stmts);
@@ -914,10 +882,7 @@ pub fn ablation_estimator(_txns: usize) -> Vec<AblationRow> {
     // Learned estimator: sees maintenance, drops the community index.
     {
         let mut db = make_db();
-        let mut ai = AutoIndex::new(
-            AutoIndexConfig::default(),
-            crate::BorrowedEstimator(&learned),
-        );
+        let mut ai = AutoIndex::new(AutoIndexConfig::default(), learned);
         ai.observe_batch(w2.iter().map(String::as_str), &db);
         let report = ai.session(&mut db).run().unwrap().report;
         let m = db.run_workload(&eval);
@@ -962,7 +927,7 @@ pub fn ablation_template_capacity(txns: usize) -> Vec<AblationRow> {
                 ..AutoIndexConfig::default()
             };
             let mut db = fresh_db(&scenario, tpcc_db_config(TpccScale::X1));
-            let mut ai = AutoIndex::new(cfg, crate::BorrowedEstimator(&est));
+            let mut ai = AutoIndex::new(cfg, est.clone());
             ai.observe_batch(queries.iter().map(String::as_str), &db);
             let templates = ai.template_count();
             let report = ai.session(&mut db).run().unwrap().report;

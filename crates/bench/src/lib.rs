@@ -22,7 +22,7 @@
 
 pub mod experiments;
 
-use autoindex_core::{greedy_select, AutoIndex, AutoIndexConfig, GreedyConfig};
+use autoindex_core::{AutoIndex, AutoIndexConfig, StrategyKind};
 use autoindex_core::{CandidateConfig, CandidateGenerator};
 use autoindex_estimator::{
     CollectConfig, CostEstimator, LearnedCostEstimator, TrainConfig, TrainingSet,
@@ -30,7 +30,7 @@ use autoindex_estimator::{
 use autoindex_sql::{parse_statement, Statement};
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::{SimDb, SimDbConfig, WorkloadMeasurement};
+use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::json::Json;
 use autoindex_workloads::Scenario;
 use std::collections::BTreeSet;
@@ -123,17 +123,14 @@ pub fn candidate_pool(db: &SimDb, stmts: &[Statement], defaults: &[IndexDef]) ->
     pool
 }
 
-/// Run `stmts` against `db` and measure.
-pub fn measure(db: &mut SimDb, stmts: &[Statement]) -> WorkloadMeasurement {
-    db.run_workload(stmts)
-}
-
 /// Apply a method to a fresh scenario database and measure it on `eval`.
 ///
 /// `observe` is the query stream the tuner sees (usually a prefix of the
-/// workload); `eval` is the measured slice.
+/// workload); `eval` is the measured slice. Greedy and AutoIndex each get
+/// an advisor of their own over a clone of `estimator` (§VI-A: the same
+/// cost estimation method).
 #[allow(clippy::too_many_arguments)]
-pub fn run_method<E: CostEstimator>(
+pub fn run_method<E: CostEstimator + Clone>(
     method: Method,
     scenario: &Scenario,
     db_config: SimDbConfig,
@@ -145,55 +142,24 @@ pub fn run_method<E: CostEstimator>(
 ) -> MethodResult {
     let mut db = fresh_db(scenario, db_config);
     let before_defs: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-    let mut tuning_time = Duration::ZERO;
-
-    match method {
-        Method::Default => {}
+    let config = AutoIndexConfig {
+        storage_budget: budget,
+        ..AutoIndexConfig::default()
+    };
+    let t0 = Instant::now();
+    let tuning_time = match method {
+        Method::Default => Duration::ZERO,
         Method::Greedy => {
-            let t0 = Instant::now();
-            // Greedy enumerates every query (§VI-B: "Greedy enumerated each
-            // query and parsed the candidate indexes from those queries").
-            let shapes: Vec<(QueryShape, u64)> = observe
-                .iter()
-                .filter_map(|q| parse_statement(q).ok())
-                .map(|s| (QueryShape::extract(&s, db.catalog()), 1))
-                .collect();
-            let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-            let candidates = CandidateGenerator::new(CandidateConfig::default()).generate(
-                &shapes,
-                db.catalog(),
-                &existing,
-            );
-            let picked = greedy_select(
-                &db,
-                estimator,
-                &shapes,
-                &candidates,
-                &existing,
-                &GreedyConfig {
-                    budget,
-                    max_indexes: None,
-                },
-            );
-            tuning_time = t0.elapsed();
-            for d in picked {
-                let _ = db.create_index(d);
-            }
+            greedy_step(&mut db, config, estimator.clone(), &parse_workload(observe));
+            t0.elapsed()
         }
         Method::AutoIndex => {
-            let t0 = Instant::now();
-            let mut ai = AutoIndex::new(
-                AutoIndexConfig {
-                    storage_budget: budget,
-                    ..AutoIndexConfig::default()
-                },
-                BorrowedEstimator(estimator),
-            );
+            let mut ai = AutoIndex::new(config, estimator.clone());
             ai.observe_batch(observe.iter().map(String::as_str), &db);
             let _ = ai.session(&mut db).run().unwrap();
-            tuning_time = t0.elapsed();
+            t0.elapsed()
         }
-    }
+    };
 
     let after_defs: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
     let added = after_defs
@@ -207,7 +173,7 @@ pub fn run_method<E: CostEstimator>(
         .cloned()
         .collect();
 
-    let m = measure(&mut db, eval);
+    let m = db.run_workload(eval);
     MethodResult {
         method,
         total_latency_ms: m.total_latency_ms,
@@ -220,18 +186,25 @@ pub fn run_method<E: CostEstimator>(
     }
 }
 
-/// Adapter: use a borrowed estimator where an owned one is expected.
-pub struct BorrowedEstimator<'a, E: CostEstimator>(pub &'a E);
-
-impl<'a, E: CostEstimator> CostEstimator for BorrowedEstimator<'a, E> {
-    fn shape_cost<'c>(
-        &self,
-        db: &SimDb,
-        shape: &QueryShape,
-        config: impl autoindex_storage::IndexConfig<'c>,
-    ) -> f64 {
-        self.0.shape_cost(db, shape, config)
-    }
+/// One Greedy tuning step on `db`: a [`StrategyKind::Greedy`] session over
+/// one template per statement — §VI-B: "Greedy enumerated each query and
+/// parsed the candidate indexes from those queries".
+fn greedy_step<E: CostEstimator>(
+    db: &mut SimDb,
+    config: AutoIndexConfig,
+    estimator: E,
+    stmts: &[Statement],
+) {
+    let per_query: Vec<(QueryShape, u64)> = stmts
+        .iter()
+        .map(|s| (QueryShape::extract(s, db.catalog()), 1))
+        .collect();
+    let _ = AutoIndex::new(config, estimator)
+        .session(db)
+        .workload(&per_query)
+        .strategy(StrategyKind::Greedy)
+        .run()
+        .unwrap();
 }
 
 /// Format bytes human-readably.

@@ -9,102 +9,53 @@
 //! index for two small complementary ones, and it never removes anything.
 //!
 //! To keep the comparison fair (§VI-A), Greedy uses the *same* cost
-//! estimator as AutoIndex.
+//! estimator as AutoIndex: it runs as [`crate::strategy::GreedyStrategy`],
+//! a round's [`rank`] through the round's pricer, then [`select`] under the
+//! advisor's storage budget.
 
 use crate::delta::DeltaPricer;
-use crate::mcts::{ConfigSet, Universe};
-use autoindex_estimator::cost_cache::{shape_keys, CostCache};
-use autoindex_estimator::{CostEstimator, TemplateWorkload};
+use crate::mcts::ConfigSet;
+use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
 use std::borrow::Borrow;
 
-/// Greedy parameters.
-#[derive(Debug, Clone, Default)]
-pub struct GreedyConfig {
-    /// Storage budget in bytes for *added* indexes plus existing ones
-    /// (`None` = unlimited).
-    pub budget: Option<u64>,
-    /// Optional cap on the number of added indexes.
-    pub max_indexes: Option<usize>,
-}
-
 /// One scored candidate, as ranked by Greedy.
 #[derive(Debug, Clone)]
-pub struct ScoredCandidate {
-    pub def: IndexDef,
+pub(crate) struct ScoredCandidate {
+    def: IndexDef,
     /// Standalone estimated cost reduction against the existing config.
-    pub benefit: f64,
+    benefit: f64,
     /// Estimated size in bytes.
-    pub size: u64,
+    size: u64,
 }
 
-/// Select indexes greedily: rank candidates by standalone benefit, take
-/// from the top while the budget lasts. Returns the added definitions.
-pub fn greedy_select<E: CostEstimator>(
-    db: &SimDb,
-    estimator: &E,
-    workload: &TemplateWorkload,
-    candidates: &[IndexDef],
-    existing: &[IndexDef],
-    config: &GreedyConfig,
-) -> Vec<IndexDef> {
-    let ranked = rank_candidates(db, estimator, workload, candidates, existing);
-    select(ranked, existing_size(db, existing), config)
-}
-
-/// Rank candidates by standalone benefit (descending).
-pub fn rank_candidates<E: CostEstimator>(
-    db: &SimDb,
-    estimator: &E,
-    workload: &TemplateWorkload,
-    candidates: &[IndexDef],
-    existing: &[IndexDef],
-) -> Vec<ScoredCandidate> {
-    // No advisor: a universe and a term cache of this call's own.
-    let mut universe = Universe::new();
-    for d in existing.iter().chain(candidates) {
-        universe.intern(d);
-    }
-    universe.refresh_sizes(db);
-    let (keys, cache) = (shape_keys(workload), CostCache::new());
-    let mut pricer = DeltaPricer::new(&universe, workload, &keys, db, estimator, &cache, true);
-    rank(&mut pricer, candidates, &universe.config_of(existing))
-}
-
-/// Take from the top of a ranking while the budget lasts, the existing
-/// configuration weighing `existing_bytes`.
+/// Take from the top of a ranking while the budget (`None` = unlimited)
+/// lasts, the existing configuration weighing `existing_bytes`.
 pub(crate) fn select(
     ranked: Vec<ScoredCandidate>,
     existing_bytes: u64,
-    config: &GreedyConfig,
+    budget: Option<u64>,
 ) -> Vec<IndexDef> {
+    let mut used = existing_bytes;
     ranked
         .into_iter()
         .filter(|c| c.benefit > 0.0)
-        .scan((existing_bytes, 0usize), |(used, count), c| {
-            if let Some(max) = config.max_indexes {
-                if *count >= max {
-                    return None;
-                }
+        .filter_map(|c| {
+            // Skip candidates that no longer fit; keep trying smaller ones
+            // (standard top-k with knapsack skip).
+            if budget.is_some_and(|b| used + c.size > b) {
+                return None;
             }
-            if let Some(b) = config.budget {
-                if *used + c.size > b {
-                    // Skip candidates that no longer fit; keep trying
-                    // smaller ones (standard top-k with knapsack skip).
-                    return Some(None);
-                }
-            }
-            *used += c.size;
-            *count += 1;
-            Some(Some(c.def))
+            used += c.size;
+            Some(c.def)
         })
-        .flatten()
         .collect()
 }
 
-/// [`rank_candidates`] through a round's pricer: a candidate's benefit is
+/// Rank `candidates` by standalone benefit (descending, then by key)
+/// through a round's pricer: a candidate's benefit is
 /// `sum(base) − sum(base ∪ {c})`, and with `base` — the existing
 /// configuration — as the reference the second sum looks up only the
 /// templates on `c`'s table.
@@ -129,17 +80,13 @@ pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
             }
         })
         .collect();
-    sort_scored(&mut scored);
-    scored
-}
-
-fn sort_scored(scored: &mut [ScoredCandidate]) {
     scored.sort_by(|a, b| {
         b.benefit
             .partial_cmp(&a.benefit)
             .expect("benefits are finite")
             .then_with(|| a.def.key().cmp(&b.def.key()))
     });
+    scored
 }
 
 pub(crate) fn existing_size(db: &SimDb, existing: &[IndexDef]) -> u64 {
@@ -152,10 +99,16 @@ pub(crate) fn existing_size(db: &SimDb, existing: &[IndexDef]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcts::Universe;
+    use crate::strategy::{Prologue, Round, StrategyKind};
+    use crate::system::{AutoIndex, AutoIndexConfig};
+    use autoindex_estimator::cost_cache::CostCache;
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_sql::parse_statement;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
     use autoindex_storage::SimDbConfig;
+    use autoindex_support::prop::{property, PropConfig};
+    use autoindex_support::prop_assert_eq;
 
     fn db() -> SimDb {
         let mut c = Catalog::new();
@@ -170,15 +123,29 @@ mod tests {
         SimDb::new(c, SimDbConfig::default())
     }
 
-    fn workload(db: &SimDb, sqls: &[(&str, u64)]) -> Vec<(QueryShape, u64)> {
+    fn workload<S: AsRef<str>>(db: &SimDb, sqls: &[(S, u64)]) -> Vec<(QueryShape, u64)> {
         sqls.iter()
             .map(|(s, n)| {
-                (
-                    QueryShape::extract(&parse_statement(s).unwrap(), db.catalog()),
-                    *n,
-                )
+                let stmt = parse_statement(s.as_ref()).unwrap();
+                (QueryShape::extract(&stmt, db.catalog()), *n)
             })
             .collect()
+    }
+
+    /// [`rank`] of `cands` over a round of `w` on `db`, the round interning
+    /// them besides the generator's candidates.
+    fn ranked(db: &SimDb, w: &[(QueryShape, u64)], cands: &[IndexDef]) -> Vec<ScoredCandidate> {
+        let config = AutoIndexConfig::default();
+        let prologue = Prologue::explicit(db, w, &config.candidates);
+        let (mut universe, cache, est) = (Universe::new(), CostCache::new(), NativeCostEstimator);
+        let mut round = Round::new(&mut universe, &cache, db, &prologue, &est, &config, cands);
+        rank(&mut round.pricer, cands, &round.existing_set)
+    }
+
+    /// [`select`] from the top of [`ranked`], unlimited.
+    fn picked(db: &SimDb, w: &[(QueryShape, u64)], cands: &[IndexDef]) -> Vec<IndexDef> {
+        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+        select(ranked(db, w, cands), existing_size(db, &existing), None)
     }
 
     #[test]
@@ -192,14 +159,14 @@ mod tests {
             ],
         );
         let cands = [IndexDef::new("t", &["a"]), IndexDef::new("t", &["b"])];
-        let ranked = rank_candidates(&db, &NativeCostEstimator, &w, &cands, &[]);
+        let ranked = ranked(&db, &w, &cands);
         assert_eq!(ranked[0].def.key(), "t(a)");
         assert!(ranked[0].benefit > ranked[1].benefit);
     }
 
     #[test]
     fn budget_limits_selection_but_smaller_still_fit() {
-        let db = db();
+        let mut db = db();
         let w = workload(
             &db,
             &[
@@ -207,21 +174,17 @@ mod tests {
                 ("SELECT * FROM t WHERE b = 7", 90),
             ],
         );
-        let cands = [IndexDef::new("t", &["a"]), IndexDef::new("t", &["b"])];
-        let one = db.index_size_bytes(&cands[0]).unwrap();
-        let picked = greedy_select(
-            &db,
-            &NativeCostEstimator,
-            &w,
-            &cands,
-            &[],
-            &GreedyConfig {
-                budget: Some(one + one / 2),
-                max_indexes: None,
-            },
-        );
-        assert_eq!(picked.len(), 1);
-        assert_eq!(picked[0].key(), "t(a)");
+        let one = db.index_size_bytes(&IndexDef::new("t", &["a"])).unwrap();
+        let config = AutoIndexConfig {
+            storage_budget: Some(one + one / 2),
+            ..AutoIndexConfig::default()
+        };
+        let mut ai = AutoIndex::new(config, NativeCostEstimator);
+        let session = ai.session(&mut db).workload(&w);
+        let session = session.strategy(StrategyKind::Greedy).recommend_only();
+        let rec = session.run().unwrap().report.recommendation;
+        let keys: Vec<String> = rec.add.iter().map(IndexDef::key).collect();
+        assert_eq!(keys, ["t(a)"]);
     }
 
     #[test]
@@ -230,16 +193,7 @@ mod tests {
         let w = workload(&db, &[("SELECT * FROM t WHERE a = 5", 100)]);
         // c has ndv 100 over 1M rows; index scan loses to seq scan, so the
         // candidate has zero standalone benefit.
-        let cands = [IndexDef::new("t", &["c"])];
-        let picked = greedy_select(
-            &db,
-            &NativeCostEstimator,
-            &w,
-            &cands,
-            &[],
-            &GreedyConfig::default(),
-        );
-        assert!(picked.is_empty());
+        assert!(picked(&db, &w, &[IndexDef::new("t", &["c"])]).is_empty());
     }
 
     #[test]
@@ -250,58 +204,79 @@ mod tests {
         let db = db();
         let w = workload(&db, &[("SELECT * FROM t WHERE a = 5 AND b = 2", 100)]);
         let cands = [IndexDef::new("t", &["a"]), IndexDef::new("t", &["a", "b"])];
-        let picked = greedy_select(
-            &db,
-            &NativeCostEstimator,
-            &w,
-            &cands,
-            &[],
-            &GreedyConfig::default(),
+        assert_eq!(
+            picked(&db, &w, &cands).len(),
+            2,
+            "greedy cannot see substitution"
         );
-        assert_eq!(picked.len(), 2, "greedy cannot see substitution");
-    }
-
-    #[test]
-    fn max_indexes_cap() {
-        let db = db();
-        let w = workload(
-            &db,
-            &[
-                ("SELECT * FROM t WHERE a = 5", 100),
-                ("SELECT * FROM t WHERE b = 7", 90),
-            ],
-        );
-        let cands = [IndexDef::new("t", &["a"]), IndexDef::new("t", &["b"])];
-        let picked = greedy_select(
-            &db,
-            &NativeCostEstimator,
-            &w,
-            &cands,
-            &[],
-            &GreedyConfig {
-                budget: None,
-                max_indexes: Some(1),
-            },
-        );
-        assert_eq!(picked.len(), 1);
     }
 
     #[test]
     fn benefit_measured_against_existing_config() {
-        let db = db();
+        let mut db = db();
+        db.create_index(IndexDef::new("t", &["a", "b"])).unwrap();
         let w = workload(&db, &[("SELECT * FROM t WHERE a = 5 AND b = 2", 100)]);
-        let existing = [IndexDef::new("t", &["a", "b"])];
         // With the composite already present, the single-column prefix adds
         // nothing.
-        let cands = [IndexDef::new("t", &["a"])];
-        let picked = greedy_select(
-            &db,
-            &NativeCostEstimator,
-            &w,
-            &cands,
-            &existing,
-            &GreedyConfig::default(),
+        assert!(picked(&db, &w, &[IndexDef::new("t", &["a"])]).is_empty());
+    }
+
+    /// Over random workloads and existing indexes on one table: every
+    /// benefit [`rank`] prices through the round's pricer is, bit for bit,
+    /// the whole-workload `cost(existing) − cost(existing ∪ {c})`, and the
+    /// ranking is that of those benefits.
+    #[test]
+    fn rank_benefits_equal_the_naive_ranking() {
+        const COLS: [&str; 3] = ["a", "b", "c"];
+        property(
+            "rank_benefits_equal_the_naive_ranking",
+            PropConfig::default().cases(64),
+            |rng, _| {
+                let mut db = db();
+                for _ in 0..rng.random_range(0usize..3) {
+                    let c = COLS[rng.random_range(0usize..3)];
+                    let _ = db.create_index(IndexDef::new("t", &[c]));
+                }
+                let sqls: Vec<(String, u64)> = (0..rng.random_range(1usize..6))
+                    .map(|_| {
+                        let c1 = COLS[rng.random_range(0usize..3)];
+                        let c2 = COLS[rng.random_range(0usize..3)];
+                        let sql = match rng.random_range(0u32..3) {
+                            0 => format!("SELECT * FROM t WHERE {c1} = 1 AND {c2} = 2"),
+                            1 => format!("SELECT * FROM t WHERE {c1} = 1 OR {c2} = 2"),
+                            _ => format!("UPDATE t SET {c1} = 3 WHERE {c2} = 4"),
+                        };
+                        (sql, rng.random_range(1u64..50))
+                    })
+                    .collect();
+                let w = workload(&db, &sqls);
+                let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+                let config = AutoIndexConfig::default().candidates;
+                let candidates = Prologue::explicit(&db, &w, &config).candidates;
+
+                let est = NativeCostEstimator;
+                let base = est.workload_cost(&db, &w, &existing);
+                let mut naive: Vec<(f64, &IndexDef)> = candidates
+                    .iter()
+                    .map(|c| {
+                        let with = est.workload_cost(&db, &w, existing.iter().chain(Some(c)));
+                        (base - with, c)
+                    })
+                    .collect();
+                naive.sort_by(|a, b| {
+                    b.0.partial_cmp(&a.0)
+                        .unwrap()
+                        .then_with(|| a.1.key().cmp(&b.1.key()))
+                });
+                let naive: Vec<(String, u64)> =
+                    naive.iter().map(|(b, c)| (c.key(), b.to_bits())).collect();
+                let got: Vec<(String, u64)> = ranked(&db, &w, &candidates)
+                    .iter()
+                    .map(|c| (c.def.key(), c.benefit.to_bits()))
+                    .collect();
+                prop_assert_eq!(got, naive);
+                Ok(())
+            },
         );
-        assert!(picked.is_empty());
     }
 }

@@ -14,8 +14,9 @@
 //!   workload cost into per-template terms memoized by (template,
 //!   projected configuration) so sibling configurations in the policy
 //!   tree share almost all what-if work (see `docs/PERFORMANCE.md`).
-//! * [`greedy`] — the Greedy baseline of §VI-A: per-candidate standalone
-//!   benefit ranking, top-k until the budget is exhausted, no removal.
+//! * `greedy` — the Greedy baseline of §VI-A behind
+//!   [`strategy::GreedyStrategy`]: per-candidate standalone benefit
+//!   ranking, top-k until the budget is exhausted, no removal.
 //! * [`strategy`] — the pluggable `TuningStrategy` trait, the
 //!   [`strategy::StrategyKind`] selector and the round every strategy is
 //!   handed: greedy, MCTS and the bandit all answer the same
@@ -68,7 +69,7 @@ pub mod diagnosis;
 pub mod engine;
 pub mod error;
 pub mod fastpath;
-pub mod greedy;
+mod greedy;
 pub mod guard;
 pub mod mcts;
 pub mod online;
@@ -85,7 +86,6 @@ pub use diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 pub use engine::{logical_merge, Observation, ObservationPayload};
 pub use error::AutoIndexError;
 pub use fastpath::{CompiledTemplate, FastPathCache};
-pub use greedy::{greedy_select, rank_candidates, GreedyConfig, ScoredCandidate};
 pub use guard::{
     ApplyVerdict, Guard, GuardConfig, GuardConfigBuilder, GuardEvent, GuardPhase, IndexSnapshot,
 };

@@ -45,11 +45,8 @@ use crate::error::AutoIndexError;
 use crate::guard::{ApplyVerdict, Guard, GuardConfig};
 use crate::strategy::{Prologue, StrategyKind};
 use crate::system::{AutoIndex, Recommendation, TuningReport};
-use crate::templates::{KeptEmission, KeyedWorkload};
-use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::SimDb;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// What a [`TuningSession`] run produced.
@@ -195,16 +192,7 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
                 let prologue = match (self.prologue, self.workload) {
                     (Some(p), _) => p,
                     (None, Some(w)) => {
-                        // An explicit workload is nobody's template: its
-                        // shapes are copied once, its emissions kept by no one.
-                        let slots: Vec<KeptEmission> =
-                            w.iter().map(|_| KeptEmission::default()).collect();
-                        let keyed = KeyedWorkload {
-                            workload: w.iter().map(|(s, n)| (Arc::new(s.clone()), *n)).collect(),
-                            shape_keys: shape_keys(w),
-                            kept: slots.iter().collect(),
-                        };
-                        Prologue::new(self.db, keyed, &self.advisor.config.candidates)
+                        Prologue::explicit(self.db, w, &self.advisor.config.candidates)
                     }
                     (None, None) => self.advisor.prologue(self.db),
                 };

@@ -36,12 +36,12 @@ use crate::bandit::ArmChoice;
 use crate::candgen::{CandidateConfig, CandidateGenerator, CandidateStats};
 use crate::delta::DeltaPricer;
 use crate::error::AutoIndexError;
-use crate::greedy::{self, GreedyConfig};
+use crate::greedy;
 use crate::mcts::{ConfigSet, MctsSearch, PolicyTree, Universe};
 use crate::system::{AutoIndexConfig, Recommendation};
-use crate::templates::KeyedWorkload;
-use autoindex_estimator::cost_cache::CostCache;
-use autoindex_estimator::CostEstimator;
+use crate::templates::{KeptEmission, KeyedWorkload};
+use autoindex_estimator::cost_cache::{shape_keys, CostCache};
+use autoindex_estimator::{CostEstimator, TemplateWorkload};
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
@@ -174,6 +174,19 @@ impl Prologue {
             cand_stats,
             candgen_time,
         }
+    }
+
+    /// The prologue of an explicit workload (the query-level ablation mode,
+    /// the §VI-B Greedy baseline): nobody's templates, so its shapes are
+    /// copied once and its emissions kept by no one.
+    pub(crate) fn explicit(db: &SimDb, w: &TemplateWorkload, config: &CandidateConfig) -> Self {
+        let slots: Vec<KeptEmission> = w.iter().map(|_| KeptEmission::default()).collect();
+        let keyed = KeyedWorkload {
+            workload: w.iter().map(|(s, n)| (Arc::new(s.clone()), *n)).collect(),
+            shape_keys: shape_keys(w),
+            kept: slots.iter().collect(),
+        };
+        Prologue::new(db, keyed, config)
     }
 
     /// The pricer of this workload over `universe`, memoizing in `cache`:
@@ -380,8 +393,8 @@ pub(crate) trait TuningStrategy<E: CostEstimator> {
 
 /// The Greedy baseline behind the trait: `greedy::rank` over the round's
 /// candidates, then `greedy::select` under the advisor's storage budget.
-/// No removal, no improvement gate — the §VI-A method verbatim, so results
-/// match the long-standing bench harness calls bit for bit.
+/// No removal, no improvement gate — the §VI-A method verbatim; the paper
+/// harness's Greedy rows are sessions of it over one template per query.
 #[derive(Debug, Default)]
 pub struct GreedyStrategy;
 
@@ -391,10 +404,7 @@ impl<E: CostEstimator> TuningStrategy<E> for GreedyStrategy {
         let picked = greedy::select(
             greedy::rank(&mut round.pricer, round.candidates, &round.existing_set),
             greedy::existing_size(round.db, round.existing),
-            &GreedyConfig {
-                budget: round.config.storage_budget,
-                max_indexes: None,
-            },
+            round.config.storage_budget,
         );
         let est_cost_before = round.pricer.sum(&round.existing_set);
         let universe = round.pricer.universe();
@@ -712,31 +722,16 @@ mod tests {
     }
 
     #[test]
-    fn greedy_via_trait_matches_direct_greedy_select() {
+    fn greedy_round_counts_every_configuration_it_priced() {
         let db = db();
         let ai = observed(&db);
-        let w = ai.workload();
-        // Direct baseline call, as the bench harness has always done it.
-        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-        let candidates = CandidateGenerator::new(ai.config.candidates.clone()).generate(
-            &w,
-            db.catalog(),
-            &existing,
-        );
-        let direct = greedy::greedy_select(
-            &db,
-            &NativeCostEstimator,
-            &w,
-            &candidates,
-            &existing,
-            &GreedyConfig::default(),
-        );
-        // Via the trait, over a round of its own.
         let (mut universe, cache, prologue) = (Universe::new(), CostCache::new(), ai.prologue(&db));
         let est = NativeCostEstimator;
         let mut round = Round::new(&mut universe, &cache, &db, &prologue, &est, &ai.config, &[]);
+        let generated = round.candidates.len();
+        assert!(generated > 1);
         let proposal = GreedyStrategy.propose(&mut round);
-        assert_eq!(proposal.recommendation.add, direct);
+        assert!(!proposal.recommendation.add.is_empty());
         assert!(
             proposal.recommendation.remove.is_empty(),
             "greedy never drops"
@@ -744,8 +739,8 @@ mod tests {
         assert!(proposal.recommendation.est_cost_after <= proposal.recommendation.est_cost_before);
         // Base cost, one probe per candidate, the before- and after-costs:
         // the pricer's count, not a formula beside it.
-        assert_eq!(proposal.stats.candidates_generated, candidates.len());
-        assert_eq!(proposal.stats.evaluations, candidates.len() + 3);
+        assert_eq!(proposal.stats.candidates_generated, generated);
+        assert_eq!(proposal.stats.evaluations, generated + 3);
         assert_eq!(proposal.stats.evaluations, round.pricer.evaluations());
     }
 

@@ -8,8 +8,8 @@
 //! workload.
 
 use autoindex_core::{
-    rank_candidates, AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator,
-    DiagnosisReport, IndexDiagnosis, ScoredCandidate, StrategyKind,
+    AutoIndex, AutoIndexConfig, CandidateConfig, CandidateGenerator, DiagnosisReport,
+    IndexDiagnosis, StrategyKind,
 };
 use autoindex_estimator::{CostEstimator, NativeCostEstimator};
 use autoindex_sql::parse_statement;
@@ -42,31 +42,49 @@ fn shapes(db: &SimDb, sqls: &[(String, u64)]) -> Vec<(QueryShape, u64)> {
         .collect()
 }
 
-/// The ranking `greedy.rs` computed before it had a pricer: one
-/// whole-workload `workload_cost` per candidate. Kept here as the oracle.
-fn naive_rank<E: CostEstimator>(
+/// The selection `greedy.rs` computed before it had a pricer: one
+/// whole-workload `workload_cost` per candidate, the benefits ranked
+/// (descending, then by key), then the top taken while `budget` lasts over
+/// the existing indexes' bytes. Kept here as the oracle.
+fn naive_greedy<E: CostEstimator>(
     db: &SimDb,
     est: &E,
     w: &[(QueryShape, u64)],
     candidates: &[IndexDef],
     existing: &[IndexDef],
-) -> Vec<ScoredCandidate> {
+    budget: Option<u64>,
+) -> Vec<IndexDef> {
     let base = est.workload_cost(db, w, existing);
-    let mut scored: Vec<ScoredCandidate> = candidates
+    let mut scored: Vec<(f64, &IndexDef)> = candidates
         .iter()
-        .map(|c| ScoredCandidate {
-            def: c.clone(),
-            benefit: base - est.workload_cost(db, w, existing.iter().chain(Some(c))),
-            size: db.index_size_bytes(c).unwrap_or(u64::MAX / 1024),
+        .map(|c| {
+            (
+                base - est.workload_cost(db, w, existing.iter().chain(Some(c))),
+                c,
+            )
         })
         .collect();
     scored.sort_by(|a, b| {
-        b.benefit
-            .partial_cmp(&a.benefit)
+        b.0.partial_cmp(&a.0)
             .unwrap()
-            .then_with(|| a.def.key().cmp(&b.def.key()))
+            .then_with(|| a.1.key().cmp(&b.1.key()))
     });
-    scored
+    let mut used = index_bytes(db, existing);
+    let mut picked = Vec::new();
+    for (benefit, c) in scored {
+        let size = db.index_size_bytes(c).unwrap_or(u64::MAX / 1024);
+        if benefit > 0.0 && budget.is_none_or(|b| used + size <= b) {
+            used += size;
+            picked.push(c.clone());
+        }
+    }
+    picked
+}
+
+fn index_bytes(db: &SimDb, defs: &[IndexDef]) -> u64 {
+    defs.iter()
+        .filter_map(|d| db.index_size_bytes(d).ok())
+        .sum()
 }
 
 /// A random catalog of 1–3 tables, a weighted workload of point / OR
@@ -123,12 +141,13 @@ fn generate(rng: &mut StdRng, size: usize) -> (Catalog, Vec<(String, u64)>, Vec<
     (cat, sqls, existing)
 }
 
-/// (a) Over generated catalogs, workloads and existing sets: the ranking
-/// through the pricer is the naive whole-workload ranking — same
-/// definitions, same order, same benefit bits — and two applied bandit
-/// rounds report the `est_cost_{before,after}` the whole-workload calls
-/// give and select the arms, at the confidence bounds, that the
-/// whole-workload oracle (`decomposed_eval = false`) selects.
+/// (a) Over generated catalogs, workloads, existing sets and budgets: a
+/// Greedy session recommends the naive whole-workload selection — same
+/// definitions, same order — at the `est_cost_{before,after}` the
+/// whole-workload calls give, and two applied bandit rounds report the
+/// `est_cost_{before,after}` the whole-workload calls give and select the
+/// arms, at the confidence bounds, that the whole-workload oracle
+/// (`decomposed_eval = false`) selects.
 #[test]
 fn ranking_and_arms_through_the_pricer_equal_the_naive_ranking() {
     property(
@@ -138,7 +157,7 @@ fn ranking_and_arms_through_the_pricer_equal_the_naive_ranking() {
             let (cat, sqls, existing) = generate(rng, size);
             let est = NativeCostEstimator;
 
-            // ---- greedy ranking ------------------------------------------
+            // ---- greedy selection ----------------------------------------
             let mut db = new_db(&cat);
             for d in &existing {
                 db.create_index(d.clone()).unwrap();
@@ -150,14 +169,34 @@ fn ranking_and_arms_through_the_pricer_equal_the_naive_ranking() {
                 db.catalog(),
                 &existing,
             );
-            let ranked = rank_candidates(&db, &est, &w, &candidates, &existing);
-            let naive = naive_rank(&db, &est, &w, &candidates, &existing);
-            prop_assert_eq!(ranked.len(), naive.len());
-            for (r, n) in ranked.iter().zip(&naive) {
-                prop_assert_eq!(&r.def, &n.def);
-                prop_assert_eq!(r.benefit.to_bits(), n.benefit.to_bits(), "{}", r.def);
-                prop_assert_eq!(r.size, n.size);
-            }
+            // Unlimited, or room for about half the candidates' bytes.
+            let budget = rng
+                .random_bool(0.5)
+                .then(|| index_bytes(&db, &existing) + index_bytes(&db, &candidates) / 2 + 1);
+            let naive = naive_greedy(&db, &est, &w, &candidates, &existing, budget);
+            let config = AutoIndexConfig {
+                storage_budget: budget,
+                ..AutoIndexConfig::default()
+            };
+            let mut ai = AutoIndex::new(config, NativeCostEstimator);
+            let session = ai
+                .session(&mut db)
+                .workload(&w)
+                .strategy(StrategyKind::Greedy);
+            let rec = session
+                .recommend_only()
+                .run()
+                .unwrap()
+                .report
+                .recommendation;
+            prop_assert_eq!(&rec.add, &naive);
+            prop_assert!(rec.remove.is_empty());
+            let naive_before = est.workload_cost(&db, &w, &existing);
+            prop_assert_eq!(rec.est_cost_before.to_bits(), naive_before.to_bits());
+            // The pricer projects in slot order: existing, then candidates.
+            let after = candidates.iter().filter(|c| naive.contains(c));
+            let naive_after = est.workload_cost(&db, &w, existing.iter().chain(after));
+            prop_assert_eq!(rec.est_cost_after.to_bits(), naive_after.to_bits());
 
             // ---- bandit rounds -------------------------------------------
             // Twin databases and advisors: the pricer's term arithmetic

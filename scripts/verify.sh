@@ -118,11 +118,11 @@ expect_hits() {
     fi
 }
 
-echo "==> pricing check (non-test crates/core/src: one whole-workload re-plan site — the pricer's oracle arm — one candidate generator, one term cache per advisor with one lifetime rule)"
+echo "==> pricing check (non-test crates/core/src: one whole-workload re-plan site — the pricer's oracle arm — one candidate generator, one term cache per advisor with one lifetime rule, one place its pricers are made; Greedy is a strategy, not a second pipeline)"
 expect_hits 'workload_cost(' 1 crates/core/src
 expect_hits 'CandidateGenerator::new(' 1 crates/core/src
-# The advisor's cache, and the advisor-less public `greedy::rank_candidates`.
-expect_hits 'CostCache::new(' 2 crates/core/src
+expect_hits 'CostCache::new(' 1 crates/core/src
+expect_hits 'DeltaPricer::new(' 1 crates/core/src
 for gone in catalog_version intersect_fingerprint '.dirty' '.invalidate('; do
     expect_hits "$gone" 0 crates/core/src
 done
@@ -152,11 +152,13 @@ for gone in fleet.tuner '"serve.fleet.' '"fleet.shards'; do
 done
 
 echo "==> partition check (crates/core/src/engine.rs, tests included: a task is a contiguous run of its slice, no statement is hashed to a shard; crates/core/src/serve.rs: no seed knob)"
+# absent PATTERN PATH...: no line of the files (or, recursively, directories)
+# matches, tests and comments included.
 absent() {
     PAT=$1
-    FILE=$2
-    if grep -n -- "$PAT" "$FILE"; then
-        echo "ERROR: '$PAT' in $FILE" >&2
+    shift
+    if grep -rn -- "$PAT" "$@"; then
+        echo "ERROR: '$PAT' in $*" >&2
         exit 1
     fi
 }
@@ -168,5 +170,10 @@ absent 'pub seed' crates/core/src/serve.rs
 echo "==> boundary check (crates/core/src, tests included: the candidate merge sorts on kept keys and renders none in a comparator; a boundary's workload shares the templates' shapes, copies none)"
 absent 'd.key())\|a.key()' crates/core/src/candgen.rs
 absent 'e.shape.clone()' crates/core/src/templates.rs
+
+echo "==> greedy check (crates/ src/ examples/ tests/, tests included: the advisor-less Greedy pipeline is gone — the paper harness runs StrategyKind::Greedy through a session)"
+for gone in greedy_select rank_candidates GreedyConfig; do
+    absent "$gone" crates src examples tests
+done
 
 echo "OK: build + tests + docs green, dependency tree is hermetic."

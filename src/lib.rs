@@ -101,9 +101,9 @@ pub mod prelude {
     pub use autoindex_core::{
         serve_fleet, ApplyVerdict, AutoIndex, AutoIndexConfig, AutoIndexError, CandidateConfig,
         CandidateGenerator, DiagnosisConfig, FleetConfig, FleetOutcome, FleetReport, FleetTenant,
-        GreedyConfig, Guard, GuardConfig, GuardEvent, GuardPhase, IndexDiagnosis, MctsConfig,
-        Recommendation, ServeConfig, ServeOutcome, ServeReport, SessionReport, TemplateStore,
-        TemplateStoreConfig, TenantReport, TenantSpec, TuningReport, TuningSession,
+        Guard, GuardConfig, GuardEvent, GuardPhase, IndexDiagnosis, MctsConfig, Recommendation,
+        ServeConfig, ServeOutcome, ServeReport, SessionReport, TemplateStore, TemplateStoreConfig,
+        TenantReport, TenantSpec, TuningReport, TuningSession,
     };
     pub use autoindex_estimator::{
         kfold_cross_validate, CollectConfig, CostEstimator, LearnedCostEstimator,

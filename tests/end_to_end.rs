@@ -3,6 +3,7 @@
 //! baselines, diagnosis, the estimator and the simulated database
 //! together.
 
+use autoindex::core::StrategyKind;
 use autoindex::prelude::*;
 use autoindex::storage::shape::QueryShape;
 use autoindex::workloads::{banking, epidemic, tpcc, tpcds};
@@ -294,7 +295,7 @@ fn greedy_and_autoindex_share_estimator_but_differ_on_removal() {
 
     // AutoIndex.
     let mut db_a = mk_db();
-    let mut ai = AutoIndex::new(AutoIndexConfig::default(), est);
+    let mut ai = AutoIndex::new(AutoIndexConfig::default(), est.clone());
     ai.observe_batch(queries.iter().map(String::as_str), &db_a);
     let rep = ai.session(&mut db_a).run().unwrap().report;
     assert!(
@@ -302,9 +303,17 @@ fn greedy_and_autoindex_share_estimator_but_differ_on_removal() {
         "AutoIndex must remove the write-hot index: {:?}",
         rep.dropped
     );
-    // By construction Greedy has no removal path — structural assertion.
-    let db_g = mk_db();
-    assert_eq!(db_g.index_count(), 2);
+    // Greedy, same estimator, same stream: it has no removal path.
+    let mut db_g = mk_db();
+    let mut greedy = AutoIndex::new(AutoIndexConfig::default(), est);
+    greedy.observe_batch(queries.iter().map(String::as_str), &db_g);
+    let session = greedy.session(&mut db_g).strategy(StrategyKind::Greedy);
+    let rep = session.run().unwrap().report;
+    assert!(rep.dropped.is_empty(), "Greedy dropped {:?}", rep.dropped);
+    assert!(
+        db_g.indexes().any(|(_, d)| d.key() == "t(hot)"),
+        "the write-hot index must survive Greedy"
+    );
 }
 
 #[test]
