@@ -678,13 +678,6 @@ pub(crate) enum Resolved<'t> {
 }
 
 impl Resolved<'_> {
-    pub(crate) fn shape(&self) -> &QueryShape {
-        match self {
-            Resolved::Bound(_, shape) => shape,
-            Resolved::Parsed(_, shape) => shape,
-        }
-    }
-
     /// The fingerprint hash whenever the statement was scanned, bound or
     /// not: what the template store observes it under without scanning it
     /// again.

@@ -25,7 +25,7 @@
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::{FrontEnd, UpkeepCounters};
+use crate::fastpath::{FrontEnd, Resolved, UpkeepCounters};
 use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase};
 use crate::session::SessionReport;
 use crate::strategy::{Prologue, StrategyKind};
@@ -219,6 +219,9 @@ pub struct OnlineAutoIndex<E: CostEstimator> {
     /// the advisor's live compiled entries.
     front: FrontEnd,
     upkeep: UpkeepCounters,
+    /// The template store's removal count when the database's kept plans
+    /// were last pruned to its templates.
+    pruned_at: u64,
     executed: u64,
     last_tuning_at: Option<u64>,
     /// Number of tuning rounds triggered so far.
@@ -242,6 +245,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
             advisor,
             config,
             guard,
+            pruned_at: 0,
             executed: 0,
             last_tuning_at: None,
             tuning_rounds: 0,
@@ -304,8 +308,10 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     /// control loop. A statement of a known, compilable template is
     /// *bound* — fingerprint scan, the template's compiled entry (re-folded
     /// first if an INSERT grew a table it touches), slot writes — and no
-    /// syntax tree is built for it; anything else is parsed and extracted,
-    /// which yields the same shape bit for bit. Statements that do not
+    /// syntax tree is built for it, nor a plan: it is priced through the
+    /// plan the database keeps for its template ([`SimDb::execute_bound`]).
+    /// Anything else is parsed, extracted — which yields the same shape bit
+    /// for bit — and planned from scratch. Statements that do not
     /// parse are executed… nowhere — the simulator runs shapes — so they
     /// surface as `outcome: None` with the parse error attached (a real
     /// deployment would pass them straight to the server).
@@ -327,7 +333,10 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
                 }
             }
         };
-        let outcome = self.db.execute_shape(resolved.shape());
+        let outcome = match &resolved {
+            Resolved::Bound(hash, shape) => self.db.execute_bound(*hash, shape),
+            Resolved::Parsed(_, shape) => self.db.execute_shape(shape),
+        };
         // The statement executed; a template-matching failure must not
         // discard the measurement (the old `(None, event)` ambiguity).
         let observed = match resolved.hash() {
@@ -335,6 +344,13 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
             None => self.advisor.observe(sql, &self.db),
         };
         let error = observed.err().map(AutoIndexError::from);
+        // No more kept plans than templates: once the store dropped some,
+        // drop their plans.
+        let store = self.advisor.templates();
+        if store.removed() != self.pruned_at {
+            self.pruned_at = store.removed();
+            self.db.retain_plans(|hash| store.get(hash).is_some());
+        }
         self.executed += 1;
 
         // Guard lifecycle first: probation verdicts and cooldown expiry

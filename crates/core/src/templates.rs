@@ -186,6 +186,9 @@ pub struct TemplateStore {
     /// The compiled entries as last published; `None` once a template was
     /// born or dropped, or an entry compiled or re-folded, since.
     published: Option<Arc<FastPathCache>>,
+    /// Templates dropped so far (evicted or decayed away): what a caller
+    /// that keeps state per template compares to know when to prune it.
+    removed: u64,
     /// Where [`TemplateStore::observe`]'s scan puts the literals it skips
     /// (kept for its capacity; nothing reads the values).
     scanned: LiteralBuf,
@@ -203,6 +206,7 @@ impl TemplateStore {
             next_id: 0,
             shifts_detected: 0,
             published: None,
+            removed: 0,
             scanned: LiteralBuf::new(),
         }
     }
@@ -369,6 +373,7 @@ impl TemplateStore {
                 .then_with(|| ha.cmp(hb))
         }) {
             self.by_hash.remove(&h);
+            self.removed += 1;
         }
     }
 
@@ -397,12 +402,18 @@ impl TemplateStore {
         });
         if self.by_hash.len() != before {
             self.published = None;
+            self.removed += (before - self.by_hash.len()) as u64;
         }
     }
 
     /// Number of retained templates.
     pub fn len(&self) -> usize {
         self.by_hash.len()
+    }
+
+    /// Templates dropped since the store was made, by eviction or decay.
+    pub(crate) fn removed(&self) -> u64 {
+        self.removed
     }
 
     /// Whether the store is empty.
@@ -595,6 +606,7 @@ impl TemplateStore {
             next_id,
             shifts_detected,
             published: None,
+            removed: 0,
             scanned: LiteralBuf::new(),
         })
     }

@@ -4,7 +4,8 @@
 //! allocates only what it returns; the steady-state fast path
 //! allocates nothing on numeric statements, so a repeat statement fed to
 //! the online loop costs what executing its shape costs, and growth under
-//! it costs one bounded re-fold, not a parse.
+//! it costs one bounded re-fold, not a parse, and copies no table the
+//! database's kept plans read.
 //!
 //! A counting `#[global_allocator]` (per-thread, so the libtest harness
 //! cannot leak into a window) measures allocator calls; the what-if,
@@ -375,11 +376,13 @@ fn statement_path_only(templates: TemplateStoreConfig) -> OnlineAutoIndex<Native
 }
 
 /// A repeat numeric statement fed to the online loop is scanned, bound and
-/// executed: it allocates what `execute_shape` of the same shape allocates
-/// (the outcome it returns) and nothing for the front end or the advisor.
-/// Right after an INSERT grew its table the next one re-folds the
-/// template's selectivity program — a bounded handful of allocations, far
-/// from what parsing and extracting the statement would cost.
+/// priced through its template's kept plan: it allocates what
+/// `execute_shape` of the same shape allocates (the outcome it returns) and
+/// nothing for the front end, the plan or the advisor. Right after an
+/// INSERT grew its table the next one re-folds the template's selectivity
+/// program and prepares its plan again, into the storage the plan had — a
+/// bounded handful of allocations, far from what parsing and extracting
+/// the statement would cost.
 #[test]
 fn a_fed_repeat_statement_allocates_what_executing_its_shape_does() {
     let mut online = statement_path_only(TemplateStoreConfig::default());
@@ -415,10 +418,11 @@ fn a_fed_repeat_statement_allocates_what_executing_its_shape_does() {
         "feed made {fed} allocator calls, execute_shape alone {executed}"
     );
 
-    // Growth under the template: one re-fold, no parse.
+    // Growth under the template: one re-fold and one prepare, no parse.
     online.feed(&insert(60));
     twin.execute_shape(&extract(&insert(60), &twin));
     let refolded_before = online.db().metrics().counter_value("sql.fastpath.refolded");
+    let prepared_before = online.db().metrics().counter_value("planner.prepared");
     let sql = select(52);
     let (parsed, shape) = counted(|| extract(&sql, &twin));
     let (fed, outcome) = counted(|| online.feed(&sql));
@@ -433,6 +437,11 @@ fn a_fed_repeat_statement_allocates_what_executing_its_shape_does() {
         refolded_before + 1
     );
     assert_eq!(
+        m.counter_value("planner.prepared"),
+        prepared_before + 1,
+        "the kept plan is prepared again after growth"
+    );
+    assert_eq!(
         m.counter_value("sql.fastpath.hits"),
         hits_before + 4,
         "all bound"
@@ -444,10 +453,66 @@ fn a_fed_repeat_statement_allocates_what_executing_its_shape_does() {
     );
 }
 
+/// An INSERT into a table a kept plan reads copies no table: the database
+/// releases its kept plans before growth changes the table, so the
+/// catalog's copy-on-write finds it unshared. Executed through its own
+/// kept plan the INSERT makes no more allocator calls than its
+/// `execute_shape` twin; fed, no more than that plus the re-fold its
+/// template pays after the growth before it (the allowance above). A copy
+/// of the table is one allocation per column statistic and more.
+#[test]
+fn an_insert_under_kept_plans_copies_no_table() {
+    let select = |i: u64| format!("SELECT * FROM withdraw_flow WHERE acct_id = {i} AND ts > 100");
+    let insert =
+        |i: u64| format!("INSERT INTO withdraw_flow (flow_id, acct_id, ts) VALUES ({i}, 7, {i})");
+    let extract =
+        |sql: &str, db: &SimDb| QueryShape::extract(&parse_statement(sql).unwrap(), db.catalog());
+
+    // The database alone: template 1 reads the table, template 2 grows it.
+    let (mut db, mut twin) = (tenant_db(), tenant_db());
+    for i in 0..4 {
+        db.execute_bound(1, &extract(&select(i), &db));
+        db.execute_bound(2, &extract(&insert(i), &db));
+        twin.execute_shape(&extract(&select(i), &twin));
+        twin.execute_shape(&extract(&insert(i), &twin));
+    }
+    db.execute_bound(1, &extract(&select(50), &db));
+    twin.execute_shape(&extract(&select(50), &twin));
+    let shape = extract(&insert(51), &twin);
+    let (kept, a) = counted(|| db.execute_bound(2, &shape));
+    let (planned, b) = counted(|| twin.execute_shape(&shape));
+    assert_eq!(a.latency_ms.to_bits(), b.latency_ms.to_bits());
+    assert_eq!(db.catalog(), twin.catalog());
+    assert!(
+        kept <= planned,
+        "the kept-plan INSERT made {kept} allocator calls, execute_shape {planned}"
+    );
+
+    // Fed: the same, bound through the compiled templates.
+    let mut online = statement_path_only(TemplateStoreConfig::default());
+    for i in 0..4 {
+        online.feed(&select(i));
+        online.feed(&insert(i));
+    }
+    online.feed(&select(50));
+    let sql = insert(52);
+    let shape = extract(&sql, &twin);
+    let hits_before = online.db().metrics().counter_value("sql.fastpath.hits");
+    let (fed, _) = counted(|| online.feed(&sql));
+    let (executed, _) = counted(|| twin.execute_shape(&shape));
+    let m = online.db().metrics();
+    assert_eq!(m.counter_value("sql.fastpath.hits"), hits_before + 1);
+    assert!(
+        fed <= executed + 8,
+        "the fed INSERT made {fed} allocator calls, execute_shape {executed}"
+    );
+}
+
 /// A compiled template lives in its template's store entry, so the live
 /// set is bounded by the store: over an ad-hoc stream that keeps evicting
 /// from a store of eight, there are never more compiled templates than
-/// templates, nor more templates than eight.
+/// templates, nor more templates than eight — and, with INSERTs releasing
+/// the kept plans all the while, never more kept plans than templates.
 #[test]
 fn the_live_compiled_set_is_bounded_by_the_template_store() {
     let mut online = statement_path_only(TemplateStoreConfig {
@@ -457,25 +522,31 @@ fn the_live_compiled_set_is_bounded_by_the_template_store() {
     let cols = ["acct_id", "cust_id", "branch_id", "status", "acct_type"];
     let ops = ["=", "<", ">=", "<>"];
     let mut rng = autoindex_support::rng::StdRng::seed_from_u64(8);
-    let mut most = 0;
+    let (mut most, mut most_kept) = (0, 0);
     for i in 0..10_000u64 {
         let mut pick = |n: usize| rng.random_range(0..n);
-        let sql = format!(
-            "SELECT {} FROM account WHERE {} {} {i} AND {} = {}",
-            cols[pick(5)],
-            cols[pick(5)],
-            ops[pick(4)],
-            cols[pick(5)],
-            i % 7,
-        );
+        let sql = if i % 6 == 5 {
+            format!("INSERT INTO account (acct_id, cust_id, status) VALUES ({i}, 3, 1)")
+        } else {
+            format!(
+                "SELECT {} FROM account WHERE {} {} {i} AND {} = {}",
+                cols[pick(5)],
+                cols[pick(5)],
+                ops[pick(4)],
+                cols[pick(5)],
+                i % 7,
+            )
+        };
         assert!(online.feed(&sql).outcome.is_some());
         let store = online.advisor().templates();
         assert!(store.compiled_len() <= store.len() && store.len() <= 8);
+        assert!(online.db().kept_plans() <= store.len());
         most = most.max(store.compiled_len());
+        most_kept = most_kept.max(online.db().kept_plans());
     }
     assert!(
-        most >= 2,
-        "the stream repeats templates often enough to compile some"
+        most >= 2 && most_kept >= 2,
+        "the stream repeats templates often enough to compile and keep some"
     );
     let m = online.db().metrics();
     assert!(

@@ -10,7 +10,10 @@
 //! * **Execution** ([`SimDb::execute`]) — runs a statement against the
 //!   *real* index set, paying maintenance costs and buffer-pressure
 //!   penalties, with multiplicative log-normal noise, and returns the
-//!   "measured" latency. Inserts grow the catalog tables.
+//!   "measured" latency. Inserts grow the catalog tables. A statement bound
+//!   through a compiled template ([`SimDb::execute_bound`]) is priced
+//!   through a plan the database keeps for that template until the next
+//!   growth or DDL.
 //! * **Buffer pressure** — total on-disk bytes beyond `memory_bytes`
 //!   inflate read latency. This models the Figure 1 observation that
 //!   dropping redundant indexes *improves* throughput by freeing cache.
@@ -26,6 +29,7 @@ use crate::shape::QueryShape;
 use crate::usage::{UsageDelta, UsageTracker};
 use crate::StorageError;
 use autoindex_sql::Statement;
+use autoindex_support::hash::U64HashMap;
 use autoindex_support::obs::{Counter, Gauge, MetricsRegistry};
 use autoindex_support::rng::{derive_seed, StdRng};
 use std::collections::BTreeMap;
@@ -135,6 +139,9 @@ struct DbMetricHandles {
     join_hash: Counter,
     join_index_nl: Counter,
     join_nested_loop: Counter,
+    /// `planner.prepared` — plans prepared for [`SimDb::execute_bound`]'s
+    /// kept plans (the counter a publication's plan slots count into).
+    prepared: Counter,
     /// `db.index_creates` / `db.index_drops` — real DDL activity.
     index_creates: Counter,
     index_drops: Counter,
@@ -168,6 +175,7 @@ impl DbMetricHandles {
             join_hash: m.counter("planner.join.hash"),
             join_index_nl: m.counter("planner.join.index_nl"),
             join_nested_loop: m.counter("planner.join.nested_loop"),
+            prepared: m.counter("planner.prepared"),
             index_creates: m.counter("db.index_creates"),
             index_drops: m.counter("db.index_drops"),
             index_restores: m.counter("db.index_restores"),
@@ -227,6 +235,18 @@ impl PressureModel {
     }
 }
 
+/// A plan [`SimDb::execute_bound`] keeps for one template.
+#[derive(Default)]
+struct KeptPlan {
+    plan: PreparedPlan,
+    /// Prepared since the last release: `plan` is what the catalog and the
+    /// index view give now. A plan that is not current holds no table.
+    current: bool,
+    /// The template did not run between the last two releases: the next
+    /// release drops the entry unless it runs before then.
+    idle: bool,
+}
+
 /// The simulated database.
 pub struct SimDb {
     catalog: Catalog,
@@ -248,6 +268,10 @@ pub struct SimDb {
     /// quiet plan — is byte-identical to the pre-fault database: the
     /// measurement-noise RNG stream is never touched by fault rolls.
     faults: Option<FaultPlan>,
+    /// Per template hash, the plan its bound statements are priced
+    /// through, current until the next growth or DDL
+    /// ([`SimDb::release_plans`]).
+    plans: U64HashMap<KeptPlan>,
 }
 
 impl SimDb {
@@ -275,6 +299,7 @@ impl SimDb {
             metrics,
             obs,
             faults: None,
+            plans: U64HashMap::default(),
         }
     }
 
@@ -306,6 +331,7 @@ impl SimDb {
     /// database changes, which is what keeps [`SimDb::index_view`] and
     /// [`SimDb::total_heap_bytes`] current.
     pub fn grow_table(&mut self, table: &str, rows: u64) -> Result<(), StorageError> {
+        self.release_plans();
         let (before, grown) = self.catalog.grow_table_from(table, rows)?;
         self.heap_bytes = self.heap_bytes - before + grown.bytes();
         let run = self.view.run_of(table);
@@ -382,6 +408,7 @@ impl SimDb {
 
     /// Give `def` the next id and enter it into the index set and view.
     fn register_index(&mut self, def: IndexDef, geo: IndexGeometry) -> IndexId {
+        self.release_plans();
         let id = IndexId(self.next_id);
         self.next_id += 1;
         let def = Arc::new(def);
@@ -396,6 +423,7 @@ impl SimDb {
             .indexes
             .remove(&id)
             .ok_or(StorageError::UnknownIndex(id))?;
+        self.release_plans();
         Arc::make_mut(&mut self.view).remove(&def.table, id);
         self.usage.forget(id);
         self.obs.index_drops.incr();
@@ -604,21 +632,50 @@ impl SimDb {
     /// [`DbSnapshot::execute_shape_at`], absorbed at once and measured at
     /// the pressure that follows, with noise from the sequential stream.
     pub fn execute_shape(&mut self, shape: &QueryShape) -> ExecOutcome {
+        self.execute_as(None, shape)
+    }
+
+    /// [`SimDb::execute_shape`] of `shape`, a binding of the compiled
+    /// template whose fingerprint hash is `template`, priced through the
+    /// plan this database keeps for that template: the same fault rolls,
+    /// outcome, side effects and noise draw, bit for bit. The plan is
+    /// prepared at the template's first execution and again at its first
+    /// execution after a release — every table growth and every index
+    /// created, restored or dropped releases all kept plans — into the
+    /// storage it had. Every binding of one template must have the
+    /// template's structure ([`PreparedPlan::fits`]).
+    pub fn execute_bound(&mut self, template: u64, shape: &QueryShape) -> ExecOutcome {
+        self.execute_as(Some(template), shape)
+    }
+
+    /// The infallible wrapper under both: up to
+    /// [`SimDb::EXEC_RETRY_BUDGET`] fallible attempts, each transient
+    /// counted as an absorbed retry, then one fault-suppressed run.
+    fn execute_as(&mut self, template: Option<u64>, shape: &QueryShape) -> ExecOutcome {
         for _ in 0..Self::EXEC_RETRY_BUDGET {
-            match self.try_execute_shape(shape) {
+            match self.try_execute_as(template, shape) {
                 Ok(o) => return o,
                 Err(_) => self.obs.fault_absorbed_retries.incr(),
             }
         }
         // The plan keeps faulting; run once fault-suppressed so the
         // infallible contract holds even at a 100% transient rate.
-        self.execute_shape_inner(shape, 1.0)
+        self.execute_inner(template, shape, 1.0)
     }
 
     /// Fallible [`SimDb::execute_shape`]: a transient roll fails the
     /// statement *before* any side effect (no usage credit, no table
     /// growth); a latency-spike roll multiplies the measured latency.
     pub fn try_execute_shape(&mut self, shape: &QueryShape) -> Result<ExecOutcome, StorageError> {
+        self.try_execute_as(None, shape)
+    }
+
+    /// One fault roll, then (unless it failed) the execution.
+    fn try_execute_as(
+        &mut self,
+        template: Option<u64>,
+        shape: &QueryShape,
+    ) -> Result<ExecOutcome, StorageError> {
         let roll = match &mut self.faults {
             Some(f) => f.roll_execute(),
             None => ExecRoll {
@@ -633,23 +690,46 @@ impl SimDb {
         if roll.latency_factor > 1.0 {
             self.obs.fault_latency_spikes.incr();
         }
-        Ok(self.execute_shape_inner(shape, roll.latency_factor))
+        Ok(self.execute_inner(template, shape, roll.latency_factor))
     }
 
-    /// The fault-free live path: [`plan_execution`], the statement's own
-    /// side effects absorbed, then the measurement. Absorb comes first — an
+    /// The fault-free live path: [`plan_execution`] — or, for a bound
+    /// statement, [`priced_execution`] through its template's kept plan,
+    /// prepared first unless current — then the statement's own side
+    /// effects absorbed, then the measurement. Absorb comes first — an
     /// INSERT's growth is priced into its own latency — and the sequential
     /// noise stream is drawn after it; `latency_factor` scales the result
     /// (1.0 = healthy).
-    fn execute_shape_inner(&mut self, shape: &QueryShape, latency_factor: f64) -> ExecOutcome {
+    fn execute_inner(
+        &mut self,
+        template: Option<u64>,
+        shape: &QueryShape,
+        latency_factor: f64,
+    ) -> ExecOutcome {
         let obs = &self.obs;
-        let (plan, delta) = plan_execution(
-            &self.catalog,
-            &self.config.cost_params,
-            &self.view,
-            shape,
-            |path| obs.tally_path(&path),
-        );
+        let each = |path: AccessPath| obs.tally_path(&path);
+        let (plan, delta) = match template {
+            None => plan_execution(
+                &self.catalog,
+                &self.config.cost_params,
+                &self.view,
+                shape,
+                each,
+            ),
+            Some(template) => {
+                let kept = self.plans.entry(template).or_default();
+                if !kept.current {
+                    Planner::new(&self.catalog, &self.config.cost_params).prepare_into(
+                        &mut kept.plan,
+                        shape,
+                        &*self.view,
+                    );
+                    kept.current = true;
+                    obs.prepared.incr();
+                }
+                priced_execution(&kept.plan, shape, each)
+            }
+        };
         obs.tally_totals(&plan.join_strategies, plan.sort_elided, plan.covering_scans);
         self.absorb(&delta);
         let noise = lognormal(&mut self.rng, self.config.noise);
@@ -660,6 +740,35 @@ impl SimDb {
             noise,
             latency_factor,
         )
+    }
+
+    /// Release every kept plan, before a growth or DDL changes what it
+    /// read: a plan still holding a table when growth changes it would make
+    /// the catalog copy that table. A released plan keeps its storage (not
+    /// current, holding no table) unless its template has not run since the
+    /// release before this one: the map holds the templates that ran since
+    /// the second-to-last change. (Dropping at the first idle release
+    /// instead makes a template rarer than the changes grow fresh storage
+    /// at every run.)
+    fn release_plans(&mut self) {
+        self.plans.retain(|_, kept| {
+            kept.plan.release();
+            let keep = kept.current || !kept.idle;
+            kept.idle = !std::mem::take(&mut kept.current);
+            keep
+        });
+    }
+
+    /// Keep only the kept plans of the templates `keep` names — what a
+    /// caller whose template store dropped templates does to bound the
+    /// plans by the store.
+    pub fn retain_plans(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        self.plans.retain(|template, _| keep(*template));
+    }
+
+    /// Number of templates this database keeps a plan (or its storage) for.
+    pub fn kept_plans(&self) -> usize {
+        self.plans.len()
     }
 
     // ---------------------------------------------------------- snapshots

@@ -646,8 +646,14 @@ struct PreparedWrite {
 /// copies of the row counts and index geometry it read, so it stays
 /// *consistent* whatever happens to the catalog or the index set
 /// afterwards — and *current* exactly as long as they do not change. It has no
-/// invalidation rule of its own: keep it beside something immutable (a
-/// [`crate::DbSnapshot`]) and drop it with that.
+/// invalidation rule of its own; its owner supplies one. Beside something
+/// immutable (a [`crate::DbSnapshot`]) the rule is a lifetime: drop the
+/// plan with the snapshot. The live [`crate::SimDb`] keeps one per bound
+/// template ([`crate::SimDb::execute_bound`]) under a release rule: every
+/// table growth and every index created, restored or dropped releases all
+/// of its kept plans *before* the catalog or the index view changes — the
+/// tables let go, so growth copies none — and a released plan is prepared
+/// again, into the same storage, at its template's next execution.
 ///
 /// **Operand order.** Pricing evaluates every floating-point expression
 /// with the operands in the order the one-pass planner used, and compares
@@ -694,8 +700,7 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut PreparedPlan) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut plan) => {
             let r = f(&mut plan);
-            plan.tables.clear();
-            plan.write = None;
+            plan.release();
             r
         }
         Err(_) => f(&mut PreparedPlan::default()),
@@ -1517,6 +1522,13 @@ impl PreparedPlan {
             covering_scans,
         };
         (planned, base_data)
+    }
+
+    /// Let go of the catalog's tables (and the grown table's name), keeping
+    /// every buffer's capacity for the next prepare.
+    pub(crate) fn release(&mut self) {
+        self.tables.clear();
+        self.write = None;
     }
 
     /// What an executed `INSERT` of this plan's template makes its table

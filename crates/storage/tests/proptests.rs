@@ -3,6 +3,7 @@
 
 use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
 use autoindex_storage::index::{
     geometry, maintenance_cost, IndexDef, IndexId, IndexScope, SortDirection,
 };
@@ -847,6 +848,152 @@ fn prepared_pricing_equals_planning() {
                 case.b,
                 case.a
             );
+            Ok(())
+        },
+    );
+}
+
+// ------------------------------------------- kept ≡ planned under change
+
+/// The live database's kept plans are current by one rule — every growth
+/// and every DDL releases them first — so a database that prices bound
+/// statements through them is its twin that plans every statement from
+/// scratch. Over random catalogs, index sets and fault plans, interleave
+/// bound reads and writes of several templates (one much rarer than the
+/// others, so kept plans are dropped and re-made) with `grow_table`,
+/// `create_index`, `drop_index` and `restore_index`: every outcome, usage
+/// counter, table size and fault counter agrees bit for bit, and the
+/// database keeps no plan for a template that did not run.
+#[test]
+fn kept_plan_execution_equals_planned_execution_under_change() {
+    property(
+        "kept_plan_execution_equals_planned_execution_under_change",
+        PropConfig::default().cases(128),
+        |rng, size| {
+            let catalog = oracle_catalog(rng);
+            let config = SimDbConfig {
+                memory_bytes: rng.random_range(1u64 << 20..1 << 28),
+                seed: rng.random_range(0u64..1_000),
+                ..SimDbConfig::default()
+            };
+            let faults = rng.random_bool(0.3).then(|| FaultPlanConfig {
+                seed: rng.random_range(0u64..1_000),
+                transient_error: 0.3,
+                latency_spike: 0.2,
+                ..FaultPlanConfig::default()
+            });
+            let new_db = || {
+                let mut db =
+                    SimDb::with_metrics(catalog.clone(), config.clone(), MetricsRegistry::new());
+                db.set_fault_plan(faults.clone().map(FaultPlan::new));
+                db
+            };
+            let (mut kept, mut planned) = (new_db(), new_db());
+            for _ in 0..rng.random_range(0usize..10) {
+                let def = oracle_def(rng);
+                let _ = kept.create_index(def.clone()); // duplicates refused
+                let _ = planned.create_index(def);
+            }
+            let templates: Vec<String> = (0..rng.random_range(1usize..5))
+                .map(|_| oracle_template(rng))
+                .collect();
+            // The first binding of each template: what a later one must fit.
+            let first: Vec<QueryShape> = templates
+                .iter()
+                .map(|t| {
+                    let sql = oracle_bind(t, rng);
+                    QueryShape::extract(&parse_statement(&sql).unwrap(), kept.catalog())
+                })
+                .collect();
+            let mut dropped: Vec<IndexDef> = Vec::new();
+            let mut ran = vec![false; templates.len()];
+            for step in 0..rng.random_range(1usize..20 + size) {
+                match rng.random_range(0u32..12) {
+                    0 => {
+                        let t = *rng.choose(&VIEW_TABLES).unwrap();
+                        let rows = rng.random_range(1u64..200_000);
+                        kept.grow_table(t, rows).unwrap();
+                        planned.grow_table(t, rows).unwrap();
+                    }
+                    1 => {
+                        let def = oracle_def(rng);
+                        let a = kept.create_index(def.clone()).ok();
+                        let b = planned.create_index(def).ok();
+                        prop_assert!(a == b, "step {step}: create");
+                    }
+                    2 => {
+                        let ids: Vec<IndexId> = kept.indexes().map(|(id, _)| id).collect();
+                        if let Some(id) = rng.choose(&ids) {
+                            let def = kept.drop_index(*id).unwrap();
+                            prop_assert!(planned.drop_index(*id).unwrap() == def);
+                            dropped.push(def);
+                        }
+                    }
+                    3 => {
+                        if let Some(def) = dropped.pop() {
+                            let a = kept.restore_index(def.clone()).unwrap();
+                            prop_assert!(planned.restore_index(def).unwrap() == a);
+                        }
+                    }
+                    _ => {
+                        // Template 0 runs a third as often as the others.
+                        let j = match rng.random_range(0usize..3 * templates.len()) {
+                            n if n < 3 * templates.len() - 1 => n % templates.len(),
+                            _ => 0,
+                        };
+                        let sql = oracle_bind(&templates[j], rng);
+                        let shape =
+                            QueryShape::extract(&parse_statement(&sql).unwrap(), kept.catalog());
+                        let fits = Planner::new(kept.catalog(), &kept.config().cost_params)
+                            .prepare(&first[j], kept.index_view())
+                            .fits(&shape);
+                        let a = match fits {
+                            true => kept.execute_bound(j as u64, &shape),
+                            false => kept.execute_shape(&shape),
+                        };
+                        ran[j] |= fits;
+                        let b = planned.execute_shape(&shape);
+                        prop_assert!(
+                            a.latency_ms.to_bits() == b.latency_ms.to_bits(),
+                            "step {step}: {sql}: {} vs {}",
+                            a.latency_ms,
+                            b.latency_ms
+                        );
+                        for (x, y) in a.features.as_vec().iter().zip(b.features.as_vec()) {
+                            prop_assert!(x.to_bits() == y.to_bits(), "step {step}: {sql}");
+                        }
+                        prop_assert!(a.indexes_used == b.indexes_used, "step {step}: {sql}");
+                    }
+                }
+                prop_assert!(kept.usage().statements == planned.usage().statements);
+                for (id, _) in kept.indexes() {
+                    prop_assert!(
+                        kept.usage().usage(id) == planned.usage().usage(id),
+                        "step {step}: {id}"
+                    );
+                }
+                for t in VIEW_TABLES {
+                    let rows = |db: &SimDb| db.catalog().table(t).unwrap().rows;
+                    prop_assert!(rows(&kept) == rows(&planned), "step {step}: {t}");
+                }
+                prop_assert!(kept.total_index_bytes() == planned.total_index_bytes());
+                prop_assert!(kept.kept_plans() <= ran.iter().filter(|r| **r).count());
+            }
+            for name in [
+                "db.executions",
+                "db.fault.transient_errors",
+                "db.fault.latency_spikes",
+                "db.fault.absorbed_retries",
+                "planner.path.index_scan",
+                "planner.path.seq_scan",
+                "planner.sort_elided",
+            ] {
+                let (a, b) = (
+                    kept.metrics().counter_value(name),
+                    planned.metrics().counter_value(name),
+                );
+                prop_assert!(a == b, "{name}: {a} vs {b}");
+            }
             Ok(())
         },
     );

@@ -16,12 +16,13 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. one prepared execution, the zero-allocation fast path, a fed repeat statement and its re-fold: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. one prepared execution, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 
-echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, maintained entries = a from-scratch build; filter_sel bits, in the build that ships)"
+echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, feed = the digest of its outcome streams recorded before the live database kept plans, maintained entries = a from-scratch build; filter_sel bits, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test live_frontend
+cargo test -q --offline --release -p autoindex-core --test online_golden
 cargo test -q --offline --release -p autoindex-core --lib fastpath::
 
 echo "==> cargo test -q --offline --release (delta-cost evaluator vs its whole-workload oracle, relative-pricing, bitmap-pick, round- and boundary-pricing properties — a diagnosis = its two whole-workload re-plans, a kept term = its recomputation: float summation order and popcount/select paths, in the build that ships)"
@@ -44,6 +45,9 @@ cargo test -q --offline --release -p autoindex-storage --test proptests live_exe
 
 echo "==> cargo test -q --offline --release (prepared pricing = planning: a plan prepared from one binding prices another as the one-pass planner did — golden digest recorded before the split — and as planning it from scratch does; every operand order, in the build that ships)"
 cargo test -q --offline --release -p autoindex-storage --test proptests prepared_pricing
+
+echo "==> cargo test -q --offline --release (kept = planned under change: a database pricing bound statements through its kept plans = its twin planning every statement, across growth and DDL, in the build that ships)"
+cargo test -q --offline --release -p autoindex-storage --test proptests kept_plan_execution_equals_planned_execution_under_change
 
 echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
@@ -142,6 +146,11 @@ expect_hits 'Lexer::new(' 1 crates/sql/src/fingerprint.rs
 
 echo "==> execution check (non-test crates/storage/src/db.rs: no second planning pass — the no-index baseline comes back from the pricing of the plan)"
 expect_hits 'unindexed_cost(' 0 crates/storage/src/db.rs
+
+echo "==> live-plan check (non-test code: feed plans from scratch only in its parsed arm and prices a bound statement through the database's kept plan; the live database prepares in two places, the scratch composition and the kept plan)"
+expect_hits 'execute_shape(' 1 crates/core/src/online.rs
+expect_hits 'execute_bound(' 1 crates/core/src/online.rs
+expect_hits 'prepare_into(' 2 crates/storage/src/db.rs
 
 echo "==> serving check (non-test crates/core/src: one epoch loop — one engine, one tuning-round call, one coordinator-panic name, one validation and counter prefix)"
 expect_hits 'Engine::new(' 1 crates/core/src
