@@ -24,7 +24,7 @@
 use autoindex_bench::record;
 use autoindex_core::online::{OnlineAutoIndex, OnlineConfig, OnlineEvent};
 use autoindex_core::{
-    ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, Recommendation,
+    ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, Recommendation, RollbackReason,
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -221,12 +221,15 @@ fn apply_arm(rate: f64, idx: u64) -> ApplyArm {
                 assert_eq!(post, expected, "fault rate {rate}: partial apply");
                 applied += 1;
             }
-            ApplyVerdict::RolledBack {
+            ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
                 build_faults: f, ..
-            } => {
+            }) => {
                 assert_eq!(post, pre, "fault rate {rate}: partial rollback");
                 rollbacks += 1;
                 build_faults += f as u64;
+            }
+            ApplyVerdict::RolledBack(other) => {
+                panic!("fault rate {rate}: an apply rolls back on build faults only: {other:?}")
             }
             ApplyVerdict::ShadowRejected { .. } => {
                 panic!("shadow must admit a 60% improvement")

@@ -9,9 +9,10 @@
 //! priority-1 tenants defers, and everything else executes. As in the
 //! `throughput` sweep, the reported metric is **simulated qps** — executed
 //! statements per second of simulated fleet makespan
-//! ([`FleetReport::simulated_qps`]): per epoch, every admitted
-//! (tenant × shard) task's summed simulated latency is packed onto the
-//! worker slots with greedy LPT, and the busiest slot's load accumulates.
+//! ([`ServeReport::simulated_qps`](autoindex_core::ServeReport::simulated_qps)):
+//! per epoch, every admitted (tenant × shard) task's summed simulated
+//! latency is packed onto the worker slots with greedy LPT, and the
+//! busiest slot's load accumulates.
 //! Host independent and byte-stable by construction.
 //!
 //! Regression gates (the run aborts otherwise):

@@ -443,7 +443,7 @@ fn chaos(args: &[String]) {
                         leaks += 1;
                     }
                 }
-                ApplyVerdict::RolledBack { .. } => {
+                ApplyVerdict::RolledBack(_) => {
                     apply_rollbacks += 1;
                     if post != pre {
                         leaks += 1;

@@ -274,15 +274,9 @@ pub enum GuardEvent {
     /// Probation ended without a regression; the change is accepted.
     ProbationPassed { baseline_ms: f64, probation_ms: f64 },
     /// Probation measured a regression beyond `max_regression`; the
-    /// pre-apply snapshot was restored.
-    RolledBack {
-        baseline_ms: f64,
-        probation_ms: f64,
-        /// Relative regression that triggered the rollback.
-        regression: f64,
-        /// Fingerprint of the restored index set.
-        restored_fingerprint: u64,
-    },
+    /// pre-apply snapshot was restored
+    /// ([`RollbackReason::ProbationRegression`]).
+    RolledBack(RollbackReason),
     /// A cooldown expired; the guard is idle again.
     CooldownEnded,
     /// Consecutive failures crossed `observe_only_after`; tuning is
@@ -298,10 +292,31 @@ pub enum ApplyVerdict {
     Applied,
     /// The shadow check rejected the recommendation (no DDL happened).
     ShadowRejected { improvement: f64, required: f64 },
-    /// DDL kept faulting; the snapshot was restored.
-    RolledBack {
+    /// DDL kept faulting; the snapshot was restored
+    /// ([`RollbackReason::ApplyFaults`]).
+    RolledBack(RollbackReason),
+}
+
+/// Why a guarded configuration change was undone: the payload of both
+/// [`GuardEvent::RolledBack`] and [`ApplyVerdict::RolledBack`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum RollbackReason {
+    /// DDL kept faulting during apply; the pre-apply snapshot was
+    /// restored before anything became visible.
+    ApplyFaults {
         /// Build faults absorbed before giving up.
         build_faults: u32,
+        /// Fingerprint of the restored index set.
+        restored_fingerprint: u64,
+    },
+    /// Measured latency regressed beyond `max_regression` during
+    /// probation.
+    ProbationRegression {
+        baseline_ms: f64,
+        probation_ms: f64,
+        /// Relative regression that triggered the rollback.
+        regression: f64,
+        /// Fingerprint of the restored index set.
         restored_fingerprint: u64,
     },
 }
@@ -505,10 +520,10 @@ impl Guard {
             return (
                 Vec::new(),
                 Vec::new(),
-                ApplyVerdict::RolledBack {
+                ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
                     build_faults,
                     restored_fingerprint: fp,
-                },
+                }),
             );
         }
 
@@ -559,12 +574,12 @@ impl Guard {
                     return Some(if entered_observe_only {
                         GuardEvent::EnteredObserveOnly
                     } else {
-                        GuardEvent::RolledBack {
+                        GuardEvent::RolledBack(RollbackReason::ProbationRegression {
                             baseline_ms,
                             probation_ms,
                             regression,
                             restored_fingerprint: fp,
-                        }
+                        })
                     });
                 }
                 // Accepted: fold probation samples into the baseline.
@@ -724,11 +739,11 @@ mod tests {
         }
         let ev = g.poll(5, &mut db).unwrap();
         match ev {
-            GuardEvent::RolledBack {
+            GuardEvent::RolledBack(RollbackReason::ProbationRegression {
                 regression,
                 restored_fingerprint,
                 ..
-            } => {
+            }) => {
                 assert!(regression > 0.9);
                 assert_eq!(restored_fingerprint, pre.fingerprint());
             }
@@ -771,10 +786,10 @@ mod tests {
         let (created, dropped, verdict) = g.apply(&mut db, &r, 0);
         assert!(created.is_empty() && dropped.is_empty());
         match verdict {
-            ApplyVerdict::RolledBack {
+            ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
                 build_faults,
                 restored_fingerprint,
-            } => {
+            }) => {
                 assert_eq!(build_faults, GuardConfig::default().build_retries + 1);
                 assert_eq!(restored_fingerprint, pre.fingerprint());
             }
@@ -804,7 +819,7 @@ mod tests {
         let r = rec(&[IndexDef::new("t", &["a"])], &[]);
         let mut executed = 0;
         let (_, _, v1) = g.apply(&mut db, &r, executed);
-        assert!(matches!(v1, ApplyVerdict::RolledBack { .. }));
+        assert!(matches!(v1, ApplyVerdict::RolledBack(_)));
         assert!(matches!(g.phase(), GuardPhase::Cooldown { .. }));
         executed += 10;
         assert!(matches!(
@@ -812,7 +827,7 @@ mod tests {
             Some(GuardEvent::CooldownEnded)
         ));
         let (_, _, v2) = g.apply(&mut db, &r, executed);
-        assert!(matches!(v2, ApplyVerdict::RolledBack { .. }));
+        assert!(matches!(v2, ApplyVerdict::RolledBack(_)));
         assert!(matches!(g.phase(), GuardPhase::ObserveOnly));
         assert!(!g.can_tune());
         assert_eq!(db.metrics().counter_value("guard.observe_only_entries"), 1);

@@ -88,15 +88,14 @@ pub use error::AutoIndexError;
 pub use fastpath::{CompiledTemplate, FastPathCache};
 pub use guard::{
     ApplyVerdict, Guard, GuardConfig, GuardConfigBuilder, GuardEvent, GuardPhase, IndexSnapshot,
+    RollbackReason,
 };
 pub use mcts::{MctsConfig, MctsConfigBuilder, MctsSearch, PolicyTree, SearchOutcome};
-pub use online::{
-    FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineConfigBuilder, OnlineEvent, RollbackReason,
-};
+pub use online::{FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineConfigBuilder, OnlineEvent};
 pub use serve::{
     decide_admission, serve, serve_fleet, Admission, AdmissionCandidate, AdmissionDecision,
-    EpochRecord, FleetConfig, FleetOutcome, FleetReport, FleetTenant, FleetTenantOutcome,
-    ServeConfig, ServeOutcome, ServeReport, TenantReport, TenantSpec,
+    EpochRecord, FleetConfig, FleetOutcome, FleetTenant, FleetTenantOutcome, ServeConfig,
+    ServeOutcome, ServeReport, TenantReport, TenantSpec,
 };
 pub use session::{SessionReport, TuningSession};
 pub use strategy::{GreedyStrategy, MctsStrategy, RewardObservation, StrategyKind};

@@ -20,15 +20,29 @@
 //! `OnlineAutoIndex` is single-threaded: execution and tuning interleave
 //! on one thread. For the concurrent deployment shape — sharded executor
 //! threads plus a coordinator publishing configuration swaps at epoch
-//! boundaries — see [`mod@crate::serve`] and `docs/SERVING.md`.
+//! boundaries — see [`mod@crate::serve`] and `docs/SERVING.md`. The two
+//! share one tuning round and one cooldown rule, but `feed` is not a lane
+//! of that loop with one statement per epoch:
+//!
+//! - it executes on the live [`SimDb`] and absorbs before it measures, so
+//!   an `INSERT`'s growth is priced into its own latency and re-folds the
+//!   next bind; a lane executes on a frozen publication and absorbs at
+//!   epoch end;
+//! - a fault plan faults its execution through the live database's
+//!   sequential stream, which snapshot execution does not have;
+//! - its boundary checks cadence, cooldown and the guard's hold before it
+//!   diagnoses, and diagnosis' what-if calls draw fault rolls by ordinal;
+//!   a lane diagnoses first, and its guard lives for one round, this one's
+//!   across rounds.
 
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{FrontEnd, Resolved, UpkeepCounters};
-use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase};
-use crate::session::SessionReport;
-use crate::strategy::{Prologue, StrategyKind};
+use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase, RollbackReason};
+use crate::serve::tuning_cooldown_over;
+use crate::session::{tuning_round, Apply, SessionReport};
+use crate::strategy::StrategyKind;
 use crate::system::{AutoIndex, TuningReport};
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::{ExecOutcome, SimDb};
@@ -113,25 +127,6 @@ impl OnlineConfigBuilder {
         }
         Ok(c)
     }
-}
-
-/// Why a guarded configuration change was undone.
-#[derive(Debug, Clone)]
-pub enum RollbackReason {
-    /// DDL kept faulting during apply; the pre-apply snapshot was
-    /// restored before anything became visible.
-    ApplyFaults {
-        build_faults: u32,
-        restored_fingerprint: u64,
-    },
-    /// Measured latency regressed beyond `max_regression` during
-    /// probation.
-    ProbationRegression {
-        baseline_ms: f64,
-        probation_ms: f64,
-        regression: f64,
-        restored_fingerprint: u64,
-    },
 }
 
 /// What happened as a side effect of feeding one statement.
@@ -353,165 +348,114 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
         }
         self.executed += 1;
 
-        // Guard lifecycle first: probation verdicts and cooldown expiry
-        // take precedence over starting new work.
-        if let Some(g) = &mut self.guard {
-            g.record_latency(outcome.latency_ms);
-            if let Some(ev) = g.poll(self.executed, &mut self.db) {
-                let event = match ev {
-                    GuardEvent::ProbationPassed {
-                        baseline_ms,
-                        probation_ms,
-                    } => OnlineEvent::ProbationPassed {
-                        baseline_ms,
-                        probation_ms,
-                    },
-                    GuardEvent::RolledBack {
-                        baseline_ms,
-                        probation_ms,
-                        regression,
-                        restored_fingerprint,
-                    } => OnlineEvent::RolledBack(RollbackReason::ProbationRegression {
-                        baseline_ms,
-                        probation_ms,
-                        regression,
-                        restored_fingerprint,
-                    }),
-                    GuardEvent::CooldownEnded => OnlineEvent::CooldownEnded,
-                    GuardEvent::EnteredObserveOnly => OnlineEvent::ObserveOnlyEntered,
-                };
-                return FeedOutcome {
-                    outcome: Some(outcome),
-                    event,
-                    error,
-                };
+        // One control step per statement; its first verdict is the event.
+        let event = 'control: {
+            // Guard lifecycle first: probation verdicts and cooldown expiry
+            // take precedence over starting new work.
+            if let Some(g) = &mut self.guard {
+                g.record_latency(outcome.latency_ms);
+                if let Some(ev) = g.poll(self.executed, &mut self.db) {
+                    break 'control match ev {
+                        GuardEvent::ProbationPassed {
+                            baseline_ms,
+                            probation_ms,
+                        } => OnlineEvent::ProbationPassed {
+                            baseline_ms,
+                            probation_ms,
+                        },
+                        GuardEvent::RolledBack(reason) => OnlineEvent::RolledBack(reason),
+                        GuardEvent::CooldownEnded => OnlineEvent::CooldownEnded,
+                        GuardEvent::EnteredObserveOnly => OnlineEvent::ObserveOnlyEntered,
+                    };
+                }
             }
-        }
-
-        if !self.executed.is_multiple_of(self.config.diagnosis_interval) {
-            return FeedOutcome {
-                outcome: Some(outcome),
-                event: OnlineEvent::Executed,
-                error,
-            };
-        }
-        if let Some(t) = self.last_tuning_at {
-            if self.executed - t < self.config.tuning_cooldown {
+            if !self.executed.is_multiple_of(self.config.diagnosis_interval) {
+                break 'control OnlineEvent::Executed;
+            }
+            // `executed` rises between checks, so N - 1 statements strictly
+            // between two rounds is at least N from one to the next.
+            let cooldown = self.config.tuning_cooldown.saturating_sub(1);
+            if !tuning_cooldown_over(self.last_tuning_at, self.executed, cooldown) {
                 self.db
                     .metrics()
                     .counter("online.cooldown_suppressions")
                     .incr();
-                return FeedOutcome {
-                    outcome: Some(outcome),
-                    event: OnlineEvent::Executed,
-                    error,
-                };
+                break 'control OnlineEvent::Executed;
             }
-        }
-        // The guard gates tuning while in probation/cooldown/observe-only.
-        if let Some(g) = &self.guard {
-            if !g.can_tune() {
+            // The guard gates tuning while in probation/cooldown/observe-only.
+            if self.guard.as_ref().is_some_and(|g| !g.can_tune()) {
                 self.db
                     .metrics()
                     .counter("online.guard_suppressions")
                     .incr();
-                return FeedOutcome {
-                    outcome: Some(outcome),
-                    event: OnlineEvent::Executed,
-                    error,
-                };
+                break 'control OnlineEvent::Executed;
             }
-        }
-        let (diagnosis, prologue) = self.advisor.boundary(&self.db);
-        self.db.metrics().counter("online.diagnoses_run").incr();
-        if !diagnosis.should_tune {
-            return FeedOutcome {
-                outcome: Some(outcome),
-                event: OnlineEvent::DiagnosedHealthy(diagnosis),
-                error,
-            };
-        }
-        self.db.metrics().counter("online.diagnoses_fired").incr();
-        let event = {
+            let (diagnosis, prologue) = self.advisor.boundary(&self.db);
+            self.db.metrics().counter("online.diagnoses_run").incr();
+            if !diagnosis.should_tune {
+                break 'control OnlineEvent::DiagnosedHealthy(diagnosis);
+            }
+            self.db.metrics().counter("online.diagnoses_fired").incr();
+
+            // A tuning round — through this loop's guard, when it has one —
+            // rendered as the event.
             let _round = self.db.metrics().scoped("online.tuning_round_time");
-            self.tuning_round(diagnosis, prologue)
+            self.db.metrics().counter("online.tuning_rounds").incr();
+            self.last_tuning_at = Some(self.executed);
+            let apply = match &mut self.guard {
+                Some(g) => Apply::GuardedBy(g, self.executed),
+                None => Apply::Unguarded,
+            };
+            let reset = self.config.reset_usage_after_tuning;
+            let SessionReport { report, guard } =
+                tuning_round(&mut self.advisor, &mut self.db, prologue, apply, reset)
+                    .expect("a session over the observed templates has no failing step");
+            let applied = !report.recommendation.is_noop();
+            match guard {
+                Some(ApplyVerdict::ShadowRejected {
+                    improvement,
+                    required,
+                }) => OnlineEvent::ShadowRejected {
+                    diagnosis,
+                    improvement,
+                    required,
+                },
+                Some(ApplyVerdict::RolledBack(reason)) => OnlineEvent::RolledBack(reason),
+                // Nothing changed; no probation was armed.
+                None | Some(ApplyVerdict::Applied) if !applied => {
+                    OnlineEvent::Tuned { diagnosis, report }
+                }
+                Some(ApplyVerdict::Applied) => {
+                    self.tuning_rounds += 1;
+                    let probation_until = match self.guard.as_ref().map(Guard::phase) {
+                        Some(GuardPhase::Probation { until }) => *until,
+                        _ => self.executed,
+                    };
+                    OnlineEvent::GuardApplied {
+                        diagnosis,
+                        report,
+                        probation_until,
+                    }
+                }
+                None => {
+                    self.tuning_rounds += 1;
+                    if self.advisor.strategy() == StrategyKind::Bandit {
+                        OnlineEvent::BanditArmApplied {
+                            diagnosis,
+                            report,
+                            arms: self.advisor.last_arms().to_vec(),
+                        }
+                    } else {
+                        OnlineEvent::Tuned { diagnosis, report }
+                    }
+                }
+            }
         };
         FeedOutcome {
             outcome: Some(outcome),
             event,
             error,
         }
-    }
-
-    /// One tuning round (guarded or not) after a fired diagnosis, over the
-    /// prologue it was made from: a
-    /// [`TuningSession`](crate::session::TuningSession) over this loop's
-    /// database — through its own guard, when it has one — whose report
-    /// is rendered as the event.
-    fn tuning_round(&mut self, diagnosis: DiagnosisReport, prologue: Prologue) -> OnlineEvent {
-        self.db.metrics().counter("online.tuning_rounds").incr();
-        self.last_tuning_at = Some(self.executed);
-
-        let session = self.advisor.session(&mut self.db).prologue(prologue);
-        let session = match &mut self.guard {
-            Some(g) => session.guarded_by(g, self.executed),
-            None => session,
-        };
-        let SessionReport { report, guard } = session
-            .run()
-            .expect("a session over the observed templates has no failing step");
-
-        let applied = !report.recommendation.is_noop();
-        let event = match guard {
-            Some(ApplyVerdict::ShadowRejected {
-                improvement,
-                required,
-            }) => OnlineEvent::ShadowRejected {
-                diagnosis,
-                improvement,
-                required,
-            },
-            Some(ApplyVerdict::RolledBack {
-                build_faults,
-                restored_fingerprint,
-            }) => OnlineEvent::RolledBack(RollbackReason::ApplyFaults {
-                build_faults,
-                restored_fingerprint,
-            }),
-            // Nothing changed; no probation was armed.
-            None | Some(ApplyVerdict::Applied) if !applied => {
-                OnlineEvent::Tuned { diagnosis, report }
-            }
-            Some(ApplyVerdict::Applied) => {
-                self.tuning_rounds += 1;
-                let probation_until = match self.guard.as_ref().map(Guard::phase) {
-                    Some(GuardPhase::Probation { until }) => *until,
-                    _ => self.executed,
-                };
-                OnlineEvent::GuardApplied {
-                    diagnosis,
-                    report,
-                    probation_until,
-                }
-            }
-            None => {
-                self.tuning_rounds += 1;
-                if self.advisor.strategy() == StrategyKind::Bandit {
-                    OnlineEvent::BanditArmApplied {
-                        diagnosis,
-                        report,
-                        arms: self.advisor.last_arms().to_vec(),
-                    }
-                } else {
-                    OnlineEvent::Tuned { diagnosis, report }
-                }
-            }
-        };
-        if self.config.reset_usage_after_tuning {
-            // A fresh measurement window for the new configuration.
-            self.db.reset_usage();
-        }
-        event
     }
 
     /// Feed a whole stream; returns the tuning events that performed DDL
@@ -658,6 +602,40 @@ mod tests {
                 .map(String::as_str),
         );
         assert!(o.tuning_rounds <= 1);
+    }
+
+    #[test]
+    fn cooldown_boundary_is_exact() {
+        // After a round at statement `t`, the next boundary that gets past
+        // the cooldown (diagnosing every statement) is `t + max(N, 1)`.
+        for cooldown in [0, 1, 3] {
+            let mut o = OnlineAutoIndex::new(
+                db(),
+                AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator),
+                OnlineConfig {
+                    diagnosis_interval: 1,
+                    tuning_cooldown: cooldown,
+                    reset_usage_after_tuning: true,
+                    guard: None,
+                },
+            );
+            let events: Vec<OnlineEvent> = (0..300)
+                .map(|i| o.feed(&format!("SELECT * FROM t WHERE a = {i}")).event)
+                .collect();
+            let mut rounds = 0;
+            for (t, event) in events.iter().enumerate() {
+                if !matches!(event, OnlineEvent::Tuned { .. }) {
+                    continue;
+                }
+                rounds += 1;
+                let next = events[t + 1..]
+                    .iter()
+                    .position(|e| !matches!(e, OnlineEvent::Executed))
+                    .map(|d| d + 1);
+                assert_eq!(next, Some(cooldown.max(1) as usize), "cooldown {cooldown}");
+            }
+            assert!(rounds >= 1, "cooldown {cooldown}: no round ran");
+        }
     }
 
     #[test]

@@ -55,7 +55,8 @@ use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::UpkeepCounters;
 use crate::guard::GuardConfig;
 use crate::mcts::Universe;
-use crate::strategy::{Prologue, StrategyKind};
+use crate::session::{tuning_round, Apply};
+use crate::strategy::StrategyKind;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::SimDb;
@@ -623,9 +624,6 @@ pub struct ServeReport {
     tuner: TunerPick,
 }
 
-/// [`serve_fleet`]'s name for its [`ServeReport`].
-pub type FleetReport = ServeReport;
-
 impl ServeReport {
     /// Simulated makespan, ms (see [`ServeReport::sim_makespan_ms`]).
     pub fn makespan_ms(&self) -> f64 {
@@ -754,7 +752,7 @@ pub struct FleetTenantOutcome<E: CostEstimator> {
 pub struct FleetOutcome<E: CostEstimator> {
     /// Evolved per-tenant state, in tenant order.
     pub tenants: Vec<FleetTenantOutcome<E>>,
-    pub report: FleetReport,
+    pub report: ServeReport,
     /// The fleet-owned metrics registry (the `serve.*` projection of the
     /// report, the engine's `serve.*` counters, `sql.fastpath.*`).
     pub metrics: MetricsRegistry,
@@ -991,13 +989,15 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
                     self.take(epoch);
                 }
                 *rounds += 1;
-                tuning_round(
-                    &mut self.db,
-                    &mut self.advisor,
-                    prologue,
-                    config.guard.clone(),
-                    config.reset_usage_after_tuning,
-                )
+                let apply = config
+                    .guard
+                    .clone()
+                    .map_or(Apply::Unguarded, Apply::Guarded);
+                let reset = config.reset_usage_after_tuning;
+                match tuning_round(&mut self.advisor, &mut self.db, prologue, apply, reset) {
+                    Ok(out) => out.decision(),
+                    Err(e) => format!("error({e})"),
+                }
             }
         };
         // Strategy attribution only under an override: the default keeps
@@ -1007,30 +1007,6 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
             None => decision,
         };
         (diagnosis.should_tune, diagnosis.problem_ratio, decision)
-    }
-}
-
-/// Run one tuning round over the boundary's `prologue` through the session
-/// pipeline (optionally [`Guard`](crate::guard::Guard)ed) and return its
-/// canonical decision (`SessionReport::decision`, or `error(..)`).
-fn tuning_round<E: CostEstimator>(
-    db: &mut SimDb,
-    advisor: &mut AutoIndex<E>,
-    prologue: Prologue,
-    guard: Option<GuardConfig>,
-    reset_usage: bool,
-) -> String {
-    let session = advisor.session(db).prologue(prologue);
-    let run = match guard {
-        Some(g) => session.guarded(g).run(),
-        None => session.run(),
-    };
-    if reset_usage {
-        db.reset_usage();
-    }
-    match run {
-        Ok(out) => out.decision(),
-        Err(e) => format!("error({e})"),
     }
 }
 

@@ -67,7 +67,7 @@ impl SessionReport {
 
     /// Whether a guarded apply was rolled back.
     pub fn rolled_back(&self) -> bool {
-        matches!(self.guard, Some(ApplyVerdict::RolledBack { .. }))
+        matches!(self.guard, Some(ApplyVerdict::RolledBack(_)))
     }
 
     /// Whether the shadow check rejected the recommendation (no DDL ran).
@@ -93,7 +93,7 @@ impl SessionReport {
 }
 
 /// How a session applies what it recommended.
-enum Apply<'d> {
+pub(crate) enum Apply<'d> {
     /// Drops, then creates, ignoring individual DDL failures.
     Unguarded,
     /// Through a guard made for this run and dropped with it.
@@ -109,7 +109,8 @@ pub struct TuningSession<'a, 'd, 'w, E: CostEstimator> {
     advisor: &'a mut AutoIndex<E>,
     db: &'d mut SimDb,
     workload: Option<&'w TemplateWorkload>,
-    /// The prologue this boundary's diagnosis already built.
+    /// The prologue this boundary's diagnosis (`AutoIndex::boundary`)
+    /// already built, so the round does not build it again.
     prologue: Option<Prologue>,
     apply: Apply<'d>,
     recommendation: Option<Recommendation>,
@@ -138,24 +139,10 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
         self
     }
 
-    /// Recommend over the prologue this boundary's diagnosis
-    /// (`AutoIndex::boundary`) built, instead of building it again.
-    pub(crate) fn prologue(mut self, prologue: Prologue) -> Self {
-        self.prologue = Some(prologue);
-        self
-    }
-
     /// Apply through the guard pipeline: shadow admission, pre-apply
     /// snapshot, fault-safe DDL and automatic rollback.
     pub fn guarded(mut self, config: GuardConfig) -> Self {
         self.apply = Apply::Guarded(config);
-        self
-    }
-
-    /// [`TuningSession::guarded`] through a guard the caller keeps across
-    /// rounds (the online loop's), at its statement clock `now`.
-    pub(crate) fn guarded_by(mut self, guard: &'d mut Guard, now: u64) -> Self {
-        self.apply = Apply::GuardedBy(guard, now);
         self
     }
 
@@ -227,6 +214,28 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
             guard: Some(verdict),
         })
     }
+}
+
+/// One tuning round after a fired diagnosis, whichever loop drives it:
+/// a session over the boundary's `prologue`, applied per `apply`, then — if
+/// `reset_usage` — a fresh usage window for the new configuration. The
+/// serving loop's `LaneState::visit` and `OnlineAutoIndex::feed` each
+/// render the report their own way.
+pub(crate) fn tuning_round<E: CostEstimator>(
+    advisor: &mut AutoIndex<E>,
+    db: &mut SimDb,
+    prologue: Prologue,
+    apply: Apply<'_>,
+    reset_usage: bool,
+) -> Result<SessionReport, AutoIndexError> {
+    let mut session = advisor.session(db);
+    session.prologue = Some(prologue);
+    session.apply = apply;
+    let run = session.run();
+    if reset_usage {
+        db.reset_usage();
+    }
+    run
 }
 
 #[cfg(test)]

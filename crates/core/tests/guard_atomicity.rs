@@ -19,6 +19,7 @@
 use autoindex_core::mcts::{ConfigSet, Universe};
 use autoindex_core::{
     ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, IndexSnapshot, Recommendation,
+    RollbackReason,
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -109,13 +110,16 @@ fn guarded_apply_is_atomic_under_arbitrary_fault_plans() {
                     prop_assert!(created.len() == rec.add.len(), "created {created:?}");
                     prop_assert!(dropped.len() == rec.remove.len(), "dropped {dropped:?}");
                 }
-                ApplyVerdict::RolledBack { build_faults, .. } => {
+                ApplyVerdict::RolledBack(RollbackReason::ApplyFaults { build_faults, .. }) => {
                     prop_assert!(
                         post == pre,
                         "rollback left a partial catalog: {post:?} vs {pre:?}"
                     );
                     prop_assert!(created.is_empty() && dropped.is_empty());
                     prop_assert!(build_faults > 0, "rollback without any build fault");
+                }
+                ApplyVerdict::RolledBack(other) => {
+                    prop_assert!(false, "an apply rolls back on build faults only: {other:?}");
                 }
                 ApplyVerdict::ShadowRejected { .. } => {
                     prop_assert!(false, "shadow must admit a 60% improvement");
@@ -148,7 +152,7 @@ fn rollbacks_appear_with_faults_and_only_with_faults() {
             db.metrics(),
         );
         let (_, _, verdict) = guard.apply(&mut db, &synthetic_rec(), 0);
-        let rolled_back = matches!(verdict, ApplyVerdict::RolledBack { .. });
+        let rolled_back = matches!(verdict, ApplyVerdict::RolledBack(_));
         assert_eq!(
             db.metrics().counter_value("guard.rollbacks"),
             u64::from(rolled_back)
@@ -191,10 +195,10 @@ fn rollback_restores_bit_identical_config_fingerprint() {
     })));
     let mut guard = Guard::new(GuardConfig::default(), db.metrics());
     let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
-    let ApplyVerdict::RolledBack {
+    let ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
         restored_fingerprint,
         ..
-    } = verdict
+    }) = verdict
     else {
         panic!("expected rollback, got {verdict:?}");
     };

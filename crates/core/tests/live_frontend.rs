@@ -140,18 +140,7 @@ fn said(fed: autoindex_core::FeedOutcome) -> Line {
             improvement,
             required,
         } => format!("shadow {diagnosis:?} {improvement:?} {required:?}"),
-        OnlineEvent::RolledBack(RollbackReason::ApplyFaults {
-            build_faults,
-            restored_fingerprint,
-        }) => format!("faulted {build_faults} {restored_fingerprint}"),
-        OnlineEvent::RolledBack(RollbackReason::ProbationRegression {
-            baseline_ms,
-            probation_ms,
-            regression,
-            restored_fingerprint,
-        }) => format!(
-            "regressed {baseline_ms:?} {probation_ms:?} {regression:?} {restored_fingerprint}"
-        ),
+        OnlineEvent::RolledBack(reason) => rolled_back(reason),
         OnlineEvent::ProbationPassed {
             baseline_ms,
             probation_ms,
@@ -165,6 +154,23 @@ fn said(fed: autoindex_core::FeedOutcome) -> Line {
         format!("{:?}", fed.error),
         event,
     )
+}
+
+fn rolled_back(reason: RollbackReason) -> String {
+    match reason {
+        RollbackReason::ApplyFaults {
+            build_faults,
+            restored_fingerprint,
+        } => format!("faulted {build_faults} {restored_fingerprint}"),
+        RollbackReason::ProbationRegression {
+            baseline_ms,
+            probation_ms,
+            regression,
+            restored_fingerprint,
+        } => format!(
+            "regressed {baseline_ms:?} {probation_ms:?} {regression:?} {restored_fingerprint}"
+        ),
+    }
 }
 
 /// The §III loop over the parse path, from public pieces only.
@@ -210,15 +216,7 @@ impl SlowPath {
                         baseline_ms,
                         probation_ms,
                     } => format!("passed {baseline_ms:?} {probation_ms:?}"),
-                    GuardEvent::RolledBack {
-                        baseline_ms,
-                        probation_ms,
-                        regression,
-                        restored_fingerprint,
-                    } => format!(
-                        "regressed {baseline_ms:?} {probation_ms:?} {regression:?} \
-                         {restored_fingerprint}"
-                    ),
+                    GuardEvent::RolledBack(reason) => rolled_back(reason),
                     GuardEvent::CooldownEnded => "cooldown_ended".to_string(),
                     GuardEvent::EnteredObserveOnly => "observe_only".to_string(),
                 });
@@ -257,10 +255,7 @@ impl SlowPath {
                         improvement,
                         required,
                     } => format!("shadow {diagnosis:?} {improvement:?} {required:?}"),
-                    ApplyVerdict::RolledBack {
-                        build_faults,
-                        restored_fingerprint,
-                    } => format!("faulted {build_faults} {restored_fingerprint}"),
+                    ApplyVerdict::RolledBack(reason) => rolled_back(reason),
                     ApplyVerdict::Applied if rec.is_noop() => {
                         format!("tuned {diagnosis:?} {}", change(&rec))
                     }

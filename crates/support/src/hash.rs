@@ -3,9 +3,8 @@
 //! FNV-1a is the one *stable* hash in the tree: transcript and
 //! regret-curve digests and template fingerprints all have to repeat
 //! across runs and hosts, which `DefaultHasher` does not promise.
-//! `autoindex-sql` keeps its own copy for fingerprints, because that crate
-//! depends on nothing: an edge from it to this one would also rewrite the
-//! wall-clock benchmark's `perf/Cargo.lock`. Its tests pin the two equal.
+//! `autoindex-sql`'s fingerprint scan folds its canonical bytes one
+//! [`fnv1a_step`] at a time, as [`fnv1a_from`] does.
 //!
 //! The serving hot path keys its template caches by the statement's
 //! canonical FNV-1a fingerprint — a value that *is already a hash*.
@@ -39,12 +38,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Continue an FNV-1a hash from state `h` (start at [`FNV_OFFSET`]):
 /// hashing pieces in turn equals hashing their concatenation.
-pub fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+pub fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a_step(h, b))
+}
+
+/// One FNV-1a step: byte `b` folded into state `h`.
+#[inline]
+pub fn fnv1a_step(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// Multiply-fold hasher for `u64` keys that are already well distributed.

@@ -122,6 +122,17 @@ expect_hits() {
     fi
 }
 
+# absent PATTERN PATH...: no line of the files (or, recursively, directories)
+# matches, tests and comments included.
+absent() {
+    PAT=$1
+    shift
+    if grep -rn -- "$PAT" "$@"; then
+        echo "ERROR: '$PAT' in $*" >&2
+        exit 1
+    fi
+}
+
 echo "==> pricing check (non-test crates/core/src: one whole-workload re-plan site — the pricer's oracle arm — one candidate generator, one term cache per advisor with one lifetime rule, one place its pricers are made; Greedy is a strategy, not a second pipeline)"
 expect_hits 'workload_cost(' 1 crates/core/src
 expect_hits 'CandidateGenerator::new(' 1 crates/core/src
@@ -152,25 +163,27 @@ expect_hits 'execute_shape(' 1 crates/core/src/online.rs
 expect_hits 'execute_bound(' 1 crates/core/src/online.rs
 expect_hits 'prepare_into(' 2 crates/storage/src/db.rs
 
-echo "==> serving check (non-test crates/core/src: one epoch loop — one engine, one tuning-round call, one coordinator-panic name, one validation and counter prefix)"
+echo "==> serving check (non-test crates/core/src: one epoch loop — one engine, one coordinator-panic name, one validation and counter prefix; one tuning round, defined in session.rs and called by the serving loop's LaneState::visit and OnlineAutoIndex::feed; one rollback type, guard.rs's, the payload of every rollback variant; one cooldown rule)"
 expect_hits 'Engine::new(' 1 crates/core/src
-# `online.rs` has a `tuning_round` method of its own (out of the loop).
-expect_hits 'tuning_round(' 1 $(ls crates/core/src/*.rs | grep -v '/online\.rs$')
+expect_hits 'fn tuning_round' 1 crates/core/src
+expect_hits 'fn tuning_round' 1 crates/core/src/session.rs
+expect_hits 'tuning_round(' 2 crates/core/src
+for f in serve online; do
+    expect_hits 'tuning_round(' 1 "crates/core/src/$f.rs"
+done
+expect_hits 'enum RollbackReason' 1 crates/core/src
+expect_hits 'enum RollbackReason' 1 crates/core/src/guard.rs
+expect_hits 'RolledBack {' 0 crates/core/src
+expect_hits 'tuning_cooldown_over(' 1 crates/core/src/online.rs
 for gone in fleet.tuner '"serve.fleet.' '"fleet.shards'; do
     expect_hits "$gone" 0 crates/core/src
 done
 
+echo "==> duplicate check (no FleetReport alias under crates/ or src/, tests included; one FNV-1a prime in non-test crates/*/src)"
+absent FleetReport crates src
+expect_hits '0100_0000_01b3' 1 $(find crates/*/src -name '*.rs')
+
 echo "==> partition check (crates/core/src/engine.rs, tests included: a task is a contiguous run of its slice, no statement is hashed to a shard; crates/core/src/serve.rs: no seed knob)"
-# absent PATTERN PATH...: no line of the files (or, recursively, directories)
-# matches, tests and comments included.
-absent() {
-    PAT=$1
-    shift
-    if grep -rn -- "$PAT" "$@"; then
-        echo "ERROR: '$PAT' in $*" >&2
-        exit 1
-    fi
-}
 for gone in shard_of SHARD_SALT derive_seed; do
     absent "$gone" crates/core/src/engine.rs
 done

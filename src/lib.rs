@@ -100,8 +100,8 @@ pub mod cli_support {
 pub mod prelude {
     pub use autoindex_core::{
         serve_fleet, ApplyVerdict, AutoIndex, AutoIndexConfig, AutoIndexError, CandidateConfig,
-        CandidateGenerator, DiagnosisConfig, FleetConfig, FleetOutcome, FleetReport, FleetTenant,
-        Guard, GuardConfig, GuardEvent, GuardPhase, IndexDiagnosis, MctsConfig, Recommendation,
+        CandidateGenerator, DiagnosisConfig, FleetConfig, FleetOutcome, FleetTenant, Guard,
+        GuardConfig, GuardEvent, GuardPhase, IndexDiagnosis, MctsConfig, Recommendation,
         ServeConfig, ServeOutcome, ServeReport, SessionReport, TemplateStore, TemplateStoreConfig,
         TenantReport, TenantSpec, TuningReport, TuningSession,
     };
