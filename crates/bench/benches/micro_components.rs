@@ -39,12 +39,12 @@ fn execution_print((outcome, delta): &(ExecOutcome, UsageDelta)) -> String {
         delta
             .scans
             .iter()
-            .map(|(id, s)| (*id, s.to_bits()))
+            .map(|id| (*id, delta.saving.to_bits()))
             .collect::<Vec<_>>(),
         delta
             .maintenance
             .iter()
-            .map(|(id, m)| (*id, m.io.to_bits(), m.cpu.to_bits()))
+            .map(|(id, m)| (id, m.io.to_bits(), m.cpu.to_bits()))
             .collect::<Vec<_>>(),
         delta.growth,
     )

@@ -346,29 +346,47 @@ impl Publication {
 // ------------------------------------------------------------- executors
 
 /// Per-worker reusable fast-path state: the statement front end and one
-/// bindable skeleton clone per compiled template. A clone is bound against
-/// the catalog of the publication it was made under, and fingerprints
-/// collide across tenants, so the whole map is dropped whenever the pinned
-/// publication changes (epoch boundary or tenant switch).
+/// bindable skeleton clone per compiled template of each tenant. A clone
+/// is bound against the catalog of the publication it was made under, and
+/// fingerprints collide across tenants, so clones are kept by
+/// `(tenant, hash)` and a tenant's are dropped when its publication's
+/// epoch changes — not when a task of another tenant comes in between.
 struct WorkerScratch {
     front: FrontEnd,
-    shapes: U64HashMap<QueryShape>,
-    /// `(tenant, epoch)` of the publication `shapes` was cloned under.
-    pinned: (u32, u64),
+    clones: Clones,
 }
 
 impl WorkerScratch {
-    /// Re-pin the scratch to a `(tenant, epoch)` publication, dropping the
-    /// skeleton clones made under any other.
-    fn pin(&mut self, key: (u32, u64)) {
-        if self.pinned != key {
-            self.shapes.clear();
-            self.pinned = key;
+    fn new(front: FrontEnd) -> Self {
+        WorkerScratch {
+            front,
+            clones: Clones(Vec::new()),
         }
     }
 }
 
-/// Execute one statement against a publication. Reads only the
+/// Per tenant: the epoch of the publication its clones were made under,
+/// and the clones by template hash.
+struct Clones(Vec<(u64, U64HashMap<QueryShape>)>);
+
+impl Clones {
+    /// `tenant`'s clones, made under its publication of `epoch`: emptied
+    /// first if they were made under another.
+    fn of(&mut self, tenant: u32, epoch: u64) -> &mut U64HashMap<QueryShape> {
+        let t = tenant as usize;
+        if self.0.len() <= t {
+            self.0.resize_with(t + 1, || (epoch, U64HashMap::default()));
+        }
+        let (made_under, clones) = &mut self.0[t];
+        if *made_under != epoch {
+            clones.clear();
+            *made_under = epoch;
+        }
+        clones
+    }
+}
+
+/// Execute one statement against `tenant`'s publication. Reads only the
 /// publication and the query text; mutates only the worker's own scratch
 /// (and fills a plan slot of the publication at most once per template).
 /// The statement is resolved by [`FrontEnd::resolve`] over the
@@ -378,13 +396,15 @@ impl WorkerScratch {
 /// scans the statement again; beside it, whether it was bound.
 fn execute_statement(
     publication: &Publication,
+    tenant: u32,
     sql: &str,
     seq: u64,
     fastpath: bool,
     scratch: &mut WorkerScratch,
 ) -> (ObservationPayload, bool) {
     let snap = &publication.snap;
-    let WorkerScratch { front, shapes, .. } = scratch;
+    let WorkerScratch { front, clones } = scratch;
+    let shapes = clones.of(tenant, snap.epoch);
     let mut slot = 0;
     let lookup = fastpath.then_some(|hash| {
         // Moved, not reborrowed: the clone handed out lives as long as the
@@ -602,11 +622,7 @@ impl<'a> Engine<'a> {
     }
 
     fn scratch(&self, slot: usize) -> WorkerScratch {
-        WorkerScratch {
-            front: FrontEnd::new(&self.registry, slot),
-            shapes: U64HashMap::default(),
-            pinned: (u32::MAX, u64::MAX),
-        }
+        WorkerScratch::new(FrontEnd::new(&self.registry, slot))
     }
 
     /// Spawn the executors, run `coordinate` (which drives epochs through
@@ -696,7 +712,6 @@ impl<'a> Engine<'a> {
     ) -> (Vec<TenantObservation>, Option<Task>) {
         let Slice { tenant, start, end } = task.slice;
         let queries = self.lanes[tenant as usize];
-        scratch.pin((tenant, task.publication.snap.epoch));
         // Sized exactly: batches are an epoch's whole memory until they are
         // placed.
         let mut batch = Vec::with_capacity((end - start) as usize);
@@ -706,7 +721,8 @@ impl<'a> Engine<'a> {
                     panic!("injected panic at tenant {tenant} seq {seq}");
                 }
                 let sql = &queries[seq as usize];
-                execute_statement(&task.publication, sql, seq, self.cfg.fastpath, scratch)
+                let fastpath = self.cfg.fastpath;
+                execute_statement(&task.publication, tenant, sql, seq, fastpath, scratch)
             }))
             .unwrap_or_else(|_| {
                 self.worker_panics.incr();
@@ -860,6 +876,34 @@ mod tests {
             .unwrap_or(1);
         assert_eq!(resolve_threads(0), detected);
         assert_eq!(resolve_threads(3), 3, "explicit counts are literal");
+    }
+
+    /// An epoch holds one `Observation` per statement until it is merged,
+    /// so the record stays as small as when its outcome and delta held
+    /// vectors: the inline index lists and the shared maintenance charges
+    /// take no more room than those did.
+    #[test]
+    fn an_observation_is_no_larger_than_it_was() {
+        assert_eq!(std::mem::size_of::<ExecOutcome>(), 72);
+        assert_eq!(std::mem::size_of::<UsageDelta>(), 72);
+        assert_eq!(std::mem::size_of::<Observation>(), 176);
+    }
+
+    /// A worker keeps each tenant's skeleton clones apart (fingerprints
+    /// collide across tenants) and across the tasks of other tenants, and
+    /// drops a tenant's only when its publication's epoch moves.
+    #[test]
+    fn clones_outlive_other_tenants_tasks_and_not_their_epoch() {
+        let sql = "SELECT * FROM account WHERE acct_id = 1";
+        let stmt = autoindex_sql::parse_statement(sql).unwrap();
+        let shape = QueryShape::extract(&stmt, &banking::catalog());
+        let mut clones = Clones(Vec::new());
+        clones.of(0, 5).insert(7, shape.clone());
+        clones.of(2, 5).insert(7, shape);
+        assert!(clones.of(1, 5).is_empty());
+        assert_eq!(clones.of(0, 5).len(), 1, "another tenant's task dropped it");
+        assert!(clones.of(0, 6).is_empty(), "a new publication keeps none");
+        assert_eq!(clones.of(2, 5).len(), 1, "nor drops another tenant's");
     }
 
     #[test]
@@ -1315,15 +1359,12 @@ mod tests {
         let filled = |p: &Publication| p.plans.iter().filter(|slot| slot.get().is_some()).count();
         // Every statement under `publication`, with its unprepared twin.
         let run = |publication: &Publication| -> Vec<(u64, u64)> {
-            let mut scratch = WorkerScratch {
-                front: FrontEnd::new(&registry, 0),
-                shapes: U64HashMap::default(),
-                pinned: (0, publication.snap.epoch),
-            };
+            let mut scratch = WorkerScratch::new(FrontEnd::new(&registry, 0));
             let mut bound = Vec::new();
             for (seq, sql) in queries.iter().enumerate() {
                 let seq = seq as u64;
-                let (payload, hit) = execute_statement(publication, sql, seq, true, &mut scratch);
+                let (payload, hit) =
+                    execute_statement(publication, 0, sql, seq, true, &mut scratch);
                 let ObservationPayload::Executed { outcome, delta, fp } = payload else {
                     panic!("{sql} did not execute");
                 };

@@ -350,15 +350,23 @@ pub fn decide_admission(
     out
 }
 
-/// Deterministic percentile over **sorted** latencies — the same
-/// nearest-rank convention the storage layer's workload measurements
-/// use.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+/// Deterministic percentile of latencies in any order — the same
+/// nearest-rank convention the storage layer's workload measurements use
+/// — by selection instead of a sort: the value a `total_cmp` sort puts at
+/// the rank, bit for bit (values equal under `total_cmp` are bit-equal).
+/// Leaves `values` partitioned around it.
+pub(crate) fn select_percentile(values: &mut [f64], q: f64) -> f64 {
+    if values.is_empty() {
         return 0.0;
     }
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    let rank = nearest_rank(values.len(), q);
+    *values.select_nth_unstable_by(rank, f64::total_cmp).1
+}
+
+/// The position of quantile `q` among `len > 0` sorted values.
+fn nearest_rank(len: usize, q: f64) -> usize {
+    let idx = ((len - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+    idx.min(len - 1)
 }
 
 // ------------------------------------------------------------ tuner pick
@@ -946,9 +954,8 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
             return;
         }
         if let Some((slo_p50, slo_p99)) = self.slo {
-            latencies.sort_unstable_by(f64::total_cmp);
-            record.p50_ms = percentile(latencies, 0.50);
-            record.p99_ms = percentile(latencies, 0.99);
+            record.p50_ms = select_percentile(latencies, 0.50);
+            record.p99_ms = select_percentile(latencies, 0.99);
             record.slo_ok = record.p50_ms <= slo_p50 && record.p99_ms <= slo_p99;
             report.slo_violations += u64::from(!record.slo_ok);
         }
@@ -1901,6 +1908,15 @@ mod tests {
         assert_eq!(out.report.simulated_qps(), 0.0);
     }
 
+    /// The reference [`select_percentile`] is held to: the nearest-rank
+    /// value of a **sorted** slice.
+    fn percentile(sorted: &[f64], q: f64) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        sorted[nearest_rank(sorted.len(), q)]
+    }
+
     #[test]
     fn percentile_is_nearest_rank() {
         assert_eq!(percentile(&[], 0.5), 0.0);
@@ -1916,5 +1932,32 @@ mod tests {
         assert_eq!(dup, vec![0.5, 0.5, 2.0, 2.0, 2.0, 2.0, 9.0, 9.0]);
         assert_eq!(percentile(&dup, 0.50), 2.0); // round(7*0.5)=4 → dup[4]
         assert_eq!(percentile(&dup, 0.99), 9.0); // round(7*0.99)=7 → dup[7]
+
+        // Selection, which the slice accounting runs, reads the sorted
+        // slice's value bit for bit: random slices with duplicates (and
+        // signed zeros), both quantiles taken in turn as a slice's are.
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::prop_assert;
+        property(
+            "percentile_selection_equals_the_sorted_rank",
+            PropConfig::default(),
+            |rng, size| {
+                let pool = [0.0, -0.0, 0.5, 2.0, 9.0, 1e-3, 7.25];
+                let len = rng.random_range(0..4 * size + 2);
+                let mut values: Vec<f64> = (0..len)
+                    .map(|_| match rng.random_range(0u32..3) {
+                        0 => rng.random_range(0.0..50.0),
+                        _ => pool[rng.random_range(0..pool.len())],
+                    })
+                    .collect();
+                let mut sorted = values.clone();
+                sorted.sort_unstable_by(f64::total_cmp);
+                for q in [0.50, 0.99, 0.0, 1.0] {
+                    let (want, got) = (percentile(&sorted, q), select_percentile(&mut values, q));
+                    prop_assert!(want.to_bits() == got.to_bits(), "q={q}: {sorted:?}");
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Count-domain regression tests: planning work follows the tables a
 //! statement touches, never the size of the configuration; snapshot
 //! execution — planned from scratch or priced through a prepared plan —
-//! allocates only what it returns; the steady-state fast path
-//! allocates nothing on numeric statements, so a repeat statement fed to
-//! the online loop costs what executing its shape costs, and growth under
+//! allocates nothing; the steady-state fast path allocates nothing on
+//! numeric statements, so a repeat statement fed to the online loop
+//! allocates nothing either, and growth under
 //! it costs one bounded re-fold, not a parse, and copies no table the
 //! database's kept plans read.
 //!
@@ -184,10 +184,13 @@ fn live_execution_tallies_what_the_full_plan_reports() {
     }
 }
 
-/// Snapshot execution allocates what it returns and nothing else: the
-/// vectors of its `ExecOutcome` and `UsageDelta` (plus the grown table's
-/// name on an insert). No path report, no per-candidate scratch, no second
-/// plan for the usage-credit baseline — under all 263 indexes.
+/// Snapshot execution planned from scratch allocates nothing once this
+/// thread's scratch plan has grown to the statement: its `ExecOutcome`
+/// and `UsageDelta` hold the used indexes inline and the maintenance
+/// charges shared with the plan. No path report, no per-candidate scratch,
+/// no second plan for the usage-credit baseline — under all 263 indexes.
+/// **Count** domain, exact: 0, 0 and 0 allocator calls (2, 0 and 3 while
+/// both returned the used indexes and the charges as vectors).
 #[test]
 fn snapshot_execution_allocates_only_what_it_returns() {
     let db = banking_db(&banking::dba_indexes());
@@ -207,7 +210,7 @@ fn snapshot_execution_allocates_only_what_it_returns() {
     assert_eq!(outcome.indexes_used.len(), 1, "served by an index");
     assert_eq!(delta.scans.len(), 1);
     assert!(delta.maintenance.is_empty() && delta.growth.is_none());
-    assert_eq!(allocs, 2, "`indexes_used` and `delta.scans`");
+    assert_eq!(allocs, 0, "`indexes_used` and `delta.scans` are inline");
 
     // An unindexed predicate returns no vector and allocates nothing.
     let scan = shape("SELECT * FROM withdraw_flow WHERE flow_status = 2");
@@ -215,24 +218,23 @@ fn snapshot_execution_allocates_only_what_it_returns() {
     assert!(outcome.indexes_used.is_empty() && delta.is_empty());
     assert_eq!(allocs, 0);
 
-    // A keyed update adds the maintenance list — one vector however many
-    // indexes it names, sized once.
+    // A keyed update adds the maintenance charges — the plan's terms,
+    // shared, however many indexes they name.
     let update = shape("UPDATE withdraw_flow SET amount = 1.0 WHERE flow_id = 7");
     let (allocs, (outcome, delta)) = counted(|| snap.execute_shape_at(&update, 19));
     assert!(!outcome.indexes_used.is_empty() && !delta.maintenance.is_empty());
-    assert_eq!(
-        allocs, 3,
-        "`indexes_used`, `delta.scans`, `delta.maintenance`"
-    );
+    assert_eq!(allocs, 0, "`delta.maintenance` is shared with the plan");
 }
 
 /// One execution of a bound statement through its template's prepared
-/// plan, under all 263 indexes: what it returns and nothing else — and the
-/// table name an INSERT's growth carries is the catalog's own, shared.
-/// **Count** domain, exact: 2, 3 and 1 allocator calls. Before plans were
-/// prepared (every statement planned from scratch, the seven-entry
-/// maintenance list grown push by push, the grown table's name cloned)
-/// `execute_shape_at` made 2, 4 and 3 for the same three statements.
+/// plan, under all 263 indexes, allocates nothing: the used indexes sit
+/// inline, the maintenance charges and the table name an INSERT's growth
+/// carries are shared with the plan and the catalog. **Count** domain,
+/// exact: 0, 0 and 0 allocator calls. While the outcome and the delta held
+/// vectors they made 2, 3 and 1; before plans were prepared (every
+/// statement planned from scratch, the seven-entry maintenance list grown
+/// push by push, the grown table's name cloned) `execute_shape_at` made 2,
+/// 4 and 3 for the same three statements.
 #[test]
 fn a_prepared_execution_allocates_what_it_returns() {
     let db = banking_db(&banking::dba_indexes());
@@ -254,26 +256,26 @@ fn a_prepared_execution_allocates_what_it_returns() {
     let (plan, bound) = (snap.prepare(&select(7)), select(8));
     let (allocs, (outcome, delta)) = counted(|| snap.execute_prepared_at(&plan, &bound, 17));
     assert_eq!((outcome.indexes_used.len(), delta.scans.len()), (1, 1));
-    assert_eq!(allocs, 2, "`indexes_used` and `delta.scans`");
+    assert_eq!(allocs, 0, "`indexes_used` and `delta.scans` are inline");
 
     let (plan, bound) = (snap.prepare(&update(7)), update(8));
     let (allocs, (outcome, delta)) = counted(|| snap.execute_prepared_at(&plan, &bound, 18));
     assert!(!outcome.indexes_used.is_empty() && delta.maintenance.len() > 4);
-    assert_eq!(
-        allocs, 3,
-        "`indexes_used`, `delta.scans`, `delta.maintenance`"
-    );
+    assert_eq!(allocs, 0, "`delta.maintenance` is shared with the plan");
 
     let (plan, bound) = (snap.prepare(&insert(7)), insert(8));
     let (allocs, (outcome, delta)) = counted(|| snap.execute_prepared_at(&plan, &bound, 19));
     assert!(outcome.indexes_used.is_empty() && delta.maintenance.len() > 4);
     let (table, rows) = delta.growth.expect("an INSERT grows its table");
     assert_eq!((&*table, rows), ("withdraw_flow", 1));
-    assert_eq!(allocs, 1, "`delta.maintenance`: the table name is shared");
-    // The unprepared composition shares the name too.
+    assert_eq!(
+        allocs, 0,
+        "`delta.maintenance` and the table name are shared"
+    );
+    // The unprepared composition shares them too.
     snap.execute_shape_at(&bound, 20);
     let (allocs, _) = counted(|| snap.execute_shape_at(&bound, 21));
-    assert_eq!(allocs, 1);
+    assert_eq!(allocs, 0);
 }
 
 /// The compiled-template fast path at steady state — `scan_fingerprint`
@@ -377,8 +379,8 @@ fn statement_path_only(templates: TemplateStoreConfig) -> OnlineAutoIndex<Native
 
 /// A repeat numeric statement fed to the online loop is scanned, bound and
 /// priced through its template's kept plan: it allocates what
-/// `execute_shape` of the same shape allocates (the outcome it returns) and
-/// nothing for the front end, the plan or the advisor. Right after an
+/// `execute_shape` of the same shape allocates — nothing, in steady state —
+/// and nothing for the front end, the plan or the advisor. Right after an
 /// INSERT grew its table the next one re-folds the template's selectivity
 /// program and prepares its plan again, into the storage the plan had — a
 /// bounded handful of allocations, far from what parsing and extracting
@@ -413,9 +415,10 @@ fn a_fed_repeat_statement_allocates_what_executing_its_shape_does() {
     let outcome = outcome.outcome.expect("executed");
     assert_eq!(outcome.latency_ms.to_bits(), reference.latency_ms.to_bits());
     assert!(!outcome.indexes_used.is_empty(), "served by an index");
-    assert!(
-        fed <= executed,
-        "feed made {fed} allocator calls, execute_shape alone {executed}"
+    assert_eq!(
+        (fed, executed),
+        (0, 0),
+        "allocator calls of feed and of execute_shape alone"
     );
 
     // Growth under the template: one re-fold and one prepare, no parse.

@@ -67,13 +67,9 @@ fn gen_batch(rng: &mut StdRng, size: usize) -> Vec<Observation> {
                 0 => ObservationPayload::ParseFailed,
                 1 => ObservationPayload::Panicked,
                 _ => {
+                    let saving = rng.random_range(0.0..50.0);
                     let scans = (0..rng.random_range(0usize..3))
-                        .map(|_| {
-                            (
-                                IndexId(rng.random_range(0u32..6)),
-                                rng.random_range(0.0..50.0),
-                            )
-                        })
+                        .map(|_| IndexId(rng.random_range(0u32..6)))
                         .collect();
                     let maintenance = (0..rng.random_range(0usize..2))
                         .map(|_| {
@@ -86,9 +82,10 @@ fn gen_batch(rng: &mut StdRng, size: usize) -> Vec<Observation> {
                         outcome: autoindex_storage::ExecOutcome {
                             latency_ms: rng.random_range(0.01..5.0),
                             features: autoindex_storage::CostFeatures::default(),
-                            indexes_used: Vec::new(),
+                            indexes_used: Default::default(),
                         },
                         delta: UsageDelta {
+                            saving,
                             scans,
                             maintenance,
                             growth: None,

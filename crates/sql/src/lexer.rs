@@ -305,7 +305,11 @@ impl<'a> Lexer<'a> {
     #[inline(always)]
     fn lex_number(&mut self, offset: usize) -> Result<TokenKind<'a>, SqlError> {
         let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+        // The integer value is built while its digits are scanned; `None`
+        // once it overflows `i64`, which falls back to the float path.
+        let mut int = Some(0i64);
+        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+            int = int.and_then(|v| v.checked_mul(10)?.checked_add(i64::from(c - b'0')));
             self.pos += 1;
         }
         let mut is_float = false;
@@ -338,9 +342,9 @@ impl<'a> Lexer<'a> {
                 .map_err(|e| bad_number(offset, "float", text, e))
         } else {
             // Fall back to float on i64 overflow rather than failing.
-            match text.parse::<i64>() {
-                Ok(v) => Ok(TokenKind::Int(v)),
-                Err(_) => text
+            match int {
+                Some(v) => Ok(TokenKind::Int(v)),
+                None => text
                     .parse::<f64>()
                     .map(TokenKind::Float)
                     .map_err(|e| bad_number(offset, "numeric", text, e)),
@@ -542,6 +546,34 @@ mod tests {
                 "Eof"
             ]
         );
+    }
+
+    /// Integers are built digit by digit while they are scanned: the value
+    /// `str::parse` reads from the number's text, `i64` while it fits and
+    /// the float path past that.
+    #[test]
+    fn integers_read_as_str_parse_reads_them() {
+        let max = i64::MAX.to_string();
+        let over = "9223372036854775808"; // i64::MAX + 1
+        let cases = [
+            ("0", "0"),
+            ("007", "007"),
+            (max.as_str(), max.as_str()),
+            (over, over),
+            ("1e3", "1e3"),
+            ("1.5", "1.5"),
+            ("3e", "3"), // an exponent without digits is not part of it
+        ];
+        for (sql, number) in cases {
+            let want = match number.parse::<i64>() {
+                Ok(v) => TokenKind::Int(v),
+                Err(_) => TokenKind::Float(number.parse::<f64>().unwrap()),
+            };
+            let got = tokens(sql).unwrap()[0].kind;
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+        }
+        assert!(matches!(tokens(over).unwrap()[0].kind, TokenKind::Float(_)));
+        assert_eq!(kinds("3e")[1], r#"Ident("e")"#);
     }
 
     #[test]

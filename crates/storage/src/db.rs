@@ -20,7 +20,7 @@
 
 use crate::catalog::Catalog;
 use crate::fault::{BuildRoll, ExecRoll, FaultKind, FaultPlan, WhatifRoll};
-use crate::index::{geometry, IndexConfig, IndexDef, IndexGeometry, IndexId};
+use crate::index::{geometry, IndexConfig, IndexDef, IndexGeometry, IndexId, IndexList};
 use crate::planner::{
     with_scratch, AccessPath, CostFeatures, CostParams, IndexView, JoinStrategy, PlanSummary,
     Planned, Planner, PreparedPlan, TrueCostWeights, VisibleIndex,
@@ -70,7 +70,7 @@ impl Default for SimDbConfig {
     }
 }
 
-/// Result of executing one statement.
+/// Result of executing one statement: nothing on the heap of its own.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
     /// Simulated measured latency in milliseconds.
@@ -78,7 +78,7 @@ pub struct ExecOutcome {
     /// The §V cost features of the executed plan.
     pub features: CostFeatures,
     /// Indexes used on the read side.
-    pub indexes_used: Vec<IndexId>,
+    pub indexes_used: IndexList,
 }
 
 /// Aggregate measurement over a workload run.
@@ -202,18 +202,20 @@ impl DbMetricHandles {
         }
     }
 
-    /// Tally the counters a plan's totals feed: `planner.sort_elided`,
-    /// `planner.covering_scans` and `planner.join.*`.
-    fn tally_totals(&self, joins: &[JoinStrategy], sort_elided: u32, covering_scans: u32) {
+    /// Tally the `planner.join.*` counters for one join step.
+    fn tally_join(&self, j: &JoinStrategy) {
+        match j {
+            JoinStrategy::Hash => self.join_hash.incr(),
+            JoinStrategy::IndexNestedLoop(_) => self.join_index_nl.incr(),
+            JoinStrategy::NestedLoop => self.join_nested_loop.incr(),
+        }
+    }
+
+    /// Tally the counters a plan's totals feed: `planner.sort_elided` and
+    /// `planner.covering_scans`.
+    fn tally_totals(&self, sort_elided: u32, covering_scans: u32) {
         self.plan_sort_elided.add(sort_elided as u64);
         self.plan_covering_scans.add(covering_scans as u64);
-        for j in joins {
-            match j {
-                JoinStrategy::Hash => self.join_hash.incr(),
-                JoinStrategy::IndexNestedLoop(_) => self.join_index_nl.incr(),
-                JoinStrategy::NestedLoop => self.join_nested_loop.incr(),
-            }
-        }
     }
 }
 
@@ -558,8 +560,10 @@ impl SimDb {
         self.obs.whatif_calls.incr();
         self.obs.whatif_cost_total.add(plan.features.native_cost());
         plan.paths.iter().for_each(|p| self.obs.tally_path(p));
-        self.obs
-            .tally_totals(&plan.join_strategies, plan.sort_elided, plan.covering_scans);
+        plan.join_strategies
+            .iter()
+            .for_each(|j| self.obs.tally_join(j));
+        self.obs.tally_totals(plan.sort_elided, plan.covering_scans);
         plan
     }
 
@@ -708,6 +712,7 @@ impl SimDb {
     ) -> ExecOutcome {
         let obs = &self.obs;
         let each = |path: AccessPath| obs.tally_path(&path);
+        let join = |j: JoinStrategy| obs.tally_join(&j);
         let (plan, delta) = match template {
             None => plan_execution(
                 &self.catalog,
@@ -715,6 +720,7 @@ impl SimDb {
                 &self.view,
                 shape,
                 each,
+                join,
             ),
             Some(template) => {
                 let kept = self.plans.entry(template).or_default();
@@ -727,10 +733,10 @@ impl SimDb {
                     kept.current = true;
                     obs.prepared.incr();
                 }
-                priced_execution(&kept.plan, shape, each)
+                priced_execution(&kept.plan, shape, each, join)
             }
         };
-        obs.tally_totals(&plan.join_strategies, plan.sort_elided, plan.covering_scans);
+        obs.tally_totals(plan.sort_elided, plan.covering_scans);
         self.absorb(&delta);
         let noise = lognormal(&mut self.rng, self.config.noise);
         measured(
@@ -872,12 +878,14 @@ impl DbSnapshot {
     /// database's sequential stream — the price of worker-count
     /// independence.
     pub fn execute_shape_at(&self, shape: &QueryShape, seq: u64) -> (ExecOutcome, UsageDelta) {
-        // No path report is kept, so what this allocates is what it returns.
+        // No path report is kept: this allocates nothing once the thread's
+        // scratch plan has grown to the statement.
         let (plan, delta) = plan_execution(
             &self.catalog,
             &self.config.cost_params,
             &self.view,
             shape,
+            drop,
             drop,
         );
         (self.measured_at(plan, seq), delta)
@@ -902,7 +910,7 @@ impl DbSnapshot {
         shape: &QueryShape,
         seq: u64,
     ) -> (ExecOutcome, UsageDelta) {
-        let (plan, delta) = priced_execution(plan, shape, drop);
+        let (plan, delta) = priced_execution(plan, shape, drop, drop);
         (self.measured_at(plan, seq), delta)
     }
 
@@ -923,31 +931,35 @@ fn plan_execution(
     view: &IndexView,
     shape: &QueryShape,
     each: impl FnMut(AccessPath),
+    join: impl FnMut(JoinStrategy),
 ) -> (Planned, UsageDelta) {
     with_scratch(|prepared| {
         Planner::new(catalog, params).prepare_into(prepared, shape, view);
-        priced_execution(prepared, shape, each)
+        priced_execution(prepared, shape, each, join)
     })
 }
 
 /// Price `shape` through `prepared` (each table's chosen path goes to
-/// `each`, the totals come back) and build the statement's detached side
-/// effects — a read-side credit for every index used (the plan's native
-/// cost against the no-index baseline priced on the way, shared evenly),
-/// the plan's maintenance list (moved out of the returned totals) and an
-/// INSERT's growth. Touches nothing: the live database absorbs the delta
-/// at once, a snapshot's owner later.
+/// `each`, each join step to `join`, the totals come back) and build the
+/// statement's detached side effects — a read-side credit for every index
+/// used (the plan's native cost against the no-index baseline priced on
+/// the way, shared evenly), the plan's maintenance charges (moved out of
+/// the returned totals) and an INSERT's growth. Touches nothing: the live
+/// database absorbs the delta at once, a snapshot's owner later. Allocates
+/// nothing: the index list is copied inline, the charges and the grown
+/// table's name are shared.
 fn priced_execution(
     prepared: &PreparedPlan,
     shape: &QueryShape,
     each: impl FnMut(AccessPath),
+    join: impl FnMut(JoinStrategy),
 ) -> (Planned, UsageDelta) {
-    let (mut plan, baseline) = prepared.price(shape, each);
+    let (mut plan, baseline) = prepared.price(shape, each, join);
     let mut delta = UsageDelta::default();
     if !plan.indexes_used.is_empty() {
-        let saving =
+        delta.saving =
             (baseline - plan.features.native_cost()).max(0.0) / plan.indexes_used.len() as f64;
-        delta.scans = plan.indexes_used.iter().map(|id| (*id, saving)).collect();
+        delta.scans = plan.indexes_used.clone();
     }
     delta.maintenance = std::mem::take(&mut plan.maintenance);
     delta.growth = prepared.growth();
@@ -1069,7 +1081,7 @@ mod tests {
         let mut db = db();
         let id = db.create_index(IndexDef::new("t", &["a"])).unwrap();
         let o = db.execute(&stmt("SELECT * FROM t WHERE a = 5"));
-        assert_eq!(o.indexes_used, vec![id]);
+        assert_eq!(*o.indexes_used, [id]);
         assert!(db.usage().usage(id).scans == 1);
         assert!(db.usage().usage(id).benefit > 0.0);
     }
@@ -1293,9 +1305,9 @@ mod tests {
         let (o, delta) = snap.execute_shape_at(&shape, 17);
         let live = db.execute_shape(&shape);
         assert_eq!(o.latency_ms, live.latency_ms);
-        assert_eq!(o.indexes_used, vec![id]);
+        assert_eq!(*o.indexes_used, [id]);
         assert_eq!(delta.scans.len(), 1);
-        assert_eq!(delta.scans[0].0, id);
+        assert_eq!(delta.scans[0], id);
     }
 
     #[test]

@@ -27,6 +27,106 @@ impl std::fmt::Display for IndexId {
     }
 }
 
+/// A short list of index ids — the indexes one plan used — that holds its
+/// first [`IndexList::INLINE`] ids in place and moves once to a heap
+/// vector beyond that: building and dropping the list of a statement
+/// served by a few indexes allocates nothing. It is the size of a `Vec`
+/// and reads as `&[IndexId]`.
+#[derive(Clone)]
+pub struct IndexList(Ids);
+
+#[derive(Clone)]
+enum Ids {
+    Inline {
+        len: u8,
+        ids: [IndexId; IndexList::INLINE],
+    },
+    Spilled(Vec<IndexId>),
+}
+
+impl IndexList {
+    /// Ids held without a heap allocation.
+    pub const INLINE: usize = 3;
+
+    /// An empty list.
+    pub const fn new() -> Self {
+        IndexList(Ids::Inline {
+            len: 0,
+            ids: [IndexId(0); Self::INLINE],
+        })
+    }
+
+    /// Append `id`.
+    pub fn push(&mut self, id: IndexId) {
+        match &mut self.0 {
+            Ids::Inline { len, ids } if usize::from(*len) < Self::INLINE => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            Ids::Inline { ids, .. } => {
+                let mut spilled = Vec::with_capacity(2 * Self::INLINE);
+                spilled.extend_from_slice(ids);
+                spilled.push(id);
+                self.0 = Ids::Spilled(spilled);
+            }
+            Ids::Spilled(spilled) => spilled.push(id),
+        }
+    }
+}
+
+impl Default for IndexList {
+    fn default() -> Self {
+        IndexList::new()
+    }
+}
+
+impl std::ops::Deref for IndexList {
+    type Target = [IndexId];
+
+    fn deref(&self) -> &[IndexId] {
+        match &self.0 {
+            Ids::Inline { len, ids } => &ids[..usize::from(*len)],
+            Ids::Spilled(spilled) => spilled,
+        }
+    }
+}
+
+impl Extend<IndexId> for IndexList {
+    fn extend<I: IntoIterator<Item = IndexId>>(&mut self, iter: I) {
+        iter.into_iter().for_each(|id| self.push(id));
+    }
+}
+
+impl FromIterator<IndexId> for IndexList {
+    fn from_iter<I: IntoIterator<Item = IndexId>>(iter: I) -> Self {
+        let mut list = IndexList::new();
+        list.extend(iter);
+        list
+    }
+}
+
+impl<'l> IntoIterator for &'l IndexList {
+    type Item = &'l IndexId;
+    type IntoIter = std::slice::Iter<'l, IndexId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for IndexList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// As the slice: `[IndexId(1), IndexId(4)]`.
+impl std::fmt::Debug for IndexList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// GLOBAL vs LOCAL index on a partitioned table (§III): a global index is
 /// one tree over all partitions — fast lookups, more space; a local index
 /// is one small tree per partition — less space, but a lookup that cannot
@@ -372,6 +472,55 @@ impl MaintenanceTerms {
         let pages = n_rows_f * self.pages_per_row;
         let io = pages * params.seq_page_cost;
         MaintenanceCost { io, cpu }
+    }
+}
+
+/// A prepared plan's write-side maintenance, shared behind an `Arc` with
+/// every [`crate::usage::Maintenance`] priced through the plan: an
+/// `INSERT`'s finished list, or per index an `UPDATE` maintains its terms
+/// and the factor on them (2.0 when a key column is set, else 0.1).
+#[derive(Debug, Default)]
+pub(crate) struct WriteMaintenance {
+    pub(crate) params: CostParams,
+    pub(crate) inserted: Vec<(IndexId, MaintenanceCost)>,
+    pub(crate) updated: Vec<(IndexId, MaintenanceTerms, f64)>,
+}
+
+impl WriteMaintenance {
+    /// Whether the write maintains no index.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of maintained indexes (of charges, at most).
+    pub(crate) fn len(&self) -> usize {
+        self.inserted.len() + self.updated.len()
+    }
+
+    /// Empty, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.inserted.clear();
+        self.updated.clear();
+    }
+
+    /// Each maintained index's charge for a write of `affected` rows, in
+    /// the index set's order: an `INSERT`'s as prepared, an `UPDATE`'s
+    /// terms priced at `affected` rows times the factor — the one place
+    /// they are, so the planner's totals and the usage counters read the
+    /// same bits — with the zero charges left out.
+    pub(crate) fn charges(
+        &self,
+        affected: u64,
+    ) -> impl Iterator<Item = (IndexId, MaintenanceCost)> + '_ {
+        let updated = self.updated.iter().filter_map(move |(id, terms, factor)| {
+            let m = terms.cost(affected, &self.params);
+            let m = MaintenanceCost {
+                io: m.io * factor,
+                cpu: m.cpu * factor,
+            };
+            (m.total() > 0.0).then_some((*id, m))
+        });
+        self.inserted.iter().copied().chain(updated)
     }
 }
 

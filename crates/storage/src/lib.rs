@@ -59,11 +59,13 @@ pub use catalog::{Catalog, Column, ColumnStats, ColumnType, Table, TableBuilder}
 pub use db::{DbSnapshot, ExecOutcome, PressureModel, SimDb, SimDbConfig, WorkloadMeasurement};
 pub use fault::{FaultKind, FaultPlan, FaultPlanConfig};
 pub use histogram::Histogram;
-pub use index::{IndexConfig, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost};
+pub use index::{
+    IndexConfig, IndexDef, IndexGeometry, IndexId, IndexList, IndexScope, MaintenanceCost,
+};
 pub use planner::{AccessPath, CostFeatures, CostParams, PlanSummary, Planner, PreparedPlan};
 pub use selectivity::{atom_selectivity, conjunct_selectivity, DEFAULT_EQ_SEL, DEFAULT_RANGE_SEL};
 pub use shape::{QueryShape, SelTrace, SelTree, TableAtoms, WriteKind, WriteShape};
-pub use usage::{IndexUsage, UsageDelta, UsageTracker};
+pub use usage::{IndexUsage, Maintenance, UsageDelta, UsageTracker};
 
 /// Errors surfaced by the storage substrate.
 #[derive(Debug, Clone, PartialEq)]

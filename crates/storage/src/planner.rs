@@ -18,11 +18,12 @@
 
 use crate::catalog::{Catalog, Table};
 use crate::index::{
-    geometry, maintenance_cost, IndexDef, IndexGeometry, IndexId, IndexScope, MaintenanceCost,
-    MaintenanceTerms,
+    geometry, maintenance_cost, IndexDef, IndexGeometry, IndexId, IndexList, IndexScope,
+    MaintenanceCost, MaintenanceTerms, WriteMaintenance,
 };
 use crate::selectivity::{atom_selectivity_at, combined_selectivity};
 use crate::shape::{QueryShape, TableAtoms, WriteKind};
+use crate::usage::Maintenance;
 use autoindex_sql::predicate::AtomicPredicate;
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -143,7 +144,7 @@ pub struct AccessPath {
     pub index: Option<IndexId>,
     /// Additional indexes combined in a BitmapOr path (one per OR arm
     /// beyond the first; empty for plain scans).
-    pub bitmap_indexes: Vec<IndexId>,
+    pub bitmap_indexes: IndexList,
     /// Selectivity of the index-matched prefix (1.0 for seq scans).
     pub matched_sel: f64,
     /// Estimated output rows after all filters.
@@ -425,20 +426,44 @@ impl IndexSet for IndexView {
     }
 }
 
-/// What pricing a plan returns: a [`PlanSummary`] without its paths (those
-/// went to the caller's closure). Fields as there.
+/// What pricing a plan returns: a [`PlanSummary`] without its paths and
+/// join steps (those went to the caller's closures), holding nothing on
+/// the heap of its own: the used indexes sit inline, the maintenance
+/// charges are the plan's, shared. Fields as there.
 pub(crate) struct Planned {
-    pub(crate) join_strategies: Vec<JoinStrategy>,
     pub(crate) sort_cost: f64,
-    pub(crate) maintenance: Vec<(IndexId, MaintenanceCost)>,
-    pub(crate) indexes_used: Vec<IndexId>,
+    pub(crate) maintenance: Maintenance,
+    pub(crate) indexes_used: IndexList,
     pub(crate) features: CostFeatures,
     pub(crate) sort_elided: u32,
     pub(crate) covering_scans: u32,
 }
 
+/// Tables or matched atoms a statement prices on the stack; one with more
+/// spills its scratch to the heap ([`scratch`]).
+const INLINE: usize = 16;
+
+/// `n` values of pricing's per-statement scratch: the first `n` of
+/// `inline` (which the caller filled with `fill`) when they fit, else
+/// `spill`, filled.
+fn scratch<'s, T: Copy>(
+    inline: &'s mut [T; INLINE],
+    spill: &'s mut Vec<T>,
+    n: usize,
+    fill: T,
+) -> &'s mut [T] {
+    match inline.get_mut(..n) {
+        Some(values) => values,
+        None => {
+            spill.resize(n, fill);
+            spill
+        }
+    }
+}
+
 /// What join planning reads of a table's chosen access path, and of the
 /// sequential scan the no-index baseline joins instead.
+#[derive(Clone, Copy, Default)]
 struct Scanned {
     rows_out: f64,
     cost: f64,
@@ -679,11 +704,11 @@ pub struct PreparedPlan {
     edges: Vec<PreparedEdge>,
     lookups: Vec<PreparedLookup>,
     write: Option<PreparedWrite>,
-    /// `INSERT`: the finished maintenance list.
-    inserted: Vec<(IndexId, MaintenanceCost)>,
-    /// `UPDATE`: per index on the written table its maintenance terms and
-    /// the factor on them (2.0 when a key column is set, else 0.1).
-    updated: Vec<(IndexId, MaintenanceTerms, f64)>,
+    /// The write side's per-index maintenance, shared with every
+    /// [`Maintenance`] priced through this plan: made by the first write
+    /// prepared into this storage that maintains an index, and reused by
+    /// the next preparation unless a delta still reads it.
+    maintenance: Option<Arc<WriteMaintenance>>,
 }
 
 thread_local! {
@@ -693,9 +718,9 @@ thread_local! {
 
 /// Run `f` over this thread's reusable [`PreparedPlan`] storage: what
 /// `prepare` + `price` back to back fill and read, so planning a statement
-/// nobody keeps a plan for allocates what it returns and nothing else. The
-/// storage holds no table once `f` returns. (A call from inside `f` gets
-/// fresh storage.)
+/// nobody keeps a plan for allocates nothing once the storage has grown to
+/// it (save a write side a delta still holds). The storage holds no table
+/// once `f` returns. (A call from inside `f` gets fresh storage.)
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut PreparedPlan) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut plan) => {
@@ -721,8 +746,10 @@ impl<'a> Planner<'a> {
     /// Plan `shape` under `indexes` and return the summary.
     pub fn plan_over<S: IndexSet + ?Sized>(&self, shape: &QueryShape, indexes: &S) -> PlanSummary {
         let mut paths = Vec::with_capacity(shape.tables.len());
-        let (planned, _) = self.plan_each(shape, indexes, |path| paths.push(path));
-        planned.summary(paths)
+        let mut joins = Vec::new();
+        let (planned, _) =
+            self.plan_each(shape, indexes, |path| paths.push(path), |j| joins.push(j));
+        planned.summary(paths, joins)
     }
 
     /// Native cost of `shape` with no index at all — the baseline an
@@ -732,7 +759,7 @@ impl<'a> Planner<'a> {
     /// ([`PreparedPlan::plan`]); this is the reference that is tested
     /// against.
     pub fn unindexed_cost(&self, shape: &QueryShape) -> f64 {
-        self.plan_each(shape, &IndexView::default(), drop)
+        self.plan_each(shape, &IndexView::default(), drop, drop)
             .0
             .features
             .native_cost()
@@ -742,17 +769,18 @@ impl<'a> Planner<'a> {
     /// [`Planner::prepare_into`] this thread's scratch storage, then
     /// [`PreparedPlan::price`]. Returns the totals and the no-index
     /// baseline; each table's chosen path goes to `each` in `shape.tables`
-    /// order. Allocates only what [`Planned`] returns, plus a few words
-    /// per table when there is a join to order.
+    /// order, each join step to `join`. Allocates nothing once the scratch
+    /// storage has grown to the statement.
     pub(crate) fn plan_each<S: IndexSet + ?Sized>(
         &self,
         shape: &QueryShape,
         indexes: &S,
         each: impl FnMut(AccessPath),
+        join: impl FnMut(JoinStrategy),
     ) -> (Planned, f64) {
         with_scratch(|plan| {
             self.prepare_into(plan, shape, indexes);
-            plan.price(shape, each)
+            plan.price(shape, each, join)
         })
     }
 
@@ -782,8 +810,11 @@ impl<'a> Planner<'a> {
         plan.arms.clear();
         plan.edges.clear();
         plan.lookups.clear();
-        plan.inserted.clear();
-        plan.updated.clear();
+        match plan.maintenance.as_mut().and_then(Arc::get_mut) {
+            Some(write) => write.clear(),
+            // A delta priced through the last preparation still reads it.
+            None => plan.maintenance = None,
+        }
 
         for (ti, t) in shape.tables.iter().enumerate() {
             // A pure INSERT touches its target table without reading it.
@@ -1089,20 +1120,41 @@ impl<'a> Planner<'a> {
             inserted_io: 0.0,
             inserted_cpu: 0.0,
         };
+        if w.kind == WriteKind::Insert {
+            let name = match self.catalog.shared_table(&w.table) {
+                Some((name, _)) => Arc::clone(name),
+                None => w.table.as_str().into(),
+            };
+            write.grows = Some(name);
+        }
+        let n = indexes.on_table(&w.table).count();
+        if w.kind == WriteKind::Delete || n == 0 {
+            return write;
+        }
+        if plan.maintenance.as_mut().and_then(Arc::get_mut).is_none() {
+            // Sized to the table's indexes: a delta may hold it for an epoch.
+            let mut fresh = WriteMaintenance::default();
+            match w.kind {
+                WriteKind::Insert => fresh.inserted.reserve_exact(n),
+                _ => fresh.updated.reserve_exact(n),
+            }
+            plan.maintenance = Some(Arc::new(fresh));
+        }
+        let maintained = plan
+            .maintenance
+            .as_mut()
+            .and_then(Arc::get_mut)
+            .expect("unshared");
+        maintained.params = self.params.clone();
         match w.kind {
             WriteKind::Delete => {}
             WriteKind::Insert => {
-                let name = match self.catalog.shared_table(&w.table) {
-                    Some((name, _)) => Arc::clone(name),
-                    None => w.table.as_str().into(),
-                };
-                write.grows = Some(name);
                 for vi in indexes.on_table(&w.table) {
                     let m = maintenance_cost(&vi.geo, w.inserted_rows, self.params);
                     if m.total() > 0.0 {
                         write.inserted_io += m.io;
                         write.inserted_cpu += m.cpu;
-                        plan.inserted.push((vi.id, m));
+                        maintained.inserted.push((vi.id, m));
                     }
                 }
             }
@@ -1114,7 +1166,7 @@ impl<'a> Planner<'a> {
                     // cost is greatly reduced", §V Remark) — small residual.
                     let factor = if touches_key { 2.0 } else { 0.1 };
                     let terms = MaintenanceTerms::of(&vi.geo, self.params);
-                    plan.updated.push((vi.id, terms, factor));
+                    maintained.updated.push((vi.id, terms, factor));
                 }
             }
         }
@@ -1252,13 +1304,13 @@ impl<'a> Planner<'a> {
 }
 
 impl Planned {
-    fn summary(self, paths: Vec<AccessPath>) -> PlanSummary {
+    fn summary(self, paths: Vec<AccessPath>, join_strategies: Vec<JoinStrategy>) -> PlanSummary {
         PlanSummary {
             paths,
-            join_strategies: self.join_strategies,
+            join_strategies,
             sort_cost: self.sort_cost,
-            maintenance: self.maintenance,
-            indexes_used: self.indexes_used,
+            maintenance: self.maintenance.to_vec(),
+            indexes_used: self.indexes_used.to_vec(),
             features: self.features,
             sort_elided: self.sort_elided,
             covering_scans: self.covering_scans,
@@ -1272,7 +1324,7 @@ impl Planned {
 fn seq_path(matched_sel: f64, rows_out: f64, cost: f64) -> AccessPath {
     AccessPath {
         index: None,
-        bitmap_indexes: Vec::new(),
+        bitmap_indexes: IndexList::new(),
         matched_sel,
         rows_out,
         cost,
@@ -1373,34 +1425,29 @@ impl PreparedPlan {
     /// plan's saving is credited against.
     pub fn plan(&self, shape: &QueryShape) -> (PlanSummary, f64) {
         let mut paths = Vec::with_capacity(shape.tables.len());
-        let (planned, baseline) = self.price(shape, |path| paths.push(path));
-        (planned.summary(paths), baseline)
+        let mut joins = Vec::new();
+        let (planned, baseline) = self.price(shape, |path| paths.push(path), |j| joins.push(j));
+        (planned.summary(paths, joins), baseline)
     }
 
     /// Price `shape` through this plan: choose every table's access path,
     /// handing each to `each` in `shape.tables` order — to keep or not
-    /// (execution is priced by the totals alone) — then joins, sort and
-    /// the write side; and, from the sequential arms priced on the way,
-    /// the no-index baseline. Reads of `shape` only `filter_sel`, the
-    /// prepared atoms' values and `limit`.
+    /// (execution is priced by the totals alone) — then joins (each step
+    /// to `join`), sort and the write side; and, from the sequential arms
+    /// priced on the way, the no-index baseline. Reads of `shape` only
+    /// `filter_sel`, the prepared atoms' values and `limit`. Allocates
+    /// nothing unless the statement outgrows [`INLINE`] or a plan uses more
+    /// than [`IndexList::INLINE`] indexes.
     pub(crate) fn price(
         &self,
         shape: &QueryShape,
         mut each: impl FnMut(AccessPath),
+        join: impl FnMut(JoinStrategy),
     ) -> (Planned, f64) {
         debug_assert!(self.fits(shape), "a shape of another structure");
-        // One selectivity per prepared atom, on the stack: a statement with
-        // more matched atoms than this is rare enough to spill.
-        const INLINE: usize = 16;
-        let mut inline = [0.0; INLINE];
-        let mut spill = Vec::new();
-        let sels = match inline.get_mut(..self.atoms.len()) {
-            Some(sels) => sels,
-            None => {
-                spill.resize(self.atoms.len(), 0.0);
-                &mut spill[..]
-            }
-        };
+        // One selectivity per prepared atom, on the stack.
+        let (mut inline, mut spill) = ([0.0; INLINE], Vec::new());
+        let sels = scratch(&mut inline, &mut spill, self.atoms.len(), 0.0);
         for (sel, a) in sels.iter_mut().zip(&self.atoms) {
             let t = &self.tables[a.table as usize];
             let table = t
@@ -1418,15 +1465,17 @@ impl PreparedPlan {
         // one: its data cost, and the sort it pays.
         let mut base_data = 0.0;
         let mut base_sort = 0.0;
-        let mut used = Vec::new();
+        let mut used = IndexList::new();
         let mut sort_cost = 0.0;
         let mut sort_elided = 0u32;
         let mut covering_scans = 0u32;
         let joining = self.tables.len() > 1;
-        let mut scans = Vec::with_capacity(if joining { self.tables.len() } else { 0 });
+        let (mut inline, mut spill) = ([Scanned::default(); INLINE], Vec::new());
+        let n = if joining { self.tables.len() } else { 0 };
+        let scans = scratch(&mut inline, &mut spill, n, Scanned::default());
 
         // ---- access paths ------------------------------------------------
-        for (prepared, t) in self.tables.iter().zip(&shape.tables) {
+        for (ti, (prepared, t)) in self.tables.iter().zip(&shape.tables).enumerate() {
             let (path, seq_cost) = match prepared.scan {
                 Scan::InsertOnly => (seq_path(0.0, 0.0, 0.0), 0.0),
                 // Unknown table: tiny constant cost, seq scan.
@@ -1456,18 +1505,17 @@ impl PreparedPlan {
             }
             covering_scans += u32::from(path.covering);
             if joining {
-                scans.push(Scanned {
+                scans[ti] = Scanned {
                     rows_out: path.rows_out,
                     cost: path.cost,
                     seq_cost,
-                });
+                };
             }
             each(path);
         }
 
         // ---- joins, then the sort -----------------------------------------
-        let (join_cost, base_join, join_strategies) =
-            self.price_joins(shape, &scans, sels, &mut used);
+        let (join_cost, base_join) = self.price_joins(shape, scans, sels, &mut used, join);
         features.c_data += join_cost;
         features.c_data += sort_cost;
         features.c_sort = sort_cost;
@@ -1475,7 +1523,7 @@ impl PreparedPlan {
         base_data += base_sort;
 
         // ---- write side ----------------------------------------------------
-        let mut maintenance = Vec::new();
+        let mut maintenance = Maintenance::default();
         if let Some(w) = &self.write {
             let affected = match w.affected {
                 Affected::Inserted(rows) => rows,
@@ -1492,28 +1540,20 @@ impl PreparedPlan {
                 WriteKind::Insert => {
                     features.c_io = w.inserted_io;
                     features.c_cpu = w.inserted_cpu;
-                    maintenance = self.inserted.clone();
                 }
                 WriteKind::Update => {
-                    maintenance.reserve_exact(self.updated.len());
-                    for (id, terms, factor) in &self.updated {
-                        let m = terms.cost(affected, &self.params);
-                        let m = MaintenanceCost {
-                            io: m.io * factor,
-                            cpu: m.cpu * factor,
-                        };
-                        if m.total() > 0.0 {
-                            features.c_io += m.io;
-                            features.c_cpu += m.cpu;
-                            maintenance.push((*id, m));
-                        }
+                    for (_, m) in self.maintenance.iter().flat_map(|w| w.charges(affected)) {
+                        features.c_io += m.io;
+                        features.c_cpu += m.cpu;
                     }
                 }
+            }
+            if let Some(write) = &self.maintenance {
+                maintenance = Maintenance::shared(write, affected);
             }
         }
 
         let planned = Planned {
-            join_strategies,
             sort_cost,
             maintenance,
             indexes_used: used,
@@ -1605,7 +1645,7 @@ impl PreparedPlan {
             {
                 best = AccessPath {
                     index: Some(path.id),
-                    bitmap_indexes: Vec::new(),
+                    bitmap_indexes: IndexList::new(),
                     matched_sel: sel,
                     rows_out,
                     cost,
@@ -1644,11 +1684,11 @@ impl PreparedPlan {
         t: &TableAtoms,
         groups: &Range<u32>,
         sels: &[f64],
-    ) -> Option<(f64, f64, IndexId, Vec<IndexId>)> {
+    ) -> Option<(f64, f64, IndexId, IndexList)> {
         let p = &self.params;
         let rows = prepared.rows;
         let mut first = None;
-        let mut rest = Vec::new();
+        let mut rest = IndexList::new();
         let mut probe_cost = 0.0;
         for arms in &self.arm_groups[groups.start as usize..groups.end as usize] {
             // Cheapest index probe serving this arm.
@@ -1679,23 +1719,23 @@ impl PreparedPlan {
 
     /// Plan all joins left-deep in table order, for the chosen paths and —
     /// same order, hash joins only — for the no-index baseline's
-    /// sequential scans; returns `(cost, baseline cost, strategies)` and
-    /// appends the inner indexes used to `used`.
+    /// sequential scans; returns `(cost, baseline cost)`, hands each step
+    /// to `join` and appends the inner indexes used to `used`.
     fn price_joins(
         &self,
         shape: &QueryShape,
         scans: &[Scanned],
         sels: &[f64],
-        used: &mut Vec<IndexId>,
-    ) -> (f64, f64, Vec<JoinStrategy>) {
+        used: &mut IndexList,
+        mut join: impl FnMut(JoinStrategy),
+    ) -> (f64, f64) {
         let p = &self.params;
         let n = self.tables.len();
         if n < 2 {
-            return (0.0, 0.0, Vec::new());
+            return (0.0, 0.0);
         }
         let mut cost = 0.0;
         let mut base_cost = 0.0;
-        let mut strategies = Vec::new();
 
         // Greedy join ordering: start from the smallest filtered relation,
         // then repeatedly pick the connected relation with the fewest
@@ -1703,40 +1743,45 @@ impl PreparedPlan {
         // one). This is the standard heuristic real optimizers approximate
         // and is what lets a tiny filtered dimension drive a nested loop
         // into a big fact table.
-        let mut remaining: Vec<usize> = (0..n).collect();
-        remaining.sort_by(|&a, &b| {
+        let (mut inline, mut spill) = ([0; INLINE], Vec::new());
+        let order = scratch(&mut inline, &mut spill, n, 0);
+        order.iter_mut().enumerate().for_each(|(k, i)| *i = k);
+        order.sort_by(|&a, &b| {
             scans[a]
                 .rows_out
                 .partial_cmp(&scans[b].rows_out)
                 .expect("rows_out is never NaN")
         });
+        let order = &*order;
         // Start from the most selective *filtered* relation: an unfiltered
         // tiny dimension (e.g. a 5-row warehouse table) must not hijack the
         // driving position from a sharply filtered one, or the filter never
         // gets to seed the nested-loop chain.
-        let first_pos = remaining
+        let first = order
             .iter()
-            .position(|&i| {
+            .copied()
+            .find(|&i| {
                 let t = &shape.tables[i];
                 t.filter_sel < 0.99 || !t.conjuncts.is_empty()
             })
-            .unwrap_or(0);
-        let first = remaining.remove(first_pos);
+            .unwrap_or(order[0]);
         let mut acc_rows = scans[first].rows_out.max(1.0);
-        let mut joined = vec![false; n];
+        let (mut inline, mut spill) = ([false; INLINE], Vec::new());
+        let joined = scratch(&mut inline, &mut spill, n, false);
         joined[first] = true;
         let edges_of = |i: usize| {
             let run = &self.tables[i].edges;
             &self.edges[run.start as usize..run.end as usize]
         };
 
-        while !remaining.is_empty() {
-            // Prefer a connected relation (an edge into the joined set).
-            let pick_pos = remaining
-                .iter()
-                .position(|&i| edges_of(i).iter().any(|e| joined[e.other as usize]))
-                .unwrap_or(0);
-            let i = remaining.remove(pick_pos);
+        for _ in 1..n {
+            // The tables left, in `order`: prefer a connected relation (an
+            // edge into the joined set), else the first.
+            let mut left = order.iter().copied().filter(|&i| !joined[i]);
+            let first_left = left.clone().next().expect("a table is left");
+            let i = left
+                .find(|&i| edges_of(i).iter().any(|e| joined[e.other as usize]))
+                .unwrap_or(first_left);
             let scan = &scans[i];
             let inner_rows_out = scan.rows_out.max(1.0);
 
@@ -1768,12 +1813,12 @@ impl PreparedPlan {
                             // The inner's standalone scan is replaced by
                             // lookups; refund its path cost.
                             cost += c - scan.cost;
-                            strategies.push(JoinStrategy::IndexNestedLoop(id));
+                            join(JoinStrategy::IndexNestedLoop(id));
                             used.push(id);
                         }
                         _ => {
                             cost += hash_cost - scan.cost;
-                            strategies.push(JoinStrategy::Hash);
+                            join(JoinStrategy::Hash);
                         }
                     }
                     base_cost += hash(scan.seq_cost) - scan.seq_cost;
@@ -1785,13 +1830,13 @@ impl PreparedPlan {
                     let nested = acc_rows * inner_rows_out * p.cpu_operator_cost;
                     cost += nested;
                     base_cost += nested;
-                    strategies.push(JoinStrategy::NestedLoop);
+                    join(JoinStrategy::NestedLoop);
                     acc_rows = (acc_rows * inner_rows_out).min(1e12);
                 }
             }
             joined[i] = true;
         }
-        (cost, base_cost, strategies)
+        (cost, base_cost)
     }
 
     /// Cheapest per-lookup index seek through `edge`. Returns (index id,

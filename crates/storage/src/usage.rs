@@ -6,8 +6,8 @@
 //! *negative* (maintenance exceeding benefit). This tracker is the
 //! simulator's equivalent, fed by every executed plan.
 
-use crate::index::{IndexId, MaintenanceCost};
-use std::collections::HashMap;
+use crate::index::{IndexId, IndexList, MaintenanceCost, WriteMaintenance};
+use autoindex_support::hash::U64HashMap;
 use std::sync::Arc;
 
 /// Counters for one index.
@@ -40,14 +40,19 @@ impl IndexUsage {
 /// thread applies them via [`UsageTracker::apply_delta`] after a
 /// logical-clock merge, so the merged counters are independent of worker
 /// count and scheduling.
+///
+/// Executing a statement builds one without a heap allocation: the used
+/// indexes sit inline and the maintenance charges are the plan's own,
+/// shared.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UsageDelta {
-    /// `(index, saving)` read-side credits — one entry per index the plan
-    /// used.
-    pub scans: Vec<(IndexId, f64)>,
-    /// `(index, cost)` maintenance charges — one entry per maintained
-    /// index: the plan's own list, moved here.
-    pub maintenance: Vec<(IndexId, MaintenanceCost)>,
+    /// The read-side credit of each index in `scans`: the plan's saving
+    /// against the no-index baseline, shared evenly.
+    pub saving: f64,
+    /// The indexes the plan used on the read side, each credited `saving`.
+    pub scans: IndexList,
+    /// `(index, cost)` maintenance charges — one per maintained index.
+    pub maintenance: Maintenance,
     /// `(table, rows)` catalog growth caused by an INSERT, if any. The name
     /// is the catalog's own copy, shared: an executed INSERT allocates
     /// nothing for it.
@@ -61,10 +66,75 @@ impl UsageDelta {
     }
 }
 
+/// One statement's `(index, cost)` maintenance charges. Executed, they are
+/// its plan's write side, shared, and the rows the statement wrote: each
+/// charge is priced when read, exactly as the plan priced it, so carrying
+/// them costs a reference count however many indexes the table has.
+#[derive(Clone, Default)]
+pub struct Maintenance(Option<(Arc<WriteMaintenance>, u64)>);
+
+impl Maintenance {
+    /// The charges of a write of `affected` rows through `write` (none when
+    /// it maintains no index).
+    pub(crate) fn shared(write: &Arc<WriteMaintenance>, affected: u64) -> Self {
+        Maintenance((!write.is_empty()).then(|| (Arc::clone(write), affected)))
+    }
+
+    /// The charges, in the plan's index order.
+    pub fn iter(&self) -> impl Iterator<Item = (IndexId, MaintenanceCost)> + '_ {
+        self.0
+            .iter()
+            .flat_map(|(write, affected)| write.charges(*affected))
+    }
+
+    /// Whether no index is charged.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// Number of charged indexes.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// The charges as a list.
+    pub fn to_vec(&self) -> Vec<(IndexId, MaintenanceCost)> {
+        let most = self.0.as_ref().map_or(0, |(write, _)| write.len());
+        let mut charges = Vec::with_capacity(most);
+        charges.extend(self.iter());
+        charges
+    }
+}
+
+/// A fixed list of charges, held as given.
+impl FromIterator<(IndexId, MaintenanceCost)> for Maintenance {
+    fn from_iter<I: IntoIterator<Item = (IndexId, MaintenanceCost)>>(iter: I) -> Self {
+        let write = WriteMaintenance {
+            inserted: iter.into_iter().collect(),
+            ..WriteMaintenance::default()
+        };
+        Maintenance((!write.is_empty()).then(|| (Arc::new(write), 0)))
+    }
+}
+
+impl PartialEq for Maintenance {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// As the list of charges.
+impl std::fmt::Debug for Maintenance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Usage counters for all indexes in a database.
 #[derive(Debug, Clone, Default)]
 pub struct UsageTracker {
-    by_index: HashMap<IndexId, IndexUsage>,
+    /// Keyed by the id's number: the multiply-fold hasher's `u64` path.
+    by_index: U64HashMap<IndexUsage>,
     /// Total statements executed since the last reset.
     pub statements: u64,
 }
@@ -77,14 +147,14 @@ impl UsageTracker {
 
     /// Record a read-side use of `id`, crediting `saving` cost units.
     pub fn record_scan(&mut self, id: IndexId, saving: f64) {
-        let u = self.by_index.entry(id).or_default();
+        let u = self.by_index.entry(u64::from(id.0)).or_default();
         u.scans += 1;
         u.benefit += saving.max(0.0);
     }
 
     /// Record a maintenance charge against `id`.
     pub fn record_maintenance(&mut self, id: IndexId, cost: f64) {
-        let u = self.by_index.entry(id).or_default();
+        let u = self.by_index.entry(u64::from(id.0)).or_default();
         u.maintenance_events += 1;
         u.maintenance_cost += cost.max(0.0);
     }
@@ -100,27 +170,30 @@ impl UsageTracker {
     /// has no catalog access).
     pub fn apply_delta(&mut self, delta: &UsageDelta) {
         self.record_statement();
-        for (id, saving) in &delta.scans {
-            self.record_scan(*id, *saving);
+        for id in &delta.scans {
+            self.record_scan(*id, delta.saving);
         }
-        for (id, cost) in &delta.maintenance {
-            self.record_maintenance(*id, cost.total());
+        for (id, cost) in delta.maintenance.iter() {
+            self.record_maintenance(id, cost.total());
         }
     }
 
     /// Usage for one index (zeroes if never seen).
     pub fn usage(&self, id: IndexId) -> IndexUsage {
-        self.by_index.get(&id).copied().unwrap_or_default()
+        self.by_index
+            .get(&u64::from(id.0))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Iterate all tracked indexes.
     pub fn iter(&self) -> impl Iterator<Item = (IndexId, &IndexUsage)> {
-        self.by_index.iter().map(|(k, v)| (*k, v))
+        self.by_index.iter().map(|(k, v)| (IndexId(*k as u32), v))
     }
 
     /// Drop counters for an index (after DROP INDEX).
     pub fn forget(&mut self, id: IndexId) {
-        self.by_index.remove(&id);
+        self.by_index.remove(&u64::from(id.0));
     }
 
     /// Reset all counters (e.g. at a diagnosis window boundary).
@@ -139,7 +212,7 @@ impl UsageTracker {
             .by_index
             .iter()
             .filter(|(_, u)| u.scans < min_scans)
-            .map(|(id, _)| *id)
+            .map(|(id, _)| IndexId(*id as u32))
             .collect();
         v.sort();
         v
@@ -152,7 +225,7 @@ impl UsageTracker {
             .by_index
             .iter()
             .filter(|(_, u)| u.maintenance_cost > u.benefit && u.maintenance_events > 0)
-            .map(|(id, _)| *id)
+            .map(|(id, _)| IndexId(*id as u32))
             .collect();
         v.sort();
         v
@@ -241,8 +314,11 @@ mod tests {
     #[test]
     fn apply_delta_matches_direct_recording() {
         let delta = UsageDelta {
-            scans: vec![(IndexId(1), 10.0), (IndexId(2), 3.0)],
-            maintenance: vec![(IndexId(3), MaintenanceCost { io: 3.0, cpu: 1.0 })],
+            saving: 10.0,
+            scans: [IndexId(1), IndexId(2)].into_iter().collect(),
+            maintenance: [(IndexId(3), MaintenanceCost { io: 3.0, cpu: 1.0 })]
+                .into_iter()
+                .collect(),
             growth: Some(("t".into(), 5)),
         };
         let mut via_delta = UsageTracker::new();
@@ -251,7 +327,7 @@ mod tests {
         let mut direct = UsageTracker::new();
         direct.record_statement();
         direct.record_scan(IndexId(1), 10.0);
-        direct.record_scan(IndexId(2), 3.0);
+        direct.record_scan(IndexId(2), 10.0);
         direct.record_maintenance(IndexId(3), 4.0);
 
         assert_eq!(via_delta.statements, direct.statements);

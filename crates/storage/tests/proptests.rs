@@ -5,7 +5,7 @@ use autoindex_sql::parse_statement;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
 use autoindex_storage::index::{
-    geometry, maintenance_cost, IndexDef, IndexId, IndexScope, SortDirection,
+    geometry, maintenance_cost, IndexDef, IndexId, IndexList, IndexScope, SortDirection,
 };
 use autoindex_storage::planner::{
     CostParams, IndexSet, IndexView, PlanSummary, Planner, PreparedPlan, TrueCostWeights,
@@ -32,6 +32,50 @@ fn catalog(rows: u64) -> Catalog {
             .unwrap(),
     );
     c
+}
+
+/// `IndexList` is a `Vec<IndexId>` to everything that reads it: pushed,
+/// extended or collected, inline or spilled, it holds the same ids in the
+/// same order, iterates them so, compares equal exactly when the vectors
+/// do, and prints as they print.
+#[test]
+fn index_list_behaves_as_a_vec() {
+    assert_eq!(
+        std::mem::size_of::<IndexList>(),
+        std::mem::size_of::<Vec<IndexId>>()
+    );
+    property(
+        "index_list_behaves_as_a_vec",
+        PropConfig::default(),
+        |rng, _size| {
+            let mut lists = [IndexList::new(), IndexList::new()];
+            let mut vecs: [Vec<IndexId>; 2] = [Vec::new(), Vec::new()];
+            for _ in 0..rng.random_range(0usize..3 * IndexList::INLINE) {
+                let k = rng.random_range(0usize..2);
+                let id = IndexId(rng.random_range(0u32..4));
+                lists[k].push(id);
+                vecs[k].push(id);
+            }
+            let more = rng.random_range(0usize..IndexList::INLINE + 2);
+            let ids: Vec<IndexId> = (0..more).map(|i| IndexId(i as u32)).collect();
+            lists[1].extend(ids.iter().copied());
+            vecs[1].extend(ids.iter().copied());
+            for (list, vec) in lists.iter().zip(&vecs) {
+                prop_assert!(**list == **vec, "{list:?} vs {vec:?}");
+                prop_assert!(list.iter().eq(vec.iter()), "{vec:?}");
+                prop_assert!(format!("{list:?}") == format!("{vec:?}"), "{vec:?}");
+                let collected: IndexList = vec.iter().copied().collect();
+                prop_assert!(collected == *list && list.clone() == *list, "{vec:?}");
+            }
+            prop_assert!(
+                (lists[0] == lists[1]) == (vecs[0] == vecs[1]),
+                "{:?} vs {:?}",
+                vecs[0],
+                vecs[1]
+            );
+            Ok(())
+        },
+    );
 }
 
 /// Index geometry is monotone in row count: more rows never shrink the
@@ -345,14 +389,14 @@ fn snapshot_execution_and_its_baseline_equal_the_full_plan() {
             for (a, b) in outcome.features.as_vec().iter().zip(plan.features.as_vec()) {
                 prop_assert!(a.to_bits() == b.to_bits(), "{sql}");
             }
-            prop_assert!(outcome.indexes_used == plan.indexes_used, "{sql}");
-            prop_assert!(delta.maintenance == plan.maintenance, "{sql}");
+            prop_assert!(*outcome.indexes_used == *plan.indexes_used, "{sql}");
+            prop_assert!(delta.maintenance.to_vec() == plan.maintenance, "{sql}");
             let saving = (baseline.native_cost() - plan.native_cost()).max(0.0)
                 / plan.indexes_used.len() as f64;
             let credited: Vec<(IndexId, u64)> = delta
                 .scans
                 .iter()
-                .map(|(id, s)| (*id, s.to_bits()))
+                .map(|id| (*id, delta.saving.to_bits()))
                 .collect();
             let expected: Vec<(IndexId, u64)> = plan
                 .indexes_used
@@ -443,7 +487,7 @@ fn snapshot_print(snap: &DbSnapshot) -> Vec<(IndexId, u64)> {
             delta
                 .maintenance
                 .iter()
-                .map(|(id, c)| (*id, c.total().to_bits())),
+                .map(|(id, c)| (id, c.total().to_bits())),
         );
     }
     assert_eq!(print.len(), snap.index_count());

@@ -16,9 +16,10 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. one prepared execution, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
+cargo test -q --offline --release -p autoindex-core --test serving_allocs
 
 echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, feed = the digest of its outcome streams recorded before the live database kept plans, maintained entries = a from-scratch build; filter_sel bits, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test live_frontend
@@ -157,6 +158,16 @@ expect_hits 'Lexer::new(' 1 crates/sql/src/fingerprint.rs
 
 echo "==> execution check (non-test crates/storage/src/db.rs: no second planning pass — the no-index baseline comes back from the pricing of the plan)"
 expect_hits 'unindexed_cost(' 0 crates/storage/src/db.rs
+
+echo "==> allocation check (crates/storage/src: ExecOutcome and UsageDelta declare no Vec field — what executing a statement returns sits inline or is shared)"
+for s in 'pub struct ExecOutcome' 'pub struct UsageDelta'; do
+    FIELDS=$(awk -v s="$s" 'index($0, s) { on = 1 } on && index($0, "Vec<") { print FILENAME ":" FNR ": " $0 } on && /^}/ { on = 0 }' crates/storage/src/*.rs)
+    if [ -n "$FIELDS" ]; then
+        echo "ERROR: $s declares a Vec field:" >&2
+        echo "$FIELDS" >&2
+        exit 1
+    fi
+done
 
 echo "==> live-plan check (non-test code: feed plans from scratch only in its parsed arm and prices a bound statement through the database's kept plan; the live database prepares in two places, the scratch composition and the kept plan)"
 expect_hits 'execute_shape(' 1 crates/core/src/online.rs
