@@ -133,10 +133,10 @@ fn run_cell(
 ) -> Cell {
     let start = Instant::now();
     let mut db = build_db(s);
-    let cfg = AutoIndexConfig::builder()
-        .strategy(kind)
-        .build()
-        .expect("static strategy config");
+    let cfg = AutoIndexConfig {
+        strategy: kind,
+        ..AutoIndexConfig::default()
+    };
     let mut advisor = AutoIndex::new(cfg, NativeCostEstimator);
     let mut regret = RegretAccounter::new(oracle.to_vec());
     let drift_round = s.drift_at / ROUND;

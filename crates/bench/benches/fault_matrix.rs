@@ -100,18 +100,16 @@ fn online_arm(rate: f64, idx: u64) -> OnlineArm {
     db.set_fault_plan(plan_for(rate, derive_seed(0xFA_17_BE, idx)));
 
     let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
-    let config = OnlineConfig::builder()
-        .diagnosis_interval(400)
-        .tuning_cooldown(800)
-        .guard(
-            GuardConfig::builder()
-                .build_retries(0)
-                .cooldown_initial(200)
-                .build()
-                .expect("static guard config"),
-        )
-        .build()
-        .expect("static online config");
+    let config = OnlineConfig {
+        diagnosis_interval: 400,
+        tuning_cooldown: 800,
+        guard: Some(GuardConfig {
+            build_retries: 0,
+            cooldown_initial: 200,
+            ..GuardConfig::default()
+        }),
+        ..OnlineConfig::default()
+    };
     let mut online = OnlineAutoIndex::new(db, advisor, config);
 
     let stream: Vec<String> = (0..ONLINE_STATEMENTS)
@@ -211,7 +209,10 @@ fn apply_arm(rate: f64, idx: u64) -> ApplyArm {
         ));
 
         let mut guard = Guard::new(
-            GuardConfig::builder().build_retries(0).build().unwrap(),
+            GuardConfig {
+                build_retries: 0,
+                ..GuardConfig::default()
+            },
             db.metrics(),
         );
         let (_, _, verdict) = guard.apply(&mut db, &rec, 0);

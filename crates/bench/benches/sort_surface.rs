@@ -109,20 +109,19 @@ fn is_surface_index(d: &IndexDef) -> bool {
 }
 
 /// One (scenario × strategy × surface) cell: round-by-round replay with
-/// tuning, candidate classes toggled via the `CandidateConfig` builder.
+/// tuning, candidate classes toggled through `CandidateConfig`'s fields.
 fn run_cell(s: &SurfaceScenario, kind: StrategyKind, surface: bool) -> Cell {
     let start = Instant::now();
     let mut db = build_db(s);
-    let cand = CandidateConfig::builder()
-        .sort_aware(surface)
-        .covering(surface)
-        .build()
-        .expect("static candidate config");
-    let cfg = AutoIndexConfig::builder()
-        .strategy(kind)
-        .candidates(cand)
-        .build()
-        .expect("static strategy config");
+    let cfg = AutoIndexConfig {
+        strategy: kind,
+        candidates: CandidateConfig {
+            sort_aware: surface,
+            covering: surface,
+            ..CandidateConfig::default()
+        },
+        ..AutoIndexConfig::default()
+    };
     let mut advisor = AutoIndex::new(cfg, NativeCostEstimator);
     let mut total = 0.0;
     let mut ordered_reads = 0u64;

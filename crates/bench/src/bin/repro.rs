@@ -317,17 +317,13 @@ fn chaos(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let advisor_config = || {
-        AutoIndexConfig::builder()
-            .candidates(
-                CandidateConfig::builder()
-                    .sort_aware(surface)
-                    .covering(surface)
-                    .build()
-                    .expect("static candidate config"),
-            )
-            .build()
-            .expect("static advisor config")
+    let advisor_config = || AutoIndexConfig {
+        candidates: CandidateConfig {
+            sort_aware: surface,
+            covering: surface,
+            ..CandidateConfig::default()
+        },
+        ..AutoIndexConfig::default()
     };
     let plan = |salt: u64| -> Option<FaultPlan> {
         (rate > 0.0).then(|| {
@@ -360,12 +356,10 @@ fn chaos(args: &[String]) {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(250)
-            .guard(
-                GuardConfig::builder()
-                    .build_retries(0)
-                    .build()
-                    .expect("static guard config"),
-            )
+            .guard(GuardConfig {
+                build_retries: 0,
+                ..GuardConfig::default()
+            })
             .build()
             .expect("static serve config");
         let out = serve(db, advisor, &queries, cfg).expect("serve run");
@@ -429,10 +423,10 @@ fn chaos(args: &[String]) {
             }
             db.set_fault_plan(plan(0xAB_11 ^ runix));
             let mut guard = Guard::new(
-                GuardConfig::builder()
-                    .build_retries(0)
-                    .build()
-                    .expect("static guard config"),
+                GuardConfig {
+                    build_retries: 0,
+                    ..GuardConfig::default()
+                },
                 db.metrics(),
             );
             let (_, _, verdict) = guard.apply(&mut db, &rec, 0);

@@ -8,11 +8,11 @@
 //! *before* applying instead:
 //!
 //! * every candidate index is an **arm** with a context feature vector
-//!   `x ∈ ℝ⁶` built from the existing estimator/colstats terms — the
+//!   `x ∈ ℝ⁶` built from the existing estimator and catalog terms — the
 //!   estimated standalone benefit is the informative prior, leading-column
-//!   distinctness and size come from [`ColumnarStats`]/what-if sizing,
-//!   and the read/write weight mix of the arm's table comes from the
-//!   template workload;
+//!   distinctness and size come from the catalog's statistics and what-if
+//!   sizing, and the read/write weight mix of the arm's table comes from
+//!   the template workload;
 //! * a single **shared linear model** `θ = V⁻¹ b` (ridge regression,
 //!   `V = λI + Σ x xᵀ`, `b = Σ r·x`) maps features to expected reward,
 //!   where the reward `r` is the *measured* relative latency improvement
@@ -38,11 +38,13 @@
 //! oracle). Rows are documented in `docs/OBSERVABILITY.md`.
 
 use crate::error::{invalid, AutoIndexError};
+use crate::greedy;
 use crate::strategy::{
     is_primary_key_index, Proposal, RewardObservation, Round, SharedWorkload, TuningStrategy,
 };
 use crate::system::Recommendation;
-use autoindex_estimator::{ColumnarStats, CostEstimator};
+use autoindex_estimator::CostEstimator;
+use autoindex_storage::catalog::Catalog;
 use autoindex_storage::index::IndexDef;
 use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::MetricsRegistry;
@@ -55,22 +57,10 @@ const NFEAT: usize = 6;
 
 // ------------------------------------------------------------- config
 
-/// Bandit parameters. Validated by [`BanditConfigBuilder::build`]
+/// Bandit parameters. Checked by [`BanditConfig::validate`]
 /// (PR4 convention: reject, don't clamp).
 #[derive(Debug, Clone)]
 pub struct BanditConfig {
-    /// Exploration width `α` of the confidence bound
-    /// `θᵀx + α·√(xᵀV⁻¹x)`. `0` disables exploration (pure greedy on
-    /// the learned model). Must be finite and `>= 0`.
-    pub alpha: f64,
-    /// Ridge regularizer `λ` of `V = λI + Σ x xᵀ`. Must be finite and
-    /// `> 0` (the prior that keeps `V` invertible before any reward).
-    pub ridge: f64,
-    /// Planning horizon in rounds; arms whose confidence interval still
-    /// spans zero after `horizon` rounds stop being explored (their
-    /// optimism bonus is tapered by `ln(horizon)` scaling). Must be
-    /// `> 0`.
-    pub horizon: u64,
     /// Cap on candidate arms considered per round (top arms by the
     /// estimator prior; deterministic tie-break on the index key).
     /// Must be `> 0`.
@@ -79,70 +69,17 @@ pub struct BanditConfig {
 
 impl Default for BanditConfig {
     fn default() -> Self {
-        BanditConfig {
-            alpha: 1.0,
-            ridge: 1.0,
-            horizon: 64,
-            max_arms: 48,
-        }
+        BanditConfig { max_arms: 48 }
     }
 }
 
 impl BanditConfig {
-    /// Validated builder (preferred over struct-literal construction).
-    pub fn builder() -> BanditConfigBuilder {
-        BanditConfigBuilder {
-            cfg: BanditConfig::default(),
-        }
-    }
-
-    /// Builder seeded from an existing config (re-validation path used
-    /// by `AutoIndexConfig::builder().build()`).
-    pub fn builder_from(cfg: BanditConfig) -> BanditConfigBuilder {
-        BanditConfigBuilder { cfg }
-    }
-}
-
-/// Builder for [`BanditConfig`]; `build()` validates every field.
-#[derive(Debug, Clone)]
-pub struct BanditConfigBuilder {
-    cfg: BanditConfig,
-}
-
-impl BanditConfigBuilder {
-    pub fn alpha(mut self, v: f64) -> Self {
-        self.cfg.alpha = v;
-        self
-    }
-    pub fn ridge(mut self, v: f64) -> Self {
-        self.cfg.ridge = v;
-        self
-    }
-    pub fn horizon(mut self, v: u64) -> Self {
-        self.cfg.horizon = v;
-        self
-    }
-    pub fn max_arms(mut self, v: usize) -> Self {
-        self.cfg.max_arms = v;
-        self
-    }
-
-    /// Validate and build.
-    pub fn build(self) -> Result<BanditConfig, AutoIndexError> {
-        let c = self.cfg;
-        if !c.alpha.is_finite() || c.alpha < 0.0 {
-            return Err(invalid("bandit.alpha", "must be finite and >= 0"));
-        }
-        if !c.ridge.is_finite() || c.ridge <= 0.0 {
-            return Err(invalid("bandit.ridge", "must be finite and > 0"));
-        }
-        if c.horizon == 0 {
-            return Err(invalid("bandit.horizon", "must be >= 1"));
-        }
-        if c.max_arms == 0 {
+    /// Check every field.
+    pub fn validate(&self) -> Result<(), AutoIndexError> {
+        if self.max_arms == 0 {
             return Err(invalid("bandit.max_arms", "must be >= 1"));
         }
-        Ok(c)
+        Ok(())
     }
 }
 
@@ -156,11 +93,15 @@ struct LinModel {
     b: [f64; NFEAT],
 }
 
+/// Ridge regularizer `λ` of `V = λI + Σ x xᵀ`: the prior that keeps `V`
+/// invertible before any reward.
+const RIDGE: f64 = 1.0;
+
 impl LinModel {
-    fn new(ridge: f64) -> Self {
+    fn new() -> Self {
         let mut v = [[0.0; NFEAT]; NFEAT];
         for (i, row) in v.iter_mut().enumerate() {
-            row[i] = ridge;
+            row[i] = RIDGE;
         }
         LinModel { v, b: [0.0; NFEAT] }
     }
@@ -280,12 +221,19 @@ pub struct BanditStrategy {
     last_reward: f64,
 }
 
+/// Exploration width `α` of the confidence bound `θᵀx + α·√(xᵀV⁻¹x)`.
+const ALPHA: f64 = 1.0;
+
+/// Planning horizon in rounds; arms whose confidence interval still spans
+/// zero after `HORIZON` rounds stop being explored (their optimism bonus is
+/// tapered by `ln(horizon)` scaling).
+const HORIZON: u64 = 64;
+
 impl BanditStrategy {
     pub fn new(config: BanditConfig) -> Self {
-        let model = LinModel::new(config.ridge);
         BanditStrategy {
             config,
-            model,
+            model: LinModel::new(),
             rounds: 0,
             pending: Vec::new(),
             owned: BTreeMap::new(),
@@ -304,8 +252,8 @@ impl BanditStrategy {
     /// approaches and passes the horizon.
     fn alpha_t(&self) -> f64 {
         let t = (self.rounds + 1) as f64;
-        let h = (self.config.horizon + 1) as f64;
-        (self.config.alpha * (h.ln() / (1.0 + t.ln()))).min(self.config.alpha)
+        let h = (HORIZON + 1) as f64;
+        (ALPHA * (h.ln() / (1.0 + t.ln()))).min(ALPHA)
     }
 }
 
@@ -362,9 +310,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
             .filter(|d| !self.owned.contains_key(&d.key()))
             .collect();
         let baseline_set = universe.config_of(baseline.iter().copied());
-        let base_cost = pricer.sum(&baseline_set);
-        pricer.rebase();
-        let stats = ColumnarStats::build(db.catalog());
+        let (base_cost, priced) = greedy::standalone(pricer, &candidates, &baseline_set);
         let (read_w, write_w, total_w) = table_weights(workload);
 
         struct Arm {
@@ -373,21 +319,24 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
             x: [f64; NFEAT],
             size: u64,
         }
-        let mut arms: Vec<Arm> = candidates
-            .iter()
+        let mut arms: Vec<Arm> = priced
+            .into_iter()
             .map(|c| {
-                let slot = universe.slot(c).expect("the round interned its arms");
-                let mut with = baseline_set.clone();
-                with.insert(slot);
-                let cost = pricer.sum(&with);
-                let benefit = ((base_cost - cost) / base_cost.max(1e-12)).clamp(0.0, 1.0);
-                let size = universe.size(slot);
-                let x = features(c, benefit, size, &stats, &read_w, &write_w, total_w);
+                let benefit = (c.benefit / base_cost.max(1e-12)).clamp(0.0, 1.0);
+                let x = features(
+                    &c.def,
+                    benefit,
+                    c.size,
+                    db.catalog(),
+                    &read_w,
+                    &write_w,
+                    total_w,
+                );
                 Arm {
-                    key: c.key(),
-                    def: c.clone(),
+                    key: c.def.key(),
+                    def: c.def,
                     x,
-                    size,
+                    size: c.size,
                 }
             })
             .collect();
@@ -519,7 +468,7 @@ fn features(
     def: &IndexDef,
     benefit: f64,
     size: u64,
-    stats: &ColumnarStats,
+    catalog: &Catalog,
     read_w: &BTreeMap<String, f64>,
     write_w: &BTreeMap<String, f64>,
     total_w: f64,
@@ -529,10 +478,10 @@ fn features(
     let distinct = def
         .columns
         .first()
-        .and_then(|c| stats.slot(&def.table, c))
-        .map(|slot| {
-            let rows = stats.table_rows(slot).max(1) as f64;
-            (stats.ndv[slot as usize] / rows).clamp(0.0, 1.0)
+        .and_then(|c| {
+            let table = catalog.table(&def.table)?;
+            let rows = table.rows.max(1) as f64;
+            Some((table.column(c)?.stats.ndv / rows).clamp(0.0, 1.0))
         })
         .unwrap_or(0.0);
     let size_norm = ((1.0 + size as f64).ln() / 32.0).clamp(0.0, 1.0);
@@ -665,36 +614,40 @@ mod tests {
     }
 
     fn bandit_advisor() -> AutoIndex<NativeCostEstimator> {
-        let cfg = AutoIndexConfig::builder()
-            .strategy(StrategyKind::Bandit)
-            .build()
-            .unwrap();
+        let cfg = AutoIndexConfig {
+            strategy: StrategyKind::Bandit,
+            ..AutoIndexConfig::default()
+        };
         AutoIndex::new(cfg, NativeCostEstimator)
     }
 
     #[test]
     fn config_builder_validates() {
-        assert!(BanditConfig::builder().build().is_ok());
-        assert!(BanditConfig::builder().alpha(-0.1).build().is_err());
-        assert!(BanditConfig::builder().alpha(f64::NAN).build().is_err());
-        assert!(BanditConfig::builder().ridge(0.0).build().is_err());
-        assert!(BanditConfig::builder().horizon(0).build().is_err());
-        assert!(BanditConfig::builder().max_arms(0).build().is_err());
-        let ok = BanditConfig::builder()
-            .alpha(0.5)
-            .horizon(128)
-            .max_arms(16)
-            .build()
-            .unwrap();
-        assert_eq!(ok.horizon, 128);
-        assert_eq!(ok.max_arms, 16);
+        assert!(BanditConfig::default().validate().is_ok());
         assert!(matches!(
-            BanditConfig::builder().alpha(f64::INFINITY).build(),
+            BanditConfig { max_arms: 0 }.validate(),
             Err(AutoIndexError::InvalidConfig {
-                field: "bandit.alpha",
+                field: "bandit.max_arms",
                 ..
             })
         ));
+        let ok = BanditConfig { max_arms: 16 };
+        assert!(ok.validate().is_ok());
+        assert_eq!(ok.max_arms, 16);
+    }
+
+    #[test]
+    fn arm_distinctness_reads_the_catalog() {
+        let db = db();
+        let none = BTreeMap::new();
+        let distinct = |table: &str, column: &str| {
+            let def = IndexDef::new(table, &[column]);
+            features(&def, 0.0, 0, db.catalog(), &none, &none, 0.0)[2]
+        };
+        assert_eq!(distinct("t", "b"), 4_000.0 / 800_000.0);
+        assert_eq!(distinct("t", "id"), 1.0);
+        assert_eq!(distinct("t", "ghost"), 0.0);
+        assert_eq!(distinct("ghost", "a"), 0.0);
     }
 
     #[test]

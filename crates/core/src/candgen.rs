@@ -52,12 +52,6 @@ pub struct CandidateConfig {
     /// A conjunct must keep at most this fraction of rows to be indexable
     /// (the paper's example threshold: 1/3).
     pub selectivity_threshold: f64,
-    /// Maximum columns in a generated composite index.
-    pub max_index_columns: usize,
-    /// Generate LOCAL variants for partitioned tables.
-    pub partitioned_variants: bool,
-    /// Generate `(join col + equality filters)` composites.
-    pub join_filter_composites: bool,
     /// Skip index candidates on tables smaller than this (a tiny table is
     /// always cached and scanned faster than it is sought).
     pub min_table_rows: u64,
@@ -71,7 +65,8 @@ pub struct CandidateConfig {
     /// index-only scan. Off by default, same reason as `sort_aware`.
     pub covering: bool,
     /// Column cap for covering candidates (key + appended payload). Wider
-    /// than `max_index_columns` because the payload carries no seek cost.
+    /// than a composite key (`MAX_INDEX_COLUMNS`, 4) because the payload
+    /// carries no seek cost.
     pub max_covering_columns: usize,
 }
 
@@ -79,9 +74,6 @@ impl Default for CandidateConfig {
     fn default() -> Self {
         CandidateConfig {
             selectivity_threshold: 1.0 / 3.0,
-            max_index_columns: 4,
-            partitioned_variants: true,
-            join_filter_composites: true,
             min_table_rows: 100,
             sort_aware: false,
             covering: false,
@@ -91,90 +83,35 @@ impl Default for CandidateConfig {
 }
 
 impl CandidateConfig {
-    /// Builder seeded from the defaults.
-    pub fn builder() -> CandidateConfigBuilder {
-        CandidateConfigBuilder {
-            cfg: CandidateConfig::default(),
-        }
-    }
-
-    /// Builder seeded from an existing config.
-    pub fn builder_from(cfg: CandidateConfig) -> CandidateConfigBuilder {
-        CandidateConfigBuilder { cfg }
-    }
-}
-
-/// Validating builder for [`CandidateConfig`].
-#[derive(Debug, Clone)]
-pub struct CandidateConfigBuilder {
-    cfg: CandidateConfig,
-}
-
-impl CandidateConfigBuilder {
-    pub fn selectivity_threshold(mut self, v: f64) -> Self {
-        self.cfg.selectivity_threshold = v;
-        self
-    }
-
-    pub fn max_index_columns(mut self, v: usize) -> Self {
-        self.cfg.max_index_columns = v;
-        self
-    }
-
-    pub fn partitioned_variants(mut self, v: bool) -> Self {
-        self.cfg.partitioned_variants = v;
-        self
-    }
-
-    pub fn join_filter_composites(mut self, v: bool) -> Self {
-        self.cfg.join_filter_composites = v;
-        self
-    }
-
-    pub fn min_table_rows(mut self, v: u64) -> Self {
-        self.cfg.min_table_rows = v;
-        self
-    }
-
-    pub fn sort_aware(mut self, v: bool) -> Self {
-        self.cfg.sort_aware = v;
-        self
-    }
-
-    pub fn covering(mut self, v: bool) -> Self {
-        self.cfg.covering = v;
-        self
-    }
-
-    pub fn max_covering_columns(mut self, v: usize) -> Self {
-        self.cfg.max_covering_columns = v;
-        self
-    }
-
-    /// Validate and build.
-    pub fn build(self) -> Result<CandidateConfig, AutoIndexError> {
-        let c = self.cfg;
-        if !c.selectivity_threshold.is_finite()
-            || c.selectivity_threshold <= 0.0
-            || c.selectivity_threshold > 1.0
+    /// Check every field.
+    pub fn validate(&self) -> Result<(), AutoIndexError> {
+        if !self.selectivity_threshold.is_finite()
+            || self.selectivity_threshold <= 0.0
+            || self.selectivity_threshold > 1.0
         {
             return Err(invalid(
                 "candidates.selectivity_threshold",
                 "must be finite and in (0, 1]",
             ));
         }
-        if c.max_index_columns == 0 {
-            return Err(invalid("candidates.max_index_columns", "must be >= 1"));
-        }
-        if c.max_covering_columns < c.max_index_columns {
+        if self.max_covering_columns < MAX_INDEX_COLUMNS {
             return Err(invalid(
                 "candidates.max_covering_columns",
                 "must be >= max_index_columns (the payload extends the key)",
             ));
         }
-        Ok(c)
+        Ok(())
     }
 }
+
+/// Maximum columns in a generated composite index.
+const MAX_INDEX_COLUMNS: usize = 4;
+
+/// Generate LOCAL variants for partitioned tables.
+const PARTITIONED_VARIANTS: bool = true;
+
+/// Generate `(join col + equality filters)` composites.
+const JOIN_FILTER_COMPOSITES: bool = true;
 
 /// Per-class tallies from one generation pass (pre-merge emissions),
 /// surfaced as the `advisor.candidates.{sort_aware,covering}` counters.
@@ -304,11 +241,11 @@ impl CandidateGenerator {
                 out.push(Emitted::new(def, Class::Plain));
 
                 // Composite: join column + the driven table's equality filters.
-                if self.config.join_filter_composites {
+                if JOIN_FILTER_COMPOSITES {
                     if let Some(t) = shape.table(driven_table) {
                         let mut cols = vec![driven_col.clone()];
                         for atom in &t.conjuncts {
-                            if cols.len() >= self.config.max_index_columns {
+                            if cols.len() >= MAX_INDEX_COLUMNS {
                                 break;
                             }
                             if atom.is_sargable() && atom.is_equality() {
@@ -353,7 +290,7 @@ impl CandidateGenerator {
                 continue;
             }
             for cols in [&t.group_columns, &t.order_columns] {
-                if cols.is_empty() || cols.len() > self.config.max_index_columns {
+                if cols.is_empty() || cols.len() > MAX_INDEX_COLUMNS {
                     continue;
                 }
                 if !cols.iter().all(|c| table.column(c).is_some()) {
@@ -434,7 +371,7 @@ impl CandidateGenerator {
         let mut eq = self.equality_filter_columns(t, table);
         // Order keys win the budget; equality columns yield from the back.
         eq.retain(|c| !t.order_columns.contains(c));
-        let budget = self.config.max_index_columns;
+        let budget = MAX_INDEX_COLUMNS;
         if t.order_columns.len() > budget {
             return;
         }
@@ -560,14 +497,14 @@ impl CandidateGenerator {
         let mut combined = 1.0_f64;
         for (a, sel) in &eqs {
             let col = &a.restricted_column().expect("checked above").column;
-            if !cols.contains(col) && cols.len() < self.config.max_index_columns {
+            if !cols.contains(col) && cols.len() < MAX_INDEX_COLUMNS {
                 cols.push(col.clone());
                 combined *= sel;
             }
         }
         if let Some((a, sel)) = ranges.first() {
             let col = &a.restricted_column().expect("checked above").column;
-            if !cols.contains(col) && cols.len() < self.config.max_index_columns {
+            if !cols.contains(col) && cols.len() < MAX_INDEX_COLUMNS {
                 cols.push(col.clone());
                 combined *= sel;
             }
@@ -646,8 +583,8 @@ impl CandidateGenerator {
         for run in raw.chunk_by(|a, b| a.def.table == b.def.table) {
             let table = &run[0].def.table;
             let existing = existing_on(table);
-            let partitioned = self.config.partitioned_variants
-                && catalog.table(table).is_some_and(|t| t.partitions > 1);
+            let partitioned =
+                PARTITIONED_VARIANTS && catalog.table(table).is_some_and(|t| t.partitions > 1);
             for (i, c) in run.iter().enumerate() {
                 // Leftmost-prefix merge: drop any candidate covered by
                 // another; then subtract what an existing index covers.
@@ -1024,39 +961,28 @@ mod tests {
 
     #[test]
     fn builder_validates_fields() {
-        assert!(CandidateConfig::builder().build().is_ok());
-        assert!(CandidateConfig::builder()
-            .selectivity_threshold(0.0)
-            .build()
-            .is_err());
-        assert!(CandidateConfig::builder()
-            .selectivity_threshold(f64::NAN)
-            .build()
-            .is_err());
-        assert!(CandidateConfig::builder()
-            .selectivity_threshold(1.5)
-            .build()
-            .is_err());
-        assert!(CandidateConfig::builder()
-            .max_index_columns(0)
-            .build()
-            .is_err());
-        assert!(CandidateConfig::builder()
-            .max_index_columns(4)
-            .max_covering_columns(3)
-            .build()
-            .is_err());
-        let cfg = CandidateConfig::builder()
-            .sort_aware(true)
-            .covering(true)
-            .max_covering_columns(8)
-            .build()
-            .unwrap();
+        assert!(CandidateConfig::default().validate().is_ok());
+        let threshold = |selectivity_threshold| CandidateConfig {
+            selectivity_threshold,
+            ..CandidateConfig::default()
+        };
+        assert!(threshold(0.0).validate().is_err());
+        assert!(threshold(f64::NAN).validate().is_err());
+        assert!(threshold(1.5).validate().is_err());
+        let narrow = CandidateConfig {
+            max_covering_columns: 3,
+            ..CandidateConfig::default()
+        };
+        assert!(narrow.validate().is_err());
+        let cfg = CandidateConfig {
+            sort_aware: true,
+            covering: true,
+            max_covering_columns: 8,
+            ..CandidateConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
         assert!(cfg.sort_aware && cfg.covering);
         assert_eq!(cfg.max_covering_columns, 8);
-        // builder_from preserves the seed.
-        let again = CandidateConfig::builder_from(cfg.clone()).build().unwrap();
-        assert_eq!(again.max_covering_columns, cfg.max_covering_columns);
     }
 
     #[test]
@@ -1076,7 +1002,10 @@ mod tests {
     fn sort_aware_emits_directional_composite() {
         let sql = "SELECT o_id, o_amount FROM orders WHERE o_c_id = 5 \
                    ORDER BY o_w_id DESC, o_d_id LIMIT 10";
-        let cfg = CandidateConfig::builder().sort_aware(true).build().unwrap();
+        let cfg = CandidateConfig {
+            sort_aware: true,
+            ..CandidateConfig::default()
+        };
         let (cands, stats) = gen_with(cfg, &[sql], &[]);
         assert!(stats.sort_aware >= 1);
         assert!(
@@ -1089,7 +1018,10 @@ mod tests {
     #[test]
     fn covering_appends_referenced_payload() {
         let sql = "SELECT o_id FROM orders WHERE o_c_id = 5 AND o_w_id = 2";
-        let cfg = CandidateConfig::builder().covering(true).build().unwrap();
+        let cfg = CandidateConfig {
+            covering: true,
+            ..CandidateConfig::default()
+        };
         let (cands, stats) = gen_with(cfg, &[sql], &[]);
         assert!(stats.covering >= 1);
         assert!(
@@ -1101,11 +1033,11 @@ mod tests {
 
     #[test]
     fn covering_skips_select_star_and_wide_payloads() {
-        let cfg = CandidateConfig::builder()
-            .covering(true)
-            .max_covering_columns(4)
-            .build()
-            .unwrap();
+        let cfg = CandidateConfig {
+            covering: true,
+            max_covering_columns: 4,
+            ..CandidateConfig::default()
+        };
         let (_, stats) = gen_with(cfg.clone(), &["SELECT * FROM orders WHERE o_c_id = 5"], &[]);
         assert_eq!(stats.covering, 0, "SELECT * can never be covered");
         // Payload that would exceed the cap is dropped, not truncated.
@@ -1122,11 +1054,11 @@ mod tests {
         // The same statement twice must not double-emit after reduce, and
         // a covering twin of the sort key merges into the wider one.
         let sql = "SELECT o_id FROM orders WHERE o_c_id = 5 ORDER BY o_amount DESC LIMIT 10";
-        let cfg = CandidateConfig::builder()
-            .sort_aware(true)
-            .covering(true)
-            .build()
-            .unwrap();
+        let cfg = CandidateConfig {
+            sort_aware: true,
+            covering: true,
+            ..CandidateConfig::default()
+        };
         let (cands, _) = gen_with(cfg, &[sql, sql], &[]);
         let k = keys(&cands);
         let dir_keys: Vec<&String> = k.iter().filter(|s| s.contains("DESC")).collect();

@@ -21,8 +21,6 @@ use std::collections::HashSet;
 /// Diagnosis thresholds.
 #[derive(Debug, Clone)]
 pub struct DiagnosisConfig {
-    /// An index with fewer scans than this over the window is "rarely used".
-    pub rare_scan_threshold: u64,
     /// Minimum statements in the window before diagnosing at all.
     pub min_statements: u64,
     /// Relative workload-cost improvement from the candidate set that
@@ -39,7 +37,6 @@ pub struct DiagnosisConfig {
 impl Default for DiagnosisConfig {
     fn default() -> Self {
         DiagnosisConfig {
-            rare_scan_threshold: 2,
             min_statements: 500,
             missing_benefit_threshold: 0.05,
             trigger_ratio: 0.15,
@@ -62,6 +59,9 @@ pub struct DiagnosisReport {
     /// Whether an index tuning request should be issued.
     pub should_tune: bool,
 }
+
+/// An index with fewer scans than this over the window is "rarely used".
+const RARE_SCAN_THRESHOLD: u64 = 2;
 
 /// The diagnosis module.
 pub struct IndexDiagnosis {
@@ -89,14 +89,14 @@ impl IndexDiagnosis {
         for (id, def) in db.indexes() {
             if self.config.ignore_primary_keys && is_primary_key_index(db, def) {
                 primary.insert(id);
-            } else if warmed_up && usage.usage(id).scans < self.config.rare_scan_threshold {
+            } else if warmed_up && usage.usage(id).scans < RARE_SCAN_THRESHOLD {
                 problem.insert(id);
             }
         }
         let (rarely_used, negative): (Vec<IndexId>, Vec<IndexId>) = if warmed_up {
             (
                 usage
-                    .rarely_used(self.config.rare_scan_threshold, self.config.min_statements)
+                    .rarely_used(RARE_SCAN_THRESHOLD, self.config.min_statements)
                     .into_iter()
                     .filter(|id| !primary.contains(id))
                     .collect(),

@@ -1,7 +1,7 @@
 //! The crate-wide error type.
 //!
-//! PR 4 makes the public tuning surface fallible: configuration builders
-//! validate instead of silently clamping, the online loop surfaces
+//! PR 4 makes the public tuning surface fallible: each configuration's
+//! `validate` rejects a bad field instead of silently clamping it, the online loop surfaces
 //! template-matching failures instead of discarding them, and the guard
 //! refuses to tune while the database is misbehaving. All of those paths
 //! converge on [`AutoIndexError`].
@@ -17,7 +17,7 @@ pub enum AutoIndexError {
     /// The storage substrate rejected an operation (unknown table, failed
     /// index build, injected fault, ...).
     Storage(StorageError),
-    /// A configuration builder rejected a field value.
+    /// A configuration's `validate` rejected a field value.
     InvalidConfig {
         /// Dotted path of the offending field, e.g. `"online.diagnosis_interval"`.
         field: &'static str,

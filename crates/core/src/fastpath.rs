@@ -66,7 +66,7 @@
 //!   parse errors exactly where the slow path would report them).
 
 use crate::templates::TemplateEntry;
-use autoindex_estimator::{ColumnarStats, TemplateSelProgram};
+use autoindex_estimator::TemplateSelProgram;
 use autoindex_sql::ast::{Predicate, SelectStatement, Statement, TableRef, Value};
 use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::predicate::AtomicPredicate;
@@ -176,12 +176,12 @@ impl CompiledTemplate {
     }
 
     /// [`Self::bind`] under the signature it had while a cache shared one
-    /// statistics table among its entries; `_stats` is not read — an entry
+    /// statistics table among its entries; `_cache` is not read — an entry
     /// carries the statistics its program reads.
     pub fn bind_into(
         &self,
         lits: &LiteralBuf,
-        _stats: &ColumnarStats,
+        _cache: &FastPathCache,
         shape: &mut QueryShape,
         sels: &mut Vec<f64>,
         stack: &mut Vec<f64>,
@@ -588,8 +588,6 @@ pub struct FastPathCache {
     entries: U64HashMap<(u32, Arc<CompiledTemplate>)>,
     /// Templates seen but ineligible (observability only).
     ineligible: usize,
-    /// Empty; see [`FastPathCache::stats`].
-    no_stats: ColumnarStats,
 }
 
 impl FastPathCache {
@@ -646,10 +644,10 @@ impl FastPathCache {
         Some((*ordinal as usize, &**t))
     }
 
-    /// An empty statistics table, for [`CompiledTemplate::bind_into`]'s
-    /// unread argument.
-    pub fn stats(&self) -> &ColumnarStats {
-        &self.no_stats
+    /// The cache itself, for [`CompiledTemplate::bind_into`]'s unread
+    /// argument.
+    pub fn stats(&self) -> &Self {
+        self
     }
 
     /// Number of compiled templates.

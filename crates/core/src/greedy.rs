@@ -24,11 +24,11 @@ use std::borrow::Borrow;
 /// One scored candidate, as ranked by Greedy.
 #[derive(Debug, Clone)]
 pub(crate) struct ScoredCandidate {
-    def: IndexDef,
+    pub(crate) def: IndexDef,
     /// Standalone estimated cost reduction against the existing config.
-    benefit: f64,
+    pub(crate) benefit: f64,
     /// Estimated size in bytes.
-    size: u64,
+    pub(crate) size: u64,
 }
 
 /// Take from the top of a ranking while the budget (`None` = unlimited)
@@ -54,20 +54,21 @@ pub(crate) fn select(
         .collect()
 }
 
-/// Rank `candidates` by standalone benefit (descending, then by key)
-/// through a round's pricer: a candidate's benefit is
-/// `sum(base) − sum(base ∪ {c})`, and with `base` — the existing
-/// configuration — as the reference the second sum looks up only the
-/// templates on `c`'s table.
-pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
+/// Each candidate's standalone benefit through a round's pricer, beside
+/// the cost of `base`: a candidate's benefit is `sum(base) − sum(base ∪
+/// {c})`, and with `base` — the existing configuration — as the reference
+/// the second sum looks up only the templates on `c`'s table. In candidate
+/// order: the bandit's arm sort is stable and a GLOBAL / LOCAL pair shares
+/// a key, so the order it is handed decides between them.
+pub(crate) fn standalone<E: CostEstimator, S: Borrow<QueryShape>>(
     pricer: &mut DeltaPricer<'_, '_, E, S>,
     candidates: &[IndexDef],
     base: &ConfigSet,
-) -> Vec<ScoredCandidate> {
+) -> (f64, Vec<ScoredCandidate>) {
     let universe = pricer.universe();
     let base_cost = pricer.sum(base);
     pricer.rebase();
-    let mut scored: Vec<ScoredCandidate> = candidates
+    let scored = candidates
         .iter()
         .map(|c| {
             let slot = universe.slot(c).expect("the round interned its candidates");
@@ -80,6 +81,16 @@ pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
             }
         })
         .collect();
+    (base_cost, scored)
+}
+
+/// Rank `candidates` by [`standalone`] benefit (descending, then by key).
+pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
+    pricer: &mut DeltaPricer<'_, '_, E, S>,
+    candidates: &[IndexDef],
+    base: &ConfigSet,
+) -> Vec<ScoredCandidate> {
+    let (_, mut scored) = standalone(pricer, candidates, base);
     scored.sort_by(|a, b| {
         b.benefit
             .partial_cmp(&a.benefit)

@@ -41,8 +41,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-/// Tunables of the guard pipeline. Use [`GuardConfig::builder`] for
-/// validated construction.
+/// Tunables of the guard pipeline. [`GuardConfig::validate`] checks them.
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
     /// Length of the probation window, in executed statements.
@@ -90,9 +89,33 @@ impl Default for GuardConfig {
 }
 
 impl GuardConfig {
-    /// Validated builder.
-    pub fn builder() -> GuardConfigBuilder {
-        GuardConfigBuilder::default()
+    /// Check every field.
+    pub fn validate(&self) -> Result<(), AutoIndexError> {
+        if self.probation_statements == 0 {
+            return Err(invalid("guard.probation_statements", "must be >= 1"));
+        }
+        if self.baseline_window == 0 {
+            return Err(invalid("guard.baseline_window", "must be >= 1"));
+        }
+        if !self.max_regression.is_finite() || self.max_regression < 0.0 {
+            return Err(invalid("guard.max_regression", "must be finite and >= 0"));
+        }
+        if !self.shadow_min_improvement.is_finite() || self.shadow_min_improvement < 0.0 {
+            return Err(invalid(
+                "guard.shadow_min_improvement",
+                "must be finite and >= 0",
+            ));
+        }
+        if !self.cooldown_factor.is_finite() || self.cooldown_factor < 1.0 {
+            return Err(invalid("guard.cooldown_factor", "must be finite and >= 1"));
+        }
+        if self.cooldown_max < self.cooldown_initial {
+            return Err(invalid("guard.cooldown_max", "must be >= cooldown_initial"));
+        }
+        if self.observe_only_after == 0 {
+            return Err(invalid("guard.observe_only_after", "must be >= 1"));
+        }
+        Ok(())
     }
 
     /// Cooldown length after the `failures`-th consecutive failure:
@@ -106,88 +129,6 @@ impl GuardConfig {
         (scaled as u64)
             .min(self.cooldown_max)
             .max(self.cooldown_initial.min(self.cooldown_max))
-    }
-}
-
-/// Builder for [`GuardConfig`]; `build()` validates every field.
-#[derive(Debug, Clone, Default)]
-pub struct GuardConfigBuilder {
-    cfg: GuardConfigInner,
-}
-
-#[derive(Debug, Clone, Default)]
-struct GuardConfigInner(GuardConfig);
-
-impl GuardConfigBuilder {
-    pub fn probation_statements(mut self, v: u64) -> Self {
-        self.cfg.0.probation_statements = v;
-        self
-    }
-    pub fn min_probation_samples(mut self, v: u64) -> Self {
-        self.cfg.0.min_probation_samples = v;
-        self
-    }
-    pub fn max_regression(mut self, v: f64) -> Self {
-        self.cfg.0.max_regression = v;
-        self
-    }
-    pub fn baseline_window(mut self, v: usize) -> Self {
-        self.cfg.0.baseline_window = v;
-        self
-    }
-    pub fn shadow_min_improvement(mut self, v: f64) -> Self {
-        self.cfg.0.shadow_min_improvement = v;
-        self
-    }
-    pub fn cooldown_initial(mut self, v: u64) -> Self {
-        self.cfg.0.cooldown_initial = v;
-        self
-    }
-    pub fn cooldown_factor(mut self, v: f64) -> Self {
-        self.cfg.0.cooldown_factor = v;
-        self
-    }
-    pub fn cooldown_max(mut self, v: u64) -> Self {
-        self.cfg.0.cooldown_max = v;
-        self
-    }
-    pub fn observe_only_after(mut self, v: u32) -> Self {
-        self.cfg.0.observe_only_after = v;
-        self
-    }
-    pub fn build_retries(mut self, v: u32) -> Self {
-        self.cfg.0.build_retries = v;
-        self
-    }
-
-    /// Validate and build.
-    pub fn build(self) -> Result<GuardConfig, AutoIndexError> {
-        let c = self.cfg.0;
-        if c.probation_statements == 0 {
-            return Err(invalid("guard.probation_statements", "must be >= 1"));
-        }
-        if c.baseline_window == 0 {
-            return Err(invalid("guard.baseline_window", "must be >= 1"));
-        }
-        if !c.max_regression.is_finite() || c.max_regression < 0.0 {
-            return Err(invalid("guard.max_regression", "must be finite and >= 0"));
-        }
-        if !c.shadow_min_improvement.is_finite() || c.shadow_min_improvement < 0.0 {
-            return Err(invalid(
-                "guard.shadow_min_improvement",
-                "must be finite and >= 0",
-            ));
-        }
-        if !c.cooldown_factor.is_finite() || c.cooldown_factor < 1.0 {
-            return Err(invalid("guard.cooldown_factor", "must be finite and >= 1"));
-        }
-        if c.cooldown_max < c.cooldown_initial {
-            return Err(invalid("guard.cooldown_max", "must be >= cooldown_initial"));
-        }
-        if c.observe_only_after == 0 {
-            return Err(invalid("guard.observe_only_after", "must be >= 1"));
-        }
-        Ok(c)
     }
 }
 
@@ -858,27 +799,27 @@ mod tests {
 
     #[test]
     fn builder_validates() {
-        assert!(GuardConfig::builder().build().is_ok());
-        assert!(GuardConfig::builder()
-            .probation_statements(0)
-            .build()
-            .is_err());
-        assert!(GuardConfig::builder().cooldown_factor(0.5).build().is_err());
-        assert!(GuardConfig::builder().max_regression(-1.0).build().is_err());
-        assert!(GuardConfig::builder()
-            .cooldown_initial(100)
-            .cooldown_max(10)
-            .build()
-            .is_err());
-        assert!(GuardConfig::builder()
-            .observe_only_after(0)
-            .build()
-            .is_err());
-        let c = GuardConfig::builder()
-            .max_regression(0.5)
-            .probation_statements(42)
-            .build()
-            .unwrap();
+        let with = |f: fn(&mut GuardConfig)| {
+            let mut c = GuardConfig::default();
+            f(&mut c);
+            c.validate()
+        };
+        assert!(GuardConfig::default().validate().is_ok());
+        assert!(with(|c| c.probation_statements = 0).is_err());
+        assert!(with(|c| c.cooldown_factor = 0.5).is_err());
+        assert!(with(|c| c.max_regression = -1.0).is_err());
+        assert!(with(|c| {
+            c.cooldown_initial = 100;
+            c.cooldown_max = 10;
+        })
+        .is_err());
+        assert!(with(|c| c.observe_only_after = 0).is_err());
+        let c = GuardConfig {
+            max_regression: 0.5,
+            probation_statements: 42,
+            ..GuardConfig::default()
+        };
+        assert!(c.validate().is_ok());
         assert_eq!(c.probation_statements, 42);
         assert_eq!(c.max_regression, 0.5);
     }

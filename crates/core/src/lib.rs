@@ -79,19 +79,18 @@ pub mod strategy;
 pub mod system;
 pub mod templates;
 
-pub use bandit::{ArmChoice, BanditConfig, BanditConfigBuilder, BanditStrategy, RegretAccounter};
-pub use candgen::{CandidateConfig, CandidateConfigBuilder, CandidateGenerator, CandidateStats};
+pub use bandit::{ArmChoice, BanditConfig, BanditStrategy, RegretAccounter};
+pub use candgen::{CandidateConfig, CandidateGenerator, CandidateStats};
 pub use delta::{DeltaPricer, DeltaTerm, DeltaWorkload};
 pub use diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 pub use engine::{logical_merge, Observation, ObservationPayload};
 pub use error::AutoIndexError;
 pub use fastpath::{CompiledTemplate, FastPathCache};
 pub use guard::{
-    ApplyVerdict, Guard, GuardConfig, GuardConfigBuilder, GuardEvent, GuardPhase, IndexSnapshot,
-    RollbackReason,
+    ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase, IndexSnapshot, RollbackReason,
 };
-pub use mcts::{MctsConfig, MctsConfigBuilder, MctsSearch, PolicyTree, SearchOutcome};
-pub use online::{FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineConfigBuilder, OnlineEvent};
+pub use mcts::{MctsConfig, MctsSearch, PolicyTree, SearchOutcome};
+pub use online::{FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineEvent};
 pub use serve::{
     decide_admission, serve, serve_fleet, Admission, AdmissionCandidate, AdmissionDecision,
     EpochRecord, FleetConfig, FleetOutcome, FleetTenant, FleetTenantOutcome, ServeConfig,
@@ -99,7 +98,5 @@ pub use serve::{
 };
 pub use session::{SessionReport, TuningSession};
 pub use strategy::{GreedyStrategy, MctsStrategy, RewardObservation, StrategyKind};
-pub use system::{
-    AutoIndex, AutoIndexConfig, AutoIndexConfigBuilder, Recommendation, TuningReport,
-};
+pub use system::{AutoIndex, AutoIndexConfig, Recommendation, TuningReport};
 pub use templates::{TemplateEntry, TemplateStore, TemplateStoreConfig};

@@ -339,8 +339,6 @@ pub struct MctsConfig {
     pub rollout_depth: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Visit-count decay applied when a new round begins.
-    pub round_decay: f64,
     /// Early-stop: quit after this many iterations without improvement.
     pub patience: usize,
     /// Use the decomposed delta-cost evaluator: split workload cost into
@@ -362,7 +360,6 @@ impl Default for MctsConfig {
             rollouts: 5,
             rollout_depth: 4,
             seed: 17,
-            round_decay: 0.5,
             patience: 120,
             decomposed_eval: true,
         }
@@ -370,81 +367,22 @@ impl Default for MctsConfig {
 }
 
 impl MctsConfig {
-    /// Validated builder (preferred over struct-literal construction).
-    pub fn builder() -> MctsConfigBuilder {
-        MctsConfigBuilder {
-            cfg: MctsConfig::default(),
-        }
-    }
-
-    /// Builder pre-loaded with an existing configuration; used by
-    /// [`AutoIndexConfig::builder`](crate::AutoIndexConfig::builder) to
-    /// validate its nested search config.
-    pub fn builder_from(cfg: MctsConfig) -> MctsConfigBuilder {
-        MctsConfigBuilder { cfg }
-    }
-}
-
-/// Builder for [`MctsConfig`]; `build()` validates every field.
-#[derive(Debug, Clone)]
-pub struct MctsConfigBuilder {
-    cfg: MctsConfig,
-}
-
-impl MctsConfigBuilder {
-    pub fn iterations(mut self, v: usize) -> Self {
-        self.cfg.iterations = v;
-        self
-    }
-    pub fn gamma(mut self, v: f64) -> Self {
-        self.cfg.gamma = v;
-        self
-    }
-    pub fn rollouts(mut self, v: usize) -> Self {
-        self.cfg.rollouts = v;
-        self
-    }
-    pub fn rollout_depth(mut self, v: usize) -> Self {
-        self.cfg.rollout_depth = v;
-        self
-    }
-    pub fn seed(mut self, v: u64) -> Self {
-        self.cfg.seed = v;
-        self
-    }
-    pub fn round_decay(mut self, v: f64) -> Self {
-        self.cfg.round_decay = v;
-        self
-    }
-    pub fn patience(mut self, v: usize) -> Self {
-        self.cfg.patience = v;
-        self
-    }
-    pub fn decomposed_eval(mut self, v: bool) -> Self {
-        self.cfg.decomposed_eval = v;
-        self
-    }
-
-    /// Validate and build.
-    pub fn build(self) -> Result<MctsConfig, crate::error::AutoIndexError> {
+    /// Check every field.
+    pub fn validate(&self) -> Result<(), crate::error::AutoIndexError> {
         use crate::error::invalid;
-        let c = self.cfg;
-        if c.iterations == 0 {
+        if self.iterations == 0 {
             return Err(invalid("mcts.iterations", "must be >= 1"));
         }
-        if !c.gamma.is_finite() || c.gamma < 0.0 {
+        if !self.gamma.is_finite() || self.gamma < 0.0 {
             return Err(invalid("mcts.gamma", "must be finite and >= 0"));
         }
-        if c.rollout_depth == 0 {
+        if self.rollout_depth == 0 {
             return Err(invalid("mcts.rollout_depth", "must be >= 1"));
         }
-        if !c.round_decay.is_finite() || !(0.0..=1.0).contains(&c.round_decay) {
-            return Err(invalid("mcts.round_decay", "must be in [0, 1]"));
-        }
-        if c.patience == 0 {
+        if self.patience == 0 {
             return Err(invalid("mcts.patience", "must be >= 1"));
         }
-        Ok(c)
+        Ok(())
     }
 }
 

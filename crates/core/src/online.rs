@@ -56,7 +56,7 @@ pub struct OnlineConfig {
     /// the cadence check is `executed % interval == 0`, and `% 0` would
     /// otherwise make the condition *never* true, silently disabling
     /// diagnosis forever. [`OnlineAutoIndex::new`] clamps accordingly;
-    /// [`OnlineConfig::builder`] rejects `0` outright.
+    /// [`OnlineConfig::validate`] rejects `0` outright.
     pub diagnosis_interval: u64,
     /// Minimum statements between two tuning rounds (cool-down, so a round
     /// has time to show its effect in the usage counters).
@@ -82,50 +82,17 @@ impl Default for OnlineConfig {
 }
 
 impl OnlineConfig {
-    /// Validated builder (preferred over struct-literal construction).
-    pub fn builder() -> OnlineConfigBuilder {
-        OnlineConfigBuilder {
-            cfg: OnlineConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`OnlineConfig`]; `build()` validates every field.
-#[derive(Debug, Clone)]
-pub struct OnlineConfigBuilder {
-    cfg: OnlineConfig,
-}
-
-impl OnlineConfigBuilder {
-    pub fn diagnosis_interval(mut self, v: u64) -> Self {
-        self.cfg.diagnosis_interval = v;
-        self
-    }
-    pub fn tuning_cooldown(mut self, v: u64) -> Self {
-        self.cfg.tuning_cooldown = v;
-        self
-    }
-    pub fn reset_usage_after_tuning(mut self, v: bool) -> Self {
-        self.cfg.reset_usage_after_tuning = v;
-        self
-    }
-    pub fn guard(mut self, v: impl Into<Option<GuardConfig>>) -> Self {
-        self.cfg.guard = v.into();
-        self
-    }
-
-    /// Validate and build. Unlike the legacy clamp, a zero
-    /// `diagnosis_interval` is an error here — silent correction hides
-    /// misconfiguration.
-    pub fn build(self) -> Result<OnlineConfig, AutoIndexError> {
-        let c = self.cfg;
-        if c.diagnosis_interval == 0 {
+    /// Check every field, then the guard's. Unlike the clamp in
+    /// [`OnlineAutoIndex::new`], a zero `diagnosis_interval` is an error
+    /// here — silent correction hides misconfiguration.
+    pub fn validate(&self) -> Result<(), AutoIndexError> {
+        if self.diagnosis_interval == 0 {
             return Err(invalid(
                 "online.diagnosis_interval",
                 "must be >= 1 (diagnosis would otherwise never run)",
             ));
         }
-        Ok(c)
+        self.guard.as_ref().map_or(Ok(()), GuardConfig::validate)
     }
 }
 
@@ -228,7 +195,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     ///
     /// `diagnosis_interval == 0` is clamped to `1` — see
     /// [`OnlineConfig::diagnosis_interval`] for why `0` would otherwise
-    /// silently disable diagnosis. Use [`OnlineConfig::builder`] to get an
+    /// silently disable diagnosis. [`OnlineConfig::validate`] reports an
     /// error instead of the clamp.
     pub fn new(db: SimDb, advisor: AutoIndex<E>, mut config: OnlineConfig) -> Self {
         config.diagnosis_interval = config.diagnosis_interval.max(1);
@@ -528,12 +495,12 @@ mod tests {
         OnlineAutoIndex::new(
             db(),
             AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator),
-            OnlineConfig::builder()
-                .diagnosis_interval(200)
-                .tuning_cooldown(400)
-                .guard(Some(guard))
-                .build()
-                .unwrap(),
+            OnlineConfig {
+                diagnosis_interval: 200,
+                tuning_cooldown: 400,
+                guard: Some(guard),
+                ..OnlineConfig::default()
+            },
         )
     }
 
@@ -641,10 +608,14 @@ mod tests {
     #[test]
     fn zero_diagnosis_interval_is_clamped_by_new_and_rejected_by_builder() {
         // Regression: `executed % 0 == 0` is never true, so interval 0 used
-        // to disable diagnosis forever. `new` clamps to 1; the builder
+        // to disable diagnosis forever. `new` clamps to 1; `validate`
         // makes it a hard error.
+        let zero = OnlineConfig {
+            diagnosis_interval: 0,
+            ..OnlineConfig::default()
+        };
         assert!(matches!(
-            OnlineConfig::builder().diagnosis_interval(0).build(),
+            zero.validate(),
             Err(AutoIndexError::InvalidConfig { field, .. }) if field == "online.diagnosis_interval"
         ));
         let mut o = OnlineAutoIndex::new(
@@ -672,6 +643,21 @@ mod tests {
             o.db().indexes().any(|(_, d)| d.key() == "t(a)"),
             "with diagnosis running, the missing index gets built"
         );
+    }
+
+    #[test]
+    fn validate_checks_the_nested_guard() {
+        let config = OnlineConfig {
+            guard: Some(GuardConfig {
+                probation_statements: 0,
+                ..GuardConfig::default()
+            }),
+            ..OnlineConfig::default()
+        };
+        assert!(matches!(
+            config.validate(),
+            Err(AutoIndexError::InvalidConfig { field, .. }) if field == "guard.probation_statements"
+        ));
     }
 
     #[test]

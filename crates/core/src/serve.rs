@@ -71,7 +71,8 @@ use std::time::{Duration, Instant};
 /// are its two instances: they differ only in how [`Config::panic_on`]
 /// names a statement — by its sequence number in the one stream, or by
 /// `(tenant, seq)` — and in their defaults (16 shards and 1 000-statement
-/// epochs; 4 and 1 024). Prefer the builders, which validate every field.
+/// epochs; 4 and 1 024). [`serve`] and [`serve_fleet`] check every field,
+/// the guard's included, when they start; so does a builder's `build`.
 #[derive(Debug, Clone)]
 pub struct Config<Site> {
     /// Executor threads. `0` means one per available core.
@@ -143,7 +144,7 @@ impl<Site> Config<Site> {
         }
     }
 
-    /// Validated builder over the defaults.
+    /// Builder over the defaults.
     pub fn builder() -> ConfigBuilder<Site>
     where
         Self: Default,
@@ -208,7 +209,7 @@ impl<Site> ConfigBuilder<Site> {
 }
 
 /// The one validation: every config field, then every tenant's declared
-/// `(p50, p99)` SLOs. `INFINITY` declares no SLO; a NaN one would make
+/// `(p50, p99)` SLOs, then the guard's fields. `INFINITY` declares no SLO; a NaN one would make
 /// every executed slice a violation, a negative one can never be met.
 fn validate<Site>(
     c: &Config<Site>,
@@ -248,7 +249,7 @@ fn validate<Site>(
     });
     match checks.into_iter().chain(slos).find(|check| check.0) {
         Some((_, field, reason)) => Err(invalid(field, reason)),
-        None => Ok(()),
+        None => c.guard.as_ref().map_or(Ok(()), GuardConfig::validate),
     }
 }
 
@@ -1291,6 +1292,26 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_an_invalid_guard() {
+        let guard = GuardConfig {
+            probation_statements: 0,
+            ..GuardConfig::default()
+        };
+        let cfg = ServeConfig {
+            guard: Some(guard),
+            ..ServeConfig::default()
+        };
+        let r = serve(db(), advisor(), &point_lookups(10, 0), cfg);
+        assert!(matches!(
+            r,
+            Err(AutoIndexError::InvalidConfig {
+                field: "guard.probation_statements",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn fleet_builder_validates() {
         assert!(FleetConfig::builder().build().is_ok());
         assert!(FleetConfig::builder().shards(0).build().is_err());
@@ -1451,10 +1472,10 @@ mod tests {
         queries.extend(
             (0..400).map(|i| format!("SELECT b, COUNT(*) FROM t WHERE b > {} GROUP BY b", i % 50)),
         );
-        let starved = AutoIndexConfig::builder()
-            .storage_budget(Some(1))
-            .build()
-            .unwrap();
+        let starved = AutoIndexConfig {
+            storage_budget: Some(1),
+            ..AutoIndexConfig::default()
+        };
         let cfg = ServeConfig::builder()
             .epoch_interval(50)
             .tuning_cooldown_epochs(2)

@@ -20,7 +20,7 @@
 //!   interned in and the round's one [`DeltaPricer`]. A strategy prices
 //!   every configuration through it.
 //! * [`StrategyKind`] — the validated selector carried by
-//!   `AutoIndexConfig::builder().strategy(..)` and
+//!   `AutoIndexConfig::strategy` and
 //!   `TuningSession::strategy(..)`; unknown names surface as
 //!   [`AutoIndexError::InvalidStrategy`].
 //! * [`MctsStrategy`] — the paper's §IV-B pipeline over its
@@ -442,12 +442,17 @@ impl MctsStrategy {
     pub fn new() -> Self {
         MctsStrategy::default()
     }
-
-    /// Policy-tree size.
-    pub fn tree_len(&self) -> usize {
-        self.tree.len()
-    }
 }
+
+/// Never drop indexes that implement a table's primary key.
+const PROTECT_PRIMARY_KEYS: bool = true;
+
+/// Visit-count decay applied to the policy tree when a new round begins.
+const ROUND_DECAY: f64 = 0.5;
+
+/// Minimum estimated relative improvement to act on (smaller
+/// recommendations are noise).
+const MIN_IMPROVEMENT: f64 = 0.002;
 
 impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
     fn tree_nodes(&self) -> usize {
@@ -461,7 +466,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         let existing_set = &round.existing_set;
         let protected: ConfigSet = existing_set
             .iter()
-            .filter(|&s| config.protect_primary_keys && is_primary_key_index(db, universe.def(s)))
+            .filter(|&s| PROTECT_PRIMARY_KEYS && is_primary_key_index(db, universe.def(s)))
             .collect();
 
         // Estimator-driven redundant-index prune pass (§III): sequentially
@@ -504,7 +509,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         }
 
         // MCTS over the persistent policy tree (§IV-B).
-        self.tree.begin_round(config.mcts.round_decay);
+        self.tree.begin_round(ROUND_DECAY);
         let search = MctsSearch {
             universe,
             db,
@@ -594,7 +599,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         } else {
             0.0
         };
-        if improvement < config.min_improvement {
+        if improvement < MIN_IMPROVEMENT {
             // A prune-only change (dropping cost-neutral redundant indexes)
             // is worth acting on regardless of the latency improvement —
             // it reclaims storage and write headroom for free, and leaving

@@ -35,11 +35,6 @@ pub struct AutoIndexConfig {
     pub candidates: CandidateConfig,
     pub mcts: MctsConfig,
     pub diagnosis: DiagnosisConfig,
-    /// Never drop indexes that implement a table's primary key.
-    pub protect_primary_keys: bool,
-    /// Minimum estimated relative improvement to act on (smaller
-    /// recommendations are noise).
-    pub min_improvement: f64,
     /// Redundancy prune pass (§III: "we also figure out redundant or
     /// negative indexes based on the index benefit estimation results"):
     /// an existing index is pruned when removing it increases the
@@ -63,8 +58,6 @@ impl Default for AutoIndexConfig {
             candidates: CandidateConfig::default(),
             mcts: MctsConfig::default(),
             diagnosis: DiagnosisConfig::default(),
-            protect_primary_keys: true,
-            min_improvement: 0.002,
             prune_epsilon: Some(0.0),
             strategy: StrategyKind::default(),
             bandit: BanditConfig::default(),
@@ -73,72 +66,10 @@ impl Default for AutoIndexConfig {
 }
 
 impl AutoIndexConfig {
-    /// Validated builder (preferred over struct-literal construction).
-    pub fn builder() -> AutoIndexConfigBuilder {
-        AutoIndexConfigBuilder {
-            cfg: AutoIndexConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`AutoIndexConfig`]; `build()` validates every field.
-#[derive(Debug, Clone)]
-pub struct AutoIndexConfigBuilder {
-    cfg: AutoIndexConfig,
-}
-
-impl AutoIndexConfigBuilder {
-    pub fn storage_budget(mut self, bytes: Option<u64>) -> Self {
-        self.cfg.storage_budget = bytes;
-        self
-    }
-    pub fn templates(mut self, v: TemplateStoreConfig) -> Self {
-        self.cfg.templates = v;
-        self
-    }
-    pub fn candidates(mut self, v: CandidateConfig) -> Self {
-        self.cfg.candidates = v;
-        self
-    }
-    pub fn mcts(mut self, v: MctsConfig) -> Self {
-        self.cfg.mcts = v;
-        self
-    }
-    pub fn diagnosis(mut self, v: DiagnosisConfig) -> Self {
-        self.cfg.diagnosis = v;
-        self
-    }
-    pub fn protect_primary_keys(mut self, v: bool) -> Self {
-        self.cfg.protect_primary_keys = v;
-        self
-    }
-    pub fn min_improvement(mut self, v: f64) -> Self {
-        self.cfg.min_improvement = v;
-        self
-    }
-    pub fn prune_epsilon(mut self, v: Option<f64>) -> Self {
-        self.cfg.prune_epsilon = v;
-        self
-    }
-    pub fn strategy(mut self, v: StrategyKind) -> Self {
-        self.cfg.strategy = v;
-        self
-    }
-    pub fn bandit(mut self, v: BanditConfig) -> Self {
-        self.cfg.bandit = v;
-        self
-    }
-
-    /// Validate and build.
-    pub fn build(self) -> Result<AutoIndexConfig, AutoIndexError> {
-        let c = self.cfg;
-        if !c.min_improvement.is_finite() || !(0.0..1.0).contains(&c.min_improvement) {
-            return Err(invalid(
-                "autoindex.min_improvement",
-                "must be finite and in [0, 1)",
-            ));
-        }
-        if let Some(eps) = c.prune_epsilon {
+    /// Check every field, then the nested search, candidate and bandit
+    /// configurations.
+    pub fn validate(&self) -> Result<(), AutoIndexError> {
+        if let Some(eps) = self.prune_epsilon {
             if !eps.is_finite() || eps < 0.0 {
                 return Err(invalid(
                     "autoindex.prune_epsilon",
@@ -146,17 +77,15 @@ impl AutoIndexConfigBuilder {
                 ));
             }
         }
-        if c.storage_budget == Some(0) {
+        if self.storage_budget == Some(0) {
             return Err(invalid(
                 "autoindex.storage_budget",
                 "a zero budget forbids every index; use None for unlimited",
             ));
         }
-        // Nested search/bandit configuration goes through its own
-        // validator.
-        let _ = MctsConfig::builder_from(c.mcts.clone()).build()?;
-        let _ = BanditConfig::builder_from(c.bandit.clone()).build()?;
-        Ok(c)
+        self.mcts.validate()?;
+        self.candidates.validate()?;
+        self.bandit.validate()
     }
 }
 
@@ -816,14 +745,13 @@ mod tests {
         let diagnose = |sort_aware: bool| {
             let mut db = db();
             db.create_index(IndexDef::new("t", &["b"])).unwrap();
-            let candidates = CandidateConfig::builder()
-                .sort_aware(sort_aware)
-                .build()
-                .unwrap();
-            let config = AutoIndexConfig::builder()
-                .candidates(candidates)
-                .build()
-                .unwrap();
+            let config = AutoIndexConfig {
+                candidates: CandidateConfig {
+                    sort_aware,
+                    ..CandidateConfig::default()
+                },
+                ..AutoIndexConfig::default()
+            };
             let mut ai = AutoIndex::new(config, NativeCostEstimator);
             for i in 0..600 {
                 let sql = format!("SELECT * FROM t WHERE b = {i} ORDER BY a DESC, c LIMIT 10");
@@ -926,35 +854,49 @@ mod tests {
 
     #[test]
     fn config_builder_validates() {
-        assert!(AutoIndexConfig::builder().build().is_ok());
-        assert!(AutoIndexConfig::builder()
-            .min_improvement(1.5)
-            .build()
-            .is_err());
-        assert!(AutoIndexConfig::builder()
-            .min_improvement(f64::NAN)
-            .build()
-            .is_err());
-        assert!(AutoIndexConfig::builder()
-            .prune_epsilon(Some(-0.1))
-            .build()
-            .is_err());
-        assert!(AutoIndexConfig::builder()
-            .storage_budget(Some(0))
-            .build()
-            .is_err());
-        // Nested MCTS validation propagates.
-        let bad_mcts = MctsConfig {
-            iterations: 0,
-            ..MctsConfig::default()
+        assert!(AutoIndexConfig::default().validate().is_ok());
+        let prune = AutoIndexConfig {
+            prune_epsilon: Some(-0.1),
+            ..AutoIndexConfig::default()
         };
-        assert!(AutoIndexConfig::builder().mcts(bad_mcts).build().is_err());
-        let ok = AutoIndexConfig::builder()
-            .storage_budget(Some(1 << 30))
-            .min_improvement(0.01)
-            .build()
-            .unwrap();
+        assert!(prune.validate().is_err());
+        let zero = AutoIndexConfig {
+            storage_budget: Some(0),
+            ..AutoIndexConfig::default()
+        };
+        assert!(zero.validate().is_err());
+        // Nested MCTS validation propagates.
+        let bad_mcts = AutoIndexConfig {
+            mcts: MctsConfig {
+                iterations: 0,
+                ..MctsConfig::default()
+            },
+            ..AutoIndexConfig::default()
+        };
+        assert!(bad_mcts.validate().is_err());
+        let ok = AutoIndexConfig {
+            storage_budget: Some(1 << 30),
+            ..AutoIndexConfig::default()
+        };
+        assert!(ok.validate().is_ok());
         assert_eq!(ok.storage_budget, Some(1 << 30));
-        assert_eq!(ok.min_improvement, 0.01);
+    }
+
+    #[test]
+    fn validate_checks_the_nested_candidates() {
+        let config = AutoIndexConfig {
+            candidates: CandidateConfig {
+                selectivity_threshold: 0.0,
+                ..CandidateConfig::default()
+            },
+            ..AutoIndexConfig::default()
+        };
+        assert!(matches!(
+            config.validate(),
+            Err(AutoIndexError::InvalidConfig {
+                field: "candidates.selectivity_threshold",
+                ..
+            })
+        ));
     }
 }

@@ -47,10 +47,6 @@ use std::sync::Arc;
 pub struct TemplateStoreConfig {
     /// Maximum number of retained templates (paper: e.g. 5000 for TPC-C).
     pub max_templates: usize,
-    /// Decay factor applied to all frequencies on workload shift.
-    pub decay: f64,
-    /// Frequency below which a template is dropped during decay.
-    pub min_frequency: f64,
     /// Window length (queries) over which the match rate is measured.
     pub shift_window: u64,
     /// Match rate under which a workload shift is declared.
@@ -61,8 +57,6 @@ impl Default for TemplateStoreConfig {
     fn default() -> Self {
         TemplateStoreConfig {
             max_templates: 5_000,
-            decay: 0.5,
-            min_frequency: 0.75,
             shift_window: 2_000,
             shift_threshold: 0.5,
         }
@@ -393,12 +387,14 @@ impl TemplateStore {
 
     /// Apply the §IV-C decay: multiply all frequencies, drop cold entries.
     pub fn decay(&mut self) {
-        let decay = self.config.decay;
-        let min = self.config.min_frequency;
+        /// Decay factor applied to all frequencies on workload shift.
+        const DECAY: f64 = 0.5;
+        /// Frequency below which a template is dropped during decay.
+        const MIN_FREQUENCY: f64 = 0.75;
         let before = self.by_hash.len();
         self.by_hash.retain(|_, e| {
-            e.frequency *= decay;
-            e.frequency >= min
+            e.frequency *= DECAY;
+            e.frequency >= MIN_FREQUENCY
         });
         if self.by_hash.len() != before {
             self.published = None;
@@ -610,36 +606,6 @@ impl TemplateStore {
             scanned: LiteralBuf::new(),
         })
     }
-
-    /// Trend forecast (§IV-C: "we actually can foresee the main trend of
-    /// future queries based on historical queries"): templates whose
-    /// *recent* share of traffic exceeds their decayed long-term share by
-    /// `ratio`. These are the patterns about to dominate; callers can tune
-    /// for them before the shift detector forces a reaction.
-    ///
-    /// "Recent" = matched within the last `window` observations.
-    pub fn trending(&self, window: u64, ratio: f64) -> Vec<&TemplateEntry> {
-        if self.clock == 0 {
-            return Vec::new();
-        }
-        let cutoff = self.clock.saturating_sub(window);
-        let total_freq: f64 = self.by_hash.values().map(|e| e.frequency).sum();
-        if total_freq <= 0.0 {
-            return Vec::new();
-        }
-        let mut v: Vec<&TemplateEntry> = self
-            .by_hash
-            .values()
-            .filter(|e| {
-                // Long-term share is the decayed frequency; a template seen
-                // recently but with small accumulated share is "rising".
-                let share = e.frequency / total_freq;
-                e.last_seen > cutoff && share * ratio < 1.0 / self.by_hash.len().max(1) as f64
-            })
-            .collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.last_seen));
-        v
-    }
 }
 
 /// Eviction score: frequency damped by staleness (smaller = evict first).
@@ -795,7 +761,6 @@ mod tests {
             max_templates: 10_000,
             shift_window: 100,
             shift_threshold: 0.5,
-            ..TemplateStoreConfig::default()
         });
         // Phase 1: one hot template — no shift.
         for i in 0..200 {
@@ -837,25 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn trending_surfaces_rising_templates() {
-        let c = catalog();
-        let mut s = small_store(100);
-        // Long-established heavy hitter.
-        for _ in 0..1_000 {
-            s.observe("SELECT * FROM t WHERE a = 1", &c).unwrap();
-        }
-        // A newcomer seen only in the recent window.
-        for _ in 0..10 {
-            s.observe("SELECT * FROM t WHERE b = 1", &c).unwrap();
-        }
-        let rising = s.trending(50, 4.0);
-        assert_eq!(rising.len(), 1);
-        assert!(rising[0].text.contains("b ="), "{:?}", rising[0].text);
-        // The heavy hitter is established, not trending.
-        assert!(!rising.iter().any(|e| e.text.contains("a =")));
-    }
-
-    #[test]
     fn json_snapshot_roundtrips() {
         let c = catalog();
         let mut s = small_store(50);
@@ -885,12 +831,6 @@ mod tests {
             &c
         )
         .is_err());
-    }
-
-    #[test]
-    fn trending_on_empty_store_is_empty() {
-        let s = small_store(10);
-        assert!(s.trending(100, 2.0).is_empty());
     }
 
     #[test]

@@ -67,7 +67,10 @@ fn bandit_regret_does_not_exceed_greedy_on_flash_crowd() {
 
     let regret_for = |kind: StrategyKind| {
         let mut db = build_db();
-        let cfg = AutoIndexConfig::builder().strategy(kind).build().unwrap();
+        let cfg = AutoIndexConfig {
+            strategy: kind,
+            ..AutoIndexConfig::default()
+        };
         let mut advisor = AutoIndex::new(cfg, NativeCostEstimator);
         let mut regret = RegretAccounter::new(oracle.clone());
         for (round, oracle_mean) in s.queries.chunks(ROUND).zip(&oracle_means) {

@@ -96,7 +96,10 @@ fn guarded_apply_is_atomic_under_arbitrary_fault_plans() {
             db.set_fault_plan(Some(plan));
 
             let mut guard = Guard::new(
-                GuardConfig::builder().build_retries(2).build().unwrap(),
+                GuardConfig {
+                    build_retries: 2,
+                    ..GuardConfig::default()
+                },
                 db.metrics(),
             );
             let (created, dropped, verdict) = guard.apply(&mut db, &rec, 0);
@@ -148,7 +151,10 @@ fn rollbacks_appear_with_faults_and_only_with_faults() {
             })));
         }
         let mut guard = Guard::new(
-            GuardConfig::builder().build_retries(0).build().unwrap(),
+            GuardConfig {
+                build_retries: 0,
+                ..GuardConfig::default()
+            },
             db.metrics(),
         );
         let (_, _, verdict) = guard.apply(&mut db, &synthetic_rec(), 0);

@@ -596,8 +596,11 @@ fn kept_candidates_equal_a_from_scratch_generation() {
                 max_templates: rng.random_range(2usize..16),
                 ..TemplateStoreConfig::default()
             };
-            let config = AutoIndexConfig::builder().templates(templates).build();
-            let mut ai = AutoIndex::new(config.unwrap(), NativeCostEstimator);
+            let config = AutoIndexConfig {
+                templates,
+                ..AutoIndexConfig::default()
+            };
+            let mut ai = AutoIndex::new(config, NativeCostEstimator);
             let tables = ["t", "u", "v"];
             let columns: [&[&str]; 3] = [&["a", "b", "c", "d"], &["x", "y"], &["x", "z"]];
             for step in 0..2 + size / 5 {
@@ -631,13 +634,14 @@ fn kept_candidates_equal_a_from_scratch_generation() {
                     6 => ai.force_template_decay(),
                     7 => ai.refresh_statistics(&db),
                     _ => {
-                        ai.config.candidates = CandidateConfig::builder()
-                            .sort_aware(rng.random_bool(0.5))
-                            .covering(rng.random_bool(0.5))
-                            .min_table_rows([50, 100, 1_000][rng.random_range(0usize..3)])
-                            .selectivity_threshold([1.0 / 3.0, 0.5][rng.random_range(0usize..2)])
-                            .build()
-                            .unwrap();
+                        // Fields are drawn in the order written.
+                        ai.config.candidates = CandidateConfig {
+                            sort_aware: rng.random_bool(0.5),
+                            covering: rng.random_bool(0.5),
+                            min_table_rows: [50, 100, 1_000][rng.random_range(0usize..3)],
+                            selectivity_threshold: [1.0 / 3.0, 0.5][rng.random_range(0usize..2)],
+                            ..CandidateConfig::default()
+                        };
                     }
                 }
                 let kept = ai.candidates(&db);

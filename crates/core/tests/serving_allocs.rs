@@ -86,7 +86,10 @@ fn serve_run(per_epoch: u64) -> (u64, u64) {
         ..DiagnosisConfig::default()
     };
     let mut advisor = AutoIndex::new(
-        AutoIndexConfig::builder().diagnosis(never).build().unwrap(),
+        AutoIndexConfig {
+            diagnosis: never,
+            ..AutoIndexConfig::default()
+        },
         NativeCostEstimator,
     );
     for sql in &queries[..12] {

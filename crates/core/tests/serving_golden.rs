@@ -42,10 +42,10 @@ fn advisor() -> Advisor {
 /// index worth having, diagnosis fires at every boundary and the cooldown
 /// alone decides which of them run a round.
 fn starved() -> Advisor {
-    let cfg = AutoIndexConfig::builder()
-        .storage_budget(Some(1))
-        .build()
-        .unwrap();
+    let cfg = AutoIndexConfig {
+        storage_budget: Some(1),
+        ..AutoIndexConfig::default()
+    };
     AutoIndex::new(cfg, NativeCostEstimator)
 }
 

@@ -1,4 +1,4 @@
-//! Columnar per-column statistics and compiled selectivity programs.
+//! Compiled selectivity programs.
 //!
 //! The interpreted estimator path resolves every predicate's column *by
 //! name* against the catalog on every evaluation. For the template fast
@@ -8,110 +8,22 @@
 //! the literal-dependent leaves to evaluate per statement — batched over a
 //! flat program instead of a per-predicate tree walk.
 //!
-//! Two pieces:
-//!
-//! * [`ColumnarStats`] — a flat, slot-addressed table of resolved
-//!   per-column statistics for one catalog version, keyed by interned
-//!   ([`TableId`], [`ColumnId`]) pairs. Parallel `ndv` / `min` / `max` /
-//!   `null_frac` arrays expose the stats in columnar (struct-of-arrays)
-//!   form for batched scans (the bandit's arm features).
-//! * [`TemplateSelProgram`] — a [`SelTrace`] (from
-//!   `QueryShape::extract_traced`) folded against one catalog state into
-//!   flat postfix programs, one per `(predicate, table)` factor.
-//!   Value-independent subtrees are const-folded; literal-dependent leaves
-//!   index the program's own copy of the columns they read and evaluate via
-//!   the *same* `autoindex_storage::selectivity` primitives as the
-//!   interpreted path, so results are bit-identical. The program reads
-//!   nothing outside itself: when a table it touches grows, the kept trace
-//!   is folded again and nothing else is rebuilt.
+//! [`TemplateSelProgram`] is a [`SelTrace`] (from
+//! `QueryShape::extract_traced`) folded against one catalog state into
+//! flat postfix programs, one per `(predicate, table)` factor.
+//! Value-independent subtrees are const-folded; literal-dependent leaves
+//! index the program's own copy of the columns they read and evaluate via
+//! the *same* `autoindex_storage::selectivity` primitives as the
+//! interpreted path, so results are bit-identical. The program reads
+//! nothing outside itself: when a table it touches grows, the kept trace
+//! is folded again and nothing else is rebuilt.
 
-use autoindex_sql::intern::{ColumnId, Interner, TableId};
 use autoindex_sql::predicate::AtomicPredicate;
 use autoindex_sql::{CmpOp, Value};
 use autoindex_storage::catalog::{Catalog, Column, Table};
 use autoindex_storage::selectivity::{between_selectivity, clamp_sel, cmp_selectivity};
 use autoindex_storage::shape::{SelTrace, SelTree};
 use autoindex_storage::QueryShape;
-use std::collections::HashMap;
-
-/// Flat, slot-addressed per-column statistics for one catalog version.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnarStats {
-    interner: Interner,
-    slots: HashMap<(TableId, ColumnId), u32>,
-    cols: Vec<Column>,
-    /// Owning table's row count, parallel to `cols`.
-    rows: Vec<u64>,
-    /// Columnar (struct-of-arrays) mirrors of the per-column statistics,
-    /// parallel to `cols`, for batched scans.
-    pub ndv: Vec<f64>,
-    pub min: Vec<f64>,
-    pub max: Vec<f64>,
-    pub null_frac: Vec<f64>,
-    /// Catalog version the stats were resolved against.
-    version: u64,
-}
-
-impl ColumnarStats {
-    /// Resolve every column of every catalog table into slots. Tables are
-    /// visited in sorted-name order so slot numbering is deterministic.
-    pub fn build(catalog: &Catalog) -> Self {
-        let mut s = ColumnarStats {
-            version: catalog.version(),
-            ..ColumnarStats::default()
-        };
-        let mut tables: Vec<&str> = catalog.tables().map(|t| t.name.as_str()).collect();
-        tables.sort_unstable();
-        for name in tables {
-            let table = catalog.table(name).expect("listed table exists");
-            let tid = s.interner.table(&table.name);
-            for col in &table.columns {
-                let cid = s.interner.column(&col.name);
-                let slot = s.cols.len() as u32;
-                s.slots.insert((tid, cid), slot);
-                s.rows.push(table.rows);
-                s.ndv.push(col.stats.ndv);
-                s.min.push(col.stats.min);
-                s.max.push(col.stats.max);
-                s.null_frac.push(col.stats.null_frac);
-                s.cols.push(col.clone());
-            }
-        }
-        s
-    }
-
-    /// Catalog version these stats were built from.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Number of resolved column slots.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Whether no columns are resolved.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Slot of `table.column`, if both exist in the catalog snapshot.
-    pub fn slot(&self, table: &str, column: &str) -> Option<u32> {
-        let tid = TableId(self.interner.get(table)?);
-        let cid = ColumnId(self.interner.get(column)?);
-        self.slots.get(&(tid, cid)).copied()
-    }
-
-    /// The resolved column behind a slot.
-    pub fn column(&self, slot: u32) -> &Column {
-        &self.cols[slot as usize]
-    }
-
-    /// Row count of the table owning `slot`.
-    pub fn table_rows(&self, slot: u32) -> u64 {
-        self.rows[slot as usize]
-    }
-}
 
 /// Where a literal-dependent leaf gets its value at evaluation time.
 #[derive(Debug, Clone, PartialEq)]
@@ -450,34 +362,6 @@ mod tests {
                 .unwrap(),
         );
         c
-    }
-
-    #[test]
-    fn columnar_stats_resolve_slots() {
-        let c = catalog();
-        let s = ColumnarStats::build(&c);
-        assert_eq!(s.len(), 6);
-        let slot = s.slot("account", "balance").unwrap();
-        assert_eq!(s.column(slot).name, "balance");
-        assert_eq!(s.table_rows(slot), 100_000);
-        assert!(s.slot("account", "ghost").is_none());
-        assert!(s.slot("ghost", "id").is_none());
-        // Same-named columns on different tables get distinct slots.
-        assert_ne!(
-            s.slot("account", "id"),
-            s.slot("branch", "bid"),
-            "distinct slots"
-        );
-    }
-
-    #[test]
-    fn columnar_build_is_deterministic() {
-        let c = catalog();
-        let a = ColumnarStats::build(&c);
-        let b = ColumnarStats::build(&c);
-        assert_eq!(a.slot("account", "balance"), b.slot("account", "balance"));
-        assert_eq!(a.ndv, b.ndv);
-        assert_eq!(a.min, b.min);
     }
 
     /// Compile a template's trace with sentinels standing in for the

@@ -33,6 +33,13 @@ pub struct Fingerprint {
     pub hash: u64,
 }
 
+/// Dense handle for a query template (assigned by the template store in
+/// first-seen order; stable for the life of the store). The compiled fast
+/// path uses it as the stable, transcript-independent identity of a
+/// compiled entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TemplateId(pub u32);
+
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.text)

@@ -17,9 +17,8 @@
 //! * [`mod@fingerprint`] — `SQL2Template` support: replacing literals with
 //!   placeholders so that queries differing only in constants map to the
 //!   same template; one walk over the tokenizer writes the text or, in
-//!   [`scan_fingerprint`], folds it into the same hash without allocating.
-//! * [`intern`] — dense `u32` handles ([`TableId`] / [`ColumnId`] /
-//!   [`TemplateId`]) for identifier-heavy hot paths.
+//!   [`scan_fingerprint`], folds it into the same hash without allocating;
+//!   a template store numbers the templates it admits with [`TemplateId`]s.
 //!
 //! The subset is deliberately scoped to what an index advisor consumes:
 //! which columns appear in which clause, with which operators and
@@ -52,7 +51,6 @@
 
 pub mod ast;
 pub mod fingerprint;
-pub mod intern;
 pub mod lexer;
 pub mod parser;
 pub mod predicate;
@@ -61,8 +59,7 @@ pub use ast::{
     CmpOp, ColumnRef, DeleteStatement, InsertStatement, Join, JoinKind, OrderItem, Predicate,
     SelectItem, SelectStatement, SetClause, Statement, TableRef, UpdateStatement, Value,
 };
-pub use fingerprint::{fingerprint, scan_fingerprint, Fingerprint, LiteralBuf};
-pub use intern::{ColumnId, Interner, TableId, TemplateId};
+pub use fingerprint::{fingerprint, scan_fingerprint, Fingerprint, LiteralBuf, TemplateId};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_statement, ParseError, Parser};
 pub use predicate::{AtomicPredicate, Dnf, DnfError};

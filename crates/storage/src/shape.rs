@@ -215,13 +215,6 @@ impl QueryShape {
     pub fn table(&self, name: &str) -> Option<&TableAtoms> {
         self.tables.iter().find(|t| t.table == name)
     }
-
-    /// Whether the statement reads (every statement except bare INSERT).
-    pub fn has_read_side(&self) -> bool {
-        self.tables.iter().any(|t| !t.all_atoms.is_empty())
-            || self.write.is_none()
-            || !self.joins.is_empty()
-    }
 }
 
 /// What one predicate leaf contributes to a table's selectivity factor:

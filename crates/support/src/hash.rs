@@ -25,7 +25,7 @@
 //! own templates (bounded by the template store capacity), not attacker
 //! input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The FNV-1a (64-bit) offset basis: the state before any byte.
@@ -78,9 +78,6 @@ pub type U64BuildHasher = BuildHasherDefault<U64Hasher>;
 /// A `HashMap` keyed by pre-hashed `u64`s (template fingerprints).
 pub type U64HashMap<V> = HashMap<u64, V, U64BuildHasher>;
 
-/// A `HashSet` of pre-hashed `u64`s.
-pub type U64HashSet = HashSet<u64, U64BuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,10 +94,6 @@ mod tests {
         for i in 0..1_000u64 {
             assert_eq!(m.get(&(i << 32 | 0xdead_beef)), Some(&(i as usize)));
         }
-        let mut s = U64HashSet::default();
-        s.insert(42);
-        assert!(s.contains(&42));
-        assert!(!s.contains(&43));
     }
 
     #[test]

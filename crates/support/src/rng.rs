@@ -116,15 +116,6 @@ impl StdRng {
         range.sample(self)
     }
 
-    /// `rand`-0.8-style alias for [`StdRng::random_range`].
-    #[inline]
-    pub fn gen_range<T, R>(&mut self, range: R) -> T
-    where
-        R: SampleRange<T>,
-    {
-        range.sample(self)
-    }
-
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn random_bool(&mut self, p: f64) -> bool {
@@ -135,12 +126,6 @@ impl StdRng {
             return false;
         }
         self.random_f64() < p
-    }
-
-    /// `rand`-0.8-style alias for [`StdRng::random_bool`].
-    #[inline]
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.random_bool(p)
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.

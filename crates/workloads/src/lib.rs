@@ -90,15 +90,3 @@ pub fn surface_scenarios(seed: u64, statements: usize) -> Vec<SurfaceScenario> {
         saas::scenario(seed, statements),
     ]
 }
-
-/// Convenience: parse a batch of generated SQL, panicking on generator bugs
-/// (generated SQL must always parse — that is itself asserted in tests).
-pub fn parse_all(queries: &[String]) -> Vec<autoindex_sql::Statement> {
-    queries
-        .iter()
-        .map(|q| {
-            autoindex_sql::parse_statement(q)
-                .unwrap_or_else(|e| panic!("generated SQL failed to parse: {e}\n  {q}"))
-        })
-        .collect()
-}

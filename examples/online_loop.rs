@@ -29,12 +29,12 @@ fn main() {
         .expect("primary key index");
 
     let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
-    let config = OnlineConfig::builder()
-        .diagnosis_interval(500)
-        .tuning_cooldown(1_000)
-        .guard(GuardConfig::default())
-        .build()
-        .expect("static config");
+    let config = OnlineConfig {
+        diagnosis_interval: 500,
+        tuning_cooldown: 1_000,
+        guard: Some(GuardConfig::default()),
+        ..OnlineConfig::default()
+    };
     let mut online = OnlineAutoIndex::new(db, advisor, config);
 
     // Phase 1: agents look tickets up by user.

@@ -209,4 +209,13 @@ for gone in greedy_select rank_candidates GreedyConfig; do
     absent "$gone" crates src examples tests
 done
 
+echo "==> config check (a configuration is its fields plus one validate: no config builder in crates/*/src but serve's ConfigBuilder<Site>, which perf/ drives; no re-validation shim; no statistics table or name interner under crates/)"
+absent 'struct \w\w*ConfigBuilder' crates/*/src
+for gone in builder_from GuardConfigInner; do
+    absent "$gone" crates src examples tests
+done
+for gone in Interner ColumnarStats; do
+    absent "$gone" crates
+done
+
 echo "OK: build + tests + docs green, dependency tree is hermetic."
