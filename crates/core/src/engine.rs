@@ -9,13 +9,13 @@
 //! ```text
 //!  coordinator (the caller's thread)              executors (one scope)
 //!  ┌───────────────────────────────┐  TaskQueue  ┌────────┐┌────────┐
-//!  │ run_epoch(slices) ── tasks ───┼────────────►│worker 0││worker 1│ …
+//!  │ run_epoch(slices, sink) ─ tasks ────────────►│worker 0││worker 1│ …
 //!  │   each carries its lane's     │             │ pop front / wait   │
 //!  │   current Arc<Publication>    │◄────────────┤                    │
-//!  │   collect exactly |slices|    │ one batch   └────────┘└────────┘
-//!  │   place on (tenant, seq)      │ per task
+//!  │   each run passes to sink in  │ one run     └────────┘└────────┘
+//!  │   (tenant, seq) order: absorb │ per task
 //!  │                               │
-//!  │ boundary: absorb, tune        │
+//!  │ boundary: close slices, tune  │
 //!  │ publish(tenant) overwrites the coordinator's own copy
 //!  └───────────────────────────────┘
 //! ```
@@ -24,13 +24,16 @@
 //! * `Coordinator::run_epoch` cuts each admitted slice into up to
 //!   `shards` contiguous runs and makes each non-empty run a
 //!   `(tenant, epoch, start, end)` task holding the publication it runs
-//!   against, injects them into the one task queue and returns **exactly
-//!   one observation per sequence slot**, merged on the `(tenant, seq)`
-//!   logical clock.
+//!   against, injects them into the one task queue, and hands the caller's
+//!   sink **exactly one observation per sequence slot**, each lane's in
+//!   `seq` order.
 //!   The unit of hand-off is the task, not the statement: a worker sends
 //!   everything one task observed as one message — a `seq`-ascending run
-//!   of one tenant — and the coordinator moves each batch to the slots it
-//!   was due in (`EpochMerge`). Which worker ran a statement never shows.
+//!   of one tenant — and the coordinator passes each run on as soon as the
+//!   run before it in its lane has passed (`InOrder`); only a run that
+//!   arrives ahead of its predecessor waits. The coordinator absorbs while
+//!   the workers run and never holds the epoch. Which worker ran a
+//!   statement never shows.
 //! * The loop's boundary then runs on the coordinator — the
 //!   only thread that owns the live [`SimDb`]s and each lane's current
 //!   publication — and `Coordinator::publish` overwrites that
@@ -45,9 +48,12 @@
 //! A task's range is a pure function of its slice and `shards`
 //! (`chunks`), measurement noise is derived per `seq`, and publications
 //! are frozen per epoch, so an outcome does not depend on which thread
-//! computed it; the merge erases arrival order. Everything the loop
-//! renders into a transcript is downstream of `Coordinator::run_epoch`'s
-//! return value and therefore worker-count invariant.
+//! computed it. A lane's observations reach the sink in `seq` order
+//! whatever order they arrived in, and lanes share no state, so what a
+//! lane absorbs does not depend on how its runs interleave with other
+//! lanes'. Everything the loop renders into a transcript is downstream of
+//! what `Coordinator::run_epoch` passes to its sink, lane by lane, and
+//! therefore worker-count invariant.
 //!
 //! # Crash safety
 //!
@@ -69,7 +75,7 @@
 //! instead of hanging.
 
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::{FastPathCache, FrontEnd, Resolved, UpkeepCounters};
+use crate::fastpath::{FastPathCache, FrontEnd, Resolved, SkeletonClone, UpkeepCounters};
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
@@ -83,15 +89,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Bound of the observation channel, in **batches** (one per task; see
-/// [`Engine::run_task`]). An epoch has at most `slices × shards` tasks
-/// and the coordinator does nothing but receive until it holds them all,
-/// so the bound only has to let every worker finish a task or two ahead of
-/// the coordinator: 64 is two per worker at 32 workers, and a worker past
-/// it blocks in `send` until one is taken (backpressure, as before). In
-/// statements: a batch holds at most one task, a contiguous run of
-/// `⌈len / shards⌉` statements of one slice at most, so at most 64
-/// slices' worth of observations wait in the channel.
+/// Bound of the observation channel, in **runs** (one per task; see
+/// [`Engine::run_task`]). The coordinator absorbs each run as it takes
+/// it, so the bound only has to let every worker finish a task or two ahead
+/// of the coordinator: 64 is two per worker at 32 workers, and a worker past
+/// it blocks in `send` until one is taken (backpressure). In statements: a
+/// run holds at most one task, a contiguous run of `⌈len / shards⌉`
+/// statements of one slice at most, so at most 64 slices' worth of
+/// observations wait in the channel.
 const CHANNEL_CAPACITY: usize = 64;
 
 // --------------------------------------------------------- observations
@@ -128,81 +133,139 @@ pub struct Observation {
     pub payload: ObservationPayload,
 }
 
-/// An [`Observation`] with the lane it belongs to: what workers send (a
-/// task's worth at a time) and [`Coordinator::run_epoch`] returns, merged
-/// on `(tenant, obs.seq)`.
+/// What a worker sends for one task, and [`Coordinator::run_epoch`]
+/// passes on: a `seq`-ascending, contiguous run of one tenant's sequence
+/// slots. The tenant, the epoch and the first sequence number are facts of
+/// the run, kept once, so a slot in flight holds only what its statement
+/// produced: 168 bytes.
 #[derive(Debug)]
-pub(crate) struct TenantObservation {
+pub(crate) struct Run {
     pub(crate) tenant: u32,
-    pub(crate) obs: Observation,
-    /// Whether the fast path bound the statement (what the report tallies
-    /// as a hit); kept beside the payload, whose `fp` a miss carries too.
-    pub(crate) bound: bool,
+    pub(crate) epoch: u64,
+    /// Sequence number of `slots[0]`.
+    pub(crate) start: u64,
+    /// Per slot, in `seq` order: its payload, and whether the fast path
+    /// bound the statement (what the report tallies as a hit; a miss
+    /// carries a fingerprint hash too).
+    pub(crate) slots: Vec<(ObservationPayload, bool)>,
 }
 
-/// An epoch's observations on their way into `(tenant, seq)` order.
+impl Run {
+    /// One past the last sequence number.
+    pub(crate) fn end(&self) -> u64 {
+        self.start + self.slots.len() as u64
+    }
+
+    /// `(seq, payload, bound)` per slot, in `seq` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &ObservationPayload, bool)> {
+        (self.start..)
+            .zip(&self.slots)
+            .map(|(seq, (p, b))| (seq, p, *b))
+    }
+}
+
+/// An epoch's runs on their way to the coordinator's sink in
+/// `(tenant, seq)` order.
 ///
-/// Exactly one observation is due per admitted sequence slot, so the
-/// position each takes in the merged epoch is known before it arrives —
-/// slices in tenant order, a slice's slots in `seq` order — and merging is
-/// placing: every batch is moved to its slots as it comes in and dropped.
-/// Arrival order is erased just as a sort on the key would erase it (the
-/// result is the same sequence; property-tested below) in one move per
-/// ~200-byte record instead of `log n`, and the epoch is never held twice.
-struct EpochMerge {
-    /// Per lane: its admitted slice's `start..end` and the position of
-    /// `start` in `slots` (an empty range when the lane has no slice).
-    homes: Vec<(std::ops::Range<u64>, usize)>,
-    slots: Vec<Option<TenantObservation>>,
+/// A [`Run`] — a contiguous part of one admitted slice — passes as soon as
+/// its lane's previous slot has passed; one that
+/// arrives ahead of its predecessor waits in its lane until then. What is
+/// held is the runs in flight, never the epoch. As a run passes, each
+/// observation's simulated latency is added to its task's makespan item, in
+/// `seq` order from `0.0`: the fold over the task's slots the makespan has
+/// always used, bit for bit.
+struct InOrder {
+    epoch: u64,
+    lanes: Vec<LaneOrder>,
+    /// Per task, in the order `run_epoch` makes them: its last sequence
+    /// number + 1, and its simulated-latency total so far.
+    task_end: Vec<u64>,
+    task_ms: Vec<f64>,
+    /// Observations received, and passed on.
+    got: u64,
+    passed: u64,
 }
 
-impl EpochMerge {
-    /// Lay out the slots of `slices` (at most one per tenant, in any
-    /// order) over `lanes` lanes.
-    fn new(lanes: usize, slices: &[Slice]) -> Self {
-        let mut homes = vec![(0..0, 0); lanes];
-        let mut by_tenant: Vec<&Slice> = slices.iter().collect();
-        by_tenant.sort_unstable_by_key(|s| s.tenant);
-        let mut at = 0;
-        for s in by_tenant {
-            homes[s.tenant as usize] = (s.start..s.end, at);
-            at += (s.end - s.start) as usize;
-        }
-        let mut slots = Vec::new();
-        slots.resize_with(at, || None);
-        EpochMerge { homes, slots }
-    }
+/// One lane's place in [`InOrder`].
+#[derive(Default)]
+struct LaneOrder {
+    /// The admitted slice (empty when the lane is idle this epoch).
+    slice: Range<u64>,
+    /// The next sequence number due.
+    next: u64,
+    /// The task `next` falls in (an index into `task_end`).
+    task: usize,
+    /// Runs that arrived ahead of `next`.
+    ahead: Vec<Run>,
+}
 
-    /// The positions `run`, a contiguous part of an admitted slice, fills
-    /// in the merged epoch.
-    fn span(&self, run: &Slice) -> Range<usize> {
-        let (range, at) = &self.homes[run.tenant as usize];
-        let from = at + (run.start - range.start) as usize;
-        from..from + (run.end - run.start) as usize
-    }
-
-    /// Move a batch to its slots. An observation no slot is waiting for
-    /// is dropped; its slot then stays empty and [`EpochMerge::finish`]
-    /// reports the epoch incomplete.
-    fn place(&mut self, batch: Vec<TenantObservation>) {
-        for o in batch {
-            let Some((range, at)) = self.homes.get(o.tenant as usize) else {
-                continue;
+impl InOrder {
+    /// The order the tasks of epoch `epoch` over `slices` (at most one per
+    /// tenant; each cut into up to `shards` runs, `chunks`) pass in over
+    /// `lanes` lanes.
+    fn new(epoch: u64, lanes: usize, slices: &[Slice], shards: u64) -> Self {
+        let mut order: Vec<LaneOrder> = (0..lanes).map(|_| LaneOrder::default()).collect();
+        let mut task_end = Vec::new();
+        for &s in slices {
+            order[s.tenant as usize] = LaneOrder {
+                slice: s.start..s.end,
+                next: s.start,
+                task: task_end.len(),
+                ahead: Vec::new(),
             };
-            if !range.contains(&o.obs.seq) {
-                continue;
+            task_end.extend(chunks(s, shards).map(|run| run.end));
+        }
+        InOrder {
+            epoch,
+            lanes: order,
+            task_ms: vec![0.0; task_end.len()],
+            task_end,
+            got: 0,
+            passed: 0,
+        }
+    }
+
+    /// Take one run: pass it to `sink` if it is due, with every waiting
+    /// run it makes due; keep it if it is ahead. A run of another epoch,
+    /// not part of an admitted slice, or whose slots have passed already,
+    /// is dropped: the epoch then ends incomplete.
+    fn offer(&mut self, mut run: Run, sink: &mut impl FnMut(&Run)) {
+        self.got += run.slots.len() as u64;
+        let Some(lane) = self.lanes.get_mut(run.tenant as usize) else {
+            return;
+        };
+        let inside = lane.slice.start <= run.start && run.end() <= lane.slice.end;
+        if run.epoch != self.epoch || run.slots.is_empty() || !inside || run.start < lane.next {
+            return;
+        }
+        if run.start > lane.next {
+            lane.ahead.push(run);
+            return;
+        }
+        loop {
+            self.passed += run.slots.len() as u64;
+            for (seq, payload, _) in run.iter() {
+                while seq >= self.task_end[lane.task] {
+                    lane.task += 1;
+                }
+                if let ObservationPayload::Executed { outcome, .. } = payload {
+                    self.task_ms[lane.task] += outcome.latency_ms;
+                }
             }
-            let slot = &mut self.slots[at + (o.obs.seq - range.start) as usize];
-            if slot.is_none() {
-                *slot = Some(o);
+            lane.next = run.end();
+            sink(&run);
+            let next = lane.next;
+            match lane.ahead.iter().position(|r| r.start == next) {
+                Some(i) => run = lane.ahead.swap_remove(i),
+                None => return,
             }
         }
     }
 
-    /// The merged epoch, or `None` if a slot was never filled.
-    fn finish(self) -> Option<Vec<TenantObservation>> {
-        // Same element size and layout: collected in place.
-        self.slots.into_iter().collect()
+    /// Each task's makespan item, in the order the tasks were made, or
+    /// `None` unless exactly `expected` observations came, each passed.
+    fn finish(self, expected: u64) -> Option<Vec<f64>> {
+        (self.got == expected && self.passed == expected).then_some(self.task_ms)
     }
 }
 
@@ -212,10 +275,10 @@ impl EpochMerge {
 /// order N workers produce, sorting on `seq` yields the same sequence a
 /// single worker would have produced — the permutation-invariance the
 /// determinism contract rests on (property-tested in
-/// `crates/core/tests/serving.rs`). The engine does not sort: it knows
-/// each `(tenant, seq)` slot before its observation arrives and places
-/// every observation there (`EpochMerge`, property-tested equal to the
-/// sort).
+/// `crates/core/tests/serving.rs`). The engine does not sort: a worker's
+/// run is already in `seq` order, and the coordinator passes each lane's
+/// runs on in `seq` order as they arrive (`InOrder`, property-tested
+/// below).
 pub fn logical_merge(batch: &mut [Observation]) {
     batch.sort_unstable_by_key(|o| o.seq);
 }
@@ -346,11 +409,11 @@ impl Publication {
 // ------------------------------------------------------------- executors
 
 /// Per-worker reusable fast-path state: the statement front end and one
-/// bindable skeleton clone per compiled template of each tenant. A clone
-/// is bound against the catalog of the publication it was made under, and
-/// fingerprints collide across tenants, so clones are kept by
-/// `(tenant, hash)` and a tenant's are dropped when its publication's
-/// epoch changes — not when a task of another tenant comes in between.
+/// bindable skeleton clone per compiled template of each tenant.
+/// Fingerprints collide across tenants, so clones are kept by
+/// `(tenant, hash)`; a clone outlives the tasks of other tenants and every
+/// publication that still serves its hash from the frame it was cloned
+/// from.
 struct WorkerScratch {
     front: FrontEnd,
     clones: Clones,
@@ -365,22 +428,30 @@ impl WorkerScratch {
     }
 }
 
-/// Per tenant: the epoch of the publication its clones were made under,
-/// and the clones by template hash.
-struct Clones(Vec<(u64, U64HashMap<QueryShape>)>);
+/// Per tenant: the epoch of the publication its clones were last checked
+/// against, and the clones by template hash.
+struct Clones(Vec<(u64, U64HashMap<SkeletonClone>)>);
 
 impl Clones {
-    /// `tenant`'s clones, made under its publication of `epoch`: emptied
-    /// first if they were made under another.
-    fn of(&mut self, tenant: u32, epoch: u64) -> &mut U64HashMap<QueryShape> {
+    /// `tenant`'s clones under its publication of `epoch`, whose compiled
+    /// templates are `cache`: at a publication they were not checked
+    /// against, only the clones of templates `cache` still serves from the
+    /// same frame are kept (cloning a skeleton costs a dozen or more heap
+    /// calls; a re-fold keeps its frame).
+    fn of(
+        &mut self,
+        tenant: u32,
+        epoch: u64,
+        cache: &FastPathCache,
+    ) -> &mut U64HashMap<SkeletonClone> {
         let t = tenant as usize;
         if self.0.len() <= t {
             self.0.resize_with(t + 1, || (epoch, U64HashMap::default()));
         }
-        let (made_under, clones) = &mut self.0[t];
-        if *made_under != epoch {
-            clones.clear();
-            *made_under = epoch;
+        let (checked_at, clones) = &mut self.0[t];
+        if *checked_at != epoch {
+            clones.retain(|hash, clone| cache.get(*hash).is_some_and(|t| clone.serves(t)));
+            *checked_at = epoch;
         }
         clones
     }
@@ -404,7 +475,7 @@ fn execute_statement(
 ) -> (ObservationPayload, bool) {
     let snap = &publication.snap;
     let WorkerScratch { front, clones } = scratch;
-    let shapes = clones.of(tenant, snap.epoch);
+    let shapes = clones.of(tenant, snap.epoch, &publication.cache);
     let mut slot = 0;
     let lookup = fastpath.then_some(|hash| {
         // Moved, not reborrowed: the clone handed out lives as long as the
@@ -412,10 +483,10 @@ fn execute_statement(
         let shapes = shapes;
         let (ordinal, compiled) = publication.cache.slot(hash)?;
         slot = ordinal;
-        let shape = shapes
+        let clone = shapes
             .entry(hash)
-            .or_insert_with(|| compiled.skeleton().clone());
-        Some((compiled, shape))
+            .or_insert_with(|| SkeletonClone::of(compiled));
+        Some((compiled, &mut clone.shape))
     });
     let Ok(resolved) = front.resolve(sql, snap.catalog(), lookup) else {
         return (ObservationPayload::ParseFailed, false);
@@ -672,16 +743,16 @@ impl<'a> Engine<'a> {
     /// budget; exits after at most one task once the coordinator is gone.
     /// Leaving drops `tx`: the last worker out hangs the channel up, which
     /// is how the coordinator learns it has to drain inline.
-    fn worker(&self, slot: usize, tx: SyncSender<Vec<TenantObservation>>) {
+    fn worker(&self, slot: usize, tx: SyncSender<Run>) {
         let mut scratch = self.scratch(slot);
         let mut panics = 0u64;
         let max = self.cfg.max_worker_panics;
         while let Some(task) = self.queue.next() {
-            let (batch, remainder) = self.run_task(task, &mut scratch, &mut panics, max);
+            let (run, remainder) = self.run_task(task, &mut scratch, &mut panics, max);
             // Hand off before requeueing: when a peer (or the inline
             // drain) picks the remainder up, the part already run is on
             // its way and each slot is still observed exactly once.
-            let connected = batch.is_empty() || tx.send(batch).is_ok();
+            let connected = run.slots.is_empty() || tx.send(run).is_ok();
             if let Some(rest) = remainder {
                 self.queue.requeue(rest);
             }
@@ -698,23 +769,27 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Execute the remaining statements of one task into one batch, one
-    /// observation per sequence slot in `seq` order — the single panic
-    /// fence, and the unit of hand-off. The second value is `None`
-    /// normally, or the remainder task when the panic budget ran out
-    /// mid-task (the caller hands the batch off, requeues, and retires).
+    /// Execute the remaining statements of one task into one run, one
+    /// slot per sequence number in `seq` order — the single panic fence,
+    /// and the unit of hand-off. The second value is `None` normally, or
+    /// the remainder task when the panic budget ran out mid-task (the
+    /// caller hands the run off, requeues, and retires).
     fn run_task(
         &self,
         task: Task,
         scratch: &mut WorkerScratch,
         panics: &mut u64,
         max_panics: u64,
-    ) -> (Vec<TenantObservation>, Option<Task>) {
+    ) -> (Run, Option<Task>) {
         let Slice { tenant, start, end } = task.slice;
         let queries = self.lanes[tenant as usize];
-        // Sized exactly: batches are an epoch's whole memory until they are
-        // placed.
-        let mut batch = Vec::with_capacity((end - start) as usize);
+        // Sized exactly: the runs in flight are what an epoch holds.
+        let mut run = Run {
+            tenant,
+            epoch: task.epoch,
+            start,
+            slots: Vec::with_capacity((end - start) as usize),
+        };
         for seq in start..end {
             let (payload, bound) = catch_unwind(AssertUnwindSafe(|| {
                 if self.cfg.panic_on.contains(&(tenant, seq)) {
@@ -730,12 +805,7 @@ impl<'a> Engine<'a> {
                 (ObservationPayload::Panicked, false)
             });
             let panicked = matches!(payload, ObservationPayload::Panicked);
-            let obs = Observation {
-                seq,
-                epoch: task.epoch,
-                payload,
-            };
-            batch.push(TenantObservation { tenant, obs, bound });
+            run.slots.push((payload, bound));
             if panicked && *panics > max_panics {
                 let rest = (seq + 1 < end).then(|| Task {
                     slice: Slice {
@@ -744,10 +814,10 @@ impl<'a> Engine<'a> {
                     },
                     ..task
                 });
-                return (batch, rest);
+                return (run, rest);
             }
         }
-        (batch, None)
+        (run, None)
     }
 }
 
@@ -755,7 +825,7 @@ impl<'a> Engine<'a> {
 /// collects them, publishes between them.
 pub(crate) struct Coordinator<'e, 'a> {
     engine: &'e Engine<'a>,
-    rx: Receiver<Vec<TenantObservation>>,
+    rx: Receiver<Run>,
     /// Each lane's current publication: what the next epoch's tasks carry.
     current: Vec<Arc<Publication>>,
     /// For the inline drain when every worker has retired.
@@ -769,68 +839,64 @@ pub(crate) struct Coordinator<'e, 'a> {
 
 impl Coordinator<'_, '_> {
     /// Run one epoch: fan `slices` (at most one per tenant) out as
-    /// contiguous-run tasks, collect their batches until there is exactly one
-    /// observation per sequence slot, and merge them on the
-    /// `(tenant, seq)` logical clock. If every worker has retired with
-    /// tasks still queued, the queue is drained inline (unlimited panic
-    /// budget — each sequence slot panics at most once) so the epoch
-    /// always completes.
+    /// contiguous-run tasks and pass every observation they make to `sink`
+    /// — each lane's in `seq` order, a run at a time, as soon as the run
+    /// before it in its lane has passed — until there is exactly one per
+    /// sequence slot. If every worker has retired with tasks still queued,
+    /// the queue is drained inline (unlimited panic budget — each sequence
+    /// slot panics at most once) so the epoch always completes. An epoch
+    /// that gets a stray observation, one twice, or none for a slot is an
+    /// error (what `sink` was handed by then stays handed).
     pub(crate) fn run_epoch(
         &mut self,
         epoch: u64,
         slices: &[Slice],
-    ) -> Result<Vec<TenantObservation>, AutoIndexError> {
+        mut sink: impl FnMut(&Run),
+    ) -> Result<(), AutoIndexError> {
         let engine = self.engine;
         let expected: u64 = slices.iter().map(|s| s.end - s.start).sum();
-        let mut merge = EpochMerge::new(engine.lanes.len(), slices);
-        // Each task's makespan item is the span of the merged epoch it
-        // fills, however many parts it is handed off in.
-        let (tasks, spans): (Vec<Task>, Vec<Range<usize>>) = slices
+        let tasks: Vec<Task> = slices
             .iter()
             .flat_map(|&slice| chunks(slice, engine.cfg.shards))
-            .map(|slice| {
-                let publication = Arc::clone(&self.current[slice.tenant as usize]);
-                let task = Task {
-                    slice,
-                    epoch,
-                    publication,
-                };
-                (task, merge.span(&slice))
+            .map(|slice| Task {
+                slice,
+                epoch,
+                publication: Arc::clone(&self.current[slice.tenant as usize]),
             })
-            .unzip();
+            .collect();
+        let mut order = InOrder::new(epoch, engine.lanes.len(), slices, engine.cfg.shards);
         engine.queue.inject(tasks);
 
-        let mut got = 0u64;
-        // Takes one batch; true once every slot is accounted.
-        let mut collect = |batch: Vec<TenantObservation>| {
+        // Takes one run; true once every slot is accounted.
+        let mut collect = |run: Run| {
             engine.handoff_batches.incr();
-            engine.handoff_observations.add(batch.len() as u64);
-            got += batch.len() as u64;
-            merge.place(batch);
-            got >= expected
+            engine.handoff_observations.add(run.slots.len() as u64);
+            order.offer(run, &mut sink);
+            order.got >= expected
         };
         let mut complete = expected == 0;
         while !complete {
             // Blocking: a live worker either sends what it ran or leaves,
             // and the last one out hangs the channel up.
             complete = match self.rx.recv() {
-                Ok(batch) => collect(batch),
+                Ok(run) => collect(run),
                 Err(_) => {
                     // Every worker is gone, and whatever they sent was
                     // received before the hang-up showed: the rest is
                     // still in the queue.
                     while let Some(task) = engine.queue.try_next() {
                         let scratch = &mut self.scratch;
-                        let (batch, rest) = engine.run_task(task, scratch, &mut 0, u64::MAX);
+                        let (run, rest) = engine.run_task(task, scratch, &mut 0, u64::MAX);
                         debug_assert!(rest.is_none(), "unlimited budget never retires");
-                        collect(batch);
+                        collect(run);
                     }
                     true
                 }
             };
         }
 
-        let Some(merged) = merge.finish().filter(|_| got == expected) else {
+        let got = order.got;
+        let Some(task_ms) = order.finish(expected) else {
             return Err(invalid(
                 engine.cfg.name,
                 format!(
@@ -839,14 +905,8 @@ impl Coordinator<'_, '_> {
             ));
         };
         // One makespan item per task, summed in seq order.
-        let task_ms = spans.into_iter().map(|span| {
-            merged[span].iter().fold(0.0, |ms, o| match &o.obs.payload {
-                ObservationPayload::Executed { outcome, .. } => ms + outcome.latency_ms,
-                _ => ms,
-            })
-        });
-        self.sim_makespan_ms += lpt_makespan(task_ms.collect(), engine.cfg.workers);
-        Ok(merged)
+        self.sim_makespan_ms += lpt_makespan(task_ms, engine.cfg.workers);
+        Ok(())
     }
 
     /// Publish `tenant`'s next-epoch snapshot — the only point a
@@ -878,10 +938,10 @@ mod tests {
         assert_eq!(resolve_threads(3), 3, "explicit counts are literal");
     }
 
-    /// An epoch holds one `Observation` per statement until it is merged,
-    /// so the record stays as small as when its outcome and delta held
-    /// vectors: the inline index lists and the shared maintenance charges
-    /// take no more room than those did.
+    /// A run in flight holds one `Observation` per statement until the
+    /// coordinator has absorbed it, so the record stays as small as when its
+    /// outcome and delta held vectors: the inline index lists and the shared
+    /// maintenance charges take no more room than those did.
     #[test]
     fn an_observation_is_no_larger_than_it_was() {
         assert_eq!(std::mem::size_of::<ExecOutcome>(), 72);
@@ -891,19 +951,52 @@ mod tests {
 
     /// A worker keeps each tenant's skeleton clones apart (fingerprints
     /// collide across tenants) and across the tasks of other tenants, and
-    /// drops a tenant's only when its publication's epoch moves.
+    /// at a new publication keeps exactly the clones of templates the
+    /// publication still serves from the frame they were cloned from: a
+    /// re-fold keeps its clone, a template the cache lost drops it, and a
+    /// template compiled anew (another frame) gets a fresh one.
     #[test]
-    fn clones_outlive_other_tenants_tasks_and_not_their_epoch() {
-        let sql = "SELECT * FROM account WHERE acct_id = 1";
-        let stmt = autoindex_sql::parse_statement(sql).unwrap();
-        let shape = QueryShape::extract(&stmt, &banking::catalog());
+    fn clones_outlive_other_tenants_tasks_and_publications_that_keep_their_frame() {
+        use crate::templates::{TemplateStore, TemplateStoreConfig};
+        let mut catalog = banking::catalog();
+        let upkeep = UpkeepCounters::bind(&MetricsRegistry::new());
+        let mut store = TemplateStore::new(TemplateStoreConfig::default());
+        let hash = store
+            .observe("SELECT * FROM account WHERE acct_id = 1", &catalog)
+            .unwrap();
+        let first = store.publish(&catalog, &upkeep);
+        let compiled = first.get(hash).unwrap();
+
         let mut clones = Clones(Vec::new());
-        clones.of(0, 5).insert(7, shape.clone());
-        clones.of(2, 5).insert(7, shape);
-        assert!(clones.of(1, 5).is_empty());
-        assert_eq!(clones.of(0, 5).len(), 1, "another tenant's task dropped it");
-        assert!(clones.of(0, 6).is_empty(), "a new publication keeps none");
-        assert_eq!(clones.of(2, 5).len(), 1, "nor drops another tenant's");
+        clones
+            .of(0, 5, &first)
+            .insert(hash, SkeletonClone::of(compiled));
+        clones
+            .of(2, 5, &first)
+            .insert(hash, SkeletonClone::of(compiled));
+        assert!(clones.of(1, 5, &first).is_empty());
+        assert_eq!(
+            clones.of(0, 5, &first).len(),
+            1,
+            "another tenant's task dropped it"
+        );
+
+        // The table grew: the template is re-folded, its frame kept.
+        catalog.grow_table("account", 10_000).unwrap();
+        let refolded = store.publish(&catalog, &upkeep);
+        assert!(!std::ptr::eq(refolded.get(hash).unwrap(), compiled));
+        assert_eq!(clones.of(0, 6, &refolded).len(), 1, "a re-fold keeps it");
+        assert!(clones.of(0, 6, &refolded)[&hash].serves(refolded.get(hash).unwrap()));
+
+        // The same text compiled from scratch is another frame.
+        let rebuilt = FastPathCache::build(store.entries(), &catalog);
+        assert!(
+            clones.of(0, 7, &rebuilt).is_empty(),
+            "another frame drops it"
+        );
+        // A publication that no longer serves the hash drops it too.
+        assert!(clones.of(2, 7, &FastPathCache::empty()).is_empty());
+        assert!(clones.of(1, 7, &rebuilt).is_empty());
     }
 
     #[test]
@@ -990,11 +1083,11 @@ mod tests {
         queries: Vec<String>,
     }
 
-    /// What a run of every epoch returned, flattened: per observation its
-    /// key, payload kind (0 executed, 1 parse failure, 2 panic) and
-    /// simulated latency bits, plus the run's makespan bits.
+    /// What a run of every epoch handed its sink, flattened lane by lane:
+    /// per observation its key, payload kind (0 executed, 1 parse failure,
+    /// 2 panic) and simulated latency bits, plus the run's makespan bits.
     #[derive(Debug, PartialEq)]
-    struct Run {
+    struct Record {
         observed: Vec<(u32, u64, u8, u64)>,
         sim_makespan_bits: u64,
     }
@@ -1027,9 +1120,9 @@ mod tests {
             (0..TENANTS).map(|_| self.publication(0)).collect()
         }
 
-        /// Run all epochs; every epoch must come back as exactly its
-        /// admitted slots in `(tenant, seq)` order, stamped with it.
-        fn run(&self, engine: &Engine<'_>) -> Run {
+        /// Run all epochs; every lane must be handed exactly its admitted
+        /// slots, in `seq` order, stamped with the epoch.
+        fn run(&self, engine: &Engine<'_>) -> Record {
             let mut observed = Vec::new();
             let sim_makespan_ms = engine
                 .run(self.initial(), |coordinator| {
@@ -1038,29 +1131,31 @@ mod tests {
                         let slices: Vec<Slice> = (0..TENANTS)
                             .map(|tenant| Slice { tenant, start, end })
                             .collect();
-                        let got = coordinator.run_epoch(epoch, &slices)?;
-                        let keys: Vec<(u32, u64)> =
-                            got.iter().map(|o| (o.tenant, o.obs.seq)).collect();
-                        let expected: Vec<(u32, u64)> = (0..TENANTS)
-                            .flat_map(|t| (start..end).map(move |seq| (t, seq)))
-                            .collect();
-                        assert_eq!(keys, expected, "epoch={epoch}");
-                        assert!(got.iter().all(|o| o.obs.epoch == epoch));
-                        observed.extend(got.iter().map(|o| {
-                            let (kind, ms) = match &o.obs.payload {
-                                ObservationPayload::Executed { outcome, .. } => {
-                                    (0, outcome.latency_ms)
-                                }
-                                ObservationPayload::ParseFailed => (1, 0.0),
-                                ObservationPayload::Panicked => (2, 0.0),
-                            };
-                            (o.tenant, o.obs.seq, kind, ms.to_bits())
-                        }));
+                        let mut lanes = vec![Vec::new(); TENANTS as usize];
+                        coordinator.run_epoch(epoch, &slices, |run| {
+                            assert_eq!(run.epoch, epoch);
+                            for (seq, payload, _) in run.iter() {
+                                let (kind, ms) = match payload {
+                                    ObservationPayload::Executed { outcome, .. } => {
+                                        (0, outcome.latency_ms)
+                                    }
+                                    ObservationPayload::ParseFailed => (1, 0.0),
+                                    ObservationPayload::Panicked => (2, 0.0),
+                                };
+                                let lane: &mut Vec<_> = &mut lanes[run.tenant as usize];
+                                lane.push((run.tenant, seq, kind, ms.to_bits()));
+                            }
+                        })?;
+                        for lane in &lanes {
+                            let seqs: Vec<u64> = lane.iter().map(|o| o.1).collect();
+                            assert_eq!(seqs, (start..end).collect::<Vec<_>>(), "epoch={epoch}");
+                        }
+                        observed.extend(lanes.into_iter().flatten());
                     }
                     Ok(coordinator.sim_makespan_ms)
                 })
                 .unwrap();
-            Run {
+            Record {
                 observed,
                 sim_makespan_bits: sim_makespan_ms.to_bits(),
             }
@@ -1081,9 +1176,9 @@ mod tests {
     /// The engine's contract, below any driver: with seeded
     /// `(tenant, seq)` panic injections and a zero panic budget — so
     /// workers retire mid-epoch and, once they are all gone, the
-    /// coordinator drains inline — `run_epoch` still returns exactly one
-    /// observation per admitted sequence slot, sorted on `(tenant, seq)`,
-    /// with exactly the injected slots `Panicked`.
+    /// coordinator drains inline — `run_epoch` still hands its sink exactly
+    /// one observation per admitted sequence slot, each lane's in `seq`
+    /// order, with exactly the injected slots `Panicked`.
     #[test]
     fn run_epoch_accounts_every_slot_through_retirement_and_inline_drain() {
         let fixture = Fixture::new();
@@ -1153,11 +1248,11 @@ mod tests {
             while let Some(task) = next {
                 // A fresh budget of zero per part: each stops at its panic.
                 let resumed_at = task.slice.start;
-                let (batch, rest) = engine.run_task(task, &mut scratch, &mut 0, 0);
-                assert!(batch.iter().all(|o| o.tenant == 0 && o.obs.epoch == 0));
+                let (part, rest) = engine.run_task(task, &mut scratch, &mut 0, 0);
+                assert!(part.tenant == 0 && part.epoch == 0);
                 assert!(rest.as_ref().is_none_or(|r| r.slice.start > resumed_at));
                 assert!(rest.as_ref().is_none_or(|r| r.slice.end == run.end));
-                seqs.extend(batch.iter().map(|o| o.obs.seq));
+                seqs.extend(part.start..part.end());
                 parts += 1;
                 next = rest;
             }
@@ -1304,7 +1399,7 @@ mod tests {
     }
 
     /// The coordinator's copy is the only one that outlives an epoch: when
-    /// `run_epoch` returns every task has been handed off and dropped, so
+    /// `run_epoch` returns every task has been run and dropped, so
     /// the publication `publish` replaces is freed there and then — no
     /// worker, slot or queue keeps an older generation alive.
     #[test]
@@ -1323,7 +1418,7 @@ mod tests {
                     let slices: Vec<Slice> = (0..TENANTS)
                         .map(|tenant| Slice { tenant, start, end })
                         .collect();
-                    coordinator.run_epoch(epoch, &slices)?;
+                    coordinator.run_epoch(epoch, &slices, |_| {})?;
                     for tenant in 0..TENANTS {
                         let old = Arc::downgrade(&coordinator.current[tenant as usize]);
                         let before = old.strong_count();
@@ -1428,18 +1523,32 @@ mod tests {
         assert!(plans.upgrade().is_none());
     }
 
-    /// [`EpochMerge`] is a sort on `(tenant, seq)`: whatever the order the
-    /// batches arrive in and whichever way tasks were split by retiring
-    /// workers, placing them yields what sorting their concatenation
-    /// yields, and each task's span is exactly the positions its
-    /// observations took.
+    /// A simulated outcome of `latency_ms`.
+    fn executed(latency_ms: f64) -> ObservationPayload {
+        let outcome = ExecOutcome {
+            latency_ms,
+            features: Default::default(),
+            indexes_used: Default::default(),
+        };
+        ObservationPayload::Executed {
+            outcome,
+            delta: UsageDelta::default(),
+            fp: None,
+        }
+    }
+
+    /// [`InOrder`] is an order, not a buffer: whatever the order runs
+    /// arrive in and whichever way retiring workers split tasks, each lane
+    /// is handed its slots in `seq` order, exactly once each, and each
+    /// task's makespan item is the fold over its slots in `seq` order from
+    /// `0.0` — the sum the epoch's makespan always took — bit for bit.
     #[test]
-    fn placing_batches_equals_sorting_them() {
+    fn each_lane_receives_its_runs_in_seq_order_and_each_task_its_fold() {
         use autoindex_support::prop::{property, PropConfig};
-        use autoindex_support::prop_assert_eq;
+        use autoindex_support::{prop_assert, prop_assert_eq};
 
         property(
-            "placing_batches_equals_sorting_them",
+            "each_lane_receives_its_runs_in_seq_order_and_each_task_its_fold",
             PropConfig::default(),
             |rng, size| {
                 let lanes = rng.random_range(1u32..6);
@@ -1455,59 +1564,66 @@ mod tests {
                     .collect();
                 rng.shuffle(&mut slices);
 
-                // One batch per task, tagged in `epoch` with a serial
-                // number so a misplaced twin would show.
-                let mut serial = 0;
-                let mut batches: Vec<Vec<TenantObservation>> = Vec::new();
-                let mut spans = Vec::new();
+                // One run per task; latencies with all their bits.
+                let mut runs: Vec<Run> = Vec::new();
+                let mut folds = Vec::new();
                 for slice in &slices {
                     for task in chunks(*slice, shards) {
-                        spans.push((task, serial + 1..serial + 1 + (task.end - task.start)));
-                        let mut run: Vec<TenantObservation> = (task.start..task.end)
-                            .map(|seq| {
-                                serial += 1;
-                                TenantObservation {
-                                    tenant: slice.tenant,
-                                    obs: Observation {
-                                        seq,
-                                        epoch: serial,
-                                        payload: ObservationPayload::ParseFailed,
-                                    },
-                                    bound: false,
-                                }
+                        let mut slots: Vec<(ObservationPayload, bool)> = (task.start..task.end)
+                            .map(|_| match rng.random_range(0u32..8) {
+                                0 => (ObservationPayload::Panicked, false),
+                                _ => (executed(rng.random_f64() * 10.0), true),
                             })
                             .collect();
+                        folds.push(slots.iter().fold(0.0, |ms, (p, _)| match p {
+                            ObservationPayload::Executed { outcome, .. } => ms + outcome.latency_ms,
+                            _ => ms,
+                        }));
                         // Resumed tasks: hand the run off in up to three
                         // parts, possibly empty.
+                        let mut start = task.start;
                         for _ in 0..rng.random_range(0u32..3) {
-                            let at = rng.random_range(0..run.len() + 1);
-                            batches.push(run.split_off(at));
+                            let rest = slots.split_off(rng.random_range(0..slots.len() + 1));
+                            let part = std::mem::replace(&mut slots, rest);
+                            let len = part.len() as u64;
+                            let (tenant, epoch) = (slice.tenant, 0);
+                            runs.push(Run {
+                                tenant,
+                                epoch,
+                                start,
+                                slots: part,
+                            });
+                            start += len;
                         }
-                        batches.push(run);
+                        let (tenant, epoch) = (slice.tenant, 0);
+                        runs.push(Run {
+                            tenant,
+                            epoch,
+                            start,
+                            slots,
+                        });
                     }
                 }
-                rng.shuffle(&mut batches);
+                rng.shuffle(&mut runs);
 
-                let key = |o: &TenantObservation| (o.tenant, o.obs.seq, o.obs.epoch);
-                let mut sorted: Vec<_> = batches.iter().flatten().map(key).collect();
-                sorted.sort_unstable_by_key(|&(tenant, seq, _)| (tenant, seq));
-
-                let mut merge = EpochMerge::new(lanes as usize, &slices);
-                let spans: Vec<_> = spans
-                    .into_iter()
-                    .map(|(task, serials)| (merge.span(&task), serials))
-                    .collect();
-                for batch in batches {
-                    merge.place(batch);
+                let expected: u64 = slices.iter().map(|s| s.end - s.start).sum();
+                let mut order = InOrder::new(0, lanes as usize, &slices, shards);
+                let mut handed: Vec<Vec<u64>> = vec![Vec::new(); lanes as usize];
+                for run in runs {
+                    order.offer(run, &mut |run: &Run| {
+                        handed[run.tenant as usize].extend(run.start..run.end());
+                    });
                 }
-                let Some(merged) = merge.finish() else {
-                    return Err("a slot was left empty".into());
+                let Some(task_ms) = order.finish(expected) else {
+                    return Err("the epoch came out incomplete".into());
                 };
-                prop_assert_eq!(merged.iter().map(key).collect::<Vec<_>>(), sorted);
-                for (span, serials) in spans {
-                    let got: Vec<u64> = merged[span].iter().map(|o| o.obs.epoch).collect();
-                    prop_assert_eq!(got, serials.collect::<Vec<_>>());
+                for slice in &slices {
+                    let due: Vec<u64> = (slice.start..slice.end).collect();
+                    prop_assert_eq!(&handed[slice.tenant as usize], &due);
                 }
+                prop_assert!(handed.iter().map(Vec::len).sum::<usize>() as u64 == expected);
+                let bits = |ms: &[f64]| ms.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&task_ms), bits(&folds));
                 Ok(())
             },
         );
@@ -1515,30 +1631,44 @@ mod tests {
 
     #[test]
     fn an_epoch_with_a_stray_or_missing_observation_is_incomplete() {
-        let mk = |tenant, seq| TenantObservation {
+        let of = |epoch, tenant, start, len| Run {
             tenant,
-            obs: Observation {
-                seq,
-                epoch: 0,
-                payload: ObservationPayload::ParseFailed,
-            },
-            bound: false,
+            epoch,
+            start,
+            slots: (0..len)
+                .map(|_| (ObservationPayload::ParseFailed, false))
+                .collect(),
         };
         let slices = [Slice {
             tenant: 1,
             start: 10,
             end: 12,
         }];
-        let complete = |batch| {
-            let mut merge = EpochMerge::new(2, &slices);
-            merge.place(batch);
-            merge.finish().is_some()
+        let mk = |tenant, start, len| of(0, tenant, start, len);
+        let complete = |runs: Vec<Run>| {
+            let mut order = InOrder::new(0, 2, &slices, 2);
+            for run in runs {
+                order.offer(run, &mut |_: &Run| {});
+            }
+            order.finish(2).is_some()
         };
-        assert!(complete(vec![mk(1, 11), mk(1, 10)]));
-        assert!(!complete(vec![mk(1, 10)]), "missing");
-        assert!(!complete(vec![mk(1, 10), mk(1, 10)]), "twice");
-        assert!(!complete(vec![mk(1, 10), mk(1, 12)]), "outside the slice");
-        assert!(!complete(vec![mk(1, 10), mk(0, 11)]), "idle lane");
-        assert!(!complete(vec![mk(1, 10), mk(7, 11)]), "no such lane");
+        assert!(complete(vec![mk(1, 10, 2)]));
+        assert!(complete(vec![mk(1, 11, 1), mk(1, 10, 1)]), "ahead");
+        assert!(!complete(vec![mk(1, 10, 1)]), "missing");
+        assert!(!complete(vec![mk(1, 10, 1), mk(1, 10, 1)]), "twice");
+        assert!(
+            !complete(vec![mk(1, 11, 1), mk(1, 10, 2)]),
+            "twice, overlapping"
+        );
+        assert!(
+            !complete(vec![mk(1, 10, 1), mk(1, 12, 1)]),
+            "outside the slice"
+        );
+        assert!(!complete(vec![mk(1, 10, 1), mk(0, 11, 1)]), "idle lane");
+        assert!(!complete(vec![mk(1, 10, 1), mk(7, 11, 1)]), "no such lane");
+        assert!(
+            !complete(vec![mk(1, 10, 1), of(1, 1, 11, 1)]),
+            "another epoch"
+        );
     }
 }

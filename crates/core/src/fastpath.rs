@@ -34,15 +34,17 @@
 //!
 //! # The sentinel trick
 //!
-//! Template text stores literals as `$` (see `autoindex_sql::fingerprint`).
-//! To learn *where* those literals land in the extracted shape, the
-//! compiler replaces the k-th `$` with the integer `SENTINEL_BASE + k`,
-//! parses the result once, extracts it with
-//! [`QueryShape::extract_traced`], and scans the shape for sentinel
-//! values: each occurrence (sign included — `- $` parses to a negated
-//! sentinel) becomes a `SlotWrite`. Canonical template text contains no
-//! integer literals of its own, so sentinels cannot collide with baked
-//! constants.
+//! Template text stores literals as `$` and a `LIKE` pattern as `'$%'` or
+//! `'%$'` (see `autoindex_sql::fingerprint`). To learn *where* those
+//! literals land in the extracted shape, the compiler replaces the k-th `$`
+//! with the integer `SENTINEL_BASE + k` — or, in a pattern, with a sentinel
+//! *string* of the pattern's anchoring class (`§k` for a prefix pattern,
+//! `%§k` for a suffix one) — parses the result once, extracts it with
+//! [`QueryShape::extract_traced`], and scans the shape for sentinels: each
+//! occurrence (sign included — `- $` parses to a negated sentinel; every
+//! value of an `IN` list; every copy DNF distribution made) becomes a
+//! `SlotWrite`. Canonical template text contains no integer literals and no
+//! strings of its own, so sentinels cannot collide with baked constants.
 //!
 //! # Bit-identity contract
 //!
@@ -53,17 +55,31 @@
 //! byte-for-byte, and `feed` is held to its parse-path composition the
 //! same way. Two mechanisms enforce this:
 //!
-//! * **Eligibility**: only templates whose predicates are AND-only
-//!   conjunctions of `Cmp` / `Between` / `IS NULL` / join-equality atoms
-//!   compile (no `OR`/`NOT`, no `IN`, no `LIKE`, no subqueries, no derived
-//!   tables, no kept string pieces). Everything else misses and takes the
-//!   full parse path; the entry remembers that it is ineligible.
+//! * **Eligibility**: templates whose predicates are `AND` / `OR` trees
+//!   over `Cmp` / `Between` / `IS NULL` / join-equality atoms, `IN` lists
+//!   of either polarity and `LIKE` patterns of either anchoring compile. An
+//!   `IN` list's arity is part of its template, and its selectivity depends
+//!   on nothing else; a pattern's selectivity depends only on its
+//!   anchoring, which its template fixes. `NOT`, `EXISTS`, `IN (subquery)`,
+//!   derived tables and aggregate `HAVING` atoms stay ineligible: such a
+//!   template misses and takes the full parse path, and its entry
+//!   remembers that it is ineligible.
 //! * **Bind guards**: conditions whose shape-level effect depends on the
-//!   concrete values — duplicate atoms that extraction would dedup, a
-//!   `LIMIT` bound to anything but a non-negative integer, a negated slot
-//!   bound to a non-numeric — make [`CompiledTemplate::bind`] return
-//!   `false`, and the caller falls back to the full parse (reproducing
-//!   parse errors exactly where the slow path would report them).
+//!   concrete values make [`CompiledTemplate::bind`] return `false`, and
+//!   the caller falls back to the full parse (reproducing parse errors
+//!   exactly where the slow path would report them):
+//!   - extraction keeps one copy of equal DNF groups on a table
+//!     (`conjunct_groups.contains`), and counts an atom under an `OR` that
+//!     equals a conjunctive atom as a conjunct; so every pair of a table's
+//!     DNF groups, and of a conjunctive and a non-conjunctive atom of it,
+//!     that differ only where a literal goes is recorded at compile time,
+//!     and a bind that makes such a pair equal falls back;
+//!   - two atoms of one DNF group made equal (conservatively: extraction
+//!     keeps both);
+//!   - a pattern bound to a string of the other anchoring class, or to a
+//!     non-string;
+//!   - a `LIMIT` bound to anything but a non-negative integer, and a
+//!     negated slot bound to a non-numeric.
 
 use crate::templates::TemplateEntry;
 use autoindex_estimator::TemplateSelProgram;
@@ -96,6 +112,13 @@ enum ValueField {
     Cmp,
     BetweenLow,
     BetweenHigh,
+    /// The k-th value of an `IN` list.
+    InItem(u16),
+    /// A `LIKE` pattern; `suffix`: the template's pattern starts with `%`
+    /// or `_` (the anchoring class a bound pattern must keep).
+    Pattern {
+        suffix: bool,
+    },
 }
 
 /// One literal destination in the skeleton shape.
@@ -113,6 +136,15 @@ struct SlotWrite {
     negate: bool,
 }
 
+/// Two entries of one table's `all_atoms` (or of its `conjunct_groups`)
+/// that differ only where a literal goes: a bind can make them equal.
+#[derive(Debug, Clone, Copy)]
+struct Twins {
+    table: u16,
+    first: u16,
+    second: u16,
+}
+
 /// What a template's *text* compiles to, whatever the statistics say:
 /// made once, shared by every re-fold of the template.
 #[derive(Debug)]
@@ -121,9 +153,16 @@ struct Frame {
     writes: Vec<SlotWrite>,
     limit_slot: Option<u16>,
     n_slots: usize,
-    /// `(table, group)` pairs with two or more atoms: extraction dedups
-    /// equal atoms, so a bind that makes two atoms collide must fall back.
+    /// `(table, group)` pairs with two or more atoms: a bind that makes
+    /// two atoms of one group collide falls back.
     guard_groups: Vec<(u16, u16)>,
+    /// Pairs of a conjunctive and a non-conjunctive atom (`all_atoms`) a
+    /// bind may make equal: extraction would then have counted the `OR`
+    /// arm as a conjunct.
+    atom_twins: Vec<Twins>,
+    /// DNF group pairs (`conjunct_groups`) a bind may make equal:
+    /// extraction would then have kept one of them.
+    group_twins: Vec<Twins>,
     /// The selectivity factors `skeleton` was extracted with: what a
     /// re-fold compiles, in place of parsing and extracting again.
     trace: SelTrace,
@@ -159,6 +198,56 @@ fn sentinel_of(v: &Value, n_slots: usize) -> Option<(u16, bool)> {
         }
         _ => None,
     }
+}
+
+/// What a sentinel pattern starts with, after the `%` of a suffix one.
+const PATTERN_SENTINEL: char = '§';
+
+/// Maps a sentinel `LIKE` pattern of an `n_slots`-literal template back to
+/// its `(slot, suffix)`; `None` for any other pattern.
+fn pattern_sentinel_of(pattern: &str, n_slots: usize) -> Option<(u16, bool)> {
+    let (suffix, rest) = match pattern.strip_prefix('%') {
+        Some(rest) => (true, rest),
+        None => (false, pattern),
+    };
+    let slot: u16 = rest.strip_prefix(PATTERN_SENTINEL)?.parse().ok()?;
+    ((slot as usize) < n_slots).then_some((slot, suffix))
+}
+
+/// Write literal `v` into `dst`, negated when the template negates it. A
+/// string reuses the capacity `dst` already has, so a warmed clone binds
+/// strings without allocating. `false` when `v` cannot be negated.
+fn assign(dst: &mut Value, v: &Value, negate: bool) -> bool {
+    match (v, &mut *dst) {
+        // The parser folds `- <literal>` by negating the value and rejects
+        // negated strings/NULL/placeholders; reproduce both behaviours
+        // (rejection via full-parse fallback).
+        (Value::Int(i), _) if negate => *dst = Value::Int(-i),
+        (Value::Float(f), _) if negate => *dst = Value::Float(-f),
+        _ if negate => return false,
+        (Value::Str(s), Value::Str(d)) => {
+            d.clear();
+            d.push_str(s);
+        }
+        _ => *dst = v.clone(),
+    }
+    true
+}
+
+/// `atom` with every value blanked: two atoms that differ only in their
+/// values — the only thing a bind writes — blank to the same atom.
+fn blank(atom: &AtomicPredicate) -> AtomicPredicate {
+    let mut blank = atom.clone();
+    match &mut blank {
+        AtomicPredicate::Cmp { value, .. } => *value = Value::Null,
+        AtomicPredicate::Between { low, high, .. } => (*low, *high) = (Value::Null, Value::Null),
+        AtomicPredicate::InList { values, .. } => values.fill(Value::Null),
+        AtomicPredicate::Like { pattern, .. } => pattern.clear(),
+        AtomicPredicate::IsNull { .. }
+        | AtomicPredicate::JoinEq { .. }
+        | AtomicPredicate::Opaque { .. } => {}
+    }
+    blank
 }
 
 impl CompiledTemplate {
@@ -210,31 +299,41 @@ impl CompiledTemplate {
         }
         for w in &frame.writes {
             let v = &vals[w.slot as usize];
-            let bound = if w.negate {
-                // The parser folds `- <literal>` by negating the value and
-                // rejects negated strings/NULL/placeholders; reproduce
-                // both behaviours (rejection via full-parse fallback).
-                match v {
-                    Value::Int(i) => Value::Int(-i),
-                    Value::Float(f) => Value::Float(-f),
-                    _ => return false,
-                }
-            } else {
-                v.clone()
-            };
             let t = &mut shape.tables[w.table as usize];
             let atom = match w.arm {
                 AtomArm::Conjunct => &mut t.conjuncts[w.atom as usize],
                 AtomArm::AllAtom => &mut t.all_atoms[w.atom as usize],
                 AtomArm::Group => &mut t.conjunct_groups[w.group as usize][w.atom as usize],
             };
-            match (w.field, atom) {
-                (ValueField::Cmp, AtomicPredicate::Cmp { value, .. }) => *value = bound,
-                (ValueField::BetweenLow, AtomicPredicate::Between { low, .. }) => *low = bound,
-                (ValueField::BetweenHigh, AtomicPredicate::Between { high, .. }) => *high = bound,
+            let written = match (w.field, atom) {
+                (ValueField::Cmp, AtomicPredicate::Cmp { value, .. }) => assign(value, v, w.negate),
+                (ValueField::BetweenLow, AtomicPredicate::Between { low, .. }) => {
+                    assign(low, v, w.negate)
+                }
+                (ValueField::BetweenHigh, AtomicPredicate::Between { high, .. }) => {
+                    assign(high, v, w.negate)
+                }
+                (ValueField::InItem(k), AtomicPredicate::InList { values, .. }) => {
+                    assign(&mut values[k as usize], v, w.negate)
+                }
+                (ValueField::Pattern { suffix }, AtomicPredicate::Like { pattern, .. }) => {
+                    // A pattern of the other anchoring class (or no
+                    // string) would extract to another shape.
+                    match v {
+                        Value::Str(s) if s.starts_with(['%', '_']) == suffix => {
+                            pattern.clear();
+                            pattern.push_str(s);
+                            true
+                        }
+                        _ => false,
+                    }
+                }
                 // Unreachable by construction (writes were discovered on
                 // this very structure); bail rather than corrupt.
-                _ => return false,
+                _ => false,
+            };
+            if !written {
+                return false;
             }
         }
         if let Some(k) = frame.limit_slot {
@@ -245,10 +344,9 @@ impl CompiledTemplate {
                 _ => return false,
             }
         }
-        // Extraction dedups pairwise-equal atoms inside a DNF conjunct
-        // group (`conjunct_groups.contains`); with distinct sentinels no
-        // two atoms collide, but concrete values can. Fall back so the
-        // slow path performs the dedup.
+        // With distinct sentinels no two atoms of a DNF group collide;
+        // concrete values can. Fall back (conservatively: extraction keeps
+        // both) rather than bind a group with twice the same atom.
         for &(t, g) in &frame.guard_groups {
             let group = &shape.tables[t as usize].conjunct_groups[g as usize];
             for i in 0..group.len() {
@@ -257,6 +355,21 @@ impl CompiledTemplate {
                         return false;
                     }
                 }
+            }
+        }
+        // No twins are equal either; concrete values can make them so, and
+        // extraction would then have promoted an `OR` arm to a conjunct or
+        // kept one of two equal groups. Fall back so the slow path does it.
+        for tw in &frame.atom_twins {
+            let atoms = &shape.tables[tw.table as usize].all_atoms;
+            if atoms[tw.first as usize] == atoms[tw.second as usize] {
+                return false;
+            }
+        }
+        for tw in &frame.group_twins {
+            let groups = &shape.tables[tw.table as usize].conjunct_groups;
+            if groups[tw.first as usize] == groups[tw.second as usize] {
+                return false;
             }
         }
         self.program.eval_into(vals, sels, stack);
@@ -290,26 +403,43 @@ impl CompiledTemplate {
         })
     }
 
+    /// `text` (canonical template text) with the k-th literal replaced by
+    /// its sentinel — an integer, or a pattern string of the same anchoring
+    /// class — and the number of literals; `None` for a quote or a
+    /// placeholder outside a pattern.
+    fn sentinel_text(text: &str) -> Option<(String, usize)> {
+        use std::fmt::Write;
+        let mut out = String::with_capacity(2 * text.len());
+        let mut rest = text;
+        let mut k = 0usize;
+        while let Some(at) = rest.find(['$', '\'', '?']) {
+            out.push_str(&rest[..at]);
+            let tail = &rest[at..];
+            rest = if let Some(after) = tail.strip_prefix("'$%'") {
+                let _ = write!(out, "'{PATTERN_SENTINEL}{k}'");
+                after
+            } else if let Some(after) = tail.strip_prefix("'%$'") {
+                let _ = write!(out, "'%{PATTERN_SENTINEL}{k}'");
+                after
+            } else if let Some(after) = tail.strip_prefix('$') {
+                let _ = write!(out, "{}", SENTINEL_BASE + k as i64);
+                after
+            } else {
+                return None;
+            };
+            k += 1;
+        }
+        out.push_str(rest);
+        Some((out, k))
+    }
+
     /// Compile `text` (canonical template text) against `catalog`.
     /// `None` means the template is ineligible — it will simply miss the
     /// cache and take the full parse path.
     fn compile(text: &str, catalog: &Catalog) -> Option<CompiledTemplate> {
-        // Kept string pieces (LIKE patterns) and raw placeholders cannot
-        // be sentinel-substituted.
-        if text.contains('\'') || text.contains('?') {
-            return None;
-        }
-        let n_slots = text.bytes().filter(|&b| b == b'$').count();
+        let (sentinel_text, n_slots) = Self::sentinel_text(text)?;
         if n_slots > u16::MAX as usize {
             return None;
-        }
-        // Replace the k-th `$` with its sentinel integer and parse once.
-        let mut sentinel_text = String::with_capacity(text.len() + 20 * n_slots);
-        for (k, piece) in text.split('$').enumerate() {
-            if k > 0 {
-                sentinel_text.push_str(&(SENTINEL_BASE + (k as i64 - 1)).to_string());
-            }
-            sentinel_text.push_str(piece);
         }
         let stmt = parse_statement(&sentinel_text).ok()?;
         if !statement_eligible(&stmt) {
@@ -321,6 +451,7 @@ impl CompiledTemplate {
         // every `Value`-bearing field `QueryShape` has, so a sentinel
         // cannot hide anywhere a bind would miss.
         let sentinel_of = |v: &Value| sentinel_of(v, n_slots);
+        let pattern_of = |p: &str| pattern_sentinel_of(p, n_slots);
         let mut writes = Vec::new();
         let mut guard_groups = Vec::new();
         for (ti, table) in skeleton.tables.iter().enumerate() {
@@ -330,7 +461,8 @@ impl CompiledTemplate {
             ];
             for (arm, atoms) in arms {
                 for (ai, atom) in atoms.iter().enumerate() {
-                    scan_atom(atom, ti, arm, 0, ai, &sentinel_of, &mut writes)?;
+                    let at = (ti, arm, 0, ai);
+                    scan_atom(atom, at, &sentinel_of, &pattern_of, &mut writes)?;
                 }
             }
             for (gi, group) in table.conjunct_groups.iter().enumerate() {
@@ -338,10 +470,12 @@ impl CompiledTemplate {
                     guard_groups.push((ti as u16, gi as u16));
                 }
                 for (ai, atom) in group.iter().enumerate() {
-                    scan_atom(atom, ti, AtomArm::Group, gi, ai, &sentinel_of, &mut writes)?;
+                    let at = (ti, AtomArm::Group, gi, ai);
+                    scan_atom(atom, at, &sentinel_of, &pattern_of, &mut writes)?;
                 }
             }
         }
+        let (atom_twins, group_twins) = twins(&skeleton);
         let limit_slot = match skeleton.limit {
             Some(l) => {
                 let (slot, negate) = sentinel_of(&Value::Int(i64::try_from(l).ok()?))?;
@@ -360,53 +494,103 @@ impl CompiledTemplate {
             limit_slot,
             n_slots,
             guard_groups,
+            atom_twins,
+            group_twins,
             trace: trace.clone(),
         };
         CompiledTemplate::fold(Arc::new(frame), catalog)
     }
 }
 
-/// Scan one atom for sentinel values, appending slot writes. Returns
-/// `None` (compile failure) if a sentinel sits in a field binds cannot
-/// write, or the atom kind should have been ruled out by eligibility.
-fn scan_atom(
-    atom: &AtomicPredicate,
-    table: usize,
-    arm: AtomArm,
-    group: usize,
-    idx: usize,
-    sentinel_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
-    writes: &mut Vec<SlotWrite>,
-) -> Option<()> {
-    let mut push = |field: ValueField, v: &Value| -> Option<()> {
-        if let Some((slot, negate)) = sentinel_of(v) {
-            writes.push(SlotWrite {
-                table: table as u16,
-                arm,
-                group: group as u16,
-                atom: idx as u16,
-                field,
-                slot,
-                negate,
-            });
-        }
-        Some(())
-    };
-    match atom {
-        AtomicPredicate::Cmp { value, .. } => push(ValueField::Cmp, value),
-        AtomicPredicate::Between { low, high, .. } => {
-            push(ValueField::BetweenLow, low)?;
-            push(ValueField::BetweenHigh, high)
-        }
-        AtomicPredicate::IsNull { .. } | AtomicPredicate::JoinEq { .. } => Some(()),
-        // `Opaque` carries no `Value` (self-compare hints only, after
-        // eligibility); `InList`/`Like` should have been ruled out.
-        AtomicPredicate::Opaque { .. } => Some(()),
-        AtomicPredicate::InList { .. } | AtomicPredicate::Like { .. } => None,
+/// Per table of `skeleton`, the pairs of a conjunctive and a
+/// non-conjunctive atom, and of DNF groups, that differ only in their
+/// values. An atom with a literal is conjunctive iff it is in `conjuncts`
+/// (no two atoms share a sentinel); one without differs from no atom only
+/// in its values.
+fn twins(skeleton: &QueryShape) -> (Vec<Twins>, Vec<Twins>) {
+    let (mut atoms, mut groups) = (Vec::new(), Vec::new());
+    for (t, table) in skeleton.tables.iter().enumerate() {
+        let pairs = |n: usize| (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)));
+        let mk = |(first, second): (usize, usize)| Twins {
+            table: t as u16,
+            first: first as u16,
+            second: second as u16,
+        };
+        let all = &table.all_atoms;
+        let blanks: Vec<AtomicPredicate> = all.iter().map(blank).collect();
+        let conjunctive = |i: usize| table.conjuncts.contains(&all[i]);
+        atoms.extend(
+            pairs(all.len())
+                .filter(|&(i, j)| {
+                    conjunctive(i) != conjunctive(j) && blanks[i] == blanks[j] && all[i] != all[j]
+                })
+                .map(mk),
+        );
+        let gs = &table.conjunct_groups;
+        let blanks: Vec<Vec<AtomicPredicate>> =
+            gs.iter().map(|g| g.iter().map(blank).collect()).collect();
+        groups.extend(
+            pairs(gs.len())
+                .filter(|&(i, j)| blanks[i] == blanks[j] && gs[i] != gs[j])
+                .map(mk),
+        );
     }
+    (atoms, groups)
 }
 
-/// AND-only eligibility over a whole statement (see module docs).
+/// Scan one atom, at `(table, arm, group, index)`, for sentinels,
+/// appending slot writes. Returns `None` (compile failure) if a sentinel
+/// sits in a field binds cannot write.
+fn scan_atom(
+    atom: &AtomicPredicate,
+    (table, arm, group, idx): (usize, AtomArm, usize, usize),
+    sentinel_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
+    pattern_of: &dyn Fn(&str) -> Option<(u16, bool)>,
+    writes: &mut Vec<SlotWrite>,
+) -> Option<()> {
+    let mut push = |field: ValueField, (slot, negate): (u16, bool)| {
+        writes.push(SlotWrite {
+            table: table as u16,
+            arm,
+            group: group as u16,
+            atom: idx as u16,
+            field,
+            slot,
+            negate,
+        });
+    };
+    let mut value = |field: ValueField, v: &Value| {
+        if let Some(at) = sentinel_of(v) {
+            push(field, at);
+        }
+    };
+    match atom {
+        AtomicPredicate::Cmp { value: v, .. } => value(ValueField::Cmp, v),
+        AtomicPredicate::Between { low, high, .. } => {
+            value(ValueField::BetweenLow, low);
+            value(ValueField::BetweenHigh, high);
+        }
+        AtomicPredicate::InList { values, .. } => {
+            for (k, v) in values.iter().enumerate() {
+                value(ValueField::InItem(u16::try_from(k).ok()?), v);
+            }
+        }
+        AtomicPredicate::Like { pattern, .. } => {
+            // Canonical text keeps no pattern of its own: every one is a
+            // sentinel.
+            let (slot, suffix) = pattern_of(pattern)?;
+            push(ValueField::Pattern { suffix }, (slot, false));
+        }
+        // `Opaque` carries no `Value` (self-compare hints only, after
+        // eligibility).
+        AtomicPredicate::IsNull { .. }
+        | AtomicPredicate::JoinEq { .. }
+        | AtomicPredicate::Opaque { .. } => {}
+    }
+    Some(())
+}
+
+/// Eligibility over a whole statement (see module docs).
 fn statement_eligible(stmt: &Statement) -> bool {
     match stmt {
         Statement::Select(s) => select_eligible(s),
@@ -435,13 +619,14 @@ fn select_eligible(s: &SelectStatement) -> bool {
 
 fn predicate_eligible(p: &Predicate) -> bool {
     match p {
-        Predicate::And(ps) => ps.iter().all(predicate_eligible),
-        Predicate::Cmp { .. } | Predicate::JoinEq { .. } | Predicate::Between { .. } => true,
-        Predicate::IsNull { .. } => true,
-        Predicate::Or(_)
-        | Predicate::Not(_)
+        Predicate::And(ps) | Predicate::Or(ps) => ps.iter().all(predicate_eligible),
+        Predicate::Cmp { .. }
+        | Predicate::JoinEq { .. }
+        | Predicate::Between { .. }
+        | Predicate::IsNull { .. }
         | Predicate::InList { .. }
-        | Predicate::Like { .. }
+        | Predicate::Like { .. } => true,
+        Predicate::Not(_)
         | Predicate::Exists { .. }
         | Predicate::InSubquery { .. }
         | Predicate::AggCmp { .. } => false,
@@ -687,11 +872,39 @@ impl Resolved<'_> {
     }
 }
 
+/// A reader's bindable clone of a compiled template's skeleton, with the
+/// frame it was cloned from. A bind writes every slot and every
+/// `filter_sel`, so the clone stays bindable by every template that shares
+/// that frame — every re-fold of its template, in any later publication —
+/// and by no other.
+#[derive(Debug)]
+pub(crate) struct SkeletonClone {
+    frame: Arc<Frame>,
+    pub(crate) shape: QueryShape,
+}
+
+impl SkeletonClone {
+    pub(crate) fn of(template: &CompiledTemplate) -> Self {
+        SkeletonClone {
+            frame: Arc::clone(&template.frame),
+            shape: template.frame.skeleton.clone(),
+        }
+    }
+
+    /// Whether `template` can bind into this clone: it has the frame the
+    /// clone was made from.
+    pub(crate) fn serves(&self, template: &CompiledTemplate) -> bool {
+        Arc::ptr_eq(&self.frame, &template.frame)
+    }
+}
+
 /// One reader's statement front end: its reusable literal buffer and
 /// selectivity scratch, and its cells of `sql.fastpath.{hits,misses,
 /// fallbacks}`. At steady state — repeat templates, warmed skeleton clones
-/// — [`FrontEnd::resolve`] performs **zero heap allocations** (integer /
-/// float literals; string literals clone into reused `Value`s).
+/// — [`FrontEnd::resolve`] performs **zero heap allocations** for integer
+/// and float literals. The scan allocates a fresh `String` per string
+/// literal; a bind copies it into the clone's own string, which keeps its
+/// capacity.
 pub(crate) struct FrontEnd {
     lits: LiteralBuf,
     sels: Vec<f64>,
@@ -862,6 +1075,65 @@ mod tests {
                 "SELECT * FROM accounts WHERE owner IS NULL AND balance < 10",
                 "SELECT * FROM accounts WHERE owner IS NULL AND balance < 42",
             ),
+            // `OR`, `IN` lists and `LIKE` patterns: every copy DNF
+            // distribution made of an atom, every value of a list, the
+            // pattern in either anchoring class, escaped quotes included.
+            (
+                "SELECT * FROM accounts WHERE branch = 1 OR branch = 2",
+                "SELECT * FROM accounts WHERE branch = 40 OR branch = 41",
+            ),
+            (
+                "SELECT * FROM accounts WHERE branch IN (1, 2, 3)",
+                "SELECT * FROM accounts WHERE branch IN (7, 8, 9)",
+            ),
+            (
+                "SELECT * FROM accounts WHERE branch IN (1, 2, 3)",
+                "SELECT * FROM accounts WHERE branch IN (1, 1, 2)",
+            ),
+            (
+                "SELECT * FROM accounts WHERE branch NOT IN (1, -2)",
+                "SELECT * FROM accounts WHERE branch NOT IN (17, -300)",
+            ),
+            (
+                "SELECT * FROM accounts WHERE owner IN ('a', 'b') AND branch = 1",
+                "SELECT * FROM accounts WHERE owner IN ('pat', 'zoë') AND branch = 9",
+            ),
+            (
+                "SELECT * FROM accounts WHERE owner LIKE 'a%'",
+                "SELECT * FROM accounts WHERE owner LIKE 'ab%'",
+            ),
+            (
+                "SELECT * FROM accounts WHERE owner LIKE '%a'",
+                "SELECT * FROM accounts WHERE owner LIKE '%ab'",
+            ),
+            (
+                "SELECT * FROM accounts WHERE owner LIKE '%a'",
+                "SELECT * FROM accounts WHERE owner LIKE '_b'",
+            ),
+            (
+                "SELECT * FROM accounts WHERE owner LIKE 'a%' AND branch = 1",
+                "SELECT * FROM accounts WHERE owner LIKE 'a''b%' AND branch = 3",
+            ),
+            (
+                "SELECT id FROM accounts WHERE owner NOT LIKE 'a%' OR balance > 7",
+                "SELECT id FROM accounts WHERE owner NOT LIKE 'q%' OR balance > 9000",
+            ),
+            (
+                "SELECT * FROM accounts WHERE (branch = 1 OR branch = 2) AND balance > 3 \
+                 ORDER BY id LIMIT 20",
+                "SELECT * FROM accounts WHERE (branch = 11 OR branch = 12) AND balance > 300 \
+                 ORDER BY id LIMIT 5",
+            ),
+            (
+                "SELECT a.id FROM accounts a JOIN tellers t ON a.branch = t.branch \
+                 WHERE t.id IN (1, 2) OR a.owner LIKE 'x%'",
+                "SELECT a.id FROM accounts a JOIN tellers t ON a.branch = t.branch \
+                 WHERE t.id IN (30, 31) OR a.owner LIKE 'pq%'",
+            ),
+            (
+                "UPDATE accounts SET balance = 1 WHERE id IN (1, 2) OR branch = 3",
+                "UPDATE accounts SET balance = 9 WHERE id IN (10, 20) OR branch = 30",
+            ),
         ];
         for (template, concrete) in cases {
             assert_bind_matches(template, concrete, &cat);
@@ -903,17 +1175,91 @@ mod tests {
     fn ineligible_templates_do_not_compile() {
         let cat = catalog();
         for sql in [
-            "SELECT * FROM accounts WHERE branch = 1 OR branch = 2",
             "SELECT * FROM accounts WHERE NOT branch = 1",
-            "SELECT * FROM accounts WHERE branch IN (1, 2, 3)",
-            "SELECT * FROM accounts WHERE owner LIKE 'a%'",
+            "SELECT * FROM accounts WHERE branch = 1 AND NOT (balance > 5 OR id = 2)",
             "SELECT * FROM accounts WHERE EXISTS (SELECT id FROM tellers WHERE id = 1)",
             "SELECT * FROM accounts WHERE id IN (SELECT id FROM tellers WHERE branch = 1)",
             "SELECT * FROM (SELECT id FROM accounts WHERE id = 1) s",
+            "SELECT branch, COUNT(*) FROM accounts GROUP BY branch HAVING COUNT(*) > 5",
         ] {
             assert!(
                 compile_sql(sql, &cat).is_none(),
                 "should not compile: {sql}"
+            );
+        }
+    }
+
+    /// `sql`'s literals, scanned.
+    fn lits_of(sql: &str) -> LiteralBuf {
+        let mut lits = LiteralBuf::default();
+        scan_fingerprint(sql, &mut lits).unwrap();
+        lits
+    }
+
+    /// Each value-dependent step of extraction has its guard: a bind that
+    /// would make two DNF groups equal (extraction keeps one), or an `OR`
+    /// arm equal to a conjunctive atom (extraction counts it a conjunct),
+    /// or binds a pattern of the other anchoring class, falls back; the
+    /// same templates bind other values bit for bit.
+    #[test]
+    fn value_dependent_extraction_falls_back() {
+        let cat = catalog();
+        let (mut sels, mut stack) = (Vec::new(), Vec::new());
+        for (template, tripping, binding) in [
+            (
+                "SELECT * FROM accounts WHERE (branch = 1 OR branch = 2) AND balance = 1",
+                "SELECT * FROM accounts WHERE (branch = 5 OR branch = 5) AND balance = 1",
+                "SELECT * FROM accounts WHERE (branch = 5 OR branch = 6) AND balance = 1",
+            ),
+            (
+                "SELECT * FROM accounts WHERE branch = 1 AND (branch = 2 OR balance = 2)",
+                "SELECT * FROM accounts WHERE branch = 5 AND (branch = 5 OR balance = 2)",
+                "SELECT * FROM accounts WHERE branch = 5 AND (branch = 6 OR balance = 2)",
+            ),
+            // `<>` is in no DNF group: only the promotion shows.
+            (
+                "SELECT * FROM accounts WHERE branch <> 1 AND (branch <> 2 OR balance = 2)",
+                "SELECT * FROM accounts WHERE branch <> 5 AND (branch <> 5 OR balance = 2)",
+                "SELECT * FROM accounts WHERE branch <> 5 AND (branch <> 6 OR balance = 2)",
+            ),
+            (
+                "SELECT * FROM accounts WHERE branch IN (1, 2) OR branch IN (3, 4)",
+                "SELECT * FROM accounts WHERE branch IN (1, 2) OR branch IN (1, 2)",
+                "SELECT * FROM accounts WHERE branch IN (1, 2) OR branch IN (2, 1)",
+            ),
+            (
+                "SELECT * FROM accounts WHERE owner LIKE 'a%' OR owner LIKE 'b%'",
+                "SELECT * FROM accounts WHERE owner LIKE 'ab%' OR owner LIKE 'ab%'",
+                "SELECT * FROM accounts WHERE owner LIKE 'ab%' OR owner LIKE 'ac%'",
+            ),
+        ] {
+            let (compiled, _) = compile_sql(template, &cat).unwrap();
+            let mut shape = compiled.skeleton().clone();
+            let lits = lits_of(tripping);
+            assert!(
+                !compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
+                "{tripping} should fall back"
+            );
+            let parsed = QueryShape::extract(&parse_statement(tripping).unwrap(), &cat);
+            assert_ne!(shape, parsed, "{tripping}: a bind would have missed this");
+            assert_bind_matches(template, binding, &cat);
+        }
+
+        // A pattern keeps the anchoring class of its template's.
+        for (template, other_class) in [("'a%'", "%b"), ("'%a'", "b%"), ("'%a'", "")] {
+            let sql = format!("SELECT * FROM accounts WHERE owner LIKE {template}");
+            let (compiled, _) = compile_sql(&sql, &cat).unwrap();
+            let mut shape = compiled.skeleton().clone();
+            let mut lits = lits_of(&sql);
+            lits.values[0] = Value::Str(other_class.into());
+            assert!(
+                !compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
+                "{sql}"
+            );
+            lits.values[0] = Value::Int(1);
+            assert!(
+                !compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
+                "{sql}"
             );
         }
     }
@@ -1005,11 +1351,14 @@ mod tests {
             .observe("SELECT * FROM accounts WHERE owner LIKE 'a%'", &cat)
             .unwrap();
         store
+            .observe("SELECT * FROM accounts WHERE NOT branch = 1", &cat)
+            .unwrap();
+        store
             .observe("UPDATE accounts SET balance = 5 WHERE id = 2", &cat)
             .unwrap();
         let cache = FastPathCache::build(store.entries(), &cat);
-        assert_eq!(cache.len(), 2, "two eligible templates compile");
-        assert_eq!(cache.ineligible(), 1, "the LIKE template is ineligible");
+        assert_eq!(cache.len(), 3, "three eligible templates compile");
+        assert_eq!(cache.ineligible(), 1, "the NOT template is ineligible");
         let hash = fingerprint("SELECT * FROM accounts WHERE id = 99")
             .unwrap()
             .hash;
@@ -1024,14 +1373,15 @@ mod tests {
     use autoindex_support::rng::StdRng;
 
     /// Statement texts over both tables: bindable reads and writes, a join,
-    /// a duplicate-atom guard tripper, and three ineligible templates.
+    /// `OR`, `IN` and `LIKE` templates, a tripper of each value-dependent
+    /// guard, and an ineligible template.
     fn statement(rng: &mut StdRng) -> String {
         let (a, b, c) = (
             rng.random_range(0i64..600),
             rng.random_range(0i64..40_000),
             rng.random_range(0i64..9),
         );
-        match rng.random_range(0u32..14) {
+        match rng.random_range(0u32..19) {
             0 => format!("SELECT * FROM accounts WHERE id = {b}"),
             1 => format!(
                 "SELECT balance FROM accounts WHERE branch = {a} AND balance > {b} LIMIT {c}"
@@ -1053,7 +1403,25 @@ mod tests {
             10 => format!("INSERT INTO accounts (id, balance) VALUES ({b}, {a})"),
             11 => format!("SELECT * FROM accounts WHERE branch = {a} OR branch = {c}"),
             12 => format!("SELECT * FROM accounts WHERE branch IN ({a}, {c})"),
-            _ => "SELECT * FROM accounts WHERE owner LIKE 'a%'".to_string(),
+            13 => format!(
+                "SELECT * FROM accounts WHERE owner LIKE '{}%'",
+                ["a", "b"][c as usize % 2]
+            ),
+            14 => format!("SELECT id FROM accounts WHERE owner LIKE '%{c}' OR branch IN ({c}, 7)"),
+            // Group-dedup and conjunct-promotion guard trippers.
+            15 => format!(
+                "SELECT * FROM accounts WHERE (branch = {c} OR branch = {}) AND id = {a}",
+                c % 3
+            ),
+            16 => format!(
+                "SELECT * FROM accounts WHERE branch <> {c} AND (branch <> {} OR id = {a})",
+                c % 3
+            ),
+            17 => format!(
+                "SELECT * FROM accounts WHERE owner LIKE '{c}%' OR owner LIKE '{}%'",
+                c % 3
+            ),
+            _ => format!("SELECT * FROM accounts WHERE NOT branch = {a}"),
         }
     }
 

@@ -9,14 +9,15 @@
 //! ```text
 //!  tenant streams      admission (per epoch)        epoch engine
 //!  ┌──────────┐   Admit ┌─────────────────────┐   ┌──────────────────┐
-//!  │ t0 ░░░░░░│ ───────►│ admitted slices     │──►│ run_epoch: merged│
-//!  │ t1 ░░░░░░│  Defer  └─────────────────────┘   │ on (tenant, seq) │
-//!  │ t2 ░░░░░░│ (cursor holds)                    └────────┬─────────┘
-//!  └──────────┘  Shed (cursor skips, counted)              │
-//!        ▲    ┌────────────────────────────────────────────▼──┐
-//!        └────│ boundary: absorb per tenant in seq order, SLO │
-//!             │ percentiles, the tuner pick, republish every  │
-//!             │ tenant the epoch moved                        │
+//!  │ t0 ░░░░░░│ ───────►│ admitted slices     │──►│ run_epoch: each  │
+//!  │ t1 ░░░░░░│  Defer  └─────────────────────┘   │ run absorbed as  │
+//!  │ t2 ░░░░░░│ (cursor holds)                    │ it passes, per   │
+//!  └──────────┘  Shed (cursor skips, counted)     │ lane in seq order│
+//!        ▲                                        └────────┬─────────┘
+//!        │    ┌────────────────────────────────────────────▼──┐
+//!        └────│ boundary: close each admitted slice (totals,  │
+//!             │ SLO percentiles), the tuner pick, republish   │
+//!             │ every tenant the epoch moved                  │
 //!             └───────────────────────────────────────────────┘
 //! ```
 //!
@@ -41,15 +42,17 @@
 //! # Determinism contract
 //!
 //! [`ServeReport::transcript`] and every [`TenantReport::transcript`] are a
-//! pure function of the streams and the config: everything the boundary
-//! reads is the engine's merged epoch (see `docs/SERVING.md`), so worker
-//! count only changes which thread computes an outcome. Wall clock and the
-//! simulated makespan stay out of every transcript. `tests/serving.rs` and
-//! `tests/fleet.rs` compare 1- and N-worker transcripts byte for byte;
-//! `tests/serving_golden.rs` pins them.
+//! pure function of the streams and the config: a lane absorbs its
+//! observations in `seq` order whatever order they arrive in, and
+//! everything the boundary reads is what the lanes absorbed (see
+//! `docs/SERVING.md`), so worker count only changes which thread computes
+//! an outcome. Wall clock and the simulated makespan stay out of every
+//! transcript. `tests/serving.rs` and `tests/fleet.rs` compare 1- and
+//! N-worker transcripts byte for byte; `tests/serving_golden.rs` pins
+//! them.
 
 use crate::engine::{
-    simulated_qps, Engine, EngineConfig, ObservationPayload, Publication, Slice, TenantObservation,
+    simulated_qps, Engine, EngineConfig, ObservationPayload, Publication, Run, Slice,
 };
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::UpkeepCounters;
@@ -862,6 +865,9 @@ struct LaneState<'q, E: CostEstimator> {
     /// Whether the epoch moved this tenant's live state (admitted it, or
     /// the tuner visited it): it republishes at the end of the epoch.
     moved: bool,
+    /// The executed latencies of the open slice, when the run accounts
+    /// SLOs.
+    latencies: Vec<f64>,
 }
 
 impl<'q, E: CostEstimator> LaneState<'q, E> {
@@ -890,6 +896,7 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
             best_mean_ms: f64::INFINITY,
             last_tuned_epoch: None,
             moved: false,
+            latencies: Vec::new(),
         }
     }
 
@@ -906,47 +913,47 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
         Some((last - self.best_mean_ms) / self.best_mean_ms)
     }
 
-    /// Absorb the tenant's merged observations of this epoch into its live
-    /// database and advisor, in sequence order, and close the accounting of
-    /// its slice: totals, SLO percentiles when declared, the regret
-    /// baseline, the bandit's reward.
+    /// Absorb one run of the tenant's observations of this epoch — the
+    /// engine passes a lane's runs in sequence order — into its live
+    /// database and advisor, and into the open slice's record.
     ///
     /// Every statement a worker scanned — each fast-path hit, and each miss
     /// with the fast path on — carries its fingerprint hash: the template
     /// store's prehashed entry point skips the scan and, on a store hit,
     /// the re-parse, with bookkeeping identical to `observe` (tested in
     /// `templates.rs`).
-    fn absorb(
-        &mut self,
-        observations: &[TenantObservation],
-        strategy: Option<StrategyKind>,
-        latencies: &mut Vec<f64>,
-    ) {
+    fn absorb(&mut self, run: &Run) {
         let report = &mut self.report;
         let record = report.slices.last_mut().expect("opened at admission");
-        let collect_latencies = self.slo.is_some();
-        latencies.clear();
-        for TenantObservation { obs, bound, .. } in observations {
-            match &obs.payload {
+        for (seq, payload, bound) in run.iter() {
+            match payload {
                 ObservationPayload::Executed { outcome, delta, fp } => {
                     self.db.absorb(delta);
-                    let sql = &self.queries[obs.seq as usize];
+                    let sql = &self.queries[seq as usize];
                     let _ = match fp {
                         Some(h) => self.advisor.observe_prehashed(*h, sql, &self.db),
                         None => self.advisor.observe(sql, &self.db),
                     };
-                    report.fastpath_hits += u64::from(*bound);
-                    report.fastpath_misses += u64::from(!*bound);
+                    report.fastpath_hits += u64::from(bound);
+                    report.fastpath_misses += u64::from(!bound);
                     record.executed += 1;
                     record.sim_latency_ms += outcome.latency_ms;
-                    if collect_latencies {
-                        latencies.push(outcome.latency_ms);
+                    if self.slo.is_some() {
+                        self.latencies.push(outcome.latency_ms);
                     }
                 }
                 ObservationPayload::ParseFailed => record.parse_failures += 1,
                 ObservationPayload::Panicked => record.panics += 1,
             }
         }
+    }
+
+    /// Close the accounting of the slice every run of which was absorbed:
+    /// totals, SLO percentiles when declared, the regret baseline, the
+    /// bandit's reward.
+    fn close_slice(&mut self, strategy: Option<StrategyKind>) {
+        let report = &mut self.report;
+        let record = report.slices.last_mut().expect("opened at admission");
         report.executed += record.executed;
         report.parse_failures += record.parse_failures;
         report.panics += record.panics;
@@ -955,10 +962,12 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
             return;
         }
         if let Some((slo_p50, slo_p99)) = self.slo {
+            let latencies = &mut self.latencies;
             record.p50_ms = select_percentile(latencies, 0.50);
             record.p99_ms = select_percentile(latencies, 0.99);
             record.slo_ok = record.p50_ms <= slo_p50 && record.p99_ms <= slo_p99;
             report.slo_violations += u64::from(!record.slo_ok);
+            latencies.clear();
         }
         let mean = record.sim_latency_ms / record.executed as f64;
         self.last_mean_ms = Some(mean);
@@ -1019,8 +1028,9 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
 }
 
 /// The serving loop: every epoch, admission over the lanes' bids, one
-/// engine epoch over the admitted slices, absorb per lane, the tuner pick,
-/// then fingerprint and republish every lane the epoch moved.
+/// engine epoch over the admitted slices absorbed run by run, each admitted
+/// slice closed, the tuner pick, then fingerprint and republish every lane
+/// the epoch moved.
 fn run<'q, Site, E: CostEstimator>(
     config: &Config<Site>,
     mut lanes: Vec<LaneState<'q, E>>,
@@ -1063,7 +1073,6 @@ fn run<'q, Site, E: CostEstimator>(
     let sim_makespan_ms = engine.run(initial, |coordinator| {
         let mut candidates = Vec::new();
         let mut slices = Vec::new();
-        let mut latencies = Vec::new();
         for epoch in 0.. {
             // ---- admission: every unfinished tenant bids for a slice.
             candidates.clear();
@@ -1135,11 +1144,13 @@ fn run<'q, Site, E: CostEstimator>(
             rec.saturated = rec.deferred > 0 || rec.shed > 0;
 
             // ---- execute: one observation per admitted sequence slot,
-            // merged on the (tenant, seq) logical clock; absorb per tenant.
-            let batch = coordinator.run_epoch(epoch, &slices)?;
-            for observations in batch.chunk_by(|a, b| a.tenant == b.tenant) {
-                let lane = &mut lanes[observations[0].tenant as usize];
-                lane.absorb(observations, config.tuner_strategy, &mut latencies);
+            // absorbed run by run as the engine passes each lane's on in
+            // seq order; then close every admitted slice.
+            coordinator.run_epoch(epoch, &slices, |run| {
+                lanes[run.tenant as usize].absorb(run);
+            })?;
+            for lane in lanes.iter_mut().filter(|l| l.moved) {
+                lane.close_slice(config.tuner_strategy);
             }
 
             // ---- the tuner pick.

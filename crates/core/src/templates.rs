@@ -72,7 +72,8 @@ pub struct TemplateEntry {
     pub id: TemplateId,
     /// Canonical template text (fingerprint text).
     pub text: String,
-    /// Parsed template statement (placeholders for all literals).
+    /// The template's first statement as written, parsed: its literals
+    /// are that statement's, not placeholders.
     pub statement: Statement,
     /// Pre-extracted shape (against the catalog at observation time),
     /// shared with the workload of every tuning boundary since.

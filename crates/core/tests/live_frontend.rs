@@ -38,7 +38,7 @@ fn statement(rng: &mut StdRng) -> String {
     let acct = rng.random_range(1..=ACCOUNTS);
     let small = rng.random_range(0u64..4);
     let n = rng.random_range(1u64..40_000);
-    match rng.random_range(0u32..26) {
+    match rng.random_range(0u32..27) {
         0..=3 => format!("SELECT * FROM account WHERE acct_id = {acct}"),
         4 | 5 => format!(
             "SELECT * FROM withdraw_flow WHERE teller_id = {}",
@@ -73,12 +73,22 @@ fn statement(rng: &mut StdRng) -> String {
         ),
         17 => format!("SELECT * FROM account WHERE balance > -{n}"),
         18 => "SELECT * FROM account WHERE balance > -'x'".to_string(),
-        // Ineligible templates.
-        19 => format!("SELECT * FROM account WHERE status = {small} OR acct_type = {small}"),
+        // `OR`, `IN` and `LIKE` templates; the first trips the DNF-group
+        // guard now and then.
+        19 => format!(
+            "SELECT * FROM account WHERE (status = {small} OR status = {}) AND acct_type = 1",
+            rng.random_range(0u64..4)
+        ),
         20 => format!("SELECT * FROM card WHERE card_status IN ({small}, 3)"),
-        21 => "SELECT * FROM customer_b WHERE cust_name LIKE 'a%'".to_string(),
+        21 => [
+            "SELECT * FROM customer_b WHERE cust_name LIKE 'a%'",
+            "SELECT * FROM customer_b WHERE cust_name LIKE '%b'",
+        ][rng.random_range(0usize..2)]
+        .to_string(),
+        // An ineligible template.
+        22 => format!("SELECT * FROM account WHERE NOT status = {small}"),
         // Text that does not parse, or does not even lex.
-        22 => [
+        23 => [
             "THIS IS NOT SQL",
             "SELECT * FROM account WHERE acct_id = 'open",
         ][rng.random_range(0usize..2)]

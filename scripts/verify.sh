@@ -200,6 +200,10 @@ for gone in shard_of SHARD_SALT derive_seed; do
 done
 absent 'pub seed' crates/core/src/serve.rs
 
+echo "==> streaming check (crates/core/src/engine.rs, tests included: the coordinator passes each lane's runs on in seq order and holds no epoch of slots; a worker's skeleton clones outlive a publication that keeps their frame)"
+absent EpochMerge crates/core/src/engine.rs
+absent 'clones.clear()' crates/core/src/engine.rs
+
 echo "==> boundary check (crates/core/src, tests included: the candidate merge sorts on kept keys and renders none in a comparator; a boundary's workload shares the templates' shapes, copies none)"
 absent 'd.key())\|a.key()' crates/core/src/candgen.rs
 absent 'e.shape.clone()' crates/core/src/templates.rs
