@@ -40,8 +40,8 @@ use autoindex_estimator::cost_cache::{CacheKey, CostCache, CostCacheStats};
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::catalog::{Catalog, Table};
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::{PressureModel, SimDb};
-use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
+use autoindex_storage::SimDb;
+use autoindex_support::hash::{fnv1a_from, WordHashMap, FNV_OFFSET};
 use autoindex_support::obs::Counter;
 
 use crate::mcts::{full_word, word_slots, ConfigSet, Universe};
@@ -163,11 +163,12 @@ impl<'w> DeltaWorkload<'w> {
     }
 }
 
-/// A missing term scheduled for evaluation.
+/// A missing term scheduled for evaluation, and its value once evaluated.
 struct Job<'w> {
     key: CacheKey,
     proj: ConfigSet,
     shape: &'w QueryShape,
+    value: f64,
 }
 
 /// One keyed-and-looked-up term of a priced configuration.
@@ -178,8 +179,11 @@ struct Lookup {
 
 /// A tuning round's one way to price a configuration: the workload's
 /// per-template terms summed by what changed against a *reference*
-/// configuration whose values it holds, the buffer pressure of the
-/// configuration's footprint, and a count of the configurations priced.
+/// configuration whose values it holds, and a count of the configurations
+/// priced. What a strategy makes of a sum is its own: the MCTS pipeline
+/// weighs it by the buffer pressure of the configuration's footprint
+/// ([`autoindex_storage::PressureModel`]), greedy and the bandit take it
+/// as it is.
 ///
 /// Until [`DeltaPricer::rebase`] is first called there is no reference and
 /// every term of a configuration is looked up — the full pass. Each
@@ -197,8 +201,6 @@ pub struct DeltaPricer<'a, 'w, E, S = QueryShape> {
     universe: &'a Universe,
     cache: &'a CostCache,
     decomposed: bool,
-    /// Buffer pressure at the round's (fixed) heap size.
-    pressure: PressureModel,
     evaluations: usize,
     stats: CostCacheStats,
     looked_up: Counter,
@@ -213,6 +215,11 @@ pub struct DeltaPricer<'a, 'w, E, S = QueryShape> {
     /// End of each batch member's run in `lookups`.
     ends: Vec<usize>,
     sums: Vec<f64>,
+    /// What the batch has to plan: each missing term once, in the order
+    /// first met, and the lookups (by position) waiting on each.
+    jobs: Vec<Job<'w>>,
+    scheduled: WordHashMap<CacheKey, usize>,
+    awaited: Vec<(usize, usize)>,
     /// The configuration priced last (what `rebase` adopts).
     last: ConfigSet,
 }
@@ -248,7 +255,6 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
             universe,
             cache,
             decomposed,
-            pressure: db.pressure_model(),
             evaluations: 0,
             stats,
             looked_up: metrics.counter("delta.terms.looked_up"),
@@ -259,6 +265,9 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
             lookups: Vec::new(),
             ends: Vec::new(),
             sums: Vec::new(),
+            jobs: Vec::new(),
+            scheduled: WordHashMap::default(),
+            awaited: Vec::new(),
             last: ConfigSet::default(),
         }
     }
@@ -274,35 +283,9 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
         self.evaluations
     }
 
-    /// Workload cost of one configuration, without buffer pressure: what
-    /// the greedy ranking and the bandit's priors are made of.
+    /// Workload cost of one configuration.
     pub fn sum(&mut self, config: &ConfigSet) -> f64 {
-        self.sum_batch(std::iter::once(config));
-        self.sums[0]
-    }
-
-    /// Workload cost of one configuration, inflated by the buffer pressure
-    /// its footprint would cause. This is what makes dropping *unused*
-    /// indexes worthwhile (Figure 1): they have zero maintenance, but they
-    /// evict hot pages.
-    pub fn price(&mut self, config: &ConfigSet) -> f64 {
-        self.price_batch(std::iter::once(config))[0]
-    }
-
-    /// [`DeltaPricer::price`] of a batch, in batch order.
-    pub fn price_batch<'c, I>(&mut self, batch: I) -> &[f64]
-    where
-        I: IntoIterator<Item = &'c ConfigSet>,
-        I::IntoIter: Clone,
-    {
-        let batch = batch.into_iter();
-        self.sum_batch(batch.clone());
-        for (sum, cfg) in self.sums.iter_mut().zip(batch) {
-            *sum *= self
-                .pressure
-                .for_index_bytes(self.universe.config_size(cfg));
-        }
-        &self.sums
+        self.sum_batch(std::iter::once(config))[0]
     }
 
     /// Adopt the configuration priced last as the reference: the terms it
@@ -321,8 +304,7 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
             .clone_from(&self.last);
     }
 
-    /// Fill `sums` with the memoized workload costs of a batch, in batch
-    /// order.
+    /// [`DeltaPricer::sum`] of a batch, in batch order.
     ///
     /// Plan: key and look up the moved terms of each member — the first
     /// occurrence of a missing `(template, projection)` term is a miss and
@@ -332,7 +314,7 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
     /// over *every* term in workload order, moved values substituted into
     /// the reference's — the same FP operations in the same order as the
     /// naive evaluator.
-    fn sum_batch<'c>(&mut self, batch: impl Iterator<Item = &'c ConfigSet>) {
+    pub fn sum_batch<'c>(&mut self, batch: impl IntoIterator<Item = &'c ConfigSet>) -> &[f64] {
         self.sums.clear();
         let (db, estimator, universe) = (self.db, self.estimator, self.universe);
         if !self.decomposed {
@@ -344,18 +326,15 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
                     universe.config_defs(cfg),
                 ));
             }
-            return;
+            return &self.sums;
         }
         let delta = &self.delta;
         let n = delta.terms.len();
         self.lookups.clear();
         self.ends.clear();
-        // What the batch has to plan; nothing is allocated for a batch that
-        // finds every term cached.
-        let mut jobs: Vec<Job<'w>> = Vec::new();
-        let mut scheduled: HashMap<CacheKey, usize> = HashMap::new();
-        // (lookup, job) for each lookup whose value the jobs produce.
-        let mut awaited: Vec<(usize, usize)> = Vec::new();
+        self.jobs.clear();
+        self.scheduled.clear();
+        self.awaited.clear();
 
         let mut last = None;
         for cfg in batch {
@@ -382,16 +361,18 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
                     let term = &delta.terms[t];
                     let key = DeltaWorkload::term_key(universe, term, cfg);
                     let value = self.cache.get(&key).unwrap_or_else(|| {
-                        let job = *scheduled.entry(key).or_insert_with(|| {
+                        let jobs = &mut self.jobs;
+                        let job = *self.scheduled.entry(key).or_insert_with(|| {
                             misses += 1;
                             jobs.push(Job {
                                 key,
                                 proj: cfg.intersect(&term.mask),
                                 shape: term.shape,
+                                value: 0.0,
                             });
                             jobs.len() - 1
                         });
-                        awaited.push((self.lookups.len(), job));
+                        self.awaited.push((self.lookups.len(), job));
                         0.0
                     });
                     self.lookups.push(Lookup {
@@ -414,15 +395,12 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
             self.last.clone_from(cfg);
         }
 
-        let job_values: Vec<f64> = jobs
-            .iter()
-            .map(|j| estimator.shape_cost(db, j.shape, universe.config_defs(&j.proj)))
-            .collect();
-        for (j, v) in jobs.iter().zip(&job_values) {
-            self.cache.insert(j.key, *v);
+        for j in &mut self.jobs {
+            j.value = estimator.shape_cost(db, j.shape, universe.config_defs(&j.proj));
+            self.cache.insert(j.key, j.value);
         }
-        for (lookup, job) in awaited {
-            self.lookups[lookup].value = job_values[job];
+        for &(lookup, job) in &self.awaited {
+            self.lookups[lookup].value = self.jobs[job].value;
         }
 
         let mut from = 0;
@@ -446,6 +424,7 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
             }
             from = end;
         }
+        &self.sums
     }
 }
 

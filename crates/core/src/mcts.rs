@@ -24,19 +24,35 @@
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
-use autoindex_storage::SimDb;
-use autoindex_support::hash::{fnv1a_from, U64HashMap, FNV_OFFSET};
+use autoindex_storage::{PressureModel, SimDb};
+use autoindex_support::hash::{U64HashMap, WordHashMap, WordHasher};
 use autoindex_support::obs::Counter;
 use autoindex_support::rng::StdRng;
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 
 use crate::delta::DeltaPricer;
+use crate::fastpath::stamp_of;
 
 /// A set of universe slots, packed into 64-bit words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct ConfigSet {
     words: Vec<u64>,
+}
+
+impl Clone for ConfigSet {
+    fn clone(&self) -> Self {
+        ConfigSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Into `self`'s own buffer (a derived `clone_from` would allocate a
+    /// new one): the search copies configurations into reused buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl ConfigSet {
@@ -209,7 +225,13 @@ pub struct Universe {
     by_hash: U64HashMap<usize>,
     /// Estimated size in bytes (refreshed per round).
     sizes: Vec<u64>,
+    /// Per slot, its table's growth stamp when its size was estimated
+    /// ([`UNSIZED`] before the first estimate).
+    stamps: Vec<u64>,
 }
+
+/// The stamp of a slot never sized: no table carries it.
+const UNSIZED: u64 = u64::MAX;
 
 impl Universe {
     /// Empty universe.
@@ -238,6 +260,7 @@ impl Universe {
             self.hashes.push(hash);
             self.by_hash.insert(free, i);
             self.sizes.push(0);
+            self.stamps.push(UNSIZED);
             i
         })
     }
@@ -250,11 +273,11 @@ impl Universe {
     /// same definitions differently must not share a term.
     pub fn projection_fingerprint(&self, config: &ConfigSet, mask: &ConfigSet) -> u64 {
         let words = config.words.iter().zip(&mask.words).enumerate();
-        words
-            .flat_map(|(wi, (a, b))| word_slots(wi, a & b))
-            .fold(FNV_OFFSET, |h, slot| {
-                fnv1a_from(h, &self.hashes[slot].to_le_bytes())
-            })
+        let mut h = WordHasher::default();
+        for slot in words.flat_map(|(wi, (a, b))| word_slots(wi, a & b)) {
+            h.write_u64(self.hashes[slot]);
+        }
+        h.finish()
     }
 
     /// `ConfigSet` fingerprint of `db`'s current real index set, interned
@@ -290,11 +313,19 @@ impl Universe {
         self.defs.is_empty()
     }
 
-    /// Refresh size estimates against the database (sizes change when
-    /// tables grow).
+    /// Refresh size estimates against the database. A size changes only
+    /// with its table's statistics, so a slot is re-estimated only when its
+    /// table's growth stamp is not the one it was estimated at — the rule a
+    /// compiled template is kept by (`fastpath::stamp_of`; a table the catalog
+    /// lacks reads 0 and sizes as `u64::MAX / 1024`).
     pub fn refresh_sizes(&mut self, db: &SimDb) {
+        let catalog = db.catalog();
         for (i, d) in self.defs.iter().enumerate() {
-            self.sizes[i] = db.index_size_bytes(d).unwrap_or(u64::MAX / 1024);
+            let stamp = stamp_of(catalog, &d.table);
+            if self.stamps[i] != stamp {
+                self.stamps[i] = stamp;
+                self.sizes[i] = db.index_size_bytes(d).unwrap_or(u64::MAX / 1024);
+            }
         }
     }
 
@@ -410,7 +441,7 @@ enum Action {
 /// The persistent policy tree.
 pub struct PolicyTree {
     nodes: Vec<Node>,
-    by_config: HashMap<ConfigSet, usize>,
+    by_config: WordHashMap<ConfigSet, usize>,
     round: u64,
 }
 
@@ -425,7 +456,7 @@ impl PolicyTree {
     pub fn new() -> Self {
         PolicyTree {
             nodes: Vec::new(),
-            by_config: HashMap::new(),
+            by_config: WordHashMap::default(),
             round: 0,
         }
     }
@@ -529,17 +560,29 @@ pub struct MctsSearch<'a> {
     pub start: ConfigSet,
 }
 
-/// The whole-configuration (L1) memo of one [`MctsSearch::run`] and its
-/// economics. It sits in front of the round's pricer and dies with the
-/// search.
-#[derive(Default)]
+/// The whole-configuration (L1) memo of one [`MctsSearch::run`], its
+/// economics and the buffers a batch is priced with. It sits in front of
+/// the round's pricer and dies with the search.
 struct EvalState {
-    /// Exact whole-`ConfigSet` → pressure-inclusive workload cost.
-    l1: HashMap<ConfigSet, f64>,
+    /// Exact whole-`ConfigSet` → its position in `l1_costs`: a
+    /// configuration is looked up and, on a miss, entered in one probe,
+    /// before the batch is priced.
+    l1: WordHashMap<ConfigSet, u32>,
+    /// Pressure-inclusive workload cost of every L1 configuration.
+    l1_costs: Vec<f64>,
     /// L1 misses (= real configuration evaluations).
     evaluations: usize,
     /// L1 hits (configurations re-costed for free).
     cache_hits: usize,
+    /// `mcts.eval_cache.{hits,misses}`.
+    m_hits: Counter,
+    m_misses: Counter,
+    /// Buffer pressure at the round's heap size.
+    pressure: PressureModel,
+    // Scratch of `eval_batch`, reused from batch to batch.
+    pending: Vec<usize>,
+    dups: Vec<(usize, usize)>,
+    costs: Vec<f64>,
 }
 
 impl MctsSearch<'_> {
@@ -556,22 +599,31 @@ impl MctsSearch<'_> {
         let m_iterations = metrics.counter("mcts.iterations");
         let m_expansions = metrics.counter("mcts.expansions");
         let m_rollouts = metrics.counter("mcts.rollouts");
-        let m_cache_hits = metrics.counter("mcts.eval_cache.hits");
-        let m_cache_misses = metrics.counter("mcts.eval_cache.misses");
         let m_round_time = metrics.timer("mcts.round_time");
 
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ tree.round());
 
-        let mut st = EvalState::default();
+        let mut st = EvalState {
+            l1: WordHashMap::default(),
+            l1_costs: Vec::new(),
+            evaluations: 0,
+            cache_hits: 0,
+            m_hits: metrics.counter("mcts.eval_cache.hits"),
+            m_misses: metrics.counter("mcts.eval_cache.misses"),
+            pressure: self.db.pressure_model(),
+            pending: Vec::new(),
+            dups: Vec::new(),
+            costs: Vec::new(),
+        };
 
-        let base = self.eval_batch(
-            &[self.existing.clone(), self.start.clone()],
-            &mut st,
-            pricer,
-            &m_cache_hits,
-            &m_cache_misses,
-        );
+        // The evaluation batch: the selected node and its rollouts, each
+        // written in place from iteration to iteration, and their sizes.
+        let mut batch = vec![self.existing.clone(), self.start.clone()];
+        let mut sizes: Vec<u64> = batch.iter().map(|c| self.universe.config_size(c)).collect();
+        let base = self.eval_batch(&batch, &sizes, &mut st, pricer);
         let (baseline_cost, root_cost) = (base[0], base[1]);
+        batch.resize_with(1 + self.config.rollouts, ConfigSet::default);
+        sizes.resize(batch.len(), 0);
         // Everything the search prices from here on is a few actions away
         // from `start`, which is what that batch priced last (or, being
         // equal to `existing`, only).
@@ -592,12 +644,14 @@ impl MctsSearch<'_> {
         let mut iterations = 0usize;
         let masks = self.action_masks();
         let mut legal: Vec<u64> = Vec::new();
+        let mut path: Vec<usize> = Vec::new();
 
         for _ in 0..self.config.iterations {
             iterations += 1;
             m_iterations.incr();
             // ---- selection ------------------------------------------------
-            let mut path = vec![root];
+            path.clear();
+            path.push(root);
             let mut current = root;
             loop {
                 if !tree.nodes[current].expanded_init {
@@ -625,23 +679,17 @@ impl MctsSearch<'_> {
                 // already on the path to keep the walk acyclic, and bound
                 // the depth defensively.
                 let parent_visits = tree.nodes[current].visits.max(1.0);
-                let children: Vec<usize> = tree.nodes[current]
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|c| !path.contains(c))
-                    .collect();
-                if children.is_empty() || path.len() > 2 * self.universe.len() + 4 {
-                    break; // Terminal node (or depth bound reached).
+                if path.len() > 2 * self.universe.len() + 4 {
+                    break; // Depth bound reached.
                 }
-                let next = children
-                    .into_iter()
-                    .max_by(|&a, &b| {
-                        let ua = self.utility(&tree.nodes[a], parent_visits, baseline_cost);
-                        let ub = self.utility(&tree.nodes[b], parent_visits, baseline_cost);
-                        ua.partial_cmp(&ub).expect("utility is finite")
-                    })
-                    .expect("children checked non-empty");
+                let children = tree.nodes[current].children.iter().copied();
+                let Some(next) = children.filter(|c| !path.contains(c)).max_by(|&a, &b| {
+                    let ua = self.utility(&tree.nodes[a], parent_visits, baseline_cost);
+                    let ub = self.utility(&tree.nodes[b], parent_visits, baseline_cost);
+                    ua.partial_cmp(&ub).expect("utility is finite")
+                }) else {
+                    break; // Terminal node.
+                };
                 path.push(next);
                 current = next;
                 if tree.nodes[current].visits < 1.0 {
@@ -656,18 +704,22 @@ impl MctsSearch<'_> {
             // batch is priced. Best-cost updates replay in the exact order a
             // one-at-a-time evaluator would make them: rollouts first, then
             // the node.
-            let mut batch: Vec<ConfigSet> = Vec::with_capacity(1 + self.config.rollouts);
-            batch.push(tree.nodes[current].config.clone());
-            for _ in 0..self.config.rollouts {
+            let node_config = &tree.nodes[current].config;
+            let node_size = self.universe.config_size(node_config);
+            batch[0].clone_from(node_config);
+            sizes[0] = node_size;
+            for (descendant, size) in batch[1..].iter_mut().zip(&mut sizes[1..]) {
                 m_rollouts.incr();
-                batch.push(self.random_descendant(
-                    &tree.nodes[current].config,
+                *size = self.random_descendant(
+                    node_config,
+                    node_size,
                     &mut rng,
                     &masks,
                     &mut legal,
-                ));
+                    descendant,
+                );
             }
-            let costs = self.eval_batch(&batch, &mut st, pricer, &m_cache_hits, &m_cache_misses);
+            let costs = self.eval_batch(&batch, &sizes, &mut st, pricer);
             let node_cost = costs[0];
             let mut best_local = node_cost;
             for (cfg, &c) in batch[1..].iter().zip(&costs[1..]) {
@@ -676,13 +728,13 @@ impl MctsSearch<'_> {
                 }
                 if c < best_cost {
                     best_cost = c;
-                    best_config = cfg.clone();
+                    best_config.clone_from(cfg);
                     since_improvement = 0;
                 }
             }
             if node_cost < best_cost {
                 best_cost = node_cost;
-                best_config = tree.nodes[current].config.clone();
+                best_config.clone_from(&batch[0]);
                 since_improvement = 0;
             }
 
@@ -719,49 +771,57 @@ impl MctsSearch<'_> {
         }
     }
 
-    /// Price a batch of configurations, returning their costs in order.
+    /// Price a batch of configurations, of `sizes` bytes, returning their
+    /// [`pressured`] costs in order.
     ///
     /// L1 bookkeeping mirrors one-at-a-time evaluation exactly: the first
     /// occurrence of an uncached configuration is a miss, repeats (within
     /// the batch or already in L1) are hits, and only the misses reach
-    /// the pricer.
-    fn eval_batch<E: CostEstimator, S: Borrow<QueryShape>>(
+    /// the pricer. A miss is the one copy of its configuration the search
+    /// makes, into L1 (a hit's copy is dropped).
+    fn eval_batch<'s, E: CostEstimator, S: Borrow<QueryShape>>(
         &self,
         batch: &[ConfigSet],
-        st: &mut EvalState,
+        sizes: &[u64],
+        st: &'s mut EvalState,
         pricer: &mut DeltaPricer<'_, '_, E, S>,
-        m_hits: &Counter,
-        m_misses: &Counter,
-    ) -> Vec<f64> {
-        let mut out = vec![0.0f64; batch.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        let mut dups: Vec<(usize, usize)> = Vec::new();
+    ) -> &'s [f64] {
+        st.costs.clear();
+        st.costs.resize(batch.len(), 0.0);
+        st.pending.clear();
+        st.dups.clear();
+        // L1 positions from here on are this batch's misses, priced below.
+        let priced = st.l1_costs.len();
         for (i, cfg) in batch.iter().enumerate() {
-            if let Some(&c) = st.l1.get(cfg) {
-                st.cache_hits += 1;
-                m_hits.incr();
-                out[i] = c;
-            } else if let Some(&j) = pending.iter().find(|&&j| batch[j] == *cfg) {
-                st.cache_hits += 1;
-                m_hits.incr();
-                dups.push((i, j));
-            } else {
-                st.evaluations += 1;
-                m_misses.incr();
-                pending.push(i);
+            match st.l1.entry(cfg.clone()) {
+                Entry::Occupied(at) => {
+                    st.cache_hits += 1;
+                    st.m_hits.incr();
+                    match *at.get() as usize {
+                        at if at < priced => st.costs[i] = st.l1_costs[at],
+                        at => st.dups.push((i, at)),
+                    }
+                }
+                Entry::Vacant(slot) => {
+                    st.evaluations += 1;
+                    st.m_misses.incr();
+                    slot.insert(st.l1_costs.len() as u32);
+                    st.l1_costs.push(f64::NAN);
+                    st.pending.push(i);
+                }
             }
         }
 
-        let costs = pricer.price_batch(pending.iter().map(|&i| &batch[i]));
-        for (&i, &cost) in pending.iter().zip(costs) {
-            st.l1.insert(batch[i].clone(), cost);
-            out[i] = cost;
+        let sums = pricer.sum_batch(st.pending.iter().map(|&i| &batch[i]));
+        for ((&i, &sum), cost) in st.pending.iter().zip(sums).zip(&mut st.l1_costs[priced..]) {
+            *cost = pressured(&st.pressure, sizes[i], sum);
+            st.costs[i] = *cost;
         }
 
-        for (i, j) in dups {
-            out[i] = out[j];
+        for &(i, at) in &st.dups {
+            st.costs[i] = st.l1_costs[at];
         }
-        out
+        &st.costs
     }
 
     /// Node utility `U(v) = B(v)/baseline + γ·sqrt(ln F(v0)/F(v))`.
@@ -853,24 +913,26 @@ impl MctsSearch<'_> {
         count
     }
 
-    /// A random descendant configuration within the budget. Each step
+    /// A random descendant configuration within the budget, written into
+    /// `c`; returns its size, `config` weighing `size` bytes. Each step
     /// draws one index below the number of legal actions and applies the
     /// action at that rank in slot order — what picking from
     /// `legal_actions` does, without materialising it.
     fn random_descendant(
         &self,
         config: &ConfigSet,
+        mut size: u64,
         rng: &mut StdRng,
         masks: &ActionMasks,
         legal: &mut Vec<u64>,
-    ) -> ConfigSet {
-        let mut c = config.clone();
-        // Padded (non-canonical) while the walk toggles bits in place.
+        c: &mut ConfigSet,
+    ) -> u64 {
+        // Padded (non-canonical) while the walk toggles bits in place: one
+        // buffer at the universe's full width, reused from rollout to
+        // rollout, so a warm walk allocates nothing.
+        c.words.clear();
+        c.words.extend_from_slice(&config.words);
         c.words.resize(masks.universe.len(), 0);
-        let mut size = match self.budget {
-            Some(_) => self.universe.config_size(config),
-            None => 0, // never read
-        };
         for _ in 0..self.config.rollout_depth {
             let n = self.legal_slots(masks, &c.words, size, legal);
             if n == 0 {
@@ -878,13 +940,11 @@ impl MctsSearch<'_> {
             }
             let slot = select_slot(legal, rng.random_range(0..n));
             let bit = 1u64 << (slot % 64);
-            if self.budget.is_some() {
-                size = if c.words[slot / 64] & bit != 0 {
-                    size - self.universe.size(slot)
-                } else {
-                    size + self.universe.size(slot)
-                };
-            }
+            size = if c.words[slot / 64] & bit != 0 {
+                size - self.universe.size(slot)
+            } else {
+                size + self.universe.size(slot)
+            };
             c.words[slot / 64] ^= bit;
             // Bias rollouts toward stopping early part of the time so
             // shallow descendants are sampled too.
@@ -893,8 +953,20 @@ impl MctsSearch<'_> {
             }
         }
         c.trim();
-        c
+        size
     }
+}
+
+/// The MCTS pipeline's cost of a configuration whose workload `sum` a
+/// [`DeltaPricer`] computed and whose indexes weigh `footprint` bytes (the
+/// callers carry it along their walks: sizes are integers, so it is the
+/// [`Universe::config_size`] of the configuration exactly): the sum
+/// inflated by the buffer pressure the footprint would cause. The pressure
+/// is what makes dropping *unused* indexes worthwhile (Figure 1): they
+/// have zero maintenance, but they evict hot pages. Greedy and the bandit
+/// rank by the sum alone.
+pub(crate) fn pressured(pressure: &PressureModel, footprint: u64, sum: f64) -> f64 {
+    sum * pressure.for_index_bytes(footprint)
 }
 
 /// Slot bitmaps that stay fixed for one search (see
@@ -906,12 +978,23 @@ struct ActionMasks {
     removable: Vec<u64>,
 }
 
-/// The slot of the `k`-th set bit of a bitmap (`k` below its popcount).
+/// The slot of the `k`-th set bit of a bitmap (`k` below its popcount):
+/// the word by popcounts, then the bit by halving — keep the low half of
+/// the window if it holds more than `k` set bits, else skip past it.
 fn select_slot(words: &[u64], mut k: usize) -> usize {
     for (wi, &w) in words.iter().enumerate() {
         let ones = w.count_ones() as usize;
         if k < ones {
-            return word_slots(wi, w).nth(k).expect("k < popcount of w");
+            let (mut w, mut k, mut bit) = (w, k as u32, 0);
+            for half in [32usize, 16, 8, 4, 2, 1] {
+                let low = (w & ((1 << half) - 1)).count_ones();
+                if k >= low {
+                    k -= low;
+                    w >>= half;
+                    bit += half;
+                }
+            }
+            return wi * 64 + bit;
         }
         k -= ones;
     }
@@ -1276,12 +1359,16 @@ mod tests {
                     prop_assert_eq!(picked, *action, "rank {k} of {count}");
                 }
 
-                // Whole rollouts: the same descendant from the same draws.
+                // Whole rollouts: the same descendant from the same draws,
+                // each written over the one before it.
+                let mut got = ConfigSet::default();
                 for _ in 0..4 {
                     let mut by_list = rng.clone();
                     let want = random_descendant_by_list(&search, &config, &mut by_list);
-                    let got = search.random_descendant(&config, rng, &masks, &mut legal);
+                    let got_size =
+                        search.random_descendant(&config, size, rng, &masks, &mut legal, &mut got);
                     got.assert_canonical();
+                    prop_assert_eq!(got_size, u.config_size(&got));
                     prop_assert_eq!(&got, &want);
                     prop_assert!(*rng == by_list, "rollouts consumed different draws");
                     if let Some(b) = budget {
@@ -1289,6 +1376,64 @@ mod tests {
                     }
                 }
                 Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn select_slot_is_the_kth_set_bit_in_slot_order() {
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::prop_assert_eq;
+        // The reference: count whole words, then walk the word bit by bit.
+        let reference = |words: &[u64], mut k: usize| {
+            for (wi, &w) in words.iter().enumerate() {
+                let ones = w.count_ones() as usize;
+                if k < ones {
+                    return word_slots(wi, w).nth(k).expect("k < popcount of w");
+                }
+                k -= ones;
+            }
+            unreachable!("k is below the bitmap's popcount")
+        };
+        let check = |words: &[u64]| {
+            let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+            for k in 0..ones {
+                prop_assert_eq!(
+                    select_slot(words, k),
+                    reference(words, k),
+                    "{words:x?} k={k}"
+                );
+            }
+            Ok(())
+        };
+        // Bit 63 alone, all-ones words, empty leading words; every rank
+        // from 0 to popcount - 1 of each.
+        for words in [
+            vec![1 << 63],
+            vec![1, 1 << 63],
+            vec![u64::MAX],
+            vec![u64::MAX; 5],
+            vec![0, 0, 0, 0, 1 << 63],
+            vec![0, 0, u64::MAX, 0, 1],
+            vec![0, 1 << 32 | 1 << 31, 0x8000_0000_0000_0001],
+        ] {
+            check(&words).unwrap();
+        }
+        property(
+            "select_slot_is_the_kth_set_bit_in_slot_order",
+            PropConfig::default(),
+            |rng, _size| {
+                let n = 1 + rng.random_range(0usize..6);
+                let words: Vec<u64> = (0..n)
+                    .map(|_| match rng.random_range(0usize..5) {
+                        0 => 0,
+                        1 => u64::MAX,
+                        2 => 1 << rng.random_range(0u32..64),
+                        3 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                        _ => rng.next_u64(),
+                    })
+                    .collect();
+                check(&words)
             },
         );
     }

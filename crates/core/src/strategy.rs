@@ -37,7 +37,7 @@ use crate::candgen::{CandidateConfig, CandidateGenerator, CandidateStats};
 use crate::delta::DeltaPricer;
 use crate::error::AutoIndexError;
 use crate::greedy;
-use crate::mcts::{ConfigSet, MctsSearch, PolicyTree, Universe};
+use crate::mcts::{pressured, ConfigSet, MctsSearch, PolicyTree, Universe};
 use crate::system::{AutoIndexConfig, Recommendation};
 use crate::templates::{KeptEmission, KeyedWorkload};
 use autoindex_estimator::cost_cache::{shape_keys, CostCache};
@@ -463,6 +463,13 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         let (db, config) = (round.db, round.config);
         let pricer = &mut round.pricer;
         let universe = pricer.universe();
+        let pressure = db.pressure_model();
+        // A probe's footprint is its accepted configuration's, one index
+        // more or less.
+        let price = |pricer: &mut DeltaPricer<'_, '_, E, _>, cfg: &ConfigSet, footprint: u64| {
+            let sum = pricer.sum(cfg);
+            pressured(&pressure, footprint, sum)
+        };
         let existing_set = &round.existing_set;
         let protected: ConfigSet = existing_set
             .iter()
@@ -480,9 +487,14 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // accepted last — the pricer's reference follows prune → search
         // start → best — so the prune probes, the MCTS leaves and the
         // refinement hill-climb all share what-if work.
+        // Every probe is built in this one buffer and swapped in when
+        // accepted.
+        let mut trial = ConfigSet::with_capacity(universe.len());
         let mut start_set = existing_set.clone();
+        let existing_size = universe.config_size(existing_set);
         if let Some(eps) = config.prune_epsilon {
-            let mut base = pricer.price(&start_set);
+            let mut start_size = existing_size;
+            let mut base = price(pricer, &start_set, start_size);
             pricer.rebase();
             // Least-used first: zero-scan indexes are the cheapest wins.
             let mut order: Vec<(u64, usize)> = db
@@ -497,12 +509,17 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                 .collect();
             order.sort();
             for (_, slot) in order {
-                let mut trial = start_set.clone();
+                let trial_size = match start_set.contains(slot) {
+                    true => start_size - universe.size(slot),
+                    false => start_size, // two indexes of one identity
+                };
+                trial.clone_from(&start_set);
                 trial.remove(slot);
-                let c = pricer.price(&trial);
+                let c = price(pricer, &trial, trial_size);
                 if c <= base * (1.0 + eps) {
                     pricer.rebase();
-                    start_set = trial;
+                    std::mem::swap(&mut start_set, &mut trial);
+                    start_size = trial_size;
                     base = c;
                 }
             }
@@ -526,8 +543,9 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
         // candidates ("repeat above steps until ... meeting the performance
         // expectation", §IV-B Remark) guarantees no individually-profitable
         // candidate is left on the table.
-        let mut best_config = outcome.best_config.clone();
-        let mut best_cost = pricer.price(&best_config);
+        let mut best_config = outcome.best_config;
+        let mut best_size = universe.config_size(&best_config);
+        let mut best_cost = price(pricer, &best_config, best_size);
         pricer.rebase();
         for _ in 0..2 {
             let mut changed = false;
@@ -536,21 +554,22 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                     continue;
                 }
                 if let Some(b) = config.storage_budget {
-                    if universe.config_size(&best_config) + universe.size(slot) > b {
+                    if best_size + universe.size(slot) > b {
                         continue;
                     }
                 }
-                let mut trial = best_config.clone();
+                trial.clone_from(&best_config);
                 trial.insert(slot);
-                let c = pricer.price(&trial);
+                let c = price(pricer, &trial, best_size + universe.size(slot));
                 // An addition needs a strict improvement (beyond float
                 // noise). Because removals tolerate zero regression, any
                 // strictly profitable addition cannot be flip-flopped away
                 // by a later prune pass while the estimates stand still.
                 if c < best_cost * (1.0 - 1e-6) {
                     pricer.rebase();
-                    best_config = trial;
+                    std::mem::swap(&mut best_config, &mut trial);
                     best_cost = c;
+                    best_size += universe.size(slot);
                     changed = true;
                 }
             }
@@ -568,22 +587,23 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
                     continue;
                 }
                 if let Some(b) = config.storage_budget {
-                    if universe.config_size(&best_config) + universe.size(slot) > b {
+                    if best_size + universe.size(slot) > b {
                         continue;
                     }
                 }
-                let mut trial = best_config.clone();
+                trial.clone_from(&best_config);
                 trial.insert(slot);
-                let c = pricer.price(&trial);
+                let c = price(pricer, &trial, best_size + universe.size(slot));
                 if c <= best_cost * (1.0 + 1e-9) {
                     pricer.rebase();
-                    best_config = trial;
+                    std::mem::swap(&mut best_config, &mut trial);
                     best_cost = c.min(best_cost);
+                    best_size += universe.size(slot);
                 }
             }
         }
 
-        let baseline_cost = pricer.price(existing_set);
+        let baseline_cost = price(pricer, existing_set, existing_size);
 
         // Truthful round telemetry: every configuration the round priced
         // (search cache misses + the prune/refinement probes around them),

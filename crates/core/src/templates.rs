@@ -35,10 +35,9 @@ use autoindex_sql::{
 };
 use autoindex_storage::catalog::Catalog;
 use autoindex_storage::shape::QueryShape;
-use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
+use autoindex_support::hash::{fnv1a_from, U64HashMap, FNV_OFFSET};
 use autoindex_support::json::{obj, Json, JsonError};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -168,7 +167,11 @@ impl fmt::Debug for KeptEmission {
 /// The template store.
 pub struct TemplateStore {
     config: TemplateStoreConfig,
-    by_hash: HashMap<u64, TemplateEntry>,
+    /// Keyed by the canonical text's FNV-1a fingerprint, already a hash.
+    /// Nothing reads this map in its iteration order: eviction breaks
+    /// score ties by hash, the workload sorts, a snapshot sorts by hash and
+    /// a publication's ordinals only index its own plan slots.
+    by_hash: U64HashMap<TemplateEntry>,
     /// Logical clock: total queries observed.
     clock: u64,
     /// Window bookkeeping for shift detection.
@@ -194,7 +197,7 @@ impl TemplateStore {
     pub fn new(config: TemplateStoreConfig) -> Self {
         TemplateStore {
             config,
-            by_hash: HashMap::new(),
+            by_hash: U64HashMap::default(),
             clock: 0,
             window_queries: 0,
             window_new_templates: 0,
@@ -538,7 +541,7 @@ impl TemplateStore {
             .get("entries")
             .and_then(Json::as_array)
             .ok_or_else(|| bad("snapshot: missing 'entries' array".into()))?;
-        let mut by_hash = HashMap::with_capacity(entries.len());
+        let mut by_hash = U64HashMap::with_capacity_and_hasher(entries.len(), Default::default());
         // Snapshot entries are hash-sorted, so re-assigned ids are
         // deterministic for a given snapshot.
         let mut next_id = 0u32;

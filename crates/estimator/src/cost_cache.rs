@@ -35,14 +35,14 @@
 //! **hit** is one avoided. See `docs/PERFORMANCE.md`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
-use autoindex_support::hash::U64HashMap;
+use autoindex_support::hash::{U64HashMap, WordHashMap};
 use autoindex_support::obs::{Counter, MetricsRegistry};
 
 use crate::{CostEstimator, TemplateWorkload};
@@ -114,8 +114,9 @@ struct Entries {
     /// `(shape_key, stamps)` → the template's terms at those statistics,
     /// by projected-configuration fingerprint. Grouped by the pair the
     /// lifetime rule is stated over: the sweep walks templates, not terms,
-    /// and a term costs its fingerprint and value, not a whole key.
-    terms: HashMap<(u128, u64), U64HashMap<f64>>,
+    /// and a term costs its fingerprint and value, not a whole key. Nothing
+    /// reads either map in its iteration order (`len` and `sweep` count).
+    terms: WordHashMap<(u128, u64), U64HashMap<f64>>,
     /// Catalog version of the last sweep.
     swept_at: Option<u64>,
 }

@@ -21,9 +21,19 @@
 //! h' = (h ^ (h >> 32)) * 0x9E37_79B9_7F4A_7C15
 //! ```
 //!
-//! This is not DoS-hardened — keys here are fingerprints of the workload's
-//! own templates (bounded by the template store capacity), not attacker
-//! input.
+//! [`WordHashMap`] is its counterpart for keys of several machine words
+//! — a configuration bitmap, a 128-bit template fingerprint with its stamp
+//! fold — which the tuner probes thousands of times per round. Each word is
+//! folded in with one 64 × 64 → 128-bit multiply whose halves are xored,
+//! so a word's high bits reach the low bits a table picks buckets with:
+//!
+//! ```text
+//! h' = fold((h ^ w) * 0x9E37_79B9_7F4A_7C15),  fold(x) = lo(x) ^ hi(x)
+//! ```
+//!
+//! Neither is DoS-hardened — keys here are fingerprints and slot sets of
+//! the workload's own templates and indexes, not attacker input — and
+//! neither map is iterated where its order could reach an output.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -78,6 +88,64 @@ pub type U64BuildHasher = BuildHasherDefault<U64Hasher>;
 /// A `HashMap` keyed by pre-hashed `u64`s (template fingerprints).
 pub type U64HashMap<V> = HashMap<u64, V, U64BuildHasher>;
 
+/// Multiply-fold hasher for keys made of whole machine words. Integer
+/// writes fold in one word each; byte writes (how `Hash` hands over a
+/// `[u64]`) fold in eight bytes at a time, the tail zero-padded.
+#[derive(Debug, Default, Clone)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn fold_in(&mut self, w: u64) {
+        let x = ((self.0 ^ w) as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x as u64 ^ (x >> 64) as u64;
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.fold_in(n);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.fold_in(n as u64);
+        self.fold_in((n >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.fold_in(n as u64);
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.fold_in(u64::from_ne_bytes(w.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.fold_in(u64::from_ne_bytes(last));
+        }
+    }
+}
+
+/// `BuildHasher` for [`WordHasher`].
+pub type WordBuildHasher = BuildHasherDefault<WordHasher>;
+
+/// A `HashMap` keyed by word sequences (configuration bitmaps, cost-term
+/// keys).
+pub type WordHashMap<K, V> = HashMap<K, V, WordBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +162,37 @@ mod tests {
         for i in 0..1_000u64 {
             assert_eq!(m.get(&(i << 32 | 0xdead_beef)), Some(&(i as usize)));
         }
+    }
+
+    #[test]
+    fn word_map_spreads_keys_that_differ_in_one_high_bit() {
+        use std::hash::BuildHasher;
+        // Word sequences that differ only in one word's top bit (the
+        // highest slot of a configuration bitmap's word) must round-trip
+        // and land in as many low-bit buckets as random keys would.
+        let key = |i: usize| {
+            let mut key = vec![u64::MAX; 5];
+            key[i % 5] ^= 1 << 63;
+            key.push(i as u64 / 5);
+            key
+        };
+        let mut m: WordHashMap<Vec<u64>, usize> = WordHashMap::default();
+        for i in 0..1_000 {
+            m.insert(key(i), i);
+        }
+        for i in 0..1_000 {
+            assert_eq!(m.get(&key(i)), Some(&i));
+        }
+        let build = WordBuildHasher::default();
+        let buckets: std::collections::HashSet<u64> =
+            (0..1_000).map(|i| build.hash_one(key(i)) & 1023).collect();
+        assert!(buckets.len() > 550, "{} of 1024 buckets", buckets.len());
+        // Byte writes fold whole words, the tail zero-padded.
+        let (mut a, mut b) = (WordHasher::default(), WordHasher::default());
+        a.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        b.write_u64(u64::from_ne_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
+        b.write_u64(u64::from_ne_bytes([9, 0, 0, 0, 0, 0, 0, 0]));
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

@@ -32,6 +32,10 @@ cargo test -q --offline --release -p autoindex-core --test proptests delta_cost_
 cargo test -q --offline --release -p autoindex-core --lib -- delta:: mcts::
 cargo test -q --offline --release -p autoindex-core --test round_pricing
 
+echo "==> cargo test -q --offline --release (the search: a grid of MCTS and advisor rounds over the banking catalog under 263 DBA indexes = the digest recorded before the search reused its buffers; a fixed round makes at most 1.46 heap calls per priced configuration, its own binary: the count is process-wide)"
+cargo test -q --offline --release -p autoindex-core --test search_golden
+cargo test -q --offline --release -p autoindex-core --test search_allocs
+
 echo "==> cargo test -q --offline --release (the miss path: extraction of the fixed corpus = the digest recorded before the by-reference rewrite; parse / extract / observe allocator calls ride in index_view_counts above)"
 cargo test -q --offline --release -p autoindex-storage --test extraction_golden
 
