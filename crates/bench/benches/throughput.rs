@@ -34,7 +34,7 @@
 //! * a measured **front-end** comparison: wall-clock qps of the full
 //!   per-statement front end (`parse_statement` + `QueryShape::extract`)
 //!   vs the compiled-template fast path (`scan_fingerprint`, cache
-//!   lookup, `bind_into` on reused scratch) at steady state. Reported,
+//!   lookup, `bind` into a reused skeleton clone) at steady state. Reported,
 //!   not gated: the ratio's denominator is the miss path, which is meant
 //!   to get faster, so a floor on it would be refitted by every change
 //!   that does that. Gated here: every statement of the stream binds
@@ -217,7 +217,7 @@ struct Frontend {
 ///   `parse_statement` (lexer + AST allocation) then `QueryShape::extract`
 ///   per statement.
 /// * `fastpath_on` — the compiled-template path: `scan_fingerprint` into a
-///   reused [`LiteralBuf`], template-cache lookup, `bind_into` a reused
+///   reused [`LiteralBuf`], template-cache lookup, `bind` a reused
 ///   skeleton clone. Statements that miss the cache or trip a bind guard
 ///   fall back to the full parse, exactly like the serving loop.
 ///
@@ -249,25 +249,21 @@ fn frontend_microbench(queries: &[String]) -> Frontend {
     }
     let qps_off = (queries.len() * REPS_OFF) as f64 / t.elapsed().as_secs_f64();
 
-    // --- fastpath on: scan + lookup + bind on reused scratch -----------
+    // --- fastpath on: scan + lookup + bind into reused clones ----------
     let mut lits = LiteralBuf::new();
     let mut shapes: HashMap<u64, QueryShape> = HashMap::new();
-    let mut sels: Vec<f64> = Vec::new();
-    let mut stack: Vec<f64> = Vec::new();
     let mut hits = 0u64;
     let mut misses = 0u64;
     let pass = |queries: &[String],
                 lits: &mut LiteralBuf,
                 shapes: &mut HashMap<u64, QueryShape>,
-                sels: &mut Vec<f64>,
-                stack: &mut Vec<f64>,
                 hits: &mut u64,
                 misses: &mut u64| {
         for q in queries {
             if let Some(h) = scan_fingerprint(q, lits) {
                 if let Some(c) = cache.get(h) {
                     let shape = shapes.entry(h).or_insert_with(|| c.skeleton().clone());
-                    if c.bind_into(lits, cache.stats(), shape, sels, stack) {
+                    if c.bind(lits, shape) {
                         *hits += 1;
                         black_box(&*shape);
                         continue;
@@ -279,29 +275,13 @@ fn frontend_microbench(queries: &[String]) -> Frontend {
         }
     };
     // Warmup pass populates the per-template skeleton clones and grows the
-    // scratch buffers to their steady-state capacity.
-    pass(
-        queries,
-        &mut lits,
-        &mut shapes,
-        &mut sels,
-        &mut stack,
-        &mut hits,
-        &mut misses,
-    );
+    // literal buffer to its steady-state capacity.
+    pass(queries, &mut lits, &mut shapes, &mut hits, &mut misses);
     (hits, misses) = (0, 0);
     const REPS_ON: usize = 30;
     let t = Instant::now();
     for _ in 0..REPS_ON {
-        pass(
-            queries,
-            &mut lits,
-            &mut shapes,
-            &mut sels,
-            &mut stack,
-            &mut hits,
-            &mut misses,
-        );
+        pass(queries, &mut lits, &mut shapes, &mut hits, &mut misses);
     }
     let qps_on = (queries.len() * REPS_ON) as f64 / t.elapsed().as_secs_f64();
 

@@ -9,8 +9,10 @@
 //! where literal values go. Executing a repeat statement then costs one
 //! fingerprint scan ([`autoindex_sql::fingerprint::scan_fingerprint`],
 //! zero-copy), one hash lookup, a handful of slot writes into a reusable
-//! shape clone, and one flat selectivity-program evaluation
-//! ([`TemplateSelProgram`]) — no parser, no AST, no fresh extraction.
+//! shape clone, and one fold of the selectivity factors whose leaves read
+//! a literal ([`TemplateSelProgram`], through the
+//! [`fold_factor`](autoindex_storage::shape::fold_factor) walk extraction
+//! folds through) — no parser, no AST, no fresh extraction.
 //! `FrontEnd::resolve` is that sequence, and its fallback, once: the
 //! engine's workers run it against a frozen [`FastPathCache`],
 //! [`OnlineAutoIndex::feed`](crate::online::OnlineAutoIndex::feed) against
@@ -22,7 +24,8 @@
 //! (the private `Compiled` state of a [`TemplateEntry`]; dropped when the
 //! template is evicted or decays). What its text determines — skeleton,
 //! slot writes, the [`SelTrace`] extraction recorded — is made once. What
-//! the statistics determine — the selectivity program — carries the
+//! the statistics determine — the selectivity program: per factor its
+//! leaves' constants and literal-dependent comparisons — carries the
 //! [growth stamp](autoindex_storage::catalog::Table::stamp) of every table
 //! the template touches, and the one invalidation rule is: **an entry is
 //! valid iff every touched table's stamp is the one it was folded at**;
@@ -265,33 +268,29 @@ impl CompiledTemplate {
     }
 
     /// [`Self::bind`] under the signature it had while a cache shared one
-    /// statistics table among its entries; `_cache` is not read — an entry
-    /// carries the statistics its program reads.
+    /// statistics table among its entries and a bind took selectivity
+    /// scratch; `_cache`, `_sels` and `_stack` are not read — an entry
+    /// carries the statistics its program reads, and the program folds
+    /// without scratch.
     pub fn bind_into(
         &self,
         lits: &LiteralBuf,
         _cache: &FastPathCache,
         shape: &mut QueryShape,
-        sels: &mut Vec<f64>,
-        stack: &mut Vec<f64>,
+        _sels: &mut Vec<f64>,
+        _stack: &mut Vec<f64>,
     ) -> bool {
-        self.bind(lits, shape, sels, stack)
+        self.bind(lits, shape)
     }
 
     /// Bind `lits` into `shape` (a clone of [`Self::skeleton`]) and
     /// recompute its per-table `filter_sel`s through the compiled
-    /// program. `sels`/`stack` are caller scratch, reused across calls.
+    /// program.
     ///
     /// Returns `false` — leaving `shape` in an unspecified (but
     /// rebindable) state — when a guard trips; the caller must fall back
     /// to the full parse path.
-    pub fn bind(
-        &self,
-        lits: &LiteralBuf,
-        shape: &mut QueryShape,
-        sels: &mut Vec<f64>,
-        stack: &mut Vec<f64>,
-    ) -> bool {
+    pub fn bind(&self, lits: &LiteralBuf, shape: &mut QueryShape) -> bool {
         let frame = &*self.frame;
         let vals = &lits.values;
         if vals.len() != frame.n_slots {
@@ -372,10 +371,7 @@ impl CompiledTemplate {
                 return false;
             }
         }
-        self.program.eval_into(vals, sels, stack);
-        for (i, t) in shape.tables.iter_mut().enumerate() {
-            t.filter_sel = sels[i];
-        }
+        self.program.eval(vals, shape);
         true
     }
 
@@ -898,17 +894,14 @@ impl SkeletonClone {
     }
 }
 
-/// One reader's statement front end: its reusable literal buffer and
-/// selectivity scratch, and its cells of `sql.fastpath.{hits,misses,
-/// fallbacks}`. At steady state — repeat templates, warmed skeleton clones
-/// — [`FrontEnd::resolve`] performs **zero heap allocations** for integer
-/// and float literals. The scan allocates a fresh `String` per string
-/// literal; a bind copies it into the clone's own string, which keeps its
-/// capacity.
+/// One reader's statement front end: its reusable literal buffer and its
+/// cells of `sql.fastpath.{hits,misses,fallbacks}`. At steady state —
+/// repeat templates, warmed skeleton clones — [`FrontEnd::resolve`]
+/// performs **zero heap allocations** for integer and float literals. The
+/// scan allocates a fresh `String` per string literal; a bind copies it
+/// into the clone's own string, which keeps its capacity.
 pub(crate) struct FrontEnd {
     lits: LiteralBuf,
-    sels: Vec<f64>,
-    stack: Vec<f64>,
     hits: ShardCell,
     misses: ShardCell,
     fallbacks: ShardCell,
@@ -921,8 +914,6 @@ impl FrontEnd {
         let cell = |name| registry.sharded_counter(name).cell(slot);
         FrontEnd {
             lits: LiteralBuf::default(),
-            sels: Vec::new(),
-            stack: Vec::new(),
             hits: cell("sql.fastpath.hits"),
             misses: cell("sql.fastpath.misses"),
             fallbacks: cell("sql.fastpath.fallbacks"),
@@ -947,7 +938,7 @@ impl FrontEnd {
             scanned = scan_fingerprint(sql, &mut self.lits);
             if let Some(hash) = scanned {
                 if let Some((compiled, shape)) = lookup(hash) {
-                    if compiled.bind(&self.lits, shape, &mut self.sels, &mut self.stack) {
+                    if compiled.bind(&self.lits, shape) {
                         self.hits.incr();
                         return Ok(Resolved::Bound(hash, shape));
                     }
@@ -981,6 +972,7 @@ mod tests {
                 .column(Column::int("balance", 40_000))
                 .column(Column::int("branch", 512))
                 .column(Column::text("owner", 300_000, 24))
+                .column(Column::float("rate", 2_000, -50.0, 50.0))
                 .primary_key(&["id"])
                 .build()
                 .unwrap(),
@@ -989,6 +981,7 @@ mod tests {
             TableBuilder::new("tellers", 5_000)
                 .column(Column::int("id", 5_000))
                 .column(Column::int("branch", 512))
+                .column(Column::float("load", 100, 0.0, 1.0))
                 .build()
                 .unwrap(),
         );
@@ -1007,18 +1000,30 @@ mod tests {
         let compiled = CompiledTemplate::compile(&fp.text, cat)
             .unwrap_or_else(|| panic!("template should compile: {}", fp.text));
         assert_eq!(fingerprint(sql).unwrap().hash, fp.hash, "same template");
-
-        let mut lits = LiteralBuf::default();
-        scan_fingerprint(sql, &mut lits).unwrap();
         let mut shape = compiled.skeleton().clone();
-        let (mut sels, mut stack) = (Vec::new(), Vec::new());
         assert!(
-            compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
+            binds_as_parsed(&compiled, &mut shape, sql, cat),
             "bind should succeed for {sql}"
         );
+    }
 
+    /// Bind `sql`'s literals through `compiled` into `shape` (a clone of
+    /// its skeleton, bound before or not); unless a guard trips, assert the
+    /// result is bit-identical to a full parse + extract against `cat`.
+    /// Whether it bound.
+    fn binds_as_parsed(
+        compiled: &CompiledTemplate,
+        shape: &mut QueryShape,
+        sql: &str,
+        cat: &Catalog,
+    ) -> bool {
+        let mut lits = LiteralBuf::default();
+        scan_fingerprint(sql, &mut lits).unwrap();
+        if !compiled.bind(&lits, shape) {
+            return false;
+        }
         let expected = QueryShape::extract(&parse_statement(sql).unwrap(), cat);
-        assert_eq!(shape, expected, "bound shape mismatch for {sql}");
+        assert_eq!(*shape, expected, "bound shape mismatch for {sql}");
         for (b, e) in shape.tables.iter().zip(expected.tables.iter()) {
             assert_eq!(
                 b.filter_sel.to_bits(),
@@ -1027,6 +1032,7 @@ mod tests {
                 b.table
             );
         }
+        true
     }
 
     #[test]
@@ -1204,7 +1210,6 @@ mod tests {
     #[test]
     fn value_dependent_extraction_falls_back() {
         let cat = catalog();
-        let (mut sels, mut stack) = (Vec::new(), Vec::new());
         for (template, tripping, binding) in [
             (
                 "SELECT * FROM accounts WHERE (branch = 1 OR branch = 2) AND balance = 1",
@@ -1237,7 +1242,7 @@ mod tests {
             let mut shape = compiled.skeleton().clone();
             let lits = lits_of(tripping);
             assert!(
-                !compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
+                !compiled.bind(&lits, &mut shape),
                 "{tripping} should fall back"
             );
             let parsed = QueryShape::extract(&parse_statement(tripping).unwrap(), &cat);
@@ -1252,15 +1257,9 @@ mod tests {
             let mut shape = compiled.skeleton().clone();
             let mut lits = lits_of(&sql);
             lits.values[0] = Value::Str(other_class.into());
-            assert!(
-                !compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
-                "{sql}"
-            );
+            assert!(!compiled.bind(&lits, &mut shape), "{sql}");
             lits.values[0] = Value::Int(1);
-            assert!(
-                !compiled.bind(&lits, &mut shape, &mut sels, &mut stack),
-                "{sql}"
-            );
+            assert!(!compiled.bind(&lits, &mut shape), "{sql}");
         }
     }
 
@@ -1272,7 +1271,6 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let (mut sels, mut stack) = (Vec::new(), Vec::new());
         let mut shape = compiled.skeleton().clone();
 
         // Colliding values: extraction would dedup the conjunct group.
@@ -1282,7 +1280,7 @@ mod tests {
             &mut lits,
         )
         .unwrap();
-        assert!(!compiled.bind(&lits, &mut shape, &mut sels, &mut stack));
+        assert!(!compiled.bind(&lits, &mut shape));
 
         // Distinct values still bind (and match the slow path).
         assert_bind_matches(
@@ -1294,7 +1292,7 @@ mod tests {
         // Slot-count mismatch.
         let mut lits = LiteralBuf::default();
         scan_fingerprint("SELECT * FROM accounts WHERE branch = 5", &mut lits).unwrap();
-        assert!(!compiled.bind(&lits, &mut shape, &mut sels, &mut stack));
+        assert!(!compiled.bind(&lits, &mut shape));
 
         // LIMIT must bind a non-negative integer (the parser rejects the
         // rest — the fallback reproduces the parse error).
@@ -1303,7 +1301,7 @@ mod tests {
         let mut shape = limited.skeleton().clone();
         let mut lits = LiteralBuf::default();
         scan_fingerprint("SELECT * FROM accounts WHERE id = 1 LIMIT 2.5", &mut lits).unwrap();
-        assert!(!limited.bind(&lits, &mut shape, &mut sels, &mut stack));
+        assert!(!limited.bind(&lits, &mut shape));
 
         // A negated slot cannot bind a string.
         let (neg, _) = compile_sql("SELECT * FROM accounts WHERE balance = -5", &cat).unwrap();
@@ -1311,7 +1309,7 @@ mod tests {
         let mut lits = LiteralBuf::default();
         lits.values.clear();
         lits.values.push(Value::Str("x".into()));
-        assert!(!neg.bind(&lits, &mut shape, &mut sels, &mut stack));
+        assert!(!neg.bind(&lits, &mut shape));
     }
 
     #[test]
@@ -1323,7 +1321,6 @@ mod tests {
         )
         .unwrap();
         let mut shape = compiled.skeleton().clone();
-        let (mut sels, mut stack) = (Vec::new(), Vec::new());
         for i in 0..5i64 {
             let sql = format!(
                 "SELECT balance FROM accounts WHERE branch = {} AND balance > {} LIMIT {}",
@@ -1333,7 +1330,7 @@ mod tests {
             );
             let mut lits = LiteralBuf::default();
             scan_fingerprint(&sql, &mut lits).unwrap();
-            assert!(compiled.bind(&lits, &mut shape, &mut sels, &mut stack));
+            assert!(compiled.bind(&lits, &mut shape));
             let expected = QueryShape::extract(&parse_statement(&sql).unwrap(), &cat);
             assert_eq!(shape, expected, "rebind {i}");
         }
@@ -1430,9 +1427,7 @@ mod tests {
         let mut lits = LiteralBuf::default();
         scan_fingerprint(sql, &mut lits).unwrap();
         let mut shape = compiled.skeleton().clone();
-        compiled
-            .bind(&lits, &mut shape, &mut Vec::new(), &mut Vec::new())
-            .then_some(shape)
+        compiled.bind(&lits, &mut shape).then_some(shape)
     }
 
     fn sel_bits(shape: &QueryShape) -> Vec<u64> {
@@ -1481,7 +1476,7 @@ mod tests {
                             let hash = scan_fingerprint(&sql, &mut lits).unwrap();
                             if let Some((compiled, shape)) = store.compiled_for(hash, &cat, &upkeep)
                             {
-                                if compiled.bind(&lits, shape, &mut Vec::new(), &mut Vec::new()) {
+                                if compiled.bind(&lits, shape) {
                                     let parsed =
                                         QueryShape::extract(&parse_statement(&sql).unwrap(), &cat);
                                     prop_assert_eq!(&*shape, &parsed);
@@ -1601,5 +1596,184 @@ mod tests {
             QueryShape::extract(&parse_statement(sql).unwrap(), &cat)
         );
         assert_ne!(sel_bits(&old), sel_bits(&new));
+    }
+
+    // ------------------------------------------- the fold, adversarially
+
+    /// A numeric column of the test catalog: `(column, min, max)`; `rate`
+    /// and `load` are floats, the rest integers.
+    type NumCol = (&'static str, f64, f64);
+
+    const ACCOUNTS: [NumCol; 4] = [
+        ("a.id", 0.0, 500_000.0),
+        ("a.balance", 0.0, 40_000.0),
+        ("a.branch", 0.0, 512.0),
+        ("a.rate", -50.0, 50.0),
+    ];
+    const TELLERS: [NumCol; 3] = [
+        ("t.id", 0.0, 5_000.0),
+        ("t.branch", 0.0, 512.0),
+        ("t.load", 0.0, 1.0),
+    ];
+
+    /// A literal for `col`: below, at, inside or above its `[min, max]`,
+    /// an integer or a float whatever the column's type, `- $` when
+    /// negative.
+    fn literal(rng: &mut StdRng, &(_, min, max): &NumCol) -> String {
+        let span = max - min;
+        let v = match rng.random_range(0u32..5) {
+            0 => min - span * rng.random_range(0.01..2.0) - 1.0,
+            1 => min,
+            2 => max,
+            3 => rng.random_range(min..max),
+            _ => max + span * rng.random_range(0.01..2.0) + 1.0,
+        };
+        if rng.random_bool(0.5) {
+            format!("{}", v.round() as i64)
+        } else {
+            format!("{v:.3}")
+        }
+    }
+
+    /// One predicate leaf over the tables in scope; `dynamic` is set when
+    /// its selectivity reads a literal (a range on a numeric column).
+    fn leaf(rng: &mut StdRng, cols: &[NumCol], join: bool, dynamic: &mut bool) -> String {
+        let col = &cols[rng.random_range(0..cols.len())];
+        let not = if rng.random_bool(0.3) { "NOT " } else { "" };
+        match rng.random_range(0u32..8) {
+            0 | 1 => {
+                let op = ["=", "<>", "<", "<=", ">", ">="][rng.random_range(0usize..6)];
+                *dynamic = !matches!(op, "=" | "<>");
+                format!("{} {op} {}", col.0, literal(rng, col))
+            }
+            2 | 3 => {
+                *dynamic = true;
+                let (lo, hi) = (literal(rng, col), literal(rng, col));
+                format!("{} {not}BETWEEN {lo} AND {hi}", col.0)
+            }
+            4 => format!("{} IS {not}NULL", col.0),
+            5 => {
+                let n = rng.random_range(1usize..4);
+                let items: Vec<String> = (0..n).map(|_| literal(rng, col)).collect();
+                format!("{} {not}IN ({})", col.0, items.join(", "))
+            }
+            6 if cols[0].0.starts_with("a.") => {
+                let stem = ["a", "ab", "q", "zz"][rng.random_range(0usize..4)];
+                let pattern = if rng.random_bool(0.5) {
+                    format!("{stem}%")
+                } else {
+                    format!("%{stem}")
+                };
+                format!("a.owner {not}LIKE '{pattern}'")
+            }
+            7 if join => ["a.branch = t.branch", "a.id = t.id"][rng.random_range(0usize..2)].into(),
+            _ => format!("{} = {}", col.0, literal(rng, col)),
+        }
+    }
+
+    /// An `AND` / `OR` tree of `n` leaves, at most `3 - depth` levels
+    /// deep. Counts into `mixed` every `OR` with a literal-dependent leaf
+    /// beside a constant one among its children.
+    fn tree(
+        rng: &mut StdRng,
+        cols: &[NumCol],
+        join: bool,
+        depth: usize,
+        n: usize,
+        mixed: &mut usize,
+    ) -> String {
+        if n == 1 {
+            return leaf(rng, cols, join, &mut false);
+        }
+        let or = rng.random_bool(0.5);
+        let arity = if depth == 2 {
+            n
+        } else {
+            rng.random_range(2..=n.min(3))
+        };
+        let (mut rest, mut kinds, mut parts) = (n, Vec::new(), Vec::new());
+        for i in 0..arity {
+            let take = if i + 1 == arity {
+                rest
+            } else {
+                rng.random_range(1..=rest - (arity - i - 1))
+            };
+            rest -= take;
+            if take == 1 {
+                let mut dynamic = false;
+                parts.push(leaf(rng, cols, join, &mut dynamic));
+                kinds.push(dynamic);
+            } else {
+                parts.push(format!(
+                    "({})",
+                    tree(rng, cols, join, depth + 1, take, mixed)
+                ));
+            }
+        }
+        if or && kinds.contains(&true) && kinds.contains(&false) {
+            *mixed += 1;
+        }
+        parts.join(if or { " OR " } else { " AND " })
+    }
+
+    /// Random `AND` / `OR` predicates over `accounts`, `tellers` or both —
+    /// ranges with every operator, `BETWEEN` with negated bounds, `IS
+    /// [NOT] NULL`, `IN`, `LIKE`, join edges; literals below, at, inside
+    /// and above their column's range, integers against float columns and
+    /// floats against integer ones — bind bit for bit as parse + extract
+    /// gives them, and again after the entry re-folds for a grown table.
+    #[test]
+    fn random_predicate_trees_bind_as_extraction_folds_them() {
+        use autoindex_support::prop::{property, PropConfig};
+
+        let (mut bound, mut fell_back, mut mixed) = (0usize, 0usize, 0usize);
+        property(
+            "random_predicate_trees_bind_as_extraction_folds_them",
+            PropConfig::default().cases(96),
+            |rng, _| {
+                let mut cat = catalog();
+                let registry = MetricsRegistry::new();
+                let upkeep = UpkeepCounters::bind(&registry);
+                let mut store = TemplateStore::new(TemplateStoreConfig::default());
+                let both: Vec<NumCol> = ACCOUNTS.iter().chain(&TELLERS).copied().collect();
+                let (from, cols, join): (&str, &[NumCol], bool) = match rng.random_range(0u32..3) {
+                    0 => ("accounts a", &ACCOUNTS, false),
+                    1 => ("tellers t", &TELLERS, false),
+                    _ => ("accounts a, tellers t", &both, true),
+                };
+                let statements: Vec<String> = (0..6)
+                    .map(|_| {
+                        let n = rng.random_range(1usize..=6);
+                        let p = tree(rng, cols, join, 0, n, &mut mixed);
+                        format!("SELECT * FROM {from} WHERE {p}")
+                    })
+                    .collect();
+                let mut pass = |store: &mut TemplateStore, cat: &Catalog| {
+                    for sql in &statements {
+                        let hash = store.observe(sql, cat).unwrap();
+                        let (compiled, shape) = store
+                            .compiled_for(hash, cat, &upkeep)
+                            .unwrap_or_else(|| panic!("eligible: {sql}"));
+                        if binds_as_parsed(compiled, shape, sql, cat) {
+                            bound += 1;
+                        } else {
+                            fell_back += 1;
+                        }
+                    }
+                };
+                pass(&mut store, &cat);
+                let grown = from.split(", ").next().unwrap().split(' ').next().unwrap();
+                cat.grow_table(grown, rng.random_range(1u64..1_000_000))
+                    .unwrap();
+                pass(&mut store, &cat);
+                assert!(registry.counter_value("sql.fastpath.refolded") > 0);
+                Ok(())
+            },
+        );
+        assert!(
+            bound > 10 * fell_back,
+            "{bound} bound, {fell_back} fell back"
+        );
+        assert!(mixed >= 50, "only {mixed} mixed OR nodes");
     }
 }

@@ -279,7 +279,7 @@ fn a_prepared_execution_allocates_what_it_returns() {
 }
 
 /// The compiled-template fast path at steady state — `scan_fingerprint`
-/// into a reused `LiteralBuf`, template-cache lookup, `bind_into` a warmed
+/// into a reused `LiteralBuf`, template-cache lookup, `bind` a warmed
 /// skeleton clone — performs **zero** allocator calls on numeric statements
 /// (string literals are excluded: binding a `Str` clones its contents, which
 /// is documented and expected), while the full-parse front end pays more
@@ -299,11 +299,9 @@ fn steady_state_fast_path_allocates_nothing_on_numeric_statements() {
     let cache = FastPathCache::build(store.entries(), &catalog);
     let mut lits = LiteralBuf::new();
     let mut shapes: HashMap<u64, QueryShape> = HashMap::new();
-    let mut sels: Vec<f64> = Vec::new();
-    let mut stack: Vec<f64> = Vec::new();
 
     // Keep only statements with no string literal that bind successfully;
-    // screening them also warms the skeleton clones and scratch buffers.
+    // screening them also warms the skeleton clones.
     let numeric: Vec<&str> = queries
         .iter()
         .map(String::as_str)
@@ -313,7 +311,7 @@ fn steady_state_fast_path_allocates_nothing_on_numeric_statements() {
                     .and_then(|h| cache.get(h).map(|c| (h, c)))
                     .is_some_and(|(h, c)| {
                         let shape = shapes.entry(h).or_insert_with(|| c.skeleton().clone());
-                        c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack)
+                        c.bind(&lits, shape)
                     })
         })
         .collect();
@@ -332,7 +330,7 @@ fn steady_state_fast_path_allocates_nothing_on_numeric_statements() {
                 let h = scan_fingerprint(q, &mut lits).expect("pre-screened statement");
                 let c = cache.get(h).expect("pre-screened template");
                 let shape = shapes.get_mut(&h).expect("warmed skeleton");
-                c.bind_into(&lits, cache.stats(), shape, &mut sels, &mut stack)
+                c.bind(&lits, shape)
             })
             .count()
     });

@@ -3,41 +3,46 @@
 //! The interpreted estimator path resolves every predicate's column *by
 //! name* against the catalog on every evaluation. For the template fast
 //! path that is wasted work: a template's predicate structure is fixed, so
-//! column resolution, statistics lookup, and every value-independent
-//! selectivity factor can be done **once at compile time**, leaving only
-//! the literal-dependent leaves to evaluate per statement — batched over a
-//! flat program instead of a per-predicate tree walk.
+//! column resolution, statistics lookup, and every value-independent leaf
+//! selectivity can be done **once at compile time**, leaving only the
+//! literal-dependent leaves to evaluate per statement.
 //!
 //! [`TemplateSelProgram`] is a [`SelTrace`] (from
-//! `QueryShape::extract_traced`) folded against one catalog state into
-//! flat postfix programs, one per `(predicate, table)` factor.
-//! Value-independent subtrees are const-folded; literal-dependent leaves
-//! index the program's own copy of the columns they read and evaluate via
-//! the *same* `autoindex_storage::selectivity` primitives as the
-//! interpreted path, so results are bit-identical. The program reads
-//! nothing outside itself: when a table it touches grows, the kept trace
-//! is folded again and nothing else is rebuilt.
+//! `QueryShape::extract_traced`) compiled against one catalog state: per
+//! `(predicate, table)` factor, each leaf becomes a constant or a
+//! literal-dependent comparison, and a factor whose leaves are all constant
+//! is folded once. The rest are folded at each bind through
+//! [`fold_factor`] — the very walk extraction folds through — with the
+//! dynamic leaves evaluated by the *same* `autoindex_storage::selectivity`
+//! primitives, so results are bit-identical. The program reads nothing
+//! outside itself: when a table it touches grows, the kept trace is
+//! compiled again and nothing else is rebuilt.
 
 use autoindex_sql::predicate::AtomicPredicate;
-use autoindex_sql::{CmpOp, Value};
+use autoindex_sql::{CmpOp, Predicate, Value};
 use autoindex_storage::catalog::{Catalog, Column, Table};
-use autoindex_storage::selectivity::{between_selectivity, clamp_sel, cmp_selectivity};
-use autoindex_storage::shape::{SelTrace, SelTree};
+use autoindex_storage::selectivity::{
+    atom_selectivity, between_selectivity, clamp_sel, cmp_selectivity,
+};
+use autoindex_storage::shape::{fold_factor, SelTrace};
 use autoindex_storage::QueryShape;
+use std::sync::Arc;
 
 /// Where a literal-dependent leaf gets its value at evaluation time.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LitRef {
+enum LitRef {
     /// `literals[slot]`, negated (unary minus in the statement) if set.
     Slot { slot: u16, negate: bool },
     /// A constant baked into the template text.
     Const(Value),
 }
 
-/// A literal-dependent selectivity leaf; `col` indexes the program's own
-/// column copies.
+/// One leaf of a compiled factor; `col` indexes the program's own column
+/// copies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DynLeaf {
+enum Leaf {
+    /// A selectivity no literal moves, computed at compile time.
+    Const(f64),
     /// Range comparison whose selectivity depends on the literal.
     Cmp { col: u32, op: CmpOp, value: LitRef },
     /// BETWEEN whose bounds include at least one literal slot.
@@ -49,204 +54,157 @@ pub enum DynLeaf {
     },
 }
 
-/// One postfix instruction of a factor program.
-#[derive(Debug, Clone, PartialEq)]
-enum SelOp {
-    /// Push a compile-time-folded selectivity.
-    Const(f64),
-    /// Push a literal-dependent leaf's selectivity.
-    Leaf(DynLeaf),
-    /// Pop `n`, push their product floored at `1/rows`.
-    AndN(u16),
-    /// Pop `n`, push `1 - ∏(1 - s)` clamped to `[0, 1]`.
-    OrN(u16),
-    /// Pop one, push `1 - s`.
-    Not,
-}
-
 /// One `(predicate, table)` selectivity factor, compiled.
 #[derive(Debug, Clone, PartialEq)]
-struct FactorProgram {
+struct Factor {
     /// Index of the factor's table in the shape's `tables` vector.
     table_index: u16,
-    /// Row count of that table (clamp floor).
+    /// Row count of that table (the `AND` floor and each leaf's clamp).
     rows: u64,
-    /// Postfix ops; a fully folded factor is a single `Const`.
-    ops: Vec<SelOp>,
+    fold: Fold,
 }
 
-/// A compiled selectivity program for one template: evaluates every
-/// literal-dependent factor of the template's `filter_sel`s in one flat
-/// pass, writing per-table selectivities bit-identical to what
-/// `QueryShape::extract` would compute for the same literals.
+#[derive(Debug, Clone, PartialEq)]
+enum Fold {
+    /// Every leaf is constant: the factor, folded at compile time.
+    Const(f64),
+    /// The factor's predicate and its compiled leaves, in fold order.
+    Leaves(Arc<Predicate>, Vec<Leaf>),
+}
+
+/// A compiled selectivity program for one template: writes every table's
+/// `filter_sel`, bit-identical to what `QueryShape::extract` would compute
+/// for the same literals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TemplateSelProgram {
-    factors: Vec<FactorProgram>,
-    /// Number of tables in the template's shape (length of the output).
-    n_tables: u16,
+    factors: Vec<Factor>,
     /// The columns the literal-dependent leaves read, as the catalog had
     /// them at compile time, in first-use order.
     cols: Vec<Column>,
 }
 
 impl TemplateSelProgram {
-    /// Fold `trace` (recorded against the template's sentinel-parsed
-    /// statement) against `catalog` into a flat program. `slot_of` maps a
-    /// sentinel literal value back to its literal-buffer slot (`None` = a
-    /// real constant). The result depends on the statistics of the tables
-    /// `trace` names and on nothing else, so it stays exact until one of
-    /// them changes. Returns `None` when a factor's table is missing from
-    /// the shape or catalog — callers fall back to the interpreted path.
+    /// Compile `trace` (recorded against the template's sentinel-parsed
+    /// statement) against `catalog`. `slot_of` maps a sentinel literal
+    /// value back to its literal-buffer slot (`None` = a real constant).
+    /// The result depends on the statistics of the tables `trace` names and
+    /// on nothing else, so it stays exact until one of them changes.
+    /// Returns `None` when a factor's table is missing from the shape or
+    /// catalog — callers fall back to the interpreted path.
     pub fn compile(
         trace: &SelTrace,
         shape: &QueryShape,
         catalog: &Catalog,
         slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
     ) -> Option<TemplateSelProgram> {
-        let mut factors = Vec::with_capacity(trace.factors.len());
-        let mut cols = Vec::new();
-        for (table, tree) in &trace.factors {
-            let table_index = shape.tables.iter().position(|t| &t.table == table)?;
-            let def = catalog.table(table)?;
-            let mut ops = Vec::new();
-            compile_tree(tree, def, slot_of, &mut cols, &mut ops)?;
-            // Most factors fold to one constant; the program is long-lived.
-            ops.shrink_to_fit();
-            factors.push(FactorProgram {
+        let mut program = TemplateSelProgram::default();
+        for f in &trace.factors {
+            let table_index = shape.tables.iter().position(|t| t.table == f.table)?;
+            let def = catalog.table(&f.table)?;
+            let leaves = f.leaves.iter();
+            let leaves: Vec<Leaf> = leaves
+                .map(|atom| compile_leaf(atom.as_ref(), def, slot_of, &mut program.cols))
+                .collect();
+            let constant = leaves.iter().all(|l| matches!(l, Leaf::Const(_)));
+            let mut factor = Factor {
                 table_index: table_index as u16,
                 rows: def.rows,
-                ops,
-            });
-        }
-        Some(TemplateSelProgram {
-            factors,
-            n_tables: shape.tables.len() as u16,
-            cols,
-        })
-    }
-
-    /// True when every factor const-folded (no literal-dependent leaves):
-    /// the template's `filter_sel`s never change between statements.
-    pub fn is_constant(&self) -> bool {
-        self.factors
-            .iter()
-            .all(|f| matches!(f.ops.as_slice(), [SelOp::Const(_)]))
-    }
-
-    /// Evaluate with `literals` bound, writing one `filter_sel` per shape
-    /// table into `out` (resized and reset by this call). `stack` is caller
-    /// scratch, reused across calls to stay allocation-free at steady state.
-    pub fn eval_into(&self, literals: &[Value], out: &mut Vec<f64>, stack: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.n_tables as usize, 1.0);
-        for f in &self.factors {
-            stack.clear();
-            for op in &f.ops {
-                match op {
-                    SelOp::Const(s) => stack.push(*s),
-                    SelOp::Leaf(leaf) => stack.push(eval_leaf(leaf, literals, &self.cols, f.rows)),
-                    SelOp::AndN(n) => {
-                        let at = stack.len() - *n as usize;
-                        let mut sel = 1.0;
-                        for s in &stack[at..] {
-                            sel *= *s;
-                        }
-                        stack.truncate(at);
-                        stack.push(sel.max(1.0 / f.rows.max(1) as f64));
-                    }
-                    SelOp::OrN(n) => {
-                        let at = stack.len() - *n as usize;
-                        let mut not_sel = 1.0;
-                        for s in &stack[at..] {
-                            not_sel *= 1.0 - *s;
-                        }
-                        stack.truncate(at);
-                        stack.push((1.0 - not_sel).clamp(0.0, 1.0));
-                    }
-                    SelOp::Not => {
-                        let s = stack.pop().expect("well-formed program");
-                        stack.push(1.0 - s);
-                    }
-                }
+                fold: Fold::Leaves(Arc::clone(&f.predicate), leaves),
+            };
+            if constant {
+                factor.fold = Fold::Const(factor.sel(&[], &[]));
             }
-            debug_assert_eq!(stack.len(), 1, "factor program leaves one value");
-            out[f.table_index as usize] *= stack[0];
+            program.factors.push(factor);
         }
-        for s in out.iter_mut() {
-            *s = s.clamp(0.0, 1.0);
+        Some(program)
+    }
+
+    /// Write into each of `shape`'s tables the `filter_sel` its factors
+    /// give with `literals` bound.
+    pub fn eval(&self, literals: &[Value], shape: &mut QueryShape) {
+        for (i, t) in shape.tables.iter_mut().enumerate() {
+            let factors = self.factors.iter().filter(|f| f.table_index as usize == i);
+            let sel = factors.fold(1.0, |sel, f| sel * f.sel(literals, &self.cols));
+            t.filter_sel = sel.clamp(0.0, 1.0);
         }
     }
 }
 
-/// The column of `def` an atom restricts (atoms in a [`SelTree`] are
-/// normalised to bare column names on the tree's own table).
-fn atom_column<'a>(atom: &AtomicPredicate, def: &'a Table) -> Option<&'a Column> {
-    def.column(&atom.restricted_column()?.column)
+impl Factor {
+    fn sel(&self, literals: &[Value], cols: &[Column]) -> f64 {
+        match &self.fold {
+            Fold::Const(s) => *s,
+            Fold::Leaves(predicate, leaves) => {
+                let mut leaves = leaves.iter();
+                fold_factor(predicate, self.rows, &mut || {
+                    let leaf = leaves.next().expect("one leaf per atom");
+                    eval_leaf(leaf, literals, cols, self.rows)
+                })
+            }
+        }
+    }
 }
 
-/// Whether a range estimate on this column actually reads the value
-/// (mirrors the guard inside `cmp_selectivity` / `between_selectivity`).
-fn col_qualifies(col: &Column) -> bool {
-    col.ty.is_numeric() && col.stats.max > col.stats.min
-}
-
-/// Compile one subtree, appending postfix ops. Value-independent subtrees
-/// fold to a single `Const` computed by `SelTree::eval` — the same
-/// arithmetic the interpreted path runs, so folding cannot change bits.
-fn compile_tree(
-    tree: &SelTree,
+/// Compile one leaf of a factor on `def`: a constant unless its
+/// selectivity provably reads a literal slot. Conservative in the right
+/// direction: a dynamic leaf only costs an evaluation per bind, a constant
+/// one must be provably constant.
+fn compile_leaf(
+    atom: Option<&AtomicPredicate>,
     def: &Table,
     slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
     cols: &mut Vec<Column>,
-    ops: &mut Vec<SelOp>,
-) -> Option<()> {
-    if !tree_depends_on_literals(tree, def, slot_of) {
-        ops.push(SelOp::Const(tree.eval(def)));
-        return Some(());
-    }
-    match tree {
-        SelTree::And(children) => {
-            for c in children {
-                compile_tree(c, def, slot_of, cols, ops)?;
+) -> Leaf {
+    let Some(atom) = atom else {
+        // A leaf that restricts another table, or none.
+        return Leaf::Const(1.0);
+    };
+    // A range estimate reads the value only on a numeric column with a
+    // range (the guard inside `cmp_selectivity` / `between_selectivity`).
+    let column = atom.restricted_column().and_then(|c| def.column(&c.column));
+    let Some(column) = column.filter(|c| c.ty.is_numeric() && c.stats.max > c.stats.min) else {
+        return Leaf::Const(atom_selectivity(atom, def));
+    };
+    let col = cols.len() as u32;
+    let leaf = match atom {
+        // Eq/Ne read only NDV; ranges read the value.
+        AtomicPredicate::Cmp { op, value, .. }
+            if !matches!(op, CmpOp::Eq | CmpOp::Ne) && slot_of(value).is_some() =>
+        {
+            Leaf::Cmp {
+                col,
+                op: *op,
+                value: lit_ref(value, slot_of),
             }
-            ops.push(SelOp::AndN(children.len() as u16));
         }
-        SelTree::Or(children) => {
-            for c in children {
-                compile_tree(c, def, slot_of, cols, ops)?;
+        // BETWEEN reads values iff a bound is a slot and neither is a
+        // non-numeric constant (which forces the default branch
+        // regardless of the other bound).
+        AtomicPredicate::Between {
+            low, high, negated, ..
+        } if (slot_of(low).is_some() || slot_of(high).is_some())
+            && !blocks_range(low, slot_of)
+            && !blocks_range(high, slot_of) =>
+        {
+            Leaf::Between {
+                col,
+                low: lit_ref(low, slot_of),
+                high: lit_ref(high, slot_of),
+                negated: *negated,
             }
-            ops.push(SelOp::OrN(children.len() as u16));
         }
-        SelTree::Not(inner) => {
-            compile_tree(inner, def, slot_of, cols, ops)?;
-            ops.push(SelOp::Not);
-        }
-        SelTree::Atom(atom) => {
-            let col = cols.len() as u32;
-            cols.push(atom_column(atom, def)?.clone());
-            let leaf = match atom {
-                AtomicPredicate::Cmp { op, value, .. } => DynLeaf::Cmp {
-                    col,
-                    op: *op,
-                    value: lit_ref(value, slot_of),
-                },
-                AtomicPredicate::Between {
-                    low, high, negated, ..
-                } => DynLeaf::Between {
-                    col,
-                    low: lit_ref(low, slot_of),
-                    high: lit_ref(high, slot_of),
-                    negated: *negated,
-                },
-                // Every other atom kind is value-independent and was
-                // handled by the const fold above.
-                _ => return None,
-            };
-            ops.push(SelOp::Leaf(leaf));
-        }
-        SelTree::One => ops.push(SelOp::Const(1.0)),
-    }
-    Some(())
+        // IN-list selectivity depends only on arity (fixed per template);
+        // LIKE on the pattern shape; IS NULL and opaque atoms on stats
+        // alone.
+        _ => return Leaf::Const(atom_selectivity(atom, def)),
+    };
+    cols.push(column.clone());
+    leaf
+}
+
+/// A BETWEEN bound that is a non-numeric constant.
+fn blocks_range(v: &Value, slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>) -> bool {
+    slot_of(v).is_none() && !matches!(v, Value::Int(_) | Value::Float(_))
 }
 
 fn lit_ref(v: &Value, slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>) -> LitRef {
@@ -256,55 +214,13 @@ fn lit_ref(v: &Value, slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>) -> LitRef
     }
 }
 
-/// Whether any leaf under `tree` produces a different selectivity for
-/// different literal bindings. Conservative in the right direction: a
-/// `true` only costs a dynamic leaf, a `false` must be provably constant.
-fn tree_depends_on_literals(
-    tree: &SelTree,
-    def: &Table,
-    slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
-) -> bool {
-    match tree {
-        SelTree::And(children) | SelTree::Or(children) => children
-            .iter()
-            .any(|c| tree_depends_on_literals(c, def, slot_of)),
-        SelTree::Not(inner) => tree_depends_on_literals(inner, def, slot_of),
-        SelTree::One => false,
-        SelTree::Atom(atom) => {
-            let qualifies = atom_column(atom, def).is_some_and(col_qualifies);
-            match atom {
-                // Eq/Ne read only NDV; ranges read the value iff the
-                // column has usable numeric bounds.
-                AtomicPredicate::Cmp { op, value, .. } => {
-                    !matches!(op, CmpOp::Eq | CmpOp::Ne) && qualifies && slot_of(value).is_some()
-                }
-                // BETWEEN reads values iff the column qualifies and
-                // neither bound is a non-numeric constant (which forces
-                // the default branch regardless of the other bound).
-                AtomicPredicate::Between { low, high, .. } => {
-                    let bound_blocks = |v: &Value| {
-                        slot_of(v).is_none() && !matches!(v, Value::Int(_) | Value::Float(_))
-                    };
-                    qualifies
-                        && (slot_of(low).is_some() || slot_of(high).is_some())
-                        && !bound_blocks(low)
-                        && !bound_blocks(high)
-                }
-                // IN-list selectivity depends only on arity (fixed per
-                // template); LIKE on the pattern shape; IS NULL and
-                // opaque atoms on stats alone.
-                _ => false,
-            }
-        }
-    }
-}
-
-fn eval_leaf(leaf: &DynLeaf, literals: &[Value], cols: &[Column], rows: u64) -> f64 {
+fn eval_leaf(leaf: &Leaf, literals: &[Value], cols: &[Column], rows: u64) -> f64 {
     let sel = match leaf {
-        DynLeaf::Cmp { col, op, value } => with_lit(value, literals, |v| {
+        Leaf::Const(s) => return *s,
+        Leaf::Cmp { col, op, value } => with_lit(value, literals, |v| {
             cmp_selectivity(Some(&cols[*col as usize]), *op, v)
         }),
-        DynLeaf::Between {
+        Leaf::Between {
             col,
             low,
             high,
@@ -381,20 +297,19 @@ mod tests {
             }
         };
         let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).expect("compiles");
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        prog.eval_into(&literals, &mut out, &mut stack);
+        let mut bound = shape.clone();
+        prog.eval(&literals, &mut bound);
 
         let real = parse_statement(real_sql).unwrap();
         let expect = QueryShape::extract(&real, &c);
-        assert_eq!(out.len(), expect.tables.len());
-        for (i, t) in expect.tables.iter().enumerate() {
+        assert_eq!(bound.tables.len(), expect.tables.len());
+        for (b, t) in bound.tables.iter().zip(&expect.tables) {
             assert_eq!(
-                out[i].to_bits(),
+                b.filter_sel.to_bits(),
                 t.filter_sel.to_bits(),
                 "filter_sel drift on table {} ({} vs {})",
                 t.table,
-                out[i],
+                b.filter_sel,
                 t.filter_sel
             );
         }
@@ -453,10 +368,51 @@ mod tests {
             matches!(v, Value::Int(i) if *i >= 9_100_000_000_000_000).then_some((0, false))
         };
         let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).unwrap();
-        assert!(prog.is_constant(), "Eq + IS NULL folds entirely");
+        let folded = |f: &Factor| matches!(f.fold, Fold::Const(_));
+        assert!(
+            prog.factors.iter().all(folded),
+            "Eq + IS NULL folds entirely"
+        );
         assert!(prog.cols.is_empty(), "a folded leaf keeps no column");
+        let mut bound = shape.clone();
+        prog.eval(&[Value::Int(3)], &mut bound);
+        assert_eq!(
+            bound, shape,
+            "a constant program binds the skeleton's selectivities"
+        );
     }
 
+    #[test]
+    fn only_range_leaves_on_literal_slots_stay_dynamic() {
+        let c = catalog();
+        let tmpl = parse_statement(
+            "SELECT * FROM account WHERE balance > 9100000000000000 OR branch = 9100000000000001",
+        )
+        .unwrap();
+        let (shape, trace) = QueryShape::extract_traced(&tmpl, &c);
+        let slot_of = |v: &Value| -> Option<(u16, bool)> {
+            match v {
+                Value::Int(i) if *i >= 9_100_000_000_000_000 => {
+                    Some(((*i - 9_100_000_000_000_000) as u16, false))
+                }
+                _ => None,
+            }
+        };
+        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).unwrap();
+        assert_eq!(prog.cols.len(), 1, "only the range leaf's column is kept");
+        let [Factor {
+            fold: Fold::Leaves(_, leaves),
+            ..
+        }] = prog.factors.as_slice()
+        else {
+            panic!("one factor, folded at each bind: {:?}", prog.factors);
+        };
+        assert!(matches!(leaves[..], [Leaf::Cmp { .. }, Leaf::Const(_)]));
+    }
+
+    /// The only scratch `eval` has is the bound clone itself: it writes
+    /// each table's `filter_sel` in place and grows nothing (the counted
+    /// zero is `index_view_counts.rs`'s steady-state fast-path test).
     #[test]
     fn eval_is_allocation_free_on_reused_scratch() {
         let c = catalog();
@@ -468,17 +424,15 @@ mod tests {
         };
         let prog = TemplateSelProgram::compile(&trace, &shape, &c, &slot_of).unwrap();
         assert_eq!(prog.cols.len(), 1, "only the range leaf's column is kept");
-        let mut out = Vec::with_capacity(4);
-        let mut stack = Vec::with_capacity(8);
-        // Warm up, then check capacities never grow (proxy for no realloc).
+        let capacities = |s: &QueryShape| (s.tables.capacity(), s.tables[0].all_atoms.capacity());
+        let mut bound = shape.clone();
         for v in [10.0, 500_000.0, 999_999.0] {
-            prog.eval_into(&[Value::Float(v)], &mut out, &mut stack);
+            prog.eval(&[Value::Float(v)], &mut bound);
         }
-        let (co, cs) = (out.capacity(), stack.capacity());
+        let warm = capacities(&bound);
         for i in 0..100 {
-            prog.eval_into(&[Value::Int(i)], &mut out, &mut stack);
+            prog.eval(&[Value::Int(i)], &mut bound);
         }
-        assert_eq!(out.capacity(), co);
-        assert_eq!(stack.capacity(), cs);
+        assert_eq!(capacities(&bound), warm);
     }
 }

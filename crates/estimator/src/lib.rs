@@ -29,7 +29,7 @@ pub mod cost_cache;
 pub mod model;
 pub mod training;
 
-pub use colstats::{DynLeaf, LitRef, TemplateSelProgram};
+pub use colstats::TemplateSelProgram;
 pub use cost_cache::{CacheKey, CostCache, CostCacheStats};
 pub use model::{ModelError, OneLayerRegression, TrainConfig};
 pub use training::{kfold_cross_validate, CollectConfig, FoldReport, TrainingSet};

@@ -64,7 +64,7 @@ pub use index::{
 };
 pub use planner::{AccessPath, CostFeatures, CostParams, PlanSummary, Planner, PreparedPlan};
 pub use selectivity::{atom_selectivity, conjunct_selectivity, DEFAULT_EQ_SEL, DEFAULT_RANGE_SEL};
-pub use shape::{QueryShape, SelTrace, SelTree, TableAtoms, WriteKind, WriteShape};
+pub use shape::{QueryShape, SelFactor, SelTrace, TableAtoms, WriteKind, WriteShape};
 pub use usage::{IndexUsage, Maintenance, UsageDelta, UsageTracker};
 
 /// Errors surfaced by the storage substrate.

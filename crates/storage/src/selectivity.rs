@@ -21,7 +21,8 @@ pub const DEFAULT_OPAQUE_SEL: f64 = 0.5;
 
 /// Clamp a raw selectivity to `[1/rows, 1]` (idempotent). Exposed so the
 /// estimator's compiled selectivity programs reproduce this module's
-/// arithmetic bit-for-bit outside of [`atom_selectivity`].
+/// arithmetic bit-for-bit on their literal-dependent leaves, outside of
+/// [`atom_selectivity`].
 pub fn clamp_sel(sel: f64, rows: u64) -> f64 {
     let floor = 1.0 / rows.max(1) as f64;
     sel.clamp(floor.min(1.0), 1.0)
@@ -42,7 +43,8 @@ pub fn value_as_f64(v: &Value) -> Option<f64> {
 // Each returns the *unclamped* selectivity for one atom kind given the
 // resolved column statistics (`None` = unknown column → defaults). They are
 // the single source of truth for the math: `atom_selectivity` below and the
-// estimator's compiled `TemplateSelProgram` both call these, which is what
+// estimator's compiled `TemplateSelProgram` both call these per leaf, and
+// both combine leaves through `shape::fold_factor`, which is what
 // guarantees the fast path cannot drift from the interpreted path.
 // ---------------------------------------------------------------------------
 

@@ -10,10 +10,11 @@
 //! top-level ones, which is exactly why the paper's Q32 example needs
 //! indexes on *both* the outer and the subquery table.
 
-use crate::catalog::{Catalog, Table};
+use crate::catalog::Catalog;
 use crate::selectivity::atom_selectivity;
 use autoindex_sql::predicate::{atom_from, collect_atoms, to_dnf, AtomicPredicate};
 use autoindex_sql::{ColumnRef, Predicate, SelectItem, SelectStatement, Statement, TableRef};
+use std::sync::Arc;
 
 /// The kind of write a statement performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,61 +93,27 @@ pub struct QueryShape {
     pub limit: Option<u64>,
 }
 
-/// One table's selectivity factor, mirroring the recursion of
-/// `sel_for_table` with the resolved atoms at the leaves.
-///
-/// [`QueryShape::extract_traced`] records one tree per
-/// `(predicate, touched table)` application; evaluating a tree with
-/// [`SelTree::eval`] reproduces `sel_for_table` bit-for-bit. The estimator
-/// compiles these trees into flat selectivity programs so the template fast
-/// path can recompute `filter_sel` for fresh literals without re-walking
-/// the predicate (or re-parsing the statement).
+/// One `(predicate, touched table)` selectivity factor, as
+/// [`QueryShape::extract_traced`] recorded it: the predicate, and per leaf
+/// in [`fold_factor`]'s order the resolved, normalised atom when that leaf
+/// restricts `table` (`None`: a join edge, another table's atom, an
+/// unresolved column — a constant `1.0`). Folding the leaves' selectivities
+/// through [`fold_factor`] reproduces the factor extraction multiplied in;
+/// the estimator compiles these factors so the template fast path can
+/// recompute `filter_sel` for fresh literals without re-parsing.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelTree {
-    /// Product of children, floored at `1/rows`.
-    And(Vec<SelTree>),
-    /// `1 - ∏(1 - s)`, clamped to `[0, 1]`.
-    Or(Vec<SelTree>),
-    /// `1 - s`.
-    Not(Box<SelTree>),
-    /// A resolved, normalised atom on this tree's table.
-    Atom(AtomicPredicate),
-    /// An atom that does not restrict this table (other table, join edge,
-    /// unresolved column): constant `1.0`.
-    One,
-}
-
-impl SelTree {
-    /// Evaluate against `table_def`, reproducing `sel_for_table` exactly.
-    pub fn eval(&self, table_def: &Table) -> f64 {
-        match self {
-            SelTree::And(children) => {
-                let mut sel = 1.0;
-                for c in children {
-                    sel *= c.eval(table_def);
-                }
-                sel.max(1.0 / table_def.rows.max(1) as f64)
-            }
-            SelTree::Or(children) => {
-                let mut not_sel = 1.0;
-                for c in children {
-                    not_sel *= 1.0 - c.eval(table_def);
-                }
-                (1.0 - not_sel).clamp(0.0, 1.0)
-            }
-            SelTree::Not(inner) => 1.0 - inner.eval(table_def),
-            SelTree::Atom(a) => atom_selectivity(a, table_def),
-            SelTree::One => 1.0,
-        }
-    }
+pub struct SelFactor {
+    pub table: String,
+    pub predicate: Arc<Predicate>,
+    pub leaves: Vec<Option<AtomicPredicate>>,
 }
 
 /// The ordered selectivity factors recorded by
-/// [`QueryShape::extract_traced`]: one `(table, factor tree)` pair per
-/// predicate-application, in the exact order `filter_sel` multiplied them.
+/// [`QueryShape::extract_traced`], in the exact order `filter_sel`
+/// multiplied them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SelTrace {
-    pub factors: Vec<(String, SelTree)>,
+    pub factors: Vec<SelFactor>,
 }
 
 impl QueryShape {
@@ -156,9 +123,8 @@ impl QueryShape {
     }
 
     /// Like [`QueryShape::extract`], additionally recording the per-table
-    /// selectivity factor trees (see [`SelTrace`]). The returned shape is
-    /// identical to the untraced one — `SelTree::eval` performs the same
-    /// arithmetic `sel_for_table` does, in the same order.
+    /// selectivity factors (see [`SelTrace`]). The returned shape is the
+    /// untraced one: recording a factor changes nothing it folds.
     pub fn extract_traced(stmt: &Statement, catalog: &Catalog) -> (QueryShape, SelTrace) {
         let (shape, trace) = Self::extract_inner(stmt, catalog, true);
         (shape, trace.expect("trace requested"))
@@ -218,14 +184,15 @@ impl QueryShape {
 }
 
 /// What one predicate leaf contributes to a table's selectivity factor:
-/// the resolved leaf [`sel_for_table`] and [`sel_tree_for_table`] read.
+/// the resolved leaf [`fold_factor`] reads.
 struct SelLeaf<'a> {
     /// The base table the leaf restricts.
     table: &'a str,
     /// `atom_selectivity` of the leaf against that table (unused when the
     /// catalog does not know the table: no factor is computed for it).
     sel: f64,
-    /// The resolved, normalised atom; kept only for a traced extraction.
+    /// The resolved, normalised atom; kept only for a traced extraction,
+    /// whose factor on `table` takes it.
     atom: Option<AtomicPredicate>,
 }
 
@@ -269,7 +236,7 @@ struct ShapeBuilder<'a> {
     tables: Vec<TableAtoms>,
     joins: Vec<JoinEdge>,
     subquery_count: usize,
-    /// When set, `accumulate_filter_sel` records each factor tree here.
+    /// When set, `accumulate_filter_sel` records each factor here.
     trace: Option<SelTrace>,
     /// `(binding name, base table)` of every table in scope: outermost
     /// nesting level first, FROM-clause order within a level. Inner levels
@@ -485,7 +452,7 @@ impl<'a> ShapeBuilder<'a> {
         };
         self.walk_leaves(p, false, true, &mut walk);
         self.record_conjunct_groups(p);
-        self.accumulate_filter_sel(p, &walk);
+        self.accumulate_filter_sel(p, &mut walk);
     }
 
     /// Visit the leaves of `p` in order. `negated`: under an odd number of
@@ -494,10 +461,10 @@ impl<'a> ShapeBuilder<'a> {
     ///
     /// This is the leaf order: children left to right, every non-composite
     /// node one entry of `walk.leaves`, whatever it resolved to.
-    /// [`sel_for_table`] and [`sel_tree_for_table`] descend the same tree
-    /// taking one entry per leaf, so a change to the traversal here is a
-    /// change to both of them (`accumulate_filter_sel` checks that each
-    /// used the entries up; `tests/extraction_golden.rs` pins the result).
+    /// [`fold_factor`] descends the same tree taking one entry per leaf, so
+    /// a change to the traversal here is a change to it too
+    /// (`accumulate_filter_sel` checks that the fold used the entries up;
+    /// `tests/extraction_golden.rs` pins the result).
     fn walk_leaves(
         &mut self,
         p: &'a Predicate,
@@ -527,7 +494,7 @@ impl<'a> ShapeBuilder<'a> {
     /// Record one leaf: the tables its columns touch, its join edge, or its
     /// atom on the table it restricts — with the negations above it folded
     /// in for `all_atoms` / `conjuncts`, without them for the selectivity
-    /// leaf (`sel_for_table` applies `NOT` as `1 - s`).
+    /// leaf ([`fold_factor`] applies `NOT` as `1 - s`).
     fn record_leaf(
         &mut self,
         leaf: &'a Predicate,
@@ -715,24 +682,34 @@ impl<'a> ShapeBuilder<'a> {
     }
 
     /// Accumulate the full boolean filter selectivity per touched table.
-    fn accumulate_filter_sel(&mut self, p: &Predicate, walk: &PredicateWalk<'a>) {
+    fn accumulate_filter_sel(&mut self, p: &Predicate, walk: &mut PredicateWalk<'a>) {
+        // A traced extraction shares one copy of the predicate among its
+        // factors.
+        let predicate = self.trace.is_some().then(|| Arc::new(p.clone()));
         for &t in &walk.touched {
             let Some(table) = self.catalog.table(t) else {
                 continue;
             };
             let mut leaves = walk.leaves.iter();
-            let sel = if let Some(trace) = &mut self.trace {
-                // Traced extraction: build the factor tree first, then
-                // evaluate it — SelTree::eval is sel_for_table's twin,
-                // so the resulting filter_sel is bit-identical.
-                let tree = sel_tree_for_table(p, t, &mut leaves);
-                let sel = tree.eval(table);
-                trace.factors.push((t.to_string(), tree));
-                sel
-            } else {
-                sel_for_table(p, t, table, &mut leaves)
-            };
+            let sel = fold_factor(p, table.rows, &mut || {
+                match leaves.next().expect("one leaf per atom") {
+                    Some(leaf) if leaf.table == t => leaf.sel,
+                    // Join atoms and atoms on other tables don't filter this one.
+                    _ => 1.0,
+                }
+            });
             debug_assert!(leaves.next().is_none(), "a fold skipped a leaf");
+            if let (Some(trace), Some(predicate)) = (&mut self.trace, &predicate) {
+                let leaves = walk.leaves.iter_mut().map(|leaf| match leaf {
+                    Some(leaf) if leaf.table == t => leaf.atom.take(),
+                    _ => None,
+                });
+                trace.factors.push(SelFactor {
+                    table: t.to_string(),
+                    predicate: Arc::clone(predicate),
+                    leaves: leaves.collect(),
+                });
+            }
             self.entry(t).filter_sel *= sel;
         }
     }
@@ -775,58 +752,30 @@ fn strip_qualifier(atom: &mut AtomicPredicate) {
     }
 }
 
-/// The leaves of one predicate's resolving walk, consumed in walk order.
-type SelLeaves<'w, 'a> = std::slice::Iter<'w, Option<SelLeaf<'a>>>;
-
-/// Recursive selectivity of predicate `p` *restricted to* `table`:
-/// atoms on other tables contribute 1.0.
-fn sel_for_table(p: &Predicate, table: &str, table_def: &Table, leaves: &mut SelLeaves) -> f64 {
+/// The selectivity of predicate `p` on a table of `rows` rows, the leaves'
+/// selectivities drawn from `leaf` in the order
+/// `ShapeBuilder::walk_leaves` visits them: `AND` is the product, floored
+/// at `1/rows`; `OR` is `1 - ∏(1 - s)`, clamped to `[0, 1]`; `NOT` is
+/// `1 - s`. Extraction and the template fast path's compiled programs both
+/// fold through here, so their `filter_sel`s agree bit for bit.
+pub fn fold_factor(p: &Predicate, rows: u64, leaf: &mut impl FnMut() -> f64) -> f64 {
     match p {
         Predicate::And(ps) => {
             let mut sel = 1.0;
             for c in ps {
-                sel *= sel_for_table(c, table, table_def, leaves);
+                sel *= fold_factor(c, rows, leaf);
             }
-            sel.max(1.0 / table_def.rows.max(1) as f64)
+            sel.max(1.0 / rows.max(1) as f64)
         }
         Predicate::Or(ps) => {
             let mut not_sel = 1.0;
             for c in ps {
-                not_sel *= 1.0 - sel_for_table(c, table, table_def, leaves);
+                not_sel *= 1.0 - fold_factor(c, rows, leaf);
             }
             (1.0 - not_sel).clamp(0.0, 1.0)
         }
-        Predicate::Not(inner) => 1.0 - sel_for_table(inner, table, table_def, leaves),
-        _ => match leaves.next().expect("one leaf per atom") {
-            Some(leaf) if leaf.table == table => leaf.sel,
-            // Join atoms and atoms on other tables don't filter this one.
-            _ => 1.0,
-        },
-    }
-}
-
-/// Structural twin of [`sel_for_table`]: builds the [`SelTree`] whose
-/// [`SelTree::eval`] performs exactly the computation `sel_for_table`
-/// would, with the resolved atoms preserved at the leaves.
-fn sel_tree_for_table(p: &Predicate, table: &str, leaves: &mut SelLeaves) -> SelTree {
-    match p {
-        Predicate::And(ps) => SelTree::And(
-            ps.iter()
-                .map(|c| sel_tree_for_table(c, table, leaves))
-                .collect(),
-        ),
-        Predicate::Or(ps) => SelTree::Or(
-            ps.iter()
-                .map(|c| sel_tree_for_table(c, table, leaves))
-                .collect(),
-        ),
-        Predicate::Not(inner) => SelTree::Not(Box::new(sel_tree_for_table(inner, table, leaves))),
-        _ => match leaves.next().expect("one leaf per atom") {
-            Some(leaf) if leaf.table == table => {
-                SelTree::Atom(leaf.atom.clone().expect("a traced walk keeps its atoms"))
-            }
-            _ => SelTree::One,
-        },
+        Predicate::Not(inner) => 1.0 - fold_factor(inner, rows, leaf),
+        _ => leaf(),
     }
 }
 
@@ -1121,16 +1070,21 @@ mod tests {
                     "filter_sel bits drift on {sql}"
                 );
             }
-            // Re-evaluating the trace reproduces filter_sel exactly.
+            // Folding the trace's atoms again reproduces filter_sel exactly.
             for table in &plain.tables {
                 let Some(def) = c.table(&table.table) else {
                     continue;
                 };
                 let mut sel = 1.0;
-                for (t, tree) in &trace.factors {
-                    if t == &table.table {
-                        sel *= tree.eval(def);
-                    }
+                for f in trace.factors.iter().filter(|f| f.table == table.table) {
+                    let mut leaves = f.leaves.iter();
+                    sel *= fold_factor(&f.predicate, def.rows, &mut || match leaves
+                        .next()
+                        .expect("one leaf per atom")
+                    {
+                        Some(atom) => atom_selectivity(atom, def),
+                        None => 1.0,
+                    });
                 }
                 assert_eq!(
                     sel.clamp(0.0, 1.0).to_bits(),

@@ -21,7 +21,7 @@ cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 cargo test -q --offline --release -p autoindex-core --test serving_allocs
 
-echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, feed = the digest of its outcome streams recorded before the live database kept plans, maintained entries = a from-scratch build; filter_sel bits, in the build that ships)"
+echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, feed = the digest of its outcome streams recorded before the live database kept plans, maintained entries = a from-scratch build, random AND / OR predicate trees bound = parsed and extracted, before and after a re-fold; filter_sel bits, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test live_frontend
 cargo test -q --offline --release -p autoindex-core --test online_golden
 cargo test -q --offline --release -p autoindex-core --lib fastpath::
@@ -36,7 +36,7 @@ echo "==> cargo test -q --offline --release (the search: a grid of MCTS and advi
 cargo test -q --offline --release -p autoindex-core --test search_golden
 cargo test -q --offline --release -p autoindex-core --test search_allocs
 
-echo "==> cargo test -q --offline --release (the miss path: extraction of the fixed corpus = the digest recorded before the by-reference rewrite; parse / extract / observe allocator calls ride in index_view_counts above)"
+echo "==> cargo test -q --offline --release (the miss path: extraction of the fixed corpus = two digests, its shapes recorded while three evaluators folded filter_sel, its traces re-recorded when a trace became its factors' predicates and atoms; parse / extract / observe allocator calls ride in index_view_counts above)"
 cargo test -q --offline --release -p autoindex-storage --test extraction_golden
 
 echo "==> cargo test -q --offline --release (the front end: scan_fingerprint and fingerprint over a fixed corpus and its byte-mutated copies = the digest recorded on the byte-level scanner; the lexer inlined into the walk, in the build that ships)"
@@ -211,6 +211,12 @@ absent 'clones.clear()' crates/core/src/engine.rs
 echo "==> boundary check (crates/core/src, tests included: the candidate merge sorts on kept keys and renders none in a comparator; a boundary's workload shares the templates' shapes, copies none)"
 absent 'd.key())\|a.key()' crates/core/src/candgen.rs
 absent 'e.shape.clone()' crates/core/src/templates.rs
+
+echo "==> selectivity check (one AND / OR / NOT selectivity fold, storage::shape::fold_factor, which extraction and the compiled templates both walk; crates/ src/, tests included: no factor tree, no second walk, no postfix program)"
+expect_hits 'fn fold_factor' 1 crates/*/src
+for gone in SelTree sel_for_table sel_tree_for_table SelOp eval_into; do
+    absent "$gone" crates src
+done
 
 echo "==> greedy check (crates/ src/ examples/ tests/, tests included: the advisor-less Greedy pipeline is gone — the paper harness runs StrategyKind::Greedy through a session)"
 for gone in greedy_select rank_candidates GreedyConfig; do
