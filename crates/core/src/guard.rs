@@ -35,11 +35,11 @@
 use crate::error::{invalid, AutoIndexError};
 use crate::system::Recommendation;
 use autoindex_storage::index::{IndexDef, IndexId};
+use autoindex_storage::planner::IndexView;
 use autoindex_storage::{SimDb, StorageError};
 use autoindex_support::obs::{Counter, MetricsRegistry};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Tunables of the guard pipeline. [`GuardConfig::validate`] checks them.
 #[derive(Debug, Clone)]
@@ -134,58 +134,66 @@ impl GuardConfig {
 
 /// A point-in-time snapshot of the real index set, sufficient to restore
 /// it byte-identically (definitions are the identity; ids are ephemeral).
-#[derive(Debug, Clone, PartialEq)]
+/// It is the database's own [`IndexView`], shared as a [`DbSnapshot`]
+/// shares it: capturing copies nothing, and the next DDL on the database
+/// edits a copy.
+///
+/// [`DbSnapshot`]: autoindex_storage::DbSnapshot
+#[derive(Debug, Clone)]
 pub struct IndexSnapshot {
-    defs: Vec<IndexDef>,
+    view: Arc<IndexView>,
 }
 
 impl IndexSnapshot {
     /// Capture the database's current real index set.
     pub fn capture(db: &SimDb) -> Self {
-        let mut defs: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-        defs.sort_by_key(|d| d.key());
-        IndexSnapshot { defs }
-    }
-
-    /// The snapshotted definitions (sorted by key).
-    pub fn defs(&self) -> &[IndexDef] {
-        &self.defs
-    }
-
-    /// Order-independent fingerprint of the index set. Restoring a
-    /// snapshot always brings the database back to an identical
-    /// fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for d in &self.defs {
-            d.key().hash(&mut h);
+        IndexSnapshot {
+            view: db.shared_index_view(),
         }
-        h.finish()
+    }
+
+    /// The snapshotted index set's [`IndexView::fingerprint`]: restoring
+    /// the snapshot brings [`SimDb::index_fingerprint`] back to it, and a
+    /// serve transcript prints it for this set.
+    pub fn fingerprint(&self) -> u64 {
+        self.view.fingerprint()
     }
 
     /// Restore the database's index set to exactly this snapshot: drops
-    /// every index not in the snapshot and re-creates every missing one
-    /// through the privileged, never-faulting
-    /// [`SimDb::restore_index`] path.
+    /// every index not in the snapshot, in id order, and re-creates every
+    /// missing one through the privileged, never-faulting
+    /// [`SimDb::restore_index`] path, in `key()` order (ties in snapshot id
+    /// order), so a rollback hands out the same ids whatever the set's
+    /// history.
     pub fn restore(&self, db: &mut SimDb) -> Result<(), StorageError> {
-        let current: Vec<(IndexId, IndexDef)> =
-            db.indexes().map(|(id, d)| (id, d.clone())).collect();
-        for (id, d) in &current {
-            if !self.defs.contains(d) {
-                db.drop_index(*id)?;
-            }
+        let stale: Vec<IndexId> = db
+            .indexes()
+            .filter(|(_, d)| !self.holds(d))
+            .map(|(id, _)| id)
+            .collect();
+        for id in stale {
+            db.drop_index(id)?;
         }
-        for d in &self.defs {
-            if db.find_index(d).is_none() {
-                db.restore_index(d.clone())?;
-            }
+        let mut missing: Vec<_> = self
+            .view
+            .iter()
+            .filter(|vi| db.find_index(&vi.def).is_none())
+            .collect();
+        missing.sort_by_cached_key(|vi| (vi.def.key(), vi.id));
+        for vi in missing {
+            db.restore_index(IndexDef::clone(&vi.def))?;
         }
         Ok(())
     }
 
     /// Whether the database's current index set equals this snapshot.
     pub fn matches(&self, db: &SimDb) -> bool {
-        IndexSnapshot::capture(db) == *self
+        db.index_count() == self.view.len() && db.indexes().all(|(_, d)| self.holds(d))
+    }
+
+    /// Whether the snapshot holds `def`, scope and directions included.
+    fn holds(&self, def: &IndexDef) -> bool {
+        self.view.table(&def.table).iter().any(|vi| *vi.def == *def)
     }
 }
 
@@ -585,6 +593,7 @@ mod tests {
     use super::*;
     use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
     use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
+    use autoindex_storage::index::IndexScope;
     use autoindex_storage::SimDbConfig;
 
     fn db() -> SimDb {
@@ -620,7 +629,41 @@ mod tests {
         assert_ne!(IndexSnapshot::capture(&db).fingerprint(), fp);
         snap.restore(&mut db).unwrap();
         assert_eq!(IndexSnapshot::capture(&db).fingerprint(), fp);
+        assert_eq!(db.index_fingerprint(), fp);
         assert!(snap.matches(&db));
+    }
+
+    #[test]
+    fn snapshot_fingerprints_tell_scopes_apart() {
+        let global = IndexDef::new("t", &["a"]);
+        let local = global.clone().with_scope(IndexScope::Local);
+        assert_eq!(global.key(), local.key(), "the key omits the scope");
+        let (mut a, mut b) = (db(), db());
+        a.create_index(global).unwrap();
+        b.create_index(local.clone()).unwrap();
+        let (sa, sb) = (IndexSnapshot::capture(&a), IndexSnapshot::capture(&b));
+        assert_ne!(sa.fingerprint(), sb.fingerprint());
+        assert!(!sb.matches(&a));
+        // Restoring the LOCAL set over the GLOBAL one swaps the scope.
+        sb.restore(&mut a).unwrap();
+        assert!(sb.matches(&a));
+        assert_eq!(a.index_fingerprint(), sb.fingerprint());
+        assert_eq!(a.indexes().map(|(_, d)| d).collect::<Vec<_>>(), [&local]);
+    }
+
+    #[test]
+    fn restore_recreates_missing_indexes_in_key_order() {
+        let mut db = db();
+        let (a, b) = (IndexDef::new("t", &["a"]), IndexDef::new("t", &["b"]));
+        db.create_index(b.clone()).unwrap();
+        db.create_index(a.clone()).unwrap();
+        let snap = IndexSnapshot::capture(&db);
+        for id in [IndexId(0), IndexId(1)] {
+            db.drop_index(id).unwrap();
+        }
+        snap.restore(&mut db).unwrap();
+        assert_eq!(db.find_index(&a), Some(IndexId(2)));
+        assert_eq!(db.find_index(&b), Some(IndexId(3)));
     }
 
     #[test]

@@ -92,9 +92,8 @@ pub use guard::{
 pub use mcts::{MctsConfig, MctsSearch, PolicyTree, SearchOutcome};
 pub use online::{FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineEvent};
 pub use serve::{
-    decide_admission, serve, serve_fleet, Admission, AdmissionCandidate, AdmissionDecision,
-    EpochRecord, FleetConfig, FleetOutcome, FleetTenant, FleetTenantOutcome, ServeConfig,
-    ServeOutcome, ServeReport, TenantReport, TenantSpec,
+    serve, serve_fleet, Admission, EpochRecord, FleetConfig, FleetOutcome, FleetTenant,
+    FleetTenantOutcome, ServeConfig, ServeOutcome, ServeReport, TenantReport, TenantSpec,
 };
 pub use session::{SessionReport, TuningSession};
 pub use strategy::{GreedyStrategy, MctsStrategy, RewardObservation, StrategyKind};

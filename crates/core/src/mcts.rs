@@ -143,22 +143,6 @@ impl ConfigSet {
         out
     }
 
-    /// 64-bit fingerprint of the member set. Canonical representation
-    /// guarantees equal sets hash equally. Slot domain: meaningful within
-    /// one universe (the serving transcripts' per-epoch configuration
-    /// fingerprint); no cache key is made of it.
-    pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        0x0c0f_f1e5_u64.hash(&mut h);
-        self.words.len().hash(&mut h);
-        for w in &self.words {
-            w.hash(&mut h);
-        }
-        h.finish()
-    }
-
     /// Iterate member slots in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         self.words
@@ -278,19 +262,6 @@ impl Universe {
             h.write_u64(self.hashes[slot]);
         }
         h.finish()
-    }
-
-    /// `ConfigSet` fingerprint of `db`'s current real index set, interned
-    /// in key order so slot assignment — and thus the fingerprint — is
-    /// deterministic for a universe that persists across a run.
-    pub(crate) fn config_fingerprint(&mut self, db: &SimDb) -> u64 {
-        let mut defs: Vec<_> = db.indexes().map(|(_, d)| d).collect();
-        defs.sort_by_cached_key(|d| d.key());
-        let mut set = ConfigSet::default();
-        for d in defs {
-            set.insert(self.intern(d));
-        }
-        set.fingerprint()
     }
 
     /// Slot of a definition, if interned.

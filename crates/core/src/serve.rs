@@ -24,7 +24,7 @@
 //! [`serve`] and [`serve_fleet`] only build the tenants' lanes and hand the
 //! loop its three boundary policies as plain values:
 //!
-//! * **Admission** — [`decide_admission`] over every unfinished tenant's
+//! * **Admission** — `decide_admission` over every unfinished tenant's
 //!   bid. Its head bid is always admitted, so one lane always runs.
 //! * **SLO accounting** — per admitted slice, nearest-rank p50/p99 of its
 //!   simulated latencies against the tenant's declared SLOs. `serve`'s lane
@@ -57,7 +57,6 @@ use crate::engine::{
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::UpkeepCounters;
 use crate::guard::GuardConfig;
-use crate::mcts::Universe;
 use crate::session::{tuning_round, Apply};
 use crate::strategy::StrategyKind;
 use crate::system::AutoIndex;
@@ -299,18 +298,18 @@ pub enum Admission {
 
 /// One tenant's bid for the next epoch.
 #[derive(Debug, Clone, Copy)]
-pub struct AdmissionCandidate {
-    pub tenant: u32,
-    pub priority: u8,
+pub(crate) struct AdmissionCandidate {
+    pub(crate) tenant: u32,
+    pub(crate) priority: u8,
     /// Estimated simulated cost of the tenant's next slice, ms.
-    pub est_cost_ms: f64,
+    pub(crate) est_cost_ms: f64,
 }
 
 /// [`decide_admission`]'s verdict for one candidate.
 #[derive(Debug, Clone, Copy)]
-pub struct AdmissionDecision {
-    pub tenant: u32,
-    pub admission: Admission,
+pub(crate) struct AdmissionDecision {
+    pub(crate) tenant: u32,
+    pub(crate) admission: Admission,
 }
 
 /// The pure admission policy: pack candidate bids into `capacity_ms`
@@ -327,7 +326,7 @@ pub struct AdmissionDecision {
 /// Capacity is a config constant in the simulated-cost domain, never
 /// derived from the worker count, so transcripts stay worker-count
 /// invariant.
-pub fn decide_admission(
+pub(crate) fn decide_admission(
     candidates: &[AdmissionCandidate],
     capacity_ms: f64,
     shed_floor_priority: u8,
@@ -469,8 +468,8 @@ pub(crate) struct SliceRecord {
     pub(crate) diagnosis_fired: bool,
     pub(crate) problem_ratio: f64,
     pub(crate) decision: String,
-    /// The real index set after the boundary: `ConfigSet` fingerprint and
-    /// size.
+    /// The real index set after the boundary: its fingerprint
+    /// ([`SimDb::index_fingerprint`]) and size.
     pub(crate) config_fingerprint: u64,
     pub(crate) index_count: usize,
     /// Summed simulated latency of the executed statements, in `seq` order.
@@ -652,7 +651,7 @@ impl ServeReport {
 
     /// The determinism contract's byte-comparable surface, rendered by the
     /// run's tuner pick. `serve`'s: stream totals, every epoch's diagnosis,
-    /// decision and `ConfigSet` fingerprint, the final configuration.
+    /// decision and index-set fingerprint, the final configuration.
     /// `serve_fleet`'s: fleet totals and every epoch's admission counts and
     /// tuner visit (each tenant's detail is its
     /// [`TenantReport::transcript`]). Neither contains wall clock, worker
@@ -852,7 +851,6 @@ struct LaneState<'q, E: CostEstimator> {
     queries: &'q [String],
     /// The declared `(p50, p99)` SLOs, when the run accounts them.
     slo: Option<(f64, f64)>,
-    universe: Universe,
     /// The tenant's section of the report, accumulated in place.
     report: TenantReport,
     /// Next unprocessed sequence number of the tenant's stream.
@@ -883,7 +881,6 @@ impl<'q, E: CostEstimator> LaneState<'q, E> {
             advisor,
             queries,
             slo: account_slo.then_some((spec.slo_p50_ms, spec.slo_p99_ms)),
-            universe: Universe::new(),
             report: TenantReport {
                 name: spec.name,
                 priority: spec.priority,
@@ -1185,7 +1182,7 @@ fn run<'q, Site, E: CostEstimator>(
             // visible; epoch e+1's fast-path behaviour is frozen here.
             for (t, lane) in lanes.iter_mut().enumerate() {
                 if let Some(record) = lane.report.slices.last_mut().filter(|s| s.epoch == epoch) {
-                    record.config_fingerprint = lane.universe.config_fingerprint(&lane.db);
+                    record.config_fingerprint = lane.db.index_fingerprint();
                     record.index_count = lane.db.index_count();
                 }
                 if std::mem::take(&mut lane.moved) {

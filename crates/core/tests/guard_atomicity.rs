@@ -7,24 +7,26 @@
 //!    applied recommendation (success). Never anything in between.
 //!    A fixed-seed matrix beside it keeps the property non-vacuous: no
 //!    rollback without faults, at least one in 24 applies at a 20 % rate.
-//! 2. **Fingerprint regression.** After a rollback the configuration's
-//!    [`ConfigSet`] fingerprint, computed over a shared [`Universe`]
-//!    interning, is bit-identical to the pre-apply fingerprint.
+//! 2. **One fingerprint per index set.** After a rollback — a faulted
+//!    apply or a failed probation — the database's
+//!    [`SimDb::index_fingerprint`], the snapshot's and the verdict's
+//!    `restored_fingerprint` are the pre-apply value, which is also what a
+//!    `serve` transcript prints for that index set, however it was built;
+//!    a GLOBAL and a LOCAL index on the same key read two values.
 //! 3. **Fault-free equivalence.** With faults disabled, the guarded
 //!    [`TuningSession`](autoindex_core::TuningSession) is a transparent
 //!    wrapper around the PR 3 recommendation path: byte-identical
 //!    recommendation, identical what-if call volume, same final index set
 //!    — checked end-to-end on the banking workload.
 
-use autoindex_core::mcts::{ConfigSet, Universe};
 use autoindex_core::{
-    ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, IndexSnapshot, Recommendation,
-    RollbackReason,
+    serve, ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, GuardEvent, IndexSnapshot,
+    Recommendation, RollbackReason, ServeConfig,
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
-use autoindex_storage::index::IndexDef;
+use autoindex_storage::index::{IndexDef, IndexScope};
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::prop::{property, PropConfig};
@@ -176,23 +178,12 @@ fn rollback_restores_bit_identical_config_fingerprint() {
     db.create_index(IndexDef::new("t", &["id"])).unwrap();
     db.create_index(IndexDef::new("t", &["b"])).unwrap();
     let rec = synthetic_rec();
-
-    // Shared interning: pre-state and recommendation defs live in one
-    // Universe so slot numbering (and hence fingerprints) are comparable.
-    let mut universe = Universe::new();
-    let pre_defs: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
-    for d in pre_defs
-        .iter()
-        .chain(rec.add.iter())
-        .chain(rec.remove.iter())
-    {
-        universe.intern(d);
-    }
-    let config_of = |db: &SimDb, universe: &Universe| -> ConfigSet {
-        db.indexes().filter_map(|(_, d)| universe.slot(d)).collect()
-    };
-    let fp_before = config_of(&db, &universe).fingerprint();
+    let fp_before = db.index_fingerprint();
     let snap_before = IndexSnapshot::capture(&db).fingerprint();
+    assert_eq!(
+        snap_before, fp_before,
+        "a snapshot reads the database's value"
+    );
 
     // Every build fails: the guard must retry, give up and roll back.
     db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
@@ -209,8 +200,11 @@ fn rollback_restores_bit_identical_config_fingerprint() {
         panic!("expected rollback, got {verdict:?}");
     };
 
-    let fp_after = config_of(&db, &universe).fingerprint();
-    assert_eq!(fp_before, fp_after, "ConfigSet fingerprint must round-trip");
+    assert_eq!(
+        db.index_fingerprint(),
+        fp_before,
+        "fingerprint must round-trip"
+    );
     assert_eq!(
         snap_before,
         IndexSnapshot::capture(&db).fingerprint(),
@@ -221,6 +215,105 @@ fn rollback_restores_bit_identical_config_fingerprint() {
         "verdict reports the restored state"
     );
     assert!(db.metrics().counter_value("guard.rollbacks") >= 1);
+}
+
+/// The `fp=` a transcript's closing line prints.
+fn final_fingerprint(transcript: &str) -> u64 {
+    let line = transcript.lines().find_map(|l| l.strip_prefix("final: "));
+    let hex = line
+        .and_then(|l| l.split("fp=").nth(1))
+        .expect("a final line");
+    u64::from_str_radix(hex, 16).expect("hex fingerprint")
+}
+
+#[test]
+fn an_index_set_has_one_fingerprint() {
+    // What a `serve` transcript prints for the index set its run ends on.
+    let mut start = small_db();
+    start.create_index(IndexDef::new("t", &["b"])).unwrap();
+    let queries: Vec<String> = (0..200)
+        .map(|i| match i % 2 {
+            0 => format!("SELECT * FROM t WHERE a = {}", i * 37 % 250_000),
+            _ => format!("SELECT * FROM t WHERE b = {}", i % 2_000),
+        })
+        .collect();
+    let cfg = ServeConfig::builder().epoch_interval(50).build().unwrap();
+    let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+    let out = serve(start, advisor, &queries, cfg).unwrap();
+    let printed = final_fingerprint(&out.report.transcript());
+    assert_eq!(printed, out.db.index_fingerprint());
+
+    // The same set, created in the reverse order on a fresh database.
+    let defs: Vec<IndexDef> = out.db.indexes().map(|(_, d)| d.clone()).collect();
+    assert!(defs.len() >= 2, "the reverse order is another order");
+    let fresh = || {
+        let mut db = small_db();
+        for d in defs.iter().rev() {
+            db.create_index(d.clone()).unwrap();
+        }
+        db
+    };
+    let rec = Recommendation {
+        add: vec![IndexDef::new("t", &["c"])],
+        remove: defs[..1].to_vec(),
+        est_cost_before: 100.0,
+        est_cost_after: 40.0,
+    };
+
+    // A faulted apply restores it.
+    let mut db = fresh();
+    assert_eq!(
+        db.index_fingerprint(),
+        printed,
+        "creation order is no part of it"
+    );
+    db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
+        build_failure: 1.0,
+        ..FaultPlanConfig::default()
+    })));
+    let mut guard = Guard::new(GuardConfig::default(), db.metrics());
+    let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
+    let ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
+        restored_fingerprint,
+        ..
+    }) = verdict
+    else {
+        panic!("expected a faulted apply, got {verdict:?}");
+    };
+    assert_eq!(restored_fingerprint, db.index_fingerprint());
+    assert_eq!(restored_fingerprint, printed);
+
+    // A failed probation restores it.
+    let mut db = fresh();
+    let cfg = GuardConfig {
+        probation_statements: 5,
+        min_probation_samples: 2,
+        max_regression: 0.25,
+        ..GuardConfig::default()
+    };
+    let mut guard = Guard::new(cfg, db.metrics());
+    (0..20).for_each(|_| guard.record_latency(1.0));
+    let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
+    assert_eq!(verdict, ApplyVerdict::Applied);
+    assert_ne!(db.index_fingerprint(), printed);
+    (0..5).for_each(|_| guard.record_latency(2.0));
+    let Some(GuardEvent::RolledBack(RollbackReason::ProbationRegression {
+        restored_fingerprint,
+        ..
+    })) = guard.poll(5, &mut db)
+    else {
+        panic!("expected a probation rollback");
+    };
+    assert_eq!(restored_fingerprint, db.index_fingerprint());
+    assert_eq!(restored_fingerprint, printed);
+
+    // The scope is part of the identity.
+    let global = IndexDef::new("t", &["b"]);
+    let local = global.clone().with_scope(IndexScope::Local);
+    let (mut g, mut l) = (small_db(), small_db());
+    g.create_index(global).unwrap();
+    l.create_index(local).unwrap();
+    assert_ne!(g.index_fingerprint(), l.index_fingerprint());
 }
 
 #[test]

@@ -5,14 +5,17 @@
 //! numeric statements, so a repeat statement fed to the online loop
 //! allocates nothing either, and growth under
 //! it costs one bounded re-fold, not a parse, and copies no table the
-//! database's kept plans read.
+//! database's kept plans read. A guard's snapshot of the index set copies
+//! no definition.
 //!
 //! A counting `#[global_allocator]` (per-thread, so the libtest harness
 //! cannot leak into a window) measures allocator calls; the what-if,
 //! inference and fault-roll counters must read exactly one per probe.
 
 use autoindex_core::templates::{TemplateStore, TemplateStoreConfig};
-use autoindex_core::{AutoIndex, AutoIndexConfig, FastPathCache, OnlineAutoIndex, OnlineConfig};
+use autoindex_core::{
+    AutoIndex, AutoIndexConfig, FastPathCache, IndexSnapshot, OnlineAutoIndex, OnlineConfig,
+};
 use autoindex_estimator::{CostEstimator, NativeCostEstimator};
 use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::parse_statement;
@@ -135,6 +138,17 @@ fn planning_work_follows_the_touched_table_not_the_configuration() {
 /// what the full report of the same plans would have tallied: a banking
 /// run under the 263 DBA indexes, each statement planned with `plan_over`
 /// against the state it is about to execute in.
+#[test]
+fn a_guard_snapshot_shares_the_index_set_instead_of_copying_it() {
+    let dba = banking::dba_indexes();
+    for indexes in [&dba[..3], &dba[..]] {
+        let db = banking_db(indexes);
+        let (calls, snap) = counted(|| IndexSnapshot::capture(&db));
+        assert_eq!(calls, 0, "{} indexes", indexes.len());
+        assert_eq!(snap.fingerprint(), db.index_fingerprint());
+    }
+}
+
 #[test]
 fn live_execution_tallies_what_the_full_plan_reports() {
     let mut db = banking_db(&banking::dba_indexes());

@@ -19,7 +19,7 @@
 //!   dropping redundant indexes *improves* throughput by freeing cache.
 
 use crate::catalog::Catalog;
-use crate::fault::{BuildRoll, ExecRoll, FaultKind, FaultPlan, WhatifRoll};
+use crate::fault::{BuildRoll, ExecRoll, FaultKind, FaultPlan};
 use crate::index::{geometry, IndexConfig, IndexDef, IndexGeometry, IndexId, IndexList};
 use crate::planner::{
     with_scratch, AccessPath, CostFeatures, CostParams, IndexView, JoinStrategy, PlanSummary,
@@ -443,6 +443,18 @@ impl SimDb {
         &self.view
     }
 
+    /// [`SimDb::index_view`], shared as every [`DbSnapshot`] shares it:
+    /// one reference count, and the next DDL or growth edits a copy.
+    pub fn shared_index_view(&self) -> Arc<IndexView> {
+        Arc::clone(&self.view)
+    }
+
+    /// The fingerprint of the real index set ([`IndexView::fingerprint`]):
+    /// kept by DDL as the byte total is, so reading it walks nothing.
+    pub fn index_fingerprint(&self) -> u64 {
+        self.view.fingerprint()
+    }
+
     /// Number of real indexes.
     pub fn index_count(&self) -> usize {
         self.indexes.len()
@@ -497,27 +509,12 @@ impl SimDb {
 
     /// Full plan summary under a hypothetical configuration. Under a
     /// stale-statistics fault window the reported cost features are
-    /// multiplicatively distorted (the plan *choice* is unaffected);
-    /// injected transient probe failures are absorbed — use
-    /// [`SimDb::try_whatif_plan`] to observe them.
+    /// multiplicatively distorted (the plan *choice* is unaffected). Each
+    /// probe rolls the shared what-if fault stream once (neutral when no
+    /// plan is installed; lock-free, since what-if planning takes `&self`).
     pub fn whatif_plan<'a>(&self, shape: &QueryShape, config: impl IndexConfig<'a>) -> PlanSummary {
-        let roll = self.roll_whatif();
-        self.finish_whatif(self.plan_whatif_raw(shape, config), &roll)
-    }
-
-    /// Fallible [`SimDb::whatif_plan`]: a transient fault fails the probe
-    /// with [`StorageError::FaultInjected`]; retrying re-rolls.
-    pub fn try_whatif_plan<'a>(
-        &self,
-        shape: &QueryShape,
-        config: impl IndexConfig<'a>,
-    ) -> Result<PlanSummary, StorageError> {
-        let roll = self.roll_whatif();
-        if roll.transient {
-            self.obs.fault_transients.incr();
-            return Err(StorageError::FaultInjected(FaultKind::TransientError));
-        }
-        Ok(self.finish_whatif(self.plan_whatif_raw(shape, config), &roll))
+        let distortion = self.faults.as_ref().map_or(1.0, FaultPlan::roll_whatif);
+        self.finish_whatif(self.plan_whatif_raw(shape, config), distortion)
     }
 
     /// Pure hypothetical planning, no fault rolls or metrics. Resolves, by
@@ -539,23 +536,11 @@ impl SimDb {
         Planner::new(&self.catalog, &self.config.cost_params).plan_over(shape, &visible[..])
     }
 
-    /// Roll the shared what-if fault stream (neutral when no plan is
-    /// installed). Lock-free: what-if planning takes `&self`.
-    fn roll_whatif(&self) -> WhatifRoll {
-        match &self.faults {
-            Some(f) => f.roll_whatif(),
-            None => WhatifRoll {
-                transient: false,
-                distortion: 1.0,
-            },
-        }
-    }
-
     /// Apply a roll's stale-statistics distortion and record metrics.
-    fn finish_whatif(&self, mut plan: PlanSummary, roll: &WhatifRoll) -> PlanSummary {
-        if roll.distortion != 1.0 {
+    fn finish_whatif(&self, mut plan: PlanSummary, distortion: f64) -> PlanSummary {
+        if distortion != 1.0 {
             self.obs.fault_stale_whatifs.incr();
-            plan.features = plan.features.scaled(roll.distortion);
+            plan.features = plan.features.scaled(distortion);
         }
         self.obs.whatif_calls.incr();
         self.obs.whatif_cost_total.add(plan.features.native_cost());
@@ -1554,21 +1539,6 @@ mod tests {
             "all-stale plan must distort probes: {distorted}/32"
         );
         assert!(db.metrics().counter_value("db.fault.stale_whatifs") >= 30);
-    }
-
-    #[test]
-    fn try_whatif_surfaces_transients() {
-        let db = db_with_plan(FaultPlanConfig {
-            transient_error: 1.0,
-            ..FaultPlanConfig::default()
-        });
-        let shape = QueryShape::extract(&stmt("SELECT * FROM t WHERE a = 1"), db.catalog());
-        assert!(matches!(
-            db.try_whatif_plan(&shape, &[]),
-            Err(StorageError::FaultInjected(FaultKind::TransientError))
-        ));
-        // The infallible probe absorbs the transient and still answers.
-        assert!(db.whatif_native_cost(&shape, &[]) > 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | [`FaultKind::FailedBuild`] | `create_index` | DDL returns `Err(StorageError::FaultInjected)` |
 //! | [`FaultKind::SlowBuild`] | `create_index` | build succeeds but charges `slow_build_factor`× build time |
 //! | [`FaultKind::LatencySpike`] | `execute*` | measured latency multiplied by `latency_spike_factor` |
-//! | [`FaultKind::TransientError`] | `try_execute_shape`, `try_whatif_plan` | call fails; infallible wrappers retry and absorb |
+//! | [`FaultKind::TransientError`] | `try_execute_shape` | call fails; infallible wrappers retry and absorb |
 //! | [`FaultKind::StaleStatistics`] | `whatif_*` | what-if cost features distorted for a whole op window |
 //!
 //! Determinism has two regimes, matching the two `SimDb` access patterns:
@@ -50,8 +50,7 @@ pub enum FaultKind {
     /// features are multiplicatively distorted, so the estimator (and
     /// everything above it) misjudges candidate configurations.
     StaleStatistics,
-    /// A statement (or what-if probe) fails transiently and must be
-    /// retried by the caller.
+    /// A statement fails transiently and must be retried by the caller.
     TransientError,
 }
 
@@ -84,7 +83,7 @@ pub struct FaultPlanConfig {
     pub latency_spike: f64,
     /// Latency multiplier for spiked executions.
     pub latency_spike_factor: f64,
-    /// P(an execution / fallible what-if probe fails transiently).
+    /// P(an execution fails transiently).
     pub transient_error: f64,
     /// P(a what-if window is priced against stale statistics).
     pub stale_stats: f64,
@@ -156,16 +155,6 @@ pub struct BuildRoll {
     pub failed: bool,
     /// Build-time multiplier (`1.0` when the build is healthy).
     pub build_factor: f64,
-}
-
-/// Outcome of a fault roll on the (shared, `&self`) what-if path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WhatifRoll {
-    /// The probe fails transiently (surfaced only by `try_whatif_*`).
-    pub transient: bool,
-    /// Multiplicative cost-feature distortion (`1.0` outside stale
-    /// windows).
-    pub distortion: f64,
 }
 
 /// A deterministic, seeded fault schedule consulted by [`SimDb`].
@@ -256,32 +245,24 @@ impl FaultPlan {
         }
     }
 
-    /// Roll the shared what-if-path faults for one probe. Lock-free: the
-    /// outcome is a pure function of `(seed, op_index)`.
-    pub fn roll_whatif(&self) -> WhatifRoll {
+    /// Roll the shared what-if-path faults for one probe: the
+    /// multiplicative cost-feature distortion, `1.0` outside stale windows.
+    /// Lock-free: the outcome is a pure function of `(seed, op_index)`.
+    pub fn roll_whatif(&self) -> f64 {
         let op = self.whatif_ops.fetch_add(1, Ordering::Relaxed);
         if self.config.is_quiet() {
-            return WhatifRoll {
-                transient: false,
-                distortion: 1.0,
-            };
+            return 1.0;
         }
-        let transient = self.config.transient_error > 0.0
-            && unit(derive_seed(self.config.seed, op ^ 0x7A0B_5EED)) < self.config.transient_error;
         // Stale statistics are decided once per window of ops, then every
         // call in the window is distorted by its own hashed factor.
         let window = op / self.config.stale_window.max(1);
         let stale = self.config.stale_stats > 0.0
             && unit(derive_seed(self.config.seed ^ 0x57A1_E57A, window)) < self.config.stale_stats;
-        let distortion = if stale {
+        if stale {
             let u = 2.0 * unit(derive_seed(self.config.seed ^ 0xD157_0127, op)) - 1.0;
             (u * self.config.stale_distortion).exp()
         } else {
             1.0
-        };
-        WhatifRoll {
-            transient,
-            distortion,
         }
     }
 
@@ -318,9 +299,7 @@ mod tests {
                     build_factor: 1.0
                 }
             );
-            let w = p.roll_whatif();
-            assert!(!w.transient);
-            assert_eq!(w.distortion, 1.0);
+            assert_eq!(p.roll_whatif(), 1.0);
         }
         assert!(p.is_quiet());
     }
@@ -357,18 +336,16 @@ mod tests {
             FaultPlan::new(FaultPlanConfig {
                 seed: 41,
                 stale_stats: 0.5,
-                transient_error: 0.1,
                 stale_window: 16,
                 ..FaultPlanConfig::default()
             })
         };
         let a = mk();
         let b = mk();
-        let ra: Vec<WhatifRoll> = (0..500).map(|_| a.roll_whatif()).collect();
-        let rb: Vec<WhatifRoll> = (0..500).map(|_| b.roll_whatif()).collect();
+        let ra: Vec<f64> = (0..500).map(|_| a.roll_whatif()).collect();
+        let rb: Vec<f64> = (0..500).map(|_| b.roll_whatif()).collect();
         assert_eq!(ra, rb, "same seed, same op order ⇒ same outcomes");
-        assert!(ra.iter().any(|r| r.distortion != 1.0), "stale windows fire");
-        assert!(ra.iter().any(|r| r.transient), "transients fire");
+        assert!(ra.iter().any(|&d| d != 1.0), "stale windows fire");
     }
 
     #[test]
@@ -380,16 +357,16 @@ mod tests {
             ..FaultPlanConfig::default()
         });
         // Within one window either every op is distorted or none is.
-        let rolls: Vec<WhatifRoll> = (0..320).map(|_| p.roll_whatif()).collect();
+        let rolls: Vec<f64> = (0..320).map(|_| p.roll_whatif()).collect();
         for w in rolls.chunks(32) {
-            let stale: Vec<bool> = w.iter().map(|r| r.distortion != 1.0).collect();
+            let stale: Vec<bool> = w.iter().map(|&d| d != 1.0).collect();
             assert!(
                 stale.iter().all(|&s| s) || stale.iter().all(|&s| !s),
                 "window mixes stale and fresh ops: {stale:?}"
             );
         }
-        assert!(rolls.iter().any(|r| r.distortion != 1.0));
-        assert!(rolls.iter().any(|r| r.distortion == 1.0));
+        assert!(rolls.iter().any(|&d| d != 1.0));
+        assert!(rolls.contains(&1.0));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::selectivity::{atom_selectivity_at, combined_selectivity};
 use crate::shape::{QueryShape, TableAtoms, WriteKind};
 use crate::usage::Maintenance;
 use autoindex_sql::predicate::AtomicPredicate;
+use autoindex_support::rng::derive_seed;
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -320,6 +321,7 @@ impl<D: Borrow<IndexDef>> IndexSet for [VisibleIndex<D>] {
 /// vectors; definitions are shared). Invalidation rule: geometry depends
 /// on the definition and on its table's row count, so DDL touches one
 /// entry and table growth re-sizes one table's run — nothing is rebuilt.
+/// Its byte total and its [`IndexView::fingerprint`] are kept the same way.
 #[derive(Debug, Clone, Default)]
 pub struct IndexView {
     /// Every index, one table's run after another; a run is in id order.
@@ -328,6 +330,8 @@ pub struct IndexView {
     /// run in `grouped` (runs are adjacent: one starts where the last ended).
     runs: Vec<(Arc<str>, usize)>,
     bytes: u64,
+    /// The wrapping sum of every definition's [`fingerprint_share`].
+    fingerprint: u64,
 }
 
 impl IndexView {
@@ -344,6 +348,20 @@ impl IndexView {
     /// Total on-disk bytes of every index at its resolved geometry.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// The identity of the index *set*: equal for equal sets of
+    /// definitions whatever their ids or the order they were created in,
+    /// and different — up to a 64-bit collision — for any other set,
+    /// scope included. What a serve transcript prints as a configuration
+    /// and what a guard rollback reports it restored.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Every index, one table's run after another; a run is in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &VisibleIndex<Arc<IndexDef>>> {
+        self.grouped.iter()
     }
 
     /// The indexes on `table`, in id order.
@@ -373,6 +391,7 @@ impl IndexView {
             *end += 1;
         }
         self.bytes += geo.bytes;
+        self.fingerprint = self.fingerprint.wrapping_add(fingerprint_share(&def));
         self.grouped.insert(run.end, VisibleIndex { id, def, geo });
     }
 
@@ -384,7 +403,9 @@ impl IndexView {
         let Some(at) = self.grouped[run.clone()].iter().position(|vi| vi.id == id) else {
             return;
         };
-        self.bytes -= self.grouped.remove(run.start + at).geo.bytes;
+        let gone = self.grouped.remove(run.start + at);
+        self.bytes -= gone.geo.bytes;
+        self.fingerprint = self.fingerprint.wrapping_sub(fingerprint_share(&gone.def));
         for (_, end) in &mut self.runs[i..] {
             *end -= 1;
         }
@@ -406,6 +427,16 @@ impl IndexView {
             vi.geo = geo;
         }
     }
+}
+
+/// One definition's part of [`IndexView::fingerprint`]: its
+/// [`IndexDef::identity_hash`] (table, key parts, directions, scope) mixed
+/// through SplitMix64 first: FNV-1a ends on one multiply, so raw values of
+/// keys one byte apart stay arithmetically related, and a sum would carry
+/// that over; mixed parts are independent-looking, so their sum separates
+/// sets as well as a hash of the whole set would.
+fn fingerprint_share(def: &IndexDef) -> u64 {
+    derive_seed(0, def.identity_hash())
 }
 
 /// The directory's order: by length, then bytes. Any total order serves a

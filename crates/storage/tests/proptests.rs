@@ -496,8 +496,9 @@ fn snapshot_print(snap: &DbSnapshot) -> Vec<(IndexId, u64)> {
 
 /// Model test: after any interleaving of create / drop / restore /
 /// insert growth the live view holds, per table and in id order, exactly
-/// what resolving `db.indexes()` from scratch gives, and a snapshot taken
-/// on the way keeps the view it was given.
+/// what resolving `db.indexes()` from scratch gives, its fingerprint is
+/// the one a fresh database holding the same set reads, and a snapshot
+/// taken on the way keeps the view it was given.
 #[test]
 fn live_index_view_equals_from_scratch_resolve() {
     property(
@@ -555,6 +556,20 @@ fn live_index_view_equals_from_scratch_resolve() {
                 prop_assert!(db.total_index_bytes() == view.bytes());
                 prop_assert!(
                     db.total_heap_bytes() == db.catalog().tables().map(|t| t.bytes()).sum::<u64>()
+                );
+                // The fingerprint is the set's: the same definitions entered
+                // into a fresh database in the reverse order read the same.
+                let mut fresh = SimDb::with_metrics(
+                    db.catalog().clone(),
+                    SimDbConfig::default(),
+                    MetricsRegistry::new(),
+                );
+                for (_, d) in all.iter().rev() {
+                    fresh.restore_index(d.clone()).unwrap();
+                }
+                prop_assert!(
+                    fresh.index_fingerprint() == db.index_fingerprint(),
+                    "step {step}"
                 );
                 for t in VIEW_TABLES {
                     let live = view.table(t);

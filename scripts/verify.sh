@@ -218,6 +218,12 @@ for gone in SelTree sel_for_table sel_tree_for_table SelOp eval_into; do
     absent "$gone" crates src
 done
 
+echo "==> fingerprint check (one index-set fingerprint: IndexView's, kept by DDL from storage::planner::fingerprint_share — what a serve transcript prints and a guard rollback reports; non-test crates/core/src hashes with no DefaultHasher, whose output std does not pin; serve keeps no universe to print it)"
+expect_hits 'DefaultHasher' 0 crates/core/src
+expect_hits 'fn fingerprint_share' 1 crates/*/src
+expect_hits 'fn config_fingerprint' 0 crates/*/src
+expect_hits 'Universe' 0 crates/core/src/serve.rs
+
 echo "==> greedy check (crates/ src/ examples/ tests/, tests included: the advisor-less Greedy pipeline is gone — the paper harness runs StrategyKind::Greedy through a session)"
 for gone in greedy_select rank_candidates GreedyConfig; do
     absent "$gone" crates src examples tests
