@@ -190,7 +190,7 @@ fn quad_form(vinv: &[[f64; NFEAT]; NFEAT], x: &[f64; NFEAT]) -> f64 {
 // --------------------------------------------------------------- arms
 
 /// One arm the bandit selected this round, as surfaced in
-/// `Proposal::arms` and `OnlineEvent::BanditArmApplied`.
+/// `SessionReport::arms` and `OnlineEvent::BanditArmApplied`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmChoice {
     /// Canonical index key, e.g. `"t(a,b)"`.
@@ -665,8 +665,8 @@ mod tests {
         );
         let keys: Vec<String> = db.indexes().map(|(_, d)| d.key()).collect();
         assert!(keys.contains(&"t(a)".to_string()), "{keys:?}");
-        assert!(!ai.last_arms().is_empty(), "arm attribution surfaces");
-        assert!(ai.last_arms().iter().all(|a| a.ucb >= a.expected));
+        assert!(!out.arms.is_empty(), "arm attribution surfaces");
+        assert!(out.arms.iter().all(|a| a.ucb >= a.expected));
         assert!(db.metrics().counter_value("tuner.bandit.rounds") >= 1);
         assert!(db.metrics().counter_value("tuner.bandit.arms_applied") >= 1);
     }
@@ -792,10 +792,9 @@ mod tests {
                 }
                 ai.observe_reward(10.0 / (round + 1) as f64);
                 let out = ai.session(&mut db).run().unwrap();
-                for a in ai.last_arms() {
+                for a in &out.arms {
                     arm_log.push(format!("{}:{:.12}:{:.12}", a.key, a.ucb, a.expected));
                 }
-                let _ = out;
                 regret.observe_round(10.0 / (round + 1) as f64, 1.0, 200, db.metrics());
             }
             (arm_log, regret.curve_digest())

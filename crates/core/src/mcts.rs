@@ -34,6 +34,7 @@ use std::hash::Hasher;
 
 use crate::delta::DeltaPricer;
 use crate::fastpath::stamp_of;
+use crate::strategy::relative_improvement;
 
 /// A set of universe slots, packed into 64-bit words.
 #[derive(Debug, PartialEq, Eq, Hash, Default)]
@@ -503,10 +504,7 @@ pub struct SearchOutcome {
 impl SearchOutcome {
     /// Estimated relative improvement (0 if none).
     pub fn improvement(&self) -> f64 {
-        if self.baseline_cost <= 0.0 {
-            return 0.0;
-        }
-        ((self.baseline_cost - self.best_cost) / self.baseline_cost).max(0.0)
+        relative_improvement(self.baseline_cost, self.best_cost)
     }
 }
 

@@ -374,9 +374,12 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
                 None => Apply::Unguarded,
             };
             let reset = self.config.reset_usage_after_tuning;
-            let SessionReport { report, guard } =
-                tuning_round(&mut self.advisor, &mut self.db, prologue, apply, reset)
-                    .expect("a session over the observed templates has no failing step");
+            let SessionReport {
+                report,
+                guard,
+                arms,
+            } = tuning_round(&mut self.advisor, &mut self.db, prologue, apply, reset)
+                .expect("a session over the observed templates has no failing step");
             let applied = !report.recommendation.is_noop();
             match guard {
                 Some(ApplyVerdict::ShadowRejected {
@@ -410,7 +413,7 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
                         OnlineEvent::BanditArmApplied {
                             diagnosis,
                             report,
-                            arms: self.advisor.last_arms().to_vec(),
+                            arms,
                         }
                     } else {
                         OnlineEvent::Tuned { diagnosis, report }
@@ -912,6 +915,40 @@ mod tests {
         assert!(bandit_applied, "the bandit must act on the hot template");
         assert!(o.db().indexes().any(|(_, d)| d.key() == "t(a)"));
         assert!(o.db().metrics().counter_value("online.strategy_switches") >= 1);
+    }
+
+    #[test]
+    fn bandit_arm_events_carry_the_rounds_arms() {
+        let bandit = || {
+            let config = AutoIndexConfig {
+                strategy: StrategyKind::Bandit,
+                ..AutoIndexConfig::default()
+            };
+            AutoIndex::new(config, NativeCostEstimator)
+        };
+        let config = |diagnosis_interval| OnlineConfig {
+            diagnosis_interval,
+            ..OnlineConfig::default()
+        };
+        let sql = |i: u64| format!("SELECT * FROM t WHERE a = {i}");
+        let mut o = OnlineAutoIndex::new(db(), bandit(), config(200));
+        let (at, arms) = (1..=1_200)
+            .find_map(|i| match o.feed(&sql(i)).event {
+                OnlineEvent::BanditArmApplied { arms, .. } => Some((i, arms)),
+                _ => None,
+            })
+            .expect("the bandit acts on the hot template");
+        assert_eq!(o.db().metrics().counter_value("online.tuning_rounds"), 1);
+        assert!(!arms.is_empty());
+        // A twin fed the same statements with no boundary among them, then
+        // tuned once: the event's arms are that round's.
+        let mut twin = OnlineAutoIndex::new(db(), bandit(), config(at + 1));
+        for i in 1..=at {
+            twin.feed(&sql(i));
+        }
+        let (mut db, mut advisor) = twin.into_parts();
+        let round = advisor.session(&mut db).run().unwrap();
+        assert_eq!(arms, round.arms);
     }
 
     #[test]

@@ -40,12 +40,20 @@
 //! faulting. With faults disabled the guarded path performs the same
 //! DDL in the same order and makes the same number of what-if calls as
 //! the unguarded one.
+//!
+//! A round's result travels as a value: the advisor's `recommend` returns
+//! the strategy's proposal (recommendation, round telemetry, policy-tree
+//! size, bandit arms), and [`TuningSession::run`] assembles the one
+//! [`TuningReport`] from it plus the DDL it performed, in every apply
+//! mode.
 
+use crate::bandit::ArmChoice;
 use crate::error::AutoIndexError;
 use crate::guard::{ApplyVerdict, Guard, GuardConfig};
-use crate::strategy::{Prologue, StrategyKind};
+use crate::strategy::{Prologue, Proposal, RoundStats, StrategyKind};
 use crate::system::{AutoIndex, Recommendation, TuningReport};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
+use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
 use std::time::Instant;
 
@@ -54,9 +62,15 @@ use std::time::Instant;
 pub struct SessionReport {
     /// The tuning round's full report (recommendation, DDL performed,
     /// telemetry). After a guarded rollback `created`/`dropped` are empty.
+    /// A session handed its recommendation ran no search: its search
+    /// telemetry is zero.
     pub report: TuningReport,
     /// The guard's verdict, when the session ran guarded.
     pub guard: Option<ApplyVerdict>,
+    /// The arms the bandit selected this round, with their confidence
+    /// bounds; empty for the other strategies and for a session handed
+    /// its recommendation.
+    pub arms: Vec<ArmChoice>,
 }
 
 impl SessionReport {
@@ -169,12 +183,18 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
     }
 
     /// Run the session: recommend (unless a recommendation was supplied),
-    /// then apply per the builder's mode.
+    /// then apply per the builder's mode, and report both. This is the one
+    /// place a [`TuningReport`] is assembled.
     pub fn run(self) -> Result<SessionReport, AutoIndexError> {
         let start = Instant::now();
         let kind = self.strategy.unwrap_or(self.advisor.strategy());
-        let rec = match self.recommendation {
-            Some(r) => r,
+        let proposal = match self.recommendation {
+            // A given recommendation ran no search: nothing to report of one.
+            Some(recommendation) => Proposal {
+                recommendation,
+                stats: RoundStats::default(),
+                arms: Vec::new(),
+            },
             None => {
                 let prologue = match (self.prologue, self.workload) {
                     (Some(p), _) => p,
@@ -186,34 +206,68 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
                 self.advisor.recommend(kind, self.db, &prologue)
             }
         };
-
-        if self.recommend_only {
-            let report = self
-                .advisor
-                .report_from_parts(rec, Vec::new(), Vec::new(), start);
-            return Ok(SessionReport {
-                report,
-                guard: None,
-            });
-        }
-
-        let (created, dropped, verdict) = match self.apply {
+        let rec = &proposal.recommendation;
+        let (created, dropped, guard) = match self.apply {
+            _ if self.recommend_only => (Vec::new(), Vec::new(), None),
             Apply::Unguarded => {
-                let report = self.advisor.apply_unguarded(self.db, rec, start);
-                return Ok(SessionReport {
-                    report,
-                    guard: None,
-                });
+                let (created, dropped) = apply_unguarded(self.db, rec);
+                (created, dropped, None)
             }
-            Apply::Guarded(cfg) => Guard::new(cfg, self.db.metrics()).apply(self.db, &rec, 0),
-            Apply::GuardedBy(guard, now) => guard.apply(self.db, &rec, now),
+            Apply::Guarded(cfg) => {
+                let (created, dropped, verdict) =
+                    Guard::new(cfg, self.db.metrics()).apply(self.db, rec, 0);
+                (created, dropped, Some(verdict))
+            }
+            Apply::GuardedBy(guard, now) => {
+                let (created, dropped, verdict) = guard.apply(self.db, rec, now);
+                (created, dropped, Some(verdict))
+            }
         };
-        let report = self.advisor.report_from_parts(rec, created, dropped, start);
+        let Proposal {
+            recommendation,
+            stats,
+            arms,
+        } = proposal;
+        let report = TuningReport {
+            recommendation,
+            created,
+            dropped,
+            candidates_generated: stats.candidates_generated,
+            tuning_time: start.elapsed(),
+            tree_nodes: stats.tree_nodes,
+            evaluations: stats.evaluations,
+            search_evaluations: stats.search_evaluations,
+            eval_cache_hits: stats.cache_hits,
+            search_time: stats.search_time,
+            candgen_time: stats.candgen_time,
+        };
         Ok(SessionReport {
             report,
-            guard: Some(verdict),
+            guard,
+            arms,
         })
     }
+}
+
+/// Unguarded apply: drops, then creates, ignoring individual DDL
+/// failures — the fault-oblivious baseline the guard pipeline wraps.
+/// Returns what was created and dropped, like `Guard::apply`.
+fn apply_unguarded(db: &mut SimDb, rec: &Recommendation) -> (Vec<IndexId>, Vec<IndexDef>) {
+    let mut created = Vec::new();
+    let mut dropped = Vec::new();
+    for d in &rec.remove {
+        if let Some(id) = db.find_index(d) {
+            if db.drop_index(id).is_ok() {
+                dropped.push(d.clone());
+            }
+        }
+    }
+    for d in &rec.add {
+        if let Ok(id) = db.create_index(d.clone()) {
+            created.push(id);
+        }
+    }
+    (created, dropped)
 }
 
 /// One tuning round after a fired diagnosis, whichever loop drives it:
@@ -310,6 +364,29 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.report.created.len(), rec.add.len());
+    }
+
+    #[test]
+    fn a_given_recommendation_reports_no_search() {
+        let mut db = db();
+        let mut ai = observed_advisor(&db);
+        let searched = ai.session(&mut db).recommend_only().run().unwrap();
+        assert!(searched.report.evaluations > 0 && searched.report.tree_nodes > 0);
+        let out = ai
+            .session(&mut db)
+            .with_recommendation(Recommendation::noop(0.0))
+            .run()
+            .unwrap();
+        let r = &out.report;
+        let search = (
+            r.candidates_generated,
+            r.evaluations,
+            r.search_evaluations,
+            r.eval_cache_hits,
+            r.tree_nodes,
+        );
+        assert_eq!(search, (0, 0, 0, 0, 0), "no round ran in this session");
+        assert!(out.arms.is_empty());
     }
 
     #[test]

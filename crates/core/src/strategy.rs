@@ -231,11 +231,7 @@ impl Prologue {
         let base = pricer.sum(&existing);
         pricer.rebase();
         let with = pricer.sum(&(0..universe.len()).collect());
-        if base > 0.0 {
-            ((base - with) / base).max(0.0)
-        } else {
-            0.0
-        }
+        relative_improvement(base, with)
     }
 }
 
@@ -322,11 +318,23 @@ impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
     }
 }
 
+/// The relative cost improvement from `before` to `after`, floored at 0;
+/// 0 when `before` is not positive. Every improvement the crate reports
+/// or gates on is this one formula.
+pub(crate) fn relative_improvement(before: f64, after: f64) -> f64 {
+    if before <= 0.0 {
+        return 0.0;
+    }
+    ((before - after) / before).max(0.0)
+}
+
 /// Statistics captured while a recommendation was computed, folded into
-/// `TuningReport` by the apply wrappers.
+/// its `TuningReport` by the session that ran the round.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RoundStats {
     pub(crate) candidates_generated: usize,
+    /// Policy-tree size after the round, stamped by `AutoIndex::recommend`.
+    pub(crate) tree_nodes: usize,
     /// Search cache misses + prune/refinement probes.
     pub(crate) evaluations: usize,
     /// Search cache misses only.
@@ -614,12 +622,7 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             ..round.stats(outcome.elapsed)
         };
 
-        let improvement = if baseline_cost > 0.0 {
-            ((baseline_cost - best_cost) / baseline_cost).max(0.0)
-        } else {
-            0.0
-        };
-        if improvement < MIN_IMPROVEMENT {
+        if relative_improvement(baseline_cost, best_cost) < MIN_IMPROVEMENT {
             // A prune-only change (dropping cost-neutral redundant indexes)
             // is worth acting on regardless of the latency improvement —
             // it reclaims storage and write headroom for free, and leaving

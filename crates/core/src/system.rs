@@ -4,19 +4,22 @@
 //! → **diagnose** (fire a tuning request when index problems accumulate) →
 //! **generate candidates** from the matched templates → **search** the
 //! policy tree with MCTS under the storage budget → **apply** the
-//! recommended additions/removals as DDL. The policy tree, template store
-//! and universe all persist across rounds, making the management
-//! *incremental*: each round starts from what previous rounds learned.
+//! recommended additions/removals as DDL. The advisor recommends: a round
+//! is the `Proposal` `AutoIndex::recommend` returns, and the
+//! [`TuningSession`] that asked for it applies it and reports it. The
+//! policy tree, template store and universe all persist across rounds,
+//! making the management *incremental*: each round starts from what
+//! previous rounds learned; the advisor keeps no copy of a round's result.
 
-use crate::bandit::{ArmChoice, BanditConfig, BanditStrategy};
+use crate::bandit::{BanditConfig, BanditStrategy};
 use crate::candgen::{CandidateConfig, CandidateStats};
 use crate::diagnosis::{DiagnosisConfig, DiagnosisReport, IndexDiagnosis};
 use crate::error::{invalid, AutoIndexError};
 use crate::mcts::{MctsConfig, Universe};
 use crate::session::TuningSession;
 use crate::strategy::{
-    GreedyStrategy, MctsStrategy, Prologue, Proposal, RewardObservation, Round, RoundStats,
-    StrategyKind, TuningStrategy,
+    relative_improvement, GreedyStrategy, MctsStrategy, Prologue, Proposal, RewardObservation,
+    Round, RoundStats, StrategyKind, TuningStrategy,
 };
 use crate::templates::{TemplateStore, TemplateStoreConfig};
 use autoindex_estimator::cost_cache::CostCache;
@@ -24,7 +27,7 @@ use autoindex_estimator::CostEstimator;
 use autoindex_sql::SqlError;
 use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Top-level AutoIndex configuration.
 #[derive(Debug, Clone)]
@@ -119,10 +122,7 @@ impl Recommendation {
 
     /// Estimated relative improvement.
     pub fn improvement(&self) -> f64 {
-        if self.est_cost_before <= 0.0 {
-            return 0.0;
-        }
-        ((self.est_cost_before - self.est_cost_after) / self.est_cost_before).max(0.0)
+        relative_improvement(self.est_cost_before, self.est_cost_after)
     }
 }
 
@@ -190,12 +190,6 @@ pub struct AutoIndex<E: CostEstimator> {
     /// Strategy the next round dispatches to (config default until
     /// [`AutoIndex::set_strategy`] or a session override changes it).
     active: StrategyKind,
-    /// Telemetry from the most recent recommendation run.
-    last_round: RoundStats,
-    /// Policy-tree size reported by the most recent proposal.
-    last_tree_nodes: usize,
-    /// Arms the most recent bandit proposal applied (empty otherwise).
-    last_arms: Vec<ArmChoice>,
 }
 
 impl<E: CostEstimator> AutoIndex<E> {
@@ -214,9 +208,6 @@ impl<E: CostEstimator> AutoIndex<E> {
             greedy: GreedyStrategy,
             bandit,
             active,
-            last_round: RoundStats::default(),
-            last_tree_nodes: 0,
-            last_arms: Vec::new(),
         }
     }
 
@@ -249,12 +240,6 @@ impl<E: CostEstimator> AutoIndex<E> {
     pub fn observe_reward(&mut self, measured_mean_ms: f64) {
         let obs = RewardObservation { measured_mean_ms };
         self.strategy_mut(self.active).observe_reward(&obs);
-    }
-
-    /// Arms the most recent bandit round applied (empty for other
-    /// strategies or when nothing was applied).
-    pub fn last_arms(&self) -> &[ArmChoice] {
-        &self.last_arms
     }
 
     fn strategy_mut(&mut self, kind: StrategyKind) -> &mut dyn TuningStrategy<E> {
@@ -393,7 +378,8 @@ impl<E: CostEstimator> AutoIndex<E> {
     /// Run strategy `kind`'s recommendation pipeline over one
     /// [`Round`] of `prologue` — what every strategy shares (existing
     /// definitions, candidates, interning, the round's one pricer) — then
-    /// the strategy's own search. For the default
+    /// the strategy's own search, and return its proposal with the
+    /// policy-tree size after it. For the default
     /// [`StrategyKind::Mcts`] that is the paper's §IV-B flow (prune pass,
     /// MCTS over the persistent policy tree, add-refinement,
     /// minimal-change pass and the improvement gate), living in
@@ -403,7 +389,7 @@ impl<E: CostEstimator> AutoIndex<E> {
         kind: StrategyKind,
         db: &SimDb,
         prologue: &Prologue,
-    ) -> Recommendation {
+    ) -> Proposal {
         // Only an MCTS round may number slots in the persistent universe.
         let mut local = Universe::new();
         let (strategy, universe): (&mut dyn TuningStrategy<E>, _) = match kind {
@@ -411,7 +397,7 @@ impl<E: CostEstimator> AutoIndex<E> {
             StrategyKind::Mcts => (&mut self.mcts, &mut self.universe),
             StrategyKind::Bandit => (&mut self.bandit, &mut local),
         };
-        let proposal = if prologue.workload.is_empty() {
+        let mut proposal = if prologue.workload.is_empty() {
             Proposal::noop(0.0, RoundStats::default())
         } else {
             let standing = strategy.standing_arms();
@@ -420,62 +406,8 @@ impl<E: CostEstimator> AutoIndex<E> {
                 universe, cache, db, prologue, estimator, config, &standing,
             ))
         };
-        self.last_round = proposal.stats;
-        self.last_tree_nodes = strategy.tree_nodes();
-        self.last_arms = proposal.arms;
-        proposal.recommendation
-    }
-
-    /// Unguarded apply (drops, then creates, ignoring individual DDL
-    /// failures) — the legacy `tune` tail, kept as the fault-oblivious
-    /// baseline the guard pipeline wraps.
-    pub(crate) fn apply_unguarded(
-        &mut self,
-        db: &mut SimDb,
-        rec: Recommendation,
-        start: Instant,
-    ) -> TuningReport {
-        let mut created = Vec::new();
-        let mut dropped = Vec::new();
-        for d in &rec.remove {
-            if let Some(id) = db.find_index(d) {
-                if db.drop_index(id).is_ok() {
-                    dropped.push(d.clone());
-                }
-            }
-        }
-        for d in &rec.add {
-            if let Ok(id) = db.create_index(d.clone()) {
-                created.push(id);
-            }
-        }
-        self.report_from_parts(rec, created, dropped, start)
-    }
-
-    /// Assemble a [`TuningReport`] from a recommendation plus the DDL that
-    /// actually happened, folding in the telemetry captured by the most
-    /// recent [`AutoIndex::recommend`] run.
-    pub(crate) fn report_from_parts(
-        &self,
-        rec: Recommendation,
-        created: Vec<IndexId>,
-        dropped: Vec<IndexDef>,
-        start: Instant,
-    ) -> TuningReport {
-        let stats = self.last_round;
-        TuningReport {
-            recommendation: rec,
-            created,
-            dropped,
-            candidates_generated: stats.candidates_generated,
-            tuning_time: start.elapsed(),
-            tree_nodes: self.last_tree_nodes,
-            evaluations: stats.evaluations,
-            search_evaluations: stats.search_evaluations,
-            eval_cache_hits: stats.cache_hits,
-            search_time: stats.search_time,
-            candgen_time: stats.candgen_time,
-        }
+        proposal.stats.tree_nodes = strategy.tree_nodes();
+        proposal
     }
 }
 

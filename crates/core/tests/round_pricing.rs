@@ -222,19 +222,19 @@ fn ranking_and_arms_through_the_pricer_equal_the_naive_ranking() {
                 for (db, ai) in sides.iter_mut() {
                     let before: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
                     ai.observe_reward(10.0 / (round + 1) as f64);
-                    let report = ai.session(db).workload(&w).run().unwrap().report;
-                    let rec = &report.recommendation;
+                    let out = ai.session(db).workload(&w).run().unwrap();
+                    let rec = &out.report.recommendation;
                     let naive_before = est.workload_cost(db, &w, &before);
                     prop_assert_eq!(rec.est_cost_before.to_bits(), naive_before.to_bits());
                     let after = before.iter().filter(|d| !rec.remove.contains(d));
                     let naive_after = est.workload_cost(db, &w, after.chain(&rec.add));
                     prop_assert_eq!(rec.est_cost_after.to_bits(), naive_after.to_bits());
-                    let arms: Vec<(String, u64, u64)> = ai
-                        .last_arms()
+                    let arms: Vec<(String, u64, u64)> = out
+                        .arms
                         .iter()
                         .map(|a| (a.key.clone(), a.ucb.to_bits(), a.expected.to_bits()))
                         .collect();
-                    seen.push((format!("{rec:?}"), arms, report.evaluations));
+                    seen.push((format!("{rec:?}"), arms, out.report.evaluations));
                 }
                 prop_assert_eq!(&seen[0], &seen[1], "round {round}");
             }

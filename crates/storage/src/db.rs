@@ -39,33 +39,21 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct SimDbConfig {
     pub cost_params: CostParams,
-    /// Ground-truth cost weights applied at execution time.
-    pub true_weights: TrueCostWeights,
     /// Std-dev of the multiplicative log-normal execution noise.
     pub noise: f64,
     /// RNG seed for reproducible "measurements".
     pub seed: u64,
     /// Buffer-pool size; total data+index bytes above this inflate reads.
     pub memory_bytes: u64,
-    /// Read-latency inflation per 1x of memory overshoot.
-    pub memory_pressure_factor: f64,
-    /// Milliseconds per optimizer cost unit (calibration constant).
-    pub ms_per_cost_unit: f64,
-    /// Per-entry index build cost, ms (see [`IndexGeometry::build_ms`]).
-    pub build_ms_per_entry: f64,
 }
 
 impl Default for SimDbConfig {
     fn default() -> Self {
         SimDbConfig {
             cost_params: CostParams::default(),
-            true_weights: TrueCostWeights::default(),
             noise: 0.03,
             seed: 42,
             memory_bytes: 16 * 1024 * 1024 * 1024, // 16 GB, the paper's server
-            memory_pressure_factor: 0.12,
-            ms_per_cost_unit: 0.01,
-            build_ms_per_entry: 2e-5,
         }
     }
 }
@@ -225,15 +213,17 @@ impl DbMetricHandles {
 pub struct PressureModel {
     heap_bytes: u64,
     memory_bytes: u64,
-    factor: f64,
 }
+
+/// Read-latency inflation per 1x of memory overshoot.
+const MEMORY_PRESSURE_FACTOR: f64 = 0.12;
 
 impl PressureModel {
     /// Buffer-pressure multiplier for a hypothetical total index footprint.
     pub fn for_index_bytes(&self, index_bytes: u64) -> f64 {
         let total = self.heap_bytes + index_bytes;
         let over = (total as f64 - self.memory_bytes as f64) / self.memory_bytes as f64;
-        1.0 + self.factor * over.max(0.0)
+        1.0 + MEMORY_PRESSURE_FACTOR * over.max(0.0)
     }
 }
 
@@ -360,6 +350,9 @@ impl SimDb {
 
     // ---------------------------------------------------------------- DDL
 
+    /// Per-entry index build cost, ms (see [`IndexGeometry::build_ms`]).
+    const BUILD_MS_PER_ENTRY: f64 = 2e-5;
+
     /// Create a real index. Errors if an identical key already exists, or
     /// — under an installed [`FaultPlan`] — when the simulated build fails
     /// ([`StorageError::FaultInjected`]`(`[`FaultKind::FailedBuild`]`)`; a
@@ -388,7 +381,7 @@ impl SimDb {
         }
         self.obs
             .index_build_ms
-            .add(geo.build_ms(self.config.build_ms_per_entry) * roll.build_factor);
+            .add(geo.build_ms(Self::BUILD_MS_PER_ENTRY) * roll.build_factor);
         self.obs.index_creates.incr();
         Ok(self.register_index(def, geo))
     }
@@ -599,7 +592,6 @@ impl SimDb {
         PressureModel {
             heap_bytes: self.total_heap_bytes(),
             memory_bytes: self.config.memory_bytes.max(1),
-            factor: self.config.memory_pressure_factor,
         }
     }
 
@@ -724,13 +716,7 @@ impl SimDb {
         obs.tally_totals(plan.sort_elided, plan.covering_scans);
         self.absorb(&delta);
         let noise = lognormal(&mut self.rng, self.config.noise);
-        measured(
-            &self.config,
-            plan,
-            self.memory_pressure(),
-            noise,
-            latency_factor,
-        )
+        measured(plan, self.memory_pressure(), noise, latency_factor)
     }
 
     /// Release every kept plan, before a growth or DDL changes what it
@@ -902,7 +888,7 @@ impl DbSnapshot {
     /// `plan`'s measurement at logical time `seq`, at the frozen pressure.
     fn measured_at(&self, plan: Planned, seq: u64) -> ExecOutcome {
         let noise = lognormal_at(self.config.seed, seq, self.config.noise);
-        measured(&self.config, plan, self.pressure, noise, 1.0)
+        measured(plan, self.pressure, noise, 1.0)
     }
 }
 
@@ -951,19 +937,16 @@ fn priced_execution(
     (plan, delta)
 }
 
+/// Milliseconds per optimizer cost unit (calibration constant).
+const MS_PER_COST_UNIT: f64 = 0.01;
+
 /// The "measured" latency of an executed plan — true-cost weights x buffer
 /// pressure x measurement noise x calibration x fault factor, multiplied
 /// in that order — with what the plan reports of itself.
-fn measured(
-    config: &SimDbConfig,
-    plan: Planned,
-    pressure: f64,
-    noise: f64,
-    latency_factor: f64,
-) -> ExecOutcome {
-    let true_cost = plan.features.true_cost(&config.true_weights);
+fn measured(plan: Planned, pressure: f64, noise: f64, latency_factor: f64) -> ExecOutcome {
+    let true_cost = plan.features.true_cost(&TrueCostWeights::default());
     ExecOutcome {
-        latency_ms: true_cost * pressure * noise * config.ms_per_cost_unit * latency_factor,
+        latency_ms: true_cost * pressure * noise * MS_PER_COST_UNIT * latency_factor,
         features: plan.features,
         indexes_used: plan.indexes_used,
     }
@@ -1492,7 +1475,6 @@ mod tests {
         let mut clean = db();
         let mut spiky = db_with_plan(FaultPlanConfig {
             latency_spike: 1.0,
-            latency_spike_factor: 12.0,
             ..FaultPlanConfig::default()
         });
         // Fault rolls use a separate RNG stream, so the underlying noisy
@@ -1510,7 +1492,6 @@ mod tests {
     fn stale_statistics_distort_whatif_costs() {
         let db = db_with_plan(FaultPlanConfig {
             stale_stats: 1.0,
-            stale_distortion: 0.8,
             ..FaultPlanConfig::default()
         });
         let clean = {
@@ -1554,7 +1535,6 @@ mod tests {
 
         let mut slow = db_with_plan(FaultPlanConfig {
             slow_build: 1.0,
-            slow_build_factor: 8.0,
             ..FaultPlanConfig::default()
         });
         slow.create_index(IndexDef::new("t", &["b"])).unwrap();

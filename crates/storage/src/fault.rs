@@ -11,8 +11,8 @@
 //! | fault | surface | effect |
 //! |---|---|---|
 //! | [`FaultKind::FailedBuild`] | `create_index` | DDL returns `Err(StorageError::FaultInjected)` |
-//! | [`FaultKind::SlowBuild`] | `create_index` | build succeeds but charges `slow_build_factor`× build time |
-//! | [`FaultKind::LatencySpike`] | `execute*` | measured latency multiplied by `latency_spike_factor` |
+//! | [`FaultKind::SlowBuild`] | `create_index` | build succeeds but charges 8× build time |
+//! | [`FaultKind::LatencySpike`] | `execute*` | measured latency multiplied by 12 |
 //! | [`FaultKind::TransientError`] | `try_execute_shape` | call fails; infallible wrappers retry and absorb |
 //! | [`FaultKind::StaleStatistics`] | `whatif_*` | what-if cost features distorted for a whole op window |
 //!
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum FaultKind {
     /// `CREATE INDEX` fails outright (out of disk, lock timeout, crash).
     FailedBuild,
-    /// `CREATE INDEX` succeeds but takes `slow_build_factor`× longer.
+    /// `CREATE INDEX` succeeds but takes 8× longer.
     SlowBuild,
     /// One execution's measured latency is multiplied by a spike factor
     /// (checkpoint stall, noisy neighbour, cache eviction storm).
@@ -77,22 +77,14 @@ pub struct FaultPlanConfig {
     pub build_failure: f64,
     /// P(a successful build is slow).
     pub slow_build: f64,
-    /// Build-time multiplier for slow builds.
-    pub slow_build_factor: f64,
     /// P(one execution's latency spikes).
     pub latency_spike: f64,
-    /// Latency multiplier for spiked executions.
-    pub latency_spike_factor: f64,
     /// P(an execution fails transiently).
     pub transient_error: f64,
     /// P(a what-if window is priced against stale statistics).
     pub stale_stats: f64,
     /// What-if ops per stale-roll window.
     pub stale_window: u64,
-    /// Maximum log-scale distortion of stale what-if costs: each call in a
-    /// stale window is scaled by `exp(u · stale_distortion)` with
-    /// `u ∈ [-1, 1)` hashed per call.
-    pub stale_distortion: f64,
 }
 
 impl Default for FaultPlanConfig {
@@ -102,13 +94,10 @@ impl Default for FaultPlanConfig {
             seed: 0xFA_17,
             build_failure: 0.0,
             slow_build: 0.0,
-            slow_build_factor: 8.0,
             latency_spike: 0.0,
-            latency_spike_factor: 12.0,
             transient_error: 0.0,
             stale_stats: 0.0,
             stale_window: 512,
-            stale_distortion: 0.8,
         }
     }
 }
@@ -197,6 +186,9 @@ impl FaultPlan {
         self.config.is_quiet()
     }
 
+    /// Latency multiplier for spiked executions.
+    const LATENCY_SPIKE_FACTOR: f64 = 12.0;
+
     /// Roll the execution-path faults for one statement.
     pub fn roll_execute(&mut self) -> ExecRoll {
         if self.config.is_quiet() {
@@ -211,7 +203,7 @@ impl FaultPlan {
             && self.config.latency_spike > 0.0
             && self.rng.random_bool(self.config.latency_spike)
         {
-            self.config.latency_spike_factor.max(1.0)
+            Self::LATENCY_SPIKE_FACTOR
         } else {
             1.0
         };
@@ -220,6 +212,9 @@ impl FaultPlan {
             latency_factor,
         }
     }
+
+    /// Build-time multiplier for slow builds.
+    const SLOW_BUILD_FACTOR: f64 = 8.0;
 
     /// Roll the DDL-path faults for one `create_index`.
     pub fn roll_build(&mut self) -> BuildRoll {
@@ -235,7 +230,7 @@ impl FaultPlan {
             && self.config.slow_build > 0.0
             && self.rng.random_bool(self.config.slow_build)
         {
-            self.config.slow_build_factor.max(1.0)
+            Self::SLOW_BUILD_FACTOR
         } else {
             1.0
         };
@@ -244,6 +239,11 @@ impl FaultPlan {
             build_factor,
         }
     }
+
+    /// Maximum log-scale distortion of stale what-if costs: each call in a
+    /// stale window is scaled by `exp(u · STALE_DISTORTION)` with
+    /// `u ∈ [-1, 1)` hashed per call.
+    const STALE_DISTORTION: f64 = 0.8;
 
     /// Roll the shared what-if-path faults for one probe: the
     /// multiplicative cost-feature distortion, `1.0` outside stale windows.
@@ -260,7 +260,7 @@ impl FaultPlan {
             && unit(derive_seed(self.config.seed ^ 0x57A1_E57A, window)) < self.config.stale_stats;
         if stale {
             let u = 2.0 * unit(derive_seed(self.config.seed ^ 0xD157_0127, op)) - 1.0;
-            (u * self.config.stale_distortion).exp()
+            (u * Self::STALE_DISTORTION).exp()
         } else {
             1.0
         }

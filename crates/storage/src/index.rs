@@ -328,11 +328,9 @@ impl IndexGeometry {
     /// Estimated wall time of building this index from scratch, in
     /// milliseconds: a sort-dominated scan over every entry plus a fixed
     /// per-tree setup cost. `ms_per_entry` is the calibration constant
-    /// ([`SimDbConfig::build_ms_per_entry`]); the guarded-apply pipeline
-    /// charges this (times any injected slow-build factor) as the DDL
-    /// latency of a tuning round.
-    ///
-    /// [`SimDbConfig::build_ms_per_entry`]: crate::db::SimDbConfig::build_ms_per_entry
+    /// (`SimDb` charges 2e-5 ms); the guarded-apply pipeline charges this
+    /// (times any injected slow-build factor) as the DDL latency of a
+    /// tuning round.
     pub fn build_ms(&self, ms_per_entry: f64) -> f64 {
         let entries = self.entries.max(1) as f64;
         // n·log2(n) sort term, normalised so ms_per_entry is the per-entry

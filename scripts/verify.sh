@@ -224,6 +224,19 @@ expect_hits 'fn fingerprint_share' 1 crates/*/src
 expect_hits 'fn config_fingerprint' 0 crates/*/src
 expect_hits 'Universe' 0 crates/core/src/serve.rs
 
+echo "==> round check (a tuning round is the value it returns: crates/core/src, tests included, keeps no copy of the last round in the advisor and system.rs neither applies nor reports; non-test crates/core/src writes TuningReport { three times — the struct, its impl and the one assembly, in session.rs; crates/storage/src, tests included: the calibration knobs no caller set are constants)"
+for gone in last_round last_tree_nodes last_arms; do
+    absent "$gone" crates/core/src
+done
+for gone in 'fn apply_unguarded' 'fn report_from_parts'; do
+    absent "$gone" crates/core/src/system.rs
+done
+expect_hits 'TuningReport {' 3 crates/core/src
+expect_hits 'TuningReport {' 1 crates/core/src/session.rs
+for gone in true_weights memory_pressure_factor ms_per_cost_unit build_ms_per_entry slow_build_factor latency_spike_factor stale_distortion; do
+    absent "$gone" crates/storage/src
+done
+
 echo "==> greedy check (crates/ src/ examples/ tests/, tests included: the advisor-less Greedy pipeline is gone — the paper harness runs StrategyKind::Greedy through a session)"
 for gone in greedy_select rank_candidates GreedyConfig; do
     absent "$gone" crates src examples tests
