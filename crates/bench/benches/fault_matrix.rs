@@ -24,7 +24,8 @@
 use autoindex_bench::record;
 use autoindex_core::online::{OnlineAutoIndex, OnlineConfig, OnlineEvent};
 use autoindex_core::{
-    ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, Recommendation, RollbackReason,
+    apply_atomically, ApplyVerdict, AutoIndex, AutoIndexConfig, GuardConfig, Recommendation,
+    RollbackReason,
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -208,14 +209,11 @@ fn apply_arm(rate: f64, idx: u64) -> ApplyArm {
             derive_seed(0xAB_11, idx * 1000 + run as u64),
         ));
 
-        let mut guard = Guard::new(
-            GuardConfig {
-                build_retries: 0,
-                ..GuardConfig::default()
-            },
-            db.metrics(),
-        );
-        let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
+        let cfg = GuardConfig {
+            build_retries: 0,
+            ..GuardConfig::default()
+        };
+        let (_, _, verdict) = apply_atomically(&mut db, &rec, &cfg);
         let post: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
         match verdict {
             ApplyVerdict::Applied => {

@@ -257,8 +257,8 @@ fn smoke() {
 /// candgen paths are exercised under fault injection too.
 fn chaos(args: &[String]) {
     use autoindex_core::{
-        serve, ApplyVerdict, AutoIndex, AutoIndexConfig, CandidateConfig, Guard, GuardConfig,
-        ServeConfig,
+        apply_atomically, serve, ApplyVerdict, AutoIndex, AutoIndexConfig, CandidateConfig,
+        GuardConfig, ServeConfig,
     };
     use autoindex_estimator::NativeCostEstimator;
     use autoindex_storage::catalog::Catalog;
@@ -422,14 +422,11 @@ fn chaos(args: &[String]) {
                 expected.insert(d.key());
             }
             db.set_fault_plan(plan(0xAB_11 ^ runix));
-            let mut guard = Guard::new(
-                GuardConfig {
-                    build_retries: 0,
-                    ..GuardConfig::default()
-                },
-                db.metrics(),
-            );
-            let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
+            let cfg = GuardConfig {
+                build_retries: 0,
+                ..GuardConfig::default()
+            };
+            let (_, _, verdict) = apply_atomically(&mut db, &rec, &cfg);
             let post: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
             match verdict {
                 ApplyVerdict::Applied => {

@@ -89,16 +89,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Bound of the observation channel, in **runs** (one per task; see
-/// [`Engine::run_task`]). The coordinator absorbs each run as it takes
-/// it, so the bound only has to let every worker finish a task or two ahead
-/// of the coordinator: 64 is two per worker at 32 workers, and a worker past
-/// it blocks in `send` until one is taken (backpressure). In statements: a
-/// run holds at most one task, a contiguous run of `⌈len / shards⌉`
-/// statements of one slice at most, so at most 64 slices' worth of
-/// observations wait in the channel.
-const CHANNEL_CAPACITY: usize = 64;
-
 // --------------------------------------------------------- observations
 
 /// Why a sequence slot produced no [`ExecOutcome`].
@@ -701,8 +691,8 @@ impl<'a> Engine<'a> {
     /// publications) on the calling thread, and join.
     /// The one place statement executors are spawned. If `coordinate`
     /// panics, the drop guard raises the done flag and the channel hangs
-    /// up, so every worker — waiting, mid-task or blocked on a full
-    /// channel — exits, and the panic is returned as an error under
+    /// up, so every worker — waiting, mid-task or blocked handing a run
+    /// over — exits, and the panic is returned as an error under
     /// [`EngineConfig::name`].
     pub(crate) fn run<R>(
         &self,
@@ -710,7 +700,9 @@ impl<'a> Engine<'a> {
         coordinate: impl FnOnce(&mut Coordinator<'_, 'a>) -> Result<R, AutoIndexError>,
     ) -> Result<R, AutoIndexError> {
         assert_eq!(initial.len(), self.lanes.len(), "one publication per lane");
-        let (tx, rx) = mpsc::sync_channel(CHANNEL_CAPACITY);
+        // A rendezvous: a worker's `send` returns when the coordinator takes
+        // the run, so each worker holds only the run it fills or hands over.
+        let (tx, rx) = mpsc::sync_channel(0);
         catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|s| {
                 for slot in 0..self.cfg.workers {

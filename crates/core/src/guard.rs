@@ -4,13 +4,15 @@
 //! *continuously* against production traffic (§I, §III). That is only true
 //! if a bad recommendation — or a database that misbehaves while one is
 //! being applied — cannot leave the system worse off. This module is the
-//! safety layer (see `docs/ROBUSTNESS.md` for the full lifecycle):
+//! safety layer (see `docs/ROBUSTNESS.md` for the full lifecycle), in two
+//! halves. [`apply_atomically`] is what every guarded apply does, one-shot
+//! or not:
 //!
 //! 1. **Shadow verification** — a recommendation is admitted only if its
-//!    *hypothetical* (what-if priced) improvement clears
-//!    [`GuardConfig::shadow_min_improvement`]. The pricing already happened
-//!    inside the recommender, so admission makes **zero** extra what-if
-//!    calls — guarded and unguarded runs are probe-for-probe identical.
+//!    *hypothetical* (what-if priced) improvement is not a predicted loss
+//!    (`SHADOW_MIN_IMPROVEMENT`). The pricing already happened inside the
+//!    recommender, so admission makes **zero** extra what-if calls —
+//!    guarded and unguarded runs are probe-for-probe identical.
 //! 2. **Fault-safe apply** — before any DDL, the current index set is
 //!    snapshotted ([`IndexSnapshot`]). Index builds that fail (e.g. under
 //!    an injected [`FaultPlan`](autoindex_storage::FaultPlan)) are retried
@@ -18,21 +20,26 @@
 //!    snapshot is restored through the privileged, never-faulting
 //!    [`SimDb::restore_index`] path — the catalog always ends in either
 //!    the pre-apply or the fully-applied state, atomically.
+//!
+//! [`Guard`] is the lifecycle around that apply, which only a loop that
+//! keeps measuring after it can drive (the online loop):
+//!
 //! 3. **Probation** — after a successful apply the guard watches *measured*
 //!    latency for [`GuardConfig::probation_statements`] statements and
 //!    compares it against a pre-apply baseline window. A mean regression
 //!    beyond [`GuardConfig::max_regression`] triggers automatic rollback
 //!    to the snapshot.
 //! 4. **Backoff** — each failure (apply fault or probation regression)
-//!    starts an exponentially growing cooldown during which tuning is
-//!    suppressed; after [`GuardConfig::observe_only_after`] consecutive
-//!    failures the guard degrades to *observe-only* mode and refuses to
-//!    tune until an operator resets it.
+//!    starts an exponentially growing cooldown (`COOLDOWN_FACTOR`) during
+//!    which tuning is suppressed; after [`GuardConfig::observe_only_after`]
+//!    consecutive failures the guard degrades to *observe-only* mode and
+//!    refuses to tune until an operator resets it.
 //!
 //! Every transition is counted under the `guard.*` metric names in the
 //! database's [`MetricsRegistry`].
 
 use crate::error::{invalid, AutoIndexError};
+use crate::strategy::relative_change;
 use crate::system::Recommendation;
 use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::planner::IndexView;
@@ -40,6 +47,13 @@ use autoindex_storage::{SimDb, StorageError};
 use autoindex_support::obs::{Counter, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Least estimated (shadow) relative improvement an admitted change
+/// carries: anything but a predicted loss, which a bandit arm can carry.
+const SHADOW_MIN_IMPROVEMENT: f64 = 0.0;
+
+/// Cooldown growth per consecutive failure (exponential backoff).
+const COOLDOWN_FACTOR: f64 = 2.0;
 
 /// Tunables of the guard pipeline. [`GuardConfig::validate`] checks them.
 #[derive(Debug, Clone)]
@@ -54,14 +68,8 @@ pub struct GuardConfig {
     pub max_regression: f64,
     /// Number of recent pre-apply latencies kept as the baseline.
     pub baseline_window: usize,
-    /// Minimum estimated (shadow) relative improvement a recommendation
-    /// must carry to be admitted. `0.0` admits everything the recommender
-    /// emits (its own `min_improvement` gate already ran).
-    pub shadow_min_improvement: f64,
     /// First cooldown after a failure, in executed statements.
     pub cooldown_initial: u64,
-    /// Cooldown growth per consecutive failure (exponential backoff).
-    pub cooldown_factor: f64,
     /// Cooldown ceiling, in executed statements.
     pub cooldown_max: u64,
     /// Enter observe-only mode after this many *consecutive* failures.
@@ -78,9 +86,7 @@ impl Default for GuardConfig {
             min_probation_samples: 20,
             max_regression: 0.25,
             baseline_window: 200,
-            shadow_min_improvement: 0.0,
             cooldown_initial: 500,
-            cooldown_factor: 2.0,
             cooldown_max: 8_000,
             observe_only_after: 4,
             build_retries: 2,
@@ -100,15 +106,6 @@ impl GuardConfig {
         if !self.max_regression.is_finite() || self.max_regression < 0.0 {
             return Err(invalid("guard.max_regression", "must be finite and >= 0"));
         }
-        if !self.shadow_min_improvement.is_finite() || self.shadow_min_improvement < 0.0 {
-            return Err(invalid(
-                "guard.shadow_min_improvement",
-                "must be finite and >= 0",
-            ));
-        }
-        if !self.cooldown_factor.is_finite() || self.cooldown_factor < 1.0 {
-            return Err(invalid("guard.cooldown_factor", "must be finite and >= 1"));
-        }
         if self.cooldown_max < self.cooldown_initial {
             return Err(invalid("guard.cooldown_max", "must be >= cooldown_initial"));
         }
@@ -119,13 +116,13 @@ impl GuardConfig {
     }
 
     /// Cooldown length after the `failures`-th consecutive failure:
-    /// `cooldown_initial × cooldown_factor^(failures-1)`, capped at
+    /// `cooldown_initial × COOLDOWN_FACTOR^(failures-1)`, capped at
     /// `cooldown_max`.
     pub fn cooldown_after(&self, failures: u32) -> u64 {
         if failures == 0 {
             return 0;
         }
-        let scaled = self.cooldown_initial as f64 * self.cooldown_factor.powi(failures as i32 - 1);
+        let scaled = self.cooldown_initial as f64 * COOLDOWN_FACTOR.powi(failures as i32 - 1);
         (scaled as u64)
             .min(self.cooldown_max)
             .max(self.cooldown_initial.min(self.cooldown_max))
@@ -236,8 +233,8 @@ pub enum GuardEvent {
 /// Why a guarded apply did not go through.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApplyVerdict {
-    /// The snapshot + DDL went through; probation is armed (when driven by
-    /// the online loop) or the change is accepted (one-shot sessions).
+    /// The DDL went through (or there was none to do). A [`Guard`] arms
+    /// probation on an applied change; a one-shot apply accepts it.
     Applied,
     /// The shadow check rejected the recommendation (no DDL happened).
     ShadowRejected { improvement: f64, required: f64 },
@@ -270,6 +267,111 @@ pub enum RollbackReason {
     },
 }
 
+/// Atomic apply: shadow admission, snapshot, drop, create with
+/// `config.build_retries` retries per index (the one field it reads); on a
+/// build that keeps faulting, restore the snapshot and report a rollback.
+/// It moves `guard.applies`, `guard.shadow_rejects`, `guard.apply_faults`
+/// and `guard.rollbacks` in the database's registry.
+///
+/// Returns the DDL performed (empty on rollback or rejection) plus the
+/// verdict.
+pub fn apply_atomically(
+    db: &mut SimDb,
+    rec: &Recommendation,
+    config: &GuardConfig,
+) -> (Vec<IndexId>, Vec<IndexDef>, ApplyVerdict) {
+    let (pre, obs) = (IndexSnapshot::capture(db), GuardMetrics::bind(db.metrics()));
+    apply_from(db, rec, &pre, config.build_retries, &obs)
+}
+
+/// [`apply_atomically`] from the snapshot `pre` of `db`'s index set.
+fn apply_from(
+    db: &mut SimDb,
+    rec: &Recommendation,
+    pre: &IndexSnapshot,
+    build_retries: u32,
+    obs: &GuardMetrics,
+) -> (Vec<IndexId>, Vec<IndexDef>, ApplyVerdict) {
+    if rec.is_noop() {
+        return (Vec::new(), Vec::new(), ApplyVerdict::Applied);
+    }
+    // Shadow verification on the recommender's own estimates: no what-if
+    // call. The estimate is read before `Recommendation::improvement`'s
+    // floor at zero, so a predicted loss reads negative. A pure-removal
+    // (prune) recommendation reclaims storage headroom even at zero
+    // estimated improvement; the recommender only emits it deliberately.
+    let improvement = relative_change(rec.est_cost_before, rec.est_cost_after);
+    if !rec.add.is_empty() && improvement < SHADOW_MIN_IMPROVEMENT {
+        obs.shadow_rejects.incr();
+        let verdict = ApplyVerdict::ShadowRejected {
+            improvement,
+            required: SHADOW_MIN_IMPROVEMENT,
+        };
+        return (Vec::new(), Vec::new(), verdict);
+    }
+
+    let dropped = drop_removed(db, rec);
+    let mut created = Vec::new();
+    let mut build_faults = 0u32;
+    for d in &rec.add {
+        let mut attempts = 0;
+        loop {
+            match db.create_index(d.clone()) {
+                Ok(id) => {
+                    created.push(id);
+                    break;
+                }
+                Err(StorageError::DuplicateIndex(_)) => break, // already there
+                Err(_) => {
+                    build_faults += 1;
+                    obs.apply_faults.incr();
+                    attempts += 1;
+                    if attempts > build_retries {
+                        pre.restore(db)
+                            .expect("snapshot restore is metadata-only and cannot fail");
+                        obs.rollbacks.incr();
+                        let verdict = ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
+                            build_faults,
+                            restored_fingerprint: pre.fingerprint(),
+                        });
+                        return (Vec::new(), Vec::new(), verdict);
+                    }
+                }
+            }
+        }
+    }
+    obs.applies.incr();
+    (created, dropped, ApplyVerdict::Applied)
+}
+
+/// Unguarded apply: drops, then creates, ignoring individual DDL
+/// failures — the fault-oblivious baseline [`apply_atomically`] wraps.
+/// Returns what was created and dropped.
+pub(crate) fn apply_unguarded(
+    db: &mut SimDb,
+    rec: &Recommendation,
+) -> (Vec<IndexId>, Vec<IndexDef>) {
+    let dropped = drop_removed(db, rec);
+    let created = (rec.add.iter())
+        .filter_map(|d| db.create_index(d.clone()).ok())
+        .collect();
+    (created, dropped)
+}
+
+/// Drop every index `rec` removes that the database holds; returns the
+/// definitions dropped.
+fn drop_removed(db: &mut SimDb, rec: &Recommendation) -> Vec<IndexDef> {
+    let mut dropped = Vec::new();
+    for d in &rec.remove {
+        if let Some(id) = db.find_index(d) {
+            if db.drop_index(id).is_ok() {
+                dropped.push(d.clone());
+            }
+        }
+    }
+    dropped
+}
+
 /// Cached `guard.*` metric handles.
 #[derive(Debug, Clone)]
 struct GuardMetrics {
@@ -298,9 +400,10 @@ impl GuardMetrics {
     }
 }
 
-/// The guard state machine. One instance lives inside the online loop (or
-/// a [`TuningSession`](crate::session::TuningSession) for one-shot use)
-/// and persists across tuning rounds.
+/// The guard lifecycle around [`apply_atomically`]: probation over measured
+/// latency, rollback, cooldown and observe-only. One instance lives inside
+/// the online loop and persists across tuning rounds; a caller that
+/// measures nothing after an apply calls [`apply_atomically`] instead.
 #[derive(Debug)]
 pub struct Guard {
     config: GuardConfig,
@@ -332,24 +435,9 @@ impl Guard {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
-    }
-
     /// Current lifecycle phase.
     pub fn phase(&self) -> &GuardPhase {
         &self.phase
-    }
-
-    /// Consecutive failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// The pre-apply snapshot, while probation is armed.
-    pub fn snapshot(&self) -> Option<&IndexSnapshot> {
-        self.snapshot.as_ref()
     }
 
     /// Operator override: leave observe-only (or any) mode and return to
@@ -383,108 +471,33 @@ impl Guard {
         matches!(self.phase, GuardPhase::Idle)
     }
 
-    /// Shadow verification: admit or reject a recommendation using the
-    /// estimates the recommender already computed — **no** further what-if
-    /// calls are made, so guarded and unguarded paths have identical probe
-    /// counts.
-    pub fn admit(&self, rec: &Recommendation) -> Result<(), ApplyVerdict> {
-        if rec.is_noop() {
-            return Ok(());
-        }
-        let improvement = rec.improvement();
-        // A pure-removal (prune) recommendation reclaims storage headroom
-        // even at zero estimated improvement; the recommender only emits
-        // it deliberately.
-        let prune_only = rec.add.is_empty() && !rec.remove.is_empty();
-        if !prune_only && improvement < self.config.shadow_min_improvement {
-            self.obs.shadow_rejects.incr();
-            return Err(ApplyVerdict::ShadowRejected {
-                improvement,
-                required: self.config.shadow_min_improvement,
-            });
-        }
-        Ok(())
-    }
-
-    /// Fault-safe apply: snapshot, drop, create-with-retries; on a build
-    /// that keeps faulting, restore the snapshot and report a rollback.
-    /// On success the guard enters probation (verdict due at
-    /// `executed + probation_statements`).
-    ///
-    /// Returns the DDL performed (empty on rollback) plus the verdict.
+    /// [`apply_atomically`], then the lifecycle step at statement clock
+    /// `executed`: an applied change enters probation (verdict due at
+    /// `executed + probation_statements`), a rollback counts as a failure
+    /// (cooldown or observe-only).
     pub fn apply(
         &mut self,
         db: &mut SimDb,
         rec: &Recommendation,
         executed: u64,
     ) -> (Vec<IndexId>, Vec<IndexDef>, ApplyVerdict) {
-        if let Err(verdict) = self.admit(rec) {
-            return (Vec::new(), Vec::new(), verdict);
-        }
-        if rec.is_noop() {
-            return (Vec::new(), Vec::new(), ApplyVerdict::Applied);
-        }
-        let snapshot = IndexSnapshot::capture(db);
-        let mut created = Vec::new();
-        let mut dropped = Vec::new();
-        let mut build_faults = 0u32;
-        let mut failed = false;
-
-        for d in &rec.remove {
-            if let Some(id) = db.find_index(d) {
-                if db.drop_index(id).is_ok() {
-                    dropped.push(d.clone());
-                }
+        let pre = IndexSnapshot::capture(db);
+        let (created, dropped, verdict) =
+            apply_from(db, rec, &pre, self.config.build_retries, &self.obs);
+        match verdict {
+            ApplyVerdict::Applied if !rec.is_noop() => {
+                self.obs.probations.incr();
+                self.baseline_at_apply = mean(self.baseline.iter().copied());
+                self.probation_samples.clear();
+                self.snapshot = Some(pre);
+                self.phase = GuardPhase::Probation {
+                    until: executed + self.config.probation_statements,
+                };
             }
+            ApplyVerdict::RolledBack(_) => self.register_failure(executed),
+            _ => {}
         }
-        'adds: for d in &rec.add {
-            let mut attempts = 0;
-            loop {
-                match db.create_index(d.clone()) {
-                    Ok(id) => {
-                        created.push(id);
-                        break;
-                    }
-                    Err(StorageError::DuplicateIndex(_)) => break, // already there
-                    Err(_) => {
-                        build_faults += 1;
-                        self.obs.apply_faults.incr();
-                        attempts += 1;
-                        if attempts > self.config.build_retries {
-                            failed = true;
-                            break 'adds;
-                        }
-                    }
-                }
-            }
-        }
-
-        if failed {
-            snapshot
-                .restore(db)
-                .expect("snapshot restore is metadata-only and cannot fail");
-            self.obs.rollbacks.incr();
-            let fp = snapshot.fingerprint();
-            self.register_failure(executed);
-            return (
-                Vec::new(),
-                Vec::new(),
-                ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
-                    build_faults,
-                    restored_fingerprint: fp,
-                }),
-            );
-        }
-
-        self.obs.applies.incr();
-        self.obs.probations.incr();
-        self.baseline_at_apply = mean(self.baseline.iter().copied());
-        self.probation_samples.clear();
-        self.snapshot = Some(snapshot);
-        self.phase = GuardPhase::Probation {
-            until: executed + self.config.probation_statements,
-        };
-        (created, dropped, ApplyVerdict::Applied)
+        (created, dropped, verdict)
     }
 
     /// Drive the lifecycle after each executed statement: deliver probation
@@ -695,7 +708,7 @@ mod tests {
         );
         assert!(g.can_tune());
         assert_eq!(db.metrics().counter_value("guard.probation_passes"), 1);
-        assert_eq!(g.consecutive_failures(), 0);
+        assert_eq!(g.consecutive_failures, 0);
     }
 
     #[test]
@@ -743,7 +756,6 @@ mod tests {
     fn cooldown_backoff_grows_exponentially_and_caps() {
         let c = GuardConfig {
             cooldown_initial: 100,
-            cooldown_factor: 2.0,
             cooldown_max: 500,
             ..GuardConfig::default()
         };
@@ -763,11 +775,10 @@ mod tests {
             build_failure: 1.0,
             ..FaultPlanConfig::default()
         })));
-        let mut g = Guard::new(GuardConfig::default(), db.metrics());
         // The recommendation drops t(b) and adds t(a); the add can never
         // build, so the whole change must unwind.
         let r = rec(&[IndexDef::new("t", &["a"])], &[IndexDef::new("t", &["b"])]);
-        let (created, dropped, verdict) = g.apply(&mut db, &r, 0);
+        let (created, dropped, verdict) = apply_atomically(&mut db, &r, &GuardConfig::default());
         assert!(created.is_empty() && dropped.is_empty());
         match verdict {
             ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
@@ -782,6 +793,11 @@ mod tests {
         assert!(pre.matches(&db), "catalog is back to the pre-apply state");
         assert!(db.metrics().counter_value("guard.rollbacks") >= 1);
         assert!(db.metrics().counter_value("guard.apply_faults") >= 1);
+        assert_eq!(
+            db.metrics().counter_value("guard.cooldowns"),
+            0,
+            "a one-shot apply schedules no cooldown"
+        );
     }
 
     #[test]
@@ -817,22 +833,19 @@ mod tests {
         assert_eq!(db.metrics().counter_value("guard.observe_only_entries"), 1);
         g.reset();
         assert!(g.can_tune());
-        assert_eq!(g.consecutive_failures(), 0);
+        assert_eq!(g.consecutive_failures, 0);
     }
 
     #[test]
     fn shadow_rejection_makes_no_ddl() {
         let mut db = db();
-        let mut g = Guard::new(
-            GuardConfig {
-                shadow_min_improvement: 0.9,
-                ..GuardConfig::default()
-            },
-            db.metrics(),
-        );
-        // rec() estimates a 50% improvement < required 90%.
-        let (created, dropped, verdict) =
-            g.apply(&mut db, &rec(&[IndexDef::new("t", &["a"])], &[]), 0);
+        let mut g = Guard::new(GuardConfig::default(), db.metrics());
+        // An estimate that predicts a loss: 100 → 120.
+        let loss = Recommendation {
+            est_cost_after: 120.0,
+            ..rec(&[IndexDef::new("t", &["a"])], &[])
+        };
+        let (created, dropped, verdict) = g.apply(&mut db, &loss, 0);
         assert!(created.is_empty() && dropped.is_empty());
         assert!(matches!(verdict, ApplyVerdict::ShadowRejected { .. }));
         assert_eq!(db.index_count(), 0);
@@ -849,7 +862,6 @@ mod tests {
         };
         assert!(GuardConfig::default().validate().is_ok());
         assert!(with(|c| c.probation_statements = 0).is_err());
-        assert!(with(|c| c.cooldown_factor = 0.5).is_err());
         assert!(with(|c| c.max_regression = -1.0).is_err());
         assert!(with(|c| {
             c.cooldown_initial = 100;

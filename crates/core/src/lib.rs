@@ -37,10 +37,11 @@
 //!   apply DDL, incrementally, round after round.
 //! * [`online`] — the §III control loop: wraps a database and an advisor
 //!   so that executing the query stream automatically diagnoses and tunes.
-//! * [`guard`] — the guarded-apply pipeline (`docs/ROBUSTNESS.md`): shadow
-//!   admission of recommendations, pre-apply snapshots, fault-safe DDL
-//!   with retries, probation over measured latency, automatic rollback,
-//!   exponential cooldown and observe-only degradation.
+//! * [`guard`] — the guarded-apply pipeline (`docs/ROBUSTNESS.md`): an
+//!   atomic apply (shadow admission of recommendations, pre-apply
+//!   snapshots, fault-safe DDL with retries, automatic rollback) for every
+//!   caller, and around it the online loop's lifecycle: probation over
+//!   measured latency, exponential cooldown and observe-only degradation.
 //! * [`session`] — the unified [`session::TuningSession`] builder that
 //!   replaces the historical `tune`/`recommend`/`apply_recommendation`
 //!   entry points.
@@ -87,7 +88,8 @@ pub use engine::{logical_merge, Observation, ObservationPayload};
 pub use error::AutoIndexError;
 pub use fastpath::{CompiledTemplate, FastPathCache};
 pub use guard::{
-    ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase, IndexSnapshot, RollbackReason,
+    apply_atomically, ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase, IndexSnapshot,
+    RollbackReason,
 };
 pub use mcts::{MctsConfig, MctsSearch, PolicyTree, SearchOutcome};
 pub use online::{FeedOutcome, OnlineAutoIndex, OnlineConfig, OnlineEvent};

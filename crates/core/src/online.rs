@@ -32,8 +32,8 @@
 //!   sequential stream, which snapshot execution does not have;
 //! - its boundary checks cadence, cooldown and the guard's hold before it
 //!   diagnoses, and diagnosis' what-if calls draw fault rolls by ordinal;
-//!   a lane diagnoses first, and its guard lives for one round, this one's
-//!   across rounds.
+//!   a lane diagnoses first and applies atomically with no guard around
+//!   the apply; this loop keeps its guard across rounds.
 
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;
@@ -847,7 +847,6 @@ mod tests {
         let mut o = guarded(GuardConfig {
             observe_only_after: 2,
             cooldown_initial: 100,
-            cooldown_factor: 2.0,
             cooldown_max: 200,
             ..GuardConfig::default()
         });

@@ -30,12 +30,12 @@
 //!   simulated latencies against the tenant's declared SLOs. `serve`'s lane
 //!   declares none and collects no latencies.
 //! * **Tuner pick** — `serve` diagnoses its lane at every boundary and runs
-//!   a [`TuningSession`](crate::session::TuningSession) (optionally
-//!   [`Guard`](crate::guard::Guard)ed) when diagnosis fires and the cooldown
-//!   ([`tuning_cooldown_over`]) is over; `serve_fleet` visits at most one
-//!   tenant per epoch, the highest *regret* (last slice mean vs the best
-//!   mean ever observed) above [`Config::regret_threshold`] and out of
-//!   cooldown, which diagnoses and then tunes if diagnosis fired
+//!   a [`TuningSession`](crate::session::TuningSession) (optionally applied
+//!   [atomically](crate::guard::apply_atomically)) when diagnosis fires
+//!   and the cooldown ([`tuning_cooldown_over`]) is over; `serve_fleet`
+//!   visits at most one tenant per epoch, the highest *regret* (last slice
+//!   mean vs the best mean ever observed) above [`Config::regret_threshold`]
+//!   and out of cooldown, which diagnoses and then tunes if diagnosis fired
 //!   (DBA-bandits' regret signal steering AIM-style fleet tuning — see
 //!   PAPERS.md).
 //!
@@ -90,7 +90,11 @@ pub struct Config<Site> {
     pub tuning_cooldown_epochs: u64,
     /// Reset a tenant's usage counters after each tuning round.
     pub reset_usage_after_tuning: bool,
-    /// Run tuning rounds through the guard pipeline.
+    /// Apply each tuning round atomically
+    /// ([`apply_atomically`](crate::guard::apply_atomically)), which reads
+    /// `build_retries` only. The lifecycle fields are validated but not
+    /// read: a round measures nothing after its apply, so it arms no
+    /// probation and schedules no cooldown.
     pub guard: Option<GuardConfig>,
     /// Override every tenant advisor's tuning strategy. `Some(k)` prefixes
     /// decisions with `strategy=<k> `; `Some(StrategyKind::Bandit)` also

@@ -34,12 +34,15 @@
 //! A session *recommends* (optionally for an explicit workload), then
 //! either stops there ([`TuningSession::recommend_only`]), applies
 //! unguarded (the default, matching the legacy `tune` semantics
-//! byte-for-byte), or applies through the [`Guard`] pipeline
-//! ([`TuningSession::guarded`]): shadow admission, snapshot, fault-safe
+//! byte-for-byte), or applies atomically ([`TuningSession::guarded`],
+//! [`guard::apply_atomically`]): shadow admission, snapshot, fault-safe
 //! DDL with retries, and automatic rollback if the database keeps
-//! faulting. With faults disabled the guarded path performs the same
-//! DDL in the same order and makes the same number of what-if calls as
-//! the unguarded one.
+//! faulting. With faults disabled the guarded path performs the same DDL
+//! in the same order and makes the same number of what-if calls as the
+//! unguarded one. A session measures nothing after its apply, so it arms
+//! no probation and schedules no cooldown: that lifecycle is the
+//! [`Guard`]'s, which only the online loop keeps across rounds and hands
+//! to its round.
 //!
 //! A round's result travels as a value: the advisor's `recommend` returns
 //! the strategy's proposal (recommendation, round telemetry, policy-tree
@@ -49,11 +52,10 @@
 
 use crate::bandit::ArmChoice;
 use crate::error::AutoIndexError;
-use crate::guard::{ApplyVerdict, Guard, GuardConfig};
+use crate::guard::{self, ApplyVerdict, Guard, GuardConfig};
 use crate::strategy::{Prologue, Proposal, RoundStats, StrategyKind};
 use crate::system::{AutoIndex, Recommendation, TuningReport};
 use autoindex_estimator::{CostEstimator, TemplateWorkload};
-use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
 use std::time::Instant;
 
@@ -110,7 +112,7 @@ impl SessionReport {
 pub(crate) enum Apply<'d> {
     /// Drops, then creates, ignoring individual DDL failures.
     Unguarded,
-    /// Through a guard made for this run and dropped with it.
+    /// Atomically ([`guard::apply_atomically`]): no lifecycle around it.
     Guarded(GuardConfig),
     /// Through the caller's guard at its statement clock `now`: the guard
     /// keeps its phase, so a successful apply arms probation.
@@ -153,8 +155,9 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
         self
     }
 
-    /// Apply through the guard pipeline: shadow admission, pre-apply
-    /// snapshot, fault-safe DDL and automatic rollback.
+    /// Apply atomically ([`guard::apply_atomically`]): shadow admission,
+    /// pre-apply snapshot, fault-safe DDL and automatic rollback. Of
+    /// `config` the apply reads `build_retries`.
     pub fn guarded(mut self, config: GuardConfig) -> Self {
         self.apply = Apply::Guarded(config);
         self
@@ -210,12 +213,11 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
         let (created, dropped, guard) = match self.apply {
             _ if self.recommend_only => (Vec::new(), Vec::new(), None),
             Apply::Unguarded => {
-                let (created, dropped) = apply_unguarded(self.db, rec);
+                let (created, dropped) = guard::apply_unguarded(self.db, rec);
                 (created, dropped, None)
             }
             Apply::Guarded(cfg) => {
-                let (created, dropped, verdict) =
-                    Guard::new(cfg, self.db.metrics()).apply(self.db, rec, 0);
+                let (created, dropped, verdict) = guard::apply_atomically(self.db, rec, &cfg);
                 (created, dropped, Some(verdict))
             }
             Apply::GuardedBy(guard, now) => {
@@ -247,27 +249,6 @@ impl<'a, 'd, 'w, E: CostEstimator> TuningSession<'a, 'd, 'w, E> {
             arms,
         })
     }
-}
-
-/// Unguarded apply: drops, then creates, ignoring individual DDL
-/// failures — the fault-oblivious baseline the guard pipeline wraps.
-/// Returns what was created and dropped, like `Guard::apply`.
-fn apply_unguarded(db: &mut SimDb, rec: &Recommendation) -> (Vec<IndexId>, Vec<IndexDef>) {
-    let mut created = Vec::new();
-    let mut dropped = Vec::new();
-    for d in &rec.remove {
-        if let Some(id) = db.find_index(d) {
-            if db.drop_index(id).is_ok() {
-                dropped.push(d.clone());
-            }
-        }
-    }
-    for d in &rec.add {
-        if let Ok(id) = db.create_index(d.clone()) {
-            created.push(id);
-        }
-    }
-    (created, dropped)
 }
 
 /// One tuning round after a fired diagnosis, whichever loop drives it:

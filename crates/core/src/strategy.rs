@@ -320,12 +320,18 @@ impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
 
 /// The relative cost improvement from `before` to `after`, floored at 0;
 /// 0 when `before` is not positive. Every improvement the crate reports
-/// or gates on is this one formula.
+/// or gates on is this one formula, floored or not ([`relative_change`]).
 pub(crate) fn relative_improvement(before: f64, after: f64) -> f64 {
+    relative_change(before, after).max(0.0)
+}
+
+/// [`relative_improvement`] before the floor: negative for a predicted
+/// loss, which is what the guard's shadow check rejects.
+pub(crate) fn relative_change(before: f64, after: f64) -> f64 {
     if before <= 0.0 {
         return 0.0;
     }
-    ((before - after) / before).max(0.0)
+    (before - after) / before
 }
 
 /// Statistics captured while a recommendation was computed, folded into

@@ -2,7 +2,8 @@
 //!
 //! 1. **Atomicity property.** For *any* seeded fault plan — arbitrary
 //!    build-failure / transient / latency-spike / stale-statistics rates —
-//!    a guarded apply leaves the catalog in exactly one of two states:
+//!    an atomic apply ([`apply_atomically`]) leaves the catalog in exactly
+//!    one of two states:
 //!    byte-identical to the pre-apply snapshot (rollback) or the fully
 //!    applied recommendation (success). Never anything in between.
 //!    A fixed-seed matrix beside it keeps the property non-vacuous: no
@@ -20,8 +21,8 @@
 //!    — checked end-to-end on the banking workload.
 
 use autoindex_core::{
-    serve, ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig, GuardEvent, IndexSnapshot,
-    Recommendation, RollbackReason, ServeConfig,
+    apply_atomically, serve, ApplyVerdict, AutoIndex, AutoIndexConfig, Guard, GuardConfig,
+    GuardEvent, IndexSnapshot, Recommendation, RollbackReason, ServeConfig,
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
@@ -97,14 +98,11 @@ fn guarded_apply_is_atomic_under_arbitrary_fault_plans() {
             });
             db.set_fault_plan(Some(plan));
 
-            let mut guard = Guard::new(
-                GuardConfig {
-                    build_retries: 2,
-                    ..GuardConfig::default()
-                },
-                db.metrics(),
-            );
-            let (created, dropped, verdict) = guard.apply(&mut db, &rec, 0);
+            let cfg = GuardConfig {
+                build_retries: 2,
+                ..GuardConfig::default()
+            };
+            let (created, dropped, verdict) = apply_atomically(&mut db, &rec, &cfg);
             let post = keys(&db);
             match verdict {
                 ApplyVerdict::Applied => {
@@ -152,14 +150,11 @@ fn rollbacks_appear_with_faults_and_only_with_faults() {
                 ..FaultPlanConfig::default()
             })));
         }
-        let mut guard = Guard::new(
-            GuardConfig {
-                build_retries: 0,
-                ..GuardConfig::default()
-            },
-            db.metrics(),
-        );
-        let (_, _, verdict) = guard.apply(&mut db, &synthetic_rec(), 0);
+        let cfg = GuardConfig {
+            build_retries: 0,
+            ..GuardConfig::default()
+        };
+        let (_, _, verdict) = apply_atomically(&mut db, &synthetic_rec(), &cfg);
         let rolled_back = matches!(verdict, ApplyVerdict::RolledBack(_));
         assert_eq!(
             db.metrics().counter_value("guard.rollbacks"),
@@ -190,8 +185,7 @@ fn rollback_restores_bit_identical_config_fingerprint() {
         build_failure: 1.0,
         ..FaultPlanConfig::default()
     })));
-    let mut guard = Guard::new(GuardConfig::default(), db.metrics());
-    let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
+    let (_, _, verdict) = apply_atomically(&mut db, &rec, &GuardConfig::default());
     let ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
         restored_fingerprint,
         ..
@@ -271,8 +265,7 @@ fn an_index_set_has_one_fingerprint() {
         build_failure: 1.0,
         ..FaultPlanConfig::default()
     })));
-    let mut guard = Guard::new(GuardConfig::default(), db.metrics());
-    let (_, _, verdict) = guard.apply(&mut db, &rec, 0);
+    let (_, _, verdict) = apply_atomically(&mut db, &rec, &GuardConfig::default());
     let ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
         restored_fingerprint,
         ..

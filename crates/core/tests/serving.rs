@@ -195,10 +195,23 @@ fn deterministic_serve_with_guard_is_worker_count_invariant() {
             .guard(GuardConfig::default())
             .build()
             .unwrap();
-        serve(banking_db(), advisor(), &queries, cfg)
-            .unwrap()
-            .report
-            .transcript()
+        let out = serve(banking_db(), advisor(), &queries, cfg).unwrap();
+        // A round applies atomically and measures nothing after: it keeps
+        // no guard lifecycle, so it arms no probation and schedules no
+        // cooldown.
+        let m = out.db.metrics();
+        assert!(
+            m.counter_value("guard.applies") >= 1,
+            "no guarded apply ran"
+        );
+        for lifecycle in [
+            "guard.probations",
+            "guard.cooldowns",
+            "guard.observe_only_entries",
+        ] {
+            assert_eq!(m.counter_value(lifecycle), 0, "{lifecycle}");
+        }
+        out.report.transcript()
     };
     assert_eq!(run(1), run(4), "guarded transcripts differ across workers");
 }

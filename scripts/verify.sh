@@ -237,6 +237,14 @@ for gone in true_weights memory_pressure_factor ms_per_cost_unit build_ms_per_en
     absent "$gone" crates/storage/src
 done
 
+echo "==> guard check (non-test code: a one-shot guarded apply is guard::apply_atomically, so only the online loop, which measures after an apply, makes a Guard; drop-then-create lives in guard.rs, not session.rs; the two one-value guard knobs are constants; the engine's hand-off is a rendezvous, with no channel bound)"
+expect_hits 'Guard::new(' 1 crates/*/src crates/*/src/bin
+expect_hits 'Guard::new(' 1 crates/core/src/online.rs
+absent 'fn apply_unguarded' crates/core/src/session.rs
+for gone in cooldown_factor shadow_min_improvement CHANNEL_CAPACITY; do
+    expect_hits "$gone" 0 crates/core/src
+done
+
 echo "==> greedy check (crates/ src/ examples/ tests/, tests included: the advisor-less Greedy pipeline is gone — the paper harness runs StrategyKind::Greedy through a session)"
 for gone in greedy_select rank_candidates GreedyConfig; do
     absent "$gone" crates src examples tests
