@@ -18,8 +18,7 @@
 //! reaches the scenario's SLO; `post_rounds` if it never does), and the
 //! final round mean. All simulated-time metrics — host independent and
 //! byte-stable, so the recorded document must equal
-//! `crates/bench/baselines/drift_matrix.json` **exactly** (wall_ms
-//! excepted).
+//! `crates/bench/baselines/drift_matrix.json` **exactly**.
 //!
 //! Gates (the run aborts otherwise):
 //!
@@ -43,7 +42,6 @@ use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::drift::{drift_scenarios, DriftScenario};
 use autoindex_workloads::fleet::fleet_workload;
 use std::sync::Arc;
-use std::time::Instant;
 
 const SEED: u64 = 77;
 const STATEMENTS: usize = 1_200;
@@ -67,7 +65,6 @@ struct Cell {
     post_rounds: u64,
     final_mean_ms: f64,
     curve_digest: u64,
-    wall_ms: u64,
 }
 
 /// Build the scenario database: fixed simulator seed (the regret
@@ -131,7 +128,6 @@ fn run_cell(
     oracle: &[autoindex_storage::index::IndexDef],
     oracle_means: &[f64],
 ) -> Cell {
-    let start = Instant::now();
     let mut db = build_db(s);
     let cfg = AutoIndexConfig {
         strategy: kind,
@@ -185,7 +181,6 @@ fn run_cell(
         post_rounds,
         final_mean_ms: final_mean,
         curve_digest: regret.curve_digest(),
-        wall_ms: start.elapsed().as_millis() as u64,
     }
 }
 
@@ -245,13 +240,12 @@ fn main() {
         for &kind in &STRATEGIES {
             let cell = run_cell(s, kind, &oracle, &oracle_means);
             eprintln!(
-                "  {:>6}: regret {:>10.1} sim-ms | recovery {}/{} rounds | final mean {:.2} | {} ms wall",
+                "  {:>6}: regret {:>10.1} sim-ms | recovery {}/{} rounds | final mean {:.2}",
                 kind.name(),
                 cell.cumulative_regret_ms,
                 cell.recovery_rounds,
                 cell.post_rounds,
                 cell.final_mean_ms,
-                cell.wall_ms
             );
             cells.push(cell);
         }
@@ -339,7 +333,6 @@ fn main() {
                                 "curve_digest",
                                 Json::from(format!("{:016x}", c.curve_digest)),
                             ),
-                            ("wall_ms", Json::from(c.wall_ms)),
                         ])
                     })
                     .collect(),

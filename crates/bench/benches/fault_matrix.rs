@@ -36,7 +36,6 @@ use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::rng::derive_seed;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 const ONLINE_STATEMENTS: usize = 3_000; // per phase
@@ -85,7 +84,6 @@ struct OnlineArm {
     absorbed_retries: u64,
     mean_latency_ms: f64,
     final_indexes: usize,
-    wall_ms: u64,
     guard_counters: Vec<(String, u64)>,
     fault_counters: Vec<(String, u64)>,
 }
@@ -125,7 +123,6 @@ fn online_arm(rate: f64, idx: u64) -> OnlineArm {
         }))
         .collect();
 
-    let start = Instant::now();
     let mut total_latency = 0.0;
     let mut samples = 0u64;
     for q in &stream {
@@ -143,8 +140,6 @@ fn online_arm(rate: f64, idx: u64) -> OnlineArm {
             );
         }
     }
-    let wall_ms = start.elapsed().as_millis() as u64;
-
     let m = online.db().metrics();
     OnlineArm {
         rate,
@@ -159,7 +154,6 @@ fn online_arm(rate: f64, idx: u64) -> OnlineArm {
         absorbed_retries: m.counter_value("db.fault.absorbed_retries"),
         mean_latency_ms: total_latency / samples.max(1) as f64,
         final_indexes: online.db().index_count(),
-        wall_ms,
         guard_counters: m.counters_with_prefix("guard."),
         fault_counters: m.counters_with_prefix("db.fault."),
     }
@@ -251,8 +245,8 @@ fn main() {
         eprintln!("fault rate {:>5.1}%: online arm ...", rate * 100.0);
         let o = online_arm(rate, i as u64);
         eprintln!(
-            "  executed {} | rounds {} | applies {} | rollbacks {} | mean {:.3} ms | {} ms wall",
-            o.executed, o.tuning_rounds, o.guard_applies, o.rollbacks, o.mean_latency_ms, o.wall_ms
+            "  executed {} | rounds {} | applies {} | rollbacks {} | mean {:.3} ms",
+            o.executed, o.tuning_rounds, o.guard_applies, o.rollbacks, o.mean_latency_ms
         );
         let a = apply_arm(rate, i as u64);
         eprintln!(
@@ -312,7 +306,6 @@ fn main() {
                             ("absorbed_retries", Json::from(o.absorbed_retries)),
                             ("mean_latency_ms", Json::from(o.mean_latency_ms)),
                             ("final_indexes", Json::from(o.final_indexes as u64)),
-                            ("wall_ms", Json::from(o.wall_ms)),
                             (
                                 "guard_counters",
                                 Json::Object(

@@ -28,7 +28,7 @@
 //!    simulated qps,
 //! 5. the recorded document — sweep rows, admission counts, digest and
 //!    the floors above — equals `crates/bench/baselines/fleet_sweep.json`
-//!    outside the wall-clock members.
+//!    as a whole.
 
 use autoindex_bench::record;
 use autoindex_core::{
@@ -40,7 +40,6 @@ use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::fleet::{fleet_workload, TenantWorkload};
 use std::sync::Arc;
-use std::time::Instant;
 
 const TENANTS: usize = 64;
 const STATEMENTS_PER_TENANT: usize = 17_500;
@@ -68,7 +67,6 @@ struct Row {
     simulated_qps: f64,
     speedup_vs_1: f64,
     deterministic_match: bool,
-    wall_ms: u64,
 }
 
 fn build_fleet(workloads: Vec<TenantWorkload>) -> Vec<FleetTenant<NativeCostEstimator>> {
@@ -118,9 +116,7 @@ fn main() {
             .shed_floor_priority(1)
             .build()
             .expect("static fleet config");
-        let start = Instant::now();
         let out = serve_fleet(build_fleet(clone_workloads(&workloads)), cfg).expect("fleet run");
-        let wall_ms = start.elapsed().as_millis() as u64;
         let r = &out.report;
 
         assert_eq!(
@@ -167,7 +163,7 @@ fn main() {
         };
         eprintln!(
             "workers {workers}: executed {} ({} bound through {} prepared plans) | shed {} | \
-             {} epochs | makespan {:.0} sim-ms | {:.0} sim-qps | {:.2}x | {} ms wall",
+             {} epochs | makespan {:.0} sim-ms | {:.0} sim-qps | {:.2}x",
             r.executed,
             r.tenant_reports
                 .iter()
@@ -179,14 +175,12 @@ fn main() {
             r.makespan_ms(),
             qps,
             speedup,
-            wall_ms
         );
         rows.push(Row {
             workers,
             simulated_qps: qps,
             speedup_vs_1: speedup,
             deterministic_match,
-            wall_ms,
         });
     }
 
@@ -249,7 +243,6 @@ fn main() {
                             ("simulated_qps", Json::from(r.simulated_qps)),
                             ("speedup_vs_1", Json::from(r.speedup_vs_1)),
                             ("deterministic_match", Json::from(r.deterministic_match)),
-                            ("wall_ms", Json::from(r.wall_ms)),
                         ])
                     })
                     .collect(),

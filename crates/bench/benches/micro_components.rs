@@ -1,11 +1,11 @@
 //! The banking MCTS search against its whole-workload oracle — the gated
-//! `cost_cache` result — and, beside it, what one snapshot execution costs
-//! planned from scratch and priced through a prepared plan. (Wall-clock
-//! costs of the other component hot paths are `perf/`'s per-layer metrics:
-//! `templates.observe.ns`, `candgen.ms`, `estimator.shape_cost.ns`,
-//! `search.mcts.ms`. `perf/`'s traced replay calls the unprepared
-//! `execute_shape_at`, so the prepared path shows only here and in
-//! `driver.cpu_ns_per_stmt`.)
+//! `cost_cache` result — and, beside it, one snapshot execution planned
+//! from scratch against the same execution priced through a prepared plan,
+//! over the streams `perf/` serves. Counts and bit-identity only: the
+//! wall-clock costs of these paths are `perf/`'s per-layer metrics
+//! (`search.mcts.ms`, `estimator.shape_cost.ns`, `db.execute_shape_at.ns`
+//! for the planned execution; the prepared path has no `perf/` metric of
+//! its own and shows only inside `driver.cpu_ns_per_stmt`).
 
 use autoindex_core::mcts::{
     ConfigSet, MctsConfig, MctsSearch, PolicyTree, SearchOutcome, Universe,
@@ -19,14 +19,11 @@ use autoindex_storage::catalog::Catalog;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{ExecOutcome, PreparedPlan, SimDb, SimDbConfig, UsageDelta};
-use autoindex_support::bench::Bench;
 use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::banking::{self, BankingGenerator};
 use autoindex_workloads::fleet::fleet_workload;
 use std::collections::BTreeMap;
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Everything an execution returns, floats by their bits.
 fn execution_print((outcome, delta): &(ExecOutcome, UsageDelta)) -> String {
@@ -55,16 +52,14 @@ fn execution_print((outcome, delta): &(ExecOutcome, UsageDelta)) -> String {
 /// statement no compiled template serves pays) and
 /// `DbSnapshot::execute_prepared_at` through one plan per template (what a
 /// publication's plan slots make of a bound statement). Every statement's
-/// outcome and delta must be bit-identical between the two. Returns
-/// `(planned ns, prepared ns, prepare ns)`: per execution, per execution,
-/// per template — **wall**, medians of five passes.
-fn execution_rows(
-    bench: &mut Bench,
+/// outcome and delta must be bit-identical between the two; the run aborts
+/// otherwise.
+fn prepared_equals_planned(
     stream: &str,
     catalog: Catalog,
     indexes: Vec<IndexDef>,
     queries: &[String],
-) -> (f64, f64, f64) {
+) {
     let mut db = SimDb::with_metrics(catalog, SimDbConfig::default(), MetricsRegistry::new());
     for def in indexes {
         db.create_index(def).expect("a DBA index");
@@ -79,18 +74,10 @@ fn execution_rows(
         .collect();
     // One representative per template, in hash order.
     let templates: BTreeMap<u64, &QueryShape> = bound.iter().map(|(h, s)| (*h, s)).collect();
-
-    let started = Instant::now();
-    let mut plans: BTreeMap<u64, PreparedPlan> = BTreeMap::new();
-    const PREPARE_PASSES: u32 = 200;
-    for _ in 0..PREPARE_PASSES {
-        plans = templates
-            .iter()
-            .map(|(h, shape)| (*h, snap.prepare(shape)))
-            .collect();
-    }
-    let prepare_ns =
-        started.elapsed().as_nanos() as f64 / (PREPARE_PASSES as usize * templates.len()) as f64;
+    let plans: BTreeMap<u64, PreparedPlan> = templates
+        .iter()
+        .map(|(h, shape)| (*h, snap.prepare(shape)))
+        .collect();
     for (h, shape) in &bound {
         assert!(
             plans[h].fits(shape),
@@ -102,31 +89,12 @@ fn execution_rows(
             "{stream}: prepared != planned"
         );
     }
-
-    let per_statement = |bench: &Bench| {
-        bench.results().last().expect("just ran").median.as_nanos() as f64 / bound.len() as f64
-    };
-    bench.bench_function(&format!("{stream}.planned"), || {
-        for (seq, (_, shape)) in bound.iter().enumerate() {
-            black_box(snap.execute_shape_at(shape, seq as u64));
-        }
-    });
-    let planned_ns = per_statement(bench);
-    bench.bench_function(&format!("{stream}.prepared"), || {
-        for (seq, (h, shape)) in bound.iter().enumerate() {
-            black_box(snap.execute_prepared_at(&plans[h], shape, seq as u64));
-        }
-    });
-    let prepared_ns = per_statement(bench);
     println!(
-        "{stream}: {} statements, {} templates, {} indexes: planned {planned_ns:.0} ns, \
-         prepared {prepared_ns:.0} ns (x{:.2}), prepare {prepare_ns:.0} ns per template",
+        "{stream}: {} statements, {} templates, {} indexes: prepared == planned",
         bound.len(),
         templates.len(),
         snap.index_count(),
-        prepared_ns / planned_ns,
     );
-    (planned_ns, prepared_ns, prepare_ns)
 }
 
 /// MCTS search on the banking workload against its whole-workload oracle.
@@ -137,8 +105,9 @@ fn execution_rows(
 /// * `cached_serial`    — decomposed delta-cost evaluation.
 ///
 /// The two arms must produce byte-identical recommendations; the run
-/// aborts otherwise. Results (wall-clock + `db.whatif_calls` +
-/// `estimator.cost_cache.{hits,misses}`) are recorded as `cost_cache`
+/// aborts otherwise. Each arm runs once on fresh counters; its
+/// `db.whatif_calls`, `estimator.inference_calls` and
+/// `estimator.cost_cache.{hits,misses}` are recorded as `cost_cache`
 /// (`autoindex_bench::record`). Protocol: `EXPERIMENTS.md` §"PR 3
 /// micro-benchmark".
 fn main() {
@@ -199,35 +168,25 @@ fn main() {
             protected: ConfigSet::default(),
             start: existing.clone(),
         };
-        // A run-local term cache: every sample starts cold.
+        // A run-local term cache: every arm starts cold.
         let cache = CostCache::new();
         let decomposed = cfg.decomposed_eval;
         let mut pricer = DeltaPricer::new(&universe, &shapes, &keys, db, &est, &cache, decomposed);
         search.run(&mut tree, &mut pricer)
     };
 
-    let mut g = Bench::new("mcts_banking_cached_vs_uncached")
-        .samples(5)
-        .warmup(1);
     let mut reports: Vec<Json> = Vec::new();
     let mut outcomes: Vec<SearchOutcome> = Vec::new();
     for (name, cfg) in &arms {
-        // Timed samples (counters polluted by warmup — reset below).
         let db = SimDb::with_metrics(
             catalog.clone(),
             SimDbConfig::default(),
             MetricsRegistry::new(),
         );
-        g.bench_function(name, || black_box(run_once(cfg, &db)));
-        // One instrumented run on fresh counters for exact call counts.
-        db.metrics().reset();
         let outcome = run_once(cfg, &db);
         let m = db.metrics();
-        let sample = g.results().last().unwrap();
         reports.push(obj([
             ("arm", Json::from(*name)),
-            ("median_ns", Json::from(sample.median.as_nanos() as u64)),
-            ("mean_ns", Json::from(sample.mean.as_nanos() as u64)),
             (
                 "whatif_calls",
                 Json::from(m.counter_value("db.whatif_calls")),
@@ -249,7 +208,6 @@ fn main() {
         ]));
         outcomes.push(outcome);
     }
-    g.emit_json();
 
     // Regression gate: all arms must agree byte-for-byte.
     for o in &outcomes[1..] {
@@ -272,34 +230,20 @@ fn main() {
         .get("whatif_calls")
         .and_then(Json::as_u64)
         .unwrap();
-    let med = |i: usize| g.results()[i].median.as_nanos() as f64;
 
-    // What one snapshot execution costs, over a `fleet_oltp` tenant pair's
-    // streams and `bank_write_263`'s withdrawals (seed 2024, as `perf/`
-    // generates them).
-    let mut e = Bench::new("snapshot_execution").samples(5).warmup(1);
-    let mut rows: [Vec<(String, Json)>; 3] = Default::default();
+    // Prepared == planned over a `fleet_oltp` tenant pair's streams and
+    // `bank_write_263`'s withdrawals (seed 2024, as `perf/` generates them).
     for tenant in fleet_workload(2, 4_096, 2024) {
         let stream = format!("fleet_oltp.{}", tenant.name);
-        let (catalog, indexes) = (tenant.catalog, tenant.dba_indexes);
-        let ns = execution_rows(&mut e, &stream, catalog, indexes, &tenant.queries);
-        for (row, v) in rows.iter_mut().zip([ns.0, ns.1, ns.2]) {
-            row.push((stream.clone(), Json::from(v)));
-        }
+        prepared_equals_planned(&stream, tenant.catalog, tenant.dba_indexes, &tenant.queries);
     }
     let withdrawals = BankingGenerator::new(2024).generate_withdrawal(20_000);
-    let ns = execution_rows(
-        &mut e,
+    prepared_equals_planned(
         "bank_write_263",
         banking::catalog(),
         banking::dba_indexes(),
         &withdrawals,
     );
-    for (row, v) in rows.iter_mut().zip([ns.0, ns.1, ns.2]) {
-        row.push(("bank_write_263".to_string(), Json::from(v)));
-    }
-    e.emit_json();
-    let [planned, prepared, prepare] = rows.map(|row| Json::Object(row.into_iter().collect()));
 
     let doc = obj([
         ("bench", Json::from("mcts_banking_cached_vs_uncached")),
@@ -313,11 +257,6 @@ fn main() {
             "whatif_reduction",
             Json::from(whatif_uncached as f64 / whatif_cached.max(1) as f64),
         ),
-        ("speedup_cached_serial", Json::from(med(0) / med(1))),
-        // Wall rows (`WALL_KEYS`): reported, never compared.
-        ("execute.planned_ns", planned),
-        ("execute.prepared_ns", prepared),
-        ("prepare_ns", prepare),
     ]);
     autoindex_bench::record("cost_cache", &doc);
 }

@@ -15,8 +15,7 @@
 //! (`advisor.candidates.{sort_aware,covering}`) and the adopted surface
 //! indexes. All simulated-domain — host independent and byte-stable, so
 //! the recorded document must equal
-//! `crates/bench/baselines/sort_surface.json` **exactly** (wall_ms
-//! excepted).
+//! `crates/bench/baselines/sort_surface.json` **exactly**.
 //!
 //! Gates (the run aborts otherwise):
 //!
@@ -38,7 +37,6 @@ use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::{surface_scenarios, SurfaceScenario};
-use std::time::Instant;
 
 const SEED: u64 = 910;
 const STATEMENTS: usize = 1_200;
@@ -62,7 +60,6 @@ struct Cell {
     cand_sort_aware: u64,
     cand_covering: u64,
     adopted_surface: Vec<String>,
-    wall_ms: u64,
 }
 
 impl Cell {
@@ -111,7 +108,6 @@ fn is_surface_index(d: &IndexDef) -> bool {
 /// One (scenario × strategy × surface) cell: round-by-round replay with
 /// tuning, candidate classes toggled through `CandidateConfig`'s fields.
 fn run_cell(s: &SurfaceScenario, kind: StrategyKind, surface: bool) -> Cell {
-    let start = Instant::now();
     let mut db = build_db(s);
     let cfg = AutoIndexConfig {
         strategy: kind,
@@ -158,7 +154,6 @@ fn run_cell(s: &SurfaceScenario, kind: StrategyKind, surface: bool) -> Cell {
         cand_sort_aware: m.counter_value("advisor.candidates.sort_aware"),
         cand_covering: m.counter_value("advisor.candidates.covering"),
         adopted_surface,
-        wall_ms: start.elapsed().as_millis() as u64,
     }
 }
 
@@ -281,7 +276,6 @@ fn main() {
                                         .collect(),
                                 ),
                             ),
-                            ("wall_ms", Json::from(c.wall_ms)),
                         ])
                     })
                     .collect(),

@@ -3,8 +3,9 @@
 //! Each experiment (Figures 1, 5–10; Tables I–III; the §VI-A estimator
 //! validation) has a function in [`experiments`] that builds the scenario,
 //! runs the three methods — `Default`, `Greedy`, `AutoIndex` — and returns
-//! the rows the paper reports. The `repro` binary pretty-prints them; the
-//! Criterion benches time the interesting parts.
+//! the rows the paper reports. The `repro` binary pretty-prints them,
+//! wall-clock cells included (Fig 1 management time, Fig 8 timings, Fig 9's
+//! tuning column).
 //!
 //! Fairness rules from §VI-A are enforced structurally:
 //! * Greedy and AutoIndex share one trained benefit estimator;
@@ -15,7 +16,8 @@
 //!
 //! A bench that writes a result document gates it too: [`record`] writes
 //! `target/bench/<subject>.json` and requires it to equal the committed
-//! `crates/bench/baselines/<subject>.json` outside [`WALL_KEYS`] (protocol:
+//! `crates/bench/baselines/<subject>.json` as a whole: a result holds no
+//! wall-clock member, so every number in it is exact (protocol:
 //! `docs/BUILDING.md` §"Bench results and baselines").
 
 #![forbid(unsafe_code)]
@@ -219,25 +221,9 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Object members that hold **wall**-domain measurements (host dependent).
-/// [`record`] drops them from both documents before comparing; every other
-/// member is **sim**-domain or a config echo and must match exactly.
-pub const WALL_KEYS: [&str; 10] = [
-    "wall_ms",
-    "mean_ns",
-    "median_ns",
-    "qps_fastpath_on",
-    "qps_fastpath_off",
-    "frontend_speedup",
-    "speedup_cached_serial",
-    "execute.planned_ns",
-    "execute.prepared_ns",
-    "prepare_ns",
-];
-
 /// Write a bench's result document to the untracked
 /// `target/bench/<subject>.json`, then require it to equal the committed
-/// `crates/bench/baselines/<subject>.json` outside [`WALL_KEYS`]. Prints
+/// `crates/bench/baselines/<subject>.json` member for member. Prints
 /// every differing JSON path and exits non-zero otherwise, so running the
 /// bench *is* its gate. Refresh a baseline deliberately:
 /// `cp target/bench/<subject>.json crates/bench/baselines/`.
@@ -259,7 +245,7 @@ pub fn record(subject: &str, doc: &Json) {
         eprintln!("if intentional: cp {fresh} {baseline}");
         std::process::exit(1);
     }
-    eprintln!("bench gate OK: {fresh} equals {baseline} (wall keys ignored)");
+    eprintln!("bench gate OK: {fresh} equals {baseline}");
 }
 
 /// `Ok` iff the baseline file exists, parses and [`diff`]s empty against
@@ -278,16 +264,14 @@ fn compare_with_baseline(baseline: &Path, fresh: &Json) -> Result<(), String> {
 }
 
 /// Append one `path: baseline <v>, current <v>` line per place the two
-/// documents differ, ignoring [`WALL_KEYS`] members at any depth. A member
-/// or array element present on one side only is a difference.
+/// documents differ. A member or array element present on one side only is
+/// a difference.
 fn diff(baseline: Option<&Json>, current: Option<&Json>, path: &str, out: &mut Vec<String>) {
     match (baseline, current) {
         (Some(Json::Object(b)), Some(Json::Object(c))) => {
             let keys: BTreeSet<&String> = b.keys().chain(c.keys()).collect();
             for k in keys {
-                if !WALL_KEYS.contains(&k.as_str()) {
-                    diff(b.get(k), c.get(k), &format!("{path}.{k}"), out);
-                }
+                diff(b.get(k), c.get(k), &format!("{path}.{k}"), out);
             }
         }
         (Some(Json::Array(b)), Some(Json::Array(c))) => {
@@ -340,7 +324,8 @@ mod tests {
     }
 
     /// A fleet-shaped result with **sim** numbers, a digest, a `required_*`
-    /// floor and wall members at the top level, nested and inside `rows`.
+    /// floor and wall-clock members (`wall_ms`, a qps) at the top level,
+    /// nested and inside `rows`, which are compared like any other member.
     const BASE: &str = r#"{
         "transcript_digest": "68a166e14eead973", "wall_ms": 9,
         "gate": {"required_speedup_at_4": 3.5},
@@ -384,12 +369,29 @@ mod tests {
     }
 
     #[test]
-    fn wall_key_differences_pass_at_every_depth() {
-        assert_eq!(differing(r#""wall_ms": 9"#, r#""wall_ms": 12"#), [""; 0]);
-        assert_eq!(differing("2792721.8", "1.5"), [""; 0]);
-        assert_eq!(differing(r#""wall_ms": 71"#, r#""wall_ms": 38"#), [""; 0]);
-        // Absent on one side is still only a wall difference.
-        assert_eq!(differing(r#", "wall_ms": 60"#, ""), [""; 0]);
+    fn a_wall_ms_difference_fails_the_baseline_comparison() {
+        for (from, to, path) in [
+            (r#""wall_ms": 9"#, r#""wall_ms": 12"#, "$.wall_ms:"),
+            ("2792721.8", "1.5", "$.frontend.qps_fastpath_on:"),
+            (r#""wall_ms": 71"#, r#""wall_ms": 38"#, "$.rows[0].wall_ms:"),
+            (r#", "wall_ms": 60"#, "", "$.rows[1].wall_ms: baseline 60"),
+        ] {
+            let lines = differing(from, to);
+            assert_eq!(lines.len(), 1, "{from}: {lines:?}");
+            assert!(lines[0].contains(path), "{from}: {lines:?}");
+        }
+        // The same, end to end through a committed file.
+        let baseline = std::env::temp_dir().join(format!(
+            "autoindex_bench_wall_ms_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&baseline, BASE).unwrap();
+        let fresh = Json::parse(&BASE.replace(r#""wall_ms": 9"#, r#""wall_ms": 10"#)).unwrap();
+        let verdict = compare_with_baseline(&baseline, &fresh);
+        std::fs::remove_file(&baseline).unwrap();
+        assert!(verdict
+            .unwrap_err()
+            .contains("$.wall_ms: baseline 9, current 10"));
     }
 
     #[test]

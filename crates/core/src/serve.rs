@@ -609,7 +609,7 @@ pub struct ServeReport {
     /// Executors that retired after exhausting their panic budget.
     pub workers_retired: usize,
     /// Always 0: the engine has one task queue and nothing is stolen.
-    /// Kept because `perf/src/drive.rs` reads it (ROADMAP item 4 a).
+    /// Kept because `perf/src/drive.rs` reads it (ROADMAP item 3 b).
     pub steals: u64,
     /// Executed statements the compiled-template fast path served, and
     /// those that took the parse path. Worker-count invariant (caches are

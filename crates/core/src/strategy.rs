@@ -458,9 +458,6 @@ impl MctsStrategy {
     }
 }
 
-/// Never drop indexes that implement a table's primary key.
-const PROTECT_PRIMARY_KEYS: bool = true;
-
 /// Visit-count decay applied to the policy tree when a new round begins.
 const ROUND_DECAY: f64 = 0.5;
 
@@ -485,9 +482,10 @@ impl<E: CostEstimator> TuningStrategy<E> for MctsStrategy {
             pressured(&pressure, footprint, sum)
         };
         let existing_set = &round.existing_set;
+        // Never drop indexes that implement a table's primary key.
         let protected: ConfigSet = existing_set
             .iter()
-            .filter(|&s| PROTECT_PRIMARY_KEYS && is_primary_key_index(db, universe.def(s)))
+            .filter(|&s| is_primary_key_index(db, universe.def(s)))
             .collect();
 
         // Estimator-driven redundant-index prune pass (§III): sequentially

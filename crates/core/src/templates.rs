@@ -48,8 +48,6 @@ pub struct TemplateStoreConfig {
     pub max_templates: usize,
     /// Window length (queries) over which the match rate is measured.
     pub shift_window: u64,
-    /// Match rate under which a workload shift is declared.
-    pub shift_threshold: f64,
 }
 
 impl Default for TemplateStoreConfig {
@@ -57,7 +55,6 @@ impl Default for TemplateStoreConfig {
         TemplateStoreConfig {
             max_templates: 5_000,
             shift_window: 2_000,
-            shift_threshold: 0.5,
         }
     }
 }
@@ -377,11 +374,13 @@ impl TemplateStore {
 
     /// Check the shift window; decay if the new-template rate is high.
     fn maybe_handle_shift(&mut self) {
+        /// Match rate under which a workload shift is declared.
+        const SHIFT_THRESHOLD: f64 = 0.5;
         if self.window_queries < self.config.shift_window {
             return;
         }
         let new_rate = self.window_new_templates as f64 / self.window_queries as f64;
-        if new_rate > 1.0 - self.config.shift_threshold {
+        if new_rate > 1.0 - SHIFT_THRESHOLD {
             self.decay();
             self.shifts_detected += 1;
         }
@@ -699,7 +698,6 @@ mod tests {
             let mut s = TemplateStore::new(TemplateStoreConfig {
                 max_templates: 3,
                 shift_window: u64::MAX,
-                ..TemplateStoreConfig::default()
             });
             for _ in 0..2 {
                 s.observe("SELECT * FROM t WHERE a = 1", &c).unwrap();
@@ -764,7 +762,6 @@ mod tests {
         let mut s = TemplateStore::new(TemplateStoreConfig {
             max_templates: 10_000,
             shift_window: 100,
-            shift_threshold: 0.5,
         });
         // Phase 1: one hot template — no shift.
         for i in 0..200 {

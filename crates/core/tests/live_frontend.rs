@@ -307,7 +307,6 @@ fn feed_equals_the_parse_path_composition() {
                         5_000
                     },
                     shift_window: rng.random_range(40u64..400),
-                    ..TemplateStoreConfig::default()
                 },
                 diagnosis: DiagnosisConfig {
                     min_statements: 30,

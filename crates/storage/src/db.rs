@@ -453,11 +453,6 @@ impl SimDb {
         self.indexes.len()
     }
 
-    /// Look up an index definition.
-    pub fn index_def(&self, id: IndexId) -> Option<&IndexDef> {
-        self.indexes.get(&id).map(|d| &**d)
-    }
-
     /// Find the id of an index by definition.
     pub fn find_index(&self, def: &IndexDef) -> Option<IndexId> {
         self.view

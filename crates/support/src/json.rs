@@ -321,7 +321,7 @@ fn push_indent(out: &mut String, depth: usize) {
 fn write_json_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; serde_json errors here. We clamp to null to
-        // keep serialization total — bench timings are always finite anyway.
+        // keep serialization total.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
         out.push_str(&format!("{}", n as i64));

@@ -12,7 +12,6 @@
 //! | [`rng`]   | `rand`       | SplitMix64-seeded xoshiro256** PRNG with `random_range`, `random_bool`, Gaussian sampling, `shuffle` |
 //! | [`json`]  | `serde_json` | a JSON value type, recursive-descent parser and serializer, format-compatible with the files `serde_json` wrote |
 //! | [`prop`]  | `proptest`   | a seeded property-testing harness with size ramping, shrinking-lite and failure-seed replay |
-//! | [`mod@bench`] | `criterion`  | a micro-benchmark harness: warmup, median-of-N timing, JSON emit |
 //! | [`obs`]   | `metrics`/`prometheus` | named counters, gauges and timers behind a [`obs::MetricsRegistry`] with a deterministic JSON snapshot |
 //!
 //! Everything here is deterministic given a seed — the precondition for the
@@ -97,26 +96,9 @@
 //! let snapshot = m.snapshot();
 //! assert!(snapshot.to_string().contains("\"mcts.iterations\":400"));
 //! ```
-//!
-//! ## Micro-benchmarks
-//!
-//! [`bench::Bench`] is the `criterion` stand-in used by
-//! `crates/bench/benches/*` (which keep `harness = false` and an explicit
-//! `fn main()`): warmup iterations, then N timed samples, reporting the
-//! median and emitting one JSON line per benchmark:
-//!
-//! ```
-//! use autoindex_support::bench::Bench;
-//!
-//! let mut b = Bench::new("demo").samples(5).warmup(1).quiet(true);
-//! b.bench_function("sum", || (0..1000u64).sum::<u64>());
-//! let report = b.report_json();
-//! assert!(report.to_string().contains("\"sum\""));
-//! ```
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod hash;
 pub mod json;
 pub mod obs;

@@ -5,7 +5,7 @@
 # counter, so this held only while nothing under a tuning round drew them
 # from more than one thread; no thread is spawned there any more
 # (scripts/verify.sh greps for it), and this step keeps the consequence
-# observable. Execution and DDL rolls are still counters (ROADMAP item 4).
+# observable. Execution and DDL rolls are still counters (ROADMAP item 5).
 #
 #   scripts/chaos_repeat.sh [workload] [rate] [runs]     # saas 0.20 50
 #

@@ -5,10 +5,31 @@
 # so everything runs with --offline: a clean checkout must build, test and
 # document without network access. Run from the repo root:
 #
-#   scripts/verify.sh
+#   scripts/verify.sh          # the whole gate, line counts first
+#   scripts/verify.sh lines    # the tracked line counts alone
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Non-blank lines in five groups. A crates/*/src or src file (bins included)
+# is product code up to its first line that starts with #[cfg(test)] and
+# unit test from there on: the rule product_hits below uses, since a file's
+# test module is its last item. Integration tests are crates/*/tests and
+# tests; docs are docs/*.md plus README.md, DESIGN.md and EXPERIMENTS.md.
+lines() {
+    echo "==> lines (non-blank; product / unit test = crates/*/src + src cut at the first top-level #[cfg(test)])"
+    find crates/*/src src -name '*.rs' -exec awk '
+        FNR == 1 { test = 0 }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        NF { if (test) unit++; else product++ }
+        END { printf "product             %6d\nunit test           %6d\n", product, unit }' {} +
+    count() { cat "$@" | awk 'NF { n++ } END { print n + 0 }'; }
+    printf 'integration test    %6d\n' "$(count $(find crates/*/tests tests -name '*.rs' | sort))"
+    printf 'benches + examples  %6d\n' "$(count $(find crates/*/benches examples -name '*.rs' | sort))"
+    printf 'docs                %6d\n' "$(count docs/*.md README.md DESIGN.md EXPERIMENTS.md)"
+}
+lines
+[ "${1:-}" = lines ] && exit 0
 
 echo "==> cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
