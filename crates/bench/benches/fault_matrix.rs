@@ -1,45 +1,63 @@
-//! Fault matrix: the guarded online loop under increasing fault rates,
-//! plus a direct guarded-apply matrix. Records the `fault_matrix` result
-//! (`autoindex_bench::record`; protocol: `docs/ROBUSTNESS.md` §"Fault
-//! matrix").
+//! Fault matrix: the guard under increasing fault rates, in three arms.
+//! Records the `fault_matrix` result (`autoindex_bench::record`; protocol:
+//! `docs/ROBUSTNESS.md` §"Fault matrix").
 //!
-//! For each fault rate in {0%, 1%, 5%, 20%} — applied uniformly to index
-//! builds, transient execution errors, latency spikes and stale
-//! statistics — the bench runs:
+//! A fault plan applies one rate uniformly to index builds, transient
+//! execution errors, latency spikes and stale statistics ([`plan_for`]).
 //!
-//! 1. **Online arm.** A guarded [`OnlineAutoIndex`] over a drifting
-//!    two-phase ticket workload (6 000 statements, fixed seeds). Reports
-//!    tuning rounds, guard transitions and mean measured latency — the
-//!    quality signal: the guard must keep the loop useful as the
-//!    environment degrades, not just survive it.
-//! 2. **Apply arm.** 40 guarded applies of a fixed add/drop
-//!    recommendation on fresh databases with derived fault seeds and
-//!    zero build retries. Every apply is checked for atomicity (catalog
-//!    == pre-apply or fully-applied, never partial); the rollback count
-//!    scales with the fault rate.
+//! 1. **Online arm**, at {0%, 1%, 5%, 20%}. A guarded [`OnlineAutoIndex`]
+//!    over a drifting two-phase ticket workload (6 000 statements, fixed
+//!    seeds). Reports tuning rounds, guard transitions and mean measured
+//!    latency — the quality signal: the guard must keep the loop useful as
+//!    the environment degrades, not just survive it. Every rollback event
+//!    must leave the database at the fingerprint the event names.
+//! 2. **Apply arm**, at the same rates. 40 guarded applies of a fixed
+//!    add/drop recommendation on fresh databases ([`guarded_applies`]);
+//!    the rollback count scales with the fault rate.
+//! 3. **Chaos arm**: {banking, fleet, time-series, social-graph, saas} ×
+//!    {0%, 5%, 20%}. Each cell serves its 900-statement stream through the
+//!    guarded pipeline at 1 and 4 workers, then guarded-applies the
+//!    advisor's own recommendation for that stream 12 times on fresh
+//!    databases. The three surface workloads run with the sort-aware and
+//!    covering candidate classes on. A row pins the transcript digest, the
+//!    serve and apply rollbacks, and the `db.fault.*` counters of the
+//!    1-worker run: which faults reach a served cell at all.
 //!
-//! Regression gates (the run aborts otherwise): zero rollbacks at 0%
-//! fault, at least one rollback at 20%, and no panics anywhere.
+//! Gates (the run aborts otherwise): every guarded apply ends fully
+//! applied or exactly restored; a chaos cell's transcript and guard counts
+//! do not depend on the worker count (both transcripts are printed when
+//! they do); zero rollbacks at 0% fault, at least one at 20%; no panics
+//! anywhere; and the document equals its baseline.
 
 use autoindex_bench::record;
 use autoindex_core::online::{OnlineAutoIndex, OnlineConfig, OnlineEvent};
 use autoindex_core::{
-    apply_atomically, ApplyVerdict, AutoIndex, AutoIndexConfig, GuardConfig, Recommendation,
-    RollbackReason,
+    apply_atomically, serve, ApplyVerdict, AutoIndex, AutoIndexConfig, CandidateConfig,
+    GuardConfig, Recommendation, RollbackReason, ServeConfig,
 };
 use autoindex_estimator::NativeCostEstimator;
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::{SimDb, SimDbConfig};
+use autoindex_support::hash::fnv1a;
 use autoindex_support::json::{obj, Json};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_support::rng::derive_seed;
+use autoindex_workloads::banking::{self, BankingGenerator};
+use autoindex_workloads::fleet::fleet_workload;
+use autoindex_workloads::{saas, socialgraph, timeseries};
 use std::collections::BTreeSet;
 
 const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 const ONLINE_STATEMENTS: usize = 3_000; // per phase
-const APPLY_RUNS: usize = 40;
+const APPLY_RUNS: u64 = 40;
+
+const CHAOS_WORKLOADS: [&str; 5] = ["banking", "fleet", "time-series", "social-graph", "saas"];
+const CHAOS_RATES: [f64; 3] = [0.0, 0.05, 0.20];
+const CHAOS_SEED: u64 = 0xC4_05;
+const CHAOS_STATEMENTS: usize = 900;
+const CHAOS_APPLY_RUNS: u64 = 12;
 
 fn tickets_catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -71,31 +89,30 @@ fn plan_for(rate: f64, seed: u64) -> Option<FaultPlan> {
     }))
 }
 
-struct OnlineArm {
-    rate: f64,
-    executed: u64,
-    tuning_rounds: u64,
-    guard_applies: u64,
-    rollbacks: u64,
-    shadow_rejects: u64,
-    probation_passes: u64,
-    observe_only: u64,
-    build_failures: u64,
-    absorbed_retries: u64,
-    mean_latency_ms: f64,
-    final_indexes: usize,
-    guard_counters: Vec<(String, u64)>,
-    fault_counters: Vec<(String, u64)>,
+/// A database over `catalog` with the `start` indexes built, seeded
+/// `seed`, reporting into a registry of its own.
+fn fresh_db(catalog: &Catalog, start: &[IndexDef], seed: u64) -> SimDb {
+    let config = SimDbConfig {
+        seed,
+        ..SimDbConfig::default()
+    };
+    let mut db = SimDb::with_metrics(catalog.clone(), config, MetricsRegistry::new());
+    for d in start {
+        db.create_index(d.clone()).expect("starting index");
+    }
+    db
 }
 
-fn online_arm(rate: f64, idx: u64) -> OnlineArm {
-    let mut db = SimDb::with_metrics(
-        tickets_catalog(),
-        SimDbConfig::default(),
-        MetricsRegistry::new(),
-    );
-    db.create_index(IndexDef::new("tickets", &["ticket_id"]))
-        .expect("primary key index");
+/// Every counter of `m` under `prefix`, by name.
+fn counters_json(m: &MetricsRegistry, prefix: &str) -> Json {
+    let counters = m.counters_with_prefix(prefix).into_iter();
+    Json::Object(counters.map(|(k, v)| (k, Json::from(v))).collect())
+}
+
+/// The online arm's row at `rate`, and its rollback count.
+fn online_arm(rate: f64, idx: u64) -> (Json, u64) {
+    let start = [IndexDef::new("tickets", &["ticket_id"])];
+    let mut db = fresh_db(&tickets_catalog(), &start, SimDbConfig::default().seed);
     db.set_fault_plan(plan_for(rate, derive_seed(0xFA_17_BE, idx)));
 
     let advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
@@ -131,43 +148,121 @@ fn online_arm(rate: f64, idx: u64) -> OnlineArm {
             total_latency += o.latency_ms;
             samples += 1;
         }
-        // The gate the whole PR exists for: the loop never panics and
-        // never reports an event that contradicts the catalog.
-        if let OnlineEvent::RolledBack(_) = out.event {
-            assert!(
-                online.guard().is_some(),
-                "rollback event without a guard installed"
+        // A rollback event must not contradict the catalog: the database
+        // is back at the index set the event says it restored.
+        if let OnlineEvent::RolledBack(reason) = &out.event {
+            let (RollbackReason::ApplyFaults {
+                restored_fingerprint,
+                ..
+            }
+            | RollbackReason::ProbationRegression {
+                restored_fingerprint,
+                ..
+            }) = reason;
+            assert_eq!(
+                online.db().index_fingerprint(),
+                *restored_fingerprint,
+                "fault rate {rate}: {reason:?} left another index set"
             );
         }
     }
     let m = online.db().metrics();
-    OnlineArm {
-        rate,
-        executed: online.executed(),
-        tuning_rounds: online.tuning_rounds,
-        guard_applies: m.counter_value("guard.applies"),
-        rollbacks: m.counter_value("guard.rollbacks"),
-        shadow_rejects: m.counter_value("guard.shadow_rejects"),
-        probation_passes: m.counter_value("guard.probation_passes"),
-        observe_only: m.counter_value("guard.observe_only_entries"),
-        build_failures: m.counter_value("db.fault.build_failures"),
-        absorbed_retries: m.counter_value("db.fault.absorbed_retries"),
-        mean_latency_ms: total_latency / samples.max(1) as f64,
-        final_indexes: online.db().index_count(),
-        guard_counters: m.counters_with_prefix("guard."),
-        fault_counters: m.counters_with_prefix("db.fault."),
-    }
+    let (rounds, rollbacks) = (online.tuning_rounds, m.counter_value("guard.rollbacks"));
+    let mean_latency_ms = total_latency / samples.max(1) as f64;
+    let counter = |name: &str| Json::from(m.counter_value(name));
+    eprintln!(
+        "  executed {} | rounds {rounds} | applies {} | rollbacks {rollbacks} | \
+         mean {mean_latency_ms:.3} ms",
+        online.executed(),
+        m.counter_value("guard.applies"),
+    );
+    let row = obj([
+        ("fault_rate", Json::from(rate)),
+        ("executed", Json::from(online.executed())),
+        ("tuning_rounds", Json::from(rounds)),
+        ("guard_applies", counter("guard.applies")),
+        ("rollbacks", Json::from(rollbacks)),
+        ("shadow_rejects", counter("guard.shadow_rejects")),
+        ("probation_passes", counter("guard.probation_passes")),
+        (
+            "observe_only_entries",
+            counter("guard.observe_only_entries"),
+        ),
+        ("build_failures", counter("db.fault.build_failures")),
+        ("absorbed_retries", counter("db.fault.absorbed_retries")),
+        ("mean_latency_ms", Json::from(mean_latency_ms)),
+        (
+            "final_indexes",
+            Json::from(online.db().index_count() as u64),
+        ),
+        ("guard_counters", counters_json(m, "guard.")),
+        ("fault_counters", counters_json(m, "db.fault.")),
+    ]);
+    (row, rollbacks)
 }
 
-struct ApplyArm {
-    rate: f64,
-    runs: usize,
-    applied: usize,
-    rollbacks: usize,
+/// What one guarded-apply matrix counted.
+#[derive(Default)]
+struct Applies {
+    applied: u64,
+    rollbacks: u64,
     build_faults: u64,
 }
 
-fn apply_arm(rate: f64, idx: u64) -> ApplyArm {
+/// Guarded-apply `rec` once per fault seed, each time on a fresh database
+/// (`fresh_db(catalog, start, db_seed)`, then a [`plan_for`] `rate` plan)
+/// with no build retries. Every run must be atomic: it ends with the
+/// catalog fully applied or exactly as it began, never in between.
+fn guarded_applies(
+    catalog: &Catalog,
+    start: &[IndexDef],
+    db_seed: u64,
+    rec: &Recommendation,
+    rate: f64,
+    fault_seeds: impl Iterator<Item = u64>,
+) -> Applies {
+    let cfg = GuardConfig {
+        build_retries: 0,
+        ..GuardConfig::default()
+    };
+    let mut out = Applies::default();
+    for seed in fault_seeds {
+        let mut db = fresh_db(catalog, start, db_seed);
+        let pre: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
+        let mut expected = pre.clone();
+        for d in &rec.remove {
+            expected.remove(&d.key());
+        }
+        for d in &rec.add {
+            expected.insert(d.key());
+        }
+        db.set_fault_plan(plan_for(rate, seed));
+        let (_, _, verdict) = apply_atomically(&mut db, rec, &cfg);
+        let post: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
+        match verdict {
+            ApplyVerdict::Applied => {
+                assert_eq!(post, expected, "fault rate {rate}: partial apply");
+                out.applied += 1;
+            }
+            ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
+                build_faults: f, ..
+            }) => {
+                assert_eq!(post, pre, "fault rate {rate}: partial rollback");
+                out.rollbacks += 1;
+                out.build_faults += f as u64;
+            }
+            ApplyVerdict::RolledBack(other) => {
+                panic!("fault rate {rate}: an apply rolls back on build faults only: {other:?}")
+            }
+            ApplyVerdict::ShadowRejected { .. } => {
+                panic!("fault rate {rate}: the shadow check must admit {rec:?}")
+            }
+        }
+    }
+    out
+}
+
+fn apply_arm(rate: f64, idx: u64) -> Applies {
     let rec = Recommendation {
         add: vec![
             IndexDef::new("tickets", &["user_id"]),
@@ -177,94 +272,151 @@ fn apply_arm(rate: f64, idx: u64) -> ApplyArm {
         est_cost_before: 100.0,
         est_cost_after: 40.0,
     };
-    let mut applied = 0usize;
-    let mut rollbacks = 0usize;
-    let mut build_faults = 0u64;
-    for run in 0..APPLY_RUNS {
-        let mut db = SimDb::with_metrics(
-            tickets_catalog(),
-            SimDbConfig::default(),
-            MetricsRegistry::new(),
-        );
-        db.create_index(IndexDef::new("tickets", &["ticket_id"]))
-            .unwrap();
-        db.create_index(IndexDef::new("tickets", &["opened_at"]))
-            .unwrap();
-        let pre: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
-        let mut expected = pre.clone();
-        for d in &rec.remove {
-            expected.remove(&d.key());
-        }
-        for d in &rec.add {
-            expected.insert(d.key());
-        }
-        db.set_fault_plan(plan_for(
-            rate,
-            derive_seed(0xAB_11, idx * 1000 + run as u64),
-        ));
+    let start = [
+        IndexDef::new("tickets", &["ticket_id"]),
+        IndexDef::new("tickets", &["opened_at"]),
+    ];
+    let seeds = (0..APPLY_RUNS).map(|run| derive_seed(0xAB_11, idx * 1000 + run));
+    let db_seed = SimDbConfig::default().seed;
+    guarded_applies(&tickets_catalog(), &start, db_seed, &rec, rate, seeds)
+}
 
-        let cfg = GuardConfig {
-            build_retries: 0,
-            ..GuardConfig::default()
-        };
-        let (_, _, verdict) = apply_atomically(&mut db, &rec, &cfg);
-        let post: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
-        match verdict {
-            ApplyVerdict::Applied => {
-                assert_eq!(post, expected, "fault rate {rate}: partial apply");
-                applied += 1;
-            }
-            ApplyVerdict::RolledBack(RollbackReason::ApplyFaults {
-                build_faults: f, ..
-            }) => {
-                assert_eq!(post, pre, "fault rate {rate}: partial rollback");
-                rollbacks += 1;
-                build_faults += f as u64;
-            }
-            ApplyVerdict::RolledBack(other) => {
-                panic!("fault rate {rate}: an apply rolls back on build faults only: {other:?}")
-            }
-            ApplyVerdict::ShadowRejected { .. } => {
-                panic!("shadow must admit a 60% improvement")
-            }
+/// A chaos workload: its catalog, starting indexes, stream, and whether
+/// the surface candidate classes (sort-aware, covering) are on.
+fn chaos_workload(name: &str) -> (Catalog, Vec<IndexDef>, Vec<String>, bool) {
+    match name {
+        "banking" => {
+            let mut generator = BankingGenerator::new(CHAOS_SEED);
+            let queries = (generator.generate_hybrid(CHAOS_STATEMENTS, 0.6).into_iter())
+                .map(|(_, q)| q)
+                .collect();
+            (banking::catalog(), Vec::new(), queries, false)
         }
-    }
-    ApplyArm {
-        rate,
-        runs: APPLY_RUNS,
-        applied,
-        rollbacks,
-        build_faults,
+        "fleet" => {
+            let w = fleet_workload(1, CHAOS_STATEMENTS, CHAOS_SEED).remove(0);
+            (w.catalog, w.dba_indexes, w.queries, false)
+        }
+        "time-series" => {
+            let s = timeseries::scenario(CHAOS_SEED, CHAOS_STATEMENTS);
+            (s.catalog, s.start_indexes, s.queries, true)
+        }
+        "social-graph" => {
+            let s = socialgraph::scenario(CHAOS_SEED, CHAOS_STATEMENTS);
+            (s.catalog, s.start_indexes, s.queries, true)
+        }
+        "saas" => {
+            let s = saas::scenario(CHAOS_SEED, CHAOS_STATEMENTS);
+            (s.catalog, s.start_indexes, s.queries, true)
+        }
+        other => unreachable!("no chaos workload {other:?}"),
     }
 }
 
+/// The chaos arm's rows for one workload, one per [`CHAOS_RATES`] rate.
+fn chaos_arm(workload: &str) -> Vec<Json> {
+    let (catalog, start, queries, surface) = chaos_workload(workload);
+    let advisor = || {
+        let candidates = CandidateConfig {
+            sort_aware: surface,
+            covering: surface,
+            ..CandidateConfig::default()
+        };
+        let config = AutoIndexConfig {
+            candidates,
+            ..AutoIndexConfig::default()
+        };
+        AutoIndex::new(config, NativeCostEstimator)
+    };
+
+    // The advisor's own recommendation over the stream, on a fault-free
+    // database: the same for every rate.
+    let mut db = fresh_db(&catalog, &start, CHAOS_SEED);
+    let mut offline = advisor();
+    for q in &queries {
+        offline.observe(q, &db).expect("chaos SQL templates");
+        let _ = db.execute(&autoindex_sql::parse_statement(q).expect("chaos SQL parses"));
+    }
+    let session = offline.session(&mut db).recommend_only().run();
+    let rec = session.expect("chaos recommendation").report.recommendation;
+
+    let cell = |rate: f64| {
+        let served = |workers: usize| {
+            let mut db = fresh_db(&catalog, &start, CHAOS_SEED);
+            db.set_fault_plan(plan_for(rate, derive_seed(CHAOS_SEED, 0x5E12)));
+            let cfg = ServeConfig::builder()
+                .workers(workers)
+                .epoch_interval(250)
+                .guard(GuardConfig {
+                    build_retries: 0,
+                    ..GuardConfig::default()
+                })
+                .build()
+                .expect("static serve config");
+            let out = serve(db, advisor(), &queries, cfg).expect("serve run");
+            let m = out.db.metrics();
+            let guard = (
+                m.counter_value("guard.rollbacks"),
+                m.counter_value("guard.applies"),
+            );
+            (
+                out.report.transcript(),
+                guard,
+                counters_json(m, "db.fault."),
+            )
+        };
+        let (t1, guard1, fault_counters) = served(1);
+        let (t4, guard4, _) = served(4);
+        assert!(
+            t1 == t4 && guard1 == guard4,
+            "{workload} @ {rate}: serve transcripts diverged across worker counts \
+             (rollbacks, applies: {guard1:?} vs {guard4:?})\n\
+             --- 1 worker ---\n{t1}\n--- 4 workers ---\n{t4}"
+        );
+        let seeds = (0..CHAOS_APPLY_RUNS).map(|run| derive_seed(CHAOS_SEED, 0xAB_11 ^ run));
+        let applies = guarded_applies(&catalog, &start, CHAOS_SEED, &rec, rate, seeds);
+        let digest = format!("{:016x}", fnv1a(t1.as_bytes()));
+        eprintln!(
+            "chaos {workload:<12} @ {:>2.0}%: digest {digest} | rollbacks serve {} / apply {}",
+            rate * 100.0,
+            guard1.0,
+            applies.rollbacks
+        );
+        obj([
+            ("workload", Json::from(workload)),
+            ("fault_rate", Json::from(rate)),
+            ("digest", Json::from(digest)),
+            ("serve_rollbacks", Json::from(guard1.0)),
+            ("apply_rollbacks", Json::from(applies.rollbacks)),
+            ("fault_counters", fault_counters),
+        ])
+    };
+    CHAOS_RATES.iter().map(|&rate| cell(rate)).collect()
+}
+
 fn main() {
-    let mut online_rows = Vec::new();
-    let mut apply_rows = Vec::new();
+    let (mut online_rows, mut online_rollbacks, mut apply_rows) = (vec![], vec![], vec![]);
     for (i, &rate) in RATES.iter().enumerate() {
         eprintln!("fault rate {:>5.1}%: online arm ...", rate * 100.0);
-        let o = online_arm(rate, i as u64);
-        eprintln!(
-            "  executed {} | rounds {} | applies {} | rollbacks {} | mean {:.3} ms",
-            o.executed, o.tuning_rounds, o.guard_applies, o.rollbacks, o.mean_latency_ms
-        );
+        let (row, rollbacks) = online_arm(rate, i as u64);
         let a = apply_arm(rate, i as u64);
         eprintln!(
             "  apply arm: {}/{} applied, {} rollbacks, {} build faults",
-            a.applied, a.runs, a.rollbacks, a.build_faults
+            a.applied, APPLY_RUNS, a.rollbacks, a.build_faults
         );
-        online_rows.push(o);
+        online_rows.push(row);
+        online_rollbacks.push(rollbacks);
         apply_rows.push(a);
     }
+    let chaos_rows = CHAOS_WORKLOADS.into_iter().flat_map(chaos_arm).collect();
 
     // Regression gates.
     assert_eq!(
-        online_rows[0].rollbacks + apply_rows[0].rollbacks as u64,
+        online_rollbacks[0] + apply_rows[0].rollbacks,
         0,
         "no faults must mean no rollbacks"
     );
     assert!(
-        online_rows[3].rollbacks + apply_rows[3].rollbacks as u64 >= 1,
+        online_rollbacks[3] + apply_rows[3].rollbacks >= 1,
         "20% faults must force at least one rollback"
     );
     assert!(
@@ -287,69 +439,30 @@ fn main() {
                 "uniform rate over build failures, transient errors, latency spikes, stale stats",
             ),
         ),
-        (
-            "online",
-            Json::Array(
-                online_rows
-                    .iter()
-                    .map(|o| {
-                        obj([
-                            ("fault_rate", Json::from(o.rate)),
-                            ("executed", Json::from(o.executed)),
-                            ("tuning_rounds", Json::from(o.tuning_rounds)),
-                            ("guard_applies", Json::from(o.guard_applies)),
-                            ("rollbacks", Json::from(o.rollbacks)),
-                            ("shadow_rejects", Json::from(o.shadow_rejects)),
-                            ("probation_passes", Json::from(o.probation_passes)),
-                            ("observe_only_entries", Json::from(o.observe_only)),
-                            ("build_failures", Json::from(o.build_failures)),
-                            ("absorbed_retries", Json::from(o.absorbed_retries)),
-                            ("mean_latency_ms", Json::from(o.mean_latency_ms)),
-                            ("final_indexes", Json::from(o.final_indexes as u64)),
-                            (
-                                "guard_counters",
-                                Json::Object(
-                                    o.guard_counters
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::from(*v)))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "fault_counters",
-                                Json::Object(
-                                    o.fault_counters
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::from(*v)))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("online", Json::Array(online_rows)),
         (
             "guarded_applies",
             Json::Array(
-                apply_rows
+                RATES
                     .iter()
-                    .map(|a| {
+                    .zip(&apply_rows)
+                    .map(|(&rate, a)| {
                         obj([
-                            ("fault_rate", Json::from(a.rate)),
-                            ("runs", Json::from(a.runs as u64)),
-                            ("applied", Json::from(a.applied as u64)),
-                            ("rollbacks", Json::from(a.rollbacks as u64)),
+                            ("fault_rate", Json::from(rate)),
+                            ("runs", Json::from(APPLY_RUNS)),
+                            ("applied", Json::from(a.applied)),
+                            ("rollbacks", Json::from(a.rollbacks)),
                             ("build_faults", Json::from(a.build_faults)),
                             (
                                 "rollback_rate",
-                                Json::from(a.rollbacks as f64 / a.runs as f64),
+                                Json::from(a.rollbacks as f64 / APPLY_RUNS as f64),
                             ),
                         ])
                     })
                     .collect(),
             ),
         ),
+        ("chaos", Json::Array(chaos_rows)),
     ]);
     record("fault_matrix", &doc);
 }

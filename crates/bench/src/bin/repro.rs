@@ -14,6 +14,8 @@
 //! them. The `smoke` target is a self-checking round `scripts/verify.sh`
 //! runs for its exit status: it re-parses its own snapshot with the in-repo
 //! JSON parser and exits non-zero if any core counter is missing or zero.
+//! Fault injection is not a target here: the guarded pipeline under faults
+//! is the `fault_matrix` bench (`docs/ROBUSTNESS.md` §"Fault matrix").
 
 use autoindex_bench::experiments as ex;
 use autoindex_bench::{fmt_bytes, Method, MethodResult};
@@ -21,9 +23,8 @@ use autoindex_support::json::Json;
 use autoindex_support::obs::MetricsRegistry;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let target = args.first().map(String::as_str).unwrap_or("all");
-    match target {
+    let target = std::env::args().nth(1);
+    match target.as_deref().unwrap_or("all") {
         "fig1" => run("fig1", fig1),
         "fig5" => run("fig5", fig5),
         "fig6" => run("fig6", || fig6_7(true)),
@@ -36,7 +37,6 @@ fn main() {
         "estimator" => run("estimator", estimator),
         "ablations" => run("ablations", ablations),
         "smoke" => smoke(),
-        "chaos" => chaos(&args[1..]),
         "all" => {
             run("fig1", fig1);
             run("fig5", fig5);
@@ -52,9 +52,8 @@ fn main() {
         other => {
             eprintln!("unknown target {other:?}");
             eprintln!(
-                "targets: fig1 fig5 fig6 fig7 fig8 fig9 fig10 table1 table2 table3 estimator ablations smoke chaos all"
+                "targets: fig1 fig5 fig6 fig7 fig8 fig9 fig10 table1 table2 table3 estimator ablations smoke all"
             );
-            eprintln!("chaos usage: repro chaos <banking|fleet|time-series|social-graph|saas> <fault_rate>");
             std::process::exit(2);
         }
     }
@@ -237,240 +236,6 @@ fn smoke() {
         std::process::exit(1);
     }
     println!("smoke OK: snapshot parseable, all core counters non-zero");
-}
-
-/// One chaos-matrix cell (`scripts/chaos_matrix.sh`): serve the named
-/// workload through the guarded pipeline under a uniform fault plan at
-/// `rate`, once with 1 and once with 4 workers, and assert:
-///
-/// 1. **worker-count invariance** — both runs produce byte-identical
-///    serve transcripts (same executions, tuning rounds, guard events,
-///    final config fingerprint) even while faults fire;
-/// 2. **zero guard-rollback leaks** — a side matrix of guarded applies
-///    of the advisor's own recommendation on fresh databases must leave
-///    the catalog at exactly the pre-apply snapshot (on rollback) or the
-///    fully-applied recommendation (on success), never in between.
-///
-/// Prints one machine-readable `CHAOS ...` line and exits non-zero on
-/// any violation. The three PR10 surface workloads run with the
-/// sort-aware/covering candidate classes enabled so the new planner and
-/// candgen paths are exercised under fault injection too.
-fn chaos(args: &[String]) {
-    use autoindex_core::{
-        apply_atomically, serve, ApplyVerdict, AutoIndex, AutoIndexConfig, CandidateConfig,
-        GuardConfig, ServeConfig,
-    };
-    use autoindex_estimator::NativeCostEstimator;
-    use autoindex_storage::catalog::Catalog;
-    use autoindex_storage::fault::{FaultPlan, FaultPlanConfig};
-    use autoindex_storage::index::IndexDef;
-    use autoindex_storage::{SimDb, SimDbConfig};
-    use autoindex_support::rng::derive_seed;
-    use autoindex_workloads::banking::{self, BankingGenerator};
-    use autoindex_workloads::fleet::fleet_workload;
-    use autoindex_workloads::{saas, socialgraph, timeseries};
-    use std::collections::BTreeSet;
-
-    const SEED: u64 = 0xC4_05;
-    const STATEMENTS: usize = 900;
-    const APPLY_RUNS: u64 = 12;
-
-    let name = args.first().map(String::as_str).unwrap_or("");
-    let rate: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(f64::NAN);
-    if !(0.0..=1.0).contains(&rate) {
-        eprintln!("chaos: fault rate must be in [0, 1], got {:?}", args.get(1));
-        std::process::exit(2);
-    }
-
-    // Workload table: (catalog, starting indexes, stream, surface knobs).
-    let (catalog, start, queries, surface): (Catalog, Vec<IndexDef>, Vec<String>, bool) = match name
-    {
-        "banking" => {
-            let mut generator = BankingGenerator::new(SEED);
-            let queries = generator
-                .generate_hybrid(STATEMENTS, 0.6)
-                .into_iter()
-                .map(|(_, q)| q)
-                .collect();
-            (banking::catalog(), Vec::new(), queries, false)
-        }
-        "fleet" => {
-            let w = fleet_workload(1, STATEMENTS, SEED).remove(0);
-            (w.catalog, w.dba_indexes, w.queries, false)
-        }
-        "time-series" => {
-            let s = timeseries::scenario(SEED, STATEMENTS);
-            (s.catalog, s.start_indexes, s.queries, true)
-        }
-        "social-graph" => {
-            let s = socialgraph::scenario(SEED, STATEMENTS);
-            (s.catalog, s.start_indexes, s.queries, true)
-        }
-        "saas" => {
-            let s = saas::scenario(SEED, STATEMENTS);
-            (s.catalog, s.start_indexes, s.queries, true)
-        }
-        other => {
-            eprintln!(
-                "chaos: unknown workload {other:?} (banking|fleet|time-series|social-graph|saas)"
-            );
-            std::process::exit(2);
-        }
-    };
-    let advisor_config = || AutoIndexConfig {
-        candidates: CandidateConfig {
-            sort_aware: surface,
-            covering: surface,
-            ..CandidateConfig::default()
-        },
-        ..AutoIndexConfig::default()
-    };
-    let plan = |salt: u64| -> Option<FaultPlan> {
-        (rate > 0.0).then(|| {
-            FaultPlan::new(FaultPlanConfig {
-                seed: derive_seed(SEED, salt),
-                build_failure: rate,
-                transient_error: rate,
-                latency_spike: rate,
-                stale_stats: rate,
-                ..FaultPlanConfig::default()
-            })
-        })
-    };
-
-    // Arm 1: worker-count invariance of the guarded serve transcript.
-    let run = |workers: usize| -> (String, u64, u64) {
-        let mut db = SimDb::with_metrics(
-            catalog.clone(),
-            SimDbConfig {
-                seed: SEED,
-                ..Default::default()
-            },
-            MetricsRegistry::new(),
-        );
-        for d in &start {
-            let _ = db.create_index(d.clone());
-        }
-        db.set_fault_plan(plan(0x5E12));
-        let advisor = AutoIndex::new(advisor_config(), NativeCostEstimator);
-        let cfg = ServeConfig::builder()
-            .workers(workers)
-            .epoch_interval(250)
-            .guard(GuardConfig {
-                build_retries: 0,
-                ..GuardConfig::default()
-            })
-            .build()
-            .expect("static serve config");
-        let out = serve(db, advisor, &queries, cfg).expect("serve run");
-        let rollbacks = out.db.metrics().counter_value("guard.rollbacks");
-        let applies = out.db.metrics().counter_value("guard.applies");
-        (out.report.transcript(), rollbacks, applies)
-    };
-    let (t1, rb1, ap1) = run(1);
-    let (t4, rb4, ap4) = run(4);
-    let invariant = t1 == t4 && (rb1, ap1) == (rb4, ap4);
-
-    // Arm 2: guard-rollback leak matrix. Ask the advisor (offline) for a
-    // real recommendation over this stream, then guarded-apply it on
-    // fresh databases under independent fault seeds. A *leak* is any run
-    // that leaves the catalog neither fully applied nor exactly restored.
-    let mut db = SimDb::with_metrics(
-        catalog.clone(),
-        SimDbConfig {
-            seed: SEED,
-            ..Default::default()
-        },
-        MetricsRegistry::new(),
-    );
-    for d in &start {
-        let _ = db.create_index(d.clone());
-    }
-    let mut offline = AutoIndex::new(advisor_config(), NativeCostEstimator);
-    for q in &queries {
-        offline.observe(q, &db).expect("chaos SQL templates");
-        let _ = db.execute(&autoindex_sql::parse_statement(q).expect("chaos SQL parses"));
-    }
-    let rec = offline
-        .session(&mut db)
-        .recommend_only()
-        .run()
-        .expect("chaos recommendation")
-        .report
-        .recommendation;
-    let mut leaks = 0u64;
-    let mut apply_rollbacks = 0u64;
-    if !rec.add.is_empty() || !rec.remove.is_empty() {
-        for runix in 0..APPLY_RUNS {
-            let mut db = SimDb::with_metrics(
-                catalog.clone(),
-                SimDbConfig {
-                    seed: SEED,
-                    ..Default::default()
-                },
-                MetricsRegistry::new(),
-            );
-            for d in &start {
-                let _ = db.create_index(d.clone());
-            }
-            let pre: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
-            let mut expected = pre.clone();
-            for d in &rec.remove {
-                expected.remove(&d.key());
-            }
-            for d in &rec.add {
-                expected.insert(d.key());
-            }
-            db.set_fault_plan(plan(0xAB_11 ^ runix));
-            let cfg = GuardConfig {
-                build_retries: 0,
-                ..GuardConfig::default()
-            };
-            let (_, _, verdict) = apply_atomically(&mut db, &rec, &cfg);
-            let post: BTreeSet<String> = db.indexes().map(|(_, d)| d.key()).collect();
-            match verdict {
-                ApplyVerdict::Applied => {
-                    if post != expected {
-                        leaks += 1;
-                    }
-                }
-                ApplyVerdict::RolledBack(_) => {
-                    apply_rollbacks += 1;
-                    if post != pre {
-                        leaks += 1;
-                    }
-                }
-                // A shadow reject touches nothing; the catalog must be
-                // exactly the pre-apply set.
-                ApplyVerdict::ShadowRejected { .. } => {
-                    if post != pre {
-                        leaks += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    let digest = |t: &str| autoindex_support::hash::fnv1a(t.as_bytes());
-    let pass = invariant && leaks == 0;
-    println!(
-        "CHAOS workload={name} rate={rate} digest1={:016x} digest4={:016x} invariant={invariant} \
-         serve_rollbacks={rb1} apply_rollbacks={apply_rollbacks} leaks={leaks} result={}",
-        digest(&t1),
-        digest(&t4),
-        if pass { "PASS" } else { "FAIL" }
-    );
-    if !pass {
-        if !invariant {
-            eprintln!(
-                "chaos FAILED: transcripts diverged across worker counts\n--- 1 worker ---\n{t1}\n--- 4 workers ---\n{t4}"
-            );
-        }
-        if leaks > 0 {
-            eprintln!("chaos FAILED: {leaks} guarded applies left a partial catalog");
-        }
-        std::process::exit(1);
-    }
 }
 
 fn fig5() {

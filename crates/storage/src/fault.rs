@@ -103,21 +103,6 @@ impl Default for FaultPlanConfig {
 }
 
 impl FaultPlanConfig {
-    /// Every fault class firing at the same `rate` (the fault-matrix
-    /// benchmark's knob).
-    pub fn uniform(seed: u64, rate: f64) -> Self {
-        let rate = rate.clamp(0.0, 1.0);
-        FaultPlanConfig {
-            seed,
-            build_failure: rate,
-            slow_build: rate,
-            latency_spike: rate,
-            transient_error: rate,
-            stale_stats: rate,
-            ..FaultPlanConfig::default()
-        }
-    }
-
     /// Whether any class can ever fire.
     pub fn is_quiet(&self) -> bool {
         self.build_failure <= 0.0
@@ -302,6 +287,11 @@ mod tests {
             assert_eq!(p.roll_whatif(), 1.0);
         }
         assert!(p.is_quiet());
+        let reseeded = FaultPlanConfig {
+            seed: 1,
+            ..FaultPlanConfig::default()
+        };
+        assert!(reseeded.is_quiet());
     }
 
     #[test]
@@ -323,6 +313,7 @@ mod tests {
             spikes += (e.latency_factor > 1.0) as u32;
             fails += p.roll_build().failed as u32;
         }
+        assert!(!p.is_quiet());
         let frac = |c: u32| c as f64 / n as f64;
         assert!((frac(transients) - 0.2).abs() < 0.02, "{transients}");
         // Spikes only roll when no transient fired: ~0.8 * 0.3.
@@ -367,20 +358,6 @@ mod tests {
         }
         assert!(rolls.iter().any(|&d| d != 1.0));
         assert!(rolls.contains(&1.0));
-    }
-
-    #[test]
-    fn uniform_builder_sets_all_rates() {
-        let c = FaultPlanConfig::uniform(1, 0.2);
-        assert_eq!(c.build_failure, 0.2);
-        assert_eq!(c.slow_build, 0.2);
-        assert_eq!(c.latency_spike, 0.2);
-        assert_eq!(c.transient_error, 0.2);
-        assert_eq!(c.stale_stats, 0.2);
-        assert!(!c.is_quiet());
-        assert!(FaultPlanConfig::uniform(1, 0.0).is_quiet());
-        // Rates clamp into [0, 1].
-        assert_eq!(FaultPlanConfig::uniform(1, 7.0).build_failure, 1.0);
     }
 
     #[test]
