@@ -75,13 +75,15 @@
 //! instead of hanging.
 
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::{FastPathCache, FrontEnd, Resolved, SkeletonClone, UpkeepCounters};
+use crate::fastpath::{
+    FastPathCache, FrameCache, FrontEnd, Resolved, SkeletonClone, UpkeepCounters,
+};
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{DbSnapshot, ExecOutcome, PreparedPlan, SimDb, UsageDelta};
 use autoindex_support::hash::U64HashMap;
-use autoindex_support::obs::{Counter, MetricsRegistry};
+use autoindex_support::obs::{Counter, MetricsRegistry, ShardCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -354,19 +356,23 @@ pub(crate) struct Publication {
 impl Publication {
     /// Snapshot `db` as `epoch` and freeze the advisor's compiled
     /// templates against its catalog: a template born since the last
-    /// publication is compiled, one whose tables grew is re-folded, every
-    /// other entry — the whole cache, when nothing moved — is shared with
-    /// the publication before (`TemplateStore::publish`).
+    /// publication is compiled — folded from the run's frame of its text
+    /// and schema, when `frames` has one — one whose tables grew is
+    /// re-folded, every other entry — the whole cache, when nothing moved —
+    /// is shared with the publication before (`TemplateStore::publish`).
     pub(crate) fn build<E: CostEstimator>(
         db: &SimDb,
         advisor: &mut AutoIndex<E>,
         epoch: u64,
         fastpath: bool,
         upkeep: &UpkeepCounters,
+        frames: &mut FrameCache,
     ) -> Self {
         let snap = db.snapshot(epoch);
         let cache = if fastpath {
-            advisor.templates_mut().publish(db.catalog(), upkeep)
+            advisor
+                .templates_mut()
+                .publish(db.catalog(), upkeep, frames)
         } else {
             Arc::new(FastPathCache::empty())
         };
@@ -399,51 +405,48 @@ impl Publication {
 // ------------------------------------------------------------- executors
 
 /// Per-worker reusable fast-path state: the statement front end and one
-/// bindable skeleton clone per compiled template of each tenant.
-/// Fingerprints collide across tenants, so clones are kept by
-/// `(tenant, hash)`; a clone outlives the tasks of other tenants and every
-/// publication that still serves its hash from the frame it was cloned
-/// from.
+/// bindable skeleton clone per frame, whichever tenants' templates share
+/// it, with its cell of `sql.fastpath.clones` (clones made).
 struct WorkerScratch {
     front: FrontEnd,
     clones: Clones,
+    cloned: ShardCell,
 }
 
 impl WorkerScratch {
-    fn new(front: FrontEnd) -> Self {
+    fn new(registry: &MetricsRegistry, slot: usize) -> Self {
         WorkerScratch {
-            front,
-            clones: Clones(Vec::new()),
+            front: FrontEnd::new(registry, slot),
+            clones: Clones::default(),
+            cloned: registry.sharded_counter("sql.fastpath.clones").cell(slot),
         }
     }
 }
 
-/// Per tenant: the epoch of the publication its clones were last checked
-/// against, and the clones by template hash.
-struct Clones(Vec<(u64, U64HashMap<SkeletonClone>)>);
+/// A reader's skeleton clones by [`SkeletonClone::key`], with the epoch of
+/// the publication each tenant's tasks last ran under. A clone outlives
+/// every publication whose templates still hold its frame (cloning a
+/// skeleton costs a dozen or more heap calls; a re-fold keeps its frame).
+#[derive(Default)]
+struct Clones {
+    by_frame: U64HashMap<SkeletonClone>,
+    seen: Vec<u64>,
+}
 
 impl Clones {
-    /// `tenant`'s clones under its publication of `epoch`, whose compiled
-    /// templates are `cache`: at a publication they were not checked
-    /// against, only the clones of templates `cache` still serves from the
-    /// same frame are kept (cloning a skeleton costs a dozen or more heap
-    /// calls; a re-fold keeps its frame).
-    fn of(
-        &mut self,
-        tenant: u32,
-        epoch: u64,
-        cache: &FastPathCache,
-    ) -> &mut U64HashMap<SkeletonClone> {
+    /// The clones, for a task of `tenant` under its publication of
+    /// `epoch`: when the tenant's publication changed, the clones of
+    /// frames no template holds any longer go first.
+    fn of(&mut self, tenant: u32, epoch: u64) -> &mut U64HashMap<SkeletonClone> {
         let t = tenant as usize;
-        if self.0.len() <= t {
-            self.0.resize_with(t + 1, || (epoch, U64HashMap::default()));
+        if self.seen.len() <= t {
+            self.seen.resize(t + 1, epoch);
         }
-        let (checked_at, clones) = &mut self.0[t];
-        if *checked_at != epoch {
-            clones.retain(|hash, clone| cache.get(*hash).is_some_and(|t| clone.serves(t)));
-            *checked_at = epoch;
+        if self.seen[t] != epoch {
+            self.by_frame.retain(|_, clone| clone.is_live());
+            self.seen[t] = epoch;
         }
-        clones
+        &mut self.by_frame
     }
 }
 
@@ -464,8 +467,12 @@ fn execute_statement(
     scratch: &mut WorkerScratch,
 ) -> (ObservationPayload, bool) {
     let snap = &publication.snap;
-    let WorkerScratch { front, clones } = scratch;
-    let shapes = clones.of(tenant, snap.epoch, &publication.cache);
+    let WorkerScratch {
+        front,
+        clones,
+        cloned,
+    } = scratch;
+    let shapes = clones.of(tenant, snap.epoch);
     let mut slot = 0;
     let lookup = fastpath.then_some(|hash| {
         // Moved, not reborrowed: the clone handed out lives as long as the
@@ -474,8 +481,11 @@ fn execute_statement(
         let (ordinal, compiled) = publication.cache.slot(hash)?;
         slot = ordinal;
         let clone = shapes
-            .entry(hash)
-            .or_insert_with(|| SkeletonClone::of(compiled));
+            .entry(SkeletonClone::key(compiled))
+            .or_insert_with(|| {
+                cloned.incr();
+                SkeletonClone::of(compiled)
+            });
         Some((compiled, &mut clone.shape))
     });
     let Ok(resolved) = front.resolve(sql, snap.catalog(), lookup) else {
@@ -683,7 +693,7 @@ impl<'a> Engine<'a> {
     }
 
     fn scratch(&self, slot: usize) -> WorkerScratch {
-        WorkerScratch::new(FrontEnd::new(&self.registry, slot))
+        WorkerScratch::new(&self.registry, slot)
     }
 
     /// Spawn the executors, run `coordinate` (which drives epochs through
@@ -941,54 +951,52 @@ mod tests {
         assert_eq!(std::mem::size_of::<Observation>(), 176);
     }
 
-    /// A worker keeps each tenant's skeleton clones apart (fingerprints
-    /// collide across tenants) and across the tasks of other tenants, and
-    /// at a new publication keeps exactly the clones of templates the
-    /// publication still serves from the frame they were cloned from: a
-    /// re-fold keeps its clone, a template the cache lost drops it, and a
-    /// template compiled anew (another frame) gets a fresh one.
+    /// A worker keeps one clone per frame, whichever tenant's template it
+    /// was made for: a template of another tenant of the schema binds into
+    /// it, a re-fold keeps it, the same text compiled anew (another frame)
+    /// does not find it, and once no template holds its frame it goes at
+    /// the next publication change of any tenant.
     #[test]
     fn clones_outlive_other_tenants_tasks_and_publications_that_keep_their_frame() {
         use crate::templates::{TemplateStore, TemplateStoreConfig};
-        let mut catalog = banking::catalog();
+        let sql = "SELECT * FROM account WHERE acct_id = 1";
         let upkeep = UpkeepCounters::bind(&MetricsRegistry::new());
-        let mut store = TemplateStore::new(TemplateStoreConfig::default());
-        let hash = store
-            .observe("SELECT * FROM account WHERE acct_id = 1", &catalog)
-            .unwrap();
-        let first = store.publish(&catalog, &upkeep);
-        let compiled = first.get(hash).unwrap();
-
-        let mut clones = Clones(Vec::new());
-        clones
-            .of(0, 5, &first)
-            .insert(hash, SkeletonClone::of(compiled));
-        clones
-            .of(2, 5, &first)
-            .insert(hash, SkeletonClone::of(compiled));
-        assert!(clones.of(1, 5, &first).is_empty());
-        assert_eq!(
-            clones.of(0, 5, &first).len(),
-            1,
-            "another tenant's task dropped it"
-        );
+        let mut frames = FrameCache::default();
+        let mut catalogs = [banking::catalog(), banking::catalog()];
+        catalogs[1].grow_table("account", 10_000).unwrap();
+        let mut stores = [(); 2].map(|_| TemplateStore::new(TemplateStoreConfig::default()));
+        let mut published = Vec::new();
+        let mut hash = 0;
+        for (store, catalog) in stores.iter_mut().zip(&catalogs) {
+            hash = store.observe(sql, catalog).unwrap();
+            published.push(store.publish(catalog, &upkeep, &mut frames));
+        }
+        let key = SkeletonClone::key(published[0].get(hash).unwrap());
+        let mut clones = Clones::default();
+        let clone = SkeletonClone::of(published[0].get(hash).unwrap());
+        clones.of(0, 5).insert(key, clone);
+        let other = published[1].get(hash).unwrap();
+        assert_eq!(SkeletonClone::key(other), key, "one frame");
+        assert_eq!(clones.of(1, 5).len(), 1);
 
         // The table grew: the template is re-folded, its frame kept.
-        catalog.grow_table("account", 10_000).unwrap();
-        let refolded = store.publish(&catalog, &upkeep);
-        assert!(!std::ptr::eq(refolded.get(hash).unwrap(), compiled));
-        assert_eq!(clones.of(0, 6, &refolded).len(), 1, "a re-fold keeps it");
-        assert!(clones.of(0, 6, &refolded)[&hash].serves(refolded.get(hash).unwrap()));
+        catalogs[0].grow_table("account", 10_000).unwrap();
+        let refolded = stores[0].publish(&catalogs[0], &upkeep, &mut frames);
+        let template = refolded.get(hash).unwrap();
+        assert!(!std::ptr::eq(template, published[0].get(hash).unwrap()));
+        assert_eq!(SkeletonClone::key(template), key, "a re-fold keeps it");
+        assert_eq!(clones.of(0, 6).len(), 1);
 
         // The same text compiled from scratch is another frame.
-        let rebuilt = FastPathCache::build(store.entries(), &catalog);
-        assert!(
-            clones.of(0, 7, &rebuilt).is_empty(),
-            "another frame drops it"
-        );
-        // A publication that no longer serves the hash drops it too.
-        assert!(clones.of(2, 7, &FastPathCache::empty()).is_empty());
-        assert!(clones.of(1, 7, &rebuilt).is_empty());
+        let rebuilt = FastPathCache::build(stores[0].entries(), &catalogs[0]);
+        let anew = rebuilt.get(hash).unwrap();
+        assert!(!clones.of(0, 6).contains_key(&SkeletonClone::key(anew)));
+
+        // No template holds the frame any longer: the clone stays until a
+        // publication changes.
+        drop((published, refolded, stores));
+        assert_eq!(clones.of(0, 6).len(), 1);
+        assert!(clones.of(1, 7).is_empty());
     }
 
     #[test]
@@ -1105,7 +1113,8 @@ mod tests {
         fn publication(&self, epoch: u64) -> Publication {
             let mut advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
             let upkeep = UpkeepCounters::bind(&MetricsRegistry::new());
-            Publication::build(&self.db, &mut advisor, epoch, true, &upkeep)
+            let mut frames = FrameCache::default();
+            Publication::build(&self.db, &mut advisor, epoch, true, &upkeep, &mut frames)
         }
 
         fn initial(&self) -> Vec<Publication> {
@@ -1446,7 +1455,7 @@ mod tests {
         let filled = |p: &Publication| p.plans.iter().filter(|slot| slot.get().is_some()).count();
         // Every statement under `publication`, with its unprepared twin.
         let run = |publication: &Publication| -> Vec<(u64, u64)> {
-            let mut scratch = WorkerScratch::new(FrontEnd::new(&registry, 0));
+            let mut scratch = WorkerScratch::new(&registry, 0);
             let mut bound = Vec::new();
             for (seq, sql) in queries.iter().enumerate() {
                 let seq = seq as u64;
@@ -1470,7 +1479,9 @@ mod tests {
             bound
         };
 
-        let first = Arc::new(Publication::build(&db, &mut advisor, 0, true, &upkeep));
+        let mut frames = FrameCache::default();
+        let first = Publication::build(&db, &mut advisor, 0, true, &upkeep, &mut frames);
+        let first = Arc::new(first);
         assert!(!first.plans.is_empty() && first.plans.len() == first.cache.len());
         assert_eq!(filled(&first), 0, "slots fill lazily");
         let under_first = run(&first);
@@ -1489,7 +1500,7 @@ mod tests {
             .unwrap();
         db.grow_table("withdraw_flow", 400_000).unwrap();
         db.grow_table("account", 50_000).unwrap();
-        let second = Publication::build(&db, &mut advisor, 1, true, &upkeep);
+        let second = Publication::build(&db, &mut advisor, 1, true, &upkeep, &mut frames);
         assert_eq!(filled(&second), 0, "nothing of publication 0 came along");
         let under_second = run(&second);
         assert_eq!(

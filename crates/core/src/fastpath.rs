@@ -23,8 +23,10 @@
 //! A [`CompiledTemplate`] is self-contained and kept with its template
 //! (the private `Compiled` state of a [`TemplateEntry`]; dropped when the
 //! template is evicted or decays). What its text determines — skeleton,
-//! slot writes, the [`SelTrace`] extraction recorded — is made once. What
-//! the statistics determine — the selectivity program: per factor its
+//! slot writes, the [`SelTrace`] extraction recorded: its `Frame`, which
+//! holds no statistic — is made once, and under the serving loop once per
+//! run for every tenant of one schema (`FrameCache`). What the statistics
+//! determine — the selectivity program: per factor its
 //! leaves' constants and literal-dependent comparisons — carries the
 //! [growth stamp](autoindex_storage::catalog::Table::stamp) of every table
 //! the template touches, and the one invalidation rule is: **an entry is
@@ -92,9 +94,9 @@ use autoindex_sql::predicate::AtomicPredicate;
 use autoindex_sql::{parse_statement, SqlError};
 use autoindex_storage::catalog::{Catalog, Table};
 use autoindex_storage::shape::{QueryShape, SelTrace};
-use autoindex_support::hash::U64HashMap;
+use autoindex_support::hash::{U64HashMap, WordHashMap};
 use autoindex_support::obs::{Counter, MetricsRegistry, ShardCell};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Base of the sentinel literal range. Far above any statistics value a
 /// catalog produces and high enough that `SENTINEL_BASE + k` stays well
@@ -102,7 +104,7 @@ use std::sync::Arc;
 pub const SENTINEL_BASE: i64 = 9_100_000_000_000_000;
 
 /// Which of a table's three atom collections a slot write targets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum AtomArm {
     Conjunct,
     AllAtom,
@@ -110,7 +112,7 @@ enum AtomArm {
 }
 
 /// Which value field of the targeted atom receives the literal.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ValueField {
     Cmp,
     BetweenLow,
@@ -125,7 +127,7 @@ enum ValueField {
 }
 
 /// One literal destination in the skeleton shape.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SlotWrite {
     table: u16,
     arm: AtomArm,
@@ -141,17 +143,22 @@ struct SlotWrite {
 
 /// Two entries of one table's `all_atoms` (or of its `conjunct_groups`)
 /// that differ only where a literal goes: a bind can make them equal.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Twins {
     table: u16,
     first: u16,
     second: u16,
 }
 
-/// What a template's *text* compiles to, whatever the statistics say:
-/// made once, shared by every re-fold of the template.
-#[derive(Debug)]
-struct Frame {
+/// What a template's *text* compiles to, whatever the statistics say: a
+/// pure function of the text and the catalog's schema
+/// ([`Catalog::schema_fingerprint`]), made once and shared by every re-fold
+/// of the template — and, through a [`FrameCache`], by every tenant of
+/// that schema.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Frame {
+    /// The sentinel-valued shape. Its `filter_sel`s are statistics, which
+    /// every bind overwrites: the frame keeps them at 1.0.
     skeleton: QueryShape,
     writes: Vec<SlotWrite>,
     limit_slot: Option<u16>,
@@ -254,10 +261,11 @@ fn blank(atom: &AtomicPredicate) -> AtomicPredicate {
 }
 
 impl CompiledTemplate {
-    /// The sentinel-valued template shape. A reader clones it once and
-    /// re-binds the clone per statement; a bound clone stays bindable by
-    /// every later re-fold of the same template (a bind writes every slot
-    /// and every `filter_sel`).
+    /// The sentinel-valued template shape, every `filter_sel` at 1.0. A
+    /// reader clones it once and re-binds the clone per statement; a bound
+    /// clone stays bindable by every template that shares its frame — every
+    /// later re-fold of the same template, and the template of every tenant
+    /// of the same schema (a bind writes every slot and every `filter_sel`).
     pub fn skeleton(&self) -> &QueryShape {
         &self.frame.skeleton
     }
@@ -399,6 +407,16 @@ impl CompiledTemplate {
         })
     }
 
+    /// Compile `text` (canonical template text) against `catalog`.
+    /// `None` means the template is ineligible — it will simply miss the
+    /// cache and take the full parse path.
+    fn compile(text: &str, catalog: &Catalog) -> Option<CompiledTemplate> {
+        let frame = Frame::build(text, catalog)?;
+        CompiledTemplate::fold(Arc::new(frame), catalog)
+    }
+}
+
+impl Frame {
     /// `text` (canonical template text) with the k-th literal replaced by
     /// its sentinel — an integer, or a pattern string of the same anchoring
     /// class — and the number of literals; `None` for a quote or a
@@ -429,10 +447,11 @@ impl CompiledTemplate {
         Some((out, k))
     }
 
-    /// Compile `text` (canonical template text) against `catalog`.
-    /// `None` means the template is ineligible — it will simply miss the
-    /// cache and take the full parse path.
-    fn compile(text: &str, catalog: &Catalog) -> Option<CompiledTemplate> {
+    /// The frame of `text` (canonical template text) against `catalog`'s
+    /// schema: one parse of its sentinel text and one traced extraction,
+    /// the statistics the extraction folded in left out. `None` means the
+    /// template is ineligible.
+    fn build(text: &str, catalog: &Catalog) -> Option<Frame> {
         let (sentinel_text, n_slots) = Self::sentinel_text(text)?;
         if n_slots > u16::MAX as usize {
             return None;
@@ -441,7 +460,10 @@ impl CompiledTemplate {
         if !statement_eligible(&stmt) {
             return None;
         }
-        let (skeleton, trace) = QueryShape::extract_traced(&stmt, catalog);
+        let (mut skeleton, trace) = QueryShape::extract_traced(&stmt, catalog);
+        for table in &mut skeleton.tables {
+            table.filter_sel = 1.0;
+        }
 
         // Discover every sentinel occurrence in the shape. The scan walks
         // every `Value`-bearing field `QueryShape` has, so a sentinel
@@ -482,7 +504,7 @@ impl CompiledTemplate {
             }
             None => None,
         };
-        let frame = Frame {
+        Some(Frame {
             // Extraction grows its vectors by doubling; a clone's are
             // exact-sized, and the frame lives as long as its template.
             skeleton: skeleton.clone(),
@@ -493,8 +515,59 @@ impl CompiledTemplate {
             atom_twins,
             group_twins,
             trace: trace.clone(),
-        };
-        CompiledTemplate::fold(Arc::new(frame), catalog)
+        })
+    }
+
+    /// A pending template's frame, built for it alone: what a reader that
+    /// keeps no [`FrameCache`] (the online loop) compiles.
+    pub(crate) fn own(text: &str, catalog: &Catalog) -> (Option<Arc<Frame>>, Upkeep) {
+        (Frame::build(text, catalog).map(Arc::new), Upkeep::Compiled)
+    }
+}
+
+/// The frames one serving run has built, by fingerprint hash and
+/// [`Catalog::schema_fingerprint`]. A frame is a pure function of the two,
+/// so a tenant whose schema another tenant has folds that tenant's frame
+/// against its own statistics instead of parsing and extracting the text
+/// again. A frame is held weakly — it lives while some tenant's template
+/// entry keeps it — and a text that does not compile against a schema is
+/// remembered as such.
+#[derive(Debug, Default)]
+pub(crate) struct FrameCache {
+    frames: WordHashMap<(u64, u64), Option<Weak<Frame>>>,
+    /// Entries at which the next insert first drops the dead frames.
+    sweep_at: usize,
+}
+
+impl FrameCache {
+    /// The frame of `text` (its fingerprint hash and the schema
+    /// fingerprint of `catalog` form `key`): the cached one, or built now
+    /// when no live frame is cached. Whether it was built or shared, as
+    /// the upkeep step it makes of a pending entry.
+    pub(crate) fn frame(
+        &mut self,
+        key: (u64, u64),
+        text: &str,
+        catalog: &Catalog,
+    ) -> (Option<Arc<Frame>>, Upkeep) {
+        match self.frames.get(&key) {
+            Some(None) => return (None, Upkeep::Ineligible),
+            Some(Some(frame)) => {
+                if let Some(frame) = frame.upgrade() {
+                    return (Some(frame), Upkeep::Shared);
+                }
+            }
+            None => {}
+        }
+        if self.frames.len() >= self.sweep_at {
+            let live =
+                |f: &mut Option<Weak<Frame>>| f.as_ref().is_none_or(|f| f.strong_count() > 0);
+            self.frames.retain(|_, f| live(f));
+            self.sweep_at = 2 * self.frames.len().max(16);
+        }
+        let frame = Frame::build(text, catalog).map(Arc::new);
+        self.frames.insert(key, frame.as_ref().map(Arc::downgrade));
+        (frame, Upkeep::Compiled)
     }
 }
 
@@ -658,8 +731,11 @@ pub(crate) enum Upkeep {
     Reused,
     /// A touched table grew: the kept trace was folded again.
     Refolded,
-    /// First compilation of a pending template.
+    /// First compilation of a pending template: its frame was built.
     Compiled,
+    /// First compilation of a pending template from a frame a
+    /// [`FrameCache`] had: only the fold was made.
+    Shared,
     /// The template turned out not to compile.
     Ineligible,
 }
@@ -673,9 +749,14 @@ impl Upkeep {
 }
 
 impl Compiled {
-    /// Bring this entry up to `catalog`: compile a pending template, re-fold
+    /// Bring this entry up to `catalog`: compile a pending template — fold
+    /// the frame `pending` hands over, with the step it names — re-fold
     /// one whose tables grew, leave anything else as it is.
-    pub(crate) fn upkeep(&mut self, text: &str, catalog: &Catalog) -> Upkeep {
+    pub(crate) fn upkeep(
+        &mut self,
+        catalog: &Catalog,
+        pending: impl FnOnce() -> (Option<Arc<Frame>>, Upkeep),
+    ) -> Upkeep {
         let version = catalog.version();
         let (next, step) = match self {
             Compiled::Ineligible => return Upkeep::Current,
@@ -692,7 +773,10 @@ impl Compiled {
                 CompiledTemplate::fold(Arc::clone(&template.frame), catalog),
                 Upkeep::Refolded,
             ),
-            Compiled::Pending => (CompiledTemplate::compile(text, catalog), Upkeep::Compiled),
+            Compiled::Pending => {
+                let (frame, step) = pending();
+                (frame.and_then(|f| CompiledTemplate::fold(f, catalog)), step)
+            }
         };
         let Some(next) = next else {
             *self = Compiled::Ineligible;
@@ -720,15 +804,17 @@ impl Compiled {
     }
 }
 
-/// `sql.fastpath.{compiled,refolded,reused}`: what keeping the compiled
-/// templates current took, counted per publication and per live
-/// invalidation — the evidence that a publication re-folds only the
-/// templates whose tables grew. With them `planner.prepared`: plans
-/// prepared for a publication's template slots — against executions, the
-/// evidence that a template is planned once per publication.
+/// `sql.fastpath.{compiled,shared,refolded,reused}`: what keeping the
+/// compiled templates current took, counted per publication and per live
+/// invalidation — the evidence that a run builds one frame per template
+/// text and schema, and that a publication re-folds only the templates
+/// whose tables grew. With them `planner.prepared`: plans prepared for a
+/// publication's template slots — against executions, the evidence that a
+/// template is planned once per publication.
 #[derive(Debug, Clone)]
 pub(crate) struct UpkeepCounters {
     compiled: Counter,
+    shared: Counter,
     refolded: Counter,
     reused: Counter,
     pub(crate) prepared: Counter,
@@ -738,6 +824,7 @@ impl UpkeepCounters {
     pub(crate) fn bind(registry: &MetricsRegistry) -> Self {
         UpkeepCounters {
             compiled: registry.counter("sql.fastpath.compiled"),
+            shared: registry.counter("sql.fastpath.shared"),
             refolded: registry.counter("sql.fastpath.refolded"),
             reused: registry.counter("sql.fastpath.reused"),
             prepared: registry.counter("planner.prepared"),
@@ -748,6 +835,7 @@ impl UpkeepCounters {
     pub(crate) fn record(&self, step: Upkeep) {
         match step {
             Upkeep::Compiled => self.compiled.incr(),
+            Upkeep::Shared => self.shared.incr(),
             Upkeep::Refolded => self.refolded.incr(),
             Upkeep::Reused => self.reused.incr(),
             Upkeep::Current | Upkeep::Ineligible => {}
@@ -869,28 +957,39 @@ impl Resolved<'_> {
 }
 
 /// A reader's bindable clone of a compiled template's skeleton, with the
-/// frame it was cloned from. A bind writes every slot and every
-/// `filter_sel`, so the clone stays bindable by every template that shares
-/// that frame — every re-fold of its template, in any later publication —
-/// and by no other.
+/// frame it was cloned from, held weakly. A bind writes every slot and
+/// every `filter_sel`, so the clone stays bindable by every template that
+/// shares that frame — every re-fold of its template, in any later
+/// publication, and the template of every tenant of its schema — and by
+/// no other.
 #[derive(Debug)]
 pub(crate) struct SkeletonClone {
-    frame: Arc<Frame>,
+    frame: Weak<Frame>,
     pub(crate) shape: QueryShape,
 }
 
 impl SkeletonClone {
     pub(crate) fn of(template: &CompiledTemplate) -> Self {
         SkeletonClone {
-            frame: Arc::clone(&template.frame),
+            frame: Arc::downgrade(&template.frame),
             shape: template.frame.skeleton.clone(),
         }
     }
 
-    /// Whether `template` can bind into this clone: it has the frame the
-    /// clone was made from.
-    pub(crate) fn serves(&self, template: &CompiledTemplate) -> bool {
-        Arc::ptr_eq(&self.frame, &template.frame)
+    /// The key of `template`'s frame, which a reader keeps its clone
+    /// under: the frame's address. A clone's weak hold keeps that address
+    /// from being reused while the clone is kept, so `template` can bind
+    /// into the clone under its key. The address is shifted past the
+    /// allocator's 16-byte alignment — two frames lie further apart than
+    /// that — so that the low bits a `U64HashMap` picks buckets by differ
+    /// between frames.
+    pub(crate) fn key(template: &CompiledTemplate) -> u64 {
+        (Arc::as_ptr(&template.frame) as usize as u64) >> 4
+    }
+
+    /// Whether some template still holds the frame.
+    pub(crate) fn is_live(&self) -> bool {
+        self.frame.strong_count() > 0
     }
 }
 
@@ -1452,6 +1551,7 @@ mod tests {
             |rng, size| {
                 let mut cat = catalog();
                 let upkeep = UpkeepCounters::bind(&MetricsRegistry::new());
+                let mut frames = FrameCache::default();
                 let mut store = TemplateStore::new(TemplateStoreConfig {
                     max_templates: rng.random_range(2usize..12),
                     ..TemplateStoreConfig::default()
@@ -1467,7 +1567,7 @@ mod tests {
                         }
                         1 => store.decay(),
                         2 => {
-                            store.publish(&cat, &upkeep);
+                            store.publish(&cat, &upkeep, &mut frames);
                         }
                         3 => {
                             // A live lookup: its bound clone is the parse path's shape.
@@ -1492,7 +1592,7 @@ mod tests {
                     }
                 }
 
-                let maintained = store.publish(&cat, &upkeep);
+                let maintained = store.publish(&cat, &upkeep, &mut frames);
                 let rebuilt = FastPathCache::build(store.entries(), &cat);
                 prop_assert_eq!(maintained.len(), rebuilt.len());
                 prop_assert_eq!(maintained.ineligible(), rebuilt.ineligible());
@@ -1529,7 +1629,8 @@ mod tests {
             "SELECT a.id FROM accounts a JOIN tellers t ON a.branch = t.branch WHERE t.id < 5",
         ]
         .map(|sql| store.observe(sql, &cat).unwrap());
-        store.publish(&cat, &UpkeepCounters::bind(&registry));
+        let upkeep = UpkeepCounters::bind(&registry);
+        store.publish(&cat, &upkeep, &mut FrameCache::default());
         assert_eq!(registry.counter_value("sql.fastpath.compiled"), 3);
         (store, cat, registry, hashes)
     }
@@ -1538,13 +1639,13 @@ mod tests {
     fn an_epoch_without_births_or_growth_publishes_the_same_entries() {
         let (mut store, cat, registry, hashes) = published_store();
         let upkeep = UpkeepCounters::bind(&registry);
-        let first = store.publish(&cat, &upkeep);
+        let first = store.publish(&cat, &upkeep, &mut FrameCache::default());
         // Repeats of known templates move frequencies, not entries.
         for i in 0..50 {
             let sql = format!("SELECT * FROM tellers WHERE id < {i}");
             store.observe(&sql, &cat).unwrap();
         }
-        let second = store.publish(&cat, &upkeep);
+        let second = store.publish(&cat, &upkeep, &mut FrameCache::default());
         assert!(Arc::ptr_eq(&first, &second), "the cache itself is reused");
         for h in hashes {
             assert!(Arc::ptr_eq(&first.entries[&h].1, &second.entries[&h].1));
@@ -1556,7 +1657,7 @@ mod tests {
         store
             .observe("SELECT * FROM tellers WHERE branch = 1", &cat)
             .unwrap();
-        let third = store.publish(&cat, &upkeep);
+        let third = store.publish(&cat, &upkeep, &mut FrameCache::default());
         assert!(!Arc::ptr_eq(&second, &third));
         assert_eq!(third.len(), 4);
         for h in hashes {
@@ -1569,11 +1670,11 @@ mod tests {
     fn growth_of_one_table_refolds_only_the_entries_that_touch_it() {
         let (mut store, mut cat, registry, [on_accounts, on_tellers, join]) = published_store();
         let upkeep = UpkeepCounters::bind(&registry);
-        let before = store.publish(&cat, &upkeep);
+        let before = store.publish(&cat, &upkeep, &mut FrameCache::default());
         let reused = registry.counter_value("sql.fastpath.reused");
 
         cat.grow_table("tellers", 5_000).unwrap();
-        let after = store.publish(&cat, &upkeep);
+        let after = store.publish(&cat, &upkeep, &mut FrameCache::default());
         assert!(Arc::ptr_eq(
             &before.entries[&on_accounts].1,
             &after.entries[&on_accounts].1
@@ -1596,6 +1697,93 @@ mod tests {
             QueryShape::extract(&parse_statement(sql).unwrap(), &cat)
         );
         assert_ne!(sel_bits(&old), sel_bits(&new));
+    }
+
+    // ---------------------------------------------- frames across tenants
+
+    /// A frame is a pure function of the template text and the schema:
+    /// every `fleet_workload` template builds equal frames against two
+    /// tenants' catalogs of one schema and different sizes, and either
+    /// tenant's fold of the other's frame binds its statements as parse +
+    /// extract gives them, `filter_sel` bits included. Through one run's
+    /// [`FrameCache`] the second tenant builds no frame, and a catalog with
+    /// one column renamed gets a schema key, and frames, of its own.
+    #[test]
+    fn a_frame_is_a_function_of_the_text_and_the_schema() {
+        use autoindex_workloads::fleet::{fleet_workload, tenant_catalog};
+
+        let catalogs = [tenant_catalog(2_000), tenant_catalog(9_000)];
+        // Per template text, up to four of its statements.
+        let mut templates: Vec<(String, Vec<String>)> = Vec::new();
+        for tenant in fleet_workload(3, 400, 11) {
+            for sql in tenant.queries {
+                let text = fingerprint(&sql).unwrap().text;
+                match templates.iter_mut().find(|(t, _)| *t == text) {
+                    Some((_, sqls)) if sqls.len() < 4 => sqls.push(sql),
+                    Some(_) => {}
+                    None => templates.push((text, vec![sql])),
+                }
+            }
+        }
+        assert!(templates.len() >= 12, "{} templates", templates.len());
+
+        let mut bound = 0;
+        for (text, sqls) in &templates {
+            let [a, b] = catalogs
+                .each_ref()
+                .map(|c| Frame::build(text, c).map(Arc::new));
+            let (Some(a), Some(b)) = (a, b) else {
+                panic!("a fleet template compiles: {text}");
+            };
+            assert_eq!(a, b, "{text}");
+            for (frame, catalog) in [(&b, &catalogs[0]), (&a, &catalogs[1])] {
+                let folded = CompiledTemplate::fold(Arc::clone(frame), catalog).unwrap();
+                let mut shape = folded.skeleton().clone();
+                for sql in sqls {
+                    bound += usize::from(binds_as_parsed(&folded, &mut shape, sql, catalog));
+                }
+            }
+        }
+        let statements: usize = templates.iter().map(|(_, sqls)| sqls.len()).sum();
+        assert_eq!(bound, 2 * statements, "every statement binds");
+
+        let mut renamed = catalogs[0].clone();
+        let account = renamed.table("account").unwrap().clone();
+        let mut table = TableBuilder::new("account", account.rows).primary_key(&["acct_id"]);
+        for mut column in account.columns {
+            if column.name == "balance" {
+                column.name = "balance_cents".into();
+            }
+            table = table.column(column);
+        }
+        renamed.add_table(table.build().unwrap());
+        let schema = catalogs.each_ref().map(Catalog::schema_fingerprint);
+        assert_eq!(schema[0], schema[1]);
+        assert_ne!(schema[0], renamed.schema_fingerprint());
+
+        let registry = MetricsRegistry::new();
+        let upkeep = UpkeepCounters::bind(&registry);
+        let mut frames = FrameCache::default();
+        let mut publish = |catalog: &Catalog| {
+            let mut store = TemplateStore::new(TemplateStoreConfig::default());
+            for (_, sqls) in &templates {
+                store.observe(&sqls[0], catalog).unwrap();
+            }
+            (store.publish(catalog, &upkeep, &mut frames), store)
+        };
+        let first = publish(&catalogs[0]);
+        let second = publish(&catalogs[1]);
+        let n = templates.len() as u64;
+        let count = |name| registry.counter_value(name);
+        assert_eq!(count("sql.fastpath.compiled"), n);
+        assert_eq!(count("sql.fastpath.shared"), n);
+        let other = publish(&renamed);
+        assert_eq!(count("sql.fastpath.compiled"), 2 * n);
+        for (hash, _) in first.1.entries() {
+            let frame = |cache: &FastPathCache| Arc::clone(&cache.get(hash).unwrap().frame);
+            assert!(Arc::ptr_eq(&frame(&first.0), &frame(&second.0)));
+            assert!(!Arc::ptr_eq(&frame(&first.0), &frame(&other.0)));
+        }
     }
 
     // ------------------------------------------- the fold, adversarially

@@ -55,7 +55,7 @@ use crate::engine::{
     simulated_qps, Engine, EngineConfig, ObservationPayload, Publication, Run, Slice,
 };
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::UpkeepCounters;
+use crate::fastpath::{FrameCache, UpkeepCounters};
 use crate::guard::GuardConfig;
 use crate::session::{tuning_round, Apply};
 use crate::strategy::StrategyKind;
@@ -1045,14 +1045,17 @@ fn run<'q, Site, E: CostEstimator>(
     let started = Instant::now();
 
     // Epoch 0 publications: snapshot + compiled-template cache over any
-    // pre-observed templates.
+    // pre-observed templates. A template's frame is built once per text and
+    // schema in the run, whatever number of tenants share them.
     let upkeep = UpkeepCounters::bind(registry);
+    let mut frames = FrameCache::default();
     let prepared_before = upkeep.prepared.get();
     let initial = lanes.iter_mut().map(|lane| {
         if let Some(k) = config.tuner_strategy {
             lane.advisor.set_strategy(k);
         }
-        Publication::build(&lane.db, &mut lane.advisor, 0, config.fastpath, &upkeep)
+        let (db, advisor) = (&lane.db, &mut lane.advisor);
+        Publication::build(db, advisor, 0, config.fastpath, &upkeep, &mut frames)
     });
     let initial = initial.collect();
     let engine = Engine::new(
@@ -1191,7 +1194,9 @@ fn run<'q, Site, E: CostEstimator>(
                 }
                 if std::mem::take(&mut lane.moved) {
                     let (db, advisor) = (&lane.db, &mut lane.advisor);
-                    let next = Publication::build(db, advisor, epoch + 1, config.fastpath, &upkeep);
+                    let fastpath = config.fastpath;
+                    let next =
+                        Publication::build(db, advisor, epoch + 1, fastpath, &upkeep, &mut frames);
                     coordinator.publish(t as u32, next);
                 }
             }

@@ -27,7 +27,7 @@
 
 use crate::candgen::{CandidateConfig, CandidateGenerator, Emitted};
 use crate::fastpath::{
-    stamp_of, Compiled, CompiledTemplate, FastPathCache, Upkeep, UpkeepCounters,
+    stamp_of, Compiled, CompiledTemplate, FastPathCache, Frame, FrameCache, Upkeep, UpkeepCounters,
 };
 use autoindex_estimator::cost_cache::shape_key;
 use autoindex_sql::{
@@ -303,7 +303,8 @@ impl TemplateStore {
         upkeep: &UpkeepCounters,
     ) -> Option<(&CompiledTemplate, &mut QueryShape)> {
         let entry = self.by_hash.get_mut(&hash)?;
-        let step = entry.compiled.upkeep(&entry.text, catalog);
+        let text = &entry.text;
+        let step = entry.compiled.upkeep(catalog, || Frame::own(text, catalog));
         upkeep.record(step);
         if step.changed() {
             self.published = None;
@@ -320,19 +321,26 @@ impl TemplateStore {
     }
 
     /// Freeze the compiled entries for one publication, every one brought
-    /// current against `catalog` first (pending templates compiled, those
-    /// whose tables grew re-folded). Copy-on-write: while no template was
-    /// born or dropped and no touched table grew, this is the `Arc` the
-    /// last call returned, and across a change every untouched entry is
-    /// the same `Arc` as before. Same `catalog` condition as
-    /// [`TemplateStore::compiled_for`].
+    /// current against `catalog` first (pending templates compiled — from
+    /// the frame `frames` holds for the text and the catalog's schema, if
+    /// it holds one — those whose tables grew re-folded). Copy-on-write:
+    /// while no template was born or dropped and no touched table grew,
+    /// this is the `Arc` the last call returned, and across a change every
+    /// untouched entry is the same `Arc` as before. Same `catalog`
+    /// condition as [`TemplateStore::compiled_for`].
     pub(crate) fn publish(
         &mut self,
         catalog: &Catalog,
         upkeep: &UpkeepCounters,
+        frames: &mut FrameCache,
     ) -> Arc<FastPathCache> {
-        for entry in self.by_hash.values_mut() {
-            let step = entry.compiled.upkeep(&entry.text, catalog);
+        let mut schema = None;
+        for (&hash, entry) in self.by_hash.iter_mut() {
+            let text = &entry.text;
+            let step = entry.compiled.upkeep(catalog, || {
+                let schema = *schema.get_or_insert_with(|| catalog.schema_fingerprint());
+                frames.frame((hash, schema), text, catalog)
+            });
             if step.changed() {
                 self.published = None;
             }

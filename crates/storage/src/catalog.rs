@@ -6,6 +6,7 @@
 //! estimation and the §V-A cost features.
 
 use crate::StorageError;
+use autoindex_support::hash::{fnv1a, fnv1a_from, fnv1a_step};
 use autoindex_support::json::{obj, Json, JsonError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -386,6 +387,20 @@ impl Catalog {
         self.version
     }
 
+    /// A hash of what a statement's shape can read of this catalog: each
+    /// table's name, and its columns' names and types in column order. No
+    /// statistic enters it, so catalogs of one schema share it whatever
+    /// their sizes. Tables combine in no order (the map keeps none).
+    pub fn schema_fingerprint(&self) -> u64 {
+        self.tables().fold(0, |schema, t| {
+            let table = t.columns.iter().fold(fnv1a(t.name.as_bytes()), |h, c| {
+                let h = fnv1a_from(fnv1a_step(h, 0), c.name.as_bytes());
+                fnv1a_from(fnv1a_step(h, 0), c.ty.as_str().as_bytes())
+            });
+            schema.wrapping_add(table)
+        })
+    }
+
     /// Register a table; replaces any previous definition with the name.
     pub fn add_table(&mut self, mut table: Table) {
         self.version += 1;
@@ -680,6 +695,35 @@ mod tests {
         let per_page = 8192.0 * 0.9 / t.row_width() as f64;
         assert_eq!(t.pages(), (100_000.0 / per_page).ceil() as u64);
         assert_eq!(t.bytes(), t.pages() * PAGE_SIZE);
+    }
+
+    /// Statistics and the order tables were added in leave the schema
+    /// fingerprint alone; a renamed column or a changed type moves it.
+    #[test]
+    fn the_schema_fingerprint_reads_names_and_types_only() {
+        let town = || {
+            TableBuilder::new("town", 40)
+                .column(Column::int("id", 40))
+                .build()
+                .unwrap()
+        };
+        let mut a = Catalog::new();
+        a.add_table(person());
+        a.add_table(town());
+        let mut b = Catalog::new();
+        b.add_table(town());
+        b.add_table(person());
+        b.grow_table("person", 50_000).unwrap();
+        b.table_mut("person").unwrap().columns[2].stats.max = 99.0;
+        assert_eq!(a.schema_fingerprint(), b.schema_fingerprint());
+
+        let mut renamed = a.clone();
+        renamed.table_mut("person").unwrap().columns[3].name = "district".into();
+        let mut retyped = a.clone();
+        retyped.table_mut("person").unwrap().columns[0].ty = ColumnType::Text;
+        for other in [renamed, retyped] {
+            assert_ne!(a.schema_fingerprint(), other.schema_fingerprint());
+        }
     }
 
     #[test]

@@ -373,6 +373,17 @@ struct Inner {
     timers: Mutex<BTreeMap<String, Timer>>,
 }
 
+/// The cell registered under `name` in `map`, registered now if it is not
+/// yet: the name is copied only then, so looking up a registered cell
+/// allocates nothing.
+fn intern<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.lock().expect("metrics lock");
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
 /// An interning registry of named [`Counter`]s, [`Gauge`]s and [`Timer`]s.
 ///
 /// Cloning shares the registry (it is an `Arc` inside), so a database, an
@@ -402,8 +413,7 @@ impl MetricsRegistry {
 
     /// Intern (or look up) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+        intern(&self.inner.counters, name)
     }
 
     /// Intern (or look up) the sharded counter `name`.
@@ -413,20 +423,17 @@ impl MetricsRegistry {
     /// [`Self::snapshot`]): a name registered both ways reports the *sum*
     /// of both cells. Prefer distinct names.
     pub fn sharded_counter(&self, name: &str) -> ShardedCounter {
-        let mut map = self.inner.sharded.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+        intern(&self.inner.sharded, name)
     }
 
     /// Intern (or look up) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+        intern(&self.inner.gauges, name)
     }
 
     /// Intern (or look up) the timer `name`.
     pub fn timer(&self, name: &str) -> Timer {
-        let mut map = self.inner.timers.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+        intern(&self.inner.timers, name)
     }
 
     /// Convenience: start a [`ScopedTimer`] span on timer `name`.
@@ -572,6 +579,25 @@ mod tests {
         assert_eq!(m.counter("x").get(), 5);
         assert_eq!(m.counter_value("x"), 5);
         assert_eq!(m.counter_value("never-touched"), 0);
+    }
+
+    /// Every kind of cell: a repeated lookup returns the cell the first
+    /// one registered, and registers nothing beside it.
+    #[test]
+    fn a_repeated_lookup_returns_the_registered_cell() {
+        let m = MetricsRegistry::new();
+        assert!(Arc::ptr_eq(&m.counter("c").0, &m.counter("c").0));
+        assert!(Arc::ptr_eq(
+            &m.sharded_counter("s").0,
+            &m.sharded_counter("s").0
+        ));
+        assert!(Arc::ptr_eq(&m.gauge("g").0, &m.gauge("g").0));
+        assert!(Arc::ptr_eq(&m.timer("t").0, &m.timer("t").0));
+        let inner = &m.inner;
+        assert_eq!(inner.counters.lock().unwrap().len(), 1);
+        assert_eq!(inner.sharded.lock().unwrap().len(), 1);
+        assert_eq!(inner.gauges.lock().unwrap().len(), 1);
+        assert_eq!(inner.timers.lock().unwrap().len(), 1);
     }
 
     #[test]

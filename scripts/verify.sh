@@ -37,10 +37,11 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement, a fleet of one schema building one frame per template text: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 cargo test -q --offline --release -p autoindex-core --test serving_allocs
+cargo test -q --offline --release -p autoindex-core --test fleet_allocs
 
 echo "==> cargo test -q --offline --release (compiled templates: feed = its parse-path composition, feed = the digest of its outcome streams recorded before the live database kept plans, maintained entries = a from-scratch build, random AND / OR predicate trees bound = parsed and extracted, before and after a re-fold; filter_sel bits, in the build that ships)"
 cargo test -q --offline --release -p autoindex-core --test live_frontend
