@@ -138,7 +138,7 @@ fn main() {
     );
     let mut universe = Universe::new();
     for d in defaults.iter().chain(cands.iter()) {
-        universe.intern(d);
+        universe.intern(d.clone());
     }
     universe.refresh_sizes(&sizing_db);
     let existing: ConfigSet = defaults.iter().filter_map(|d| universe.slot(d)).collect();

@@ -49,6 +49,7 @@ use autoindex_storage::index::IndexDef;
 use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::MetricsRegistry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Context-feature dimension: bias, benefit prior, distinctness, size,
@@ -213,7 +214,7 @@ pub struct BanditStrategy {
     pending: Vec<[f64; NFEAT]>,
     /// Index keys the bandit itself created, mapped to their defs. Only
     /// these are ever eligible for removal — never DBA-provided indexes.
-    owned: BTreeMap<String, IndexDef>,
+    owned: BTreeMap<String, Arc<IndexDef>>,
     /// Mean latency observed before the last apply; the next observation
     /// is scored against it.
     last_mean_ms: Option<f64>,
@@ -281,7 +282,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
     /// once built (existing-index subtraction would hide them), so an arm
     /// that stops earning can fall out of the super-arm and be dropped
     /// again.
-    fn standing_arms(&self) -> Vec<IndexDef> {
+    fn standing_arms(&self) -> Vec<Arc<IndexDef>> {
         self.owned.values().cloned().collect()
     }
 
@@ -307,6 +308,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         // own benefit does not evaporate the round after it was created).
         let baseline: Vec<&IndexDef> = existing
             .iter()
+            .map(Arc::as_ref)
             .filter(|d| !self.owned.contains_key(&d.key()))
             .collect();
         let baseline_set = universe.config_of(baseline.iter().copied());
@@ -314,7 +316,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         let (read_w, write_w, total_w) = table_weights(workload);
 
         struct Arm {
-            def: IndexDef,
+            def: Arc<IndexDef>,
             key: String,
             x: [f64; NFEAT],
             size: u64,
@@ -405,7 +407,7 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
         for &(i, ucb, mean) in &selected {
             self.pending.push(arms[i].x);
             if !existing_keys.contains(&arms[i].key) {
-                add.push(arms[i].def.clone());
+                add.push(IndexDef::clone(&arms[i].def));
                 arm_choices.push(ArmChoice {
                     key: arms[i].key.clone(),
                     ucb,
@@ -419,21 +421,25 @@ impl<E: CostEstimator> TuningStrategy<E> for BanditStrategy {
                 && !selected_keys.contains(key)
                 && !is_primary_key_index(db, def)
             {
-                remove.push(def.clone());
+                remove.push(IndexDef::clone(def));
             }
         }
 
         // Ownership bookkeeping assumes the apply succeeds; a failed DDL
         // leaves a stale entry that simply re-enters the arm pool.
         for d in &add {
-            self.owned.insert(d.key(), d.clone());
+            self.owned.insert(d.key(), Arc::new(d.clone()));
         }
         for d in &remove {
             self.owned.remove(&d.key());
         }
 
         let est_cost_before = pricer.sum(existing_set);
-        let after = existing.iter().filter(|d| !remove.contains(d)).chain(&add);
+        let after = existing
+            .iter()
+            .map(Arc::as_ref)
+            .filter(|d| !remove.contains(d))
+            .chain(&add);
         let est_cost_after = pricer.sum(&universe.config_of(after));
         let search_time = search_started.elapsed();
 
@@ -707,7 +713,7 @@ mod tests {
                 db.catalog(),
                 &existing,
             );
-            pool.extend(bandit.owned.values().cloned());
+            pool.extend(bandit.owned.values().map(|d| IndexDef::clone(d)));
             let naive: Vec<u64> = pool
                 .iter()
                 .map(|c| {

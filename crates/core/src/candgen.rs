@@ -529,10 +529,10 @@ impl CandidateGenerator {
         &self,
         emitted: impl IntoIterator<Item = &'e Emitted>,
         catalog: &Catalog,
-        existing: &[IndexDef],
+        existing: &[impl Borrow<IndexDef>],
     ) -> (Vec<IndexDef>, CandidateStats) {
         let mut by_table: HashMap<&str, Vec<&IndexDef>> = HashMap::new();
-        for e in existing {
+        for e in existing.iter().map(Borrow::borrow) {
             by_table.entry(e.table.as_str()).or_default().push(e);
         }
         let existing_on = |table: &str| by_table.get(table).map_or(&[][..], Vec::as_slice);
@@ -625,30 +625,28 @@ fn serves_conjunct(
     eq_cols: &[String],
     range_col: Option<&String>,
 ) -> bool {
-    if index_cols.len() < fixed_prefix.len() + eq_cols.len() + usize::from(range_col.is_some()) {
+    let (p, e) = (fixed_prefix.len(), eq_cols.len());
+    if index_cols.len() < p + e + usize::from(range_col.is_some()) {
         return false;
     }
     // Fixed prefix: position-sensitive.
-    if !index_cols.iter().zip(fixed_prefix).all(|(a, b)| a == b) {
+    if index_cols[..p] != *fixed_prefix {
         return false;
     }
-    let mut remaining: Vec<&String> = eq_cols.iter().collect();
-    let mut i = fixed_prefix.len();
-    while !remaining.is_empty() {
-        let Some(col) = index_cols.get(i) else {
-            return false;
-        };
-        match remaining.iter().position(|c| *c == col) {
-            Some(p) => {
-                remaining.swap_remove(p);
-            }
-            None => return false, // Foreign column interrupts the prefix.
-        }
-        i += 1;
+    // The next `e` columns are the equality columns in some order: each of
+    // them as often as among the equality columns. A foreign column, or one
+    // seen more often than there, interrupts the prefix.
+    let consumed = &index_cols[p..p + e];
+    let count = |cols: &[String], c: &String| cols.iter().filter(|x| *x == c).count();
+    if !consumed
+        .iter()
+        .all(|c| count(consumed, c) == count(eq_cols, c))
+    {
+        return false;
     }
     match range_col {
         None => true,
-        Some(r) => index_cols.get(i) == Some(r),
+        Some(r) => index_cols.get(p + e) == Some(r),
     }
 }
 
@@ -914,6 +912,88 @@ mod tests {
         ));
         // Too short.
         assert!(!serves_conjunct(&s(&["a"]), &[], &s(&["a", "b"]), None));
+    }
+
+    /// `serves_conjunct` as it was written first: consume the equality
+    /// columns from a list, one index column at a time.
+    fn serves_conjunct_by_list(
+        index_cols: &[String],
+        fixed_prefix: &[String],
+        eq_cols: &[String],
+        range_col: Option<&String>,
+    ) -> bool {
+        if index_cols.len() < fixed_prefix.len() + eq_cols.len() + usize::from(range_col.is_some())
+        {
+            return false;
+        }
+        if !index_cols.iter().zip(fixed_prefix).all(|(a, b)| a == b) {
+            return false;
+        }
+        let mut remaining: Vec<&String> = eq_cols.iter().collect();
+        let mut i = fixed_prefix.len();
+        while !remaining.is_empty() {
+            let Some(col) = index_cols.get(i) else {
+                return false;
+            };
+            match remaining.iter().position(|c| *c == col) {
+                Some(p) => {
+                    remaining.swap_remove(p);
+                }
+                None => return false,
+            }
+            i += 1;
+        }
+        match range_col {
+            None => true,
+            Some(r) => index_cols.get(i) == Some(r),
+        }
+    }
+
+    #[test]
+    fn serves_conjunct_is_the_list_consuming_check() {
+        use autoindex_support::prop::{property, PropConfig};
+        use autoindex_support::prop_assert_eq;
+        use autoindex_support::rng::StdRng;
+        const COLS: [&str; 4] = ["a", "b", "c", "d"];
+        property(
+            "serves_conjunct_is_the_list_consuming_check",
+            PropConfig::default(),
+            |rng, _size| {
+                // Four names, so columns repeat and collide; up to `max`.
+                let cols = |rng: &mut StdRng, max: usize| -> Vec<String> {
+                    let n = rng.random_range(0..max);
+                    (0..n)
+                        .map(|_| COLS[rng.random_range(0..COLS.len())].to_string())
+                        .collect()
+                };
+                let prefix = cols(rng, 3);
+                let eq = cols(rng, 4);
+                let range = cols(rng, 2).pop();
+                let mut index = if rng.random_bool(0.5) {
+                    // Built to serve, then perhaps disturbed.
+                    let mut permuted = eq.clone();
+                    rng.shuffle(&mut permuted);
+                    let mut index = prefix.clone();
+                    index.extend(permuted);
+                    index.extend(range.clone());
+                    index
+                } else {
+                    cols(rng, 7)
+                };
+                if rng.random_bool(0.3) && !index.is_empty() {
+                    let at = rng.random_range(0..index.len());
+                    index[at] = COLS[rng.random_range(0..COLS.len())].to_string();
+                }
+                let tail = cols(rng, 2);
+                index.extend(tail);
+                prop_assert_eq!(
+                    serves_conjunct(&index, &prefix, &eq, range.as_ref()),
+                    serves_conjunct_by_list(&index, &prefix, &eq, range.as_ref()),
+                    "index {index:?} prefix {prefix:?} eq {eq:?} range {range:?}"
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! [`CostEstimator::workload_cost`] computes it, and projection invariance
 //! of the planner makes `shape_cost(shape, projected)` bit-equal to
 //! `shape_cost(shape, full)` (property-tested in `tests/proptests.rs`).
-//! Misses are evaluated in configuration-then-term order whatever the
-//! reference, on the calling thread, so the what-if call sequence does not
-//! depend on it either.
+//! Misses are evaluated as they are met, in configuration-then-term order
+//! whatever the reference, on the calling thread, so the what-if call
+//! sequence does not depend on it either.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -41,7 +41,7 @@ use autoindex_estimator::CostEstimator;
 use autoindex_storage::catalog::{Catalog, Table};
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
-use autoindex_support::hash::{fnv1a_from, WordHashMap, FNV_OFFSET};
+use autoindex_support::hash::{fnv1a_from, FNV_OFFSET};
 use autoindex_support::obs::Counter;
 
 use crate::mcts::{full_word, word_slots, ConfigSet, Universe};
@@ -79,7 +79,8 @@ pub struct DeltaWorkload<'w> {
 impl<'w> DeltaWorkload<'w> {
     /// Decompose `workload` against `universe`: a table → terms map from
     /// the shapes' table atoms, then one pass over the slots that fills
-    /// both the slot → terms index and each template's slot mask. Slots
+    /// both the slot → terms index and each template's slot mask (made at
+    /// the universe's full width, so filling it never reallocates). Slots
     /// are stable across rounds, but new candidates may appear — rebuild
     /// per round. `shape_keys` are the templates' fingerprints, in
     /// workload order (the template store keeps them; nothing is formatted
@@ -116,7 +117,7 @@ impl<'w> DeltaWorkload<'w> {
                 stamps,
                 shape,
                 weight: *n as f64,
-                mask: ConfigSet::default(),
+                mask: ConfigSet::with_capacity(universe.len()),
             });
         }
         let slot_table: Vec<Option<u32>> = (0..universe.len())
@@ -153,7 +154,7 @@ impl<'w> DeltaWorkload<'w> {
 
     /// Cache key of `term` under `config`: the template, the definitions
     /// of `config` on its tables in `universe`'s slot order, and its
-    /// tables' stamps. The projection itself is only built on a miss.
+    /// tables' stamps. The projection itself is never built.
     pub fn term_key(universe: &Universe, term: &DeltaTerm<'_>, config: &ConfigSet) -> CacheKey {
         CacheKey {
             shape_key: term.key,
@@ -161,14 +162,6 @@ impl<'w> DeltaWorkload<'w> {
             stamps: term.stamps,
         }
     }
-}
-
-/// A missing term scheduled for evaluation, and its value once evaluated.
-struct Job<'w> {
-    key: CacheKey,
-    proj: ConfigSet,
-    shape: &'w QueryShape,
-    value: f64,
 }
 
 /// One keyed-and-looked-up term of a priced configuration.
@@ -215,11 +208,6 @@ pub struct DeltaPricer<'a, 'w, E, S = QueryShape> {
     /// End of each batch member's run in `lookups`.
     ends: Vec<usize>,
     sums: Vec<f64>,
-    /// What the batch has to plan: each missing term once, in the order
-    /// first met, and the lookups (by position) waiting on each.
-    jobs: Vec<Job<'w>>,
-    scheduled: WordHashMap<CacheKey, usize>,
-    awaited: Vec<(usize, usize)>,
     /// The configuration priced last (what `rebase` adopts).
     last: ConfigSet,
 }
@@ -265,9 +253,6 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
             lookups: Vec::new(),
             ends: Vec::new(),
             sums: Vec::new(),
-            jobs: Vec::new(),
-            scheduled: WordHashMap::default(),
-            awaited: Vec::new(),
             last: ConfigSet::default(),
         }
     }
@@ -306,14 +291,13 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
 
     /// [`DeltaPricer::sum`] of a batch, in batch order.
     ///
-    /// Plan: key and look up the moved terms of each member — the first
-    /// occurrence of a missing `(template, projection)` term is a miss and
-    /// gets scheduled; repeats — within the batch or already cached — and
-    /// every carried term are hits. Compute: evaluate the scheduled terms,
-    /// the only planner work, in schedule order. Assemble: sum each member
-    /// over *every* term in workload order, moved values substituted into
-    /// the reference's — the same FP operations in the same order as the
-    /// naive evaluator.
+    /// Look up: key the moved terms of each member and look them up — the
+    /// first occurrence of a missing `(template, projection)` term is a
+    /// miss, evaluated there (the only planner work) and cached; repeats —
+    /// within the batch or from before — and every carried term are hits.
+    /// Assemble: sum each member over *every* term in workload order, moved
+    /// values substituted into the reference's — the same FP operations in
+    /// the same order as the naive evaluator.
     pub fn sum_batch<'c>(&mut self, batch: impl IntoIterator<Item = &'c ConfigSet>) -> &[f64] {
         self.sums.clear();
         let (db, estimator, universe) = (self.db, self.estimator, self.universe);
@@ -332,9 +316,6 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
         let n = delta.terms.len();
         self.lookups.clear();
         self.ends.clear();
-        self.jobs.clear();
-        self.scheduled.clear();
-        self.awaited.clear();
 
         let mut last = None;
         for cfg in batch {
@@ -361,19 +342,11 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
                     let term = &delta.terms[t];
                     let key = DeltaWorkload::term_key(universe, term, cfg);
                     let value = self.cache.get(&key).unwrap_or_else(|| {
-                        let jobs = &mut self.jobs;
-                        let job = *self.scheduled.entry(key).or_insert_with(|| {
-                            misses += 1;
-                            jobs.push(Job {
-                                key,
-                                proj: cfg.intersect(&term.mask),
-                                shape: term.shape,
-                                value: 0.0,
-                            });
-                            jobs.len() - 1
-                        });
-                        self.awaited.push((self.lookups.len(), job));
-                        0.0
+                        misses += 1;
+                        let proj = cfg.intersection(&term.mask).map(|s| universe.def(s));
+                        let value = estimator.shape_cost(db, term.shape, proj);
+                        self.cache.insert(key, value);
+                        value
                     });
                     self.lookups.push(Lookup {
                         term: t as u32,
@@ -393,14 +366,6 @@ impl<'a, 'w, E: CostEstimator, S: Borrow<QueryShape>> DeltaPricer<'a, 'w, E, S> 
         }
         if let Some(cfg) = last {
             self.last.clone_from(cfg);
-        }
-
-        for j in &mut self.jobs {
-            j.value = estimator.shape_cost(db, j.shape, universe.config_defs(&j.proj));
-            self.cache.insert(j.key, j.value);
-        }
-        for &(lookup, job) in &self.awaited {
-            self.lookups[lookup].value = self.jobs[job].value;
         }
 
         let mut from = 0;
@@ -480,9 +445,9 @@ mod tests {
             ],
         );
         let mut universe = Universe::new();
-        let st = universe.intern(&IndexDef::new("t", &["a"]));
-        let su = universe.intern(&IndexDef::new("u", &["x"]));
-        let ghost = universe.intern(&IndexDef::new("ghost", &["x"]));
+        let st = universe.intern(IndexDef::new("t", &["a"]));
+        let su = universe.intern(IndexDef::new("u", &["x"]));
+        let ghost = universe.intern(IndexDef::new("ghost", &["x"]));
         let dw = DeltaWorkload::new(&universe, &w, &shape_keys(&w), db.catalog());
         assert_eq!(dw.terms().len(), 3);
         assert!(dw.terms()[0].mask.contains(st) && !dw.terms()[0].mask.contains(su));
@@ -505,8 +470,8 @@ mod tests {
             ],
         );
         let mut universe = Universe::new();
-        let st = universe.intern(&IndexDef::new("t", &["a"]));
-        let su = universe.intern(&IndexDef::new("u", &["x"]));
+        let st = universe.intern(IndexDef::new("t", &["a"]));
+        let su = universe.intern(IndexDef::new("u", &["x"]));
         universe.refresh_sizes(&db);
         let est = NativeCostEstimator;
         let cache = CostCache::new();
@@ -571,9 +536,9 @@ mod tests {
         let mut universe = Universe::new();
         let mut existing = ConfigSet::default();
         for i in 0..TABLES {
-            existing.insert(universe.intern(&IndexDef::new(format!("w{i}"), &["a"])));
+            existing.insert(universe.intern(IndexDef::new(format!("w{i}"), &["a"])));
             if i > 0 {
-                existing.insert(universe.intern(&IndexDef::new(format!("w{i}"), &["b"])));
+                existing.insert(universe.intern(IndexDef::new(format!("w{i}"), &["b"])));
             }
         }
         universe.refresh_sizes(&db);

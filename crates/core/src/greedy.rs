@@ -20,11 +20,12 @@ use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::SimDb;
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// One scored candidate, as ranked by Greedy.
 #[derive(Debug, Clone)]
 pub(crate) struct ScoredCandidate {
-    pub(crate) def: IndexDef,
+    pub(crate) def: Arc<IndexDef>,
     /// Standalone estimated cost reduction against the existing config.
     pub(crate) benefit: f64,
     /// Estimated size in bytes.
@@ -49,7 +50,7 @@ pub(crate) fn select(
                 return None;
             }
             used += c.size;
-            Some(c.def)
+            Some(Arc::unwrap_or_clone(c.def))
         })
         .collect()
 }
@@ -62,7 +63,7 @@ pub(crate) fn select(
 /// a key, so the order it is handed decides between them.
 pub(crate) fn standalone<E: CostEstimator, S: Borrow<QueryShape>>(
     pricer: &mut DeltaPricer<'_, '_, E, S>,
-    candidates: &[IndexDef],
+    candidates: &[Arc<IndexDef>],
     base: &ConfigSet,
 ) -> (f64, Vec<ScoredCandidate>) {
     let universe = pricer.universe();
@@ -75,7 +76,7 @@ pub(crate) fn standalone<E: CostEstimator, S: Borrow<QueryShape>>(
             let mut with = base.clone();
             with.insert(slot);
             ScoredCandidate {
-                def: c.clone(),
+                def: Arc::clone(c),
                 benefit: base_cost - pricer.sum(&with),
                 size: universe.size(slot),
             }
@@ -87,7 +88,7 @@ pub(crate) fn standalone<E: CostEstimator, S: Borrow<QueryShape>>(
 /// Rank `candidates` by [`standalone`] benefit (descending, then by key).
 pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
     pricer: &mut DeltaPricer<'_, '_, E, S>,
-    candidates: &[IndexDef],
+    candidates: &[Arc<IndexDef>],
     base: &ConfigSet,
 ) -> Vec<ScoredCandidate> {
     let (_, mut scored) = standalone(pricer, candidates, base);
@@ -100,7 +101,7 @@ pub(crate) fn rank<E: CostEstimator, S: Borrow<QueryShape>>(
     scored
 }
 
-pub(crate) fn existing_size(db: &SimDb, existing: &[IndexDef]) -> u64 {
+pub(crate) fn existing_size(db: &SimDb, existing: &[Arc<IndexDef>]) -> u64 {
     existing
         .iter()
         .filter_map(|d| db.index_size_bytes(d).ok())
@@ -146,16 +147,17 @@ mod tests {
     /// [`rank`] of `cands` over a round of `w` on `db`, the round interning
     /// them besides the generator's candidates.
     fn ranked(db: &SimDb, w: &[(QueryShape, u64)], cands: &[IndexDef]) -> Vec<ScoredCandidate> {
+        let cands: Vec<Arc<IndexDef>> = cands.iter().cloned().map(Arc::new).collect();
         let config = AutoIndexConfig::default();
         let prologue = Prologue::explicit(db, w, &config.candidates);
         let (mut universe, cache, est) = (Universe::new(), CostCache::new(), NativeCostEstimator);
-        let mut round = Round::new(&mut universe, &cache, db, &prologue, &est, &config, cands);
-        rank(&mut round.pricer, cands, &round.existing_set)
+        let mut round = Round::new(&mut universe, &cache, db, &prologue, &est, &config, &cands);
+        rank(&mut round.pricer, &cands, &round.existing_set)
     }
 
     /// [`select`] from the top of [`ranked`], unlimited.
     fn picked(db: &SimDb, w: &[(QueryShape, u64)], cands: &[IndexDef]) -> Vec<IndexDef> {
-        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+        let existing: Vec<Arc<IndexDef>> = db.shared_indexes().cloned().collect();
         select(ranked(db, w, cands), existing_size(db, &existing), None)
     }
 
@@ -263,7 +265,11 @@ mod tests {
                 let w = workload(&db, &sqls);
                 let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
                 let config = AutoIndexConfig::default().candidates;
-                let candidates = Prologue::explicit(&db, &w, &config).candidates;
+                let candidates: Vec<IndexDef> = Prologue::explicit(&db, &w, &config)
+                    .candidates
+                    .into_iter()
+                    .map(Arc::unwrap_or_clone)
+                    .collect();
 
                 let est = NativeCostEstimator;
                 let base = est.workload_cost(&db, &w, &existing);

@@ -25,12 +25,12 @@ use autoindex_estimator::CostEstimator;
 use autoindex_storage::index::IndexDef;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{PressureModel, SimDb};
-use autoindex_support::hash::{U64HashMap, WordHashMap, WordHasher};
+use autoindex_support::hash::{U64HashMap, WordHasher};
 use autoindex_support::obs::Counter;
 use autoindex_support::rng::StdRng;
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use crate::delta::DeltaPricer;
 use crate::fastpath::stamp_of;
@@ -59,11 +59,9 @@ impl Clone for ConfigSet {
 impl ConfigSet {
     /// Empty set with backing storage pre-reserved for `n` slots.
     ///
-    /// The returned set is *canonical* (no words stored, only capacity):
-    /// an earlier version materialised `n/64` zero words here, which made
-    /// `with_capacity(100) != ConfigSet::default()` under `Eq`/`Hash` even
-    /// though both are empty — silently defeating `PolicyTree::by_config`
-    /// deduplication and the MCTS eval cache.
+    /// The returned set is *canonical* (no words stored, only capacity), so
+    /// it equals `ConfigSet::default()` and inserting any of the `n` slots
+    /// never reallocates: a delta-cost term's mask is built in one.
     pub fn with_capacity(n: usize) -> Self {
         ConfigSet {
             words: Vec::with_capacity(n.div_ceil(64)),
@@ -129,19 +127,17 @@ impl ConfigSet {
         self.words.iter().all(|w| *w == 0)
     }
 
-    /// Set intersection (word-wise AND), canonical.
-    ///
-    /// This is the *projection* primitive of the delta-cost engine: with
-    /// `other` = the mask of universe slots whose index lives on a table a
-    /// template touches, `self.intersect(other)` is the part of the
-    /// configuration that can influence that template's plan.
-    pub fn intersect(&self, other: &ConfigSet) -> ConfigSet {
-        let n = self.words.len().min(other.words.len());
-        let mut out = ConfigSet {
-            words: (0..n).map(|i| self.words[i] & other.words[i]).collect(),
-        };
-        out.trim();
-        out
+    /// The members of `self ∩ other`, ascending, without building the
+    /// set. With `other` the mask of universe slots whose index lives on a
+    /// table a template touches, this is the *projection* of the delta-cost
+    /// engine: the part of the configuration that can influence that
+    /// template's plan.
+    pub(crate) fn intersection<'s>(
+        &'s self,
+        other: &'s ConfigSet,
+    ) -> impl Iterator<Item = usize> + Clone + 's {
+        let words = self.words.iter().zip(&other.words).enumerate();
+        words.flat_map(|(wi, (a, b))| word_slots(wi, a & b))
     }
 
     /// Iterate member slots in ascending order.
@@ -165,6 +161,34 @@ impl ConfigSet {
     /// Word `i` of the bitmap (zero past the canonical length).
     fn word(&self, i: usize) -> u64 {
         self.words.get(i).copied().unwrap_or(0)
+    }
+
+    /// The set's words folded through a [`WordHasher`]: what the search's
+    /// configuration indexes are keyed by ([`probe`]).
+    fn word_hash(&self) -> u64 {
+        let mut h = WordHasher::default();
+        for &w in &self.words {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
+}
+
+/// Where the entry `holds` is in an index of hash → id, probed from hash
+/// `h` — `Ok(id)` — or would go — `Err(free hash)`. A hash another entry
+/// took sends the probe to the next hash above it, so an index keeps no
+/// copy of a key: `holds` checks the one stored where the id points.
+fn probe(
+    index: &U64HashMap<usize>,
+    mut h: u64,
+    holds: impl Fn(usize) -> bool,
+) -> Result<usize, u64> {
+    loop {
+        match index.get(&h) {
+            None => return Err(h),
+            Some(&id) if holds(id) => return Ok(id),
+            Some(_) => h = h.wrapping_add(1),
+        }
     }
 }
 
@@ -198,10 +222,11 @@ impl FromIterator<usize> for ConfigSet {
 
 /// The stable universe of index definitions: existing + candidates. Slots
 /// never change meaning across rounds, which is what lets the policy tree
-/// persist.
+/// persist. A definition is held as it is handed in, shared: interning the
+/// database's own (`SimDb::shared_indexes`) copies none.
 #[derive(Debug, Default)]
 pub struct Universe {
-    defs: Vec<IndexDef>,
+    defs: Vec<Arc<IndexDef>>,
     /// Per slot, its definition's [`IndexDef::identity_hash`]: what a
     /// delta-cost cache key is made of, so that no key holds a slot number.
     hashes: Vec<u64>,
@@ -226,22 +251,18 @@ impl Universe {
 
     /// Where `def`, of identity hash `h`, is — `Ok(slot)` — or would go —
     /// `Err(free hash)`.
-    fn find(&self, def: &IndexDef, mut h: u64) -> Result<usize, u64> {
-        loop {
-            match self.by_hash.get(&h) {
-                None => return Err(h),
-                Some(&i) if self.defs[i].same_identity(def) => return Ok(i),
-                Some(_) => h = h.wrapping_add(1),
-            }
-        }
+    fn find(&self, def: &IndexDef, h: u64) -> Result<usize, u64> {
+        probe(&self.by_hash, h, |i| self.defs[i].same_identity(def))
     }
 
-    /// Intern a definition, returning its stable slot.
-    pub fn intern(&mut self, def: &IndexDef) -> usize {
-        let hash = def.identity_hash();
-        self.find(def, hash).unwrap_or_else(|free| {
+    /// Intern a definition, returning its stable slot. A new one is kept as
+    /// an `Arc`: handing in a shared definition costs a reference count, an
+    /// owned one is moved in.
+    pub fn intern<D: Borrow<IndexDef> + Into<Arc<IndexDef>>>(&mut self, def: D) -> usize {
+        let hash = def.borrow().identity_hash();
+        self.find(def.borrow(), hash).unwrap_or_else(|free| {
             let i = self.defs.len();
-            self.defs.push(def.clone());
+            self.defs.push(def.into());
             self.hashes.push(hash);
             self.by_hash.insert(free, i);
             self.sizes.push(0);
@@ -257,9 +278,8 @@ impl Universe {
     /// and its what-if ids follow position — two universes that number the
     /// same definitions differently must not share a term.
     pub fn projection_fingerprint(&self, config: &ConfigSet, mask: &ConfigSet) -> u64 {
-        let words = config.words.iter().zip(&mask.words).enumerate();
         let mut h = WordHasher::default();
-        for slot in words.flat_map(|(wi, (a, b))| word_slots(wi, a & b)) {
+        for slot in config.intersection(mask) {
             h.write_u64(self.hashes[slot]);
         }
         h.finish()
@@ -324,7 +344,7 @@ impl Universe {
         &'u self,
         config: &'u ConfigSet,
     ) -> impl Iterator<Item = &'u IndexDef> + Clone {
-        config.iter().map(|i| &self.defs[i])
+        config.iter().map(|i| &*self.defs[i])
     }
 }
 
@@ -410,10 +430,23 @@ enum Action {
     Remove(usize),
 }
 
+impl Action {
+    /// Take the action on `config`, in place.
+    fn apply(self, config: &mut ConfigSet) {
+        match self {
+            Action::Add(s) => config.insert(s),
+            Action::Remove(s) => config.remove(s),
+        }
+    }
+}
+
 /// The persistent policy tree.
 pub struct PolicyTree {
     nodes: Vec<Node>,
-    by_config: WordHashMap<ConfigSet, usize>,
+    /// [`ConfigSet::word_hash`] → node id, checked against the node's
+    /// configuration ([`probe`]): a node's configuration is stored once, in
+    /// its node.
+    by_config: U64HashMap<usize>,
     round: u64,
 }
 
@@ -428,7 +461,7 @@ impl PolicyTree {
     pub fn new() -> Self {
         PolicyTree {
             nodes: Vec::new(),
-            by_config: WordHashMap::default(),
+            by_config: U64HashMap::default(),
             round: 0,
         }
     }
@@ -448,22 +481,29 @@ impl PolicyTree {
         self.round
     }
 
-    fn node_for(&mut self, config: ConfigSet) -> usize {
-        if let Some(&id) = self.by_config.get(&config) {
-            return id;
+    /// The node of `config`, created — the one copy of its configuration
+    /// the tree makes — if there is none.
+    fn node_for(&mut self, config: &ConfigSet) -> usize {
+        let nodes = &self.nodes;
+        match probe(&self.by_config, config.word_hash(), |id| {
+            nodes[id].config == *config
+        }) {
+            Ok(id) => id,
+            Err(free) => {
+                let id = self.nodes.len();
+                self.by_config.insert(free, id);
+                self.nodes.push(Node {
+                    config: config.clone(),
+                    children: Vec::new(),
+                    untried: Vec::new(),
+                    expanded_init: false,
+                    visits: 0.0,
+                    benefit: 0.0,
+                    eval_round: 0,
+                });
+                id
+            }
         }
-        let id = self.nodes.len();
-        self.by_config.insert(config.clone(), id);
-        self.nodes.push(Node {
-            config,
-            children: Vec::new(),
-            untried: Vec::new(),
-            expanded_init: false,
-            visits: 0.0,
-            benefit: 0.0,
-            eval_round: 0,
-        });
-        id
     }
 
     /// Begin a new tuning round: invalidate benefits, decay visits.
@@ -533,10 +573,14 @@ pub struct MctsSearch<'a> {
 /// economics and the buffers a batch is priced with. It sits in front of
 /// the round's pricer and dies with the search.
 struct EvalState {
-    /// Exact whole-`ConfigSet` → its position in `l1_costs`: a
-    /// configuration is looked up and, on a miss, entered in one probe,
-    /// before the batch is priced.
-    l1: WordHashMap<ConfigSet, u32>,
+    /// [`ConfigSet::word_hash`] → L1 position, checked against the words
+    /// stored for it ([`probe`]): a configuration is looked up and, on a
+    /// miss, entered, before the batch is priced.
+    l1: U64HashMap<usize>,
+    /// Every L1 configuration's words, end to end, each stored once; the
+    /// ones of position `i` end at `l1_ends[i]`.
+    l1_words: Vec<u64>,
+    l1_ends: Vec<usize>,
     /// Pressure-inclusive workload cost of every L1 configuration.
     l1_costs: Vec<f64>,
     /// L1 misses (= real configuration evaluations).
@@ -573,7 +617,9 @@ impl MctsSearch<'_> {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ tree.round());
 
         let mut st = EvalState {
-            l1: WordHashMap::default(),
+            l1: U64HashMap::default(),
+            l1_words: Vec::new(),
+            l1_ends: Vec::new(),
             l1_costs: Vec::new(),
             evaluations: 0,
             cache_hits: 0,
@@ -597,14 +643,13 @@ impl MctsSearch<'_> {
         // from `start`, which is what that batch priced last (or, being
         // equal to `existing`, only).
         pricer.rebase();
-        let root_config = self.start.clone();
-        let root = tree.node_for(root_config.clone());
+        let root = tree.node_for(&self.start);
 
         // Ties favour the start configuration: the caller's prune pass may
         // have removed cost-neutral redundant indexes, and that reduction
         // must survive the search.
         let mut best_config = if root_cost <= baseline_cost {
-            root_config.clone()
+            self.start.clone()
         } else {
             self.existing.clone()
         };
@@ -614,6 +659,8 @@ impl MctsSearch<'_> {
         let masks = self.action_masks();
         let mut legal: Vec<u64> = Vec::new();
         let mut path: Vec<usize> = Vec::new();
+        // Each expansion's child is built here before the tree looks it up.
+        let mut child_config = ConfigSet::default();
 
         for _ in 0..self.config.iterations {
             iterations += 1;
@@ -633,8 +680,9 @@ impl MctsSearch<'_> {
                     m_expansions.incr();
                     let k = rng.random_range(0..tree.nodes[current].untried.len());
                     let action = tree.nodes[current].untried.swap_remove(k);
-                    let child_config = self.apply(&tree.nodes[current].config, action);
-                    let child = tree.node_for(child_config);
+                    child_config.clone_from(&tree.nodes[current].config);
+                    action.apply(&mut child_config);
+                    let child = tree.node_for(&child_config);
                     if !tree.nodes[current].children.contains(&child) {
                         tree.nodes[current].children.push(child);
                     }
@@ -746,8 +794,8 @@ impl MctsSearch<'_> {
     /// L1 bookkeeping mirrors one-at-a-time evaluation exactly: the first
     /// occurrence of an uncached configuration is a miss, repeats (within
     /// the batch or already in L1) are hits, and only the misses reach
-    /// the pricer. A miss is the one copy of its configuration the search
-    /// makes, into L1 (a hit's copy is dropped).
+    /// the pricer. A miss appends its configuration's words to L1's store,
+    /// the one copy of it L1 makes; a hit copies nothing.
     fn eval_batch<'s, E: CostEstimator, S: Borrow<QueryShape>>(
         &self,
         batch: &[ConfigSet],
@@ -762,19 +810,26 @@ impl MctsSearch<'_> {
         // L1 positions from here on are this batch's misses, priced below.
         let priced = st.l1_costs.len();
         for (i, cfg) in batch.iter().enumerate() {
-            match st.l1.entry(cfg.clone()) {
-                Entry::Occupied(at) => {
+            let (words, ends) = (&st.l1_words, &st.l1_ends);
+            let stored = |at: usize| {
+                let from = at.checked_sub(1).map_or(0, |p| ends[p]);
+                words[from..ends[at]] == cfg.words[..]
+            };
+            match probe(&st.l1, cfg.word_hash(), stored) {
+                Ok(at) => {
                     st.cache_hits += 1;
                     st.m_hits.incr();
-                    match *at.get() as usize {
+                    match at {
                         at if at < priced => st.costs[i] = st.l1_costs[at],
                         at => st.dups.push((i, at)),
                     }
                 }
-                Entry::Vacant(slot) => {
+                Err(free) => {
                     st.evaluations += 1;
                     st.m_misses.incr();
-                    slot.insert(st.l1_costs.len() as u32);
+                    st.l1.insert(free, st.l1_costs.len());
+                    st.l1_words.extend_from_slice(&cfg.words);
+                    st.l1_ends.push(st.l1_words.len());
                     st.l1_costs.push(f64::NAN);
                     st.pending.push(i);
                 }
@@ -829,15 +884,6 @@ impl MctsSearch<'_> {
             }
         }
         out
-    }
-
-    fn apply(&self, config: &ConfigSet, action: Action) -> ConfigSet {
-        let mut c = config.clone();
-        match action {
-            Action::Add(s) => c.insert(s),
-            Action::Remove(s) => c.remove(s),
-        }
-        c
     }
 
     /// The search's fixed slot bitmaps, one word per 64 universe slots.
@@ -1038,10 +1084,10 @@ mod tests {
         let mut u = Universe::new();
         let a = IndexDef::new("t", &["a"]);
         let b = IndexDef::new("t", &["b"]);
-        let sa = u.intern(&a);
-        let sb = u.intern(&b);
+        let sa = u.intern(a.clone());
+        let sb = u.intern(b.clone());
         assert_ne!(sa, sb);
-        assert_eq!(u.intern(&a), sa);
+        assert_eq!(u.intern(a.clone()), sa);
         assert_eq!(u.slot(&b), Some(sb));
         assert_eq!(u.def(sa), &a);
         assert_eq!(u.len(), 2);
@@ -1072,7 +1118,7 @@ mod tests {
     }
 
     fn setup_universe(u: &mut Universe, defs: &[IndexDef]) -> Vec<usize> {
-        defs.iter().map(|d| u.intern(d)).collect()
+        defs.iter().map(|d| u.intern(d.clone())).collect()
     }
 
     /// `search.run` through a fresh pricer of `w` over its own term cache.
@@ -1244,8 +1290,7 @@ mod tests {
             if actions.is_empty() {
                 break;
             }
-            let a = actions[rng.random_range(0..actions.len())];
-            c = search.apply(&c, a);
+            actions[rng.random_range(0..actions.len())].apply(&mut c);
             if rng.random_bool(0.35) {
                 break;
             }
@@ -1271,7 +1316,7 @@ mod tests {
                 };
                 let mut u = Universe::new();
                 for i in 0..n {
-                    u.intern(&IndexDef::new(format!("g{i}"), &["x"]));
+                    u.intern(IndexDef::new(format!("g{i}"), &["x"]));
                 }
                 for s in &mut u.sizes {
                     *s = rng.random_range(1u64..100);
@@ -1468,7 +1513,7 @@ mod tests {
     fn empty_workload_is_a_noop() {
         let db = db();
         let mut u = Universe::new();
-        let _ = u.intern(&IndexDef::new("t", &["a"]));
+        let _ = u.intern(IndexDef::new("t", &["a"]));
         u.refresh_sizes(&db);
         let est = NativeCostEstimator;
         let mut tree = PolicyTree::new();
@@ -1518,8 +1563,8 @@ mod tests {
     fn universe_config_defs_and_sizes() {
         let db = db();
         let mut u = Universe::new();
-        let a = u.intern(&IndexDef::new("t", &["a"]));
-        let b = u.intern(&IndexDef::new("t", &["b", "c"]));
+        let a = u.intern(IndexDef::new("t", &["a"]));
+        let b = u.intern(IndexDef::new("t", &["b", "c"]));
         u.refresh_sizes(&db);
         assert!(u.size(a) > 0 && u.size(b) > 0);
         let cfg: ConfigSet = [a, b].into_iter().collect();
@@ -1527,7 +1572,7 @@ mod tests {
         assert_eq!(u.config_size(&cfg), u.size(a) + u.size(b));
         assert!(!u.is_empty());
         // Unknown-table defs get a sentinel size rather than panicking.
-        let ghost = u.intern(&IndexDef::new("ghost", &["x"]));
+        let ghost = u.intern(IndexDef::new("ghost", &["x"]));
         u.refresh_sizes(&db);
         assert!(u.size(ghost) > (1 << 40));
     }

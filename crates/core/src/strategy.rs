@@ -112,13 +112,15 @@ pub(crate) type SharedWorkload = [(Arc<QueryShape>, u64)];
 /// fires — its round: the workload and its template fingerprints, the
 /// database's index definitions in id order, and the candidate generator's
 /// output for the two (§IV-A). Passed by value within the boundary; the
-/// database does not change between the diagnosis and the round.
+/// database does not change between the diagnosis and the round. Every
+/// definition is shared: the existing ones with the database, and every
+/// universe a boundary interns them into holds the same `Arc`s.
 pub(crate) struct Prologue {
     pub(crate) workload: Vec<(Arc<QueryShape>, u64)>,
     /// `shape_key` per template, in workload order.
     pub(crate) shape_keys: Vec<u128>,
-    pub(crate) existing: Vec<IndexDef>,
-    pub(crate) candidates: Vec<IndexDef>,
+    pub(crate) existing: Vec<Arc<IndexDef>>,
+    pub(crate) candidates: Vec<Arc<IndexDef>>,
     pub(crate) cand_stats: CandidateStats,
     candgen_time: Duration,
 }
@@ -137,7 +139,7 @@ impl Prologue {
             kept,
         } = keyed;
         assert_eq!(workload.len(), kept.len(), "one emission slot per template");
-        let existing: Vec<IndexDef> = db.indexes().map(|(_, d)| d.clone()).collect();
+        let existing: Vec<Arc<IndexDef>> = db.shared_indexes().cloned().collect();
         let candgen_started = Instant::now();
         let (catalog, generator) = (db.catalog(), CandidateGenerator::new(config.clone()));
         let mut reused = 0;
@@ -170,7 +172,7 @@ impl Prologue {
             workload,
             shape_keys,
             existing,
-            candidates,
+            candidates: candidates.into_iter().map(Arc::new).collect(),
             cand_stats,
             candgen_time,
         }
@@ -223,9 +225,14 @@ impl Prologue {
             return 0.0;
         }
         let mut universe = Universe::new();
-        let existing = self.existing.iter().map(|d| universe.intern(d)).collect();
+        let existing = self
+            .existing
+            .iter()
+            .cloned()
+            .map(|d| universe.intern(d))
+            .collect();
         for d in &self.candidates {
-            universe.intern(d);
+            universe.intern(Arc::clone(d));
         }
         let mut pricer = self.pricer(&universe, db, estimator, cache, decomposed);
         let base = pricer.sum(&existing);
@@ -242,10 +249,10 @@ pub(crate) struct Round<'a, 'w, E> {
     pub(crate) workload: &'w SharedWorkload,
     pub(crate) config: &'a AutoIndexConfig,
     /// The database's index definitions, in id order, and their slots.
-    pub(crate) existing: &'w [IndexDef],
+    pub(crate) existing: &'w [Arc<IndexDef>],
     pub(crate) existing_set: ConfigSet,
     /// The candidate generator's output for `workload` (§IV-A).
-    pub(crate) candidates: &'w [IndexDef],
+    pub(crate) candidates: &'w [Arc<IndexDef>],
     candgen_time: Duration,
     /// Every configuration of the round is priced here, and nowhere else.
     pub(crate) pricer: DeltaPricer<'a, 'w, E, Arc<QueryShape>>,
@@ -270,7 +277,7 @@ impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
         prologue: &'w Prologue,
         estimator: &'a E,
         config: &'a AutoIndexConfig,
-        standing: &[IndexDef],
+        standing: &[Arc<IndexDef>],
     ) -> Self {
         let (existing, candidates) = (&prologue.existing[..], &prologue.candidates[..]);
         let metrics = db.metrics();
@@ -287,9 +294,13 @@ impl<'a, 'w, E: CostEstimator> Round<'a, 'w, E> {
             .counter("advisor.candidates.covering")
             .add(prologue.cand_stats.covering as u64);
 
-        let existing_set = existing.iter().map(|d| universe.intern(d)).collect();
+        let existing_set = existing
+            .iter()
+            .cloned()
+            .map(|d| universe.intern(d))
+            .collect();
         for d in candidates.iter().chain(standing) {
-            universe.intern(d);
+            universe.intern(Arc::clone(d));
         }
         universe.refresh_sizes(db);
         let decomposed = config.mcts.decomposed_eval;
@@ -393,7 +404,7 @@ pub(crate) trait TuningStrategy<E: CostEstimator> {
 
     /// Definitions the strategy prices besides the existing ones and the
     /// generated candidates; the round interns them too.
-    fn standing_arms(&self) -> Vec<IndexDef> {
+    fn standing_arms(&self) -> Vec<Arc<IndexDef>> {
         Vec::new()
     }
 

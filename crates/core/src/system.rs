@@ -27,6 +27,7 @@ use autoindex_estimator::CostEstimator;
 use autoindex_sql::SqlError;
 use autoindex_storage::index::{IndexDef, IndexId};
 use autoindex_storage::SimDb;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Top-level AutoIndex configuration.
@@ -319,7 +320,8 @@ impl<E: CostEstimator> AutoIndex<E> {
     /// [`AutoIndex::workload`] (property-tested).
     pub fn candidates(&self, db: &SimDb) -> (Vec<IndexDef>, CandidateStats) {
         let prologue = self.prologue(db);
-        (prologue.candidates, prologue.cand_stats)
+        let candidates = prologue.candidates.into_iter().map(Arc::unwrap_or_clone);
+        (candidates.collect(), prologue.cand_stats)
     }
 
     /// The prologue of a round over the observed templates.

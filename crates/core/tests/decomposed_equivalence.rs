@@ -50,7 +50,7 @@ fn run_search(db: &SimDb, shapes: &[(QueryShape, u64)], decomposed: bool) -> (Se
     );
     let mut universe = Universe::new();
     for d in defaults.iter().chain(cands.iter()) {
-        universe.intern(d);
+        universe.intern(d.clone());
     }
     universe.refresh_sizes(db);
     let existing: ConfigSet = defaults.iter().filter_map(|d| universe.slot(d)).collect();

@@ -141,7 +141,7 @@ fn mcts_never_regresses_and_respects_budget() {
             );
             let mut universe = Universe::new();
             for c in &cands {
-                universe.intern(c);
+                universe.intern(c.clone());
             }
             universe.refresh_sizes(&db);
             let budget_bytes = budget_mb * (1 << 20);
@@ -327,7 +327,7 @@ fn delta_cost_bitwise_equals_naive_across_random_configs() {
                 } else {
                     IndexDef::new(name, &[c1, c2])
                 };
-                universe.intern(&def);
+                universe.intern(def);
             }
             universe.refresh_sizes(&db);
 
@@ -498,8 +498,8 @@ fn projection_fingerprints_tell_ordered_projections_apart() {
             let mut universe = Universe::new();
             let mut reversed = Universe::new();
             for (d, r) in defs.iter().zip(defs.iter().rev()) {
-                universe.intern(d);
-                reversed.intern(r);
+                universe.intern(d.clone());
+                reversed.intern(r.clone());
             }
             let all: ConfigSet = (0..defs.len()).collect();
             let in_reversed = |config: &ConfigSet| -> ConfigSet {
@@ -518,7 +518,10 @@ fn projection_fingerprints_tell_ordered_projections_apart() {
                 let mask: ConfigSet = (0..defs.len()).filter(|_| rng.random_bool(0.5)).collect();
                 prop_assert_eq!(
                     universe.projection_fingerprint(&config, &mask),
-                    universe.projection_fingerprint(&config.intersect(&mask), &all)
+                    universe.projection_fingerprint(
+                        &config.iter().filter(|&s| mask.contains(s)).collect(),
+                        &all
+                    )
                 );
                 let same_defs = reversed.projection_fingerprint(&in_reversed(&config), &all);
                 prop_assert_eq!(fp == same_defs, config.len() < 2, "{bits:#b}");

@@ -1,8 +1,11 @@
-//! Count-domain bound of an MCTS round: the search reuses its selection
-//! path, its evaluation batch (rollouts written in place) and the batch's
-//! bookkeeping from iteration to iteration, so what a round allocates
-//! follows the configurations it prices — one copy of each into its L1
-//! memo — plus the nodes it expands, and nothing per rollout step.
+//! Count-domain bounds of a tuning round. The search reuses its selection
+//! path, its evaluation batch (rollouts written in place), the batch's
+//! bookkeeping and the buffer each expanded child is built in from
+//! iteration to iteration; its L1 memo and the policy tree's index keep no
+//! key copies. So what a search allocates follows the nodes it creates —
+//! one copy of each one's configuration — and not the configurations it
+//! prices, nor any rollout step. A universe holds its definitions shared,
+//! so interning a round's definitions copies none of them.
 //!
 //! The count is process-wide, so this is its own test binary with one
 //! test: nothing else allocates while it counts.
@@ -13,11 +16,13 @@ use autoindex_estimator::cost_cache::shape_keys;
 use autoindex_estimator::{CostCache, NativeCostEstimator};
 use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
+use autoindex_storage::IndexDef;
 use autoindex_storage::{SimDb, SimDbConfig};
 use autoindex_support::obs::MetricsRegistry;
 use autoindex_workloads::banking::{self, BankingGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -49,15 +54,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap calls per priced configuration (L1 miss) of the round below, at
-/// most: the L1 copy, and each iteration's expanded node (its
-/// configuration and the tree's key copy of it) spread over the round's
-/// six evaluations per iteration — 1 065 calls for 731 configurations
-/// over 122 iterations. Before the search reused its buffers the same
-/// round made 2 631 (3.6 each).
-const CALLS_PER_EVALUATION: f64 = 1.46;
+/// most: each iteration's created node (the one copy of its
+/// configuration) spread over the round's six evaluations per iteration,
+/// and the doubling growth of the L1 store, the tree and their indexes —
+/// 222 calls for 731 configurations over 122 iterations (0.304 each).
+/// While the L1 memo and the tree's index each kept a copy of every key
+/// the same round made 1 059 (1.45 each), and before the search reused its
+/// buffers 2 631 (3.6 each).
+const CALLS_PER_EVALUATION: f64 = 0.32;
+
+/// Heap calls per definition of interning the round's definitions, already
+/// shared, into a fresh universe, at most: the universe's tables grow by
+/// doubling and no definition is copied — 40 calls for 267 definitions
+/// (0.150 each). Copying each one cost 3 + its column count: 1 237 calls
+/// (4.63 each).
+const CALLS_PER_INTERNED_DEFINITION: f64 = 0.25;
 
 #[test]
-fn a_search_round_allocates_per_priced_configuration_not_per_rollout() {
+fn a_round_allocates_per_created_node_not_per_priced_configuration_or_definition() {
     // The banking catalog under its 263 DBA indexes: configurations span
     // five words.
     let db = SimDb::with_metrics(
@@ -76,12 +90,12 @@ fn a_search_round_allocates_per_priced_configuration_not_per_rollout() {
     let dba = banking::dba_indexes();
     let mut universe = Universe::new();
     for d in &dba {
-        universe.intern(d);
+        universe.intern(d.clone());
     }
     let candidates =
         CandidateGenerator::new(CandidateConfig::default()).generate(&shapes, db.catalog(), &dba);
     for d in &candidates {
-        universe.intern(d);
+        universe.intern(d.clone());
     }
     universe.refresh_sizes(&db);
     let existing: ConfigSet = dba.iter().filter_map(|d| universe.slot(d)).collect();
@@ -120,5 +134,27 @@ fn a_search_round_allocates_per_priced_configuration_not_per_rollout() {
         "{calls} heap calls for {} priced configurations ({per:.3} each) over {} iterations",
         out.evaluations,
         out.iterations
+    );
+
+    // The definitions as a round holds them: the database's own `Arc`s and
+    // each candidate wrapped once.
+    let shared: Vec<Arc<IndexDef>> = dba
+        .iter()
+        .chain(&candidates)
+        .cloned()
+        .map(Arc::new)
+        .collect();
+    let before = CALLS.load(Ordering::Relaxed);
+    let mut fresh = Universe::new();
+    for d in &shared {
+        fresh.intern(Arc::clone(d));
+    }
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(fresh.len(), universe.len());
+    let per = calls as f64 / shared.len() as f64;
+    assert!(
+        per <= CALLS_PER_INTERNED_DEFINITION,
+        "{calls} heap calls to intern {} shared definitions ({per:.3} each)",
+        shared.len()
     );
 }

@@ -127,7 +127,7 @@ fn search_cell(digest: &mut Digest, seed: u64, budgeted: bool) {
     let generator = CandidateGenerator::new(CandidateConfig::default());
     let mut universe = Universe::new();
     for d in &dba {
-        universe.intern(d);
+        universe.intern(d.clone());
     }
     let existing: ConfigSet = dba.iter().filter_map(|d| universe.slot(d)).collect();
     let protected: ConfigSet = dba
@@ -142,7 +142,7 @@ fn search_cell(digest: &mut Digest, seed: u64, budgeted: bool) {
     for (r, &(table, rows)) in GROWN.iter().enumerate() {
         let w = shapes(&db, &statements(seed, r));
         for d in generator.generate(&w, db.catalog(), &dba) {
-            universe.intern(&d);
+            universe.intern(d);
         }
         universe.refresh_sizes(&db);
         if budgeted && budget.is_none() {

@@ -430,6 +430,12 @@ impl SimDb {
         self.indexes.iter().map(|(k, v)| (*k, &**v))
     }
 
+    /// The real indexes' definitions, in id order, as the database holds
+    /// them: a caller that keeps one shares it rather than copying it.
+    pub fn shared_indexes(&self) -> impl Iterator<Item = &Arc<IndexDef>> {
+        self.indexes.values()
+    }
+
     /// The real index set as the planner sees it: resolved at current
     /// cardinality, grouped by table.
     pub fn index_view(&self) -> &IndexView {

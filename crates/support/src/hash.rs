@@ -22,8 +22,10 @@
 //! ```
 //!
 //! [`WordHashMap`] is its counterpart for keys of several machine words
-//! — a configuration bitmap, a 128-bit template fingerprint with its stamp
-//! fold — which the tuner probes thousands of times per round. Each word is
+//! — a 128-bit template fingerprint with its stamp fold — and
+//! [`WordHasher`] its hash, which also folds the configuration bitmaps the
+//! tuner probes thousands of times per round into the `u64` its own
+//! indexes key a [`U64HashMap`] by. Each word is
 //! folded in with one 64 × 64 → 128-bit multiply whose halves are xored,
 //! so a word's high bits reach the low bits a table picks buckets with:
 //!
@@ -142,8 +144,8 @@ impl Hasher for WordHasher {
 /// `BuildHasher` for [`WordHasher`].
 pub type WordBuildHasher = BuildHasherDefault<WordHasher>;
 
-/// A `HashMap` keyed by word sequences (configuration bitmaps, cost-term
-/// keys).
+/// A `HashMap` keyed by word sequences (template fingerprints with their
+/// stamp folds).
 pub type WordHashMap<K, V> = HashMap<K, V, WordBuildHasher>;
 
 #[cfg(test)]

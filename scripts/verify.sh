@@ -54,7 +54,7 @@ cargo test -q --offline --release -p autoindex-core --test proptests delta_cost_
 cargo test -q --offline --release -p autoindex-core --lib -- delta:: mcts::
 cargo test -q --offline --release -p autoindex-core --test round_pricing
 
-echo "==> cargo test -q --offline --release (the search: a grid of MCTS and advisor rounds over the banking catalog under 263 DBA indexes = the digest recorded before the search reused its buffers; a fixed round makes at most 1.46 heap calls per priced configuration, its own binary: the count is process-wide)"
+echo "==> cargo test -q --offline --release (the search: a grid of MCTS and advisor rounds over the banking catalog under 263 DBA indexes = the digest recorded before the search reused its buffers; a fixed round makes at most 0.32 heap calls per priced configuration and interns its shared definitions without copying them, its own binary: the count is process-wide)"
 cargo test -q --offline --release -p autoindex-core --test search_golden
 cargo test -q --offline --release -p autoindex-core --test search_allocs
 
