@@ -45,6 +45,7 @@ use autoindex_storage::selectivity::atom_selectivity;
 use autoindex_storage::shape::{QueryShape, TableAtoms};
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Candidate generation parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,7 +129,9 @@ pub struct CandidateStats {
 /// know of the class that emitted it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Emitted {
-    def: IndexDef,
+    /// Shared with every merge that keeps it: a kept emission outlives
+    /// its boundary, and the candidate lists of each boundary since.
+    def: Arc<IndexDef>,
     /// `def.key()`: what the merge sorts by.
     key: Box<str>,
     class: Class,
@@ -137,7 +140,11 @@ pub struct Emitted {
 impl Emitted {
     fn new(def: IndexDef, class: Class) -> Self {
         let key = def.key().into_boxed_str();
-        Emitted { def, key, class }
+        Emitted {
+            def: Arc::new(def),
+            key,
+            class,
+        }
     }
 }
 
@@ -191,7 +198,13 @@ impl CandidateGenerator {
             .iter()
             .flat_map(|(shape, _)| self.emit(shape.borrow(), catalog))
             .collect();
-        self.merge(&emitted, catalog, existing)
+        let (merged, stats) = self.merge(&emitted, catalog, existing);
+        // The emissions go first: each kept definition is then held once.
+        drop(emitted);
+        (
+            merged.into_iter().map(Arc::unwrap_or_clone).collect(),
+            stats,
+        )
     }
 
     /// Step 2 for one template shape: its candidates before any merge.
@@ -524,13 +537,14 @@ impl CandidateGenerator {
     /// leftmost prefix, subtract what an existing index covers, add the
     /// partitioned variants — sorted by key, a LOCAL twin after its GLOBAL
     /// one. Sorts, dedups and runs on the emitted keys and renders none;
-    /// every `covers` test stays within one table.
+    /// every `covers` test stays within one table. A kept candidate is its
+    /// emission's definition, shared; only a LOCAL twin is made here.
     pub fn merge<'e>(
         &self,
         emitted: impl IntoIterator<Item = &'e Emitted>,
         catalog: &Catalog,
         existing: &[impl Borrow<IndexDef>],
-    ) -> (Vec<IndexDef>, CandidateStats) {
+    ) -> (Vec<Arc<IndexDef>>, CandidateStats) {
         let mut by_table: HashMap<&str, Vec<&IndexDef>> = HashMap::new();
         for e in existing.iter().map(Borrow::borrow) {
             by_table.entry(e.table.as_str()).or_default().push(e);
@@ -595,12 +609,12 @@ impl CandidateGenerator {
                 if merged || existing.iter().any(|e| e.covers(&c.def)) {
                     continue;
                 }
-                out.push(c.def.clone());
+                out.push(Arc::clone(&c.def));
                 // Partitioned tables: a LOCAL twin for index-type selection.
                 if partitioned {
-                    let local = c.def.clone().with_scope(IndexScope::Local);
+                    let local = IndexDef::clone(&c.def).with_scope(IndexScope::Local);
                     if !existing.contains(&&local) {
-                        out.push(local);
+                        out.push(Arc::new(local));
                     }
                 }
             }

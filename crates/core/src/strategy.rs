@@ -172,7 +172,7 @@ impl Prologue {
             workload,
             shape_keys,
             existing,
-            candidates: candidates.into_iter().map(Arc::new).collect(),
+            candidates,
             cand_stats,
             candgen_time,
         }
