@@ -18,7 +18,7 @@
 //!   table ("unused").
 
 use crate::Scenario;
-use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+use autoindex_storage::catalog::{Catalog, Column, ColumnType, TableBuilder};
 use autoindex_storage::index::IndexDef;
 use autoindex_support::rng::StdRng;
 
@@ -385,6 +385,45 @@ impl BankingGenerator {
         out.truncate(n);
         out
     }
+
+    /// Ad hoc analyst traffic over every table of `catalog` with two
+    /// integer columns: each statement picks a table, two of its integer
+    /// columns and one of four read shapes at random, so over the banking
+    /// schema (thousands of such templates) most templates occur once in a
+    /// thousand statements — traffic that repeats too little for compiling
+    /// a template to pay.
+    pub fn generate_adhoc(&mut self, catalog: &Catalog, n: usize) -> Vec<String> {
+        // Name order: `Catalog::tables` iterates a hash map.
+        let mut tables: Vec<(&str, Vec<(&str, u64)>)> = catalog
+            .tables()
+            .map(|t| {
+                let ints = t.columns.iter().filter(|c| c.ty == ColumnType::Int);
+                let ints = ints.map(|c| (c.name.as_str(), (c.stats.ndv as u64).max(1)));
+                (t.name.as_str(), ints.collect::<Vec<_>>())
+            })
+            .filter(|(_, ints)| ints.len() >= 2)
+            .collect();
+        tables.sort_by_key(|(name, _)| *name);
+        let rng = &mut self.rng;
+        (0..n)
+            .map(|_| {
+                let (t, ints) = &tables[rng.random_range(0..tables.len())];
+                let i = rng.random_range(0..ints.len());
+                let j = (i + rng.random_range(1..ints.len())) % ints.len();
+                let ((a, a_max), (b, b_max)) = (ints[i], ints[j]);
+                let x = rng.random_range(1..=a_max);
+                match rng.random_range(0..4u32) {
+                    0 => format!("SELECT * FROM {t} WHERE {a} = {x}"),
+                    1 => format!(
+                        "SELECT {a}, {b} FROM {t} WHERE {a} = {x} AND {b} > {}",
+                        rng.random_range(1..=b_max)
+                    ),
+                    2 => format!("SELECT {b}, COUNT(*) FROM {t} WHERE {a} = {x} GROUP BY {b}"),
+                    _ => format!("SELECT * FROM {t} WHERE {a} = {x} ORDER BY {b} LIMIT 10"),
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +492,24 @@ mod tests {
             .map(|(_, s)| s)
             .collect();
         assert!(!all.contains("arch_"));
+    }
+
+    /// Every ad hoc statement parses, and most of a thousand of them are
+    /// the only statement of their template.
+    #[test]
+    fn adhoc_templates_seldom_repeat() {
+        let qs = BankingGenerator::new(5).generate_adhoc(&catalog(), 1_000);
+        let mut seen = std::collections::HashMap::new();
+        for q in &qs {
+            parse_statement(q).unwrap_or_else(|e| panic!("bad SQL {q:?}: {e}"));
+            let text = autoindex_sql::fingerprint::fingerprint(q).unwrap().text;
+            *seen.entry(text).or_insert(0) += 1;
+        }
+        let once = seen.values().filter(|&&n| n == 1).count();
+        assert!(
+            once > 700,
+            "{once} of 1 000 statements are their template's only one"
+        );
     }
 
     #[test]
