@@ -336,28 +336,30 @@ pub(crate) fn simulated_qps(executed: u64, makespan_ms: f64) -> f64 {
 
 /// What one epoch publishes for one tenant: the immutable snapshot, the
 /// tenant's compiled templates, frozen current against the catalog the
-/// snapshot shares, and one lazily filled plan slot per compiled template.
-/// A template the frozen cache lacks — one born since the publication, or
-/// evicted — is compiled at its third statement under the publication,
-/// once for every worker: its *late* entry, the run's frame of its text
-/// and schema folded against the snapshot's catalog, with a plan slot of
-/// its own. Its first
-/// two statements take the parse path ([`PARSED_BEFORE_LATE`]). All of it
+/// snapshot shares, and one plan slot per compiled template — holding at
+/// publication the plan the publication before had for it when nothing
+/// that plan read has moved since, else filled at the template's first
+/// bound statement. A template the frozen cache lacks — one born since
+/// the publication, or evicted — is compiled at its third statement under
+/// the publication, once for every worker: its *late* entry, the run's
+/// frame of its text and schema folded against the snapshot's catalog,
+/// with a plan slot of its own. Its first two statements take the parse
+/// path ([`PARSED_BEFORE_LATE`]). All of it
 /// is read-only for workers but for those one-time fills (whose values do
 /// not depend on who fills them), and the mutex that orders the sightings
 /// hands each template's first two to the parse path whichever worker
-/// they reach, so hits, misses and plans prepared are invariant under
-/// worker count.
+/// they reach, so hits, misses, plans prepared and plans carried are
+/// invariant under worker count.
 pub(crate) struct Publication {
     snap: DbSnapshot,
     cache: Arc<FastPathCache>,
     /// Per compiled template (by its ordinal in `cache`) the plan of its
-    /// statements against `snap`, prepared by whichever worker first
-    /// executes the template under this publication. A plan is valid for
-    /// exactly as long as `snap` is what statements execute against, and
-    /// `snap` never changes: the slots have no invalidation rule and die
-    /// with the publication.
-    plans: Box<[OnceLock<Box<PreparedPlan>>]>,
+    /// statements against `snap`: the publication before's plan of the
+    /// template when its snapshot agrees with `snap` on the template's
+    /// tables ([`DbSnapshot::agrees_on`], [`Publication::carry`]), else
+    /// prepared by whichever worker first executes the template under this
+    /// publication.
+    plans: Box<[OnceLock<Arc<PreparedPlan>>]>,
     /// The templates statements missed `cache` with, by fingerprint hash,
     /// and how far each got: parsed so far, or compiled late. Emptied when
     /// the epoch's last run is absorbed
@@ -368,9 +370,11 @@ pub(crate) struct Publication {
     /// and the snapshot catalog's schema fingerprint, which keys them.
     frames: Arc<Mutex<FrameCache>>,
     schema: OnceLock<u64>,
-    /// `planner.prepared`: slots filled; `sql.fastpath.late`: late entries
-    /// compiled.
+    /// `planner.prepared`: slots filled by a worker; `planner.carried`:
+    /// slots taken from the publication before; `sql.fastpath.late`: late
+    /// entries compiled.
     prepared: Counter,
+    carried: Counter,
     made_late: Counter,
 }
 
@@ -393,7 +397,7 @@ const PARSED_BEFORE_LATE: u32 = 2;
 /// A template a publication compiled late, and its plan slot.
 struct Late {
     template: CompiledTemplate,
-    plan: OnceLock<Box<PreparedPlan>>,
+    plan: OnceLock<Arc<PreparedPlan>>,
 }
 
 /// A publication's late entry of one template: compiled by the first worker
@@ -437,7 +441,30 @@ impl Publication {
             frames: Arc::clone(frames),
             schema: OnceLock::new(),
             prepared: upkeep.prepared.clone(),
+            carried: upkeep.carried.clone(),
             made_late: upkeep.late.clone(),
+        }
+    }
+
+    /// Seed this publication's empty plan slots from `before`, the
+    /// publication of the same tenant it replaces: each template `before`
+    /// holds a plan for, and this one compiled too, takes that plan when
+    /// the two snapshots agree on the template's tables — nothing the plan
+    /// read moved in between, so it prices as a fresh one would. What does
+    /// not carry is prepared at its template's first bound statement.
+    fn carry(&self, before: &Publication) {
+        for (hash, ordinal) in before.cache.ordinals() {
+            let Some(plan) = before.plans[ordinal].get() else {
+                continue;
+            };
+            let Some((slot, template)) = self.cache.slot(hash) else {
+                continue;
+            };
+            if self.snap.agrees_on(&before.snap, template.skeleton())
+                && self.plans[slot].set(Arc::clone(plan)).is_ok()
+            {
+                self.carried.incr();
+            }
         }
     }
 
@@ -491,13 +518,13 @@ impl Publication {
     /// bound statement under this publication.
     fn execute_bound(
         &self,
-        plan: &OnceLock<Box<PreparedPlan>>,
+        plan: &OnceLock<Arc<PreparedPlan>>,
         shape: &QueryShape,
         seq: u64,
     ) -> (ExecOutcome, UsageDelta) {
         let plan = plan.get_or_init(|| {
             self.prepared.incr();
-            Box::new(self.snap.prepare(shape))
+            Arc::new(self.snap.prepare(shape))
         });
         self.snap.execute_prepared_at(plan, shape, seq)
     }
@@ -1032,10 +1059,13 @@ impl Coordinator<'_, '_> {
 
     /// Publish `tenant`'s next-epoch snapshot — the only point a
     /// configuration swap becomes visible to executors: tasks made from
-    /// here on carry it. The publication it replaces is freed now, every
-    /// task that carried it having been handed off.
+    /// here on carry it. It starts with the plans of the publication it
+    /// replaces that are still current ([`Publication::carry`]); that one
+    /// is freed now, every task that carried it having been handed off.
     pub(crate) fn publish(&mut self, tenant: u32, publication: Publication) {
-        self.current[tenant as usize] = Arc::new(publication);
+        let lane = &mut self.current[tenant as usize];
+        publication.carry(lane);
+        *lane = Arc::new(publication);
     }
 }
 
@@ -1558,15 +1588,18 @@ mod tests {
         assert_eq!(holders, vec![(1, 0); epochs * TENANTS as usize]);
     }
 
-    /// A prepared plan lives in the publication it was prepared under and
-    /// nowhere else. Executing under publication *N* fills *N*'s slots; the
-    /// publication built after an index was created and a touched table
-    /// grew starts with every slot empty, prices its statements from plans
-    /// of its own — equal, bit for bit, to planning each from scratch
-    /// against its own snapshot, and different from what *N*'s plans say —
-    /// and *N*'s plans are freed with *N*.
+    /// A publication takes the plans of the one it replaces whose tables
+    /// and indexes held, and only those. Executing under publication *N*
+    /// fills *N*'s slots. Rebuilt with nothing moved, the next publication
+    /// holds every filled slot at once, prepares nothing and prices bit for
+    /// bit as planning each statement from scratch against its own snapshot
+    /// does. After one table grew, and after one table gained an index,
+    /// only the templates that read it prepare again. After an index was
+    /// created and every table grew, nothing
+    /// carries: the next publication prices from plans of its own, and
+    /// differently from what the old plans say.
     #[test]
-    fn a_prepared_plan_is_reachable_only_through_its_publication() {
+    fn a_publication_carries_the_plans_whose_tables_and_indexes_held() {
         use autoindex_storage::index::IndexDef;
 
         let Fixture { mut db, queries } = Fixture::new();
@@ -1577,6 +1610,8 @@ mod tests {
             advisor.observe(sql, &db).unwrap();
         }
         let filled = |p: &Publication| p.plans.iter().filter(|slot| slot.get().is_some()).count();
+        let prepared = || registry.counter_value("planner.prepared");
+        let carried = || registry.counter_value("planner.carried");
         // Every statement under `publication`, with its unprepared twin.
         let run = |publication: &Publication| -> Vec<(u64, u64)> {
             let mut scratch = WorkerScratch::new(&registry, 0);
@@ -1602,35 +1637,100 @@ mod tests {
             }
             bound
         };
-
+        // Publication `epoch` of the database as it is now, seeded from
+        // `before` as `Coordinator::publish` seeds it.
         let frames = Arc::default();
-        let first = Publication::build(&db, &mut advisor, 0, true, &upkeep, &frames);
-        let first = Arc::new(first);
+        let mut publish = |db: &SimDb, epoch: u64, before: Option<&Publication>| {
+            let next = Publication::build(db, &mut advisor, epoch, true, &upkeep, &frames);
+            if let Some(before) = before {
+                next.carry(before);
+            }
+            next
+        };
+        // Of `before`'s filled slots, the templates that read `table`, and
+        // those that do not.
+        let reading = |before: &Publication, table: &str| {
+            let (mut read, mut other) = (0, 0);
+            for (hash, ordinal) in before.cache.ordinals() {
+                if before.plans[ordinal].get().is_none() {
+                    continue;
+                }
+                let shape = before.cache.get(hash).unwrap().skeleton();
+                let written = shape.write.iter().map(|w| &w.table);
+                let mut tables = shape.tables.iter().map(|t| &t.table).chain(written);
+                match tables.any(|t| t == table) {
+                    true => read += 1,
+                    false => other += 1,
+                }
+            }
+            (read, other)
+        };
+
+        let first = publish(&db, 0, None);
         assert!(!first.plans.is_empty() && first.plans.len() == first.cache.len());
         assert_eq!(filled(&first), 0, "slots fill lazily");
         let under_first = run(&first);
-        let prepared = registry.counter_value("planner.prepared");
-        assert_eq!(prepared as usize, filled(&first));
-        assert!(prepared > 0 && (prepared as usize) < under_first.len());
+        let made = prepared();
+        assert_eq!(made as usize, filled(&first));
+        assert!(made > 0 && (made as usize) < under_first.len());
         run(&first);
-        assert_eq!(
-            registry.counter_value("planner.prepared"),
-            prepared,
-            "a filled slot is not prepared again"
-        );
+        assert_eq!(prepared(), made, "a filled slot is not prepared again");
 
-        // An index the point lookups want, and growth of the table they read.
+        // Nothing moved: every filled slot carries, as the same plan.
+        let same = publish(&db, 1, Some(&first));
+        assert_eq!(filled(&same), filled(&first));
+        assert_eq!(carried(), made);
+        for (hash, ordinal) in first.cache.ordinals() {
+            if let Some(plan) = first.plans[ordinal].get() {
+                let (slot, _) = same.cache.slot(hash).unwrap();
+                assert!(Arc::ptr_eq(plan, same.plans[slot].get().unwrap()));
+            }
+        }
+        let under_same = run(&same);
+        assert_eq!(prepared(), made, "nothing is prepared again");
+        assert_eq!(under_same, under_first, "the prices did not move");
+
+        // One table grew, then one table gained an index: each time only
+        // the templates that read it prepare again.
+        let mut before = same;
+        for (epoch, table) in [(2, "card"), (3, "account")] {
+            match epoch {
+                2 => db.grow_table(table, 300_000).unwrap(),
+                _ => {
+                    db.create_index(IndexDef::new(table, &["acct_type"]))
+                        .unwrap();
+                }
+            }
+            let (read, other) = reading(&before, table);
+            assert!(
+                read > 0 && other > 0,
+                "{read} templates read {table}, {other} do not"
+            );
+            let (made, carried_before) = (prepared(), carried());
+            let next = publish(&db, epoch, Some(&before));
+            assert_eq!(filled(&next), other, "{table}");
+            assert_eq!(carried() - carried_before, other as u64, "{table}");
+            run(&next);
+            assert_eq!(prepared() - made, read as u64, "{table}");
+            assert_eq!(filled(&next), filled(&before), "{table}");
+            before = next;
+        }
+        let (grown, made) = (before, prepared());
+
+        // An index the point lookups want, and growth of every table:
+        // nothing carries.
         db.create_index(IndexDef::new("withdraw_flow", &["acct_id", "ts"]))
             .unwrap();
-        db.grow_table("withdraw_flow", 400_000).unwrap();
-        db.grow_table("account", 50_000).unwrap();
-        let second = Publication::build(&db, &mut advisor, 1, true, &upkeep, &frames);
-        assert_eq!(filled(&second), 0, "nothing of publication 0 came along");
+        let tables: Vec<String> = db.catalog().tables().map(|t| t.name.clone()).collect();
+        for table in &tables {
+            db.grow_table(table, 50_000).unwrap();
+        }
+        let before = carried();
+        let second = publish(&db, 4, Some(&grown));
+        assert_eq!(filled(&second), 0, "nothing of publication 3 came along");
+        assert_eq!(carried(), before);
         let under_second = run(&second);
-        assert_eq!(
-            registry.counter_value("planner.prepared") - prepared,
-            filled(&second) as u64
-        );
+        assert_eq!(prepared() - made, filled(&second) as u64);
         assert_eq!(
             under_first.iter().map(|b| b.0).collect::<Vec<_>>(),
             under_second.iter().map(|b| b.0).collect::<Vec<_>>(),
@@ -1643,11 +1743,6 @@ mod tests {
                 .any(|(a, b)| a.1 != b.1),
             "a plan of publication 0 would have priced these differently"
         );
-
-        // The old plans go with the old publication: nothing else holds one.
-        let plans = Arc::downgrade(&first);
-        drop(first);
-        assert!(plans.upgrade().is_none());
     }
 
     /// Two workers that miss one template under one publication at once

@@ -886,7 +886,9 @@ impl Compiled {
 /// publication compiled at their third statement under it, because its
 /// frozen cache had none. With them `planner.prepared`: plans prepared for
 /// a publication's templates — against executions, the evidence that a
-/// template is planned once per publication.
+/// template is planned at most once per publication — and
+/// `planner.carried`: plans a publication took from the one before it,
+/// which nothing they read had moved since.
 #[derive(Debug, Clone)]
 pub(crate) struct UpkeepCounters {
     compiled: Counter,
@@ -895,6 +897,7 @@ pub(crate) struct UpkeepCounters {
     reused: Counter,
     pub(crate) late: Counter,
     pub(crate) prepared: Counter,
+    pub(crate) carried: Counter,
 }
 
 impl UpkeepCounters {
@@ -906,6 +909,7 @@ impl UpkeepCounters {
             reused: registry.counter("sql.fastpath.reused"),
             late: registry.counter("sql.fastpath.late"),
             prepared: registry.counter("planner.prepared"),
+            carried: registry.counter("planner.carried"),
         }
     }
 
@@ -983,6 +987,13 @@ impl FastPathCache {
     /// Look up the compiled template for a fingerprint hash.
     pub fn get(&self, hash: u64) -> Option<&CompiledTemplate> {
         self.slot(hash).map(|(_, t)| t)
+    }
+
+    /// Every compiled template's fingerprint hash, with its ordinal.
+    pub(crate) fn ordinals(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.entries
+            .iter()
+            .map(|(hash, (ordinal, _))| (*hash, *ordinal as usize))
     }
 
     /// [`FastPathCache::get`] with the template's ordinal in `0..len()`.

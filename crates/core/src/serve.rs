@@ -619,8 +619,11 @@ pub struct ServeReport {
     pub fastpath_misses: u64,
     /// Plans prepared for publications' template slots (`planner.prepared`
     /// over this run): against `fastpath_hits`, how often a bound statement
-    /// found its template already planned. Worker-count invariant; in no
-    /// transcript.
+    /// found its template already planned. A slot a publication took from
+    /// the one before it (`planner.carried`: nothing the plan read had
+    /// moved) is not prepared again, so a read-only run prepares each
+    /// template once, and again only after a boundary that changed an index
+    /// on its tables. Worker-count invariant; in no transcript.
     pub plans_prepared: u64,
     /// Sum of all executed statements' simulated latencies, ms.
     pub total_sim_latency_ms: f64,

@@ -521,3 +521,82 @@ fn ad_hoc_templates_seen_once_or_twice_are_not_compiled_late() {
     assert_eq!(one.transcript(), three.transcript());
     assert_eq!(one.transcript(), off.transcript());
 }
+
+/// A publication takes every plan of the one before it whose tables and
+/// indexes held. On a read-only stream no table grows, so a template's
+/// plan is prepared under the first publication it binds under and again
+/// only after a boundary that changed the index set: at most templates ×
+/// (1 + such boundaries) plans over the run, where preparing every
+/// template each publication ran it would be templates × publications.
+/// Every template is observed once before the run, so the first
+/// publication compiles them all and none is compiled late.
+#[test]
+fn a_read_only_run_prepares_a_plan_again_only_after_an_index_changed() {
+    let queries: Vec<String> = BankingGenerator::new(17)
+        .generate_hybrid(4_000, 0.0)
+        .into_iter()
+        .map(|(_, q)| q)
+        .collect();
+    let templates = distinct_templates(&queries);
+    let run = |fastpath: bool| {
+        let db = banking_db();
+        let mut advisor = advisor();
+        let mut seen = HashSet::new();
+        for q in &queries {
+            if seen.insert(fingerprint(q).unwrap().text) {
+                advisor.observe(q, &db).unwrap();
+            }
+        }
+        let cfg = ServeConfig::builder()
+            .workers(2)
+            .epoch_interval(250)
+            .fastpath(fastpath)
+            .build()
+            .unwrap();
+        serve(db, advisor, &queries, cfg).unwrap()
+    };
+    let out = run(true);
+    let (report, registry) = (&out.report, out.db.metrics());
+    // What planning every statement from scratch prices: no stale plan
+    // was carried.
+    assert_eq!(report.transcript(), run(false).report.transcript());
+    let initial = banking_db();
+    for table in initial.catalog().tables() {
+        let rows = out.db.catalog().table(&table.name).unwrap().rows;
+        assert_eq!(rows, table.rows, "{} grew", table.name);
+    }
+    assert_eq!(registry.counter_value("sql.fastpath.late"), 0);
+
+    // Boundaries whose configuration differs from the one before.
+    let mut fp = format!("{:016x}", initial.index_fingerprint());
+    let mut changed = 0u64;
+    for line in report
+        .transcript()
+        .lines()
+        .filter(|l| l.starts_with("epoch "))
+    {
+        let at = line
+            .find(" fp=")
+            .expect("an epoch line prints its fingerprint")
+            + 4;
+        let next = &line[at..at + 16];
+        changed += u64::from(next != fp);
+        fp = next.to_string();
+    }
+    // One publication per epoch ran statements.
+    let epochs = report.epochs.len() as u64;
+    assert!(
+        1 + changed < epochs,
+        "{changed} of {epochs} boundaries changed an index: the bound shows nothing"
+    );
+    assert!(report.plans_prepared > 0);
+    assert!(
+        report.plans_prepared <= templates * (1 + changed),
+        "{} plans prepared for {templates} templates, {changed} index changes, {epochs} epochs",
+        report.plans_prepared
+    );
+    // Every template runs every epoch: each slot of a publication that ran
+    // statements was carried or prepared.
+    let carried = registry.counter_value("planner.carried");
+    assert!(report.plans_prepared + carried >= templates * epochs);
+}

@@ -866,16 +866,38 @@ impl DbSnapshot {
     /// Prepare the plan of `shape`'s template against this snapshot's
     /// catalog and index view: everything [`DbSnapshot::execute_shape_at`]
     /// works out that no literal changes. The snapshot is immutable, so
-    /// the plan is current for as long as the snapshot is used — keep the
-    /// two together.
+    /// the plan is current for as long as the snapshot is used, and for
+    /// every other snapshot that [`DbSnapshot::agrees_on`] the template.
     pub fn prepare(&self, shape: &QueryShape) -> PreparedPlan {
         Planner::new(&self.catalog, &self.config.cost_params).prepare(shape, &*self.view)
     }
 
+    /// Whether this snapshot and `other`, two snapshots of one database,
+    /// agree on every table a plan of `shape`'s template reads — `shape`'s
+    /// tables and the one it writes: the same catalog stamp
+    /// ([`crate::catalog::Table::stamp`]: the same statistics, hence the
+    /// same index geometry) and the same index ids in the table's
+    /// [`IndexView`] run (the same definitions in the same order). Then a
+    /// plan either one [`DbSnapshot::prepare`]d prices every binding of the
+    /// template through the other bit for bit as the other's own plan
+    /// would. Stamps and ids are numbered per database: between snapshots
+    /// of two databases the answer means nothing.
+    pub fn agrees_on(&self, other: &DbSnapshot, shape: &QueryShape) -> bool {
+        let written = shape.write.as_ref().map(|w| w.table.as_str());
+        let mut read = shape.tables.iter().map(|t| t.table.as_str()).chain(written);
+        read.all(|table| {
+            let stamp = |s: &DbSnapshot| s.catalog.table(table).map(|t| t.stamp());
+            let mine = self.view.table(table).iter().map(|vi| vi.id);
+            let theirs = other.view.table(table).iter().map(|vi| vi.id);
+            stamp(self) == stamp(other) && mine.eq(theirs)
+        })
+    }
+
     /// [`DbSnapshot::execute_shape_at`] for a `shape` that is a binding of
-    /// the template `plan` was [`DbSnapshot::prepare`]d from **by this
-    /// snapshot**: the same outcome and delta, bit for bit, priced from
-    /// the literals alone.
+    /// the template `plan` was [`DbSnapshot::prepare`]d from by this
+    /// snapshot, or by one that [`DbSnapshot::agrees_on`] the template:
+    /// the same outcome and delta, bit for bit, priced from the literals
+    /// alone.
     pub fn execute_prepared_at(
         &self,
         plan: &PreparedPlan,

@@ -702,14 +702,16 @@ struct PreparedWrite {
 /// copies of the row counts and index geometry it read, so it stays
 /// *consistent* whatever happens to the catalog or the index set
 /// afterwards — and *current* exactly as long as they do not change. It has no
-/// invalidation rule of its own; its owner supplies one. Beside something
-/// immutable (a [`crate::DbSnapshot`]) the rule is a lifetime: drop the
-/// plan with the snapshot. The live [`crate::SimDb`] keeps one per bound
-/// template ([`crate::SimDb::execute_bound`]) under a release rule: every
-/// table growth and every index created, restored or dropped releases all
-/// of its kept plans *before* the catalog or the index view changes — the
-/// tables let go, so growth copies none — and a released plan is prepared
-/// again, into the same storage, at its template's next execution.
+/// invalidation rule of its own; its owner supplies one. Beside a
+/// [`crate::DbSnapshot`] the rule is [`crate::DbSnapshot::agrees_on`]: the
+/// plan stays current for every later snapshot of the database that has
+/// its tables' stamps and index ids. The live [`crate::SimDb`] keeps one
+/// per bound template ([`crate::SimDb::execute_bound`]) under a release
+/// rule: every table growth and every index created, restored or dropped
+/// releases all of its kept plans *before* the catalog or the index view
+/// changes — the tables let go, so growth copies none — and a released
+/// plan is prepared again, into the same storage, at its template's next
+/// execution.
 ///
 /// **Operand order.** Pricing evaluates every floating-point expression
 /// with the operands in the order the one-pass planner used, and compares

@@ -1057,3 +1057,131 @@ fn kept_plan_execution_equals_planned_execution_under_change() {
         },
     );
 }
+
+// ----------------------------------------- carried ≡ prepared under change
+
+/// A snapshot's plan of a template stays current for a later snapshot of
+/// its database wherever `DbSnapshot::agrees_on` says the two agree on the
+/// template's tables — what lets a serving publication start from the
+/// plans of the one before it. Over random catalogs, index sets and
+/// templates, interleave `grow_table`, `create_index`, `drop_index` and
+/// `restore_index`, snapshot after each step, and hold each template's
+/// plan against the snapshot it was prepared on: wherever the new snapshot
+/// agrees, fresh bindings priced through the held plan give what a plan the
+/// new snapshot prepares gives — every access path, strategy, charge and
+/// feature, floats by their bits — and execute to the same outcome and
+/// delta; wherever it does not, the plan is prepared again. Some plans
+/// must carry past a step that changed the database, and some must not.
+#[test]
+fn a_plan_carried_where_snapshots_agree_prices_as_a_fresh_one() {
+    let (mut carried, mut refused) = (0usize, 0usize);
+    property(
+        "a_plan_carried_where_snapshots_agree_prices_as_a_fresh_one",
+        PropConfig::default().cases(128),
+        |rng, size| {
+            let config = SimDbConfig {
+                memory_bytes: rng.random_range(1u64 << 20..1 << 28),
+                seed: rng.random_range(0u64..1_000),
+                ..SimDbConfig::default()
+            };
+            let mut db = SimDb::with_metrics(oracle_catalog(rng), config, MetricsRegistry::new());
+            for _ in 0..rng.random_range(0usize..10) {
+                let _ = db.create_index(oracle_def(rng)); // duplicates refused
+            }
+            let templates: Vec<String> = (0..rng.random_range(1usize..5))
+                .map(|_| oracle_template(rng))
+                .collect();
+            let bind = |catalog: &Catalog, template: &str, rng: &mut StdRng| {
+                let sql = oracle_bind(template, rng);
+                let shape = QueryShape::extract(&parse_statement(&sql).unwrap(), catalog);
+                (sql, shape)
+            };
+            // Per template: the snapshot its plan was prepared on, and the
+            // plan with the binding it was prepared from.
+            let snap = db.snapshot(0);
+            let mut held: Vec<(DbSnapshot, QueryShape, PreparedPlan)> = templates
+                .iter()
+                .map(|t| {
+                    let (_, shape) = bind(snap.catalog(), t, rng);
+                    let plan = snap.prepare(&shape);
+                    (snap.clone(), shape, plan)
+                })
+                .collect();
+            let mut dropped: Vec<IndexDef> = Vec::new();
+            let mut seq = 0u64;
+            for step in 1..rng.random_range(2u64..20 + size as u64) {
+                match rng.random_range(0u32..6) {
+                    0 => {
+                        let t = *rng.choose(&VIEW_TABLES).unwrap();
+                        db.grow_table(t, rng.random_range(1u64..200_000)).unwrap();
+                    }
+                    1 => {
+                        // Keys the templates can use, half the time: a new
+                        // index a plan would have chosen, or must maintain.
+                        let def = match rng.random_bool(0.5) {
+                            true => oracle_def(rng),
+                            false => {
+                                let t = *rng.choose(&VIEW_TABLES).unwrap();
+                                IndexDef::new(t, rng.choose(&[&["g"][..], &["k"], &["v"]]).unwrap())
+                            }
+                        };
+                        let _ = db.create_index(def);
+                    }
+                    2 => {
+                        let ids: Vec<IndexId> = db.indexes().map(|(id, _)| id).collect();
+                        if let Some(id) = rng.choose(&ids) {
+                            dropped.push(db.drop_index(*id).unwrap());
+                        }
+                    }
+                    3 => {
+                        if let Some(def) = dropped.pop() {
+                            db.restore_index(def).unwrap();
+                        }
+                    }
+                    _ => {} // a publication with nothing moved
+                }
+                let snap = db.snapshot(step);
+                for (j, template) in templates.iter().enumerate() {
+                    let (earlier, first, plan) = &held[j];
+                    if !snap.agrees_on(earlier, first) {
+                        refused += 1;
+                        let (_, shape) = bind(snap.catalog(), template, rng);
+                        let plan = snap.prepare(&shape);
+                        held[j] = (snap.clone(), shape, plan);
+                        continue;
+                    }
+                    let moved = earlier.catalog().version() != snap.catalog().version()
+                        || earlier.index_count() != snap.index_count();
+                    carried += usize::from(moved);
+                    for _ in 0..2 {
+                        let (sql, shape) = bind(snap.catalog(), template, rng);
+                        if !plan.fits(&shape) {
+                            continue;
+                        }
+                        let (through, base) = plan.plan(&shape);
+                        let (fresh, fresh_base) = snap.prepare(&shape).plan(&shape);
+                        prop_assert!(
+                            plan_print(&through, base) == plan_print(&fresh, fresh_base),
+                            "step {step}: {sql} priced through a plan of epoch {}",
+                            earlier.epoch
+                        );
+                        seq += 1;
+                        let (a, a_delta) = snap.execute_prepared_at(plan, &shape, seq);
+                        let (b, b_delta) = snap.execute_shape_at(&shape, seq);
+                        prop_assert!(
+                            a.latency_ms.to_bits() == b.latency_ms.to_bits(),
+                            "step {step}: {sql}"
+                        );
+                        prop_assert!(a.indexes_used == b.indexes_used, "step {step}: {sql}");
+                        prop_assert!(a_delta == b_delta, "step {step}: {sql}");
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        carried > 0 && refused > 0,
+        "{carried} plans carried past a change, {refused} prepared again"
+    );
+}

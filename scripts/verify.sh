@@ -37,7 +37,7 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + a prepared plan reachable only through its publication; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement, a fleet of one schema building one frame per template text: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + a_publication_carries_the_plans_whose_tables_and_indexes_held: a publication takes the plans of the one before it whose tables and indexes held, and only those; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement, a fleet of one schema building one frame per template text: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 cargo test -q --offline --release -p autoindex-core --test serving_allocs
@@ -75,6 +75,9 @@ cargo test -q --offline --release -p autoindex-storage --test proptests prepared
 
 echo "==> cargo test -q --offline --release (kept = planned under change: a database pricing bound statements through its kept plans = its twin planning every statement, across growth and DDL, in the build that ships)"
 cargo test -q --offline --release -p autoindex-storage --test proptests kept_plan_execution_equals_planned_execution_under_change
+
+echo "==> cargo test -q --offline --release (carried = prepared under change: wherever DbSnapshot::agrees_on says a later snapshot agrees with the one a plan was prepared on, the plan prices every binding as the later snapshot's own plan does, across growth and DDL, in the build that ships)"
+cargo test -q --offline --release -p autoindex-storage --test proptests a_plan_carried_where_snapshots_agree_prices_as_a_fresh_one
 
 echo "==> cargo test -q --offline --manifest-path perf/Cargo.toml (the wall-clock benchmark builds against these crates: 1/100-scale smoke, all five workloads)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
