@@ -77,7 +77,8 @@
 
 use crate::error::{invalid, AutoIndexError};
 use crate::fastpath::{
-    CompiledTemplate, FastPathCache, FrameCache, FrontEnd, Resolved, SkeletonClone, UpkeepCounters,
+    CompiledTemplate, FastPathCache, Frame, FrameCache, FrontEnd, Resolved, SkeletonClone,
+    UpkeepCounters,
 };
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
@@ -344,9 +345,12 @@ pub(crate) fn simulated_qps(executed: u64, makespan_ms: f64) -> f64 {
 /// the publication, once for every worker: its *late* entry, the run's
 /// frame of its text and schema folded against the snapshot's catalog,
 /// with a plan slot of its own. Its first two statements take the parse
-/// path ([`PARSED_BEFORE_LATE`]). All of it
-/// is read-only for workers but for those one-time fills (whose values do
-/// not depend on who fills them), and the mutex that orders the sightings
+/// path ([`PARSED_BEFORE_LATE`]). The entries go with their epoch; their
+/// frames stay with the publication until the lane publishes again, so
+/// the next publication folds each one its store kept instead of building
+/// it again, and a worker's skeleton clone of it lives on. All of it is
+/// read-only for workers but for those one-time fills (whose values do not
+/// depend on who fills them), and the mutex that orders the sightings
 /// hands each template's first two to the parse path whichever worker
 /// they reach, so hits, misses, plans prepared and plans carried are
 /// invariant under worker count.
@@ -362,10 +366,14 @@ pub(crate) struct Publication {
     plans: Box<[OnceLock<Arc<PreparedPlan>>]>,
     /// The templates statements missed `cache` with, by fingerprint hash,
     /// and how far each got: parsed so far, or compiled late. Emptied when
-    /// the epoch's last run is absorbed
-    /// ([`Coordinator::run_epoch`]), before the boundary tunes: the next
-    /// publication compiles what it needs from the template store.
+    /// the epoch's last run is absorbed ([`Coordinator::run_epoch`]),
+    /// before the boundary tunes: only the frames stay, in `kept`.
     late: Mutex<U64HashMap<Sighting>>,
+    /// The frames of the late entries of the epochs run under this
+    /// publication, by fingerprint hash: alive while it is the lane's
+    /// current one, which is while the lane's next publication is built —
+    /// the run's `frames` hands them to that publication's templates.
+    kept: Mutex<U64HashMap<Arc<Frame>>>,
     /// The run's frames, shared by every publication and late entry of it,
     /// and the snapshot catalog's schema fingerprint, which keys them.
     frames: Arc<Mutex<FrameCache>>,
@@ -387,11 +395,16 @@ enum Sighting {
 }
 
 /// Statements of a template the frozen cache lacks that take the parse
-/// path under a publication before the template is compiled late: a late
-/// compile (canonical text, a sentinel parse, a traced extraction, a fold,
-/// a skeleton clone per worker) costs about two parses, so it pays from a
-/// template's third statement in an epoch on, and a template seen once or
-/// twice costs what it did before there were late entries.
+/// path under a publication before the template is compiled late. A late
+/// compile's frame (canonical text, a sentinel parse, a traced extraction)
+/// and the workers' skeleton clones of it outlive the epoch — the lane's
+/// next publication folds that frame instead of building it — so for a
+/// template the store keeps, compiling late adds only a fold and a plan,
+/// and for one it drops before the boundary, a frame nobody folds. A
+/// template seen once or twice under a publication takes the parse path
+/// as it did before there were late entries. At 1 or 0 the serving
+/// workloads read fewer allocator calls still, but the hit and miss
+/// tallies the serving golden digest holds follow from this value.
 const PARSED_BEFORE_LATE: u32 = 2;
 
 /// A template a publication compiled late, and its plan slot.
@@ -438,6 +451,7 @@ impl Publication {
             plans: (0..cache.len()).map(|_| OnceLock::new()).collect(),
             cache,
             late: Mutex::default(),
+            kept: Mutex::default(),
             frames: Arc::clone(frames),
             schema: OnceLock::new(),
             prepared: upkeep.prepared.clone(),
@@ -496,7 +510,7 @@ impl Publication {
             let catalog = self.snap.catalog();
             let schema = *self.schema.get_or_init(|| catalog.schema_fingerprint());
             let text = || Some(fingerprint(sql).ok()?.text);
-            let frame = lock(&self.frames).late_frame((hash, schema), text, catalog)?;
+            let frame = lock(&self.frames).frame((hash, schema), text, catalog).0?;
             let template = CompiledTemplate::fold(frame, catalog)?;
             self.made_late.incr();
             Some(Late {
@@ -507,9 +521,20 @@ impl Publication {
         Some(entry)
     }
 
-    /// Drop the late entries: the epoch they were made in is over.
-    fn forget_late(&self) {
-        std::mem::take(&mut *lock(&self.late));
+    /// Drop the late entries, the epoch they were made in being over, and
+    /// keep their frames.
+    fn retire_late(&self) {
+        let late = std::mem::take(&mut *lock(&self.late));
+        let frames = late
+            .into_iter()
+            .filter_map(|(hash, sighting)| match sighting {
+                Sighting::Late(entry) => {
+                    let frame = entry.get()?.as_ref()?.template.frame();
+                    Some((hash, Arc::clone(frame)))
+                }
+                Sighting::Parsed(_) => None,
+            });
+        lock(&self.kept).extend(frames);
     }
 
     /// Execute `shape`, a statement bound through a compiled template whose
@@ -990,7 +1015,8 @@ impl Coordinator<'_, '_> {
     /// slot panics at most once) so the epoch always completes. An epoch
     /// that gets a stray observation, one twice, or none for a slot is an
     /// error (what `sink` was handed by then stays handed). Once the last
-    /// run has passed, every lane's publication drops its late entries.
+    /// run has passed, every lane's publication drops its late entries and
+    /// keeps their frames ([`Publication::retire_late`]).
     pub(crate) fn run_epoch(
         &mut self,
         epoch: u64,
@@ -1050,9 +1076,10 @@ impl Coordinator<'_, '_> {
         };
         // One makespan item per task, summed in seq order.
         self.sim_makespan_ms += lpt_makespan(task_ms, engine.cfg.workers);
-        // Every run is absorbed: the late entries die with their epoch.
+        // Every run is absorbed: the late entries die with their epoch,
+        // their frames kept for the lanes' next publications.
         for publication in &self.current {
-            publication.forget_late();
+            publication.retire_late();
         }
         Ok(())
     }
@@ -1751,8 +1778,10 @@ mod tests {
     /// either worker, binds into a clone of its one frame through one
     /// prepared plan. A template seen once compiles nothing. Another
     /// tenant's publication of the schema folds a late entry of its own from
-    /// that frame. The entries go when the epoch ends, and the frame with
-    /// them.
+    /// that frame. The entries go when the epoch ends, the frame stays with
+    /// the publications: a next publication whose store kept the template
+    /// folds it, building none, and the workers' clones stay bindable. Once
+    /// no publication or template holds the frame it goes.
     #[test]
     fn two_workers_missing_one_template_build_one_frame_and_one_late_entry() {
         let db = Fixture::new().db;
@@ -1827,20 +1856,93 @@ mod tests {
         let other_keys: Vec<u64> = scratch.clones.by_frame.keys().copied().collect();
         assert_eq!(other_keys, keys[0], "the schema's frame");
 
-        publication.forget_late();
-        other.forget_late();
+        publication.retire_late();
+        other.retire_late();
         assert!(lock(&publication.late).is_empty() && lock(&other.late).is_empty());
-        let clones: Vec<_> = workers
-            .iter()
-            .map(|(scratch, _)| scratch)
-            .chain([&scratch])
-            .flat_map(|scratch| scratch.clones.by_frame.values())
-            .collect();
-        assert_eq!(clones.len(), 3);
+        let clones = || {
+            let scratches = workers.iter().map(|(scratch, _)| scratch).chain([&scratch]);
+            let clones = scratches.flat_map(|scratch| scratch.clones.by_frame.values());
+            clones.map(SkeletonClone::is_live).collect::<Vec<bool>>()
+        };
+        assert_eq!(clones(), [true; 3], "the publications keep the frame");
+
+        // The lane's next publication, its store having observed the
+        // template, folds the kept frame.
+        let mut advisor = AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+        advisor.observe(&sql(7), &db).unwrap();
+        let next = Publication::build(&db, &mut advisor, 1, true, &upkeep, &frames);
+        assert_eq!(registry.counter_value("sql.fastpath.compiled"), 0);
+        assert_eq!(registry.counter_value("sql.fastpath.shared"), 1);
+        let hash = fingerprint(&sql(7)).unwrap().hash;
+        let template = next.cache.get(hash).expect("compiled");
+        assert_eq!(SkeletonClone::key(template), keys[0][0], "the kept frame");
+        drop((publication, other));
+        assert_eq!(clones(), [true; 3], "the template holds the frame");
+        drop((next, advisor));
+        assert_eq!(clones(), [false; 3], "nothing holds the frame");
+    }
+
+    /// A template compiled late that the store evicted before the boundary
+    /// is not adopted: the lane's next publication compiles nothing for it,
+    /// and its frame goes with the publication that kept it. Seen again,
+    /// its first two statements parse and the third compiles it late anew,
+    /// from a frame built again, binding as the parse path extracts.
+    #[test]
+    fn a_late_template_the_store_evicted_is_not_adopted_and_compiles_again() {
+        use crate::templates::TemplateStoreConfig;
+        let db = Fixture::new().db;
+        let registry = MetricsRegistry::new();
+        let upkeep = UpkeepCounters::bind(&registry);
+        let frames = Arc::default();
+        let templates = TemplateStoreConfig {
+            max_templates: 1,
+            ..TemplateStoreConfig::default()
+        };
+        let config = AutoIndexConfig {
+            templates,
+            ..AutoIndexConfig::default()
+        };
+        let mut advisor = AutoIndex::new(config, NativeCostEstimator);
+        let first = Publication::build(&db, &mut advisor, 0, true, &upkeep, &frames);
+        let sql = |k: u64| format!("SELECT * FROM account WHERE acct_id = {k}");
+        let mut scratch = WorkerScratch::new(&registry, 0);
+        let run = |publication: &Publication, seqs: Range<u64>, scratch: &mut WorkerScratch| {
+            let run =
+                seqs.map(|seq| execute_statement(publication, 0, &sql(seq), seq, true, scratch));
+            run.map(|(_, bound)| bound).collect::<Vec<bool>>()
+        };
+        assert_eq!(run(&first, 0..3, &mut scratch), [false, false, true]);
+        // The store admits the template, then evicts it for another one.
+        advisor.observe(&sql(0), &db).unwrap();
+        advisor
+            .observe("SELECT * FROM card WHERE card_id = 5", &db)
+            .unwrap();
+        assert_eq!(advisor.templates().len(), 1);
+        first.retire_late();
+
+        let next = Publication::build(&db, &mut advisor, 1, true, &upkeep, &frames);
+        let hash = fingerprint(&sql(0)).unwrap().hash;
+        assert!(next.cache.get(hash).is_none(), "not adopted");
+        assert_eq!(registry.counter_value("sql.fastpath.shared"), 0);
+        drop(first);
         assert!(
-            clones.iter().all(|c| !c.is_live()),
-            "no template holds the frame"
+            scratch.clones.by_frame.values().all(|c| !c.is_live()),
+            "nothing holds the frame"
         );
+
+        assert_eq!(run(&next, 3..6, &mut scratch), [false, false, true]);
+        assert_eq!(registry.counter_value("sql.fastpath.late"), 2);
+        let latency = |(payload, _): (ObservationPayload, bool)| match payload {
+            ObservationPayload::Executed { outcome, .. } => outcome.latency_ms.to_bits(),
+            other => panic!("{other:?}"),
+        };
+        for seq in 6..10 {
+            let bound = execute_statement(&next, 0, &sql(seq), seq, true, &mut scratch);
+            assert!(bound.1);
+            let parsed = execute_statement(&next, 0, &sql(seq), seq, false, &mut scratch);
+            assert!(!parsed.1);
+            assert_eq!(latency(bound), latency(parsed), "{}", sql(seq));
+        }
     }
 
     /// A simulated outcome of `latency_ms`.

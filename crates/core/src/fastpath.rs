@@ -29,10 +29,10 @@
 //! template is evicted or decays). What its text determines — skeleton,
 //! slot writes, the [`SelTrace`] extraction recorded: its `Frame`, which
 //! holds no statistic — is made once, and under the serving loop once per
-//! run for every tenant of one schema (`FrameCache`) — twice for a template
-//! no tenant had compiled when a late entry needed it: by that entry, and
-//! again by the publication after its epoch, the entry and its frame having
-//! died with the epoch. What the statistics determine — the selectivity
+//! run for every tenant of one schema (`FrameCache`): a frame a late entry
+//! built outlives its epoch in the publication that compiled it, so the
+//! lane's next publication folds it instead of building it again. What the
+//! statistics determine — the selectivity
 //! program: per factor its leaves' constants and literal-dependent
 //! comparisons — carries the
 //! [growth stamp](autoindex_storage::catalog::Table::stamp) of every table
@@ -392,6 +392,11 @@ impl CompiledTemplate {
         true
     }
 
+    /// The frame this template was folded from.
+    pub(crate) fn frame(&self) -> &Arc<Frame> {
+        &self.frame
+    }
+
     /// Whether every table this template touches still carries the stamp
     /// the program was folded at — the whole validity rule.
     fn is_current(&self, catalog: &Catalog) -> bool {
@@ -474,22 +479,10 @@ impl Frame {
     }
 
     /// The frame of `text` (canonical template text) against `catalog`'s
-    /// schema, sized exactly: extraction grows its vectors by doubling, a
-    /// clone's are exact-sized, and the frame lives as long as its
-    /// template. `None` means the template is ineligible.
+    /// schema: one parse of its sentinel text and one traced extraction,
+    /// the statistics the extraction folded in left out. `None` means the
+    /// template is ineligible.
     fn build(text: &str, catalog: &Catalog) -> Option<Frame> {
-        let frame = Frame::extract(text, catalog)?;
-        Some(Frame {
-            skeleton: frame.skeleton.clone(),
-            trace: frame.trace.clone(),
-            ..frame
-        })
-    }
-
-    /// The frame of `text` against `catalog`'s schema as extraction left
-    /// it: one parse of its sentinel text and one traced extraction, the
-    /// statistics the extraction folded in left out.
-    fn extract(text: &str, catalog: &Catalog) -> Option<Frame> {
         let (sentinel_text, n_slots) = Self::sentinel_text(text)?;
         if n_slots > u16::MAX as usize {
             return None;
@@ -542,15 +535,18 @@ impl Frame {
             }
             None => None,
         };
+        // Sized exactly: extraction grows its vectors by doubling, a
+        // clone's are exact-sized, and the frame lives as long as the
+        // templates folded from it.
         Some(Frame {
-            skeleton,
+            skeleton: skeleton.clone(),
             writes,
             limit_slot,
             n_slots,
             guard_groups,
             atom_twins,
             group_twins,
-            trace,
+            trace: trace.clone(),
         })
     }
 
@@ -566,10 +562,10 @@ impl Frame {
 /// so a tenant whose schema another tenant has folds that tenant's frame
 /// against its own statistics instead of parsing and extracting the text
 /// again. A frame is held weakly — it lives while some tenant's template
-/// entry, or some publication's late entry, keeps it — and a text that does
-/// not compile against a schema is remembered as such. The run keeps one,
-/// behind a mutex its publications and their workers' late compiles share
-/// (`engine::Publication`).
+/// entry, or some publication that compiled it late, keeps it — and a text
+/// that does not compile against a schema is remembered as such. The run
+/// keeps one, behind a mutex its publications and their workers' late
+/// compiles share (`engine::Publication`).
 #[derive(Debug, Default)]
 pub(crate) struct FrameCache {
     frames: WordHashMap<(u64, u64), Option<Weak<Frame>>>,
@@ -578,36 +574,16 @@ pub(crate) struct FrameCache {
 }
 
 impl FrameCache {
-    /// The frame of `text` (its fingerprint hash and the schema
+    /// The frame of a template (its fingerprint hash and the schema
     /// fingerprint of `catalog` form `key`): the cached one, or built now
-    /// when no live frame is cached. Whether it was built or shared, as
-    /// the upkeep step it makes of a pending entry.
-    pub(crate) fn frame(
+    /// from its canonical text — asked of `text` only then (`None`: the
+    /// statement has none) — when no live frame is cached. Whether it was
+    /// built or shared, as the upkeep step it makes of a pending entry.
+    pub(crate) fn frame<T: AsRef<str>>(
         &mut self,
         key: (u64, u64),
-        text: &str,
+        text: impl FnOnce() -> Option<T>,
         catalog: &Catalog,
-    ) -> (Option<Arc<Frame>>, Upkeep) {
-        self.frame_with(key, || Frame::build(text, catalog))
-    }
-
-    /// [`frame`](Self::frame) for a publication's late entry, which lives
-    /// one epoch: a frame built now keeps the vectors extraction grew
-    /// instead of exact-sized copies of them, and `text` is asked for only
-    /// then (`None`: the statement has no canonical text).
-    pub(crate) fn late_frame(
-        &mut self,
-        key: (u64, u64),
-        text: impl FnOnce() -> Option<String>,
-        catalog: &Catalog,
-    ) -> Option<Arc<Frame>> {
-        self.frame_with(key, || Frame::extract(&text()?, catalog)).0
-    }
-
-    fn frame_with(
-        &mut self,
-        key: (u64, u64),
-        build: impl FnOnce() -> Option<Frame>,
     ) -> (Option<Arc<Frame>>, Upkeep) {
         match self.frames.get(&key) {
             Some(None) => return (None, Upkeep::Ineligible),
@@ -624,7 +600,9 @@ impl FrameCache {
             self.frames.retain(|_, f| live(f));
             self.sweep_at = 2 * self.frames.len().max(16);
         }
-        let frame = build().map(Arc::new);
+        let frame = text()
+            .and_then(|text| Frame::build(text.as_ref(), catalog))
+            .map(Arc::new);
         self.frames.insert(key, frame.as_ref().map(Arc::downgrade));
         (frame, Upkeep::Compiled)
     }
@@ -1085,9 +1063,9 @@ impl SkeletonClone {
 /// One reader's statement front end: its reusable literal buffer and its
 /// cells of `sql.fastpath.{hits,misses,fallbacks}`. At steady state —
 /// repeat templates, warmed skeleton clones — [`FrontEnd::resolve`]
-/// performs **zero heap allocations** for integer and float literals. The
-/// scan allocates a fresh `String` per string literal; a bind copies it
-/// into the clone's own string, which keeps its capacity.
+/// performs **zero heap allocations**, string literals included: the scan
+/// writes a string into one the scan before collected, and a bind copies
+/// it into the clone's own string; both keep their capacity.
 pub(crate) struct FrontEnd {
     lits: LiteralBuf,
     hits: ShardCell,

@@ -164,14 +164,19 @@ impl ConfigSet {
     }
 
     /// The set's words folded through a [`WordHasher`]: what the search's
-    /// configuration indexes are keyed by ([`probe`]).
+    /// configuration indexes are keyed by ([`probe`], [`L1`]).
     fn word_hash(&self) -> u64 {
-        let mut h = WordHasher::default();
-        for &w in &self.words {
-            h.write_u64(w);
-        }
-        h.finish()
+        words_hash(&self.words)
     }
+}
+
+/// `words` folded through a [`WordHasher`], one word at a time.
+fn words_hash(words: &[u64]) -> u64 {
+    let mut h = WordHasher::default();
+    for &w in words {
+        h.write_u64(w);
+    }
+    h.finish()
 }
 
 /// Where the entry `holds` is in an index of hash → id, probed from hash
@@ -569,20 +574,114 @@ pub struct MctsSearch<'a> {
     pub start: ConfigSet,
 }
 
-/// The whole-configuration (L1) memo of one [`MctsSearch::run`], its
-/// economics and the buffers a batch is priced with. It sits in front of
-/// the round's pricer and dies with the search.
+/// The whole-configuration (L1) memo of one [`MctsSearch::run`]: every
+/// configuration the search priced, in the order it was entered, and its
+/// cost. A long round enters a few thousand, which makes the memo the
+/// largest thing a tuning round holds, so it is laid out for size. Each
+/// configuration is stored once, as `width` words (the universe's, zero
+/// past its canonical length), so a position's words need no end offset.
+/// The index is open addressing over positions, probed linearly from a
+/// configuration's [`word hash`](ConfigSet::word_hash) and at most half
+/// full: a bucket is four bytes — a position + 1, 0 for empty — where a
+/// hash map of hash → position takes sixteen and a control byte, and
+/// growing re-hashes the stored words instead of keeping a hash per
+/// entry.
+struct L1 {
+    width: usize,
+    index: Vec<u32>,
+    words: Vec<u64>,
+    /// Pressure-inclusive workload cost per position (NaN until priced).
+    costs: Vec<f64>,
+}
+
+impl L1 {
+    /// An empty memo for configurations of a `slots`-slot universe.
+    fn new(slots: usize) -> Self {
+        L1 {
+            width: slots.div_ceil(64),
+            index: Vec::new(),
+            words: Vec::new(),
+            costs: Vec::new(),
+        }
+    }
+
+    /// Configurations entered.
+    fn len(&self) -> usize {
+        self.costs.len()
+    }
+
+    /// Whether position `at` holds `words` (a canonical configuration's).
+    fn holds(&self, at: usize, words: &[u64]) -> bool {
+        let (head, tail) = self.words[at * self.width..][..self.width].split_at(words.len());
+        head == words && tail.iter().all(|&w| w == 0)
+    }
+
+    /// The hash of position `at`'s configuration: its words without the
+    /// zero padding, as [`ConfigSet::word_hash`] folds them.
+    fn hash_of(&self, at: usize) -> u64 {
+        let stored = &self.words[at * self.width..][..self.width];
+        let len = stored.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        words_hash(&stored[..len])
+    }
+
+    /// The position of `config`: `Ok` if the memo holds it, otherwise
+    /// `Err` of the position it was entered at now, its cost NaN.
+    fn find_or_enter(&mut self, config: &ConfigSet) -> Result<usize, usize> {
+        assert!(
+            config.words.len() <= self.width,
+            "a configuration of the universe"
+        );
+        let hash = config.word_hash();
+        if let Some(mask) = self.index.len().checked_sub(1) {
+            let mut b = hash as usize & mask;
+            while let Some(at) = self.index[b].checked_sub(1) {
+                if self.holds(at as usize, &config.words) {
+                    return Ok(at as usize);
+                }
+                b = (b + 1) & mask;
+            }
+        }
+        if 2 * (self.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let at = self.len();
+        let bucket = self.free_bucket(hash);
+        self.index[bucket] = u32::try_from(at + 1).expect("an L1 position fits in u32");
+        self.words.extend_from_slice(&config.words);
+        let padded = self.words.len() + self.width - config.words.len();
+        self.words.resize(padded, 0);
+        self.costs.push(f64::NAN);
+        Err(at)
+    }
+
+    /// The first empty bucket on `hash`'s probe sequence.
+    fn free_bucket(&self, hash: u64) -> usize {
+        let mask = self.index.len() - 1;
+        let mut b = hash as usize & mask;
+        while self.index[b] != 0 {
+            b = (b + 1) & mask;
+        }
+        b
+    }
+
+    /// Double the index (64 buckets at first) and place every position
+    /// again from its configuration's hash.
+    fn grow(&mut self) {
+        self.index = vec![0; (2 * self.index.len()).max(64)];
+        for at in 0..self.len() {
+            let bucket = self.free_bucket(self.hash_of(at));
+            self.index[bucket] = at as u32 + 1;
+        }
+    }
+}
+
+/// The L1 memo of one [`MctsSearch::run`], its economics and the buffers
+/// a batch is priced with. It sits in front of the round's pricer and dies
+/// with the search.
 struct EvalState {
-    /// [`ConfigSet::word_hash`] → L1 position, checked against the words
-    /// stored for it ([`probe`]): a configuration is looked up and, on a
-    /// miss, entered, before the batch is priced.
-    l1: U64HashMap<usize>,
-    /// Every L1 configuration's words, end to end, each stored once; the
-    /// ones of position `i` end at `l1_ends[i]`.
-    l1_words: Vec<u64>,
-    l1_ends: Vec<usize>,
-    /// Pressure-inclusive workload cost of every L1 configuration.
-    l1_costs: Vec<f64>,
+    /// A configuration is looked up and, on a miss, entered, before the
+    /// batch is priced.
+    l1: L1,
     /// L1 misses (= real configuration evaluations).
     evaluations: usize,
     /// L1 hits (configurations re-costed for free).
@@ -617,10 +716,7 @@ impl MctsSearch<'_> {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ tree.round());
 
         let mut st = EvalState {
-            l1: U64HashMap::default(),
-            l1_words: Vec::new(),
-            l1_ends: Vec::new(),
-            l1_costs: Vec::new(),
+            l1: L1::new(self.universe.len()),
             evaluations: 0,
             cache_hits: 0,
             m_hits: metrics.counter("mcts.eval_cache.hits"),
@@ -808,42 +904,33 @@ impl MctsSearch<'_> {
         st.pending.clear();
         st.dups.clear();
         // L1 positions from here on are this batch's misses, priced below.
-        let priced = st.l1_costs.len();
+        let priced = st.l1.len();
         for (i, cfg) in batch.iter().enumerate() {
-            let (words, ends) = (&st.l1_words, &st.l1_ends);
-            let stored = |at: usize| {
-                let from = at.checked_sub(1).map_or(0, |p| ends[p]);
-                words[from..ends[at]] == cfg.words[..]
-            };
-            match probe(&st.l1, cfg.word_hash(), stored) {
+            match st.l1.find_or_enter(cfg) {
                 Ok(at) => {
                     st.cache_hits += 1;
                     st.m_hits.incr();
                     match at {
-                        at if at < priced => st.costs[i] = st.l1_costs[at],
+                        at if at < priced => st.costs[i] = st.l1.costs[at],
                         at => st.dups.push((i, at)),
                     }
                 }
-                Err(free) => {
+                Err(_) => {
                     st.evaluations += 1;
                     st.m_misses.incr();
-                    st.l1.insert(free, st.l1_costs.len());
-                    st.l1_words.extend_from_slice(&cfg.words);
-                    st.l1_ends.push(st.l1_words.len());
-                    st.l1_costs.push(f64::NAN);
                     st.pending.push(i);
                 }
             }
         }
 
         let sums = pricer.sum_batch(st.pending.iter().map(|&i| &batch[i]));
-        for ((&i, &sum), cost) in st.pending.iter().zip(sums).zip(&mut st.l1_costs[priced..]) {
+        for ((&i, &sum), cost) in st.pending.iter().zip(sums).zip(&mut st.l1.costs[priced..]) {
             *cost = pressured(&st.pressure, sizes[i], sum);
             st.costs[i] = *cost;
         }
 
         for &(i, at) in &st.dups {
-            st.costs[i] = st.l1_costs[at];
+            st.costs[i] = st.l1.costs[at];
         }
         &st.costs
     }
@@ -1077,6 +1164,48 @@ mod tests {
         let d: ConfigSet = [5usize].into_iter().collect();
         assert_eq!(c, d);
         assert_eq!(hash(&c), hash(&d));
+    }
+
+    /// The L1 memo finds what a map of configurations finds, across its
+    /// index's growths and for configurations of every canonical length
+    /// up to the universe's width, the empty one included; a stored
+    /// configuration does not hold one that is a prefix of its words.
+    #[test]
+    fn l1_memo_finds_what_a_map_finds() {
+        for slots in [0, 1, 64, 130] {
+            let mut l1 = L1::new(slots);
+            let mut oracle = std::collections::HashMap::new();
+            let mut rng = StdRng::seed_from_u64(slots as u64);
+            // Few slots per word, so that configurations share words.
+            let pool: Vec<usize> = [0, 1, 2, 63, 64, 65, 128, 129]
+                .into_iter()
+                .filter(|&s| s < slots)
+                .chain((0..slots).step_by(7))
+                .collect();
+            for round in 0..3000 {
+                let p = if round < 1000 { 0.5 } else { 0.05 };
+                let config: ConfigSet = pool
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.random_bool(p))
+                    .collect();
+                let next = oracle.len();
+                let expected = match oracle.entry(config.words.clone()) {
+                    std::collections::hash_map::Entry::Occupied(e) => Ok(*e.get()),
+                    std::collections::hash_map::Entry::Vacant(e) => Err(*e.insert(next)),
+                };
+                assert_eq!(l1.find_or_enter(&config), expected, "{config:?}");
+            }
+            assert_eq!(l1.len(), oracle.len());
+            assert!(2 * l1.len() <= l1.index.len().max(2));
+        }
+        let mut l1 = L1::new(130);
+        let wide: ConfigSet = [1usize, 65].into_iter().collect();
+        let narrow: ConfigSet = [1usize].into_iter().collect();
+        assert_eq!(l1.find_or_enter(&wide), Err(0));
+        assert!(l1.holds(0, &wide.words) && !l1.holds(0, &narrow.words));
+        assert_eq!(l1.find_or_enter(&narrow), Err(1));
+        assert!(l1.holds(1, &narrow.words) && !l1.holds(1, &wide.words));
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl TemplateStore {
             let text = &entry.text;
             let step = entry.compiled.upkeep(catalog, || {
                 let schema = *schema.get_or_insert_with(|| catalog.schema_fingerprint());
-                frames.frame((hash, schema), text, catalog)
+                frames.frame((hash, schema), || Some(text), catalog)
             });
             if step.changed() {
                 self.published = None;

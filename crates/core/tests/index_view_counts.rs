@@ -295,9 +295,10 @@ fn a_prepared_execution_allocates_what_it_returns() {
 /// The compiled-template fast path at steady state — `scan_fingerprint`
 /// into a reused `LiteralBuf`, template-cache lookup, `bind` a warmed
 /// skeleton clone — performs **zero** allocator calls on numeric statements
-/// (string literals are excluded: binding a `Str` clones its contents, which
-/// is documented and expected), while the full-parse front end pays more
-/// than one call per statement.
+/// (string literals are excluded: across templates a statement can carry
+/// more or longer strings than the one before, and writing them allocates;
+/// `serving_allocs` holds a string stream to zero calls per statement),
+/// while the full-parse front end pays more than one call per statement.
 #[test]
 fn steady_state_fast_path_allocates_nothing_on_numeric_statements() {
     let catalog = banking::catalog();
@@ -635,8 +636,9 @@ fn a_cache_miss_allocates_what_it_returns() {
 
 /// `TemplateStore::observe` of a statement whose template it already knows
 /// is one allocation-free scan plus one hash lookup: no token, no canonical
-/// text (string literals are excluded — the scanner copies those into its
-/// literal buffer).
+/// text (string literals are excluded — the scanner writes those into
+/// strings of its literal buffer, which allocates where the scan before had
+/// fewer).
 #[test]
 fn observing_a_known_numeric_template_allocates_nothing() {
     let catalog = banking::catalog();

@@ -522,6 +522,68 @@ fn ad_hoc_templates_seen_once_or_twice_are_not_compiled_late() {
     assert_eq!(one.transcript(), off.transcript());
 }
 
+/// A template born in an epoch is compiled late at its third statement
+/// there, and the publication after the epoch folds the frame that late
+/// entry built instead of building it again, so each template's frame is
+/// built once over the run — by a late entry or, for one no epoch saw
+/// three times, by a publication — and a worker's skeleton clone of it
+/// outlives the epoch: one clone per worker and template. Every template
+/// here is born in the first epoch with three statements or more: each is
+/// compiled late there, and never again. Transcripts, hits, misses and
+/// plans prepared are the same at 1 and 4 workers; 4 workers clone each
+/// frame at most once each (which of them runs a template is the
+/// scheduler's choice).
+#[test]
+fn a_late_template_keeps_its_frame_past_its_epoch() {
+    const EPOCH: usize = 300;
+    let stream = banking_queries(1_500, 5);
+    let text = |q: &String| fingerprint(q).unwrap().text;
+    let mut first: HashMap<String, u64> = HashMap::new();
+    for q in &stream[..EPOCH] {
+        *first.entry(text(q)).or_insert(0) += 1;
+    }
+    // The statements of templates the first epoch saw three times or more:
+    // those of the first epoch lead the filtered stream, so its first
+    // epoch holds them all.
+    let born = |q: &String| first.get(&text(q)).is_some_and(|&n| n >= 3);
+    let queries: Vec<String> = stream.iter().filter(|q| born(q)).cloned().collect();
+    let templates = distinct_templates(&queries);
+    assert!(templates >= 10, "{templates} templates");
+    let run = |workers: usize| {
+        let cfg = ServeConfig::builder()
+            .workers(workers)
+            .epoch_interval(EPOCH as u64)
+            .build()
+            .unwrap();
+        let out = serve(banking_db(), advisor(), &queries, cfg).unwrap();
+        let m = out.db.metrics();
+        let counts = ["compiled", "shared", "late", "clones"]
+            .map(|name| m.counter_value(&format!("sql.fastpath.{name}")));
+        assert_eq!(out.advisor.templates().compiled_len() as u64, templates);
+        (out.report, counts)
+    };
+    let (one, [compiled, shared, late, clones]) = run(1);
+    assert_eq!(late, templates, "each compiled late in the first epoch");
+    assert_eq!(compiled, 0, "no frame built twice");
+    assert_eq!(
+        shared, templates,
+        "each late frame folded by the next publication"
+    );
+    assert_eq!(clones, templates, "one clone per template");
+    assert_eq!(one.fastpath_misses, 2 * templates);
+
+    let (four, [compiled4, _, late4, clones4]) = run(4);
+    assert_eq!((compiled4, late4), (compiled, late));
+    assert!(
+        (templates..=4 * templates).contains(&clones4),
+        "{clones4} clones of {templates} frames by 4 workers"
+    );
+    assert_eq!(four.transcript(), one.transcript());
+    let counts =
+        |r: &autoindex_core::ServeReport| (r.fastpath_hits, r.fastpath_misses, r.plans_prepared);
+    assert_eq!(counts(&four), counts(&one));
+}
+
 /// A publication takes every plan of the one before it whose tables and
 /// indexes held. On a read-only stream no table grows, so a template's
 /// plan is prepared under the first publication it binds under and again

@@ -77,6 +77,17 @@ pub fn unescape(raw: &str) -> String {
     }
 }
 
+/// [`unescape`] written over `dst`, whose buffer is reused.
+pub fn unescape_into(raw: &str, dst: &mut String) {
+    dst.clear();
+    for (i, piece) in raw.split("''").enumerate() {
+        if i > 0 {
+            dst.push('\'');
+        }
+        dst.push_str(piece);
+    }
+}
+
 /// A token plus its byte offset in the source.
 #[derive(Debug, Clone, Copy)]
 pub struct Token<'a> {
@@ -589,6 +600,11 @@ mod tests {
         assert!(matches!(toks[1].kind, TokenKind::Str("café")));
         assert!(matches!(toks[2].kind, TokenKind::Str("")));
         assert_eq!(unescape("o''brien"), "o'brien");
+        let mut into = String::from("a longer leftover");
+        for raw in ["o''brien", "''''", "x''", "", "café"] {
+            unescape_into(raw, &mut into);
+            assert_eq!(into, unescape(raw), "{raw}");
+        }
         assert_eq!(
             kinds("'o''brien' 'café'"),
             [r#"Str("o'brien")"#, r#"Str("café")"#, "Eof"]

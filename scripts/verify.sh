@@ -37,8 +37,9 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --release (engine hand-off tests + a_publication_carries_the_plans_whose_tables_and_indexes_held: a publication takes the plans of the one before it whose tables and indexes held, and only those; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement, a fleet of one schema building one frame per template text: both guard optimised-build behaviour)"
+echo "==> cargo test -q --offline --release (engine hand-off tests + a_publication_carries_the_plans_whose_tables_and_indexes_held: a publication takes the plans of the one before it whose tables and indexes held, and only those; a_late_template_keeps_its_frame_past_its_epoch: a serve run builds each template's frame once and clones it once per worker; allocation bounds incl. zero-allocation execution planned and prepared, the zero-allocation fast path, a fed repeat statement and its re-fold, an INSERT under kept plans copying no table, kept plans bounded by the template store, a serve run allocating per epoch, not per statement, string literals included, a fleet of one schema building one frame per template text: both guard optimised-build behaviour)"
 cargo test -q --offline --release -p autoindex-core --lib engine::
+cargo test -q --offline --release -p autoindex-core --test serving a_late_template_keeps_its_frame_past_its_epoch
 cargo test -q --offline --release -p autoindex-core --test index_view_counts
 cargo test -q --offline --release -p autoindex-core --test serving_allocs
 cargo test -q --offline --release -p autoindex-core --test fleet_allocs
@@ -229,7 +230,7 @@ for gone in shard_of SHARD_SALT derive_seed; do
 done
 absent 'pub seed' crates/core/src/serve.rs
 
-echo "==> streaming check (crates/core/src/engine.rs, tests included: the coordinator passes each lane's runs on in seq order and holds no epoch of slots; a worker's skeleton clones outlive a publication that keeps their frame)"
+echo "==> streaming check (crates/core/src/engine.rs, tests included: the coordinator passes each lane's runs on in seq order and holds no epoch of slots; a worker's skeleton clones outlive every publication that keeps their frame, and a late template's clones outlive its epoch)"
 absent EpochMerge crates/core/src/engine.rs
 absent 'clones.clear()' crates/core/src/engine.rs
 
