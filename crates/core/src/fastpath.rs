@@ -2009,7 +2009,9 @@ mod tests {
     /// [NOT] NULL`, `IN`, `LIKE`, join edges; literals below, at, inside
     /// and above their column's range, integers against float columns and
     /// floats against integer ones — bind bit for bit as parse + extract
-    /// gives them, and again after the entry re-folds for a grown table.
+    /// gives them, and again after the entry re-folds for a grown table,
+    /// and when a frame built against one catalog is folded for another
+    /// tenant of its schema whose table grew before its store saw it.
     #[test]
     fn random_predicate_trees_bind_as_extraction_folds_them() {
         use autoindex_support::prop::{property, PropConfig};
@@ -2036,6 +2038,24 @@ mod tests {
                         format!("SELECT * FROM {from} WHERE {p}")
                     })
                     .collect();
+                let grown = from.split(", ").next().unwrap().split(' ').next().unwrap();
+                let mut tenant = cat.clone();
+                tenant
+                    .grow_table(grown, rng.random_range(1u64..1_000_000))
+                    .unwrap();
+                assert_eq!(tenant.schema_fingerprint(), cat.schema_fingerprint());
+                for sql in &statements {
+                    let text = fingerprint(sql).unwrap().text;
+                    let frame =
+                        Frame::build(&text, &cat).unwrap_or_else(|| panic!("eligible: {sql}"));
+                    let folded = CompiledTemplate::fold(Arc::new(frame), &tenant).unwrap();
+                    let mut shape = folded.skeleton().clone();
+                    if binds_as_parsed(&folded, &mut shape, sql, &tenant) {
+                        bound += 1;
+                    } else {
+                        fell_back += 1;
+                    }
+                }
                 let mut pass = |store: &mut TemplateStore, cat: &Catalog| {
                     for sql in &statements {
                         let hash = store.observe(sql, cat).unwrap();
@@ -2050,7 +2070,6 @@ mod tests {
                     }
                 };
                 pass(&mut store, &cat);
-                let grown = from.split(", ").next().unwrap().split(' ').next().unwrap();
                 cat.grow_table(grown, rng.random_range(1u64..1_000_000))
                     .unwrap();
                 pass(&mut store, &cat);

@@ -27,14 +27,6 @@
 //!   what-if costs, simulated execution with noise, usage tracking and
 //!   data growth.
 //!
-//! Beside the analytic model sit two modules no product path calls — a
-//! test reference, kept so the planner's assumptions are checked against
-//! real pages (`tests/surface_proptests.rs`):
-//!
-//! * [`btree`] — a paged B+Tree: insert/split, point + range scans over
-//!   the leaf chain, delete with occupancy rebalance.
-//! * [`pager`] — the in-memory page arena and freelist the tree lives in.
-//!
 //! The *native* what-if cost deliberately ignores index-maintenance cost on
 //! writes — mirroring the real openGauss/PostgreSQL estimators the paper
 //! criticises (§V: "current database cannot estimate the index maintenance
@@ -43,13 +35,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod btree;
 pub mod catalog;
 pub mod db;
 pub mod fault;
 pub mod histogram;
 pub mod index;
-pub mod pager;
 pub mod planner;
 pub mod selectivity;
 pub mod shape;
@@ -84,9 +74,6 @@ pub enum StorageError {
     /// for [`FaultKind::TransientError`]; a [`FaultKind::FailedBuild`]
     /// means this DDL attempt is gone (a new attempt re-rolls).
     FaultInjected(FaultKind),
-    /// The reference B+Tree met a malformed node or a page id that was
-    /// never allocated.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -100,7 +87,6 @@ impl std::fmt::Display for StorageError {
             StorageError::UnknownIndex(id) => write!(f, "unknown index id {id:?}"),
             StorageError::Invalid(m) => write!(f, "invalid argument: {m}"),
             StorageError::FaultInjected(k) => write!(f, "injected fault: {k}"),
-            StorageError::Corrupt(m) => write!(f, "corrupt storage: {m}"),
         }
     }
 }

@@ -1,167 +1,17 @@
-//! Property tests for the PR10 sort/covering surface: an ordered index
-//! seek over the *real* paged B+Tree must return rows in exactly the
-//! order a sort-based plan returns, and a covering scan must be
-//! result-equivalent to the base-lookup plan it elides — both checked as
-//! byte-identical rendered transcripts, over random schemas and entry
-//! sets.
+//! Property test for the sort/covering surface of the what-if planner:
+//! over random schemas, a plan that elides the sort through an ordered
+//! index seek, or answers from a covering index, charges a different cost
+//! than the sort- and heap-paying plan but reports the same rows. The
+//! planner's seq / index crossover is modelled (`storage::index`), not
+//! checked against pages.
 
 use autoindex_sql::parse_statement;
-use autoindex_storage::btree::{self, BtreeConfig, TreeOps};
 use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
 use autoindex_storage::index::{IndexDef, SortDirection};
-use autoindex_storage::pager::Pager;
 use autoindex_storage::planner::{CostParams, Planner, VisibleIndex};
 use autoindex_storage::shape::QueryShape;
 use autoindex_support::prop::{property, PropConfig};
 use autoindex_support::prop_assert;
-
-/// Render an entry stream to the byte-transcript compared across plans.
-fn transcript(entries: &[(u64, u64)]) -> String {
-    let mut out = String::new();
-    for (k, r) in entries {
-        out.push_str(&format!("k={k} r={r}\n"));
-    }
-    out
-}
-
-/// Build a real paged B+Tree from `entries` inserted in the given
-/// (arbitrary) order; returns `(pager, root)`.
-fn build_tree(entries: &[(u64, u64)], fanout: usize) -> (Pager, u32) {
-    let mut pager = Pager::new();
-    let cfg = BtreeConfig::with_fanout(fanout);
-    let mut ops = TreeOps::default();
-    let mut root = btree::create(&mut pager).expect("create leaf");
-    for &e in entries {
-        root = btree::insert(&mut pager, &cfg, root, e, &mut ops).expect("insert");
-    }
-    (pager, root)
-}
-
-/// An ordered index seek (leaf-chain range walk) emits rows in exactly
-/// the order an explicit sort of the same multiset produces — the
-/// physical fact the planner's sort-elision rests on. Checked forward
-/// (ASC) and reversed (the backward scan that serves DESC), as
-/// byte-identical transcripts.
-#[test]
-fn ordered_seek_replays_sort_exactly() {
-    property(
-        "ordered_seek_replays_sort_exactly",
-        PropConfig::default(),
-        |rng, size| {
-            let n = 1 + size * 4;
-            // Small key space forces duplicate keys, so the composite
-            // (key, row) tie-break is actually exercised.
-            let key_space = rng.random_range(2u64..64);
-            let mut entries: Vec<(u64, u64)> = (0..n)
-                .map(|_| {
-                    (
-                        rng.random_range(0u64..key_space),
-                        rng.random_range(0u64..1_000_000),
-                    )
-                })
-                .collect();
-            rng.shuffle(&mut entries);
-            let fanout = rng.random_range(4usize..16);
-            let (mut pager, root) = build_tree(&entries, fanout);
-
-            let a = rng.random_range(0u64..key_space);
-            let b = rng.random_range(0u64..key_space);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-
-            // Ordered index seek: walk the leaf chain over [lo, hi].
-            let seek = btree::range(&mut pager, root, lo, hi).expect("range");
-
-            // Sort-based plan: filter the raw multiset, dedup (insert of
-            // an existing composite is a no-op), then explicitly sort.
-            let mut sorted: Vec<(u64, u64)> = entries
-                .iter()
-                .copied()
-                .filter(|(k, _)| (lo..=hi).contains(k))
-                .collect();
-            sorted.sort();
-            sorted.dedup();
-
-            prop_assert!(
-                transcript(&seek) == transcript(&sorted),
-                "forward seek != sort, n={n} lo={lo} hi={hi} fanout={fanout}"
-            );
-
-            // Backward scan (serves ORDER BY ... DESC at identical cost):
-            // must equal the descending sort exactly.
-            let back: Vec<(u64, u64)> = seek.iter().rev().copied().collect();
-            let mut desc = sorted.clone();
-            desc.sort_by(|x, y| y.cmp(x));
-            prop_assert!(
-                transcript(&back) == transcript(&desc),
-                "backward seek != desc sort, n={n} lo={lo} hi={hi}"
-            );
-            Ok(())
-        },
-    );
-}
-
-/// A covering scan answers the query from index leaves alone; the plan it
-/// replaces fetches each row id from the base table first. Over random
-/// schemas (a base tree keyed by row id plus a secondary index), both
-/// must produce byte-identical transcripts: every row id an index range
-/// scan emits exists in the base table, and the payload read either way
-/// is the same.
-#[test]
-fn covering_scan_matches_base_lookups() {
-    property(
-        "covering_scan_matches_base_lookups",
-        PropConfig::default(),
-        |rng, size| {
-            let n = 1 + size * 4;
-            let key_space = rng.random_range(2u64..64);
-            // The "schema": payload column derived from the row id by a
-            // pure function, stored (conceptually) both in the base table
-            // and in the index leaves.
-            let salt = rng.random_range(1u64..u64::MAX);
-            let payload = |row: u64| row.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-
-            let mut rows: Vec<u64> = (0..n as u64).collect();
-            rng.shuffle(&mut rows);
-            let index_entries: Vec<(u64, u64)> = rows
-                .iter()
-                .map(|&r| (rng.random_range(0u64..key_space), r))
-                .collect();
-            // Base table tree: row id -> payload (payload as the entry's
-            // second word so lookups return it).
-            let base_entries: Vec<(u64, u64)> = rows.iter().map(|&r| (r, payload(r))).collect();
-
-            let fanout = rng.random_range(4usize..16);
-            let (mut ipager, iroot) = build_tree(&index_entries, fanout);
-            let (mut bpager, broot) = build_tree(&base_entries, fanout);
-
-            let a = rng.random_range(0u64..key_space);
-            let b = rng.random_range(0u64..key_space);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let scan = btree::range(&mut ipager, iroot, lo, hi).expect("index range");
-
-            // Covering plan: payload comes straight from the leaf entry.
-            let covering: Vec<(u64, u64)> = scan.iter().map(|&(_, r)| (r, payload(r))).collect();
-
-            // Base-lookup plan: fetch each row id from the base tree.
-            let mut fetched = Vec::with_capacity(scan.len());
-            for &(_, r) in &scan {
-                let hits = btree::lookup(&mut bpager, broot, r).expect("base lookup");
-                prop_assert!(
-                    hits.len() == 1,
-                    "row {r} has {} base entries (lo={lo} hi={hi})",
-                    hits.len()
-                );
-                fetched.push((r, hits[0]));
-            }
-
-            prop_assert!(
-                transcript(&covering) == transcript(&fetched),
-                "covering != base-lookup, n={n} lo={lo} hi={hi} fanout={fanout}"
-            );
-            Ok(())
-        },
-    );
-}
 
 /// Planner-level guard over random schemas: whenever the chosen plan
 /// elides the sort (ordered index seek) the winning path really provides
